@@ -4,10 +4,13 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"strings"
 	"testing"
 	"time"
 
 	"hydranet/internal/app"
+	"hydranet/internal/ipv4"
+	"hydranet/internal/tcp"
 	"hydranet/internal/trace"
 )
 
@@ -15,6 +18,10 @@ import (
 type scenarioOpts struct {
 	poison   bool      // enable frame-pool poisoning
 	traceOut io.Writer // tcpdump-style segment trace destination (nil = none)
+	// retain seeds the bug frame poisoning exists to catch: hooks that keep
+	// the *tcp.Segment and *ipv4.Packet they were handed past the call, and
+	// read them after the run. What they read is appended to the fingerprint.
+	retain bool
 }
 
 // runScenario executes a fixed FT scenario (lossy links, mid-stream primary
@@ -40,6 +47,16 @@ func runScenario(seed int64, opts scenarioOpts) string {
 		for _, h := range replicas {
 			tr.AttachTCP(h.Name(), h.TCP())
 		}
+	}
+	var keptSeg *tcp.Segment
+	var keptPkt *ipv4.Packet
+	if opts.retain {
+		client.TCP().SetTrace(func(dir string, _, _ Endpoint, seg *tcp.Segment) {
+			if dir == "in" {
+				keptSeg = seg
+			}
+		})
+		net.addEncapTap(func(inner *ipv4.Packet, _ Addr) { keptPkt = inner })
 	}
 	svc, err := net.DeployFT(testSvc, rd, replicas, FTOptions{},
 		func(c *Conn) { app.Echo(c) })
@@ -72,7 +89,11 @@ func runScenario(seed int64, opts scenarioOpts) string {
 	if err != nil {
 		panic(err)
 	}
-	return fp + "\n" + string(snap)
+	fp += "\n" + string(snap)
+	if opts.retain {
+		fp += fmt.Sprintf("\nretained: seg %v; inner %s→%s proto %d", keptSeg, keptPkt.Src, keptPkt.Dst, keptPkt.Proto)
+	}
+	return fp
 }
 
 // TestWholeRunDeterminism: a complete FT scenario — loss, retransmissions,
@@ -108,5 +129,36 @@ func TestPoolingDeterminism(t *testing.T) {
 	}
 	if trClean.Len() == 0 {
 		t.Fatal("trace is empty — the comparison is vacuous")
+	}
+}
+
+// TestScratchPoisonCatchesRetention: parsed headers live in per-stack scratch
+// structs with the lifetime of the frame they were parsed from, and poison
+// mode scribbles them when the handler returns. A hook that wrongly keeps the
+// pointer therefore reads garbage under poison and the last frame's header
+// without — so the clean/poisoned comparison TestPoolingDeterminism relies on
+// fails, which is how such a bug gets caught.
+func TestScratchPoisonCatchesRetention(t *testing.T) {
+	split := func(fp string) (run, retained string) {
+		i := strings.LastIndex(fp, "\nretained: ")
+		if i < 0 {
+			t.Fatal("fingerprint has no retained section")
+		}
+		return fp[:i], fp[i:]
+	}
+	cleanRun, cleanKept := split(runScenario(77, scenarioOpts{retain: true}))
+	poisonRun, poisonKept := split(runScenario(77, scenarioOpts{retain: true, poison: true}))
+	if cleanRun != poisonRun {
+		t.Fatal("the retaining hooks only read; the run itself must not change under poison")
+	}
+	if cleanKept == poisonKept {
+		t.Fatalf("retained scratch headers read the same with and without poison — scratch structs are not scribbled:%s", cleanKept)
+	}
+	scribbled := ipv4.Addr(0xDBDBDBDB).String()
+	if !strings.Contains(poisonKept, "inner "+scribbled+"→"+scribbled) || !strings.Contains(poisonKept, fmt.Sprint(uint32(0xDBDBDBDB))) {
+		t.Fatalf("poisoned run's retained headers are not the scribble pattern:%s", poisonKept)
+	}
+	if strings.Contains(cleanKept, scribbled) {
+		t.Fatalf("clean run shows the scribble pattern:%s", cleanKept)
 	}
 }

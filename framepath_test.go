@@ -1,0 +1,189 @@
+package hydranet
+
+import (
+	"runtime"
+	"testing"
+	"time"
+
+	"hydranet/internal/ipv4"
+	"hydranet/internal/netsim"
+	"hydranet/internal/redirector"
+	"hydranet/internal/sim"
+	"hydranet/internal/tcp"
+	"hydranet/internal/ttcp"
+)
+
+type discardFrames struct{ frames int }
+
+func (h *discardFrames) HandleFrame(int, []byte) { h.frames++ }
+
+var budgetLink = netsim.LinkConfig{Rate: 100_000_000, Delay: 10 * time.Microsecond}
+
+// budgetRouter is a — r — b with r forwarding between 10.1.0.0/24 and
+// 10.2.0.0/24; frames reaching a or b are counted and dropped.
+func budgetRouter() (s *sim.Scheduler, r *ipv4.Stack, a, b ipv4.Addr) {
+	s = sim.NewScheduler(1)
+	fab := netsim.New(s)
+	na := fab.AddNode(netsim.NodeConfig{Name: "a"})
+	nr := fab.AddNode(netsim.NodeConfig{Name: "r"})
+	nb := fab.AddNode(netsim.NodeConfig{Name: "b"})
+	fab.Connect(na, nr, budgetLink)
+	fab.Connect(nr, nb, budgetLink)
+	na.SetHandler(&discardFrames{})
+	nb.SetHandler(&discardFrames{})
+	r = ipv4.NewStack(nr, s)
+	r.SetForwarding(true)
+	a, b = ipv4.AddrFrom4(10, 1, 0, 1), ipv4.AddrFrom4(10, 2, 0, 2)
+	r.SetAddr(0, ipv4.AddrFrom4(10, 1, 0, 2))
+	r.SetAddr(1, ipv4.AddrFrom4(10, 2, 0, 1))
+	r.Routes().Add(ipv4.Route{Dst: ipv4.Prefix{Addr: a, Bits: 24}, Ifindex: 0})
+	r.Routes().Add(ipv4.Route{Dst: ipv4.Prefix{Addr: b, Bits: 24}, Ifindex: 1})
+	return s, r, a, b
+}
+
+func budgetTCPFrame(t *testing.T, src, dst ipv4.Addr, dstPort uint16) []byte {
+	t.Helper()
+	seg := &tcp.Segment{SrcPort: 40000, DstPort: dstPort, Seq: 1, Ack: 1, Flags: tcp.FlagACK, Window: 8192, Payload: make([]byte, 64)}
+	p := &ipv4.Packet{Header: ipv4.Header{TTL: 64, Proto: ipv4.ProtoTCP, Src: src, Dst: dst, ID: 7}, Payload: seg.Marshal(src, dst)}
+	wire, err := p.Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return wire
+}
+
+// allocsPerEvent runs the net for d and returns heap allocations per
+// scheduler event over that stretch.
+func allocsPerEvent(net *Net, d time.Duration) (perEvent float64, events uint64) {
+	var m0, m1 runtime.MemStats
+	e0 := net.EventsFired()
+	runtime.ReadMemStats(&m0)
+	net.RunFor(d)
+	runtime.ReadMemStats(&m1)
+	events = net.EventsFired() - e0
+	return float64(m1.Mallocs-m0.Mallocs) / float64(events), events
+}
+
+// TestFramePathAllocBudget pins the allocation-free frame path (DESIGN.md
+// "Fast path"): once pools and free lists are warm, a link crossing, an IPv4
+// forward and a two-replica redirector multicast allocate nothing, and whole
+// transfers stay under a per-event ceiling far below ROADMAP's 0.1.
+func TestFramePathAllocBudget(t *testing.T) {
+	t.Run("link round trip", func(t *testing.T) {
+		s := sim.NewScheduler(1)
+		fab := netsim.New(s)
+		a, b := fab.AddNode(netsim.NodeConfig{Name: "a"}), fab.AddNode(netsim.NodeConfig{Name: "b"})
+		fab.Connect(a, b, budgetLink)
+		h := &discardFrames{}
+		b.SetHandler(h)
+		data := make([]byte, 1500)
+		cross := func() {
+			a.SendFrame(0, a.Pool().GetCopy(data))
+			s.Run()
+		}
+		cross()
+		if allocs := testing.AllocsPerRun(200, cross); allocs != 0 {
+			t.Errorf("one frame across one link allocates %.1f times, want 0", allocs)
+		}
+		if h.frames < 200 {
+			t.Fatalf("only %d frames delivered", h.frames)
+		}
+	})
+
+	t.Run("forward", func(t *testing.T) {
+		s, r, a, b := budgetRouter()
+		wire := budgetTCPFrame(t, a, b, 5001)
+		hop := func() {
+			r.HandleFrame(0, wire)
+			s.Run()
+		}
+		hop()
+		if allocs := testing.AllocsPerRun(200, hop); allocs != 0 {
+			t.Errorf("forwarding one datagram to the next hop allocates %.1f times, want 0", allocs)
+		}
+		if got := r.Stats().Forwarded; got < 200 {
+			t.Fatalf("only %d datagrams forwarded", got)
+		}
+	})
+
+	t.Run("intercept ft2", func(t *testing.T) {
+		s, r, a, b := budgetRouter()
+		rd := redirector.New(r)
+		svc := ipv4.AddrFrom4(192, 20, 225, 20)
+		rd.SetFTReplicas(redirector.ServiceKey{Addr: svc, Port: 5001}, b, []ipv4.Addr{ipv4.AddrFrom4(10, 2, 0, 3)})
+		wire := budgetTCPFrame(t, a, svc, 5001)
+		hop := func() {
+			r.HandleFrame(0, wire)
+			s.Run()
+		}
+		hop()
+		if allocs := testing.AllocsPerRun(200, hop); allocs != 0 {
+			t.Errorf("a two-replica multicast through to the next hop allocates %.1f times, want 0", allocs)
+		}
+		if got := rd.Stats().MulticastCopies; got < 400 {
+			t.Fatalf("only %d tunnel copies", got)
+		}
+	})
+
+	// Whole transfers on the paper's testbed (internal/testbed's machine
+	// costs and full-mesh LAN, which keep the stream free of queue drops),
+	// measured over a stretch of steady state after the handshake, slow
+	// start and every pool have warmed. The ceiling is what the
+	// allocation-free path achieves (under 0.0005) with an order of
+	// magnitude to spare; the design target is 0.1.
+	const ceiling = 0.005
+	tcpCfg := TCPConfig{SendBufSize: 16384, RecvBufSize: 16384, DelayedAckTimeout: 200 * time.Millisecond}
+	clientCfg := HostConfig{ProcDelay: 300 * time.Microsecond, ProcPerByte: 1300 * time.Nanosecond}
+	routerCfg := HostConfig{ProcDelay: 275 * time.Microsecond, ProcPerByte: 750 * time.Nanosecond}
+	serverCfg := HostConfig{ProcDelay: 170 * time.Microsecond, ProcPerByte: 350 * time.Nanosecond}
+	mesh := func(net *Net, hosts ...*Host) {
+		link := LinkConfig{Rate: 10_000_000, Delay: 100 * time.Microsecond, QueueBytes: 32 * 1024}
+		for i := range hosts {
+			for j := i + 1; j < len(hosts); j++ {
+				net.Link(hosts[i], hosts[j], link)
+			}
+		}
+		net.AutoRoute()
+	}
+	stream := func(t *testing.T, net *Net, client *Host, to Endpoint, bufLen int) {
+		t.Helper()
+		conn, err := client.DialEndpoint(to)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ttcp.Transmit(client.Scheduler(), conn, ttcp.Params{BufLen: bufLen, Count: 1 << 30}, func(ttcp.Result) {})
+		net.RunFor(3 * time.Second)
+		got, events := allocsPerEvent(net, 6*time.Second)
+		if events < 10_000 {
+			t.Fatalf("only %d events in the measured stretch — the transfer is not streaming", events)
+		}
+		if got > ceiling {
+			t.Errorf("steady-state transfer allocates %.4f times per event (%d events), ceiling %.3f", got, events, ceiling)
+		}
+	}
+	t.Run("ft 16-byte writes", func(t *testing.T) {
+		net := New(Config{Seed: 3, TCP: tcpCfg})
+		client := net.AddHost("client", clientCfg)
+		rd := net.AddRedirector("rd", routerCfg)
+		replicas := []*Host{net.AddHost("s0", serverCfg), net.AddHost("s1", serverCfg)}
+		mesh(net, rd.Host, client, replicas[0], replicas[1])
+		if _, err := net.DeployFT(testSvc, rd, replicas, FTOptions{}, func(c *Conn) { ttcp.Sink(c) }); err != nil {
+			t.Fatal(err)
+		}
+		net.Settle()
+		stream(t, net, client, Endpoint{Addr: testSvc.Addr, Port: testSvc.Port}, 16)
+	})
+	t.Run("clean 1024-byte writes", func(t *testing.T) {
+		net := New(Config{Seed: 3, TCP: tcpCfg})
+		client := net.AddHost("client", clientCfg)
+		router := net.AddRouter("router", routerCfg)
+		server := net.AddHost("server", serverCfg)
+		mesh(net, client, router, server)
+		lst, err := server.Listen(0, 5001)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lst.SetAcceptFunc(func(c *Conn) { ttcp.Sink(c) })
+		stream(t, net, client, Endpoint{Addr: server.Addr(), Port: 5001}, 1024)
+	})
+}

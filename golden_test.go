@@ -1,0 +1,101 @@
+package hydranet_test
+
+import (
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
+	"flag"
+	"fmt"
+	"os"
+	"testing"
+
+	"hydranet"
+	"hydranet/internal/testbed"
+)
+
+var updateGolden = flag.String("update-golden", "", "rewrite testdata/golden_outputs.json from this tree, recording the given commit label")
+
+const goldenPath = "testdata/golden_outputs.json"
+
+// goldenOutputs pins simulator outputs across commits: a performance PR
+// proves "byte-identical before and after" by leaving this file untouched.
+// Regenerate (-update-golden) only in a PR that means to change behaviour.
+type goldenOutputs struct {
+	RecordedAt    string   `json:"recorded_at"`
+	CapturePcap   string   `json:"capture_pcap_sha256"`
+	CaptureSeries string   `json:"capture_series_sha256"`
+	Scenario77    string   `json:"scenario77_sha256"`
+	Figure4At128K []string `json:"figure4_128k"`
+}
+
+func sha(b []byte) string {
+	s := sha256.Sum256(b)
+	return hex.EncodeToString(s[:])
+}
+
+func computeGolden(t *testing.T) goldenOutputs {
+	pcap, series := hydranet.GoldenCapture(t)
+	g := goldenOutputs{
+		CapturePcap:   sha(pcap),
+		CaptureSeries: sha(series),
+		Scenario77:    sha([]byte(hydranet.GoldenScenario(77))),
+	}
+	for _, size := range testbed.Figure4Sizes {
+		for _, c := range testbed.Figure4Cases {
+			r, info := testbed.RunMeasured(testbed.Config{Case: c, BufLen: size, TotalBytes: 128 << 10, Seed: 1})
+			if r.Err != nil {
+				t.Fatalf("%s/%d: %v", c, size, r.Err)
+			}
+			g.Figure4At128K = append(g.Figure4At128K, fmt.Sprintf(
+				"%s/%d: bytes=%d started=%d finished=%d events=%d frames=%d stats=%+v",
+				c, size, r.Bytes, r.Started, r.Finished, info.Events, info.Frames, r.Stats))
+		}
+	}
+	return g
+}
+
+// TestGoldenOutputs: the FT capture scenario's pcap and series exports, the
+// runScenario(77) fingerprint and the 28-point Figure-4 table at 128 KiB are
+// exactly what the commit that recorded the golden file produced.
+func TestGoldenOutputs(t *testing.T) {
+	got := computeGolden(t)
+	if *updateGolden != "" {
+		got.RecordedAt = *updateGolden
+		b, err := json.MarshalIndent(got, "", " ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(goldenPath, append(b, '\n'), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	raw, err := os.ReadFile(goldenPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want goldenOutputs
+	if err := json.Unmarshal(raw, &want); err != nil {
+		t.Fatal(err)
+	}
+	if got.CapturePcap != want.CapturePcap {
+		t.Errorf("capture pcap sha256 = %s, golden %s", got.CapturePcap, want.CapturePcap)
+	}
+	if got.CaptureSeries != want.CaptureSeries {
+		t.Errorf("capture series sha256 = %s, golden %s", got.CaptureSeries, want.CaptureSeries)
+	}
+	if got.Scenario77 != want.Scenario77 {
+		t.Errorf("runScenario(77) sha256 = %s, golden %s", got.Scenario77, want.Scenario77)
+	}
+	if len(got.Figure4At128K) != len(want.Figure4At128K) {
+		t.Fatalf("Figure-4 table has %d points, golden %d", len(got.Figure4At128K), len(want.Figure4At128K))
+	}
+	for i, w := range want.Figure4At128K {
+		if got.Figure4At128K[i] != w {
+			t.Errorf("Figure-4 point %d:\n  got    %s\n  golden %s", i, got.Figure4At128K[i], w)
+		}
+	}
+}

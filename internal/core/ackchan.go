@@ -36,9 +36,19 @@ const (
 // ErrBadChainMsg reports an undecodable acknowledgment-channel datagram.
 var ErrBadChainMsg = errors.New("core: malformed acknowledgment-channel message")
 
-// Marshal encodes the message for the UDP acknowledgment channel.
+// Marshal encodes the message for the UDP acknowledgment channel. It
+// allocates the result; the send path uses MarshalInto.
 func (m *ChainMsg) Marshal() []byte {
 	b := make([]byte, chainMsgLen)
+	m.MarshalInto(b)
+	return b
+}
+
+// MarshalInto encodes the message into b, which must be chainMsgLen bytes.
+//
+//hydralint:zeroalloc
+func (m *ChainMsg) MarshalInto(b []byte) {
+	_ = b[chainMsgLen-1]
 	b[0] = chainMsgMagic
 	b[1] = chainMsgVersion
 	putU32(b[2:6], uint32(m.Service.Addr))
@@ -47,20 +57,34 @@ func (m *ChainMsg) Marshal() []byte {
 	putU16(b[12:14], m.Client.Port)
 	putU32(b[14:18], uint32(m.SndNxt))
 	putU32(b[18:22], uint32(m.RcvNxt))
-	return b
 }
 
-// UnmarshalChainMsg decodes an acknowledgment-channel datagram.
+// UnmarshalChainMsg decodes an acknowledgment-channel datagram. It allocates
+// the message; the receive path decodes into a manager-owned one with
+// (*ChainMsg).Unmarshal.
 func UnmarshalChainMsg(b []byte) (*ChainMsg, error) {
-	if len(b) != chainMsgLen || b[0] != chainMsgMagic || b[1] != chainMsgVersion {
-		return nil, ErrBadChainMsg
+	m := new(ChainMsg)
+	if err := m.Unmarshal(b); err != nil {
+		return nil, err
 	}
-	return &ChainMsg{
+	return m, nil
+}
+
+// Unmarshal decodes b into m, overwriting every field; on error m is left
+// untouched.
+//
+//hydralint:zeroalloc
+func (m *ChainMsg) Unmarshal(b []byte) error {
+	if len(b) != chainMsgLen || b[0] != chainMsgMagic || b[1] != chainMsgVersion {
+		return ErrBadChainMsg
+	}
+	*m = ChainMsg{
 		Service: ServiceID{Addr: ipv4.Addr(getU32(b[2:6])), Port: getU16(b[6:8])},
 		Client:  tcp.Endpoint{Addr: ipv4.Addr(getU32(b[8:12])), Port: getU16(b[12:14])},
 		SndNxt:  tcp.Seq(getU32(b[14:18])),
 		RcvNxt:  tcp.Seq(getU32(b[18:22])),
-	}, nil
+	}
+	return nil
 }
 
 func putU32(b []byte, v uint32) {

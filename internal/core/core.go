@@ -114,6 +114,12 @@ type Manager struct {
 	suspect  SuspectFunc
 	bus      *obs.Bus
 
+	// Scratch for the acknowledgment channel: rxMsg is the message being
+	// handled (valid only during onChainDatagram), txBuf the encoding of the
+	// one being sent (udp.SendTo copies it into the pooled frame).
+	rxMsg ChainMsg
+	txBuf [chainMsgLen]byte
+
 	// chainLoss artificially drops outgoing acknowledgment-channel
 	// messages with the given probability — an ablation instrument for
 	// studying the paper's trade-off of running the channel over
@@ -189,8 +195,8 @@ func (m *Manager) Reset() {
 
 // onChainDatagram handles acknowledgment-channel traffic from successors.
 func (m *Manager) onChainDatagram(_ udp.Endpoint, _ ipv4.Addr, payload []byte) {
-	msg, err := UnmarshalChainMsg(payload)
-	if err != nil {
+	msg := &m.rxMsg
+	if err := msg.Unmarshal(payload); err != nil {
 		m.stats.ChainMsgsBad++
 		return
 	}
@@ -208,6 +214,10 @@ func (m *Manager) onChainDatagram(_ udp.Endpoint, _ ipv4.Addr, payload []byte) {
 		return
 	}
 	p.onChainMsg(msg)
+	if m.tcpStack.IP().Poisoned() {
+		// Same rule as the parsed headers below us: nothing may keep msg.
+		*msg = ChainMsg{SndNxt: 0xDBDBDBDB, RcvNxt: 0xDBDBDBDB}
+	}
 }
 
 // ReplicatedPort is per-(virtual host, TCP port) replication state on one
@@ -476,7 +486,8 @@ func (fc *ftConn) sendChainMsg(sndNxt, rcvNxt tcp.Seq) {
 	}
 	// Send errors mean no route to the predecessor — the chain is broken
 	// and reconfiguration will handle it; nothing to do here.
-	_ = p.mgr.udpStack.SendTo(p.mgr.hostAddr, AckChannelPort, p.upstream, msg.Marshal()) //nolint:errcheck
+	msg.MarshalInto(p.mgr.txBuf[:])
+	_ = p.mgr.udpStack.SendTo(p.mgr.hostAddr, AckChannelPort, p.upstream, p.mgr.txBuf[:]) //nolint:errcheck
 }
 
 // onClientRetransmit is the failure-estimator input (paper Section 4.3):

@@ -130,6 +130,13 @@ func NewPool() *Pool { return &Pool{} }
 // call from any goroutine.
 func (p *Pool) SetPoison(on bool) { p.poison.Store(on) }
 
+// Poisoned reports whether poison mode is on. Layers that parse frames into
+// reused scratch structs scribble those too when it is, extending the
+// read-after-release check from frame bytes to parsed headers.
+//
+//hydralint:zeroalloc
+func (p *Pool) Poisoned() bool { return p.poison.Load() }
+
 // Stats returns cumulative Get calls, Release calls, and Gets that missed
 // the free lists (allocated fresh memory).
 func (p *Pool) Stats() (gets, puts, misses uint64) { return p.gets, p.puts, p.misses }

@@ -15,6 +15,7 @@ import (
 type HostServer struct {
 	ip     *ipv4.Stack
 	vhosts map[ipv4.Addr]int // reference counts per virtual host address
+	inner  ipv4.Packet       // scratch for the decapsulated datagram; valid during DeliverIP only
 
 	// Stats
 	decapsulated uint64
@@ -83,8 +84,8 @@ func (h *HostServer) Stats() (decapsulated, badTunnel, notVirtual uint64) {
 // unwraps the inner datagram and, if it targets a hosted virtual host,
 // injects it into local delivery.
 func (h *HostServer) DeliverIP(outer *ipv4.Packet) {
-	inner, err := ipv4.Unmarshal(outer.Payload)
-	if err != nil {
+	inner := &h.inner
+	if err := inner.Unmarshal(outer.Payload); err != nil {
 		h.badTunnel++
 		return
 	}
@@ -94,6 +95,9 @@ func (h *HostServer) DeliverIP(outer *ipv4.Packet) {
 	}
 	h.decapsulated++
 	h.ip.InjectLocal(inner)
+	if h.ip.Poisoned() {
+		inner.Scribble()
+	}
 }
 
 // String describes the host server for traces.

@@ -21,6 +21,12 @@ func Fragment(p *Packet, mtu int) ([]*Packet, error) {
 	if HeaderLen+len(p.Payload) <= mtu {
 		return []*Packet{p}, nil
 	}
+	return fragment(p, mtu)
+}
+
+// fragment splits a datagram that does not fit mtu. It never returns p
+// itself, so callers' packets stay off the heap.
+func fragment(p *Packet, mtu int) ([]*Packet, error) {
 	if p.DontFrag {
 		return nil, fmt.Errorf("%w: datagram %d→%s", ErrFragNeeded, p.ID, p.Dst)
 	}

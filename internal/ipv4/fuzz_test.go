@@ -2,6 +2,7 @@ package ipv4
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 
 	"hydranet/internal/sim"
@@ -21,8 +22,24 @@ func FuzzUnmarshal(f *testing.F) {
 	f.Add(bytes.Repeat([]byte{0x45}, 20))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		p, err := Unmarshal(data)
+		// The frame path parses into a reused scratch: whatever the previous
+		// frame left there, the result must equal a parse into a fresh Packet,
+		// and a rejected frame must leave the scratch alone.
+		var scratch, dirty Packet
+		dirty.Scribble()
+		dirty.Payload, dirty.wire = []byte("stale"), []byte("stale wire")
+		scratch = dirty
+		if err2 := scratch.Unmarshal(data); err2 != err {
+			t.Fatalf("into-scratch error %v, allocating wrapper %v", err2, err)
+		}
 		if err != nil {
+			if !reflect.DeepEqual(scratch, dirty) {
+				t.Fatalf("rejected frame modified the scratch: %+v", scratch)
+			}
 			return
+		}
+		if !reflect.DeepEqual(&scratch, p) {
+			t.Fatalf("into-scratch parse %+v differs from fresh parse %+v", scratch, *p)
 		}
 		b, err := p.Marshal()
 		if err != nil {

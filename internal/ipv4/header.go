@@ -114,41 +114,64 @@ func (p *Packet) putHeader(b []byte, total int) {
 }
 
 // Unmarshal parses and validates a wire-format IPv4 packet, verifying the
-// header checksum. The returned packet's payload aliases b.
+// header checksum. The returned packet's payload aliases b. It allocates the
+// Packet; the frame path parses into a receiver-owned one with
+// (*Packet).Unmarshal instead.
 func Unmarshal(b []byte) (*Packet, error) {
+	p := new(Packet)
+	if err := p.Unmarshal(b); err != nil {
+		return nil, err
+	}
+	return p, nil
+}
+
+// Unmarshal parses and validates b into p, overwriting every field; on error
+// p is left untouched. Payload and the wire bytes alias b.
+//
+//hydralint:zeroalloc
+func (p *Packet) Unmarshal(b []byte) error {
 	if len(b) < HeaderLen {
-		return nil, ErrTruncated
+		return ErrTruncated
 	}
 	if b[0]>>4 != 4 {
-		return nil, ErrBadVersion
+		return ErrBadVersion
 	}
 	ihl := int(b[0]&0x0f) * 4
 	if ihl < HeaderLen || len(b) < ihl {
-		return nil, ErrTruncated
+		return ErrTruncated
 	}
 	if Checksum(b[:ihl]) != 0 {
-		return nil, ErrBadChecksum
+		return ErrBadChecksum
 	}
 	total := int(b[2])<<8 | int(b[3])
 	if total < ihl || total > len(b) {
-		return nil, ErrBadLength
+		return ErrBadLength
 	}
 	frag := uint16(b[6])<<8 | uint16(b[7])
-	p := &Packet{
-		Header: Header{
-			TOS:      b[1],
-			TotalLen: total,
-			ID:       uint16(b[4])<<8 | uint16(b[5]),
-			DontFrag: frag&flagDF != 0,
-			MoreFrag: frag&flagMF != 0,
-			FragOff:  int(frag&0x1fff) * 8,
-			TTL:      b[8],
-			Proto:    b[9],
-			Src:      getAddr(b[12:16]),
-			Dst:      getAddr(b[16:20]),
-		},
-		Payload: b[ihl:total],
-		wire:    b[:total],
+	p.Header = Header{
+		TOS:      b[1],
+		TotalLen: total,
+		ID:       uint16(b[4])<<8 | uint16(b[5]),
+		DontFrag: frag&flagDF != 0,
+		MoreFrag: frag&flagMF != 0,
+		FragOff:  int(frag&0x1fff) * 8,
+		TTL:      b[8],
+		Proto:    b[9],
+		Src:      getAddr(b[12:16]),
+		Dst:      getAddr(b[16:20]),
 	}
-	return p, nil
+	p.Payload = b[ihl:total]
+	p.wire = b[:total]
+	return nil
+}
+
+// Scribble overwrites p with recognisably wrong values. Receivers that parse
+// into a scratch Packet call it in frame-poison mode once their handlers have
+// returned, so a handler that kept the pointer reads garbage at once instead
+// of whatever the next frame happens to hold.
+func (p *Packet) Scribble() {
+	*p = Packet{Header: Header{
+		TOS: 0xDB, TotalLen: 0xDBDB, ID: 0xDBDB, FragOff: 0xDBD8,
+		TTL: 0xDB, Proto: 0xDB, Src: 0xDBDBDBDB, Dst: 0xDBDBDBDB,
+	}}
 }

@@ -12,7 +12,10 @@ import (
 const DefaultTTL = 64
 
 // ProtocolHandler is implemented by transport layers (TCP, UDP) and by the
-// IP-in-IP decapsulator to receive locally delivered datagrams.
+// IP-in-IP decapsulator to receive locally delivered datagrams. pkt is the
+// receiver's scratch: it (like the payload bytes it aliases) is valid only
+// for the duration of the call. The same holds for the packet passed to a
+// ForwardHook and an ErrorReporter.
 type ProtocolHandler interface {
 	DeliverIP(pkt *Packet)
 }
@@ -64,6 +67,12 @@ type Stack struct {
 	fwdHook    ForwardHook
 	reporter   ErrorReporter
 
+	// rx is the scratch every received frame is parsed into. The *Packet
+	// handed to protocol handlers, the forward hook and the error reporter
+	// points here (or at a reassembled datagram) and, like the frame bytes it
+	// aliases, is valid only until the call returns.
+	rx Packet
+
 	stats StackStats
 }
 
@@ -88,6 +97,11 @@ func (s *Stack) Node() *netsim.Node { return s.node }
 
 // Scheduler returns the scheduler driving this stack.
 func (s *Stack) Scheduler() *sim.Scheduler { return s.sched }
+
+// Poisoned reports whether the node's frame pool is in poison mode, in which
+// every layer scribbles its scratch Packet/Segment/message once the handler
+// it was passed to has returned (see frame.Pool.SetPoison).
+func (s *Stack) Poisoned() bool { return s.node.Pool().Poisoned() }
 
 // Rebind moves the stack (and its reassembler) onto another scheduler — the
 // one driving the node's synchronization domain after a parallel partition.
@@ -172,14 +186,12 @@ func (s *Stack) RegisterProto(proto uint8, h ProtocolHandler) {
 // Send originates a datagram. A zero src selects the address of the
 // outgoing interface. The payload is not copied; callers must not reuse it.
 func (s *Stack) Send(proto uint8, src, dst Addr, payload []byte) error {
-	p := &Packet{
-		Header:  Header{TTL: DefaultTTL, Proto: proto, Src: src, Dst: dst, ID: s.allocID()},
-		Payload: payload,
-	}
+	h := Header{TTL: DefaultTTL, Proto: proto, Src: src, Dst: dst, ID: s.allocID()}
 	if s.local[dst] {
 		// Loopback: deliver asynchronously so protocol code never
 		// reenters itself within one call stack.
 		s.stats.Originated++
+		p := &Packet{Header: h, Payload: payload}
 		s.sched.After(0, func() {
 			if s.node.Alive() {
 				s.deliverLocal(p)
@@ -192,11 +204,11 @@ func (s *Stack) Send(proto uint8, src, dst Addr, payload []byte) error {
 		s.stats.NoRoute++
 		return fmt.Errorf("ipv4: no route to %s", dst)
 	}
-	if p.Src == 0 {
-		p.Src = s.Addr(ifindex)
+	if h.Src == 0 {
+		h.Src = s.Addr(ifindex)
 	}
 	s.stats.Originated++
-	return s.transmit(p, ifindex)
+	return s.transmit(&Packet{Header: h, Payload: payload}, ifindex)
 }
 
 // SendPacket routes and transmits a fully formed datagram (used for
@@ -219,34 +231,55 @@ func (s *Stack) allocID() uint16 {
 	return s.nextID
 }
 
+// transmit sends p out ifindex, fragmenting only when it does not fit the
+// MTU. p is not retained.
 func (s *Stack) transmit(p *Packet, ifindex int) error {
 	mtu := s.node.MTU(ifindex)
-	frags, err := Fragment(p, mtu)
+	if HeaderLen+len(p.Payload) <= mtu {
+		return s.transmitOne(p, ifindex)
+	}
+	frags, err := fragment(p, mtu)
 	if err != nil {
 		return err
 	}
-	pool := s.node.Pool()
 	for _, f := range frags {
-		total := HeaderLen + len(f.Payload)
-		if err := f.checkMarshal(total); err != nil {
+		if err := s.transmitOne(f, ifindex); err != nil {
 			return err
 		}
-		fb := pool.Get(total)
-		b := fb.Bytes()
-		f.putHeader(b, total)
-		copy(b[HeaderLen:], f.Payload)
-		s.node.SendFrame(ifindex, fb)
 	}
+	return nil
+}
+
+// transmitOne marshals a datagram that fits the MTU into a pooled frame and
+// hands it to the fabric.
+func (s *Stack) transmitOne(p *Packet, ifindex int) error {
+	total := HeaderLen + len(p.Payload)
+	if err := p.checkMarshal(total); err != nil {
+		return err
+	}
+	fb := s.node.Pool().Get(total)
+	b := fb.Bytes()
+	p.putHeader(b, total)
+	copy(b[HeaderLen:], p.Payload)
+	s.node.SendFrame(ifindex, fb)
 	return nil
 }
 
 // HandleFrame implements netsim.FrameHandler.
 func (s *Stack) HandleFrame(ifindex int, frame []byte) {
-	p, err := Unmarshal(frame)
-	if err != nil {
+	p := &s.rx
+	if err := p.Unmarshal(frame); err != nil {
 		s.stats.BadHeader++
 		return
 	}
+	s.input(p)
+	if s.Poisoned() {
+		p.Scribble()
+	}
+}
+
+// input delivers or forwards one parsed frame.
+func (s *Stack) input(p *Packet) {
 	if s.local[p.Dst] || p.Dst == Broadcast {
 		if whole := s.reasm.Add(p); whole != nil {
 			s.deliverLocal(whole)

@@ -50,9 +50,9 @@ type domainRT struct {
 	staged []handoff   // inbox entries published at the last barrier
 	outbox [][]handoff // indexed by destination domain; worker-local
 
-	sentNew []*frame.Buf // hand-off buffers sent this window
-	sentMid []*frame.Buf // sent last window; destination has copied them
-	arrFree []*pendingArrival
+	sentNew []*frame.Buf  // hand-off buffers sent this window
+	sentMid []*frame.Buf  // sent last window; destination has copied them
+	evFree  []*frameEvent // recycled fabric event records (see frameEvent)
 
 	handoffs  uint64   // frames handed across domains
 	handoffTo []uint64 // frames handed to each destination domain
@@ -70,37 +70,6 @@ type handoff struct {
 	ifindex int32
 	node    *Node
 	fb      *frame.Buf
-}
-
-// pendingArrival is a recycled delivery record: its cached fire closure
-// keeps the merge path allocation-free in steady state.
-type pendingArrival struct {
-	dom     *domainRT
-	node    *Node
-	ifindex int
-	fb      *frame.Buf
-	fireFn  func()
-}
-
-func (pa *pendingArrival) fire() {
-	node, ifindex, fb := pa.node, pa.ifindex, pa.fb
-	pa.node = nil
-	pa.fb = nil
-	d := pa.dom
-	d.arrFree = append(d.arrFree, pa)
-	node.deliver(ifindex, fb)
-}
-
-func (d *domainRT) getArrival() *pendingArrival {
-	if k := len(d.arrFree); k > 0 {
-		pa := d.arrFree[k-1]
-		d.arrFree[k-1] = nil
-		d.arrFree = d.arrFree[:k-1]
-		return pa
-	}
-	pa := &pendingArrival{dom: d}
-	pa.fireFn = pa.fire
-	return pa
 }
 
 // SetDomains partitions the network for conservative parallel execution:
@@ -327,14 +296,12 @@ func (n *Network) WindowStart(id int) {
 			}
 		}
 		nb := d.pool.GetCopy(e.fb.Bytes())
-		pa := d.getArrival()
-		pa.node = e.node
-		pa.ifindex = int(e.ifindex)
-		pa.fb = nb
+		ar := d.getEvent(evArrive, nb)
+		ar.node, ar.ifindex = e.node, int(e.ifindex)
 		// AtBirthFrom carries the sender event's causal depth across the
 		// domain boundary, so a profiled run's critical path matches the
 		// chain a serial scheduler would have recorded.
-		d.sched.AtBirthFrom(e.arrive, e.birth, e.depth, pa.fireFn)
+		d.sched.AtBirthFrom(e.arrive, e.birth, e.depth, ar.fireFn)
 		e.fb = nil
 		e.node = nil
 	}

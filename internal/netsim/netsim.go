@@ -318,47 +318,112 @@ func (nd *Node) SendFrame(ifindex int, fb *frame.Buf) {
 		return
 	}
 	nd.sent++
-	nd.cpu(fb.Len(), func() {
-		if !nd.alive {
-			fb.Release()
-			return
-		}
-		ifc.link.transmit(ifc.side, fb)
-	})
+	ev := nd.dom.getEvent(evTxReady, fb)
+	ev.node, ev.link, ev.side = nd, ifc.link, ifc.side
+	nd.dom.sched.At(nd.cpuDone(fb.Len()), ev.fireFn)
 }
 
-// cpu runs fn after the node's serial CPU has spent the frame's processing
-// cost (fixed plus per-byte). fn always runs, even if the node crashed in
-// the meantime: callbacks that carry pooled frames must get the chance to
-// release them, so liveness checks belong inside fn.
-func (nd *Node) cpu(size int, fn func()) {
-	s := nd.dom.sched
-	start := s.Now()
+// cpuDone charges the node's serial CPU the frame's processing cost (fixed
+// plus per-byte) and returns the virtual time the work completes. The event
+// scheduled there always runs, even if the node crashed in the meantime: it
+// carries a pooled frame and must get the chance to release it, so liveness
+// checks belong in the event.
+func (nd *Node) cpuDone(size int) time.Duration {
+	start := nd.dom.sched.Now()
 	if nd.cpuFree > start {
 		start = nd.cpuFree
 	}
 	nd.cpuFree = start + nd.procDelay + time.Duration(size)*nd.procPerByte
-	s.At(nd.cpuFree, fn)
+	return nd.cpuFree
 }
 
-// deliver is called by a link when a frame arrives at this node. It owns fb
-// and releases it after the handler returns (or on any drop path).
+// deliver is called when a frame arrives at this node. It owns fb, which is
+// released after the handler returns (or on any drop path).
+//
+//hydralint:zeroalloc
 func (nd *Node) deliver(ifindex int, fb *frame.Buf) {
 	if !nd.alive {
 		fb.Release()
 		return
 	}
-	nd.cpu(fb.Len(), func() {
-		if !nd.alive {
+	ev := nd.dom.getEvent(evRxReady, fb)
+	ev.node, ev.ifindex = nd, ifindex
+	nd.dom.sched.At(nd.cpuDone(fb.Len()), ev.fireFn)
+}
+
+// frameEventKind selects what a frameEvent does when it fires.
+type frameEventKind uint8
+
+const (
+	evTxReady frameEventKind = iota // sender CPU done: hand fb to the link
+	evDequeue                       // frame serialized: leave the transmit queue
+	evArrive                        // propagation done: fb reaches the far node
+	evRxReady                       // receiver CPU done: run the handler
+)
+
+// frameEvent is the fabric's one scheduled-event record. Every hop of a frame
+// (transmit CPU, dequeue, arrival, receive CPU) schedules one; records are
+// recycled through the free list of the domain whose scheduler fires them,
+// and fireFn is the method value cached at creation, so scheduling a hop
+// allocates nothing in steady state.
+type frameEvent struct {
+	dom     *domainRT
+	kind    frameEventKind
+	node    *Node
+	link    *Link
+	side    int
+	ifindex int
+	size    int
+	fb      *frame.Buf
+	fireFn  func()
+}
+
+// getEvent takes a record off the domain's free list (allocating only when
+// the list is empty) for an event that will be scheduled on d.sched.
+//
+//hydralint:zeroalloc
+func (d *domainRT) getEvent(kind frameEventKind, fb *frame.Buf) *frameEvent {
+	var ev *frameEvent
+	if k := len(d.evFree); k > 0 {
+		ev = d.evFree[k-1]
+		d.evFree[k-1] = nil
+		d.evFree = d.evFree[:k-1]
+	} else {
+		ev = &frameEvent{dom: d}
+		ev.fireFn = ev.fire
+	}
+	ev.kind, ev.fb = kind, fb
+	return ev
+}
+
+// fire runs the hop. The record goes back on the free list first, so the
+// events the hop schedules can reuse it.
+func (ev *frameEvent) fire() {
+	kind, node, link, side, ifindex, size, fb := ev.kind, ev.node, ev.link, ev.side, ev.ifindex, ev.size, ev.fb
+	ev.node, ev.link, ev.fb = nil, nil, nil
+	ev.dom.evFree = append(ev.dom.evFree, ev)
+	switch kind {
+	case evTxReady:
+		if !node.alive {
 			fb.Release()
 			return
 		}
-		nd.received++
-		if nd.handler != nil {
-			nd.handler.HandleFrame(ifindex, fb.Bytes())
+		link.transmit(side, fb)
+	case evDequeue:
+		link.backlog[side] -= size
+	case evArrive:
+		node.deliver(ifindex, fb)
+	case evRxReady:
+		if !node.alive {
+			fb.Release()
+			return
+		}
+		node.received++
+		if node.handler != nil {
+			node.handler.HandleFrame(ifindex, fb.Bytes())
 		}
 		fb.Release()
-	})
+	}
 }
 
 type endpoint struct {
@@ -456,7 +521,9 @@ func (l *Link) transmit(side int, fb *frame.Buf) {
 	}
 	// The frame leaves the transmit queue once serialized; propagation
 	// happens "on the wire" and does not hold queue space.
-	s.At(done, func() { l.backlog[side] -= size })
+	dq := sd.getEvent(evDequeue, nil)
+	dq.link, dq.side, dq.size = l, side, size
+	s.At(done, dq.fireFn)
 	arrive := done + l.cfg.Delay
 	if l.cfg.Jitter > 0 {
 		arrive += time.Duration(s.Rand().Int63n(int64(l.cfg.Jitter) + 1))
@@ -465,5 +532,7 @@ func (l *Link) transmit(side int, fb *frame.Buf) {
 		sd.handoffFrame(arrive, dst, fb)
 		return
 	}
-	s.At(arrive, func() { dst.node.deliver(dst.ifindex, fb) })
+	ar := sd.getEvent(evArrive, fb)
+	ar.node, ar.ifindex = dst.node, dst.ifindex
+	s.At(arrive, ar.fireFn)
 }

@@ -45,13 +45,13 @@ type Entry struct {
 	Targets []Target
 }
 
-// replicas returns every host the entry redirects to in FT mode.
-func (e *Entry) replicas() []ipv4.Addr {
-	out := make([]ipv4.Addr, 0, 1+len(e.Backups))
+// numReplicas counts the hosts the entry redirects to in FT mode.
+func (e *Entry) numReplicas() int {
+	n := len(e.Backups)
 	if e.Primary != 0 {
-		out = append(out, e.Primary)
+		n++
 	}
-	return append(out, e.Backups...)
+	return n
 }
 
 // Stats counts redirector activity.
@@ -226,7 +226,6 @@ func (r *Redirector) intercept(p *ipv4.Packet) bool {
 	}
 	if e.FT {
 		r.stats.Multicast++
-		replicas := e.replicas()
 		if b := r.bus; b.Enabled(obs.KindMulticast) {
 			// Conn identifies the client flow and Seq carries the raw TCP
 			// sequence number: because ft-TCP derives the ISS from the
@@ -236,7 +235,7 @@ func (r *Redirector) intercept(p *ipv4.Packet) bool {
 			ev := obs.Event{
 				Kind: obs.KindMulticast, Node: r.nodeName(),
 				Service: ServiceKey{Addr: p.Dst, Port: dstPort}.String(),
-				Size:    len(replicas),
+				Size:    e.numReplicas(),
 			}
 			srcPort := uint16(p.Payload[0])<<8 | uint16(p.Payload[1])
 			ev.Conn = fmt.Sprintf("%s:%d", p.Src, srcPort)
@@ -252,7 +251,12 @@ func (r *Redirector) intercept(p *ipv4.Packet) bool {
 			}
 			b.Publish(ev)
 		}
-		for _, host := range replicas {
+		// Chain order: primary first, then the backups.
+		if e.Primary != 0 {
+			r.tunnel(p, e.Primary)
+			r.stats.MulticastCopies++
+		}
+		for _, host := range e.Backups {
 			r.tunnel(p, host)
 			r.stats.MulticastCopies++
 		}

@@ -3,6 +3,7 @@ package tcp
 import (
 	"bytes"
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -238,5 +239,264 @@ func TestReceiverWraparoundSequence(t *testing.T) {
 	}
 	if r.rcvNxt != 4 {
 		t.Fatalf("rcvNxt = %d, want 4 (wrapped)", uint32(r.rcvNxt))
+	}
+}
+
+// --- Slide-in-place storage ------------------------------------------------
+
+// TestFifoSlideAndGrowth walks the backing array through growth to its 2×max
+// bound and then across slide boundaries: contents stay FIFO, the live slice
+// stays contiguous, the array never exceeds 2×max, and once it has reached
+// that size no further allocation happens.
+func TestFifoSlideAndGrowth(t *testing.T) {
+	const max = 1000
+	var q fifo[byte]
+	var model []byte
+	next := byte(0)
+	push := func(n int) {
+		tail := q.extend(n, max)
+		for i := range tail {
+			tail[i] = next
+			model = append(model, next)
+			next++
+		}
+	}
+	pop := func(n int) {
+		q.drop(n)
+		model = model[n:]
+	}
+	check := func(step string) {
+		t.Helper()
+		if !bytes.Equal(q.live, model) {
+			t.Fatalf("%s: queue holds %d bytes, model %d, or contents differ", step, len(q.live), len(model))
+		}
+		if len(q.store) > 2*max {
+			t.Fatalf("%s: backing array grew to %d, bound is %d", step, len(q.store), 2*max)
+		}
+	}
+	cases := []struct {
+		name      string
+		push, pop int
+	}{
+		{"first allocation", 100, 0},
+		{"append in place", 100, 50},
+		{"grow past the minimum array", 700, 0},
+		{"fill to max", 150, 0},
+		{"drain most", 0, 990},
+		{"tail exhausted: slide to front", 990, 0},
+		{"drop everything: free slide", 0, 1000},
+		{"restart at the front", 1000, 0},
+		{"one byte out, one in at the very end", 1, 1},
+	}
+	for _, c := range cases {
+		if c.push > 0 {
+			push(c.push)
+		}
+		if c.pop > 0 {
+			pop(c.pop)
+		}
+		check(c.name)
+	}
+	if len(q.store) != 2*max {
+		t.Fatalf("backing array is %d after filling to max, want 2×max = %d", len(q.store), 2*max)
+	}
+	// Steady state: a full-window stream, any chunking, allocates nothing.
+	rng := rand.New(rand.NewSource(3))
+	allocs := testing.AllocsPerRun(200, func() {
+		q.drop(rng.Intn(len(q.live)) + 1)
+		q.extend(rng.Intn(max-len(q.live))+1, max)
+	})
+	if allocs != 0 {
+		t.Fatalf("steady-state extend/drop allocates %.1f times per round", allocs)
+	}
+}
+
+// TestSendBufferMarksAcrossSlide: write boundaries survive slides of both the
+// byte array and the mark array, and chunk boundaries are exactly those of a
+// linear scan over the marks (the pre-slide implementation).
+func TestSendBufferMarksAcrossSlide(t *testing.T) {
+	const capacity = 600 // small enough that 2×cap < fifoMinStore: slides come early
+	b := newSendBuffer(capacity)
+	b.marking = true
+	base := Seq(0xffffff00) // sequence space wraps mid-test
+	b.setBase(base)
+	rng := rand.New(rand.NewSource(5))
+
+	var stream []byte // every byte ever written
+	var ends []int    // stream offsets of write ends
+	acked := 0        // stream offset of b.base
+	referenceChunk := func(off, maxLen int) []byte {
+		if off < acked || off >= len(stream) {
+			return nil
+		}
+		end := off + maxLen
+		if end > len(stream) {
+			end = len(stream)
+		}
+		for _, e := range ends {
+			if e > off {
+				if e < end {
+					end = e
+				}
+				break
+			}
+		}
+		return stream[off:end]
+	}
+	for round := 0; round < 4000; round++ {
+		switch rng.Intn(3) {
+		case 0, 1: // write
+			p := make([]byte, rng.Intn(40)+1)
+			rng.Read(p)
+			n := b.append(p)
+			if want := minInt(len(p), capacity-(len(stream)-acked)); n != want {
+				t.Fatalf("round %d: append took %d, want %d", round, n, want)
+			}
+			if n > 0 {
+				stream = append(stream, p[:n]...)
+				ends = append(ends, len(stream))
+			}
+		case 2: // acknowledge part of the window, sometimes mid-write
+			if len(stream) > acked {
+				acked += rng.Intn(len(stream)-acked) + 1
+				b.ackTo(base.Add(acked))
+			}
+		}
+		if b.len() != len(stream)-acked || b.endSeq() != base.Add(len(stream)) {
+			t.Fatalf("round %d: len %d endSeq %d, want %d %d", round, b.len(), b.endSeq(), len(stream)-acked, base.Add(len(stream)))
+		}
+		// Probe a few offsets, including below the window and at its end.
+		for k := 0; k < 4; k++ {
+			off := acked - 1 + rng.Intn(len(stream)-acked+2)
+			maxLen := rng.Intn(100) + 1
+			got := b.bytesFrom(base.Add(off), maxLen)
+			if want := referenceChunk(off, maxLen); !bytes.Equal(got, want) {
+				t.Fatalf("round %d: bytesFrom(+%d, %d) = %d bytes, reference %d bytes", round, off, maxLen, len(got), len(want))
+			}
+		}
+	}
+	if len(stream) < 10*capacity {
+		t.Fatalf("only %d bytes streamed — the test never slid", len(stream))
+	}
+	if len(b.data.store) > 2*capacity || len(b.marks.store) > 2*capacity {
+		t.Fatalf("backing arrays %d/%d exceed 2×cap", len(b.data.store), len(b.marks.store))
+	}
+}
+
+func minInt(a, b int) int {
+	if a < b {
+		return a
+	}
+	return b
+}
+
+// TestReceiverInsertOrderMatchesStableSort: insert-at-position keeps pending
+// in exactly the order the old append + sort.SliceStable produced, for
+// in-order, out-of-order, duplicate and overlapping arrivals.
+func TestReceiverInsertOrderMatchesStableSort(t *testing.T) {
+	type arrival struct {
+		seq Seq
+		len int
+	}
+	cases := []struct {
+		name string
+		in   []arrival
+	}{
+		{"in order", []arrival{{0, 10}, {10, 10}, {20, 10}}},
+		{"reverse", []arrival{{20, 10}, {10, 10}, {0, 10}}},
+		{"equal seq keeps arrival order", []arrival{{10, 5}, {10, 9}, {10, 2}, {0, 3}, {10, 7}}},
+		{"overlapping", []arrival{{5, 20}, {0, 10}, {8, 4}, {5, 3}, {30, 1}, {0, 40}}},
+		{"late arrival lands before the head", []arrival{{100, 4}, {50, 2}, {50, 8}, {0, 1}}},
+	}
+	rng := rand.New(rand.NewSource(11))
+	var random []arrival
+	for i := 0; i < 300; i++ {
+		random = append(random, arrival{Seq(rng.Intn(64)), rng.Intn(16) + 1})
+	}
+	cases = append(cases, struct {
+		name string
+		in   []arrival
+	}{"random", random})
+
+	for _, c := range cases {
+		base := Seq(0xfffffff0) // wraps inside the window
+		r := newReceiver(1 << 16)
+		r.setNext(base)
+		var ref []oooRange
+		for i, a := range c.in {
+			data := make([]byte, a.len)
+			data[0] = byte(i) // identifies the arrival
+			r.insert(base.Add(int(a.seq)), data)
+			// The old implementation: append, then stable-sort the whole list.
+			ref = append(ref, oooRange{seq: base.Add(int(a.seq)), data: data})
+			sort.SliceStable(ref, func(i, j int) bool { return ref[i].seq.LT(ref[j].seq) })
+		}
+		if len(r.pending) != len(ref) {
+			t.Fatalf("%s: %d pending ranges, reference %d", c.name, len(r.pending), len(ref))
+		}
+		for i := range ref {
+			got, want := r.pending[i], ref[i]
+			if got.seq != want.seq || len(got.data) != len(want.data) || got.data[0] != want.data[0] {
+				t.Fatalf("%s: pending[%d] = seq %d len %d id %d, reference seq %d len %d id %d",
+					c.name, i, got.seq, len(got.data), got.data[0], want.seq, len(want.data), want.data[0])
+			}
+		}
+	}
+}
+
+// TestReceiverDepositInPlace: deposits land in the slide-in-place socket
+// buffer across slide boundaries, and private copies of gated ranges are
+// recycled once deposited.
+func TestReceiverDepositInPlace(t *testing.T) {
+	const capacity = 700
+	r := newReceiver(capacity)
+	r.setNext(0)
+	rng := rand.New(rand.NewSource(9))
+	stream := make([]byte, 40*capacity)
+	rng.Read(stream)
+	var got []byte
+	buf := make([]byte, 97)
+	sent := 0
+	for rounds := 0; len(got) < len(stream); rounds++ {
+		if rounds > len(stream) {
+			t.Fatalf("no progress: sent %d, read %d, rcvNxt %d, %d pending", sent, len(got), r.rcvNxt, len(r.pending))
+		}
+		// The gate trails the newest segment by one arrival, so every segment
+		// outlives its "frame" and must be privatized before it is deposited.
+		if sent < len(stream) && sent-len(got) < capacity {
+			n := minInt(rng.Intn(120)+1, len(stream)-sent)
+			frame := append([]byte(nil), stream[sent:sent+n]...)
+			r.insert(Seq(sent), frame)
+			r.depositUpTo(Seq(sent))
+			r.privatize()
+			for i := range frame {
+				frame[i] = 0xDB // the frame is recycled
+			}
+			sent += n
+		} else {
+			r.depositUpTo(Seq(sent))
+		}
+		if k := r.read(buf[:rng.Intn(len(buf))+1]); k > 0 {
+			got = append(got, buf[:k]...)
+		}
+		if r.readable() > capacity {
+			t.Fatalf("socket buffer holds %d bytes, capacity %d", r.readable(), capacity)
+		}
+	}
+	if !bytes.Equal(got, stream) {
+		t.Fatal("stream corrupted across slides")
+	}
+	if len(r.deposited.store) > 2*capacity {
+		t.Fatalf("socket buffer array is %d, bound 2×cap = %d", len(r.deposited.store), 2*capacity)
+	}
+	if len(r.spare) == 0 {
+		t.Fatal("no spare private buffers after the run — deposited ranges are not being recycled")
+	}
+	total := 0
+	for _, b := range r.spare {
+		total += cap(b)
+	}
+	if total > 4*capacity {
+		t.Fatalf("spare list holds %d bytes for a %d-byte window — buffers are not being reused", total, capacity)
 	}
 }

@@ -69,7 +69,7 @@ type ConnHooks struct {
 	// Returning true diverts the segment: it is not transmitted, but the
 	// connection state advances as if it were. Backup replicas use this to
 	// strip segments to their flow-control fields for the acknowledgment
-	// channel.
+	// channel. seg is the connection's scratch, valid only for the call.
 	SuppressTransmit func(seg *Segment) bool
 	// DepositLimit bounds rcvNxt: bytes at or above the limit stay pending
 	// and unacknowledged. Absent (ok=false) means unlimited. This realizes
@@ -183,6 +183,8 @@ type Conn struct {
 
 	lastAdvertisedWnd int
 	peerFINSeen       bool
+
+	txSeg Segment // scratch for sendSegment
 
 	onConnected func()
 	onReadable  func()
@@ -417,7 +419,7 @@ func (c *Conn) open() {
 	c.sndNxt = c.iss
 	c.sndBuf.setBase(c.iss.Add(1))
 	c.state = StateSynSent
-	c.sendSegment(&Segment{
+	c.sendSegment(Segment{
 		Flags: FlagSYN, Seq: c.iss, MSS: uint16(c.stack.cfg.MSS),
 		Window: c.windowField(),
 	})
@@ -449,7 +451,7 @@ func (c *Conn) sendSynAck() {
 	if limit, ok := c.sendLimit(); ok && limit.LEQ(c.iss) {
 		return
 	}
-	c.sendSegment(&Segment{
+	c.sendSegment(Segment{
 		Flags: FlagSYN | FlagACK, Seq: c.iss, Ack: c.rcv.rcvNxt,
 		MSS: uint16(c.stack.cfg.MSS), Window: c.windowField(),
 	})
@@ -528,7 +530,7 @@ func (c *Conn) output() {
 			flags |= FlagFIN
 			fin = true
 		}
-		c.sendSegment(&Segment{
+		c.sendSegment(Segment{
 			Flags: flags, Seq: c.sndNxt, Ack: c.rcv.rcvNxt,
 			Window: c.windowField(), Payload: chunk,
 		})
@@ -558,7 +560,7 @@ func (c *Conn) output() {
 	// A FIN with no data left to carry it.
 	if c.finQueued && !c.finSent && c.sndNxt == dataEnd &&
 		c.sndNxt.LT(c.sndUna.Add(wnd+1)) && c.finAllowed(c.sndNxt) {
-		c.sendSegment(&Segment{
+		c.sendSegment(Segment{
 			Flags: FlagFIN | FlagACK, Seq: c.sndNxt, Ack: c.rcv.rcvNxt,
 			Window: c.windowField(),
 		})
@@ -616,7 +618,7 @@ func (c *Conn) onPersist() {
 	probe := c.sndBuf.bytesFrom(c.sndNxt, 1)
 	if len(probe) == 1 {
 		if gl, ok := c.sendLimit(); !ok || gl.GT(c.sndNxt) {
-			c.sendSegment(&Segment{
+			c.sendSegment(Segment{
 				Flags: FlagACK | FlagPSH, Seq: c.sndNxt, Ack: c.rcv.rcvNxt,
 				Window: c.windowField(), Payload: probe,
 			})
@@ -645,7 +647,7 @@ func (c *Conn) sendAck() {
 		return
 	}
 	c.delack.Stop()
-	c.sendSegment(&Segment{
+	c.sendSegment(Segment{
 		Flags: FlagACK, Seq: c.sndNxt, Ack: c.rcv.rcvNxt, Window: c.windowField(),
 	})
 }
@@ -668,8 +670,12 @@ func (c *Conn) onDelayedAck() {
 }
 
 // sendSegment finalizes ports and hands the segment to the wire, honouring
-// the suppression hook.
-func (c *Conn) sendSegment(seg *Segment) {
+// the suppression hook. The segment travels in the connection's scratch, so
+// the hook and the stack's trace func see a pointer that is valid only for
+// the call; neither may send on this connection from inside it.
+func (c *Conn) sendSegment(s Segment) {
+	seg := &c.txSeg
+	*seg = s
 	seg.SrcPort = c.local.Port
 	seg.DstPort = c.remote.Port
 	if c.hooks.SuppressTransmit != nil && c.hooks.SuppressTransmit(seg) {
@@ -681,7 +687,7 @@ func (c *Conn) sendSegment(seg *Segment) {
 }
 
 func (c *Conn) sendRST(seq Seq) {
-	c.sendSegment(&Segment{Flags: FlagRST | FlagACK, Seq: seq, Ack: c.rcv.rcvNxt})
+	c.sendSegment(Segment{Flags: FlagRST | FlagACK, Seq: seq, Ack: c.rcv.rcvNxt})
 }
 
 // --- Retransmission -------------------------------------------------------
@@ -736,7 +742,7 @@ func (c *Conn) onRetransmitTimeout() {
 func (c *Conn) retransmitOne() {
 	switch c.state {
 	case StateSynSent:
-		c.sendSegment(&Segment{
+		c.sendSegment(Segment{
 			Flags: FlagSYN, Seq: c.iss, MSS: uint16(c.stack.cfg.MSS), Window: c.windowField(),
 		})
 		return
@@ -751,7 +757,7 @@ func (c *Conn) retransmitOne() {
 			flags |= FlagFIN
 		}
 		c.noteRetransmit(c.sndUna)
-		c.sendSegment(&Segment{
+		c.sendSegment(Segment{
 			Flags: flags, Seq: c.sndUna, Ack: c.rcv.rcvNxt,
 			Window: c.windowField(), Payload: chunk,
 		})
@@ -759,7 +765,7 @@ func (c *Conn) retransmitOne() {
 	}
 	if c.finSent && c.sndUna.Add(1) == c.sndNxt {
 		c.noteRetransmit(c.sndUna)
-		c.sendSegment(&Segment{
+		c.sendSegment(Segment{
 			Flags: FlagFIN | FlagACK, Seq: c.sndUna, Ack: c.rcv.rcvNxt, Window: c.windowField(),
 		})
 	}
@@ -784,6 +790,7 @@ func (c *Conn) enterTimeWait() {
 	c.rtx.Stop()
 	c.delack.Stop()
 	c.persist.Stop()
+	c.sndBuf.release() // everything, FIN included, is acknowledged
 	c.timewait.Reset(c.stack.cfg.TimeWaitDuration)
 }
 

@@ -2,6 +2,7 @@ package tcp
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 
 	"hydranet/internal/ipv4"
@@ -17,8 +18,24 @@ func FuzzUnmarshalSegment(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte, srcRaw, dstRaw uint32) {
 		src, dst := ipv4.Addr(srcRaw), ipv4.Addr(dstRaw)
 		seg, err := UnmarshalSegment(src, dst, data)
+		// The receive path parses into a reused scratch: the result must not
+		// depend on what the previous segment left there (a stale MSS option,
+		// say), and a rejected segment must leave the scratch alone.
+		var scratch, dirty Segment
+		dirty.Scribble()
+		dirty.Payload = []byte("stale")
+		scratch = dirty
+		if err2 := scratch.Unmarshal(src, dst, data); err2 != err {
+			t.Fatalf("into-scratch error %v, allocating wrapper %v", err2, err)
+		}
 		if err != nil {
+			if !reflect.DeepEqual(scratch, dirty) {
+				t.Fatalf("rejected segment modified the scratch: %+v", scratch)
+			}
 			return
+		}
+		if !reflect.DeepEqual(&scratch, seg) {
+			t.Fatalf("into-scratch parse %+v differs from fresh parse %+v", scratch, *seg)
 		}
 		b := seg.Marshal(src, dst)
 		seg2, err := UnmarshalSegment(src, dst, b)

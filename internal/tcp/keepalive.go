@@ -66,7 +66,7 @@ func (c *Conn) onKeepAlive() {
 	// A probe: pure ACK with an already-acknowledged sequence number. The
 	// peer answers with an ACK (our processing treats it as a plain ACK),
 	// which counts as activity and resets the cycle.
-	c.sendSegment(&Segment{
+	c.sendSegment(Segment{
 		Flags: FlagACK, Seq: c.sndNxt.Add(-1), Ack: c.rcv.rcvNxt, Window: c.windowField(),
 	})
 	c.keepalive.Reset(c.keepaliveInterval)

@@ -110,6 +110,8 @@ func (s *Segment) Marshal(src, dst ipv4.Addr) []byte {
 // MarshalInto serializes the segment into b, which must be exactly
 // WireLen() bytes (typically a pooled frame buffer that the IP layer will
 // prepend its header to).
+//
+//hydralint:zeroalloc
 func (s *Segment) MarshalInto(b []byte, src, dst ipv4.Addr) {
 	hdrLen := HeaderLen
 	if s.MSS != 0 {
@@ -141,19 +143,33 @@ func (s *Segment) MarshalInto(b []byte, src, dst ipv4.Addr) {
 	b[17] = byte(sum)
 }
 
-// UnmarshalSegment parses and validates a wire-format segment.
+// UnmarshalSegment parses and validates a wire-format segment. It allocates
+// the Segment; the receive path parses into a stack-owned one with
+// (*Segment).Unmarshal instead.
 func UnmarshalSegment(src, dst ipv4.Addr, b []byte) (*Segment, error) {
+	s := new(Segment)
+	if err := s.Unmarshal(src, dst, b); err != nil {
+		return nil, err
+	}
+	return s, nil
+}
+
+// Unmarshal parses and validates b into s, overwriting every field; on error
+// s is left untouched. Payload aliases b.
+//
+//hydralint:zeroalloc
+func (s *Segment) Unmarshal(src, dst ipv4.Addr, b []byte) error {
 	if len(b) < HeaderLen {
-		return nil, ErrSegTruncated
+		return ErrSegTruncated
 	}
 	hdrLen := int(b[12]>>4) * 4
 	if hdrLen < HeaderLen || len(b) < hdrLen {
-		return nil, ErrSegTruncated
+		return ErrSegTruncated
 	}
 	if ipv4.PseudoChecksum(src, dst, ipv4.ProtoTCP, b) != 0 {
-		return nil, ErrSegBadChecksum
+		return ErrSegBadChecksum
 	}
-	s := &Segment{
+	*s = Segment{
 		SrcPort: uint16(b[0])<<8 | uint16(b[1]),
 		DstPort: uint16(b[2])<<8 | uint16(b[3]),
 		Seq:     getSeq(b[4:8]),
@@ -183,7 +199,16 @@ func UnmarshalSegment(src, dst ipv4.Addr, b []byte) (*Segment, error) {
 			}
 		}
 	}
-	return s, nil
+	return nil
+}
+
+// Scribble overwrites s with recognisably wrong values; see
+// ipv4.(*Packet).Scribble.
+func (s *Segment) Scribble() {
+	*s = Segment{
+		SrcPort: 0xDBDB, DstPort: 0xDBDB, Seq: 0xDBDBDBDB, Ack: 0xDBDBDBDB,
+		Flags: 0xDB, Window: 0xDBDB, MSS: 0xDBDB,
+	}
 }
 
 func putSeq(b []byte, s Seq) {

@@ -114,6 +114,8 @@ type connKey struct {
 }
 
 // TraceFunc observes segments at the stack boundary: dir is "in" or "out".
+// seg is one of the stack's scratch segments (and its payload aliases a
+// frame): valid only for the duration of the call.
 type TraceFunc func(dir string, local, remote Endpoint, seg *Segment)
 
 // Stack is the per-node TCP layer.
@@ -128,6 +130,12 @@ type Stack struct {
 	stats     StackStats
 	trace     TraceFunc
 	bus       *obs.Bus
+
+	// Scratch segments: rx holds the segment being delivered, tx the
+	// stack's own transmissions (resets for segments matching no socket;
+	// connections send through a scratch of their own). Both are valid only
+	// until the delivering or transmitting call returns.
+	rx, tx Segment
 
 	// rttHist accumulates smoothed-round-trip samples (milliseconds) from
 	// every connection's Karn-guarded RTT measurements.
@@ -281,11 +289,19 @@ func (s *Stack) allocEphemeral() uint16 {
 
 // DeliverIP implements ipv4.ProtocolHandler.
 func (s *Stack) DeliverIP(p *ipv4.Packet) {
-	seg, err := UnmarshalSegment(p.Src, p.Dst, p.Payload)
-	if err != nil {
+	seg := &s.rx
+	if err := seg.Unmarshal(p.Src, p.Dst, p.Payload); err != nil {
 		s.stats.BadSegments++
 		return
 	}
+	s.input(p, seg)
+	if s.ip.Poisoned() {
+		seg.Scribble()
+	}
+}
+
+// input demultiplexes one parsed segment to its connection or listener.
+func (s *Stack) input(p *ipv4.Packet, seg *Segment) {
 	s.stats.SegsIn++
 	local := Endpoint{Addr: p.Dst, Port: seg.DstPort}
 	remote := Endpoint{Addr: p.Src, Port: seg.SrcPort}
@@ -321,7 +337,8 @@ func (s *Stack) DeliverIP(p *ipv4.Packet) {
 // generation).
 func (s *Stack) sendRSTFor(local, remote Endpoint, seg *Segment) {
 	s.stats.RSTsSent++
-	rst := &Segment{SrcPort: local.Port, DstPort: remote.Port, Flags: FlagRST}
+	rst := &s.tx
+	*rst = Segment{SrcPort: local.Port, DstPort: remote.Port, Flags: FlagRST}
 	if seg.Flags.Has(FlagACK) {
 		rst.Seq = seg.Ack
 	} else {

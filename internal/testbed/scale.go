@@ -166,9 +166,22 @@ func RunScale(cfg ScaleConfig) ScaleResult {
 		})
 	}
 
-	remaining := len(pods)
-	var aggKBps float64
+	// Each pod's completion callback runs in that pod's synchronization
+	// domain, possibly on its own worker: it writes only its own slot, and
+	// the coordinator reads the slots between windows.
+	kbps := make([]float64, len(pods))
+	finished := make([]bool, len(pods))
+	unfinished := func() int {
+		n := 0
+		for _, f := range finished {
+			if !f {
+				n++
+			}
+		}
+		return n
+	}
 	for i := range pods {
+		i := i
 		p := &pods[i]
 		conn, err := p.client.DialEndpoint(hydranet.Endpoint{Addr: p.svc.Addr, Port: p.svc.Port})
 		if err != nil {
@@ -176,20 +189,17 @@ func RunScale(cfg ScaleConfig) ScaleResult {
 		}
 		ttcp.Transmit(p.client.Scheduler(), conn,
 			ttcp.Params{BufLen: cfg.BufLen, TotalBytes: cfg.TotalBytes},
-			func(r ttcp.Result) {
-				aggKBps += r.ThroughputKBps()
-				remaining--
-			})
+			func(r ttcp.Result) { kbps[i], finished[i] = r.ThroughputKBps(), true })
 	}
 
 	start := time.Now()
 	deadline := net.Now() + 30*time.Minute
-	for remaining > 0 && net.Now() < deadline {
+	for unfinished() > 0 && net.Now() < deadline {
 		net.RunFor(time.Second)
 	}
 	wall := time.Since(start)
-	if remaining > 0 {
-		panic(fmt.Sprintf("testbed: scale run wedged with %d pods unfinished", remaining))
+	if n := unfinished(); n > 0 {
+		panic(fmt.Sprintf("testbed: scale run wedged with %d pods unfinished", n))
 	}
 	if profiler != nil {
 		if err := profiler.WriteFile(cfg.ProfilePath); err != nil {
@@ -197,6 +207,10 @@ func RunScale(cfg ScaleConfig) ScaleResult {
 		}
 	}
 
+	var aggKBps float64
+	for _, k := range kbps {
+		aggKBps += k
+	}
 	domains, workers := net.Parallel()
 	res := ScaleResult{
 		Pods:      cfg.Pods,
