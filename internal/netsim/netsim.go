@@ -191,6 +191,7 @@ type Node struct {
 	handler     FrameHandler
 	alive       bool
 	cpuFree     time.Duration // virtual time the CPU becomes idle
+	cpu         sim.Lane      // transmit and receive work queued on the CPU
 
 	// Stats
 	sent, received, dropped uint64
@@ -320,14 +321,15 @@ func (nd *Node) SendFrame(ifindex int, fb *frame.Buf) {
 	nd.sent++
 	ev := nd.dom.getEvent(evTxReady, fb)
 	ev.node, ev.link, ev.side = nd, ifc.link, ifc.side
-	nd.dom.sched.At(nd.cpuDone(fb.Len()), ev.fireFn)
+	nd.cpu.At(nd.dom.sched, nd.cpuDone(fb.Len()), ev.fireFn)
 }
 
 // cpuDone charges the node's serial CPU the frame's processing cost (fixed
-// plus per-byte) and returns the virtual time the work completes. The event
-// scheduled there always runs, even if the node crashed in the meantime: it
-// carries a pooled frame and must get the chance to release it, so liveness
-// checks belong in the event.
+// plus per-byte) and returns the virtual time the work completes, which never
+// decreases: the CPU's events wait in its lane. The event scheduled there
+// always runs, even if the node crashed in the meantime: it carries a pooled
+// frame and must get the chance to release it, so liveness checks belong in
+// the event.
 func (nd *Node) cpuDone(size int) time.Duration {
 	start := nd.dom.sched.Now()
 	if nd.cpuFree > start {
@@ -348,7 +350,7 @@ func (nd *Node) deliver(ifindex int, fb *frame.Buf) {
 	}
 	ev := nd.dom.getEvent(evRxReady, fb)
 	ev.node, ev.ifindex = nd, ifindex
-	nd.dom.sched.At(nd.cpuDone(fb.Len()), ev.fireFn)
+	nd.cpu.At(nd.dom.sched, nd.cpuDone(fb.Len()), ev.fireFn)
 }
 
 // frameEventKind selects what a frameEvent does when it fires.
@@ -440,6 +442,8 @@ type Link struct {
 
 	txFree  [2]time.Duration // when the direction's transmitter frees up
 	backlog [2]int           // queued bytes per direction
+	dequeue [2]sim.Lane      // frames leaving the direction's transmit queue
+	arrive  [2]sim.Lane      // frames on the wire to a node in the sender's domain
 
 	// Stats per direction (index = sending side).
 	txFrames  [2]uint64
@@ -523,7 +527,7 @@ func (l *Link) transmit(side int, fb *frame.Buf) {
 	// happens "on the wire" and does not hold queue space.
 	dq := sd.getEvent(evDequeue, nil)
 	dq.link, dq.side, dq.size = l, side, size
-	s.At(done, dq.fireFn)
+	l.dequeue[side].At(s, done, dq.fireFn)
 	arrive := done + l.cfg.Delay
 	if l.cfg.Jitter > 0 {
 		arrive += time.Duration(s.Rand().Int63n(int64(l.cfg.Jitter) + 1))
@@ -534,5 +538,7 @@ func (l *Link) transmit(side int, fb *frame.Buf) {
 	}
 	ar := sd.getEvent(evArrive, fb)
 	ar.node, ar.ifindex = dst.node, dst.ifindex
-	s.At(arrive, ar.fireFn)
+	// A jittered frame that would overtake the one before it falls out of
+	// the lane and is scheduled on its own (see sim.Lane.At).
+	l.arrive[side].At(s, arrive, ar.fireFn)
 }

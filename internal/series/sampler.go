@@ -13,9 +13,9 @@ const DefaultCadence = 100 * time.Millisecond
 
 // Sampler drives periodic scrapes on the virtual clock: every cadence it
 // runs its probe functions, which read cumulative counters and feed series.
-// The tick itself is allocation-free (the underlying sim.Timer caches its
-// fire closure), so an armed sampler costs one scheduler event per interval
-// and nothing on any packet path.
+// The tick itself is allocation-free (the scheduler fires the sim.Timer
+// directly and re-arming reuses its heap node), so an armed sampler costs one
+// scheduler event per interval and nothing on any packet path.
 //
 // A started sampler reschedules itself forever; Net.Run()-until-idle
 // callers must Stop it or the network never goes idle. RunFor/RunUntil

@@ -7,13 +7,21 @@
 // endpoints are event-driven state machines, not goroutines, which removes
 // scheduling nondeterminism from measurements.
 //
-// The scheduler is allocation-free in steady state: event nodes live on an
-// internal free list and are recycled after they fire or are cancelled, and
-// the pending queue is a specialized min-heap rather than container/heap
-// (whose any-typed Push/Pop would box every node). Handles returned by At
-// and After are generation-checked values, so holding a handle past its
-// event's lifetime is always safe: Cancel on a stale handle is a no-op even
-// if the underlying node has been recycled for an unrelated event.
+// The pending queue holds one entry per busy resource and armed timer, not
+// one per event in flight: events queued behind a serial resource wait in a
+// Lane and enter the queue one at a time, and a Timer keeps a single entry
+// however often it is re-armed. Every event still fires under the
+// (time, birth, sequence) key it was given when it was scheduled, so the
+// firing order is that of a scheduler that queued each event on its own.
+//
+// The scheduler is allocation-free in steady state: event nodes live in
+// fixed-size chunks, are recycled through a free list after they fire or are
+// cancelled, and the queue is a 4-ary min-heap of pointer-free slots (key
+// plus node id), so sifting never touches a node and never pays a GC write
+// barrier. Handles returned by At and After are generation-checked values, so
+// holding a handle past its event's lifetime is always safe: Cancel on a
+// stale handle is a no-op even if the underlying node has been recycled for
+// an unrelated event.
 package sim
 
 import (
@@ -22,19 +30,64 @@ import (
 	"time"
 )
 
+// Nodes are allocated chunkSize at a time and never move, so node pointers
+// (in handles, timers and lane chains) stay valid while heap slots name a
+// node by its id: chunk index in the high bits, position in the low ones.
+const (
+	chunkBits = 7
+	chunkSize = 1 << chunkBits
+)
+
 // eventNode is the scheduler-owned representation of a pending callback.
 // Nodes are recycled through the scheduler's free list; gen increments on
 // every recycle so stale Event handles cannot reach a new occupant.
 type eventNode struct {
-	fn        func()
-	at        time.Duration
-	birth     time.Duration // virtual time the event was scheduled at
-	seq       uint64
-	gen       uint64
-	depth     uint64 // causal depth (parent's depth + 1); 0 unless profiling
-	s         *Scheduler
-	index     int32 // heap index; -1 once removed
-	cancelled bool
+	fn    func()
+	timer *Timer     // set instead of fn on a timer's wake-up node (nodeTimer)
+	next  *eventNode // lane successor if nodeHasNext; free-list link once recycled
+	s     *Scheduler
+	at    time.Duration
+	birth time.Duration // virtual time the event was scheduled at
+	seq   uint64
+	gen   uint64
+	depth uint64 // causal depth (parent's depth + 1); 0 unless profiling
+	id    uint32
+	flags uint8
+}
+
+const (
+	nodeCancelled uint8 = 1 << iota // will not fire; awaits lazy removal from the heap
+	nodeTimer                       // a timer's wake-up node
+	nodeHasNext                     // next is the lane event queued behind this one
+)
+
+// slot is one heap entry: an event's ordering key and the id of its node.
+type slot struct {
+	at    time.Duration
+	birth time.Duration
+	seq   uint64
+	id    uint32
+}
+
+// less orders slots by (timestamp, birth, insertion sequence). Within a
+// single scheduler this is exactly (timestamp, sequence) order: the clock
+// never runs backwards, so the sequence counter is monotone in birth time and
+// the birth comparison can never contradict the sequence comparison. The
+// birth term only becomes decisive for events merged in from another
+// scheduler (AtBirth with a foreign birth), where it reconstructs the
+// position a single global scheduler would have given them.
+func (a *slot) less(b *slot) bool {
+	if a.at != b.at {
+		return a.at < b.at
+	}
+	if a.birth != b.birth {
+		return a.birth < b.birth
+	}
+	return a.seq < b.seq
+}
+
+func (n *eventNode) slot() slot {
+	return slot{at: n.at, birth: n.birth, seq: n.seq, id: n.id}
 }
 
 // Event is a handle to a scheduled callback. The callback runs exactly once
@@ -48,7 +101,7 @@ type Event struct {
 // live reports whether the handle still refers to a pending, uncancelled
 // event.
 func (e *Event) live() bool {
-	return e != nil && e.n != nil && e.n.gen == e.gen && !e.n.cancelled
+	return e != nil && e.n != nil && e.n.gen == e.gen && e.n.flags&nodeCancelled == 0
 }
 
 // At returns the virtual time the event is scheduled for, or 0 if the event
@@ -68,10 +121,8 @@ func (e *Event) Cancel() {
 		return
 	}
 	n := e.n
-	n.cancelled = true
 	n.fn = nil
-	n.s.dead++
-	n.s.maybeCompact()
+	n.s.kill(n)
 }
 
 // Cancelled reports whether the event will no longer fire: it was cancelled,
@@ -83,9 +134,11 @@ type Scheduler struct {
 	now      time.Duration
 	curBirth time.Duration // birth of the event currently executing
 	curSeq   uint64        // sequence of the event currently executing
-	heap     []*eventNode
-	free     []*eventNode
-	dead     int // cancelled nodes still sitting in heap (lazy deletion)
+	heap     []slot
+	chunks   []*[chunkSize]eventNode
+	free     *eventNode // recycled nodes, chained through next
+	dead     int        // cancelled nodes still sitting in heap (lazy deletion)
+	waiting  int        // lane events chained behind their lane's heap entry
 	nextSeq  uint64
 	rng      *rand.Rand
 	fired    uint64
@@ -111,9 +164,10 @@ func (s *Scheduler) Rand() *rand.Rand { return s.rng }
 // Fired returns the number of events executed so far.
 func (s *Scheduler) Fired() uint64 { return s.fired }
 
-// Pending returns the number of live events waiting in the queue. Cancelled
-// events awaiting lazy removal are not counted.
-func (s *Scheduler) Pending() int { return len(s.heap) - s.dead }
+// Pending returns the number of live events waiting to fire, in the heap or
+// behind a lane's head. Cancelled events awaiting lazy removal are not
+// counted.
+func (s *Scheduler) Pending() int { return len(s.heap) - s.dead + s.waiting }
 
 // At schedules fn to run at absolute virtual time t. Scheduling in the past
 // panics: it would reorder causality.
@@ -132,43 +186,12 @@ func (s *Scheduler) At(t time.Duration, fn func()) Event {
 //
 //hydralint:zeroalloc
 func (s *Scheduler) AtBirth(t, birth time.Duration, fn func()) Event {
-	if t < s.now {
-		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, s.now))
-	}
-	if birth > t {
-		panic(fmt.Sprintf("sim: event birth %v after its deadline %v", birth, t))
-	}
-	var n *eventNode
-	if k := len(s.free); k > 0 {
-		n = s.free[k-1]
-		s.free[k-1] = nil
-		s.free = s.free[:k-1]
-	} else {
-		n = &eventNode{s: s}
-	}
-	n.at = t
-	n.birth = birth
-	n.seq = s.nextSeq
+	s.checkTime(t, birth)
+	n := s.alloc()
+	n.at, n.birth = t, birth
+	n.seq, n.depth = s.stamp(t, birth)
 	n.fn = fn
-	n.cancelled = false
-	if p := s.prof; p != nil {
-		// Child depth: one past the executing parent. Coordinator-context
-		// scheduling (between runs, or a barrier-hosted global callback —
-		// the scheduler is not running) roots a fresh chain at depth zero,
-		// which keeps depths identical for a serial run and any partition.
-		d := uint64(0)
-		if s.running {
-			d = s.curDepth + 1
-		}
-		n.depth = d
-		p.noteEdge(s.now, s.curBirth, t, birth, d)
-	} else {
-		n.depth = 0
-	}
-	s.nextSeq++
-	n.index = int32(len(s.heap))
-	s.heap = append(s.heap, n)
-	s.siftUp(int(n.index))
+	s.push(n.slot())
 	return Event{n: n, gen: n.gen}
 }
 
@@ -198,37 +221,139 @@ func (s *Scheduler) After(d time.Duration, fn func()) Event {
 	return s.At(s.now+d, fn)
 }
 
+func (s *Scheduler) checkTime(t, birth time.Duration) {
+	if t < s.now || birth > t {
+		s.badTime(t, birth)
+	}
+}
+
+func (s *Scheduler) badTime(t, birth time.Duration) {
+	if t < s.now {
+		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, s.now))
+	}
+	panic(fmt.Sprintf("sim: event birth %v after its deadline %v", birth, t))
+}
+
+// alloc takes a node off the free list. Its next link is left as it was:
+// the field only means something on a node flagged nodeHasNext.
+func (s *Scheduler) alloc() *eventNode {
+	n := s.free
+	if n == nil {
+		n = s.grow()
+	}
+	s.free = n.next
+	return n
+}
+
+// grow adds a chunk of nodes to the empty free list and returns its head. It
+// stays out of line so that alloc, on every scheduling path, can be inlined.
+//
+//go:noinline
+func (s *Scheduler) grow() *eventNode {
+	c := new([chunkSize]eventNode)
+	base := uint32(len(s.chunks)) << chunkBits
+	s.chunks = append(s.chunks, c)
+	for i := chunkSize - 1; i >= 0; i-- {
+		n := &c[i]
+		n.s, n.id, n.next = s, base+uint32(i), s.free
+		s.free = n
+	}
+	return s.free
+}
+
+func (s *Scheduler) node(id uint32) *eventNode {
+	return &s.chunks[id>>chunkBits][id&(chunkSize-1)]
+}
+
+// stamp consumes the sequence number of an event scheduled now for (t, birth)
+// and returns it with the event's causal depth, telling the profiler about
+// the scheduling edge. Every event is stamped at the moment it is scheduled
+// — also one that waits in a lane, or a timer deadline that is only recorded
+// — which is what keeps keys and profiles independent of how events reach the
+// heap.
+func (s *Scheduler) stamp(t, birth time.Duration) (seq, depth uint64) {
+	seq = s.nextSeq
+	s.nextSeq++
+	if s.prof != nil {
+		depth = s.profEdge(t, birth)
+	}
+	return seq, depth
+}
+
+// profEdge reports a scheduling edge to the attached profiler and returns
+// the new event's causal depth: one past the executing parent. Coordinator-
+// context scheduling (between runs, or a barrier-hosted global callback — the
+// scheduler is not running) roots a fresh chain at depth zero, which keeps
+// depths identical for a serial run and any partition.
+func (s *Scheduler) profEdge(t, birth time.Duration) (depth uint64) {
+	if s.running {
+		depth = s.curDepth + 1
+	}
+	s.prof.noteEdge(s.now, s.curBirth, t, birth, depth)
+	return depth
+}
+
 // Step executes the next pending event, advancing the clock to its
 // timestamp. It returns false when the queue is empty.
 //
 //hydralint:zeroalloc
 func (s *Scheduler) Step() bool {
-	for len(s.heap) > 0 {
-		n := s.popRoot()
-		if n.cancelled {
-			s.dead--
-			s.recycle(n)
-			continue
-		}
-		s.now = n.at
-		s.curBirth = n.birth
-		s.curSeq = n.seq
-		s.fired++
-		if p := s.prof; p != nil {
-			// The maximum folds in at fire time, not schedule time, so
-			// cancelled events (Timer.Reset orphans) never stretch the path.
-			s.curDepth = n.depth
-			if n.depth > p.maxDepth {
-				p.maxDepth = n.depth
-				p.deepAt = n.at
-			}
-		}
-		fn := n.fn
-		s.recycle(n)
-		fn()
-		return true
+	return s.step(Key{At: KeyMax, Birth: KeyMax})
+}
+
+// step executes the earliest pending event if its key is below bound, and
+// reports whether it did.
+func (s *Scheduler) step(bound Key) bool {
+	var n *eventNode
+	if len(s.heap) > 0 {
+		n = s.node(s.heap[0].id)
 	}
-	return false
+	if n == nil || n.flags&(nodeCancelled|nodeTimer) != 0 {
+		// Anything but a plain live event at the root takes peek's loop.
+		if n = s.peek(); n == nil {
+			return false
+		}
+	}
+	if !(Key{At: n.at, Birth: n.birth}).Less(bound) {
+		return false
+	}
+	// Fill the root: with the lane's next event if one waits behind n (one
+	// sift, not a pop and a push), with the heap's last slot otherwise.
+	var e slot
+	if n.flags&nodeHasNext != 0 {
+		s.waiting--
+		e = n.next.slot()
+	} else {
+		last := len(s.heap) - 1
+		e = s.heap[last]
+		s.heap = s.heap[:last]
+	}
+	if len(s.heap) > 0 {
+		s.siftDown(0, e)
+	}
+	s.now = n.at
+	s.curBirth = n.birth
+	s.curSeq = n.seq
+	s.fired++
+	if p := s.prof; p != nil {
+		// The maximum folds in at fire time, not schedule time, so
+		// cancelled events and superseded timer deadlines never stretch the
+		// path.
+		s.curDepth = n.depth
+		if n.depth > p.maxDepth {
+			p.maxDepth = n.depth
+			p.deepAt = n.at
+		}
+	}
+	fn := n.fn
+	if n.flags&nodeTimer != 0 {
+		fn = n.timer.fn
+	}
+	// Recycling first means a timer is already disarmed when its callback
+	// runs, and the callback's own scheduling can reuse the node.
+	s.recycle(n)
+	fn()
+	return true
 }
 
 // Run executes events until the queue drains.
@@ -240,18 +365,15 @@ func (s *Scheduler) Run() {
 }
 
 // RunUntil executes events with timestamps <= deadline, then advances the
-// clock to deadline. Events scheduled beyond the deadline remain queued.
+// clock to deadline. Events scheduled beyond the deadline remain queued. If
+// Stop ends the run while events at or before the deadline are still pending,
+// the clock stays at the last event executed, so they can still run in order.
 func (s *Scheduler) RunUntil(deadline time.Duration) {
 	s.running = true
-	for s.running {
-		n := s.peek()
-		if n == nil || n.at > deadline {
-			break
-		}
-		s.Step()
+	for s.running && s.step(Key{At: deadline, Birth: KeyMax}) {
 	}
 	s.running = false
-	if s.now < deadline {
+	if n := s.peek(); s.now < deadline && (n == nil || n.at > deadline) {
 		s.now = deadline
 	}
 }
@@ -331,12 +453,7 @@ func (s *Scheduler) Profile() *SchedProf { return s.prof }
 func (s *Scheduler) RunToKey(bound Key) int {
 	ran := 0
 	s.running = true
-	for s.running {
-		n := s.peek()
-		if n == nil || !(Key{At: n.at, Birth: n.birth}).Less(bound) {
-			break
-		}
-		s.Step()
+	for s.running && s.step(bound) {
 		ran++
 	}
 	s.running = false
@@ -353,162 +470,265 @@ func (s *Scheduler) AdvanceTo(t time.Duration) {
 	}
 }
 
-// peek returns the earliest live node, draining cancelled nodes off the top
-// of the heap along the way.
+// peek returns the earliest live event's node, which is then the heap's
+// root. On the way it drops cancelled nodes off the top of the heap and moves
+// a timer's wake-up that surfaced before the timer's recorded deadline down
+// to that deadline's key. Neither is a simulation event: nothing fires, the
+// clock and the Fired count stay put.
 func (s *Scheduler) peek() *eventNode {
 	for len(s.heap) > 0 {
-		n := s.heap[0]
-		if !n.cancelled {
-			return n
+		n := s.node(s.heap[0].id)
+		if n.flags&nodeCancelled != 0 {
+			s.popRoot()
+			s.dead--
+			s.recycle(n)
+			continue
 		}
-		s.popRoot()
-		s.dead--
-		s.recycle(n)
+		if t := n.timer; n.flags&nodeTimer != 0 && t.seq != n.seq {
+			n.at, n.birth, n.seq, n.depth = t.at, t.birth, t.seq, t.depth
+			s.siftDown(0, n.slot())
+			continue
+		}
+		return n
 	}
 	return nil
 }
 
-// recycle returns a node to the free list. The generation bump invalidates
-// every outstanding handle to this occupancy.
+// kill marks a live heap node cancelled; it is removed lazily.
+func (s *Scheduler) kill(n *eventNode) {
+	n.flags |= nodeCancelled
+	s.dead++
+	s.maybeCompact()
+}
+
+// recycle returns a node that has left the heap to the free list. The
+// generation bump invalidates every outstanding handle to this occupancy,
+// and a timer's wake-up node lets go of its timer.
 func (s *Scheduler) recycle(n *eventNode) {
+	if t := n.timer; t != nil {
+		t.n = nil
+		n.timer = nil
+	}
 	n.gen++
 	n.fn = nil
-	n.index = -1
-	n.cancelled = false
-	s.free = append(s.free, n)
+	n.flags = 0
+	n.next = s.free
+	s.free = n
 }
 
 // maybeCompact removes cancelled nodes in bulk once they dominate the heap,
-// bounding memory under heavy Timer.Reset churn (TCP retransmission timers
-// re-arm on every ACK, orphaning their previous deadline each time).
+// bounding memory when many far-future events are scheduled and cancelled
+// before the clock reaches them.
 func (s *Scheduler) maybeCompact() {
 	if s.dead <= 64 || s.dead*2 <= len(s.heap) {
 		return
 	}
 	live := s.heap[:0]
-	for _, n := range s.heap {
-		if n.cancelled {
+	for _, e := range s.heap {
+		if n := s.node(e.id); n.flags&nodeCancelled != 0 {
 			s.recycle(n)
 			continue
 		}
-		live = append(live, n)
-	}
-	// Clear the tail so recycled nodes aren't retained by the backing array.
-	for i := len(live); i < len(s.heap); i++ {
-		s.heap[i] = nil
+		live = append(live, e)
 	}
 	s.heap = live
 	s.dead = 0
-	for i := range s.heap {
-		s.heap[i].index = int32(i)
-	}
-	for i := len(s.heap)/2 - 1; i >= 0; i-- {
-		s.siftDown(i)
+	for i := (len(live) - 2) >> 2; i >= 0; i-- {
+		s.siftDown(i, live[i])
 	}
 }
 
-// less orders the heap by (timestamp, birth, insertion sequence). Within a
-// single scheduler this is exactly the historical (timestamp, sequence)
-// order: the clock never runs backwards, so the sequence counter is
-// monotone in birth time and the birth comparison can never contradict the
-// sequence comparison. The birth term only becomes decisive for events
-// merged in from another scheduler (AtBirth with a foreign birth), where it
-// reconstructs the position a single global scheduler would have given
-// them.
-func (s *Scheduler) less(i, j int) bool {
-	a, b := s.heap[i], s.heap[j]
-	if a.at != b.at {
-		return a.at < b.at
+// The heap is 4-ary: the children of slot i are slots 4i+1 … 4i+4. Half the
+// depth of a binary heap for the price of three extra comparisons per level
+// on the way down, all within two cache lines of 32-byte slots.
+
+// push adds e to the heap. Most events are later than everything queued, so
+// the sift towards the root is only called when there is something to move.
+func (s *Scheduler) push(e slot) {
+	s.heap = append(s.heap, e)
+	if i := len(s.heap) - 1; i > 0 && e.less(&s.heap[(i-1)>>2]) {
+		s.siftUp(i, e)
 	}
-	if a.birth != b.birth {
-		return a.birth < b.birth
-	}
-	return a.seq < b.seq
 }
 
-func (s *Scheduler) swap(i, j int) {
-	s.heap[i], s.heap[j] = s.heap[j], s.heap[i]
-	s.heap[i].index = int32(i)
-	s.heap[j].index = int32(j)
-}
-
-func (s *Scheduler) siftUp(i int) {
+// siftUp moves e, stored at heap index i, up to its place among i's
+// ancestors.
+func (s *Scheduler) siftUp(i int, e slot) {
+	h := s.heap
 	for i > 0 {
-		parent := (i - 1) / 2
-		if !s.less(i, parent) {
+		parent := (i - 1) >> 2
+		if !e.less(&h[parent]) {
 			break
 		}
-		s.swap(i, parent)
+		h[i] = h[parent]
 		i = parent
 	}
+	h[i] = e
 }
 
-func (s *Scheduler) siftDown(i int) {
-	n := len(s.heap)
+// siftDown stores e at heap index i, whose previous content is dropped, and
+// sinks it to its place among i's descendants.
+func (s *Scheduler) siftDown(i int, e slot) {
+	h := s.heap
 	for {
-		left := 2*i + 1
-		if left >= n {
+		child := i<<2 + 1
+		if child >= len(h) {
 			break
 		}
-		min := left
-		if right := left + 1; right < n && s.less(right, left) {
-			min = right
+		end := child + 4
+		if end > len(h) {
+			end = len(h)
 		}
-		if !s.less(min, i) {
+		min := child
+		for j := child + 1; j < end; j++ {
+			if h[j].less(&h[min]) {
+				min = j
+			}
+		}
+		if !h[min].less(&e) {
 			break
 		}
-		s.swap(i, min)
+		h[i] = h[min]
 		i = min
 	}
+	h[i] = e
 }
 
-// popRoot removes and returns the heap root. Callers adjust dead counts and
-// recycle the node.
-func (s *Scheduler) popRoot() *eventNode {
-	n := s.heap[0]
+// popRoot removes the heap root.
+func (s *Scheduler) popRoot() {
 	last := len(s.heap) - 1
-	s.heap[0] = s.heap[last]
-	s.heap[0].index = 0
-	s.heap[last] = nil
+	e := s.heap[last]
 	s.heap = s.heap[:last]
 	if last > 0 {
-		s.siftDown(0)
+		s.siftDown(0, e)
 	}
-	n.index = -1
-	return n
+}
+
+// Lane is a FIFO of events for one serial resource — a node's CPU, one
+// direction of a link — whose completion times never decrease. Only the
+// lane's earliest event occupies a heap slot; the others wait chained through
+// their own nodes and enter the heap one at a time, each under the key it was
+// given when it was scheduled. Within a lane, time order is scheduling order,
+// so the events of all lanes fire exactly as if each had been scheduled with
+// At, while the heap stays as small as the number of busy resources.
+//
+// The zero Lane is ready to use. A lane belongs to the scheduler its events
+// are scheduled on, allocates nothing, and must not be copied while events
+// wait in it.
+type Lane struct {
+	tail *eventNode // last event scheduled, still waiting to fire if its gen is gen
+	gen  uint64
+}
+
+// At schedules fn on s at absolute virtual time t, like s.At, without a
+// handle: a lane's events cannot be cancelled. An event that would break the
+// lane's order — t earlier than the last event still waiting — is scheduled
+// as an ordinary event instead and takes no part in the lane.
+//
+//hydralint:zeroalloc
+func (l *Lane) At(s *Scheduler, t time.Duration, fn func()) {
+	tail := l.tail
+	busy := tail != nil && tail.gen == l.gen
+	if busy && t < tail.at {
+		s.At(t, fn)
+		return
+	}
+	s.checkTime(t, s.now)
+	n := s.alloc()
+	n.at, n.birth = t, s.now
+	n.seq, n.depth = s.stamp(t, s.now)
+	n.fn = fn
+	l.tail, l.gen = n, n.gen
+	if !busy {
+		s.push(n.slot())
+		return
+	}
+	tail.next = n
+	tail.flags |= nodeHasNext
+	s.waiting++
 }
 
 // Timer is a restartable one-shot timer bound to a scheduler, in the style
 // of kernel protocol timers (retransmission, delayed-ACK, keepalive).
+//
+// A timer holds at most one heap node, its wake-up. Re-arming to a deadline
+// at or after the wake-up only records the deadline, together with the
+// sequence number and causal depth an event scheduled at that moment would
+// have received; when the wake-up surfaces early the scheduler moves it to
+// the recorded key (see peek), so the timer fires at exactly the point in the
+// event order where a freshly scheduled event would have. A Timer may be
+// embedded by value (see Init) but must not be copied once armed.
 type Timer struct {
-	s      *Scheduler
-	ev     Event
-	fn     func()
-	fireFn func() // cached method value so Reset never allocates
+	s  *Scheduler
+	fn func()
+	n  *eventNode // wake-up node in the heap; cancelled while the timer is stopped
+
+	// Key and causal depth of the armed deadline.
+	at    time.Duration
+	birth time.Duration
+	seq   uint64
+	depth uint64
 }
 
 // NewTimer returns a stopped timer that runs fn when it expires.
 func NewTimer(s *Scheduler, fn func()) *Timer {
-	t := &Timer{s: s, fn: fn}
-	t.fireFn = t.fire
+	t := new(Timer)
+	t.Init(s, fn)
 	return t
 }
 
-// Reset (re)arms the timer to fire d from now, cancelling any earlier
-// deadline.
-func (t *Timer) Reset(d time.Duration) {
-	t.ev.Cancel()
-	t.ev = t.s.After(d, t.fireFn)
+// Init binds a zero Timer to its scheduler and callback, for timers embedded
+// by value in a larger struct.
+func (t *Timer) Init(s *Scheduler, fn func()) {
+	t.s, t.fn = s, fn
 }
 
-// Stop disarms the timer.
+// Reset (re)arms the timer to fire d from now, superseding any earlier
+// deadline.
+//
+//hydralint:zeroalloc
+func (t *Timer) Reset(d time.Duration) {
+	s := t.s
+	if d < 0 {
+		d = 0
+	}
+	t.at, t.birth = s.now+d, s.now
+	t.seq, t.depth = s.stamp(t.at, t.birth)
+	n := t.n
+	if n != nil && t.at >= n.at {
+		// The wake-up comes no later than the new deadline (a fresh sequence
+		// number sorts after the node's at equal times): keep it, reviving
+		// it if Stop had cancelled it.
+		if n.flags&nodeCancelled != 0 {
+			n.flags &^= nodeCancelled
+			s.dead--
+		}
+		return
+	}
+	if n != nil {
+		// Earlier than the wake-up: abandon the node to lazy deletion.
+		n.timer, t.n = nil, nil
+		if n.flags&nodeCancelled == 0 {
+			s.kill(n)
+		}
+	}
+	n = s.alloc()
+	n.at, n.birth, n.seq, n.depth = t.at, t.birth, t.seq, t.depth
+	n.timer, t.n = t, n
+	n.flags = nodeTimer
+	s.push(n.slot())
+}
+
+// Stop disarms the timer. Its wake-up node stays in the heap, cancelled, for
+// a later Reset to revive or the scheduler to discard.
 func (t *Timer) Stop() {
-	t.ev.Cancel()
-	t.ev = Event{}
+	if t.Armed() {
+		t.s.kill(t.n)
+	}
 }
 
 // Armed reports whether the timer is waiting to fire.
-func (t *Timer) Armed() bool { return t.ev.live() }
+func (t *Timer) Armed() bool { return t.n != nil && t.n.flags&nodeCancelled == 0 }
 
 // Deadline returns the virtual time the timer will fire at; valid only when
 // Armed.
@@ -516,10 +736,5 @@ func (t *Timer) Deadline() time.Duration {
 	if !t.Armed() {
 		return 0
 	}
-	return t.ev.At()
-}
-
-func (t *Timer) fire() {
-	t.ev = Event{}
-	t.fn()
+	return t.at
 }

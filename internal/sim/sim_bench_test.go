@@ -69,6 +69,31 @@ func BenchmarkSchedulerMixedQueue(b *testing.B) {
 	}
 }
 
+// BenchmarkSchedulerBacklog is one schedule/dispatch cycle with 2000 events
+// standing in the queue the way a loaded fabric holds them: behind a few
+// serial resources (four lanes of 500), plus one re-armed timer per cycle.
+// The cost must not depend on the backlog, which BenchmarkSchedulerPushPop's
+// empty queue cannot show.
+func BenchmarkSchedulerBacklog(b *testing.B) {
+	s := NewScheduler(1)
+	fn := func() {}
+	var lanes [4]Lane
+	var last [4]time.Duration
+	tm := NewTimer(s, fn)
+	for i := 0; i < 2000; i++ {
+		last[i%4] += time.Microsecond
+		lanes[i%4].At(s, last[i%4], fn)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		last[i%4] += time.Microsecond
+		lanes[i%4].At(s, last[i%4], fn)
+		tm.Reset(time.Second)
+		s.Step()
+	}
+}
+
 // BenchmarkSchedulerPushPop is the allocation budget of one schedule/dispatch
 // cycle, the cost every simulated packet pays several times per hop.
 func BenchmarkSchedulerPushPop(b *testing.B) {
@@ -101,8 +126,7 @@ func BenchmarkSchedulerCancel(b *testing.B) {
 }
 
 // BenchmarkTimerResetChurn drives a Timer exactly the way a TCP connection
-// under steady ACK clocking does: every iteration re-arms the deadline,
-// orphaning the previous event in the queue.
+// under steady ACK clocking does: every iteration pushes the deadline back.
 func BenchmarkTimerResetChurn(b *testing.B) {
 	s := NewScheduler(1)
 	t := NewTimer(s, func() {})

@@ -118,6 +118,32 @@ func TestRunUntilAdvancesIdleClock(t *testing.T) {
 	}
 }
 
+// TestRunUntilStopKeepsClock: a RunUntil cut short by Stop must not jump the
+// clock over events it left pending, or the next run would move it backwards.
+func TestRunUntilStopKeepsClock(t *testing.T) {
+	s := NewScheduler(1)
+	var second time.Duration
+	s.At(time.Second, s.Stop)
+	s.At(2*time.Second, func() { second = s.Now() })
+	s.RunUntil(10 * time.Second)
+	if s.Now() != time.Second || s.Pending() != 1 {
+		t.Fatalf("after Stop: clock %v with %d pending, want 1s with 1", s.Now(), s.Pending())
+	}
+	s.RunUntil(10 * time.Second)
+	if second != 2*time.Second || s.Now() != 10*time.Second {
+		t.Fatalf("resumed run fired the pending event at %v and ended at %v, want 2s and 10s", second, s.Now())
+	}
+
+	// Stopped by the last event at or before the deadline: nothing is left
+	// to overtake, so the clock does advance.
+	s.At(11*time.Second, s.Stop)
+	s.At(30*time.Second, func() {})
+	s.RunUntil(20 * time.Second)
+	if s.Now() != 20*time.Second {
+		t.Fatalf("clock %v after a Stop with nothing left before the deadline, want 20s", s.Now())
+	}
+}
+
 func TestStop(t *testing.T) {
 	s := NewScheduler(1)
 	count := 0
@@ -202,8 +228,8 @@ func TestStaleHandleCancelIsNoOp(t *testing.T) {
 
 func TestCompactionBoundsQueue(t *testing.T) {
 	s := NewScheduler(1)
-	// Simulate heavy Timer.Reset churn: schedule far-future events and
-	// immediately orphan them, never letting the clock advance past them.
+	// Schedule far-future events and cancel them at once, never letting the
+	// clock advance past them: only compaction can remove the dead nodes.
 	const n = 100_000
 	for i := 0; i < n; i++ {
 		e := s.At(s.Now()+time.Hour, func() {})
@@ -237,5 +263,140 @@ func TestPendingCount(t *testing.T) {
 	s.Run()
 	if s.Pending() != 0 {
 		t.Fatalf("Pending = %d after Run, want 0", s.Pending())
+	}
+}
+
+// TestLaneKeepsHeapShallow models netsim's four events per frame — sender
+// CPU, link dequeue, arrival, receiver CPU — for 1000 frames sent at once
+// through a slow CPU and a slow link: each resource's backlog waits in its
+// lane, so the heap holds one entry per busy resource, and the frames still
+// complete in send order.
+func TestLaneKeepsHeapShallow(t *testing.T) {
+	const (
+		frames = 1000
+		cpu    = 70 * time.Microsecond
+		wire   = 120 * time.Microsecond
+		delay  = 5 * time.Millisecond
+	)
+	s := NewScheduler(1)
+	var txCPU, dequeue, arrive, rxCPU Lane
+	var txFree, linkFree, rxFree time.Duration
+	busyUntil := func(free *time.Duration, cost time.Duration) time.Duration {
+		if *free < s.Now() {
+			*free = s.Now()
+		}
+		*free += cost
+		return *free
+	}
+	deepest := 0
+	sample := func() {
+		if len(s.heap) > deepest {
+			deepest = len(s.heap)
+		}
+	}
+	var got []int
+	for i := 0; i < frames; i++ {
+		i := i
+		txCPU.At(s, busyUntil(&txFree, cpu), func() {
+			sample()
+			done := busyUntil(&linkFree, wire)
+			dequeue.At(s, done, sample)
+			arrive.At(s, done+delay, func() {
+				sample()
+				rxCPU.At(s, busyUntil(&rxFree, cpu), func() {
+					sample()
+					got = append(got, i)
+				})
+			})
+		})
+	}
+	if s.Pending() != frames {
+		t.Fatalf("Pending = %d with %d frames queued, want all of them", s.Pending(), frames)
+	}
+	s.Run()
+	if deepest > 8 {
+		t.Errorf("heap grew to %d entries, want at most 8", deepest)
+	}
+	if len(got) != frames {
+		t.Fatalf("%d of %d frames completed", len(got), frames)
+	}
+	for i, f := range got {
+		if f != i {
+			t.Fatalf("frame %d completed in position %d", f, i)
+		}
+	}
+	if s.Fired() != 4*frames {
+		t.Errorf("Fired = %d, want %d", s.Fired(), 4*frames)
+	}
+}
+
+// TestTimerHoldsOneNode: however often a timer is pushed back, or stopped and
+// re-armed, it occupies one heap entry and leaves no dead ones behind.
+func TestTimerHoldsOneNode(t *testing.T) {
+	s := NewScheduler(1)
+	fired := 0
+	tm := NewTimer(s, func() { fired++ })
+	check := func(i int) {
+		t.Helper()
+		if len(s.heap) > 1 || s.dead > 1 {
+			t.Fatalf("cycle %d: %d heap entries, %d dead, want at most one of each", i, len(s.heap), s.dead)
+		}
+	}
+	for i := 0; i < 10_000; i++ {
+		tm.Reset(time.Second)
+		check(i)
+		if i%3 == 0 {
+			tm.Stop()
+			check(i)
+			tm.Reset(time.Second + time.Microsecond)
+			check(i)
+		}
+		if i%100 == 0 { // let the clock move, short of the deadline
+			s.RunUntil(s.Now() + time.Millisecond)
+		}
+	}
+	if fired != 0 || s.Pending() != 1 {
+		t.Fatalf("fired %d times with %d pending before the deadline, want 0 and 1", fired, s.Pending())
+	}
+	want := s.Now() + 500*time.Millisecond
+	tm.Reset(500 * time.Millisecond) // earlier than the wake-up: that node is abandoned
+	if len(s.heap) != 2 || s.dead != 1 || s.Pending() != 1 {
+		t.Fatalf("after an earlier Reset: %d heap entries, %d dead, %d pending, want 2, 1, 1", len(s.heap), s.dead, s.Pending())
+	}
+	s.Run()
+	if fired != 1 || s.Now() != want {
+		t.Fatalf("fired %d times, clock %v, want once at %v", fired, s.Now(), want)
+	}
+	if s.Fired() != 1 {
+		t.Errorf("Fired = %d: wake-ups that only move the timer must not count", s.Fired())
+	}
+}
+
+// TestSteadyStateAllocs pins the allocation-free paths the lanes and timers
+// add: scheduling on a lane and firing from it, and re-arming a timer.
+func TestSteadyStateAllocs(t *testing.T) {
+	s := NewScheduler(1)
+	var lane Lane
+	fn := func() {}
+	at := s.Now()
+	for i := 0; i < 64; i++ { // a standing backlog, so events chain and promote
+		at += time.Microsecond
+		lane.At(s, at, fn)
+	}
+	if avg := testing.AllocsPerRun(1000, func() {
+		at += time.Microsecond
+		lane.At(s, at, fn)
+		s.Step()
+	}); avg != 0 {
+		t.Errorf("Lane.At + Step allocates %.1f objects per cycle, want 0", avg)
+	}
+	tm := NewTimer(s, fn)
+	tm.Reset(time.Second)
+	if avg := testing.AllocsPerRun(1000, func() {
+		tm.Reset(time.Second)
+		tm.Stop()
+		tm.Reset(2 * time.Second)
+	}); avg != 0 {
+		t.Errorf("Timer.Reset allocates %.1f objects per cycle, want 0", avg)
 	}
 }

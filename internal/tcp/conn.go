@@ -156,10 +156,10 @@ type Conn struct {
 	rcv *receiver
 
 	// Timers and RTT.
-	rtx          *sim.Timer
-	delack       *sim.Timer
-	persist      *sim.Timer
-	timewait     *sim.Timer
+	rtx          sim.Timer
+	delack       sim.Timer
+	persist      sim.Timer
+	timewait     sim.Timer
 	rto          *rtoEstimator
 	rttSeq       Seq
 	rttAt        time.Duration
@@ -208,10 +208,10 @@ func newConn(st *Stack, local, remote Endpoint) *Conn {
 	}
 	c.cwnd = st.cfg.InitialCwnd * c.mss
 	c.ssthresh = 64 * 1024
-	c.rtx = sim.NewTimer(st.sched, c.onRetransmitTimeout)
-	c.delack = sim.NewTimer(st.sched, c.onDelayedAck)
-	c.persist = sim.NewTimer(st.sched, c.onPersist)
-	c.timewait = sim.NewTimer(st.sched, c.onTimeWaitDone)
+	c.rtx.Init(st.sched, c.onRetransmitTimeout)
+	c.delack.Init(st.sched, c.onDelayedAck)
+	c.persist.Init(st.sched, c.onPersist)
+	c.timewait.Init(st.sched, c.onTimeWaitDone)
 	return c
 }
 
