@@ -39,9 +39,6 @@ func ReadPcapFile(path string) (*PcapFile, error) { return capture.ReadFile(path
 // topology (and its redirectors) is built; w stays open until the caller
 // closes it, after the run.
 func (n *Net) StartCapture(w io.Writer) (*Capture, error) {
-	// The capture stamps records with Net.Now, which in a partitioned run
-	// follows the barrier replay clock — so each record carries the virtual
-	// instant the frame was emitted, byte-identical to a serial capture.
 	c, err := capture.New(w, n.Now)
 	if err != nil {
 		return nil, err
@@ -74,12 +71,6 @@ func (n *Net) NewSpanCollector() *SpanCollector {
 // direct call).
 func (n *Net) addFrameTap(t netsim.FrameTap) {
 	n.frameTaps = append(n.frameTaps, t)
-	if n.par != nil {
-		// Partitioned: the fabric tap is the parallel runtime's spool, and
-		// the registered taps replay from it at each barrier.
-		n.par.installTaps()
-		return
-	}
 	switch taps := n.frameTaps; len(taps) {
 	case 1:
 		n.fab.SetFrameTap(taps[0])
@@ -96,10 +87,6 @@ func (n *Net) addFrameTap(t netsim.FrameTap) {
 // added later are not tapped — start captures after building the topology).
 func (n *Net) addEncapTap(t redirector.EncapTap) {
 	n.encapTaps = append(n.encapTaps, t)
-	if n.par != nil {
-		n.par.installTaps()
-		return
-	}
 	var tap redirector.EncapTap
 	switch taps := n.encapTaps; len(taps) {
 	case 1:

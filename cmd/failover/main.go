@@ -37,7 +37,6 @@ func main() {
 	loss := flag.Float64("loss", 0, "link loss probability (for false-positive measurement)")
 	jsonOut := flag.Bool("json", false, "emit machine-readable JSON instead of the table")
 	parallel := flag.Int("parallel", runtime.GOMAXPROCS(0), "concurrent simulations (each threshold is an independent run)")
-	workers := flag.Int("workers", 1, "worker threads inside each simulation (domain-partitioned parallel run)")
 	pcapPrefix := flag.String("pcap", "", "capture each run to PREFIX-t<threshold>.pcap")
 	flightPrefix := flag.String("flight", "", "flight-record each run; dump PREFIX-t<threshold>.{pcap,json} when the failover probe fires")
 	spansPrefix := flag.String("spans", "", "write each run's ft-TCP span timeline to PREFIX-t<threshold>.json")
@@ -56,10 +55,6 @@ func main() {
 		os.Exit(1)
 	}
 
-	// In-simulation workers multiply the sweep's fan-out; keep the product
-	// within the machine so neither layer's parallelism starves the other.
-	*parallel = sweep.Budget(*parallel, *workers)
-
 	thresholds := []int{1, 2, 3, 4, 6, 8}
 	rows := sweep.Map(*parallel, len(thresholds), func(i int) row {
 		cfg := testbed.FailoverConfig{
@@ -67,7 +62,6 @@ func main() {
 			Backups:   *backups,
 			Seed:      *seed,
 			Loss:      *loss,
-			Workers:   *workers,
 		}
 		// One capture file set per threshold: the sweep runs each threshold
 		// as an independent simulation, possibly in parallel.

@@ -1,6 +1,6 @@
 // Command hydralint runs the hydranet static-invariant analyzers
-// (framepool, determinism — including the domain-partition fence —
-// zeroalloc, lockorder, exhaustive) over Go packages. It works two ways:
+// (framepool, determinism, zeroalloc, exhaustive) over Go packages. It works
+// two ways:
 //
 // Standalone, over package patterns:
 //
@@ -38,13 +38,12 @@ import (
 	"hydranet/internal/lint/exhaustive"
 	"hydranet/internal/lint/framepool"
 	"hydranet/internal/lint/load"
-	"hydranet/internal/lint/lockorder"
 	"hydranet/internal/lint/zeroalloc"
 )
 
 // version participates in go vet's content-addressed caching: bump it when
 // analyzer behavior changes so stale cached verdicts are not replayed.
-const version = "hydralint-3"
+const version = "hydralint-4"
 
 // schemaVersion identifies the -json output shape; consumers pin it so a
 // field rename cannot silently break CI parsers.
@@ -54,7 +53,6 @@ var analyzers = []*lint.Analyzer{
 	framepool.Analyzer,
 	determinism.Analyzer,
 	zeroalloc.Analyzer,
-	lockorder.Analyzer,
 	exhaustive.Analyzer,
 }
 

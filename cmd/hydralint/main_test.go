@@ -12,7 +12,7 @@ import (
 // package that must be clean (exit 0), and a nonexistent pattern that
 // must fail the load (exit 1).
 const (
-	seededPkg = "../../internal/lint/determinism/testdata/src/internal/netsim"
+	seededPkg = "../../internal/lint/determinism/testdata/src/internal/sim"
 	cleanPkg  = "../../internal/frame"
 )
 

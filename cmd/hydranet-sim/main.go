@@ -12,9 +12,8 @@
 //	                 reconfig, suspicion, promotion, crash/restart)
 //	-stats           print a net-wide counter summary at the end
 //	-stats-json F    write the full snapshot (with failover timeline) to F
-//	-prof F          write a hydraprof profile (per-domain utilization,
-//	                 causal critical path) to F; render with
-//	                 `hydrascope profile F`
+//	-prof F          write a hydraprof profile (causal critical path) to F;
+//	                 render with `hydrascope profile F`
 //	-cpuprofile F    write a Go runtime CPU profile of the simulator to F
 //	-memprofile F    write a Go runtime heap profile at exit to F
 package main
@@ -79,8 +78,7 @@ func main() {
 	spansPath := flag.String("spans", "", "write the per-connection ft-TCP span timeline as JSON to this file (\"-\" = stdout)")
 	seriesPath := flag.String("series", "", "export sampled time series (with replica health verdicts) to this file (JSONL, or CSV with a .csv extension)")
 	sampleEvery := flag.Duration("sample-every", 0, "telemetry sampling cadence for -series (default 100ms of virtual time)")
-	workers := flag.Int("workers", 1, "worker threads (domain-partitioned parallel run; every output is identical for every count)")
-	profPath := flag.String("prof", "", "write a hydraprof profile (per-domain utilization, causal critical path) to this file; render with hydrascope profile")
+	profPath := flag.String("prof", "", "write a hydraprof profile (causal critical path) to this file; render with hydrascope profile")
 	invariants := flag.Bool("invariants", false, "run the online protocol-invariant monitor; exit 1 on any violation")
 	auditPath := flag.String("audit", "", "write the invariant audit report as JSON to this file (implies -invariants); inspect with hydrascope audit")
 	cpuProfile := flag.String("cpuprofile", "", "write a Go runtime CPU profile to this file")
@@ -118,34 +116,17 @@ func main() {
 	}
 	net.AutoRoute()
 
-	if *workers > 1 {
-		if *traceSegs > 0 {
-			// The segment tracer prints inline from TCP emit sites, which run
-			// in worker context on their domain's clock — serial only.
-			fmt.Fprintln(os.Stderr, "hydranet-sim: -trace requires -workers 1")
-			os.Exit(1)
-		}
-		if err := net.SetWorkers(*workers); err != nil {
-			fmt.Fprintf(os.Stderr, "hydranet-sim: -workers: %v\n", err)
-			os.Exit(1)
-		}
-	}
-
-	// Attach after the partition (profiling wraps the per-domain schedulers)
-	// and before any traffic, so the profile covers the whole scripted run.
+	// Attach before any traffic, so the profile covers the whole scripted run.
 	var profiler *hydranet.Profiler
 	if *profPath != "" {
 		profiler = net.StartProfile(hydranet.ProfileConfig{
-			Scenario: fmt.Sprintf("hydranet-sim replicas=%d bytes=%d crash=%s workers=%d",
-				*replicas, *bytes, *crashWho, *workers),
+			Scenario: fmt.Sprintf("hydranet-sim replicas=%d bytes=%d crash=%s",
+				*replicas, *bytes, *crashWho),
 		})
 	}
 
-	// The monitor attaches after the partition (it consumes the
-	// barrier-ordered replayed stream) and before DeployFT (it
-	// reconstructs replica-set membership from registration events). The
-	// scenario label deliberately omits the worker count: audit reports
-	// from the same seed diff byte-identical across -workers.
+	// The monitor attaches before DeployFT: it reconstructs replica-set
+	// membership from registration events.
 	var mon *hydranet.Monitor
 	if *invariants || *auditPath != "" {
 		mon = net.StartMonitor(hydranet.MonitorConfig{
@@ -259,11 +240,7 @@ func main() {
 				break
 			}
 			received += n
-			// Publish on the client host's bus: in a partitioned run this is
-			// the client domain's view (the callback runs in worker context),
-			// merged deterministically at the next barrier; serial runs get
-			// the net bus unchanged.
-			if b := client.Bus(); b.Enabled(hydranet.KindClientDeliver) {
+			if b := net.Bus(); b.Enabled(hydranet.KindClientDeliver) {
 				b.Publish(hydranet.Event{
 					Kind: hydranet.KindClientDeliver, Node: "client", Size: n,
 				})
@@ -405,10 +382,6 @@ func main() {
 			fmt.Printf(" (%.0f events/sec, %.0f frames/sec)", float64(events)/s, float64(frames)/s)
 		}
 		fmt.Println()
-		if domains, w := net.Parallel(); domains > 1 {
-			fmt.Printf("parallel core: %d domains on %d workers, %d cross-domain hand-offs, %d merge ties\n",
-				domains, w, net.Handoffs(), net.MergeTies())
-		}
 	}
 	if *stats {
 		printSnapshot(snap)

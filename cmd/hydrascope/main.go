@@ -1,15 +1,15 @@
 // Command hydrascope analyzes exported HydraNet-FT telemetry: it renders a
 // failover timeline report from a series export, renders a hydraprof
-// parallel-core profile, and diffs two runs — series exports, ttcpbench
+// profile, and diffs two runs — series exports, ttcpbench
 // results or hydraprof profiles — within a tolerance, exiting non-zero on
 // regression so CI can gate on it.
 //
 // Usage:
 //
 //	hydrascope report RUN [-spans FILE]
-//	hydrascope profile PROF [-trace OUT.json]
+//	hydrascope profile PROF
 //	hydrascope audit FILE [-fail-on-violation]
-//	hydrascope diff A B [-tol 0.02] [-stall-tol 0]
+//	hydrascope diff A B [-tol 0.02]
 //
 // report loads a -series export (JSONL or CSV, sniffed from content) and
 // prints the run summary: the Table-2 failover phase timeline with
@@ -17,11 +17,8 @@
 // and a sorted per-series table. -spans adds the ft-TCP span summary.
 //
 // profile loads a hydraprof JSON profile (written by the -prof flag on
-// hydranet-sim, ttcpbench and failover) and prints per-domain utilization,
-// barrier-stall attribution, the causal critical path with its
-// ideal-speedup bound, and a recommended -workers count. -trace also
-// writes a Chrome trace-event (Perfetto) JSON rendering of the retained
-// windows; open it at https://ui.perfetto.dev.
+// hydranet-sim, ttcpbench and failover) and prints the run summary and the
+// causal critical path with its ideal-speedup bound.
 //
 // audit loads a protocol-invariant audit report (written by the -audit
 // flag on hydranet-sim, failover and the testbed) and renders the verdict,
@@ -35,10 +32,9 @@
 // durations; two ttcpbench JSON files compare the deterministic fields
 // (throughput, events, frames) only — wall-clock fields are machine facts
 // and never gated; two hydraprof profiles compare the deterministic fields
-// (events, critical-path depth, hand-offs, window counts) at -tol and the
-// wall-derived utilization/stall fractions at -stall-tol (0, the default,
-// skips them). Any difference beyond tolerance is a regression: exit 1.
-// Identical-seed runs diff clean and exit 0.
+// (events, virtual time, critical-path depth). Any difference beyond
+// tolerance is a regression: exit 1. Identical-seed runs diff clean and
+// exit 0.
 package main
 
 import (
@@ -53,9 +49,9 @@ import (
 func usage() {
 	fmt.Fprintf(os.Stderr, `usage:
   hydrascope report RUN [-spans FILE]          render a run report
-  hydrascope profile PROF [-trace OUT.json]    render a hydraprof profile
+  hydrascope profile PROF                      render a hydraprof profile
   hydrascope audit FILE [-fail-on-violation]   render an invariant audit report
-  hydrascope diff A B [-tol 0.02] [-stall-tol 0]  diff two runs; exit 1 on regression
+  hydrascope diff A B [-tol 0.02]              diff two runs; exit 1 on regression
 `)
 	os.Exit(2)
 }
@@ -110,40 +106,15 @@ func report(args []string) {
 }
 
 func profile(args []string) {
-	fs := flag.NewFlagSet("profile", flag.ExitOnError)
-	tracePath := fs.String("trace", "", "also write a Chrome trace-event (Perfetto) JSON file")
-	// As in diff: re-parse past the positional so trailing flags work.
-	fs.Parse(args)
-	rest := fs.Args()
-	if len(rest) > 1 {
-		fs.Parse(rest[1:])
-		if fs.NArg() != 0 {
-			usage()
-		}
-	}
-	if len(rest) < 1 {
+	if len(args) != 1 {
 		usage()
 	}
-	p, err := scope.LoadProfFile(rest[0])
+	p, err := scope.LoadProfFile(args[0])
 	if err != nil {
 		fatal(err)
 	}
 	if err := prof.Report(os.Stdout, p); err != nil {
 		fatal(err)
-	}
-	if *tracePath != "" {
-		f, err := os.Create(*tracePath)
-		if err != nil {
-			fatal(err)
-		}
-		err = prof.WriteTrace(f, p)
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Printf("wrote trace %s (load at https://ui.perfetto.dev)\n", *tracePath)
 	}
 }
 
@@ -177,7 +148,6 @@ func audit(args []string) {
 func diff(args []string) {
 	fs := flag.NewFlagSet("diff", flag.ExitOnError)
 	tol := fs.Float64("tol", 0.02, "relative tolerance before a difference is a regression")
-	stallTol := fs.Float64("stall-tol", 0, "absolute tolerance for wall-derived profile util/stall fractions (0 skips them)")
 	// Accept flags on either side of the two positionals: stdlib flag stops
 	// at the first non-flag argument, so "diff A B -tol 0.05" needs the
 	// tail re-parsed.
@@ -206,7 +176,7 @@ func diff(args []string) {
 		if err != nil {
 			fatal(err)
 		}
-		findings = scope.DiffProf(a, b, *tol, *stallTol)
+		findings = scope.DiffProf(a, b, *tol)
 	} else if scope.IsBenchFile(pathA) || scope.IsBenchFile(pathB) {
 		what = "bench"
 		a, err := scope.LoadBenchFile(pathA)

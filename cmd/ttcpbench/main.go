@@ -47,14 +47,11 @@ func main() {
 	backups := flag.Int("backups", 1, "backup replicas in the primary-and-backup case")
 	repeat := flag.Int("repeat", 1, "seeds per point (mean ± std when > 1)")
 	parallel := flag.Int("parallel", runtime.GOMAXPROCS(0), "concurrent simulations (1 = serial; also enables allocs/op in -json)")
-	workers := flag.Int("workers", 1, "worker threads inside each simulation (domain-partitioned parallel run; results are identical for every count)")
-	scalePath := flag.String("scale", "", "run the pod-scaling workload at 1/2/4/8 in-simulation workers and write a BENCH_scale JSON record to this file")
-	scalePods := flag.Int("scale-pods", 8, "pods in the -scale workload (one synchronization domain each)")
 	jsonPath := flag.String("json", "", "write machine-readable results to this file")
 	pcapPath := flag.String("pcap", "", "additionally capture one primary-and-backup run (1024-byte writes) to this pcap file")
 	seriesPath := flag.String("series", "", "additionally export time series of one primary-and-backup run (1024-byte writes) to this file (JSONL, or CSV with a .csv extension)")
 	sampleEvery := flag.Duration("sample-every", 0, "telemetry sampling cadence for -series (default 100ms of virtual time)")
-	profPath := flag.String("prof", "", "write hydraprof profiles: with -scale, PREFIX-w<N>.prof.json per worker count; otherwise profile one dedicated primary-and-backup run (1024-byte writes) to this file")
+	profPath := flag.String("prof", "", "additionally profile one dedicated primary-and-backup run (1024-byte writes) and write the hydraprof profile to this file")
 	invariants := flag.Bool("invariants", false, "run the online protocol-invariant monitor in every measurement run; exit 1 on any violation")
 	cpuProfile := flag.String("cpuprofile", "", "write a Go runtime CPU profile to this file")
 	memProfile := flag.String("memprofile", "", "write a Go runtime heap profile to this file at exit")
@@ -71,16 +68,6 @@ func main() {
 			os.Exit(1)
 		}
 	}
-
-	if *scalePath != "" {
-		runScaleBench(*scalePath, *scalePods, *total, *seed, *profPath, *invariants)
-		finishPprof()
-		return
-	}
-
-	// In-simulation workers multiply the sweep's fan-out; keep the product
-	// within the machine so neither layer's parallelism starves the other.
-	*parallel = sweep.Budget(*parallel, *workers)
 
 	fmt.Printf("ttcp throughput measurements for HydraNet-FT (Figure 4)\n")
 	fmt.Printf("transfer volume %d bytes per point, %d run(s) per point, base seed %d, %d worker(s)\n\n",
@@ -106,7 +93,7 @@ func main() {
 		res, info := testbed.RunMeasured(testbed.Config{
 			Case: j.c, BufLen: j.size, TotalBytes: *total,
 			Seed: *seed + int64(j.rep), Backups: *backups,
-			Workers: *workers, Invariants: *invariants,
+			Invariants: *invariants,
 		})
 		out := jobResult{kbps: res.ThroughputKBps(), err: res.Err, info: info}
 		if serial {
@@ -223,8 +210,7 @@ func main() {
 		// attach collectors to every measurement point.
 		res := testbed.Run(testbed.Config{
 			Case: testbed.CasePrimaryBackup, BufLen: 1024, TotalBytes: *total,
-			Seed: *seed, Backups: *backups,
-			Workers: *workers, ProfilePath: *profPath,
+			Seed: *seed, Backups: *backups, ProfilePath: *profPath,
 		})
 		if res.Err != nil {
 			fmt.Fprintln(os.Stderr, "ttcpbench: profile run:", res.Err)
@@ -257,107 +243,4 @@ func main() {
 		fmt.Printf("wrote %s\n", *jsonPath)
 	}
 	finishPprof()
-}
-
-// scaleWorkerCounts are the -scale sweep's x-axis.
-var scaleWorkerCounts = []int{1, 2, 4, 8}
-
-// runScaleBench measures the parallel core: the same pod-scaling workload at
-// 1, 2, 4 and 8 in-simulation worker threads. Throughput, events and frames
-// are simulation observables and must be identical across the rows — the
-// wall-clock column is the one the partitioned scheduler exists to shrink.
-// profPrefix, when set, writes a hydraprof profile per worker count to
-// PREFIX-w<N>.prof.json alongside the JSON record. invariants attaches the
-// protocol-invariant monitor to every row; any violation exits 1.
-func runScaleBench(path string, pods, total int, seed int64, profPrefix string, invariants bool) {
-	fmt.Printf("parallel-core scaling: %d pods (one synchronization domain each), %d bytes per pod, seed %d\n\n",
-		pods, total, seed)
-
-	table := metrics.NewTable("workers", "wall [ms]", "speedup", "agg kB/s", "events", "handoffs", "ties")
-	var entries []scope.BenchEntry
-	var baseline time.Duration
-	totalViolations := 0
-	start := time.Now()
-	for _, w := range scaleWorkerCounts {
-		cfg := testbed.ScaleConfig{
-			Pods: pods, Workers: w, TotalBytes: total, Seed: seed,
-			Invariants: invariants,
-		}
-		if profPrefix != "" {
-			cfg.ProfilePath = fmt.Sprintf("%s-w%d.prof.json", profPrefix, w)
-		}
-		r := testbed.RunScale(cfg)
-		totalViolations += r.Violations
-		if w == 1 {
-			baseline = r.Wall
-		}
-		speedup := "1.00"
-		if w > 1 && r.Wall > 0 {
-			speedup = fmt.Sprintf("%.2f", float64(baseline)/float64(r.Wall))
-		}
-		table.AddRow(
-			fmt.Sprintf("%d", w),
-			fmt.Sprintf("%.1f", float64(r.Wall.Microseconds())/1000),
-			speedup,
-			fmt.Sprintf("%.0f", r.AggKBps),
-			fmt.Sprintf("%d", r.Events),
-			fmt.Sprintf("%d", r.Handoffs),
-			fmt.Sprintf("%d", r.MergeTies),
-		)
-		e := scope.BenchEntry{
-			Case:           fmt.Sprintf("scale pods=%d workers=%d", pods, w),
-			BufLen:         1024,
-			ThroughputKBps: r.AggKBps,
-			Events:         r.Events,
-			Frames:         r.Frames,
-			WallMS:         float64(r.Wall.Microseconds()) / 1000,
-			// Informational scaling facts: wall-derived, never gated by
-			// hydrascope diff.
-			Workers: w,
-		}
-		if w > 1 && r.Wall > 0 && baseline > 0 {
-			e.Speedup = float64(baseline) / float64(r.Wall)
-		} else if w == 1 {
-			e.Speedup = 1
-		}
-		if s := r.Wall.Seconds(); s > 0 {
-			e.EventsPerSec = float64(r.Events) / s
-			e.FramesPerSec = float64(r.Frames) / s
-		}
-		entries = append(entries, e)
-		if cfg.ProfilePath != "" {
-			fmt.Printf("profiled workers=%d to %s\n", w, cfg.ProfilePath)
-		}
-	}
-	wall := time.Since(start)
-	fmt.Print(table)
-	fmt.Printf("\nswept %d worker counts in %v\n", len(scaleWorkerCounts), wall.Round(time.Millisecond))
-	if invariants {
-		if totalViolations > 0 {
-			fmt.Printf("invariants: %d VIOLATIONS across the sweep\n", totalViolations)
-			os.Exit(1)
-		}
-		fmt.Println("invariants: clean across the sweep")
-	}
-
-	bf := scope.BenchFile{
-		Description: "HydraNet-FT parallel-core scaling: pod workload per worker count",
-		TotalBytes:  total,
-		Seed:        seed,
-		Parallel:    1,
-		GoMaxProcs:  runtime.GOMAXPROCS(0),
-		WallMS:      float64(wall.Microseconds()) / 1000,
-		Entries:     entries,
-	}
-	data, err := json.MarshalIndent(bf, "", "  ")
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "ttcpbench:", err)
-		os.Exit(1)
-	}
-	data = append(data, '\n')
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		fmt.Fprintln(os.Stderr, "ttcpbench:", err)
-		os.Exit(1)
-	}
-	fmt.Printf("wrote %s\n", path)
 }

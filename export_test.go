@@ -1,6 +1,10 @@
 package hydranet
 
-import "testing"
+import (
+	"bytes"
+	"testing"
+	"time"
+)
 
 // Bridges for golden_test.go, which lives in package hydranet_test so it can
 // import internal/testbed (testbed imports this package).
@@ -8,9 +12,72 @@ import "testing"
 // GoldenScenario is the determinism_test.go fingerprint scenario.
 func GoldenScenario(seed int64) string { return runScenario(seed, scenarioOpts{}) }
 
-// GoldenCapture runs the serial FT capture scenario of parallel_test.go and
-// returns its pcap and series-JSONL exports.
+// captureTopology builds a 4-host star with delay structure: the client sits
+// 50 µs from the redirector while both replicas hang off 1 ms backbone links,
+// and the replicas get slightly different CPU cost models so their event
+// streams are never tied.
+func captureTopology(t *testing.T, seed int64) (*Net, *Host, *Redirector, []*Host) {
+	t.Helper()
+	net := New(Config{Seed: seed})
+	client := net.AddHost("client", HostConfig{})
+	rd := net.AddRedirector("rd", HostConfig{})
+	s0 := net.AddHost("s0", HostConfig{})
+	s1 := net.AddHost("s1", HostConfig{})
+	net.Link(client, rd.Host, LinkConfig{Rate: 10_000_000, Delay: 50 * time.Microsecond})
+	backbone := LinkConfig{Rate: 10_000_000, Delay: time.Millisecond}
+	net.Link(s0, rd.Host, backbone)
+	net.Link(s1, rd.Host, backbone)
+	net.AutoRoute()
+	s0.SetProcessing(10*time.Microsecond, 0)
+	s1.SetProcessing(13*time.Microsecond, 0)
+	return net, client, rd, []*Host{s0, s1}
+}
+
+// GoldenCapture runs the FT capture scenario — deploy, stream, crash the
+// primary, recover, with a capture, a failover probe and a health-scoring
+// sampler attached — and returns its pcap and series-JSONL exports.
 func GoldenCapture(t *testing.T) (pcap, series []byte) {
-	a := runParallelScenario(t, 1)
-	return a.pcap, a.series
+	t.Helper()
+	net, client, rd, replicas := captureTopology(t, 11)
+
+	var capture bytes.Buffer
+	if _, err := net.StartCapture(&capture); err != nil {
+		t.Fatal(err)
+	}
+	probe := net.NewFailoverProbe()
+	tel := net.StartSampler(SamplerConfig{
+		Every:  50 * time.Millisecond,
+		Health: &HealthConfig{},
+	})
+	tel.AttachFailover(probe)
+	tel.WatchReplicas(replicas...)
+
+	svc, err := net.DeployFT(testSvc, rd, replicas,
+		FTOptions{Detector: DetectorParams{RetransmitThreshold: 3}}, echoAccept())
+	if err != nil {
+		t.Fatal(err)
+	}
+	net.Settle()
+
+	payload := make([]byte, 1024*1024)
+	for i := range payload {
+		payload[i] = byte(i * 31)
+	}
+	received := streamClient(t, net, client, payload)
+
+	net.RunFor(300 * time.Millisecond)
+	svc.CrashPrimary()
+	for *received < len(payload) && net.Now() < 2*time.Minute {
+		net.RunFor(time.Second)
+	}
+	if *received != len(payload) {
+		t.Fatalf("client received %d of %d bytes", *received, len(payload))
+	}
+	tel.Stop()
+
+	var ser bytes.Buffer
+	if err := tel.WriteJSONL(&ser); err != nil {
+		t.Fatal(err)
+	}
+	return capture.Bytes(), ser.Bytes()
 }

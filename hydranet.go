@@ -119,10 +119,6 @@ type Net struct {
 	frameTaps []netsim.FrameTap
 	encapTaps []redirector.EncapTap
 
-	// par is non-nil once SetWorkers/Partition has split the fabric into
-	// synchronization domains; see parallel.go.
-	par *parallelRT
-
 	// profiler is non-nil while a hydraprof session is attached; see
 	// profile.go.
 	profiler *Profiler
@@ -158,57 +154,27 @@ func (n *Net) Bus() *obs.Bus { return n.bus }
 func (n *Net) PoisonFrames(on bool) { n.fab.Pool().SetPoison(on) }
 
 // Now returns the current virtual time.
-func (n *Net) Now() time.Duration {
-	if n.par != nil {
-		return n.par.now()
-	}
-	return n.sched.Now()
-}
+func (n *Net) Now() time.Duration { return n.sched.Now() }
 
 // Run executes events until the network goes idle.
-func (n *Net) Run() {
-	if n.par != nil {
-		n.par.run()
-		return
-	}
-	n.sched.Run()
-}
+func (n *Net) Run() { n.sched.Run() }
 
 // RunFor advances virtual time by d.
-func (n *Net) RunFor(d time.Duration) {
-	if n.par != nil {
-		n.par.runUntil(n.par.group.Now() + d)
-		return
-	}
-	n.sched.RunUntil(n.sched.Now() + d)
-}
+func (n *Net) RunFor(d time.Duration) { n.sched.RunUntil(n.sched.Now() + d) }
 
 // RunUntil advances virtual time to the absolute instant t.
-func (n *Net) RunUntil(t time.Duration) {
-	if n.par != nil {
-		n.par.runUntil(t)
-		return
-	}
-	n.sched.RunUntil(t)
-}
+func (n *Net) RunUntil(t time.Duration) { n.sched.RunUntil(t) }
 
-// Scheduler exposes the base event scheduler. In a partitioned run this is
-// domain 0's scheduler; scripted cross-host events (failure injection)
-// should use Net.At, and per-host traffic pacing should use
-// Host.Scheduler, both of which stay correct under any worker count.
+// Scheduler exposes the event scheduler that drives every host of the
+// network.
 func (n *Net) Scheduler() *sim.Scheduler { return n.sched }
 
-// At schedules fn at absolute virtual time t. In a partitioned run fn
-// becomes a global event: it runs at a window barrier with all workers
-// parked, positioned in the event order exactly where the serial scheduler
-// would have run it, so it may safely touch any host.
-func (n *Net) At(t time.Duration, fn func()) {
-	if n.par != nil {
-		n.par.at(t, fn)
-		return
-	}
-	n.sched.At(t, fn)
-}
+// At schedules fn at absolute virtual time t (scripted events such as
+// failure injection).
+func (n *Net) At(t time.Duration, fn func()) { n.sched.At(t, fn) }
+
+// EventsFired returns the total number of executed simulation events.
+func (n *Net) EventsFired() uint64 { return n.sched.Fired() }
 
 // Host is a simulated machine: IP, UDP and TCP stacks, HydraNet host-server
 // support, the ft-TCP engine, and a management daemon.
@@ -229,9 +195,6 @@ type Host struct {
 
 // AddHost creates a host.
 func (n *Net) AddHost(name string, cfg HostConfig) *Host {
-	if n.par != nil {
-		panic("hydranet: AddHost after SetWorkers — the topology must be final before partitioning")
-	}
 	node := n.fab.AddNode(netsim.NodeConfig{Name: name, ProcDelay: cfg.ProcDelay, ProcPerByte: cfg.ProcPerByte})
 	h := &Host{net: n, name: name, node: node}
 	h.ip = ipv4.NewStack(node, n.sched)
@@ -250,6 +213,10 @@ func (n *Net) AddHost(name string, cfg HostConfig) *Host {
 
 // Name returns the host name.
 func (h *Host) Name() string { return h.name }
+
+// Scheduler returns the scheduler driving this host, for harness code that
+// paces per-host traffic (ttcp transmitters, scripted sends).
+func (h *Host) Scheduler() *sim.Scheduler { return h.node.Scheduler() }
 
 // Addr returns the host's primary address (assigned by its first link).
 func (h *Host) Addr() Addr { return h.addr }
@@ -310,7 +277,7 @@ func (h *Host) FTManager() *core.Manager {
 		if err != nil {
 			panic(fmt.Sprintf("hydranet: %s: %v", h.name, err))
 		}
-		mgr.SetBus(h.emitBus())
+		mgr.SetBus(h.net.bus)
 		h.mgr = mgr
 	}
 	return h.mgr
@@ -379,7 +346,7 @@ func (r *Redirector) Daemon() *rmp.RedirectorDaemon {
 		if err != nil {
 			panic(fmt.Sprintf("hydranet: %s: %v", r.Host.name, err))
 		}
-		d.SetBus(r.Host.emitBus(), r.Host.name)
+		d.SetBus(r.Host.net.bus, r.Host.name)
 		r.dmn = d
 	}
 	return r.dmn
@@ -413,9 +380,6 @@ func (n *Net) Link(a, b *Host, cfg LinkConfig) *netsim.Link {
 // LinkAddr connects two hosts with explicit addresses. Both must share one
 // /24, distinct from every other link's.
 func (n *Net) LinkAddr(a, b *Host, cfg LinkConfig, aAddr, bAddr Addr) *netsim.Link {
-	if n.par != nil {
-		panic("hydranet: Link after SetWorkers — the topology must be final before partitioning")
-	}
 	l := n.fab.Connect(a.node, b.node, cfg)
 	aIf := a.node.NumInterfaces() - 1
 	bIf := b.node.NumInterfaces() - 1

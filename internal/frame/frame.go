@@ -189,10 +189,7 @@ func (p *Pool) Get(n int) *Buf {
 }
 
 // GetCopy returns a Buf holding a copy of data, with the usual Headroom in
-// front. This is the cross-domain import path: a frame handed off from
-// another synchronization domain is copied into the receiving domain's own
-// pool, so each pool stays single-threaded even while its buffers' bytes
-// travel between domains.
+// front.
 func (p *Pool) GetCopy(data []byte) *Buf {
 	b := p.Get(len(data))
 	copy(b.data[b.off:b.end], data)

@@ -143,16 +143,6 @@ func NewStack(ip *ipv4.Stack) *Stack {
 // OnError installs an observer for inbound ICMP errors.
 func (s *Stack) OnError(fn ErrorFunc) { s.onError = fn }
 
-// Rebind moves the layer onto another scheduler — the node's domain
-// scheduler after a parallel partition. Call before any traffic: a ping in
-// flight has its deadline armed on the old scheduler, so that panics.
-func (s *Stack) Rebind(sched *sim.Scheduler) {
-	if len(s.pending) > 0 {
-		panic("icmp: Rebind with echoes in flight")
-	}
-	s.sched = sched
-}
-
 // Stats returns echo requests answered, echo replies received, errors
 // received and errors emitted.
 func (s *Stack) Stats() (echoed, replies, errorsIn, errorsOut uint64) {

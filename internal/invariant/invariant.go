@@ -4,16 +4,15 @@
 // support for dependable services" — instead of merely counting events.
 //
 // The monitor consumes the same typed obs event stream every other
-// observer does. Under the parallel core that stream is replayed at window
-// barriers in exactly the serial order (DESIGN.md §10), so verdicts and
-// violation ordering are byte-identical for every worker count. Like every
-// observer in this tree it is free when detached — emit sites stay behind
-// Bus.Enabled — and its per-event hot path is allocation-free in steady
-// state (first contact with a connection or node allocates its tracking
-// slot, every later event lands in existing storage; the zeroalloc lint
-// fences the path, an allocs/event test pins it).
+// observer does, so verdicts and violation ordering are byte-identical for
+// every run of one seed. Like every observer in this tree it is free when
+// detached — emit sites stay behind Bus.Enabled — and its per-event hot
+// path is allocation-free in steady state (first contact with a connection
+// or node allocates its tracking slot, every later event lands in existing
+// storage; the zeroalloc lint fences the path, an allocs/event test pins
+// it).
 //
-// Checked rules (see DESIGN.md §12 for the paper clause each encodes):
+// Checked rules (see DESIGN.md §11 for the paper clause each encodes):
 //
 //   - deposit-cursor: per (node, service, conn) the deposit cursor advances
 //     by exactly the bytes deposited — no byte reaches the application
@@ -84,11 +83,10 @@ const DefaultMaxViolations = 256
 // Config parameterizes a Monitor.
 type Config struct {
 	// Scenario labels the audit report (free-form; keep it free of
-	// worker counts and wall-clock facts so reports diff byte-identical
-	// across -workers).
+	// wall-clock facts so reports of equal-seed runs diff byte-identical).
 	Scenario string
 	// Outstanding, if set, reports the frame pool's outstanding count for
-	// the quiesce conservation check (normally netsim.Network.PoolOutstanding
+	// the quiesce conservation check (normally the fabric's frame.Pool
 	// via the facade).
 	Outstanding func() int
 	// MaxViolations bounds recorded violations (<= 0 selects
@@ -251,8 +249,7 @@ func (m *Monitor) OnViolation(fn func(Violation)) {
 }
 
 // NoteFrame counts one fabric frame for the audit census. The facade
-// routes a frame tap here; under the parallel core the tap is replayed at
-// barriers in serial order like every other observation.
+// routes a frame tap here.
 //
 //hydralint:zeroalloc
 func (m *Monitor) NoteFrame(size int) {

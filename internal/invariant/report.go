@@ -58,8 +58,7 @@ type KindCount struct {
 }
 
 // Report is a run's audit verdict. Every field is deterministic — no
-// worker counts, no wall-clock facts — so reports from the same seed diff
-// byte-identical across `-workers` values.
+// wall-clock facts — so reports from the same seed diff byte-identical.
 type Report struct {
 	Scenario          string       `json:"scenario,omitempty"`
 	Clean             bool         `json:"clean"`

@@ -103,18 +103,6 @@ func (s *Stack) Scheduler() *sim.Scheduler { return s.sched }
 // it was passed to has returned (see frame.Pool.SetPoison).
 func (s *Stack) Poisoned() bool { return s.node.Pool().Poisoned() }
 
-// Rebind moves the stack (and its reassembler) onto another scheduler — the
-// one driving the node's synchronization domain after a parallel partition.
-// Call before any traffic: timers already scheduled on the old scheduler
-// would fire outside the domain, so a stack with pending reassembly panics.
-func (s *Stack) Rebind(sched *sim.Scheduler) {
-	if len(s.reasm.pending) > 0 {
-		panic("ipv4: Rebind with reassembly in progress")
-	}
-	s.sched = sched
-	s.reasm.sched = sched
-}
-
 // Stats returns a snapshot of the stack's counters.
 func (s *Stack) Stats() StackStats { return s.stats }
 

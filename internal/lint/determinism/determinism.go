@@ -22,38 +22,6 @@
 // The reason is mandatory; an annotation without one, or an unknown
 // directive name anywhere in the repository, is reported by this analyzer
 // so stale or typo'd exemptions cannot accumulate.
-//
-// # Domain-partition fence
-//
-// Inside internal/netsim the analyzer additionally enforces the parallel
-// core's synchronization-domain contract (documented on netsim.domainRT):
-// worker-context code runs concurrently with other domains, and the only
-// sanctioned channel between domains is the locked hand-off inbox.
-// Concretely:
-//
-//   - The Network's shared singletons — its fields sched, pool, and bus —
-//     may be touched only by Network's own methods (the serial path and
-//     coordinator-context orchestration). Everything else must reach the
-//     scheduler, pool, and bus through its domain (nd.dom.sched, ...): a
-//     node event that schedules on the Network's scheduler or allocates
-//     from the shared pool races with other domains' workers.
-//   - An inbox's entries may be read or written only while that inbox's
-//     mu is held. The check is flow-sensitive: a must-analysis over the
-//     function's control-flow graph (internal/lint/ir) tracks the set of
-//     inbox mutexes held on every path, so a lock taken on only one
-//     branch, or released before the access, is caught — and a lock held
-//     through a defer-unlock or on both arms of a branch is correctly
-//     credited. Locks and accesses pair on the receiver's rendered source
-//     text, so an alias like `in := &d.inbox; in.mu.Lock()` pairs with
-//     `in.entries`. Function literals are analyzed as their own
-//     functions: lock state never leaks across a closure boundary.
-//
-// A site that is genuinely safe — coordinator-context code running while
-// every worker is quiescent — can be exempted with
-//
-//	//hydralint:domainsafe <reason>
-//
-// and the reason is again mandatory.
 package determinism
 
 import (
@@ -62,13 +30,12 @@ import (
 	"go/types"
 
 	"hydranet/internal/lint"
-	"hydranet/internal/lint/ir"
 )
 
 // Analyzer is the determinism checker.
 var Analyzer = &lint.Analyzer{
 	Name: "determinism",
-	Doc:  "forbid wall clocks, global rand, map ranges, and goroutines in the deterministic simulation core; fence cross-domain state access in netsim",
+	Doc:  "forbid wall clocks, global rand, map ranges, and goroutines in the deterministic simulation core",
 	Run:  run,
 }
 
@@ -85,8 +52,8 @@ var coveredPkgs = []string{
 	// simulation loop: a wall-clock read or map-ordered emission there
 	// would make series exports (and hydrascope diffs of them) flap.
 	"internal/series",
-	// The invariant monitor's verdicts must be byte-identical across
-	// worker counts: a map-ordered violation emission or wall-clock stamp
+	// The invariant monitor's verdicts must be byte-identical across runs
+	// of one seed: a map-ordered violation emission or wall-clock stamp
 	// would break audit-report parity.
 	"internal/invariant",
 }
@@ -118,7 +85,6 @@ func run(pass *lint.Pass) error {
 			break
 		}
 	}
-	fenced := lint.PathHasSuffixSegments(pass.Pkg.Path(), "internal/netsim")
 
 	for _, file := range pass.Files {
 		idx := lint.IndexDirectives(pass.Fset, file)
@@ -132,16 +98,6 @@ func run(pass *lint.Pass) error {
 		// construct it excused was removed or rewritten — and reported
 		// below so annotations cannot outlive their reasons.
 		used := map[*lint.Directive]bool{}
-		if fenced {
-			domainSafe := func(pos token.Pos) bool {
-				if d := idx.Covering(pass.Fset, pos, lint.DirDomainSafe); d != nil {
-					used[d] = true
-					return true
-				}
-				return false
-			}
-			checkDomainFence(pass, file, domainSafe)
-		}
 		if !covered {
 			continue
 		}
@@ -174,16 +130,8 @@ func run(pass *lint.Pass) error {
 			return true
 		})
 		for _, d := range idx.WellFormed() {
-			if used[d] {
-				continue
-			}
-			switch d.Name {
-			case lint.DirNondeterministic:
+			if !used[d] && d.Name == lint.DirNondeterministic {
 				pass.Reportf(d.Pos, "stale //hydralint:nondeterministic annotation: the line it governs has no nondeterministic construct to excuse; delete it")
-			case lint.DirDomainSafe:
-				if fenced {
-					pass.Reportf(d.Pos, "stale //hydralint:domainsafe annotation: the line it governs has no cross-domain access to excuse; delete it")
-				}
 			}
 		}
 	}
@@ -224,249 +172,4 @@ func checkCall(pass *lint.Pass, call *ast.CallExpr, allowed func(token.Pos) bool
 func identOf(x ast.Expr) *ast.Ident {
 	id, _ := x.(*ast.Ident)
 	return id
-}
-
-// --- domain-partition fence (internal/netsim only) ---
-
-// fencedNetworkFields are Network's shared singletons: worker-context code
-// must use its domain's copies instead.
-var fencedNetworkFields = map[string]bool{
-	"sched": true, "pool": true, "bus": true,
-}
-
-// checkDomainFence enforces the synchronization-domain contract on one
-// file: Network's shared sched/pool/bus stay inside Network methods, and
-// inbox entries are only touched under the inbox mutex.
-func checkDomainFence(pass *lint.Pass, file *ast.File, allowed func(token.Pos) bool) {
-	for _, decl := range file.Decls {
-		fn, ok := decl.(*ast.FuncDecl)
-		if !ok || fn.Body == nil {
-			continue
-		}
-		recvNetwork := false
-		if fn.Recv != nil && len(fn.Recv.List) == 1 {
-			recvNetwork = isNetwork(pass.TypesInfo.TypeOf(fn.Recv.List[0].Type))
-		}
-
-		ast.Inspect(fn.Body, func(n ast.Node) bool {
-			sel, ok := n.(*ast.SelectorExpr)
-			if !ok {
-				return true
-			}
-			if fencedNetworkFields[sel.Sel.Name] && isNetwork(pass.TypesInfo.TypeOf(sel.X)) {
-				if !recvNetwork && !allowed(sel.Pos()) {
-					pass.Reportf(sel.Pos(), "access to the Network's shared %s outside a Network method: worker-context code must use its domain's copy (nd.dom.%s), and cross-domain effects must go through the hand-off inbox; annotate //hydralint:domainsafe <reason> if this runs with every worker quiescent", sel.Sel.Name, sel.Sel.Name)
-				}
-			}
-			return true
-		})
-
-		checkInboxFence(pass, fn.Body, allowed)
-	}
-}
-
-// heldInboxes is the must-analysis fact for the inbox fence: the rendered
-// receiver texts whose inbox mutex is held on EVERY path reaching this
-// program point. Join is set intersection.
-type heldInboxes map[string]bool
-
-// checkInboxFence runs the flow-sensitive locked-region analysis over one
-// function body: inbox entries may be touched only at points where the
-// owning mutex is must-held. Deferred unlocks run at function exit, after
-// every access, so DeferStmt elements do not release; function literals
-// are independent functions and are fenced recursively with a fresh
-// (empty) lock state.
-func checkInboxFence(pass *lint.Pass, body *ast.BlockStmt, allowed func(token.Pos) bool) {
-	cfg := ir.Build(body)
-
-	transfer := func(elem ast.Node, f heldInboxes) heldInboxes {
-		if _, isDefer := elem.(*ast.DeferStmt); isDefer {
-			return f // a deferred Unlock releases at Exit, not here
-		}
-		ir.Inspect(elem, func(n ast.Node) bool {
-			if _, isLit := n.(*ast.FuncLit); isLit {
-				return false // closures are their own functions
-			}
-			base, locks, ok := inboxMuCall(pass, n)
-			if !ok {
-				return true
-			}
-			if locks {
-				f[base] = true
-			} else {
-				delete(f, base)
-			}
-			return true
-		})
-		return f
-	}
-
-	p := ir.Problem[heldInboxes]{
-		Lattice: ir.Lattice[heldInboxes]{
-			Join: func(a, b heldInboxes) heldInboxes {
-				out := heldInboxes{}
-				for k := range a {
-					if b[k] {
-						out[k] = true
-					}
-				}
-				return out
-			},
-			Equal: func(a, b heldInboxes) bool {
-				if len(a) != len(b) {
-					return false
-				}
-				for k := range a {
-					if !b[k] {
-						return false
-					}
-				}
-				return true
-			},
-			Clone: func(f heldInboxes) heldInboxes {
-				out := make(heldInboxes, len(f))
-				for k := range f {
-					out[k] = true
-				}
-				return out
-			},
-		},
-		Boundary: heldInboxes{},
-		Transfer: transfer,
-	}
-	in, reachable := ir.Forward(cfg, p)
-
-	for _, b := range cfg.Blocks {
-		if !reachable[b] {
-			continue
-		}
-		f := p.Lattice.Clone(in[b])
-		for _, e := range b.Elems {
-			ir.Inspect(e, func(n ast.Node) bool {
-				if _, isLit := n.(*ast.FuncLit); isLit {
-					return false
-				}
-				sel, ok := n.(*ast.SelectorExpr)
-				if !ok || sel.Sel.Name != "entries" || !isInboxShape(pass.TypesInfo.TypeOf(sel.X)) {
-					return true
-				}
-				if allowed(sel.Pos()) {
-					return true
-				}
-				base := exprString(sel.X)
-				if !f[base] {
-					pass.Reportf(sel.Pos(), "inbox entries accessed without %s.mu.Lock held on every path to this point: cross-domain hand-offs must use the locked inbox protocol; annotate //hydralint:domainsafe <reason> if the lock is provably unnecessary here", base)
-				}
-				return true
-			})
-			f = transfer(e, f)
-		}
-	}
-
-	// Fence each function literal independently: lock state does not flow
-	// across a closure boundary in either direction.
-	ast.Inspect(body, func(n ast.Node) bool {
-		if lit, ok := n.(*ast.FuncLit); ok {
-			checkInboxFence(pass, lit.Body, allowed)
-			return false // nested literals handled by the recursive call
-		}
-		return true
-	})
-}
-
-// inboxMuCall recognizes `<expr>.mu.Lock()` / `<expr>.mu.Unlock()` on an
-// inbox-shaped receiver and returns the rendered receiver text.
-func inboxMuCall(pass *lint.Pass, n ast.Node) (base string, locks, ok bool) {
-	call, isCall := n.(*ast.CallExpr)
-	if !isCall {
-		return "", false, false
-	}
-	sel, isSel := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !isSel || (sel.Sel.Name != "Lock" && sel.Sel.Name != "Unlock") {
-		return "", false, false
-	}
-	mu, isSel := ast.Unparen(sel.X).(*ast.SelectorExpr)
-	if !isSel || mu.Sel.Name != "mu" || !isInboxShape(pass.TypesInfo.TypeOf(mu.X)) {
-		return "", false, false
-	}
-	base = exprString(mu.X)
-	if base == "" {
-		return "", false, false
-	}
-	return base, sel.Sel.Name == "Lock", true
-}
-
-// isNetwork reports whether t is netsim's Network (or a pointer to it) —
-// any package named netsim, so analyzer testdata can supply its own.
-func isNetwork(t types.Type) bool {
-	if t == nil {
-		return false
-	}
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	n, ok := t.(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := n.Obj()
-	return obj.Name() == "Network" && obj.Pkg() != nil && obj.Pkg().Name() == "netsim"
-}
-
-// isInboxShape reports whether t is (a pointer to) the inbox's anonymous
-// struct shape: a struct with an `entries` field guarded by a sync.Mutex
-// field named `mu`.
-func isInboxShape(t types.Type) bool {
-	if t == nil {
-		return false
-	}
-	if p, ok := t.Underlying().(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	st, ok := t.Underlying().(*types.Struct)
-	if !ok {
-		return false
-	}
-	var hasMu, hasEntries bool
-	for i := 0; i < st.NumFields(); i++ {
-		f := st.Field(i)
-		switch f.Name() {
-		case "mu":
-			if n, ok := f.Type().(*types.Named); ok {
-				obj := n.Obj()
-				if obj.Name() == "Mutex" && obj.Pkg() != nil && obj.Pkg().Path() == "sync" {
-					hasMu = true
-				}
-			}
-		case "entries":
-			hasEntries = true
-		}
-	}
-	return hasMu && hasEntries
-}
-
-// exprString renders the simple expression forms a lock receiver can take;
-// anything fancier returns "" and never pairs.
-func exprString(e ast.Expr) string {
-	switch e := ast.Unparen(e).(type) {
-	case *ast.Ident:
-		return e.Name
-	case *ast.SelectorExpr:
-		if x := exprString(e.X); x != "" {
-			return x + "." + e.Sel.Name
-		}
-	case *ast.StarExpr:
-		if x := exprString(e.X); x != "" {
-			return "*" + x
-		}
-	case *ast.IndexExpr:
-		if x := exprString(e.X); x != "" {
-			if i := exprString(e.Index); i != "" {
-				return x + "[" + i + "]"
-			}
-		}
-	case *ast.BasicLit:
-		return e.Value
-	}
-	return ""
 }

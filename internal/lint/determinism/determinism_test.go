@@ -16,10 +16,6 @@ func TestCoveredSeriesPackage(t *testing.T) {
 	linttest.Run(t, determinism.Analyzer, filepath.Join(linttest.TestData(t), "src", "internal", "series"))
 }
 
-func TestDomainFence(t *testing.T) {
-	linttest.Run(t, determinism.Analyzer, filepath.Join(linttest.TestData(t), "src", "internal", "netsim"))
-}
-
 func TestUncoveredPackage(t *testing.T) {
 	linttest.Run(t, determinism.Analyzer, filepath.Join(linttest.TestData(t), "src", "other"))
 }

@@ -4,14 +4,11 @@
 // bottom-up summary pass. Like the rest of the lint suite it builds from
 // the standard library alone (go/ast + go/types, no x/tools).
 //
-// The purely syntactic analyses that guarded the simulator through PR 7 —
-// "Lock earlier in this function", "Release earlier in this block" — go
+// A purely syntactic analysis — "Release earlier in this block" — goes
 // blind the moment control flow branches or a fact crosses a call
-// boundary. This package is the machinery that replaces those heuristics
-// with proofs: the determinism analyzer's locked-region fence, the
-// lockorder analyzer's acquisition graph, and the framepool analyzer's
-// interprocedural ownership summaries are all dataflow problems over the
-// CFGs built here.
+// boundary. This package is the machinery that replaces such heuristics
+// with proofs; the framepool analyzer's interprocedural ownership
+// summaries run on its call graph.
 //
 // # Graph shape
 //

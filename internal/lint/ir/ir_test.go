@@ -150,8 +150,7 @@ func target() { defer f(); if true { defer f() } }`
 }
 
 // TestForwardMustAnalysis runs a miniature locked-region analysis: the
-// fact is "definitely holding the lock", join is AND. It is the shape the
-// determinism analyzer's inbox fence uses.
+// fact is "definitely holding the lock", join is AND.
 func TestForwardMustAnalysis(t *testing.T) {
 	src := `package p
 var c bool

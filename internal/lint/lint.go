@@ -17,7 +17,6 @@
 //
 //	//hydralint:nondeterministic <reason>
 //	//hydralint:zeroalloc
-//	//hydralint:domainsafe <reason>
 //
 // A directive applies to the statement on the same line, or — when it
 // stands alone on its line — to the line below it. On a function
@@ -116,7 +115,6 @@ const DirectivePrefix = "//hydralint:"
 const (
 	DirNondeterministic = "nondeterministic"
 	DirZeroAlloc        = "zeroalloc"
-	DirDomainSafe       = "domainsafe"
 )
 
 // A Directive is one parsed //hydralint: annotation.
@@ -167,12 +165,8 @@ func Directives(fset *token.FileSet, file *ast.File) []Directive {
 				}
 			case DirZeroAlloc:
 				// Reason optional.
-			case DirDomainSafe:
-				if d.Reason == "" {
-					d.Malformed = "//hydralint:domainsafe requires a reason (//hydralint:domainsafe <why this cross-domain access is safe>)"
-				}
 			default:
-				d.Malformed = fmt.Sprintf("unknown hydralint directive %q (known: nondeterministic, zeroalloc, domainsafe)", name)
+				d.Malformed = fmt.Sprintf("unknown hydralint directive %q (known: nondeterministic, zeroalloc)", name)
 			}
 			out = append(out, d)
 		}

@@ -34,26 +34,21 @@ type FrameHandler interface {
 // the duration of the call, and a tap that retains bytes must copy them.
 type FrameTap func(from, to *Node, data []byte)
 
-// Network is a collection of nodes and links sharing one scheduler, or —
-// after SetDomains — partitioned across several per-domain schedulers that
-// a sim.Group advances in conservative parallel windows.
+// Network is a collection of nodes and links sharing one scheduler, one
+// frame pool and one event bus.
 type Network struct {
-	sched *sim.Scheduler
-	nodes []*Node
-	links []*Link
-	bus   *obs.Bus
-	pool  *frame.Pool
-	tap   FrameTap
-
-	base *domainRT   // the single domain every node starts in
-	doms []*domainRT // non-nil once SetDomains has partitioned the fabric
+	sched  *sim.Scheduler
+	nodes  []*Node
+	links  []*Link
+	bus    *obs.Bus
+	pool   *frame.Pool
+	tap    FrameTap
+	evFree []*frameEvent // recycled fabric event records (see frameEvent)
 }
 
 // New returns an empty network driven by the given scheduler.
 func New(sched *sim.Scheduler) *Network {
-	n := &Network{sched: sched, pool: frame.NewPool()}
-	n.base = &domainRT{net: n, id: 0, sched: sched, pool: n.pool} //hydralint:domainsafe constructor; no domains or workers exist yet
-	return n
+	return &Network{sched: sched, pool: frame.NewPool()}
 }
 
 // Pool returns the network's frame-buffer pool. Layers above the fabric
@@ -64,18 +59,7 @@ func (n *Network) Pool() *frame.Pool { return n.pool }
 // SetBus attaches an observability event bus; the fabric emits frame-drop
 // and crash/restart events on it. A nil bus (the default) disables all
 // emission.
-func (n *Network) SetBus(b *obs.Bus) {
-	n.bus = b
-	n.base.bus = b
-	for _, d := range n.doms {
-		d.bus = b
-	}
-}
-
-// SetDomainBus overrides the bus a single domain emits on. In parallel mode
-// the facade installs per-domain bus views here so worker-context emission
-// never touches shared subscriber state directly.
-func (n *Network) SetDomainBus(id int, b *obs.Bus) { n.doms[id].bus = b }
+func (n *Network) SetBus(b *obs.Bus) { n.bus = b }
 
 // SetFrameTap installs (or, with nil, removes) the network-wide frame tap.
 // The disabled cost is a single pointer test on the link transmit path.
@@ -121,8 +105,6 @@ type NodeConfig struct {
 func (n *Network) AddNode(cfg NodeConfig) *Node {
 	node := &Node{
 		net:         n,
-		dom:         n.base,
-		index:       len(n.nodes),
 		name:        cfg.Name,
 		procDelay:   cfg.ProcDelay,
 		procPerByte: cfg.ProcPerByte,
@@ -176,14 +158,9 @@ func (n *Network) Connect(a, b *Node, cfg LinkConfig) *Link {
 	return l
 }
 
-// Node is a host or router with a serial CPU and a set of interfaces. All
-// of a node's execution happens in its synchronization domain: every field
-// here is read and written only by events on nd.dom.sched (or by
-// coordinator-context code between windows).
+// Node is a host or router with a serial CPU and a set of interfaces.
 type Node struct {
 	net         *Network
-	dom         *domainRT
-	index       int
 	name        string
 	procDelay   time.Duration
 	procPerByte time.Duration
@@ -205,16 +182,12 @@ type iface struct {
 // Name returns the node's configured name.
 func (nd *Node) Name() string { return nd.name }
 
-// Pool returns the frame pool of the node's synchronization domain, for
-// layers that marshal directly into transmit buffers. Before SetDomains
-// this is the network-wide pool.
-func (nd *Node) Pool() *frame.Pool { return nd.dom.pool }
+// Pool returns the network's frame pool, for layers that marshal directly
+// into transmit buffers.
+func (nd *Node) Pool() *frame.Pool { return nd.net.pool }
 
-// Scheduler returns the scheduler of the node's synchronization domain.
-// Layers above the fabric (IP, TCP, daemons) must schedule their events
-// here rather than on Network.Scheduler, so a partitioned run keeps every
-// node's protocol work inside its own domain.
-func (nd *Node) Scheduler() *sim.Scheduler { return nd.dom.sched }
+// Scheduler returns the scheduler driving the node's network.
+func (nd *Node) Scheduler() *sim.Scheduler { return nd.net.sched }
 
 // NumInterfaces returns how many links are attached.
 func (nd *Node) NumInterfaces() int { return len(nd.ifaces) }
@@ -229,7 +202,7 @@ func (nd *Node) Alive() bool { return nd.alive }
 // no further processing, matching the fail-stop model in the paper.
 func (nd *Node) Crash() {
 	nd.alive = false
-	if b := nd.dom.bus; b.Enabled(obs.KindNodeCrash) {
+	if b := nd.net.bus; b.Enabled(obs.KindNodeCrash) {
 		b.Publish(obs.Event{Kind: obs.KindNodeCrash, Node: nd.name})
 	}
 }
@@ -237,7 +210,7 @@ func (nd *Node) Crash() {
 // Restart brings a crashed node back (higher layers must re-register state).
 func (nd *Node) Restart() {
 	nd.alive = true
-	if b := nd.dom.bus; b.Enabled(obs.KindNodeRestart) {
+	if b := nd.net.bus; b.Enabled(obs.KindNodeRestart) {
 		b.Publish(obs.Event{Kind: obs.KindNodeRestart, Node: nd.name})
 	}
 }
@@ -258,7 +231,7 @@ func (nd *Node) SetProc(procDelay, procPerByte time.Duration) {
 // depth a node's own telemetry agent can always export, even when the
 // node looks alive from the network.
 func (nd *Node) ProcBacklog() time.Duration {
-	if b := nd.cpuFree - nd.dom.sched.Now(); b > 0 {
+	if b := nd.cpuFree - nd.net.sched.Now(); b > 0 {
 		return b
 	}
 	return 0
@@ -287,7 +260,7 @@ func (nd *Node) Send(ifindex int, frame []byte) {
 	if !nd.alive {
 		return
 	}
-	fb := nd.dom.pool.Get(len(frame))
+	fb := nd.net.pool.Get(len(frame))
 	copy(fb.Bytes(), frame)
 	nd.SendFrame(ifindex, fb)
 }
@@ -309,7 +282,7 @@ func (nd *Node) SendFrame(ifindex int, fb *frame.Buf) {
 	ifc := nd.ifaces[ifindex]
 	if fb.Len() > ifc.link.cfg.MTU {
 		nd.dropped++
-		if b := nd.dom.bus; b.Enabled(obs.KindMTUDrop) {
+		if b := nd.net.bus; b.Enabled(obs.KindMTUDrop) {
 			b.Publish(obs.Event{
 				Kind: obs.KindMTUDrop, Node: nd.name, Size: fb.Len(),
 				Detail: fmt.Sprintf("mtu %d", ifc.link.cfg.MTU),
@@ -319,9 +292,9 @@ func (nd *Node) SendFrame(ifindex int, fb *frame.Buf) {
 		return
 	}
 	nd.sent++
-	ev := nd.dom.getEvent(evTxReady, fb)
+	ev := nd.net.getEvent(evTxReady, fb)
 	ev.node, ev.link, ev.side = nd, ifc.link, ifc.side
-	nd.cpu.At(nd.dom.sched, nd.cpuDone(fb.Len()), ev.fireFn)
+	nd.cpu.At(nd.net.sched, nd.cpuDone(fb.Len()), ev.fireFn)
 }
 
 // cpuDone charges the node's serial CPU the frame's processing cost (fixed
@@ -331,7 +304,7 @@ func (nd *Node) SendFrame(ifindex int, fb *frame.Buf) {
 // frame and must get the chance to release it, so liveness checks belong in
 // the event.
 func (nd *Node) cpuDone(size int) time.Duration {
-	start := nd.dom.sched.Now()
+	start := nd.net.sched.Now()
 	if nd.cpuFree > start {
 		start = nd.cpuFree
 	}
@@ -348,9 +321,9 @@ func (nd *Node) deliver(ifindex int, fb *frame.Buf) {
 		fb.Release()
 		return
 	}
-	ev := nd.dom.getEvent(evRxReady, fb)
+	ev := nd.net.getEvent(evRxReady, fb)
 	ev.node, ev.ifindex = nd, ifindex
-	nd.cpu.At(nd.dom.sched, nd.cpuDone(fb.Len()), ev.fireFn)
+	nd.cpu.At(nd.net.sched, nd.cpuDone(fb.Len()), ev.fireFn)
 }
 
 // frameEventKind selects what a frameEvent does when it fires.
@@ -365,11 +338,10 @@ const (
 
 // frameEvent is the fabric's one scheduled-event record. Every hop of a frame
 // (transmit CPU, dequeue, arrival, receive CPU) schedules one; records are
-// recycled through the free list of the domain whose scheduler fires them,
-// and fireFn is the method value cached at creation, so scheduling a hop
-// allocates nothing in steady state.
+// recycled through the network's free list, and fireFn is the method value
+// cached at creation, so scheduling a hop allocates nothing in steady state.
 type frameEvent struct {
-	dom     *domainRT
+	net     *Network
 	kind    frameEventKind
 	node    *Node
 	link    *Link
@@ -380,18 +352,18 @@ type frameEvent struct {
 	fireFn  func()
 }
 
-// getEvent takes a record off the domain's free list (allocating only when
-// the list is empty) for an event that will be scheduled on d.sched.
+// getEvent takes a record off the free list, allocating only when the list
+// is empty.
 //
 //hydralint:zeroalloc
-func (d *domainRT) getEvent(kind frameEventKind, fb *frame.Buf) *frameEvent {
+func (n *Network) getEvent(kind frameEventKind, fb *frame.Buf) *frameEvent {
 	var ev *frameEvent
-	if k := len(d.evFree); k > 0 {
-		ev = d.evFree[k-1]
-		d.evFree[k-1] = nil
-		d.evFree = d.evFree[:k-1]
+	if k := len(n.evFree); k > 0 {
+		ev = n.evFree[k-1]
+		n.evFree[k-1] = nil
+		n.evFree = n.evFree[:k-1]
 	} else {
-		ev = &frameEvent{dom: d}
+		ev = &frameEvent{net: n}
 		ev.fireFn = ev.fire
 	}
 	ev.kind, ev.fb = kind, fb
@@ -403,7 +375,7 @@ func (d *domainRT) getEvent(kind frameEventKind, fb *frame.Buf) *frameEvent {
 func (ev *frameEvent) fire() {
 	kind, node, link, side, ifindex, size, fb := ev.kind, ev.node, ev.link, ev.side, ev.ifindex, ev.size, ev.fb
 	ev.node, ev.link, ev.fb = nil, nil, nil
-	ev.dom.evFree = append(ev.dom.evFree, ev)
+	ev.net.evFree = append(ev.net.evFree, ev)
 	switch kind {
 	case evTxReady:
 		if !node.alive {
@@ -443,7 +415,7 @@ type Link struct {
 	txFree  [2]time.Duration // when the direction's transmitter frees up
 	backlog [2]int           // queued bytes per direction
 	dequeue [2]sim.Lane      // frames leaving the direction's transmit queue
-	arrive  [2]sim.Lane      // frames on the wire to a node in the sender's domain
+	arrive  [2]sim.Lane      // frames on the wire towards the far node
 
 	// Stats per direction (index = sending side).
 	txFrames  [2]uint64
@@ -479,19 +451,13 @@ func (l *Link) serialization(size int) time.Duration {
 
 // transmit queues a frame for transmission from the given side. It owns fb:
 // drop paths release it, and delivery hands it to the destination node.
-//
-// The whole path runs in the sending node's domain: each direction's
-// transmitter state (txFree, backlog, stats) is touched only by that side's
-// domain, so the two directions of a cross-domain link never race. Delivery
-// to a node in another domain goes through the timestamped hand-off inbox
-// instead of a direct scheduler insertion.
 func (l *Link) transmit(side int, fb *frame.Buf) {
-	sd := l.ends[side].node.dom
-	s := sd.sched
+	n := l.net
+	s := n.sched
 	size := fb.Len()
 	if l.backlog[side]+size > l.cfg.QueueBytes {
 		l.queueDrop[side]++
-		if b := sd.bus; b.Enabled(obs.KindQueueDrop) {
+		if b := n.bus; b.Enabled(obs.KindQueueDrop) {
 			b.Publish(obs.Event{
 				Kind: obs.KindQueueDrop, Node: l.ends[side].node.name, Size: size,
 				Detail: "→" + l.ends[1-side].node.name,
@@ -502,7 +468,7 @@ func (l *Link) transmit(side int, fb *frame.Buf) {
 	}
 	if l.cfg.Loss > 0 && s.Rand().Float64() < l.cfg.Loss {
 		l.lost[side]++
-		if b := sd.bus; b.Enabled(obs.KindPacketLoss) {
+		if b := n.bus; b.Enabled(obs.KindPacketLoss) {
 			b.Publish(obs.Event{
 				Kind: obs.KindPacketLoss, Node: l.ends[side].node.name, Size: size,
 				Detail: "→" + l.ends[1-side].node.name,
@@ -520,23 +486,19 @@ func (l *Link) transmit(side int, fb *frame.Buf) {
 	l.txFree[side] = done
 	dst := l.ends[1-side]
 	l.txFrames[side]++
-	if tap := l.net.tap; tap != nil {
+	if tap := n.tap; tap != nil {
 		tap(l.ends[side].node, dst.node, fb.Bytes())
 	}
 	// The frame leaves the transmit queue once serialized; propagation
 	// happens "on the wire" and does not hold queue space.
-	dq := sd.getEvent(evDequeue, nil)
+	dq := n.getEvent(evDequeue, nil)
 	dq.link, dq.side, dq.size = l, side, size
 	l.dequeue[side].At(s, done, dq.fireFn)
 	arrive := done + l.cfg.Delay
 	if l.cfg.Jitter > 0 {
 		arrive += time.Duration(s.Rand().Int63n(int64(l.cfg.Jitter) + 1))
 	}
-	if dst.node.dom != sd {
-		sd.handoffFrame(arrive, dst, fb)
-		return
-	}
-	ar := sd.getEvent(evArrive, fb)
+	ar := n.getEvent(evArrive, fb)
 	ar.node, ar.ifindex = dst.node, dst.ifindex
 	// A jittered frame that would overtake the one before it falls out of
 	// the lane and is scheduled on its own (see sim.Lane.At).

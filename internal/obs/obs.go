@@ -206,28 +206,6 @@ func (b *Bus) Enabled(k Kind) bool {
 	return b != nil && b.mask&(1<<k) != 0
 }
 
-// Mask returns the bitmask of kinds with at least one subscriber (bit k set
-// means Kind(k) is enabled). Parallel runs use it to build per-domain bus
-// views whose Enabled answers mirror the real bus, so emit sites stay free
-// for kinds nobody listens to.
-func (b *Bus) Mask() uint64 {
-	if b == nil {
-		return 0
-	}
-	return b.mask
-}
-
-// SubscribeMask registers h for every kind set in mask — the bulk form
-// Subscribe'd per-domain views use to mirror a real bus's subscriptions.
-func (b *Bus) SubscribeMask(h Handler, mask uint64) {
-	for k := Kind(0); k < numKinds; k++ {
-		if mask&(1<<k) != 0 {
-			b.subs[k] = append(b.subs[k], h)
-			b.mask |= 1 << k
-		}
-	}
-}
-
 // Subscribe registers h for the given kinds (all kinds when none given).
 func (b *Bus) Subscribe(h Handler, kinds ...Kind) {
 	if len(kinds) == 0 {

@@ -2,67 +2,24 @@ package prof
 
 import (
 	"bytes"
-	"flag"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 )
 
-var update = flag.Bool("update", false, "rewrite golden files")
-
-// sampleProfile is a small, fully deterministic 3-domain profile: fixed
-// wall offsets, two windows, one hand-off flow. It doubles as the golden
-// trace fixture, so keep it stable.
+// sampleProfile is a small, fully deterministic profile.
 func sampleProfile() *Profile {
 	return &Profile{
 		ProfVersion: FormatVersion,
 		Scenario:    "golden",
 		Seed:        11,
-		Domains:     3,
-		Workers:     2,
-		LookaheadNs: 1_000_000,
 		VirtualNs:   2_000_000,
 		WallNs:      90_000,
 		Events:      120,
-		Handoffs:    4,
-		MergeTies:   0,
 		CriticalPath: CriticalPath{
 			Depth: 30, DeepestAtNs: 2_000_000,
 			SampleEvery: 4, EdgesSeen: 119, EdgesRecorded: 29,
 			Edges: []Edge{
-				{ParentAtNs: 1000, ParentBirthNs: 1000, ChildAtNs: 51000, ChildBirthNs: 1000, Depth: 2},
-			},
-		},
-		DomainTotals: []DomainTotal{
-			{Domain: 0, MergeNs: 2000, ExecNs: 30000, FlushNs: 1000, StallNs: 3000, Events: 60},
-			{Domain: 1, MergeNs: 1000, ExecNs: 20000, FlushNs: 1000, StallNs: 14000, Events: 40},
-			{Domain: 2, MergeNs: 1000, ExecNs: 10000, FlushNs: 1000, StallNs: 24000, Events: 20},
-		},
-		HandoffMatrix: []uint64{0, 2, 0, 1, 0, 0, 0, 1, 0},
-		WindowsRun:    2,
-		WindowsKept:   2,
-		Barriers:      3,
-		BarrierNs:     4000,
-		WindowWallNs:  72000,
-		Windows: []Window{
-			{
-				Seq: 0, BoundAtNs: 1_000_000, StartNs: 0, EndNs: 36000, BarrierNs: 2000,
-				Domains: []WindowDomain{
-					{MergeNs: 1000, ExecNs: 15000, FlushNs: 500, StallNs: 1500, DoneNs: 34500, Events: 30},
-					{MergeNs: 500, ExecNs: 10000, FlushNs: 500, StallNs: 7000, DoneNs: 29000, Events: 20},
-					{MergeNs: 500, ExecNs: 5000, FlushNs: 500, StallNs: 12000, DoneNs: 24000, Events: 10},
-				},
-				Flows: []uint64{0, 2, 0, 0, 0, 0, 0, 0, 0},
-			},
-			{
-				Seq: 1, BoundAtNs: 2_000_000, StartNs: 38000, EndNs: 74000, BarrierNs: 2000,
-				Domains: []WindowDomain{
-					{MergeNs: 1000, ExecNs: 15000, FlushNs: 500, StallNs: 1500, DoneNs: 72500, Events: 30},
-					{MergeNs: 500, ExecNs: 10000, FlushNs: 500, StallNs: 7000, DoneNs: 67000, Events: 20},
-					{MergeNs: 500, ExecNs: 5000, FlushNs: 500, StallNs: 12000, DoneNs: 62000, Events: 10},
-				},
-				Flows: []uint64{0, 0, 0, 1, 0, 0, 0, 1, 0},
+				{ParentAtNs: 1000, ChildAtNs: 51000, Depth: 2},
 			},
 		},
 	}
@@ -79,7 +36,7 @@ func TestWriteLoadRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	if q.Events != p.Events || q.CriticalPath.Depth != p.CriticalPath.Depth ||
-		len(q.Windows) != len(p.Windows) || q.Windows[1].Flows[3] != 1 {
+		len(q.CriticalPath.Edges) != 1 || q.CriticalPath.Edges[0] != p.CriticalPath.Edges[0] {
 		t.Fatalf("round trip mangled the profile: %+v", q)
 	}
 }
@@ -91,6 +48,12 @@ func TestLoadRejectsForeignJSON(t *testing.T) {
 	if _, err := Load(strings.NewReader(`{"prof_version":99}`)); err == nil {
 		t.Fatal("Load accepted a future version")
 	}
+	// A version-1 profile carried the parallel core's window accounting; it
+	// must be refused by number, not rendered with those sections missing.
+	_, err := Load(strings.NewReader(`{"prof_version":1,"domains":3,"workers":2}`))
+	if err == nil || !strings.Contains(err.Error(), "prof_version 1") {
+		t.Fatalf("Load of a version-1 profile: %v, want an error naming prof_version 1", err)
+	}
 }
 
 func TestSpeedupBounds(t *testing.T) {
@@ -98,16 +61,9 @@ func TestSpeedupBounds(t *testing.T) {
 	if got := p.IdealSpeedup(); got != 4 { // 120 events / depth 30
 		t.Fatalf("IdealSpeedup = %v, want 4", got)
 	}
-	if got := p.BalanceSpeedup(); got != 2 { // 120 / busiest 60
-		t.Fatalf("BalanceSpeedup = %v, want 2", got)
-	}
-	// min(ideal 4, balance 2) = 2, under the 3-domain cap.
-	if got := p.RecommendedWorkers(); got != 2 {
-		t.Fatalf("RecommendedWorkers = %v, want 2", got)
-	}
-	empty := &Profile{ProfVersion: 1, Domains: 1, Workers: 1}
-	if empty.IdealSpeedup() != 1 || empty.BalanceSpeedup() != 1 || empty.RecommendedWorkers() != 1 {
-		t.Fatal("empty profile bounds should all be 1")
+	empty := &Profile{ProfVersion: FormatVersion}
+	if empty.IdealSpeedup() != 1 {
+		t.Fatal("empty profile's bound should be 1")
 	}
 }
 
@@ -118,39 +74,11 @@ func TestReportMentionsEverySection(t *testing.T) {
 	}
 	out := buf.String()
 	for _, want := range []string{
-		"critical path", "ideal speedup", "balance bound", "measured",
-		"per-domain utilization", "stall%", "hand-off volume", "recommended -workers 2",
+		"hydraprof profile: golden", "seed 11", "events 120", "critical path",
+		"depth 30 of 120", "ideal speedup", "4.00x", "edge samples",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("report missing %q:\n%s", want, out)
 		}
-	}
-}
-
-// TestTraceGolden pins the Perfetto export byte for byte: the sample
-// profile is fixed, so the trace must be too. Regenerate deliberately with
-// `go test ./internal/prof -run TestTraceGolden -update` after schema
-// changes.
-func TestTraceGolden(t *testing.T) {
-	var buf bytes.Buffer
-	if err := WriteTrace(&buf, sampleProfile()); err != nil {
-		t.Fatal(err)
-	}
-	golden := filepath.Join("testdata", "golden_trace.json")
-	if *update {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(golden, buf.Bytes(), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want, err := os.ReadFile(golden)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(buf.Bytes(), want) {
-		t.Fatalf("trace drifted from golden (%d vs %d bytes); run with -update if intended",
-			buf.Len(), len(want))
 	}
 }

@@ -35,7 +35,7 @@ func IsAuditFile(path string) bool {
 		return false
 	}
 	// Decode just the discriminating shape: an audit report always carries
-	// its rule census; bench files carry "entries" and profiles "domains".
+	// its rule census; bench files carry "entries" and profiles "prof_version".
 	var probe struct {
 		Rules []struct {
 			Rule string `json:"rule"`

@@ -19,12 +19,6 @@ type BenchEntry struct {
 	EventsPerSec   float64 `json:"events_per_sec"`
 	FramesPerSec   float64 `json:"frames_per_sec"`
 	AllocsPerEvent float64 `json:"allocs_per_event,omitempty"`
-
-	// Workers and Speedup are informational scaling facts written by
-	// ttcpbench -scale (worker count and wall-time speedup vs the serial
-	// row of the same sweep). Wall-derived — DiffBench never gates on them.
-	Workers int     `json:"workers,omitempty"`
-	Speedup float64 `json:"speedup,omitempty"`
 }
 
 // BenchFile mirrors a ttcpbench -json output file (BENCH_core.json).

@@ -11,8 +11,7 @@ import (
 // refSched, a scheduler simple enough to be right by inspection — every event
 // sits in one sorted slice, a lane is plain At, a timer re-arm is cancel plus
 // After. Every callback must fire on both in the same order with the same
-// clock, key, sequence number and causal depth, and every query must agree
-// after every operation. The operations come from a byte stream, so the same
+// clock and causal depth, and every query must agree after every operation. The operations come from a byte stream, so the same
 // driver serves seeded random sequences and the fuzzer.
 
 const (
@@ -27,13 +26,12 @@ type schedAPI interface {
 	Now() time.Duration
 	Fired() uint64
 	Pending() int
-	NextKey() (Key, bool)
-	CurrentKey() (Key, uint64)
-	CurrentDepth() uint64
 	Step() bool
 	RunUntil(time.Duration)
-	RunToKey(Key) int
 	Stop()
+
+	nextAt() (time.Duration, bool) // when the earliest pending event is due
+	depth() uint64                 // causal depth of the event executing
 
 	at(t time.Duration, fn func()) canceller
 	after(d time.Duration, fn func()) canceller
@@ -75,6 +73,14 @@ func (r *realSched) timerInit(k int, fn func())        { r.timers[k].Init(r.Sche
 func (r *realSched) timerReset(k int, d time.Duration) { r.timers[k].Reset(d) }
 func (r *realSched) timerStop(k int)                   { r.timers[k].Stop() }
 func (r *realSched) edges() uint64                     { return r.Profile().EdgesSeen() }
+func (r *realSched) depth() uint64                     { return r.curDepth }
+
+func (r *realSched) nextAt() (time.Duration, bool) {
+	if n := r.peek(); n != nil {
+		return n.at, true
+	}
+	return 0, false
+}
 
 func (r *realSched) timerState(k int) (bool, time.Duration) {
 	return r.timers[k].Armed(), r.timers[k].Deadline()
@@ -82,11 +88,11 @@ func (r *realSched) timerState(k int) (bool, time.Duration) {
 
 // refEvent is one pending callback of the reference scheduler.
 type refEvent struct {
-	r          *refSched
-	at, birth  time.Duration
-	seq, depth uint64
-	fn         func()
-	done       bool // fired or cancelled
+	r     *refSched
+	at    time.Duration
+	depth uint64
+	fn    func()
+	done  bool // fired or cancelled
 }
 
 // Cancel takes a pending event out of the queue.
@@ -105,23 +111,22 @@ func (e *refEvent) Cancel() {
 }
 
 // refSched keeps every pending event, and nothing else, in one slice sorted
-// by (at, birth, seq).
+// by (at, scheduling order).
 type refSched struct {
-	now, curBirth    time.Duration
-	curSeq, curDepth uint64
-	nextSeq, fired   uint64
+	now              time.Duration
+	curDepth         uint64
+	scheduled, fired uint64
 	running          bool
 	q                []*refEvent
 	timerFn          [refTimers]func()
 	timerEv          [refTimers]*refEvent
 }
 
-func (r *refSched) Now() time.Duration        { return r.now }
-func (r *refSched) Fired() uint64             { return r.fired }
-func (r *refSched) CurrentKey() (Key, uint64) { return Key{At: r.now, Birth: r.curBirth}, r.curSeq }
-func (r *refSched) CurrentDepth() uint64      { return r.curDepth }
-func (r *refSched) Stop()                     { r.running = false }
-func (r *refSched) edges() uint64             { return r.nextSeq }
+func (r *refSched) Now() time.Duration { return r.now }
+func (r *refSched) Fired() uint64      { return r.fired }
+func (r *refSched) depth() uint64      { return r.curDepth }
+func (r *refSched) Stop()              { r.running = false }
+func (r *refSched) edges() uint64      { return r.scheduled }
 
 func (r *refSched) Pending() int { return len(r.q) }
 
@@ -140,13 +145,12 @@ func (r *refSched) schedule(t time.Duration, fn func()) *refEvent {
 	if t < r.now {
 		panic("reference: scheduling in the past")
 	}
-	e := &refEvent{r: r, at: t, birth: r.now, seq: r.nextSeq, fn: fn}
-	r.nextSeq++
+	e := &refEvent{r: r, at: t, fn: fn}
+	r.scheduled++
 	if r.running {
 		e.depth = r.curDepth + 1
 	}
-	// Births and sequence numbers only grow, so the new event goes after
-	// every queued event with the same timestamp.
+	// The new event goes after every queued event with the same timestamp.
 	i := sort.Search(len(r.q), func(i int) bool { return r.q[i].at > t })
 	r.q = append(r.q, nil)
 	copy(r.q[i+1:], r.q[i:])
@@ -181,12 +185,12 @@ func (r *refSched) next() *refEvent {
 	return r.q[0]
 }
 
-func (r *refSched) NextKey() (Key, bool) {
+func (r *refSched) nextAt() (time.Duration, bool) {
 	e := r.next()
 	if e == nil {
-		return Key{}, false
+		return 0, false
 	}
-	return Key{At: e.at, Birth: e.birth}, true
+	return e.at, true
 }
 
 func (r *refSched) Step() bool {
@@ -196,7 +200,7 @@ func (r *refSched) Step() bool {
 	}
 	r.q = r.q[1:]
 	e.done = true
-	r.now, r.curBirth, r.curSeq, r.curDepth = e.at, e.birth, e.seq, e.depth
+	r.now, r.curDepth = e.at, e.depth
 	r.fired++
 	e.fn()
 	return true
@@ -217,27 +221,10 @@ func (r *refSched) RunUntil(deadline time.Duration) {
 	}
 }
 
-func (r *refSched) RunToKey(bound Key) int {
-	ran := 0
-	r.running = true
-	for r.running {
-		e := r.next()
-		if e == nil || !(Key{At: e.at, Birth: e.birth}).Less(bound) {
-			break
-		}
-		r.Step()
-		ran++
-	}
-	r.running = false
-	return ran
-}
-
 // fireRec is what a callback observes when it runs.
 type fireRec struct {
 	id    int
 	now   time.Duration
-	key   Key
-	seq   uint64
 	depth uint64
 }
 
@@ -270,8 +257,7 @@ func newWorld(s schedAPI) *world {
 }
 
 func (w *world) record(id int) {
-	key, seq := w.s.CurrentKey()
-	w.log = append(w.log, fireRec{id: id, now: w.s.Now(), key: key, seq: seq, depth: w.s.CurrentDepth()})
+	w.log = append(w.log, fireRec{id: id, now: w.s.Now(), depth: w.s.depth()})
 }
 
 // event returns a callback that records itself and then does what (action,
@@ -343,9 +329,8 @@ func (w *world) timerVariant(k int, arg byte) {
 	s.timerReset(k, d)
 }
 
-// apply runs one top-level operation with operands a and b, and returns what
-// RunToKey returned when that is the operation.
-func (w *world) apply(op, a, b byte) (ran int) {
+// apply runs one top-level operation with operands a and b.
+func (w *world) apply(op, a, b byte) {
 	s := w.s
 	switch op % 14 {
 	case 0, 1:
@@ -385,16 +370,12 @@ func (w *world) apply(op, a, b byte) (ran int) {
 	case 12:
 		s.RunUntil(s.Now() + ms(a%32))
 	case 13:
-		bound := Key{At: s.Now() + ms(a%32), Birth: KeyMin}
-		switch b % 3 {
-		case 1:
-			bound.Birth = KeyMax
-		case 2:
-			bound.Birth = s.Now()
+		// A deadline that is exactly the next event's instant: the bound is
+		// inclusive, so everything due then fires and nothing later does.
+		if t, ok := s.nextAt(); ok {
+			s.RunUntil(t)
 		}
-		return s.RunToKey(bound)
 	}
-	return 0
 }
 
 // runDifferential drives both schedulers with the operations encoded in data
@@ -404,9 +385,8 @@ func runDifferential(t *testing.T, data []byte) {
 	checked := 0
 	for i := 0; i+2 < len(data); i += 3 {
 		op, a, b := data[i], data[i+1], data[i+2]
-		if g, w := real.apply(op, a, b), ref.apply(op, a, b); g != w {
-			t.Fatalf("op %d (%d): RunToKey ran %d events, reference %d", i/3, op%14, g, w)
-		}
+		real.apply(op, a, b)
+		ref.apply(op, a, b)
 		if len(real.log) != len(ref.log) {
 			t.Fatalf("op %d (%d): %d callbacks fired, reference %d", i/3, op%14, len(real.log), len(ref.log))
 		}
@@ -425,10 +405,10 @@ func runDifferential(t *testing.T, data []byte) {
 		if g, w := real.s.Pending(), ref.s.Pending(); g != w {
 			t.Fatalf("op %d (%d): Pending %d, reference %d", i/3, op%14, g, w)
 		}
-		gk, gok := real.s.NextKey()
-		wk, wok := ref.s.NextKey()
-		if gk != wk || gok != wok {
-			t.Fatalf("op %d (%d): NextKey %+v %v, reference %+v %v", i/3, op%14, gk, gok, wk, wok)
+		gt, gok := real.s.nextAt()
+		wt, wok := ref.s.nextAt()
+		if gt != wt || gok != wok {
+			t.Fatalf("op %d (%d): next event at %v %v, reference %v %v", i/3, op%14, gt, gok, wt, wok)
 		}
 		if g, w := real.s.edges(), ref.s.edges(); g != w {
 			t.Fatalf("op %d (%d): profiler saw %d scheduling edges, reference %d", i/3, op%14, g, w)

@@ -11,8 +11,8 @@
 // one per event in flight: events queued behind a serial resource wait in a
 // Lane and enter the queue one at a time, and a Timer keeps a single entry
 // however often it is re-armed. Every event still fires under the
-// (time, birth, sequence) key it was given when it was scheduled, so the
-// firing order is that of a scheduler that queued each event on its own.
+// (time, sequence) key it was given when it was scheduled, so the firing
+// order is that of a scheduler that queued each event on its own.
 //
 // The scheduler is allocation-free in steady state: event nodes live in
 // fixed-size chunks, are recycled through a free list after they fire or are
@@ -26,6 +26,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"time"
 )
@@ -47,7 +48,6 @@ type eventNode struct {
 	next  *eventNode // lane successor if nodeHasNext; free-list link once recycled
 	s     *Scheduler
 	at    time.Duration
-	birth time.Duration // virtual time the event was scheduled at
 	seq   uint64
 	gen   uint64
 	depth uint64 // causal depth (parent's depth + 1); 0 unless profiling
@@ -63,31 +63,21 @@ const (
 
 // slot is one heap entry: an event's ordering key and the id of its node.
 type slot struct {
-	at    time.Duration
-	birth time.Duration
-	seq   uint64
-	id    uint32
+	at  time.Duration
+	seq uint64
+	id  uint32
 }
 
-// less orders slots by (timestamp, birth, insertion sequence). Within a
-// single scheduler this is exactly (timestamp, sequence) order: the clock
-// never runs backwards, so the sequence counter is monotone in birth time and
-// the birth comparison can never contradict the sequence comparison. The
-// birth term only becomes decisive for events merged in from another
-// scheduler (AtBirth with a foreign birth), where it reconstructs the
-// position a single global scheduler would have given them.
+// less orders slots by (timestamp, insertion sequence).
 func (a *slot) less(b *slot) bool {
 	if a.at != b.at {
 		return a.at < b.at
-	}
-	if a.birth != b.birth {
-		return a.birth < b.birth
 	}
 	return a.seq < b.seq
 }
 
 func (n *eventNode) slot() slot {
-	return slot{at: n.at, birth: n.birth, seq: n.seq, id: n.id}
+	return slot{at: n.at, seq: n.seq, id: n.id}
 }
 
 // Event is a handle to a scheduled callback. The callback runs exactly once
@@ -131,18 +121,16 @@ func (e *Event) Cancelled() bool { return !e.live() }
 
 // Scheduler owns the virtual clock and the pending-event queue.
 type Scheduler struct {
-	now      time.Duration
-	curBirth time.Duration // birth of the event currently executing
-	curSeq   uint64        // sequence of the event currently executing
-	heap     []slot
-	chunks   []*[chunkSize]eventNode
-	free     *eventNode // recycled nodes, chained through next
-	dead     int        // cancelled nodes still sitting in heap (lazy deletion)
-	waiting  int        // lane events chained behind their lane's heap entry
-	nextSeq  uint64
-	rng      *rand.Rand
-	fired    uint64
-	running  bool
+	now     time.Duration
+	heap    []slot
+	chunks  []*[chunkSize]eventNode
+	free    *eventNode // recycled nodes, chained through next
+	dead    int        // cancelled nodes still sitting in heap (lazy deletion)
+	waiting int        // lane events chained behind their lane's heap entry
+	nextSeq uint64
+	rng     *rand.Rand
+	fired   uint64
+	running bool
 
 	prof     *SchedProf // causal profiler; nil (zero-cost) unless attached
 	curDepth uint64     // causal depth of the event currently executing
@@ -174,41 +162,13 @@ func (s *Scheduler) Pending() int { return len(s.heap) - s.dead + s.waiting }
 //
 //hydralint:zeroalloc
 func (s *Scheduler) At(t time.Duration, fn func()) Event {
-	return s.AtBirth(t, s.now, fn)
-}
-
-// AtBirth schedules fn at absolute virtual time t with an explicit birth
-// time: the virtual instant the event was (logically) created. At uses the
-// current clock; cross-scheduler merges (see Group and the netsim domain
-// inboxes) pass the birth recorded in the source domain, so an injected
-// event sorts exactly where the serial scheduler would have placed it.
-// birth must not exceed t, and t must not precede the clock.
-//
-//hydralint:zeroalloc
-func (s *Scheduler) AtBirth(t, birth time.Duration, fn func()) Event {
-	s.checkTime(t, birth)
+	s.checkTime(t)
 	n := s.alloc()
-	n.at, n.birth = t, birth
-	n.seq, n.depth = s.stamp(t, birth)
+	n.at = t
+	n.seq, n.depth = s.stamp(t)
 	n.fn = fn
 	s.push(n.slot())
 	return Event{n: n, gen: n.gen}
-}
-
-// AtBirthFrom schedules like AtBirth but carries an explicit causal depth
-// for the scheduling parent: cross-scheduler hand-off merges (see the
-// netsim domain inboxes) pass the depth recorded in the source domain, so
-// the critical-path profiler sees the same parent→child chain a single
-// serial scheduler would have recorded. Without a profiler attached the
-// depth is ignored entirely.
-//
-//hydralint:zeroalloc
-func (s *Scheduler) AtBirthFrom(t, birth time.Duration, parentDepth uint64, fn func()) Event {
-	ev := s.AtBirth(t, birth, fn)
-	if s.prof != nil {
-		ev.n.depth = parentDepth + 1
-	}
-	return ev
 }
 
 // After schedules fn to run d after the current virtual time.
@@ -221,17 +181,14 @@ func (s *Scheduler) After(d time.Duration, fn func()) Event {
 	return s.At(s.now+d, fn)
 }
 
-func (s *Scheduler) checkTime(t, birth time.Duration) {
-	if t < s.now || birth > t {
-		s.badTime(t, birth)
+func (s *Scheduler) checkTime(t time.Duration) {
+	if t < s.now {
+		s.badTime(t)
 	}
 }
 
-func (s *Scheduler) badTime(t, birth time.Duration) {
-	if t < s.now {
-		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, s.now))
-	}
-	panic(fmt.Sprintf("sim: event birth %v after its deadline %v", birth, t))
+func (s *Scheduler) badTime(t time.Duration) {
+	panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, s.now))
 }
 
 // alloc takes a node off the free list. Its next link is left as it was:
@@ -265,31 +222,30 @@ func (s *Scheduler) node(id uint32) *eventNode {
 	return &s.chunks[id>>chunkBits][id&(chunkSize-1)]
 }
 
-// stamp consumes the sequence number of an event scheduled now for (t, birth)
-// and returns it with the event's causal depth, telling the profiler about
-// the scheduling edge. Every event is stamped at the moment it is scheduled
-// — also one that waits in a lane, or a timer deadline that is only recorded
-// — which is what keeps keys and profiles independent of how events reach the
+// stamp consumes the sequence number of an event scheduled now for t and
+// returns it with the event's causal depth, telling the profiler about the
+// scheduling edge. Every event is stamped at the moment it is scheduled —
+// also one that waits in a lane, or a timer deadline that is only recorded —
+// which is what keeps keys and profiles independent of how events reach the
 // heap.
-func (s *Scheduler) stamp(t, birth time.Duration) (seq, depth uint64) {
+func (s *Scheduler) stamp(t time.Duration) (seq, depth uint64) {
 	seq = s.nextSeq
 	s.nextSeq++
 	if s.prof != nil {
-		depth = s.profEdge(t, birth)
+		depth = s.profEdge(t)
 	}
 	return seq, depth
 }
 
 // profEdge reports a scheduling edge to the attached profiler and returns
-// the new event's causal depth: one past the executing parent. Coordinator-
-// context scheduling (between runs, or a barrier-hosted global callback — the
-// scheduler is not running) roots a fresh chain at depth zero, which keeps
-// depths identical for a serial run and any partition.
-func (s *Scheduler) profEdge(t, birth time.Duration) (depth uint64) {
+// the new event's causal depth: one past the executing parent. Scheduling
+// from outside a run (set-up code between runs) roots a fresh chain at depth
+// zero.
+func (s *Scheduler) profEdge(t time.Duration) (depth uint64) {
 	if s.running {
 		depth = s.curDepth + 1
 	}
-	s.prof.noteEdge(s.now, s.curBirth, t, birth, depth)
+	s.prof.noteEdge(s.now, t, depth)
 	return depth
 }
 
@@ -298,12 +254,12 @@ func (s *Scheduler) profEdge(t, birth time.Duration) (depth uint64) {
 //
 //hydralint:zeroalloc
 func (s *Scheduler) Step() bool {
-	return s.step(Key{At: KeyMax, Birth: KeyMax})
+	return s.step(math.MaxInt64)
 }
 
-// step executes the earliest pending event if its key is below bound, and
-// reports whether it did.
-func (s *Scheduler) step(bound Key) bool {
+// step executes the earliest pending event if it is due at or before
+// deadline, and reports whether it did.
+func (s *Scheduler) step(deadline time.Duration) bool {
 	var n *eventNode
 	if len(s.heap) > 0 {
 		n = s.node(s.heap[0].id)
@@ -314,7 +270,7 @@ func (s *Scheduler) step(bound Key) bool {
 			return false
 		}
 	}
-	if !(Key{At: n.at, Birth: n.birth}).Less(bound) {
+	if n.at > deadline {
 		return false
 	}
 	// Fill the root: with the lane's next event if one waits behind n (one
@@ -332,8 +288,6 @@ func (s *Scheduler) step(bound Key) bool {
 		s.siftDown(0, e)
 	}
 	s.now = n.at
-	s.curBirth = n.birth
-	s.curSeq = n.seq
 	s.fired++
 	if p := s.prof; p != nil {
 		// The maximum folds in at fire time, not schedule time, so
@@ -370,7 +324,7 @@ func (s *Scheduler) Run() {
 // the clock stays at the last event executed, so they can still run in order.
 func (s *Scheduler) RunUntil(deadline time.Duration) {
 	s.running = true
-	for s.running && s.step(Key{At: deadline, Birth: KeyMax}) {
+	for s.running && s.step(deadline) {
 	}
 	s.running = false
 	if n := s.peek(); s.now < deadline && (n == nil || n.at > deadline) {
@@ -381,62 +335,10 @@ func (s *Scheduler) RunUntil(deadline time.Duration) {
 // Stop makes a Run or RunUntil in progress return after the current event.
 func (s *Scheduler) Stop() { s.running = false }
 
-// Key is a point in the scheduler's total event order: events execute in
-// ascending (At, Birth) order, with the per-scheduler sequence counter
-// breaking exact ties. A Key with Birth = KeyMax bounds every event at the
-// same timestamp (inclusive bound); Birth = KeyMin bounds none of them
-// (exclusive bound).
-type Key struct {
-	At    time.Duration
-	Birth time.Duration
-}
-
-// Key bounds for inclusive/exclusive window edges.
-const (
-	KeyMin time.Duration = -1 << 62
-	KeyMax time.Duration = 1<<63 - 1
-)
-
-// Less orders keys lexicographically, matching the heap order.
-func (k Key) Less(o Key) bool {
-	if k.At != o.At {
-		return k.At < o.At
-	}
-	return k.Birth < o.Birth
-}
-
-// NextKey returns the ordering key of the earliest pending event, or
-// ok=false when the queue is empty.
-func (s *Scheduler) NextKey() (Key, bool) {
-	n := s.peek()
-	if n == nil {
-		return Key{}, false
-	}
-	return Key{At: n.at, Birth: n.birth}, true
-}
-
-// CurrentKey returns the ordering key and sequence number of the event
-// currently executing (or most recently executed). Outside event execution
-// it reflects the last event that ran; a scheduler that has fired nothing
-// reports the zero key. Deferred-observation spools use it to tag records
-// with the exact point in the event order they were emitted from.
-//
-//hydralint:zeroalloc
-func (s *Scheduler) CurrentKey() (key Key, seq uint64) {
-	return Key{At: s.now, Birth: s.curBirth}, s.curSeq
-}
-
-// CurrentDepth returns the causal depth of the event currently executing
-// (or most recently executed). Always 0 with no profiler attached; hand-off
-// producers read it to stamp cross-scheduler work with the sender's depth.
-//
-//hydralint:zeroalloc
-func (s *Scheduler) CurrentDepth() uint64 { return s.curDepth }
-
 // EnableProfile attaches (nil detaches) the causal profiler and resets the
 // depth baseline, so chains rooted after the call start at depth zero. A
 // detached scheduler pays one nil test per schedule/fire and allocates
-// nothing. Coordinator context only (never from inside an event).
+// nothing. Call between runs, never from inside an event.
 func (s *Scheduler) EnableProfile(p *SchedProf) {
 	s.prof = p
 	s.curDepth = 0
@@ -444,31 +346,6 @@ func (s *Scheduler) EnableProfile(p *SchedProf) {
 
 // Profile returns the attached causal profiler, nil when detached.
 func (s *Scheduler) Profile() *SchedProf { return s.prof }
-
-// RunToKey executes every pending event whose key is strictly below bound,
-// in order, and returns the number executed. The clock is left at the last
-// executed event (it does not advance to the bound; see AdvanceTo). This is
-// the parallel window primitive: a Group runs each domain's scheduler up to
-// the window edge, exchanges cross-domain work at the barrier, and repeats.
-func (s *Scheduler) RunToKey(bound Key) int {
-	ran := 0
-	s.running = true
-	for s.running && s.step(bound) {
-		ran++
-	}
-	s.running = false
-	return ran
-}
-
-// AdvanceTo moves the clock forward to t without executing anything.
-// Earlier t is a no-op; the clock never moves backwards. Group barriers use
-// it to align every domain's clock with the window edge so that clock reads
-// (backlog gauges, samplers) agree across domains.
-func (s *Scheduler) AdvanceTo(t time.Duration) {
-	if t > s.now {
-		s.now = t
-	}
-}
 
 // peek returns the earliest live event's node, which is then the heap's
 // root. On the way it drops cancelled nodes off the top of the heap and moves
@@ -485,7 +362,7 @@ func (s *Scheduler) peek() *eventNode {
 			continue
 		}
 		if t := n.timer; n.flags&nodeTimer != 0 && t.seq != n.seq {
-			n.at, n.birth, n.seq, n.depth = t.at, t.birth, t.seq, t.depth
+			n.at, n.seq, n.depth = t.at, t.seq, t.depth
 			s.siftDown(0, n.slot())
 			continue
 		}
@@ -540,7 +417,7 @@ func (s *Scheduler) maybeCompact() {
 
 // The heap is 4-ary: the children of slot i are slots 4i+1 … 4i+4. Half the
 // depth of a binary heap for the price of three extra comparisons per level
-// on the way down, all within two cache lines of 32-byte slots.
+// on the way down, all within two cache lines of 24-byte slots.
 
 // push adds e to the heap. Most events are later than everything queued, so
 // the sift towards the root is only called when there is something to move.
@@ -633,10 +510,10 @@ func (l *Lane) At(s *Scheduler, t time.Duration, fn func()) {
 		s.At(t, fn)
 		return
 	}
-	s.checkTime(t, s.now)
+	s.checkTime(t)
 	n := s.alloc()
-	n.at, n.birth = t, s.now
-	n.seq, n.depth = s.stamp(t, s.now)
+	n.at = t
+	n.seq, n.depth = s.stamp(t)
 	n.fn = fn
 	l.tail, l.gen = n, n.gen
 	if !busy {
@@ -665,7 +542,6 @@ type Timer struct {
 
 	// Key and causal depth of the armed deadline.
 	at    time.Duration
-	birth time.Duration
 	seq   uint64
 	depth uint64
 }
@@ -692,8 +568,8 @@ func (t *Timer) Reset(d time.Duration) {
 	if d < 0 {
 		d = 0
 	}
-	t.at, t.birth = s.now+d, s.now
-	t.seq, t.depth = s.stamp(t.at, t.birth)
+	t.at = s.now + d
+	t.seq, t.depth = s.stamp(t.at)
 	n := t.n
 	if n != nil && t.at >= n.at {
 		// The wake-up comes no later than the new deadline (a fresh sequence
@@ -713,7 +589,7 @@ func (t *Timer) Reset(d time.Duration) {
 		}
 	}
 	n = s.alloc()
-	n.at, n.birth, n.seq, n.depth = t.at, t.birth, t.seq, t.depth
+	n.at, n.seq, n.depth = t.at, t.seq, t.depth
 	n.timer, t.n = t, n
 	n.flags = nodeTimer
 	s.push(n.slot())

@@ -52,27 +52,3 @@ func Map[T any](workers, n int, fn func(int) T) []T {
 	wg.Wait()
 	return out
 }
-
-// Budget caps a sweep's fan-out when each run is itself internally parallel:
-// with perRun worker threads inside every simulation (domain-partitioned
-// runs, see hydranet.SetWorkers), running `parallel` simulations at once
-// would put parallel × perRun threads on GOMAXPROCS cores — oversubscription
-// that slows every run without changing any result. Budget returns the
-// largest concurrent-run count not exceeding the requested parallel that
-// keeps the product within GOMAXPROCS, and at least 1. perRun <= 1 (serial
-// runs) leaves the requested fan-out untouched.
-func Budget(parallel, perRun int) int {
-	if parallel <= 0 {
-		parallel = runtime.GOMAXPROCS(0)
-	}
-	if perRun <= 1 {
-		return parallel
-	}
-	if cap := runtime.GOMAXPROCS(0) / perRun; parallel > cap {
-		parallel = cap
-	}
-	if parallel < 1 {
-		return 1
-	}
-	return parallel
-}

@@ -36,26 +36,3 @@ func TestMapEdgeCases(t *testing.T) {
 		t.Fatalf("workers>n returned %v", got)
 	}
 }
-
-func TestBudget(t *testing.T) {
-	procs := runtime.GOMAXPROCS(0)
-	// Serial runs: the requested fan-out passes through untouched.
-	if got := Budget(7, 1); got != 7 {
-		t.Fatalf("Budget(7, 1) = %d, want 7", got)
-	}
-	if got := Budget(0, 0); got != procs {
-		t.Fatalf("Budget(0, 0) = %d, want GOMAXPROCS (%d)", got, procs)
-	}
-	// Internally-parallel runs: parallel × perRun stays within GOMAXPROCS.
-	if got := Budget(procs, 2); got > 1 && got*2 > procs {
-		t.Fatalf("Budget(%d, 2) = %d oversubscribes %d cores", procs, got, procs)
-	}
-	// Never below one run, even when a single run wants every core.
-	if got := Budget(procs, 2*procs); got != 1 {
-		t.Fatalf("Budget(%d, %d) = %d, want 1", procs, 2*procs, got)
-	}
-	// Requests below the cap are honored exactly.
-	if got := Budget(1, 1<<20); got != 1 {
-		t.Fatalf("Budget(1, big) = %d, want 1", got)
-	}
-}

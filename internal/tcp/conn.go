@@ -821,13 +821,6 @@ func (c *Conn) terminate(err error) {
 	}
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 func maxInt(a, b int) int {
 	if a > b {
 		return a

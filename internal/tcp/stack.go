@@ -167,17 +167,6 @@ func (s *Stack) Config() Config { return s.cfg }
 // Scheduler returns the scheduler driving the stack.
 func (s *Stack) Scheduler() *sim.Scheduler { return s.sched }
 
-// Rebind moves the stack onto another scheduler — the node's domain
-// scheduler after a parallel partition. Call before any connections or
-// accepted traffic exist: established state carries armed timers on the old
-// scheduler, so a stack with live connections panics.
-func (s *Stack) Rebind(sched *sim.Scheduler) {
-	if len(s.conns) > 0 {
-		panic("tcp: Rebind with live connections")
-	}
-	s.sched = sched
-}
-
 // IP returns the underlying IPv4 stack.
 func (s *Stack) IP() *ipv4.Stack { return s.ip }
 

@@ -50,13 +50,6 @@ type FailoverConfig struct {
 	// ProfilePath, if set, writes a hydraprof profile of the run (detection
 	// and recovery included; see hydranet.StartProfile) to this file.
 	ProfilePath string
-	// Workers partitions the network into synchronization domains across
-	// this many worker threads (see hydranet.SetWorkers). 0 or 1 keeps the
-	// serial scheduler. With Loss > 0 the loss pattern is drawn from
-	// per-domain generators, so partitioned runs are deterministic and
-	// worker-count-invariant but sample a different loss sequence than the
-	// serial scheduler.
-	Workers int
 	// Invariants attaches the online protocol-invariant monitor; violation
 	// counts land in FailoverResult.Violations.
 	Invariants bool
@@ -118,16 +111,9 @@ func MeasureFailover(cfg FailoverConfig) FailoverResult {
 		}
 	}
 	net.AutoRoute()
-	if cfg.Workers > 1 {
-		if err := net.SetWorkers(cfg.Workers); err != nil {
-			panic(fmt.Sprintf("testbed: failover partition: %v", err))
-		}
-	}
 
-	// The monitor attaches after the partition (it consumes the
-	// barrier-ordered replayed stream) and before DeployFT (it
-	// reconstructs membership from registration events). The label omits
-	// the worker count so audits diff byte-identical across Workers.
+	// The monitor attaches before DeployFT: it reconstructs membership from
+	// registration events.
 	var mon *hydranet.Monitor
 	if cfg.Invariants || cfg.AuditPath != "" {
 		mon = net.StartMonitor(hydranet.MonitorConfig{
@@ -188,17 +174,12 @@ func MeasureFailover(cfg FailoverConfig) FailoverResult {
 	var profiler *hydranet.Profiler
 	if cfg.ProfilePath != "" {
 		profiler = net.StartProfile(hydranet.ProfileConfig{
-			Scenario: fmt.Sprintf("failover threshold=%d workers=%d", cfg.Threshold, cfg.Workers),
+			Scenario: fmt.Sprintf("failover threshold=%d", cfg.Threshold),
 		})
 	}
 
 	var res FailoverResult
 	var crashTime time.Duration
-	// The reconfiguration callback runs in the redirector domain's worker
-	// context when partitioned, so it must use the redirector's own clock;
-	// the liveness flags it reads only change between runs (CrashPrimary is
-	// coordinator-context), and the fields it writes are not touched by any
-	// other domain's callbacks.
 	rd.Daemon().OnReconfig(func(_ core.ServiceID, failed []hydranet.Addr) {
 		genuine := false
 		for _, f := range failed {
@@ -210,7 +191,7 @@ func MeasureFailover(cfg FailoverConfig) FailoverResult {
 		}
 		if genuine {
 			if res.Detected == 0 && crashTime > 0 {
-				res.Detected = rd.Host.Scheduler().Now() - crashTime
+				res.Detected = net.Now() - crashTime
 			}
 		} else {
 			res.FalseReconfigs++
@@ -231,9 +212,7 @@ func MeasureFailover(cfg FailoverConfig) FailoverResult {
 			}
 			res.Delivered += n
 			if crashTime > 0 && res.Resumed == 0 {
-				// Client-domain clock: this callback runs in the client
-				// domain's worker context when partitioned.
-				res.Resumed = client.Scheduler().Now() - crashTime
+				res.Resumed = net.Now() - crashTime
 			}
 		}
 	})

@@ -31,38 +31,3 @@ func TestParallelSweepMatchesSerial(t *testing.T) {
 		}
 	}
 }
-
-// TestWorkersInvariantResult: partitioning one testbed run across worker
-// threads (in-simulation parallelism, as opposed to the sweep's
-// across-simulation parallelism above) must not change the measured result.
-func TestWorkersInvariantResult(t *testing.T) {
-	cfg := Config{Case: CasePrimaryBackup, BufLen: 512, TotalBytes: 128 * 1024, Seed: 3}
-	serial := Run(cfg)
-	cfg.Workers = 4
-	parallel := Run(cfg)
-	if !reflect.DeepEqual(serial, parallel) {
-		t.Errorf("serial %+v != 4-worker %+v", serial, parallel)
-	}
-}
-
-// TestRunScaleInvariantAcrossWorkers: the scaling workload's simulation
-// observables — aggregate throughput and events fired — are identical for
-// every worker count; only wall-clock time may differ.
-func TestRunScaleInvariantAcrossWorkers(t *testing.T) {
-	cfg := ScaleConfig{Pods: 3, TotalBytes: 64 * 1024, Seed: 5}
-	serial := RunScale(cfg)
-	cfg.Workers = 4
-	parallel := RunScale(cfg)
-	if serial.AggKBps != parallel.AggKBps {
-		t.Errorf("aggregate throughput: serial %.3f, parallel %.3f", serial.AggKBps, parallel.AggKBps)
-	}
-	if serial.Events != parallel.Events {
-		t.Errorf("events fired: serial %d, parallel %d", serial.Events, parallel.Events)
-	}
-	if parallel.Domains != cfg.Pods {
-		t.Errorf("partitioned into %d domains, want one per pod (%d)", parallel.Domains, cfg.Pods)
-	}
-	if parallel.MergeTies != 0 {
-		t.Errorf("%d merge ties, want 0", parallel.MergeTies)
-	}
-}

@@ -115,14 +115,9 @@ type Config struct {
 	// virtual time). Used only with SeriesPath.
 	SampleEvery time.Duration
 	// ProfilePath, if set, writes a hydraprof profile of the measured
-	// transfer (per-domain utilization, causal critical path; see
-	// hydranet.StartProfile) to this file.
+	// transfer (causal critical path; see hydranet.StartProfile) to this
+	// file.
 	ProfilePath string
-	// Workers partitions the network into synchronization domains and runs
-	// them across this many worker threads (see hydranet.SetWorkers). 0 or 1
-	// keeps the serial scheduler; any larger count produces identical
-	// results.
-	Workers int
 	// Invariants attaches the online protocol-invariant monitor; violation
 	// counts land in RunInfo.Violations.
 	Invariants bool
@@ -223,9 +218,6 @@ func run(cfg Config) (ttcp.Result, *hydranet.Net, *hydranet.AuditReport) {
 		if err != nil {
 			panic(fmt.Sprintf("testbed: dial: %v", err))
 		}
-		// Pace the transfer on the client's own scheduler: in a partitioned
-		// run that is the client's domain scheduler, so the send loop stays
-		// inside one synchronization domain.
 		ttcp.Transmit(client.Scheduler(), conn,
 			ttcp.Params{BufLen: cfg.BufLen, TotalBytes: cfg.TotalBytes},
 			func(r ttcp.Result) { result = r; done = true })
@@ -245,18 +237,8 @@ func run(cfg Config) (ttcp.Result, *hydranet.Net, *hydranet.AuditReport) {
 			}
 		}
 		net.AutoRoute()
-		// The topology is final here, and nothing is deployed or dialed yet —
-		// the one point where partitioning is legal.
-		if cfg.Workers > 1 {
-			if err := net.SetWorkers(cfg.Workers); err != nil {
-				panic(fmt.Sprintf("testbed: partition: %v", err))
-			}
-		}
-		// The monitor attaches right after the partition and before the
-		// case deploys anything: it must see the registration events, and
-		// under the parallel core it consumes the barrier-ordered replayed
-		// stream. The label omits the worker count so audits diff
-		// byte-identical across Workers.
+		// The monitor attaches before the case deploys anything: it must
+		// see the registration events.
 		if cfg.Invariants || cfg.AuditPath != "" {
 			mon = net.StartMonitor(hydranet.MonitorConfig{
 				Scenario: fmt.Sprintf("figure4 %s buf=%d", cfg.Case, cfg.BufLen),

@@ -20,8 +20,7 @@ type AuditReport = invariant.Report
 
 // MonitorConfig parameterizes StartMonitor.
 type MonitorConfig struct {
-	// Scenario labels the audit report. Keep it free of worker counts so
-	// reports from the same seed diff byte-identical across -workers.
+	// Scenario labels the audit report.
 	Scenario string
 	// MaxViolations bounds recorded forensic records (0 = package default).
 	MaxViolations int
@@ -31,16 +30,14 @@ type MonitorConfig struct {
 // and frame tap, and teaches it every host's address so membership events
 // (which carry addresses) join with stack events (which carry node names).
 //
-// Attach after the topology is final and after SetWorkers, but before
-// deploying services: the monitor reconstructs replica-set membership from
-// the registration events, so it must see them. Under the parallel core
-// the monitor consumes the barrier-ordered replayed stream, so its
-// verdicts are identical for every worker count. Detached (never called),
-// the monitor costs nothing: emit sites stay behind Bus.Enabled.
+// Attach after the topology is final but before deploying services: the
+// monitor reconstructs replica-set membership from the registration events,
+// so it must see them. Detached (never called), the monitor costs nothing:
+// emit sites stay behind Bus.Enabled.
 func (n *Net) StartMonitor(cfg MonitorConfig) *Monitor {
 	m := invariant.New(invariant.Config{
 		Scenario:      cfg.Scenario,
-		Outstanding:   n.fab.PoolOutstanding,
+		Outstanding:   n.fab.Pool().Outstanding,
 		MaxViolations: cfg.MaxViolations,
 	})
 	for _, h := range n.hosts {
@@ -58,5 +55,5 @@ func (n *Net) StartMonitor(cfg MonitorConfig) *Monitor {
 // conservation rule is only decided when the simulation is quiescent
 // (frames still in flight are not leaks).
 func (n *Net) FinishAudit(m *Monitor) AuditReport {
-	return m.Finish(n.eventsPending() == 0)
+	return m.Finish(n.sched.Pending() == 0)
 }

@@ -1,13 +1,11 @@
 package hydranet
 
 import (
-	"encoding/json"
 	"os"
 	"path/filepath"
 	"testing"
 	"time"
 
-	"hydranet/internal/app"
 	"hydranet/internal/invariant"
 	"hydranet/internal/obs"
 )
@@ -61,18 +59,12 @@ func TestMonitorZeroCostWhenDetached(t *testing.T) {
 }
 
 // runMonitoredFailover runs the full failover scenario — deploy, stream,
-// crash the primary, recover — with a monitor attached, at the given
-// worker count, and returns the audit report.
-func runMonitoredFailover(t *testing.T, workers int) AuditReport {
+// crash the primary, recover — with a monitor attached, and returns the
+// audit report.
+func runMonitoredFailover(t *testing.T) AuditReport {
 	t.Helper()
-	net, client, rd, replicas := parallelTopology(t, 11)
-	if workers > 1 {
-		if err := net.SetWorkers(workers); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Attach after SetWorkers (the monitor consumes the barrier-ordered
-	// replayed stream) and before DeployFT (it must see registrations).
+	net, client, rd, replicas := captureTopology(t, 11)
+	// Attach before DeployFT: the monitor must see the registrations.
 	mon := net.StartMonitor(MonitorConfig{Scenario: "failover"})
 
 	svc, err := net.DeployFT(testSvc, rd, replicas,
@@ -86,7 +78,7 @@ func runMonitoredFailover(t *testing.T, workers int) AuditReport {
 	for i := range payload {
 		payload[i] = byte(i * 31)
 	}
-	received := streamClientOn(t, client, payload)
+	received := streamClient(t, net, client, payload)
 
 	net.RunFor(300 * time.Millisecond)
 	svc.CrashPrimary()
@@ -94,36 +86,9 @@ func runMonitoredFailover(t *testing.T, workers int) AuditReport {
 		net.RunFor(time.Second)
 	}
 	if *received != len(payload) {
-		t.Fatalf("workers=%d: client received %d of %d bytes", workers, *received, len(payload))
+		t.Fatalf("client received %d of %d bytes", *received, len(payload))
 	}
 	return net.FinishAudit(mon)
-}
-
-// streamClientOn is streamClient publishing on the client host's bus view,
-// so the observation stays deterministic under any worker count.
-func streamClientOn(t *testing.T, client *Host, payload []byte) *int {
-	t.Helper()
-	conn, err := client.Dial(testSvc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	received := new(int)
-	bus := client.Bus()
-	buf := make([]byte, 8192)
-	conn.OnReadable(func() {
-		for {
-			n := conn.Read(buf)
-			if n == 0 {
-				break
-			}
-			*received += n
-			if bus.Enabled(KindClientDeliver) {
-				bus.Publish(Event{Kind: KindClientDeliver, Node: "client", Size: n})
-			}
-		}
-	})
-	app.Source(conn, payload, false)
-	return received
 }
 
 // TestMonitorCleanOnFailover is the paper's semantic claim as a test: a
@@ -131,7 +96,7 @@ func streamClientOn(t *testing.T, client *Host, payload []byte) *int {
 // set, and every stream rule actually evaluated (a monitor that checks
 // nothing also violates nothing).
 func TestMonitorCleanOnFailover(t *testing.T) {
-	r := runMonitoredFailover(t, 1)
+	r := runMonitoredFailover(t)
 	if !r.Clean {
 		t.Fatalf("failover scenario violated invariants:\n%v", r.Violations)
 	}
@@ -154,28 +119,6 @@ func TestMonitorCleanOnFailover(t *testing.T) {
 	}
 	if r.Frames == 0 || r.Events == 0 {
 		t.Fatalf("monitor observed nothing: %d events, %d frames", r.Events, r.Frames)
-	}
-}
-
-// TestMonitorWorkerParity pins the determinism contract on the verdict
-// surface: the audit report — counts, rule census, violation ordering —
-// is byte-identical for every worker count, because the monitor consumes
-// the barrier-ordered replayed stream. CI runs this by name.
-func TestMonitorWorkerParity(t *testing.T) {
-	var reports [][]byte
-	for _, workers := range []int{1, 2, 4} {
-		r := runMonitoredFailover(t, workers)
-		data, err := json.MarshalIndent(r, "", "  ")
-		if err != nil {
-			t.Fatal(err)
-		}
-		reports = append(reports, data)
-	}
-	for i := 1; i < len(reports); i++ {
-		if string(reports[i]) != string(reports[0]) {
-			t.Errorf("audit report differs between workers=1 and workers=%d:\n--- w1\n%s\n--- other\n%s",
-				[]int{1, 2, 4}[i], reports[0], reports[i])
-		}
 	}
 }
 
@@ -213,7 +156,7 @@ func TestMonitorSeededViolations(t *testing.T) {
 	}
 	net.Settle()
 	payload := make([]byte, 256*1024)
-	received := streamClientOn(t, client, payload)
+	received := streamClient(t, net, client, payload)
 	for *received < len(payload) && net.Now() < time.Minute {
 		net.RunFor(time.Second)
 	}
@@ -277,7 +220,7 @@ func TestMonitorDumpOnViolation(t *testing.T) {
 	}
 	net.Settle()
 	payload := make([]byte, 64*1024)
-	received := streamClientOn(t, client, payload)
+	received := streamClient(t, net, client, payload)
 	for *received < len(payload) && net.Now() < time.Minute {
 		net.RunFor(time.Second)
 	}
@@ -312,7 +255,7 @@ func TestMonitorCleanOnGrayFailure(t *testing.T) {
 	}
 	net.Settle()
 	payload := make([]byte, 1<<20)
-	received := streamClientOn(t, client, payload)
+	received := streamClient(t, net, client, payload)
 	net.RunFor(400 * time.Millisecond)
 
 	slow := replicas[len(replicas)-1]

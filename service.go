@@ -173,7 +173,7 @@ func (s *FTService) Recommission(h *Host) error {
 	if s.opts.Heartbeat > 0 {
 		h.Daemon(s.rd).StartHeartbeats(s.svc, s.opts.Heartbeat)
 	}
-	if b := h.emitBus(); b.Enabled(obs.KindRecommission) {
+	if b := h.net.bus; b.Enabled(obs.KindRecommission) {
 		b.Publish(obs.Event{
 			Kind: obs.KindRecommission, Node: h.name, Service: s.svc.String(),
 		})

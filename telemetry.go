@@ -64,7 +64,6 @@ type Telemetry struct {
 	net     *Net
 	set     *series.Set
 	sampler *series.Sampler
-	gtick   *groupTicker // drives ticks at barriers in partitioned runs
 	scorer  *series.HealthScorer
 	spans   *SpanCollector
 	probe   *FailoverProbe
@@ -135,19 +134,7 @@ func (n *Net) StartSampler(cfg SamplerConfig) *Telemetry {
 		})
 	}
 	t.sampler.OnSample(t.sample)
-	if n.par != nil {
-		// Partitioned: the sampler reads state spanning every domain, so
-		// its tick must run at a window barrier with all workers parked. A
-		// group ticker fires with the same (time, birth) key sequence the
-		// serial timer would use, keeping sampled series byte-identical.
-		every := cfg.Every
-		if every <= 0 {
-			every = series.DefaultCadence
-		}
-		t.gtick = n.par.startTicker(every, t.sample)
-	} else {
-		t.sampler.Start()
-	}
+	t.sampler.Start()
 	return t
 }
 
@@ -155,39 +142,21 @@ func (n *Net) StartSampler(cfg SamplerConfig) *Telemetry {
 // built-in probes).
 func (t *Telemetry) Set() *SeriesSet { return t.set }
 
-// Sampler returns the underlying sampler. In a partitioned run the ticks
-// are driven at window barriers instead; use Ticks/Every, which work in
-// both modes.
+// Sampler returns the underlying sampler.
 func (t *Telemetry) Sampler() *series.Sampler { return t.sampler }
 
 // Ticks returns how many times the pipeline has sampled.
-func (t *Telemetry) Ticks() uint64 {
-	if t.gtick != nil {
-		return t.gtick.ticks
-	}
-	return t.sampler.Ticks()
-}
+func (t *Telemetry) Ticks() uint64 { return t.sampler.Ticks() }
 
 // Every returns the sampling cadence.
-func (t *Telemetry) Every() time.Duration {
-	if t.gtick != nil {
-		return t.gtick.every
-	}
-	return t.sampler.Every()
-}
+func (t *Telemetry) Every() time.Duration { return t.sampler.Every() }
 
 // Scorer returns the health scorer (nil unless SamplerConfig.Health was
 // set).
 func (t *Telemetry) Scorer() *HealthScorer { return t.scorer }
 
 // Stop disarms the sampler; collected series remain readable.
-func (t *Telemetry) Stop() {
-	if t.gtick != nil {
-		t.gtick.Stop()
-		return
-	}
-	t.sampler.Stop()
-}
+func (t *Telemetry) Stop() { t.sampler.Stop() }
 
 // AttachFailover records the probe's Table-2 report into the export
 // metadata, aligning series timelines with failover phases.
@@ -282,16 +251,13 @@ func (t *Telemetry) sample(now time.Duration) {
 		}
 	}
 
-	// Frame-pool occupancy and scheduler backlog. PoolOutstanding counts
-	// each logical in-flight frame once in any partition (cross-domain
-	// hand-off copies are deduplicated), so the gauge is partition-
-	// invariant; PoolMisses is allocator telemetry and partition-scoped
-	// (see DESIGN.md §10).
-	t.set.Gauge("pool.outstanding", "frames").Observe(now, float64(t.net.fab.PoolOutstanding()))
-	misses := t.net.fab.PoolMisses()
+	// Frame-pool occupancy and scheduler backlog.
+	pool := t.net.fab.Pool()
+	t.set.Gauge("pool.outstanding", "frames").Observe(now, float64(pool.Outstanding()))
+	_, _, misses := pool.Stats()
 	t.set.Counter("pool.misses", "frames").Observe(now, float64(misses-t.prevMisses))
 	t.prevMisses = misses
-	t.set.Gauge("sched.pending", "events").Observe(now, float64(t.net.eventsPending()))
+	t.set.Gauge("sched.pending", "events").Observe(now, float64(t.net.sched.Pending()))
 
 	// Span statistics: interval ack-chain lag and deposit stall.
 	if t.spans != nil {
