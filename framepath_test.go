@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"hydranet/internal/app"
 	"hydranet/internal/ipv4"
 	"hydranet/internal/netsim"
 	"hydranet/internal/redirector"
@@ -186,4 +187,114 @@ func TestFramePathAllocBudget(t *testing.T) {
 		lst.SetAcceptFunc(func(c *Conn) { ttcp.Sink(c) })
 		stream(t, net, client, Endpoint{Addr: server.Addr(), Port: 5001}, 1024)
 	})
+}
+
+// TestConnLifecycleAllocBudget pins what one short connection costs once
+// free lists, buffer pools and tables are warm: dial, a 64-byte request, a
+// 3000-byte response, close — a client endpoint and two replica endpoints
+// with their ft-TCP state, both replicas ending in TIME-WAIT. app.Source on
+// either side counts; the test's own callbacks are bound once, outside the
+// measured stretch. At commit 2659195 the figure was 61.
+func TestConnLifecycleAllocBudget(t *testing.T) {
+	const (
+		reqLen  = 64
+		budget  = 25
+		warm    = 300 // several TIME-WAIT lifetimes: the population is steady
+		measure = 200
+	)
+	net := New(Config{Seed: 3, TCP: TCPConfig{
+		SendBufSize: 16384, RecvBufSize: 16384,
+		DelayedAckTimeout: 200 * time.Millisecond, TimeWaitDuration: 500 * time.Millisecond,
+	}})
+	client := net.AddHost("client", HostConfig{})
+	rd := net.AddRedirector("rd", HostConfig{})
+	replicas := []*Host{net.AddHost("s0", HostConfig{}), net.AddHost("s1", HostConfig{})}
+	link := LinkConfig{Rate: 100_000_000, Delay: 100 * time.Microsecond}
+	net.Link(client, rd.Host, link)
+	for _, h := range replicas {
+		net.Link(h, rd.Host, link)
+	}
+	net.AutoRoute()
+
+	req, blob, buf := make([]byte, reqLen), make([]byte, 3000), make([]byte, 4096)
+	// Replica-side state, reused round-robin: a connection's slot is free
+	// again long before the ring comes back to it.
+	type server struct {
+		c          *Conn
+		got        int
+		onReadable func()
+	}
+	var servers [8]*server
+	for i := range servers {
+		s := &server{}
+		s.onReadable = func() {
+			for s.got < reqLen {
+				n := s.c.Read(buf[:reqLen-s.got])
+				if n == 0 {
+					return
+				}
+				if s.got += n; s.got == reqLen {
+					app.Source(s.c, blob, true)
+				}
+			}
+		}
+		servers[i] = s
+	}
+	accepted := 0
+	if _, err := net.DeployFT(testSvc, rd, replicas, FTOptions{}, func(c *Conn) {
+		s := servers[accepted%len(servers)]
+		accepted++
+		s.c, s.got = c, 0
+		c.OnReadable(s.onReadable)
+	}); err != nil {
+		t.Fatal(err)
+	}
+	net.Settle()
+
+	var conn *Conn
+	got, closed := 0, false
+	var closeErr error
+	onReadable := func() {
+		for {
+			n := conn.Read(buf)
+			if n == 0 {
+				break
+			}
+			got += n
+		}
+		if conn.PeerClosed() {
+			conn.Close()
+		}
+	}
+	onClosed := func(err error) { closed, closeErr = true, err }
+	op := func() {
+		var err error
+		if conn, err = client.Dial(testSvc); err != nil {
+			t.Fatal(err)
+		}
+		got, closed = 0, false
+		conn.OnReadable(onReadable)
+		conn.OnClosed(onClosed)
+		app.Source(conn, req, false)
+		for deadline := net.Now() + time.Minute; !closed && net.Now() < deadline; {
+			net.RunFor(time.Millisecond)
+		}
+		if !closed || closeErr != nil || got != len(blob) {
+			t.Fatalf("connection: closed=%v err=%v, %d of %d bytes", closed, closeErr, got, len(blob))
+		}
+	}
+	for i := 0; i < warm; i++ {
+		op()
+	}
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	for i := 0; i < measure; i++ {
+		op()
+	}
+	runtime.ReadMemStats(&m1)
+	perConn := float64(m1.Mallocs-m0.Mallocs) / measure
+	t.Logf("%.1f allocations per connection (%d bytes)", perConn, (m1.TotalAlloc-m0.TotalAlloc)/measure)
+	if perConn > budget {
+		t.Errorf("one warmed-up connection through an FT pod allocates %.1f times, budget %d", perConn, budget)
+	}
 }

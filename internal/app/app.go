@@ -88,24 +88,34 @@ func Collect(c *tcp.Conn, out *[]byte) {
 // closeWhenDone, closes afterwards. Call before or after the connection
 // establishes; it hooks OnConnected and OnWritable.
 func Source(c *tcp.Conn, payload []byte, closeWhenDone bool) {
-	rest := payload
-	var feed func()
-	feed = func() {
-		for len(rest) > 0 {
-			n := c.Write(rest)
-			if n == 0 {
-				return
-			}
-			rest = rest[n:]
-		}
-		if closeWhenDone {
-			c.Close()
-			closeWhenDone = false
-		}
-	}
+	s := &source{c: c, rest: payload, closeWhenDone: closeWhenDone}
+	feed := s.feed
 	c.OnWritable(feed)
 	c.OnConnected(feed)
 	if c.State() == tcp.StateEstablished {
 		feed()
+	}
+}
+
+// source is one Source call's progress: kept in a struct so that the call
+// costs two allocations (this and the bound method), not one per variable a
+// closure would capture.
+type source struct {
+	c             *tcp.Conn
+	rest          []byte
+	closeWhenDone bool
+}
+
+func (s *source) feed() {
+	for len(s.rest) > 0 {
+		n := s.c.Write(s.rest)
+		if n == 0 {
+			return
+		}
+		s.rest = s.rest[n:]
+	}
+	if s.closeWhenDone {
+		s.c.Close()
+		s.closeWhenDone = false
 	}
 }

@@ -20,6 +20,7 @@ package core
 
 import (
 	"fmt"
+	"sort"
 	"time"
 
 	"hydranet/internal/ipv4"
@@ -242,7 +243,9 @@ type ReplicatedPort struct {
 	hasSuspected bool
 }
 
-// ftConn is per-connection chain state.
+// ftConn is per-connection chain state, and the connection's tcp.ConnHooks:
+// role, gating and limits are read when TCP asks, so a promotion, demotion or
+// chain repair needs no per-connection re-wiring.
 type ftConn struct {
 	port  *ReplicatedPort
 	conn  *tcp.Conn // nil until the SYN reaches us
@@ -285,13 +288,29 @@ func (p *ReplicatedPort) SetUpstream(host ipv4.Addr) {
 func (p *ReplicatedPort) SetGated(gated bool) {
 	p.gated = gated
 	if !gated {
-		for _, fc := range p.conns {
+		for _, fc := range p.connsInOrder() {
 			fc.gated = false
 			if fc.conn != nil {
 				fc.conn.Poke()
 			}
 		}
 	}
+}
+
+// connsInOrder returns the managed connections sorted by client endpoint.
+// Reconfiguration pokes them one after another and each may transmit, so the
+// map's iteration order would leak into the frame order of a replay.
+func (p *ReplicatedPort) connsInOrder() []*ftConn {
+	clients := make([]tcp.Endpoint, 0, len(p.conns))
+	for client := range p.conns { //hydralint:nondeterministic order normalized by the sort below
+		clients = append(clients, client)
+	}
+	sort.Slice(clients, func(i, j int) bool { return clients[i].Before(clients[j]) })
+	out := make([]*ftConn, len(clients))
+	for i, client := range clients {
+		out[i] = p.conns[client]
+	}
+	return out
 }
 
 // Promote switches a backup to primary — the fail-over step. Suppression
@@ -311,13 +330,11 @@ func (p *ReplicatedPort) Promote() {
 			Detail:  fmt.Sprintf("%d conns", len(p.conns)),
 		})
 	}
-	for _, fc := range p.conns {
-		if fc.conn == nil {
-			continue
+	for _, fc := range p.connsInOrder() {
+		if fc.conn != nil {
+			fc.conn.ForceRetransmit()
+			fc.conn.Poke()
 		}
-		fc.installHooks() // re-evaluate suppression
-		fc.conn.ForceRetransmit()
-		fc.conn.Poke()
 	}
 }
 
@@ -335,11 +352,6 @@ func (p *ReplicatedPort) Demote() {
 			Kind: obs.KindDemotion, Node: p.mgr.nodeName(),
 			Service: p.svc.String(),
 		})
-	}
-	for _, fc := range p.conns {
-		if fc.conn != nil {
-			fc.installHooks()
-		}
 	}
 }
 
@@ -361,7 +373,7 @@ func (p *ReplicatedPort) adopt(c *tcp.Conn) {
 	}
 	fc.conn = c
 	fc.gated = p.gated
-	fc.installHooks()
+	c.SetHooks(fc)
 }
 
 // Conns returns the number of connections under management.
@@ -397,53 +409,51 @@ func (p *ReplicatedPort) onChainMsg(msg *ChainMsg) {
 	}
 }
 
-// installHooks wires the ft-TCP extension points for the connection
-// according to the replica's current role and chain position.
-func (fc *ftConn) installHooks() {
-	p := fc.port
-	hooks := tcp.ConnHooks{
-		OnPeerRetransmit: fc.onClientRetransmit,
-		// A replica's own retransmission timeouts are the push-direction
-		// failure signal: if the service streams to a silent client, a
-		// dead primary never provokes client retransmissions, but the
-		// backups' unacknowledged data does time out repeatedly.
-		OnRTO:         fc.onClientRetransmit,
-		OnDeposit:     fc.onProgress,
-		OnAckProgress: func() { fc.retransmits = 0 },
-		OnClosed:      func(error) { delete(p.conns, fc.conn.Remote()) },
+// SuppressTransmit diverts a backup's segments into the acknowledgment
+// channel; a primary's go to the wire.
+func (fc *ftConn) SuppressTransmit(seg *tcp.Segment) bool {
+	if fc.port.mode != ModeBackup {
+		return false
 	}
-	hooks.DepositLimit = func() (tcp.Seq, bool) {
-		if !fc.gated {
-			return 0, false
-		}
-		if !fc.haveLimits {
-			// No word from the successor yet: hold everything. The
-			// deposit cursor itself is the safe floor.
-			return fc.conn.RcvNxt(), true
-		}
-		return fc.depositLimit, true
-	}
-	hooks.SendLimit = func() (tcp.Seq, bool) {
-		if !fc.gated {
-			return 0, false
-		}
-		if !fc.haveLimits {
-			return fc.conn.SndNxt(), true
-		}
-		return fc.sendLimit, true
-	}
-	if p.mode == ModeBackup {
-		hooks.SuppressTransmit = func(seg *tcp.Segment) bool {
-			fc.forwardChain(seg)
-			return true
-		}
-	} else if p.upstream.Addr != 0 {
-		// A primary never suppresses, but if (transitionally) it has an
-		// upstream configured it still reports progress.
-		hooks.SuppressTransmit = nil
-	}
-	fc.conn.SetHooks(hooks)
+	fc.forwardChain(seg)
+	return true
 }
+
+// DepositLimit is the successor's deposit cursor while a successor exists.
+func (fc *ftConn) DepositLimit() (tcp.Seq, bool) {
+	if !fc.gated {
+		return 0, false
+	}
+	if !fc.haveLimits {
+		// No word from the successor yet: hold everything. The deposit
+		// cursor itself is the safe floor.
+		return fc.conn.RcvNxt(), true
+	}
+	return fc.depositLimit, true
+}
+
+// SendLimit is the successor's send cursor while a successor exists.
+func (fc *ftConn) SendLimit() (tcp.Seq, bool) {
+	if !fc.gated {
+		return 0, false
+	}
+	if !fc.haveLimits {
+		return fc.conn.SndNxt(), true
+	}
+	return fc.sendLimit, true
+}
+
+// OnRTO counts a replica's own retransmission timeout like a client
+// retransmission — the push-direction failure signal: if the service streams
+// to a silent client, a dead primary never provokes client retransmissions,
+// but the backups' unacknowledged data does time out repeatedly.
+func (fc *ftConn) OnRTO() { fc.OnPeerRetransmit() }
+
+// OnAckProgress resets the failure estimator: the outbound loop is healthy.
+func (fc *ftConn) OnAckProgress() { fc.retransmits = 0 }
+
+// OnClosed ends management of the connection.
+func (fc *ftConn) OnClosed(error) { delete(fc.port.conns, fc.conn.Remote()) }
 
 // forwardChain strips a suppressed segment to its flow-control fields and
 // sends them up the acknowledgment channel.
@@ -490,10 +500,10 @@ func (fc *ftConn) sendChainMsg(sndNxt, rcvNxt tcp.Seq) {
 	_ = p.mgr.udpStack.SendTo(p.mgr.hostAddr, AckChannelPort, p.upstream, p.mgr.txBuf[:]) //nolint:errcheck
 }
 
-// onClientRetransmit is the failure-estimator input (paper Section 4.3):
+// OnPeerRetransmit is the failure-estimator input (paper Section 4.3):
 // repeated client retransmissions mean the flow-control loop is broken
 // somewhere in the replica set.
-func (fc *ftConn) onClientRetransmit() {
+func (fc *ftConn) OnPeerRetransmit() {
 	p := fc.port
 	fc.retransmits++
 	if fc.retransmits < p.det.RetransmitThreshold {
@@ -519,9 +529,9 @@ func (fc *ftConn) onClientRetransmit() {
 	}
 }
 
-// onProgress runs after every deposit: it resets the failure estimator
-// (data is flowing) and immediately forwards the new cursors up the chain.
-func (fc *ftConn) onProgress() {
+// OnDeposit resets the failure estimator (data is flowing) and immediately
+// forwards the new cursors up the chain.
+func (fc *ftConn) OnDeposit() {
 	fc.retransmits = 0
 	fc.forwardCursors()
 }

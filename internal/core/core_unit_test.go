@@ -149,3 +149,53 @@ func TestPendingChainEntryExpires(t *testing.T) {
 		t.Fatalf("placeholder leaked: %d entries after TTL", port.Conns())
 	}
 }
+
+// TestRoleChangeReachesLiveConnections: the hooks read the port's role when
+// TCP asks, so demoting the replica under an established connection diverts
+// that connection's very next segment into the acknowledgment channel, and
+// promoting it puts the stream back on the wire — nothing is re-installed
+// per connection.
+func TestRoleChangeReachesLiveConnections(t *testing.T) {
+	net := hydranet.New(hydranet.Config{Seed: 87})
+	client := net.AddHost("client", hydranet.HostConfig{})
+	rd := net.AddRedirector("rd", hydranet.HostConfig{})
+	s0 := net.AddHost("s0", hydranet.HostConfig{})
+	link := hydranet.LinkConfig{Rate: 10_000_000, Delay: time.Millisecond}
+	net.Link(client, rd.Host, link)
+	net.Link(s0, rd.Host, link)
+	net.AutoRoute()
+	if _, err := net.DeployFT(svc, rd, []*hydranet.Host{s0}, hydranet.FTOptions{},
+		func(c *hydranet.Conn) { app.Echo(c) }); err != nil {
+		t.Fatal(err)
+	}
+	net.Settle()
+	conn, err := client.Dial(svc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var echoed []byte
+	app.Collect(conn, &echoed)
+	app.Source(conn, []byte("as primary;"), false)
+	net.RunFor(time.Second)
+	if string(echoed) != "as primary;" {
+		t.Fatalf("echo = %q before any role change", echoed)
+	}
+
+	port := s0.FTManager().Port(svc)
+	port.Demote()
+	suppressed := s0.TCP().ConnTotals().SegsSuppressed
+	conn.Write([]byte("as backup;"))
+	net.RunFor(300 * time.Millisecond)
+	if string(echoed) != "as primary;" {
+		t.Fatalf("echo = %q: a backup's segments reached the client", echoed)
+	}
+	if got := s0.TCP().ConnTotals().SegsSuppressed; got <= suppressed {
+		t.Fatalf("SegsSuppressed stayed at %d after the demotion", got)
+	}
+
+	port.Promote()
+	net.RunFor(5 * time.Second)
+	if string(echoed) != "as primary;as backup;" {
+		t.Fatalf("echo = %q after re-promotion, want the whole stream", echoed)
+	}
+}

@@ -1,7 +1,5 @@
 package ipv4
 
-import "sort"
-
 // Route maps a destination prefix to an outgoing interface.
 type Route struct {
 	Dst     Prefix
@@ -10,24 +8,58 @@ type Route struct {
 
 // RoutingTable performs longest-prefix-match lookups over static routes.
 // The zero value is an empty table.
+//
+// Host routes (/32) are kept apart, sorted by address, and found by binary
+// search: a topology gives every host one per remote interface, and a
+// destination that matches none of them — a service address on its way to
+// the default route — would otherwise be compared with each. The other
+// routes are scanned in order, most specific first, against masks computed
+// when they were added.
 type RoutingTable struct {
-	routes []Route
+	hosts []hostRoute   // /32 routes, ascending address
+	nets  []prefixRoute // all others: descending prefix length, then insertion order
 }
 
-// Add installs a route. Routes are kept sorted by descending prefix length
-// so Lookup returns the most specific match. A route with an identical
-// prefix replaces the earlier one.
+type hostRoute struct {
+	addr    Addr
+	ifindex int
+}
+
+type prefixRoute struct {
+	net, mask Addr // Dst.Addr&mask, so a probe is one AND and one compare
+	Route
+}
+
+// Add installs a route. A route with an identical prefix replaces the
+// earlier one; among routes of equal length that match the same address, the
+// one added first wins.
 func (t *RoutingTable) Add(r Route) {
-	for i := range t.routes {
-		if t.routes[i].Dst == r.Dst {
-			t.routes[i] = r
+	if r.Dst.Bits == 32 {
+		i := t.searchHost(r.Dst.Addr)
+		if i < len(t.hosts) && t.hosts[i].addr == r.Dst.Addr {
+			t.hosts[i].ifindex = r.Ifindex
 			return
 		}
+		t.hosts = append(t.hosts, hostRoute{})
+		copy(t.hosts[i+1:], t.hosts[i:])
+		t.hosts[i] = hostRoute{addr: r.Dst.Addr, ifindex: r.Ifindex}
+		return
 	}
-	t.routes = append(t.routes, r)
-	sort.SliceStable(t.routes, func(i, j int) bool {
-		return t.routes[i].Dst.Bits > t.routes[j].Dst.Bits
-	})
+	// The route goes behind every route at least as long.
+	at := len(t.nets)
+	for i := range t.nets {
+		if t.nets[i].Dst == r.Dst {
+			t.nets[i].Ifindex = r.Ifindex
+			return
+		}
+		if at == len(t.nets) && t.nets[i].Dst.Bits < r.Dst.Bits {
+			at = i
+		}
+	}
+	mask := r.Dst.mask()
+	t.nets = append(t.nets, prefixRoute{})
+	copy(t.nets[at+1:], t.nets[at:])
+	t.nets[at] = prefixRoute{net: r.Dst.Addr & mask, mask: mask, Route: r}
 }
 
 // AddDefault installs a 0.0.0.0/0 route out ifindex.
@@ -35,10 +67,27 @@ func (t *RoutingTable) AddDefault(ifindex int) {
 	t.Add(Route{Dst: Prefix{}, Ifindex: ifindex})
 }
 
+// searchHost returns the index of the first host route at or above addr.
+func (t *RoutingTable) searchHost(addr Addr) int {
+	lo, hi := 0, len(t.hosts)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if t.hosts[mid].addr < addr {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
+}
+
 // Lookup returns the outgoing interface for dst, or -1 if no route matches.
 func (t *RoutingTable) Lookup(dst Addr) int {
-	for _, r := range t.routes {
-		if r.Dst.Contains(dst) {
+	if i := t.searchHost(dst); i < len(t.hosts) && t.hosts[i].addr == dst {
+		return t.hosts[i].ifindex
+	}
+	for i := range t.nets {
+		if r := &t.nets[i]; dst&r.mask == r.net {
 			return r.Ifindex
 		}
 	}
@@ -46,4 +95,4 @@ func (t *RoutingTable) Lookup(dst Addr) int {
 }
 
 // Len returns the number of installed routes.
-func (t *RoutingTable) Len() int { return len(t.routes) }
+func (t *RoutingTable) Len() int { return len(t.hosts) + len(t.nets) }

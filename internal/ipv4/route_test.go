@@ -1,6 +1,10 @@
 package ipv4
 
-import "testing"
+import (
+	"math/rand"
+	"sort"
+	"testing"
+)
 
 func TestLongestPrefixMatch(t *testing.T) {
 	var rt RoutingTable
@@ -56,5 +60,74 @@ func TestInsertionOrderIrrelevant(t *testing.T) {
 	addr := MustParseAddr("10.1.0.1")
 	if a.Lookup(addr) != b.Lookup(addr) {
 		t.Error("lookup depends on insertion order")
+	}
+}
+
+// scanTable is the table this package had before host routes were indexed
+// and masks stored: every route in one slice, re-sorted by descending length
+// on each Add, scanned in full by Lookup. It defines what RoutingTable must
+// answer.
+type scanTable struct{ routes []Route }
+
+func (t *scanTable) Add(r Route) {
+	for i := range t.routes {
+		if t.routes[i].Dst == r.Dst {
+			t.routes[i] = r
+			return
+		}
+	}
+	t.routes = append(t.routes, r)
+	sort.SliceStable(t.routes, func(i, j int) bool {
+		return t.routes[i].Dst.Bits > t.routes[j].Dst.Bits
+	})
+}
+
+func (t *scanTable) Lookup(dst Addr) int {
+	for _, r := range t.routes {
+		if r.Dst.Contains(dst) {
+			return r.Ifindex
+		}
+	}
+	return -1
+}
+
+// TestRoutingTableMatchesLinearScan: on random tables — few distinct
+// networks, so prefixes nest, share a network under different addresses, and
+// repeat exactly (a replacement) — every lookup and the route count agree
+// with the linear scan after every Add.
+func TestRoutingTableMatchesLinearScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	lengths := []int{0, 8, 16, 24, 24, 30, 32, 32, 32}
+	randAddr := func() Addr {
+		return AddrFrom4(10, byte(rng.Intn(3)), byte(rng.Intn(3)), byte(rng.Intn(6)))
+	}
+	replaced := 0
+	for table := 0; table < 200; table++ {
+		var got RoutingTable
+		var want scanTable
+		for n := rng.Intn(120); n > 0; n-- {
+			r := Route{Dst: Prefix{Addr: randAddr(), Bits: lengths[rng.Intn(len(lengths))]}, Ifindex: rng.Intn(8)}
+			before := len(want.routes)
+			got.Add(r)
+			want.Add(r)
+			if len(want.routes) == before {
+				replaced++
+			}
+			if got.Len() != len(want.routes) {
+				t.Fatalf("table %d: Len = %d after adding %v, linear scan holds %d", table, got.Len(), r.Dst, len(want.routes))
+			}
+			for probe := 0; probe < 8; probe++ {
+				dst := randAddr()
+				if probe == 0 {
+					dst = r.Dst.Addr
+				}
+				if g, w := got.Lookup(dst), want.Lookup(dst); g != w {
+					t.Fatalf("table %d after adding %v→%d: Lookup(%s) = %d, linear scan %d", table, r.Dst, r.Ifindex, dst, g, w)
+				}
+			}
+		}
+	}
+	if replaced == 0 {
+		t.Fatal("no duplicate prefix in any table — replacement is not exercised")
 	}
 }

@@ -10,9 +10,10 @@ import (
 // The differential test: one sequence of operations drives the Scheduler and
 // refSched, a scheduler simple enough to be right by inspection — every event
 // sits in one sorted slice, a lane is plain At, a timer re-arm is cancel plus
-// After. Every callback must fire on both in the same order with the same
-// clock and causal depth, and every query must agree after every operation. The operations come from a byte stream, so the same
-// driver serves seeded random sequences and the fuzzer.
+// After, a cancelled event is deleted on the spot. Every callback must fire on
+// both in the same order with the same clock and causal depth, and every query
+// must agree after every operation. The operations come from a byte stream, so
+// the same driver serves seeded random sequences and the fuzzer.
 
 const (
 	refLanes  = 3
@@ -35,7 +36,7 @@ type schedAPI interface {
 
 	at(t time.Duration, fn func()) canceller
 	after(d time.Duration, fn func()) canceller
-	laneAt(lane int, t time.Duration, fn func())
+	laneAt(lane int, t time.Duration, fn func()) canceller
 	timerInit(k int, fn func())
 	timerReset(k int, d time.Duration)
 	timerStop(k int)
@@ -66,8 +67,9 @@ func (r *realSched) after(d time.Duration, fn func()) canceller {
 	return &ev
 }
 
-func (r *realSched) laneAt(lane int, t time.Duration, fn func()) {
-	r.lanes[lane].At(r.Scheduler, t, fn)
+func (r *realSched) laneAt(lane int, t time.Duration, fn func()) canceller {
+	ev := r.lanes[lane].At(r.Scheduler, t, fn)
+	return &ev
 }
 func (r *realSched) timerInit(k int, fn func())        { r.timers[k].Init(r.Scheduler, fn) }
 func (r *realSched) timerReset(k int, d time.Duration) { r.timers[k].Reset(d) }
@@ -139,7 +141,7 @@ func (r *refSched) after(d time.Duration, fn func()) canceller {
 	return r.schedule(r.now+d, fn)
 }
 
-func (r *refSched) laneAt(_ int, t time.Duration, fn func()) { r.schedule(t, fn) }
+func (r *refSched) laneAt(_ int, t time.Duration, fn func()) canceller { return r.schedule(t, fn) }
 
 func (r *refSched) schedule(t time.Duration, fn func()) *refEvent {
 	if t < r.now {
@@ -282,9 +284,9 @@ func (w *world) act(action, arg byte) {
 	case 4:
 		w.handles = append(w.handles, s.after(ms(arg%8)-2*time.Millisecond, w.event(arg>>3, arg>>1)))
 	case 5:
-		w.laneInOrder(int(arg)%refLanes, ms(arg%4), arg>>3, arg>>1)
+		w.handles = append(w.handles, w.laneInOrder(int(arg)%refLanes, ms(arg%4), arg>>3, arg>>1))
 	case 6: // possibly before the lane's last event
-		s.laneAt(int(arg)%refLanes, s.Now()+ms(arg%8), w.event(arg>>3, arg>>1))
+		w.handles = append(w.handles, s.laneAt(int(arg)%refLanes, s.Now()+ms(arg%8), w.event(arg>>3, arg>>1)))
 	case 7:
 		s.timerReset(int(arg)%refTimers, ms(arg%16))
 	case 8:
@@ -300,14 +302,25 @@ func (w *world) act(action, arg byte) {
 
 // laneInOrder schedules on a lane at or after everything scheduled there
 // before, the way a serial resource hands out completion times.
-func (w *world) laneInOrder(lane int, d time.Duration, action, arg byte) {
+func (w *world) laneInOrder(lane int, d time.Duration, action, arg byte) canceller {
 	t := w.s.Now()
 	if w.laneLast[lane] > t {
 		t = w.laneLast[lane]
 	}
 	t += d
 	w.laneLast[lane] = t
-	w.s.laneAt(lane, t, w.event(action, arg))
+	return w.s.laneAt(lane, t, w.event(action, arg))
+}
+
+// laneBurst queues n events on a lane in order and returns their handles:
+// the first is the lane's head if the lane was idle, the last its tail.
+func (w *world) laneBurst(lane, n int, arg byte) []canceller {
+	burst := make([]canceller, n)
+	for i := range burst {
+		burst[i] = w.laneInOrder(lane, ms(arg%4), arg>>3, arg>>1)
+	}
+	w.handles = append(w.handles, burst...)
+	return burst
 }
 
 // timerVariant re-arms timer k relative to its armed deadline: to the same
@@ -332,7 +345,7 @@ func (w *world) timerVariant(k int, arg byte) {
 // apply runs one top-level operation with operands a and b.
 func (w *world) apply(op, a, b byte) {
 	s := w.s
-	switch op % 14 {
+	switch op % 16 {
 	case 0, 1:
 		w.act(3, a) // At
 	case 2:
@@ -375,6 +388,43 @@ func (w *world) apply(op, a, b byte) {
 		if t, ok := s.nextAt(); ok {
 			s.RunUntil(t)
 		}
+	case 14:
+		// Cancel lane events where they wait: b picks any of the head of a
+		// burst, a run in mid-chain and the tail, and the lane is then used
+		// again, behind whatever is left of the chain.
+		lane := int(a) % refLanes
+		burst := w.laneBurst(lane, 6+int(a)%8, b)
+		if b&1 != 0 {
+			burst[0].Cancel()
+		}
+		if b&2 != 0 {
+			burst[2].Cancel()
+			burst[3].Cancel()
+		}
+		if b&4 != 0 {
+			burst[len(burst)-1].Cancel()
+		}
+		if b&8 != 0 {
+			for _, h := range burst {
+				h.Cancel()
+			}
+		}
+		w.laneBurst(lane, 1+int(b>>4)%3, a)
+	case 15:
+		// Compaction over cancelled lane heads: each lane's chain must
+		// survive its head being swept out of the heap, also when the
+		// events right behind the head are cancelled too.
+		for lane := 0; lane < refLanes; lane++ {
+			burst := w.laneBurst(lane, 3+int(b)%3, a)
+			burst[0].Cancel()
+			if (int(b)>>uint(lane))&1 != 0 {
+				burst[1].Cancel()
+			}
+		}
+		for i := 0; i < 80+int(b); i++ {
+			s.at(s.Now()+time.Hour, w.event(0, 0)).Cancel()
+		}
+		w.laneBurst(int(a)%refLanes, 2, b)
 	}
 }
 
@@ -388,36 +438,36 @@ func runDifferential(t *testing.T, data []byte) {
 		real.apply(op, a, b)
 		ref.apply(op, a, b)
 		if len(real.log) != len(ref.log) {
-			t.Fatalf("op %d (%d): %d callbacks fired, reference %d", i/3, op%14, len(real.log), len(ref.log))
+			t.Fatalf("op %d (%d): %d callbacks fired, reference %d", i/3, op%16, len(real.log), len(ref.log))
 		}
 		for ; checked < len(ref.log); checked++ {
 			if real.log[checked] != ref.log[checked] {
 				t.Fatalf("op %d (%d): callback %d saw %+v, reference %+v",
-					i/3, op%14, checked, real.log[checked], ref.log[checked])
+					i/3, op%16, checked, real.log[checked], ref.log[checked])
 			}
 		}
 		if g, w := real.s.Now(), ref.s.Now(); g != w {
-			t.Fatalf("op %d (%d): Now %v, reference %v", i/3, op%14, g, w)
+			t.Fatalf("op %d (%d): Now %v, reference %v", i/3, op%16, g, w)
 		}
 		if g, w := real.s.Fired(), ref.s.Fired(); g != w {
-			t.Fatalf("op %d (%d): Fired %d, reference %d", i/3, op%14, g, w)
+			t.Fatalf("op %d (%d): Fired %d, reference %d", i/3, op%16, g, w)
 		}
 		if g, w := real.s.Pending(), ref.s.Pending(); g != w {
-			t.Fatalf("op %d (%d): Pending %d, reference %d", i/3, op%14, g, w)
+			t.Fatalf("op %d (%d): Pending %d, reference %d", i/3, op%16, g, w)
 		}
 		gt, gok := real.s.nextAt()
 		wt, wok := ref.s.nextAt()
 		if gt != wt || gok != wok {
-			t.Fatalf("op %d (%d): next event at %v %v, reference %v %v", i/3, op%14, gt, gok, wt, wok)
+			t.Fatalf("op %d (%d): next event at %v %v, reference %v %v", i/3, op%16, gt, gok, wt, wok)
 		}
 		if g, w := real.s.edges(), ref.s.edges(); g != w {
-			t.Fatalf("op %d (%d): profiler saw %d scheduling edges, reference %d", i/3, op%14, g, w)
+			t.Fatalf("op %d (%d): profiler saw %d scheduling edges, reference %d", i/3, op%16, g, w)
 		}
 		for k := 0; k < refTimers; k++ {
 			ga, gd := real.s.timerState(k)
 			wa, wd := ref.s.timerState(k)
 			if ga != wa || gd != wd {
-				t.Fatalf("op %d (%d): timer %d armed %v deadline %v, reference %v %v", i/3, op%14, k, ga, gd, wa, wd)
+				t.Fatalf("op %d (%d): timer %d armed %v deadline %v, reference %v %v", i/3, op%16, k, ga, gd, wa, wd)
 			}
 		}
 	}

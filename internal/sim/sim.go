@@ -9,9 +9,10 @@
 //
 // The pending queue holds one entry per busy resource and armed timer, not
 // one per event in flight: events queued behind a serial resource wait in a
-// Lane and enter the queue one at a time, and a Timer keeps a single entry
-// however often it is re-armed. Every event still fires under the
-// (time, sequence) key it was given when it was scheduled, so the firing
+// Lane and enter the queue one at a time — also a population of equal-length
+// waits, such as a TCP stack's TIME-WAIT connections — and a Timer keeps a
+// single entry however often it is re-armed. Every event still fires under
+// the (time, sequence) key it was given when it was scheduled, so the firing
 // order is that of a scheduler that queued each event on its own.
 //
 // The scheduler is allocation-free in steady state: event nodes live in
@@ -56,9 +57,10 @@ type eventNode struct {
 }
 
 const (
-	nodeCancelled uint8 = 1 << iota // will not fire; awaits lazy removal from the heap
+	nodeCancelled uint8 = 1 << iota // will not fire; awaits lazy removal from the heap or its lane
 	nodeTimer                       // a timer's wake-up node
 	nodeHasNext                     // next is the lane event queued behind this one
+	nodeWaiting                     // chained behind its lane's heap entry, not in the heap itself
 )
 
 // slot is one heap entry: an event's ordering key and the id of its node.
@@ -273,12 +275,15 @@ func (s *Scheduler) step(deadline time.Duration) bool {
 	if n.at > deadline {
 		return false
 	}
-	// Fill the root: with the lane's next event if one waits behind n (one
-	// sift, not a pop and a push), with the heap's last slot otherwise.
-	var e slot
+	// Fill the root: with the lane's next live event if one waits behind n
+	// (one sift, not a pop and a push), with the heap's last slot otherwise.
+	var next *eventNode
 	if n.flags&nodeHasNext != 0 {
-		s.waiting--
-		e = n.next.slot()
+		next = s.promote(n)
+	}
+	var e slot
+	if next != nil {
+		e = next.slot()
 	} else {
 		last := len(s.heap) - 1
 		e = s.heap[last]
@@ -299,15 +304,37 @@ func (s *Scheduler) step(deadline time.Duration) bool {
 			p.deepAt = n.at
 		}
 	}
-	fn := n.fn
-	if n.flags&nodeTimer != 0 {
-		fn = n.timer.fn
-	}
 	// Recycling first means a timer is already disarmed when its callback
 	// runs, and the callback's own scheduling can reuse the node.
+	if n.flags&nodeTimer != 0 {
+		h := n.timer.h
+		s.recycle(n)
+		h.OnTimer()
+		return true
+	}
+	fn := n.fn
 	s.recycle(n)
 	fn()
 	return true
+}
+
+// promote returns the first live event chained behind lane node n, which is
+// leaving the heap, or nil if there is none; the caller gives it n's place.
+// Cancelled events on the way never reach the heap: they are unchained and
+// recycled here, as peek drops cancelled nodes off the top of the heap.
+func (s *Scheduler) promote(n *eventNode) *eventNode {
+	for n.flags&nodeHasNext != 0 {
+		next := n.next
+		if next.flags&nodeCancelled == 0 {
+			next.flags &^= nodeWaiting
+			s.waiting--
+			return next
+		}
+		n.flags = n.flags&^nodeHasNext | next.flags&nodeHasNext
+		n.next = next.next
+		s.recycle(next)
+	}
+	return nil
 }
 
 // Run executes events until the queue drains.
@@ -348,15 +375,20 @@ func (s *Scheduler) EnableProfile(p *SchedProf) {
 func (s *Scheduler) Profile() *SchedProf { return s.prof }
 
 // peek returns the earliest live event's node, which is then the heap's
-// root. On the way it drops cancelled nodes off the top of the heap and moves
-// a timer's wake-up that surfaced before the timer's recorded deadline down
-// to that deadline's key. Neither is a simulation event: nothing fires, the
-// clock and the Fired count stay put.
+// root. On the way it drops cancelled nodes off the top of the heap (a lane's
+// next live event takes a cancelled head's place) and moves a timer's wake-up
+// that surfaced before the timer's recorded deadline down to that deadline's
+// key. Neither is a simulation event: nothing fires, the clock and the Fired
+// count stay put.
 func (s *Scheduler) peek() *eventNode {
 	for len(s.heap) > 0 {
 		n := s.node(s.heap[0].id)
 		if n.flags&nodeCancelled != 0 {
-			s.popRoot()
+			if next := s.promote(n); next != nil {
+				s.siftDown(0, next.slot())
+			} else {
+				s.popRoot()
+			}
 			s.dead--
 			s.recycle(n)
 			continue
@@ -371,9 +403,15 @@ func (s *Scheduler) peek() *eventNode {
 	return nil
 }
 
-// kill marks a live heap node cancelled; it is removed lazily.
+// kill marks a live node cancelled; it is removed lazily. One waiting in a
+// lane stops counting as pending at once and leaves the chain when the events
+// ahead of it have gone.
 func (s *Scheduler) kill(n *eventNode) {
 	n.flags |= nodeCancelled
+	if n.flags&nodeWaiting != 0 {
+		s.waiting--
+		return
+	}
 	s.dead++
 	s.maybeCompact()
 }
@@ -403,6 +441,11 @@ func (s *Scheduler) maybeCompact() {
 	live := s.heap[:0]
 	for _, e := range s.heap {
 		if n := s.node(e.id); n.flags&nodeCancelled != 0 {
+			// A cancelled lane head hands its slot to the lane's next live
+			// event.
+			if next := s.promote(n); next != nil {
+				live = append(live, next.slot())
+			}
 			s.recycle(n)
 			continue
 		}
@@ -489,26 +532,29 @@ func (s *Scheduler) popRoot() {
 // so the events of all lanes fire exactly as if each had been scheduled with
 // At, while the heap stays as small as the number of busy resources.
 //
+// An event cancelled while it waits stays chained, uncounted, until the events
+// ahead of it have left the lane; the one behind it then moves up in its
+// place, so a cancellation never fires anything and never costs a heap slot.
+//
 // The zero Lane is ready to use. A lane belongs to the scheduler its events
 // are scheduled on, allocates nothing, and must not be copied while events
 // wait in it.
 type Lane struct {
-	tail *eventNode // last event scheduled, still waiting to fire if its gen is gen
+	tail *eventNode // last event scheduled, still in the lane if its gen is gen
 	gen  uint64
 }
 
-// At schedules fn on s at absolute virtual time t, like s.At, without a
-// handle: a lane's events cannot be cancelled. An event that would break the
-// lane's order — t earlier than the last event still waiting — is scheduled
-// as an ordinary event instead and takes no part in the lane.
+// At schedules fn on s at absolute virtual time t, like s.At. An event that
+// would break the lane's order — t earlier than the last event still in the
+// lane — is scheduled as an ordinary event instead and takes no part in the
+// lane.
 //
 //hydralint:zeroalloc
-func (l *Lane) At(s *Scheduler, t time.Duration, fn func()) {
+func (l *Lane) At(s *Scheduler, t time.Duration, fn func()) Event {
 	tail := l.tail
 	busy := tail != nil && tail.gen == l.gen
 	if busy && t < tail.at {
-		s.At(t, fn)
-		return
+		return s.At(t, fn)
 	}
 	s.checkTime(t)
 	n := s.alloc()
@@ -516,13 +562,15 @@ func (l *Lane) At(s *Scheduler, t time.Duration, fn func()) {
 	n.seq, n.depth = s.stamp(t)
 	n.fn = fn
 	l.tail, l.gen = n, n.gen
-	if !busy {
+	if busy {
+		tail.next = n
+		tail.flags |= nodeHasNext
+		n.flags = nodeWaiting
+		s.waiting++
+	} else {
 		s.push(n.slot())
-		return
 	}
-	tail.next = n
-	tail.flags |= nodeHasNext
-	s.waiting++
+	return Event{n: n, gen: n.gen}
 }
 
 // Timer is a restartable one-shot timer bound to a scheduler, in the style
@@ -536,9 +584,9 @@ func (l *Lane) At(s *Scheduler, t time.Duration, fn func()) {
 // event order where a freshly scheduled event would have. A Timer may be
 // embedded by value (see Init) but must not be copied once armed.
 type Timer struct {
-	s  *Scheduler
-	fn func()
-	n  *eventNode // wake-up node in the heap; cancelled while the timer is stopped
+	s *Scheduler
+	h Handler
+	n *eventNode // wake-up node in the heap; cancelled while the timer is stopped
 
 	// Key and causal depth of the armed deadline.
 	at    time.Duration
@@ -555,9 +603,22 @@ func NewTimer(s *Scheduler, fn func()) *Timer {
 
 // Init binds a zero Timer to its scheduler and callback, for timers embedded
 // by value in a larger struct.
-func (t *Timer) Init(s *Scheduler, fn func()) {
-	t.s, t.fn = s, fn
-}
+func (t *Timer) Init(s *Scheduler, fn func()) { t.InitHandler(s, handlerFunc(fn)) }
+
+// Handler is a timer callback that needs no closure. A struct that embeds
+// several timers gives each a handler by converting its own pointer to a named
+// type with an OnTimer method — a conversion that allocates nothing, where a
+// method value bound to the struct would allocate once per timer.
+type Handler interface{ OnTimer() }
+
+// handlerFunc adapts a plain callback; a func value is pointer-shaped, so the
+// conversion to Handler does not allocate either.
+type handlerFunc func()
+
+func (f handlerFunc) OnTimer() { f() }
+
+// InitHandler is Init for a Handler.
+func (t *Timer) InitHandler(s *Scheduler, h Handler) { t.s, t.h = s, h }
 
 // Reset (re)arms the timer to fire d from now, superseding any earlier
 // deadline.

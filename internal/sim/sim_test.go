@@ -330,6 +330,70 @@ func TestLaneKeepsHeapShallow(t *testing.T) {
 	}
 }
 
+// TestLaneCancelKeepsHeapShallow: a lane of 5000 equal-duration waits — a TCP
+// stack's TIME-WAIT population — of which every tenth is cancelled where it
+// waits holds one heap slot throughout; a cancelled wait neither fires nor
+// counts as pending, and the others fire in order at their own instants.
+func TestLaneCancelKeepsHeapShallow(t *testing.T) {
+	const (
+		entries = 5000
+		wait    = 30 * time.Second
+	)
+	s := NewScheduler(1)
+	var lane Lane
+	var fired []int
+	handles := make([]Event, entries)
+	deepest := 0
+	s.At(0, func() {}) // something else in the heap: the clock's own driver
+	for i := 0; i < entries; i++ {
+		s.RunUntil(time.Duration(i) * time.Millisecond)
+		handles[i] = lane.At(s, s.Now()+wait, func() {
+			if want := time.Duration(i)*time.Millisecond + wait; s.Now() != want {
+				t.Errorf("entry %d fired at %v, want %v", i, s.Now(), want)
+			}
+			fired = append(fired, i)
+		})
+		switch i % 20 {
+		case 9:
+			handles[i].Cancel() // the tail
+		case 19:
+			handles[i-5].Cancel() // mid-chain
+		}
+		if len(s.heap) > deepest {
+			deepest = len(s.heap)
+		}
+	}
+	handles[0].Cancel() // the head, which holds the heap slot
+	cancelled := entries/10 + 1
+	if got := s.Pending(); got != entries-cancelled {
+		t.Fatalf("Pending = %d with %d of %d entries cancelled, want %d", got, cancelled, entries, entries-cancelled)
+	}
+	for s.Step() {
+		if len(s.heap) > deepest {
+			deepest = len(s.heap)
+		}
+	}
+	if deepest > 2 {
+		t.Errorf("heap grew to %d slots, want at most 2", deepest)
+	}
+	if len(fired) != entries-cancelled || s.Fired() != uint64(1+entries-cancelled) {
+		t.Fatalf("%d entries fired, Fired = %d, want %d and %d", len(fired), s.Fired(), entries-cancelled, 1+entries-cancelled)
+	}
+	for k := 1; k < len(fired); k++ {
+		if fired[k] <= fired[k-1] {
+			t.Fatalf("entry %d fired after entry %d", fired[k], fired[k-1])
+		}
+	}
+	for _, i := range fired {
+		if !handles[i].Cancelled() {
+			t.Fatalf("entry %d still reports live after firing", i)
+		}
+		if i == 0 || i%20 == 9 || i%20 == 14 {
+			t.Fatalf("cancelled entry %d fired", i)
+		}
+	}
+}
+
 // TestTimerHoldsOneNode: however often a timer is pushed back, or stopped and
 // re-armed, it occupies one heap entry and leaves no dead ones behind.
 func TestTimerHoldsOneNode(t *testing.T) {

@@ -1,15 +1,99 @@
 package tcp
 
+import (
+	"math/bits"
+
+	"hydranet/internal/frame"
+)
+
+// bufPool is a stack's supply of socket-buffer backing arrays: LIFO free
+// lists, one per power-of-two capacity. Connections draw their send and
+// receive arrays and the private copies of out-of-order segments from it and
+// hand them back as they outgrow or finish with them, so a stack that opens
+// and closes connections at a steady rate allocates no buffer at all.
+//
+// Ownership: an array belongs to whoever took it until that owner puts it
+// back, and put ends every claim on it — slices of a socket buffer (what
+// bytesFrom returns, a receiver's live bytes) are only good until the owning
+// connection next appends to, deposits into or releases that buffer. In
+// frame-pool poison mode a returned array is scribbled, so a reader that
+// outstays that sees 0xDB. A pool belongs to one stack and is never shared:
+// Nets run on several goroutines (internal/sweep).
+type bufPool struct {
+	free   [maxBufClass - minBufClass + 1][][]byte
+	frames *frame.Pool // whose poison mode this pool follows
+}
+
+// Arrays of 1<<minBufClass … 1<<maxBufClass bytes are pooled; larger ones
+// (socket buffers beyond 512 KiB) are left to the collector.
+const (
+	minBufClass = 6
+	maxBufClass = 20
+)
+
+// get returns an array of length size. Its capacity is size rounded up to the
+// next power of two, so it finds its way back to the list it came from.
+func (p *bufPool) get(size int) []byte {
+	k := minBufClass
+	if size > 1<<minBufClass {
+		k = bits.Len(uint(size - 1))
+	}
+	if k > maxBufClass {
+		return make([]byte, size)
+	}
+	list := &p.free[k-minBufClass]
+	if n := len(*list); n > 0 {
+		b := (*list)[n-1]
+		(*list)[n-1] = nil
+		*list = (*list)[:n-1]
+		return b[:size]
+	}
+	return make([]byte, size, 1<<k)
+}
+
+// put takes back an array obtained from get. Anything else — the nil array
+// of a queue that never grew, one too large to pool — is dropped.
+func (p *bufPool) put(b []byte) {
+	k := bits.Len(uint(cap(b))) - 1
+	if k < minBufClass || k > maxBufClass || cap(b) != 1<<k {
+		return
+	}
+	b = b[:cap(b)]
+	if p.frames.Poisoned() {
+		for i := range b {
+			b[i] = 0xDB
+		}
+	}
+	p.free[k-minBufClass] = append(p.free[k-minBufClass], b)
+}
+
+// markArrays is the array source of the one queue that does not pool: the
+// write-boundary marks of a segment-per-write send buffer.
+var markArrays arraySource[Seq] = heapSeqs{}
+
+type heapSeqs struct{}
+
+func (heapSeqs) get(size int) []Seq { return make([]Seq, size) }
+func (heapSeqs) put([]Seq)          {}
+
+// arraySource is where a fifo gets its backing arrays: a *bufPool for bytes,
+// markArrays for marks.
+type arraySource[T any] interface {
+	get(size int) []T
+	put([]T)
+}
+
 // fifo is a first-in-first-out queue whose live elements always form one
 // contiguous slice of a single backing array, so readers get a plain []T
 // and steady-state traffic allocates nothing.
 //
 // Layout: live = store[off : off+len(live)]. drop advances off; extend
 // appends in place while the tail has room and otherwise slides the live
-// elements to the front of the array. The array grows geometrically to at
-// most twice the queue's maximum length; from then on a slide only happens
-// once at least as many elements have been dropped as it copies, so the
-// amortised cost is at most one copied element per element queued.
+// elements to the front of the array. The array grows geometrically, in
+// powers of two, to at most twice the queue's maximum length; from then on a
+// slide only happens once at least as many elements have been dropped as it
+// copies, so the amortised cost is at most one copied element per element
+// queued.
 type fifo[T any] struct {
 	store []T
 	live  []T
@@ -20,28 +104,36 @@ const fifoMinStore = 512
 
 // extend grows the queue by n elements and returns the new (stale-valued)
 // tail for the caller to fill. max is the most elements the queue ever holds;
-// the caller guarantees len(live)+n <= max.
-func (q *fifo[T]) extend(n, max int) []T {
+// the caller guarantees len(live)+n <= max. A larger backing array, when one
+// is needed, comes from src, and the outgrown one goes back there.
+func (q *fifo[T]) extend(n, max int, src arraySource[T]) []T {
 	need := len(q.live) + n
 	if cap(q.live) < need {
 		if len(q.store) < 2*need {
-			size := 2 * len(q.store)
-			if size < 2*need {
-				size = 2 * need
-			}
-			if size < fifoMinStore {
-				size = fifoMinStore
+			size := fifoMinStore
+			for size < 2*need {
+				size *= 2
 			}
 			if size > 2*max {
 				size = 2 * max
 			}
-			q.store = make([]T, size)
+			old := q.store
+			q.store = src.get(size)
+			q.live = q.store[:copy(q.store, q.live)]
+			src.put(old)
+		} else {
+			// copy handles the overlap when sliding within the same array.
+			q.live = q.store[:copy(q.store, q.live)]
 		}
-		// copy handles the overlap when sliding within the same array.
-		q.live = q.store[:copy(q.store, q.live)]
 	}
 	q.live = q.live[:need]
 	return q.live[need-n:]
+}
+
+// release hands the backing array to src, dropping anything still queued.
+func (q *fifo[T]) release(src arraySource[T]) {
+	src.put(q.store)
+	*q = fifo[T]{}
 }
 
 // drop removes the n oldest elements. An emptied queue restarts at the front
@@ -60,6 +152,7 @@ type sendBuffer struct {
 	base Seq // sequence number of the first buffered byte
 	data fifo[byte]
 	cap  int
+	pool *bufPool
 
 	// marking preserves application write boundaries: when set, each
 	// append records the end of the write, and bytesFrom never returns a
@@ -70,17 +163,19 @@ type sendBuffer struct {
 	marks   fifo[Seq] // ends of writes, ascending; at most one per buffered byte
 }
 
-func newSendBuffer(capacity int) *sendBuffer {
-	return &sendBuffer{cap: capacity}
+func (b *sendBuffer) init(capacity int, pool *bufPool) {
+	b.cap, b.pool = capacity, pool
 }
 
 // setBase initializes the starting sequence number (ISS+1).
 func (b *sendBuffer) setBase(s Seq) { b.base = s }
 
-// release frees the backing arrays of a connection that will send nothing
-// more (one lingering in TIME-WAIT), dropping anything still buffered.
+// release gives up the backing arrays of a connection that will send nothing
+// more (one entering TIME-WAIT, or terminated), dropping anything still
+// buffered.
 func (b *sendBuffer) release() {
-	b.data, b.marks = fifo[byte]{}, fifo[Seq]{}
+	b.data.release(b.pool)
+	b.marks = fifo[Seq]{}
 }
 
 // append stores as much of p as fits and returns how many bytes it took.
@@ -94,9 +189,9 @@ func (b *sendBuffer) append(p []byte) int {
 	if n <= 0 {
 		return 0
 	}
-	copy(b.data.extend(n, b.cap), p)
+	copy(b.data.extend(n, b.cap, b.pool), p)
 	if b.marking {
-		b.marks.extend(1, b.cap)[0] = b.endSeq()
+		b.marks.extend(1, b.cap, markArrays)[0] = b.endSeq()
 	}
 	return n
 }
@@ -168,7 +263,7 @@ func (b *sendBuffer) free() int { return b.cap - b.len() }
 // aliases the delivered segment's payload (which in turn aliases a pooled
 // fabric frame). A range that outlives the delivery event is copied into a
 // private buffer, own, which data then points into; own goes back to the
-// receiver's spare list when the range is deposited.
+// stack's buffer pool when the range is deposited.
 type oooRange struct {
 	seq  Seq
 	data []byte
@@ -186,14 +281,33 @@ type receiver struct {
 	rcvNxt    Seq        // next byte to deposit == ACK number we advertise
 	pending   []oooRange // ascending seq; equal seqs in arrival order
 	deposited fifo[byte]
-	spare     [][]byte // private buffers of deposited ranges, for privatize
+	pool      *bufPool
 	cap       int
 	finSeq    Seq // sequence number of a received FIN, valid if finSet
 	finSet    bool
+
+	// pendingArr backs pending until more ranges wait at once than it holds:
+	// in-order traffic keeps one, a gated replica one per segment in flight.
+	pendingArr [2]oooRange
 }
 
-func newReceiver(capacity int) *receiver {
-	return &receiver{cap: capacity}
+func (r *receiver) init(capacity int, pool *bufPool) {
+	r.cap, r.pool = capacity, pool
+	r.pending = r.pendingArr[:0]
+}
+
+// release gives up everything only an open connection needs: ranges that
+// will never be deposited and, if the application has read all there is, the
+// socket buffer. Unread bytes stay readable.
+func (r *receiver) release() {
+	for i, rg := range r.pending {
+		r.pool.put(rg.own)
+		r.pending[i] = oooRange{}
+	}
+	r.pending = r.pendingArr[:0]
+	if r.readable() == 0 {
+		r.deposited.release(r.pool)
+	}
 }
 
 // setNext initializes the deposit cursor (peer ISS+1).
@@ -259,29 +373,11 @@ func (r *receiver) insert(seq Seq, data []byte) bool {
 func (r *receiver) privatize() {
 	for i := range r.pending {
 		if rg := &r.pending[i]; rg.own == nil {
-			rg.own = r.spareBuf(len(rg.data))
-			rg.data = rg.own[:copy(rg.own, rg.data)]
+			rg.own = r.pool.get(len(rg.data))
+			copy(rg.own, rg.data)
+			rg.data = rg.own
 		}
 	}
-}
-
-// spareBuf returns a buffer of at least n bytes: the most recently freed
-// one if it is large enough, else a new one (rounded up so that a stream of
-// similar-sized segments keeps reusing the same buffers).
-func (r *receiver) spareBuf(n int) []byte {
-	if k := len(r.spare); k > 0 {
-		b := r.spare[k-1]
-		r.spare[k-1] = nil
-		r.spare = r.spare[:k-1]
-		if cap(b) >= n {
-			return b[:cap(b)]
-		}
-	}
-	size := 64
-	for size < n {
-		size *= 2
-	}
-	return make([]byte, size)
 }
 
 // contiguousEnd returns the highest sequence number reachable from rcvNxt
@@ -319,7 +415,7 @@ func (r *receiver) depositUpTo(limit Seq) int {
 	if want <= 0 {
 		return 0
 	}
-	out := r.deposited.extend(want, r.cap)
+	out := r.deposited.extend(want, r.cap, r.pool)
 	target := r.rcvNxt.Add(want)
 	for _, rg := range r.pending {
 		// Copy the overlap of rg with [rcvNxt, target).
@@ -340,7 +436,7 @@ func (r *receiver) depositUpTo(limit Seq) int {
 		e := rg.seq.Add(len(rg.data))
 		if e.LEQ(r.rcvNxt) {
 			if rg.own != nil {
-				r.spare = append(r.spare, rg.own)
+				r.pool.put(rg.own)
 			}
 			continue
 		}

@@ -6,7 +6,23 @@ import (
 	"sort"
 	"testing"
 	"testing/quick"
+
+	"hydranet/internal/frame"
 )
+
+func newTestPool() *bufPool { return &bufPool{frames: frame.NewPool()} }
+
+func newSendBuffer(capacity int) *sendBuffer {
+	b := new(sendBuffer)
+	b.init(capacity, newTestPool())
+	return b
+}
+
+func newReceiver(capacity int) *receiver {
+	r := new(receiver)
+	r.init(capacity, newTestPool())
+	return r
+}
 
 func TestSendBufferAppendAckRead(t *testing.T) {
 	b := newSendBuffer(10)
@@ -251,10 +267,11 @@ func TestReceiverWraparoundSequence(t *testing.T) {
 func TestFifoSlideAndGrowth(t *testing.T) {
 	const max = 1000
 	var q fifo[byte]
+	pool := newTestPool()
 	var model []byte
 	next := byte(0)
 	push := func(n int) {
-		tail := q.extend(n, max)
+		tail := q.extend(n, max, pool)
 		for i := range tail {
 			tail[i] = next
 			model = append(model, next)
@@ -304,7 +321,7 @@ func TestFifoSlideAndGrowth(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	allocs := testing.AllocsPerRun(200, func() {
 		q.drop(rng.Intn(len(q.live)) + 1)
-		q.extend(rng.Intn(max-len(q.live))+1, max)
+		q.extend(rng.Intn(max-len(q.live))+1, max, pool)
 	})
 	if allocs != 0 {
 		t.Fatalf("steady-state extend/drop allocates %.1f times per round", allocs)
@@ -489,14 +506,75 @@ func TestReceiverDepositInPlace(t *testing.T) {
 	if len(r.deposited.store) > 2*capacity {
 		t.Fatalf("socket buffer array is %d, bound 2×cap = %d", len(r.deposited.store), 2*capacity)
 	}
-	if len(r.spare) == 0 {
-		t.Fatal("no spare private buffers after the run — deposited ranges are not being recycled")
+	// The private copies went back to the pool, where the next segment of
+	// the size found them — as did the socket-buffer arrays outgrown on the
+	// way to 2×cap.
+	spare, total := 0, 0
+	for _, list := range r.pool.free {
+		for _, b := range list {
+			spare++
+			total += cap(b)
+		}
 	}
-	total := 0
-	for _, b := range r.spare {
-		total += cap(b)
+	if spare == 0 {
+		t.Fatal("the pool is empty after the run — deposited ranges are not being recycled")
 	}
 	if total > 4*capacity {
-		t.Fatalf("spare list holds %d bytes for a %d-byte window — buffers are not being reused", total, capacity)
+		t.Fatalf("the pool holds %d bytes for a %d-byte window — buffers are not being reused", total, capacity)
+	}
+}
+
+// TestBufPoolClasses: an array comes back to the request size that produced
+// it whatever that size was, never to a larger one; what the pool did not
+// hand out it does not take in.
+func TestBufPoolClasses(t *testing.T) {
+	p := newTestPool()
+	for _, size := range []int{1, 64, 65, 512, 1000, 1024, 2000, 32768, 1 << maxBufClass} {
+		b := p.get(size)
+		class := 1 << minBufClass
+		for class < size {
+			class *= 2
+		}
+		if len(b) != size || cap(b) != class {
+			t.Fatalf("get(%d) returned len %d cap %d, want cap %d", size, len(b), cap(b), class)
+		}
+		b[0], b[size-1] = 0xAA, 0xBB
+		p.put(b)
+		again := p.get(size)
+		if &again[0] != &b[0] {
+			t.Errorf("get(%d) after put allocated a new array", size)
+		}
+		if larger := p.get(2 * cap(b)); len(larger) > 0 && &larger[0] == &b[0] {
+			t.Errorf("a %d-byte array served a request for %d", cap(b), 2*cap(b))
+		}
+	}
+	p = newTestPool()
+	p.put(nil)
+	p.put(make([]byte, 100))               // not a power of two: not ours
+	p.put(make([]byte, 2<<maxBufClass))    // too large to keep
+	p.put(p.get(1<<maxBufClass + 1)[:100]) // get does not pool this size either
+	for k, list := range p.free {
+		if len(list) != 0 {
+			t.Errorf("class %d holds %d foreign arrays", k+minBufClass, len(list))
+		}
+	}
+}
+
+// TestBufPoolPoison: in frame-pool poison mode an array is scribbled on its
+// way back, so a slice that outlived its buffer reads 0xDB.
+func TestBufPoolPoison(t *testing.T) {
+	p := newTestPool()
+	b := newSendBuffer(4096)
+	b.pool = p
+	b.setBase(0)
+	b.append([]byte("still referenced after release"))
+	stale := b.bytesFrom(0, 5)
+	p.frames.SetPoison(true)
+	b.release()
+	if want := []byte{0xDB, 0xDB, 0xDB, 0xDB, 0xDB}; !bytes.Equal(stale, want) {
+		t.Fatalf("stale slice reads %q after release under poison, want 0xDB bytes", stale)
+	}
+	if b.len() != 0 || b.free() != 4096 || b.bytesFrom(0, 5) != nil {
+		t.Fatal("released send buffer is not empty")
 	}
 }

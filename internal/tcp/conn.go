@@ -52,6 +52,16 @@ type Endpoint struct {
 // String renders addr:port.
 func (e Endpoint) String() string { return fmt.Sprintf("%s:%d", e.Addr, e.Port) }
 
+// Before orders endpoints by address, then port. Walks over connections that
+// have side effects (a reset, a reconfiguration) go in this order, never in
+// map order.
+func (e Endpoint) Before(o Endpoint) bool {
+	if e.Addr != o.Addr {
+		return e.Addr < o.Addr
+	}
+	return e.Port < o.Port
+}
+
 // Errors surfaced through the OnClosed callback.
 var (
 	ErrReset      = errors.New("tcp: connection reset by peer")
@@ -62,40 +72,42 @@ var (
 )
 
 // ConnHooks are the ft-TCP extension points (paper Section 4). A plain TCP
-// endpoint leaves all fields nil. The HydraNet-FT core installs them on
-// replica-side connections.
-type ConnHooks struct {
+// endpoint has none. The HydraNet-FT core attaches its per-connection chain
+// state to replica-side connections through this interface; every method is
+// consulted at the moment its event occurs, so a change of role or chain
+// position takes effect without re-installing anything.
+type ConnHooks interface {
 	// SuppressTransmit is consulted before each segment reaches the wire.
 	// Returning true diverts the segment: it is not transmitted, but the
 	// connection state advances as if it were. Backup replicas use this to
 	// strip segments to their flow-control fields for the acknowledgment
 	// channel. seg is the connection's scratch, valid only for the call.
-	SuppressTransmit func(seg *Segment) bool
+	SuppressTransmit(seg *Segment) bool
 	// DepositLimit bounds rcvNxt: bytes at or above the limit stay pending
-	// and unacknowledged. Absent (ok=false) means unlimited. This realizes
-	// the paper's rule that server Si deposits byte k only after S(i+1)
+	// and unacknowledged. ok=false means unlimited. This realizes the
+	// paper's rule that server Si deposits byte k only after S(i+1)
 	// acknowledged past k.
-	DepositLimit func() (limit Seq, ok bool)
+	DepositLimit() (limit Seq, ok bool)
 	// SendLimit bounds sndNxt the same way for the outbound stream.
-	SendLimit func() (limit Seq, ok bool)
+	SendLimit() (limit Seq, ok bool)
 	// OnPeerRetransmit fires when the peer demonstrably retransmitted
 	// (data wholly below rcvNxt, or a duplicate SYN). It feeds the
 	// low-latency failure estimator.
-	OnPeerRetransmit func()
+	OnPeerRetransmit()
 	// OnRTO fires when this endpoint's own retransmission timer expires —
 	// the server-push-direction analogue of OnPeerRetransmit: a replica
 	// retransmitting repeatedly without progress means the flow-control
 	// loop is broken somewhere even if the client has nothing to send.
-	OnRTO func()
+	OnRTO()
 	// OnAckProgress fires when an acknowledgment advances sndUna: the
 	// outbound loop is healthy, so the failure estimator resets.
-	OnAckProgress func()
+	OnAckProgress()
 	// OnDeposit fires after rcvNxt advances, so a replica can forward its
 	// new flow-control state up the acknowledgment channel.
-	OnDeposit func()
+	OnDeposit()
 	// OnClosed fires when the connection terminates for any reason,
 	// independent of the application's OnClosed callback.
-	OnClosed func(err error)
+	OnClosed(err error)
 }
 
 // ConnStats counts per-connection protocol events.
@@ -126,7 +138,8 @@ func (s *ConnStats) accumulate(o ConnStats) {
 	s.PeerRetransmits += o.PeerRetransmits
 }
 
-// Conn is one TCP endpoint.
+// Conn is one TCP endpoint, and one allocation: the bookkeeping of its
+// buffers, the RTO estimator and the timers are embedded by value.
 type Conn struct {
 	stack  *Stack
 	local  Endpoint
@@ -139,7 +152,7 @@ type Conn struct {
 	sndNxt    Seq
 	sndMax    Seq // highest sequence ever sent (for Karn under go-back-N)
 	sndWnd    int
-	sndBuf    *sendBuffer
+	sndBuf    sendBuffer
 	finQueued bool
 	finSent   bool
 	mss       int
@@ -153,14 +166,14 @@ type Conn struct {
 
 	// Receive sequence space.
 	irs Seq
-	rcv *receiver
+	rcv receiver
 
 	// Timers and RTT.
 	rtx          sim.Timer
 	delack       sim.Timer
 	persist      sim.Timer
-	timewait     sim.Timer
-	rto          *rtoEstimator
+	timeWait     sim.Event // this connection's entry in the stack's TIME-WAIT lane
+	rto          rtoEstimator
 	rttSeq       Seq
 	rttAt        time.Duration
 	rttPending   bool
@@ -199,21 +212,31 @@ func newConn(st *Stack, local, remote Endpoint) *Conn {
 		local:             local,
 		remote:            remote,
 		state:             StateClosed,
-		sndBuf:            newSendBuffer(st.cfg.SendBufSize),
-		rcv:               newReceiver(st.cfg.RecvBufSize),
 		mss:               st.cfg.MSS,
-		sndWnd:            0,
-		rto:               newRTOEstimator(st.cfg.InitialRTO, st.cfg.MinRTO, st.cfg.MaxRTO),
+		rto:               rtoEstimator{rto: st.cfg.InitialRTO, minRTO: st.cfg.MinRTO, maxRTO: st.cfg.MaxRTO},
 		lastAdvertisedWnd: st.cfg.RecvBufSize,
 	}
+	c.sndBuf.init(st.cfg.SendBufSize, &st.bufs)
+	c.rcv.init(st.cfg.RecvBufSize, &st.bufs)
 	c.cwnd = st.cfg.InitialCwnd * c.mss
 	c.ssthresh = 64 * 1024
-	c.rtx.Init(st.sched, c.onRetransmitTimeout)
-	c.delack.Init(st.sched, c.onDelayedAck)
-	c.persist.Init(st.sched, c.onPersist)
-	c.timewait.Init(st.sched, c.onTimeWaitDone)
+	c.rtx.InitHandler(st.sched, (*rtxExpiry)(c))
+	c.delack.InitHandler(st.sched, (*delackExpiry)(c))
+	c.persist.InitHandler(st.sched, (*persistExpiry)(c))
 	return c
 }
+
+// A *Conn converted to one of these types is the sim.Handler of the timer
+// named: a callback per timer without a closure per timer and connection.
+type (
+	rtxExpiry     Conn
+	delackExpiry  Conn
+	persistExpiry Conn
+)
+
+func (c *rtxExpiry) OnTimer()     { (*Conn)(c).onRetransmitTimeout() }
+func (c *delackExpiry) OnTimer()  { (*Conn)(c).sendAck() }
+func (c *persistExpiry) OnTimer() { (*Conn)(c).onPersist() }
 
 // Local returns the connection's local endpoint (a virtual-host address on
 // HydraNet host servers).
@@ -265,11 +288,8 @@ func (c *Conn) SetNoDelay(on bool) { c.noDelay = on }
 // into two segments; callers that care should check WriteFree first.
 func (c *Conn) SetSegmentPerWrite(on bool) { c.sndBuf.marking = on }
 
-// SetHooks installs or replaces the ft-TCP hooks.
+// SetHooks attaches the ft-TCP hooks (nil detaches them).
 func (c *Conn) SetHooks(h ConnHooks) { c.hooks = h }
-
-// Hooks returns the installed hooks.
-func (c *Conn) Hooks() ConnHooks { return c.hooks }
 
 // OnConnected registers the callback fired when the handshake completes.
 func (c *Conn) OnConnected(fn func()) { c.onConnected = fn }
@@ -466,14 +486,14 @@ func (c *Conn) sendSynAck() {
 // --- Output path ----------------------------------------------------------
 
 func (c *Conn) sendLimit() (Seq, bool) {
-	if c.hooks.SendLimit == nil {
+	if c.hooks == nil {
 		return 0, false
 	}
 	return c.hooks.SendLimit()
 }
 
 func (c *Conn) depositLimit() (Seq, bool) {
-	if c.hooks.DepositLimit == nil {
+	if c.hooks == nil {
 		return 0, false
 	}
 	return c.hooks.DepositLimit()
@@ -665,10 +685,6 @@ func (c *Conn) scheduleAck() {
 	c.delack.Reset(c.stack.cfg.DelayedAckTimeout)
 }
 
-func (c *Conn) onDelayedAck() {
-	c.sendAck()
-}
-
 // sendSegment finalizes ports and hands the segment to the wire, honouring
 // the suppression hook. The segment travels in the connection's scratch, so
 // the hook and the stack's trace func see a pointer that is valid only for
@@ -678,7 +694,7 @@ func (c *Conn) sendSegment(s Segment) {
 	*seg = s
 	seg.SrcPort = c.local.Port
 	seg.DstPort = c.remote.Port
-	if c.hooks.SuppressTransmit != nil && c.hooks.SuppressTransmit(seg) {
+	if c.hooks != nil && c.hooks.SuppressTransmit(seg) {
 		c.stats.SegsSuppressed++
 		return
 	}
@@ -717,7 +733,7 @@ func (c *Conn) onRetransmitTimeout() {
 		c.terminate(ErrTimeout)
 		return
 	}
-	if c.hooks.OnRTO != nil {
+	if c.hooks != nil {
 		c.hooks.OnRTO()
 	}
 	// Collapse the congestion window (Tahoe-style on timeout).
@@ -785,13 +801,30 @@ func (c *Conn) noteRetransmit(seq Seq) {
 
 // --- Termination ----------------------------------------------------------
 
+// enterTimeWait parks the connection for 2MSL holding only what the wait
+// needs: everything sent is acknowledged and everything the peer sent is
+// deposited, so the buffers go back to the stack.
 func (c *Conn) enterTimeWait() {
 	c.state = StateTimeWait
 	c.rtx.Stop()
 	c.delack.Stop()
 	c.persist.Stop()
-	c.sndBuf.release() // everything, FIN included, is acknowledged
-	c.timewait.Reset(c.stack.cfg.TimeWaitDuration)
+	c.sndBuf.release()
+	c.rcv.release()
+	c.startTimeWait()
+}
+
+// startTimeWait (re)starts the 2MSL wait: a new entry at the tail of the
+// stack's TIME-WAIT lane, the superseded one cancelled where it waits. It
+// consumes one scheduler sequence number, as re-arming a timer would.
+func (c *Conn) startTimeWait() {
+	c.timeWait.Cancel()
+	st := c.stack
+	wait := st.cfg.TimeWaitDuration
+	if wait < 0 {
+		wait = 0
+	}
+	c.timeWait = st.timeWait.At(st.sched, st.sched.Now()+wait, c.onTimeWaitDone)
 }
 
 func (c *Conn) onTimeWaitDone() {
@@ -808,12 +841,14 @@ func (c *Conn) terminate(err error) {
 	c.rtx.Stop()
 	c.delack.Stop()
 	c.persist.Stop()
-	c.timewait.Stop()
+	c.timeWait.Cancel()
 	if c.keepalive != nil {
 		c.keepalive.Stop()
 	}
+	c.sndBuf.release()
+	c.rcv.release()
 	c.stack.removeConn(c)
-	if c.hooks.OnClosed != nil {
+	if c.hooks != nil {
 		c.hooks.OnClosed(err)
 	}
 	if c.onClosed != nil {

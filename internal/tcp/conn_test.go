@@ -455,6 +455,19 @@ func TestRetransmissionTimeoutGivesUp(t *testing.T) {
 	_ = srvConn
 }
 
+// closedGate is a ConnHooks whose deposit gate never opens and which does
+// nothing else.
+type closedGate struct{ c *Conn }
+
+func (g closedGate) DepositLimit() (Seq, bool)    { return g.c.RcvNxt(), true }
+func (closedGate) SendLimit() (Seq, bool)         { return 0, false }
+func (closedGate) SuppressTransmit(*Segment) bool { return false }
+func (closedGate) OnPeerRetransmit()              {}
+func (closedGate) OnRTO()                         {}
+func (closedGate) OnAckProgress()                 {}
+func (closedGate) OnDeposit()                     {}
+func (closedGate) OnClosed(error)                 {}
+
 func TestDuplicateDataCountsAsPeerRetransmit(t *testing.T) {
 	// Drop ACKs from server to client: client RTOs and resends, server
 	// must count peer retransmissions (the HydraNet-FT detector signal).
@@ -473,7 +486,7 @@ func TestDuplicateDataCountsAsPeerRetransmit(t *testing.T) {
 	}
 	// Deposit gate that never opens: server receives but cannot ACK new
 	// data, so the client retransmits on timeout.
-	srvConn.SetHooks(ConnHooks{DepositLimit: func() (Seq, bool) { return srvConn.RcvNxt(), true }})
+	srvConn.SetHooks(closedGate{srvConn})
 	c.Write([]byte("world"))
 	before := srvConn.Stats().PeerRetransmits
 	e.sched.RunUntil(5 * time.Second)

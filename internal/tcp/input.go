@@ -25,7 +25,7 @@ func (c *Conn) input(seg *Segment) {
 		if seg.Flags.Has(FlagFIN) {
 			c.notePeerRetransmit()
 			c.sendAck()
-			c.timewait.Reset(c.stack.cfg.TimeWaitDuration)
+			c.startTimeWait()
 		}
 	default:
 		c.inputEstablished(seg)
@@ -217,7 +217,7 @@ func (c *Conn) processAck(seg *Segment) {
 				Seq: uint64(uint32(ack)), Size: acked,
 			})
 		}
-		if c.hooks.OnAckProgress != nil {
+		if c.hooks != nil {
 			c.hooks.OnAckProgress()
 		}
 		if c.onWritable != nil && c.sndBuf.free() > 0 {
@@ -333,7 +333,7 @@ func (c *Conn) depositAndAck() {
 		}
 	}
 	if n > 0 || finConsumed {
-		if c.hooks.OnDeposit != nil {
+		if c.hooks != nil {
 			c.hooks.OnDeposit()
 		}
 		if finConsumed {
@@ -363,7 +363,7 @@ func (c *Conn) finAcked() {
 
 func (c *Conn) notePeerRetransmit() {
 	c.stats.PeerRetransmits++
-	if c.hooks.OnPeerRetransmit != nil {
+	if c.hooks != nil {
 		c.hooks.OnPeerRetransmit()
 	}
 }

@@ -14,10 +14,6 @@ type rtoEstimator struct {
 	minRTO, maxRTO time.Duration
 }
 
-func newRTOEstimator(initial, minRTO, maxRTO time.Duration) *rtoEstimator {
-	return &rtoEstimator{rto: initial, minRTO: minRTO, maxRTO: maxRTO}
-}
-
 // sample folds a fresh round-trip measurement into the estimate and clears
 // any backoff.
 func (e *rtoEstimator) sample(rtt time.Duration) {

@@ -131,6 +131,13 @@ type Stack struct {
 	trace     TraceFunc
 	bus       *obs.Bus
 
+	// bufs recycles socket-buffer arrays between this stack's connections.
+	bufs bufPool
+	// timeWait queues the 2MSL expiry of every connection in TIME-WAIT. They
+	// all wait cfg.TimeWaitDuration, so their deadlines never decrease and
+	// the whole population holds one scheduler heap slot.
+	timeWait sim.Lane
+
 	// Scratch segments: rx holds the segment being delivered, tx the
 	// stack's own transmissions (resets for segments matching no socket;
 	// connections send through a scratch of their own). Both are valid only
@@ -155,8 +162,9 @@ func NewStack(ip *ipv4.Stack, cfg Config) *Stack {
 		cfg:       DefaultConfig(cfg),
 		conns:     make(map[connKey]*Conn),
 		listeners: make(map[Endpoint]*Listener),
-		ephemeral: 49152,
+		ephemeral: firstEphemeral,
 	}
+	s.bufs.frames = ip.Node().Pool()
 	ip.RegisterProto(ipv4.ProtoTCP, s)
 	return s
 }
@@ -252,28 +260,39 @@ func (s *Stack) Connect(localAddr ipv4.Addr, remote Endpoint) (*Conn, error) {
 		}
 		localAddr = s.ip.Addr(ifindex)
 	}
-	local := Endpoint{Addr: localAddr, Port: s.allocEphemeral()}
-	key := connKey{local: local, remote: remote}
-	if _, exists := s.conns[key]; exists {
-		return nil, fmt.Errorf("tcp: connection %v-%v exists", local, remote)
+	local := Endpoint{Addr: localAddr, Port: s.allocEphemeral(localAddr, remote)}
+	if local.Port == 0 {
+		return nil, fmt.Errorf("tcp: no free port for a connection %s-%s", localAddr, remote)
 	}
 	c := newConn(s, local, remote)
-	s.conns[key] = c
+	s.conns[connKey{local: local, remote: remote}] = c
 	c.open()
 	return c, nil
 }
 
-func (s *Stack) allocEphemeral() uint16 {
-	for {
+// firstEphemeral starts the dynamic port range (RFC 6335), which runs to
+// 65535.
+const firstEphemeral = 49152
+
+// allocEphemeral returns the next port of the dynamic range, in rotation,
+// that has neither a listener nor a live connection — TIME-WAIT included —
+// from localAddr to remote, or 0 when the whole range is taken.
+func (s *Stack) allocEphemeral(localAddr ipv4.Addr, remote Endpoint) uint16 {
+	for tried := 0; tried <= 0xffff-firstEphemeral; tried++ {
 		s.ephemeral++
-		if s.ephemeral < 49152 {
-			s.ephemeral = 49152
+		if s.ephemeral < firstEphemeral {
+			s.ephemeral = firstEphemeral
 		}
-		// Skip ports with active listeners or connections.
-		if _, busy := s.listeners[Endpoint{Port: s.ephemeral}]; !busy {
-			return s.ephemeral
+		if _, busy := s.listeners[Endpoint{Port: s.ephemeral}]; busy {
+			continue
 		}
+		local := Endpoint{Addr: localAddr, Port: s.ephemeral}
+		if _, busy := s.conns[connKey{local: local, remote: remote}]; busy {
+			continue
+		}
+		return s.ephemeral
 	}
+	return 0
 }
 
 // DeliverIP implements ipv4.ProtocolHandler.
@@ -375,15 +394,9 @@ func (s *Stack) Conns() []*Conn {
 	sort.Slice(out, func(i, j int) bool {
 		a, b := out[i], out[j]
 		if a.local != b.local {
-			if a.local.Addr != b.local.Addr {
-				return a.local.Addr < b.local.Addr
-			}
-			return a.local.Port < b.local.Port
+			return a.local.Before(b.local)
 		}
-		if a.remote.Addr != b.remote.Addr {
-			return a.remote.Addr < b.remote.Addr
-		}
-		return a.remote.Port < b.remote.Port
+		return a.remote.Before(b.remote)
 	})
 	return out
 }

@@ -1,6 +1,7 @@
 package tcp
 
 import (
+	"bytes"
 	"errors"
 	"math/rand"
 	"testing"
@@ -264,5 +265,236 @@ func TestStackStatsProgress(t *testing.T) {
 	cs, ss := e.client.Stats(), e.server.Stats()
 	if cs.SegsOut == 0 || cs.SegsIn == 0 || ss.SegsOut == 0 || ss.SegsIn == 0 {
 		t.Fatalf("stats not counting: client=%+v server=%+v", cs, ss)
+	}
+}
+
+// --- TIME-WAIT rows of the RFC 793 state table -------------------------------
+
+// timeWaitPair closes an established pair from the client side first, so the
+// client ends in TIME-WAIT and the server in CLOSED, and returns the instant
+// the client entered TIME-WAIT.
+func timeWaitPair(t *testing.T, msl2 time.Duration) (e *env, cli, srv *Conn, entered time.Duration) {
+	t.Helper()
+	e, cli, srv = establishedPair(t, Config{TimeWaitDuration: msl2})
+	cli.Close()
+	e.sched.RunUntil(e.sched.Now() + 100*time.Millisecond)
+	srv.Close()
+	for cli.State() != StateTimeWait {
+		if !e.sched.Step() {
+			t.Fatalf("client never reached TIME-WAIT (state %v)", cli.State())
+		}
+	}
+	return e, cli, srv, e.sched.Now()
+}
+
+// TestTimeWaitRows drives one connection into TIME-WAIT per row, applies the
+// row's stimulus one second in, and checks the RFC 793 reaction: what is
+// sent, when (and whether) the 2MSL timer expires, what the application hears.
+// wantFired is Scheduler.Fired() at the end of the row as recorded on commit
+// 2659195, where TIME-WAIT was a per-connection sim.Timer: however the wait is
+// queued, it must stay exactly one event per expiry and none per restart.
+func TestTimeWaitRows(t *testing.T) {
+	const msl2 = 4 * time.Second
+	const stimulusAt = time.Second
+	// fromPeer builds a segment as the (already closed) server would send it.
+	fromPeer := func(flags Flags, payload int) func(cli, srv *Conn) *Segment {
+		return func(cli, srv *Conn) *Segment {
+			seg := &Segment{SrcPort: srv.Local().Port, DstPort: cli.Local().Port,
+				Flags: flags, Seq: srv.SndNxt(), Ack: cli.SndNxt(), Window: 8192}
+			if flags.Has(FlagFIN) {
+				seg.Seq = srv.SndNxt().Add(-1) // the FIN's own sequence number
+			}
+			if payload > 0 {
+				seg.Payload = make([]byte, payload)
+			}
+			return seg
+		}
+	}
+	rows := []struct {
+		name       string
+		segs       []func(cli, srv *Conn) *Segment // injected at +1s, +2s, …
+		reset      bool                            // Stack.Reset at +1s
+		wantAcks   int                             // segments the TIME-WAIT endpoint sends in reaction
+		wantClosed time.Duration                   // OnClosed instant, relative to TIME-WAIT entry
+		wantErr    error
+		wantFired  uint64
+	}{
+		{name: "2MSL expiry", wantClosed: msl2, wantFired: 29},
+		{name: "retransmitted FIN re-acked, wait restarts", segs: []func(cli, srv *Conn) *Segment{fromPeer(FlagFIN|FlagACK, 0)},
+			wantAcks: 1, wantClosed: stimulusAt + msl2, wantFired: 37},
+		{name: "two retransmitted FINs: expiry 2MSL after the last", segs: []func(cli, srv *Conn) *Segment{
+			fromPeer(FlagFIN|FlagACK, 0), fromPeer(FlagFIN|FlagACK, 0)},
+			wantAcks: 2, wantClosed: 2*stimulusAt + msl2, wantFired: 45},
+		{name: "data ignored", segs: []func(cli, srv *Conn) *Segment{fromPeer(FlagACK|FlagPSH, 100)},
+			wantClosed: msl2, wantFired: 29},
+		{name: "RST ignored", segs: []func(cli, srv *Conn) *Segment{fromPeer(FlagRST|FlagACK, 0)},
+			wantClosed: msl2, wantFired: 29},
+		{name: "Stack.Reset", reset: true, wantClosed: stimulusAt, wantErr: ErrReset, wantFired: 28},
+	}
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			e, cli, srv, entered := timeWaitPair(t, msl2)
+			var closedAt []time.Duration
+			var closedErr error
+			cli.OnClosed(func(err error) { closedAt, closedErr = append(closedAt, e.sched.Now()-entered), err })
+			late := 0 // application callbacks after the connection closed
+			cli.OnReadable(func() { late++ })
+			cli.OnWritable(func() { late++ })
+			sent := 0
+			e.client.SetTrace(func(dir string, _, _ Endpoint, seg *Segment) {
+				if dir == "out" {
+					sent++
+					if seg.Flags != FlagACK || seg.Ack != srv.SndNxt() {
+						t.Errorf("TIME-WAIT endpoint sent %v ack %d, want a pure ACK of %d", seg.Flags, seg.Ack, srv.SndNxt())
+					}
+				}
+			})
+			for i, mk := range row.segs {
+				e.sched.RunUntil(entered + time.Duration(i+1)*stimulusAt)
+				b := mk(cli, srv).Marshal(e.serverAddr, e.clientAddr)
+				e.client.DeliverIP(&ipv4.Packet{
+					Header: ipv4.Header{TTL: 4, Proto: ipv4.ProtoTCP, Src: e.serverAddr, Dst: e.clientAddr,
+						TotalLen: ipv4.HeaderLen + len(b)},
+					Payload: b,
+				})
+				if cli.State() != StateTimeWait {
+					t.Fatalf("state %v after stimulus %d, want TIME-WAIT", cli.State(), i)
+				}
+			}
+			if row.reset {
+				e.sched.RunUntil(entered + stimulusAt)
+				e.client.Reset()
+			}
+			e.sched.RunUntil(entered + 4*msl2)
+			if len(closedAt) != 1 || closedAt[0] != row.wantClosed || !errors.Is(closedErr, row.wantErr) {
+				t.Errorf("OnClosed at %v (err %v), want exactly once at %v (err %v)", closedAt, closedErr, row.wantClosed, row.wantErr)
+			}
+			if cli.State() != StateClosed || e.client.NumConns() != 0 {
+				t.Errorf("state %v with %d connections in the table, want CLOSED and none", cli.State(), e.client.NumConns())
+			}
+			if sent != row.wantAcks {
+				t.Errorf("TIME-WAIT endpoint sent %d segments, want %d", sent, row.wantAcks)
+			}
+			if late != 0 {
+				t.Errorf("%d application callbacks after the close", late)
+			}
+			if p := e.sched.Pending(); p != 0 {
+				t.Errorf("%d events still pending", p)
+			}
+			if got := e.sched.Fired(); got != row.wantFired {
+				t.Errorf("Fired = %d, recorded on the parent commit: %d", got, row.wantFired)
+			}
+		})
+	}
+}
+
+// TestEphemeralPortSkipsLiveConnection: a client that closes first leaves
+// each port in TIME-WAIT behind it. When the allocator comes round the
+// dynamic range again, a port whose earlier connection to the same server is
+// still in TIME-WAIT must be passed over, not handed out to fail with
+// "connection exists".
+func TestEphemeralPortSkipsLiveConnection(t *testing.T) {
+	cfg := Config{TimeWaitDuration: 2 * time.Second}
+	e := newEnv(t, netsim.LinkConfig{Rate: 1_000_000_000, Delay: 5 * time.Microsecond}, cfg)
+	l, err := e.server.Listen(0, 80)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l.SetAcceptFunc(func(c *Conn) {
+		c.OnReadable(func() {
+			if c.PeerClosed() {
+				c.Close()
+			}
+		})
+	})
+	dial := func() *Conn {
+		t.Helper()
+		c, err := e.client.Connect(0, Endpoint{Addr: e.serverAddr, Port: 80})
+		if err != nil {
+			t.Fatalf("connect %d: %v", e.client.ephemeral-firstEphemeral, err)
+		}
+		e.sched.RunUntil(e.sched.Now() + 200*time.Microsecond)
+		if c.State() != StateEstablished {
+			t.Fatalf("connection from port %d: state %v", c.Local().Port, c.State())
+		}
+		return c
+	}
+	closeFirst := func(c *Conn) {
+		t.Helper()
+		c.Close()
+		e.sched.RunUntil(e.sched.Now() + 200*time.Microsecond)
+		if c.State() != StateTimeWait {
+			t.Fatalf("connection from port %d: state %v after a client-side close, want TIME-WAIT", c.Local().Port, c.State())
+		}
+	}
+	// The first connection stays open while the loop uses up the rest of the
+	// range, and closes late enough to be in TIME-WAIT at the wrap; the
+	// loop's own TIME-WAITs (2 s) have expired by then.
+	const ports = 0x10000 - firstEphemeral
+	lingering := dial()
+	for i := 1; i < ports; i++ {
+		if i == ports-100 {
+			closeFirst(lingering)
+		}
+		closeFirst(dial())
+	}
+	if lingering.State() != StateTimeWait {
+		t.Fatalf("first connection is in %v at the wrap, want TIME-WAIT — the scenario does not collide", lingering.State())
+	}
+	c := dial() // the port after the wrap is the lingering connection's
+	if c.Local().Port == lingering.Local().Port {
+		t.Fatalf("port %d handed out twice", c.Local().Port)
+	}
+	if want := lingering.Local().Port + 1; c.Local().Port != want {
+		t.Errorf("port %d after the wrap, want %d: the next free one", c.Local().Port, want)
+	}
+}
+
+// TestTimeWaitReleasesBuffers: a connection entering TIME-WAIT hands its
+// socket buffers back to the stack — the receive side only once the
+// application has read everything — and the stack's next connection gets
+// those very arrays.
+func TestTimeWaitReleasesBuffers(t *testing.T) {
+	e, cli, srv := establishedPair(t, Config{TimeWaitDuration: 10 * time.Second})
+	got := attachSink(cli)
+	cli.Write(pattern(3000))
+	srv.Write(pattern(2000))
+	e.sched.RunUntil(e.sched.Now() + time.Second)
+	sndArr, rcvArr := &cli.sndBuf.data.store[0], &cli.rcv.deposited.store[0]
+	cli.Close()
+	e.sched.RunUntil(e.sched.Now() + 100*time.Millisecond)
+	srv.Close()
+	e.sched.RunUntil(e.sched.Now() + time.Second)
+	if cli.State() != StateTimeWait || len(got.data) != 2000 {
+		t.Fatalf("client in %v with %d bytes read, want TIME-WAIT and 2000", cli.State(), len(got.data))
+	}
+	if cli.sndBuf.data.store != nil || cli.rcv.deposited.store != nil {
+		t.Fatal("TIME-WAIT connection still holds socket-buffer arrays")
+	}
+	// The server never read its 3000 bytes: they must outlive its close.
+	if srv.State() != StateClosed || srv.Readable() != 3000 {
+		t.Fatalf("server in %v with %d bytes readable, want CLOSED and 3000", srv.State(), srv.Readable())
+	}
+	buf := make([]byte, 4096)
+	if n := srv.Read(buf); n != 3000 || !bytes.Equal(buf[:n], pattern(3000)) {
+		t.Fatalf("server read %d bytes after close, or the wrong ones", n)
+	}
+
+	next, err := e.client.Connect(0, Endpoint{Addr: e.serverAddr, Port: 80})
+	if err != nil {
+		t.Fatal(err)
+	}
+	attachSink(next)
+	var srv2 *Conn
+	e.server.listeners[Endpoint{Port: 80}].SetAcceptFunc(func(c *Conn) { srv2 = c })
+	e.sched.RunUntil(e.sched.Now() + time.Second)
+	next.Write(pattern(3000))
+	srv2.Write(pattern(2000))
+	e.sched.RunUntil(e.sched.Now() + time.Second)
+	if &next.sndBuf.data.store[0] != sndArr && &next.sndBuf.data.store[0] != rcvArr {
+		t.Error("the next connection's send buffer is a fresh array, not a recycled one")
+	}
+	if &next.rcv.deposited.store[0] != sndArr && &next.rcv.deposited.store[0] != rcvArr {
+		t.Error("the next connection's receive buffer is a fresh array, not a recycled one")
 	}
 }
