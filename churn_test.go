@@ -204,6 +204,7 @@ func runChurn(t *testing.T, loss float64, crash bool) churnFingerprint {
 		t.Fatalf("%d pods still running after a virtual hour", running)
 	}
 	net.RunFor(90 * time.Second) // every TIME-WAIT, restarted or not, expires
+	requireReassemblyGuardsIdle(t, net)
 	fp.Events = net.EventsFired()
 	for _, h := range hosts {
 		fp.ConnTotals[h.Name()] = h.TCP().ConnTotals()

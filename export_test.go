@@ -33,6 +33,18 @@ func captureTopology(t *testing.T, seed int64) (*Net, *Host, *Redirector, []*Hos
 	return net, client, rd, []*Host{s0, s1}
 }
 
+// requireReassemblyGuardsIdle fails the test if a host's reassembler evicted a
+// partial datagram or dropped an oversize fragment. Both guards exist for
+// hostile fragment streams; neither may ever shape a run of honest traffic.
+func requireReassemblyGuardsIdle(t *testing.T, net *Net) {
+	t.Helper()
+	for _, h := range net.hosts {
+		if st := h.ip.Reassembly(); st.Evicted != 0 || st.Oversize != 0 {
+			t.Fatalf("%s: reassembler guards fired on honest traffic: %+v", h.Name(), st)
+		}
+	}
+}
+
 // GoldenCapture runs the FT capture scenario — deploy, stream, crash the
 // primary, recover, with a capture, a failover probe and a health-scoring
 // sampler attached — and returns its pcap and series-JSONL exports.
@@ -74,6 +86,7 @@ func GoldenCapture(t *testing.T) (pcap, series []byte) {
 		t.Fatalf("client received %d of %d bytes", *received, len(payload))
 	}
 	tel.Stop()
+	requireReassemblyGuardsIdle(t, net)
 
 	var ser bytes.Buffer
 	if err := tel.WriteJSONL(&ser); err != nil {

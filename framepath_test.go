@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"hydranet/internal/app"
+	"hydranet/internal/hostserver"
 	"hydranet/internal/ipv4"
 	"hydranet/internal/netsim"
 	"hydranet/internal/redirector"
@@ -42,9 +43,9 @@ func budgetRouter() (s *sim.Scheduler, r *ipv4.Stack, a, b ipv4.Addr) {
 	return s, r, a, b
 }
 
-func budgetTCPFrame(t *testing.T, src, dst ipv4.Addr, dstPort uint16) []byte {
+func budgetTCPFrame(t *testing.T, src, dst ipv4.Addr, dstPort uint16, payloadLen int) []byte {
 	t.Helper()
-	seg := &tcp.Segment{SrcPort: 40000, DstPort: dstPort, Seq: 1, Ack: 1, Flags: tcp.FlagACK, Window: 8192, Payload: make([]byte, 64)}
+	seg := &tcp.Segment{SrcPort: 40000, DstPort: dstPort, Seq: 1, Ack: 1, Flags: tcp.FlagACK, Window: 8192, Payload: make([]byte, payloadLen)}
 	p := &ipv4.Packet{Header: ipv4.Header{TTL: 64, Proto: ipv4.ProtoTCP, Src: src, Dst: dst, ID: 7}, Payload: seg.Marshal(src, dst)}
 	wire, err := p.Marshal()
 	if err != nil {
@@ -93,7 +94,7 @@ func TestFramePathAllocBudget(t *testing.T) {
 
 	t.Run("forward", func(t *testing.T) {
 		s, r, a, b := budgetRouter()
-		wire := budgetTCPFrame(t, a, b, 5001)
+		wire := budgetTCPFrame(t, a, b, 5001, 64)
 		hop := func() {
 			r.HandleFrame(0, wire)
 			s.Run()
@@ -112,7 +113,7 @@ func TestFramePathAllocBudget(t *testing.T) {
 		rd := redirector.New(r)
 		svc := ipv4.AddrFrom4(192, 20, 225, 20)
 		rd.SetFTReplicas(redirector.ServiceKey{Addr: svc, Port: 5001}, b, []ipv4.Addr{ipv4.AddrFrom4(10, 2, 0, 3)})
-		wire := budgetTCPFrame(t, a, svc, 5001)
+		wire := budgetTCPFrame(t, a, svc, 5001, 64)
 		hop := func() {
 			r.HandleFrame(0, wire)
 			s.Run()
@@ -123,6 +124,47 @@ func TestFramePathAllocBudget(t *testing.T) {
 		}
 		if got := rd.Stats().MulticastCopies; got < 400 {
 			t.Fatalf("only %d tunnel copies", got)
+		}
+	})
+
+	// The paper's tunnel-induced fragmentation (EXPERIMENTS.md A4): a 1500-byte
+	// client datagram no longer fits the MTU once the redirector has wrapped
+	// it, so it reaches the replica as two fragments — cut into pooled frames,
+	// reassembled in a recycled buffer, decapsulated, handed to TCP (which,
+	// having no such connection, answers with a reset through the router).
+	t.Run("tunnelled full-MSS segment", func(t *testing.T) {
+		s, r, a, b := budgetRouter()
+		na, nb := r.Node().Peer(0), r.Node().Peer(1)
+		back := &discardFrames{}
+		na.SetHandler(back)
+		svc := ipv4.AddrFrom4(192, 20, 225, 20)
+		redirector.New(r).SetFTReplicas(redirector.ServiceKey{Addr: svc, Port: 5001}, b, nil)
+		replica := ipv4.NewStack(nb, s)
+		replica.SetAddr(0, b)
+		replica.Routes().AddDefault(0)
+		hostserver.New(replica).VHost(svc)
+		replicaTCP := tcp.NewStack(replica, tcp.Config{})
+
+		wire := budgetTCPFrame(t, a, svc, 5001, 1460)
+		if len(wire) != 1500 {
+			t.Fatalf("client datagram is %d bytes, want a full 1500", len(wire))
+		}
+		hop := func() {
+			r.HandleFrame(0, wire)
+			s.Run()
+		}
+		hop()
+		if allocs := testing.AllocsPerRun(200, hop); allocs != 0 {
+			t.Errorf("a tunnelled full-MSS segment, fragmented and reassembled, allocates %.1f times, want 0", allocs)
+		}
+		if _, got, _ := nb.Stats(); got < 400 {
+			t.Fatalf("only %d frames reached the replica, want two fragments per segment", got)
+		}
+		if got := replicaTCP.Stats().SegsIn; got < 200 || back.frames < 200 {
+			t.Fatalf("TCP saw %d segments and answered %d", got, back.frames)
+		}
+		if st := replica.Reassembly(); st != (ipv4.ReassemblyStats{}) {
+			t.Fatalf("reassembler gave up on something: %+v", st)
 		}
 	})
 

@@ -12,35 +12,55 @@ import (
 
 // Echo returns everything it receives and closes when the peer closes.
 func Echo(c *tcp.Conn) {
-	var pending []byte
-	peerDone := false
-	buf := make([]byte, 4096)
-	flush := func() {
-		for len(pending) > 0 {
-			n := c.Write(pending)
-			if n == 0 {
-				return
-			}
-			pending = pending[n:]
+	e := &echo{c: c, buf: make([]byte, 4096)}
+	c.OnReadable(e.readable)
+	c.OnWritable(e.flush)
+}
+
+// echo is one Echo call's state. What has been read but not yet written
+// back is backlog[head:]. The backlog keeps one backing array: rewound
+// whenever it drains, and when it is full slid to the front if that frees at
+// least as much as it copies — else append grows it — so the array settles
+// within a small factor of the largest backlog the connection ever had, at
+// no more than one copied byte per byte echoed.
+type echo struct {
+	c        *tcp.Conn
+	buf      []byte
+	backlog  []byte
+	head     int
+	peerDone bool
+}
+
+func (e *echo) readable() {
+	for {
+		n := e.c.Read(e.buf)
+		if n == 0 {
+			break
 		}
-		if peerDone {
-			c.Close()
+		if len(e.backlog)+n > cap(e.backlog) && e.head >= len(e.backlog)-e.head {
+			e.backlog = e.backlog[:copy(e.backlog, e.backlog[e.head:])]
+			e.head = 0
 		}
+		e.backlog = append(e.backlog, e.buf[:n]...)
 	}
-	c.OnReadable(func() {
-		for {
-			n := c.Read(buf)
-			if n == 0 {
-				break
-			}
-			pending = append(pending, buf[:n]...)
+	if e.c.PeerClosed() {
+		e.peerDone = true
+	}
+	e.flush()
+}
+
+func (e *echo) flush() {
+	for e.head < len(e.backlog) {
+		n := e.c.Write(e.backlog[e.head:])
+		if n == 0 {
+			return
 		}
-		if c.PeerClosed() {
-			peerDone = true
-		}
-		flush()
-	})
-	c.OnWritable(flush)
+		e.head += n
+	}
+	e.backlog, e.head = e.backlog[:0], 0
+	if e.peerDone {
+		e.c.Close()
+	}
 }
 
 // SinkStats records what a Sink consumed.

@@ -2,6 +2,7 @@ package app
 
 import (
 	"bytes"
+	"runtime"
 	"testing"
 	"time"
 
@@ -94,5 +95,55 @@ func TestSourceOnAlreadyEstablishedConn(t *testing.T) {
 	sched.RunUntil(time.Minute)
 	if st == nil || st.Bytes != 10 {
 		t.Fatalf("late Source delivered %+v", st)
+	}
+}
+
+// TestEchoBacklogKeepsOneArray: Echo's writes are gated by a 2 KiB send
+// buffer, so every burst it reads waits in its backlog and drains a piece at
+// a time. The backlog used to be re-sliced from the front and re-allocated
+// whenever append ran out of capacity behind it — once per few KiB echoed;
+// now it is one array, and echoing four times the bytes costs no more
+// allocations.
+func TestEchoBacklogKeepsOneArray(t *testing.T) {
+	echoMallocs := func(total int) uint64 {
+		cfg := tcp.Config{SendBufSize: 2048, RecvBufSize: 2048}
+		sched, cs, ss, serverAddr := pairConn(t, cfg)
+		l, _ := ss.Listen(0, 7)
+		l.SetAcceptFunc(Echo)
+		payload := make([]byte, total)
+		for i := range payload {
+			payload[i] = byte(i * 11)
+		}
+		conn, err := cs.Connect(0, tcp.Endpoint{Addr: serverAddr, Port: 7})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, buf := 0, make([]byte, 4096)
+		conn.OnReadable(func() {
+			for {
+				n := conn.Read(buf)
+				if n == 0 {
+					return
+				}
+				if !bytes.Equal(buf[:n], payload[got:got+n]) {
+					t.Fatalf("echo corrupted after %d bytes", got)
+				}
+				got += n
+			}
+		})
+		Source(conn, payload, true)
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		sched.RunUntil(time.Hour)
+		runtime.ReadMemStats(&m1)
+		if got != total {
+			t.Fatalf("echoed %d of %d bytes", got, total)
+		}
+		return m1.Mallocs - m0.Mallocs
+	}
+	one, four := echoMallocs(1<<20), echoMallocs(4<<20)
+	t.Logf("mallocs echoing 1 MiB: %d, 4 MiB: %d", one, four)
+	if four > one+16 {
+		t.Errorf("echoing 4 MiB allocates %d times, 1 MiB %d: the backlog is being re-allocated as it drains", four, one)
 	}
 }

@@ -1,6 +1,9 @@
 package ipv4
 
-import "encoding/binary"
+import (
+	"encoding/binary"
+	"math/bits"
+)
 
 // Checksum computes the Internet checksum (RFC 1071) over data: the one's
 // complement of the one's-complement sum of all 16-bit words, padding an odd
@@ -12,35 +15,41 @@ func Checksum(data []byte) uint16 {
 // sum16 accumulates 16-bit big-endian words of data into a running 32-bit
 // partial sum, for composing checksums over header + pseudo-header + payload.
 //
-// It runs word-at-a-time: because one's-complement addition is associative
-// and 2^16 ≡ 1 (mod 65535), a big-endian 32-bit load contributes its two
-// 16-bit halves correctly once the accumulator is folded, and the same
-// argument extends the fold from 64 to 32 bits (2^32 ≡ 1 mod 65535). The
-// main loop consumes 32 bytes per iteration.
+// It runs eight bytes at a time: because one's-complement addition is
+// associative and 2^16 ≡ 1 (mod 65535), a big-endian 64-bit load contributes
+// its four 16-bit words correctly once the accumulator is folded. The loads
+// are added on one add-with-carry chain — each carry out is the next add's
+// carry in, the last one wraps around — which is addition mod 2^64-1, a
+// multiple of 65535, and like the 16-bit sum it never turns a nonzero total
+// into zero. The main loop consumes 32 bytes per iteration.
 func sum16(acc uint32, data []byte) uint32 {
-	sum := uint64(acc)
-	n := len(data)
-	i := 0
-	for ; i+32 <= n; i += 32 {
-		sum += uint64(binary.BigEndian.Uint32(data[i:]))
-		sum += uint64(binary.BigEndian.Uint32(data[i+4:]))
-		sum += uint64(binary.BigEndian.Uint32(data[i+8:]))
-		sum += uint64(binary.BigEndian.Uint32(data[i+12:]))
-		sum += uint64(binary.BigEndian.Uint32(data[i+16:]))
-		sum += uint64(binary.BigEndian.Uint32(data[i+20:]))
-		sum += uint64(binary.BigEndian.Uint32(data[i+24:]))
-		sum += uint64(binary.BigEndian.Uint32(data[i+28:]))
+	sum, c := uint64(acc), uint64(0)
+	for len(data) >= 32 {
+		sum, c = bits.Add64(sum, binary.BigEndian.Uint64(data), c)
+		sum, c = bits.Add64(sum, binary.BigEndian.Uint64(data[8:]), c)
+		sum, c = bits.Add64(sum, binary.BigEndian.Uint64(data[16:]), c)
+		sum, c = bits.Add64(sum, binary.BigEndian.Uint64(data[24:]), c)
+		data = data[32:]
 	}
-	for ; i+4 <= n; i += 4 {
-		sum += uint64(binary.BigEndian.Uint32(data[i:]))
+	for len(data) >= 8 {
+		sum, c = bits.Add64(sum, binary.BigEndian.Uint64(data), c)
+		data = data[8:]
 	}
-	if i+2 <= n {
-		sum += uint64(binary.BigEndian.Uint16(data[i:]))
-		i += 2
+	if len(data) >= 4 {
+		sum, c = bits.Add64(sum, uint64(binary.BigEndian.Uint32(data)), c)
+		data = data[4:]
 	}
-	if i < n {
-		sum += uint64(data[i]) << 8
+	if len(data) >= 2 {
+		sum, c = bits.Add64(sum, uint64(binary.BigEndian.Uint16(data)), c)
+		data = data[2:]
 	}
+	if len(data) == 1 {
+		sum, c = bits.Add64(sum, uint64(data[0])<<8, c)
+	}
+	// Wrap the last carry around; that add can carry once more (out of an
+	// all-ones sum), and the second wrap cannot.
+	sum, c = bits.Add64(sum, 0, c)
+	sum += c
 	for sum>>32 != 0 {
 		sum = sum&0xffffffff + sum>>32
 	}
@@ -85,16 +94,11 @@ func PatchTTL(wire []byte, ttl uint8) {
 // the transport segment (header + payload), whose checksum field must be
 // zero in the supplied bytes.
 func PseudoChecksum(src, dst Addr, proto uint8, segment []byte) uint16 {
-	var pseudo [12]byte
-	putAddr(pseudo[0:4], src)
-	putAddr(pseudo[4:8], dst)
-	pseudo[9] = proto
-	pseudo[10] = byte(len(segment) >> 8)
-	pseudo[11] = byte(len(segment))
-	acc := sum16(0, pseudo[:])
-	acc = sum16(acc, segment)
-	sum := ^foldSum(acc)
-	return sum
+	// The pseudo-header's six words, added as numbers: at most 4×0xffff +
+	// 0xff + 0xffff, far from overflowing the accumulator.
+	acc := uint32(src>>16) + uint32(src&0xffff) + uint32(dst>>16) + uint32(dst&0xffff) +
+		uint32(proto) + uint32(uint16(len(segment)))
+	return ^foldSum(sum16(acc, segment))
 }
 
 func putAddr(b []byte, a Addr) {

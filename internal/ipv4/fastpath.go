@@ -89,13 +89,16 @@ func (s *Stack) SendEncap(inner *Packet, host Addr) error {
 		s.node.SendFrame(ifindex, fb)
 		return nil
 	}
-	// Slow path: re-marshal the inner packet and run the outer datagram
-	// through fragmentation.
-	body, err := inner.Marshal()
-	if err != nil {
+	// Slow path: re-marshal the inner packet into the stack's staging buffer
+	// and run the outer datagram through fragmentation.
+	if err := inner.checkMarshal(innerLen); err != nil {
 		return err
 	}
-	outer.Payload = body
+	if cap(s.encap) < innerLen {
+		s.encap = make([]byte, innerLen)
+	}
+	outer.Payload = s.encap[:innerLen]
+	inner.marshalInto(outer.Payload)
 	return s.transmit(&outer, ifindex)
 }
 

@@ -3,7 +3,6 @@ package ipv4
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"time"
 
 	"hydranet/internal/sim"
@@ -13,46 +12,75 @@ import (
 // don't-fragment flag; ICMP converts it into "fragmentation needed".
 var ErrFragNeeded = errors.New("ipv4: fragmentation needed but DF set")
 
-// Fragment splits a datagram into fragments whose marshaled size fits mtu.
-// A datagram that already fits is returned unchanged (same slice). Datagrams
-// with DontFrag set that do not fit produce an error, mirroring the kernel's
-// ICMP "fragmentation needed" path.
-func Fragment(p *Packet, mtu int) ([]*Packet, error) {
-	if HeaderLen+len(p.Payload) <= mtu {
-		return []*Packet{p}, nil
-	}
-	return fragment(p, mtu)
+// fragCutter cuts a datagram that does not fit an MTU into fragments, one
+// at a time: after each next, frag is the datagram's header with that
+// piece's offset and more-fragments flag over the piece's slice of the
+// payload. Nothing is allocated — transmit marshals each frag straight into
+// its own pooled frame before asking for the next. It keeps the datagram's
+// payload and flag, not the *Packet: a pointer stored through init's receiver
+// would move every caller's Packet to the heap.
+type fragCutter struct {
+	frag  Packet
+	rest  []byte // payload still to cut
+	chunk int    // payload bytes per fragment, a multiple of 8
+	more  bool   // the datagram's own MoreFrag, which its last piece keeps
 }
 
-// fragment splits a datagram that does not fit mtu. It never returns p
-// itself, so callers' packets stay off the heap.
-func fragment(p *Packet, mtu int) ([]*Packet, error) {
+// init prepares to cut p, which does not fit mtu. A datagram with DontFrag
+// set produces an error, mirroring the kernel's ICMP "fragmentation needed"
+// path.
+func (c *fragCutter) init(p *Packet, mtu int) error {
 	if p.DontFrag {
-		return nil, fmt.Errorf("%w: datagram %d→%s", ErrFragNeeded, p.ID, p.Dst)
+		return fmt.Errorf("%w: datagram %d→%s", ErrFragNeeded, p.ID, p.Dst)
 	}
 	chunk := (mtu - HeaderLen) &^ 7 // fragment payloads are 8-byte aligned
 	if chunk <= 0 {
-		return nil, fmt.Errorf("ipv4: mtu %d too small to fragment", mtu)
+		return fmt.Errorf("ipv4: mtu %d too small to fragment", mtu)
 	}
-	var frags []*Packet
-	for off := 0; off < len(p.Payload); off += chunk {
-		end := off + chunk
-		more := true
-		if end >= len(p.Payload) {
-			end = len(p.Payload)
-			more = p.MoreFrag // preserve MF when re-fragmenting a middle fragment
-		}
-		f := &Packet{Header: p.Header, Payload: p.Payload[off:end]}
-		f.FragOff = p.FragOff + off
-		f.MoreFrag = more
-		frags = append(frags, f)
-	}
-	return frags, nil
+	c.frag = Packet{Header: p.Header}
+	c.rest, c.chunk, c.more = p.Payload, chunk, p.MoreFrag
+	return nil
 }
 
-// ReassemblyTimeout is how long a partial datagram is held before its
-// fragments are discarded.
-const ReassemblyTimeout = 30 * time.Second
+// next advances frag to the following fragment and reports whether there
+// was one.
+func (c *fragCutter) next() bool {
+	if len(c.rest) == 0 {
+		return false
+	}
+	c.frag.FragOff += len(c.frag.Payload)
+	n := c.chunk
+	c.frag.MoreFrag = true
+	if n >= len(c.rest) {
+		n = len(c.rest)
+		c.frag.MoreFrag = c.more // a re-fragmented middle fragment keeps MF
+	}
+	c.frag.Payload, c.rest = c.rest[:n], c.rest[n:]
+	return true
+}
+
+const (
+	// ReassemblyTimeout is how long a partial datagram is held before its
+	// fragments are discarded.
+	ReassemblyTimeout = 30 * time.Second
+
+	// maxReassemblies caps the partial datagrams one stack holds. A sender
+	// that sprays first fragments under ever new IDs would otherwise pin a
+	// buffer for each until its timeout; past the cap every new datagram
+	// evicts the oldest. Fragments of one datagram arrive together, so
+	// honest traffic holds a handful — one per flow whose fragments
+	// interleave at this stack, plus those that lost a fragment inside the
+	// last ReassemblyTimeout.
+	maxReassemblies = 256
+
+	// maxPayload is the most a datagram's payload can hold: TotalLen is a
+	// 16-bit field that counts the header too.
+	maxPayload = 0xffff - HeaderLen
+
+	// reassemblyBufLen is a new entry's buffer: room for a tunnelled
+	// full-MSS segment, so the common case never grows it.
+	reassemblyBufLen = 2048
+)
 
 type fragKey struct {
 	src, dst Addr
@@ -60,102 +88,233 @@ type fragKey struct {
 	id       uint16
 }
 
-type fragHole struct {
-	off  int
-	data []byte
-	more bool
+// fragSpan is a run of payload bytes [off, end) that has arrived.
+type fragSpan struct{ off, end int }
+
+// Reassembly is one datagram being put together from its fragments and, once
+// Add has returned it, the finished datagram. It is recycled: the byte
+// buffer, the span list and the bound expiry callback are kept from one
+// datagram to the next.
+//
+// The buffer is the reassembler's own, not a frame.Pool frame: a partial
+// datagram lives for up to ReassemblyTimeout, outside the fabric's
+// get-send-release cycle, and pool traffic (misses, frames outstanding) is
+// part of the recorded outputs.
+type Reassembly struct {
+	pkt Packet // the finished datagram; Payload is buf[:total]
+
+	key     fragKey
+	buf     []byte     // payload bytes at their offsets in the datagram
+	high    int        // end of the highest byte written to buf
+	total   int        // payload length, -1 until the last fragment has arrived
+	spans   []fragSpan // what has arrived: ordered by offset, disjoint, not touching
+	spans0  [4]fragSpan
+	expires sim.Event
+	expire  func() // timeout, bound once
+
+	// The pending list, oldest first — which is also expiry order, the
+	// timeout being constant. next chains the free list too.
+	prev, next *Reassembly
 }
 
-type fragEntry struct {
-	parts   []fragHole
-	expires sim.Event
+// Packet returns the finished datagram. It and its payload are valid until
+// the Reassembly is recycled.
+func (d *Reassembly) Packet() *Packet { return &d.pkt }
+
+// ReassemblyStats counts the datagrams a Reassembler gave up on.
+type ReassemblyStats struct {
+	// Expired counts partial datagrams discarded: held for
+	// ReassemblyTimeout, or evicted before that (see Evicted).
+	Expired uint64
+	// Evicted counts, among Expired, those discarded oldest-first to make
+	// room once maxReassemblies datagrams were pending.
+	Evicted uint64
+	// Oversize counts fragments that ended past the largest possible
+	// datagram; each is dropped together with whatever its datagram had
+	// collected.
+	Oversize uint64
 }
 
 // Reassembler collects fragments and produces whole datagrams. It is
 // per-stack state, driven by the stack's scheduler for timeouts.
 type Reassembler struct {
 	sched   *sim.Scheduler
-	pending map[fragKey]*fragEntry
+	pending map[fragKey]*Reassembly
+	oldest  *Reassembly
+	newest  *Reassembly
+	free    *Reassembly
+	// timeouts queues every pending datagram's expiry. They all wait
+	// ReassemblyTimeout, so deadlines never decrease and only the earliest
+	// holds a scheduler heap slot.
+	timeouts sim.Lane
 
-	// Expired counts datagrams dropped by the reassembly timeout.
-	Expired uint64
+	ReassemblyStats
 }
 
 // NewReassembler returns an empty reassembler.
 func NewReassembler(sched *sim.Scheduler) *Reassembler {
-	return &Reassembler{sched: sched, pending: make(map[fragKey]*fragEntry)}
+	return &Reassembler{sched: sched, pending: make(map[fragKey]*Reassembly)}
 }
 
-// Add ingests a fragment (or whole datagram). It returns the reassembled
-// datagram when complete, or nil while fragments are still outstanding.
-func (r *Reassembler) Add(p *Packet) *Packet {
-	if p.FragOff == 0 && !p.MoreFrag {
-		return p // not fragmented
-	}
+// Add ingests a fragment, copying its payload: p may alias a pooled frame
+// that is recycled as soon as the delivery event returns. It returns nil
+// while fragments are outstanding. The fragment that completes a datagram
+// gets the datagram back; the caller owns it — a nested Add cannot disturb
+// it — until it hands it to Recycle.
+func (r *Reassembler) Add(p *Packet) *Reassembly {
 	key := fragKey{src: p.Src, dst: p.Dst, proto: p.Proto, id: p.ID}
 	e := r.pending[key]
-	if e == nil {
-		e = &fragEntry{}
-		e.expires = r.sched.After(ReassemblyTimeout, func() {
-			delete(r.pending, key)
-			r.Expired++
-		})
-		r.pending[key] = e
-	}
-	// The fragment payload aliases a pooled fabric frame that is recycled
-	// once this delivery event returns, while reassembly state lives until
-	// the datagram completes or times out — copy it.
-	data := append([]byte(nil), p.Payload...)
-	// Duplicate fragments (retransmissions) replace rather than accumulate.
-	replaced := false
-	for i := range e.parts {
-		if e.parts[i].off == p.FragOff {
-			e.parts[i] = fragHole{off: p.FragOff, data: data, more: p.MoreFrag}
-			replaced = true
-			break
+	end := p.FragOff + len(p.Payload)
+	if end > maxPayload {
+		if e != nil {
+			r.discard(e)
 		}
-	}
-	if !replaced {
-		e.parts = append(e.parts, fragHole{off: p.FragOff, data: data, more: p.MoreFrag})
-	}
-	whole := assemble(e.parts)
-	if whole == nil {
+		r.Oversize++
 		return nil
 	}
-	e.expires.Cancel()
-	delete(r.pending, key)
-	out := &Packet{Header: p.Header, Payload: whole}
-	out.FragOff = 0
-	out.MoreFrag = false
-	out.TotalLen = HeaderLen + len(whole)
-	return out
+	if e == nil {
+		if len(r.pending) >= maxReassemblies {
+			r.Expired++
+			r.Evicted++
+			r.discard(r.oldest)
+		}
+		e = r.start(key)
+	}
+	// Overlapping and duplicate fragments (retransmissions) overwrite.
+	if end > len(e.buf) {
+		e.grow(end)
+	}
+	copy(e.buf[p.FragOff:], p.Payload)
+	if end > e.high {
+		e.high = end
+	}
+	if !p.MoreFrag {
+		e.total = end
+	}
+	if p.FragOff < end {
+		e.cover(p.FragOff, end)
+	}
+	if !e.complete() {
+		return nil
+	}
+	r.unlink(e)
+	e.pkt = Packet{Header: p.Header, Payload: e.buf[:e.total]}
+	e.pkt.FragOff = 0
+	e.pkt.MoreFrag = false
+	e.pkt.TotalLen = HeaderLen + e.total
+	return e
 }
 
-// assemble returns the contiguous payload if parts cover [0, end] with a
-// final no-more-fragments part, else nil.
-func assemble(parts []fragHole) []byte {
-	sort.Slice(parts, func(i, j int) bool { return parts[i].off < parts[j].off })
-	next := 0
-	sawLast := false
-	total := 0
-	for _, p := range parts {
-		if p.off > next {
-			return nil // hole
-		}
-		if end := p.off + len(p.data); end > next {
-			next = end
-		}
-		if !p.more {
-			sawLast = true
-			total = p.off + len(p.data)
+// Recycle takes back a datagram Add returned once its handler is done with
+// it; scribble (frame-poison mode) first overwrites packet and payload, so a
+// handler that kept either reads garbage at once.
+func (r *Reassembler) Recycle(d *Reassembly, scribble bool) {
+	if scribble {
+		d.pkt.Scribble()
+		b := d.buf[:d.high]
+		for i := range b {
+			b[i] = 0xDB
 		}
 	}
-	if !sawLast || next < total {
-		return nil
+	d.next = r.free
+	r.free = d
+}
+
+// start opens the reassembly of the datagram named key at the young end of
+// the pending list and queues its timeout.
+func (r *Reassembler) start(key fragKey) *Reassembly {
+	e := r.free
+	if e != nil {
+		r.free = e.next
+	} else {
+		e = &Reassembly{buf: make([]byte, reassemblyBufLen)}
+		e.spans = e.spans0[:0]
+		e.expire = func() {
+			r.Expired++
+			r.discard(e)
+		}
 	}
-	out := make([]byte, total)
-	for _, p := range parts {
-		copy(out[p.off:], p.data)
+	e.key, e.high, e.total, e.spans = key, 0, -1, e.spans[:0]
+	e.prev, e.next = r.newest, nil
+	if r.newest != nil {
+		r.newest.next = e
+	} else {
+		r.oldest = e
 	}
-	return out
+	r.newest = e
+	r.pending[key] = e
+	e.expires = r.timeouts.At(r.sched, r.sched.Now()+ReassemblyTimeout, e.expire)
+	return e
+}
+
+// unlink takes e out of the pending set: complete, or given up on.
+func (r *Reassembler) unlink(e *Reassembly) {
+	e.expires.Cancel()
+	delete(r.pending, e.key)
+	if e.prev != nil {
+		e.prev.next = e.next
+	} else {
+		r.oldest = e.next
+	}
+	if e.next != nil {
+		e.next.prev = e.prev
+	} else {
+		r.newest = e.prev
+	}
+	e.prev, e.next = nil, nil
+}
+
+// discard drops a partial datagram.
+func (r *Reassembler) discard(e *Reassembly) {
+	r.unlink(e)
+	r.Recycle(e, false)
+}
+
+// complete reports whether the last fragment has announced the datagram's
+// length and every byte below it has arrived.
+func (e *Reassembly) complete() bool {
+	return e.total >= 0 && len(e.spans) > 0 && e.spans[0].off == 0 && e.spans[0].end >= e.total
+}
+
+// grow makes room for payload bytes up to end, keeping what has arrived.
+func (e *Reassembly) grow(end int) {
+	n := 2 * len(e.buf)
+	if n < end {
+		n = end
+	}
+	if n > maxPayload {
+		n = maxPayload
+	}
+	buf := make([]byte, n)
+	copy(buf, e.buf[:e.high])
+	e.buf = buf
+}
+
+// cover records the arrival of [off, end), merging it with every span it
+// overlaps or touches. Fragments mostly arrive in order, each extending the
+// one span there is.
+func (e *Reassembly) cover(off, end int) {
+	s := e.spans
+	i := 0
+	for i < len(s) && s[i].end < off {
+		i++
+	}
+	j := i
+	for j < len(s) && s[j].off <= end {
+		if s[j].off < off {
+			off = s[j].off
+		}
+		if s[j].end > end {
+			end = s[j].end
+		}
+		j++
+	}
+	if i == j {
+		s = append(s, fragSpan{})
+		copy(s[i+1:], s[i:])
+	} else {
+		s = append(s[:i+1], s[j:]...)
+	}
+	s[i] = fragSpan{off, end}
+	e.spans = s
 }

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"hydranet/internal/frame"
+	"hydranet/internal/netsim"
 	"hydranet/internal/sim"
 )
 
@@ -20,6 +21,41 @@ func mkPacket(n int) *Packet {
 		Header:  Header{TTL: 64, Proto: ProtoTCP, Src: 1, Dst: 2, ID: 42},
 		Payload: payload,
 	}
+}
+
+// Fragment collects what Stack.transmit puts on the wire for p at mtu: p
+// itself if it fits, else every fragment the cutter produces (payloads alias
+// p's).
+func Fragment(p *Packet, mtu int) ([]*Packet, error) {
+	if HeaderLen+len(p.Payload) <= mtu {
+		return []*Packet{p}, nil
+	}
+	var c fragCutter
+	if err := c.init(p, mtu); err != nil {
+		return nil, err
+	}
+	var frags []*Packet
+	for c.next() {
+		f := c.frag
+		frags = append(frags, &f)
+	}
+	return frags, nil
+}
+
+// addFragment feeds f to r the way Stack.InjectLocal does and returns a copy
+// of the datagram it completed, nil if it completed none. The copy is taken
+// while the datagram is valid; poison scribbles the original on recycling.
+func addFragment(r *Reassembler, f *Packet, poison bool) *Packet {
+	if f.FragOff == 0 && !f.MoreFrag {
+		return f
+	}
+	d := r.Add(f)
+	if d == nil {
+		return nil
+	}
+	out := clonePacket(d.Packet())
+	r.Recycle(d, poison)
+	return out
 }
 
 func TestFragmentFitsUnchanged(t *testing.T) {
@@ -84,7 +120,7 @@ func reassembleAll(t *testing.T, frags []*Packet) *Packet {
 	r := NewReassembler(s)
 	var out *Packet
 	for _, f := range frags {
-		if got := r.Add(f); got != nil {
+		if got := addFragment(r, f, true); got != nil {
 			if out != nil {
 				t.Fatal("reassembler produced two datagrams")
 			}
@@ -134,7 +170,7 @@ func TestReassemblePropertyRandomOrderAndDup(t *testing.T) {
 		r := NewReassembler(s)
 		var out *Packet
 		for _, fr := range seq {
-			if got := r.Add(fr); got != nil {
+			if got := addFragment(r, fr, true); got != nil {
 				out = got
 			}
 		}
@@ -156,10 +192,10 @@ func TestReassemblyDistinguishesFlows(t *testing.T) {
 	// Interleave flows; each must complete independently.
 	done := 0
 	for i := range fa {
-		if r.Add(fa[i]) != nil {
+		if addFragment(r, fa[i], true) != nil {
 			done++
 		}
-		if r.Add(fb[i]) != nil {
+		if addFragment(r, fb[i], true) != nil {
 			done++
 		}
 	}
@@ -173,7 +209,7 @@ func TestReassemblyTimeoutDiscards(t *testing.T) {
 	frags, _ := Fragment(p, 1500)
 	s := sim.NewScheduler(1)
 	r := NewReassembler(s)
-	if r.Add(frags[0]) != nil {
+	if addFragment(r, frags[0], true) != nil {
 		t.Fatal("partial datagram completed")
 	}
 	s.RunUntil(ReassemblyTimeout + time.Second)
@@ -181,7 +217,7 @@ func TestReassemblyTimeoutDiscards(t *testing.T) {
 		t.Fatalf("Expired = %d, want 1", r.Expired)
 	}
 	// The late fragment alone must not complete the datagram.
-	if r.Add(frags[1]) != nil {
+	if addFragment(r, frags[1], true) != nil {
 		t.Fatal("expired datagram completed from stale fragment")
 	}
 }
@@ -230,7 +266,7 @@ func TestReassemblerCopiesFromPooledFrames(t *testing.T) {
 		copy(fb.Bytes(), f.Payload)
 		alias := *f
 		alias.Payload = fb.Bytes()
-		got := r.Add(&alias)
+		got := addFragment(r, &alias, true)
 		fb.Release() // the fabric recycles the frame right after delivery
 		if got != nil {
 			out = got
@@ -241,5 +277,163 @@ func TestReassemblerCopiesFromPooledFrames(t *testing.T) {
 	}
 	if !bytes.Equal(out.Payload, p.Payload) {
 		t.Fatal("reassembler retained fragment payload aliasing a recycled frame; copy on Add")
+	}
+}
+
+// TestReassemblerDropsOversizeFragment: a fragment that ends past the largest
+// datagram IPv4 can describe is dropped together with what its datagram had
+// collected, and counted. (The reassembler used to accept it and hand the
+// protocol handler a datagram with TotalLen 66 548.)
+func TestReassemblerDropsOversizeFragment(t *testing.T) {
+	s := sim.NewScheduler(1)
+	r := NewReassembler(s)
+	const lastOff = 65512 // the highest 8-aligned offset that leaves room for payload
+	head := mkPacket(lastOff)
+	head.MoreFrag = true
+	if addFragment(r, head, true) != nil {
+		t.Fatal("partial datagram completed")
+	}
+	tail := mkPacket(1000)
+	tail.FragOff = 65528
+	if got := addFragment(r, tail, true); got != nil {
+		t.Fatalf("delivered an impossible datagram: TotalLen %d", got.TotalLen)
+	}
+	if r.Oversize != 1 || len(r.pending) != 0 {
+		t.Fatalf("Oversize = %d with %d datagrams pending, want 1 and 0", r.Oversize, len(r.pending))
+	}
+	// The largest legal datagram still goes through, in the recycled entry.
+	tail.FragOff, tail.Payload = lastOff, tail.Payload[:maxPayload-lastOff]
+	if addFragment(r, head, true) != nil {
+		t.Fatal("partial datagram completed")
+	}
+	got := addFragment(r, tail, true)
+	if got == nil || got.TotalLen != 0xffff || !bytes.Equal(got.Payload[:lastOff], head.Payload) {
+		t.Fatalf("65535-byte datagram did not reassemble: %+v", got)
+	}
+	s.Run()
+	if r.Expired != 0 {
+		t.Fatalf("Expired = %d: a dropped or completed datagram's timeout still fired", r.Expired)
+	}
+}
+
+// TestReassemblerCapsPendingDatagrams: first fragments under ever new
+// (source, ID) pairs never pin more than maxReassemblies buffers; past the
+// cap the oldest goes, as if its timeout had come early.
+func TestReassemblerCapsPendingDatagrams(t *testing.T) {
+	s := sim.NewScheduler(1)
+	r := NewReassembler(s)
+	const n = 100_000
+	first := func(i int) *Packet {
+		p := mkPacket(64)
+		p.Src, p.ID, p.MoreFrag = Addr(i>>16), uint16(i), true
+		return p
+	}
+	last := func(i int) *Packet {
+		p := first(i)
+		p.FragOff, p.MoreFrag = 64, false
+		return p
+	}
+	for i := 0; i < n; i++ {
+		if addFragment(r, first(i), true) != nil {
+			t.Fatalf("datagram %d completed from its first fragment", i)
+		}
+		if len(r.pending) > maxReassemblies {
+			t.Fatalf("%d datagrams pending after %d, cap %d", len(r.pending), i+1, maxReassemblies)
+		}
+	}
+	if r.Evicted != n-maxReassemblies || r.Expired != r.Evicted {
+		t.Fatalf("Evicted = %d, Expired = %d, want both %d", r.Evicted, r.Expired, n-maxReassemblies)
+	}
+	// Oldest first: the youngest maxReassemblies are the ones still there.
+	if addFragment(r, last(n-maxReassemblies), true) == nil || addFragment(r, last(n-1), true) == nil {
+		t.Fatal("a datagram inside the cap was evicted")
+	}
+	if addFragment(r, last(n-maxReassemblies-1), true) != nil {
+		t.Fatal("an evicted datagram completed")
+	}
+	// The rest (and that stray last fragment) time out; an evicted
+	// datagram's timeout does not fire a second time.
+	s.Run()
+	if want := uint64(n - 1); r.Expired != want || len(r.pending) != 0 {
+		t.Fatalf("Expired = %d with %d pending after the timeout, want %d and 0", r.Expired, len(r.pending), want)
+	}
+}
+
+type handlerFunc func(*Packet)
+
+func (f handlerFunc) DeliverIP(p *Packet) { f(p) }
+
+// ipipInjector decapsulates like hostserver.HostServer: parse the tunnelled
+// datagram out of the outer payload and inject it. It checks that the outer
+// datagram it was handed survives whatever the injection completes.
+type ipipInjector struct {
+	t     *testing.T
+	s     *Stack
+	inner Packet
+	// reassembled is set while an outer datagram that arrived in fragments
+	// is being delivered.
+	reassembled bool
+}
+
+func (h *ipipInjector) DeliverIP(outer *Packet) {
+	before := append([]byte(nil), outer.Payload...)
+	if err := h.inner.Unmarshal(outer.Payload); err != nil {
+		h.t.Fatalf("bad tunnel payload: %v", err)
+	}
+	h.reassembled = outer.TotalLen > 1500
+	h.s.InjectLocal(&h.inner)
+	h.reassembled = false
+	if !bytes.Equal(outer.Payload, before) {
+		h.t.Error("the outer datagram changed under its handler during a nested reassembly")
+	}
+}
+
+// TestReassemblyReentrantDuringDelivery: the fragment that completes an
+// IP-in-IP outer datagram runs the decapsulator, which injects the inner
+// datagram — itself a fragment, completing a second datagram inside the same
+// call. Each finished datagram must stay intact until its own handler
+// returns; poison mode scribbles both afterwards.
+func TestReassemblyReentrantDuringDelivery(t *testing.T) {
+	sched, cs, _, ss := threeNodeNet(t, netsim.LinkConfig{MTU: 1500})
+	ss.Node().Pool().SetPoison(true)
+	vhost := MustParseAddr("192.20.225.20")
+	ss.AddLocalAddr(vhost)
+	decap := &ipipInjector{t: t, s: ss}
+	ss.RegisterProto(ProtoIPIP, decap)
+	recv := &sink{}
+	nested := false
+	ss.RegisterProto(ProtoUDP, handlerFunc(func(p *Packet) {
+		nested = decap.reassembled
+		recv.DeliverIP(p)
+	}))
+
+	// A 3000-byte inner datagram in three fragments, each tunnelled on its
+	// own. The 1480-byte ones make 1520-byte outers that fragment in turn;
+	// sent last, one of them completes the inner datagram from inside the
+	// delivery of its reassembled outer.
+	inner := mkPacket(3000)
+	inner.Proto, inner.Src, inner.Dst = ProtoUDP, MustParseAddr("1.2.3.4"), vhost
+	frags, err := Fragment(inner, 1500)
+	if err != nil || len(frags) != 3 {
+		t.Fatalf("inner fragments: %d, %v", len(frags), err)
+	}
+	for _, i := range []int{2, 0, 1} {
+		body, err := frags[i].Marshal()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := cs.Send(ProtoIPIP, 0, MustParseAddr("10.2.0.2"), body); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sched.Run()
+	if len(recv.pkts) != 1 || !bytes.Equal(recv.pkts[0].Payload, inner.Payload) {
+		t.Fatalf("inner datagram not delivered intact (%d deliveries)", len(recv.pkts))
+	}
+	if !nested {
+		t.Fatal("the inner datagram did not complete inside a reassembled outer's delivery")
+	}
+	if st := ss.Reassembly(); st != (ReassemblyStats{}) {
+		t.Fatalf("reassembler gave up on something: %+v", st)
 	}
 }

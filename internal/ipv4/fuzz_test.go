@@ -75,7 +75,7 @@ func FuzzFragmentReassemble(f *testing.F) {
 		r := newTestReassembler(t)
 		var out *Packet
 		for _, fr := range frags {
-			if got := r.Add(fr); got != nil {
+			if got := addFragment(r, fr, true); got != nil {
 				out = got
 			}
 		}

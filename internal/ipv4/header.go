@@ -71,9 +71,15 @@ func (p *Packet) Marshal() ([]byte, error) {
 		return nil, err
 	}
 	b := make([]byte, total)
-	p.putHeader(b, total)
-	copy(b[HeaderLen:], p.Payload)
+	p.marshalInto(b)
 	return b, nil
+}
+
+// marshalInto writes the datagram's wire form into b, whose length is the
+// datagram's; the caller has run checkMarshal.
+func (p *Packet) marshalInto(b []byte) {
+	p.putHeader(b, len(b))
+	copy(b[HeaderLen:], p.Payload)
 }
 
 func (p *Packet) checkMarshal(total int) error {

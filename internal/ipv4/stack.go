@@ -73,6 +73,10 @@ type Stack struct {
 	// aliases, is valid only until the call returns.
 	rx Packet
 
+	// encap stages the inner datagram of a tunnel packet that has to be
+	// fragmented; the fragments copy out of it before SendEncap returns.
+	encap []byte
+
 	stats StackStats
 }
 
@@ -105,6 +109,9 @@ func (s *Stack) Poisoned() bool { return s.node.Pool().Poisoned() }
 
 // Stats returns a snapshot of the stack's counters.
 func (s *Stack) Stats() StackStats { return s.stats }
+
+// Reassembly returns a snapshot of the reassembler's drop counters.
+func (s *Stack) Reassembly() ReassemblyStats { return s.reasm.ReassemblyStats }
 
 // SetAddr assigns the primary address of interface ifindex and marks it
 // local.
@@ -220,18 +227,19 @@ func (s *Stack) allocID() uint16 {
 }
 
 // transmit sends p out ifindex, fragmenting only when it does not fit the
-// MTU. p is not retained.
+// MTU: each fragment is cut straight into its own pooled frame. p is not
+// retained.
 func (s *Stack) transmit(p *Packet, ifindex int) error {
 	mtu := s.node.MTU(ifindex)
 	if HeaderLen+len(p.Payload) <= mtu {
 		return s.transmitOne(p, ifindex)
 	}
-	frags, err := fragment(p, mtu)
-	if err != nil {
+	var c fragCutter
+	if err := c.init(p, mtu); err != nil {
 		return err
 	}
-	for _, f := range frags {
-		if err := s.transmitOne(f, ifindex); err != nil {
+	for c.next() {
+		if err := s.transmitOne(&c.frag, ifindex); err != nil {
 			return err
 		}
 	}
@@ -246,9 +254,7 @@ func (s *Stack) transmitOne(p *Packet, ifindex int) error {
 		return err
 	}
 	fb := s.node.Pool().Get(total)
-	b := fb.Bytes()
-	p.putHeader(b, total)
-	copy(b[HeaderLen:], p.Payload)
+	p.marshalInto(fb.Bytes())
 	s.node.SendFrame(ifindex, fb)
 	return nil
 }
@@ -269,9 +275,7 @@ func (s *Stack) HandleFrame(ifindex int, frame []byte) {
 // input delivers or forwards one parsed frame.
 func (s *Stack) input(p *Packet) {
 	if s.local[p.Dst] || p.Dst == Broadcast {
-		if whole := s.reasm.Add(p); whole != nil {
-			s.deliverLocal(whole)
-		}
+		s.InjectLocal(p)
 		return
 	}
 	if !s.forwarding {
@@ -299,10 +303,18 @@ func (s *Stack) input(p *Packet) {
 
 // InjectLocal delivers an already-parsed datagram to local protocol
 // handlers, bypassing routing. The host server's IP-in-IP decapsulator uses
-// this for inner packets addressed to virtual hosts.
+// this for inner packets addressed to virtual hosts. A fragment goes to the
+// reassembler instead; the one that completes its datagram delivers it.
 func (s *Stack) InjectLocal(p *Packet) {
-	if whole := s.reasm.Add(p); whole != nil {
-		s.deliverLocal(whole)
+	if p.FragOff == 0 && !p.MoreFrag {
+		s.deliverLocal(p)
+		return
+	}
+	// The handler may be the decapsulator injecting an inner fragment: d is
+	// ours alone until it is recycled, whatever that nested call completes.
+	if d := s.reasm.Add(p); d != nil {
+		s.deliverLocal(d.Packet())
+		s.reasm.Recycle(d, s.Poisoned())
 	}
 }
 

@@ -12,7 +12,14 @@ type sink struct {
 	pkts []*Packet
 }
 
-func (s *sink) DeliverIP(p *Packet) { s.pkts = append(s.pkts, p) }
+// DeliverIP keeps a copy: p and its payload are the stack's for the call only.
+func (s *sink) DeliverIP(p *Packet) { s.pkts = append(s.pkts, clonePacket(p)) }
+
+func clonePacket(p *Packet) *Packet {
+	c := *p
+	c.Payload = append([]byte(nil), p.Payload...)
+	return &c
+}
 
 // threeNodeNet builds client — router — server with /24s on each side.
 func threeNodeNet(t *testing.T, link netsim.LinkConfig) (sched *sim.Scheduler, cs, rs, ss *Stack) {
@@ -193,6 +200,9 @@ func TestPathMTUFragmentationEndToEnd(t *testing.T) {
 		if got[i] != payload[i] {
 			t.Fatalf("payload corrupted at %d", i)
 		}
+	}
+	if st := ss.Reassembly(); st != (ReassemblyStats{}) {
+		t.Fatalf("reassembler gave up on something: %+v", st)
 	}
 }
 
