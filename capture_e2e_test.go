@@ -22,11 +22,11 @@ func TestCaptureEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	capt, err := net.StartCapture(&buf)
+	capt, err := net.startCapture(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	spans := net.NewSpanCollector()
+	spans := net.newSpanCollector()
 	net.Settle()
 
 	payload := make([]byte, 64*1024)
@@ -147,8 +147,8 @@ func TestFlightRecorderDumpsOnFailover(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	probe := net.NewFailoverProbe()
-	flight := net.StartFlightRecorder(64, 64)
+	probe := net.newFailoverProbe()
+	flight := net.startFlightRecorder(64, 64)
 	prefix := filepath.Join(t.TempDir(), "fo")
 	flight.DumpOnFailover(probe, prefix)
 	net.Settle()
@@ -214,7 +214,7 @@ func TestFailoverProbeBackupCrash(t *testing.T) {
 		FTOptions{Detector: DetectorParams{RetransmitThreshold: 3}}, echoAccept()); err != nil {
 		t.Fatal(err)
 	}
-	probe := net.NewFailoverProbe()
+	probe := net.newFailoverProbe()
 	fired := 0
 	probe.OnFailover(func(FailoverReport) { fired++ })
 	net.Settle()

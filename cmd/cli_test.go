@@ -54,6 +54,7 @@ func TestCLIs(t *testing.T) {
 		args []string
 		exit int
 		want string // substring of the output
+		none string // a file the invocation names and must not have created
 	}
 	for _, tc := range []struct {
 		name  string
@@ -67,6 +68,14 @@ func TestCLIs(t *testing.T) {
 			gone: [][]string{{"-workers", "2"}},
 			smoke: []step{
 				{args: []string{"-bytes", "65536", "-stats", "-invariants", "-prof", "p.json"}, want: "hydraprof profile written to p.json"},
+				// A bad command line is diagnosed before any file exists or any
+				// virtual time runs, whatever -crash-at says.
+				{args: []string{"-crash", "bogus", "-pcap", "bogus.pcap"}, exit: 2, want: `unknown -crash "bogus"`, none: "bogus.pcap"},
+				{args: []string{"-crash", "bogus", "-crash-at", "0"}, exit: 2, want: `unknown -crash "bogus"`},
+				{args: []string{"-replicas", "1", "-crash", "backup", "-cpuprofile", "cpu.out"}, exit: 2, want: "-crash backup needs -replicas 2", none: "cpu.out"},
+				{args: []string{"-events", "nope", "-audit", "a.json"}, exit: 2, want: "-events list", none: "a.json"},
+				// An artifact that cannot be written is Finish's error: exit 1.
+				{args: []string{"-bytes", "65536", "-spans", "no-such-dir/s.json"}, exit: 1, want: "hydranet-sim: observers: hydranet: spans:"},
 			},
 		},
 		{
@@ -83,7 +92,10 @@ func TestCLIs(t *testing.T) {
 			help: [][]string{{"-h"}},
 			gone: [][]string{{"-workers", "2"}},
 			smoke: []step{
-				{args: []string{"-invariants"}, want: "invariants: clean across the sweep"},
+				{args: []string{"-invariants", "-audit", "fo.audit.json"}, want: "invariants: clean across the sweep"},
+				{bin: "hydrascope", args: []string{"audit", "fo-t3.audit.json", "-fail-on-violation"}, want: "verdict: CLEAN"},
+				// A sweep worker that cannot write reports it; it does not panic.
+				{args: []string{"-parallel", "2", "-pcap", "no-such-dir/f.pcap"}, exit: 1, want: "failover: threshold 1: hydranet: pcap:"},
 			},
 		},
 		{
@@ -129,9 +141,14 @@ func TestCLIs(t *testing.T) {
 					b = filepath.Join(bins, s.bin)
 				}
 				out, exit := run(t, b, dir, s.args...)
-				if exit != s.exit || !strings.Contains(out, s.want) {
+				if exit != s.exit || !strings.Contains(out, s.want) || strings.Contains(out, "panic:") {
 					t.Errorf("%s %v: exit %d, want %d and output containing %q:\n%s",
 						filepath.Base(b), s.args, exit, s.exit, s.want, out)
+				}
+				if s.none != "" {
+					if _, err := os.Stat(filepath.Join(dir, s.none)); err == nil {
+						t.Errorf("%s %v: created %s before rejecting the command line", filepath.Base(b), s.args, s.none)
+					}
 				}
 			}
 			// After the smoke run, so the files the invocations name exist and
@@ -142,5 +159,44 @@ func TestCLIs(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestObserverFlagsReadIdentically: the ten observer flags are registered in
+// one place, so their help entries are the same text in every simulator CLI.
+func TestObserverFlagsReadIdentically(t *testing.T) {
+	entry := func(help, name string) string {
+		i := strings.Index(help, "\n  -"+name+" ")
+		if i < 0 {
+			i = strings.Index(help, "\n  -"+name+"\n")
+		}
+		if i < 0 {
+			return ""
+		}
+		rest := help[i+1:]
+		if j := strings.Index(rest, "\n  -"); j >= 0 {
+			rest = rest[:j]
+		}
+		return strings.SplitN(rest, "\n\n", 2)[0] // a CLI's closing usage note is not part of the entry
+	}
+	var ref string
+	for _, cli := range []string{"hydranet-sim", "ttcpbench", "failover"} {
+		raw, err := os.ReadFile(filepath.Join("testdata", cli+".help"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got strings.Builder
+		for _, name := range []string{"pcap", "flight", "spans", "series", "sample-every", "prof", "invariants", "audit", "cpuprofile", "memprofile"} {
+			e := entry(string(raw), name)
+			if e == "" {
+				t.Errorf("%s: no -%s in its help", cli, name)
+			}
+			got.WriteString(e + "\n")
+		}
+		if ref == "" {
+			ref = got.String()
+		} else if got.String() != ref {
+			t.Errorf("%s: observer flags read differently from hydranet-sim's:\n%s", cli, got.String())
+		}
 	}
 }

@@ -4,6 +4,9 @@
 // the redirector took to reconfigure and how long until the client's byte
 // stream resumed — swept over the failure estimator's retransmission
 // threshold (the paper's Section 4.3 trade-off).
+//
+// Every threshold is its own run with its own artifacts: a file named by an
+// observer flag gets -t<threshold> before its extension.
 package main
 
 import (
@@ -15,7 +18,6 @@ import (
 	"text/tabwriter"
 	"time"
 
-	"hydranet/internal/prof"
 	"hydranet/internal/sweep"
 	"hydranet/internal/testbed"
 )
@@ -29,6 +31,7 @@ type row struct {
 	FalseReconfigs int     `json:"false_reconfigs"`
 	ClientError    string  `json:"client_error,omitempty"`
 	Violations     int     `json:"violations,omitempty"`
+	observeErr     error
 }
 
 func main() {
@@ -37,55 +40,28 @@ func main() {
 	loss := flag.Float64("loss", 0, "link loss probability (for false-positive measurement)")
 	jsonOut := flag.Bool("json", false, "emit machine-readable JSON instead of the table")
 	parallel := flag.Int("parallel", runtime.GOMAXPROCS(0), "concurrent simulations (each threshold is an independent run)")
-	pcapPrefix := flag.String("pcap", "", "capture each run to PREFIX-t<threshold>.pcap")
-	flightPrefix := flag.String("flight", "", "flight-record each run; dump PREFIX-t<threshold>.{pcap,json} when the failover probe fires")
-	spansPrefix := flag.String("spans", "", "write each run's ft-TCP span timeline to PREFIX-t<threshold>.json")
-	seriesPrefix := flag.String("series", "", "export each run's time series (with health verdicts) to PREFIX-t<threshold>.jsonl")
-	sampleEvery := flag.Duration("sample-every", 0, "telemetry sampling cadence for -series (default 100ms of virtual time)")
-	profPrefix := flag.String("prof", "", "write each run's hydraprof profile to PREFIX-t<threshold>.prof.json; render with hydrascope profile")
-	invariants := flag.Bool("invariants", false, "run the online protocol-invariant monitor in every run; exit 1 on any violation")
-	auditPrefix := flag.String("audit", "", "write each run's invariant audit report to PREFIX-t<threshold>.audit.json (implies -invariants)")
-	cpuProfile := flag.String("cpuprofile", "", "write a Go runtime CPU profile to this file")
-	memProfile := flag.String("memprofile", "", "write a Go runtime heap profile to this file at exit")
+	observe, startPprof := testbed.ObserverFlags(flag.CommandLine,
+		"each threshold's run writes its own files: run.pcap becomes run-t<threshold>.pcap")
 	flag.Parse()
 
-	stopPprof, err := prof.StartPprof(*cpuProfile, *memProfile)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "failover: pprof: %v\n", err)
-		os.Exit(1)
+	fatal := func(what string, err error) {
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "failover: %s: %v\n", what, err)
+			os.Exit(1)
+		}
 	}
+	stopPprof, err := startPprof()
+	fatal("pprof", err)
 
 	thresholds := []int{1, 2, 3, 4, 6, 8}
 	rows := sweep.Map(*parallel, len(thresholds), func(i int) row {
-		cfg := testbed.FailoverConfig{
+		res := testbed.MeasureFailover(testbed.FailoverConfig{
 			Threshold: thresholds[i],
 			Backups:   *backups,
 			Seed:      *seed,
 			Loss:      *loss,
-		}
-		// One capture file set per threshold: the sweep runs each threshold
-		// as an independent simulation, possibly in parallel.
-		if *pcapPrefix != "" {
-			cfg.PcapPath = fmt.Sprintf("%s-t%d.pcap", *pcapPrefix, thresholds[i])
-		}
-		if *flightPrefix != "" {
-			cfg.FlightPrefix = fmt.Sprintf("%s-t%d", *flightPrefix, thresholds[i])
-		}
-		if *spansPrefix != "" {
-			cfg.SpansPath = fmt.Sprintf("%s-t%d.json", *spansPrefix, thresholds[i])
-		}
-		if *seriesPrefix != "" {
-			cfg.SeriesPath = fmt.Sprintf("%s-t%d.jsonl", *seriesPrefix, thresholds[i])
-			cfg.SampleEvery = *sampleEvery
-		}
-		if *profPrefix != "" {
-			cfg.ProfilePath = fmt.Sprintf("%s-t%d.prof.json", *profPrefix, thresholds[i])
-		}
-		cfg.Invariants = *invariants
-		if *auditPrefix != "" {
-			cfg.AuditPath = fmt.Sprintf("%s-t%d.audit.json", *auditPrefix, thresholds[i])
-		}
-		res := testbed.MeasureFailover(cfg)
+			Observe:   observe.Suffixed(fmt.Sprintf("-t%d", thresholds[i])),
+		})
 		r := row{
 			Threshold:      thresholds[i],
 			DetectMS:       res.Detected.Seconds() * 1000,
@@ -93,6 +69,7 @@ func main() {
 			Suspicions:     res.Suspicions,
 			FalseReconfigs: res.FalseReconfigs,
 			Violations:     res.Violations,
+			observeErr:     res.ObserveErr,
 		}
 		if res.ClientError != nil {
 			r.ClientError = res.ClientError.Error()
@@ -102,28 +79,24 @@ func main() {
 
 	totalViolations := 0
 	for _, r := range rows {
+		fatal(fmt.Sprintf("threshold %d", r.Threshold), r.observeErr)
 		totalViolations += r.Violations
 	}
-
-	finishPprof := func() {
-		if err := stopPprof(); err != nil {
-			fmt.Fprintf(os.Stderr, "failover: pprof: %v\n", err)
+	// finish stops the runtime profiles and turns violations into the exit
+	// status.
+	finish := func() {
+		fatal("pprof", stopPprof())
+		if totalViolations > 0 {
 			os.Exit(1)
 		}
 	}
 	if *jsonOut {
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
-		if err := enc.Encode(map[string]any{
+		fatal("-json", enc.Encode(map[string]any{
 			"backups": *backups, "seed": *seed, "loss": *loss, "results": rows,
-		}); err != nil {
-			fmt.Fprintf(os.Stderr, "failover: %v\n", err)
-			os.Exit(1)
-		}
-		finishPprof()
-		if totalViolations > 0 {
-			os.Exit(1)
-		}
+		}))
+		finish()
 		return
 	}
 
@@ -143,17 +116,14 @@ func main() {
 	}
 	w.Flush()
 	fmt.Println("\ndetect: crash → redirector reconfiguration; resume: crash → first new byte at the client")
-	if *invariants || *auditPrefix != "" {
+	if observe.Invariants || observe.Audit != "" {
 		if totalViolations > 0 {
 			fmt.Printf("invariants: %d VIOLATIONS across the sweep\n", totalViolations)
 		} else {
 			fmt.Println("invariants: clean across the sweep")
 		}
 	}
-	finishPprof()
-	if totalViolations > 0 {
-		os.Exit(1)
-	}
+	finish()
 }
 
 func ms(d time.Duration) string {

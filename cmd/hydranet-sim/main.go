@@ -4,7 +4,7 @@
 // reports the timeline — registration, chain construction, suspicion,
 // reconfiguration, promotion — plus final per-component statistics.
 //
-// Observability flags:
+// Narration flags:
 //
 //	-events <kinds>  stream selected bus events (comma-separated kind
 //	                 names, or "all"); -events list shows the kinds
@@ -12,10 +12,9 @@
 //	                 reconfig, suspicion, promotion, crash/restart)
 //	-stats           print a net-wide counter summary at the end
 //	-stats-json F    write the full snapshot (with failover timeline) to F
-//	-prof F          write a hydraprof profile (causal critical path) to F;
-//	                 render with `hydrascope profile F`
-//	-cpuprofile F    write a Go runtime CPU profile of the simulator to F
-//	-memprofile F    write a Go runtime heap profile at exit to F
+//
+// The observer flags (-pcap -flight -spans -series -prof -invariants -audit
+// …) are the ones every simulator CLI shares: testbed.ObserverFlags.
 package main
 
 import (
@@ -29,7 +28,7 @@ import (
 	"hydranet"
 	"hydranet/internal/app"
 	"hydranet/internal/obs"
-	"hydranet/internal/prof"
+	"hydranet/internal/testbed"
 	"hydranet/internal/trace"
 )
 
@@ -73,23 +72,8 @@ func main() {
 	perf := flag.Bool("perf", false, "report simulator performance (events/sec, frames/sec, wall time)")
 	statsJSON := flag.String("stats-json", "", "write the final snapshot as JSON to this file (\"-\" = stdout)")
 	traceSegs := flag.Int("trace", 0, "emit up to N tcpdump-style segment trace lines")
-	pcapPath := flag.String("pcap", "", "capture every frame (plus pre-encap tunnel copies) to this pcap file")
-	flightPrefix := flag.String("flight", "", "run a flight recorder; dump PREFIX.pcap/PREFIX.json on failover (or at the end)")
-	spansPath := flag.String("spans", "", "write the per-connection ft-TCP span timeline as JSON to this file (\"-\" = stdout)")
-	seriesPath := flag.String("series", "", "export sampled time series (with replica health verdicts) to this file (JSONL, or CSV with a .csv extension)")
-	sampleEvery := flag.Duration("sample-every", 0, "telemetry sampling cadence for -series (default 100ms of virtual time)")
-	profPath := flag.String("prof", "", "write a hydraprof profile (causal critical path) to this file; render with hydrascope profile")
-	invariants := flag.Bool("invariants", false, "run the online protocol-invariant monitor; exit 1 on any violation")
-	auditPath := flag.String("audit", "", "write the invariant audit report as JSON to this file (implies -invariants); inspect with hydrascope audit")
-	cpuProfile := flag.String("cpuprofile", "", "write a Go runtime CPU profile to this file")
-	memProfile := flag.String("memprofile", "", "write a Go runtime heap profile to this file at exit")
+	observe, startPprof := testbed.ObserverFlags(flag.CommandLine, "")
 	flag.Parse()
-
-	stopPprof, err := prof.StartPprof(*cpuProfile, *memProfile)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "hydranet-sim: pprof: %v\n", err)
-		os.Exit(1)
-	}
 
 	if *events == "list" {
 		for _, k := range obs.Kinds() {
@@ -97,10 +81,31 @@ func main() {
 		}
 		return
 	}
-	if *replicas < 1 {
-		fmt.Fprintln(os.Stderr, "hydranet-sim: need at least one replica")
-		os.Exit(1)
+	// Everything the command line can get wrong is diagnosed here, before
+	// any file is created or any virtual time runs.
+	usage := func(format string, args ...any) {
+		fmt.Fprintf(os.Stderr, "hydranet-sim: "+format+"\n", args...)
+		os.Exit(2)
 	}
+	watched, err := parseKinds(*events)
+	switch {
+	case err != nil:
+		usage("-events: %v (try -events list)", err)
+	case *replicas < 1:
+		usage("need at least one replica")
+	case *crashWho != "primary" && *crashWho != "backup" && *crashWho != "none":
+		usage("unknown -crash %q (want primary, backup or none)", *crashWho)
+	case *crashWho == "backup" && *replicas < 2:
+		usage("-crash backup needs -replicas 2 or more")
+	}
+	fatal := func(what string, err error) {
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "hydranet-sim: %s: %v\n", what, err)
+			os.Exit(1)
+		}
+	}
+	stopPprof, err := startPprof()
+	fatal("pprof", err)
 
 	net := hydranet.New(hydranet.Config{Seed: *seed})
 	client := net.AddHost("client", hydranet.HostConfig{})
@@ -116,24 +121,12 @@ func main() {
 	}
 	net.AutoRoute()
 
-	// Attach before any traffic, so the profile covers the whole scripted run.
-	var profiler *hydranet.Profiler
-	if *profPath != "" {
-		profiler = net.StartProfile(hydranet.ProfileConfig{
-			Scenario: fmt.Sprintf("hydranet-sim replicas=%d bytes=%d crash=%s",
-				*replicas, *bytes, *crashWho),
-		})
-	}
-
-	// The monitor attaches before DeployFT: it reconstructs replica-set
-	// membership from registration events.
-	var mon *hydranet.Monitor
-	if *invariants || *auditPath != "" {
-		mon = net.StartMonitor(hydranet.MonitorConfig{
-			Scenario: fmt.Sprintf("hydranet-sim replicas=%d bytes=%d crash=%s",
-				*replicas, *bytes, *crashWho),
-		})
-	}
+	observe.Scenario = fmt.Sprintf("hydranet-sim replicas=%d bytes=%d crash=%s", *replicas, *bytes, *crashWho)
+	observe.Failover = true // the timeline below is part of every narration
+	observe.SpanStats = *stats
+	observe.Watch = hosts
+	sess, err := net.Instrument(*observe)
+	fatal("observers", err)
 
 	if *traceSegs > 0 {
 		tr := trace.New(os.Stdout, net.Scheduler())
@@ -147,59 +140,11 @@ func main() {
 	// -v and -events share one code path: both subscribe the same printer
 	// to the observability bus, just for different kind sets.
 	bus := net.Bus()
-	watched, err := parseKinds(*events)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "hydranet-sim: -events: %v (try -events list)\n", err)
-		os.Exit(1)
-	}
 	if *verbose {
 		watched = append(watched, verboseKinds...)
 	}
 	if len(watched) > 0 {
 		bus.Subscribe(func(e hydranet.Event) { fmt.Println(e) }, watched...)
-	}
-	probe := net.NewFailoverProbe()
-
-	// Capture subsystems attach after the topology is final (taps cover
-	// every link and redirector) and before any traffic, registration
-	// included, hits the wire.
-	var capt *hydranet.Capture
-	var pcapFile *os.File
-	if *pcapPath != "" {
-		f, err := os.Create(*pcapPath)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "hydranet-sim: -pcap: %v\n", err)
-			os.Exit(1)
-		}
-		pcapFile = f
-		if capt, err = net.StartCapture(f); err != nil {
-			fmt.Fprintf(os.Stderr, "hydranet-sim: -pcap: %v\n", err)
-			os.Exit(1)
-		}
-	}
-	var flight *hydranet.FlightRecorder
-	if *flightPrefix != "" {
-		flight = net.StartFlightRecorder(0, 0)
-		flight.DumpOnFailover(probe, *flightPrefix)
-		if mon != nil {
-			// A violation dumps the forensic bundle the instant it is
-			// recorded, while the offending frames are still in the rings.
-			flight.DumpOnViolation(mon, *flightPrefix+"-violation")
-		}
-	}
-	var spans *hydranet.SpanCollector
-	if *spansPath != "" || *stats || *seriesPath != "" {
-		spans = net.NewSpanCollector()
-	}
-	var tel *hydranet.Telemetry
-	if *seriesPath != "" {
-		tel = net.StartSampler(hydranet.SamplerConfig{
-			Every:  *sampleEvery,
-			Spans:  spans,
-			Health: &hydranet.HealthConfig{},
-		})
-		tel.AttachFailover(probe)
-		tel.WatchReplicas(hosts...)
 	}
 	// kindCounts is a slice indexed by event kind, not a map: iterating it
 	// at print time is deterministic. The -stats emission below still sorts
@@ -217,20 +162,14 @@ func main() {
 	svc := hydranet.ServiceID{Addr: hydranet.MustAddr("192.20.225.20"), Port: 80}
 	opts := hydranet.FTOptions{Detector: hydranet.DetectorParams{RetransmitThreshold: *threshold}}
 	ftsvc, err := net.DeployFT(svc, rd, hosts, opts, func(c *hydranet.Conn) { app.Echo(c) })
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "hydranet-sim: %v\n", err)
-		os.Exit(1)
-	}
+	fatal("deploy", err)
 	logf("deployed %s across %d replicas", svc, *replicas)
 	wallStart := time.Now()
 	net.Settle()
 	logf("chain established: %v (primary first)", ftsvc.Chain())
 
 	conn, err := client.Dial(svc)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "hydranet-sim: dial: %v\n", err)
-		os.Exit(1)
-	}
+	fatal("dial", err)
 	received := 0
 	buf := make([]byte, 8192)
 	conn.OnReadable(func() {
@@ -263,14 +202,9 @@ func main() {
 			dead := ftsvc.CrashPrimary()
 			logf("CRASH: primary %s fail-stopped", dead.Name())
 		case "backup":
-			reps := ftsvc.Replicas()
-			if len(reps) > 1 {
-				reps[len(reps)-1].Host.Crash()
-				logf("CRASH: backup %s fail-stopped", reps[len(reps)-1].Host.Name())
-			}
-		default:
-			fmt.Fprintf(os.Stderr, "hydranet-sim: unknown -crash %q\n", *crashWho)
-			os.Exit(1)
+			last := hosts[len(hosts)-1]
+			last.Crash()
+			logf("CRASH: backup %s fail-stopped", last.Name())
 		}
 	}
 
@@ -301,7 +235,11 @@ func main() {
 			ms.ChainMsgsSent, ms.ChainMsgsReceived, ms.Suspicions, ms.Promotions)
 	}
 
-	report := probe.Report()
+	wall := time.Since(wallStart)
+	sum, err := sess.Finish()
+	fatal("observers", err)
+
+	report := sum.Failover
 	if report.CrashAt > 0 {
 		fmt.Println("\nfailover timeline:")
 		fmt.Printf("  crash            %v\n", report.CrashAt)
@@ -309,61 +247,28 @@ func main() {
 		fmt.Printf("  reconfiguration  %v\n", report.Reconfiguration)
 		fmt.Printf("  client stall     %v  (complete: %v)\n", report.ClientStall, report.Complete)
 	}
-
-	wall := time.Since(wallStart)
-
-	if capt != nil {
-		if err := capt.Err(); err != nil {
-			fmt.Fprintf(os.Stderr, "hydranet-sim: -pcap: %v\n", err)
-			os.Exit(1)
-		}
-		if err := pcapFile.Close(); err != nil {
-			fmt.Fprintf(os.Stderr, "hydranet-sim: -pcap: %v\n", err)
-			os.Exit(1)
-		}
+	if observe.Pcap != "" {
 		logf("pcap: %d records (%d pre-encap inner copies) written to %s",
-			capt.Packets(), capt.InnerPackets(), *pcapPath)
+			sum.PcapRecords, sum.PcapInner, observe.Pcap)
 	}
-	if flight != nil {
-		if flight.Dumps() == 0 {
-			if err := flight.Dump(*flightPrefix); err != nil {
-				fmt.Fprintf(os.Stderr, "hydranet-sim: -flight: %v\n", err)
-				os.Exit(1)
-			}
-			logf("flight recorder dumped at end of run to %s.pcap / %s.json", *flightPrefix, *flightPrefix)
-		} else {
-			logf("flight recorder dumped on failover to %s.pcap / %s.json", *flightPrefix, *flightPrefix)
+	if observe.Flight != "" {
+		when := "at end of run"
+		if sum.FlightFired {
+			when = "on failover"
 		}
+		logf("flight recorder dumped %s to %s.pcap / %s.json", when, observe.Flight, observe.Flight)
 	}
-	if spans != nil && *spansPath != "" {
-		if *spansPath == "-" {
-			if err := spans.WriteJSON(os.Stdout); err != nil {
-				fmt.Fprintf(os.Stderr, "hydranet-sim: -spans: %v\n", err)
-				os.Exit(1)
-			}
-		} else {
-			f, err := os.Create(*spansPath)
-			if err == nil {
-				err = spans.WriteJSON(f)
-				if cerr := f.Close(); err == nil {
-					err = cerr
-				}
-			}
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "hydranet-sim: -spans: %v\n", err)
-				os.Exit(1)
-			}
-			logf("span timeline written to %s", *spansPath)
-		}
+	if observe.Spans != "" && observe.Spans != "-" {
+		logf("span timeline written to %s", observe.Spans)
 	}
-	if tel != nil {
-		tel.Stop()
-		if err := tel.WriteFile(*seriesPath); err != nil {
-			fmt.Fprintf(os.Stderr, "hydranet-sim: -series: %v\n", err)
-			os.Exit(1)
-		}
-		logf("time series (%d series, %d ticks) written to %s",
-			tel.Set().Len(), tel.Ticks(), *seriesPath)
+	if observe.Series != "" {
+		logf("time series (%d series, %d ticks) written to %s", sum.Series, sum.Ticks, observe.Series)
+	}
+	if observe.Profile != "" {
+		logf("hydraprof profile written to %s (render with: hydrascope profile %s)", observe.Profile, observe.Profile)
+	}
+	if observe.Audit != "" {
+		logf("audit report written to %s (render with: hydrascope audit %s)", observe.Audit, observe.Audit)
 	}
 
 	snap := net.Snapshot()
@@ -400,66 +305,38 @@ func main() {
 		for _, kc := range counts {
 			fmt.Printf("    %-16s %8d\n", kc.name, kc.count)
 		}
-		if spans != nil {
-			if lag := spans.AckChainLag(); lag.Count > 0 {
-				fmt.Printf("  ack-chain lag (ms):  %s\n", lag)
-			}
-			if stall := spans.DepositStall(); stall.Count > 0 {
-				fmt.Printf("  deposit stall (ms):  %s\n", stall)
-			}
+		if lag := sum.AckChainLag; lag.Count > 0 {
+			fmt.Printf("  ack-chain lag (ms):  %s\n", lag)
+		}
+		if stall := sum.DepositStall; stall.Count > 0 {
+			fmt.Printf("  deposit stall (ms):  %s\n", stall)
 		}
 	}
 	if *statsJSON != "" {
 		out, err := snap.JSON()
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "hydranet-sim: -stats-json: %v\n", err)
-			os.Exit(1)
-		}
+		fatal("-stats-json", err)
 		out = append(out, '\n')
 		if *statsJSON == "-" {
 			os.Stdout.Write(out)
-		} else if err := os.WriteFile(*statsJSON, out, 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "hydranet-sim: -stats-json: %v\n", err)
-			os.Exit(1)
-		}
-	}
-	if profiler != nil {
-		if err := profiler.WriteFile(*profPath); err != nil {
-			fmt.Fprintf(os.Stderr, "hydranet-sim: -prof: %v\n", err)
-			os.Exit(1)
-		}
-		logf("hydraprof profile written to %s (render with: hydrascope profile %s)", *profPath, *profPath)
-	}
-	auditClean := true
-	if mon != nil {
-		audit := net.FinishAudit(mon)
-		auditClean = audit.Clean
-		if audit.Clean {
-			fmt.Printf("\ninvariants: clean (%d checks over %d events, %d frames)\n",
-				audit.Checks, audit.Events, audit.Frames)
 		} else {
-			fmt.Printf("\ninvariants: %d VIOLATIONS (%d checks over %d events):\n",
-				audit.TotalViolations(), audit.Checks, audit.Events)
-			for _, v := range audit.Violations {
-				fmt.Printf("  %s\n", v)
-			}
+			fatal("-stats-json", os.WriteFile(*statsJSON, out, 0o644))
 		}
-		if *auditPath != "" {
-			if err := audit.WriteJSON(*auditPath); err != nil {
-				fmt.Fprintf(os.Stderr, "hydranet-sim: -audit: %v\n", err)
-				os.Exit(1)
-			}
-			logf("audit report written to %s (render with: hydrascope audit %s)", *auditPath, *auditPath)
+	}
+	if audit := sum.Audit; audit != nil && audit.Clean {
+		fmt.Printf("\ninvariants: clean (%d checks over %d events, %d frames)\n",
+			audit.Checks, audit.Events, audit.Frames)
+	} else if audit != nil {
+		fmt.Printf("\ninvariants: %d VIOLATIONS (%d checks over %d events):\n",
+			audit.TotalViolations(), audit.Checks, audit.Events)
+		for _, v := range audit.Violations {
+			fmt.Printf("  %s\n", v)
 		}
 	}
 	if *verbose {
 		fmt.Printf("\nvirtual time elapsed: %v\n", net.Now())
 	}
-	if err := stopPprof(); err != nil {
-		fmt.Fprintf(os.Stderr, "hydranet-sim: pprof: %v\n", err)
-		os.Exit(1)
-	}
-	if received < *bytes || !auditClean {
+	fatal("pprof", stopPprof())
+	if received < *bytes || (sum.Audit != nil && !sum.Audit.Clean) {
 		os.Exit(1)
 	}
 }

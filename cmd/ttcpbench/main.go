@@ -8,6 +8,12 @@
 // machine-readable benchmark record (BENCH_core.json) with events/sec,
 // frames/sec and wall time per measurement point, so the simulator's own
 // performance is tracked alongside the figures it reproduces.
+//
+// -invariants monitors every measurement run. The observers that write a
+// file (-pcap -flight -spans -series -prof -audit) would cost every point
+// their I/O and overwrite one another, so whichever are named attach to
+// one extra run instead: primary and backup at 1024-byte writes, the most
+// interesting configuration on the wire (tunnel copies plus the ack chain).
 package main
 
 import (
@@ -18,8 +24,8 @@ import (
 	"runtime"
 	"time"
 
+	"hydranet"
 	"hydranet/internal/metrics"
-	"hydranet/internal/prof"
 	"hydranet/internal/scope"
 	"hydranet/internal/sweep"
 	"hydranet/internal/testbed"
@@ -48,26 +54,18 @@ func main() {
 	repeat := flag.Int("repeat", 1, "seeds per point (mean ± std when > 1)")
 	parallel := flag.Int("parallel", runtime.GOMAXPROCS(0), "concurrent simulations (1 = serial; also enables allocs/op in -json)")
 	jsonPath := flag.String("json", "", "write machine-readable results to this file")
-	pcapPath := flag.String("pcap", "", "additionally capture one primary-and-backup run (1024-byte writes) to this pcap file")
-	seriesPath := flag.String("series", "", "additionally export time series of one primary-and-backup run (1024-byte writes) to this file (JSONL, or CSV with a .csv extension)")
-	sampleEvery := flag.Duration("sample-every", 0, "telemetry sampling cadence for -series (default 100ms of virtual time)")
-	profPath := flag.String("prof", "", "additionally profile one dedicated primary-and-backup run (1024-byte writes) and write the hydraprof profile to this file")
-	invariants := flag.Bool("invariants", false, "run the online protocol-invariant monitor in every measurement run; exit 1 on any violation")
-	cpuProfile := flag.String("cpuprofile", "", "write a Go runtime CPU profile to this file")
-	memProfile := flag.String("memprofile", "", "write a Go runtime heap profile to this file at exit")
+	observe, startPprof := testbed.ObserverFlags(flag.CommandLine,
+		"-invariants monitors every measurement run; the flags that name a file attach to one extra primary-and-backup run (1024-byte writes)")
 	flag.Parse()
 
-	stopPprof, err := prof.StartPprof(*cpuProfile, *memProfile)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "ttcpbench: pprof:", err)
-		os.Exit(1)
-	}
-	finishPprof := func() {
-		if err := stopPprof(); err != nil {
-			fmt.Fprintln(os.Stderr, "ttcpbench: pprof:", err)
+	fatal := func(what string, err error) {
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "ttcpbench: %s: %v\n", what, err)
 			os.Exit(1)
 		}
 	}
+	stopPprof, err := startPprof()
+	fatal("pprof", err)
 
 	fmt.Printf("ttcp throughput measurements for HydraNet-FT (Figure 4)\n")
 	fmt.Printf("transfer volume %d bytes per point, %d run(s) per point, base seed %d, %d worker(s)\n\n",
@@ -93,7 +91,7 @@ func main() {
 		res, info := testbed.RunMeasured(testbed.Config{
 			Case: j.c, BufLen: j.size, TotalBytes: *total,
 			Seed: *seed + int64(j.rep), Backups: *backups,
-			Invariants: *invariants,
+			Observe: hydranet.Instruments{Invariants: observe.Invariants},
 		})
 		out := jobResult{kbps: res.ThroughputKBps(), err: res.Err, info: info}
 		if serial {
@@ -161,63 +159,32 @@ func main() {
 	fmt.Print(table)
 	fmt.Println("\nthroughput in kBytes/sec; rows correspond to the paper's x-axis")
 	fmt.Printf("swept %d runs in %v\n", len(jobs), wall.Round(time.Millisecond))
-	if *invariants {
+	if observe.Invariants {
 		totalViolations := 0
 		for _, r := range results {
 			totalViolations += r.info.Violations
 		}
 		if totalViolations > 0 {
 			fmt.Printf("invariants: %d VIOLATIONS across the sweep\n", totalViolations)
-			finishPprof()
+			fatal("pprof", stopPprof())
 			os.Exit(1)
 		}
 		fmt.Println("invariants: clean across the sweep")
 	}
 
-	if *pcapPath != "" {
-		// One extra, dedicated capture run: capturing inside the sweep
-		// would cost every measurement point pcap I/O and produce a file
-		// per job. The full-FT 1024-byte configuration is the most
-		// interesting one on the wire (tunnel copies plus the ack chain).
-		res := testbed.Run(testbed.Config{
+	if observe.WritesFiles() {
+		res, info := testbed.RunMeasured(testbed.Config{
 			Case: testbed.CasePrimaryBackup, BufLen: 1024, TotalBytes: *total,
-			Seed: *seed, Backups: *backups, PcapPath: *pcapPath,
+			Seed: *seed, Backups: *backups, Observe: *observe,
 		})
-		if res.Err != nil {
-			fmt.Fprintln(os.Stderr, "ttcpbench: capture run:", res.Err)
+		fatal("observed run", res.Err)
+		fatal("observed run", info.ObserveErr)
+		fmt.Println("observed one extra primary-and-backup run (1024-byte writes); artifacts written as named")
+		if info.Violations > 0 {
+			fmt.Printf("invariants: %d VIOLATIONS in the observed run\n", info.Violations)
+			fatal("pprof", stopPprof())
 			os.Exit(1)
 		}
-		fmt.Printf("captured primary-and-backup run (1024-byte writes) to %s\n", *pcapPath)
-	}
-
-	if *seriesPath != "" {
-		// Same dedicated-run pattern as -pcap: sampling inside the sweep
-		// would add telemetry cost to every measurement point.
-		res := testbed.Run(testbed.Config{
-			Case: testbed.CasePrimaryBackup, BufLen: 1024, TotalBytes: *total,
-			Seed: *seed, Backups: *backups,
-			SeriesPath: *seriesPath, SampleEvery: *sampleEvery,
-		})
-		if res.Err != nil {
-			fmt.Fprintln(os.Stderr, "ttcpbench: series run:", res.Err)
-			os.Exit(1)
-		}
-		fmt.Printf("exported primary-and-backup series (1024-byte writes) to %s\n", *seriesPath)
-	}
-
-	if *profPath != "" {
-		// Same dedicated-run pattern again: profiling inside the sweep would
-		// attach collectors to every measurement point.
-		res := testbed.Run(testbed.Config{
-			Case: testbed.CasePrimaryBackup, BufLen: 1024, TotalBytes: *total,
-			Seed: *seed, Backups: *backups, ProfilePath: *profPath,
-		})
-		if res.Err != nil {
-			fmt.Fprintln(os.Stderr, "ttcpbench: profile run:", res.Err)
-			os.Exit(1)
-		}
-		fmt.Printf("profiled primary-and-backup run (1024-byte writes) to %s (render with: hydrascope profile %s)\n",
-			*profPath, *profPath)
 	}
 
 	if *jsonPath != "" {
@@ -231,16 +198,9 @@ func main() {
 			Entries:     entries,
 		}
 		data, err := json.MarshalIndent(bf, "", "  ")
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "ttcpbench:", err)
-			os.Exit(1)
-		}
-		data = append(data, '\n')
-		if err := os.WriteFile(*jsonPath, data, 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, "ttcpbench:", err)
-			os.Exit(1)
-		}
+		fatal("-json", err)
+		fatal("-json", os.WriteFile(*jsonPath, append(data, '\n'), 0o644))
 		fmt.Printf("wrote %s\n", *jsonPath)
 	}
-	finishPprof()
+	fatal("pprof", stopPprof())
 }

@@ -1,7 +1,8 @@
 package hydranet
 
 import (
-	"bytes"
+	"os"
+	"path/filepath"
 	"testing"
 	"time"
 )
@@ -45,24 +46,17 @@ func requireReassemblyGuardsIdle(t *testing.T, net *Net) {
 	}
 }
 
-// GoldenCapture runs the FT capture scenario — deploy, stream, crash the
-// primary, recover, with a capture, a failover probe and a health-scoring
-// sampler attached — and returns its pcap and series-JSONL exports.
-func GoldenCapture(t *testing.T) (pcap, series []byte) {
+// runCaptureFailover runs the FT capture scenario — deploy, stream 1 MiB,
+// crash the primary at 300 ms, recover — through Instrument/Finish with the
+// named observers (the replicas are health-watched).
+func runCaptureFailover(t *testing.T, in Instruments) Summary {
 	t.Helper()
 	net, client, rd, replicas := captureTopology(t, 11)
-
-	var capture bytes.Buffer
-	if _, err := net.StartCapture(&capture); err != nil {
+	in.Watch = replicas
+	sess, err := net.Instrument(in)
+	if err != nil {
 		t.Fatal(err)
 	}
-	probe := net.NewFailoverProbe()
-	tel := net.StartSampler(SamplerConfig{
-		Every:  50 * time.Millisecond,
-		Health: &HealthConfig{},
-	})
-	tel.AttachFailover(probe)
-	tel.WatchReplicas(replicas...)
 
 	svc, err := net.DeployFT(testSvc, rd, replicas,
 		FTOptions{Detector: DetectorParams{RetransmitThreshold: 3}}, echoAccept())
@@ -85,12 +79,33 @@ func GoldenCapture(t *testing.T) (pcap, series []byte) {
 	if *received != len(payload) {
 		t.Fatalf("client received %d of %d bytes", *received, len(payload))
 	}
-	tel.Stop()
-	requireReassemblyGuardsIdle(t, net)
-
-	var ser bytes.Buffer
-	if err := tel.WriteJSONL(&ser); err != nil {
+	sum, err := sess.Finish()
+	if err != nil {
 		t.Fatal(err)
 	}
-	return capture.Bytes(), ser.Bytes()
+	requireReassemblyGuardsIdle(t, net)
+	return sum
+}
+
+func mustRead(t *testing.T, path string) []byte {
+	t.Helper()
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// GoldenCapture is the capture scenario with a pcap and a 50 ms sampler
+// named; it returns the two files Finish wrote.
+func GoldenCapture(t *testing.T) (pcap, series []byte) {
+	t.Helper()
+	dir := t.TempDir()
+	in := Instruments{
+		Pcap:        filepath.Join(dir, "golden.pcap"),
+		Series:      filepath.Join(dir, "golden.jsonl"),
+		SampleEvery: 50 * time.Millisecond,
+	}
+	runCaptureFailover(t, in)
+	return mustRead(t, in.Pcap), mustRead(t, in.Series)
 }

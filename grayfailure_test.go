@@ -24,11 +24,7 @@ func TestGrayFailureDegradedBeforeDetector(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	tel := net.StartSampler(SamplerConfig{
-		Every:  50 * time.Millisecond,
-		Health: &HealthConfig{},
-	})
-	tel.WatchReplicas(replicas...)
+	tel := net.startSampler(50*time.Millisecond, nil, nil, replicas)
 
 	var suspicions []time.Duration
 	net.Bus().Subscribe(func(e Event) {
@@ -61,7 +57,7 @@ func TestGrayFailureDegradedBeforeDetector(t *testing.T) {
 	if suspicionAt == 0 {
 		t.Fatal("detector never raised a suspicion after the stall — it did not bite")
 	}
-	scorer := tel.Scorer()
+	scorer := tel.scorer
 	degradedAt, ok := scorer.FirstDegradedAt(slow.Name())
 	if !ok {
 		t.Fatalf("slow replica %s never scored Degraded (verdict %v)",
@@ -96,7 +92,7 @@ func TestSamplerZeroCostWhenStopped(t *testing.T) {
 		net.Link(a, b, LinkConfig{Rate: 100_000_000, Delay: 100 * time.Microsecond})
 		net.AutoRoute()
 		if attach {
-			tel := net.StartSampler(SamplerConfig{Every: time.Millisecond})
+			tel := net.startSampler(time.Millisecond, nil, nil, nil)
 			net.RunFor(5 * time.Millisecond) // let it tick for real
 			tel.Stop()
 		}
@@ -130,13 +126,8 @@ func TestSeriesExportIdenticalSeedsDiffClean(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		probe := net.NewFailoverProbe()
-		tel := net.StartSampler(SamplerConfig{
-			Every:  50 * time.Millisecond,
-			Health: &HealthConfig{},
-		})
-		tel.AttachFailover(probe)
-		tel.WatchReplicas(replicas...)
+		probe := net.newFailoverProbe()
+		tel := net.startSampler(50*time.Millisecond, nil, probe, replicas)
 		net.Settle()
 
 		payload := make([]byte, 512*1024)

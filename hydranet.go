@@ -113,15 +113,16 @@ type Net struct {
 	links       []linkInfo
 	nextSubnet  byte
 
-	// Capture taps registered via StartCapture/StartFlightRecorder; see
-	// capture.go. Kept here so multiple consumers can share the fabric's
-	// single tap slot.
+	// Taps registered by the capture, the flight recorder and the monitor;
+	// see capture.go. Kept here so they can share the fabric's single tap
+	// slot.
 	frameTaps []netsim.FrameTap
 	encapTaps []redirector.EncapTap
 
-	// profiler is non-nil while a hydraprof session is attached; see
-	// profile.go.
-	profiler *Profiler
+	// session is what Instrument attached; deployed records that a DeployFT
+	// has run, after which Instrument refuses (instrument.go).
+	session  *Session
+	deployed bool
 }
 
 type linkInfo struct {

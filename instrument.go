@@ -1,0 +1,256 @@
+package hydranet
+
+import (
+	"errors"
+	"fmt"
+	"io"
+	"os"
+	"path/filepath"
+	"strings"
+	"time"
+
+	"hydranet/internal/capture"
+	"hydranet/internal/metrics"
+	"hydranet/internal/obs"
+	"hydranet/internal/tcp"
+)
+
+// Instruments names the observers of one run and the files their artifacts
+// go to. The zero value attaches nothing: no bus subscriber, no frame tap,
+// no scheduler event — an uninstrumented run fires exactly the events it
+// would without this file.
+type Instruments struct {
+	// Scenario labels the profile and the audit report.
+	Scenario string
+	// Pcap captures every fabric frame, plus the pre-encapsulation inner
+	// packet of every redirector tunnel copy, to this pcap file.
+	Pcap string
+	// Flight runs a flight recorder dumped to Flight.pcap / Flight.json
+	// the instant the fail-over probe fires (or by Finish if it never
+	// does), and to Flight-violation.* on the monitor's first violation.
+	Flight string
+	// Spans writes the per-connection ft-TCP span timeline as JSON to
+	// this file ("-" = stdout).
+	Spans string
+	// SpanStats collects span statistics (Summary.AckChainLag and
+	// DepositStall) even when Spans names no file.
+	SpanStats bool
+	// Series exports sampled time series to this file (CSV with a .csv
+	// extension, JSONL otherwise). They always carry the fail-over phases,
+	// span lag/stall columns only when spans are collected, and health
+	// verdicts only for the Watch replicas.
+	Series string
+	// SampleEvery is the Series cadence (default 100 ms of virtual time).
+	SampleEvery time.Duration
+	// Watch lists the replicas the Series health scorer classifies.
+	Watch []*Host
+	// Profile writes a hydraprof profile (causal critical path) here.
+	Profile string
+	// Invariants attaches the online protocol-invariant monitor; Audit
+	// additionally writes its report as JSON to this file.
+	Invariants bool
+	Audit      string
+	// Failover attaches the fail-over probe even when no artifact needs it
+	// (Flight and Series always do), for Summary.Failover.
+	Failover bool
+}
+
+// WritesFiles reports whether any observer that produces an artifact is on.
+func (in Instruments) WritesFiles() bool {
+	return in.Pcap != "" || in.Flight != "" || in.Spans != "" || in.Series != "" ||
+		in.Profile != "" || in.Audit != ""
+}
+
+// Suffixed returns in with tag inserted before the extension of every
+// artifact path (run.pcap → run-t3.pcap, x.prof.json → x-t3.prof.json, the
+// Flight stem flight → flight-t3), so the runs of a sweep write distinct
+// files. Empty paths and the Spans "-" stay as they are.
+func (in Instruments) Suffixed(tag string) Instruments {
+	for _, p := range []*string{&in.Pcap, &in.Flight, &in.Spans, &in.Series, &in.Profile, &in.Audit} {
+		if *p == "" || *p == "-" {
+			continue
+		}
+		dir, base := filepath.Split(*p)
+		i := strings.IndexByte(base, '.')
+		if i <= 0 { // no extension, or a dot-file
+			i = len(base)
+		}
+		*p = dir + base[:i] + tag + base[i:]
+	}
+	return in
+}
+
+// Session is the set of observers Instrument attached to one Net.
+type Session struct {
+	net *Net
+	in  Instruments
+
+	mon      *Monitor
+	pcapFile *os.File
+	capt     *capture.Capture
+	probe    *obs.FailoverProbe
+	flight   *capture.FlightRecorder
+	spans    *tcp.SpanCollector
+	tel      *telemetry
+	profiler *profiler
+	finished bool
+}
+
+// Summary is what Finish reports about a run's observers.
+type Summary struct {
+	// Failover is the probe's Table-2 report (zero without a probe or a
+	// crash).
+	Failover FailoverReport
+	// Audit is the monitor's verdict, nil unless the run was monitored.
+	Audit *AuditReport
+	// PcapRecords counts capture records, PcapInner the pre-encap inner
+	// copies among them.
+	PcapRecords, PcapInner uint64
+	// FlightFired reports that the recorder dumped on fail-over or on a
+	// violation; otherwise Finish wrote the end-of-run dump.
+	FlightFired bool
+	// Series and Ticks count the exported series and sampler ticks.
+	Series int
+	Ticks  uint64
+	// AckChainLag and DepositStall are the span statistics (milliseconds).
+	AckChainLag, DepositStall metrics.HistogramSnapshot
+}
+
+// Instrument attaches the observers in selects, once per Net, after the
+// topology is final (taps cover the links and redirectors that exist now)
+// and before DeployFT (the monitor rebuilds replica-set membership from the
+// registration events, and every artifact starts at registration). It owns
+// the attach order — monitor, capture, fail-over probe, flight recorder
+// armed on fail-over and on violation, span collector, sampler, profiler —
+// so a caller cannot get it wrong: a second call, or one after DeployFT,
+// is an error and attaches nothing. Flush with Session.Finish after the
+// run's last RunFor.
+func (n *Net) Instrument(in Instruments) (*Session, error) {
+	switch {
+	case n.session != nil:
+		return nil, errors.New("hydranet: Instrument called twice on one Net")
+	case n.deployed:
+		return nil, errors.New("hydranet: Instrument called after DeployFT; attach observers first")
+	}
+	s := &Session{net: n, in: in}
+	if in.Pcap != "" {
+		f, err := os.Create(in.Pcap)
+		if err != nil {
+			return nil, fmt.Errorf("hydranet: pcap: %w", err)
+		}
+		s.pcapFile = f
+	}
+	n.session = s
+
+	if in.Invariants || in.Audit != "" {
+		s.mon = n.StartMonitor(MonitorConfig{Scenario: in.Scenario})
+	}
+	if s.pcapFile != nil {
+		var err error
+		if s.capt, err = n.startCapture(s.pcapFile); err != nil {
+			s.pcapFile.Close()
+			return nil, fmt.Errorf("hydranet: pcap: %w", err)
+		}
+	}
+	if in.Failover || in.Flight != "" || in.Series != "" {
+		s.probe = n.newFailoverProbe()
+	}
+	if in.Flight != "" {
+		s.flight = n.startFlightRecorder(0, 0)
+		s.flight.DumpOnFailover(s.probe, in.Flight)
+		if s.mon != nil {
+			// A violation dumps the forensic bundle the instant it is
+			// recorded, while the offending frames are still in the rings.
+			s.flight.DumpOnViolation(s.mon, in.Flight+"-violation")
+		}
+	}
+	if in.Spans != "" || in.SpanStats {
+		s.spans = n.newSpanCollector()
+	}
+	if in.Series != "" {
+		s.tel = n.startSampler(in.SampleEvery, s.spans, s.probe, in.Watch)
+	}
+	if in.Profile != "" {
+		s.profiler = n.startProfile(in.Scenario)
+	}
+	return s, nil
+}
+
+// Finish detaches what reschedules itself and flushes every artifact: it
+// stops the sampler, surfaces the capture's sticky write error and closes
+// the pcap, dumps a flight recorder that never fired, writes spans, series
+// and profile, and runs the monitor's end-of-run conservation check (decided
+// only when the simulation is quiescent) before writing the audit. Every
+// step runs even if an earlier one failed; the errors come back joined.
+func (s *Session) Finish() (Summary, error) {
+	if s.finished {
+		return Summary{}, errors.New("hydranet: Session.Finish called twice")
+	}
+	s.finished = true
+	var sum Summary
+	var errs []error
+	fail := func(what string, err error) {
+		if err != nil {
+			errs = append(errs, fmt.Errorf("hydranet: %s: %w", what, err))
+		}
+	}
+	if s.tel != nil {
+		s.tel.Stop()
+	}
+	if s.probe != nil {
+		sum.Failover = s.probe.Report()
+	}
+	if s.capt != nil {
+		sum.PcapRecords, sum.PcapInner = s.capt.Packets(), s.capt.InnerPackets()
+		fail("pcap", errors.Join(s.capt.Err(), s.pcapFile.Close()))
+	}
+	if s.flight != nil {
+		if sum.FlightFired = s.flight.Dumps() > 0; !sum.FlightFired {
+			fail("flight dump", s.flight.Dump(s.in.Flight))
+		}
+	}
+	if s.spans != nil {
+		sum.AckChainLag, sum.DepositStall = s.spans.AckChainLag(), s.spans.DepositStall()
+		switch s.in.Spans {
+		case "":
+		case "-":
+			fail("spans", s.spans.WriteJSON(os.Stdout))
+		default:
+			fail("spans", writeFile(s.in.Spans, s.spans.WriteJSON))
+		}
+	}
+	if s.tel != nil {
+		sum.Series, sum.Ticks = s.tel.set.Len(), s.tel.sampler.Ticks()
+		write := s.tel.WriteJSONL
+		if strings.HasSuffix(s.in.Series, ".csv") {
+			write = s.tel.WriteCSV
+		}
+		fail("series", writeFile(s.in.Series, write))
+	}
+	if s.profiler != nil {
+		fail("profile", s.profiler.WriteFile(s.in.Profile))
+		s.profiler.Stop()
+	}
+	if s.mon != nil {
+		audit := s.net.FinishAudit(s.mon)
+		sum.Audit = &audit
+		if s.in.Audit != "" {
+			fail("audit", audit.WriteJSON(s.in.Audit))
+		}
+	}
+	return sum, errors.Join(errs...)
+}
+
+// writeFile creates path, streams write into it and reports the first
+// error of create, write and close.
+func writeFile(path string, write func(io.Writer) error) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	err = write(f)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
+}

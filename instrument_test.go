@@ -1,0 +1,221 @@
+package hydranet
+
+import (
+	"bytes"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+	"time"
+
+	"hydranet/internal/obs"
+	"hydranet/internal/prof"
+	"hydranet/internal/scope"
+)
+
+// requireNothingAttached fails unless the net is as bare as New left it: no
+// bus subscriber on any kind, no frame or encap tap, no profiler and no
+// scheduler event.
+func requireNothingAttached(t *testing.T, net *Net) {
+	t.Helper()
+	for _, k := range obs.Kinds() {
+		if net.bus.Enabled(k) {
+			t.Errorf("bus has a subscriber for %s", k)
+		}
+	}
+	if len(net.frameTaps) != 0 || len(net.encapTaps) != 0 || net.sched.Profile() != nil {
+		t.Errorf("%d frame taps, %d encap taps, profiler %v attached",
+			len(net.frameTaps), len(net.encapTaps), net.sched.Profile())
+	}
+	if p := net.sched.Pending(); p != 0 {
+		t.Errorf("%d scheduler events pending", p)
+	}
+}
+
+// TestInstrumentZeroValueAttachesNothing: Instruments{} is a run without
+// observers — what lets testbed and bench call Instrument unconditionally
+// and still match an uninstrumented run to the last fired event.
+func TestInstrumentZeroValueAttachesNothing(t *testing.T) {
+	net, _, _, _ := ftTopology(t, 1, 2)
+	sess, err := net.Instrument(Instruments{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireNothingAttached(t, net)
+	sum, err := sess.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sum.Audit != nil || sum.Failover != (FailoverReport{}) || sum.PcapRecords != 0 || sum.Series != 0 {
+		t.Errorf("zero Instruments reported %+v", sum)
+	}
+	if _, err := sess.Finish(); err == nil {
+		t.Error("second Finish returned no error")
+	}
+}
+
+// TestInstrumentOrderIsEnforced: the attach-order rule is an error, not a
+// comment. A monitor attached after DeployFT misses the registrations and
+// audits a run clean on a third fewer checks; Instrument refuses instead,
+// and a refused call creates no file and attaches nothing.
+func TestInstrumentOrderIsEnforced(t *testing.T) {
+	everything := func(dir string) Instruments {
+		return Instruments{
+			Pcap: filepath.Join(dir, "x.pcap"), Flight: filepath.Join(dir, "x"),
+			Spans: filepath.Join(dir, "x.json"), Series: filepath.Join(dir, "x.jsonl"),
+			Profile: filepath.Join(dir, "x.prof.json"), Audit: filepath.Join(dir, "x.audit.json"),
+		}
+	}
+	requireEmpty := func(dir string) {
+		t.Helper()
+		if files, _ := os.ReadDir(dir); len(files) != 0 {
+			t.Errorf("refused Instrument left %d files behind", len(files))
+		}
+	}
+
+	t.Run("after DeployFT", func(t *testing.T) {
+		net, _, rd, replicas := ftTopology(t, 1, 2)
+		if _, err := net.DeployFT(testSvc, rd, replicas, FTOptions{}, echoAccept()); err != nil {
+			t.Fatal(err)
+		}
+		pending := net.sched.Pending()
+		dir := t.TempDir()
+		if sess, err := net.Instrument(everything(dir)); err == nil || sess != nil {
+			t.Fatalf("Instrument after DeployFT = (%v, %v), want an error", sess, err)
+		}
+		if net.sched.Pending() != pending {
+			t.Error("refused Instrument scheduled an event")
+		}
+		net.RunFor(2 * time.Minute) // registration and chain set-up drain
+		requireNothingAttached(t, net)
+		requireEmpty(dir)
+	})
+	t.Run("second call", func(t *testing.T) {
+		net, _, _, _ := ftTopology(t, 1, 2)
+		if _, err := net.Instrument(Instruments{}); err != nil {
+			t.Fatal(err)
+		}
+		dir := t.TempDir()
+		if sess, err := net.Instrument(everything(dir)); err == nil || sess != nil {
+			t.Fatalf("second Instrument = (%v, %v), want an error", sess, err)
+		}
+		requireNothingAttached(t, net)
+		requireEmpty(dir)
+	})
+}
+
+// TestInstrumentEverythingOn runs the capture fail-over scenario with every
+// observer named: Finish must leave all seven artifacts on disk, each
+// readable by the in-repo loader the tools use, report a clean audit and a
+// complete fail-over — and six more observers must not change one byte of
+// what the capture saw.
+func TestInstrumentEverythingOn(t *testing.T) {
+	dir := t.TempDir()
+	in := Instruments{
+		Scenario: "everything on",
+		Pcap:     filepath.Join(dir, "run.pcap"),
+		Flight:   filepath.Join(dir, "flight"),
+		Spans:    filepath.Join(dir, "spans.json"),
+		Series:   filepath.Join(dir, "series.jsonl"),
+		Profile:  filepath.Join(dir, "run.prof.json"),
+		Audit:    filepath.Join(dir, "run.audit.json"),
+	}
+	sum := runCaptureFailover(t, in)
+
+	if sum.Audit == nil || !sum.Audit.Clean {
+		t.Fatalf("audit = %+v, want clean", sum.Audit)
+	}
+	if r := sum.Failover; !r.Complete || r.CrashAt != 1300*time.Millisecond {
+		t.Errorf("fail-over report %+v, want complete with the crash at 1.3s", r)
+	}
+	if !sum.FlightFired {
+		t.Error("flight recorder did not dump on the fail-over")
+	}
+
+	pf, err := ReadPcapFile(in.Pcap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if uint64(len(pf.Records)) != sum.PcapRecords || sum.PcapInner == 0 {
+		t.Errorf("pcap holds %d records, Summary says %d (%d inner)", len(pf.Records), sum.PcapRecords, sum.PcapInner)
+	}
+	if fp, err := ReadPcapFile(in.Flight + ".pcap"); err != nil || len(fp.Records) == 0 {
+		t.Errorf("flight pcap: %v", err)
+	}
+	if raw := mustRead(t, in.Flight+".json"); !bytes.Contains(raw, []byte(`"hosts"`)) {
+		t.Error("flight JSON has no hosts section")
+	}
+	if sr, err := scope.LoadSpanFile(in.Spans); err != nil || len(sr.Timelines) == 0 ||
+		sr.AckChainLagMS.Count != sum.AckChainLag.Count || sum.AckChainLag.Count == 0 {
+		t.Errorf("span file: %v (Summary lag count %d)", err, sum.AckChainLag.Count)
+	}
+	run, err := scope.LoadRunFile(in.Series)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if run.Meta.Failover == nil || !run.Meta.Failover.Complete || len(run.Names()) != sum.Series || run.Meta.Ticks != sum.Ticks {
+		t.Errorf("series meta %+v with %d series, Summary says %d series, %d ticks",
+			run.Meta, len(run.Names()), sum.Series, sum.Ticks)
+	}
+	// One rule for what series contain: span columns because spans are on,
+	// health verdicts because replicas are watched.
+	for _, name := range []string{"spans.ack_chain_lag_samples", "health.s0", "health.s1"} {
+		if run.Get(name) == nil {
+			t.Errorf("series export lacks %s", name)
+		}
+	}
+	if p, err := prof.LoadFile(in.Profile); err != nil || p.Scenario != in.Scenario || p.CriticalPath.Depth == 0 {
+		t.Errorf("profile: %v", err)
+	}
+	if a, err := scope.LoadAuditFile(in.Audit); err != nil || !a.Clean || a.Scenario != in.Scenario {
+		t.Errorf("audit file: %v", err)
+	}
+
+	alone := Instruments{Pcap: filepath.Join(dir, "alone.pcap")}
+	runCaptureFailover(t, alone)
+	if !bytes.Equal(mustRead(t, in.Pcap), mustRead(t, alone.Pcap)) {
+		t.Error("the pcap of the everything-on run differs from the pcap-only run's")
+	}
+}
+
+// TestFinishSurfacesPcapError: a capture whose destination stops accepting
+// writes mid-run must not end as a silently truncated file.
+func TestFinishSurfacesPcapError(t *testing.T) {
+	net, client, rd, replicas := ftTopology(t, 3, 2)
+	sess, err := net.Instrument(Instruments{Pcap: filepath.Join(t.TempDir(), "run.pcap")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := net.DeployFT(testSvc, rd, replicas, FTOptions{}, echoAccept()); err != nil {
+		t.Fatal(err)
+	}
+	net.Settle()
+	sess.pcapFile.Close() // the disk "fills": every later write fails
+	payload := make([]byte, 16*1024)
+	received := streamClient(t, net, client, payload)
+	for *received < len(payload) && net.Now() < time.Minute {
+		net.RunFor(time.Second)
+	}
+	if _, err := sess.Finish(); err == nil || !strings.Contains(err.Error(), "pcap") {
+		t.Fatalf("Finish = %v, want the capture's write error", err)
+	}
+}
+
+func TestInstrumentsSuffixed(t *testing.T) {
+	for _, tc := range []struct{ path, want string }{
+		{"a.pcap", "a-t3.pcap"},
+		{"out/x.prof.json", "out/x-t3.prof.json"},
+		{"out.d/flight", "out.d/flight-t3"},
+		{".hidden", ".hidden-t3"},
+		{"-", "-"},
+		{"", ""},
+	} {
+		got := Instruments{Pcap: tc.path, Flight: tc.path, Spans: tc.path,
+			Series: tc.path, Profile: tc.path, Audit: tc.path}.Suffixed("-t3")
+		for _, p := range []string{got.Pcap, got.Flight, got.Spans, got.Series, got.Profile, got.Audit} {
+			if p != tc.want {
+				t.Errorf("Suffixed(%q) = %q, want %q", tc.path, p, tc.want)
+			}
+		}
+	}
+}

@@ -1,8 +1,15 @@
+// Package ir holds what the hydralint analyzers share above go/ast and
+// go/types: a per-package call graph of same-package static calls with a
+// bottom-up (callees first, recursive components to fixpoint) visiting
+// order. The framepool analyzer's interprocedural ownership summaries run
+// on it. Like the rest of the lint suite it builds from the standard
+// library alone (no x/tools).
 package ir
 
 import (
 	"go/ast"
 	"go/types"
+	"slices"
 	"sort"
 )
 
@@ -95,20 +102,11 @@ func (cg *CallGraph) BottomUp(visit func(fn *types.Func, decl *ast.FuncDecl) boo
 					changed = true
 				}
 			}
-			if len(scc) == 1 && !cg.selfRecursive(scc[0]) {
+			if len(scc) == 1 && !slices.Contains(cg.Callees[scc[0]], scc[0]) {
 				break // no cycle: one pass suffices
 			}
 		}
 	}
-}
-
-func (cg *CallGraph) selfRecursive(fn *types.Func) bool {
-	for _, c := range cg.Callees[fn] {
-		if c == fn {
-			return true
-		}
-	}
-	return false
 }
 
 // sccs returns the condensation of the call graph in reverse topological

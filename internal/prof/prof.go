@@ -4,7 +4,7 @@
 //
 // The package is pure data and analysis: it does not import the simulator,
 // so tooling (internal/scope, cmd/hydrascope) can load and diff profiles
-// without dragging in the engine. The facade (hydranet.StartProfile)
+// without dragging in the engine. The facade (hydranet.Instruments.Profile)
 // assembles a Profile from the sim collector.
 //
 // Two kinds of fields coexist and tooling must keep them apart:

@@ -17,9 +17,8 @@ const DefaultCadence = 100 * time.Millisecond
 // directly and re-arming reuses its heap node), so an armed sampler costs one
 // scheduler event per interval and nothing on any packet path.
 //
-// A started sampler reschedules itself forever; Net.Run()-until-idle
-// callers must Stop it or the network never goes idle. RunFor/RunUntil
-// loops (every CLI and testbed harness) need no Stop.
+// A started sampler reschedules itself until Stop (hydranet's
+// Session.Finish), so a network with one running never goes idle.
 type Sampler struct {
 	every  time.Duration
 	timer  *sim.Timer

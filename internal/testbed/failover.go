@@ -2,7 +2,6 @@ package testbed
 
 import (
 	"fmt"
-	"os"
 	"time"
 
 	"hydranet"
@@ -31,31 +30,12 @@ type FailoverConfig struct {
 	// NoCrash keeps every host alive: the run measures detector false
 	// positives (suspicions and wrongful reconfigurations) only.
 	NoCrash bool
-	// PcapPath, if set, captures every frame of the run (including the
-	// redirector's pre-encap tunnel copies) to this pcap file.
-	PcapPath string
-	// FlightPrefix, if set, runs a flight recorder dumped to
-	// FlightPrefix.pcap/.json when the failover probe fires (or at the end
-	// of the run if it never does).
-	FlightPrefix string
-	// SpansPath, if set, writes the per-connection span timeline JSON here.
-	SpansPath string
-	// SeriesPath, if set, exports sampled time series for the run (JSONL,
-	// or CSV if the path ends in .csv), including per-replica health
-	// verdicts from the gray-failure scorer and the failover phase report.
-	SeriesPath string
-	// SampleEvery is the telemetry sampling cadence (default 100 ms of
-	// virtual time). Used only with SeriesPath.
-	SampleEvery time.Duration
-	// ProfilePath, if set, writes a hydraprof profile of the run (detection
-	// and recovery included; see hydranet.StartProfile) to this file.
-	ProfilePath string
-	// Invariants attaches the online protocol-invariant monitor; violation
-	// counts land in FailoverResult.Violations.
-	Invariants bool
-	// AuditPath, if set, writes the monitor's audit report as JSON here
-	// (implies Invariants).
-	AuditPath string
+	// Observe selects the run's observers and artifact files; they attach
+	// once the topology stands, before the service registers.
+	Observe hydranet.Instruments
+	// FlightPrefix and SpansPath are the names bench/ compiles against;
+	// MeasureFailover folds them into Observe (ROADMAP 6(c)).
+	FlightPrefix, SpansPath string
 }
 
 // FailoverResult reports what happened.
@@ -75,9 +55,12 @@ type FailoverResult struct {
 	// ClientError is non-nil if the client connection broke — a failure of
 	// transparency.
 	ClientError error
-	// Violations counts protocol-invariant violations (0 unless
-	// FailoverConfig.Invariants or AuditPath enabled the monitor).
+	// Violations counts protocol-invariant violations (0 unless the run was
+	// monitored).
 	Violations int
+	// ObserveErr is what attaching or flushing the run's observers reported
+	// (an unwritable artifact); without observers attached nothing ran.
+	ObserveErr error
 }
 
 // MeasureFailover streams continuously through a replicated echo service,
@@ -96,69 +79,16 @@ func MeasureFailover(cfg FailoverConfig) FailoverResult {
 		MSS: 1460, SendBufSize: 16384, RecvBufSize: 16384,
 		DelayedAckTimeout: 200 * time.Millisecond,
 	}
-	net := hydranet.New(hydranet.Config{Seed: cfg.Seed, TCP: tcpCfg})
-	client := net.AddHost("client", hydranet.HostConfig{ProcDelay: client486Proc, ProcPerByte: client486PerByte})
-	rd := net.AddRedirector("rd", hydranet.HostConfig{ProcDelay: router486Proc, ProcPerByte: router486PerByte})
-	var replicas []*hydranet.Host
-	for i := 0; i < 1+cfg.Backups; i++ {
-		replicas = append(replicas, net.AddHost("s"+string(rune('0'+i)),
-			hydranet.HostConfig{ProcDelay: pentiumProc, ProcPerByte: pentiumPerByte}))
-	}
-	all := append([]*hydranet.Host{rd.Host, client}, replicas...)
-	for i := 0; i < len(all); i++ {
-		for j := i + 1; j < len(all); j++ {
-			net.Link(all[i], all[j], link)
-		}
-	}
-	net.AutoRoute()
+	net, client, rd, replicas := lan(cfg.Seed, tcpCfg, link, machineModel(1, false), 1+cfg.Backups)
 
-	// The monitor attaches before DeployFT: it reconstructs membership from
-	// registration events.
-	var mon *hydranet.Monitor
-	if cfg.Invariants || cfg.AuditPath != "" {
-		mon = net.StartMonitor(hydranet.MonitorConfig{
-			Scenario: fmt.Sprintf("failover threshold=%d backups=%d loss=%g", cfg.Threshold, cfg.Backups, cfg.Loss),
-		})
-	}
-
-	// Capture subsystems attach after the topology is final, before any
-	// traffic (registration included) hits the wire.
-	var pcapFile *os.File
-	if cfg.PcapPath != "" {
-		f, err := os.Create(cfg.PcapPath)
-		if err != nil {
-			panic(err)
-		}
-		pcapFile = f
-		if _, err := net.StartCapture(f); err != nil {
-			panic(err)
-		}
-	}
-	var flight *hydranet.FlightRecorder
-	var probe *hydranet.FailoverProbe
-	if cfg.FlightPrefix != "" || cfg.SeriesPath != "" {
-		probe = net.NewFailoverProbe()
-	}
-	if cfg.FlightPrefix != "" {
-		flight = net.StartFlightRecorder(0, 0)
-		flight.DumpOnFailover(probe, cfg.FlightPrefix)
-		if mon != nil {
-			flight.DumpOnViolation(mon, cfg.FlightPrefix+"-violation")
-		}
-	}
-	var spans *hydranet.SpanCollector
-	if cfg.SpansPath != "" || cfg.SeriesPath != "" {
-		spans = net.NewSpanCollector()
-	}
-	var tel *hydranet.Telemetry
-	if cfg.SeriesPath != "" {
-		tel = net.StartSampler(hydranet.SamplerConfig{
-			Every:  cfg.SampleEvery,
-			Spans:  spans,
-			Health: &hydranet.HealthConfig{},
-		})
-		tel.AttachFailover(probe)
-		tel.WatchReplicas(replicas...)
+	in := cfg.Observe
+	in.Scenario = fmt.Sprintf("failover threshold=%d backups=%d loss=%g", cfg.Threshold, cfg.Backups, cfg.Loss)
+	in.Flight = firstOf(in.Flight, cfg.FlightPrefix)
+	in.Spans = firstOf(in.Spans, cfg.SpansPath)
+	in.Watch = replicas
+	sess, err := net.Instrument(in)
+	if err != nil {
+		return FailoverResult{ObserveErr: err}
 	}
 
 	svc := hydranet.ServiceID{Addr: ServiceAddr, Port: ServicePort}
@@ -168,15 +98,6 @@ func MeasureFailover(cfg FailoverConfig) FailoverResult {
 		panic(err)
 	}
 	net.Settle()
-
-	// Attach after registration settles, so the profile covers the stream,
-	// the crash, detection and recovery — the phases the report attributes.
-	var profiler *hydranet.Profiler
-	if cfg.ProfilePath != "" {
-		profiler = net.StartProfile(hydranet.ProfileConfig{
-			Scenario: fmt.Sprintf("failover threshold=%d", cfg.Threshold),
-		})
-	}
 
 	var res FailoverResult
 	var crashTime time.Duration
@@ -232,48 +153,10 @@ func MeasureFailover(cfg FailoverConfig) FailoverResult {
 	for _, h := range replicas {
 		res.Suspicions += h.FTManager().Stats().Suspicions
 	}
-	if pcapFile != nil {
-		if err := pcapFile.Close(); err != nil {
-			panic(err)
-		}
-	}
-	if flight != nil && flight.Dumps() == 0 {
-		if err := flight.Dump(cfg.FlightPrefix); err != nil {
-			panic(err)
-		}
-	}
-	if spans != nil && cfg.SpansPath != "" {
-		f, err := os.Create(cfg.SpansPath)
-		if err != nil {
-			panic(err)
-		}
-		if err := spans.WriteJSON(f); err != nil {
-			f.Close()
-			panic(err)
-		}
-		if err := f.Close(); err != nil {
-			panic(err)
-		}
-	}
-	if tel != nil {
-		tel.Stop()
-		if err := tel.WriteFile(cfg.SeriesPath); err != nil {
-			panic(err)
-		}
-	}
-	if profiler != nil {
-		if err := profiler.WriteFile(cfg.ProfilePath); err != nil {
-			panic(err)
-		}
-	}
-	if mon != nil {
-		audit := net.FinishAudit(mon)
-		res.Violations = int(audit.TotalViolations())
-		if cfg.AuditPath != "" {
-			if err := audit.WriteJSON(cfg.AuditPath); err != nil {
-				panic(err)
-			}
-		}
+	sum, err := sess.Finish()
+	res.ObserveErr = err
+	if sum.Audit != nil {
+		res.Violations = int(sum.Audit.TotalViolations())
 	}
 	return res
 }
@@ -302,21 +185,10 @@ func MeasureCongestionEviction(policyStrikes int, seed int64) CongestionResult {
 		DelayedAckTimeout: 200 * time.Millisecond,
 		TimeWaitDuration:  time.Millisecond,
 	}
-	net := hydranet.New(hydranet.Config{Seed: seed, TCP: tcpCfg})
-	client := net.AddHost("client", hydranet.HostConfig{ProcDelay: client486Proc, ProcPerByte: client486PerByte})
-	rd := net.AddRedirector("rd", hydranet.HostConfig{ProcDelay: router486Proc, ProcPerByte: router486PerByte})
-	s0 := net.AddHost("s0", hydranet.HostConfig{ProcDelay: pentiumProc, ProcPerByte: pentiumPerByte})
-	s1 := net.AddHost("s1", hydranet.HostConfig{ProcDelay: pentiumProc, ProcPerByte: pentiumPerByte})
-	all := []*hydranet.Host{rd.Host, client, s0, s1}
-	for i := 0; i < len(all); i++ {
-		for j := i + 1; j < len(all); j++ {
-			net.Link(all[i], all[j], testbedLink)
-		}
-	}
-	net.AutoRoute()
+	net, client, rd, replicas := lan(seed, tcpCfg, testbedLink, machineModel(1, false), 2)
 	svc := hydranet.ServiceID{Addr: ServiceAddr, Port: ServicePort}
 	opts := hydranet.FTOptions{Detector: hydranet.DetectorParams{RetransmitThreshold: 2}}
-	if _, err := net.DeployFT(svc, rd, []*hydranet.Host{s0, s1}, opts,
+	if _, err := net.DeployFT(svc, rd, replicas, opts,
 		func(c *hydranet.Conn) { ttcp.Sink(c) }); err != nil {
 		panic(err)
 	}
@@ -341,7 +213,7 @@ func MeasureCongestionEviction(policyStrikes int, seed int64) CongestionResult {
 			done = true
 		})
 	net.RunFor(200 * time.Millisecond)
-	s1.FTManager().SetChainLoss(1.0) // the backup's channel dies
+	replicas[1].FTManager().SetChainLoss(1.0) // the backup's channel dies
 
 	deadline := net.Now() + 20*time.Minute
 	for !done && net.Now() < deadline {

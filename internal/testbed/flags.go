@@ -1,0 +1,36 @@
+package testbed
+
+import (
+	"flag"
+	"fmt"
+
+	"hydranet"
+	"hydranet/internal/prof"
+)
+
+// ObserverFlags registers, once for every simulator CLI, the flags that
+// select a run's observers. After fs is parsed, in holds what they asked
+// for and startPprof starts the Go runtime profiles, returning their stop.
+// note, if not empty, ends the usage text: how this CLI maps the flags onto
+// its runs.
+func ObserverFlags(fs *flag.FlagSet, note string) (in *hydranet.Instruments, startPprof func() (stop func() error, err error)) {
+	if note != "" {
+		fs.Usage = func() {
+			fmt.Fprintf(fs.Output(), "Usage of %s:\n", fs.Name())
+			fs.PrintDefaults()
+			fmt.Fprintf(fs.Output(), "\n%s\n", note)
+		}
+	}
+	in = new(hydranet.Instruments)
+	fs.StringVar(&in.Pcap, "pcap", "", "capture every frame (plus pre-encap tunnel copies) to this pcap file")
+	fs.StringVar(&in.Flight, "flight", "", "run a flight recorder; dump PREFIX.pcap/PREFIX.json on failover (or at the end), PREFIX-violation.* on an invariant violation")
+	fs.StringVar(&in.Spans, "spans", "", "write the per-connection ft-TCP span timeline as JSON to this file (\"-\" = stdout)")
+	fs.StringVar(&in.Series, "series", "", "export sampled time series (with replica health verdicts) to this file (JSONL, or CSV with a .csv extension)")
+	fs.DurationVar(&in.SampleEvery, "sample-every", 0, "telemetry sampling cadence for -series (default 100ms of virtual time)")
+	fs.StringVar(&in.Profile, "prof", "", "write a hydraprof profile (causal critical path) to this file; render with hydrascope profile")
+	fs.BoolVar(&in.Invariants, "invariants", false, "run the online protocol-invariant monitor; exit 1 on any violation")
+	fs.StringVar(&in.Audit, "audit", "", "write the invariant audit report as JSON to this file (implies -invariants); inspect with hydrascope audit")
+	cpu := fs.String("cpuprofile", "", "write a Go runtime CPU profile to this file")
+	mem := fs.String("memprofile", "", "write a Go runtime heap profile to this file at exit")
+	return in, func() (func() error, error) { return prof.StartPprof(*cpu, *mem) }
+}

@@ -13,7 +13,6 @@ package testbed
 
 import (
 	"fmt"
-	"os"
 	"time"
 
 	"hydranet"
@@ -104,26 +103,31 @@ type Config struct {
 	// the figure's qualitative shape must not depend on the calibration
 	// constants). Zero means 1.0.
 	CPUScale float64
-	// PcapPath, if set, captures the measured transfer — every fabric
-	// frame plus the redirector's pre-encapsulation tunnel copies — to
-	// this pcap file.
-	PcapPath string
-	// SeriesPath, if set, exports sampled time series for the measured
-	// transfer (JSONL, or CSV if the path ends in .csv).
-	SeriesPath string
-	// SampleEvery is the telemetry sampling cadence (default 100 ms of
-	// virtual time). Used only with SeriesPath.
-	SampleEvery time.Duration
-	// ProfilePath, if set, writes a hydraprof profile of the measured
-	// transfer (causal critical path; see hydranet.StartProfile) to this
-	// file.
-	ProfilePath string
-	// Invariants attaches the online protocol-invariant monitor; violation
-	// counts land in RunInfo.Violations.
-	Invariants bool
-	// AuditPath, if set, writes the monitor's audit report as JSON here
-	// (implies Invariants).
-	AuditPath string
+	// Observe selects the run's observers and artifact files; they attach
+	// once the topology stands, before the service registers.
+	Observe hydranet.Instruments
+	// PcapPath, SeriesPath, ProfilePath and Invariants are the names bench/
+	// compiles against; run folds them into Observe (ROADMAP 6(c)).
+	PcapPath, SeriesPath, ProfilePath string
+	Invariants                        bool
+}
+
+// firstOf returns a, or b if a is empty.
+func firstOf(a, b string) string {
+	if a != "" {
+		return a
+	}
+	return b
+}
+
+func (c Config) observers() hydranet.Instruments {
+	in := c.Observe
+	in.Scenario = fmt.Sprintf("figure4 %s buf=%d", c.Case, c.BufLen)
+	in.Pcap = firstOf(in.Pcap, c.PcapPath)
+	in.Series = firstOf(in.Series, c.SeriesPath)
+	in.Profile = firstOf(in.Profile, c.ProfilePath)
+	in.Invariants = in.Invariants || c.Invariants
+	return in
 }
 
 // ServiceAddr is the replicated service's virtual address — a host that
@@ -140,21 +144,24 @@ type RunInfo struct {
 	Events uint64        // scheduler events fired
 	Frames uint64        // fabric frames sent, summed over all nodes
 	Wall   time.Duration // host wall-clock time for the run
-	// Violations counts protocol-invariant violations (0 unless
-	// Config.Invariants or AuditPath enabled the monitor).
+	// Violations counts protocol-invariant violations (0 unless the run was
+	// monitored).
 	Violations int
+	// ObserveErr is what attaching or flushing the run's observers reported
+	// (an unwritable artifact); the transfer result stands regardless.
+	ObserveErr error
 }
 
 // RunMeasured is Run plus execution metrics.
 func RunMeasured(cfg Config) (ttcp.Result, RunInfo) {
 	start := time.Now()
-	result, net, audit := run(cfg)
-	info := RunInfo{Wall: time.Since(start), Events: net.EventsFired()}
+	result, net, sum, err := run(cfg)
+	info := RunInfo{Wall: time.Since(start), Events: net.EventsFired(), ObserveErr: err}
 	for _, h := range net.Snapshot().Hosts {
 		info.Frames += h.Frames.Sent
 	}
-	if audit != nil {
-		info.Violations = int(audit.TotalViolations())
+	if sum.Audit != nil {
+		info.Violations = int(sum.Audit.TotalViolations())
 	}
 	return result, info
 }
@@ -162,11 +169,64 @@ func RunMeasured(cfg Config) (ttcp.Result, RunInfo) {
 // Run executes one ttcp transfer in the given configuration and returns
 // the client-side result.
 func Run(cfg Config) ttcp.Result {
-	result, _, _ := run(cfg)
+	result, _, _, _ := run(cfg)
 	return result
 }
 
-func run(cfg Config) (ttcp.Result, *hydranet.Net, *hydranet.AuditReport) {
+// machines is the CPU cost model of the testbed's three machine kinds.
+type machines struct{ client, router, server hydranet.HostConfig }
+
+// machineModel scales the calibrated costs; modified adds the cost of the
+// HydraNet-FT software to the router and the servers.
+func machineModel(scale float64, modified bool) machines {
+	if scale == 0 {
+		scale = 1
+	}
+	mul := func(d time.Duration) time.Duration {
+		return time.Duration(float64(d) * scale)
+	}
+	m := machines{
+		client: hydranet.HostConfig{ProcDelay: mul(client486Proc), ProcPerByte: mul(client486PerByte)},
+		router: hydranet.HostConfig{ProcDelay: mul(router486Proc), ProcPerByte: mul(router486PerByte)},
+		server: hydranet.HostConfig{ProcDelay: mul(pentiumProc), ProcPerByte: mul(pentiumPerByte)},
+	}
+	if modified {
+		m.router.ProcDelay += mul(redirectorSWCost)
+		m.server.ProcDelay += mul(ftStackCost)
+	}
+	return m
+}
+
+// mesh makes hosts one Ethernet segment, as the testbed is: all machines
+// mutually adjacent, and only traffic for redirected (virtual) addresses
+// flows through the redirector, which acts as the LAN's gateway for them.
+// Return traffic and the acknowledgment channel go host-to-host, as the
+// paper notes ("there is no need for redirectors to handle messages
+// directed from servers to clients").
+func mesh(net *hydranet.Net, link hydranet.LinkConfig, hosts ...*hydranet.Host) {
+	for i := 0; i < len(hosts); i++ {
+		for j := i + 1; j < len(hosts); j++ {
+			net.Link(hosts[i], hosts[j], link)
+		}
+	}
+	net.AutoRoute()
+}
+
+// lan builds the replicated-service testbed: the client, the redirector and
+// replica hosts s0, s1, … on one segment.
+func lan(seed int64, tcp hydranet.TCPConfig, link hydranet.LinkConfig, m machines, replicas int) (
+	net *hydranet.Net, client *hydranet.Host, rd *hydranet.Redirector, servers []*hydranet.Host) {
+	net = hydranet.New(hydranet.Config{Seed: seed, TCP: tcp})
+	client = net.AddHost("client", m.client)
+	rd = net.AddRedirector("rd", m.router)
+	for i := 0; i < replicas; i++ {
+		servers = append(servers, net.AddHost(fmt.Sprintf("s%d", i), m.server))
+	}
+	mesh(net, link, append([]*hydranet.Host{rd.Host, client}, servers...)...)
+	return net, client, rd, servers
+}
+
+func run(cfg Config) (ttcp.Result, *hydranet.Net, hydranet.Summary, error) {
 	if cfg.TotalBytes == 0 {
 		cfg.TotalBytes = 512 * 1024
 	}
@@ -191,137 +251,71 @@ func run(cfg Config) (ttcp.Result, *hydranet.Net, *hydranet.AuditReport) {
 	if cfg.MTU != 0 && cfg.MTU < 1500 {
 		tcpCfg.MSS = cfg.MTU - 40
 	}
-	net := hydranet.New(hydranet.Config{Seed: cfg.Seed, TCP: tcpCfg})
+	m := machineModel(cfg.CPUScale, cfg.Case != CaseClean)
 
-	modified := cfg.Case != CaseClean
-	scale := cfg.CPUScale
-	if scale == 0 {
-		scale = 1
-	}
-	mul := func(d time.Duration) time.Duration {
-		return time.Duration(float64(d) * scale)
-	}
-	clientCfg := hydranet.HostConfig{ProcDelay: mul(client486Proc), ProcPerByte: mul(client486PerByte)}
-	routerCfg := hydranet.HostConfig{ProcDelay: mul(router486Proc), ProcPerByte: mul(router486PerByte)}
-	serverCfg := hydranet.HostConfig{ProcDelay: mul(pentiumProc), ProcPerByte: mul(pentiumPerByte)}
-	if modified {
-		routerCfg.ProcDelay += mul(redirectorSWCost)
-		serverCfg.ProcDelay += mul(ftStackCost)
-	}
-
-	client := net.AddHost("client", clientCfg)
-
-	var result ttcp.Result
-	done := false
-	runTransfer := func(target hydranet.Endpoint) {
-		conn, err := client.DialEndpoint(target)
-		if err != nil {
-			panic(fmt.Sprintf("testbed: dial: %v", err))
-		}
-		ttcp.Transmit(client.Scheduler(), conn,
-			ttcp.Params{BufLen: cfg.BufLen, TotalBytes: cfg.TotalBytes},
-			func(r ttcp.Result) { result = r; done = true })
-	}
-
-	// The testbed is one Ethernet segment: all machines are mutually
-	// adjacent, and only traffic for redirected (virtual) addresses flows
-	// through the redirector, which acts as the LAN's gateway for them.
-	// Return traffic and the acknowledgment channel go host-to-host, as
-	// the paper notes ("there is no need for redirectors to handle
-	// messages directed from servers to clients").
-	var mon *hydranet.Monitor
-	mesh := func(hosts ...*hydranet.Host) {
-		for i := 0; i < len(hosts); i++ {
-			for j := i + 1; j < len(hosts); j++ {
-				net.Link(hosts[i], hosts[j], link)
-			}
-		}
-		net.AutoRoute()
-		// The monitor attaches before the case deploys anything: it must
-		// see the registration events.
-		if cfg.Invariants || cfg.AuditPath != "" {
-			mon = net.StartMonitor(hydranet.MonitorConfig{
-				Scenario: fmt.Sprintf("figure4 %s buf=%d", cfg.Case, cfg.BufLen),
-			})
-		}
-	}
-
+	var (
+		net     *hydranet.Net
+		client  *hydranet.Host
+		rd      *hydranet.Redirector // nil unless the service is replicated
+		servers []*hydranet.Host
+	)
 	switch cfg.Case {
 	case CaseClean, CaseNoRedirection:
+		net = hydranet.New(hydranet.Config{Seed: cfg.Seed, TCP: tcpCfg})
+		client = net.AddHost("client", m.client)
 		var router *hydranet.Host
 		if cfg.Case == CaseClean {
-			router = net.AddRouter("router", routerCfg)
+			router = net.AddRouter("router", m.router)
 		} else {
 			// The redirector software runs but its table stays empty.
-			rd := net.AddRedirector("rd", routerCfg)
-			router = rd.Host
+			router = net.AddRedirector("rd", m.router).Host
 		}
-		server := net.AddHost("server", serverCfg)
-		mesh(client, router, server)
-		lst, err := server.Listen(0, ServicePort)
-		if err != nil {
-			panic(err)
-		}
-		lst.SetAcceptFunc(func(c *hydranet.Conn) { ttcp.Sink(c) })
-		runTransfer(hydranet.Endpoint{Addr: server.Addr(), Port: ServicePort})
-
-	case CasePrimaryOnly, CasePrimaryBackup:
-		rd := net.AddRedirector("rd", routerCfg)
-		nReplicas := 1
-		if cfg.Case == CasePrimaryBackup {
-			nReplicas = 1 + cfg.Backups
-		}
-		var replicas []*hydranet.Host
-		for i := 0; i < nReplicas; i++ {
-			h := net.AddHost(fmt.Sprintf("s%d", i), serverCfg)
-			replicas = append(replicas, h)
-		}
-		mesh(append([]*hydranet.Host{rd.Host, client}, replicas...)...)
-		svc := hydranet.ServiceID{Addr: ServiceAddr, Port: ServicePort}
-		if _, err := net.DeployFT(svc, rd, replicas, hydranet.FTOptions{},
-			func(c *hydranet.Conn) { ttcp.Sink(c) }); err != nil {
-			panic(err)
-		}
-		if cfg.AckChannelLoss > 0 {
-			for _, h := range replicas {
-				h.FTManager().SetChainLoss(cfg.AckChannelLoss)
-			}
-		}
-		net.Settle()
-		runTransfer(hydranet.Endpoint{Addr: ServiceAddr, Port: ServicePort})
+		servers = []*hydranet.Host{net.AddHost("server", m.server)}
+		mesh(net, link, client, router, servers[0])
+	case CasePrimaryOnly:
+		net, client, rd, servers = lan(cfg.Seed, tcpCfg, link, m, 1)
+	case CasePrimaryBackup:
+		net, client, rd, servers = lan(cfg.Seed, tcpCfg, link, m, 1+cfg.Backups)
 	default:
 		panic(fmt.Sprintf("testbed: unknown case %d", cfg.Case))
 	}
 
-	// The capture attaches after the topology (and its redirector, if any)
-	// exists but before the scheduler runs the transfer: the dial above
-	// only enqueued the SYN, so every frame of the measured stream is
-	// still ahead of us.
-	var pcapFile *os.File
-	if cfg.PcapPath != "" {
-		f, err := os.Create(cfg.PcapPath)
+	sess, err := net.Instrument(cfg.observers())
+	if err != nil {
+		return ttcp.Result{}, net, hydranet.Summary{}, err
+	}
+
+	target := hydranet.Endpoint{Addr: ServiceAddr, Port: ServicePort}
+	if rd == nil {
+		target.Addr = servers[0].Addr()
+		lst, err := servers[0].Listen(0, ServicePort)
 		if err != nil {
 			panic(err)
 		}
-		pcapFile = f
-		if _, err := net.StartCapture(f); err != nil {
+		lst.SetAcceptFunc(func(c *hydranet.Conn) { ttcp.Sink(c) })
+	} else {
+		svc := hydranet.ServiceID{Addr: ServiceAddr, Port: ServicePort}
+		if _, err := net.DeployFT(svc, rd, servers, hydranet.FTOptions{},
+			func(c *hydranet.Conn) { ttcp.Sink(c) }); err != nil {
 			panic(err)
 		}
+		if cfg.AckChannelLoss > 0 {
+			for _, h := range servers {
+				h.FTManager().SetChainLoss(cfg.AckChannelLoss)
+			}
+		}
+		net.Settle()
 	}
-	// The telemetry sampler attaches at the same point, for the same
-	// reason: its first tick then covers the measured stream from byte 0.
-	var tel *hydranet.Telemetry
-	if cfg.SeriesPath != "" {
-		tel = net.StartSampler(hydranet.SamplerConfig{Every: cfg.SampleEvery})
+
+	conn, err := client.DialEndpoint(target)
+	if err != nil {
+		panic(fmt.Sprintf("testbed: dial: %v", err))
 	}
-	// So does the profiler: its event and critical-path baselines reset at
-	// attach, so the profile covers exactly the measured transfer.
-	var profiler *hydranet.Profiler
-	if cfg.ProfilePath != "" {
-		profiler = net.StartProfile(hydranet.ProfileConfig{
-			Scenario: fmt.Sprintf("figure4 %s buf=%d", cfg.Case, cfg.BufLen),
-		})
-	}
+	var result ttcp.Result
+	done := false
+	ttcp.Transmit(client.Scheduler(), conn,
+		ttcp.Params{BufLen: cfg.BufLen, TotalBytes: cfg.TotalBytes},
+		func(r ttcp.Result) { result = r; done = true })
 
 	// Generous ceiling: slow small-packet runs take tens of virtual
 	// seconds; a wedged run stops here instead of spinning forever.
@@ -329,33 +323,8 @@ func run(cfg Config) (ttcp.Result, *hydranet.Net, *hydranet.AuditReport) {
 	for !done && net.Now() < deadline {
 		net.RunFor(time.Second)
 	}
-	if pcapFile != nil {
-		if err := pcapFile.Close(); err != nil {
-			panic(err)
-		}
-	}
-	if tel != nil {
-		tel.Stop()
-		if err := tel.WriteFile(cfg.SeriesPath); err != nil {
-			panic(err)
-		}
-	}
-	if profiler != nil {
-		if err := profiler.WriteFile(cfg.ProfilePath); err != nil {
-			panic(err)
-		}
-	}
-	var audit *hydranet.AuditReport
-	if mon != nil {
-		r := net.FinishAudit(mon)
-		audit = &r
-		if cfg.AuditPath != "" {
-			if err := r.WriteJSON(cfg.AuditPath); err != nil {
-				panic(err)
-			}
-		}
-	}
-	return result, net, audit
+	sum, err := sess.Finish()
+	return result, net, sum, err
 }
 
 // Figure4Sizes are the paper's x-axis write sizes.

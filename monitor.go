@@ -12,9 +12,6 @@ import (
 // conservation — and records forensic bundles on violation.
 type Monitor = invariant.Monitor
 
-// Violation is one forensic record emitted by the monitor.
-type Violation = invariant.Violation
-
 // AuditReport is a run's deterministic audit verdict.
 type AuditReport = invariant.Report
 
@@ -29,11 +26,12 @@ type MonitorConfig struct {
 // StartMonitor attaches an invariant monitor to the network's event bus
 // and frame tap, and teaches it every host's address so membership events
 // (which carry addresses) join with stack events (which carry node names).
+// Detached (never called), the monitor costs nothing: emit sites stay behind
+// Bus.Enabled.
 //
-// Attach after the topology is final but before deploying services: the
-// monitor reconstructs replica-set membership from the registration events,
-// so it must see them. Detached (never called), the monitor costs nothing:
-// emit sites stay behind Bus.Enabled.
+// Use Instruments.Invariants: Instrument attaches the monitor at the one
+// point where it sees the registrations. StartMonitor, FinishAudit and
+// MonitorConfig stay exported only for bench/ (ROADMAP 6(c)).
 func (n *Net) StartMonitor(cfg MonitorConfig) *Monitor {
 	m := invariant.New(invariant.Config{
 		Scenario:      cfg.Scenario,
@@ -51,9 +49,9 @@ func (n *Net) StartMonitor(cfg MonitorConfig) *Monitor {
 }
 
 // FinishAudit runs the monitor's end-of-run conservation check and returns
-// the audit report. Call after the run's final RunFor/Settle: the frame-
-// conservation rule is only decided when the simulation is quiescent
-// (frames still in flight are not leaks).
+// the audit report, as Session.Finish does: the frame-conservation rule is
+// only decided when the simulation is quiescent (frames still in flight are
+// not leaks).
 func (n *Net) FinishAudit(m *Monitor) AuditReport {
 	return m.Finish(n.sched.Pending() == 0)
 }

@@ -58,37 +58,11 @@ func TestMonitorZeroCostWhenDetached(t *testing.T) {
 	}
 }
 
-// runMonitoredFailover runs the full failover scenario — deploy, stream,
-// crash the primary, recover — with a monitor attached, and returns the
-// audit report.
+// runMonitoredFailover runs the capture fail-over scenario under the
+// monitor and returns the audit report.
 func runMonitoredFailover(t *testing.T) AuditReport {
 	t.Helper()
-	net, client, rd, replicas := captureTopology(t, 11)
-	// Attach before DeployFT: the monitor must see the registrations.
-	mon := net.StartMonitor(MonitorConfig{Scenario: "failover"})
-
-	svc, err := net.DeployFT(testSvc, rd, replicas,
-		FTOptions{Detector: DetectorParams{RetransmitThreshold: 3}}, echoAccept())
-	if err != nil {
-		t.Fatal(err)
-	}
-	net.Settle()
-
-	payload := make([]byte, 1024*1024)
-	for i := range payload {
-		payload[i] = byte(i * 31)
-	}
-	received := streamClient(t, net, client, payload)
-
-	net.RunFor(300 * time.Millisecond)
-	svc.CrashPrimary()
-	for *received < len(payload) && net.Now() < 2*time.Minute {
-		net.RunFor(time.Second)
-	}
-	if *received != len(payload) {
-		t.Fatalf("client received %d of %d bytes", *received, len(payload))
-	}
-	return net.FinishAudit(mon)
+	return *runCaptureFailover(t, Instruments{Scenario: "failover", Invariants: true}).Audit
 }
 
 // TestMonitorCleanOnFailover is the paper's semantic claim as a test: a
@@ -204,7 +178,7 @@ func TestMonitorSeededViolations(t *testing.T) {
 func TestMonitorDumpOnViolation(t *testing.T) {
 	net, client, rd, replicas := ftTopology(t, 13, 2)
 	mon := net.StartMonitor(MonitorConfig{Scenario: "seeded-dump"})
-	flight := net.StartFlightRecorder(256, 256)
+	flight := net.startFlightRecorder(256, 256)
 	prefix := filepath.Join(t.TempDir(), "violation")
 	flight.DumpOnViolation(mon, prefix)
 

@@ -44,7 +44,7 @@ func TestSnapshotAndFailoverTimeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	probe := net.NewFailoverProbe()
+	probe := net.newFailoverProbe()
 	net.Settle()
 
 	payload := make([]byte, 256*1024)

@@ -53,7 +53,7 @@ func runProfScenario(t *testing.T, profiled bool) profArtifacts {
 	t.Helper()
 	net, client, rd, replicas := captureTopology(t, 17)
 	var pcap bytes.Buffer
-	if _, err := net.StartCapture(&pcap); err != nil {
+	if _, err := net.startCapture(&pcap); err != nil {
 		t.Fatal(err)
 	}
 	svc, err := net.DeployFT(testSvc, rd, replicas,
@@ -65,9 +65,9 @@ func runProfScenario(t *testing.T, profiled bool) profArtifacts {
 
 	// Attach after setup settles, as the testbed does: the event and depth
 	// baselines then cover exactly the measured transfer.
-	var profiler *Profiler
+	var profiler *profiler
 	if profiled {
-		profiler = net.StartProfile(ProfileConfig{Scenario: "prof parity"})
+		profiler = net.startProfile("prof parity")
 	}
 
 	payload := make([]byte, 512*1024)

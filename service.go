@@ -68,6 +68,7 @@ func (n *Net) DeployFT(svc ServiceID, rd *Redirector, hosts []*Host,
 	if len(hosts) == 0 {
 		return nil, fmt.Errorf("hydranet: DeployFT needs at least one host")
 	}
+	n.deployed = true
 	s := &FTService{net: n, svc: svc, rd: rd, opts: opts, accept: accept}
 	for i, h := range hosts {
 		mode := ModeBackup

@@ -14,10 +14,8 @@ type (
 	EventKind = obs.Kind
 	// Snapshot is a net-wide aggregation of every component counter.
 	Snapshot = obs.Snapshot
-	// FailoverProbe reconstructs the paper's Table-2 fail-over decomposition
-	// from bus events.
-	FailoverProbe = obs.FailoverProbe
-	// FailoverReport is the probe's result.
+	// FailoverReport is the paper's Table-2 fail-over decomposition,
+	// reconstructed from bus events (Summary.Failover).
 	FailoverReport = obs.FailoverReport
 )
 
@@ -47,8 +45,8 @@ const (
 	KindClientDeliver  = obs.KindClientDeliver
 )
 
-// NewFailoverProbe subscribes a fail-over probe to the net's bus.
-func (n *Net) NewFailoverProbe() *FailoverProbe {
+// newFailoverProbe subscribes a fail-over probe to the net's bus.
+func (n *Net) newFailoverProbe() *obs.FailoverProbe {
 	return obs.NewFailoverProbe(n.bus)
 }
 

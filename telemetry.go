@@ -1,74 +1,36 @@
 package hydranet
 
 import (
-	"fmt"
 	"io"
-	"os"
-	"strings"
 	"time"
 
 	"hydranet/internal/metrics"
+	"hydranet/internal/obs"
 	"hydranet/internal/series"
+	"hydranet/internal/tcp"
 )
 
-// Time-series re-exports: the ring-buffer layer lives in internal/series;
-// harness code configures and reads it through these aliases.
-type (
-	// SeriesSet is an ordered registry of time series.
-	SeriesSet = series.Set
-	// TimeSeries is one ring-buffered series.
-	TimeSeries = series.Series
-	// HealthConfig tunes the gray-failure health scorer.
-	HealthConfig = series.HealthConfig
-	// HealthScorer classifies replicas healthy/degraded/dead from sampled
-	// series.
-	HealthScorer = series.HealthScorer
-	// HealthVerdict is a replica health classification.
-	HealthVerdict = series.Verdict
-)
+// maxConnSeries caps how many live connections per host get per-connection
+// series (srtt/rto/cwnd), in the stack's deterministic sorted order;
+// connections beyond the cap still count in host totals.
+const maxConnSeries = 4
 
-// Health verdicts.
-const (
-	HealthHealthy  = series.Healthy
-	HealthDegraded = series.Degraded
-	HealthDead     = series.Dead
-)
-
-// SamplerConfig configures Net.StartSampler.
-type SamplerConfig struct {
-	// Every is the sampling cadence (default 100 ms of virtual time).
-	Every time.Duration
-	// Capacity is the per-series ring size in points (default 1024).
-	Capacity int
-	// MaxConns caps how many live connections per host get per-connection
-	// series (srtt/rto/cwnd), in the stack's deterministic sorted order.
-	// Default 4; connections beyond the cap still count in host totals.
-	MaxConns int
-	// Spans, if set, samples interval ack-chain-lag and deposit-stall
-	// statistics from the collector.
-	Spans *SpanCollector
-	// Health, if non-nil, runs a HealthScorer over the replicas registered
-	// with Telemetry.WatchReplicas.
-	Health *HealthConfig
-}
-
-// Telemetry is an attached sampling pipeline: a Sampler on the virtual
+// telemetry is an attached sampling pipeline: a Sampler on the virtual
 // clock scrapes the net-wide snapshot diff, per-connection TCP state, span
 // statistics, redirector table sizes, link queue depths, frame-pool
-// occupancy and the scheduler backlog into a SeriesSet every cadence.
+// occupancy and the scheduler backlog into a series.Set every cadence.
 //
-// Nothing here touches a packet path: when no Telemetry is attached the
+// Nothing here touches a packet path: when no telemetry is attached the
 // simulation runs exactly as before (zero cost), and an attached one costs
 // one scheduler event plus one snapshot per interval.
-type Telemetry struct {
+type telemetry struct {
 	net     *Net
 	set     *series.Set
 	sampler *series.Sampler
-	scorer  *series.HealthScorer
-	spans   *SpanCollector
-	probe   *FailoverProbe
+	scorer  *series.HealthScorer // nil unless replicas are watched
+	spans   *tcp.SpanCollector   // nil: no span lag/stall columns
+	probe   *obs.FailoverProbe   // nil: no fail-over phases in the export header
 
-	maxConns   int
 	prev       Snapshot
 	prevLag    metrics.HistogramSnapshot
 	prevStall  metrics.HistogramSnapshot
@@ -96,26 +58,18 @@ type watchedReplica struct {
 	health *series.Series
 }
 
-// StartSampler attaches a telemetry pipeline and starts it: the first tick
-// fires one cadence from now. Attach after the topology is final (the
-// snapshot walks hosts, links and redirectors) and before the measured
-// traffic, like the capture subsystems.
-//
-// The sampler reschedules itself forever, so Net.Run()-until-idle callers
-// must Stop it; RunFor/RunUntil harnesses need no Stop.
-func (n *Net) StartSampler(cfg SamplerConfig) *Telemetry {
-	t := &Telemetry{
-		net:      n,
-		set:      series.NewSet(cfg.Capacity),
-		sampler:  series.NewSampler(n.sched, cfg.Every),
-		spans:    cfg.Spans,
-		maxConns: cfg.MaxConns,
-	}
-	if t.maxConns == 0 {
-		t.maxConns = 4
-	}
-	if cfg.Health != nil {
-		t.scorer = series.NewHealthScorer(*cfg.Health)
+// startSampler attaches a telemetry pipeline over the hosts, links and
+// redirectors that exist now and starts it: the first tick fires one
+// cadence (default 100 ms) from now, and it reschedules itself until Stop.
+// The gray-failure health scorer classifies the watch replicas, each into
+// a health.<host> gauge series: 0 healthy, 1 degraded, 2 dead.
+func (n *Net) startSampler(every time.Duration, spans *tcp.SpanCollector, probe *obs.FailoverProbe, watch []*Host) *telemetry {
+	t := &telemetry{
+		net:     n,
+		set:     series.NewSet(0),
+		sampler: series.NewSampler(n.sched, every),
+		spans:   spans,
+		probe:   probe,
 	}
 	for _, h := range n.hosts {
 		name := h.name
@@ -133,61 +87,28 @@ func (n *Net) StartSampler(cfg SamplerConfig) *Telemetry {
 			procBacklog:     t.set.Gauge("host."+name+".proc_backlog_ms", "ms"),
 		})
 	}
+	if len(watch) > 0 {
+		t.scorer = series.NewHealthScorer(series.HealthConfig{})
+	}
+	for _, w := range watch {
+		for i, h := range n.hosts {
+			if h == w {
+				t.watched = append(t.watched, watchedReplica{
+					host: h, index: i, health: t.set.Gauge("health."+h.name, "verdict"),
+				})
+			}
+		}
+	}
 	t.sampler.OnSample(t.sample)
 	t.sampler.Start()
 	return t
 }
 
-// Set returns the series registry (for ad-hoc series alongside the
-// built-in probes).
-func (t *Telemetry) Set() *SeriesSet { return t.set }
-
-// Sampler returns the underlying sampler.
-func (t *Telemetry) Sampler() *series.Sampler { return t.sampler }
-
-// Ticks returns how many times the pipeline has sampled.
-func (t *Telemetry) Ticks() uint64 { return t.sampler.Ticks() }
-
-// Every returns the sampling cadence.
-func (t *Telemetry) Every() time.Duration { return t.sampler.Every() }
-
-// Scorer returns the health scorer (nil unless SamplerConfig.Health was
-// set).
-func (t *Telemetry) Scorer() *HealthScorer { return t.scorer }
-
 // Stop disarms the sampler; collected series remain readable.
-func (t *Telemetry) Stop() { t.sampler.Stop() }
-
-// AttachFailover records the probe's Table-2 report into the export
-// metadata, aligning series timelines with failover phases.
-func (t *Telemetry) AttachFailover(p *FailoverProbe) { t.probe = p }
-
-// WatchReplicas registers service replicas with the health scorer (no-op
-// without SamplerConfig.Health). Each watched replica gets a
-// health.<host> gauge series: 0 healthy, 1 degraded, 2 dead.
-func (t *Telemetry) WatchReplicas(hosts ...*Host) {
-	if t.scorer == nil {
-		return
-	}
-	for _, h := range hosts {
-		idx := -1
-		for i, nh := range t.net.hosts {
-			if nh == h {
-				idx = i
-			}
-		}
-		if idx < 0 {
-			continue
-		}
-		t.watched = append(t.watched, watchedReplica{
-			host: h, index: idx,
-			health: t.set.Gauge("health."+h.name, "verdict"),
-		})
-	}
-}
+func (t *telemetry) Stop() { t.sampler.Stop() }
 
 // sample is the per-tick probe: snapshot, diff, scrape, score.
-func (t *Telemetry) sample(now time.Duration) {
+func (t *telemetry) sample(now time.Duration) {
 	cur := t.net.Snapshot()
 	d := cur.Diff(t.prev)
 
@@ -215,7 +136,7 @@ func (t *Telemetry) sample(now time.Duration) {
 		// (deterministic) order.
 		conns := hs.host.tcp.Conns()
 		for j, c := range conns {
-			if j >= t.maxConns {
+			if j >= maxConnSeries {
 				break
 			}
 			prefix := "conn." + hs.host.name + "." + connLabel(c)
@@ -279,7 +200,7 @@ func (t *Telemetry) sample(now time.Duration) {
 
 	// Health scoring over watched replicas: feed cumulative counters, the
 	// scorer diffs internally and cross-compares the replica set.
-	if t.scorer != nil && len(t.watched) > 0 {
+	if t.scorer != nil {
 		t.samples = t.samples[:0]
 		for _, w := range t.watched {
 			hs := &cur.Hosts[w.index]
@@ -307,10 +228,10 @@ func connLabel(c *Conn) string {
 }
 
 // meta builds the export header.
-func (t *Telemetry) meta() series.Meta {
+func (t *telemetry) meta() series.Meta {
 	m := series.Meta{
-		Every: t.Every(),
-		Ticks: t.Ticks(),
+		Every: t.sampler.Every(),
+		Ticks: t.sampler.Ticks(),
 		Seed:  t.net.cfg.Seed,
 	}
 	if t.probe != nil {
@@ -324,34 +245,13 @@ func (t *Telemetry) meta() series.Meta {
 // WriteJSONL exports the collected series as JSON lines (canonical
 // format: meta header with the failover timeline, then one object per
 // series).
-func (t *Telemetry) WriteJSONL(w io.Writer) error {
+func (t *telemetry) WriteJSONL(w io.Writer) error {
 	return series.WriteJSONL(w, t.meta(), t.set)
 }
 
 // WriteCSV exports the retained windows as long-form CSV.
-func (t *Telemetry) WriteCSV(w io.Writer) error {
+func (t *telemetry) WriteCSV(w io.Writer) error {
 	return series.WriteCSV(w, t.meta(), t.set)
-}
-
-// WriteFile exports to path, choosing CSV for a .csv extension and JSONL
-// otherwise.
-func (t *Telemetry) WriteFile(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if strings.HasSuffix(path, ".csv") {
-		err = t.WriteCSV(f)
-	} else {
-		err = t.WriteJSONL(f)
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		return fmt.Errorf("hydranet: series export %s: %w", path, err)
-	}
-	return nil
 }
 
 // SetProcessing changes the host's CPU cost model mid-run — gray-failure
