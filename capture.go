@@ -19,20 +19,14 @@ func ReadPcap(r io.Reader) (*PcapFile, error) { return capture.ReadAll(r) }
 // ReadPcapFile parses a pcap file from disk.
 func ReadPcapFile(path string) (*PcapFile, error) { return capture.ReadFile(path) }
 
-// startCapture attaches a packet capture to the whole network: every frame
+// attachCapture attaches a packet capture to the whole network: every frame
 // accepted for transmission on every link (both directions) plus, for each
 // redirector present now, the pre-encapsulation inner packet of every
-// tunnel copy. Records are timestamped on the virtual clock, so captures of
-// equal-seed runs are byte-identical. w stays open until the caller closes
-// it, after the run.
-func (n *Net) startCapture(w io.Writer) (*capture.Capture, error) {
-	c, err := capture.New(w, n.Now)
-	if err != nil {
-		return nil, err
-	}
+// tunnel copy. A capture built on n.Now timestamps records on the virtual
+// clock, so captures of equal-seed runs are byte-identical.
+func (n *Net) attachCapture(c *capture.Capture) {
 	n.addFrameTap(c.FrameTap())
 	n.addEncapTap(c.CaptureInner)
-	return c, nil
 }
 
 // startFlightRecorder attaches a flight recorder to the whole network:

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"hydranet/internal/app"
+	"hydranet/internal/capture"
 )
 
 // TestCaptureEndToEnd captures a full FT transfer and round-trips the pcap
@@ -22,10 +23,11 @@ func TestCaptureEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	capt, err := net.startCapture(&buf)
+	capt, err := capture.New(&buf, net.Now)
 	if err != nil {
 		t.Fatal(err)
 	}
+	net.attachCapture(capt)
 	spans := net.newSpanCollector()
 	net.Settle()
 

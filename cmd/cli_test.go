@@ -65,9 +65,9 @@ func TestCLIs(t *testing.T) {
 		{
 			name: "hydranet-sim",
 			help: [][]string{{"-h"}},
-			gone: [][]string{{"-workers", "2"}},
+			gone: [][]string{{"-workers", "2"}, {"-prof", "p.json"}},
 			smoke: []step{
-				{args: []string{"-bytes", "65536", "-stats", "-invariants", "-prof", "p.json"}, want: "hydraprof profile written to p.json"},
+				{args: []string{"-bytes", "65536", "-stats", "-invariants", "-audit", "ok.audit.json"}, want: "audit report written to ok.audit.json"},
 				// A bad command line is diagnosed before any file exists or any
 				// virtual time runs, whatever -crash-at says.
 				{args: []string{"-crash", "bogus", "-pcap", "bogus.pcap"}, exit: 2, want: `unknown -crash "bogus"`, none: "bogus.pcap"},
@@ -81,16 +81,15 @@ func TestCLIs(t *testing.T) {
 		{
 			name: "ttcpbench",
 			help: [][]string{{"-h"}},
-			gone: [][]string{{"-workers", "2"}, {"-scale", "s.json"}, {"-scale-pods", "4"}},
+			gone: [][]string{{"-workers", "2"}, {"-scale", "s.json"}, {"-scale-pods", "4"}, {"-json", "b.json"}, {"-prof", "p.json"}},
 			smoke: []step{
-				{args: []string{"-bytes", "16384", "-parallel", "2", "-json", "b.json"}, want: "swept 28 runs"},
-				{bin: "hydrascope", args: []string{"diff", "b.json", "b.json", "-tol", "0"}, want: "bench diff clean"},
+				{args: []string{"-bytes", "16384", "-parallel", "2"}, want: "swept 28 runs"},
 			},
 		},
 		{
 			name: "failover",
 			help: [][]string{{"-h"}},
-			gone: [][]string{{"-workers", "2"}},
+			gone: [][]string{{"-workers", "2"}, {"-prof", "p.json"}},
 			smoke: []step{
 				{args: []string{"-invariants", "-audit", "fo.audit.json"}, want: "invariants: clean across the sweep"},
 				{bin: "hydrascope", args: []string{"audit", "fo-t3.audit.json", "-fail-on-violation"}, want: "verdict: CLEAN"},
@@ -101,11 +100,12 @@ func TestCLIs(t *testing.T) {
 		{
 			name: "hydrascope",
 			help: [][]string{{}, {"report", "-h"}, {"audit", "-h"}, {"diff", "-h"}},
-			gone: [][]string{{"profile", "p.json", "-trace", "t.json"}, {"diff", "p.json", "p.json", "-stall-tol", "0.1"}},
+			gone: [][]string{{"profile", "s.jsonl"}, {"diff", "s.jsonl", "s.jsonl", "-stall-tol", "0.1"}},
 			smoke: []step{
-				{bin: "hydranet-sim", args: []string{"-bytes", "65536", "-prof", "p.json", "-series", "s.jsonl", "-audit", "a.json"}},
-				{args: []string{"profile", "p.json"}, want: "ideal speedup"},
-				{args: []string{"diff", "p.json", "p.json", "-tol", "0"}, want: "profile diff clean"},
+				{bin: "hydranet-sim", args: []string{"-bytes", "65536", "-series", "s.jsonl", "-audit", "a.json"}},
+				{args: []string{"diff", "s.jsonl", "s.jsonl", "-tol", "0"}, want: "series diff clean"},
+				// diff reads series exports and nothing else: no sniffing.
+				{args: []string{"diff", "a.json", "a.json"}, exit: 2, want: "hydrascope:"},
 				{args: []string{"report", "s.jsonl"}, want: "failover timeline"},
 				{args: []string{"audit", "a.json", "-fail-on-violation"}, want: "verdict: CLEAN"},
 				{args: []string{"frobnicate"}, exit: 2, want: "unknown subcommand"},
@@ -162,7 +162,7 @@ func TestCLIs(t *testing.T) {
 	}
 }
 
-// TestObserverFlagsReadIdentically: the ten observer flags are registered in
+// TestObserverFlagsReadIdentically: the nine observer flags are registered in
 // one place, so their help entries are the same text in every simulator CLI.
 func TestObserverFlagsReadIdentically(t *testing.T) {
 	entry := func(help, name string) string {
@@ -186,7 +186,7 @@ func TestObserverFlagsReadIdentically(t *testing.T) {
 			t.Fatal(err)
 		}
 		var got strings.Builder
-		for _, name := range []string{"pcap", "flight", "spans", "series", "sample-every", "prof", "invariants", "audit", "cpuprofile", "memprofile"} {
+		for _, name := range []string{"pcap", "flight", "spans", "series", "sample-every", "invariants", "audit", "cpuprofile", "memprofile"} {
 			e := entry(string(raw), name)
 			if e == "" {
 				t.Errorf("%s: no -%s in its help", cli, name)

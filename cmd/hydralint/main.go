@@ -1,6 +1,5 @@
-// Command hydralint runs the hydranet static-invariant analyzers
-// (framepool, determinism, zeroalloc, exhaustive) over Go packages. It works
-// two ways:
+// Command hydralint runs the hydranet static-invariant analyzers (framepool,
+// determinism) over Go packages. It works two ways:
 //
 // Standalone, over package patterns:
 //
@@ -35,15 +34,13 @@ import (
 
 	"hydranet/internal/lint"
 	"hydranet/internal/lint/determinism"
-	"hydranet/internal/lint/exhaustive"
 	"hydranet/internal/lint/framepool"
 	"hydranet/internal/lint/load"
-	"hydranet/internal/lint/zeroalloc"
 )
 
 // version participates in go vet's content-addressed caching: bump it when
 // analyzer behavior changes so stale cached verdicts are not replayed.
-const version = "hydralint-4"
+const version = "hydralint-5"
 
 // schemaVersion identifies the -json output shape; consumers pin it so a
 // field rename cannot silently break CI parsers.
@@ -52,8 +49,6 @@ const schemaVersion = 1
 var analyzers = []*lint.Analyzer{
 	framepool.Analyzer,
 	determinism.Analyzer,
-	zeroalloc.Analyzer,
-	exhaustive.Analyzer,
 }
 
 func main() {

@@ -13,7 +13,7 @@
 //	-stats           print a net-wide counter summary at the end
 //	-stats-json F    write the full snapshot (with failover timeline) to F
 //
-// The observer flags (-pcap -flight -spans -series -prof -invariants -audit
+// The observer flags (-pcap -flight -spans -series -invariants -audit
 // …) are the ones every simulator CLI shares: testbed.ObserverFlags.
 package main
 
@@ -263,9 +263,6 @@ func main() {
 	}
 	if observe.Series != "" {
 		logf("time series (%d series, %d ticks) written to %s", sum.Series, sum.Ticks, observe.Series)
-	}
-	if observe.Profile != "" {
-		logf("hydraprof profile written to %s (render with: hydrascope profile %s)", observe.Profile, observe.Profile)
 	}
 	if observe.Audit != "" {
 		logf("audit report written to %s (render with: hydrascope audit %s)", observe.Audit, observe.Audit)

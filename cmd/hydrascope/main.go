@@ -1,13 +1,11 @@
 // Command hydrascope analyzes exported HydraNet-FT telemetry: it renders a
-// failover timeline report from a series export, renders a hydraprof
-// profile, and diffs two runs — series exports, ttcpbench
-// results or hydraprof profiles — within a tolerance, exiting non-zero on
-// regression so CI can gate on it.
+// failover timeline report from a series export, renders an invariant audit
+// report, and diffs the series exports of two runs within a tolerance,
+// exiting non-zero on regression so CI can gate on it.
 //
 // Usage:
 //
 //	hydrascope report RUN [-spans FILE]
-//	hydrascope profile PROF
 //	hydrascope audit FILE [-fail-on-violation]
 //	hydrascope diff A B [-tol 0.02]
 //
@@ -16,10 +14,6 @@
 // per-phase retransmission/RTO/deposit activity, replica health verdicts,
 // and a sorted per-series table. -spans adds the ft-TCP span summary.
 //
-// profile loads a hydraprof JSON profile (written by the -prof flag on
-// hydranet-sim, ttcpbench and failover) and prints the run summary and the
-// causal critical path with its ideal-speedup bound.
-//
 // audit loads a protocol-invariant audit report (written by the -audit
 // flag on hydranet-sim, failover and the testbed) and renders the verdict,
 // the per-rule evaluation census, the event mix and any retained forensic
@@ -27,14 +21,10 @@
 // CI can gate on protocol correctness the same way diff gates on
 // performance.
 //
-// diff compares two runs. Two series exports compare per-series run
-// aggregates (counter totals, gauge mean/max) plus the failover phase
-// durations; two ttcpbench JSON files compare the deterministic fields
-// (throughput, events, frames) only — wall-clock fields are machine facts
-// and never gated; two hydraprof profiles compare the deterministic fields
-// (events, virtual time, critical-path depth). Any difference beyond
-// tolerance is a regression: exit 1. Identical-seed runs diff clean and
-// exit 0.
+// diff compares the series exports of two runs: per-series run aggregates
+// (counter totals, gauge mean/max) plus the failover phase durations. Any
+// difference beyond tolerance is a regression: exit 1. Identical-seed runs
+// diff clean and exit 0.
 package main
 
 import (
@@ -42,14 +32,12 @@ import (
 	"fmt"
 	"os"
 
-	"hydranet/internal/prof"
 	"hydranet/internal/scope"
 )
 
 func usage() {
 	fmt.Fprintf(os.Stderr, `usage:
   hydrascope report RUN [-spans FILE]          render a run report
-  hydrascope profile PROF                      render a hydraprof profile
   hydrascope audit FILE [-fail-on-violation]   render an invariant audit report
   hydrascope diff A B [-tol 0.02]              diff two runs; exit 1 on regression
 `)
@@ -63,8 +51,6 @@ func main() {
 	switch os.Args[1] {
 	case "report":
 		report(os.Args[2:])
-	case "profile":
-		profile(os.Args[2:])
 	case "audit":
 		audit(os.Args[2:])
 	case "diff":
@@ -101,19 +87,6 @@ func report(args []string) {
 		}
 	}
 	if err := scope.WriteReport(os.Stdout, run, spans); err != nil {
-		fatal(err)
-	}
-}
-
-func profile(args []string) {
-	if len(args) != 1 {
-		usage()
-	}
-	p, err := scope.LoadProfFile(args[0])
-	if err != nil {
-		fatal(err)
-	}
-	if err := prof.Report(os.Stdout, p); err != nil {
 		fatal(err)
 	}
 }
@@ -164,49 +137,21 @@ func diff(args []string) {
 	}
 	pathA, pathB := rest[0], rest[1]
 
-	var findings []scope.Finding
-	var what string
-	if scope.IsProfFile(pathA) || scope.IsProfFile(pathB) {
-		what = "profile"
-		a, err := scope.LoadProfFile(pathA)
-		if err != nil {
-			fatal(err)
-		}
-		b, err := scope.LoadProfFile(pathB)
-		if err != nil {
-			fatal(err)
-		}
-		findings = scope.DiffProf(a, b, *tol)
-	} else if scope.IsBenchFile(pathA) || scope.IsBenchFile(pathB) {
-		what = "bench"
-		a, err := scope.LoadBenchFile(pathA)
-		if err != nil {
-			fatal(err)
-		}
-		b, err := scope.LoadBenchFile(pathB)
-		if err != nil {
-			fatal(err)
-		}
-		findings = scope.DiffBench(a, b, *tol)
-	} else {
-		what = "series"
-		a, err := scope.LoadRunFile(pathA)
-		if err != nil {
-			fatal(err)
-		}
-		b, err := scope.LoadRunFile(pathB)
-		if err != nil {
-			fatal(err)
-		}
-		findings = scope.DiffRuns(a, b, *tol)
+	a, err := scope.LoadRunFile(pathA)
+	if err != nil {
+		fatal(err)
 	}
-
+	b, err := scope.LoadRunFile(pathB)
+	if err != nil {
+		fatal(err)
+	}
+	findings := scope.DiffRuns(a, b, *tol)
 	if len(findings) == 0 {
-		fmt.Printf("hydrascope: %s diff clean (tol %.3g): %s == %s\n", what, *tol, pathA, pathB)
+		fmt.Printf("hydrascope: series diff clean (tol %.3g): %s == %s\n", *tol, pathA, pathB)
 		return
 	}
-	fmt.Printf("hydrascope: %d %s regression(s) beyond tol %.3g (A=%s B=%s):\n",
-		len(findings), what, *tol, pathA, pathB)
+	fmt.Printf("hydrascope: %d series regression(s) beyond tol %.3g (A=%s B=%s):\n",
+		len(findings), *tol, pathA, pathB)
 	for _, f := range findings {
 		fmt.Printf("  %s\n", f)
 	}

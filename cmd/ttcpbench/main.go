@@ -4,20 +4,16 @@
 // point is averaged over several seeds and reported as mean ± std.
 //
 // Runs fan out across -parallel workers: every run owns its own scheduler,
-// so results are bit-identical regardless of worker count. -json writes a
-// machine-readable benchmark record (BENCH_core.json) with events/sec,
-// frames/sec and wall time per measurement point, so the simulator's own
-// performance is tracked alongside the figures it reproduces.
+// so results are bit-identical regardless of worker count.
 //
 // -invariants monitors every measurement run. The observers that write a
-// file (-pcap -flight -spans -series -prof -audit) would cost every point
+// file (-pcap -flight -spans -series -audit) would cost every point
 // their I/O and overwrite one another, so whichever are named attach to
 // one extra run instead: primary and backup at 1024-byte writes, the most
 // interesting configuration on the wire (tunnel copies plus the ack chain).
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -26,7 +22,6 @@ import (
 
 	"hydranet"
 	"hydranet/internal/metrics"
-	"hydranet/internal/scope"
 	"hydranet/internal/sweep"
 	"hydranet/internal/testbed"
 )
@@ -38,22 +33,17 @@ type job struct {
 }
 
 type jobResult struct {
-	kbps   float64
-	err    error
-	info   testbed.RunInfo
-	allocs uint64 // heap allocations during the run; valid only when serial
+	kbps float64
+	err  error
+	info testbed.RunInfo
 }
-
-// The JSON schema lives in internal/scope so hydrascope diff can gate on
-// the same structure this command writes.
 
 func main() {
 	total := flag.Int("bytes", 512*1024, "bytes transferred per measurement point")
 	seed := flag.Int64("seed", 1, "base simulation seed")
 	backups := flag.Int("backups", 1, "backup replicas in the primary-and-backup case")
 	repeat := flag.Int("repeat", 1, "seeds per point (mean ± std when > 1)")
-	parallel := flag.Int("parallel", runtime.GOMAXPROCS(0), "concurrent simulations (1 = serial; also enables allocs/op in -json)")
-	jsonPath := flag.String("json", "", "write machine-readable results to this file")
+	parallel := flag.Int("parallel", runtime.GOMAXPROCS(0), "concurrent simulations (1 = serial)")
 	observe, startPprof := testbed.ObserverFlags(flag.CommandLine,
 		"-invariants monitors every measurement run; the flags that name a file attach to one extra primary-and-backup run (1024-byte writes)")
 	flag.Parse()
@@ -80,26 +70,15 @@ func main() {
 		}
 	}
 
-	serial := *parallel == 1
 	start := time.Now()
 	results := sweep.Map(*parallel, len(jobs), func(i int) jobResult {
 		j := jobs[i]
-		var before runtime.MemStats
-		if serial {
-			runtime.ReadMemStats(&before)
-		}
 		res, info := testbed.RunMeasured(testbed.Config{
 			Case: j.c, BufLen: j.size, TotalBytes: *total,
 			Seed: *seed + int64(j.rep), Backups: *backups,
 			Observe: hydranet.Instruments{Invariants: observe.Invariants},
 		})
-		out := jobResult{kbps: res.ThroughputKBps(), err: res.Err, info: info}
-		if serial {
-			var after runtime.MemStats
-			runtime.ReadMemStats(&after)
-			out.allocs = after.Mallocs - before.Mallocs
-		}
-		return out
+		return jobResult{kbps: res.ThroughputKBps(), err: res.Err, info: info}
 	})
 	wall := time.Since(start)
 
@@ -113,7 +92,6 @@ func main() {
 		header = append(header, c.String())
 	}
 	table := metrics.NewTable(header...)
-	var entries []scope.BenchEntry
 	for _, size := range testbed.Figure4Sizes {
 		row := []string{fmt.Sprintf("%d", size)}
 		for _, c := range testbed.Figure4Cases {
@@ -136,23 +114,6 @@ func main() {
 			} else {
 				row = append(row, fmt.Sprintf("%.0f", sum.Mean()))
 			}
-			jr := byKey[job{size: size, c: c, rep: 0}]
-			e := scope.BenchEntry{
-				Case:           c.String(),
-				BufLen:         size,
-				ThroughputKBps: sum.Mean(),
-				Events:         jr.info.Events,
-				Frames:         jr.info.Frames,
-				WallMS:         float64(jr.info.Wall.Microseconds()) / 1000,
-			}
-			if s := jr.info.Wall.Seconds(); s > 0 {
-				e.EventsPerSec = float64(jr.info.Events) / s
-				e.FramesPerSec = float64(jr.info.Frames) / s
-			}
-			if serial && jr.info.Events > 0 {
-				e.AllocsPerEvent = float64(jr.allocs) / float64(jr.info.Events)
-			}
-			entries = append(entries, e)
 		}
 		table.AddRow(row...)
 	}
@@ -187,20 +148,5 @@ func main() {
 		}
 	}
 
-	if *jsonPath != "" {
-		bf := scope.BenchFile{
-			Description: "HydraNet-FT simulator core performance per Figure-4 case",
-			TotalBytes:  *total,
-			Seed:        *seed,
-			Parallel:    *parallel,
-			GoMaxProcs:  runtime.GOMAXPROCS(0),
-			WallMS:      float64(wall.Microseconds()) / 1000,
-			Entries:     entries,
-		}
-		data, err := json.MarshalIndent(bf, "", "  ")
-		fatal("-json", err)
-		fatal("-json", os.WriteFile(*jsonPath, append(data, '\n'), 0o644))
-		fmt.Printf("wrote %s\n", *jsonPath)
-	}
 	fatal("pprof", stopPprof())
 }

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"hydranet/internal/app"
+	"hydranet/internal/core"
 	"hydranet/internal/hostserver"
 	"hydranet/internal/ipv4"
 	"hydranet/internal/netsim"
@@ -165,6 +166,24 @@ func TestFramePathAllocBudget(t *testing.T) {
 		}
 		if st := replica.Reassembly(); st != (ipv4.ReassemblyStats{}) {
 			t.Fatalf("reassembler gave up on something: %+v", st)
+		}
+	})
+
+	t.Run("chain message codec", func(t *testing.T) {
+		msg := core.ChainMsg{
+			Service: core.ServiceID{Addr: ipv4.AddrFrom4(192, 20, 225, 20), Port: 5001},
+			Client:  tcp.Endpoint{Addr: ipv4.AddrFrom4(10, 1, 0, 1), Port: 40000},
+			SndNxt:  7, RcvNxt: 9,
+		}
+		wire := msg.Marshal()
+		var got core.ChainMsg
+		if allocs := testing.AllocsPerRun(200, func() {
+			msg.MarshalInto(wire)
+			if err := got.Unmarshal(wire); err != nil {
+				t.Fatal(err)
+			}
+		}); allocs != 0 || got != msg {
+			t.Errorf("a chain message marshalled and parsed allocates %.1f times and reads back %+v, want 0 and %+v", allocs, got, msg)
 		}
 	})
 

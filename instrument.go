@@ -1,6 +1,7 @@
 package hydranet
 
 import (
+	"bufio"
 	"errors"
 	"fmt"
 	"io"
@@ -20,7 +21,7 @@ import (
 // no scheduler event — an uninstrumented run fires exactly the events it
 // would without this file.
 type Instruments struct {
-	// Scenario labels the profile and the audit report.
+	// Scenario labels the audit report.
 	Scenario string
 	// Pcap captures every fabric frame, plus the pre-encapsulation inner
 	// packet of every redirector tunnel copy, to this pcap file.
@@ -44,8 +45,6 @@ type Instruments struct {
 	SampleEvery time.Duration
 	// Watch lists the replicas the Series health scorer classifies.
 	Watch []*Host
-	// Profile writes a hydraprof profile (causal critical path) here.
-	Profile string
 	// Invariants attaches the online protocol-invariant monitor; Audit
 	// additionally writes its report as JSON to this file.
 	Invariants bool
@@ -57,16 +56,15 @@ type Instruments struct {
 
 // WritesFiles reports whether any observer that produces an artifact is on.
 func (in Instruments) WritesFiles() bool {
-	return in.Pcap != "" || in.Flight != "" || in.Spans != "" || in.Series != "" ||
-		in.Profile != "" || in.Audit != ""
+	return in.Pcap != "" || in.Flight != "" || in.Spans != "" || in.Series != "" || in.Audit != ""
 }
 
 // Suffixed returns in with tag inserted before the extension of every
-// artifact path (run.pcap → run-t3.pcap, x.prof.json → x-t3.prof.json, the
+// artifact path (run.pcap → run-t3.pcap, x.audit.json → x-t3.audit.json, the
 // Flight stem flight → flight-t3), so the runs of a sweep write distinct
 // files. Empty paths and the Spans "-" stay as they are.
 func (in Instruments) Suffixed(tag string) Instruments {
-	for _, p := range []*string{&in.Pcap, &in.Flight, &in.Spans, &in.Series, &in.Profile, &in.Audit} {
+	for _, p := range []*string{&in.Pcap, &in.Flight, &in.Spans, &in.Series, &in.Audit} {
 		if *p == "" || *p == "-" {
 			continue
 		}
@@ -87,12 +85,12 @@ type Session struct {
 
 	mon      *Monitor
 	pcapFile *os.File
+	pcapBuf  *bufio.Writer // the capture writes here; Finish flushes it into pcapFile
 	capt     *capture.Capture
 	probe    *obs.FailoverProbe
 	flight   *capture.FlightRecorder
 	spans    *tcp.SpanCollector
 	tel      *telemetry
-	profiler *profiler
 	finished bool
 }
 
@@ -121,10 +119,11 @@ type Summary struct {
 // and before DeployFT (the monitor rebuilds replica-set membership from the
 // registration events, and every artifact starts at registration). It owns
 // the attach order — monitor, capture, fail-over probe, flight recorder
-// armed on fail-over and on violation, span collector, sampler, profiler —
-// so a caller cannot get it wrong: a second call, or one after DeployFT,
-// is an error and attaches nothing. Flush with Session.Finish after the
-// run's last RunFor.
+// armed on fail-over and on violation, span collector, sampler — so a caller
+// cannot get it wrong: a second call, or one after DeployFT, is an error and
+// attaches nothing, and so is a pcap file that cannot be set up: every step
+// that can fail runs before the first observer attaches. Flush with
+// Session.Finish after the run's last RunFor.
 func (n *Net) Instrument(in Instruments) (*Session, error) {
 	switch {
 	case n.session != nil:
@@ -138,19 +137,20 @@ func (n *Net) Instrument(in Instruments) (*Session, error) {
 		if err != nil {
 			return nil, fmt.Errorf("hydranet: pcap: %w", err)
 		}
-		s.pcapFile = f
+		// One write(2) per 64 KiB of records instead of two per record.
+		s.pcapFile, s.pcapBuf = f, bufio.NewWriterSize(f, 64<<10)
+		if s.capt, err = capture.New(s.pcapBuf, n.Now); err != nil {
+			f.Close()
+			return nil, fmt.Errorf("hydranet: pcap: %w", err)
+		}
 	}
 	n.session = s
 
 	if in.Invariants || in.Audit != "" {
 		s.mon = n.StartMonitor(MonitorConfig{Scenario: in.Scenario})
 	}
-	if s.pcapFile != nil {
-		var err error
-		if s.capt, err = n.startCapture(s.pcapFile); err != nil {
-			s.pcapFile.Close()
-			return nil, fmt.Errorf("hydranet: pcap: %w", err)
-		}
+	if s.capt != nil {
+		n.attachCapture(s.capt)
 	}
 	if in.Failover || in.Flight != "" || in.Series != "" {
 		s.probe = n.newFailoverProbe()
@@ -170,16 +170,13 @@ func (n *Net) Instrument(in Instruments) (*Session, error) {
 	if in.Series != "" {
 		s.tel = n.startSampler(in.SampleEvery, s.spans, s.probe, in.Watch)
 	}
-	if in.Profile != "" {
-		s.profiler = n.startProfile(in.Scenario)
-	}
 	return s, nil
 }
 
 // Finish detaches what reschedules itself and flushes every artifact: it
-// stops the sampler, surfaces the capture's sticky write error and closes
-// the pcap, dumps a flight recorder that never fired, writes spans, series
-// and profile, and runs the monitor's end-of-run conservation check (decided
+// stops the sampler, flushes and closes the pcap and surfaces the capture's
+// sticky write error, dumps a flight recorder that never fired, writes spans
+// and series, and runs the monitor's end-of-run conservation check (decided
 // only when the simulation is quiescent) before writing the audit. Every
 // step runs even if an earlier one failed; the errors come back joined.
 func (s *Session) Finish() (Summary, error) {
@@ -202,7 +199,7 @@ func (s *Session) Finish() (Summary, error) {
 	}
 	if s.capt != nil {
 		sum.PcapRecords, sum.PcapInner = s.capt.Packets(), s.capt.InnerPackets()
-		fail("pcap", errors.Join(s.capt.Err(), s.pcapFile.Close()))
+		fail("pcap", errors.Join(s.capt.Err(), s.pcapBuf.Flush(), s.pcapFile.Close()))
 	}
 	if s.flight != nil {
 		if sum.FlightFired = s.flight.Dumps() > 0; !sum.FlightFired {
@@ -226,10 +223,6 @@ func (s *Session) Finish() (Summary, error) {
 			write = s.tel.WriteCSV
 		}
 		fail("series", writeFile(s.in.Series, write))
-	}
-	if s.profiler != nil {
-		fail("profile", s.profiler.WriteFile(s.in.Profile))
-		s.profiler.Stop()
 	}
 	if s.mon != nil {
 		audit := s.net.FinishAudit(s.mon)

@@ -9,13 +9,11 @@ import (
 	"time"
 
 	"hydranet/internal/obs"
-	"hydranet/internal/prof"
 	"hydranet/internal/scope"
 )
 
 // requireNothingAttached fails unless the net is as bare as New left it: no
-// bus subscriber on any kind, no frame or encap tap, no profiler and no
-// scheduler event.
+// bus subscriber on any kind, no frame or encap tap and no scheduler event.
 func requireNothingAttached(t *testing.T, net *Net) {
 	t.Helper()
 	for _, k := range obs.Kinds() {
@@ -23,9 +21,8 @@ func requireNothingAttached(t *testing.T, net *Net) {
 			t.Errorf("bus has a subscriber for %s", k)
 		}
 	}
-	if len(net.frameTaps) != 0 || len(net.encapTaps) != 0 || net.sched.Profile() != nil {
-		t.Errorf("%d frame taps, %d encap taps, profiler %v attached",
-			len(net.frameTaps), len(net.encapTaps), net.sched.Profile())
+	if len(net.frameTaps) != 0 || len(net.encapTaps) != 0 {
+		t.Errorf("%d frame taps, %d encap taps attached", len(net.frameTaps), len(net.encapTaps))
 	}
 	if p := net.sched.Pending(); p != 0 {
 		t.Errorf("%d scheduler events pending", p)
@@ -63,7 +60,7 @@ func TestInstrumentOrderIsEnforced(t *testing.T) {
 		return Instruments{
 			Pcap: filepath.Join(dir, "x.pcap"), Flight: filepath.Join(dir, "x"),
 			Spans: filepath.Join(dir, "x.json"), Series: filepath.Join(dir, "x.jsonl"),
-			Profile: filepath.Join(dir, "x.prof.json"), Audit: filepath.Join(dir, "x.audit.json"),
+			Audit: filepath.Join(dir, "x.audit.json"),
 		}
 	}
 	requireEmpty := func(dir string) {
@@ -105,9 +102,9 @@ func TestInstrumentOrderIsEnforced(t *testing.T) {
 }
 
 // TestInstrumentEverythingOn runs the capture fail-over scenario with every
-// observer named: Finish must leave all seven artifacts on disk, each
+// observer named: Finish must leave all six artifacts on disk, each
 // readable by the in-repo loader the tools use, report a clean audit and a
-// complete fail-over — and six more observers must not change one byte of
+// complete fail-over — and five more observers must not change one byte of
 // what the capture saw.
 func TestInstrumentEverythingOn(t *testing.T) {
 	dir := t.TempDir()
@@ -117,7 +114,6 @@ func TestInstrumentEverythingOn(t *testing.T) {
 		Flight:   filepath.Join(dir, "flight"),
 		Spans:    filepath.Join(dir, "spans.json"),
 		Series:   filepath.Join(dir, "series.jsonl"),
-		Profile:  filepath.Join(dir, "run.prof.json"),
 		Audit:    filepath.Join(dir, "run.audit.json"),
 	}
 	sum := runCaptureFailover(t, in)
@@ -164,9 +160,6 @@ func TestInstrumentEverythingOn(t *testing.T) {
 			t.Errorf("series export lacks %s", name)
 		}
 	}
-	if p, err := prof.LoadFile(in.Profile); err != nil || p.Scenario != in.Scenario || p.CriticalPath.Depth == 0 {
-		t.Errorf("profile: %v", err)
-	}
 	if a, err := scope.LoadAuditFile(in.Audit); err != nil || !a.Clean || a.Scenario != in.Scenario {
 		t.Errorf("audit file: %v", err)
 	}
@@ -201,18 +194,41 @@ func TestFinishSurfacesPcapError(t *testing.T) {
 	}
 }
 
+// TestInstrumentUnwritablePcap: /dev/full can be created and fails every
+// write with ENOSPC. Instrument must never return an error with observers
+// left attached (a monitor subscribed, a Net that answers "called twice" to
+// the retry): with the header buffered it succeeds, and Finish reports the
+// pcap error when the buffer cannot be flushed.
+func TestInstrumentUnwritablePcap(t *testing.T) {
+	if _, err := os.Stat("/dev/full"); err != nil {
+		t.Skip("no /dev/full on this system")
+	}
+	net, _, _, _ := ftTopology(t, 1, 2)
+	sess, err := net.Instrument(Instruments{Invariants: true, Pcap: "/dev/full"})
+	if err != nil {
+		requireNothingAttached(t, net)
+		if _, err := net.Instrument(Instruments{}); err != nil {
+			t.Fatalf("retry after a failed Instrument: %v", err)
+		}
+		return
+	}
+	if _, err := sess.Finish(); err == nil || !strings.Contains(err.Error(), "pcap") {
+		t.Fatalf("Finish = %v, want the pcap write error", err)
+	}
+}
+
 func TestInstrumentsSuffixed(t *testing.T) {
 	for _, tc := range []struct{ path, want string }{
 		{"a.pcap", "a-t3.pcap"},
-		{"out/x.prof.json", "out/x-t3.prof.json"},
+		{"out/x.audit.json", "out/x-t3.audit.json"},
 		{"out.d/flight", "out.d/flight-t3"},
 		{".hidden", ".hidden-t3"},
 		{"-", "-"},
 		{"", ""},
 	} {
 		got := Instruments{Pcap: tc.path, Flight: tc.path, Spans: tc.path,
-			Series: tc.path, Profile: tc.path, Audit: tc.path}.Suffixed("-t3")
-		for _, p := range []string{got.Pcap, got.Flight, got.Spans, got.Series, got.Profile, got.Audit} {
+			Series: tc.path, Audit: tc.path}.Suffixed("-t3")
+		for _, p := range []string{got.Pcap, got.Flight, got.Spans, got.Series, got.Audit} {
 			if p != tc.want {
 				t.Errorf("Suffixed(%q) = %q, want %q", tc.path, p, tc.want)
 			}

@@ -45,8 +45,6 @@ func (m *ChainMsg) Marshal() []byte {
 }
 
 // MarshalInto encodes the message into b, which must be chainMsgLen bytes.
-//
-//hydralint:zeroalloc
 func (m *ChainMsg) MarshalInto(b []byte) {
 	_ = b[chainMsgLen-1]
 	b[0] = chainMsgMagic
@@ -72,8 +70,6 @@ func UnmarshalChainMsg(b []byte) (*ChainMsg, error) {
 
 // Unmarshal decodes b into m, overwriting every field; on error m is left
 // untouched.
-//
-//hydralint:zeroalloc
 func (m *ChainMsg) Unmarshal(b []byte) error {
 	if len(b) != chainMsgLen || b[0] != chainMsgMagic || b[1] != chainMsgVersion {
 		return ErrBadChainMsg

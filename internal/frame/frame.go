@@ -53,26 +53,18 @@ type Buf struct {
 
 // Bytes returns the current frame contents. The slice is valid only until
 // Release.
-//
-//hydralint:zeroalloc
 func (b *Buf) Bytes() []byte { return b.data[b.off:b.end] }
 
 // Len returns the current frame length.
-//
-//hydralint:zeroalloc
 func (b *Buf) Len() int { return b.end - b.off }
 
 // Headroom returns how many bytes Prepend can still claim.
-//
-//hydralint:zeroalloc
 func (b *Buf) Headroom() int { return b.off }
 
 // Prepend grows the frame by n bytes at the front and returns the new
 // contents. The new bytes are uninitialized. It panics if the buffer was
 // allocated with insufficient headroom — that is a programming error, not a
 // runtime condition.
-//
-//hydralint:zeroalloc
 func (b *Buf) Prepend(n int) []byte {
 	if n > b.off {
 		panic(fmt.Sprintf("frame: Prepend(%d) exceeds headroom %d", n, b.off))
@@ -84,8 +76,6 @@ func (b *Buf) Prepend(n int) []byte {
 // Release returns the buffer to its pool. Releasing twice panics: a double
 // release means two owners, which is exactly the corruption pooling can
 // introduce. Release on a nil Buf is a no-op.
-//
-//hydralint:zeroalloc
 func (b *Buf) Release() {
 	if b == nil {
 		return
@@ -133,8 +123,6 @@ func (p *Pool) SetPoison(on bool) { p.poison.Store(on) }
 // Poisoned reports whether poison mode is on. Layers that parse frames into
 // reused scratch structs scribble those too when it is, extending the
 // read-after-release check from frame bytes to parsed headers.
-//
-//hydralint:zeroalloc
 func (p *Pool) Poisoned() bool { return p.poison.Load() }
 
 // Stats returns cumulative Get calls, Release calls, and Gets that missed

@@ -9,10 +9,9 @@
 // detached — emit sites stay behind Bus.Enabled — and its per-event hot
 // path is allocation-free in steady state (first contact with a connection
 // or node allocates its tracking slot, every later event lands in existing
-// storage; the zeroalloc lint fences the path, an allocs/event test pins
-// it).
+// storage; TestMonitorZeroCostWhenDetached pins it).
 //
-// Checked rules (see DESIGN.md §11 for the paper clause each encodes):
+// Checked rules (see DESIGN.md §10 for the paper clause each encodes):
 //
 //   - deposit-cursor: per (node, service, conn) the deposit cursor advances
 //     by exactly the bytes deposited — no byte reaches the application
@@ -250,8 +249,6 @@ func (m *Monitor) OnViolation(fn func(Violation)) {
 
 // NoteFrame counts one fabric frame for the audit census. The facade
 // routes a frame tap here.
-//
-//hydralint:zeroalloc
 func (m *Monitor) NoteFrame(size int) {
 	m.frames++
 	m.frameBytes += uint64(size)
@@ -259,13 +256,9 @@ func (m *Monitor) NoteFrame(size int) {
 
 // seqLT reports a < b in mod-2^32 serial-number arithmetic (RFC 1982 as
 // TCP applies it).
-//
-//hydralint:zeroalloc
 func seqLT(a, b uint32) bool { return int32(a-b) < 0 }
 
 // node returns n's state, allocating it on first contact.
-//
-//hydralint:zeroalloc
 func (m *Monitor) node(name string) *nodeState {
 	ns := m.nodes[name]
 	if ns == nil {
@@ -277,8 +270,6 @@ func (m *Monitor) node(name string) *nodeState {
 
 // alive reports whether the node is not known to be crashed (nodes the
 // monitor never heard about are presumed alive).
-//
-//hydralint:zeroalloc
 func (m *Monitor) alive(name string) bool {
 	ns := m.nodes[name]
 	return ns == nil || !ns.crashed
@@ -289,8 +280,6 @@ func (m *Monitor) alive(name string) bool {
 // monitor is attached. Steady state must stay allocation-free — only first
 // contact with a connection or node may allocate its slot, and violation
 // details are structured constants rendered lazily.
-//
-//hydralint:zeroalloc
 func (m *Monitor) observeHot(e obs.Event) {
 	m.events++
 	if int(e.Kind) < len(m.kindCounts) {
@@ -308,9 +297,6 @@ func (m *Monitor) observeHot(e obs.Event) {
 	case obs.KindClientDeliver:
 		m.noteDeliver(e)
 
-	default:
-		// The hot path owns only the cursor rules; membership kinds take
-		// the slow path and the rest carry no monitored state.
 	}
 }
 
@@ -318,8 +304,6 @@ func (m *Monitor) observeHot(e obs.Event) {
 // must equal the previous cursor plus the bytes deposited. A short advance
 // means bytes reached the application twice; a long one means bytes were
 // skipped. Either way exactly-once delivery is broken.
-//
-//hydralint:zeroalloc
 func (m *Monitor) noteDeposit(e obs.Event) {
 	fk := flowKey{svc: e.Service, client: e.Conn}
 	f := m.flows[fk]
@@ -355,8 +339,6 @@ func (m *Monitor) noteDeposit(e obs.Event) {
 // observed must not exceed the minimum deposit cursor over the live
 // replica set (+1 for the FIN, which consumes a sequence number but is
 // never deposited).
-//
-//hydralint:zeroalloc
 func (m *Monitor) noteAck(e obs.Event) {
 	ck := connKey{node: e.Node, a: e.Service, b: e.Conn}
 	st := m.acks[ck]
@@ -425,8 +407,6 @@ func (m *Monitor) noteAck(e obs.Event) {
 // segment, so retransmissions legitimately carry lower values.) Baselines
 // reset at reconfigurations (the upstream neighbor changes) and at crashes
 // (volatile state is legitimately lost).
-//
-//hydralint:zeroalloc
 func (m *Monitor) noteChain(e obs.Event, send bool) {
 	ck := connKey{node: e.Node, a: e.Service, b: e.Conn}
 	st := m.chains[ck]
@@ -451,8 +431,6 @@ func (m *Monitor) noteChain(e obs.Event, send bool) {
 
 // noteDeliver checks delivery conservation: a client harness can never
 // have consumed more bytes than its own stack deposited.
-//
-//hydralint:zeroalloc
 func (m *Monitor) noteDeliver(e obs.Event) {
 	ns := m.node(e.Node)
 	m.checks[ruleDelivery]++
@@ -466,8 +444,6 @@ func (m *Monitor) noteDeliver(e obs.Event) {
 // fires the OnViolation hooks at the violating event's virtual time. It
 // returns the stored record for caller annotation (nil when beyond the
 // bound). detail must be a constant: the hot path renders nothing.
-//
-//hydralint:zeroalloc
 func (m *Monitor) record(rule int, e obs.Event, detail string, want, got uint64) *Violation {
 	m.failures[rule]++
 	if len(m.violations) >= m.maxRecorded {
@@ -514,9 +490,6 @@ func (m *Monitor) observeSlow(e obs.Event) {
 	case obs.KindRecommission:
 		m.noteRecommission(e)
 
-	default:
-		// Membership bookkeeping only; data-path kinds were already
-		// dispatched by observeHot.
 	}
 }
 

@@ -133,8 +133,6 @@ func Unmarshal(b []byte) (*Packet, error) {
 
 // Unmarshal parses and validates b into p, overwriting every field; on error
 // p is left untouched. Payload and the wire bytes alias b.
-//
-//hydralint:zeroalloc
 func (p *Packet) Unmarshal(b []byte) error {
 	if len(b) < HeaderLen {
 		return ErrTruncated

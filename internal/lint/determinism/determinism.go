@@ -1,5 +1,5 @@
 // Package determinism enforces the simulator's bit-identical-replay
-// contract. Flight-recorder dumps, BENCH_core baselines, and
+// contract. Flight-recorder dumps, golden outputs, benchmark digests and
 // failure-injection reproductions are only trustworthy because a run with
 // a given seed and topology is exactly reproducible; one stray wall-clock
 // read or map-iteration-ordered emission silently breaks every one of
@@ -130,7 +130,7 @@ func run(pass *lint.Pass) error {
 			return true
 		})
 		for _, d := range idx.WellFormed() {
-			if !used[d] && d.Name == lint.DirNondeterministic {
+			if !used[d] {
 				pass.Reportf(d.Pos, "stale //hydralint:nondeterministic annotation: the line it governs has no nondeterministic construct to excuse; delete it")
 			}
 		}

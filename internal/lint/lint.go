@@ -1,9 +1,8 @@
 // Package lint is a minimal, dependency-free static-analysis framework
 // modelled on golang.org/x/tools/go/analysis. The simulator's correctness
 // rests on conventions the compiler cannot see — frame-pool ownership,
-// bit-identical deterministic replay, allocation-free disabled paths — and
-// this package is the machinery that turns those conventions into
-// compile-time checks.
+// bit-identical deterministic replay — and this package is the machinery
+// that turns those conventions into compile-time checks.
 //
 // The API mirrors go/analysis deliberately (Analyzer, Pass, Diagnostic) so
 // the custom analyzers would port to the real framework mechanically if the
@@ -12,18 +11,15 @@
 //
 // # Annotation grammar
 //
-// Source may carve out exceptions with hydralint directives, written as
-// line comments:
+// Source may carve out exceptions with a hydralint directive, written as a
+// line comment:
 //
 //	//hydralint:nondeterministic <reason>
-//	//hydralint:zeroalloc
 //
 // A directive applies to the statement on the same line, or — when it
-// stands alone on its line — to the line below it. On a function
-// declaration's doc comment it applies to the whole function (that is how
-// zeroalloc call roots are marked). The nondeterministic directive requires
-// a non-empty reason; an empty reason or an unknown directive name is
-// itself a diagnostic, so annotations cannot silently rot.
+// stands alone on its line — to the line below it. It requires a non-empty
+// reason; an empty reason or an unknown directive name is itself a
+// diagnostic, so annotations cannot silently rot.
 package lint
 
 import (
@@ -111,15 +107,12 @@ func SortDiagnostics(diags []Diagnostic) {
 // DirectivePrefix introduces a hydralint annotation comment.
 const DirectivePrefix = "//hydralint:"
 
-// Directive names understood by the suite.
-const (
-	DirNondeterministic = "nondeterministic"
-	DirZeroAlloc        = "zeroalloc"
-)
+// DirNondeterministic is the one directive name the suite understands.
+const DirNondeterministic = "nondeterministic"
 
 // A Directive is one parsed //hydralint: annotation.
 type Directive struct {
-	Name   string // "nondeterministic", "zeroalloc", or an unknown name
+	Name   string // "nondeterministic", or an unknown name
 	Reason string // text after the name, trimmed
 	Pos    token.Pos
 	// Line the directive governs: the comment's own line for a trailing
@@ -163,10 +156,8 @@ func Directives(fset *token.FileSet, file *ast.File) []Directive {
 				if d.Reason == "" {
 					d.Malformed = "//hydralint:nondeterministic requires a reason (//hydralint:nondeterministic <why this is safe>)"
 				}
-			case DirZeroAlloc:
-				// Reason optional.
 			default:
-				d.Malformed = fmt.Sprintf("unknown hydralint directive %q (known: nondeterministic, zeroalloc)", name)
+				d.Malformed = fmt.Sprintf("unknown hydralint directive %q (known: nondeterministic)", name)
 			}
 			out = append(out, d)
 		}
@@ -242,24 +233,6 @@ func (idx *DirectiveIndex) Malformed() []Directive {
 		}
 	}
 	return out
-}
-
-// FuncDirective reports whether fn (a declaration) carries the named
-// well-formed directive, either in its doc comment or on the line directly
-// above its declaration.
-func FuncDirective(fset *token.FileSet, idx *DirectiveIndex, fn *ast.FuncDecl, name string) bool {
-	if fn.Doc != nil {
-		for _, c := range fn.Doc.List {
-			if strings.HasPrefix(c.Text, DirectivePrefix+name) {
-				rest := strings.TrimPrefix(c.Text, DirectivePrefix)
-				n, _, _ := strings.Cut(rest, " ")
-				if n == name {
-					return true
-				}
-			}
-		}
-	}
-	return idx.Covering(fset, fn.Pos(), name) != nil
 }
 
 // PathHasSuffixSegments reports whether path's trailing slash-separated

@@ -15,13 +15,14 @@ func TestDirectives(t *testing.T) {
 		comment   string
 		malformed string // substring of the complaint; "" means well-formed
 	}{
-		{"//hydralint:zeroalloc", ""},
 		{"//hydralint:nondeterministic commutative sum", ""},
 		{"//hydralint:nondeterministic", "requires a reason"},
 		{"//hydralint:nonsense whatever", `unknown hydralint directive "nonsense"`},
-		// The parallel core's cross-domain exemption went with the core.
+		// The parallel core's cross-domain exemption went with the core, the
+		// alloc-free call-root mark with the zeroalloc analyzer.
 		{"//hydralint:" + "domainsafe constructor", `unknown hydralint directive "domainsafe"`},
-		{"// hydralint:zeroalloc", "no spaces"},
+		{"//hydralint:" + "zeroalloc", `unknown hydralint directive "zeroalloc"`},
+		{"// hydralint:nondeterministic spaced", "no spaces"},
 	} {
 		fset := token.NewFileSet()
 		f, err := parser.ParseFile(fset, "p.go", "package p\n\n"+tc.comment+"\nvar _ = 1\n", parser.ParseComments)

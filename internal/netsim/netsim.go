@@ -314,8 +314,6 @@ func (nd *Node) cpuDone(size int) time.Duration {
 
 // deliver is called when a frame arrives at this node. It owns fb, which is
 // released after the handler returns (or on any drop path).
-//
-//hydralint:zeroalloc
 func (nd *Node) deliver(ifindex int, fb *frame.Buf) {
 	if !nd.alive {
 		fb.Release()
@@ -354,8 +352,6 @@ type frameEvent struct {
 
 // getEvent takes a record off the free list, allocating only when the list
 // is empty.
-//
-//hydralint:zeroalloc
 func (n *Network) getEvent(kind frameEventKind, fb *frame.Buf) *frameEvent {
 	var ev *frameEvent
 	if k := len(n.evFree); k > 0 {

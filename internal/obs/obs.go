@@ -200,8 +200,6 @@ func NewBus(now func() time.Duration) *Bus {
 // Enabled reports whether at least one subscriber listens for kind. Emit
 // sites must guard with it so that building the Event costs nothing when
 // observability is off.
-//
-//hydralint:zeroalloc
 func (b *Bus) Enabled(k Kind) bool {
 	return b != nil && b.mask&(1<<k) != 0
 }
@@ -224,8 +222,6 @@ func (b *Bus) Subscribe(h Handler, kinds ...Kind) {
 // emitter set one) and delivers it to every subscriber of its kind. The
 // Event itself travels by value; subscribers that retain it pay for their
 // own copies.
-//
-//hydralint:zeroalloc
 func (b *Bus) Publish(e Event) {
 	if b == nil || b.mask&(1<<e.Kind) == 0 {
 		return

@@ -74,10 +74,6 @@ func (p *FailoverProbe) observe(e Event) {
 			p.firstByte = e.Time
 			p.seen |= sawFirstByte
 		}
-
-	default:
-		// The probe times the crash→suspicion→reconfig→promotion→delivery
-		// chain; kinds outside it carry no failover instant.
 	}
 }
 

@@ -28,14 +28,14 @@ func LoadAuditFile(path string) (*invariant.Report, error) {
 }
 
 // IsAuditFile sniffs whether path holds an invariant audit report (an
-// object with a per-rule census) rather than a bench or profile file.
+// object with a per-rule census) rather than some other JSON file.
 func IsAuditFile(path string) bool {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return false
 	}
 	// Decode just the discriminating shape: an audit report always carries
-	// its rule census; bench files carry "entries" and profiles "prof_version".
+	// its rule census.
 	var probe struct {
 		Rules []struct {
 			Rule string `json:"rule"`

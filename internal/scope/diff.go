@@ -10,8 +10,7 @@ import (
 
 // Finding is one regression (or difference) between two runs.
 type Finding struct {
-	// Series is the series name ("failover" / bench-case labels for the
-	// non-series comparisons).
+	// Series is the series name ("failover" for the phase durations).
 	Series string `json:"series"`
 	// Field is which aggregate differed (total, mean, max, presence, ...).
 	Field string `json:"field"`

@@ -2,8 +2,6 @@ package scope
 
 import (
 	"bytes"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -121,60 +119,6 @@ func TestDiffRunsFindsRegressions(t *testing.T) {
 	f = DiffRuns(fa, fb, 0.05)
 	if len(f) != 1 || f[0].Series != "failover" || f[0].Field != "detection" {
 		t.Fatalf("failover findings=%v", f)
-	}
-}
-
-func TestDiffBench(t *testing.T) {
-	a := &BenchFile{TotalBytes: 1, Seed: 1, Parallel: 1, Entries: []BenchEntry{
-		{Case: "clean kernel", BufLen: 1024, ThroughputKBps: 400, Events: 1000, Frames: 500, WallMS: 10},
-	}}
-	// Same simulation facts, wildly different machine facts: clean.
-	b := &BenchFile{TotalBytes: 1, Seed: 1, Parallel: 1, Entries: []BenchEntry{
-		{Case: "clean kernel", BufLen: 1024, ThroughputKBps: 400, Events: 1000, Frames: 500, WallMS: 9999},
-	}}
-	if f := DiffBench(a, b, 0.01); len(f) != 0 {
-		t.Fatalf("wall-clock drift flagged: %v", f)
-	}
-	b.Entries[0].Events = 2000
-	f := DiffBench(a, b, 0.01)
-	if len(f) != 1 || f[0].Field != "events" {
-		t.Fatalf("findings=%v", f)
-	}
-	// Parameter mismatch refuses the comparison.
-	b.Seed = 2
-	f = DiffBench(a, b, 0.01)
-	if len(f) != 1 || f[0].Field != "params" {
-		t.Fatalf("findings=%v", f)
-	}
-}
-
-// TestProfFileVersions: any prof_version makes a file a profile, but only the
-// current schema loads; the parallel core's version-1 files are refused by
-// number instead of being rendered with their sections missing.
-func TestProfFileVersions(t *testing.T) {
-	for _, tc := range []struct {
-		name, body string
-		isProf     bool
-		loadErr    string // substring of the load error; "" means it loads
-	}{
-		{"current", `{"prof_version":2,"seed":1,"events":10,"critical_path":{"depth":5}}`, true, ""},
-		{"parallel-core v1", `{"prof_version":1,"domains":3,"workers":2,"windows_run":7}`, true, "prof_version 1"},
-		{"bench file", `{"entries":[{"case":"clean kernel"}]}`, false, "no prof_version"},
-	} {
-		path := filepath.Join(t.TempDir(), "p.json")
-		if err := os.WriteFile(path, []byte(tc.body), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		if got := IsProfFile(path); got != tc.isProf {
-			t.Errorf("%s: IsProfFile = %v, want %v", tc.name, got, tc.isProf)
-		}
-		p, err := LoadProfFile(path)
-		switch {
-		case tc.loadErr == "" && (err != nil || p.Events != 10):
-			t.Errorf("%s: LoadProfFile = %+v, %v", tc.name, p, err)
-		case tc.loadErr != "" && (err == nil || !strings.Contains(err.Error(), tc.loadErr)):
-			t.Errorf("%s: LoadProfFile error %v, want one containing %q", tc.name, err, tc.loadErr)
-		}
 	}
 }
 

@@ -66,8 +66,6 @@ func (s *Sampler) Ticks() uint64 { return s.ticks }
 // tick runs the probes and reschedules. The loop and reschedule are
 // allocation-free; each probe owns its own budget (facade probes read
 // snapshots, which allocate — that cost is per tick, not per packet).
-//
-//hydralint:zeroalloc
 func (s *Sampler) tick() {
 	now := s.now()
 	s.ticks++

@@ -80,8 +80,6 @@ func newSeries(name string, kind Kind, unit string, capacity int) *Series {
 
 // Observe appends one point, evicting the oldest if the ring is full.
 // This is the sampler's per-tick hot path.
-//
-//hydralint:zeroalloc
 func (s *Series) Observe(t time.Duration, v float64) {
 	i := s.head + s.n
 	if i >= len(s.pts) {

@@ -11,7 +11,7 @@ import (
 // refSched, a scheduler simple enough to be right by inspection — every event
 // sits in one sorted slice, a lane is plain At, a timer re-arm is cancel plus
 // After, a cancelled event is deleted on the spot. Every callback must fire on
-// both in the same order with the same clock and causal depth, and every query
+// both in the same order with the same clock, and every query
 // must agree after every operation. The operations come from a byte stream, so
 // the same driver serves seeded random sequences and the fuzzer.
 
@@ -32,7 +32,6 @@ type schedAPI interface {
 	Stop()
 
 	nextAt() (time.Duration, bool) // when the earliest pending event is due
-	depth() uint64                 // causal depth of the event executing
 
 	at(t time.Duration, fn func()) canceller
 	after(d time.Duration, fn func()) canceller
@@ -41,7 +40,6 @@ type schedAPI interface {
 	timerReset(k int, d time.Duration)
 	timerStop(k int)
 	timerState(k int) (armed bool, deadline time.Duration)
-	edges() uint64
 }
 
 // realSched adapts the Scheduler, with its lanes and timers, to schedAPI.
@@ -51,11 +49,7 @@ type realSched struct {
 	timers [refTimers]Timer
 }
 
-func newRealSched() *realSched {
-	r := &realSched{Scheduler: NewScheduler(1)}
-	r.EnableProfile(NewSchedProf(16, 1))
-	return r
-}
+func newRealSched() *realSched { return &realSched{Scheduler: NewScheduler(1)} }
 
 func (r *realSched) at(t time.Duration, fn func()) canceller {
 	ev := r.At(t, fn)
@@ -74,8 +68,6 @@ func (r *realSched) laneAt(lane int, t time.Duration, fn func()) canceller {
 func (r *realSched) timerInit(k int, fn func())        { r.timers[k].Init(r.Scheduler, fn) }
 func (r *realSched) timerReset(k int, d time.Duration) { r.timers[k].Reset(d) }
 func (r *realSched) timerStop(k int)                   { r.timers[k].Stop() }
-func (r *realSched) edges() uint64                     { return r.Profile().EdgesSeen() }
-func (r *realSched) depth() uint64                     { return r.curDepth }
 
 func (r *realSched) nextAt() (time.Duration, bool) {
 	if n := r.peek(); n != nil {
@@ -90,11 +82,10 @@ func (r *realSched) timerState(k int) (bool, time.Duration) {
 
 // refEvent is one pending callback of the reference scheduler.
 type refEvent struct {
-	r     *refSched
-	at    time.Duration
-	depth uint64
-	fn    func()
-	done  bool // fired or cancelled
+	r    *refSched
+	at   time.Duration
+	fn   func()
+	done bool // fired or cancelled
 }
 
 // Cancel takes a pending event out of the queue.
@@ -115,20 +106,17 @@ func (e *refEvent) Cancel() {
 // refSched keeps every pending event, and nothing else, in one slice sorted
 // by (at, scheduling order).
 type refSched struct {
-	now              time.Duration
-	curDepth         uint64
-	scheduled, fired uint64
-	running          bool
-	q                []*refEvent
-	timerFn          [refTimers]func()
-	timerEv          [refTimers]*refEvent
+	now     time.Duration
+	fired   uint64
+	running bool
+	q       []*refEvent
+	timerFn [refTimers]func()
+	timerEv [refTimers]*refEvent
 }
 
 func (r *refSched) Now() time.Duration { return r.now }
 func (r *refSched) Fired() uint64      { return r.fired }
-func (r *refSched) depth() uint64      { return r.curDepth }
 func (r *refSched) Stop()              { r.running = false }
-func (r *refSched) edges() uint64      { return r.scheduled }
 
 func (r *refSched) Pending() int { return len(r.q) }
 
@@ -148,10 +136,6 @@ func (r *refSched) schedule(t time.Duration, fn func()) *refEvent {
 		panic("reference: scheduling in the past")
 	}
 	e := &refEvent{r: r, at: t, fn: fn}
-	r.scheduled++
-	if r.running {
-		e.depth = r.curDepth + 1
-	}
 	// The new event goes after every queued event with the same timestamp.
 	i := sort.Search(len(r.q), func(i int) bool { return r.q[i].at > t })
 	r.q = append(r.q, nil)
@@ -202,7 +186,7 @@ func (r *refSched) Step() bool {
 	}
 	r.q = r.q[1:]
 	e.done = true
-	r.now, r.curDepth = e.at, e.depth
+	r.now = e.at
 	r.fired++
 	e.fn()
 	return true
@@ -225,9 +209,8 @@ func (r *refSched) RunUntil(deadline time.Duration) {
 
 // fireRec is what a callback observes when it runs.
 type fireRec struct {
-	id    int
-	now   time.Duration
-	depth uint64
+	id  int
+	now time.Duration
 }
 
 // world is one scheduler under test with the driver state that goes with it.
@@ -259,7 +242,7 @@ func newWorld(s schedAPI) *world {
 }
 
 func (w *world) record(id int) {
-	w.log = append(w.log, fireRec{id: id, now: w.s.Now(), depth: w.s.depth()})
+	w.log = append(w.log, fireRec{id: id, now: w.s.Now()})
 }
 
 // event returns a callback that records itself and then does what (action,
@@ -459,9 +442,6 @@ func runDifferential(t *testing.T, data []byte) {
 		wt, wok := ref.s.nextAt()
 		if gt != wt || gok != wok {
 			t.Fatalf("op %d (%d): next event at %v %v, reference %v %v", i/3, op%16, gt, gok, wt, wok)
-		}
-		if g, w := real.s.edges(), ref.s.edges(); g != w {
-			t.Fatalf("op %d (%d): profiler saw %d scheduling edges, reference %d", i/3, op%16, g, w)
 		}
 		for k := 0; k < refTimers; k++ {
 			ga, gd := real.s.timerState(k)

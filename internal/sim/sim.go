@@ -51,7 +51,6 @@ type eventNode struct {
 	at    time.Duration
 	seq   uint64
 	gen   uint64
-	depth uint64 // causal depth (parent's depth + 1); 0 unless profiling
 	id    uint32
 	flags uint8
 }
@@ -133,9 +132,6 @@ type Scheduler struct {
 	rng     *rand.Rand
 	fired   uint64
 	running bool
-
-	prof     *SchedProf // causal profiler; nil (zero-cost) unless attached
-	curDepth uint64     // causal depth of the event currently executing
 }
 
 // NewScheduler returns a scheduler with its clock at zero and a PRNG seeded
@@ -161,21 +157,17 @@ func (s *Scheduler) Pending() int { return len(s.heap) - s.dead + s.waiting }
 
 // At schedules fn to run at absolute virtual time t. Scheduling in the past
 // panics: it would reorder causality.
-//
-//hydralint:zeroalloc
 func (s *Scheduler) At(t time.Duration, fn func()) Event {
 	s.checkTime(t)
 	n := s.alloc()
 	n.at = t
-	n.seq, n.depth = s.stamp(t)
+	n.seq = s.stamp()
 	n.fn = fn
 	s.push(n.slot())
 	return Event{n: n, gen: n.gen}
 }
 
 // After schedules fn to run d after the current virtual time.
-//
-//hydralint:zeroalloc
 func (s *Scheduler) After(d time.Duration, fn func()) Event {
 	if d < 0 {
 		d = 0
@@ -224,37 +216,18 @@ func (s *Scheduler) node(id uint32) *eventNode {
 	return &s.chunks[id>>chunkBits][id&(chunkSize-1)]
 }
 
-// stamp consumes the sequence number of an event scheduled now for t and
-// returns it with the event's causal depth, telling the profiler about the
-// scheduling edge. Every event is stamped at the moment it is scheduled —
-// also one that waits in a lane, or a timer deadline that is only recorded —
-// which is what keeps keys and profiles independent of how events reach the
-// heap.
-func (s *Scheduler) stamp(t time.Duration) (seq, depth uint64) {
-	seq = s.nextSeq
+// stamp consumes the sequence number of an event scheduled now. Every event
+// is stamped at the moment it is scheduled — also one that waits in a lane, or
+// a timer deadline that is only recorded — which is what keeps keys
+// independent of how events reach the heap.
+func (s *Scheduler) stamp() uint64 {
+	seq := s.nextSeq
 	s.nextSeq++
-	if s.prof != nil {
-		depth = s.profEdge(t)
-	}
-	return seq, depth
-}
-
-// profEdge reports a scheduling edge to the attached profiler and returns
-// the new event's causal depth: one past the executing parent. Scheduling
-// from outside a run (set-up code between runs) roots a fresh chain at depth
-// zero.
-func (s *Scheduler) profEdge(t time.Duration) (depth uint64) {
-	if s.running {
-		depth = s.curDepth + 1
-	}
-	s.prof.noteEdge(s.now, t, depth)
-	return depth
+	return seq
 }
 
 // Step executes the next pending event, advancing the clock to its
 // timestamp. It returns false when the queue is empty.
-//
-//hydralint:zeroalloc
 func (s *Scheduler) Step() bool {
 	return s.step(math.MaxInt64)
 }
@@ -294,16 +267,6 @@ func (s *Scheduler) step(deadline time.Duration) bool {
 	}
 	s.now = n.at
 	s.fired++
-	if p := s.prof; p != nil {
-		// The maximum folds in at fire time, not schedule time, so
-		// cancelled events and superseded timer deadlines never stretch the
-		// path.
-		s.curDepth = n.depth
-		if n.depth > p.maxDepth {
-			p.maxDepth = n.depth
-			p.deepAt = n.at
-		}
-	}
 	// Recycling first means a timer is already disarmed when its callback
 	// runs, and the callback's own scheduling can reuse the node.
 	if n.flags&nodeTimer != 0 {
@@ -362,18 +325,6 @@ func (s *Scheduler) RunUntil(deadline time.Duration) {
 // Stop makes a Run or RunUntil in progress return after the current event.
 func (s *Scheduler) Stop() { s.running = false }
 
-// EnableProfile attaches (nil detaches) the causal profiler and resets the
-// depth baseline, so chains rooted after the call start at depth zero. A
-// detached scheduler pays one nil test per schedule/fire and allocates
-// nothing. Call between runs, never from inside an event.
-func (s *Scheduler) EnableProfile(p *SchedProf) {
-	s.prof = p
-	s.curDepth = 0
-}
-
-// Profile returns the attached causal profiler, nil when detached.
-func (s *Scheduler) Profile() *SchedProf { return s.prof }
-
 // peek returns the earliest live event's node, which is then the heap's
 // root. On the way it drops cancelled nodes off the top of the heap (a lane's
 // next live event takes a cancelled head's place) and moves a timer's wake-up
@@ -394,7 +345,7 @@ func (s *Scheduler) peek() *eventNode {
 			continue
 		}
 		if t := n.timer; n.flags&nodeTimer != 0 && t.seq != n.seq {
-			n.at, n.seq, n.depth = t.at, t.seq, t.depth
+			n.at, n.seq = t.at, t.seq
 			s.siftDown(0, n.slot())
 			continue
 		}
@@ -548,8 +499,6 @@ type Lane struct {
 // would break the lane's order — t earlier than the last event still in the
 // lane — is scheduled as an ordinary event instead and takes no part in the
 // lane.
-//
-//hydralint:zeroalloc
 func (l *Lane) At(s *Scheduler, t time.Duration, fn func()) Event {
 	tail := l.tail
 	busy := tail != nil && tail.gen == l.gen
@@ -559,7 +508,7 @@ func (l *Lane) At(s *Scheduler, t time.Duration, fn func()) Event {
 	s.checkTime(t)
 	n := s.alloc()
 	n.at = t
-	n.seq, n.depth = s.stamp(t)
+	n.seq = s.stamp()
 	n.fn = fn
 	l.tail, l.gen = n, n.gen
 	if busy {
@@ -578,20 +527,19 @@ func (l *Lane) At(s *Scheduler, t time.Duration, fn func()) Event {
 //
 // A timer holds at most one heap node, its wake-up. Re-arming to a deadline
 // at or after the wake-up only records the deadline, together with the
-// sequence number and causal depth an event scheduled at that moment would
-// have received; when the wake-up surfaces early the scheduler moves it to
-// the recorded key (see peek), so the timer fires at exactly the point in the
-// event order where a freshly scheduled event would have. A Timer may be
-// embedded by value (see Init) but must not be copied once armed.
+// sequence number an event scheduled at that moment would have received; when
+// the wake-up surfaces early the scheduler moves it to the recorded key (see
+// peek), so the timer fires at exactly the point in the event order where a
+// freshly scheduled event would have. A Timer may be embedded by value (see
+// Init) but must not be copied once armed.
 type Timer struct {
 	s *Scheduler
 	h Handler
 	n *eventNode // wake-up node in the heap; cancelled while the timer is stopped
 
-	// Key and causal depth of the armed deadline.
-	at    time.Duration
-	seq   uint64
-	depth uint64
+	// Key of the armed deadline.
+	at  time.Duration
+	seq uint64
 }
 
 // NewTimer returns a stopped timer that runs fn when it expires.
@@ -622,15 +570,13 @@ func (t *Timer) InitHandler(s *Scheduler, h Handler) { t.s, t.h = s, h }
 
 // Reset (re)arms the timer to fire d from now, superseding any earlier
 // deadline.
-//
-//hydralint:zeroalloc
 func (t *Timer) Reset(d time.Duration) {
 	s := t.s
 	if d < 0 {
 		d = 0
 	}
 	t.at = s.now + d
-	t.seq, t.depth = s.stamp(t.at)
+	t.seq = s.stamp()
 	n := t.n
 	if n != nil && t.at >= n.at {
 		// The wake-up comes no later than the new deadline (a fresh sequence
@@ -650,7 +596,7 @@ func (t *Timer) Reset(d time.Duration) {
 		}
 	}
 	n = s.alloc()
-	n.at, n.seq, n.depth = t.at, t.seq, t.depth
+	n.at, n.seq = t.at, t.seq
 	n.timer, t.n = t, n
 	n.flags = nodeTimer
 	s.push(n.slot())

@@ -15,13 +15,13 @@ func TestRandomEventsFireInTimestampOrder(t *testing.T) {
 	s := NewScheduler(1)
 	var fired []time.Duration
 	record := func() { fired = append(fired, s.Now()) }
-	var schedule func(depth int)
-	schedule = func(depth int) {
+	var schedule func(level int)
+	schedule = func(level int) {
 		n := rng.Intn(20) + 1
 		for i := 0; i < n; i++ {
 			at := s.Now() + time.Duration(rng.Intn(1000))*time.Millisecond
-			if depth < 3 && rng.Intn(4) == 0 {
-				d := depth
+			if level < 3 && rng.Intn(4) == 0 {
+				d := level
 				s.At(at, func() { record(); schedule(d + 1) })
 			} else {
 				s.At(at, record)

@@ -3,6 +3,7 @@ package sim
 import (
 	"testing"
 	"time"
+	"unsafe"
 )
 
 func TestSchedulerOrdering(t *testing.T) {
@@ -436,12 +437,30 @@ func TestTimerHoldsOneNode(t *testing.T) {
 	}
 }
 
-// TestSteadyStateAllocs pins the allocation-free paths the lanes and timers
-// add: scheduling on a lane and firing from it, and re-arming a timer.
+// TestEventNodeSize: a node is one cache line. The fields are the callback,
+// the lane and timer links and the (at, seq) key — nothing per-event rides
+// along for an observer.
+func TestEventNodeSize(t *testing.T) {
+	if got := unsafe.Sizeof(eventNode{}); got != 64 {
+		t.Errorf("eventNode is %d bytes, want 64", got)
+	}
+}
+
+// TestSteadyStateAllocs pins the allocation-free scheduling paths: At and
+// After with the event fired, scheduling on a lane and firing from it, and
+// re-arming a timer.
 func TestSteadyStateAllocs(t *testing.T) {
 	s := NewScheduler(1)
 	var lane Lane
 	fn := func() {}
+	if avg := testing.AllocsPerRun(1000, func() {
+		s.At(s.Now()+time.Microsecond, fn)
+		s.After(time.Microsecond, fn)
+		s.Step()
+		s.Step()
+	}); avg != 0 {
+		t.Errorf("At + After + Step allocates %.1f objects per cycle, want 0", avg)
+	}
 	at := s.Now()
 	for i := 0; i < 64; i++ { // a standing backlog, so events chain and promote
 		at += time.Microsecond

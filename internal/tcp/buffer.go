@@ -179,8 +179,6 @@ func (b *sendBuffer) release() {
 }
 
 // append stores as much of p as fits and returns how many bytes it took.
-//
-//hydralint:zeroalloc
 func (b *sendBuffer) append(p []byte) int {
 	n := b.free()
 	if n > len(p) {
@@ -197,8 +195,6 @@ func (b *sendBuffer) append(p []byte) int {
 }
 
 // ackTo discards bytes below seq (they were acknowledged).
-//
-//hydralint:zeroalloc
 func (b *sendBuffer) ackTo(seq Seq) {
 	d := seq.Diff(b.base)
 	if d <= 0 {
@@ -219,8 +215,6 @@ func (b *sendBuffer) ackTo(seq Seq) {
 // bytesFrom returns up to maxLen bytes of the stream starting at seq, or nil
 // if seq is outside the buffered range. With marking enabled the chunk never
 // crosses a write boundary.
-//
-//hydralint:zeroalloc
 func (b *sendBuffer) bytesFrom(seq Seq, maxLen int) []byte {
 	data := b.data.live
 	off := seq.Diff(b.base)
@@ -326,8 +320,6 @@ func (r *receiver) window() int {
 // below rcvNxt. Overlapping ranges are kept as-is (deposit handles overlap).
 // It reports whether any byte of the segment was new (at or above rcvNxt and
 // not wholly duplicate).
-//
-//hydralint:zeroalloc
 func (r *receiver) insert(seq Seq, data []byte) bool {
 	if len(data) == 0 {
 		return false
@@ -398,8 +390,6 @@ func (r *receiver) contiguousEnd() Seq {
 // depositUpTo moves contiguous pending bytes in [rcvNxt, limit) into the
 // socket buffer, bounded by buffer capacity. It returns the number of bytes
 // deposited. Passing rcvNxt.Add(cap+1) or more effectively means "no limit".
-//
-//hydralint:zeroalloc
 func (r *receiver) depositUpTo(limit Seq) int {
 	end := r.contiguousEnd()
 	if limit.LT(end) {
@@ -455,8 +445,6 @@ func (r *receiver) depositUpTo(limit Seq) int {
 }
 
 // read drains up to len(p) deposited bytes into p.
-//
-//hydralint:zeroalloc
 func (r *receiver) read(p []byte) int {
 	n := copy(p, r.deposited.live)
 	r.deposited.drop(n)

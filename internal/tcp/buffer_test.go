@@ -326,6 +326,25 @@ func TestFifoSlideAndGrowth(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("steady-state extend/drop allocates %.1f times per round", allocs)
 	}
+	// So do the two socket buffers built on it: a segment's worth written,
+	// sent and acknowledged; one received, deposited and read.
+	snd, rcv := newSendBuffer(max), newReceiver(max)
+	snd.setBase(0)
+	rcv.setNext(0)
+	seg, buf := make([]byte, 100), make([]byte, 100)
+	var seq Seq
+	allocs = testing.AllocsPerRun(200, func() {
+		snd.append(seg)
+		rcv.insert(seq, snd.bytesFrom(seq, len(seg)))
+		seq = seq.Add(len(seg))
+		snd.ackTo(seq)
+		rcv.depositUpTo(seq)
+		rcv.read(buf)
+	})
+	if allocs != 0 || rcv.rcvNxt != seq || snd.len() != 0 {
+		t.Fatalf("steady-state socket buffers allocate %.1f times per segment (rcvNxt %d of %d, %d unacked)",
+			allocs, rcv.rcvNxt, seq, snd.len())
+	}
 }
 
 // TestSendBufferMarksAcrossSlide: write boundaries survive slides of both the

@@ -110,8 +110,6 @@ func (s *Segment) Marshal(src, dst ipv4.Addr) []byte {
 // MarshalInto serializes the segment into b, which must be exactly
 // WireLen() bytes (typically a pooled frame buffer that the IP layer will
 // prepend its header to).
-//
-//hydralint:zeroalloc
 func (s *Segment) MarshalInto(b []byte, src, dst ipv4.Addr) {
 	hdrLen := HeaderLen
 	if s.MSS != 0 {
@@ -156,8 +154,6 @@ func UnmarshalSegment(src, dst ipv4.Addr, b []byte) (*Segment, error) {
 
 // Unmarshal parses and validates b into s, overwriting every field; on error
 // s is left untouched. Payload aliases b.
-//
-//hydralint:zeroalloc
 func (s *Segment) Unmarshal(src, dst ipv4.Addr, b []byte) error {
 	if len(b) < HeaderLen {
 		return ErrSegTruncated

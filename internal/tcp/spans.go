@@ -209,10 +209,6 @@ func (sc *SpanCollector) observe(e obs.Event) {
 			}
 		}
 		cs.ackIdx = i
-
-	default:
-		// Span assembly only consumes the four cursor-bearing kinds above;
-		// everything else is deliberately outside the span model.
 	}
 }
 

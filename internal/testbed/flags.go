@@ -3,9 +3,11 @@ package testbed
 import (
 	"flag"
 	"fmt"
+	"os"
+	"runtime"
+	"runtime/pprof"
 
 	"hydranet"
-	"hydranet/internal/prof"
 )
 
 // ObserverFlags registers, once for every simulator CLI, the flags that
@@ -27,10 +29,48 @@ func ObserverFlags(fs *flag.FlagSet, note string) (in *hydranet.Instruments, sta
 	fs.StringVar(&in.Spans, "spans", "", "write the per-connection ft-TCP span timeline as JSON to this file (\"-\" = stdout)")
 	fs.StringVar(&in.Series, "series", "", "export sampled time series (with replica health verdicts) to this file (JSONL, or CSV with a .csv extension)")
 	fs.DurationVar(&in.SampleEvery, "sample-every", 0, "telemetry sampling cadence for -series (default 100ms of virtual time)")
-	fs.StringVar(&in.Profile, "prof", "", "write a hydraprof profile (causal critical path) to this file; render with hydrascope profile")
 	fs.BoolVar(&in.Invariants, "invariants", false, "run the online protocol-invariant monitor; exit 1 on any violation")
 	fs.StringVar(&in.Audit, "audit", "", "write the invariant audit report as JSON to this file (implies -invariants); inspect with hydrascope audit")
 	cpu := fs.String("cpuprofile", "", "write a Go runtime CPU profile to this file")
 	mem := fs.String("memprofile", "", "write a Go runtime heap profile to this file at exit")
-	return in, func() (func() error, error) { return prof.StartPprof(*cpu, *mem) }
+	return in, func() (func() error, error) { return startRuntimeProfiles(*cpu, *mem) }
+}
+
+// startRuntimeProfiles starts the Go runtime profilers behind -cpuprofile/-memprofile:
+// host-level profiling of the simulator itself. Either path may be empty.
+// The returned stop function ends the CPU profile and writes the heap
+// profile; call it before the process exits (os.Exit skips defers).
+func startRuntimeProfiles(cpuPath, memPath string) (stop func() error, err error) {
+	var cpuFile *os.File
+	if cpuPath != "" {
+		cpuFile, err = os.Create(cpuPath)
+		if err != nil {
+			return nil, err
+		}
+		if err := pprof.StartCPUProfile(cpuFile); err != nil {
+			cpuFile.Close()
+			return nil, err
+		}
+	}
+	return func() error {
+		if cpuFile != nil {
+			pprof.StopCPUProfile()
+			if err := cpuFile.Close(); err != nil {
+				return err
+			}
+		}
+		if memPath != "" {
+			f, err := os.Create(memPath)
+			if err != nil {
+				return err
+			}
+			runtime.GC() // materialize up-to-date heap statistics
+			err = pprof.WriteHeapProfile(f)
+			if cerr := f.Close(); err == nil {
+				err = cerr
+			}
+			return err
+		}
+		return nil
+	}, nil
 }

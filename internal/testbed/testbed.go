@@ -107,7 +107,8 @@ type Config struct {
 	// once the topology stands, before the service registers.
 	Observe hydranet.Instruments
 	// PcapPath, SeriesPath, ProfilePath and Invariants are the names bench/
-	// compiles against; run folds them into Observe (ROADMAP 6(c)).
+	// compiles against; run folds them into Observe (ROADMAP 6(c)) and
+	// ignores ProfilePath, which names no observer.
 	PcapPath, SeriesPath, ProfilePath string
 	Invariants                        bool
 }
@@ -125,7 +126,6 @@ func (c Config) observers() hydranet.Instruments {
 	in.Scenario = fmt.Sprintf("figure4 %s buf=%d", c.Case, c.BufLen)
 	in.Pcap = firstOf(in.Pcap, c.PcapPath)
 	in.Series = firstOf(in.Series, c.SeriesPath)
-	in.Profile = firstOf(in.Profile, c.ProfilePath)
 	in.Invariants = in.Invariants || c.Invariants
 	return in
 }

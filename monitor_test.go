@@ -19,9 +19,11 @@ import (
 func TestMonitorZeroCostWhenDetached(t *testing.T) {
 	measure := func(attach bool) float64 {
 		bus := obs.NewBus(func() time.Duration { return 0 })
+		noteFrame := func(int) {}
 		if attach {
 			m := invariant.New(invariant.Config{})
 			m.Attach(bus)
+			noteFrame = m.NoteFrame
 		}
 		var cursor, ack uint64 = 1000, 1000
 		cycle := func() {
@@ -41,9 +43,14 @@ func TestMonitorZeroCostWhenDetached(t *testing.T) {
 				bus.Publish(obs.Event{Kind: obs.KindChainSend, Node: "s0",
 					Service: "10.9.0.9:80", Conn: "10.1.0.1:4000", Seq: cursor, Ack: ack})
 			}
+			if bus.Enabled(obs.KindChainRecv) {
+				bus.Publish(obs.Event{Kind: obs.KindChainRecv, Node: "s1",
+					Service: "10.9.0.9:80", Conn: "10.1.0.1:4000", Seq: cursor, Ack: ack})
+			}
 			if bus.Enabled(obs.KindClientDeliver) {
 				bus.Publish(obs.Event{Kind: obs.KindClientDeliver, Node: "s0", Size: 256})
 			}
+			noteFrame(552)
 		}
 		for i := 0; i < 256; i++ {
 			cycle()
