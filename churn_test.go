@@ -216,12 +216,15 @@ func runChurn(t *testing.T, loss float64, crash bool) churnFingerprint {
 // TestChurnGolden: short connections through FT pods — lossless, at 1 % loss
 // (retransmitted FINs restart TIME-WAIT) and with a replica crash mid-run (its
 // TIME-WAIT population is reset at once) — fire exactly the events, close at
-// exactly the instants and count exactly the segments that commit 2659195 did,
-// where TIME-WAIT was one scheduler timer per connection and every connection
-// owned its buffers. (There the crash variant had two outcomes, by the map
-// order in which core poked a port's connections on reconfiguration; the file
-// holds the one for client order, which core now guarantees.) A change to the
-// connection-rate path must leave testdata/golden_churn.json untouched.
+// exactly the instants and count exactly the segments that the commit named in
+// testdata/golden_churn.json did. (Before core walked a port's connections in
+// client order on reconfiguration, the crash variant had two outcomes, by map
+// order.) A change to the connection-rate path must leave the file untouched.
+//
+// The file records what happened; what is right is asserted beside it: without
+// loss no replica retransmits, and each counts the bytes it served as sent
+// once. (The file used to pin s1a at BytesSent 0, Retransmits 191 on the
+// lossless run: passive open left sndMax at the zero Seq.)
 func TestChurnGolden(t *testing.T) {
 	variants := []struct {
 		name  string
@@ -235,6 +238,17 @@ func TestChurnGolden(t *testing.T) {
 	got := goldenChurn{Variants: map[string]churnFingerprint{}}
 	for _, v := range variants {
 		got.Variants[v.name] = runChurn(t, v.loss, v.crash)
+	}
+	lossless := got.Variants["lossless"].ConnTotals
+	for pod := 0; pod < churnTestPods; pod++ {
+		served := lossless[fmt.Sprintf("c%d", pod)].BytesReceived
+		for _, replica := range []string{"a", "b"} {
+			name := fmt.Sprintf("s%d%s", pod, replica)
+			if st := lossless[name]; st.Retransmits != 0 || st.BytesSent != served {
+				t.Errorf("lossless: %s counts %d retransmits and %d bytes sent, want 0 and the %d bytes served",
+					name, st.Retransmits, st.BytesSent, served)
+			}
+		}
 	}
 	if *updateChurn != "" {
 		// One variant per line keeps the file, mostly close instants, short.

@@ -269,12 +269,27 @@ func (p *ReplicatedPort) Mode() Mode { return p.mode }
 // SetUpstream configures where stripped flow-control information is sent
 // (the predecessor host's acknowledgment-channel endpoint). The replica
 // management protocol calls this when the chain is built or repaired.
+//
+// A new predecessor has never heard from this replica: its gates hold the
+// limits of the member that was spliced out and would stay shut until this
+// replica's next segment — after a crash, a backed-off retransmission. So a
+// change of predecessor announces every connection's cursors at once.
+// Cursors only repeat what earlier messages said, the predecessor folds them
+// with the same maximum rule, and a lost datagram leaves the old wait.
 func (p *ReplicatedPort) SetUpstream(host ipv4.Addr) {
 	if host == 0 {
 		p.upstream = udp.Endpoint{}
 		return
 	}
+	if host == p.upstream.Addr {
+		return
+	}
 	p.upstream = udp.Endpoint{Addr: host, Port: AckChannelPort}
+	for _, fc := range p.connsInOrder() {
+		if fc.conn != nil {
+			fc.forwardCursors()
+		}
+	}
 }
 
 // SetGated declares whether a successor replica exists behind this one.

@@ -1,12 +1,14 @@
 package core_test
 
 import (
+	"sort"
 	"testing"
 	"time"
 
 	"hydranet"
 	"hydranet/internal/app"
 	"hydranet/internal/core"
+	"hydranet/internal/obs"
 )
 
 func TestPromoteDemoteIdempotent(t *testing.T) {
@@ -197,5 +199,69 @@ func TestRoleChangeReachesLiveConnections(t *testing.T) {
 	net.RunFor(5 * time.Second)
 	if string(echoed) != "as primary;as backup;" {
 		t.Fatalf("echo = %q after re-promotion, want the whole stream", echoed)
+	}
+}
+
+// TestSetUpstreamAnnouncesCursors: a replica given a new predecessor sends it
+// the current cursors of every connection it holds, once, in client order —
+// the new predecessor has never heard from it and would otherwise wait for its
+// next segment. An unchanged or cleared upstream, and a placeholder that has no
+// connection yet, send nothing.
+func TestSetUpstreamAnnouncesCursors(t *testing.T) {
+	net, client, _, replicas := build(t, 86, 3, hydranet.FTOptions{})
+	for i := 0; i < 3; i++ {
+		conn, err := client.Dial(svc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		app.Source(conn, []byte("established, then idle"), false)
+	}
+	net.RunFor(5 * time.Second)
+	tail := replicas[2]
+	port := tail.FTManager().Port(svc)
+	conns := tail.TCP().Conns()
+	sort.Slice(conns, func(i, j int) bool { return conns[i].Remote().Before(conns[j].Remote()) })
+	if len(conns) != 3 {
+		t.Fatalf("tail holds %d connections, want 3", len(conns))
+	}
+	// A chain message for a client whose SYN never arrives leaves a
+	// placeholder without a connection on the tail.
+	ghost := core.ChainMsg{Service: svc, Client: hydranet.Endpoint{Addr: client.Addr(), Port: 9}, SndNxt: 1, RcvNxt: 2}
+	if err := replicas[0].UDP().SendTo(0, core.AckChannelPort,
+		hydranet.UDPEndpoint{Addr: tail.Addr(), Port: core.AckChannelPort}, ghost.Marshal()); err != nil {
+		t.Fatal(err)
+	}
+	net.RunFor(time.Second)
+	if port.Conns() != 4 {
+		t.Fatalf("tail manages %d connections, want 3 and a placeholder", port.Conns())
+	}
+
+	var sent []obs.Event
+	net.Bus().Subscribe(func(e obs.Event) {
+		if e.Node == tail.Name() {
+			sent = append(sent, e)
+		}
+	}, obs.KindChainSend)
+
+	port.SetUpstream(replicas[1].Addr()) // the predecessor it already has
+	port.SetUpstream(0)
+	if len(sent) != 0 {
+		t.Fatalf("%d chain messages for an unchanged and a cleared upstream, want none", len(sent))
+	}
+	port.SetUpstream(replicas[0].Addr())
+	if len(sent) != len(conns) {
+		t.Fatalf("%d chain messages on a new upstream, want one per connection (%d)", len(sent), len(conns))
+	}
+	for i, c := range conns {
+		e := sent[i]
+		if e.Conn != c.Remote().String() || e.Seq != uint64(c.SndNxt()) || e.Ack != uint64(c.RcvNxt()) {
+			t.Errorf("message %d: conn %s seq %d ack %d, want %s %d %d",
+				i, e.Conn, e.Seq, e.Ack, c.Remote(), c.SndNxt(), c.RcvNxt())
+		}
+	}
+	before := replicas[0].FTManager().Stats().ChainMsgsReceived
+	net.RunFor(time.Second)
+	if got := replicas[0].FTManager().Stats().ChainMsgsReceived - before; got != uint64(len(conns)) {
+		t.Errorf("new predecessor received %d chain messages, want %d", got, len(conns))
 	}
 }

@@ -165,14 +165,32 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 		Count: h.count, Sum: h.sum, Min: h.min, Max: h.max, Mean: h.Mean(),
 		P50: h.Quantile(0.50), P90: h.Quantile(0.90), P99: h.Quantile(0.99),
 	}
-	for i, c := range h.counts {
+	s.Buckets = nonEmptyBuckets(&h.counts)
+	return s
+}
+
+// nonEmptyBuckets lists the non-empty buckets in one allocation of exactly
+// their number (none for an empty histogram): snapshots are taken per host
+// per sample, and growing the list by append cost four or five.
+func nonEmptyBuckets(counts *[numBuckets]uint64) []HistogramBucket {
+	n := 0
+	for _, c := range counts {
+		if c != 0 {
+			n++
+		}
+	}
+	if n == 0 {
+		return nil
+	}
+	out := make([]HistogramBucket, 0, n)
+	for i, c := range counts {
 		if c == 0 {
 			continue
 		}
 		lo, hi := bucketBounds(i)
-		s.Buckets = append(s.Buckets, HistogramBucket{Lo: lo, Hi: hi, Count: c})
+		out = append(out, HistogramBucket{Lo: lo, Hi: hi, Count: c})
 	}
-	return s
+	return out
 }
 
 // String renders the snapshot's headline statistics on one line, in the
@@ -212,12 +230,6 @@ func (s HistogramSnapshot) Diff(prev HistogramSnapshot) HistogramSnapshot {
 	d.P50 = quantileFromBuckets(counts[:], d.Count, 0.50)
 	d.P90 = quantileFromBuckets(counts[:], d.Count, 0.90)
 	d.P99 = quantileFromBuckets(counts[:], d.Count, 0.99)
-	for i, c := range counts {
-		if c == 0 {
-			continue
-		}
-		lo, hi := bucketBounds(i)
-		d.Buckets = append(d.Buckets, HistogramBucket{Lo: lo, Hi: hi, Count: c})
-	}
+	d.Buckets = nonEmptyBuckets(&counts)
 	return d
 }

@@ -44,7 +44,12 @@ type Network struct {
 	pool   *frame.Pool
 	tap    FrameTap
 	evFree []*frameEvent // recycled fabric event records (see frameEvent)
+	evSlab []frameEvent  // records never used yet, allocated evSlabSize at a time
 }
+
+// evSlabSize is how many event records one allocation holds: a fail-over
+// scenario on a fresh network needs a few dozen before it starts recycling.
+const evSlabSize = 32
 
 // New returns an empty network driven by the given scheduler.
 func New(sched *sim.Scheduler) *Network {
@@ -329,15 +334,18 @@ type frameEventKind uint8
 
 const (
 	evTxReady frameEventKind = iota // sender CPU done: hand fb to the link
-	evDequeue                       // frame serialized: leave the transmit queue
 	evArrive                        // propagation done: fb reaches the far node
 	evRxReady                       // receiver CPU done: run the handler
 )
 
 // frameEvent is the fabric's one scheduled-event record. Every hop of a frame
-// (transmit CPU, dequeue, arrival, receive CPU) schedules one; records are
-// recycled through the network's free list, and fireFn is the method value
-// cached at creation, so scheduling a hop allocates nothing in steady state.
+// (transmit CPU, arrival, receive CPU) schedules one; records are recycled
+// through the network's free list, and fireFn is the method value cached at
+// creation, so scheduling a hop allocates nothing in steady state.
+//
+// An arrival's record doubles as the frame's entry in its direction's
+// transmit queue (size, done, queued): the frame is serialized before it
+// arrives, so the entry has always left the queue when the record is recycled.
 type frameEvent struct {
 	net     *Network
 	kind    frameEventKind
@@ -346,12 +354,14 @@ type frameEvent struct {
 	side    int
 	ifindex int
 	size    int
+	done    time.Duration // when the frame has been serialized
+	queued  *frameEvent   // the frame behind this one in the transmit queue
 	fb      *frame.Buf
 	fireFn  func()
 }
 
-// getEvent takes a record off the free list, allocating only when the list
-// is empty.
+// getEvent takes a record off the free list, or, when the list is empty, the
+// next unused one of the current slab.
 func (n *Network) getEvent(kind frameEventKind, fb *frame.Buf) *frameEvent {
 	var ev *frameEvent
 	if k := len(n.evFree); k > 0 {
@@ -359,7 +369,11 @@ func (n *Network) getEvent(kind frameEventKind, fb *frame.Buf) *frameEvent {
 		n.evFree[k-1] = nil
 		n.evFree = n.evFree[:k-1]
 	} else {
-		ev = &frameEvent{net: n}
+		if len(n.evSlab) == 0 {
+			n.evSlab = make([]frameEvent, evSlabSize)
+		}
+		ev, n.evSlab = &n.evSlab[0], n.evSlab[1:]
+		ev.net = n
 		ev.fireFn = ev.fire
 	}
 	ev.kind, ev.fb = kind, fb
@@ -369,7 +383,7 @@ func (n *Network) getEvent(kind frameEventKind, fb *frame.Buf) *frameEvent {
 // fire runs the hop. The record goes back on the free list first, so the
 // events the hop schedules can reuse it.
 func (ev *frameEvent) fire() {
-	kind, node, link, side, ifindex, size, fb := ev.kind, ev.node, ev.link, ev.side, ev.ifindex, ev.size, ev.fb
+	kind, node, link, side, ifindex, fb := ev.kind, ev.node, ev.link, ev.side, ev.ifindex, ev.fb
 	ev.node, ev.link, ev.fb = nil, nil, nil
 	ev.net.evFree = append(ev.net.evFree, ev)
 	switch kind {
@@ -379,9 +393,10 @@ func (ev *frameEvent) fire() {
 			return
 		}
 		link.transmit(side, fb)
-	case evDequeue:
-		link.backlog[side] -= size
 	case evArrive:
+		// At the latest now the record leaves the transmit queue, before
+		// deliver can take it off the free list.
+		link.drain(side)
 		node.deliver(ifindex, fb)
 	case evRxReady:
 		if !node.alive {
@@ -409,9 +424,12 @@ type Link struct {
 	ends [2]endpoint
 
 	txFree  [2]time.Duration // when the direction's transmitter frees up
-	backlog [2]int           // queued bytes per direction
-	dequeue [2]sim.Lane      // frames leaving the direction's transmit queue
-	arrive  [2]sim.Lane      // frames on the wire towards the far node
+	backlog [2]int           // queued bytes per direction, as of the last drain
+	// Frames not yet seen to leave the direction's transmit queue, oldest
+	// first, chained through their arrival records. No event marks a frame
+	// serialized: whoever needs the backlog drains the queue first.
+	queueHead, queueTail [2]*frameEvent
+	arrive               [2]sim.Lane // frames on the wire towards the far node
 
 	// Stats per direction (index = sending side).
 	txFrames  [2]uint64
@@ -434,7 +452,21 @@ func (l *Link) Stats() (tx, lost, queueDrop [2]uint64) {
 // Backlogs returns the bytes currently queued in each direction (index =
 // sending side) — the instantaneous queue depths a telemetry sampler reads.
 func (l *Link) Backlogs() (ab, ba int) {
+	l.drain(0)
+	l.drain(1)
 	return l.backlog[0], l.backlog[1]
+}
+
+// drain takes the frames serialized by now out of the direction's transmit
+// queue. Serialization finishes in queue order, so they are at its head.
+func (l *Link) drain(side int) {
+	now := l.net.sched.Now()
+	q := l.queueHead[side]
+	for q != nil && q.done <= now {
+		l.backlog[side] -= q.size
+		q = q.queued
+	}
+	l.queueHead[side] = q
 }
 
 func (l *Link) serialization(size int) time.Duration {
@@ -451,6 +483,7 @@ func (l *Link) transmit(side int, fb *frame.Buf) {
 	n := l.net
 	s := n.sched
 	size := fb.Len()
+	l.drain(side)
 	if l.backlog[side]+size > l.cfg.QueueBytes {
 		l.queueDrop[side]++
 		if b := n.bus; b.Enabled(obs.KindQueueDrop) {
@@ -485,17 +518,21 @@ func (l *Link) transmit(side int, fb *frame.Buf) {
 	if tap := n.tap; tap != nil {
 		tap(l.ends[side].node, dst.node, fb.Bytes())
 	}
-	// The frame leaves the transmit queue once serialized; propagation
-	// happens "on the wire" and does not hold queue space.
-	dq := n.getEvent(evDequeue, nil)
-	dq.link, dq.side, dq.size = l, side, size
-	l.dequeue[side].At(s, done, dq.fireFn)
 	arrive := done + l.cfg.Delay
 	if l.cfg.Jitter > 0 {
 		arrive += time.Duration(s.Rand().Int63n(int64(l.cfg.Jitter) + 1))
 	}
 	ar := n.getEvent(evArrive, fb)
 	ar.node, ar.ifindex = dst.node, dst.ifindex
+	// The frame leaves the transmit queue once serialized; propagation
+	// happens "on the wire" and does not hold queue space.
+	ar.link, ar.side, ar.size, ar.done, ar.queued = l, side, size, done, nil
+	if l.queueHead[side] == nil {
+		l.queueHead[side] = ar
+	} else {
+		l.queueTail[side].queued = ar
+	}
+	l.queueTail[side] = ar
 	// A jittered frame that would overtake the one before it falls out of
 	// the lane and is scheduled on its own (see sim.Lane.At).
 	l.arrive[side].At(s, arrive, ar.fireFn)

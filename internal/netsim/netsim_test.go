@@ -101,6 +101,39 @@ func TestQueueOverflowDropTail(t *testing.T) {
 	}
 }
 
+// TestQueueDrainsWithoutEvents: a frame leaves its transmit queue the instant
+// it has been serialized although no event marks that instant — the backlog is
+// brought up to date by whoever reads it (Backlogs, the next transmit). Three
+// events a frame: sender CPU, arrival, receiver CPU.
+func TestQueueDrainsWithoutEvents(t *testing.T) {
+	// 1000 bytes at 8 Mbit/s serialize in 1 ms; propagation takes 10 more.
+	s, a, _, _, rb := pair(t, LinkConfig{Rate: 8_000_000, Delay: 10 * time.Millisecond, QueueBytes: 2000})
+	link := a.ifaces[0].link
+	a.Send(0, make([]byte, 1000))
+	a.Send(0, make([]byte, 1000))
+	s.RunUntil(500 * time.Microsecond)
+	if ab, _ := link.Backlogs(); ab != 2000 {
+		t.Fatalf("backlog %d with two frames queued, want 2000", ab)
+	}
+	a.Send(0, make([]byte, 1000)) // no room: dropped
+	s.RunUntil(time.Millisecond)
+	if ab, _ := link.Backlogs(); ab != 1000 {
+		t.Fatalf("backlog %d once the first frame is serialized, want 1000", ab)
+	}
+	a.Send(0, make([]byte, 1000)) // takes the room the first frame left
+	s.RunUntil(3 * time.Millisecond)
+	if ab, ba := link.Backlogs(); ab != 0 || ba != 0 {
+		t.Fatalf("backlogs %d/%d with everything on the wire, want 0/0", ab, ba)
+	}
+	s.Run()
+	if _, _, drops := link.Stats(); len(rb.frames) != 3 || drops[0] != 1 {
+		t.Fatalf("delivered %d frames and dropped %d at the queue, want 3 and 1", len(rb.frames), drops[0])
+	}
+	if want := uint64(3*3 + 1); s.Fired() != want {
+		t.Errorf("Fired = %d, want %d: three events per delivered frame, one for the dropped", s.Fired(), want)
+	}
+}
+
 func TestLossDeterministic(t *testing.T) {
 	run := func() int {
 		s := sim.NewScheduler(99)

@@ -267,8 +267,8 @@ func TestPendingCount(t *testing.T) {
 	}
 }
 
-// TestLaneKeepsHeapShallow models netsim's four events per frame — sender
-// CPU, link dequeue, arrival, receiver CPU — for 1000 frames sent at once
+// TestLaneKeepsHeapShallow models netsim's three events per frame — sender
+// CPU, arrival, receiver CPU — for 1000 frames sent at once
 // through a slow CPU and a slow link: each resource's backlog waits in its
 // lane, so the heap holds one entry per busy resource, and the frames still
 // complete in send order.
@@ -280,7 +280,7 @@ func TestLaneKeepsHeapShallow(t *testing.T) {
 		delay  = 5 * time.Millisecond
 	)
 	s := NewScheduler(1)
-	var txCPU, dequeue, arrive, rxCPU Lane
+	var txCPU, arrive, rxCPU Lane
 	var txFree, linkFree, rxFree time.Duration
 	busyUntil := func(free *time.Duration, cost time.Duration) time.Duration {
 		if *free < s.Now() {
@@ -301,7 +301,6 @@ func TestLaneKeepsHeapShallow(t *testing.T) {
 		txCPU.At(s, busyUntil(&txFree, cpu), func() {
 			sample()
 			done := busyUntil(&linkFree, wire)
-			dequeue.At(s, done, sample)
 			arrive.At(s, done+delay, func() {
 				sample()
 				rxCPU.At(s, busyUntil(&rxFree, cpu), func() {
@@ -326,8 +325,8 @@ func TestLaneKeepsHeapShallow(t *testing.T) {
 			t.Fatalf("frame %d completed in position %d", f, i)
 		}
 	}
-	if s.Fired() != 4*frames {
-		t.Errorf("Fired = %d, want %d", s.Fired(), 4*frames)
+	if s.Fired() != 3*frames {
+		t.Errorf("Fired = %d, want %d", s.Fired(), 3*frames)
 	}
 }
 

@@ -453,6 +453,7 @@ func (c *Conn) openPassive(seg *Segment) {
 	c.iss = c.stack.cfg.ISS(c.local, c.remote)
 	c.sndUna = c.iss
 	c.sndNxt = c.iss
+	c.sndMax = c.iss // not the zero Seq: serial comparisons against it must hold for every ISS
 	c.sndBuf.setBase(c.iss.Add(1))
 	c.irs = seg.Seq
 	c.rcv.setNext(seg.Seq.Add(1))

@@ -494,3 +494,44 @@ func TestDuplicateDataCountsAsPeerRetransmit(t *testing.T) {
 		t.Fatalf("PeerRetransmits = %d, want > %d under withheld ACKs", got, before)
 	}
 }
+
+// TestAcceptedConnTimesItsRTOForEveryISS: the accepting side of a lossless
+// transfer counts every byte as sent once and none as retransmitted, takes RTT
+// samples and leaves the initial RTO — wherever its ISS falls in sequence
+// space. (sndMax used to stay at the zero Seq on passive open, so for an ISS in
+// the upper half no segment ever compared as fresh.)
+func TestAcceptedConnTimesItsRTOForEveryISS(t *testing.T) {
+	for _, iss := range []Seq{0, 1<<31 - 1, 1 << 31, 1<<32 - 1} {
+		cfg := Config{ISS: func(local, remote Endpoint) Seq { return iss }}
+		e := newEnv(t, netsim.LinkConfig{Rate: 10_000_000, Delay: time.Millisecond}, cfg)
+		l, _ := e.server.Listen(0, 80)
+		payload := pattern(30_000)
+		var srv *Conn
+		l.SetAcceptFunc(func(c *Conn) {
+			srv = c
+			pump(c, payload, true)
+		})
+		c, err := e.client.Connect(0, Endpoint{Addr: e.serverAddr, Port: 80})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := attachSink(c)
+		e.sched.RunUntil(time.Minute)
+		if srv == nil || !bytes.Equal(got.data, payload) {
+			t.Fatalf("ISS %#x: client read %d of %d bytes", uint32(iss), len(got.data), len(payload))
+		}
+		st := srv.Stats()
+		if st.Retransmits != 0 || st.RTOEvents != 0 {
+			t.Errorf("ISS %#x: %d retransmits and %d RTO events on a lossless link", uint32(iss), st.Retransmits, st.RTOEvents)
+		}
+		if st.BytesSent != uint64(len(payload)) {
+			t.Errorf("ISS %#x: BytesSent = %d, want %d", uint32(iss), st.BytesSent, len(payload))
+		}
+		if n := e.server.RTTHistogram().Count(); n == 0 {
+			t.Errorf("ISS %#x: the accepting stack took no RTT sample", uint32(iss))
+		}
+		if rto := srv.rto.current(); rto >= e.server.cfg.InitialRTO {
+			t.Errorf("ISS %#x: RTO still %v, the initial value, after the transfer", uint32(iss), rto)
+		}
+	}
+}
