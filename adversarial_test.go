@@ -6,14 +6,16 @@ import (
 	"time"
 
 	"hydranet/internal/app"
+	"hydranet/internal/netsim"
 )
 
-// ftTopologyLinks builds the star like ftTopology but returns the links so
-// tests can inject partitions and loss.
-func ftTopologyLinks(t *testing.T, seed int64, nReplicas int) (
+// ftTopologyLinks builds the star like ftTopology, from a whole Config, and
+// returns the links (client first, then the replicas in order) so tests can
+// inject partitions and loss.
+func ftTopologyLinks(t *testing.T, cfg Config, nReplicas int) (
 	*Net, *Host, *Redirector, []*Host, []*linkHandle) {
 	t.Helper()
-	net := New(Config{Seed: seed})
+	net := New(cfg)
 	client := net.AddHost("client", HostConfig{})
 	rd := net.AddRedirector("rd", HostConfig{})
 	var replicas []*Host
@@ -31,7 +33,7 @@ func ftTopologyLinks(t *testing.T, seed int64, nReplicas int) (
 
 type linkHandle struct {
 	name string
-	link interface{ SetLoss(float64) }
+	link *netsim.Link
 }
 
 // TestPartitionedPrimaryTreatedAsFailed: the paper's congestion/"site
@@ -39,7 +41,7 @@ type linkHandle struct {
 // down" (removed from the replica set) and the backup promoted, giving
 // fail-stop behaviour for a non-crash fault.
 func TestPartitionedPrimaryTreatedAsFailed(t *testing.T) {
-	net, client, rd, replicas, links := ftTopologyLinks(t, 31, 2)
+	net, client, rd, replicas, links := ftTopologyLinks(t, Config{Seed: 31}, 2)
 	svc, err := net.DeployFT(testSvc, rd, replicas, FTOptions{}, echoAccept())
 	if err != nil {
 		t.Fatal(err)
@@ -228,7 +230,7 @@ func TestFTTransferUnderJitter(t *testing.T) {
 // loss pattern, the byte streams deposited to the replica applications must
 // be identical — no replica may deliver data another one missed.
 func TestReplicaStreamAgreementUnderLoss(t *testing.T) {
-	net, client, rd, replicas, links := ftTopologyLinks(t, 35, 3)
+	net, client, rd, replicas, links := ftTopologyLinks(t, Config{Seed: 35}, 3)
 	for _, lh := range links {
 		lh.link.SetLoss(0.03)
 	}

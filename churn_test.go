@@ -47,6 +47,8 @@ const (
 	churnTestPods  = 2
 	churnTestConns = 60
 	churnReqLen    = 64
+
+	churnDelayedAck = 200 * time.Millisecond
 )
 
 // runChurn pushes churnTestConns short request/response connections, one at a
@@ -57,7 +59,7 @@ const (
 func runChurn(t *testing.T, loss float64, crash bool) churnFingerprint {
 	t.Helper()
 	net := New(Config{Seed: 5, TCP: TCPConfig{
-		SendBufSize: 16384, RecvBufSize: 16384, DelayedAckTimeout: 200 * time.Millisecond,
+		SendBufSize: 16384, RecvBufSize: 16384, DelayedAckTimeout: churnDelayedAck,
 	}})
 	lan := LinkConfig{Rate: 10_000_000, Delay: 100 * time.Microsecond, Loss: loss}
 	blob := make([]byte, 64<<10)
@@ -224,7 +226,10 @@ func runChurn(t *testing.T, loss float64, crash bool) churnFingerprint {
 // The file records what happened; what is right is asserted beside it: without
 // loss no replica retransmits, and each counts the bytes it served as sent
 // once. (The file used to pin s1a at BytesSent 0, Retransmits 191 on the
-// lossless run: passive open left sndMax at the zero Seq.)
+// lossless run: passive open left sndMax at the zero Seq; and, in the crash
+// variant, a connection ending "351/351 tcp: retransmission limit exceeded"
+// 423 s late: a FIN retransmitted into a shut deposit gate did not count as a
+// peer retransmission.)
 func TestChurnGolden(t *testing.T) {
 	variants := []struct {
 		name  string
@@ -247,6 +252,31 @@ func TestChurnGolden(t *testing.T) {
 			if st := lossless[name]; st.Retransmits != 0 || st.BytesSent != served {
 				t.Errorf("lossless: %s counts %d retransmits and %d bytes sent, want 0 and the %d bytes served",
 					name, st.Retransmits, st.BytesSent, served)
+			}
+		}
+	}
+	// Nor may the file pin a bug, whatever it is regenerated from: every
+	// connection delivers its whole response without an error, a lossless or
+	// crashed run leaves no connection behind, and without loss no response
+	// waits out a delayed-ACK timer (a short tail leaves with its FIN).
+	for _, v := range variants {
+		fp := got.Variants[v.name]
+		for pod, outcomes := range fp.ClientErr {
+			for i, outcome := range outcomes {
+				var read, size int
+				if n, _ := fmt.Sscanf(outcome, "%d/%d", &read, &size); n != 2 || read != size || strings.Contains(outcome, " ") {
+					t.Errorf("%s: pod %d connection %d ended %q, want the whole response and no error", v.name, pod, i, outcome)
+				}
+			}
+		}
+		if v.loss == 0 && fp.LiveConns != 0 {
+			t.Errorf("%s: %d connections still live after the drain", v.name, fp.LiveConns)
+		}
+	}
+	for pod, closed := range got.Variants["lossless"].ClientClosed {
+		for i := 1; i < len(closed); i++ {
+			if gap := time.Duration(closed[i] - closed[i-1]); gap >= churnDelayedAck {
+				t.Errorf("lossless: pod %d connection %d closed %v after the one before it: a timer stood in for a packet", pod, i, gap)
 			}
 		}
 	}
@@ -298,7 +328,7 @@ func TestChurnGolden(t *testing.T) {
 	if w := want.Variants["loss_1pct"]; w.TimeWaitRestarts == 0 {
 		t.Error("golden loss_1pct variant records no TIME-WAIT restart — it no longer exercises lane cancellation")
 	}
-	if w := want.Variants["lossless"]; w.TimeWaitRestarts != 0 || w.LiveConns != 0 {
-		t.Errorf("golden lossless variant records %d restarts and %d leaked connections, want none", w.TimeWaitRestarts, w.LiveConns)
+	if w := want.Variants["lossless"]; w.TimeWaitRestarts != 0 {
+		t.Errorf("golden lossless variant records %d TIME-WAIT restarts, want none", w.TimeWaitRestarts)
 	}
 }

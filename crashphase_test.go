@@ -11,9 +11,12 @@ import (
 
 // TestCrashAtEveryPhase kills the primary at increasingly late points of a
 // connection's life — before the SYN, between SYN and data, during the bulk
-// transfer, and just before the close — and requires the same client-side
-// outcome every time: the full echo arrives and the connection closes
-// cleanly.
+// transfer, just before the close, and in it — and requires the same
+// client-side outcome every time: the full echo arrives and the connection
+// closes cleanly. In the close phase the last echoed byte arrives with the
+// server's FIN, so all that is left in flight is the client's ACK of it: the
+// survivor finishes alone, nobody retransmits, and nobody can report the
+// crash until the next connection's SYN goes unanswered.
 func TestCrashAtEveryPhase(t *testing.T) {
 	payload := make([]byte, 120_000)
 	for i := range payload {
@@ -29,6 +32,7 @@ func TestCrashAtEveryPhase(t *testing.T) {
 		{"first-data", 12 * time.Millisecond, -1},
 		{"mid-transfer", 0, len(payload) / 4},
 		{"late-transfer", 0, len(payload) * 3 / 4},
+		{"close", 0, len(payload)},
 	}
 	for i, phase := range phases {
 		phase := phase
@@ -88,6 +92,18 @@ func TestCrashAtEveryPhase(t *testing.T) {
 			if !closed || closedErr != nil {
 				t.Fatalf("close after %s crash: done=%v err=%v",
 					phase.name, closed, closedErr)
+			}
+			if phase.name == "close" {
+				next, err := client.Dial(testSvc)
+				if err != nil {
+					t.Fatal(err)
+				}
+				again := collect(next)
+				app.Source(next, payload[:3000], true)
+				net.RunFor(5 * time.Minute)
+				if !bytes.Equal(*again, payload[:3000]) {
+					t.Fatalf("next connection echoed %d of 3000 bytes", len(*again))
+				}
 			}
 			if got := svc.Chain(); len(got) != 1 || got[0] != replicas[1].Addr() {
 				t.Fatalf("chain = %v after %s crash", got, phase.name)

@@ -410,24 +410,12 @@ func (c *Conn) ForceRetransmit() {
 // goBackN pulls the send cursor back to the oldest unacknowledged byte
 // (classic BSD behaviour on retransmission timeout): everything beyond
 // sndUna is resent under ACK clocking instead of one segment per timeout.
+// A FIN beyond the pulled-back cursor keeps its bookkeeping, as BSD's
+// TF_SENTFIN does: finSent and the closing state stay, output sends the FIN
+// again when sndNxt is back at the end of the data, and a cumulative ACK that
+// covers it meanwhile is its acknowledgment (processAck).
 func (c *Conn) goBackN() {
-	if c.sndNxt == c.sndUna {
-		return
-	}
 	c.sndNxt = c.sndUna
-	if c.finSent {
-		// The FIN is beyond the pulled-back cursor; output re-sends it.
-		c.finSent = false
-		switch c.state {
-		case StateFinWait1, StateClosing:
-			c.state = StateEstablished
-			if c.peerFINSeen {
-				c.state = StateCloseWait
-			}
-		case StateLastAck:
-			c.state = StateCloseWait
-		}
-	}
 }
 
 // --- Handshake initiation -------------------------------------------------
@@ -539,8 +527,8 @@ func (c *Conn) output() {
 		}
 		full := len(chunk) == c.mss
 		last := c.sndNxt.Add(len(chunk)) == dataEnd
-		if !full && !c.noDelay && c.sndNxt != c.sndUna {
-			break // Nagle: one small segment in flight at a time
+		if !sendNow(full, c.sndNxt == c.sndUna, c.noDelay, last && c.finQueued) {
+			break
 		}
 		flags := FlagACK
 		if last || !full {
@@ -578,8 +566,9 @@ func (c *Conn) output() {
 		}
 		sentSomething = true
 	}
-	// A FIN with no data left to carry it.
-	if c.finQueued && !c.finSent && c.sndNxt == dataEnd &&
+	// A FIN with no data left to carry it: the first one, or one a go-back-N
+	// left beyond the cursor.
+	if c.finQueued && c.sndNxt == dataEnd &&
 		c.sndNxt.LT(c.sndUna.Add(wnd+1)) && c.finAllowed(c.sndNxt) {
 		c.sendSegment(Segment{
 			Flags: FlagFIN | FlagACK, Seq: c.sndNxt, Ack: c.rcv.rcvNxt,
@@ -604,6 +593,18 @@ func (c *Conn) output() {
 	if c.sndWnd == 0 && c.sndNxt == c.sndUna && c.sndBuf.len() > 0 && !c.persist.Armed() {
 		c.persist.Reset(c.persistInterval())
 	}
+}
+
+// sendNow is the send decision for the next segment, in 4.4BSD tcp_output
+// order: a full segment goes; so does anything when the connection is idle or
+// Nagle is off; so does the last data before a queued FIN, which leaves with
+// the FIN where the send gate allows it — a close-after-write response must
+// not wait out the peer's delayed ACK. Any other short segment is held while
+// data is unacknowledged (Nagle). tcp_output's two further reasons, a
+// retransmission (snd_nxt < snd_max) and len >= max_sndwnd/2, are not adopted
+// (EXPERIMENTS.md, Known divergences).
+func sendNow(full, idle, noDelay, finFollows bool) bool {
+	return full || idle || noDelay || finFollows
 }
 
 // finAllowed applies the send gate to the FIN, which occupies finSeq.

@@ -495,6 +495,25 @@ func TestDuplicateDataCountsAsPeerRetransmit(t *testing.T) {
 	}
 }
 
+// TestHeldFINCountsAsPeerRetransmit: a peer that has closed sends nothing but
+// its FIN. While the deposit gate keeps the FIN from being consumed (and
+// acknowledged), each retransmission of it must feed the failure estimator —
+// behind a dead successor it is the only signal there is.
+func TestHeldFINCountsAsPeerRetransmit(t *testing.T) {
+	e, cli, srv := establishedPair(t, Config{MinRTO: 200 * time.Millisecond, InitialRTO: 200 * time.Millisecond})
+	srv.SetHooks(closedGate{srv})
+	cli.Close()
+	e.sched.RunUntil(e.sched.Now() + 100*time.Millisecond)
+	if got := srv.Stats().PeerRetransmits; got != 0 || srv.PeerClosed() {
+		t.Fatalf("first FIN: %d peer retransmissions, consumed=%v; want it held and uncounted", got, srv.PeerClosed())
+	}
+	e.sched.RunUntil(e.sched.Now() + 2*time.Second)
+	rtos := cli.Stats().RTOEvents
+	if got := srv.Stats().PeerRetransmits; rtos < 2 || got != rtos {
+		t.Fatalf("PeerRetransmits = %d after the client resent its FIN %d times, want one each", got, rtos)
+	}
+}
+
 // TestAcceptedConnTimesItsRTOForEveryISS: the accepting side of a lossless
 // transfer counts every byte as sent once and none as retransmitted, takes RTT
 // samples and leaves the initial RTO — wherever its ISS falls in sequence

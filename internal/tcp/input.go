@@ -144,11 +144,18 @@ func (c *Conn) inputEstablished(seg *Segment) {
 	}
 	if seg.Flags.Has(FlagFIN) {
 		finSeq := seg.Seq.Add(len(seg.Payload))
-		if finSeq.LT(c.rcv.rcvNxt) {
+		switch {
+		case finSeq.LT(c.rcv.rcvNxt):
 			// Retransmitted FIN already consumed.
 			c.notePeerRetransmit()
 			c.sendAck()
-		} else {
+		case c.rcv.finSet && finSeq == c.rcv.finSeq && len(seg.Payload) == 0:
+			// Retransmitted FIN we hold but may not consume yet: the deposit
+			// gate is withholding its ACK. A peer in LAST-ACK sends nothing
+			// else, so this is all the failure estimator will hear. (A FIN
+			// with payload was counted by processData already.)
+			c.notePeerRetransmit()
+		default:
 			c.rcv.noteFIN(finSeq)
 		}
 	}
@@ -203,7 +210,9 @@ func (c *Conn) processAck(seg *Segment) {
 			c.persist.Stop()
 			c.persistShift = 0
 		}
-		if c.finSent && c.sndUna == c.sndNxt {
+		if c.finSent && ack == c.sndBuf.endSeq().Add(1) {
+			// The FIN sits one past the data. After a go-back-N sndNxt may
+			// have been below it a moment ago; the ACK covers it all the same.
 			c.finAcked()
 		}
 		c.armRTX()

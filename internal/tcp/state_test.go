@@ -352,12 +352,7 @@ func TestTimeWaitRows(t *testing.T) {
 			})
 			for i, mk := range row.segs {
 				e.sched.RunUntil(entered + time.Duration(i+1)*stimulusAt)
-				b := mk(cli, srv).Marshal(e.serverAddr, e.clientAddr)
-				e.client.DeliverIP(&ipv4.Packet{
-					Header: ipv4.Header{TTL: 4, Proto: ipv4.ProtoTCP, Src: e.serverAddr, Dst: e.clientAddr,
-						TotalLen: ipv4.HeaderLen + len(b)},
-					Payload: b,
-				})
+				e.deliverToClient(mk(cli, srv))
 				if cli.State() != StateTimeWait {
 					t.Fatalf("state %v after stimulus %d, want TIME-WAIT", cli.State(), i)
 				}
