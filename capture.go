@@ -32,7 +32,7 @@ func (n *Net) attachCapture(c *capture.Capture) {
 // startFlightRecorder attaches a flight recorder to the whole network:
 // per-host rings of the last framesPerHost transmitted frames and
 // eventsPerHost bus events (<= 0 selects the package defaults). Dump it
-// with FlightRecorder.Dump, or arm it with DumpOnFailover/DumpOnFailure.
+// with FlightRecorder.Dump, or arm it with DumpOnFailover/DumpOnViolation.
 func (n *Net) startFlightRecorder(framesPerHost, eventsPerHost int) *capture.FlightRecorder {
 	f := capture.NewFlightRecorder(n.Now, framesPerHost, eventsPerHost)
 	f.AttachBus(n.bus)

@@ -233,7 +233,7 @@ func TestFramePathAllocBudget(t *testing.T) {
 			t.Fatal(err)
 		}
 		net.Settle()
-		stream(t, net, client, Endpoint{Addr: testSvc.Addr, Port: testSvc.Port}, 16)
+		stream(t, net, client, testSvc, 16)
 	})
 	t.Run("clean 1024-byte writes", func(t *testing.T) {
 		net := New(Config{Seed: 3, TCP: tcpCfg})

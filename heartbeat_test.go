@@ -1,6 +1,9 @@
 package hydranet
 
 import (
+	"bytes"
+	"os"
+	"path/filepath"
 	"testing"
 	"time"
 
@@ -37,6 +40,48 @@ func TestLeaseDetectsIdleCrash(t *testing.T) {
 	net.RunFor(30 * time.Second)
 	if string(*echoed) != "before|after" {
 		t.Fatalf("echo = %q", *echoed)
+	}
+}
+
+// TestLeaseSweepOrderIsReplayable: one lease sweep that expires the same
+// host from several services re-chains each of them — a burst of chain-set
+// and mirror datagrams — so the order the daemon walks its services in is
+// the order of frames on the wire. Same seed, same pcap, byte for byte.
+func TestLeaseSweepOrderIsReplayable(t *testing.T) {
+	run := func(path string) []byte {
+		net, _, rd, replicas := ftTopology(t, 134, 2)
+		sess, err := net.Instrument(Instruments{Pcap: path})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 8; i++ {
+			svc := ServiceID{Addr: testSvc.Addr + Addr(i), Port: testSvc.Port}
+			if _, err := net.DeployFT(svc, rd, replicas,
+				FTOptions{Heartbeat: 500 * time.Millisecond}, echoAccept()); err != nil {
+				t.Fatal(err)
+			}
+		}
+		net.Settle()
+		replicas[0].Crash()
+		net.RunFor(10 * time.Second)
+		if got := rd.Daemon().Stats().LeaseExpirations; got != 8 {
+			t.Fatalf("%d lease expirations, want one per service (8)", got)
+		}
+		if _, err := sess.Finish(); err != nil {
+			t.Fatal(err)
+		}
+		pcap, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return pcap
+	}
+	dir := t.TempDir()
+	first := run(filepath.Join(dir, "run0.pcap"))
+	for i := 1; i < 6; i++ {
+		if again := run(filepath.Join(dir, "again.pcap")); !bytes.Equal(first, again) {
+			t.Fatalf("run %d of the same seed captured different frames than run 0", i)
+		}
 	}
 }
 

@@ -35,6 +35,7 @@ import (
 	"hydranet/internal/core"
 	"hydranet/internal/hostserver"
 	"hydranet/internal/icmp"
+	"hydranet/internal/inet"
 	"hydranet/internal/ipv4"
 	"hydranet/internal/netsim"
 	"hydranet/internal/obs"
@@ -77,7 +78,7 @@ const (
 )
 
 // MustAddr parses a dotted-quad address, panicking on error (for literals).
-func MustAddr(s string) Addr { return ipv4.MustParseAddr(s) }
+func MustAddr(s string) Addr { return inet.MustParseAddr(s) }
 
 // Config configures a Net.
 type Config struct {
@@ -304,7 +305,7 @@ func (h *Host) Alive() bool { return h.node.Alive() }
 
 // Dial opens a TCP connection from this host to a service.
 func (h *Host) Dial(svc ServiceID) (*Conn, error) {
-	return h.tcp.Connect(0, Endpoint{Addr: svc.Addr, Port: svc.Port})
+	return h.tcp.Connect(0, svc)
 }
 
 // DialEndpoint opens a TCP connection to an arbitrary endpoint.

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"hydranet/internal/inet"
 	"hydranet/internal/ipv4"
 	"hydranet/internal/netsim"
 	"hydranet/internal/sim"
@@ -22,8 +23,8 @@ func pairConn(t *testing.T, cfg tcp.Config) (*sim.Scheduler, *tcp.Stack, *tcp.St
 	b := nw.AddNode(netsim.NodeConfig{Name: "server"})
 	nw.Connect(a, b, netsim.LinkConfig{Rate: 10_000_000, Delay: time.Millisecond})
 	sa, sb := ipv4.NewStack(a, sched), ipv4.NewStack(b, sched)
-	serverAddr := ipv4.MustParseAddr("10.0.0.2")
-	sa.SetAddr(0, ipv4.MustParseAddr("10.0.0.1"))
+	serverAddr := inet.MustParseAddr("10.0.0.2")
+	sa.SetAddr(0, inet.MustParseAddr("10.0.0.1"))
 	sb.SetAddr(0, serverAddr)
 	sa.Routes().AddDefault(0)
 	sb.Routes().AddDefault(0)

@@ -280,26 +280,3 @@ func (f *FlightRecorder) DumpOnViolation(m *invariant.Monitor, prefix string) {
 		}
 	})
 }
-
-// TB is the sliver of *testing.T the recorder needs, kept structural so
-// non-test binaries importing capture do not pull in package testing.
-type TB interface {
-	Failed() bool
-	Cleanup(func())
-	Logf(format string, args ...any)
-}
-
-// DumpOnFailure arranges (via t.Cleanup) for the rings to be dumped to
-// prefix.pcap/prefix.json if — and only if — the test ends in failure.
-func (f *FlightRecorder) DumpOnFailure(t TB, prefix string) {
-	t.Cleanup(func() {
-		if !t.Failed() {
-			return
-		}
-		if err := f.Dump(prefix); err != nil {
-			t.Logf("flight recorder dump failed: %v", err)
-			return
-		}
-		t.Logf("flight recorder dumped to %s.pcap / %s.json", prefix, prefix)
-	})
-}

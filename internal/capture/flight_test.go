@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"hydranet/internal/frame"
+	"hydranet/internal/inet"
 	"hydranet/internal/obs"
 )
 
@@ -107,7 +108,7 @@ func TestFlightRecorderDumpFiles(t *testing.T) {
 	f := NewFlightRecorder(clock, 0, 0) // defaults
 	*now = time.Millisecond
 	f.RecordFrame("rd", "s0", []byte{0x45, 0x00})
-	f.RecordEvent(obs.Event{Kind: obs.KindPromotion, Time: *now, Node: "s1", Service: "10.0.0.9:80"})
+	f.RecordEvent(obs.Event{Kind: obs.KindPromotion, Time: *now, Node: "s1", Service: inet.Endpoint{Addr: inet.AddrFrom4(10, 0, 0, 9), Port: 80}})
 
 	prefix := filepath.Join(t.TempDir(), "flight")
 	if err := f.Dump(prefix); err != nil {

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"hydranet/internal/inet"
 	"hydranet/internal/ipv4"
 	"hydranet/internal/tcp"
 )
@@ -71,7 +72,7 @@ func TestDetectorParamsDefaults(t *testing.T) {
 }
 
 func TestServiceIDString(t *testing.T) {
-	svc := ServiceID{Addr: ipv4.MustParseAddr("192.20.225.20"), Port: 80}
+	svc := ServiceID{Addr: inet.MustParseAddr("192.20.225.20"), Port: 80}
 	if got := svc.String(); got != "192.20.225.20:80" {
 		t.Errorf("String = %q", got)
 	}

@@ -20,9 +20,9 @@ package core
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
+	"hydranet/internal/inet"
 	"hydranet/internal/ipv4"
 	"hydranet/internal/obs"
 	"hydranet/internal/sim"
@@ -32,13 +32,7 @@ import (
 
 // ServiceID identifies a replicated transport-level service access point:
 // the virtual-host address and well-known TCP port.
-type ServiceID struct {
-	Addr ipv4.Addr
-	Port uint16
-}
-
-// String renders addr:port.
-func (s ServiceID) String() string { return fmt.Sprintf("%s:%d", s.Addr, s.Port) }
+type ServiceID = inet.Endpoint
 
 // Mode is a replica's role for one replicated port.
 type Mode int
@@ -160,9 +154,6 @@ func (m *Manager) SetChainLoss(p float64) { m.chainLoss = p }
 // Stats returns a snapshot of the manager counters.
 func (m *Manager) Stats() Stats { return m.stats }
 
-// HostAddr returns the host server's real address.
-func (m *Manager) HostAddr() ipv4.Addr { return m.hostAddr }
-
 // SetPortOpt marks a TCP port replicated with the given role — the paper's
 // setportopt(port, mode, detector-parameters) system call. It returns the
 // port object used to wire listeners and reconfigure the chain.
@@ -205,7 +196,7 @@ func (m *Manager) onChainDatagram(_ udp.Endpoint, _ ipv4.Addr, payload []byte) {
 	if b := m.bus; b.Enabled(obs.KindChainRecv) {
 		b.Publish(obs.Event{
 			Kind: obs.KindChainRecv, Node: m.nodeName(),
-			Service: msg.Service.String(), Conn: msg.Client.String(),
+			Service: msg.Service, Conn: msg.Client,
 			Seq: uint64(msg.SndNxt), Ack: uint64(msg.RcvNxt),
 		})
 	}
@@ -260,9 +251,6 @@ type ftConn struct {
 	retransmits int // client retransmissions since last progress
 }
 
-// Service returns the port's service identity.
-func (p *ReplicatedPort) Service() ServiceID { return p.svc }
-
 // Mode returns the replica's current role.
 func (p *ReplicatedPort) Mode() Mode { return p.mode }
 
@@ -316,11 +304,7 @@ func (p *ReplicatedPort) SetGated(gated bool) {
 // Reconfiguration pokes them one after another and each may transmit, so the
 // map's iteration order would leak into the frame order of a replay.
 func (p *ReplicatedPort) connsInOrder() []*ftConn {
-	clients := make([]tcp.Endpoint, 0, len(p.conns))
-	for client := range p.conns { //hydralint:nondeterministic order normalized by the sort below
-		clients = append(clients, client)
-	}
-	sort.Slice(clients, func(i, j int) bool { return clients[i].Before(clients[j]) })
+	clients := inet.SortedKeys(p.conns)
 	out := make([]*ftConn, len(clients))
 	for i, client := range clients {
 		out[i] = p.conns[client]
@@ -341,8 +325,7 @@ func (p *ReplicatedPort) Promote() {
 	if b := p.mgr.bus; b.Enabled(obs.KindPromotion) {
 		b.Publish(obs.Event{
 			Kind: obs.KindPromotion, Node: p.mgr.nodeName(),
-			Service: p.svc.String(),
-			Detail:  fmt.Sprintf("%d conns", len(p.conns)),
+			Service: p.svc, Count: len(p.conns),
 		})
 	}
 	for _, fc := range p.connsInOrder() {
@@ -364,8 +347,7 @@ func (p *ReplicatedPort) Demote() {
 	p.mode = ModeBackup
 	if b := p.mgr.bus; b.Enabled(obs.KindDemotion) {
 		b.Publish(obs.Event{
-			Kind: obs.KindDemotion, Node: p.mgr.nodeName(),
-			Service: p.svc.String(),
+			Kind: obs.KindDemotion, Node: p.mgr.nodeName(), Service: p.svc,
 		})
 	}
 }
@@ -505,7 +487,7 @@ func (fc *ftConn) sendChainMsg(sndNxt, rcvNxt tcp.Seq) {
 	if b := p.mgr.bus; b.Enabled(obs.KindChainSend) {
 		b.Publish(obs.Event{
 			Kind: obs.KindChainSend, Node: p.mgr.nodeName(),
-			Service: p.svc.String(), Conn: msg.Client.String(),
+			Service: p.svc, Conn: msg.Client,
 			Seq: uint64(sndNxt), Ack: uint64(rcvNxt),
 		})
 	}
@@ -535,8 +517,7 @@ func (fc *ftConn) OnPeerRetransmit() {
 	if b := p.mgr.bus; b.Enabled(obs.KindSuspicion) {
 		b.Publish(obs.Event{
 			Kind: obs.KindSuspicion, Node: p.mgr.nodeName(),
-			Service: p.svc.String(),
-			Detail:  fmt.Sprintf("after %d retransmissions", p.det.RetransmitThreshold),
+			Service: p.svc, Count: p.det.RetransmitThreshold,
 		})
 	}
 	if p.mgr.suspect != nil {

@@ -254,7 +254,7 @@ func TestSetUpstreamAnnouncesCursors(t *testing.T) {
 	}
 	for i, c := range conns {
 		e := sent[i]
-		if e.Conn != c.Remote().String() || e.Seq != uint64(c.SndNxt()) || e.Ack != uint64(c.RcvNxt()) {
+		if e.Conn != c.Remote() || e.Seq != uint64(c.SndNxt()) || e.Ack != uint64(c.RcvNxt()) {
 			t.Errorf("message %d: conn %s seq %d ack %d, want %s %d %d",
 				i, e.Conn, e.Seq, e.Ack, c.Remote(), c.SndNxt(), c.RcvNxt())
 		}

@@ -6,6 +6,7 @@ package hostserver
 
 import (
 	"fmt"
+	"sort"
 
 	"hydranet/internal/ipv4"
 )
@@ -66,12 +67,13 @@ func (h *HostServer) ReleaseVHost(addr ipv4.Addr) {
 // HasVHost reports whether addr is currently hosted here.
 func (h *HostServer) HasVHost(addr ipv4.Addr) bool { return h.vhosts[addr] > 0 }
 
-// VHosts returns the hosted virtual-host addresses.
+// VHosts returns the hosted virtual-host addresses, ascending.
 func (h *HostServer) VHosts() []ipv4.Addr {
 	out := make([]ipv4.Addr, 0, len(h.vhosts))
-	for a := range h.vhosts {
+	for a := range h.vhosts { //hydralint:nondeterministic order normalized by the sort below
 		out = append(out, a)
 	}
+	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
 

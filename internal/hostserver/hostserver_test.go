@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"hydranet/internal/inet"
 	"hydranet/internal/ipv4"
 	"hydranet/internal/netsim"
 	"hydranet/internal/sim"
@@ -23,8 +24,8 @@ func rig(t *testing.T) (*sim.Scheduler, *ipv4.Stack, *HostServer, ipv4.Addr) {
 	nw.Connect(a, b, netsim.LinkConfig{Delay: time.Millisecond})
 	sa := ipv4.NewStack(a, sched)
 	sb := ipv4.NewStack(b, sched)
-	sa.SetAddr(0, ipv4.MustParseAddr("10.0.0.1"))
-	hsAddr := ipv4.MustParseAddr("10.0.0.2")
+	sa.SetAddr(0, inet.MustParseAddr("10.0.0.1"))
+	hsAddr := inet.MustParseAddr("10.0.0.2")
 	sb.SetAddr(0, hsAddr)
 	sa.Routes().AddDefault(0)
 	sb.Routes().AddDefault(0)
@@ -46,7 +47,7 @@ func tunnel(t *testing.T, sa *ipv4.Stack, hs ipv4.Addr, inner *ipv4.Packet) {
 
 func TestVHostLifecycle(t *testing.T) {
 	_, _, hs, _ := rig(t)
-	vhost := ipv4.MustParseAddr("192.20.225.20")
+	vhost := inet.MustParseAddr("192.20.225.20")
 	if hs.HasVHost(vhost) {
 		t.Fatal("fresh host server has a vhost")
 	}
@@ -71,13 +72,13 @@ func TestVHostLifecycle(t *testing.T) {
 
 func TestTunnelDecapToVHost(t *testing.T) {
 	sched, sa, hs, hsAddr := rig(t)
-	vhost := ipv4.MustParseAddr("192.20.225.20")
+	vhost := inet.MustParseAddr("192.20.225.20")
 	hs.VHost(vhost)
 	recv := &sink{}
 	hs.IP().RegisterProto(ipv4.ProtoUDP, recv)
 
 	inner := &ipv4.Packet{
-		Header:  ipv4.Header{TTL: 60, Proto: ipv4.ProtoUDP, Src: ipv4.MustParseAddr("1.2.3.4"), Dst: vhost, ID: 9},
+		Header:  ipv4.Header{TTL: 60, Proto: ipv4.ProtoUDP, Src: inet.MustParseAddr("1.2.3.4"), Dst: vhost, ID: 9},
 		Payload: []byte("tunneled payload"),
 	}
 	tunnel(t, sa, hsAddr, inner)
@@ -86,7 +87,7 @@ func TestTunnelDecapToVHost(t *testing.T) {
 		t.Fatalf("delivered %d inner packets, want 1", len(recv.pkts))
 	}
 	got := recv.pkts[0]
-	if got.Dst != vhost || got.Src != ipv4.MustParseAddr("1.2.3.4") {
+	if got.Dst != vhost || got.Src != inet.MustParseAddr("1.2.3.4") {
 		t.Errorf("inner header corrupted: src=%s dst=%s", got.Src, got.Dst)
 	}
 	if string(got.Payload) != "tunneled payload" {
@@ -102,7 +103,7 @@ func TestTunnelForUnknownVHostDropped(t *testing.T) {
 	recv := &sink{}
 	hs.IP().RegisterProto(ipv4.ProtoUDP, recv)
 	inner := &ipv4.Packet{
-		Header:  ipv4.Header{TTL: 60, Proto: ipv4.ProtoUDP, Src: 1, Dst: ipv4.MustParseAddr("9.9.9.9"), ID: 1},
+		Header:  ipv4.Header{TTL: 60, Proto: ipv4.ProtoUDP, Src: 1, Dst: inet.MustParseAddr("9.9.9.9"), ID: 1},
 		Payload: []byte("nope"),
 	}
 	tunnel(t, sa, hsAddr, inner)

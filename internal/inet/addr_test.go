@@ -1,4 +1,4 @@
-package ipv4
+package inet
 
 import (
 	"testing"
@@ -53,39 +53,27 @@ func TestMustParseAddrPanics(t *testing.T) {
 	MustParseAddr("not-an-address")
 }
 
-func TestPrefixContains(t *testing.T) {
-	tests := []struct {
-		prefix string
-		addr   string
-		want   bool
-	}{
-		{"10.0.0.0/8", "10.1.2.3", true},
-		{"10.0.0.0/8", "11.1.2.3", false},
-		{"192.20.225.0/24", "192.20.225.20", true},
-		{"192.20.225.0/24", "192.20.226.20", false},
-		{"0.0.0.0/0", "8.8.8.8", true},
-		{"1.2.3.4/32", "1.2.3.4", true},
-		{"1.2.3.4/32", "1.2.3.5", false},
+func TestEndpointRoundTrip(t *testing.T) {
+	f := func(raw uint32, port uint16) bool {
+		e := Endpoint{Addr: Addr(raw), Port: port}
+		var back Endpoint
+		return back.UnmarshalText([]byte(e.String())) == nil && back == e
 	}
-	for _, tt := range tests {
-		p := MustParsePrefix(tt.prefix)
-		if got := p.Contains(MustParseAddr(tt.addr)); got != tt.want {
-			t.Errorf("%s.Contains(%s) = %v, want %v", tt.prefix, tt.addr, got, tt.want)
+	if err := quick.Check(f, nil); err != nil {
+		t.Error(err)
+	}
+	for _, bad := range []string{"", "10.0.0.1", "10.0.0.1:", "10.0.0.1:65536", "10.0.1:80", ":80"} {
+		if err := new(Endpoint).UnmarshalText([]byte(bad)); err == nil {
+			t.Errorf("UnmarshalText(%q) succeeded, want error", bad)
 		}
 	}
 }
 
-func TestParsePrefixErrors(t *testing.T) {
-	for _, bad := range []string{"10.0.0.0", "10.0.0.0/33", "10.0.0.0/-1", "x/8", "10.0.0.0/y"} {
-		if _, err := ParsePrefix(bad); err == nil {
-			t.Errorf("ParsePrefix(%q) succeeded, want error", bad)
-		}
-	}
-}
-
-func TestPrefixString(t *testing.T) {
-	p := MustParsePrefix("172.16.0.0/12")
-	if got := p.String(); got != "172.16.0.0/12" {
-		t.Errorf("String() = %q", got)
+func TestEndpointBefore(t *testing.T) {
+	a := Endpoint{Addr: 1, Port: 9}
+	b := Endpoint{Addr: 2, Port: 1}
+	c := Endpoint{Addr: 2, Port: 2}
+	if !a.Before(b) || !b.Before(c) || c.Before(b) || a.Before(a) {
+		t.Error("Before is not address-then-port order")
 	}
 }

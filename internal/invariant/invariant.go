@@ -39,8 +39,7 @@
 package invariant
 
 import (
-	"strings"
-
+	"hydranet/internal/inet"
 	"hydranet/internal/obs"
 )
 
@@ -96,8 +95,8 @@ type Config struct {
 // connKey identifies one directed connection endpoint at one node.
 type connKey struct {
 	node string
-	a    string // local endpoint as emitted (Event.Service)
-	b    string // remote endpoint as emitted (Event.Conn)
+	a    inet.Endpoint // local endpoint as emitted (Event.Service)
+	b    inet.Endpoint // remote endpoint as emitted (Event.Conn)
 }
 
 // flowKey identifies one client flow of one service, node-independent: the
@@ -105,8 +104,8 @@ type connKey struct {
 // Conn=client endpoint) and the client's ACK events (Service=client
 // endpoint, Conn=service endpoint).
 type flowKey struct {
-	svc    string
-	client string
+	svc    inet.Endpoint
+	client inet.Endpoint
 }
 
 // replicaCursor is one node's deposit cursor on one flow.
@@ -174,12 +173,12 @@ type Monitor struct {
 	outstanding func() int
 	maxRecorded int
 
-	addrName map[string]string // "10.2.0.1" -> "s0", for management events
+	addrName map[inet.Addr]string // host address -> node name, for management events
 
 	flows  map[flowKey]*flowState
 	acks   map[connKey]*ackState
 	chains map[connKey]*chainState
-	svcs   map[string]*svcState
+	svcs   map[inet.Endpoint]*svcState
 	nodes  map[string]*nodeState
 
 	events     uint64
@@ -207,38 +206,23 @@ func New(cfg Config) *Monitor {
 		scenario:    cfg.Scenario,
 		outstanding: cfg.Outstanding,
 		maxRecorded: maxRec,
-		addrName:    make(map[string]string),
+		addrName:    make(map[inet.Addr]string),
 		flows:       make(map[flowKey]*flowState),
 		acks:        make(map[connKey]*ackState),
 		chains:      make(map[connKey]*chainState),
-		svcs:        make(map[string]*svcState),
+		svcs:        make(map[inet.Endpoint]*svcState),
 		nodes:       make(map[string]*nodeState),
 		kindCounts:  make([]uint64, len(obs.Kinds())),
 	}
 }
 
-// MapAddr teaches the monitor a host address → node name binding, so
-// membership events (which carry addresses) join with stack events (which
-// carry node names). The facade registers every host at attach time.
-func (m *Monitor) MapAddr(addr, name string) { m.addrName[addr] = name }
+// MapAddr teaches the monitor a host address → node name binding: the
+// redirector daemon knows chain members by address, the stacks emit under
+// node names. The facade registers every host at attach time.
+func (m *Monitor) MapAddr(addr inet.Addr, name string) { m.addrName[addr] = name }
 
-// Attach subscribes the monitor to the bus: the cursor rules on the hot
-// kinds, the membership machine and event census on everything else.
-func (m *Monitor) Attach(b *obs.Bus) {
-	b.Subscribe(m.observeHot,
-		obs.KindDeposit, obs.KindAckProgress,
-		obs.KindChainSend, obs.KindChainRecv, obs.KindClientDeliver)
-	var rest []obs.Kind
-	for _, k := range obs.Kinds() {
-		switch k {
-		case obs.KindDeposit, obs.KindAckProgress,
-			obs.KindChainSend, obs.KindChainRecv, obs.KindClientDeliver:
-		default:
-			rest = append(rest, k)
-		}
-	}
-	b.Subscribe(m.observeSlow, rest...)
-}
+// Attach subscribes the monitor to every kind on the bus.
+func (m *Monitor) Attach(b *obs.Bus) { b.Subscribe(m.observe) }
 
 // OnViolation registers fn to run synchronously, at the violating event's
 // virtual time, for every recorded violation. Flight recorders hook this
@@ -275,12 +259,12 @@ func (m *Monitor) alive(name string) bool {
 	return ns == nil || !ns.crashed
 }
 
-// observeHot is the per-event hot path: the cursor rules, evaluated on
-// every deposit, ACK advance, chain message and client delivery while the
-// monitor is attached. Steady state must stay allocation-free — only first
-// contact with a connection or node may allocate its slot, and violation
-// details are structured constants rendered lazily.
-func (m *Monitor) observeHot(e obs.Event) {
+// observe counts the event and runs its kind's rules. The cursor kinds —
+// deposit, ACK advance, chain message, client delivery — are the per-segment
+// path and must stay allocation-free in steady state: only first contact
+// with a connection or node may allocate its slot, and violation details are
+// constants. The management kinds are rare and may allocate.
+func (m *Monitor) observe(e obs.Event) {
 	m.events++
 	if int(e.Kind) < len(m.kindCounts) {
 		m.kindCounts[e.Kind]++
@@ -296,7 +280,20 @@ func (m *Monitor) observeHot(e obs.Event) {
 		m.noteChain(e, false)
 	case obs.KindClientDeliver:
 		m.noteDeliver(e)
-
+	case obs.KindNodeCrash:
+		m.noteCrash(e)
+	case obs.KindNodeRestart:
+		m.node(e.Node).crashed = false
+	case obs.KindRegistration:
+		m.noteRegistration(e)
+	case obs.KindReconfig:
+		m.noteReconfig(e)
+	case obs.KindPromotion:
+		m.notePromotion(e)
+	case obs.KindDemotion:
+		m.noteDemotion(e)
+	case obs.KindRecommission:
+		m.noteRecommission(e)
 	}
 }
 
@@ -453,8 +450,8 @@ func (m *Monitor) record(rule int, e obs.Event, detail string, want, got uint64)
 		Rule:    ruleNames[rule],
 		Time:    e.Time,
 		Node:    e.Node,
-		Service: e.Service,
-		Conn:    e.Conn,
+		Service: obs.EndpointText(e.Service),
+		Conn:    obs.EndpointText(e.Conn),
 		Detail:  detail,
 		Want:    want,
 		Got:     got,
@@ -467,34 +464,8 @@ func (m *Monitor) record(rule int, e obs.Event, detail string, want, got uint64)
 	return v
 }
 
-// observeSlow handles the management plane and the event census: rare
-// kinds, allowed to parse and allocate.
-func (m *Monitor) observeSlow(e obs.Event) {
-	m.events++
-	if int(e.Kind) < len(m.kindCounts) {
-		m.kindCounts[e.Kind]++
-	}
-	switch e.Kind {
-	case obs.KindNodeCrash:
-		m.noteCrash(e)
-	case obs.KindNodeRestart:
-		m.node(e.Node).crashed = false
-	case obs.KindRegistration:
-		m.noteRegistration(e)
-	case obs.KindReconfig:
-		m.noteReconfig(e)
-	case obs.KindPromotion:
-		m.notePromotion(e)
-	case obs.KindDemotion:
-		m.noteDemotion(e)
-	case obs.KindRecommission:
-		m.noteRecommission(e)
-
-	}
-}
-
 // svc returns the service's membership state, allocating on first sight.
-func (m *Monitor) svc(key string) *svcState {
+func (m *Monitor) svc(key inet.Endpoint) *svcState {
 	s := m.svcs[key]
 	if s == nil {
 		s = &svcState{members: make(map[string]bool)}
@@ -504,12 +475,12 @@ func (m *Monitor) svc(key string) *svcState {
 }
 
 // resolveAddr maps a host address to its node name (falling back to the
-// address itself when the facade never registered it).
-func (m *Monitor) resolveAddr(addr string) string {
+// dotted quad when the facade never registered it).
+func (m *Monitor) resolveAddr(addr inet.Addr) string {
 	if name, ok := m.addrName[addr]; ok {
 		return name
 	}
-	return addr
+	return addr.String()
 }
 
 // noteCrash marks the node dead, invalidates its volatile cursors (the
@@ -540,19 +511,15 @@ func (m *Monitor) noteCrash(e obs.Event) {
 	}
 }
 
-// noteRegistration folds "ADDR as MODE" into the membership view. A
+// noteRegistration folds the joining host into the membership view. A
 // primary registration while another live primary holds the role outside
 // a reconfiguration window is a membership violation.
 func (m *Monitor) noteRegistration(e obs.Event) {
-	fields := strings.Fields(e.Detail)
-	if len(fields) < 3 || fields[1] != "as" {
-		return
-	}
-	name := m.resolveAddr(fields[0])
+	name := m.resolveAddr(e.Host)
 	s := m.svc(e.Service)
 	s.members[name] = true
 	m.checks[ruleMembership]++
-	if fields[2] == "primary" {
+	if e.Primary {
 		if s.primary != "" && s.primary != name && m.alive(s.primary) && !s.window {
 			m.record(ruleMembership, e, "primary registration while another primary is live", 0, 0)
 		}
@@ -561,21 +528,17 @@ func (m *Monitor) noteRegistration(e obs.Event) {
 }
 
 // noteReconfig removes the re-chained-away hosts from the membership view.
-// The Detail is "cause [addr addr ...]"; removing the primary keeps the
-// reconfiguration window open until its successor promotes, removing only
-// backups closes it. Chain cursor baselines for the service reset: the
-// upstream neighbors changed.
+// Removing the primary keeps the reconfiguration window open until its
+// successor promotes, removing only backups closes it. Chain cursor
+// baselines for the service reset: the upstream neighbors changed.
 func (m *Monitor) noteReconfig(e obs.Event) {
 	s := m.svc(e.Service)
 	m.checks[ruleMembership]++
-	open, close := strings.IndexByte(e.Detail, '['), strings.IndexByte(e.Detail, ']')
-	if open >= 0 && close > open {
-		for _, addr := range strings.Fields(e.Detail[open+1 : close]) {
-			name := m.resolveAddr(addr)
-			delete(s.members, name)
-			if s.primary == name {
-				s.primary = ""
-			}
+	for _, addr := range e.Hosts {
+		name := m.resolveAddr(addr)
+		delete(s.members, name)
+		if s.primary == name {
+			s.primary = ""
 		}
 	}
 	s.window = s.primary == ""
@@ -648,11 +611,16 @@ func (m *Monitor) Clean() bool {
 	return true
 }
 
-// Events returns how many bus events the monitor observed.
-func (m *Monitor) Events() uint64 { return m.events }
-
-// Frames returns how many fabric frames the monitor's tap counted.
-func (m *Monitor) Frames() uint64 { return m.frames }
+// Members returns how many chain members the monitor counts for svc: what
+// the registrations, reconfigurations and recommissions it understood add
+// up to.
+func (m *Monitor) Members(svc inet.Endpoint) int {
+	s := m.svcs[svc]
+	if s == nil {
+		return 0
+	}
+	return len(s.members)
+}
 
 // Checks returns the total number of rule evaluations performed.
 func (m *Monitor) Checks() uint64 {

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"hydranet/internal/inet"
 	"hydranet/internal/obs"
 )
 
@@ -25,6 +26,15 @@ func newHarness(t *testing.T, cfg Config) *harness {
 	return h
 }
 
+// The one service, client and pair of replica hosts the hand-built
+// sequences talk about.
+var (
+	testSvc    = inet.Endpoint{Addr: inet.AddrFrom4(10, 9, 0, 9), Port: 5001}
+	testClient = inet.Endpoint{Addr: inet.AddrFrom4(10, 1, 0, 1), Port: 40000}
+	hostS0     = inet.AddrFrom4(10, 3, 0, 2)
+	hostS1     = inet.AddrFrom4(10, 3, 0, 3)
+)
+
 func (h *harness) pub(e obs.Event) {
 	h.now += time.Millisecond
 	h.bus.Publish(e)
@@ -34,7 +44,7 @@ func (h *harness) pub(e obs.Event) {
 // cursor, as the tcp stack emits it.
 func (h *harness) deposit(node string, seq uint32, size int) {
 	h.pub(obs.Event{Kind: obs.KindDeposit, Node: node,
-		Service: "10.9.0.9:5001", Conn: "10.1.0.1:40000",
+		Service: testSvc, Conn: testClient,
 		Seq: uint64(seq), Size: size})
 }
 
@@ -42,12 +52,12 @@ func (h *harness) deposit(node string, seq uint32, size int) {
 // flow (endpoints mirrored).
 func (h *harness) clientAck(seq uint32) {
 	h.pub(obs.Event{Kind: obs.KindAckProgress, Node: "client",
-		Service: "10.1.0.1:40000", Conn: "10.9.0.9:5001", Seq: uint64(seq)})
+		Service: testClient, Conn: testSvc, Seq: uint64(seq)})
 }
 
-func (h *harness) register(addr, mode string) {
+func (h *harness) register(host inet.Addr, primary bool) {
 	h.pub(obs.Event{Kind: obs.KindRegistration, Node: "rd",
-		Service: "10.9.0.9:5001", Detail: addr + " as " + mode})
+		Service: testSvc, Host: host, Primary: primary})
 }
 
 func violationsOf(m *Monitor, rule string) []Violation {
@@ -120,10 +130,10 @@ func TestAckMonotonic(t *testing.T) {
 
 func TestFTGate(t *testing.T) {
 	h := newHarness(t, Config{})
-	h.m.MapAddr("10.3.0.2", "s0")
-	h.m.MapAddr("10.3.0.3", "s1")
-	h.register("10.3.0.2", "primary")
-	h.register("10.3.0.3", "backup")
+	h.m.MapAddr(hostS0, "s0")
+	h.m.MapAddr(hostS1, "s1")
+	h.register(hostS0, true)
+	h.register(hostS1, false)
 
 	h.deposit("s0", 3000, 0)
 	h.deposit("s1", 2000, 0)
@@ -146,10 +156,10 @@ func TestFTGate(t *testing.T) {
 
 func TestFTGateSuspendedInReconfigWindow(t *testing.T) {
 	h := newHarness(t, Config{})
-	h.m.MapAddr("10.3.0.2", "s0")
-	h.m.MapAddr("10.3.0.3", "s1")
-	h.register("10.3.0.2", "primary")
-	h.register("10.3.0.3", "backup")
+	h.m.MapAddr(hostS0, "s0")
+	h.m.MapAddr(hostS1, "s1")
+	h.register(hostS0, true)
+	h.register(hostS1, false)
 	h.deposit("s0", 3000, 0)
 	h.deposit("s1", 2000, 0)
 	// Crash opens the window: the ACK beyond s1's stale cursor must not
@@ -162,8 +172,8 @@ func TestFTGateSuspendedInReconfigWindow(t *testing.T) {
 	// Reconfig removes s1, promotion closes the window; the bound is now
 	// min over {s0} = 3000.
 	h.pub(obs.Event{Kind: obs.KindReconfig, Node: "rd",
-		Service: "10.9.0.9:5001", Detail: "failure [10.3.0.3]"})
-	h.pub(obs.Event{Kind: obs.KindPromotion, Node: "s0", Service: "10.9.0.9:5001"})
+		Service: testSvc, Cause: "failed", Hosts: []inet.Addr{hostS1}})
+	h.pub(obs.Event{Kind: obs.KindPromotion, Node: "s0", Service: testSvc})
 	h.clientAck(3001)
 	if !h.m.Clean() {
 		t.Fatalf("post-reconfig gated ACK flagged: %v", h.m.Violations())
@@ -178,7 +188,7 @@ func TestChainMonotonic(t *testing.T) {
 	h := newHarness(t, Config{})
 	send := func(seq, ack uint32) {
 		h.pub(obs.Event{Kind: obs.KindChainSend, Node: "s0",
-			Service: "10.9.0.9:5001", Conn: "10.1.0.1:40000",
+			Service: testSvc, Conn: testClient,
 			Seq: uint64(seq), Ack: uint64(ack)})
 	}
 	send(100, 50)
@@ -200,13 +210,13 @@ func TestChainMonotonic(t *testing.T) {
 func TestChainBaselineResetsOnReconfig(t *testing.T) {
 	h := newHarness(t, Config{})
 	h.pub(obs.Event{Kind: obs.KindChainRecv, Node: "s1",
-		Service: "10.9.0.9:5001", Conn: "10.1.0.1:40000", Seq: 500, Ack: 500})
+		Service: testSvc, Conn: testClient, Seq: 500, Ack: 500})
 	h.pub(obs.Event{Kind: obs.KindReconfig, Node: "rd",
-		Service: "10.9.0.9:5001", Detail: "failure [10.3.0.2]"})
+		Service: testSvc, Cause: "failed", Hosts: []inet.Addr{hostS0}})
 	// After re-chaining the upstream neighbor changed; a lower cursor from
 	// the new epoch is legitimate.
 	h.pub(obs.Event{Kind: obs.KindChainRecv, Node: "s1",
-		Service: "10.9.0.9:5001", Conn: "10.1.0.1:40000", Seq: 300, Ack: 300})
+		Service: testSvc, Conn: testClient, Seq: 300, Ack: 300})
 	if !h.m.Clean() {
 		t.Fatalf("new-epoch chain cursor flagged against stale baseline: %v", h.m.Violations())
 	}
@@ -214,16 +224,16 @@ func TestChainBaselineResetsOnReconfig(t *testing.T) {
 
 func TestMembershipSinglePrimary(t *testing.T) {
 	h := newHarness(t, Config{})
-	h.m.MapAddr("10.3.0.2", "s0")
-	h.m.MapAddr("10.3.0.3", "s1")
-	h.register("10.3.0.2", "primary")
-	h.register("10.3.0.3", "backup")
+	h.m.MapAddr(hostS0, "s0")
+	h.m.MapAddr(hostS1, "s1")
+	h.register(hostS0, true)
+	h.register(hostS1, false)
 	if !h.m.Clean() {
 		t.Fatalf("normal registration flagged: %v", h.m.Violations())
 	}
 	// Promotion of s1 while s0 is alive and primary, outside any window:
 	// split-brain.
-	h.pub(obs.Event{Kind: obs.KindPromotion, Node: "s1", Service: "10.9.0.9:5001"})
+	h.pub(obs.Event{Kind: obs.KindPromotion, Node: "s1", Service: testSvc})
 	vs := violationsOf(h.m, RuleMembership)
 	if len(vs) != 1 {
 		t.Fatalf("split-brain promotion not reported: %v", h.m.Violations())
@@ -232,14 +242,14 @@ func TestMembershipSinglePrimary(t *testing.T) {
 
 func TestMembershipFailoverIsClean(t *testing.T) {
 	h := newHarness(t, Config{})
-	h.m.MapAddr("10.3.0.2", "s0")
-	h.m.MapAddr("10.3.0.3", "s1")
-	h.register("10.3.0.2", "primary")
-	h.register("10.3.0.3", "backup")
+	h.m.MapAddr(hostS0, "s0")
+	h.m.MapAddr(hostS1, "s1")
+	h.register(hostS0, true)
+	h.register(hostS1, false)
 	h.pub(obs.Event{Kind: obs.KindNodeCrash, Node: "s0"})
 	h.pub(obs.Event{Kind: obs.KindReconfig, Node: "rd",
-		Service: "10.9.0.9:5001", Detail: "failure [10.3.0.2]"})
-	h.pub(obs.Event{Kind: obs.KindPromotion, Node: "s1", Service: "10.9.0.9:5001"})
+		Service: testSvc, Cause: "failed", Hosts: []inet.Addr{hostS0}})
+	h.pub(obs.Event{Kind: obs.KindPromotion, Node: "s1", Service: testSvc})
 	if !h.m.Clean() {
 		t.Fatalf("legitimate failover flagged: %v", h.m.Violations())
 	}
@@ -248,7 +258,7 @@ func TestMembershipFailoverIsClean(t *testing.T) {
 func TestClientDeliveryConservation(t *testing.T) {
 	h := newHarness(t, Config{})
 	h.pub(obs.Event{Kind: obs.KindDeposit, Node: "client",
-		Service: "10.1.0.1:40000", Conn: "10.9.0.9:5001", Seq: 1000, Size: 800})
+		Service: testClient, Conn: testSvc, Seq: 1000, Size: 800})
 	h.pub(obs.Event{Kind: obs.KindClientDeliver, Node: "client", Size: 800})
 	if !h.m.Clean() {
 		t.Fatalf("conserved delivery flagged: %v", h.m.Violations())

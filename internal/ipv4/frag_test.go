@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"hydranet/internal/frame"
+	"hydranet/internal/inet"
 	"hydranet/internal/netsim"
 	"hydranet/internal/sim"
 )
@@ -396,7 +397,7 @@ func (h *ipipInjector) DeliverIP(outer *Packet) {
 func TestReassemblyReentrantDuringDelivery(t *testing.T) {
 	sched, cs, _, ss := threeNodeNet(t, netsim.LinkConfig{MTU: 1500})
 	ss.Node().Pool().SetPoison(true)
-	vhost := MustParseAddr("192.20.225.20")
+	vhost := inet.MustParseAddr("192.20.225.20")
 	ss.AddLocalAddr(vhost)
 	decap := &ipipInjector{t: t, s: ss}
 	ss.RegisterProto(ProtoIPIP, decap)
@@ -412,7 +413,7 @@ func TestReassemblyReentrantDuringDelivery(t *testing.T) {
 	// sent last, one of them completes the inner datagram from inside the
 	// delivery of its reassembled outer.
 	inner := mkPacket(3000)
-	inner.Proto, inner.Src, inner.Dst = ProtoUDP, MustParseAddr("1.2.3.4"), vhost
+	inner.Proto, inner.Src, inner.Dst = ProtoUDP, inet.MustParseAddr("1.2.3.4"), vhost
 	frags, err := Fragment(inner, 1500)
 	if err != nil || len(frags) != 3 {
 		t.Fatalf("inner fragments: %d, %v", len(frags), err)
@@ -422,7 +423,7 @@ func TestReassemblyReentrantDuringDelivery(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := cs.Send(ProtoIPIP, 0, MustParseAddr("10.2.0.2"), body); err != nil {
+		if err := cs.Send(ProtoIPIP, 0, inet.MustParseAddr("10.2.0.2"), body); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -6,13 +6,15 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"hydranet/internal/inet"
 )
 
 func TestChecksumKnownVector(t *testing.T) {
 	// Classic example from RFC 1071 discussions: an IPv4 header whose
 	// checksum field is filled must re-sum to zero.
 	p := &Packet{
-		Header:  Header{TTL: 64, Proto: ProtoTCP, Src: MustParseAddr("10.0.0.1"), Dst: MustParseAddr("10.0.0.2"), ID: 0x1c46},
+		Header:  Header{TTL: 64, Proto: ProtoTCP, Src: inet.MustParseAddr("10.0.0.1"), Dst: inet.MustParseAddr("10.0.0.2"), ID: 0x1c46},
 		Payload: []byte("hello"),
 	}
 	b, err := p.Marshal()
@@ -144,7 +146,7 @@ func TestUnmarshalPayloadHonoursTotalLen(t *testing.T) {
 }
 
 func TestPseudoChecksumVerifies(t *testing.T) {
-	src, dst := MustParseAddr("10.0.0.1"), MustParseAddr("10.0.0.2")
+	src, dst := inet.MustParseAddr("10.0.0.1"), inet.MustParseAddr("10.0.0.2")
 	seg := make([]byte, 24)
 	copy(seg[20:], "data")
 	sum := PseudoChecksum(src, dst, ProtoTCP, seg)

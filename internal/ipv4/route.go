@@ -1,5 +1,70 @@
 package ipv4
 
+import (
+	"fmt"
+	"strconv"
+	"strings"
+
+	"hydranet/internal/inet"
+)
+
+// Addr is an IPv4 address in host byte order. The type lives in inet, the
+// leaf package obs can import (ipv4 → netsim → obs).
+type Addr = inet.Addr
+
+// AddrFrom4 builds an address from its four dotted-quad octets.
+func AddrFrom4(a, b, c, d byte) Addr { return inet.AddrFrom4(a, b, c, d) }
+
+// Prefix is a CIDR prefix used by the routing table.
+type Prefix struct {
+	Addr Addr
+	Bits int
+}
+
+// ParsePrefix parses "a.b.c.d/n".
+func ParsePrefix(s string) (Prefix, error) {
+	slash := strings.IndexByte(s, '/')
+	if slash < 0 {
+		return Prefix{}, fmt.Errorf("ipv4: %q has no /bits", s)
+	}
+	addr, err := inet.ParseAddr(s[:slash])
+	if err != nil {
+		return Prefix{}, err
+	}
+	bits, err := strconv.Atoi(s[slash+1:])
+	if err != nil || bits < 0 || bits > 32 {
+		return Prefix{}, fmt.Errorf("ipv4: bad prefix length in %q", s)
+	}
+	return Prefix{Addr: addr, Bits: bits}, nil
+}
+
+// MustParsePrefix is ParsePrefix that panics on error.
+func MustParsePrefix(s string) Prefix {
+	p, err := ParsePrefix(s)
+	if err != nil {
+		panic(err)
+	}
+	return p
+}
+
+func (p Prefix) mask() Addr {
+	if p.Bits <= 0 {
+		return 0
+	}
+	return Addr(^uint32(0) << (32 - p.Bits))
+}
+
+// Contains reports whether a falls within the prefix.
+func (p Prefix) Contains(a Addr) bool {
+	m := p.mask()
+	return a&m == p.Addr&m
+}
+
+// String renders the prefix in CIDR notation.
+func (p Prefix) String() string {
+	return fmt.Sprintf("%s/%d", p.Addr, p.Bits)
+}
+
 // Route maps a destination prefix to an outgoing interface.
 type Route struct {
 	Dst     Prefix

@@ -4,6 +4,8 @@ import (
 	"math/rand"
 	"sort"
 	"testing"
+
+	"hydranet/internal/inet"
 )
 
 func TestLongestPrefixMatch(t *testing.T) {
@@ -23,7 +25,7 @@ func TestLongestPrefixMatch(t *testing.T) {
 		{"10.1.2.3", 3},
 	}
 	for _, tt := range tests {
-		if got := rt.Lookup(MustParseAddr(tt.addr)); got != tt.want {
+		if got := rt.Lookup(inet.MustParseAddr(tt.addr)); got != tt.want {
 			t.Errorf("Lookup(%s) = %d, want %d", tt.addr, got, tt.want)
 		}
 	}
@@ -32,7 +34,7 @@ func TestLongestPrefixMatch(t *testing.T) {
 func TestNoRoute(t *testing.T) {
 	var rt RoutingTable
 	rt.Add(Route{Dst: MustParsePrefix("10.0.0.0/8"), Ifindex: 1})
-	if got := rt.Lookup(MustParseAddr("11.0.0.1")); got != -1 {
+	if got := rt.Lookup(inet.MustParseAddr("11.0.0.1")); got != -1 {
 		t.Errorf("Lookup = %d, want -1", got)
 	}
 }
@@ -44,7 +46,7 @@ func TestRouteReplacement(t *testing.T) {
 	if rt.Len() != 1 {
 		t.Fatalf("Len = %d after replacement, want 1", rt.Len())
 	}
-	if got := rt.Lookup(MustParseAddr("10.0.0.1")); got != 5 {
+	if got := rt.Lookup(inet.MustParseAddr("10.0.0.1")); got != 5 {
 		t.Errorf("Lookup = %d, want replaced iface 5", got)
 	}
 }
@@ -57,7 +59,7 @@ func TestInsertionOrderIrrelevant(t *testing.T) {
 	a.Add(r2)
 	b.Add(r2)
 	b.Add(r1)
-	addr := MustParseAddr("10.1.0.1")
+	addr := inet.MustParseAddr("10.1.0.1")
 	if a.Lookup(addr) != b.Lookup(addr) {
 		t.Error("lookup depends on insertion order")
 	}
@@ -129,5 +131,42 @@ func TestRoutingTableMatchesLinearScan(t *testing.T) {
 	}
 	if replaced == 0 {
 		t.Fatal("no duplicate prefix in any table — replacement is not exercised")
+	}
+}
+
+func TestPrefixContains(t *testing.T) {
+	tests := []struct {
+		prefix string
+		addr   string
+		want   bool
+	}{
+		{"10.0.0.0/8", "10.1.2.3", true},
+		{"10.0.0.0/8", "11.1.2.3", false},
+		{"192.20.225.0/24", "192.20.225.20", true},
+		{"192.20.225.0/24", "192.20.226.20", false},
+		{"0.0.0.0/0", "8.8.8.8", true},
+		{"1.2.3.4/32", "1.2.3.4", true},
+		{"1.2.3.4/32", "1.2.3.5", false},
+	}
+	for _, tt := range tests {
+		p := MustParsePrefix(tt.prefix)
+		if got := p.Contains(inet.MustParseAddr(tt.addr)); got != tt.want {
+			t.Errorf("%s.Contains(%s) = %v, want %v", tt.prefix, tt.addr, got, tt.want)
+		}
+	}
+}
+
+func TestParsePrefixErrors(t *testing.T) {
+	for _, bad := range []string{"10.0.0.0", "10.0.0.0/33", "10.0.0.0/-1", "x/8", "10.0.0.0/y"} {
+		if _, err := ParsePrefix(bad); err == nil {
+			t.Errorf("ParsePrefix(%q) succeeded, want error", bad)
+		}
+	}
+}
+
+func TestPrefixString(t *testing.T) {
+	p := MustParsePrefix("172.16.0.0/12")
+	if got := p.String(); got != "172.16.0.0/12" {
+		t.Errorf("String() = %q", got)
 	}
 }

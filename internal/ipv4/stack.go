@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 
+	"hydranet/internal/inet"
 	"hydranet/internal/netsim"
 	"hydranet/internal/sim"
 )
@@ -274,7 +275,7 @@ func (s *Stack) HandleFrame(ifindex int, frame []byte) {
 
 // input delivers or forwards one parsed frame.
 func (s *Stack) input(p *Packet) {
-	if s.local[p.Dst] || p.Dst == Broadcast {
+	if s.local[p.Dst] || p.Dst == inet.Broadcast {
 		s.InjectLocal(p)
 		return
 	}

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"hydranet/internal/inet"
 	"hydranet/internal/netsim"
 	"hydranet/internal/sim"
 )
@@ -36,10 +37,10 @@ func threeNodeNet(t *testing.T, link netsim.LinkConfig) (sched *sim.Scheduler, c
 	rs = NewStack(r, sched)
 	ss = NewStack(sv, sched)
 
-	cs.SetAddr(0, MustParseAddr("10.1.0.2"))
-	rs.SetAddr(0, MustParseAddr("10.1.0.1"))
-	rs.SetAddr(1, MustParseAddr("10.2.0.1"))
-	ss.SetAddr(0, MustParseAddr("10.2.0.2"))
+	cs.SetAddr(0, inet.MustParseAddr("10.1.0.2"))
+	rs.SetAddr(0, inet.MustParseAddr("10.1.0.1"))
+	rs.SetAddr(1, inet.MustParseAddr("10.2.0.1"))
+	ss.SetAddr(0, inet.MustParseAddr("10.2.0.2"))
 
 	cs.Routes().AddDefault(0)
 	ss.Routes().AddDefault(0)
@@ -53,7 +54,7 @@ func TestEndToEndDelivery(t *testing.T) {
 	sched, cs, _, ss := threeNodeNet(t, netsim.LinkConfig{})
 	recv := &sink{}
 	ss.RegisterProto(ProtoUDP, recv)
-	if err := cs.Send(ProtoUDP, 0, MustParseAddr("10.2.0.2"), []byte("ping")); err != nil {
+	if err := cs.Send(ProtoUDP, 0, inet.MustParseAddr("10.2.0.2"), []byte("ping")); err != nil {
 		t.Fatal(err)
 	}
 	sched.Run()
@@ -61,7 +62,7 @@ func TestEndToEndDelivery(t *testing.T) {
 		t.Fatalf("delivered %d packets, want 1", len(recv.pkts))
 	}
 	p := recv.pkts[0]
-	if p.Src != MustParseAddr("10.1.0.2") {
+	if p.Src != inet.MustParseAddr("10.1.0.2") {
 		t.Errorf("src = %s, want auto-selected 10.1.0.2", p.Src)
 	}
 	if string(p.Payload) != "ping" {
@@ -77,7 +78,7 @@ func TestForwardingDisabledDropsTransit(t *testing.T) {
 	rs.SetForwarding(false)
 	recv := &sink{}
 	ss.RegisterProto(ProtoUDP, recv)
-	_ = cs.Send(ProtoUDP, 0, MustParseAddr("10.2.0.2"), []byte("x"))
+	_ = cs.Send(ProtoUDP, 0, inet.MustParseAddr("10.2.0.2"), []byte("x"))
 	sched.Run()
 	if len(recv.pkts) != 0 {
 		t.Fatal("packet crossed a non-forwarding node")
@@ -88,7 +89,7 @@ func TestLoopbackDelivery(t *testing.T) {
 	sched, cs, _, _ := threeNodeNet(t, netsim.LinkConfig{})
 	recv := &sink{}
 	cs.RegisterProto(ProtoUDP, recv)
-	if err := cs.Send(ProtoUDP, 0, MustParseAddr("10.1.0.2"), []byte("self")); err != nil {
+	if err := cs.Send(ProtoUDP, 0, inet.MustParseAddr("10.1.0.2"), []byte("self")); err != nil {
 		t.Fatal(err)
 	}
 	sched.Run()
@@ -102,7 +103,7 @@ func TestNoRouteError(t *testing.T) {
 	net := netsim.New(sched)
 	n := net.AddNode(netsim.NodeConfig{Name: "lonely"})
 	s := NewStack(n, sched)
-	if err := s.Send(ProtoUDP, 0, MustParseAddr("1.2.3.4"), nil); err == nil {
+	if err := s.Send(ProtoUDP, 0, inet.MustParseAddr("1.2.3.4"), nil); err == nil {
 		t.Fatal("Send with no route succeeded")
 	}
 	if s.Stats().NoRoute != 1 {
@@ -124,7 +125,7 @@ func TestTTLExpiry(t *testing.T) {
 	for i := 0; i < len(nodes)-1; i++ {
 		net.Connect(nodes[i], nodes[i+1], netsim.LinkConfig{})
 	}
-	dstAddr := MustParseAddr("10.9.0.1")
+	dstAddr := inet.MustParseAddr("10.9.0.1")
 	for i, s := range stacks {
 		s.SetForwarding(true)
 		if i < len(nodes)-1 {
@@ -170,10 +171,10 @@ func TestPathMTUFragmentationEndToEnd(t *testing.T) {
 	net.Connect(c, r, netsim.LinkConfig{MTU: 1500})
 	net.Connect(r, sv, netsim.LinkConfig{MTU: 576})
 	cs, rs, ss := NewStack(c, sched), NewStack(r, sched), NewStack(sv, sched)
-	cs.SetAddr(0, MustParseAddr("10.1.0.2"))
-	rs.SetAddr(0, MustParseAddr("10.1.0.1"))
-	rs.SetAddr(1, MustParseAddr("10.2.0.1"))
-	ss.SetAddr(0, MustParseAddr("10.2.0.2"))
+	cs.SetAddr(0, inet.MustParseAddr("10.1.0.2"))
+	rs.SetAddr(0, inet.MustParseAddr("10.1.0.1"))
+	rs.SetAddr(1, inet.MustParseAddr("10.2.0.1"))
+	ss.SetAddr(0, inet.MustParseAddr("10.2.0.2"))
 	cs.Routes().AddDefault(0)
 	rs.Routes().Add(Route{Dst: MustParsePrefix("10.2.0.0/24"), Ifindex: 1})
 	rs.Routes().Add(Route{Dst: MustParsePrefix("10.1.0.0/24"), Ifindex: 0})
@@ -185,7 +186,7 @@ func TestPathMTUFragmentationEndToEnd(t *testing.T) {
 	for i := range payload {
 		payload[i] = byte(i * 7)
 	}
-	if err := cs.Send(ProtoUDP, 0, MustParseAddr("10.2.0.2"), payload); err != nil {
+	if err := cs.Send(ProtoUDP, 0, inet.MustParseAddr("10.2.0.2"), payload); err != nil {
 		t.Fatal(err)
 	}
 	sched.Run()
@@ -218,7 +219,7 @@ func TestForwardHookConsumes(t *testing.T) {
 		}
 		return false
 	})
-	_ = cs.Send(ProtoUDP, 0, MustParseAddr("10.2.0.2"), []byte("grab"))
+	_ = cs.Send(ProtoUDP, 0, inet.MustParseAddr("10.2.0.2"), []byte("grab"))
 	sched.Run()
 	if len(hooked) != 1 {
 		t.Fatalf("hook saw %d packets, want 1", len(hooked))
@@ -232,7 +233,7 @@ func TestVirtualHostLocalDelivery(t *testing.T) {
 	// AddLocalAddr makes the stack accept packets for a foreign address —
 	// the basis of HydraNet virtual hosts.
 	sched, cs, rs, _ := threeNodeNet(t, netsim.LinkConfig{})
-	vhost := MustParseAddr("192.20.225.20")
+	vhost := inet.MustParseAddr("192.20.225.20")
 	recv := &sink{}
 	rs.AddLocalAddr(vhost)
 	rs.RegisterProto(ProtoUDP, recv)
@@ -252,7 +253,7 @@ func TestCrashedNodeDeliversNothing(t *testing.T) {
 	recv := &sink{}
 	ss.RegisterProto(ProtoUDP, recv)
 	ss.Node().Crash()
-	_ = cs.Send(ProtoUDP, 0, MustParseAddr("10.2.0.2"), []byte("x"))
+	_ = cs.Send(ProtoUDP, 0, inet.MustParseAddr("10.2.0.2"), []byte("x"))
 	sched.Run()
 	if len(recv.pkts) != 0 {
 		t.Fatal("crashed server received a packet")
@@ -264,7 +265,7 @@ func TestStatsCounting(t *testing.T) {
 	recv := &sink{}
 	ss.RegisterProto(ProtoUDP, recv)
 	for i := 0; i < 3; i++ {
-		_ = cs.Send(ProtoUDP, 0, MustParseAddr("10.2.0.2"), []byte{byte(i)})
+		_ = cs.Send(ProtoUDP, 0, inet.MustParseAddr("10.2.0.2"), []byte{byte(i)})
 	}
 	sched.Run()
 	if got := rs.Stats().Forwarded; got != 3 {
@@ -280,7 +281,7 @@ func TestStatsCounting(t *testing.T) {
 
 func TestNoProtoHandlerCounted(t *testing.T) {
 	sched, cs, _, ss := threeNodeNet(t, netsim.LinkConfig{})
-	_ = cs.Send(ProtoTCP, 0, MustParseAddr("10.2.0.2"), []byte("?"))
+	_ = cs.Send(ProtoTCP, 0, inet.MustParseAddr("10.2.0.2"), []byte("?"))
 	sched.Run()
 	if got := ss.Stats().NoProto; got != 1 {
 		t.Errorf("NoProto = %d, want 1", got)

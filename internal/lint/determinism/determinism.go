@@ -47,7 +47,15 @@ var coveredPkgs = []string{
 	"internal/netsim",
 	"internal/tcp",
 	"internal/ipv4",
+	"internal/udp",
 	"internal/redirector",
+	// The protocol itself: the order in which ft-TCP, the management daemons
+	// and the host server transmit is the run.
+	"internal/core",
+	"internal/rmp",
+	"internal/hostserver",
+	// Its rendering is every exported artifact.
+	"internal/obs",
 	// The telemetry sampler runs on the virtual clock inside the
 	// simulation loop: a wall-clock read or map-ordered emission there
 	// would make series exports (and hydrascope diffs of them) flap.

@@ -22,7 +22,6 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
-	"strings"
 )
 
 // A Package is one type-checked package ready for analysis.
@@ -152,20 +151,4 @@ func check(fset *token.FileSet, t *listPkg, exports map[string]string) (*Package
 		return nil, fmt.Errorf("type-checking %s: %v", t.ImportPath, err)
 	}
 	return &Package{PkgPath: t.ImportPath, Fset: fset, Files: files, Types: tpkg, Info: info}, nil
-}
-
-// ModuleDir locates the enclosing module root for dir, so callers can
-// present file paths relative to it.
-func ModuleDir(dir string) (string, error) {
-	cmd := exec.Command("go", "env", "GOMOD")
-	cmd.Dir = dir
-	out, err := cmd.Output()
-	if err != nil {
-		return "", err
-	}
-	gomod := strings.TrimSpace(string(out))
-	if gomod == "" || gomod == os.DevNull {
-		return "", fmt.Errorf("no module found for %s", dir)
-	}
-	return filepath.Dir(gomod), nil
 }

@@ -73,25 +73,6 @@ func (n *Network) SetFrameTap(t FrameTap) { n.tap = t }
 // Scheduler returns the scheduler driving this network.
 func (n *Network) Scheduler() *sim.Scheduler { return n.sched }
 
-// Nodes returns a copy of the nodes added so far, in creation order. It
-// allocates; iteration-heavy callers (snapshots run once per sampling
-// interval) should use NumNodes/NodeAt or ForEachNode instead.
-func (n *Network) Nodes() []*Node { return append([]*Node(nil), n.nodes...) }
-
-// NumNodes returns the number of nodes in the network.
-func (n *Network) NumNodes() int { return len(n.nodes) }
-
-// NodeAt returns the i'th node in creation order.
-func (n *Network) NodeAt(i int) *Node { return n.nodes[i] }
-
-// ForEachNode calls fn for every node in creation order, without
-// allocating.
-func (n *Network) ForEachNode(fn func(*Node)) {
-	for _, nd := range n.nodes {
-		fn(nd)
-	}
-}
-
 // NodeConfig describes a node's processing characteristics.
 type NodeConfig struct {
 	// Name identifies the node in traces and errors.
@@ -290,7 +271,7 @@ func (nd *Node) SendFrame(ifindex int, fb *frame.Buf) {
 		if b := nd.net.bus; b.Enabled(obs.KindMTUDrop) {
 			b.Publish(obs.Event{
 				Kind: obs.KindMTUDrop, Node: nd.name, Size: fb.Len(),
-				Detail: fmt.Sprintf("mtu %d", ifc.link.cfg.MTU),
+				Count: ifc.link.cfg.MTU,
 			})
 		}
 		fb.Release()
@@ -437,9 +418,6 @@ type Link struct {
 	queueDrop [2]uint64
 }
 
-// Config returns the link's configuration.
-func (l *Link) Config() LinkConfig { return l.cfg }
-
 // SetLoss changes the link's random loss probability (both directions).
 func (l *Link) SetLoss(p float64) { l.cfg.Loss = p }
 
@@ -489,7 +467,7 @@ func (l *Link) transmit(side int, fb *frame.Buf) {
 		if b := n.bus; b.Enabled(obs.KindQueueDrop) {
 			b.Publish(obs.Event{
 				Kind: obs.KindQueueDrop, Node: l.ends[side].node.name, Size: size,
-				Detail: "→" + l.ends[1-side].node.name,
+				Peer: l.ends[1-side].node.name,
 			})
 		}
 		fb.Release()
@@ -500,7 +478,7 @@ func (l *Link) transmit(side int, fb *frame.Buf) {
 		if b := n.bus; b.Enabled(obs.KindPacketLoss) {
 			b.Publish(obs.Event{
 				Kind: obs.KindPacketLoss, Node: l.ends[side].node.name, Size: size,
-				Detail: "→" + l.ends[1-side].node.name,
+				Peer: l.ends[1-side].node.name,
 			})
 		}
 		fb.Release()

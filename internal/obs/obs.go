@@ -16,6 +16,8 @@ import (
 	"fmt"
 	"strings"
 	"time"
+
+	"hydranet/internal/inet"
 )
 
 // Kind enumerates event types.
@@ -92,19 +94,13 @@ func (k Kind) String() string {
 	return fmt.Sprintf("Kind(%d)", int(k))
 }
 
-// MarshalJSON renders the kind by name.
-func (k Kind) MarshalJSON() ([]byte, error) {
-	return []byte(`"` + k.String() + `"`), nil
-}
+// MarshalText renders the kind by name, in JSON too.
+func (k Kind) MarshalText() ([]byte, error) { return []byte(k.String()), nil }
 
-// UnmarshalJSON resolves a kind from its marshaled name, so events round-trip
-// through exports (audit reports, flight-recorder dumps).
-func (k *Kind) UnmarshalJSON(data []byte) error {
-	var name string
-	if err := json.Unmarshal(data, &name); err != nil {
-		return err
-	}
-	kind, ok := KindByName(name)
+// UnmarshalText resolves a kind from its name, so events round-trip through
+// exports (audit reports, flight-recorder dumps).
+func (k *Kind) UnmarshalText(name []byte) error {
+	kind, ok := KindByName(string(name))
 	if !ok {
 		return fmt.Errorf("obs: unknown event kind %q", name)
 	}
@@ -131,44 +127,122 @@ func KindByName(name string) (Kind, bool) {
 	return 0, false
 }
 
-// Event is one structured observation, timestamped in virtual time.
+// Event is one structured observation, timestamped in virtual time. It
+// carries values, not text: emit sites format nothing, subscribers key on
+// the endpoints directly, and this package alone renders (Text, String,
+// MarshalJSON).
 type Event struct {
+	Time    time.Duration
+	Kind    Kind
+	Node    string        // emitting node
+	Service inet.Endpoint // service addr:port (zero: none)
+	Conn    inet.Endpoint // remote/client endpoint (zero: none)
+	Seq     uint64        // sequence-number detail
+	Ack     uint64        // acknowledgment-number detail
+	Size    int           // bytes or copy count
+
+	// What the kind says beyond the cursors; detail renders it.
+	Peer    string      // packet-loss, queue-drop: the node the frame was headed to
+	Host    inet.Addr   // registration: the joining host; redirect, tunnel-error: the tunnel target
+	Hosts   []inet.Addr // reconfig: the hosts that left the chain
+	Primary bool        // registration: joined as primary, not backup
+	Count   int         // rto: attempt; promotion: connections; suspicion: retransmission threshold; mtu-drop: link MTU
+	Cause   string      // reconfig, tunnel-error: why
+
+	// Detail is detail text carried verbatim: what a harness-published event
+	// says, and all that is left of the fields above once an event has been
+	// through JSON.
+	Detail string
+}
+
+// detail renders the kind's typed fields as the event's free-form tail.
+func (e Event) detail() string {
+	if e.Detail != "" {
+		return e.Detail
+	}
+	switch e.Kind {
+	case KindPacketLoss, KindQueueDrop:
+		return "→" + e.Peer
+	case KindMTUDrop:
+		return fmt.Sprintf("mtu %d", e.Count)
+	case KindRTO:
+		return fmt.Sprintf("attempt %d", e.Count)
+	case KindRedirect:
+		return "→" + e.Host.String()
+	case KindTunnelError:
+		return "→" + e.Host.String() + ": " + e.Cause
+	case KindSuspicion:
+		return fmt.Sprintf("after %d retransmissions", e.Count)
+	case KindPromotion:
+		return fmt.Sprintf("%d conns", e.Count)
+	case KindRegistration:
+		if e.Primary {
+			return e.Host.String() + " as primary"
+		}
+		return e.Host.String() + " as backup"
+	case KindReconfig:
+		return fmt.Sprintf("%s %v", e.Cause, e.Hosts)
+	}
+	return ""
+}
+
+// eventJSON is the rendered form of an Event — endpoints as addr:port, the
+// typed detail as its text — and its JSON schema.
+type eventJSON struct {
 	Time    time.Duration `json:"time"`
 	Kind    Kind          `json:"kind"`
-	Node    string        `json:"node,omitempty"`    // emitting node
-	Service string        `json:"service,omitempty"` // service addr:port
-	Conn    string        `json:"conn,omitempty"`    // remote/client endpoint
-	Seq     uint64        `json:"seq,omitempty"`     // sequence-number detail
-	Ack     uint64        `json:"ack,omitempty"`     // acknowledgment-number detail
-	Size    int           `json:"size,omitempty"`    // bytes or copy count
-	Detail  string        `json:"detail,omitempty"`  // free-form extra
+	Node    string        `json:"node,omitempty"`
+	Service string        `json:"service,omitempty"`
+	Conn    string        `json:"conn,omitempty"`
+	Seq     uint64        `json:"seq,omitempty"`
+	Ack     uint64        `json:"ack,omitempty"`
+	Size    int           `json:"size,omitempty"`
+	Detail  string        `json:"detail,omitempty"`
+}
+
+func (e Event) render() eventJSON {
+	return eventJSON{
+		Time: e.Time, Kind: e.Kind, Node: e.Node,
+		Service: EndpointText(e.Service), Conn: EndpointText(e.Conn),
+		Seq: e.Seq, Ack: e.Ack, Size: e.Size, Detail: e.detail(),
+	}
+}
+
+// EndpointText renders an event's Service or Conn for an export: addr:port,
+// and nothing for the zero value, which means the event has none.
+func EndpointText(ep inet.Endpoint) string {
+	if ep == (inet.Endpoint{}) {
+		return ""
+	}
+	return ep.String()
 }
 
 // Text renders everything but the timestamp and node, for log lines whose
 // prefix a renderer (the tracer) supplies itself.
 func (e Event) Text() string {
+	j := e.render()
 	var b strings.Builder
-	b.WriteString(e.Kind.String())
-	if e.Service != "" {
+	b.WriteString(j.Kind.String())
+	if j.Service != "" {
 		b.WriteString(" svc=")
-		b.WriteString(e.Service)
+		b.WriteString(j.Service)
 	}
-	if e.Conn != "" {
+	if j.Conn != "" {
 		b.WriteString(" conn=")
-		b.WriteString(e.Conn)
+		b.WriteString(j.Conn)
 	}
-	if e.Seq != 0 {
-		fmt.Fprintf(&b, " seq=%d", e.Seq)
+	if j.Seq != 0 {
+		fmt.Fprintf(&b, " seq=%d", j.Seq)
 	}
-	if e.Ack != 0 {
-		fmt.Fprintf(&b, " ack=%d", e.Ack)
+	if j.Ack != 0 {
+		fmt.Fprintf(&b, " ack=%d", j.Ack)
 	}
-	if e.Size != 0 {
-		fmt.Fprintf(&b, " size=%d", e.Size)
+	if j.Size != 0 {
+		fmt.Fprintf(&b, " size=%d", j.Size)
 	}
-	if e.Detail != "" {
+	if j.Detail != "" {
 		b.WriteByte(' ')
-		b.WriteString(e.Detail)
+		b.WriteString(j.Detail)
 	}
 	return b.String()
 }
@@ -177,6 +251,12 @@ func (e Event) Text() string {
 func (e Event) String() string {
 	return fmt.Sprintf("%12s %-10s %s", e.Time.Round(time.Microsecond), e.Node, e.Text())
 }
+
+// MarshalJSON writes the rendered form. Reading it back needs no counterpart:
+// the keys are field names, an Endpoint reads its own text, and the detail
+// lands in Detail — so what was read marshals to the same bytes, though its
+// typed detail fields stay zero.
+func (e Event) MarshalJSON() ([]byte, error) { return json.Marshal(e.render()) }
 
 // Handler consumes events, synchronously, at the emitting virtual time.
 type Handler func(Event)

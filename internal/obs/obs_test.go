@@ -5,6 +5,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"hydranet/internal/inet"
 )
 
 func testClock(now *time.Duration) func() time.Duration {
@@ -95,7 +97,7 @@ func TestKindNamesRoundTrip(t *testing.T) {
 }
 
 func TestEventJSONUsesKindName(t *testing.T) {
-	e := Event{Time: time.Second, Kind: KindSuspicion, Node: "s1", Service: "10.0.0.1:80"}
+	e := Event{Time: time.Second, Kind: KindSuspicion, Node: "s1", Service: inet.Endpoint{Addr: inet.AddrFrom4(10, 0, 0, 1), Port: 80}}
 	out, err := json.Marshal(e)
 	if err != nil {
 		t.Fatal(err)

@@ -10,21 +10,15 @@
 package redirector
 
 import (
-	"fmt"
 	"sort"
 
+	"hydranet/internal/inet"
 	"hydranet/internal/ipv4"
 	"hydranet/internal/obs"
 )
 
 // ServiceKey identifies a redirected transport-level service access point.
-type ServiceKey struct {
-	Addr ipv4.Addr
-	Port uint16
-}
-
-// String renders addr:port.
-func (k ServiceKey) String() string { return fmt.Sprintf("%s:%d", k.Addr, k.Port) }
+type ServiceKey = inet.Endpoint
 
 // Target is one host server running a replica, with a routing metric used
 // for nearest-replica selection in scaling mode.
@@ -219,7 +213,8 @@ func (r *Redirector) intercept(p *ipv4.Packet) bool {
 		return false
 	}
 	dstPort := uint16(p.Payload[2])<<8 | uint16(p.Payload[3])
-	e := r.table[ServiceKey{Addr: p.Dst, Port: dstPort}]
+	key := ServiceKey{Addr: p.Dst, Port: dstPort}
+	e := r.table[key]
 	if e == nil {
 		r.stats.PassedThrough++
 		return false
@@ -234,11 +229,10 @@ func (r *Redirector) intercept(p *ipv4.Packet) bool {
 			// multicast with downstream deposit/ack events.
 			ev := obs.Event{
 				Kind: obs.KindMulticast, Node: r.nodeName(),
-				Service: ServiceKey{Addr: p.Dst, Port: dstPort}.String(),
+				Service: key,
+				Conn:    inet.Endpoint{Addr: p.Src, Port: uint16(p.Payload[0])<<8 | uint16(p.Payload[1])},
 				Size:    e.numReplicas(),
 			}
-			srcPort := uint16(p.Payload[0])<<8 | uint16(p.Payload[1])
-			ev.Conn = fmt.Sprintf("%s:%d", p.Src, srcPort)
 			if p.Proto == ipv4.ProtoTCP && len(p.Payload) >= 13 {
 				// Seq is stamped only on data-bearing segments: spans track
 				// client byte ranges, and pure ACKs would otherwise pre-claim
@@ -267,8 +261,7 @@ func (r *Redirector) intercept(p *ipv4.Packet) bool {
 		if b := r.bus; b.Enabled(obs.KindRedirect) {
 			b.Publish(obs.Event{
 				Kind: obs.KindRedirect, Node: r.nodeName(),
-				Service: ServiceKey{Addr: p.Dst, Port: dstPort}.String(),
-				Detail:  "→" + t.Host.String(),
+				Service: key, Host: t.Host,
 			})
 		}
 		r.tunnel(p, t.Host)
@@ -306,7 +299,7 @@ func (r *Redirector) noteTunnelError(host ipv4.Addr, why string) {
 	if b := r.bus; b.Enabled(obs.KindTunnelError) {
 		b.Publish(obs.Event{
 			Kind: obs.KindTunnelError, Node: r.nodeName(),
-			Detail: "→" + host.String() + ": " + why,
+			Host: host, Cause: why,
 		})
 	}
 }

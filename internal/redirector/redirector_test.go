@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"hydranet/internal/inet"
 	"hydranet/internal/ipv4"
 	"hydranet/internal/netsim"
 	"hydranet/internal/sim"
@@ -42,11 +43,11 @@ func rig(t *testing.T) (*sim.Scheduler, *ipv4.Stack, *Redirector, *ipipSink, *ip
 	s1 := ipv4.NewStack(h1, sched)
 	s2 := ipv4.NewStack(h2, sched)
 
-	cs.SetAddr(0, ipv4.MustParseAddr("10.1.0.2"))
-	rs.SetAddr(0, ipv4.MustParseAddr("10.1.0.1"))
-	rs.SetAddr(1, ipv4.MustParseAddr("10.2.0.1"))
-	rs.SetAddr(2, ipv4.MustParseAddr("10.3.0.1"))
-	a1, a2 := ipv4.MustParseAddr("10.2.0.2"), ipv4.MustParseAddr("10.3.0.2")
+	cs.SetAddr(0, inet.MustParseAddr("10.1.0.2"))
+	rs.SetAddr(0, inet.MustParseAddr("10.1.0.1"))
+	rs.SetAddr(1, inet.MustParseAddr("10.2.0.1"))
+	rs.SetAddr(2, inet.MustParseAddr("10.3.0.1"))
+	a1, a2 := inet.MustParseAddr("10.2.0.2"), inet.MustParseAddr("10.3.0.2")
 	s1.SetAddr(0, a1)
 	s2.SetAddr(0, a2)
 
@@ -75,7 +76,7 @@ func udpTo(dstPort uint16) []byte {
 	return b
 }
 
-var svcAddr = ipv4.MustParseAddr("192.20.225.20")
+var svcAddr = inet.MustParseAddr("192.20.225.20")
 
 func TestFTMulticastToAllReplicas(t *testing.T) {
 	sched, cs, rd, k1, k2, hosts := rig(t)
@@ -91,7 +92,7 @@ func TestFTMulticastToAllReplicas(t *testing.T) {
 	if in.Dst != svcAddr {
 		t.Errorf("inner dst = %s, want service address", in.Dst)
 	}
-	if in.Src != ipv4.MustParseAddr("10.1.0.2") {
+	if in.Src != inet.MustParseAddr("10.1.0.2") {
 		t.Errorf("inner src = %s, want client address", in.Src)
 	}
 	st := rd.Stats()

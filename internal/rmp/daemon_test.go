@@ -7,7 +7,6 @@ import (
 	"hydranet"
 	"hydranet/internal/app"
 	"hydranet/internal/core"
-	"hydranet/internal/redirector"
 )
 
 var svc = hydranet.ServiceID{Addr: hydranet.MustAddr("192.20.225.20"), Port: 80}
@@ -38,7 +37,7 @@ func TestRegistrationBuildsChain(t *testing.T) {
 		t.Fatalf("chain = %v", chain)
 	}
 	// The redirector table must agree.
-	entry := rd.Table().Lookup(redirector.ServiceKey(svc))
+	entry := rd.Table().Lookup(svc)
 	if entry == nil || !entry.FT || entry.Primary != hosts[0].Addr() || len(entry.Backups) != 2 {
 		t.Fatalf("table entry = %+v", entry)
 	}

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"hydranet/internal/core"
+	"hydranet/internal/inet"
 	"hydranet/internal/ipv4"
 	"hydranet/internal/obs"
 	"hydranet/internal/redirector"
@@ -108,8 +109,8 @@ func (d *RedirectorDaemon) SetBus(b *obs.Bus, node string) {
 func (d *RedirectorDaemon) noteReconfig(svc core.ServiceID, cause string, hosts []ipv4.Addr) {
 	if b := d.bus; b.Enabled(obs.KindReconfig) {
 		b.Publish(obs.Event{
-			Kind: obs.KindReconfig, Node: d.node, Service: svc.String(),
-			Detail: fmt.Sprintf("%s %v", cause, hosts),
+			Kind: obs.KindReconfig, Node: d.node, Service: svc,
+			Cause: cause, Hosts: hosts,
 		})
 	}
 }
@@ -122,8 +123,8 @@ func (d *RedirectorDaemon) noteReconfig(svc core.ServiceID, cause string, hosts 
 func (d *RedirectorDaemon) AddPeer(addr ipv4.Addr) {
 	d.peers = append(d.peers, udp.Endpoint{Addr: addr, Port: ManagementPort})
 	// Push current state so late-added peers converge.
-	for svc, s := range d.services {
-		d.pushMirror(svc, s)
+	for _, svc := range inet.SortedKeys(d.services) {
+		d.pushMirror(svc, d.services[svc])
 	}
 }
 
@@ -146,7 +147,8 @@ func (d *RedirectorDaemon) EnableLeases(expiry time.Duration) {
 
 func (d *RedirectorDaemon) sweepLeases() {
 	now := d.sched.Now()
-	for svc, s := range d.services {
+	for _, svc := range inet.SortedKeys(d.services) { // applyChain transmits
+		s := d.services[svc]
 		var expired []ipv4.Addr
 		for _, host := range s.chain {
 			seen, ok := s.lastSeen[host]
@@ -195,7 +197,7 @@ func (d *RedirectorDaemon) onMessage(from udp.Endpoint, payload []byte) {
 		d.register(msg)
 	case MsgRegisterScale:
 		d.stats.Registrations++
-		d.rd.AddTarget(redirector.ServiceKey(msg.Service),
+		d.rd.AddTarget(msg.Service,
 			redirector.Target{Host: msg.Host, Metric: int(msg.Metric)})
 	case MsgLeave:
 		d.leave(msg)
@@ -226,9 +228,8 @@ func (d *RedirectorDaemon) register(msg *Message) {
 	d.stats.Registrations++
 	if b := d.bus; b.Enabled(obs.KindRegistration) {
 		b.Publish(obs.Event{
-			Kind: obs.KindRegistration, Node: d.node,
-			Service: msg.Service.String(),
-			Detail:  fmt.Sprintf("%s as %s", msg.Host, msg.Mode),
+			Kind: obs.KindRegistration, Node: d.node, Service: msg.Service,
+			Host: msg.Host, Primary: msg.Mode == core.ModePrimary,
 		})
 	}
 	if msg.Mode == core.ModePrimary {
@@ -245,7 +246,7 @@ func (d *RedirectorDaemon) leave(msg *Message) {
 	s := d.services[msg.Service]
 	if s == nil {
 		// Not an FT service here: drop any scaling-mode target.
-		d.rd.RemoveTarget(redirector.ServiceKey(msg.Service), msg.Host)
+		d.rd.RemoveTarget(msg.Service, msg.Host)
 		d.stats.Leaves++
 		return
 	}
@@ -346,12 +347,11 @@ func (d *RedirectorDaemon) applyMirror(msg *Message) {
 		return // stale or duplicate update
 	}
 	d.mirrored[msg.Service] = msg.ProbeID
-	key := redirector.ServiceKey(msg.Service)
 	if len(msg.Hosts) == 0 {
-		d.rd.Remove(key)
+		d.rd.Remove(msg.Service)
 		return
 	}
-	d.rd.SetFTReplicas(key, msg.Hosts[0], msg.Hosts[1:])
+	d.rd.SetFTReplicas(msg.Service, msg.Hosts[0], msg.Hosts[1:])
 }
 
 // pushMirror replicates the service's chain to every peer redirector.
@@ -373,12 +373,11 @@ func (d *RedirectorDaemon) applyChain(svc core.ServiceID, s *svcState) {
 	d.stats.Reconfigs++
 	s.version++
 	defer d.pushMirror(svc, s)
-	key := redirector.ServiceKey(svc)
 	if len(s.chain) == 0 {
-		d.rd.Remove(key)
+		d.rd.Remove(svc)
 		return
 	}
-	d.rd.SetFTReplicas(key, s.chain[0], s.chain[1:])
+	d.rd.SetFTReplicas(svc, s.chain[0], s.chain[1:])
 	for i, host := range s.chain {
 		set := Message{
 			Type:    MsgChainSet,
@@ -412,9 +411,4 @@ func removeHost(chain *[]ipv4.Addr, host ipv4.Addr) bool {
 		}
 	}
 	return false
-}
-
-// RelStats exposes the reliable layer's counters (diagnostics).
-func (d *RedirectorDaemon) RelStats() (sent, acked, failed, dups uint64) {
-	return d.rel.Stats()
 }

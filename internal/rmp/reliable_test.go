@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"hydranet/internal/inet"
 	"hydranet/internal/ipv4"
 	"hydranet/internal/netsim"
 	"hydranet/internal/sim"
@@ -20,7 +21,7 @@ func relPair(t *testing.T, loss float64) (*sim.Scheduler, *Reliable, *Reliable,
 	b := nw.AddNode(netsim.NodeConfig{Name: "b"})
 	link := nw.Connect(a, b, netsim.LinkConfig{Delay: time.Millisecond, Loss: loss})
 	sa, sb := ipv4.NewStack(a, sched), ipv4.NewStack(b, sched)
-	aAddr, bAddr := ipv4.MustParseAddr("10.0.0.1"), ipv4.MustParseAddr("10.0.0.2")
+	aAddr, bAddr := inet.MustParseAddr("10.0.0.1"), inet.MustParseAddr("10.0.0.2")
 	sa.SetAddr(0, aAddr)
 	sb.SetAddr(0, bAddr)
 	sa.Routes().AddDefault(0)
@@ -129,7 +130,7 @@ func TestReliableDedupWindow(t *testing.T) {
 		t.Fatalf("received %d", len(*received))
 	}
 	// Replay via the dedup check directly.
-	if !rb.isDup(ipv4.MustParseAddr("10.0.0.1"), 1) {
+	if !rb.isDup(inet.MustParseAddr("10.0.0.1"), 1) {
 		t.Fatal("replayed sequence not detected as duplicate")
 	}
 	_ = ra

@@ -5,7 +5,7 @@ import (
 	"fmt"
 	"time"
 
-	"hydranet/internal/ipv4"
+	"hydranet/internal/inet"
 	"hydranet/internal/obs"
 	"hydranet/internal/sim"
 )
@@ -44,23 +44,7 @@ func (s State) String() string {
 }
 
 // Endpoint identifies one end of a connection.
-type Endpoint struct {
-	Addr ipv4.Addr
-	Port uint16
-}
-
-// String renders addr:port.
-func (e Endpoint) String() string { return fmt.Sprintf("%s:%d", e.Addr, e.Port) }
-
-// Before orders endpoints by address, then port. Walks over connections that
-// have side effects (a reset, a reconfiguration) go in this order, never in
-// map order.
-func (e Endpoint) Before(o Endpoint) bool {
-	if e.Addr != o.Addr {
-		return e.Addr < o.Addr
-	}
-	return e.Port < o.Port
-}
+type Endpoint = inet.Endpoint
 
 // Errors surfaced through the OnClosed callback.
 var (
@@ -727,8 +711,7 @@ func (c *Conn) onRetransmitTimeout() {
 	if b := c.stack.bus; b.Enabled(obs.KindRTO) {
 		b.Publish(obs.Event{
 			Kind: obs.KindRTO, Node: c.stack.nodeName(),
-			Conn: c.remote.String(), Seq: uint64(c.sndUna),
-			Detail: fmt.Sprintf("attempt %d", c.rtxCount),
+			Conn: c.remote, Seq: uint64(c.sndUna), Count: c.rtxCount,
 		})
 	}
 	if c.rtxCount > c.stack.cfg.MaxRetries {
@@ -796,7 +779,7 @@ func (c *Conn) noteRetransmit(seq Seq) {
 	if b := c.stack.bus; b.Enabled(obs.KindRetransmit) {
 		b.Publish(obs.Event{
 			Kind: obs.KindRetransmit, Node: c.stack.nodeName(),
-			Conn: c.remote.String(), Seq: uint64(seq),
+			Conn: c.remote, Seq: uint64(seq),
 		})
 	}
 }

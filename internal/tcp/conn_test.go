@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"hydranet/internal/inet"
 	"hydranet/internal/ipv4"
 	"hydranet/internal/netsim"
 	"hydranet/internal/sim"
@@ -37,8 +38,8 @@ func newEnvCommon(link netsim.LinkConfig, cfg Config) *env {
 	sip := ipv4.NewStack(sn, sched)
 	e := &env{
 		sched: sched, net: nw, link: l,
-		clientAddr: ipv4.MustParseAddr("10.0.0.1"),
-		serverAddr: ipv4.MustParseAddr("10.0.0.2"),
+		clientAddr: inet.MustParseAddr("10.0.0.1"),
+		serverAddr: inet.MustParseAddr("10.0.0.2"),
 	}
 	cip.SetAddr(0, e.clientAddr)
 	sip.SetAddr(0, e.serverAddr)
@@ -308,10 +309,10 @@ func TestFastRetransmitOnSingleLoss(t *testing.T) {
 	cip := ipv4.NewStack(cn, sched)
 	rip := ipv4.NewStack(rn, sched)
 	sip := ipv4.NewStack(sn, sched)
-	ca, sa := ipv4.MustParseAddr("10.1.0.2"), ipv4.MustParseAddr("10.2.0.2")
+	ca, sa := inet.MustParseAddr("10.1.0.2"), inet.MustParseAddr("10.2.0.2")
 	cip.SetAddr(0, ca)
-	rip.SetAddr(0, ipv4.MustParseAddr("10.1.0.1"))
-	rip.SetAddr(1, ipv4.MustParseAddr("10.2.0.1"))
+	rip.SetAddr(0, inet.MustParseAddr("10.1.0.1"))
+	rip.SetAddr(1, inet.MustParseAddr("10.2.0.1"))
 	sip.SetAddr(0, sa)
 	cip.Routes().AddDefault(0)
 	sip.Routes().AddDefault(0)

@@ -4,13 +4,14 @@ import (
 	"testing"
 	"time"
 
+	"hydranet/internal/inet"
 	"hydranet/internal/ipv4"
 	"hydranet/internal/netsim"
 )
 
 func mustAddr(t *testing.T, s string) ipv4.Addr {
 	t.Helper()
-	return ipv4.MustParseAddr(s)
+	return inet.MustParseAddr(s)
 }
 
 // TestListenerSpecificBeatsWildcard mirrors the UDP demux rule: a listener

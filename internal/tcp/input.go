@@ -222,7 +222,7 @@ func (c *Conn) processAck(seg *Segment) {
 			// end of the multicast→deposit→ack chain — became visible.
 			b.Publish(obs.Event{
 				Kind: obs.KindAckProgress, Node: c.stack.nodeName(),
-				Service: c.local.String(), Conn: c.remote.String(),
+				Service: c.local, Conn: c.remote,
 				Seq: uint64(uint32(ack)), Size: acked,
 			})
 		}
@@ -252,7 +252,7 @@ func (c *Conn) processAck(seg *Segment) {
 				if b := c.stack.bus; b.Enabled(obs.KindFastRetransmit) {
 					b.Publish(obs.Event{
 						Kind: obs.KindFastRetransmit, Node: c.stack.nodeName(),
-						Conn: c.remote.String(), Seq: uint64(c.sndUna),
+						Conn: c.remote, Seq: uint64(c.sndUna),
 					})
 				}
 				c.retransmitOne()
@@ -315,7 +315,7 @@ func (c *Conn) depositAndAck() {
 			// behaviour is the inbound-atomicity rule made visible.
 			b.Publish(obs.Event{
 				Kind: obs.KindDeposit, Node: c.stack.nodeName(),
-				Service: c.local.String(), Conn: c.remote.String(),
+				Service: c.local, Conn: c.remote,
 				Seq: uint64(uint32(c.rcv.rcvNxt)), Size: n,
 			})
 		}

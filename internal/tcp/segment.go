@@ -74,9 +74,6 @@ func (s *Segment) Len() int {
 	return n
 }
 
-// LastSeq returns the sequence number one past the segment's occupancy.
-func (s *Segment) LastSeq() Seq { return s.Seq.Add(s.Len()) }
-
 // String renders the segment for traces.
 func (s *Segment) String() string {
 	return fmt.Sprintf("%d→%d [%s] seq=%d ack=%d win=%d len=%d",

@@ -42,7 +42,7 @@ type SpanCollector struct {
 }
 
 type spanConnKey struct {
-	service, client string
+	service, client Endpoint
 }
 
 // DefaultMaxSpansPerConn bounds each connection's span list; segments past
@@ -117,7 +117,7 @@ func (sc *SpanCollector) observe(e obs.Event) {
 	case obs.KindMulticast:
 		// Only data-bearing TCP segments carry a Seq (the redirector leaves
 		// it unset for pure ACKs and non-TCP traffic).
-		if e.Seq == 0 || e.Conn == "" {
+		if e.Seq == 0 || e.Conn == (Endpoint{}) {
 			return
 		}
 		cs := sc.conn(spanConnKey{service: e.Service, client: e.Conn})
@@ -239,7 +239,7 @@ func (sc *SpanCollector) Timelines() []SpanTimeline {
 	for _, k := range sc.order {
 		cs := sc.conns[k]
 		out = append(out, SpanTimeline{
-			Service: k.service, Client: k.client,
+			Service: k.service.String(), Client: k.client.String(),
 			RetransmitMulticasts: cs.rexmit, Spans: cs.spans,
 		})
 	}

@@ -6,12 +6,13 @@ import (
 	"testing"
 	"time"
 
+	"hydranet/internal/inet"
 	"hydranet/internal/obs"
 )
 
-const (
-	spanSvc    = "10.0.0.9:80"
-	spanClient = "10.0.0.1:4000"
+var (
+	spanSvc    = Endpoint{Addr: inet.AddrFrom4(10, 0, 0, 9), Port: 80}
+	spanClient = Endpoint{Addr: inet.AddrFrom4(10, 0, 0, 1), Port: 4000}
 )
 
 func spanBus() (*time.Duration, *obs.Bus) {
@@ -60,7 +61,7 @@ func TestSpanCollectorAssemblesTimeline(t *testing.T) {
 		t.Fatalf("timelines = %d, want 1", len(tls))
 	}
 	tl := tls[0]
-	if tl.Service != spanSvc || tl.Client != spanClient {
+	if tl.Service != "10.0.0.9:80" || tl.Client != "10.0.0.1:4000" {
 		t.Fatalf("timeline keyed %q/%q", tl.Service, tl.Client)
 	}
 	if len(tl.Spans) != 2 {
@@ -131,7 +132,7 @@ func TestSpanCollectorIgnoresNonSpanEvents(t *testing.T) {
 		obs.Event{Kind: obs.KindMulticast, Service: spanSvc, Conn: spanClient})
 	// Deposit for a connection never multicast.
 	publishAt(now, bus, 2*time.Millisecond,
-		obs.Event{Kind: obs.KindDeposit, Node: "s0", Service: "10.9.9.9:1", Conn: "10.8.8.8:2", Seq: 500})
+		obs.Event{Kind: obs.KindDeposit, Node: "s0", Service: Endpoint{Addr: 9, Port: 1}, Conn: Endpoint{Addr: 8, Port: 2}, Seq: 500})
 	// Ack progress on the service side (non-inverted key) must not match.
 	publishAt(now, bus, 3*time.Millisecond,
 		obs.Event{Kind: obs.KindMulticast, Service: spanSvc, Conn: spanClient, Seq: 1000})
@@ -208,7 +209,7 @@ func TestSpanCollectorWriteJSON(t *testing.T) {
 	if err := json.Unmarshal(buf.Bytes(), &out); err != nil {
 		t.Fatal(err)
 	}
-	if len(out.Timelines) != 1 || out.Timelines[0].Service != spanSvc {
+	if len(out.Timelines) != 1 || out.Timelines[0].Service != "10.0.0.9:80" {
 		t.Fatalf("timelines JSON = %+v", out.Timelines)
 	}
 	sp := out.Timelines[0].Spans[0]

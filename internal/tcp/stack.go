@@ -169,9 +169,6 @@ func NewStack(ip *ipv4.Stack, cfg Config) *Stack {
 	return s
 }
 
-// Config returns the stack's effective configuration.
-func (s *Stack) Config() Config { return s.cfg }
-
 // Scheduler returns the scheduler driving the stack.
 func (s *Stack) Scheduler() *sim.Scheduler { return s.sched }
 

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"hydranet/internal/inet"
 	"hydranet/internal/ipv4"
 	"hydranet/internal/netsim"
 	"hydranet/internal/sim"
@@ -121,7 +122,7 @@ func TestConnectNoRoute(t *testing.T) {
 	nw := netsim.New(sched)
 	n := nw.AddNode(netsim.NodeConfig{})
 	st := NewStack(ipv4.NewStack(n, sched), Config{})
-	if _, err := st.Connect(0, Endpoint{Addr: ipv4.MustParseAddr("1.2.3.4"), Port: 80}); err == nil {
+	if _, err := st.Connect(0, Endpoint{Addr: inet.MustParseAddr("1.2.3.4"), Port: 80}); err == nil {
 		t.Fatal("Connect without a route succeeded")
 	}
 }

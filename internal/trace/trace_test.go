@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"hydranet/internal/inet"
 	"hydranet/internal/ipv4"
 	"hydranet/internal/netsim"
 	"hydranet/internal/obs"
@@ -21,8 +22,8 @@ func TestTracerFormatsSegments(t *testing.T) {
 	b := nw.AddNode(netsim.NodeConfig{Name: "b"})
 	nw.Connect(a, b, netsim.LinkConfig{Delay: time.Millisecond})
 	sa, sb := ipv4.NewStack(a, sched), ipv4.NewStack(b, sched)
-	sa.SetAddr(0, ipv4.MustParseAddr("10.0.0.1"))
-	sb.SetAddr(0, ipv4.MustParseAddr("10.0.0.2"))
+	sa.SetAddr(0, inet.MustParseAddr("10.0.0.1"))
+	sb.SetAddr(0, inet.MustParseAddr("10.0.0.2"))
 	sa.Routes().AddDefault(0)
 	sb.Routes().AddDefault(0)
 	ca := tcp.NewStack(sa, tcp.Config{})
@@ -35,7 +36,7 @@ func TestTracerFormatsSegments(t *testing.T) {
 
 	l, _ := cb.Listen(0, 80)
 	l.SetAcceptFunc(func(c *tcp.Conn) {})
-	if _, err := ca.Connect(0, tcp.Endpoint{Addr: ipv4.MustParseAddr("10.0.0.2"), Port: 80}); err != nil {
+	if _, err := ca.Connect(0, tcp.Endpoint{Addr: inet.MustParseAddr("10.0.0.2"), Port: 80}); err != nil {
 		t.Fatal(err)
 	}
 	sched.RunUntil(time.Second)
@@ -142,7 +143,7 @@ func TestTracerAttachBus(t *testing.T) {
 	bus := obs.NewBus(sched.Now)
 	tr.AttachBus(bus, obs.KindPromotion)
 
-	bus.Publish(obs.Event{Kind: obs.KindPromotion, Node: "s1", Service: "10.0.0.1:80"})
+	bus.Publish(obs.Event{Kind: obs.KindPromotion, Node: "s1", Service: inet.Endpoint{Addr: inet.AddrFrom4(10, 0, 0, 1), Port: 80}})
 	bus.Publish(obs.Event{Kind: obs.KindRetransmit, Node: "s1"}) // not subscribed
 
 	text := out.String()

@@ -9,6 +9,7 @@ import (
 	"errors"
 	"fmt"
 
+	"hydranet/internal/inet"
 	"hydranet/internal/ipv4"
 )
 
@@ -16,13 +17,7 @@ import (
 const HeaderLen = 8
 
 // Endpoint identifies one side of a UDP exchange.
-type Endpoint struct {
-	Addr ipv4.Addr
-	Port uint16
-}
-
-// String renders addr:port.
-func (e Endpoint) String() string { return fmt.Sprintf("%s:%d", e.Addr, e.Port) }
+type Endpoint = inet.Endpoint
 
 // Errors returned by the package.
 var (

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"hydranet/internal/inet"
 	"hydranet/internal/ipv4"
 	"hydranet/internal/netsim"
 	"hydranet/internal/sim"
@@ -60,7 +61,7 @@ func twoHosts(t *testing.T) (*sim.Scheduler, *Stack, *Stack, ipv4.Addr, ipv4.Add
 	net.Connect(a, b, netsim.LinkConfig{})
 	ipA := ipv4.NewStack(a, sched)
 	ipB := ipv4.NewStack(b, sched)
-	addrA, addrB := ipv4.MustParseAddr("10.0.0.1"), ipv4.MustParseAddr("10.0.0.2")
+	addrA, addrB := inet.MustParseAddr("10.0.0.1"), inet.MustParseAddr("10.0.0.2")
 	ipA.SetAddr(0, addrA)
 	ipB.SetAddr(0, addrB)
 	ipA.Routes().AddDefault(0)
@@ -99,7 +100,7 @@ func TestBindConflict(t *testing.T) {
 		t.Errorf("second bind err = %v, want ErrPortInUse", err)
 	}
 	// A specific-address bind on the same port coexists with the wildcard.
-	if err := ub.Bind(ipv4.MustParseAddr("10.0.0.2"), 9000, func(Endpoint, ipv4.Addr, []byte) {}); err != nil {
+	if err := ub.Bind(inet.MustParseAddr("10.0.0.2"), 9000, func(Endpoint, ipv4.Addr, []byte) {}); err != nil {
 		t.Errorf("specific bind alongside wildcard failed: %v", err)
 	}
 }
@@ -152,7 +153,7 @@ func TestVirtualHostDemux(t *testing.T) {
 	// A datagram for a virtual-host address must reach the socket bound to
 	// that address, and the handler must see which local address it hit.
 	sched, ua, ub, _, _ := twoHosts(t)
-	vhost := ipv4.MustParseAddr("192.20.225.20")
+	vhost := inet.MustParseAddr("192.20.225.20")
 	// Reach into the IP layer via the test topology: host B hosts vhost.
 	// (Stack.ip is unexported; re-register through a fresh local addr.)
 	ubIP := ubIPStack(ub)

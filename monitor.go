@@ -24,8 +24,8 @@ type MonitorConfig struct {
 }
 
 // StartMonitor attaches an invariant monitor to the network's event bus
-// and frame tap, and teaches it every host's address so membership events
-// (which carry addresses) join with stack events (which carry node names).
+// and frame tap, and teaches it every host's address: the redirector daemon
+// knows chain members by address, the stacks emit under node names.
 // Detached (never called), the monitor costs nothing: emit sites stay behind
 // Bus.Enabled.
 //
@@ -39,7 +39,7 @@ func (n *Net) StartMonitor(cfg MonitorConfig) *Monitor {
 		MaxViolations: cfg.MaxViolations,
 	})
 	for _, h := range n.hosts {
-		m.MapAddr(h.addr.String(), h.name)
+		m.MapAddr(h.addr, h.name)
 	}
 	m.Attach(n.bus)
 	n.addFrameTap(func(from, to *netsim.Node, data []byte) {

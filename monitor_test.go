@@ -3,11 +3,13 @@ package hydranet
 import (
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 	"time"
 
 	"hydranet/internal/invariant"
 	"hydranet/internal/obs"
+	"hydranet/internal/ttcp"
 )
 
 // TestMonitorZeroCostWhenDetached pins the monitor's zero-cost contract:
@@ -25,6 +27,8 @@ func TestMonitorZeroCostWhenDetached(t *testing.T) {
 			m.Attach(bus)
 			noteFrame = m.NoteFrame
 		}
+		svc := Endpoint{Addr: MustAddr("10.9.0.9"), Port: 80}
+		cli := Endpoint{Addr: MustAddr("10.1.0.1"), Port: 4000}
 		var cursor, ack uint64 = 1000, 1000
 		cycle := func() {
 			// A violation-free deposit/ack/chain/deliver round on one
@@ -33,19 +37,19 @@ func TestMonitorZeroCostWhenDetached(t *testing.T) {
 			ack += 512
 			if bus.Enabled(obs.KindDeposit) {
 				bus.Publish(obs.Event{Kind: obs.KindDeposit, Node: "s0",
-					Service: "10.9.0.9:80", Conn: "10.1.0.1:4000", Seq: cursor, Size: 512})
+					Service: svc, Conn: cli, Seq: cursor, Size: 512})
 			}
 			if bus.Enabled(obs.KindAckProgress) {
 				bus.Publish(obs.Event{Kind: obs.KindAckProgress, Node: "client",
-					Service: "10.1.0.1:4000", Conn: "10.9.0.9:80", Seq: ack})
+					Service: cli, Conn: svc, Seq: ack})
 			}
 			if bus.Enabled(obs.KindChainSend) {
 				bus.Publish(obs.Event{Kind: obs.KindChainSend, Node: "s0",
-					Service: "10.9.0.9:80", Conn: "10.1.0.1:4000", Seq: cursor, Ack: ack})
+					Service: svc, Conn: cli, Seq: cursor, Ack: ack})
 			}
 			if bus.Enabled(obs.KindChainRecv) {
 				bus.Publish(obs.Event{Kind: obs.KindChainRecv, Node: "s1",
-					Service: "10.9.0.9:80", Conn: "10.1.0.1:4000", Seq: cursor, Ack: ack})
+					Service: svc, Conn: cli, Seq: cursor, Ack: ack})
 			}
 			if bus.Enabled(obs.KindClientDeliver) {
 				bus.Publish(obs.Event{Kind: obs.KindClientDeliver, Node: "s0", Size: 256})
@@ -62,6 +66,60 @@ func TestMonitorZeroCostWhenDetached(t *testing.T) {
 	}
 	if a := measure(true); a != 0 {
 		t.Errorf("attached monitor steady state allocates %.1f per event round, want 0", a)
+	}
+}
+
+// TestAttachedObserversAllocateNothingPerEvent is the same contract measured
+// at the real emit sites: a two-replica transfer with the monitor and a span
+// collector attached, once every connection has its tracking slots and the
+// span list is full, allocates nothing for a deposit, ack-progress,
+// chain-send, chain-recv or multicast event — the event carries endpoints as
+// values and the subscribers key on them. (When each emit site rendered its
+// endpoints the same stretch allocated more than two strings per event.)
+func TestAttachedObserversAllocateNothingPerEvent(t *testing.T) {
+	net, client, rd, replicas := ftTopology(t, 3, 2)
+	sess, err := net.Instrument(Instruments{Invariants: true, SpanStats: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hot := []obs.Kind{KindDeposit, KindAckProgress, KindChainSend, KindChainRecv, KindMulticast}
+	seen := make([]uint64, len(obs.Kinds()))
+	net.Bus().Subscribe(func(e Event) { seen[e.Kind]++ }, hot...)
+	if _, err := net.DeployFT(testSvc, rd, replicas, FTOptions{}, func(c *Conn) { ttcp.Sink(c) }); err != nil {
+		t.Fatal(err)
+	}
+	net.Settle()
+	conn, err := client.Dial(testSvc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ttcp.Transmit(client.Scheduler(), conn, ttcp.Params{BufLen: 1024, Count: 1 << 30}, func(ttcp.Result) {})
+	for sess.spans.DroppedSpans() == 0 && net.Now() < time.Minute {
+		net.RunFor(time.Second)
+	}
+	if sess.spans.DroppedSpans() == 0 {
+		t.Fatal("the span list never filled: the collector still allocates a span per segment")
+	}
+
+	before := append([]uint64(nil), seen...)
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	net.RunFor(5 * time.Second)
+	runtime.ReadMemStats(&m1)
+	var events uint64
+	for _, k := range hot {
+		n := seen[k] - before[k]
+		if n < 1000 {
+			t.Errorf("only %d %s events in the measured stretch", n, k)
+		}
+		events += n
+	}
+	if perEvent := float64(m1.Mallocs-m0.Mallocs) / float64(events); perEvent >= 0.01 {
+		t.Errorf("%d allocations over %d monitored events (%.3f each), want none",
+			m1.Mallocs-m0.Mallocs, events, perEvent)
+	}
+	if sum, err := sess.Finish(); err != nil || !sum.Audit.Clean {
+		t.Fatalf("finish: %v, audit %+v", err, sum.Audit)
 	}
 }
 
@@ -100,6 +158,28 @@ func TestMonitorCleanOnFailover(t *testing.T) {
 	}
 	if r.Frames == 0 || r.Events == 0 {
 		t.Fatalf("monitor observed nothing: %d events, %d frames", r.Events, r.Frames)
+	}
+
+	// The gate and membership rules judge against a replica set the monitor
+	// rebuilds from the daemon's registration and reconfiguration events. If
+	// it stopped understanding them the set would be empty, both rules
+	// vacuous, and every report clean.
+	net, _, rd, replicas := ftTopology(t, 12, 3)
+	mon := net.StartMonitor(MonitorConfig{})
+	svc, err := net.DeployFT(testSvc, rd, replicas, FTOptions{}, echoAccept())
+	if err != nil {
+		t.Fatal(err)
+	}
+	net.Settle()
+	if got := mon.Members(testSvc); got != len(replicas) {
+		t.Errorf("monitor learnt %d members from %d registrations", got, len(replicas))
+	}
+	if err := svc.Leave(replicas[2]); err != nil {
+		t.Fatal(err)
+	}
+	net.Settle()
+	if got := mon.Members(testSvc); got != len(replicas)-1 {
+		t.Errorf("monitor counts %d members after one of %d left", got, len(replicas))
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"hydranet/internal/app"
-	"hydranet/internal/redirector"
 )
 
 // twoISPTopology models Figure 1: two client populations behind their own
@@ -46,7 +45,7 @@ func TestMirroredRedirectorsServeBothPopulations(t *testing.T) {
 
 	// Both redirectors hold the entry.
 	for i, rd := range []*Redirector{rd1, rd2} {
-		e := rd.Table().Lookup(redirector.ServiceKey(testSvc))
+		e := rd.Table().Lookup(testSvc)
 		if e == nil || !e.FT || e.Primary != replicas[0].Addr() {
 			t.Fatalf("redirector %d entry = %+v", i+1, e)
 		}
@@ -91,7 +90,7 @@ func TestFailoverPropagatesToMirror(t *testing.T) {
 		t.Errorf("client B (mirror side): %d of %d bytes", len(*echoB), len(payload))
 	}
 	// The mirror's table must have dropped the dead primary.
-	e := rd2.Table().Lookup(redirector.ServiceKey(testSvc))
+	e := rd2.Table().Lookup(testSvc)
 	if e == nil || e.Primary != replicas[1].Addr() || len(e.Backups) != 0 {
 		t.Fatalf("mirror entry after failover = %+v", e)
 	}
@@ -104,12 +103,12 @@ func TestMirrorAddedLateConverges(t *testing.T) {
 		t.Fatal(err)
 	}
 	net.Settle()
-	if rd2.Table().Lookup(redirector.ServiceKey(testSvc)) != nil {
+	if rd2.Table().Lookup(testSvc) != nil {
 		t.Fatal("mirror has the entry before mirroring was enabled")
 	}
 	rd1.Mirror(rd2)
 	net.Settle()
-	if rd2.Table().Lookup(redirector.ServiceKey(testSvc)) == nil {
+	if rd2.Table().Lookup(testSvc) == nil {
 		t.Fatal("late mirror did not converge")
 	}
 	connB, _ := clientB.Dial(testSvc)

@@ -92,9 +92,6 @@ func (n *Net) DeployFT(svc ServiceID, rd *Redirector, hosts []*Host,
 	return s, nil
 }
 
-// Service returns the service identity.
-func (s *FTService) Service() ServiceID { return s.svc }
-
 // Replicas returns the deployed replicas in registration order.
 func (s *FTService) Replicas() []*FTReplica { return append([]*FTReplica(nil), s.replicas...) }
 
@@ -176,7 +173,7 @@ func (s *FTService) Recommission(h *Host) error {
 	}
 	if b := h.net.bus; b.Enabled(obs.KindRecommission) {
 		b.Publish(obs.Event{
-			Kind: obs.KindRecommission, Node: h.name, Service: s.svc.String(),
+			Kind: obs.KindRecommission, Node: h.name, Service: s.svc,
 		})
 	}
 	return nil

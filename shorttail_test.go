@@ -135,7 +135,7 @@ func TestShortTailLeavesWithFIN(t *testing.T) {
 				}
 			}, obs.KindChainSend)
 
-			out := request(t, net, client, Endpoint{Addr: testSvc.Addr, Port: testSvc.Port})
+			out := request(t, net, client, testSvc)
 			net.RunFor(time.Minute)
 			check(t, out)
 			if finAt == 0 {
@@ -207,7 +207,7 @@ func TestLostAckCopyAtResponseEnd(t *testing.T) {
 		}
 	})
 
-	out := request(t, net, client, Endpoint{Addr: testSvc.Addr, Port: testSvc.Port})
+	out := request(t, net, client, testSvc)
 	net.RunFor(time.Minute)
 	if _, lost, _ := backupLink.Stats(); dropped != 1 || lost[0]+lost[1] != 1 {
 		t.Fatalf("dropped %d ACK copies, the backup's link lost %v frames: want exactly one", dropped, lost)

@@ -1,7 +1,6 @@
 package hydranet
 
 import (
-	"hydranet/internal/metrics"
 	"hydranet/internal/obs"
 )
 
@@ -113,11 +112,4 @@ func (n *Net) hostSnapshot(h *Host) obs.HostSnapshot {
 		hs.Manager = &mc
 	}
 	return hs
-}
-
-// RTTHistogramSnapshot returns the host's RTT-sample histogram
-// (milliseconds), fed by every Karn-valid RTT measurement its TCP stack
-// takes.
-func (h *Host) RTTHistogramSnapshot() metrics.HistogramSnapshot {
-	return h.tcp.RTTHistogram().Snapshot()
 }

@@ -47,7 +47,7 @@ func TestScaledUDPService(t *testing.T) {
 		t.Fatal(err)
 	}
 	if err := client.UDP().SendTo(0, 4053,
-		UDPEndpoint{Addr: svc.Addr, Port: svc.Port}, []byte("A? example.com")); err != nil {
+		svc, []byte("A? example.com")); err != nil {
 		t.Fatal(err)
 	}
 	net.RunFor(2 * time.Second)
@@ -93,7 +93,7 @@ func TestScaleTargetLeave(t *testing.T) {
 		replies = append(replies, string(p))
 	})
 	ask := func() {
-		_ = client.UDP().SendTo(0, 4053, UDPEndpoint{Addr: svc.Addr, Port: svc.Port}, []byte("q"))
+		_ = client.UDP().SendTo(0, 4053, svc, []byte("q"))
 		net.RunFor(time.Second)
 	}
 	ask()
