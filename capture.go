@@ -1,23 +1,12 @@
 package hydranet
 
 import (
-	"io"
-
 	"hydranet/internal/capture"
 	"hydranet/internal/ipv4"
 	"hydranet/internal/netsim"
 	"hydranet/internal/redirector"
 	"hydranet/internal/tcp"
 )
-
-// PcapFile is a parsed pcap stream (the in-repo golden reader).
-type PcapFile = capture.File
-
-// ReadPcap parses a pcap stream with the in-repo reader.
-func ReadPcap(r io.Reader) (*PcapFile, error) { return capture.ReadAll(r) }
-
-// ReadPcapFile parses a pcap file from disk.
-func ReadPcapFile(path string) (*PcapFile, error) { return capture.ReadFile(path) }
 
 // attachCapture attaches a packet capture to the whole network: every frame
 // accepted for transmission on every link (both directions) plus, for each
@@ -30,11 +19,10 @@ func (n *Net) attachCapture(c *capture.Capture) {
 }
 
 // startFlightRecorder attaches a flight recorder to the whole network:
-// per-host rings of the last framesPerHost transmitted frames and
-// eventsPerHost bus events (<= 0 selects the package defaults). Dump it
+// per-host rings of the last transmitted frames and bus events. Dump it
 // with FlightRecorder.Dump, or arm it with DumpOnFailover/DumpOnViolation.
-func (n *Net) startFlightRecorder(framesPerHost, eventsPerHost int) *capture.FlightRecorder {
-	f := capture.NewFlightRecorder(n.Now, framesPerHost, eventsPerHost)
+func (n *Net) startFlightRecorder() *capture.FlightRecorder {
+	f := capture.NewFlightRecorder(n.Now)
 	f.AttachBus(n.bus)
 	n.addFrameTap(f.Tap())
 	return f
@@ -42,7 +30,7 @@ func (n *Net) startFlightRecorder(framesPerHost, eventsPerHost int) *capture.Fli
 
 // newSpanCollector subscribes a span collector to the network's bus.
 func (n *Net) newSpanCollector() *tcp.SpanCollector {
-	return tcp.NewSpanCollector(n.bus, 0)
+	return tcp.NewSpanCollector(n.bus)
 }
 
 // addFrameTap registers t and reinstalls the fabric tap, fanning out to all

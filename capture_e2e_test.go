@@ -54,7 +54,7 @@ func TestCaptureEndToEnd(t *testing.T) {
 		t.Fatal("no pre-encap inner packets recorded")
 	}
 
-	f, err := ReadPcap(bytes.NewReader(buf.Bytes()))
+	f, err := capture.ReadAll(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +150,7 @@ func TestFlightRecorderDumpsOnFailover(t *testing.T) {
 		t.Fatal(err)
 	}
 	probe := net.newFailoverProbe()
-	flight := net.startFlightRecorder(64, 64)
+	flight := net.startFlightRecorder()
 	prefix := filepath.Join(t.TempDir(), "fo")
 	flight.DumpOnFailover(probe, prefix)
 	net.Settle()
@@ -169,7 +169,7 @@ func TestFlightRecorderDumpsOnFailover(t *testing.T) {
 		t.Fatalf("flight recorder dumped %d times, want exactly 1 (at promotion)", flight.Dumps())
 	}
 
-	pf, err := ReadPcapFile(prefix + ".pcap")
+	pf, err := capture.ReadFile(prefix + ".pcap")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -68,6 +68,7 @@ func TestCLIs(t *testing.T) {
 			gone: [][]string{{"-workers", "2"}, {"-prof", "p.json"}},
 			smoke: []step{
 				{args: []string{"-bytes", "65536", "-stats", "-invariants", "-audit", "ok.audit.json"}, want: "audit report written to ok.audit.json"},
+				{args: []string{"-trace", "20"}, want: "[SYN|ACK]"},
 				// A bad command line is diagnosed before any file exists or any
 				// virtual time runs, whatever -crash-at says.
 				{args: []string{"-crash", "bogus", "-pcap", "bogus.pcap"}, exit: 2, want: `unknown -crash "bogus"`, none: "bogus.pcap"},
@@ -76,6 +77,9 @@ func TestCLIs(t *testing.T) {
 				{args: []string{"-events", "nope", "-audit", "a.json"}, exit: 2, want: "-events list", none: "a.json"},
 				// An artifact that cannot be written is Finish's error: exit 1.
 				{args: []string{"-bytes", "65536", "-spans", "no-such-dir/s.json"}, exit: 1, want: "hydranet-sim: observers: hydranet: spans:"},
+				// So is a flight dump that failed at the fail-over, long before
+				// Finish ran.
+				{args: []string{"-bytes", "1048576", "-flight", "no-such-dir/f"}, exit: 1, want: "hydranet: flight"},
 			},
 		},
 		{
@@ -95,6 +99,7 @@ func TestCLIs(t *testing.T) {
 				{bin: "hydrascope", args: []string{"audit", "fo-t3.audit.json", "-fail-on-violation"}, want: "verdict: CLEAN"},
 				// A sweep worker that cannot write reports it; it does not panic.
 				{args: []string{"-parallel", "2", "-pcap", "no-such-dir/f.pcap"}, exit: 1, want: "failover: threshold 1: hydranet: pcap:"},
+				{args: []string{"-parallel", "2", "-flight", "no-such-dir/f"}, exit: 1, want: "hydranet: flight"},
 			},
 		},
 		{

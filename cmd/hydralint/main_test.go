@@ -2,7 +2,6 @@ package main
 
 import (
 	"bytes"
-	"encoding/json"
 	"strings"
 	"testing"
 )
@@ -43,42 +42,6 @@ func TestExitCodeLoadFailure(t *testing.T) {
 	}
 	if !strings.Contains(stderr.String(), "hydralint:") {
 		t.Fatalf("load failure did not explain itself on stderr: %q", stderr.String())
-	}
-}
-
-// TestJSONShape pins the -json schema: schema_version plus a diagnostics
-// array whose entries carry file/line/column/analyzer/message. CI parsers
-// key on these exact names.
-func TestJSONShape(t *testing.T) {
-	var stdout, stderr bytes.Buffer
-	if got := run([]string{"-json", seededPkg}, &stdout, &stderr); got != 2 {
-		t.Fatalf("seeded violations: exit %d, want 2\nstderr: %s", got, stderr.String())
-	}
-
-	var report struct {
-		SchemaVersion int `json:"schema_version"`
-		Diagnostics   []map[string]any
-	}
-	if err := json.Unmarshal(stdout.Bytes(), &report); err != nil {
-		t.Fatalf("-json output does not parse: %v\n%s", err, stdout.String())
-	}
-	if report.SchemaVersion != 1 {
-		t.Fatalf("schema_version = %d, want 1", report.SchemaVersion)
-	}
-	if len(report.Diagnostics) == 0 {
-		t.Fatal("-json on seeded violations produced an empty diagnostics array")
-	}
-	for _, key := range []string{"file", "line", "column", "analyzer", "message"} {
-		if _, ok := report.Diagnostics[0][key]; !ok {
-			t.Errorf("diagnostic entry missing %q field: %v", key, report.Diagnostics[0])
-		}
-	}
-	d := report.Diagnostics[0]
-	if d["file"] == "" || d["analyzer"] == "" || d["message"] == "" {
-		t.Fatalf("diagnostic entry has empty identity fields: %v", d)
-	}
-	if line, ok := d["line"].(float64); !ok || line < 1 {
-		t.Fatalf("diagnostic line = %v, want a positive number", d["line"])
 	}
 }
 

@@ -28,8 +28,8 @@ import (
 	"hydranet"
 	"hydranet/internal/app"
 	"hydranet/internal/obs"
+	"hydranet/internal/tcp"
 	"hydranet/internal/testbed"
-	"hydranet/internal/trace"
 )
 
 // verboseKinds are the management-plane events -v narrates.
@@ -129,11 +129,25 @@ func main() {
 	fatal("observers", err)
 
 	if *traceSegs > 0 {
-		tr := trace.New(os.Stdout, net.Scheduler())
-		tr.SetLimit(uint64(*traceSegs))
-		tr.AttachTCP("client", client.TCP())
+		// One tcpdump-style line per segment at each stack boundary, the
+		// first -trace of them.
+		lines := 0
+		traceTCP := func(host string) tcp.TraceFunc {
+			return func(dir string, local, remote tcp.Endpoint, seg *tcp.Segment) {
+				if lines >= *traceSegs {
+					return
+				}
+				lines++
+				a, b, arrow := local, remote, "→"
+				if dir == "in" {
+					a, b, arrow = remote, local, "←"
+				}
+				fmt.Printf("%12s %-10s tcp %s %s %s  %s\n", net.Now().Round(time.Microsecond), host, a, arrow, b, seg)
+			}
+		}
+		client.TCP().SetTrace(traceTCP("client"))
 		for _, h := range hosts {
-			tr.AttachTCP(h.Name(), h.TCP())
+			h.TCP().SetTrace(traceTCP(h.Name()))
 		}
 	}
 
@@ -258,7 +272,7 @@ func main() {
 		}
 		logf("flight recorder dumped %s to %s.pcap / %s.json", when, observe.Flight, observe.Flight)
 	}
-	if observe.Spans != "" && observe.Spans != "-" {
+	if observe.Spans != "" {
 		logf("span timeline written to %s", observe.Spans)
 	}
 	if observe.Series != "" {

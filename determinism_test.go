@@ -11,7 +11,6 @@ import (
 	"hydranet/internal/app"
 	"hydranet/internal/ipv4"
 	"hydranet/internal/tcp"
-	"hydranet/internal/trace"
 )
 
 // scenarioOpts tweaks runScenario without changing the simulated workload.
@@ -42,10 +41,11 @@ func runScenario(seed int64, opts scenarioOpts) string {
 	}
 	net.AutoRoute()
 	if opts.traceOut != nil {
-		tr := trace.New(opts.traceOut, net.Scheduler())
-		tr.AttachTCP("client", client.TCP())
-		for _, h := range replicas {
-			tr.AttachTCP(h.Name(), h.TCP())
+		for _, h := range append([]*Host{client}, replicas...) {
+			name := h.Name()
+			h.TCP().SetTrace(func(dir string, local, remote Endpoint, seg *tcp.Segment) {
+				fmt.Fprintf(opts.traceOut, "%v %s %s %s %s %s\n", net.Now(), name, dir, local, remote, seg)
+			})
 		}
 	}
 	var keptSeg *tcp.Segment

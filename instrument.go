@@ -31,15 +31,14 @@ type Instruments struct {
 	// does), and to Flight-violation.* on the monitor's first violation.
 	Flight string
 	// Spans writes the per-connection ft-TCP span timeline as JSON to
-	// this file ("-" = stdout).
+	// this file.
 	Spans string
 	// SpanStats collects span statistics (Summary.AckChainLag and
 	// DepositStall) even when Spans names no file.
 	SpanStats bool
-	// Series exports sampled time series to this file (CSV with a .csv
-	// extension, JSONL otherwise). They always carry the fail-over phases,
-	// span lag/stall columns only when spans are collected, and health
-	// verdicts only for the Watch replicas.
+	// Series exports sampled time series to this file as JSON lines. They
+	// always carry the fail-over phases, span lag/stall columns only when
+	// spans are collected, and health verdicts only for the Watch replicas.
 	Series string
 	// SampleEvery is the Series cadence (default 100 ms of virtual time).
 	SampleEvery time.Duration
@@ -62,10 +61,10 @@ func (in Instruments) WritesFiles() bool {
 // Suffixed returns in with tag inserted before the extension of every
 // artifact path (run.pcap → run-t3.pcap, x.audit.json → x-t3.audit.json, the
 // Flight stem flight → flight-t3), so the runs of a sweep write distinct
-// files. Empty paths and the Spans "-" stay as they are.
+// files. Empty paths stay empty.
 func (in Instruments) Suffixed(tag string) Instruments {
 	for _, p := range []*string{&in.Pcap, &in.Flight, &in.Spans, &in.Series, &in.Audit} {
-		if *p == "" || *p == "-" {
+		if *p == "" {
 			continue
 		}
 		dir, base := filepath.Split(*p)
@@ -156,7 +155,7 @@ func (n *Net) Instrument(in Instruments) (*Session, error) {
 		s.probe = n.newFailoverProbe()
 	}
 	if in.Flight != "" {
-		s.flight = n.startFlightRecorder(0, 0)
+		s.flight = n.startFlightRecorder()
 		s.flight.DumpOnFailover(s.probe, in.Flight)
 		if s.mon != nil {
 			// A violation dumps the forensic bundle the instant it is
@@ -175,10 +174,11 @@ func (n *Net) Instrument(in Instruments) (*Session, error) {
 
 // Finish detaches what reschedules itself and flushes every artifact: it
 // stops the sampler, flushes and closes the pcap and surfaces the capture's
-// sticky write error, dumps a flight recorder that never fired, writes spans
-// and series, and runs the monitor's end-of-run conservation check (decided
-// only when the simulation is quiescent) before writing the audit. Every
-// step runs even if an earlier one failed; the errors come back joined.
+// sticky write error, dumps a flight recorder that never fired and surfaces
+// the first failed dump's error, writes spans and series, and runs the
+// monitor's end-of-run conservation check (decided only when the simulation
+// is quiescent) before writing the audit. Every step runs even if an
+// earlier one failed; the errors come back joined.
 func (s *Session) Finish() (Summary, error) {
 	if s.finished {
 		return Summary{}, errors.New("hydranet: Session.Finish called twice")
@@ -203,26 +203,19 @@ func (s *Session) Finish() (Summary, error) {
 	}
 	if s.flight != nil {
 		if sum.FlightFired = s.flight.Dumps() > 0; !sum.FlightFired {
-			fail("flight dump", s.flight.Dump(s.in.Flight))
+			s.flight.Dump(s.in.Flight)
 		}
+		fail("flight dump", s.flight.Err())
 	}
 	if s.spans != nil {
 		sum.AckChainLag, sum.DepositStall = s.spans.AckChainLag(), s.spans.DepositStall()
-		switch s.in.Spans {
-		case "":
-		case "-":
-			fail("spans", s.spans.WriteJSON(os.Stdout))
-		default:
+		if s.in.Spans != "" {
 			fail("spans", writeFile(s.in.Spans, s.spans.WriteJSON))
 		}
 	}
 	if s.tel != nil {
 		sum.Series, sum.Ticks = s.tel.set.Len(), s.tel.sampler.Ticks()
-		write := s.tel.WriteJSONL
-		if strings.HasSuffix(s.in.Series, ".csv") {
-			write = s.tel.WriteCSV
-		}
-		fail("series", writeFile(s.in.Series, write))
+		fail("series", writeFile(s.in.Series, s.tel.WriteJSONL))
 	}
 	if s.mon != nil {
 		audit := s.net.FinishAudit(s.mon)

@@ -8,6 +8,8 @@ import (
 	"testing"
 	"time"
 
+	"hydranet/internal/capture"
+	"hydranet/internal/ipv4"
 	"hydranet/internal/obs"
 	"hydranet/internal/scope"
 )
@@ -128,16 +130,10 @@ func TestInstrumentEverythingOn(t *testing.T) {
 		t.Error("flight recorder did not dump on the fail-over")
 	}
 
-	pf, err := ReadPcapFile(in.Pcap)
-	if err != nil {
-		t.Fatal(err)
+	if n := requireWellFormedPcap(t, in.Pcap); uint64(n) != sum.PcapRecords || sum.PcapInner == 0 {
+		t.Errorf("pcap holds %d records, Summary says %d (%d inner)", n, sum.PcapRecords, sum.PcapInner)
 	}
-	if uint64(len(pf.Records)) != sum.PcapRecords || sum.PcapInner == 0 {
-		t.Errorf("pcap holds %d records, Summary says %d (%d inner)", len(pf.Records), sum.PcapRecords, sum.PcapInner)
-	}
-	if fp, err := ReadPcapFile(in.Flight + ".pcap"); err != nil || len(fp.Records) == 0 {
-		t.Errorf("flight pcap: %v", err)
-	}
+	requireWellFormedPcap(t, in.Flight+".pcap")
 	if raw := mustRead(t, in.Flight+".json"); !bytes.Contains(raw, []byte(`"hosts"`)) {
 		t.Error("flight JSON has no hosts section")
 	}
@@ -169,6 +165,44 @@ func TestInstrumentEverythingOn(t *testing.T) {
 	if !bytes.Equal(mustRead(t, in.Pcap), mustRead(t, alone.Pcap)) {
 		t.Error("the pcap of the everything-on run differs from the pcap-only run's")
 	}
+}
+
+// requireWellFormedPcap reads a capture back with the in-repo reader and
+// checks what every pcap of the fabric must be: LINKTYPE_RAW, timestamps
+// that never decrease, an IPv4 header on every record, and an IPv4 packet
+// inside every first-fragment IP-in-IP record, of which there is at least
+// one (the redirector's tunnel copies). It returns the record count.
+func requireWellFormedPcap(t *testing.T, path string) int {
+	t.Helper()
+	f, err := capture.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if f.LinkType != capture.LinkTypeRaw {
+		t.Fatalf("%s: linktype %d, want %d (LINKTYPE_RAW)", path, f.LinkType, capture.LinkTypeRaw)
+	}
+	ipip := 0
+	last := time.Duration(-1)
+	for i, r := range f.Records {
+		if r.Ts < last {
+			t.Fatalf("%s: record %d: timestamp %v before predecessor %v", path, i, r.Ts, last)
+		}
+		last = r.Ts
+		if len(r.Data) < ipv4.HeaderLen || r.Data[0]>>4 != 4 {
+			t.Fatalf("%s: record %d: not an IPv4 packet", path, i)
+		}
+		if fragOffset := (int(r.Data[6])<<8 | int(r.Data[7])) & 0x1fff; fragOffset != 0 || r.Data[9] != ipv4.ProtoIPIP {
+			continue // a fragment continuation has no inner header
+		}
+		ipip++
+		if inner := r.Data[ipv4.HeaderLen:]; len(inner) < ipv4.HeaderLen || inner[0]>>4 != 4 {
+			t.Fatalf("%s: record %d: IP-in-IP payload is not IPv4", path, i)
+		}
+	}
+	if ipip == 0 {
+		t.Fatalf("%s: %d records, none of them a tunnel copy", path, len(f.Records))
+	}
+	return len(f.Records)
 }
 
 // TestFinishSurfacesPcapError: a capture whose destination stops accepting
@@ -223,7 +257,6 @@ func TestInstrumentsSuffixed(t *testing.T) {
 		{"out/x.audit.json", "out/x-t3.audit.json"},
 		{"out.d/flight", "out.d/flight-t3"},
 		{".hidden", ".hidden-t3"},
-		{"-", "-"},
 		{"", ""},
 	} {
 		got := Instruments{Pcap: tc.path, Flight: tc.path, Spans: tc.path,

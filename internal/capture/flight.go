@@ -2,7 +2,6 @@ package capture
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
 	"os"
 	"sort"
@@ -15,10 +14,10 @@ import (
 )
 
 // FlightRecorder keeps the recent past in bounded per-host rings: the last
-// N frames each host transmitted and the last M obs events each host
-// emitted. It records continuously at near-zero cost and is dumped — to a
-// pcap plus a JSON event log — only when something interesting happens: a
-// FailoverProbe fires, or a test fails.
+// ringFrames frames each host transmitted and the last ringEvents obs
+// events each host emitted. It records continuously at near-zero cost and
+// is dumped — to a pcap plus a JSON event log — only when something
+// interesting happens: a FailoverProbe fires, or a test fails.
 //
 // Steady-state recording is allocation-free: frame slots are byte buffers
 // sized with frame.ClassSize (the pool's own growth policy), so after one
@@ -26,13 +25,12 @@ import (
 // are stored by value in a preallocated ring. Only first contact with a
 // new host allocates its rings.
 type FlightRecorder struct {
-	now           func() time.Duration
-	framesPerHost int
-	eventsPerHost int
-	hosts         map[string]*hostRing
-	order         []string
-	seq           uint64 // global frame arrival counter, for stable dump order
-	dumps         int
+	now   func() time.Duration
+	hosts map[string]*hostRing
+	order []string
+	seq   uint64 // global frame arrival counter, for stable dump order
+	dumps int
+	err   error // the first failed dump's error
 }
 
 type frameRec struct {
@@ -52,38 +50,26 @@ type hostRing struct {
 	eseen  uint64
 }
 
-// DefaultRingFrames and DefaultRingEvents bound each host's rings when the
-// caller passes zero. 256 frames comfortably covers a detection window at
-// Figure-4 rates while keeping a 10-host dump under ~4 MB.
+// ringFrames and ringEvents bound each host's rings. 256 frames
+// comfortably covers a detection window at Figure-4 rates while keeping a
+// 10-host dump under ~4 MB.
 const (
-	DefaultRingFrames = 256
-	DefaultRingEvents = 256
+	ringFrames = 256
+	ringEvents = 256
 )
 
 // NewFlightRecorder returns a recorder stamping frames with the given
-// virtual clock. framesPerHost/eventsPerHost bound each host's rings
-// (<= 0 selects the defaults).
-func NewFlightRecorder(now func() time.Duration, framesPerHost, eventsPerHost int) *FlightRecorder {
-	if framesPerHost <= 0 {
-		framesPerHost = DefaultRingFrames
-	}
-	if eventsPerHost <= 0 {
-		eventsPerHost = DefaultRingEvents
-	}
-	return &FlightRecorder{
-		now:           now,
-		framesPerHost: framesPerHost,
-		eventsPerHost: eventsPerHost,
-		hosts:         make(map[string]*hostRing),
-	}
+// virtual clock.
+func NewFlightRecorder(now func() time.Duration) *FlightRecorder {
+	return &FlightRecorder{now: now, hosts: make(map[string]*hostRing)}
 }
 
 func (f *FlightRecorder) ring(host string) *hostRing {
 	r := f.hosts[host]
 	if r == nil {
 		r = &hostRing{
-			frames: make([]frameRec, f.framesPerHost),
-			events: make([]obs.Event, f.eventsPerHost),
+			frames: make([]frameRec, ringFrames),
+			events: make([]obs.Event, ringEvents),
 		}
 		f.hosts[host] = r
 		f.order = append(f.order, host)
@@ -142,6 +128,11 @@ func (f *FlightRecorder) AttachBus(b *obs.Bus, kinds ...obs.Kind) {
 
 // Dumps returns how many times Dump ran (directly or via a hook).
 func (f *FlightRecorder) Dumps() int { return f.dumps }
+
+// Err returns the first error any dump returned, if any — including the
+// dumps the fail-over and violation hooks make, which have no caller to
+// return it to.
+func (f *FlightRecorder) Err() error { return f.err }
 
 // heldFrames returns every live frame record sorted by (time, arrival seq).
 func (f *FlightRecorder) heldFrames() []*frameRec {
@@ -228,9 +219,17 @@ func (f *FlightRecorder) WriteJSON(w io.Writer) error {
 	return enc.Encode(out)
 }
 
-// Dump writes prefix.pcap and prefix.json.
+// Dump writes prefix.pcap and prefix.json. A failure also sticks: see Err.
 func (f *FlightRecorder) Dump(prefix string) error {
 	f.dumps++
+	err := f.dump(prefix)
+	if f.err == nil {
+		f.err = err
+	}
+	return err
+}
+
+func (f *FlightRecorder) dump(prefix string) error {
 	pf, err := os.Create(prefix + ".pcap")
 	if err != nil {
 		return err
@@ -254,29 +253,23 @@ func (f *FlightRecorder) Dump(prefix string) error {
 }
 
 // DumpOnFailover hooks the probe so the rings are dumped the instant a
-// failover (crash → promotion) is observed.
+// failover (crash → promotion) is observed. A failed dump surfaces in Err.
 func (f *FlightRecorder) DumpOnFailover(p *obs.FailoverProbe, prefix string) {
-	p.OnFailover(func(obs.FailoverReport) {
-		if err := f.Dump(prefix); err != nil {
-			fmt.Fprintf(os.Stderr, "flight recorder dump failed: %v\n", err)
-		}
-	})
+	p.OnFailover(func(obs.FailoverReport) { f.Dump(prefix) })
 }
 
 // DumpOnViolation hooks the invariant monitor so the rings are dumped the
 // instant the first violation is recorded — the forensic bundle's pcap
 // window, preserved while the offending frames are still in the rings.
 // Only the first violation dumps: a sick run can violate on every segment,
-// and the first instant is the one the surrounding window still covers.
+// and the first instant is the one the surrounding window still covers. A
+// failed dump surfaces in Err.
 func (f *FlightRecorder) DumpOnViolation(m *invariant.Monitor, prefix string) {
 	fired := false
 	m.OnViolation(func(invariant.Violation) {
-		if fired {
-			return
-		}
-		fired = true
-		if err := f.Dump(prefix); err != nil {
-			fmt.Fprintf(os.Stderr, "flight recorder dump failed: %v\n", err)
+		if !fired {
+			fired = true
+			f.Dump(prefix)
 		}
 	})
 }

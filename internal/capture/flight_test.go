@@ -21,12 +21,13 @@ func fakeClock() (*time.Duration, func() time.Duration) {
 
 func TestFlightRecorderRingWraps(t *testing.T) {
 	now, clock := fakeClock()
-	f := NewFlightRecorder(clock, 4, 4)
+	f := NewFlightRecorder(clock)
 
-	// 10 frames through a 4-slot ring: only the last 4 survive, oldest first.
-	for i := 0; i < 10; i++ {
+	// Six frames more than the ring holds: only the last ringFrames survive,
+	// oldest first.
+	for i := 0; i < ringFrames+6; i++ {
 		*now = time.Duration(i+1) * time.Millisecond
-		f.RecordFrame("a", "b", []byte{byte(i), 0x45})
+		f.RecordFrame("a", "b", []byte{byte(i >> 8), byte(i)})
 	}
 	var buf bytes.Buffer
 	if err := f.WritePcap(&buf); err != nil {
@@ -36,19 +37,19 @@ func TestFlightRecorderRingWraps(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(pf.Records) != 4 {
-		t.Fatalf("held %d frames, want 4", len(pf.Records))
+	if len(pf.Records) != ringFrames {
+		t.Fatalf("held %d frames, want %d", len(pf.Records), ringFrames)
 	}
 	for i, r := range pf.Records {
-		wantIdx := 6 + i // frames 6..9 survive
-		if r.Data[0] != byte(wantIdx) || r.Ts != time.Duration(wantIdx+1)*time.Millisecond {
+		wantIdx := 6 + i // frames 6.. survive
+		if got := int(r.Data[0])<<8 | int(r.Data[1]); got != wantIdx || r.Ts != time.Duration(wantIdx+1)*time.Millisecond {
 			t.Errorf("record %d = frame %d at %v, want frame %d at %v",
-				i, r.Data[0], r.Ts, wantIdx, time.Duration(wantIdx+1)*time.Millisecond)
+				i, got, r.Ts, wantIdx, time.Duration(wantIdx+1)*time.Millisecond)
 		}
 	}
 
 	// Same story for the event ring.
-	for i := 0; i < 10; i++ {
+	for i := 0; i < ringEvents+6; i++ {
 		*now = time.Duration(i+1) * time.Millisecond
 		f.RecordEvent(obs.Event{Kind: obs.KindRetransmit, Time: *now, Node: "a", Seq: uint64(i)})
 	}
@@ -75,7 +76,7 @@ func TestFlightRecorderRingWraps(t *testing.T) {
 		t.Fatalf("hosts = %+v", dump.Hosts)
 	}
 	h := dump.Hosts[0]
-	if h.FramesSeen != 10 || h.FramesHeld != 4 || h.EventsSeen != 10 || h.EventsHeld != 4 {
+	if h.FramesSeen != ringFrames+6 || h.FramesHeld != ringFrames || h.EventsSeen != ringEvents+6 || h.EventsHeld != ringEvents {
 		t.Fatalf("ring occupancy = %+v", h)
 	}
 	for i, e := range h.Events {
@@ -89,9 +90,9 @@ func TestFlightRecorderRingWraps(t *testing.T) {
 // recording a same-class frame reuses its slot buffer.
 func TestFlightRecorderSteadyStateAllocFree(t *testing.T) {
 	_, clock := fakeClock()
-	f := NewFlightRecorder(clock, 8, 8)
+	f := NewFlightRecorder(clock)
 	data := make([]byte, 200)
-	for i := 0; i < 8; i++ {
+	for i := 0; i < ringFrames; i++ {
 		f.RecordFrame("a", "b", data)
 	}
 	allocs := testing.AllocsPerRun(100, func() {
@@ -105,7 +106,7 @@ func TestFlightRecorderSteadyStateAllocFree(t *testing.T) {
 
 func TestFlightRecorderDumpFiles(t *testing.T) {
 	now, clock := fakeClock()
-	f := NewFlightRecorder(clock, 0, 0) // defaults
+	f := NewFlightRecorder(clock)
 	*now = time.Millisecond
 	f.RecordFrame("rd", "s0", []byte{0x45, 0x00})
 	f.RecordEvent(obs.Event{Kind: obs.KindPromotion, Time: *now, Node: "s1", Service: inet.Endpoint{Addr: inet.AddrFrom4(10, 0, 0, 9), Port: 80}})
@@ -135,12 +136,27 @@ func TestFlightRecorderDumpFiles(t *testing.T) {
 	if _, ok := dump["hosts"]; !ok {
 		t.Fatalf("dump JSON missing hosts section: %v", dump)
 	}
+	if f.Err() != nil {
+		t.Fatalf("Err = %v after a good dump", f.Err())
+	}
+
+	// A failed dump sticks, and a later good one does not clear it: the
+	// hooks' dumps have no caller to return their error to.
+	if err := f.Dump(filepath.Join(t.TempDir(), "no-such-dir", "flight")); err == nil {
+		t.Fatal("dump into a missing directory succeeded")
+	}
+	if err := f.Dump(prefix); err != nil {
+		t.Fatal(err)
+	}
+	if f.Err() == nil {
+		t.Fatal("Err = nil after a failed dump")
+	}
 }
 
 // TestFlightRecorderAttachBus: bus events land in the emitting host's ring.
 func TestFlightRecorderAttachBus(t *testing.T) {
 	now, clock := fakeClock()
-	f := NewFlightRecorder(clock, 4, 4)
+	f := NewFlightRecorder(clock)
 	b := obs.NewBus(clock)
 	f.AttachBus(b, obs.KindSuspicion)
 
@@ -172,7 +188,7 @@ func TestFlightRecorderAttachBus(t *testing.T) {
 // in poison mode, scribbles) immediately afterwards.
 func TestRecordFrameCopiesBeforeFrameRecycle(t *testing.T) {
 	now, clock := fakeClock()
-	f := NewFlightRecorder(clock, 4, 4)
+	f := NewFlightRecorder(clock)
 	pool := frame.NewPool()
 	pool.SetPoison(true)
 

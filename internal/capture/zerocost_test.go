@@ -122,7 +122,7 @@ func BenchmarkLinkRoundTripCapture(b *testing.B) {
 // ring copy on the path instead of the pcap serializer.
 func BenchmarkLinkRoundTripFlightRecorder(b *testing.B) {
 	s, nw, a, h := linkPair()
-	f := NewFlightRecorder(s.Now, 0, 0)
+	f := NewFlightRecorder(s.Now)
 	nw.SetFrameTap(f.Tap())
 	frame := make([]byte, 1500)
 	b.SetBytes(int64(len(frame)))

@@ -3,7 +3,7 @@ package framepool
 // Interprocedural ownership summaries. The positional machinery in
 // framepool.go sees one function at a time; this file gives it eyes
 // across same-package call boundaries. A bottom-up pass over the package
-// call graph (internal/lint/ir) computes, for every declared function,
+// call graph (callgraph.go) computes, for every declared function,
 // what it may do to each *frame.Buf parameter:
 //
 //   - releases:  some path calls Release on the parameter's frame
@@ -38,7 +38,6 @@ import (
 	"sort"
 
 	"hydranet/internal/lint"
-	"hydranet/internal/lint/ir"
 )
 
 // paramFacts is what a function may do to one *frame.Buf parameter.
@@ -97,7 +96,7 @@ func (s *pkgSummaries) forCall(call *ast.CallExpr) *ownSummary {
 	if s == nil {
 		return nil
 	}
-	fn := ir.StaticCallee(s.info, call)
+	fn := staticCallee(s.info, call)
 	if fn == nil {
 		return nil
 	}
@@ -107,8 +106,8 @@ func (s *pkgSummaries) forCall(call *ast.CallExpr) *ownSummary {
 // computeSummaries runs the bottom-up fixpoint over the package.
 func computeSummaries(pass *lint.Pass) *pkgSummaries {
 	s := &pkgSummaries{info: pass.TypesInfo, byFunc: map[*types.Func]*ownSummary{}}
-	cg := ir.BuildCallGraph(pass.Files, pass.TypesInfo, pass.Pkg)
-	cg.BottomUp(func(fn *types.Func, decl *ast.FuncDecl) bool {
+	cg := buildCallGraph(pass.Files, pass.TypesInfo, pass.Pkg)
+	cg.bottomUp(func(fn *types.Func, decl *ast.FuncDecl) bool {
 		ns := summarize(pass.TypesInfo, decl, s)
 		old := s.byFunc[fn]
 		s.byFunc[fn] = ns

@@ -115,28 +115,6 @@ func quantileFromBuckets(counts []uint64, total uint64, q float64) float64 {
 	return hi
 }
 
-// Merge folds other's samples into h, as if every sample other observed
-// had been fed to h directly: counts and sums add bucket-wise, the extremes
-// widen, and quantiles follow from the combined buckets. Merging an empty
-// (or nil) histogram is a no-op. Parallel sweeps use this to combine
-// per-worker histograms into one run-wide distribution.
-func (h *Histogram) Merge(other *Histogram) {
-	if other == nil || other.count == 0 {
-		return
-	}
-	if h.count == 0 || other.min < h.min {
-		h.min = other.min
-	}
-	if other.max > h.max {
-		h.max = other.max
-	}
-	for i, c := range other.counts {
-		h.counts[i] += c
-	}
-	h.count += other.count
-	h.sum += other.sum
-}
-
 // HistogramBucket is one non-empty bucket in a snapshot: Count samples fell
 // in [Lo, Hi).
 type HistogramBucket struct {

@@ -106,69 +106,3 @@ func TestHistogramSnapshotDiff(t *testing.T) {
 		t.Errorf("diff P50 = %v, want within [64,128]", d.P50)
 	}
 }
-
-func TestPercentileCacheInvalidatedOnAdd(t *testing.T) {
-	var s Summary
-	for i := 1; i <= 10; i++ {
-		s.Add(float64(i))
-	}
-	if got := s.Percentile(100); got != 10 {
-		t.Fatalf("P100 = %v, want 10", got)
-	}
-	// The sorted cache must be rebuilt after Add, not reused.
-	s.Add(1000)
-	if got := s.Percentile(100); got != 1000 {
-		t.Fatalf("P100 after Add = %v, want 1000 (stale percentile cache?)", got)
-	}
-	if got := s.Percentile(0); got != 1 {
-		t.Fatalf("P0 = %v, want 1", got)
-	}
-}
-
-func TestHistogramMerge(t *testing.T) {
-	// Two shards plus a reference fed every sample directly: merging the
-	// shards must reproduce the reference exactly — counts, sum, extremes
-	// and every quantile (both halves of each sample stream land in the
-	// same buckets either way).
-	samplesA := []float64{0.5, 2, 3, 40, 700}
-	samplesB := []float64{1, 8, 9, 1000, 0.1, 65}
-	var a, b, ref Histogram
-	for _, v := range samplesA {
-		a.Observe(v)
-		ref.Observe(v)
-	}
-	for _, v := range samplesB {
-		b.Observe(v)
-		ref.Observe(v)
-	}
-	a.Merge(&b)
-	if a.Count() != ref.Count() {
-		t.Fatalf("Count = %d, want %d", a.Count(), ref.Count())
-	}
-	if a.Mean() != ref.Mean() {
-		t.Errorf("Mean = %v, want %v", a.Mean(), ref.Mean())
-	}
-	if a.Min() != ref.Min() || a.Max() != ref.Max() {
-		t.Errorf("Min/Max = %v/%v, want %v/%v", a.Min(), a.Max(), ref.Min(), ref.Max())
-	}
-	for _, q := range []float64{0, 0.25, 0.5, 0.9, 0.99, 1} {
-		if got, want := a.Quantile(q), ref.Quantile(q); got != want {
-			t.Errorf("Quantile(%v) = %v, want %v", q, got, want)
-		}
-	}
-
-	// Merging into an empty histogram copies; merging an empty (or nil)
-	// histogram changes nothing.
-	var empty Histogram
-	empty.Merge(&ref)
-	if empty.Count() != ref.Count() || empty.Min() != ref.Min() {
-		t.Errorf("merge into empty: Count=%d Min=%v", empty.Count(), empty.Min())
-	}
-	before := a.Snapshot()
-	a.Merge(&Histogram{})
-	a.Merge(nil)
-	after := a.Snapshot()
-	if before.Count != after.Count || before.Sum != after.Sum || before.Min != after.Min {
-		t.Errorf("merge of empty mutated: %+v -> %+v", before, after)
-	}
-}

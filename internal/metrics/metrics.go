@@ -1,25 +1,22 @@
 // Package metrics provides the small statistics toolkit the experiment
-// harness uses: streaming summaries (mean, deviation, percentiles) for
+// harness uses: streaming summaries (mean, deviation, extremes) for
 // multi-seed runs, and aligned-table rendering for the CLI tools.
 package metrics
 
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 )
 
 // Summary accumulates scalar samples.
 type Summary struct {
 	samples []float64
-	sorted  []float64 // cached sorted copy; nil when stale
 }
 
 // Add appends a sample.
 func (s *Summary) Add(x float64) {
 	s.samples = append(s.samples, x)
-	s.sorted = nil
 }
 
 // N returns the number of samples.
@@ -78,32 +75,6 @@ func (s *Summary) Max() float64 {
 		}
 	}
 	return m
-}
-
-// Percentile returns the p-th percentile (0 <= p <= 100) by nearest-rank.
-// The sorted copy is cached across calls and invalidated by Add, so
-// repeated percentile queries in multi-seed experiment loops do not re-sort
-// the sample set every time.
-func (s *Summary) Percentile(p float64) float64 {
-	n := len(s.samples)
-	if n == 0 {
-		return 0
-	}
-	if s.sorted == nil {
-		s.sorted = append([]float64(nil), s.samples...)
-		sort.Float64s(s.sorted)
-	}
-	if p <= 0 {
-		return s.sorted[0]
-	}
-	if p >= 100 {
-		return s.sorted[n-1]
-	}
-	rank := int(math.Ceil(p / 100 * float64(n)))
-	if rank < 1 {
-		rank = 1
-	}
-	return s.sorted[rank-1]
 }
 
 // String renders "mean ± std (n=N)".

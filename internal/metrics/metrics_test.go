@@ -30,42 +30,6 @@ func TestSummaryBasics(t *testing.T) {
 	}
 }
 
-func TestPercentiles(t *testing.T) {
-	var s Summary
-	for i := 1; i <= 100; i++ {
-		s.Add(float64(i))
-	}
-	tests := []struct{ p, want float64 }{
-		{0, 1}, {50, 50}, {90, 90}, {99, 99}, {100, 100},
-	}
-	for _, tt := range tests {
-		if got := s.Percentile(tt.p); got != tt.want {
-			t.Errorf("P%v = %v, want %v", tt.p, got, tt.want)
-		}
-	}
-}
-
-func TestPercentileWithinRange(t *testing.T) {
-	f := func(raw []float64, p float64) bool {
-		if len(raw) == 0 {
-			return true
-		}
-		var s Summary
-		for _, x := range raw {
-			if math.IsNaN(x) || math.IsInf(x, 0) {
-				return true
-			}
-			s.Add(x)
-		}
-		pct := math.Mod(math.Abs(p), 100)
-		v := s.Percentile(pct)
-		return v >= s.Min() && v <= s.Max()
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestMeanBetweenMinMax(t *testing.T) {
 	f := func(raw []float64) bool {
 		var s Summary

@@ -27,26 +27,6 @@ func LoadAuditFile(path string) (*invariant.Report, error) {
 	return &r, nil
 }
 
-// IsAuditFile sniffs whether path holds an invariant audit report (an
-// object with a per-rule census) rather than some other JSON file.
-func IsAuditFile(path string) bool {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return false
-	}
-	// Decode just the discriminating shape: an audit report always carries
-	// its rule census.
-	var probe struct {
-		Rules []struct {
-			Rule string `json:"rule"`
-		} `json:"rules"`
-	}
-	if err := json.Unmarshal(data, &probe); err != nil {
-		return false
-	}
-	return len(probe.Rules) > 0 && probe.Rules[0].Rule != ""
-}
-
 // WriteAuditReport renders an audit report for the terminal: the verdict,
 // the per-rule evaluation census, the observed event mix, and — when the
 // run was dirty — every retained forensic violation record.

@@ -41,9 +41,6 @@ func TestAuditFileRoundTrip(t *testing.T) {
 	if err := sampleAudit().WriteJSON(path); err != nil {
 		t.Fatal(err)
 	}
-	if !IsAuditFile(path) {
-		t.Fatal("IsAuditFile = false for a written audit report")
-	}
 	r, err := LoadAuditFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -56,17 +53,17 @@ func TestAuditFileRoundTrip(t *testing.T) {
 	}
 }
 
-func TestIsAuditFileRejectsOtherJSON(t *testing.T) {
+func TestLoadAuditFileRejectsOtherJSON(t *testing.T) {
 	dir := t.TempDir()
 	bench := filepath.Join(dir, "bench.json")
 	if err := os.WriteFile(bench, []byte(`{"entries":[{"case":"x"}]}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if IsAuditFile(bench) {
-		t.Fatal("IsAuditFile = true for a bench file")
+	if _, err := LoadAuditFile(bench); err == nil {
+		t.Fatal("LoadAuditFile accepted a bench file")
 	}
-	if IsAuditFile(filepath.Join(dir, "missing.json")) {
-		t.Fatal("IsAuditFile = true for a missing file")
+	if _, err := LoadAuditFile(filepath.Join(dir, "missing.json")); err == nil {
+		t.Fatal("LoadAuditFile accepted a missing file")
 	}
 }
 

@@ -12,7 +12,7 @@ import (
 
 // buildSet makes a small set with one counter and one gauge.
 func buildSet(counterVals, gaugeVals []float64) *series.Set {
-	set := series.NewSet(64)
+	set := series.NewSet()
 	c := set.Counter("host.s0.retransmits", "segments")
 	g := set.Gauge("link.a-b.queue_ab", "bytes")
 	for i, v := range counterVals {
@@ -60,25 +60,6 @@ func TestLoadJSONLRoundTrip(t *testing.T) {
 	}
 }
 
-func TestLoadCSVRoundTrip(t *testing.T) {
-	var buf bytes.Buffer
-	meta := series.Meta{Every: 100 * time.Millisecond, Ticks: 2, Seed: 3}
-	if err := series.WriteCSV(&buf, meta, buildSet([]float64{1, 4}, nil)); err != nil {
-		t.Fatal(err)
-	}
-	run, err := LoadRun(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if run.Meta.Every != 100*time.Millisecond || run.Meta.Seed != 3 {
-		t.Fatalf("meta=%+v", run.Meta)
-	}
-	c := run.Get("host.s0.retransmits")
-	if c == nil || c.Total != 5 || c.Count != 2 || c.Points[1].V != 4 {
-		t.Fatalf("counter=%+v", c)
-	}
-}
-
 func TestDiffRunsCleanOnIdentical(t *testing.T) {
 	meta := series.Meta{Every: 100 * time.Millisecond, Ticks: 3}
 	a := exportJSONL(t, meta, buildSet([]float64{0, 1, 2}, []float64{10, 20, 30}))
@@ -97,7 +78,7 @@ func TestDiffRunsFindsRegressions(t *testing.T) {
 		t.Fatalf("findings=%v", f)
 	}
 	// A series missing from one side is always a finding.
-	extra := series.NewSet(8)
+	extra := series.NewSet()
 	extra.Counter("host.s9.retransmits", "segments").Observe(time.Second, 1)
 	c := exportJSONL(t, meta, extra)
 	found := false

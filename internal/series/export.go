@@ -3,9 +3,7 @@ package series
 import (
 	"bufio"
 	"encoding/json"
-	"fmt"
 	"io"
-	"strconv"
 	"time"
 
 	"hydranet/internal/obs"
@@ -43,21 +41,21 @@ type Data struct {
 // Data exports the series.
 func (s *Series) Data() Data {
 	return Data{
-		Name:  s.name,
-		Kind:  s.kind.String(),
-		Unit:  s.unit,
-		Count: s.count,
-		Total: s.total,
-		Mean:  s.Mean(),
-		Max:   s.max,
-		Last:  s.last,
+		Name:   s.name,
+		Kind:   s.kind.String(),
+		Unit:   s.unit,
+		Count:  s.count,
+		Total:  s.total,
+		Mean:   s.Mean(),
+		Max:    s.max,
+		Last:   s.last,
 		Points: s.Points(make([]Point, 0, s.n)),
 	}
 }
 
 // WriteJSONL exports the set as JSON lines: the Meta header first, then one
-// Data object per series in creation order. This is the canonical format —
-// lossless for aggregates, failover timeline included.
+// Data object per series in creation order — lossless for aggregates,
+// failover timeline included.
 func WriteJSONL(w io.Writer, meta Meta, set *Set) error {
 	meta.Version = FormatVersion
 	bw := bufio.NewWriter(w)
@@ -71,41 +69,6 @@ func WriteJSONL(w io.Writer, meta Meta, set *Set) error {
 			return
 		}
 		err = enc.Encode(s.Data())
-	})
-	if err != nil {
-		return err
-	}
-	return bw.Flush()
-}
-
-// WriteCSV exports the retained windows in long form —
-// name,kind,unit,t_ns,value — behind a comment header carrying the
-// cadence. CSV is for spreadsheets and plotting; it drops the run-wide
-// aggregates (a loader recomputes them over the window) and the failover
-// report. JSONL is the canonical format.
-func WriteCSV(w io.Writer, meta Meta, set *Set) error {
-	bw := bufio.NewWriter(w)
-	if _, err := fmt.Fprintf(bw, "# hydranet-series v%d every_ns=%d ticks=%d seed=%d\n",
-		FormatVersion, int64(meta.Every), meta.Ticks, meta.Seed); err != nil {
-		return err
-	}
-	if _, err := io.WriteString(bw, "name,kind,unit,t_ns,value\n"); err != nil {
-		return err
-	}
-	var err error
-	set.Each(func(s *Series) {
-		if err != nil {
-			return
-		}
-		for i := 0; i < s.Len(); i++ {
-			p := s.At(i)
-			_, err = fmt.Fprintf(bw, "%s,%s,%s,%d,%s\n",
-				s.Name(), s.Kind(), s.Unit(), int64(p.T),
-				strconv.FormatFloat(p.V, 'g', -1, 64))
-			if err != nil {
-				return
-			}
-		}
 	})
 	if err != nil {
 		return err

@@ -27,62 +27,38 @@ func (v Verdict) String() string {
 	}
 }
 
-// HealthConfig tunes the scorer. The zero value of any field selects its
-// default.
-type HealthConfig struct {
-	// RetransmitRate is the per-interval client-retransmission count at or
-	// above which the replica set's distress latch arms. Default 1: any
-	// observed retransmission arms it. Under exponential RTO backoff the
-	// client's retransmissions arrive seconds apart, so the latch stays
-	// armed between them and only clears once the set flows cleanly again
-	// (deposits progressing, no retransmissions, no replica trailing by
-	// LagBytes).
-	RetransmitRate float64
-	// LagBytes is the deposit-cursor spread (cluster max minus min) below
-	// which the replica set counts as "in step" for clearing the distress
-	// latch. Default 1460 (one MSS). Spread is NOT the straggler signal —
-	// chain position skews healthy cursors by tens of kilobytes mid-stream,
-	// and a slow tail freezes the whole set at equal cursors — it only
-	// gates when distress is over.
-	LagBytes float64
-	// StallBacklog is how far a replica's serial CPU may run behind frame
+// The scorer's thresholds.
+const (
+	// retransmitRate is the per-interval client-retransmission count at or
+	// above which the replica set's distress latch arms: any observed
+	// retransmission arms it. Under exponential RTO backoff the client's
+	// retransmissions arrive seconds apart, so the latch stays armed between
+	// them and only clears once the set flows cleanly again (deposits
+	// progressing, no retransmissions, no replica trailing by lagBytes).
+	retransmitRate = 1
+	// lagBytes (one MSS) is the deposit-cursor spread (cluster max minus
+	// min) below which the replica set counts as "in step" for clearing the
+	// distress latch. Spread is NOT the straggler signal — chain position
+	// skews healthy cursors by tens of kilobytes mid-stream, and a slow tail
+	// freezes the whole set at equal cursors — it only gates when distress
+	// is over.
+	lagBytes = 1460
+	// stallBacklog is how far a replica's serial CPU may run behind frame
 	// arrival (ReplicaSample.ProcBacklog) before it is the straggler while
-	// the latch is armed. Default 100ms: a keeping-up replica's backlog is
-	// microseconds; a gray-failing one holds seconds of queued frames.
-	StallBacklog time.Duration
-	// Sustain is how many consecutive distressed intervals a replica must
-	// accumulate before its verdict drops to Degraded. Default 2.
-	Sustain int
-	// DeadAfter is how many consecutive intervals a live replica may
+	// the latch is armed: a keeping-up replica's backlog is microseconds; a
+	// gray-failing one holds seconds of queued frames.
+	stallBacklog = 100 * time.Millisecond
+	// sustain is how many consecutive distressed intervals a replica must
+	// accumulate before its verdict drops to Degraded.
+	sustain = 2
+	// deadAfter is how many consecutive intervals a live replica may
 	// receive nothing while a peer is receiving traffic before it is
-	// declared Dead (unresponsive, not merely slow). Default 20.
-	DeadAfter int
-	// Recover is how many consecutive clean intervals clear a Degraded (or
-	// revived Dead) verdict back to Healthy. Default 5.
-	Recover int
-}
-
-func (c HealthConfig) withDefaults() HealthConfig {
-	if c.RetransmitRate <= 0 {
-		c.RetransmitRate = 1
-	}
-	if c.LagBytes <= 0 {
-		c.LagBytes = 1460
-	}
-	if c.StallBacklog <= 0 {
-		c.StallBacklog = 100 * time.Millisecond
-	}
-	if c.Sustain <= 0 {
-		c.Sustain = 2
-	}
-	if c.DeadAfter <= 0 {
-		c.DeadAfter = 20
-	}
-	if c.Recover <= 0 {
-		c.Recover = 5
-	}
-	return c
-}
+	// declared Dead (unresponsive, not merely slow).
+	deadAfter = 20
+	// recoverAfter is how many consecutive clean intervals clear a Degraded
+	// (or revived Dead) verdict back to Healthy.
+	recoverAfter = 5
+)
 
 // ReplicaSample is one replica's cumulative counters at a tick. The scorer
 // diffs consecutive samples itself, so callers feed raw snapshot values.
@@ -139,27 +115,26 @@ type replicaHealth struct {
 // step again — a latch, not a per-interval test, because backoff spaces
 // retransmits further apart than any reasonable sampling cadence. The
 // host-side signal attributes the distress: while the latch is armed, the
-// replica whose ingress-processing backlog exceeds StallBacklog for
-// Sustain consecutive intervals is the straggler and drops to Degraded.
+// replica whose ingress-processing backlog exceeds stallBacklog for
+// sustain consecutive intervals is the straggler and drops to Degraded.
 // Deposit-cursor lag deliberately plays no part in attribution — chain
 // position skews healthy cursors mid-stream, and a slow chain tail
 // freezes every cursor at the same value, so the cursor geometry points
 // at the wrong host exactly when it matters.
 //
 // A replica is Dead when its host is down (fail-stop) or when it has been
-// silent for DeadAfter intervals while peers receive traffic. Dead beats
-// Degraded; a revived replica walks back to Healthy through Recover clean
-// intervals.
+// silent for deadAfter intervals while peers receive traffic. Dead beats
+// Degraded; a revived replica walks back to Healthy through recoverAfter
+// clean intervals.
 type HealthScorer struct {
-	cfg      HealthConfig
 	replicas map[string]*replicaHealth
 	order    []*replicaHealth
 	latched  bool // retransmissions seen, set not yet back in step
 }
 
 // NewHealthScorer creates a scorer.
-func NewHealthScorer(cfg HealthConfig) *HealthScorer {
-	return &HealthScorer{cfg: cfg.withDefaults(), replicas: make(map[string]*replicaHealth)}
+func NewHealthScorer() *HealthScorer {
+	return &HealthScorer{replicas: make(map[string]*replicaHealth)}
 }
 
 // Tick scores one sampling interval. samples carries every watched
@@ -200,9 +175,9 @@ func (h *HealthScorer) Tick(now time.Duration, samples []ReplicaSample) {
 	// progressing, cursors in step, no fresh retransmissions. A stalled
 	// set (no progress at all) stays latched: exponential backoff means
 	// the retransmits that prove the stall land many intervals apart.
-	if maxRetrans >= h.cfg.RetransmitRate {
+	if maxRetrans >= retransmitRate {
 		h.latched = true
-	} else if maxDepositDelta > 0 && maxDeposited-minDeposited < h.cfg.LagBytes {
+	} else if maxDepositDelta > 0 && maxDeposited-minDeposited < lagBytes {
 		h.latched = false
 	}
 	// Pass 2: per-replica verdicts.
@@ -228,7 +203,7 @@ func (h *HealthScorer) Tick(now time.Duration, samples []ReplicaSample) {
 			// redirector multicasts every client packet, so sustained
 			// silence means the replica is unreachable, not slow.
 			r.silent++
-			if r.silent >= h.cfg.DeadAfter {
+			if r.silent >= deadAfter {
 				r.distressed = 0
 				r.clean = 0
 				h.setVerdict(r, Dead, now)
@@ -238,17 +213,17 @@ func (h *HealthScorer) Tick(now time.Duration, samples []ReplicaSample) {
 			r.silent = 0
 		}
 
-		distressed := h.latched && s.ProcBacklog >= h.cfg.StallBacklog
+		distressed := h.latched && s.ProcBacklog >= stallBacklog
 		if distressed {
 			r.distressed++
 			r.clean = 0
-			if r.distressed >= h.cfg.Sustain && r.verdict == Healthy {
+			if r.distressed >= sustain && r.verdict == Healthy {
 				h.setVerdict(r, Degraded, now)
 			}
 		} else {
 			r.distressed = 0
 			r.clean++
-			if r.verdict != Healthy && r.clean >= h.cfg.Recover {
+			if r.verdict != Healthy && r.clean >= recoverAfter {
 				h.setVerdict(r, Healthy, now)
 			}
 		}

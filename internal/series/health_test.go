@@ -12,7 +12,7 @@ func tickAt(h *HealthScorer, t time.Duration, s0, s1 ReplicaSample) {
 }
 
 func TestHealthScorerFlagsStraggler(t *testing.T) {
-	h := NewHealthScorer(HealthConfig{Sustain: 2})
+	h := NewHealthScorer()
 	ms := func(n int) time.Duration { return time.Duration(n) * 100 * time.Millisecond }
 
 	// Baseline + healthy streaming: both replicas deposit in step.
@@ -73,7 +73,7 @@ func TestHealthScorerFlagsStraggler(t *testing.T) {
 // across those gaps — and the straggler trickling the odd deposit must
 // not count as recovery while its cursor still trails the set.
 func TestHealthScorerLatchSurvivesBackoffGaps(t *testing.T) {
-	h := NewHealthScorer(HealthConfig{Sustain: 2})
+	h := NewHealthScorer()
 	ms := func(n int) time.Duration { return time.Duration(n) * 100 * time.Millisecond }
 
 	tickAt(h, ms(1), ReplicaSample{Alive: true}, ReplicaSample{Alive: true})
@@ -110,7 +110,7 @@ func TestHealthScorerLatchSurvivesBackoffGaps(t *testing.T) {
 }
 
 func TestHealthScorerFailStopIsDead(t *testing.T) {
-	h := NewHealthScorer(HealthConfig{})
+	h := NewHealthScorer()
 	tickAt(h, 100*time.Millisecond, ReplicaSample{Alive: true}, ReplicaSample{Alive: true})
 	tickAt(h, 200*time.Millisecond, ReplicaSample{Alive: true}, ReplicaSample{Alive: false})
 	if v := h.Verdict("s1"); v != Dead {
@@ -122,21 +122,25 @@ func TestHealthScorerFailStopIsDead(t *testing.T) {
 }
 
 func TestHealthScorerSilentReplicaDies(t *testing.T) {
-	h := NewHealthScorer(HealthConfig{DeadAfter: 3})
+	h := NewHealthScorer()
 	ms := func(n int) time.Duration { return time.Duration(n) * 100 * time.Millisecond }
 	tickAt(h, ms(1), ReplicaSample{Alive: true}, ReplicaSample{Alive: true})
-	// s0 keeps receiving; s1 hears nothing at all (partition, not slowness).
-	for i := 2; i <= 5; i++ {
+	// s0 keeps receiving; s1 hears nothing at all (partition, not slowness)
+	// from the tick at ms(3) on.
+	for i := 2; i <= deadAfter+2; i++ {
+		if v := h.Verdict("s1"); v != Healthy {
+			t.Fatalf("s1=%v before the tick at %v, want healthy for %d silent intervals", v, ms(i), deadAfter-1)
+		}
 		tickAt(h, ms(i),
 			ReplicaSample{Alive: true, SegsIn: float64(i), DepositedBytes: float64(i)},
 			ReplicaSample{Alive: true, SegsIn: 1, DepositedBytes: 1})
 	}
 	if v := h.Verdict("s1"); v != Dead {
-		t.Fatalf("silent s1=%v, want dead after 3 silent intervals", v)
+		t.Fatalf("silent s1=%v, want dead after %d silent intervals", v, deadAfter)
 	}
 	// An idle network (nobody receiving) must never kill anyone.
-	h2 := NewHealthScorer(HealthConfig{DeadAfter: 2})
-	for i := 1; i <= 6; i++ {
+	h2 := NewHealthScorer()
+	for i := 1; i <= 2*deadAfter; i++ {
 		tickAt(h2, ms(i), ReplicaSample{Alive: true}, ReplicaSample{Alive: true})
 	}
 	if v := h2.Verdict("s0"); v != Healthy {

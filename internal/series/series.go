@@ -70,12 +70,13 @@ type Series struct {
 	last  float64
 }
 
-// newSeries builds a series with the given ring capacity (minimum 1).
-func newSeries(name string, kind Kind, unit string, capacity int) *Series {
-	if capacity < 1 {
-		capacity = 1
-	}
-	return &Series{name: name, kind: kind, unit: unit, pts: make([]Point, capacity)}
+// ringCapacity is every series' ring capacity: at the default 100 ms
+// cadence it retains the last ~100 virtual seconds.
+const ringCapacity = 1024
+
+// newSeries builds an empty series.
+func newSeries(name string, kind Kind, unit string) *Series {
+	return &Series{name: name, kind: kind, unit: unit, pts: make([]Point, ringCapacity)}
 }
 
 // Observe appends one point, evicting the oldest if the ring is full.
@@ -159,22 +160,13 @@ func (s *Series) Points(dst []Point) []Point {
 // Set is an ordered registry of series. Iteration follows creation order —
 // never map order — so every export and report is byte-stable across runs.
 type Set struct {
-	byName   map[string]*Series
-	order    []*Series
-	capacity int
+	byName map[string]*Series
+	order  []*Series
 }
 
-// DefaultCapacity is the per-series ring capacity NewSet uses when given 0:
-// at the default 100 ms cadence it retains the last ~100 virtual seconds.
-const DefaultCapacity = 1024
-
-// NewSet creates a registry whose series retain capacity points each
-// (DefaultCapacity if 0).
-func NewSet(capacity int) *Set {
-	if capacity <= 0 {
-		capacity = DefaultCapacity
-	}
-	return &Set{byName: make(map[string]*Series), capacity: capacity}
+// NewSet creates an empty registry.
+func NewSet() *Set {
+	return &Set{byName: make(map[string]*Series)}
 }
 
 // Counter returns the named counter series, creating it on first use.
@@ -187,7 +179,7 @@ func (s *Set) series(name string, kind Kind, unit string) *Series {
 	if sr, ok := s.byName[name]; ok {
 		return sr
 	}
-	sr := newSeries(name, kind, unit, s.capacity)
+	sr := newSeries(name, kind, unit)
 	s.byName[name] = sr
 	s.order = append(s.order, sr)
 	return sr

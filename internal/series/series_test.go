@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
-	"strings"
 	"testing"
 	"time"
 
@@ -12,38 +11,39 @@ import (
 )
 
 func TestSeriesRingEviction(t *testing.T) {
-	s := newSeries("x", Gauge, "", 4)
-	for i := 0; i < 10; i++ {
+	s := newSeries("x", Gauge, "")
+	const n = ringCapacity + 6
+	for i := 0; i < n; i++ {
 		s.Observe(time.Duration(i)*time.Millisecond, float64(i))
 	}
-	if s.Len() != 4 || s.Cap() != 4 {
-		t.Fatalf("len=%d cap=%d, want 4/4", s.Len(), s.Cap())
+	if s.Len() != ringCapacity || s.Cap() != ringCapacity {
+		t.Fatalf("len=%d cap=%d, want %d/%d", s.Len(), s.Cap(), ringCapacity, ringCapacity)
 	}
-	if s.Count() != 10 {
-		t.Fatalf("count=%d, want 10", s.Count())
+	if s.Count() != n {
+		t.Fatalf("count=%d, want %d", s.Count(), n)
 	}
-	// Retained window is the last four points, oldest first.
-	for i := 0; i < 4; i++ {
+	// Retained window is the last ringCapacity points, oldest first.
+	for i := 0; i < ringCapacity; i++ {
 		p := s.At(i)
 		want := float64(6 + i)
 		if p.V != want || p.T != time.Duration(6+i)*time.Millisecond {
 			t.Fatalf("At(%d)=%+v, want v=%v", i, p, want)
 		}
 	}
-	if s.Total() != 45 || s.Max() != 9 || s.Last() != 9 {
-		t.Fatalf("total=%v max=%v last=%v, want 45/9/9", s.Total(), s.Max(), s.Last())
+	if s.Total() != n*(n-1)/2 || s.Max() != n-1 || s.Last() != n-1 {
+		t.Fatalf("total=%v max=%v last=%v, want %d/%d/%d", s.Total(), s.Max(), s.Last(), n*(n-1)/2, n-1, n-1)
 	}
-	if got := s.Mean(); got != 4.5 {
-		t.Fatalf("mean=%v, want 4.5", got)
+	if got := s.Mean(); got != float64(n-1)/2 {
+		t.Fatalf("mean=%v, want %v", got, float64(n-1)/2)
 	}
 	pts := s.Points(nil)
-	if len(pts) != 4 || pts[0].V != 6 || pts[3].V != 9 {
-		t.Fatalf("Points=%v", pts)
+	if len(pts) != ringCapacity || pts[0].V != 6 || pts[ringCapacity-1].V != n-1 {
+		t.Fatalf("Points: %d points from %v to %v", len(pts), pts[0], pts[len(pts)-1])
 	}
 }
 
 func TestObserveDoesNotAllocate(t *testing.T) {
-	s := newSeries("x", Counter, "", 128)
+	s := newSeries("x", Counter, "")
 	var i int
 	allocs := testing.AllocsPerRun(1000, func() {
 		s.Observe(time.Duration(i), float64(i))
@@ -55,7 +55,7 @@ func TestObserveDoesNotAllocate(t *testing.T) {
 }
 
 func TestSetOrderAndIdentity(t *testing.T) {
-	set := NewSet(8)
+	set := NewSet()
 	c := set.Counter("b.count", "segments")
 	g := set.Gauge("a.depth", "bytes")
 	if set.Counter("b.count", "segments") != c {
@@ -73,7 +73,7 @@ func TestSetOrderAndIdentity(t *testing.T) {
 }
 
 func TestWriteJSONLRoundTrip(t *testing.T) {
-	set := NewSet(8)
+	set := NewSet()
 	c := set.Counter("retransmits", "segments")
 	c.Observe(100*time.Millisecond, 2)
 	c.Observe(200*time.Millisecond, 3)
@@ -108,25 +108,6 @@ func TestWriteJSONLRoundTrip(t *testing.T) {
 	}
 }
 
-func TestWriteCSV(t *testing.T) {
-	set := NewSet(8)
-	set.Gauge("depth", "bytes").Observe(time.Second, 42)
-	var buf bytes.Buffer
-	if err := WriteCSV(&buf, Meta{Every: time.Second, Ticks: 1}, set); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	if len(lines) != 3 {
-		t.Fatalf("lines=%q", lines)
-	}
-	if !strings.HasPrefix(lines[0], "# hydranet-series v1 every_ns=1000000000") {
-		t.Fatalf("header=%q", lines[0])
-	}
-	if lines[2] != "depth,gauge,bytes,1000000000,42" {
-		t.Fatalf("row=%q", lines[2])
-	}
-}
-
 func TestSamplerCadenceAndStop(t *testing.T) {
 	sched := sim.NewScheduler(1)
 	sm := NewSampler(sched, 10*time.Millisecond)
@@ -156,7 +137,7 @@ func TestSamplerCadenceAndStop(t *testing.T) {
 func TestSamplerTickDoesNotAllocate(t *testing.T) {
 	sched := sim.NewScheduler(1)
 	sm := NewSampler(sched, time.Millisecond)
-	s := newSeries("x", Gauge, "", 64)
+	s := newSeries("x", Gauge, "")
 	sm.OnSample(func(now time.Duration) { s.Observe(now, 1) })
 	sm.Start()
 	sched.RunUntil(5 * time.Millisecond) // warm the timer free-list

@@ -31,9 +31,8 @@ import (
 // amortized O(1) with a per-node index. A span instant is "covered" by a
 // cursor when the cursor passed the span's first byte.
 type SpanCollector struct {
-	conns      map[spanConnKey]*connSpans
-	order      []spanConnKey
-	maxPerConn int
+	conns map[spanConnKey]*connSpans
+	order []spanConnKey
 
 	droppedSpans uint64
 
@@ -45,20 +44,13 @@ type spanConnKey struct {
 	service, client Endpoint
 }
 
-// DefaultMaxSpansPerConn bounds each connection's span list; segments past
-// the bound are counted in DroppedSpans rather than recorded.
-const DefaultMaxSpansPerConn = 4096
+// maxSpansPerConn bounds each connection's span list; segments past the
+// bound are counted in DroppedSpans rather than recorded.
+const maxSpansPerConn = 4096
 
-// NewSpanCollector subscribes a collector to the bus. maxSpansPerConn <= 0
-// selects DefaultMaxSpansPerConn.
-func NewSpanCollector(b *obs.Bus, maxSpansPerConn int) *SpanCollector {
-	if maxSpansPerConn <= 0 {
-		maxSpansPerConn = DefaultMaxSpansPerConn
-	}
-	sc := &SpanCollector{
-		conns:      make(map[spanConnKey]*connSpans),
-		maxPerConn: maxSpansPerConn,
-	}
+// NewSpanCollector subscribes a collector to the bus.
+func NewSpanCollector(b *obs.Bus) *SpanCollector {
+	sc := &SpanCollector{conns: make(map[spanConnKey]*connSpans)}
 	b.Subscribe(sc.observe,
 		obs.KindMulticast, obs.KindDeposit, obs.KindChainRecv, obs.KindAckProgress)
 	return sc
@@ -128,7 +120,7 @@ func (sc *SpanCollector) observe(e obs.Event) {
 		}
 		cs.lastSeq = seq
 		cs.started = true
-		if len(cs.spans) >= sc.maxPerConn {
+		if len(cs.spans) >= maxSpansPerConn {
 			sc.droppedSpans++
 			return
 		}

@@ -33,7 +33,7 @@ func publishAt(now *time.Duration, b *obs.Bus, at time.Duration, e obs.Event) {
 // span.
 func TestSpanCollectorAssemblesTimeline(t *testing.T) {
 	now, bus := spanBus()
-	sc := NewSpanCollector(bus, 0)
+	sc := NewSpanCollector(bus)
 
 	// Two data segments fanned out (1000 bytes each, first byte seq 1000).
 	publishAt(now, bus, 10*time.Millisecond,
@@ -102,7 +102,7 @@ func TestSpanCollectorAssemblesTimeline(t *testing.T) {
 // re-spanned.
 func TestSpanCollectorRetransmitsDedupe(t *testing.T) {
 	now, bus := spanBus()
-	sc := NewSpanCollector(bus, 0)
+	sc := NewSpanCollector(bus)
 	publishAt(now, bus, time.Millisecond,
 		obs.Event{Kind: obs.KindMulticast, Service: spanSvc, Conn: spanClient, Seq: 1000})
 	publishAt(now, bus, 2*time.Millisecond,
@@ -125,7 +125,7 @@ func TestSpanCollectorRetransmitsDedupe(t *testing.T) {
 // create or touch spans.
 func TestSpanCollectorIgnoresNonSpanEvents(t *testing.T) {
 	now, bus := spanBus()
-	sc := NewSpanCollector(bus, 0)
+	sc := NewSpanCollector(bus)
 
 	// Pure ACK multicast: the redirector leaves Seq zero.
 	publishAt(now, bus, time.Millisecond,
@@ -150,13 +150,13 @@ func TestSpanCollectorIgnoresNonSpanEvents(t *testing.T) {
 
 func TestSpanCollectorBoundsSpansPerConn(t *testing.T) {
 	now, bus := spanBus()
-	sc := NewSpanCollector(bus, 2)
-	for i := 0; i < 5; i++ {
+	sc := NewSpanCollector(bus)
+	for i := 0; i < maxSpansPerConn+3; i++ {
 		publishAt(now, bus, time.Duration(i+1)*time.Millisecond,
 			obs.Event{Kind: obs.KindMulticast, Service: spanSvc, Conn: spanClient, Seq: uint64(1000 * (i + 1))})
 	}
-	if got := len(sc.Timelines()[0].Spans); got != 2 {
-		t.Fatalf("spans = %d, want 2", got)
+	if got := len(sc.Timelines()[0].Spans); got != maxSpansPerConn {
+		t.Fatalf("spans = %d, want %d", got, maxSpansPerConn)
 	}
 	if sc.DroppedSpans() != 3 {
 		t.Fatalf("dropped = %d, want 3", sc.DroppedSpans())
@@ -167,7 +167,7 @@ func TestSpanCollectorBoundsSpansPerConn(t *testing.T) {
 // arithmetic), so spans spanning the wrap point still resolve.
 func TestSpanCollectorSeqWraparound(t *testing.T) {
 	now, bus := spanBus()
-	sc := NewSpanCollector(bus, 0)
+	sc := NewSpanCollector(bus)
 	high := uint64(0xffffff00)
 	publishAt(now, bus, time.Millisecond,
 		obs.Event{Kind: obs.KindMulticast, Service: spanSvc, Conn: spanClient, Seq: high})
@@ -182,7 +182,7 @@ func TestSpanCollectorSeqWraparound(t *testing.T) {
 
 func TestSpanCollectorWriteJSON(t *testing.T) {
 	now, bus := spanBus()
-	sc := NewSpanCollector(bus, 0)
+	sc := NewSpanCollector(bus)
 	publishAt(now, bus, time.Millisecond,
 		obs.Event{Kind: obs.KindMulticast, Service: spanSvc, Conn: spanClient, Seq: 1000})
 	publishAt(now, bus, 2*time.Millisecond,

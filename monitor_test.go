@@ -265,7 +265,7 @@ func TestMonitorSeededViolations(t *testing.T) {
 func TestMonitorDumpOnViolation(t *testing.T) {
 	net, client, rd, replicas := ftTopology(t, 13, 2)
 	mon := net.StartMonitor(MonitorConfig{Scenario: "seeded-dump"})
-	flight := net.startFlightRecorder(256, 256)
+	flight := net.startFlightRecorder()
 	prefix := filepath.Join(t.TempDir(), "violation")
 	flight.DumpOnViolation(mon, prefix)
 

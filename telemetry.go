@@ -66,7 +66,7 @@ type watchedReplica struct {
 func (n *Net) startSampler(every time.Duration, spans *tcp.SpanCollector, probe *obs.FailoverProbe, watch []*Host) *telemetry {
 	t := &telemetry{
 		net:     n,
-		set:     series.NewSet(0),
+		set:     series.NewSet(),
 		sampler: series.NewSampler(n.sched, every),
 		spans:   spans,
 		probe:   probe,
@@ -88,7 +88,7 @@ func (n *Net) startSampler(every time.Duration, spans *tcp.SpanCollector, probe 
 		})
 	}
 	if len(watch) > 0 {
-		t.scorer = series.NewHealthScorer(series.HealthConfig{})
+		t.scorer = series.NewHealthScorer()
 	}
 	for _, w := range watch {
 		for i, h := range n.hosts {
@@ -222,7 +222,7 @@ func (t *telemetry) sample(now time.Duration) {
 	t.prev = cur
 }
 
-// connLabel names a connection by its endpoints, comma-free for CSV.
+// connLabel names a connection by its endpoints.
 func connLabel(c *Conn) string {
 	return c.Local().String() + "-" + c.Remote().String()
 }
@@ -242,16 +242,10 @@ func (t *telemetry) meta() series.Meta {
 	return m
 }
 
-// WriteJSONL exports the collected series as JSON lines (canonical
-// format: meta header with the failover timeline, then one object per
-// series).
+// WriteJSONL exports the collected series as JSON lines: the meta header
+// with the failover timeline, then one object per series.
 func (t *telemetry) WriteJSONL(w io.Writer) error {
 	return series.WriteJSONL(w, t.meta(), t.set)
-}
-
-// WriteCSV exports the retained windows as long-form CSV.
-func (t *telemetry) WriteCSV(w io.Writer) error {
-	return series.WriteCSV(w, t.meta(), t.set)
 }
 
 // SetProcessing changes the host's CPU cost model mid-run — gray-failure
