@@ -1,8 +1,6 @@
-// Command hydralint runs the hydranet static-invariant analyzers (framepool,
-// determinism) over Go packages:
+// Command hydralint runs the hydranet determinism analyzer over Go packages:
 //
 //	go run ./cmd/hydralint ./...
-//	go run ./cmd/hydralint -determinism=false ./...
 //	go run ./cmd/hydralint -time ./...
 //
 // Exit status: 0 when clean, 1 on an internal or load error, 2 when
@@ -20,46 +18,22 @@ import (
 
 	"hydranet/internal/lint"
 	"hydranet/internal/lint/determinism"
-	"hydranet/internal/lint/framepool"
 	"hydranet/internal/lint/load"
 )
-
-var analyzers = []*lint.Analyzer{
-	framepool.Analyzer,
-	determinism.Analyzer,
-}
 
 func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
 func run(args []string, stdout, stderr io.Writer) int {
+	a := determinism.Analyzer
 	fs := flag.NewFlagSet("hydralint", flag.ExitOnError)
-	timing := fs.Bool("time", false, "report per-analyzer wall time on stderr")
-	enabled := map[string]*bool{}
-	for _, a := range analyzers {
-		enabled[a.Name] = fs.Bool(a.Name, true, "run the "+a.Name+" analyzer: "+a.Doc)
-	}
+	timing := fs.Bool("time", false, "report the analyzer's wall time on stderr")
 	fs.Usage = func() {
-		fmt.Fprintf(fs.Output(), "usage: hydralint [flags] [packages]\n\nAnalyzers:\n")
-		for _, a := range analyzers {
-			fmt.Fprintf(fs.Output(), "  %-12s %s\n", a.Name, a.Doc)
-		}
-		fmt.Fprintf(fs.Output(), "\nFlags:\n")
+		fmt.Fprintf(fs.Output(), "usage: hydralint [flags] [packages]\n\n%s: %s\n\nFlags:\n", a.Name, a.Doc)
 		fs.PrintDefaults()
 	}
 	if err := fs.Parse(args); err != nil {
-		return 1
-	}
-
-	var active []*lint.Analyzer
-	for _, a := range analyzers {
-		if *enabled[a.Name] {
-			active = append(active, a)
-		}
-	}
-	if len(active) == 0 {
-		fmt.Fprintln(stderr, "hydralint: every analyzer is disabled")
 		return 1
 	}
 
@@ -75,23 +49,19 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	var diags []lint.Diagnostic
-	spent := map[string]time.Duration{}
+	var spent time.Duration
 	for _, pkg := range pkgs {
-		for _, a := range active {
-			pass := lint.NewPass(a, pkg.Fset, pkg.Files, pkg.Types, pkg.Info, &diags)
-			start := time.Now()
-			err := a.Run(pass)
-			spent[a.Name] += time.Since(start)
-			if err != nil {
-				fmt.Fprintf(stderr, "hydralint: %s on %s: %v\n", a.Name, pkg.PkgPath, err)
-				return 1
-			}
+		pass := lint.NewPass(a, pkg.Fset, pkg.Files, pkg.Types, pkg.Info, &diags)
+		start := time.Now()
+		err := a.Run(pass)
+		spent += time.Since(start)
+		if err != nil {
+			fmt.Fprintf(stderr, "hydralint: %s on %s: %v\n", a.Name, pkg.PkgPath, err)
+			return 1
 		}
 	}
 	if *timing {
-		for _, a := range active {
-			fmt.Fprintf(stderr, "hydralint: %-12s %s\n", a.Name, spent[a.Name].Round(time.Microsecond))
-		}
+		fmt.Fprintf(stderr, "hydralint: %-12s %s\n", a.Name, spent.Round(time.Microsecond))
 	}
 	lint.SortDiagnostics(diags)
 	for _, d := range diags {

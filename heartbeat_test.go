@@ -43,6 +43,49 @@ func TestLeaseDetectsIdleCrash(t *testing.T) {
 	}
 }
 
+// TestRecommissionKeepsOneHeartbeat: a host's heartbeat timer outlives its
+// crash (a dead node just transmits nothing), so recommissioning the host
+// must not start a second one. Over 10 idle seconds it sends as many frames
+// after the recommission as it did before the crash.
+func TestRecommissionKeepsOneHeartbeat(t *testing.T) {
+	net, _, rd, replicas := ftTopology(t, 131, 2)
+	svc, err := net.DeployFT(testSvc, rd, replicas,
+		FTOptions{Heartbeat: 500 * time.Millisecond}, echoAccept())
+	if err != nil {
+		t.Fatal(err)
+	}
+	net.Settle()
+	h := replicas[1]
+	sent := func() uint64 {
+		for _, hs := range net.Snapshot().Hosts {
+			if hs.Name == h.Name() {
+				return hs.Frames.Sent
+			}
+		}
+		t.Fatalf("no snapshot for %s", h.Name())
+		return 0
+	}
+	idleFrames := func() uint64 {
+		before := sent()
+		net.RunFor(10 * time.Second)
+		return sent() - before
+	}
+	want := idleFrames()
+	h.Crash()
+	net.RunFor(5 * time.Second) // the lease expires
+	h.Restart()
+	if err := svc.Recommission(h); err != nil {
+		t.Fatal(err)
+	}
+	net.Settle()
+	if got := svc.Chain(); len(got) != 2 {
+		t.Fatalf("chain after recommission = %v, want 2 members", got)
+	}
+	if got := idleFrames(); got != want {
+		t.Fatalf("%s sent %d frames in 10 idle seconds after recommission, %d before the crash", h.Name(), got, want)
+	}
+}
+
 // TestLeaseSweepOrderIsReplayable: one lease sweep that expires the same
 // host from several services re-chains each of them — a burst of chain-set
 // and mirror datagrams — so the order the daemon walks its services in is

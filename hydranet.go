@@ -151,8 +151,8 @@ func (n *Net) Bus() *obs.Bus { return n.bus }
 // buffer returned to the fabric's pool is overwritten with a sentinel
 // pattern before reuse, so a component that illegally retains a reference
 // past its delivery callback observes corruption instead of silently
-// reading recycled data. A testing aid — it costs one memset per released
-// frame and must not change any observable result.
+// reading recycled data. A testing aid, on in every test binary — it costs
+// one memset per released frame and must not change any observable result.
 func (n *Net) PoisonFrames(on bool) { n.fab.Pool().SetPoison(on) }
 
 // Now returns the current virtual time.

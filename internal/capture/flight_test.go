@@ -185,12 +185,11 @@ func TestFlightRecorderAttachBus(t *testing.T) {
 // TestRecordFrameCopiesBeforeFrameRecycle locks in that the flight
 // recorder copies frame bytes synchronously during RecordFrame: the tap
 // hands it a slice aliasing a pooled frame that the fabric recycles (and,
-// in poison mode, scribbles) immediately afterwards.
+// in a test binary, scribbles) immediately afterwards.
 func TestRecordFrameCopiesBeforeFrameRecycle(t *testing.T) {
 	now, clock := fakeClock()
 	f := NewFlightRecorder(clock)
 	pool := frame.NewPool()
-	pool.SetPoison(true)
 
 	want := []byte{1, 2, 3, 4, 5, 6, 7, 8}
 	*now = time.Millisecond

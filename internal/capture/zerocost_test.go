@@ -99,6 +99,7 @@ func TestFrameTapSeesBothDirections(t *testing.T) {
 // quoted in DESIGN.md, next to netsim's BenchmarkLinkRoundTrip baseline.
 func BenchmarkLinkRoundTripCapture(b *testing.B) {
 	s, nw, a, h := linkPair()
+	nw.Pool().SetPoison(false) // time the production path
 	c, err := New(io.Discard, s.Now)
 	if err != nil {
 		b.Fatal(err)
@@ -122,6 +123,7 @@ func BenchmarkLinkRoundTripCapture(b *testing.B) {
 // ring copy on the path instead of the pcap serializer.
 func BenchmarkLinkRoundTripFlightRecorder(b *testing.B) {
 	s, nw, a, h := linkPair()
+	nw.Pool().SetPoison(false) // time the production path
 	f := NewFlightRecorder(s.Now)
 	nw.SetFrameTap(f.Tap())
 	frame := make([]byte, 1500)

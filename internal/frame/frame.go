@@ -9,7 +9,8 @@
 // header in place with Prepend. When the fabric finishes delivering the
 // frame, the buffer returns to the pool.
 //
-// Ownership rules (enforced by convention, checked by poison mode):
+// Ownership rules (enforced by convention, checked by poison mode, which is
+// on in every test binary and off everywhere else):
 //
 //   - Whoever calls Pool.Get owns the Buf until ownership is handed off.
 //   - Passing a Buf to netsim.Node.SendFrame transfers ownership to the
@@ -26,6 +27,7 @@ package frame
 import (
 	"fmt"
 	"sync/atomic"
+	"testing"
 )
 
 // Headroom is the number of bytes reserved in front of every pooled buffer:
@@ -111,13 +113,19 @@ type Pool struct {
 	gets, puts, misses uint64
 }
 
-// NewPool returns an empty pool.
-func NewPool() *Pool { return &Pool{} }
+// NewPool returns an empty pool. It poisons in test binaries and nowhere
+// else, so every test checks frame ownership and production never pays.
+func NewPool() *Pool {
+	p := &Pool{}
+	p.poison.Store(testing.Testing())
+	return p
+}
 
-// SetPoison makes Release overwrite returned buffers with 0xDB. Tests use
-// this to turn "read after release" bugs into loud, deterministic failures
-// instead of silent heisenbugs. Unlike the rest of the pool it is safe to
-// call from any goroutine.
+// SetPoison makes Release overwrite returned buffers with 0xDB, turning
+// "read after release" bugs into loud, deterministic failures instead of
+// silent heisenbugs. NewPool already turns it on in tests; a benchmark
+// turns it off to time the production path. Unlike the rest of the pool it
+// is safe to call from any goroutine.
 func (p *Pool) SetPoison(on bool) { p.poison.Store(on) }
 
 // Poisoned reports whether poison mode is on. Layers that parse frames into

@@ -104,6 +104,7 @@ func TestSizeClassSelection(t *testing.T) {
 
 func BenchmarkGetRelease(b *testing.B) {
 	p := NewPool()
+	p.SetPoison(false) // time the production path
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

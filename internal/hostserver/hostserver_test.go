@@ -12,7 +12,13 @@ import (
 
 type sink struct{ pkts []*ipv4.Packet }
 
-func (s *sink) DeliverIP(p *ipv4.Packet) { s.pkts = append(s.pkts, p) }
+// DeliverIP keeps a copy: p is the host server's scratch packet and its
+// payload is the fabric's frame, both valid for the call only.
+func (s *sink) DeliverIP(p *ipv4.Packet) {
+	c := *p
+	c.Payload = append([]byte(nil), p.Payload...)
+	s.pkts = append(s.pkts, &c)
+}
 
 // rig: sender — hostserver, directly linked.
 func rig(t *testing.T) (*sim.Scheduler, *ipv4.Stack, *HostServer, ipv4.Addr) {

@@ -246,15 +246,14 @@ func TestRefragmentMiddleFragmentPreservesMF(t *testing.T) {
 }
 
 // TestReassemblerCopiesFromPooledFrames is the regression test for the
-// retained-slice hazard the framepool analyzer polices: fragment payloads
-// arrive aliasing a pooled frame's bytes, and the fabric recycles that
-// frame the moment the handler returns. Poison mode turns any alias the
-// reassembler keeps into 0xDB scribbles in the reassembled datagram.
+// retained-slice hazard: fragment payloads arrive aliasing a pooled frame's
+// bytes, and the fabric recycles that frame the moment the handler returns.
+// Poison mode, on in every test, turns any alias the reassembler keeps into
+// 0xDB scribbles in the reassembled datagram.
 func TestReassemblerCopiesFromPooledFrames(t *testing.T) {
 	s := sim.NewScheduler(1)
 	r := NewReassembler(s)
 	pool := frame.NewPool()
-	pool.SetPoison(true)
 
 	p := mkPacket(4000)
 	frags, err := Fragment(p, 1500)
@@ -396,7 +395,6 @@ func (h *ipipInjector) DeliverIP(outer *Packet) {
 // returns; poison mode scribbles both afterwards.
 func TestReassemblyReentrantDuringDelivery(t *testing.T) {
 	sched, cs, _, ss := threeNodeNet(t, netsim.LinkConfig{MTU: 1500})
-	ss.Node().Pool().SetPoison(true)
 	vhost := inet.MustParseAddr("192.20.225.20")
 	ss.AddLocalAddr(vhost)
 	decap := &ipipInjector{t: t, s: ss}

@@ -1,9 +1,11 @@
 package ipv4
 
 import (
+	"bytes"
 	"testing"
 	"time"
 
+	"hydranet/internal/frame"
 	"hydranet/internal/inet"
 	"hydranet/internal/netsim"
 	"hydranet/internal/sim"
@@ -20,6 +22,23 @@ func clonePacket(p *Packet) *Packet {
 	c := *p
 	c.Payload = append([]byte(nil), p.Payload...)
 	return &c
+}
+
+// segment puts payload in a pooled frame of s's network, the way a
+// transport hands a datagram to SendSegment.
+func segment(s *Stack, payload []byte) *frame.Buf {
+	fb := s.Node().Pool().Get(len(payload))
+	copy(fb.Bytes(), payload)
+	return fb
+}
+
+// noFramesOut is the leak check, made once the run is idle: every frame
+// taken from s's network pool has been released.
+func noFramesOut(t *testing.T, s *Stack) {
+	t.Helper()
+	if n := s.Node().Pool().Outstanding(); n != 0 {
+		t.Fatalf("%d frames outstanding once idle, want 0", n)
+	}
 }
 
 // threeNodeNet builds client — router — server with /24s on each side.
@@ -85,30 +104,45 @@ func TestForwardingDisabledDropsTransit(t *testing.T) {
 	}
 }
 
+// TestLoopbackDelivery: a datagram to the stack's own address comes back up
+// through its handler, sent as bytes or as a pooled frame. The frame lives
+// until the deferred delivery has run, and is released there.
 func TestLoopbackDelivery(t *testing.T) {
 	sched, cs, _, _ := threeNodeNet(t, netsim.LinkConfig{})
 	recv := &sink{}
 	cs.RegisterProto(ProtoUDP, recv)
-	if err := cs.Send(ProtoUDP, 0, inet.MustParseAddr("10.1.0.2"), []byte("self")); err != nil {
+	self := inet.MustParseAddr("10.1.0.2")
+	if err := cs.Send(ProtoUDP, 0, self, []byte("self")); err != nil {
+		t.Fatal(err)
+	}
+	if err := cs.SendSegment(ProtoUDP, self, self, segment(cs, []byte("frame"))); err != nil {
 		t.Fatal(err)
 	}
 	sched.Run()
-	if len(recv.pkts) != 1 || string(recv.pkts[0].Payload) != "self" {
+	if len(recv.pkts) != 2 || string(recv.pkts[0].Payload) != "self" || string(recv.pkts[1].Payload) != "frame" {
 		t.Fatal("loopback delivery failed")
 	}
+	noFramesOut(t, cs)
 }
 
+// TestNoRouteError: both send paths fail with no route, and SendSegment
+// releases the frame it was handed.
 func TestNoRouteError(t *testing.T) {
 	sched := sim.NewScheduler(1)
 	net := netsim.New(sched)
 	n := net.AddNode(netsim.NodeConfig{Name: "lonely"})
 	s := NewStack(n, sched)
-	if err := s.Send(ProtoUDP, 0, inet.MustParseAddr("1.2.3.4"), nil); err == nil {
+	dst := inet.MustParseAddr("1.2.3.4")
+	if err := s.Send(ProtoUDP, 0, dst, nil); err == nil {
 		t.Fatal("Send with no route succeeded")
 	}
-	if s.Stats().NoRoute != 1 {
-		t.Errorf("NoRoute = %d, want 1", s.Stats().NoRoute)
+	if err := s.SendSegment(ProtoUDP, inet.MustParseAddr("10.0.0.1"), dst, segment(s, []byte("x"))); err == nil {
+		t.Fatal("SendSegment with no route succeeded")
 	}
+	if s.Stats().NoRoute != 2 {
+		t.Errorf("NoRoute = %d, want 2", s.Stats().NoRoute)
+	}
+	noFramesOut(t, s)
 }
 
 func TestTTLExpiry(t *testing.T) {
@@ -205,6 +239,21 @@ func TestPathMTUFragmentationEndToEnd(t *testing.T) {
 	if st := ss.Reassembly(); st != (ReassemblyStats{}) {
 		t.Fatalf("reassembler gave up on something: %+v", st)
 	}
+
+	// A pooled frame too big for the first hop takes SendSegment's slow
+	// path: the sender fragments out of it and releases it at once.
+	big := make([]byte, 3000)
+	for i := range big {
+		big[i] = byte(i * 13)
+	}
+	if err := cs.SendSegment(ProtoUDP, cs.Addr(0), inet.MustParseAddr("10.2.0.2"), segment(cs, big)); err != nil {
+		t.Fatal(err)
+	}
+	sched.Run()
+	if len(recv.pkts) != 2 || !bytes.Equal(recv.pkts[1].Payload, big) {
+		t.Fatalf("SendSegment's fragments did not reassemble (%d datagrams)", len(recv.pkts))
+	}
+	noFramesOut(t, cs)
 }
 
 func TestForwardHookConsumes(t *testing.T) {

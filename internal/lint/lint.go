@@ -1,8 +1,9 @@
 // Package lint is a minimal, dependency-free static-analysis framework
 // modelled on golang.org/x/tools/go/analysis. The simulator's correctness
-// rests on conventions the compiler cannot see — frame-pool ownership,
-// bit-identical deterministic replay — and this package is the machinery
-// that turns those conventions into compile-time checks.
+// rests on a convention the compiler cannot see — bit-identical
+// deterministic replay — and this package is the machinery that turns it
+// into a compile-time check. (Frame-pool ownership, the other such
+// convention, is checked at run time: every test binary poisons its pools.)
 //
 // The API mirrors go/analysis deliberately (Analyzer, Pass, Diagnostic) so
 // the custom analyzers would port to the real framework mechanically if the

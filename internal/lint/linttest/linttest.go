@@ -5,8 +5,7 @@
 // `go build ./...`), and annotate the diagnostics they expect with
 // trailing comments:
 //
-//	b.Release()
-//	use(b.Bytes()) // want "use of pooled frame"
+//	for k := range m { // want "map iteration order is nondeterministic"
 //
 // Each string after `want` is a regular expression; a line may carry
 // several. The harness fails the test when a diagnostic has no matching

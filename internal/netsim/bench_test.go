@@ -26,6 +26,7 @@ func BenchmarkLinkRoundTrip(b *testing.B) {
 		b.Run(sizeName(size), func(b *testing.B) {
 			s := sim.NewScheduler(1)
 			net := New(s)
+			net.Pool().SetPoison(false) // time the production path
 			a := net.AddNode(NodeConfig{Name: "a"})
 			c := net.AddNode(NodeConfig{Name: "c"})
 			net.Connect(a, c, LinkConfig{Rate: 100_000_000, Delay: 10 * time.Microsecond})

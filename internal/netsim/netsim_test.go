@@ -14,8 +14,9 @@ type recorder struct {
 	sched   *sim.Scheduler
 }
 
+// HandleFrame keeps a copy: frame is released when the call returns.
 func (r *recorder) HandleFrame(ifindex int, frame []byte) {
-	r.frames = append(r.frames, frame)
+	r.frames = append(r.frames, append([]byte(nil), frame...))
 	r.ifaces = append(r.ifaces, ifindex)
 	r.arrived = append(r.arrived, r.sched.Now())
 }
@@ -175,15 +176,42 @@ func TestCrashStopsTraffic(t *testing.T) {
 	if len(rb.frames) != 1 {
 		t.Fatal("restarted node did not receive")
 	}
+	// A frame waiting in the receiver's CPU lane when it dies is released
+	// undelivered.
+	b.SetProc(time.Millisecond, 0)
+	a.Send(0, []byte{3})
+	s.RunUntil(s.Now() + time.Millisecond/2)
+	b.Crash()
+	s.Run()
+	if len(rb.frames) != 1 {
+		t.Fatal("a node that died with a frame in its CPU lane delivered it")
+	}
+	if n := b.Pool().Outstanding(); n != 0 {
+		t.Fatalf("%d frames outstanding once idle, want 0", n)
+	}
 }
 
 func TestCrashedNodeCannotSend(t *testing.T) {
 	s, a, _, _, rb := pair(t, LinkConfig{})
 	a.Crash()
 	a.Send(0, []byte{1})
+	a.SendFrame(0, a.Pool().Get(1)) // released at once
 	s.Run()
 	if len(rb.frames) != 0 {
 		t.Fatal("crashed node sent a frame")
+	}
+	// A frame waiting in the sender's CPU lane when it dies is released
+	// unsent.
+	a.Restart()
+	a.SetProc(time.Millisecond, 0)
+	a.Send(0, []byte{2})
+	a.Crash()
+	s.Run()
+	if len(rb.frames) != 0 {
+		t.Fatal("a node that died with a frame in its CPU lane sent it")
+	}
+	if n := a.Pool().Outstanding(); n != 0 {
+		t.Fatalf("%d frames outstanding once idle, want 0", n)
 	}
 }
 

@@ -16,9 +16,13 @@ type ipipSink struct {
 	ip    *ipv4.Stack
 }
 
+// DeliverIP keeps a copy: p is the stack's scratch packet and its payload is
+// the fabric's frame, both valid for the call only.
 func (s *ipipSink) DeliverIP(p *ipv4.Packet) {
-	s.outer = append(s.outer, p)
-	if in, err := ipv4.Unmarshal(p.Payload); err == nil {
+	c := *p
+	c.Payload = append([]byte(nil), p.Payload...)
+	s.outer = append(s.outer, &c)
+	if in, err := ipv4.Unmarshal(c.Payload); err == nil {
 		s.inner = append(s.inner, in)
 	}
 }

@@ -91,14 +91,12 @@ func (d *HostDaemon) Leave(svc core.ServiceID) {
 // and resume if it restarts, though a removed member must still re-register
 // to rejoin the chain.
 func (d *HostDaemon) StartHeartbeats(svc core.ServiceID, interval time.Duration) {
-	var tick func()
-	timer := sim.NewTimer(d.sched, func() {})
-	tick = func() {
+	var timer *sim.Timer
+	timer = sim.NewTimer(d.sched, func() {
 		msg := Message{Type: MsgHeartbeat, Service: svc, Host: d.hostAddr}
 		d.rel.Send(d.redirector, msg.Marshal(), nil)
 		timer.Reset(interval)
-	}
-	timer = sim.NewTimer(d.sched, tick)
+	})
 	timer.Reset(interval)
 }
 

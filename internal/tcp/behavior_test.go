@@ -138,6 +138,7 @@ func TestWindowUpdateResumesFlow(t *testing.T) {
 func BenchmarkBulkTransfer(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		e := newEnvB(b)
+		e.net.Pool().SetPoison(false) // time the production path
 		l, _ := e.server.Listen(0, 80)
 		l.SetAcceptFunc(func(c *Conn) { attachSink(c) })
 		c, _ := e.client.Connect(0, Endpoint{Addr: e.serverAddr, Port: 80})

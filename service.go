@@ -167,10 +167,9 @@ func (s *FTService) Recommission(h *Host) error {
 	} else {
 		listener = rep.Listener
 	}
+	// Heartbeats need no restart: the timer DeployFT started kept ticking
+	// through the crash.
 	rep.Port = h.Daemon(s.rd).RegisterFT(s.svc, ModeBackup, s.opts.Detector, listener)
-	if s.opts.Heartbeat > 0 {
-		h.Daemon(s.rd).StartHeartbeats(s.svc, s.opts.Heartbeat)
-	}
 	if b := h.net.bus; b.Enabled(obs.KindRecommission) {
 		b.Publish(obs.Event{
 			Kind: obs.KindRecommission, Node: h.name, Service: s.svc,
