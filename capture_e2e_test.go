@@ -141,8 +141,9 @@ func TestCaptureEndToEnd(t *testing.T) {
 // TestFlightRecorderDumpsOnFailover: the recorder must dump its rings the
 // instant the failover probe sees the promotion, and the dump must parse.
 func TestFlightRecorderDumpsOnFailover(t *testing.T) {
-	// Three replicas keep the chain slow enough that the 400 ms crash point
-	// lands mid-transfer (same shape as TestSnapshotAndFailoverTimeline).
+	// A 1 MiB echo takes about a second through three replicas, so the
+	// 400 ms crash point lands mid-transfer (same shape as
+	// TestSnapshotAndFailoverTimeline).
 	net, client, rd, replicas := ftTopology(t, 7, 3)
 	svc, err := net.DeployFT(testSvc, rd, replicas,
 		FTOptions{Detector: DetectorParams{RetransmitThreshold: 3}}, echoAccept())
@@ -155,7 +156,7 @@ func TestFlightRecorderDumpsOnFailover(t *testing.T) {
 	flight.DumpOnFailover(probe, prefix)
 	net.Settle()
 
-	payload := make([]byte, 256*1024)
+	payload := make([]byte, 1<<20)
 	received := streamClient(t, net, client, payload)
 	net.RunFor(400 * time.Millisecond)
 	svc.CrashPrimary()
@@ -221,7 +222,9 @@ func TestFailoverProbeBackupCrash(t *testing.T) {
 	probe.OnFailover(func(FailoverReport) { fired++ })
 	net.Settle()
 
-	payload := make([]byte, 256*1024)
+	// About a second of echo through three replicas: the 400 ms crash lands
+	// mid-transfer.
+	payload := make([]byte, 1<<20)
 	received := streamClient(t, net, client, payload)
 	net.RunFor(400 * time.Millisecond)
 	replicas[2].Crash() // the chain tail, not the primary

@@ -61,7 +61,7 @@ func parseKinds(pattern string) ([]hydranet.EventKind, error) {
 
 func main() {
 	replicas := flag.Int("replicas", 3, "total replicas (1 primary + N-1 backups)")
-	bytes := flag.Int("bytes", 256*1024, "bytes the client streams through the echo service")
+	bytes := flag.Int("bytes", 1<<20, "bytes the client streams through the echo service")
 	crashAt := flag.Duration("crash-at", 400*time.Millisecond, "when to crash a replica (0 = never)")
 	crashWho := flag.String("crash", "primary", "which replica to crash: primary, backup, none")
 	threshold := flag.Int("threshold", 3, "failure detector retransmission threshold")

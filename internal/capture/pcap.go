@@ -70,8 +70,8 @@ func NewWriter(w io.Writer, snaplen int) (*Writer, error) {
 	}
 	var h [fileHeaderLen]byte
 	binary.LittleEndian.PutUint32(h[0:4], MagicNanos)
-	binary.LittleEndian.PutUint16(h[4:6], 2)  // version major
-	binary.LittleEndian.PutUint16(h[6:8], 4)  // version minor
+	binary.LittleEndian.PutUint16(h[4:6], 2) // version major
+	binary.LittleEndian.PutUint16(h[6:8], 4) // version minor
 	// h[8:16]: thiszone + sigfigs, both zero.
 	binary.LittleEndian.PutUint32(h[16:20], uint32(snaplen))
 	binary.LittleEndian.PutUint32(h[20:24], LinkTypeRaw)

@@ -15,7 +15,8 @@
 // The same gating applies to the SYN and FIN, which occupy sequence space,
 // so connection setup and teardown are chain-ordered too. Repeated client
 // retransmissions — the signature of a broken flow-control loop — feed a
-// low-latency failure estimator that triggers reconfiguration.
+// low-latency failure estimator that triggers reconfiguration, and so does
+// every RTO for which a gate holds bytes behind a silent successor.
 package core
 
 import (
@@ -58,7 +59,9 @@ func (m Mode) String() string {
 // detector-parameters argument of the paper's setportopt() call.
 type DetectorParams struct {
 	// RetransmitThreshold is how many client retransmissions on one
-	// connection raise a failure suspicion. The paper notes the trade-off:
+	// connection raise a failure suspicion; a replica's own timeouts and
+	// each RTO a gate holds bytes behind a silent successor count the same
+	// way. The paper notes the trade-off:
 	// low values detect quickly but risk false positives and interfere
 	// with TCP congestion control (triple-duplicate ACKs are normal).
 	// Default 4.
@@ -248,7 +251,33 @@ type ftConn struct {
 	depositLimit tcp.Seq // successor's RcvNxt
 	sendLimit    tcp.Seq // successor's SndNxt
 
-	retransmits int // client retransmissions since last progress
+	retransmits int // detector counts since the last progress
+
+	// stall runs while a gate holds bytes and the successor is silent.
+	stall sim.Timer
+}
+
+func (p *ReplicatedPort) newFTConn() *ftConn {
+	fc := &ftConn{port: p}
+	fc.stall.InitHandler(p.mgr.sched, (*stallExpiry)(fc))
+	return fc
+}
+
+// A *ftConn converted to stallExpiry is the stall timer's sim.Handler.
+type stallExpiry ftConn
+
+// OnTimer is the gate-stall rule: a gate has held bytes for one RTO in which
+// the successor sent nothing on this connection. That counts as one client
+// retransmission would — the successor's silence is what a client behind a
+// gated replica would otherwise have to time out on — and the wait repeats,
+// so k RTOs of silence meet threshold k.
+func (s *stallExpiry) OnTimer() {
+	fc := (*ftConn)(s)
+	if !fc.gated {
+		return // the gate was lifted
+	}
+	fc.stall.Reset(fc.conn.RTO())
+	fc.OnPeerRetransmit()
 }
 
 // Mode returns the replica's current role.
@@ -365,7 +394,7 @@ func (p *ReplicatedPort) adopt(c *tcp.Conn) {
 	client := c.Remote()
 	fc := p.conns[client]
 	if fc == nil {
-		fc = &ftConn{port: p}
+		fc = p.newFTConn()
 		p.conns[client] = fc
 	}
 	fc.conn = c
@@ -384,7 +413,7 @@ func (p *ReplicatedPort) onChainMsg(msg *ChainMsg) {
 		// normal); remember the limits for when our SYN arrives. If it
 		// never does (the SYN copy was lost, or the connection is already
 		// gone), the placeholder expires instead of leaking.
-		fc = &ftConn{port: p}
+		fc = p.newFTConn()
 		p.conns[msg.Client] = fc
 		client := msg.Client
 		p.mgr.sched.After(pendingConnTTL, func() {
@@ -402,6 +431,9 @@ func (p *ReplicatedPort) onChainMsg(msg *ChainMsg) {
 		fc.sendLimit = tcp.MaxSeq(fc.sendLimit, msg.SndNxt)
 	}
 	if fc.conn != nil {
+		// The successor spoke: a hold the new limits do not clear re-arms
+		// the stall timer from now (OnGateHold, from inside Poke).
+		fc.stall.Stop()
 		fc.conn.Poke()
 	}
 }
@@ -440,6 +472,13 @@ func (fc *ftConn) SendLimit() (tcp.Seq, bool) {
 	return fc.sendLimit, true
 }
 
+// OnGateHold starts the stall timer when a gate begins to hold bytes.
+func (fc *ftConn) OnGateHold() {
+	if !fc.stall.Armed() {
+		fc.stall.Reset(fc.conn.RTO())
+	}
+}
+
 // OnRTO counts a replica's own retransmission timeout like a client
 // retransmission — the push-direction failure signal: if the service streams
 // to a silent client, a dead primary never provokes client retransmissions,
@@ -450,7 +489,10 @@ func (fc *ftConn) OnRTO() { fc.OnPeerRetransmit() }
 func (fc *ftConn) OnAckProgress() { fc.retransmits = 0 }
 
 // OnClosed ends management of the connection.
-func (fc *ftConn) OnClosed(error) { delete(fc.port.conns, fc.conn.Remote()) }
+func (fc *ftConn) OnClosed(error) {
+	fc.stall.Stop()
+	delete(fc.port.conns, fc.conn.Remote())
+}
 
 // forwardChain strips a suppressed segment to its flow-control fields and
 // sends them up the acknowledgment channel.

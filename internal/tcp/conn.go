@@ -74,6 +74,12 @@ type ConnHooks interface {
 	DepositLimit() (limit Seq, ok bool)
 	// SendLimit bounds sndNxt the same way for the outbound stream.
 	SendLimit() (limit Seq, ok bool)
+	// OnGateHold fires whenever one of those limits, and nothing else,
+	// leaves bytes waiting: received contiguous data or a FIN at or above
+	// the deposit limit, or data or a queued FIN at a send limit the window
+	// would pass. It fires on every evaluation that finds the hold, so the
+	// receiver decides how long a hold may last.
+	OnGateHold()
 	// OnPeerRetransmit fires when the peer demonstrably retransmitted
 	// (data wholly below rcvNxt, or a duplicate SYN). It feeds the
 	// low-latency failure estimator.
@@ -490,7 +496,8 @@ func (c *Conn) output() {
 		wnd = c.cwnd
 	}
 	limit := c.sndUna.Add(wnd)
-	if gl, ok := c.sendLimit(); ok {
+	gl, gated := c.sendLimit()
+	if gated {
 		limit = MinSeq(limit, gl)
 	}
 	dataEnd := c.sndBuf.endSeq()
@@ -565,6 +572,11 @@ func (c *Conn) output() {
 		}
 		c.finStateTransition()
 		sentSomething = true
+	}
+	if gated && gl.LEQ(c.sndNxt) && c.sndNxt.LT(c.sndUna.Add(wnd)) &&
+		(c.sndNxt.LT(dataEnd) || c.finQueued && c.sndNxt == dataEnd) {
+		// The window would take more, and data or the FIN waits at the gate.
+		c.hooks.OnGateHold()
 	}
 	if sentSomething {
 		c.armRTX()

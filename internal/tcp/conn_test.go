@@ -463,6 +463,7 @@ type closedGate struct{ c *Conn }
 func (g closedGate) DepositLimit() (Seq, bool)    { return g.c.RcvNxt(), true }
 func (closedGate) SendLimit() (Seq, bool)         { return 0, false }
 func (closedGate) SuppressTransmit(*Segment) bool { return false }
+func (closedGate) OnGateHold()                    {}
 func (closedGate) OnPeerRetransmit()              {}
 func (closedGate) OnRTO()                         {}
 func (closedGate) OnAckProgress()                 {}

@@ -284,7 +284,10 @@ func (c *Conn) processData(seg *Segment) {
 		c.sendAck()
 		return
 	}
-	outOfOrder := seg.Seq.GT(c.rcv.rcvNxt)
+	// Out of order means a hole below the segment. Bytes the deposit gate
+	// holds are received, not missing: a gated replica acknowledges them when
+	// the gate opens (depositAndAck), not with a duplicate ACK now.
+	outOfOrder := seg.Seq.GT(c.rcv.contiguousEnd())
 	isNew := c.rcv.insert(seg.Seq, seg.Payload)
 	if seg.Seq.LT(c.rcv.rcvNxt) || !isNew {
 		// Partial overlap below rcvNxt, or data we already hold pending
@@ -353,6 +356,11 @@ func (c *Conn) depositAndAck() {
 		if c.onReadable != nil {
 			c.onReadable()
 		}
+	}
+	if gated && !c.terminated && (c.rcv.contiguousEnd().GT(limit) || c.rcv.finReady()) {
+		// Received bytes, or the FIN behind them, wait at the gate. (The
+		// application's read callback may have closed the connection.)
+		c.hooks.OnGateHold()
 	}
 }
 

@@ -47,7 +47,9 @@ func TestSnapshotAndFailoverTimeline(t *testing.T) {
 	probe := net.newFailoverProbe()
 	net.Settle()
 
-	payload := make([]byte, 256*1024)
+	// About a second of echo through three replicas: the 400 ms crash lands
+	// mid-transfer.
+	payload := make([]byte, 1<<20)
 	received := streamClient(t, net, client, payload)
 
 	net.RunFor(400 * time.Millisecond)
