@@ -1,12 +1,4 @@
-// Package load type-checks packages for the hydralint analyzers without
-// depending on golang.org/x/tools. It shells out to the go command once —
-// `go list -export -deps -json` — so every dependency's export data is
-// produced by a single shared build, then parses and type-checks only the
-// packages under analysis, resolving imports through the gc export data the
-// list call already paid for. This is what keeps a whole-repo lint run
-// cheaper than a test run: dependencies are never re-type-checked from
-// source, and nothing is compiled twice.
-package load
+package main
 
 import (
 	"bytes"
@@ -24,40 +16,42 @@ import (
 	"path/filepath"
 )
 
-// A Package is one type-checked package ready for analysis.
-type Package struct {
-	PkgPath string
-	Fset    *token.FileSet
-	Files   []*ast.File
-	Types   *types.Package
-	Info    *types.Info
+// A loadedPkg is one type-checked package ready for the determinism check.
+// The loader needs no golang.org/x/tools: one `go list -export -deps` call
+// builds every dependency's export data, and only the packages under
+// analysis are parsed and type-checked, so a whole-repo run never
+// re-type-checks a dependency from source or compiles anything twice.
+type loadedPkg struct {
+	path  string
+	fset  *token.FileSet
+	files []*ast.File
+	info  *types.Info
 }
 
 // listPkg is the subset of `go list -json` output the loader consumes.
 type listPkg struct {
 	ImportPath string
 	Dir        string
-	Name       string
 	GoFiles    []string
 	CgoFiles   []string
 	Export     string
-	Standard   bool
 	ImportMap  map[string]string
 	Error      *struct{ Err string }
 	DepOnly    bool
 }
 
-// Packages loads and type-checks the packages matched by patterns,
+// loadPackages loads and type-checks the packages matched by patterns,
 // interpreted relative to dir (the go command's working directory). Test
 // files are not loaded: hydralint checks the shipped simulator, and test
-// binaries are free to use time.Now or fmt as they please.
-func Packages(dir string, patterns ...string) ([]*Package, error) {
+// binaries are free to use time.Now or fmt as they please. GoFiles honours
+// build constraints, so a file excluded by its tags is never seen.
+func loadPackages(dir string, patterns ...string) ([]*loadedPkg, error) {
 	if len(patterns) == 0 {
 		patterns = []string{"."}
 	}
 	args := []string{
 		"list", "-e", "-export", "-deps",
-		"-json=ImportPath,Dir,Name,GoFiles,CgoFiles,Export,Standard,ImportMap,Error,DepOnly",
+		"-json=ImportPath,Dir,GoFiles,CgoFiles,Export,ImportMap,Error,DepOnly",
 	}
 	args = append(args, patterns...)
 	cmd := exec.Command("go", args...)
@@ -92,28 +86,25 @@ func Packages(dir string, patterns ...string) ([]*Package, error) {
 	}
 
 	fset := token.NewFileSet()
-	var pkgs []*Package
+	var pkgs []*loadedPkg
 	var errs []error
 	for _, t := range targets {
 		if len(t.CgoFiles) > 0 {
 			return nil, fmt.Errorf("package %s: cgo is not supported by hydralint", t.ImportPath)
 		}
-		pkg, err := check(fset, t, exports)
+		pkg, err := typeCheck(fset, t, exports)
 		if err != nil {
 			errs = append(errs, err)
 			continue
 		}
 		pkgs = append(pkgs, pkg)
 	}
-	if len(errs) > 0 {
-		return pkgs, errors.Join(errs...)
-	}
-	return pkgs, nil
+	return pkgs, errors.Join(errs...)
 }
 
-// check parses and type-checks one listed package against the shared
+// typeCheck parses and type-checks one listed package against the shared
 // export data.
-func check(fset *token.FileSet, t *listPkg, exports map[string]string) (*Package, error) {
+func typeCheck(fset *token.FileSet, t *listPkg, exports map[string]string) (*loadedPkg, error) {
 	var files []*ast.File
 	for _, name := range t.GoFiles {
 		path := name
@@ -139,16 +130,14 @@ func check(fset *token.FileSet, t *listPkg, exports map[string]string) (*Package
 	conf := types.Config{
 		Importer: importer.ForCompiler(fset, "gc", lookup),
 	}
+	// The rules read expression types (map ranges) and identifier uses
+	// (package-qualified selectors); nothing else is recorded.
 	info := &types.Info{
-		Types:      map[ast.Expr]types.TypeAndValue{},
-		Defs:       map[*ast.Ident]types.Object{},
-		Uses:       map[*ast.Ident]types.Object{},
-		Selections: map[*ast.SelectorExpr]*types.Selection{},
-		Scopes:     map[ast.Node]*types.Scope{},
+		Types: map[ast.Expr]types.TypeAndValue{},
+		Uses:  map[*ast.Ident]types.Object{},
 	}
-	tpkg, err := conf.Check(t.ImportPath, fset, files, info)
-	if err != nil {
+	if _, err := conf.Check(t.ImportPath, fset, files, info); err != nil {
 		return nil, fmt.Errorf("type-checking %s: %v", t.ImportPath, err)
 	}
-	return &Package{PkgPath: t.ImportPath, Fset: fset, Files: files, Types: tpkg, Info: info}, nil
+	return &loadedPkg{path: t.ImportPath, fset: fset, files: files, info: info}, nil
 }

@@ -1,24 +1,39 @@
-// Command hydralint runs the hydranet determinism analyzer over Go packages:
+// Command hydralint checks the simulator's bit-identical-replay contract:
+// golden outputs, flight dumps and benchmark digests are only trustworthy
+// because one seed gives one run. Its one check, determinism, forbids inside
+// the simulation core packages:
+//
+//   - wall-clock and timer reads (time.Now, time.Sleep, ...), called or
+//     taken as a function value
+//   - the global math/rand and math/rand/v2 sources (the scheduler's
+//     seeded *rand.Rand is the only sanctioned randomness), and crypto/rand
+//   - ranging over a map (iteration order is randomized per run)
+//   - goroutines and select statements (scheduling order is not part of
+//     the virtual clock)
+//
+// An order-insensitive site — a commutative sum, a collect-then-sort loop —
+// is excused by //hydralint:nondeterministic <reason>. A missing reason, an
+// unknown directive and an excuse that excuses nothing are diagnostics in
+// every package.
 //
 //	go run ./cmd/hydralint ./...
 //	go run ./cmd/hydralint -time ./...
 //
-// Exit status: 0 when clean, 1 on an internal or load error, 2 when
+// Exit status: 0 when clean, 1 on a bad flag or a load error, 2 when
 // diagnostics were reported (the go vet convention).
 package main
 
 import (
+	"cmp"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"time"
-
-	"hydranet/internal/lint"
-	"hydranet/internal/lint/determinism"
-	"hydranet/internal/lint/load"
 )
 
 func main() {
@@ -26,14 +41,16 @@ func main() {
 }
 
 func run(args []string, stdout, stderr io.Writer) int {
-	a := determinism.Analyzer
-	fs := flag.NewFlagSet("hydralint", flag.ExitOnError)
+	fs := flag.NewFlagSet("hydralint", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	timing := fs.Bool("time", false, "report the analyzer's wall time on stderr")
 	fs.Usage = func() {
-		fmt.Fprintf(fs.Output(), "usage: hydralint [flags] [packages]\n\n%s: %s\n\nFlags:\n", a.Name, a.Doc)
+		fmt.Fprint(fs.Output(), "usage: hydralint [flags] [packages]\n\ndeterminism: forbid wall clocks, global rand, map ranges, and goroutines in the deterministic simulation core\n\nFlags:\n")
 		fs.PrintDefaults()
 	}
-	if err := fs.Parse(args); err != nil {
+	if err := fs.Parse(args); errors.Is(err, flag.ErrHelp) {
+		return 0
+	} else if err != nil {
 		return 1
 	}
 
@@ -42,30 +59,30 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "hydralint:", err)
 		return 1
 	}
-	pkgs, err := load.Packages(cwd, fs.Args()...)
+	pkgs, err := loadPackages(cwd, fs.Args()...)
 	if err != nil {
 		fmt.Fprintln(stderr, "hydralint:", err)
 		return 1
 	}
 
-	var diags []lint.Diagnostic
-	var spent time.Duration
+	start := time.Now()
+	var diags []diagnostic
 	for _, pkg := range pkgs {
-		pass := lint.NewPass(a, pkg.Fset, pkg.Files, pkg.Types, pkg.Info, &diags)
-		start := time.Now()
-		err := a.Run(pass)
-		spent += time.Since(start)
-		if err != nil {
-			fmt.Fprintf(stderr, "hydralint: %s on %s: %v\n", a.Name, pkg.PkgPath, err)
-			return 1
-		}
+		diags = append(diags, check(pkg)...)
 	}
 	if *timing {
-		fmt.Fprintf(stderr, "hydralint: %-12s %s\n", a.Name, spent.Round(time.Microsecond))
+		fmt.Fprintf(stderr, "hydralint: %-12s %s\n", "determinism", time.Since(start).Round(time.Microsecond))
 	}
-	lint.SortDiagnostics(diags)
+	slices.SortFunc(diags, func(a, b diagnostic) int {
+		return cmp.Or(
+			cmp.Compare(a.pos.Filename, b.pos.Filename),
+			cmp.Compare(a.pos.Line, b.pos.Line),
+			cmp.Compare(a.pos.Column, b.pos.Column),
+			cmp.Compare(a.msg, b.msg),
+		)
+	})
 	for _, d := range diags {
-		fmt.Fprintf(stdout, "%s:%d:%d: %s (%s)\n", relativize(cwd, d.Pos.Filename), d.Pos.Line, d.Pos.Column, d.Message, d.Analyzer)
+		fmt.Fprintf(stdout, "%s:%d:%d: %s (determinism)\n", relativize(cwd, d.pos.Filename), d.pos.Line, d.pos.Column, d.msg)
 	}
 	if len(diags) > 0 {
 		return 2

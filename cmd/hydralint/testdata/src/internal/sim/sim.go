@@ -94,3 +94,15 @@ func annotations(m map[int]int) {
 	}
 	var _ = 0 /* want "unknown hydralint directive" */ //hydralint:fastpath because reasons
 }
+
+// clockValue reads the wall clock wherever it is called, so taking the
+// function value is the same violation as the call.
+var clockValue = time.Now // want "time.Now reads the wall clock"
+
+// staleExcuse: ranging over a slice is always fine, so an excuse there
+// excuses nothing and is reported.
+func staleExcuse(keys []string) {
+	for _, k := range keys { /* want "stale" */ //hydralint:nondeterministic keys are sorted
+		sink = k
+	}
+}

@@ -1,7 +1,7 @@
 // Package other is determinism-analyzer testdata for the *uncovered*
 // case: its import path matches none of the simulation-core suffixes, so
 // wall clocks, global rand, and map ranges are all permitted — only
-// directive hygiene still applies.
+// directive hygiene and the stale-excuse audit still apply.
 package other
 
 import (
@@ -25,4 +25,13 @@ func freeCode(m map[string]int) {
 func hygiene() {
 	var _ = 1 /* want "requires a reason" */ //hydralint:nondeterministic
 	var _ = 2 /* want "unknown hydralint directive" */ //hydralint:nonsense whatever
+}
+
+// staleOutsideTheCore: nothing needs excusing outside the covered set, so a
+// well-formed excuse here is stale, and a spaced near-miss is malformed.
+func staleOutsideTheCore(m map[string]int) {
+	for k := range m { /* want "stale" */ //hydralint:nondeterministic copied from the core
+		sink = k
+	}
+	var _ = 3 /* want "no spaces" */ // hydralint:nondeterministic spaced
 }
