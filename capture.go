@@ -18,16 +18,6 @@ func (n *Net) attachCapture(c *capture.Capture) {
 	n.addEncapTap(c.CaptureInner)
 }
 
-// startFlightRecorder attaches a flight recorder to the whole network:
-// per-host rings of the last transmitted frames and bus events. Dump it
-// with FlightRecorder.Dump, or arm it with DumpOnFailover/DumpOnViolation.
-func (n *Net) startFlightRecorder() *capture.FlightRecorder {
-	f := capture.NewFlightRecorder(n.Now)
-	f.AttachBus(n.bus)
-	n.addFrameTap(f.Tap())
-	return f
-}
-
 // newSpanCollector subscribes a span collector to the network's bus.
 func (n *Net) newSpanCollector() *tcp.SpanCollector {
 	return tcp.NewSpanCollector(n.bus)

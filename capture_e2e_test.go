@@ -2,9 +2,6 @@ package hydranet
 
 import (
 	"bytes"
-	"encoding/json"
-	"os"
-	"path/filepath"
 	"testing"
 	"time"
 
@@ -138,75 +135,6 @@ func TestCaptureEndToEnd(t *testing.T) {
 	}
 }
 
-// TestFlightRecorderDumpsOnFailover: the recorder must dump its rings the
-// instant the failover probe sees the promotion, and the dump must parse.
-func TestFlightRecorderDumpsOnFailover(t *testing.T) {
-	// A 1 MiB echo takes about a second through three replicas, so the
-	// 400 ms crash point lands mid-transfer (same shape as
-	// TestSnapshotAndFailoverTimeline).
-	net, client, rd, replicas := ftTopology(t, 7, 3)
-	svc, err := net.DeployFT(testSvc, rd, replicas,
-		FTOptions{Detector: DetectorParams{RetransmitThreshold: 3}}, echoAccept())
-	if err != nil {
-		t.Fatal(err)
-	}
-	probe := net.newFailoverProbe()
-	flight := net.startFlightRecorder()
-	prefix := filepath.Join(t.TempDir(), "fo")
-	flight.DumpOnFailover(probe, prefix)
-	net.Settle()
-
-	payload := make([]byte, 1<<20)
-	received := streamClient(t, net, client, payload)
-	net.RunFor(400 * time.Millisecond)
-	svc.CrashPrimary()
-	for *received < len(payload) && net.Now() < 2*time.Minute {
-		net.RunFor(time.Second)
-	}
-	if *received != len(payload) {
-		t.Fatalf("client received %d of %d bytes", *received, len(payload))
-	}
-	if flight.Dumps() != 1 {
-		t.Fatalf("flight recorder dumped %d times, want exactly 1 (at promotion)", flight.Dumps())
-	}
-
-	pf, err := capture.ReadFile(prefix + ".pcap")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pf.Records) == 0 {
-		t.Fatal("flight pcap holds no frames")
-	}
-	report := probe.Report()
-	// The rings were frozen at the promotion: nothing in the dump postdates it.
-	for i, r := range pf.Records {
-		if r.Ts > report.PromotionAt {
-			t.Fatalf("frame %d at %v postdates the promotion at %v", i, r.Ts, report.PromotionAt)
-		}
-	}
-	raw, err := os.ReadFile(prefix + ".json")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var dump struct {
-		Hosts []struct {
-			Host string `json:"host"`
-		} `json:"hosts"`
-	}
-	if err := json.Unmarshal(raw, &dump); err != nil {
-		t.Fatal(err)
-	}
-	names := make(map[string]bool)
-	for _, h := range dump.Hosts {
-		names[h.Host] = true
-	}
-	for _, want := range []string{"client", "rd", "s0"} {
-		if !names[want] {
-			t.Errorf("flight JSON missing host %q (got %v)", want, names)
-		}
-	}
-}
-
 // TestFailoverProbeBackupCrash: killing a *backup* mid-transfer must be
 // detected (suspicion, reconfiguration) but never promote anyone — the
 // primary is fine — and the probe's report stays incomplete while the
@@ -218,8 +146,6 @@ func TestFailoverProbeBackupCrash(t *testing.T) {
 		t.Fatal(err)
 	}
 	probe := net.newFailoverProbe()
-	fired := 0
-	probe.OnFailover(func(FailoverReport) { fired++ })
 	net.Settle()
 
 	// About a second of echo through three replicas: the 400 ms crash lands
@@ -242,9 +168,8 @@ func TestFailoverProbeBackupCrash(t *testing.T) {
 	if report.SuspicionAt == 0 || report.ReconfigAt == 0 {
 		t.Fatalf("backup failure never detected: %+v", report)
 	}
-	if report.PromotionAt != 0 || fired != 0 {
-		t.Fatalf("backup crash caused a promotion (at %v, fired %d) — only primary loss promotes",
-			report.PromotionAt, fired)
+	if report.PromotionAt != 0 {
+		t.Fatalf("backup crash caused a promotion at %v — only primary loss promotes", report.PromotionAt)
 	}
 	if report.Complete {
 		t.Fatalf("report complete without a promotion: %+v", report)

@@ -65,7 +65,7 @@ func TestCLIs(t *testing.T) {
 		{
 			name: "hydranet-sim",
 			help: [][]string{{"-h"}},
-			gone: [][]string{{"-workers", "2"}, {"-prof", "p.json"}},
+			gone: [][]string{{"-workers", "2"}, {"-prof", "p.json"}, {"-flight", "f"}},
 			smoke: []step{
 				{args: []string{"-bytes", "65536", "-stats", "-invariants", "-audit", "ok.audit.json"}, want: "audit report written to ok.audit.json"},
 				{args: []string{"-trace", "20"}, want: "[SYN|ACK]"},
@@ -77,15 +77,12 @@ func TestCLIs(t *testing.T) {
 				{args: []string{"-events", "nope", "-audit", "a.json"}, exit: 2, want: "-events list", none: "a.json"},
 				// An artifact that cannot be written is Finish's error: exit 1.
 				{args: []string{"-bytes", "65536", "-spans", "no-such-dir/s.json"}, exit: 1, want: "hydranet-sim: observers: hydranet: spans:"},
-				// So is a flight dump that failed at the fail-over, long before
-				// Finish ran.
-				{args: []string{"-bytes", "1048576", "-flight", "no-such-dir/f"}, exit: 1, want: "hydranet: flight"},
 			},
 		},
 		{
 			name: "ttcpbench",
 			help: [][]string{{"-h"}},
-			gone: [][]string{{"-workers", "2"}, {"-scale", "s.json"}, {"-scale-pods", "4"}, {"-json", "b.json"}, {"-prof", "p.json"}},
+			gone: [][]string{{"-workers", "2"}, {"-scale", "s.json"}, {"-scale-pods", "4"}, {"-json", "b.json"}, {"-prof", "p.json"}, {"-flight", "f"}},
 			smoke: []step{
 				{args: []string{"-bytes", "16384", "-parallel", "2"}, want: "swept 28 runs"},
 			},
@@ -93,13 +90,12 @@ func TestCLIs(t *testing.T) {
 		{
 			name: "failover",
 			help: [][]string{{"-h"}},
-			gone: [][]string{{"-workers", "2"}, {"-prof", "p.json"}},
+			gone: [][]string{{"-workers", "2"}, {"-prof", "p.json"}, {"-flight", "f"}},
 			smoke: []step{
 				{args: []string{"-invariants", "-audit", "fo.audit.json"}, want: "invariants: clean across the sweep"},
 				{bin: "hydrascope", args: []string{"audit", "fo-t3.audit.json", "-fail-on-violation"}, want: "verdict: CLEAN"},
 				// A sweep worker that cannot write reports it; it does not panic.
 				{args: []string{"-parallel", "2", "-pcap", "no-such-dir/f.pcap"}, exit: 1, want: "failover: threshold 1: hydranet: pcap:"},
-				{args: []string{"-parallel", "2", "-flight", "no-such-dir/f"}, exit: 1, want: "hydranet: flight"},
 			},
 		},
 		{
@@ -167,7 +163,7 @@ func TestCLIs(t *testing.T) {
 	}
 }
 
-// TestObserverFlagsReadIdentically: the nine observer flags are registered in
+// TestObserverFlagsReadIdentically: the eight observer flags are registered in
 // one place, so their help entries are the same text in every simulator CLI.
 func TestObserverFlagsReadIdentically(t *testing.T) {
 	entry := func(help, name string) string {
@@ -191,7 +187,7 @@ func TestObserverFlagsReadIdentically(t *testing.T) {
 			t.Fatal(err)
 		}
 		var got strings.Builder
-		for _, name := range []string{"pcap", "flight", "spans", "series", "sample-every", "invariants", "audit", "cpuprofile", "memprofile"} {
+		for _, name := range []string{"pcap", "spans", "series", "sample-every", "invariants", "audit", "cpuprofile", "memprofile"} {
 			e := entry(string(raw), name)
 			if e == "" {
 				t.Errorf("%s: no -%s in its help", cli, name)

@@ -1,7 +1,7 @@
 // Command hydralint checks the simulator's bit-identical-replay contract:
-// golden outputs, flight dumps and benchmark digests are only trustworthy
-// because one seed gives one run. Its one check, determinism, forbids inside
-// the simulation core packages:
+// golden outputs, same-seed pcap replays and benchmark digests are only
+// trustworthy because one seed gives one run. Its one check, determinism,
+// forbids inside the simulation core packages:
 //
 //   - wall-clock and timer reads (time.Now, time.Sleep, ...), called or
 //     taken as a function value

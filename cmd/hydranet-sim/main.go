@@ -13,8 +13,8 @@
 //	-stats           print a net-wide counter summary at the end
 //	-stats-json F    write the full snapshot (with failover timeline) to F
 //
-// The observer flags (-pcap -flight -spans -series -invariants -audit
-// …) are the ones every simulator CLI shares: testbed.ObserverFlags.
+// The observer flags (-pcap -spans -series -invariants -audit …) are the
+// ones every simulator CLI shares: testbed.ObserverFlags.
 package main
 
 import (
@@ -264,13 +264,6 @@ func main() {
 	if observe.Pcap != "" {
 		logf("pcap: %d records (%d pre-encap inner copies) written to %s",
 			sum.PcapRecords, sum.PcapInner, observe.Pcap)
-	}
-	if observe.Flight != "" {
-		when := "at end of run"
-		if sum.FlightFired {
-			when = "on failover"
-		}
-		logf("flight recorder dumped %s to %s.pcap / %s.json", when, observe.Flight, observe.Flight)
 	}
 	if observe.Spans != "" {
 		logf("span timeline written to %s", observe.Spans)

@@ -9,10 +9,10 @@
 //	hydrascope audit FILE [-fail-on-violation]
 //	hydrascope diff A B [-tol 0.02]
 //
-// report loads a -series export (JSONL or CSV, sniffed from content) and
-// prints the run summary: the Table-2 failover phase timeline with
-// per-phase retransmission/RTO/deposit activity, replica health verdicts,
-// and a sorted per-series table. -spans adds the ft-TCP span summary.
+// report loads a -series export (JSON lines) and prints the run summary:
+// the Table-2 failover phase timeline with per-phase retransmission/RTO/
+// deposit activity, replica health verdicts, and a sorted per-series table.
+// -spans adds the ft-TCP span summary.
 //
 // audit loads a protocol-invariant audit report (written by the -audit
 // flag on hydranet-sim, failover and the testbed) and renders the verdict,

@@ -7,9 +7,9 @@
 // so results are bit-identical regardless of worker count.
 //
 // -invariants monitors every measurement run. The observers that write a
-// file (-pcap -flight -spans -series -audit) would cost every point
-// their I/O and overwrite one another, so whichever are named attach to
-// one extra run instead: primary and backup at 1024-byte writes, the most
+// file (-pcap -spans -series -audit) would cost every point their I/O and
+// overwrite one another, so whichever are named attach to one extra run
+// instead: primary and backup at 1024-byte writes, the most
 // interesting configuration on the wire (tunnel copies plus the ack chain).
 package main
 

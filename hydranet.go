@@ -114,9 +114,8 @@ type Net struct {
 	links       []linkInfo
 	nextSubnet  byte
 
-	// Taps registered by the capture, the flight recorder and the monitor;
-	// see capture.go. Kept here so they can share the fabric's single tap
-	// slot.
+	// Taps registered by the capture and the monitor; see capture.go. Kept
+	// here so they can share the fabric's single tap slot.
 	frameTaps []netsim.FrameTap
 	encapTaps []redirector.EncapTap
 

@@ -26,10 +26,6 @@ type Instruments struct {
 	// Pcap captures every fabric frame, plus the pre-encapsulation inner
 	// packet of every redirector tunnel copy, to this pcap file.
 	Pcap string
-	// Flight runs a flight recorder dumped to Flight.pcap / Flight.json
-	// the instant the fail-over probe fires (or by Finish if it never
-	// does), and to Flight-violation.* on the monitor's first violation.
-	Flight string
 	// Spans writes the per-connection ft-TCP span timeline as JSON to
 	// this file.
 	Spans string
@@ -49,21 +45,21 @@ type Instruments struct {
 	Invariants bool
 	Audit      string
 	// Failover attaches the fail-over probe even when no artifact needs it
-	// (Flight and Series always do), for Summary.Failover.
+	// (Series always does), for Summary.Failover.
 	Failover bool
 }
 
 // WritesFiles reports whether any observer that produces an artifact is on.
 func (in Instruments) WritesFiles() bool {
-	return in.Pcap != "" || in.Flight != "" || in.Spans != "" || in.Series != "" || in.Audit != ""
+	return in.Pcap != "" || in.Spans != "" || in.Series != "" || in.Audit != ""
 }
 
 // Suffixed returns in with tag inserted before the extension of every
-// artifact path (run.pcap → run-t3.pcap, x.audit.json → x-t3.audit.json, the
-// Flight stem flight → flight-t3), so the runs of a sweep write distinct
-// files. Empty paths stay empty.
+// artifact path (run.pcap → run-t3.pcap, x.audit.json → x-t3.audit.json, a
+// stem without extension run → run-t3), so the runs of a sweep write
+// distinct files. Empty paths stay empty.
 func (in Instruments) Suffixed(tag string) Instruments {
-	for _, p := range []*string{&in.Pcap, &in.Flight, &in.Spans, &in.Series, &in.Audit} {
+	for _, p := range []*string{&in.Pcap, &in.Spans, &in.Series, &in.Audit} {
 		if *p == "" {
 			continue
 		}
@@ -87,7 +83,6 @@ type Session struct {
 	pcapBuf  *bufio.Writer // the capture writes here; Finish flushes it into pcapFile
 	capt     *capture.Capture
 	probe    *obs.FailoverProbe
-	flight   *capture.FlightRecorder
 	spans    *tcp.SpanCollector
 	tel      *telemetry
 	finished bool
@@ -103,9 +98,6 @@ type Summary struct {
 	// PcapRecords counts capture records, PcapInner the pre-encap inner
 	// copies among them.
 	PcapRecords, PcapInner uint64
-	// FlightFired reports that the recorder dumped on fail-over or on a
-	// violation; otherwise Finish wrote the end-of-run dump.
-	FlightFired bool
 	// Series and Ticks count the exported series and sampler ticks.
 	Series int
 	Ticks  uint64
@@ -117,12 +109,11 @@ type Summary struct {
 // topology is final (taps cover the links and redirectors that exist now)
 // and before DeployFT (the monitor rebuilds replica-set membership from the
 // registration events, and every artifact starts at registration). It owns
-// the attach order — monitor, capture, fail-over probe, flight recorder
-// armed on fail-over and on violation, span collector, sampler — so a caller
-// cannot get it wrong: a second call, or one after DeployFT, is an error and
-// attaches nothing, and so is a pcap file that cannot be set up: every step
-// that can fail runs before the first observer attaches. Flush with
-// Session.Finish after the run's last RunFor.
+// the attach order — monitor, capture, fail-over probe, span collector,
+// sampler — so a caller cannot get it wrong: a second call, or one after
+// DeployFT, is an error and attaches nothing, and so is a pcap file that
+// cannot be set up: every step that can fail runs before the first observer
+// attaches. Flush with Session.Finish after the run's last RunFor.
 func (n *Net) Instrument(in Instruments) (*Session, error) {
 	switch {
 	case n.session != nil:
@@ -151,17 +142,8 @@ func (n *Net) Instrument(in Instruments) (*Session, error) {
 	if s.capt != nil {
 		n.attachCapture(s.capt)
 	}
-	if in.Failover || in.Flight != "" || in.Series != "" {
+	if in.Failover || in.Series != "" {
 		s.probe = n.newFailoverProbe()
-	}
-	if in.Flight != "" {
-		s.flight = n.startFlightRecorder()
-		s.flight.DumpOnFailover(s.probe, in.Flight)
-		if s.mon != nil {
-			// A violation dumps the forensic bundle the instant it is
-			// recorded, while the offending frames are still in the rings.
-			s.flight.DumpOnViolation(s.mon, in.Flight+"-violation")
-		}
 	}
 	if in.Spans != "" || in.SpanStats {
 		s.spans = n.newSpanCollector()
@@ -174,11 +156,10 @@ func (n *Net) Instrument(in Instruments) (*Session, error) {
 
 // Finish detaches what reschedules itself and flushes every artifact: it
 // stops the sampler, flushes and closes the pcap and surfaces the capture's
-// sticky write error, dumps a flight recorder that never fired and surfaces
-// the first failed dump's error, writes spans and series, and runs the
-// monitor's end-of-run conservation check (decided only when the simulation
-// is quiescent) before writing the audit. Every step runs even if an
-// earlier one failed; the errors come back joined.
+// sticky write error, writes spans and series, and runs the monitor's
+// end-of-run conservation check (decided only when the simulation is
+// quiescent) before writing the audit. Every step runs even if an earlier
+// one failed; the errors come back joined.
 func (s *Session) Finish() (Summary, error) {
 	if s.finished {
 		return Summary{}, errors.New("hydranet: Session.Finish called twice")
@@ -200,12 +181,6 @@ func (s *Session) Finish() (Summary, error) {
 	if s.capt != nil {
 		sum.PcapRecords, sum.PcapInner = s.capt.Packets(), s.capt.InnerPackets()
 		fail("pcap", errors.Join(s.capt.Err(), s.pcapBuf.Flush(), s.pcapFile.Close()))
-	}
-	if s.flight != nil {
-		if sum.FlightFired = s.flight.Dumps() > 0; !sum.FlightFired {
-			s.flight.Dump(s.in.Flight)
-		}
-		fail("flight dump", s.flight.Err())
 	}
 	if s.spans != nil {
 		sum.AckChainLag, sum.DepositStall = s.spans.AckChainLag(), s.spans.DepositStall()

@@ -60,7 +60,7 @@ func TestInstrumentZeroValueAttachesNothing(t *testing.T) {
 func TestInstrumentOrderIsEnforced(t *testing.T) {
 	everything := func(dir string) Instruments {
 		return Instruments{
-			Pcap: filepath.Join(dir, "x.pcap"), Flight: filepath.Join(dir, "x"),
+			Pcap:  filepath.Join(dir, "x.pcap"),
 			Spans: filepath.Join(dir, "x.json"), Series: filepath.Join(dir, "x.jsonl"),
 			Audit: filepath.Join(dir, "x.audit.json"),
 		}
@@ -104,16 +104,15 @@ func TestInstrumentOrderIsEnforced(t *testing.T) {
 }
 
 // TestInstrumentEverythingOn runs the capture fail-over scenario with every
-// observer named: Finish must leave all six artifacts on disk, each
+// observer named: Finish must leave all four artifacts on disk, each
 // readable by the in-repo loader the tools use, report a clean audit and a
-// complete fail-over — and five more observers must not change one byte of
+// complete fail-over — and four more observers must not change one byte of
 // what the capture saw.
 func TestInstrumentEverythingOn(t *testing.T) {
 	dir := t.TempDir()
 	in := Instruments{
 		Scenario: "everything on",
 		Pcap:     filepath.Join(dir, "run.pcap"),
-		Flight:   filepath.Join(dir, "flight"),
 		Spans:    filepath.Join(dir, "spans.json"),
 		Series:   filepath.Join(dir, "series.jsonl"),
 		Audit:    filepath.Join(dir, "run.audit.json"),
@@ -126,16 +125,9 @@ func TestInstrumentEverythingOn(t *testing.T) {
 	if r := sum.Failover; !r.Complete || r.CrashAt != 1300*time.Millisecond {
 		t.Errorf("fail-over report %+v, want complete with the crash at 1.3s", r)
 	}
-	if !sum.FlightFired {
-		t.Error("flight recorder did not dump on the fail-over")
-	}
 
 	if n := requireWellFormedPcap(t, in.Pcap); uint64(n) != sum.PcapRecords || sum.PcapInner == 0 {
 		t.Errorf("pcap holds %d records, Summary says %d (%d inner)", n, sum.PcapRecords, sum.PcapInner)
-	}
-	requireWellFormedPcap(t, in.Flight+".pcap")
-	if raw := mustRead(t, in.Flight+".json"); !bytes.Contains(raw, []byte(`"hosts"`)) {
-		t.Error("flight JSON has no hosts section")
 	}
 	if sr, err := scope.LoadSpanFile(in.Spans); err != nil || len(sr.Timelines) == 0 ||
 		sr.AckChainLagMS.Count != sum.AckChainLag.Count || sum.AckChainLag.Count == 0 {
@@ -255,13 +247,13 @@ func TestInstrumentsSuffixed(t *testing.T) {
 	for _, tc := range []struct{ path, want string }{
 		{"a.pcap", "a-t3.pcap"},
 		{"out/x.audit.json", "out/x-t3.audit.json"},
-		{"out.d/flight", "out.d/flight-t3"},
+		{"out.d/run", "out.d/run-t3"},
 		{".hidden", ".hidden-t3"},
 		{"", ""},
 	} {
-		got := Instruments{Pcap: tc.path, Flight: tc.path, Spans: tc.path,
-			Series: tc.path, Audit: tc.path}.Suffixed("-t3")
-		for _, p := range []string{got.Pcap, got.Flight, got.Spans, got.Series, got.Audit} {
+		got := Instruments{Pcap: tc.path, Spans: tc.path, Series: tc.path,
+			Audit: tc.path}.Suffixed("-t3")
+		for _, p := range []string{got.Pcap, got.Spans, got.Series, got.Audit} {
 			if p != tc.want {
 				t.Errorf("Suffixed(%q) = %q, want %q", tc.path, p, tc.want)
 			}

@@ -27,7 +27,7 @@ type Capture struct {
 // New writes a pcap header to w and returns a Capture stamping records with
 // the given virtual clock (normally Scheduler.Now).
 func New(w io.Writer, now func() time.Duration) (*Capture, error) {
-	pw, err := NewWriter(w, 0)
+	pw, err := NewWriter(w)
 	if err != nil {
 		return nil, err
 	}

@@ -2,6 +2,8 @@ package capture
 
 import (
 	"bytes"
+	"encoding/binary"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -12,7 +14,7 @@ import (
 // external tooling: this IS the format Wireshark parses.
 func TestPcapGoldenHeader(t *testing.T) {
 	var buf bytes.Buffer
-	w, err := NewWriter(&buf, 0)
+	w, err := NewWriter(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +51,7 @@ func TestPcapGoldenHeader(t *testing.T) {
 
 func TestPcapWriterReaderRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
-	w, err := NewWriter(&buf, 0)
+	w, err := NewWriter(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,16 +69,15 @@ func TestPcapWriterReaderRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if w.Packets() != uint64(len(pkts)) || w.Truncated() != 0 || w.Err() != nil {
-		t.Fatalf("writer counters: packets=%d truncated=%d err=%v",
-			w.Packets(), w.Truncated(), w.Err())
+	if w.Packets() != uint64(len(pkts)) || w.Err() != nil {
+		t.Fatalf("writer counters: packets=%d err=%v", w.Packets(), w.Err())
 	}
 
 	f, err := ReadAll(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !f.Nanos || f.LinkType != LinkTypeRaw || f.SnapLen != DefaultSnapLen {
+	if f.LinkType != LinkTypeRaw || f.SnapLen != snapLen {
 		t.Fatalf("file header parsed as %+v", f)
 	}
 	if len(f.Records) != len(pkts) {
@@ -93,27 +94,6 @@ func TestPcapWriterReaderRoundTrip(t *testing.T) {
 	}
 }
 
-func TestPcapSnapLenTruncates(t *testing.T) {
-	var buf bytes.Buffer
-	w, err := NewWriter(&buf, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := w.WritePacket(0, make([]byte, 200)); err != nil {
-		t.Fatal(err)
-	}
-	if w.Truncated() != 1 {
-		t.Fatalf("Truncated = %d, want 1", w.Truncated())
-	}
-	f, err := ReadAll(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(f.Records) != 1 || len(f.Records[0].Data) != 100 || f.Records[0].OrigLen != 200 {
-		t.Fatalf("truncated record parsed as %+v", f.Records)
-	}
-}
-
 func TestPcapReaderRejectsGarbage(t *testing.T) {
 	bad := make([]byte, fileHeaderLen)
 	if _, err := ReadAll(bytes.NewReader(bad)); err == nil || !strings.Contains(err.Error(), "magic") {
@@ -122,7 +102,7 @@ func TestPcapReaderRejectsGarbage(t *testing.T) {
 
 	// Right magic, wrong version.
 	var buf bytes.Buffer
-	if _, err := NewWriter(&buf, 0); err != nil {
+	if _, err := NewWriter(&buf); err != nil {
 		t.Fatal(err)
 	}
 	hdr := buf.Bytes()
@@ -131,17 +111,105 @@ func TestPcapReaderRejectsGarbage(t *testing.T) {
 		t.Fatalf("bad version: err = %v", err)
 	}
 
-	// A record claiming more bytes than the snaplen allows.
+	// The classic microsecond magic: no writer here emits it.
+	hdr[4] = 2
+	binary.LittleEndian.PutUint32(hdr[0:4], 0xa1b2c3d4)
+	if _, err := ReadAll(bytes.NewReader(hdr)); err == nil || !strings.Contains(err.Error(), "magic") {
+		t.Fatalf("microsecond magic: err = %v", err)
+	}
+
+	// A record claiming more bytes than the file's own snaplen allows.
 	buf.Reset()
-	w, _ := NewWriter(&buf, 64)
+	w, _ := NewWriter(&buf)
 	if err := w.WritePacket(0, make([]byte, 32)); err != nil {
 		t.Fatal(err)
 	}
 	raw := buf.Bytes()
+	binary.LittleEndian.PutUint32(raw[16:20], 64)
 	raw[fileHeaderLen+8] = 0xff // incl_len low byte -> 255 > snaplen 64
 	if _, err := ReadAll(bytes.NewReader(raw)); err == nil || !strings.Contains(err.Error(), "snaplen") {
 		t.Fatalf("oversized incl_len: err = %v", err)
 	}
+
+	// A nanosecond field of a whole second or more.
+	binary.LittleEndian.PutUint32(raw[16:20], 65535)
+	binary.LittleEndian.PutUint32(raw[fileHeaderLen+4:], 1_000_000_000)
+	raw[fileHeaderLen+8] = 32
+	if _, err := ReadAll(bytes.NewReader(raw)); err == nil || !strings.Contains(err.Error(), "ts_nsec") {
+		t.Fatalf("ts_nsec of one second: err = %v", err)
+	}
+}
+
+// hugeRecord is a 40-byte pcap whose header claims a 4 GiB snaplen and
+// whose one record header claims 0x7FFFFFF0 bytes of data it does not have.
+func hugeRecord() []byte {
+	var buf bytes.Buffer
+	NewWriter(&buf)
+	raw := append(buf.Bytes(), make([]byte, recordHeaderLen)...)
+	binary.LittleEndian.PutUint32(raw[16:20], 0xFFFFFFFF)
+	binary.LittleEndian.PutUint32(raw[fileHeaderLen+8:], 0x7FFFFFF0)
+	return raw
+}
+
+// TestPcapReaderBoundsBeforeAllocating: a record is checked against the
+// IPv4 maximum, not only the file's own snaplen, before its buffer is
+// allocated, so a tiny hostile file cannot make ReadAll allocate 2 GiB.
+func TestPcapReaderBoundsBeforeAllocating(t *testing.T) {
+	raw := hugeRecord()
+	if len(raw) != 40 {
+		t.Fatalf("hostile file is %d bytes, want 40", len(raw))
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := ReadAll(bytes.NewReader(raw))
+	runtime.ReadMemStats(&after)
+	if err == nil || !strings.Contains(err.Error(), "snaplen") {
+		t.Fatalf("oversized incl_len: err = %v", err)
+	}
+	n := after.TotalAlloc - before.TotalAlloc
+	if n >= 64<<10 {
+		t.Fatalf("ReadAll allocated %d bytes before rejecting the record, want < 64 KiB", n)
+	}
+	t.Logf("ReadAll allocated %d bytes before rejecting the record", n)
+}
+
+// FuzzReadAll feeds ReadAll arbitrary bytes. It must never panic or keep
+// a record above the snaplen, and whatever it accepts must survive a
+// Writer round trip: same timestamps, same bytes.
+func FuzzReadAll(f *testing.F) {
+	var buf bytes.Buffer
+	w, _ := NewWriter(&buf)
+	w.WritePacket(1500*time.Millisecond, []byte{0x45, 0, 0, 4})
+	w.WritePacket(2*time.Second, bytes.Repeat([]byte{0xab}, 40))
+	f.Add(buf.Bytes())
+	f.Add(hugeRecord())
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		file, err := ReadAll(bytes.NewReader(raw))
+		if err != nil {
+			return
+		}
+		var out bytes.Buffer
+		w, _ := NewWriter(&out)
+		for _, r := range file.Records {
+			if len(r.Data) > snapLen {
+				t.Fatalf("accepted a %d-byte record", len(r.Data))
+			}
+			w.WritePacket(r.Ts, r.Data)
+		}
+		again, err := ReadAll(&out)
+		if err != nil {
+			t.Fatalf("rereading the rewritten records: %v", err)
+		}
+		if len(again.Records) != len(file.Records) {
+			t.Fatalf("rewrite holds %d records, want %d", len(again.Records), len(file.Records))
+		}
+		for i, r := range again.Records {
+			if r.Ts != file.Records[i].Ts || !bytes.Equal(r.Data, file.Records[i].Data) {
+				t.Fatalf("record %d changed in the round trip", i)
+			}
+		}
+	})
 }
 
 // errAfter fails every write past the first n.
@@ -158,7 +226,7 @@ func (e *errAfter) Write(p []byte) (int, error) {
 }
 
 func TestPcapWriterStickyError(t *testing.T) {
-	w, err := NewWriter(&errAfter{n: 2}, 0) // header + one record header succeed
+	w, err := NewWriter(&errAfter{n: 2}) // header + one record header succeed
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -118,24 +118,3 @@ func BenchmarkLinkRoundTripCapture(b *testing.B) {
 		b.Fatalf("delivered %d of %d frames", h.frames, b.N)
 	}
 }
-
-// BenchmarkLinkRoundTripFlightRecorder: same, with the flight recorder's
-// ring copy on the path instead of the pcap serializer.
-func BenchmarkLinkRoundTripFlightRecorder(b *testing.B) {
-	s, nw, a, h := linkPair()
-	nw.Pool().SetPoison(false) // time the production path
-	f := NewFlightRecorder(s.Now)
-	nw.SetFrameTap(f.Tap())
-	frame := make([]byte, 1500)
-	b.SetBytes(int64(len(frame)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		a.Send(0, frame)
-		s.Run()
-	}
-	b.StopTimer()
-	if h.frames != b.N {
-		b.Fatalf("delivered %d of %d frames", h.frames, b.N)
-	}
-}

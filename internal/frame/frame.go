@@ -142,21 +142,6 @@ func (p *Pool) Stats() (gets, puts, misses uint64) { return p.gets, p.puts, p.mi
 // climb under constant load means a frame leak.
 func (p *Pool) Outstanding() int { return int(p.gets - p.puts) }
 
-// ClassSize returns the backing-array capacity the pool would use for an
-// n-byte payload (headroom included), or n+Headroom for oversize requests.
-// Consumers that maintain their own frame rings (the flight recorder) size
-// slots with it so their growth policy matches the pool's and slots
-// stabilize after one warm-up pass.
-func ClassSize(n int) int {
-	need := n + Headroom
-	for _, size := range classSizes {
-		if need <= size {
-			return size
-		}
-	}
-	return need
-}
-
 // Get returns a Buf holding n uninitialized payload bytes with Headroom
 // bytes reserved in front. Callers own the Buf until they Release it or
 // hand it to the fabric.

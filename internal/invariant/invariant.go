@@ -33,9 +33,9 @@
 //
 // On violation the monitor records a forensic Violation (rule, virtual
 // instant, offending node/connection, the triggering event, expected and
-// observed cursors) and fires OnViolation hooks — the flight recorder
-// hooks these to dump its frame and event rings, preserving the
-// surrounding pcap window.
+// observed cursors). The packet context around it is a same-seed replay
+// of the run under -pcap: the replay's frames are the original run's, to
+// the byte and the nanosecond.
 package invariant
 
 import (
@@ -189,7 +189,6 @@ type Monitor struct {
 	checks     [numRules]uint64
 	failures   [numRules]uint64
 	violations []Violation
-	onViolate  []func(Violation)
 
 	quiesceChecked bool
 	outstandingEnd int
@@ -223,13 +222,6 @@ func (m *Monitor) MapAddr(addr inet.Addr, name string) { m.addrName[addr] = name
 
 // Attach subscribes the monitor to every kind on the bus.
 func (m *Monitor) Attach(b *obs.Bus) { b.Subscribe(m.observe) }
-
-// OnViolation registers fn to run synchronously, at the violating event's
-// virtual time, for every recorded violation. Flight recorders hook this
-// to dump their rings while the surrounding frames are still in them.
-func (m *Monitor) OnViolation(fn func(Violation)) {
-	m.onViolate = append(m.onViolate, fn)
-}
 
 // NoteFrame counts one fabric frame for the audit census. The facade
 // routes a frame tap here.
@@ -437,8 +429,7 @@ func (m *Monitor) noteDeliver(e obs.Event) {
 	}
 }
 
-// record counts a violation and, within the forensic bound, stores it and
-// fires the OnViolation hooks at the violating event's virtual time. It
+// record counts a violation and, within the forensic bound, stores it. It
 // returns the stored record for caller annotation (nil when beyond the
 // bound). detail must be a constant: the hot path renders nothing.
 func (m *Monitor) record(rule int, e obs.Event, detail string, want, got uint64) *Violation {
@@ -457,11 +448,7 @@ func (m *Monitor) record(rule int, e obs.Event, detail string, want, got uint64)
 		Got:     got,
 		Event:   e,
 	})
-	v := &m.violations[len(m.violations)-1]
-	for _, fn := range m.onViolate {
-		fn(*v)
-	}
-	return v
+	return &m.violations[len(m.violations)-1]
 }
 
 // svc returns the service's membership state, allocating on first sight.

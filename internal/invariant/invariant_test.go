@@ -334,20 +334,6 @@ func TestReportDeterministicShape(t *testing.T) {
 	}
 }
 
-func TestOnViolationHookFires(t *testing.T) {
-	h := newHarness(t, Config{})
-	var got []Violation
-	h.m.OnViolation(func(v Violation) { got = append(got, v) })
-	h.clientAck(1000)
-	h.clientAck(500)
-	if len(got) != 1 || got[0].Rule != RuleAck {
-		t.Fatalf("hook did not fire on violation: %v", got)
-	}
-	if got[0].Time == 0 {
-		t.Fatalf("violation not stamped with virtual time")
-	}
-}
-
 // TestKindRoleComplete asserts every obs kind has a monitor rule mapping,
 // so a new event type cannot silently escape the oracle (satellite: kind
 // completeness).

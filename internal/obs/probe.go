@@ -11,7 +11,6 @@ import "time"
 type FailoverProbe struct {
 	crash, suspicion, reconfig, promotion, firstByte time.Duration
 	seen                                             uint8
-	onFire                                           []func(FailoverReport)
 }
 
 const (
@@ -21,15 +20,6 @@ const (
 	sawPromotion
 	sawFirstByte
 )
-
-// OnFailover registers fn to run once, when the probe observes the first
-// promotion after a crash (the report passed in has at least Crash,
-// Promotion and usually Suspicion/Reconfig populated; the first client
-// byte necessarily comes later). Flight recorders hook this to dump their
-// rings at the moment of failover.
-func (p *FailoverProbe) OnFailover(fn func(FailoverReport)) {
-	p.onFire = append(p.onFire, fn)
-}
 
 // NewFailoverProbe subscribes a probe to the bus.
 func NewFailoverProbe(b *Bus) *FailoverProbe {
@@ -60,14 +50,6 @@ func (p *FailoverProbe) observe(e Event) {
 		if p.seen&sawCrash != 0 && p.seen&sawPromotion == 0 {
 			p.promotion = e.Time
 			p.seen |= sawPromotion
-			// The probe "fires" here: a promotion after a crash is the
-			// failover proper, and the instants around it are exactly what
-			// a flight recorder should preserve. Hooks run synchronously at
-			// the promotion's virtual time, before post-failover traffic
-			// can push the detection window out of bounded rings.
-			for _, fn := range p.onFire {
-				fn(p.Report())
-			}
 		}
 	case KindClientDeliver:
 		if p.seen&sawPromotion != 0 && p.seen&sawFirstByte == 0 {

@@ -34,7 +34,8 @@ type FailoverConfig struct {
 	// once the topology stands, before the service registers.
 	Observe hydranet.Instruments
 	// FlightPrefix and SpansPath are the names bench/ compiles against;
-	// MeasureFailover folds them into Observe (ROADMAP 6(c)).
+	// MeasureFailover folds SpansPath into Observe (ROADMAP 6(c)) and
+	// ignores FlightPrefix, which names no observer.
 	FlightPrefix, SpansPath string
 }
 
@@ -83,7 +84,6 @@ func MeasureFailover(cfg FailoverConfig) FailoverResult {
 
 	in := cfg.Observe
 	in.Scenario = fmt.Sprintf("failover threshold=%d backups=%d loss=%g", cfg.Threshold, cfg.Backups, cfg.Loss)
-	in.Flight = firstOf(in.Flight, cfg.FlightPrefix)
 	in.Spans = firstOf(in.Spans, cfg.SpansPath)
 	in.Watch = replicas
 	sess, err := net.Instrument(in)

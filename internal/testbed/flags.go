@@ -25,7 +25,6 @@ func ObserverFlags(fs *flag.FlagSet, note string) (in *hydranet.Instruments, sta
 	}
 	in = new(hydranet.Instruments)
 	fs.StringVar(&in.Pcap, "pcap", "", "capture every frame (plus pre-encap tunnel copies) to this pcap file")
-	fs.StringVar(&in.Flight, "flight", "", "run a flight recorder; dump PREFIX.pcap/PREFIX.json on failover (or at the end), PREFIX-violation.* on an invariant violation")
 	fs.StringVar(&in.Spans, "spans", "", "write the per-connection ft-TCP span timeline as JSON to this file")
 	fs.StringVar(&in.Series, "series", "", "export sampled time series (with replica health verdicts) to this file as JSON lines")
 	fs.DurationVar(&in.SampleEvery, "sample-every", 0, "telemetry sampling cadence for -series (default 100ms of virtual time)")

@@ -1,8 +1,6 @@
 package hydranet
 
 import (
-	"os"
-	"path/filepath"
 	"runtime"
 	"testing"
 	"time"
@@ -256,50 +254,6 @@ func TestMonitorSeededViolations(t *testing.T) {
 		if v.Time == 0 {
 			t.Errorf("violation missing virtual-clock instant: %+v", v)
 		}
-	}
-}
-
-// TestMonitorDumpOnViolation wires the flight recorder to the monitor's
-// OnViolation hook and requires the forensic bundle — pcap window plus
-// event log — on disk after a seeded fault.
-func TestMonitorDumpOnViolation(t *testing.T) {
-	net, client, rd, replicas := ftTopology(t, 13, 2)
-	mon := net.StartMonitor(MonitorConfig{Scenario: "seeded-dump"})
-	flight := net.startFlightRecorder()
-	prefix := filepath.Join(t.TempDir(), "violation")
-	flight.DumpOnViolation(mon, prefix)
-
-	var lastDeposit Event
-	net.Bus().Subscribe(func(e Event) {
-		if e.Node != "client" && e.Size > 0 {
-			lastDeposit = e
-		}
-	}, KindDeposit)
-
-	if _, err := net.DeployFT(testSvc, rd, replicas, FTOptions{}, echoAccept()); err != nil {
-		t.Fatal(err)
-	}
-	net.Settle()
-	payload := make([]byte, 64*1024)
-	received := streamClient(t, net, client, payload)
-	for *received < len(payload) && net.Now() < time.Minute {
-		net.RunFor(time.Second)
-	}
-	if lastDeposit.Kind != KindDeposit {
-		t.Fatal("no deposit captured to forge")
-	}
-	net.Bus().Publish(lastDeposit) // duplicate-delivery fault
-
-	if mon.Clean() {
-		t.Fatal("seeded fault not detected")
-	}
-	for _, suffix := range []string{".pcap", ".json"} {
-		if _, err := os.Stat(prefix + suffix); err != nil {
-			t.Errorf("violation bundle missing %s: %v", suffix, err)
-		}
-	}
-	if flight.Dumps() != 1 {
-		t.Errorf("flight recorder dumped %d times, want exactly 1 (first violation only)", flight.Dumps())
 	}
 }
 
