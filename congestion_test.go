@@ -104,3 +104,52 @@ func TestCongestionPolicyDisabledByDefault(t *testing.T) {
 		t.Fatal("scenario inert: no suspicions despite a dead ack channel")
 	}
 }
+
+// TestProbeKeepsQueuedMember: queueing is not loss. A bulk flow to the
+// primary's own address fills the redirector's 64-KiB queue toward it, so a
+// ping waits behind tens of kilobytes at the link's rate: longer than all
+// four attempts timed from the round trip measured while the link was idle.
+// Chain loss raises suspicions. While the probe is open the redirector
+// forwards the primary's acknowledgments of both flows, and that heard-from
+// evidence must keep the live primary in the chain.
+func TestProbeKeepsQueuedMember(t *testing.T) {
+	for _, rate := range []int64{500_000, 1_000_000, 2_000_000} {
+		net := New(Config{Seed: 71})
+		client := net.AddHost("client", HostConfig{})
+		rd := net.AddRedirector("rd", HostConfig{})
+		replicas := []*Host{net.AddHost("s0", HostConfig{}), net.AddHost("s1", HostConfig{})}
+		lan := LinkConfig{Rate: 10_000_000, Delay: time.Millisecond}
+		net.Link(client, rd.Host, lan)
+		net.Link(replicas[0], rd.Host, LinkConfig{Rate: rate, Delay: time.Millisecond, QueueBytes: 64 << 10})
+		net.Link(replicas[1], rd.Host, lan)
+		net.AutoRoute()
+		svc, err := net.DeployFT(testSvc, rd, replicas, FTOptions{}, echoAccept())
+		if err != nil {
+			t.Fatal(err)
+		}
+		net.Settle()
+		reconfigs := 0
+		rd.Daemon().OnReconfig(func(ServiceID, []Addr) { reconfigs++ })
+
+		lst, err := replicas[0].Listen(0, 9)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lst.SetAcceptFunc(func(c *Conn) { app.Sink(c) })
+		bulk, _ := client.DialEndpoint(Endpoint{Addr: replicas[0].Addr(), Port: 9})
+		app.Source(bulk, make([]byte, 8<<20), false)
+		for _, h := range replicas {
+			h.FTManager().SetChainLoss(0.9)
+		}
+		conn, _ := client.Dial(testSvc)
+		app.Source(conn, make([]byte, 64<<10), false)
+		net.RunFor(time.Minute)
+
+		if rd.Daemon().Stats().Suspicions == 0 {
+			t.Fatalf("%d bit/s: chain loss provoked no suspicion — the scenario is inert", rate)
+		}
+		if chain := svc.Chain(); len(chain) != 2 || reconfigs != 0 {
+			t.Errorf("%d bit/s: live member removed: chain %v after %d reconfigurations", rate, chain, reconfigs)
+		}
+	}
+}

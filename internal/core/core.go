@@ -231,6 +231,8 @@ type ReplicatedPort struct {
 	// last replica in the chain (and a primary with no backups) is free to
 	// deposit and send immediately.
 	gated bool
+	// version is the last chain configuration applied (AdvanceVersion).
+	version uint32
 
 	conns        map[tcp.Endpoint]*ftConn
 	lastSuspect  time.Duration
@@ -282,6 +284,18 @@ func (s *stallExpiry) OnTimer() {
 
 // Mode returns the replica's current role.
 func (p *ReplicatedPort) Mode() Mode { return p.mode }
+
+// AdvanceVersion reports whether v is newer than the last chain
+// configuration version applied to the port, and records it if so. The
+// replica management protocol numbers every chain change of a service: a
+// retransmitted older configuration must not undo a newer one.
+func (p *ReplicatedPort) AdvanceVersion(v uint32) bool {
+	if int32(v-p.version) <= 0 {
+		return false
+	}
+	p.version = v
+	return true
+}
 
 // SetUpstream configures where stripped flow-control information is sent
 // (the predecessor host's acknowledgment-channel endpoint). The replica

@@ -1,7 +1,8 @@
-// Package inet holds the two address value types every layer shares: the
-// IPv4 address and the address:port endpoint. It imports nothing from this
-// module, so obs — which netsim and therefore ipv4 import — can carry them
-// in events.
+// Package inet holds the value types every layer shares: the IPv4 address,
+// the address:port endpoint, and the RFC 6298 RTO estimator of both
+// reliable transports, tcp and rmp. It imports nothing from this module, so
+// obs — which netsim and therefore ipv4 import — can carry the addresses in
+// events.
 package inet
 
 import (

@@ -72,6 +72,7 @@ type Redirector struct {
 	stats Stats
 	bus   *obs.Bus
 	tap   EncapTap
+	heard func(member ipv4.Addr)
 }
 
 // New installs a redirector on the given stack. The stack must have
@@ -95,6 +96,11 @@ func (r *Redirector) SetBus(b *obs.Bus) { r.bus = b }
 // SetEncapTap installs (or, with nil, removes) the encap-path tap. The
 // disabled cost is one pointer test per tunnel copy.
 func (r *Redirector) SetEncapTap(t EncapTap) { r.tap = t }
+
+// SetHeardHook installs (or, with nil, removes) an observer of every packet
+// the redirector forwards, called with the host the packet comes from (see
+// sender). The disabled cost is one pointer test per forwarded packet.
+func (r *Redirector) SetHeardHook(fn func(member ipv4.Addr)) { r.heard = fn }
 
 func (r *Redirector) nodeName() string { return r.ip.Node().Name() }
 
@@ -203,6 +209,9 @@ func (r *Redirector) RemoveReplica(key ServiceKey, host ipv4.Addr) ipv4.Addr {
 // intercept is the forward-path hook: it inspects transit packets and
 // consumes those matching the redirector table.
 func (r *Redirector) intercept(p *ipv4.Packet) bool {
+	if r.heard != nil {
+		r.heard(r.sender(p))
+	}
 	// Ports live in the first 4 bytes of the transport header; only
 	// first fragments carry them. TCP segments never exceed the MSS in
 	// this stack, so in practice inner packets arrive unfragmented.
@@ -269,6 +278,19 @@ func (r *Redirector) intercept(p *ipv4.Packet) bool {
 	}
 	r.stats.PassedThrough++
 	return false
+}
+
+// sender names the host a forwarded packet comes from: its source address,
+// or, for a packet sent as a fault-tolerant service, the service's primary —
+// a backup transmits nothing as the service until it is promoted.
+func (r *Redirector) sender(p *ipv4.Packet) ipv4.Addr {
+	if (p.Proto == ipv4.ProtoTCP || p.Proto == ipv4.ProtoUDP) && p.FragOff == 0 && len(p.Payload) >= 2 {
+		srcPort := uint16(p.Payload[0])<<8 | uint16(p.Payload[1])
+		if e := r.table[ServiceKey{Addr: p.Src, Port: srcPort}]; e != nil && e.FT && e.Primary != 0 {
+			return e.Primary
+		}
+	}
+	return p.Src
 }
 
 func nearest(targets []Target) *Target {

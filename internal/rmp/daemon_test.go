@@ -7,6 +7,7 @@ import (
 	"hydranet"
 	"hydranet/internal/app"
 	"hydranet/internal/core"
+	"hydranet/internal/rmp"
 )
 
 var svc = hydranet.ServiceID{Addr: hydranet.MustAddr("192.20.225.20"), Port: 80}
@@ -222,5 +223,42 @@ func TestRedirectorDaemonStatsProgress(t *testing.T) {
 	}
 	if st.Reconfigs < 2 {
 		t.Errorf("Reconfigs = %d, want >= 2 (one per registration)", st.Reconfigs)
+	}
+}
+
+func TestStaleChainSetIgnored(t *testing.T) {
+	// The reliable layer retransmits a CHAIN-SET until it is acknowledged,
+	// so an older one can arrive after a newer one: a primary registered
+	// alone (ungated) loses that CHAIN-SET, gets the gated one sent when its
+	// backup joined, and then the retransmission of the first. The older
+	// configuration must not undo the newer.
+	net, rd, hosts := build(t, 68, 2)
+	if _, err := net.DeployFT(svc, rd, hosts, hydranet.FTOptions{},
+		func(c *hydranet.Conn) { app.Echo(c) }); err != nil {
+		t.Fatal(err)
+	}
+	net.Settle()
+	d := hosts[0].Daemon(rd)
+	for _, set := range []rmp.Message{
+		{Type: rmp.MsgChainSet, Service: svc, Host: hosts[0].Addr(), Mode: core.ModePrimary, Gated: true, ProbeID: 1000},
+		{Type: rmp.MsgChainSet, Service: svc, Host: hosts[0].Addr(), Mode: core.ModePrimary, Gated: false, ProbeID: 999},
+	} {
+		d.Deliver(set.Marshal())
+	}
+
+	// A gated primary deposits nothing its backup has not acknowledged.
+	// With every acknowledgment-channel message of the backup lost, no echo
+	// may come back.
+	hosts[1].FTManager().SetChainLoss(1)
+	client := net.AddHost("client", hydranet.HostConfig{})
+	net.Link(client, rd.Host, hydranet.LinkConfig{Delay: time.Millisecond})
+	net.AutoRoute()
+	conn, _ := client.Dial(svc)
+	var got []byte
+	app.Collect(conn, &got)
+	app.Source(conn, []byte("gated?"), false)
+	net.RunFor(500 * time.Millisecond)
+	if len(got) != 0 {
+		t.Fatalf("the primary echoed %q: the older, ungated CHAIN-SET was applied", got)
 	}
 }

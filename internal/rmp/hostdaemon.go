@@ -122,10 +122,12 @@ func (d *HostDaemon) onMessage(from udp.Endpoint, payload []byte) {
 	}
 }
 
-// applyChainSet installs this replica's chain position.
+// applyChainSet installs this replica's chain position, unless a newer one
+// has already arrived: the reliable layer retransmits each CHAIN-SET until
+// it is acknowledged, so an older one can land last.
 func (d *HostDaemon) applyChainSet(msg *Message) {
 	port := d.mgr.Port(msg.Service)
-	if port == nil {
+	if port == nil || !port.AdvanceVersion(msg.ProbeID) {
 		return
 	}
 	d.chainSets++

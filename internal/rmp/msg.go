@@ -33,7 +33,9 @@ const (
 	// MsgSuspect reports a tripped failure estimator to the redirector.
 	MsgSuspect
 	// MsgChainSet installs a replica's chain position: role, upstream
-	// (predecessor) and whether a successor exists.
+	// (predecessor) and whether a successor exists. ProbeID carries the
+	// per-service version, so a retransmitted older position never
+	// overwrites a newer one.
 	MsgChainSet
 	// MsgRegisterScale announces a scaling-mode (non-FT) replica.
 	MsgRegisterScale
@@ -80,6 +82,12 @@ func (t MsgType) String() string {
 	}
 }
 
+// carriesProbeID reports whether the type's 4-byte slot at offset 17 holds
+// ProbeID rather than Metric.
+func (t MsgType) carriesProbeID() bool {
+	return t == MsgPing || t == MsgPong || t == MsgMirror || t == MsgChainSet
+}
+
 // Message is the flat RMP wire message; which fields are meaningful depends
 // on Type.
 type Message struct {
@@ -90,7 +98,7 @@ type Message struct {
 	Upstream ipv4.Addr // CHAIN-SET: predecessor in the acknowledgment channel
 	Gated    bool      // CHAIN-SET: successor exists
 	Metric   uint16    // REGISTER-SCALE: routing metric
-	ProbeID  uint32    // PING/PONG correlation; MIRROR version
+	ProbeID  uint32    // PING/PONG correlation; MIRROR and CHAIN-SET version
 	// Hosts is the replica chain carried by MIRROR messages.
 	Hosts []ipv4.Addr
 }
@@ -114,7 +122,7 @@ func (m *Message) Marshal() []byte {
 		b[16] = 1
 	}
 	// Metric and ProbeID overlay the same slot; no message uses both.
-	if m.Type == MsgPing || m.Type == MsgPong || m.Type == MsgMirror {
+	if m.Type.carriesProbeID() {
 		putU32(b[17:21], m.ProbeID)
 	} else {
 		putU16(b[17:19], m.Metric)
@@ -146,7 +154,7 @@ func UnmarshalMessage(b []byte) (*Message, error) {
 		Upstream: ipv4.Addr(getU32(b[12:16])),
 		Gated:    b[16] == 1,
 	}
-	if m.Type == MsgPing || m.Type == MsgPong || m.Type == MsgMirror {
+	if m.Type.carriesProbeID() {
 		m.ProbeID = getU32(b[17:21])
 	} else {
 		m.Metric = getU16(b[17:19])

@@ -20,7 +20,7 @@ func TestMessageRoundTrip(t *testing.T) {
 			Gated:    gated,
 		}
 		switch in.Type {
-		case MsgPing, MsgPong:
+		case MsgPing, MsgPong, MsgChainSet:
 			in.ProbeID = probe
 		case MsgMirror:
 			in.ProbeID = probe

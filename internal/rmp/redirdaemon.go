@@ -36,6 +36,7 @@ type RedirectorDaemon struct {
 	addr  ipv4.Addr
 
 	services    map[core.ServiceID]*svcState
+	open        []*svcState               // services with a probe open
 	peers       []udp.Endpoint            // peer redirectors mirroring our FT entries
 	mirrored    map[core.ServiceID]uint32 // last version applied per mirrored service
 	congestion  CongestionPolicy
@@ -51,10 +52,10 @@ type RedirectorDaemon struct {
 }
 
 type svcState struct {
-	chain   []ipv4.Addr // S0 (primary) first
-	probing bool
+	chain   []ipv4.Addr  // S0 (primary) first
+	probe   []probeState // the open probe's members; empty when none is open
 	probeID uint32
-	version uint32 // bumped on every chain change, for mirror ordering
+	version uint32 // bumped on every chain change; orders CHAIN-SET and MIRROR
 
 	// Congestion-eviction bookkeeping: times of all-alive probe outcomes
 	// within the policy window.
@@ -258,47 +259,95 @@ func (d *RedirectorDaemon) leave(msg *Message) {
 	d.noteReconfig(msg.Service, "leave", []ipv4.Addr{msg.Host})
 }
 
+// probeState is one member of an open probe.
+type probeState struct {
+	host  ipv4.Addr
+	alive bool // acknowledged its ping, or heard from (heardFrom)
+}
+
 // suspect runs the failure-identification procedure: probe every chain
-// member; the ones whose daemons never acknowledge are declared failed and
-// removed, and the survivors receive their new chain positions. The paper
-// notes identification is simple because a failure partitions the
-// acknowledgment channel; probing from the redirector is the concrete
-// mechanism here.
+// member; the ones whose daemons never acknowledge, and that send nothing
+// through the redirector meanwhile, are declared failed and removed, and the
+// survivors receive their new chain positions. The paper notes
+// identification is simple because a failure partitions the acknowledgment
+// channel; probing from the redirector is the concrete mechanism here. Each
+// ping's attempts are timed from the member's measured RTO (Reliable).
 func (d *RedirectorDaemon) suspect(svc core.ServiceID) {
 	s := d.services[svc]
-	if s == nil || s.probing || len(s.chain) == 0 {
+	if s == nil || len(s.probe) > 0 || len(s.chain) == 0 {
 		return
 	}
 	d.stats.Suspicions++
-	s.probing = true
 	s.probeID++
-	targets := append([]ipv4.Addr(nil), s.chain...)
-	alive := make(map[ipv4.Addr]bool, len(targets))
-	outstanding := len(targets)
-	for _, host := range targets {
-		host := host
-		ping := Message{Type: MsgPing, Service: svc, Host: host, ProbeID: s.probeID}
+	for _, host := range s.chain {
+		s.probe = append(s.probe, probeState{host: host})
+	}
+	d.openProbe(s)
+	outstanding := len(s.probe)
+	for i, m := range s.probe {
+		ping := Message{Type: MsgPing, Service: svc, Host: m.host, ProbeID: s.probeID}
 		d.stats.ProbesSent++
-		d.rel.Send(udp.Endpoint{Addr: host, Port: ManagementPort}, ping.Marshal(),
+		d.rel.Send(udp.Endpoint{Addr: m.host, Port: ManagementPort}, ping.Marshal(),
 			func(delivered bool) {
-				alive[host] = delivered
+				if delivered {
+					s.probe[i].alive = true
+				}
 				outstanding--
 				if outstanding == 0 {
-					d.finishProbe(svc, s, targets, alive)
+					d.finishProbe(svc, s)
 				}
 			})
 	}
 }
 
-func (d *RedirectorDaemon) finishProbe(svc core.ServiceID, s *svcState,
-	targets []ipv4.Addr, alive map[ipv4.Addr]bool) {
-	s.probing = false
-	var failed []ipv4.Addr
-	for _, host := range targets {
-		if !alive[host] {
-			failed = append(failed, host)
+// openProbe adds s to the open probes; the first one opened starts
+// listening for heard-from evidence.
+func (d *RedirectorDaemon) openProbe(s *svcState) {
+	if len(d.open) == 0 {
+		d.rd.SetHeardHook(d.heardFrom)
+	}
+	d.open = append(d.open, s)
+}
+
+// closeProbe removes s from the open probes; the last one closed stops
+// listening.
+func (d *RedirectorDaemon) closeProbe(s *svcState) {
+	for i, o := range d.open {
+		if o == s {
+			d.open = append(d.open[:i], d.open[i+1:]...)
+			break
 		}
 	}
+	if len(d.open) == 0 {
+		d.rd.SetHeardHook(nil)
+	}
+}
+
+// heardFrom is the heard-from rule: while a probe is open, any packet the
+// redirector forwards from a probed member answers for that member as its
+// ping's acknowledgment would. A live member behind a deep queue can delay
+// the ping past every attempt while its own traffic still flows; a dead host
+// sends nothing. Traffic of the member's that bypasses the redirector is
+// never seen here, so it is no evidence.
+func (d *RedirectorDaemon) heardFrom(member ipv4.Addr) {
+	for _, s := range d.open {
+		for i := range s.probe {
+			if s.probe[i].host == member {
+				s.probe[i].alive = true
+			}
+		}
+	}
+}
+
+func (d *RedirectorDaemon) finishProbe(svc core.ServiceID, s *svcState) {
+	var failed []ipv4.Addr
+	for _, m := range s.probe {
+		if !m.alive {
+			failed = append(failed, m.host)
+		}
+	}
+	s.probe = s.probe[:0]
+	d.closeProbe(s)
 	if len(failed) == 0 {
 		// All members alive: a false positive, or congestion somewhere in
 		// the chain. Under the congestion policy, repeated strikes evict
@@ -385,6 +434,7 @@ func (d *RedirectorDaemon) applyChain(svc core.ServiceID, s *svcState) {
 			Host:    host,
 			Mode:    core.ModeBackup,
 			Gated:   i < len(s.chain)-1,
+			ProbeID: s.version,
 		}
 		if i == 0 {
 			set.Mode = core.ModePrimary

@@ -104,19 +104,62 @@ func TestReliableReportsFailure(t *testing.T) {
 }
 
 func TestReliableFailureLatencyBounded(t *testing.T) {
-	// The probe result must arrive within the retry budget (4 × 250 ms),
-	// which is what bounds reconfiguration latency.
+	// The verdict on a partitioned peer bounds reconfiguration latency.
+	// Attempts wait RTO, 2·RTO, 4·RTO and 8·RTO: 15 RTOs in all.
 	sched, ra, _, _, epB, _, link := relPair(t, 0)
-	link.SetLoss(1)
-	var failedAt time.Duration
-	ra.Send(epB, []byte("probe"), func(delivered bool) {
-		if !delivered {
-			failedAt = sched.Now()
+	verdict := func() time.Duration {
+		start := sched.Now()
+		var failedAt time.Duration
+		ra.Send(epB, []byte("probe"), func(delivered bool) {
+			if !delivered {
+				failedAt = sched.Now()
+			}
+		})
+		sched.Run()
+		if failedAt == 0 {
+			t.Fatal("delivery into a partition reported success")
 		}
-	})
+		return failedAt - start
+	}
+
+	// Unsampled: every attempt waits the 250-ms ceiling, 1 s in all.
+	link.SetLoss(1)
+	if got := verdict(); got != relAttempts*relMaxRTO {
+		t.Fatalf("unsampled peer: verdict after %v, want %v", got, relAttempts*relMaxRTO)
+	}
+
+	// Sampled over the 1-ms link: the verdict comes at RTT scale.
+	link.SetLoss(0)
+	ra.Send(epB, []byte("sample"), nil)
 	sched.Run()
-	if failedAt == 0 || failedAt > 1500*time.Millisecond {
-		t.Fatalf("failure detected at %v, want within 1.5s", failedAt)
+	rto := ra.peers[epB.Addr].rto.Current()
+	if rto >= 10*time.Millisecond {
+		t.Fatalf("RTO %v after one sample of a 2-ms round trip", rto)
+	}
+	link.SetLoss(1)
+	if got := verdict(); got > 15*rto || got > 100*time.Millisecond {
+		t.Fatalf("sampled peer (RTO %v): verdict after %v, want within 15 RTOs and 100 ms", rto, got)
+	}
+}
+
+func TestReliableKarn(t *testing.T) {
+	// An acknowledgment of a retransmitted datagram is not a sample: it may
+	// answer the first copy or the second, so the RTT it implies is unknown.
+	sched, ra, _, _, epB, _, link := relPair(t, 0)
+	ra.Send(epB, []byte("sample"), nil)
+	sched.Run()
+	before := ra.peers[epB.Addr].rto.Current()
+
+	link.SetLoss(1) // the first copy is lost ...
+	delivered := false
+	ra.Send(epB, []byte("retransmitted"), func(ok bool) { delivered = ok })
+	sched.After(time.Millisecond, func() { link.SetLoss(0) }) // ... the second is not
+	sched.Run()
+	if !delivered {
+		t.Fatal("retransmission not acknowledged")
+	}
+	if after := ra.peers[epB.Addr].rto.Current(); after != before {
+		t.Fatalf("RTO moved %v -> %v on a retransmitted datagram's acknowledgment", before, after)
 	}
 }
 
@@ -130,8 +173,26 @@ func TestReliableDedupWindow(t *testing.T) {
 		t.Fatalf("received %d", len(*received))
 	}
 	// Replay via the dedup check directly.
-	if !rb.isDup(inet.MustParseAddr("10.0.0.1"), 1) {
+	if !rb.peers[inet.MustParseAddr("10.0.0.1")].isDup(1) {
 		t.Fatal("replayed sequence not detected as duplicate")
 	}
-	_ = ra
+}
+
+func TestReliableDedupRingWraps(t *testing.T) {
+	// The ring holds the last relDedupWindow sequence numbers: after 100
+	// distinct ones, 37..100 are remembered and 1..36 forgotten.
+	var pe peer
+	for seq := uint32(1); seq <= 100; seq++ {
+		if pe.isDup(seq) {
+			t.Fatalf("first sight of %d reported as duplicate", seq)
+		}
+	}
+	for seq := uint32(100 - relDedupWindow + 1); seq <= 100; seq++ {
+		if !pe.isDup(seq) {
+			t.Fatalf("%d, within the window, not detected as duplicate", seq)
+		}
+	}
+	if pe.isDup(100 - relDedupWindow) {
+		t.Fatalf("%d, outside the window, still remembered", 100-relDedupWindow)
+	}
 }

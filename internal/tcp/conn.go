@@ -163,7 +163,7 @@ type Conn struct {
 	delack       sim.Timer
 	persist      sim.Timer
 	timeWait     sim.Event // this connection's entry in the stack's TIME-WAIT lane
-	rto          rtoEstimator
+	rto          inet.RTO
 	rttSeq       Seq
 	rttAt        time.Duration
 	rttPending   bool
@@ -203,7 +203,7 @@ func newConn(st *Stack, local, remote Endpoint) *Conn {
 		remote:            remote,
 		state:             StateClosed,
 		mss:               st.cfg.MSS,
-		rto:               rtoEstimator{rto: st.cfg.InitialRTO, minRTO: st.cfg.MinRTO, maxRTO: st.cfg.MaxRTO},
+		rto:               inet.NewRTO(st.cfg.InitialRTO, st.cfg.MinRTO, st.cfg.MaxRTO, 0),
 		lastAdvertisedWnd: st.cfg.RecvBufSize,
 	}
 	c.sndBuf.init(st.cfg.SendBufSize, &st.bufs)
@@ -243,11 +243,11 @@ func (c *Conn) Stats() ConnStats { return c.stats }
 
 // SRTT returns the smoothed round-trip time estimate (zero before the
 // first valid measurement).
-func (c *Conn) SRTT() time.Duration { return c.rto.srtt }
+func (c *Conn) SRTT() time.Duration { return c.rto.SRTT() }
 
 // RTO returns the current retransmission timeout, exponential backoff
 // included.
-func (c *Conn) RTO() time.Duration { return c.rto.current() }
+func (c *Conn) RTO() time.Duration { return c.rto.Current() }
 
 // CongestionWindow returns the congestion window in bytes.
 func (c *Conn) CongestionWindow() int { return c.cwnd }
@@ -388,7 +388,7 @@ func (c *Conn) ForceRetransmit() {
 	if c.terminated {
 		return
 	}
-	c.rto.resetBackoff()
+	c.rto.ResetBackoff()
 	if c.sndNxt != c.sndUna {
 		c.goBackN()
 		c.output()
@@ -711,7 +711,7 @@ func (c *Conn) armRTX() {
 		c.rtx.Stop()
 		return
 	}
-	c.rtx.Reset(c.rto.current())
+	c.rtx.Reset(c.rto.Current())
 }
 
 func (c *Conn) onRetransmitTimeout() {
@@ -739,7 +739,7 @@ func (c *Conn) onRetransmitTimeout() {
 	c.cwnd = c.mss
 	c.dupAcks = 0
 	c.inFastRecovery = false
-	c.rto.timedOut()
+	c.rto.TimedOut()
 	c.rttPending = false // Karn: do not sample retransmitted segments
 	switch c.state {
 	case StateSynSent, StateSynRcvd:

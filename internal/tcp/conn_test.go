@@ -551,7 +551,7 @@ func TestAcceptedConnTimesItsRTOForEveryISS(t *testing.T) {
 		if n := e.server.RTTHistogram().Count(); n == 0 {
 			t.Errorf("ISS %#x: the accepting stack took no RTT sample", uint32(iss))
 		}
-		if rto := srv.rto.current(); rto >= e.server.cfg.InitialRTO {
+		if rto := srv.rto.Current(); rto >= e.server.cfg.InitialRTO {
 			t.Errorf("ISS %#x: RTO still %v, the initial value, after the transfer", uint32(iss), rto)
 		}
 	}

@@ -183,7 +183,7 @@ func (c *Conn) processAck(seg *Segment) {
 		// RTT sampling (Karn-guarded: rttPending is cleared on timeout).
 		if c.rttPending && ack.GEQ(c.rttSeq) {
 			d := c.stack.sched.Now() - c.rttAt
-			c.rto.sample(d)
+			c.rto.Sample(d)
 			c.stack.rttHist.Observe(float64(d) / float64(time.Millisecond))
 			c.rttPending = false
 		}
