@@ -34,8 +34,15 @@ type churnFingerprint struct {
 	// TimeWaitRestarts counts FINs that reached a replica connection already
 	// in TIME-WAIT: each one re-arms a 2MSL wait.
 	TimeWaitRestarts int                      `json:"time_wait_restarts"`
-	ConnTotals       map[string]tcp.ConnStats `json:"conn_totals"`
+	ConnTotals       map[string]untaggedConns `json:"conn_totals"`
 	LiveConns        int                      `json:"live_conns_at_end"`
+}
+
+// untaggedConns is tcp.ConnStats without its JSON tags: the golden file keys
+// each host's counters by Go field name.
+type untaggedConns struct {
+	SegsSent, SegsSuppressed, SegsReceived, BytesSent, BytesReceived      uint64
+	Retransmits, RTOEvents, FastRetransmits, DupAcksSeen, PeerRetransmits uint64
 }
 
 type goldenChurn struct {
@@ -70,7 +77,7 @@ func runChurn(t *testing.T, loss float64, crash bool) churnFingerprint {
 		ClientClosed:  make([][]int64, churnTestPods),
 		ClientErr:     make([][]string, churnTestPods),
 		ReplicaClosed: map[string][]int64{},
-		ConnTotals:    map[string]tcp.ConnStats{},
+		ConnTotals:    map[string]untaggedConns{},
 	}
 	type pod struct {
 		client   *Host
@@ -209,7 +216,7 @@ func runChurn(t *testing.T, loss float64, crash bool) churnFingerprint {
 	requireReassemblyGuardsIdle(t, net)
 	fp.Events = net.EventsFired()
 	for _, h := range hosts {
-		fp.ConnTotals[h.Name()] = h.TCP().ConnTotals()
+		fp.ConnTotals[h.Name()] = untaggedConns(h.TCP().ConnTotals())
 		fp.LiveConns += h.TCP().NumConns()
 	}
 	return fp

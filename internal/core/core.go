@@ -92,12 +92,12 @@ type SuspectFunc func(svc ServiceID)
 
 // Stats counts manager-level events.
 type Stats struct {
-	ChainMsgsSent     uint64
-	ChainMsgsReceived uint64
-	ChainMsgsBad      uint64
-	ChainMsgsOrphan   uint64 // for services not replicated here
-	Suspicions        uint64
-	Promotions        uint64
+	ChainMsgsSent     uint64 `json:"chain_msgs_sent"`
+	ChainMsgsReceived uint64 `json:"chain_msgs_received"`
+	ChainMsgsBad      uint64 `json:"chain_msgs_bad"`
+	ChainMsgsOrphan   uint64 `json:"chain_msgs_orphan"` // for services not replicated here
+	Suspicions        uint64 `json:"suspicions"`
+	Promotions        uint64 `json:"promotions"`
 }
 
 // Manager is the per-host-server ft-TCP engine: it owns the replicated-port

@@ -43,13 +43,13 @@ type ForwardHook func(pkt *Packet) bool
 
 // StackStats counts datagram dispositions at one stack.
 type StackStats struct {
-	Delivered   uint64 // datagrams handed to a local protocol handler
-	Forwarded   uint64 // datagrams routed onward
-	Originated  uint64 // datagrams sent from this stack
-	BadHeader   uint64 // unparseable or checksum-failed frames
-	NoRoute     uint64
-	TTLExceeded uint64
-	NoProto     uint64 // delivered locally but no handler for the protocol
+	Delivered   uint64 `json:"delivered"`  // datagrams handed to a local protocol handler
+	Forwarded   uint64 `json:"forwarded"`  // datagrams routed onward
+	Originated  uint64 `json:"originated"` // datagrams sent from this stack
+	BadHeader   uint64 `json:"bad_header"` // unparseable or checksum-failed frames
+	NoRoute     uint64 `json:"no_route"`
+	TTLExceeded uint64 `json:"ttl_exceeded"`
+	NoProto     uint64 `json:"no_proto"` // delivered locally but no handler for the protocol
 }
 
 // Stack is a per-node IPv4 layer: address ownership, routing, forwarding,

@@ -1,8 +1,9 @@
 // Package obs is the observability spine of the HydraNet-FT reproduction:
-// a structured event bus carried on the virtual clock, net-wide counter
-// snapshots, and a failover-timeline probe reproducing the paper's Table-2
-// style decomposition (detection latency, reconfiguration latency,
-// client-visible stall).
+// a structured event bus carried on the virtual clock, and a
+// failover-timeline probe reproducing the paper's Table-2 style
+// decomposition (detection latency, reconfiguration latency, client-visible
+// stall). Net-wide counter snapshots are the facade's (Net.Snapshot), built
+// from each layer's own Stats record.
 //
 // The bus is designed to be free when nobody listens: every emit site
 // guards with Bus.Enabled(kind), a nil-safe bitmask test, and only builds
@@ -98,7 +99,7 @@ func (k Kind) String() string {
 func (k Kind) MarshalText() ([]byte, error) { return []byte(k.String()), nil }
 
 // UnmarshalText resolves a kind from its name, so events round-trip through
-// exports (audit reports, flight-recorder dumps).
+// exports (audit reports).
 func (k *Kind) UnmarshalText(name []byte) error {
 	kind, ok := KindByName(string(name))
 	if !ok {

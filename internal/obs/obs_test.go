@@ -151,70 +151,6 @@ func TestFailoverProbe(t *testing.T) {
 	}
 }
 
-func TestSnapshotDiff(t *testing.T) {
-	prev := Snapshot{
-		Time: time.Second,
-		Hosts: []HostSnapshot{{
-			Name: "s0", Alive: true,
-			Frames: FrameCounters{Sent: 100, Received: 200},
-			Conns:  ConnCounters{BytesSent: 1000, Retransmits: 3},
-		}},
-		Links: []LinkSnapshot{{
-			A: "s0", B: "rd",
-			AB: LinkDirCounters{TxFrames: 100, Lost: 2},
-		}},
-		Redirectors: []RedirectorSnapshot{{
-			Name:  "rd",
-			Table: RedirectorCounters{Multicast: 10, MulticastCopies: 30},
-		}},
-	}
-	cur := Snapshot{
-		Time: 3 * time.Second,
-		Hosts: []HostSnapshot{{
-			Name: "s0", Alive: false,
-			Frames: FrameCounters{Sent: 150, Received: 260},
-			Conns:  ConnCounters{BytesSent: 1500, Retransmits: 7},
-		}},
-		Links: []LinkSnapshot{{
-			A: "s0", B: "rd",
-			AB: LinkDirCounters{TxFrames: 150, Lost: 5},
-		}},
-		Redirectors: []RedirectorSnapshot{{
-			Name:  "rd",
-			Table: RedirectorCounters{Multicast: 25, MulticastCopies: 75},
-		}},
-	}
-	d := cur.Diff(prev)
-	if d.Time != 2*time.Second {
-		t.Errorf("Time = %v", d.Time)
-	}
-	h := d.Hosts[0]
-	if h.Frames.Sent != 50 || h.Frames.Received != 60 {
-		t.Errorf("frames diff = %+v", h.Frames)
-	}
-	if h.Conns.BytesSent != 500 || h.Conns.Retransmits != 4 {
-		t.Errorf("conn diff = %+v", h.Conns)
-	}
-	if h.Alive {
-		t.Error("liveness must reflect the current snapshot")
-	}
-	l := d.Links[0]
-	if l.AB.TxFrames != 50 || l.AB.Lost != 3 {
-		t.Errorf("link diff = %+v", l.AB)
-	}
-	r := d.Redirectors[0]
-	if r.Table.Multicast != 15 || r.Table.MulticastCopies != 45 {
-		t.Errorf("redirector diff = %+v", r.Table)
-	}
-
-	// Entries absent from prev pass through unchanged.
-	cur.Hosts = append(cur.Hosts, HostSnapshot{Name: "s9", Frames: FrameCounters{Sent: 7}})
-	d = cur.Diff(prev)
-	if d.Hosts[1].Frames.Sent != 7 {
-		t.Errorf("new host not passed through: %+v", d.Hosts[1])
-	}
-}
-
 func TestFailoverProbeBackToBackFailures(t *testing.T) {
 	// A second crash while the first timeline is still open — the promoted
 	// backup dies mid-reconfiguration, or an unrelated replica fail-stops —

@@ -50,11 +50,11 @@ func (e *Entry) numReplicas() int {
 
 // Stats counts redirector activity.
 type Stats struct {
-	Redirected      uint64 // packets matched and tunneled (scaling mode)
-	Multicast       uint64 // packets matched in FT mode
-	MulticastCopies uint64 // tunnel copies emitted in FT mode
-	PassedThrough   uint64 // packets inspected but not matched
-	TunnelErrors    uint64 // copies dropped for lack of a route
+	Redirected      uint64 `json:"redirected"`       // packets matched and tunneled (scaling mode)
+	Multicast       uint64 `json:"multicast"`        // packets matched in FT mode
+	MulticastCopies uint64 `json:"multicast_copies"` // tunnel copies emitted in FT mode
+	PassedThrough   uint64 `json:"passed_through"`   // packets inspected but not matched
+	TunnelErrors    uint64 `json:"tunnel_errors"`    // copies dropped for lack of a route
 }
 
 // EncapTap observes each packet the redirector tunnels, just before

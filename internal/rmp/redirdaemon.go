@@ -15,14 +15,14 @@ import (
 
 // RedirectorDaemonStats counts redirector-side management activity.
 type RedirectorDaemonStats struct {
-	Registrations       uint64
-	Leaves              uint64
-	Suspicions          uint64
-	ProbesSent          uint64
-	HostsFailed         uint64
-	Reconfigs           uint64
-	CongestionEvictions uint64
-	LeaseExpirations    uint64
+	Registrations       uint64 `json:"registrations"`
+	Leaves              uint64 `json:"leaves"`
+	Suspicions          uint64 `json:"suspicions"`
+	ProbesSent          uint64 `json:"probes_sent"`
+	HostsFailed         uint64 `json:"hosts_failed"`
+	Reconfigs           uint64 `json:"reconfigs"`
+	CongestionEvictions uint64 `json:"congestion_evictions"`
+	LeaseExpirations    uint64 `json:"lease_expirations"`
 }
 
 // RedirectorDaemon is the management daemon co-located with a redirector.

@@ -2,6 +2,7 @@ package scope
 
 import (
 	"bytes"
+	"io"
 	"strings"
 	"testing"
 	"time"
@@ -103,7 +104,9 @@ func TestDiffRunsFindsRegressions(t *testing.T) {
 	}
 }
 
-func TestWriteReport(t *testing.T) {
+// reportInput is a run header with a fail-over timeline, a counter, a gauge
+// and a health verdict: every section WriteReport renders.
+func reportInput() (series.Meta, *series.Set) {
 	meta := series.Meta{
 		Every: 100 * time.Millisecond, Ticks: 3, Seed: 1,
 		Failover: &obs.FailoverReport{
@@ -114,6 +117,11 @@ func TestWriteReport(t *testing.T) {
 	}
 	set := buildSet([]float64{0, 5, 1}, []float64{10, 20, 30})
 	set.Gauge("health.s1", "verdict").Observe(200*time.Millisecond, 1)
+	return meta, set
+}
+
+func TestWriteReport(t *testing.T) {
+	meta, set := reportInput()
 	run := exportJSONL(t, meta, set)
 	var buf bytes.Buffer
 	if err := WriteReport(&buf, run, nil); err != nil {
@@ -128,4 +136,20 @@ func TestWriteReport(t *testing.T) {
 			t.Fatalf("report missing %q:\n%s", want, out)
 		}
 	}
+}
+
+// FuzzLoadRun: whatever LoadRun accepts, the report and a self-diff render
+// without panicking.
+func FuzzLoadRun(f *testing.F) {
+	meta, set := reportInput()
+	var buf bytes.Buffer
+	series.WriteJSONL(&buf, meta, set)
+	f.Add(buf.Bytes())
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		if run, err := LoadRun(bytes.NewReader(raw)); err == nil {
+			WriteReport(io.Discard, run, nil)
+			DiffRuns(run, run, 0)
+		}
+	})
 }

@@ -71,7 +71,7 @@ type ReplicaSample struct {
 	// client's retransmissions, the paper's own failure-detector signal.
 	PeerRetransmits float64
 	// DepositedBytes is the cumulative payload bytes deposited to the
-	// application (tcp ConnCounters.BytesReceived).
+	// application (tcp.ConnStats.BytesReceived).
 	DepositedBytes float64
 	// SegsIn is the cumulative TCP segments received.
 	SegsIn float64

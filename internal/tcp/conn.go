@@ -102,16 +102,16 @@ type ConnHooks interface {
 
 // ConnStats counts per-connection protocol events.
 type ConnStats struct {
-	SegsSent        uint64 // segments passed to the wire (not suppressed)
-	SegsSuppressed  uint64 // segments diverted by SuppressTransmit
-	SegsReceived    uint64
-	BytesSent       uint64 // payload bytes, first transmission only
-	BytesReceived   uint64 // payload bytes deposited
-	Retransmits     uint64 // data segments retransmitted
-	RTOEvents       uint64 // retransmission timeouts fired
-	FastRetransmits uint64
-	DupAcksSeen     uint64
-	PeerRetransmits uint64 // retransmissions observed from the peer
+	SegsSent        uint64 `json:"segs_sent"`       // segments passed to the wire (not suppressed)
+	SegsSuppressed  uint64 `json:"segs_suppressed"` // segments diverted by SuppressTransmit
+	SegsReceived    uint64 `json:"segs_received"`
+	BytesSent       uint64 `json:"bytes_sent"`     // payload bytes, first transmission only
+	BytesReceived   uint64 `json:"bytes_received"` // payload bytes deposited
+	Retransmits     uint64 `json:"retransmits"`    // data segments retransmitted
+	RTOEvents       uint64 `json:"rto_events"`     // retransmission timeouts fired
+	FastRetransmits uint64 `json:"fast_retransmits"`
+	DupAcksSeen     uint64 `json:"dup_acks_seen"`
+	PeerRetransmits uint64 `json:"peer_retransmits"` // retransmissions observed from the peer
 }
 
 // accumulate folds o into the receiver (stack-level totals).

@@ -102,11 +102,11 @@ func TupleISS(local, remote Endpoint) Seq {
 
 // StackStats counts stack-level events.
 type StackStats struct {
-	SegsIn      uint64
-	SegsOut     uint64
-	BadSegments uint64
-	RSTsSent    uint64
-	NoSocket    uint64
+	SegsIn      uint64 `json:"segs_in"`
+	SegsOut     uint64 `json:"segs_out"`
+	BadSegments uint64 `json:"bad_segments"`
+	RSTsSent    uint64 `json:"rsts_sent"`
+	NoSocket    uint64 `json:"no_socket"`
 }
 
 type connKey struct {

@@ -34,7 +34,7 @@ type FailoverConfig struct {
 	// once the topology stands, before the service registers.
 	Observe hydranet.Instruments
 	// FlightPrefix and SpansPath are the names bench/ compiles against;
-	// MeasureFailover folds SpansPath into Observe (ROADMAP 6(c)) and
+	// MeasureFailover folds SpansPath into Observe (ROADMAP 7) and
 	// ignores FlightPrefix, which names no observer.
 	FlightPrefix, SpansPath string
 }

@@ -31,7 +31,7 @@ type MonitorConfig struct {
 //
 // Use Instruments.Invariants: Instrument attaches the monitor at the one
 // point where it sees the registrations. StartMonitor, FinishAudit and
-// MonitorConfig stay exported only for bench/ (ROADMAP 6(c)).
+// MonitorConfig stay exported only for bench/ (ROADMAP 7).
 func (n *Net) StartMonitor(cfg MonitorConfig) *Monitor {
 	m := invariant.New(invariant.Config{
 		Scenario:      cfg.Scenario,
