@@ -81,22 +81,26 @@ func BenchmarkFalsePositives(b *testing.B) {
 	}
 }
 
-// BenchmarkChainDepth is ablation A2: throughput as the replica chain grows
-// (the paper measures zero and one backup; this extends to three).
+// BenchmarkChainDepth is ablation A2: throughput, and acknowledgment-channel
+// messages per transferred kB, as the replica chain grows (the paper measures
+// zero and one backup; this extends to three).
 func BenchmarkChainDepth(b *testing.B) {
+	const total = 256 * 1024
 	run := func(b *testing.B, c testbed.Case, backups int) {
-		var tput float64
+		var tput, chainPerKB float64
 		for i := 0; i < b.N; i++ {
-			res := testbed.Run(testbed.Config{
-				Case: c, BufLen: 1024, TotalBytes: 256 * 1024,
+			res, info := testbed.RunMeasured(testbed.Config{
+				Case: c, BufLen: 1024, TotalBytes: total,
 				Seed: int64(i + 1), Backups: backups,
 			})
 			if res.Err != nil {
 				b.Fatalf("transfer failed: %v", res.Err)
 			}
 			tput = res.ThroughputKBps()
+			chainPerKB = float64(info.ChainMsgs) / (total / 1e3)
 		}
 		b.ReportMetric(tput, "kB/s")
+		b.ReportMetric(chainPerKB, "chain-msgs/kB")
 	}
 	b.Run("backups=0", func(b *testing.B) { run(b, testbed.CasePrimaryOnly, 0) })
 	for _, n := range []int{1, 2, 3} {

@@ -203,10 +203,10 @@ func TestRoleChangeReachesLiveConnections(t *testing.T) {
 }
 
 // TestSetUpstreamAnnouncesCursors: a replica given a new predecessor sends it
-// the current cursors of every connection it holds, once, in client order —
-// the new predecessor has never heard from it and would otherwise wait for its
-// next segment. An unchanged or cleared upstream, and a placeholder that has no
-// connection yet, send nothing.
+// the current cursors of every connection it holds, once, in client order, at
+// the end of the instant — the new predecessor has never heard from it and
+// would otherwise wait for its next segment. An unchanged or cleared upstream,
+// and a placeholder that has no connection yet, send nothing.
 func TestSetUpstreamAnnouncesCursors(t *testing.T) {
 	net, client, _, replicas := build(t, 86, 3, hydranet.FTOptions{})
 	for i := 0; i < 3; i++ {
@@ -245,18 +245,21 @@ func TestSetUpstreamAnnouncesCursors(t *testing.T) {
 
 	port.SetUpstream(replicas[1].Addr()) // the predecessor it already has
 	port.SetUpstream(0)
+	net.RunFor(0) // to the end of the instant, where the messages leave
 	if len(sent) != 0 {
 		t.Fatalf("%d chain messages for an unchanged and a cleared upstream, want none", len(sent))
 	}
+	at := net.Now()
 	port.SetUpstream(replicas[0].Addr())
+	net.RunFor(0)
 	if len(sent) != len(conns) {
 		t.Fatalf("%d chain messages on a new upstream, want one per connection (%d)", len(sent), len(conns))
 	}
 	for i, c := range conns {
 		e := sent[i]
-		if e.Conn != c.Remote() || e.Seq != uint64(c.SndNxt()) || e.Ack != uint64(c.RcvNxt()) {
-			t.Errorf("message %d: conn %s seq %d ack %d, want %s %d %d",
-				i, e.Conn, e.Seq, e.Ack, c.Remote(), c.SndNxt(), c.RcvNxt())
+		if e.Conn != c.Remote() || e.Seq != uint64(c.SndNxt()) || e.Ack != uint64(c.RcvNxt()) || e.Time != at {
+			t.Errorf("message %d: conn %s seq %d ack %d at %v, want %s %d %d at %v",
+				i, e.Conn, e.Seq, e.Ack, e.Time, c.Remote(), c.SndNxt(), c.RcvNxt(), at)
 		}
 	}
 	before := replicas[0].FTManager().Stats().ChainMsgsReceived

@@ -7,9 +7,8 @@ import (
 )
 
 // SetKeepAlive enables keepalive probing: after idle of inactivity, a probe
-// segment (a pure ACK with seq = sndNxt-1, the classic garbage-byte probe
-// semantics without the garbage) is sent every interval; after probes
-// unanswered probes the connection is terminated with ErrTimeout.
+// segment (sendProbe) is sent every interval; after probes unanswered
+// probes the connection is terminated with ErrTimeout.
 //
 // In HydraNet-FT deployments, client-side keepalive gives idle connections
 // a failure-detection path: the probes flow through the redirector to the
@@ -63,11 +62,28 @@ func (c *Conn) onKeepAlive() {
 		return
 	}
 	c.probesSent++
-	// A probe: pure ACK with an already-acknowledged sequence number. The
-	// peer answers with an ACK (our processing treats it as a plain ACK),
-	// which counts as activity and resets the cycle.
-	c.sendSegment(Segment{
-		Flags: FlagACK, Seq: c.sndNxt.Add(-1), Ack: c.rcv.rcvNxt, Window: c.windowField(),
-	})
+	// The peer's answer counts as activity and resets the cycle.
+	c.sendProbe()
 	c.keepalive.Reset(c.keepaliveInterval)
+}
+
+// ProbeAck asks the peer for a fresh acknowledgment with one probe segment.
+// An ft-TCP primary uses it when its send gate waits on a client ACK that its
+// successor's multicast copy may have lost: the client, with nothing
+// outstanding, would never send another.
+func (c *Conn) ProbeAck() {
+	switch c.state {
+	case StateEstablished, StateCloseWait, StateFinWait1, StateFinWait2, StateClosing, StateLastAck:
+		c.sendProbe()
+	}
+}
+
+// sendProbe sends a pure ACK with an already-acknowledged sequence number
+// (sndUna−1): the classic garbage-byte probe without the garbage. The peer
+// finds it outside its window and answers with an ACK, which our processing
+// treats as a plain ACK.
+func (c *Conn) sendProbe() {
+	c.sendSegment(Segment{
+		Flags: FlagACK, Seq: c.sndUna.Add(-1), Ack: c.rcv.rcvNxt, Window: c.windowField(),
+	})
 }

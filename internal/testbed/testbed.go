@@ -141,9 +141,10 @@ const ServicePort = 5001 // ttcp's traditional port
 // simulator's own performance (events/sec is the core metric the fast path
 // optimizes).
 type RunInfo struct {
-	Events uint64        // scheduler events fired
-	Frames uint64        // fabric frames sent, summed over all nodes
-	Wall   time.Duration // host wall-clock time for the run
+	Events    uint64        // scheduler events fired
+	Frames    uint64        // fabric frames sent, summed over all nodes
+	ChainMsgs uint64        // acknowledgment-channel messages sent, summed over all replicas
+	Wall      time.Duration // host wall-clock time for the run
 	// Violations counts protocol-invariant violations (0 unless the run was
 	// monitored).
 	Violations int
@@ -159,6 +160,9 @@ func RunMeasured(cfg Config) (ttcp.Result, RunInfo) {
 	info := RunInfo{Wall: time.Since(start), Events: net.EventsFired(), ObserveErr: err}
 	for _, h := range net.Snapshot().Hosts {
 		info.Frames += h.Frames.Sent
+		if h.Manager != nil {
+			info.ChainMsgs += h.Manager.ChainMsgsSent
+		}
 	}
 	if sum.Audit != nil {
 		info.Violations = int(sum.Audit.TotalViolations())

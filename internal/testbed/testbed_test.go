@@ -1,9 +1,6 @@
 package testbed
 
-import (
-	"testing"
-	"time"
-)
+import "testing"
 
 func runPoint(t *testing.T, c Case, size int) float64 {
 	t.Helper()
@@ -102,6 +99,12 @@ func TestAckChannelLossDegradesButCompletes(t *testing.T) {
 	}
 }
 
+// TestFailoverDetectsAndResumes: the primary dies mid-stream, the backup is
+// promoted, and the whole 4 MiB echo still reaches the client. Resumed is the
+// first byte after the crash, and that can be a segment the primary sent
+// before it: at seed 1 one arrives 5.5 ms after the crash, detection takes
+// 1.59 s. So the test holds the promoted replica to delivering the rest of the
+// stream, not Resumed to following Detected.
 func TestFailoverDetectsAndResumes(t *testing.T) {
 	res := MeasureFailover(FailoverConfig{Threshold: 3, Seed: 1})
 	if res.ClientError != nil {
@@ -113,11 +116,8 @@ func TestFailoverDetectsAndResumes(t *testing.T) {
 	if res.Resumed == 0 {
 		t.Fatal("stream never resumed")
 	}
-	if res.Resumed < res.Detected {
-		t.Errorf("resumed (%v) before reconfiguration (%v)?", res.Resumed, res.Detected)
-	}
-	if res.Resumed > 2*time.Minute {
-		t.Errorf("resume latency %v unreasonably large", res.Resumed)
+	if res.Delivered != 4<<20 {
+		t.Errorf("client received %d of %d echoed bytes after the fail-over", res.Delivered, 4<<20)
 	}
 	if res.FalseReconfigs != 0 {
 		t.Errorf("%d false reconfigurations", res.FalseReconfigs)

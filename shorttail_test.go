@@ -172,33 +172,66 @@ func TestShortTailLeavesWithFIN(t *testing.T) {
 // already delivered, the client's next packet is its own FIN, whose ACK field
 // repairs the backup.
 func TestLostAckCopyAtResponseEnd(t *testing.T) {
-	const response = 3*1460 + 462
+	out := lostAckCopy(t, 3)
+	if !out.closed || out.err != nil || out.got != lostAckResponse {
+		t.Fatalf("client read %d of %d bytes, closed=%v err=%v", out.got, lostAckResponse, out.closed, out.err)
+	}
+}
+
+// TestLostAckCopyOpeningWindow is ROADMAP item 1(a), the tail-ACK-copy
+// deadlock: the backup's copy of the client ACK that covers the second
+// segment, and so opens the window for the third, is lost. The client holds
+// two segments, both acknowledged, and has nothing more to say; the backup
+// waits for that ACK, and the primary, all its data acknowledged, waits at
+// its send gate for the backup. After one RTO of that silence the primary
+// probes the client, the client answers, and the redirector multicasts the
+// answer to the backup too.
+func TestLostAckCopyOpeningWindow(t *testing.T) {
+	out := lostAckCopy(t, 2)
+	if !out.closed || out.err != nil || out.got != lostAckResponse {
+		t.Fatalf("client read %d of %d bytes, closed=%v err=%v", out.got, lostAckResponse, out.closed, out.err)
+	}
+	if out.closedAt > 2*time.Second {
+		t.Errorf("client closed %v after the dial, want within a couple of RTOs", out.closedAt)
+	}
+}
+
+// lostAckResponse is three full segments and a 462-byte tail.
+const lostAckResponse = 3*1460 + 462
+
+// lostAckCopy sends one lostAckResponse through a primary and a backup, loses
+// the backup's multicast copy of the client's first pure ACK that covers the
+// first segments full segments, and returns the client's outcome after a
+// minute. The run is monitored and must show no invariant violation.
+func lostAckCopy(t *testing.T, segments int) *requestOutcome {
+	t.Helper()
 	net, client, rd, replicas, links := ftTopologyLinks(t, delayedAckConfig(130), 2)
 	sess, err := net.Instrument(Instruments{Scenario: t.Name(), Invariants: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := net.DeployFT(testSvc, rd, replicas, FTOptions{}, respondAndClose(response)); err != nil {
+	if _, err := net.DeployFT(testSvc, rd, replicas, FTOptions{}, respondAndClose(lostAckResponse)); err != nil {
 		t.Fatal(err)
 	}
 	net.Settle()
 
-	// The third segment ends at the server's ISS + 1 + 3·1460; the client's
-	// copy of the ISS is its IRS, read off the first segment it is sent.
-	var thirdEnd tcp.Seq
+	// The covered segments end at the server's ISS + 1 + segments·1460; the
+	// client's copy of the ISS is its IRS, read off the first segment it is
+	// sent.
+	var coveredEnd tcp.Seq
 	client.TCP().SetTrace(func(dir string, _, _ Endpoint, seg *tcp.Segment) {
 		if dir == "in" && seg.Flags.Has(tcp.FlagSYN) {
-			thirdEnd = seg.Seq.Add(1 + 3*1460)
+			coveredEnd = seg.Seq.Add(1 + segments*1460)
 		}
 	})
 	backupLink, dropped := links[2].link, 0
 	rd.Table().SetEncapTap(func(inner *ipv4.Packet, host Addr) {
 		p := inner.Payload
-		if dropped > 0 || thirdEnd == 0 || host != replicas[1].Addr() || len(p) < tcp.HeaderLen {
+		if dropped > 0 || coveredEnd == 0 || host != replicas[1].Addr() || len(p) < tcp.HeaderLen {
 			return
 		}
 		pureAck := len(p) == int(p[12]>>4)*4 && tcp.Flags(p[13]) == tcp.FlagACK
-		if pureAck && tcp.Seq(binary.BigEndian.Uint32(p[8:])).GEQ(thirdEnd) {
+		if pureAck && tcp.Seq(binary.BigEndian.Uint32(p[8:])).GEQ(coveredEnd) {
 			// The tap runs just before the copy is handed to the link: cut
 			// the link for that instant (the check below counts one frame).
 			dropped++
@@ -212,9 +245,6 @@ func TestLostAckCopyAtResponseEnd(t *testing.T) {
 	if _, lost, _ := backupLink.Stats(); dropped != 1 || lost[0]+lost[1] != 1 {
 		t.Fatalf("dropped %d ACK copies, the backup's link lost %v frames: want exactly one", dropped, lost)
 	}
-	if !out.closed || out.err != nil || out.got != response {
-		t.Fatalf("client read %d of %d bytes, closed=%v err=%v", out.got, response, out.closed, out.err)
-	}
 	sum, err := sess.Finish()
 	if err != nil {
 		t.Fatal(err)
@@ -222,4 +252,5 @@ func TestLostAckCopyAtResponseEnd(t *testing.T) {
 	if v := sum.Audit.TotalViolations(); v != 0 {
 		t.Errorf("%d invariant violations", v)
 	}
+	return out
 }
