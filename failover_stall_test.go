@@ -234,3 +234,37 @@ func TestMiddleCrashResumesAtDetection(t *testing.T) {
 		}
 	}
 }
+
+// TestGatedPrimaryProbesOnlyASilentClient: the tail-ACK probe is for a client
+// with nothing outstanding. When the middle of three replicas dies mid-echo,
+// the primary's deposit gate holds the client's bytes, and the client resends
+// them on its own timer. A probe as well would draw an answer that races that
+// timer: the tail counts it as a client retransmission only if the client has
+// already gone back to its oldest unacknowledged byte, so detection moved by a
+// whole RTO from one crash instant to the next. The client's stack counts each
+// probe it receives (a zero-length segment below its rcvNxt) as a peer
+// retransmission, and nothing else sends it one here.
+func TestGatedPrimaryProbesOnlyASilentClient(t *testing.T) {
+	payload := make([]byte, 1<<20)
+	for i := range payload {
+		payload[i] = byte(i*13 + i>>9)
+	}
+	for i, crashAt := range []time.Duration{320 * time.Millisecond, 570 * time.Millisecond} {
+		net, client, rd, replicas := ftTopology(t, int64(400+i), 3)
+		opts := FTOptions{Detector: DetectorParams{RetransmitThreshold: 8}}
+		if _, err := net.DeployFT(testSvc, rd, replicas, opts, echoAccept()); err != nil {
+			t.Fatal(err)
+		}
+		net.Settle()
+		received := streamClient(t, net, client, payload)
+		net.RunFor(crashAt)
+		replicas[1].Crash()
+		net.RunFor(4 * time.Minute)
+		if *received != len(payload) {
+			t.Errorf("crash at %v: client received %d of %d bytes", crashAt, *received, len(payload))
+		}
+		if n := client.TCP().ConnTotals().PeerRetransmits; n != 0 {
+			t.Errorf("crash at %v: the client received %d probes or duplicates, want 0", crashAt, n)
+		}
+	}
+}

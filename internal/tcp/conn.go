@@ -265,6 +265,11 @@ func (c *Conn) SndUna() Seq { return c.sndUna }
 // exactly the ACK number this endpoint advertises.
 func (c *Conn) RcvNxt() Seq { return c.rcv.rcvNxt }
 
+// HoldsUnacked reports whether bytes or a FIN from the peer have arrived that
+// this end has not acknowledged yet: out of order, or waiting at the deposit
+// gate. The peer resends them on its own retransmission timer.
+func (c *Conn) HoldsUnacked() bool { return len(c.rcv.pending) > 0 || c.rcv.finSet }
+
 // SetNoDelay disables Nagle batching of small segments. The paper's
 // measurements run with sender-side batching off.
 func (c *Conn) SetNoDelay(on bool) { c.noDelay = on }

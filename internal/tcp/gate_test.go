@@ -53,12 +53,18 @@ func TestGatedReceiverAcksWhenTheGateOpens(t *testing.T) {
 	if gate.holds != 3 {
 		t.Errorf("gate shut: %d holds reported for three held segments, want 3", gate.holds)
 	}
+	if !cli.HoldsUnacked() {
+		t.Errorf("gate shut: HoldsUnacked = false with 300 bytes at the gate")
+	}
 
 	gate.deposit = start.Add(300)
 	cli.Poke()
 	e.sched.RunUntil(e.sched.Now() + 50*time.Millisecond)
 	if len(*acks) != 1 || (*acks)[0] != start.Add(300) {
 		t.Fatalf("gate open: sent ACKs %v, want exactly one, for %d", *acks, start.Add(300))
+	}
+	if cli.HoldsUnacked() {
+		t.Errorf("gate open: HoldsUnacked = true with every byte deposited")
 	}
 
 	holds := gate.holds
