@@ -109,4 +109,12 @@ func TestActiveCacheAgent(t *testing.T) {
 	if s3 != 404 {
 		t.Fatalf("status for missing page = %d", s3)
 	}
+	// Every exchange closes at both ends: nothing is left once TIME-WAIT
+	// (30 s) has passed.
+	net.RunFor(time.Minute)
+	for _, h := range append(clients, hs, origin) {
+		if n := h.TCP().NumConns(); n != 0 {
+			t.Errorf("%s: %d connections left", h.Name(), n)
+		}
+	}
 }

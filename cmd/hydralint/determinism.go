@@ -33,6 +33,8 @@ var coveredPkgs = []string{
 	// of one seed: a map-ordered violation emission or wall-clock stamp
 	// would break audit-report parity.
 	"internal/invariant",
+	// The applications and ttcp run on the scheduler: they write the traffic.
+	"internal/app", "internal/ttcp",
 	// The facade: topology, deployment and fault injection drive the run,
 	// telemetry's sampler ticks inside it, and Net.Snapshot/Diff are the
 	// counters every export and the benchmark digest read.

@@ -16,12 +16,13 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"runtime"
+	"text/tabwriter"
 	"time"
 
 	"hydranet"
-	"hydranet/internal/metrics"
 	"hydranet/internal/sweep"
 	"hydranet/internal/testbed"
 )
@@ -87,37 +88,43 @@ func main() {
 		byKey[jobs[i]] = r
 	}
 
-	header := []string{"packet size [B]"}
-	for _, c := range testbed.Figure4Cases {
-		header = append(header, c.String())
-	}
-	table := metrics.NewTable(header...)
-	for _, size := range testbed.Figure4Sizes {
-		row := []string{fmt.Sprintf("%d", size)}
-		for _, c := range testbed.Figure4Cases {
-			var sum metrics.Summary
-			failed := false
-			for r := 0; r < *repeat; r++ {
-				jr := byKey[job{size: size, c: c, rep: r}]
-				if jr.err != nil {
-					failed = true
-					break
-				}
-				sum.Add(jr.kbps)
+	// cell is one point: the mean over the -repeat seeds, ± their sample
+	// standard deviation when there are several.
+	cell := func(size int, c testbed.Case) string {
+		kbps := make([]float64, *repeat)
+		sum := 0.0
+		for r := range kbps {
+			jr := byKey[job{size: size, c: c, rep: r}]
+			if jr.err != nil {
+				return "ERR"
 			}
-			if failed {
-				row = append(row, "ERR")
-				continue
-			}
-			if *repeat > 1 {
-				row = append(row, sum.String())
-			} else {
-				row = append(row, fmt.Sprintf("%.0f", sum.Mean()))
-			}
+			kbps[r] = jr.kbps
+			sum += jr.kbps
 		}
-		table.AddRow(row...)
+		mean := sum / float64(*repeat)
+		if *repeat == 1 {
+			return fmt.Sprintf("%.0f", mean)
+		}
+		ss := 0.0
+		for _, x := range kbps {
+			ss += (x - mean) * (x - mean)
+		}
+		return fmt.Sprintf("%.1f ± %.1f", mean, math.Sqrt(ss/float64(*repeat-1)))
 	}
-	fmt.Print(table)
+	tw := tabwriter.NewWriter(os.Stdout, 0, 0, 2, ' ', tabwriter.AlignRight)
+	fmt.Fprint(tw, "packet size [B]\t")
+	for _, c := range testbed.Figure4Cases {
+		fmt.Fprintf(tw, "%s\t", c)
+	}
+	fmt.Fprintln(tw)
+	for _, size := range testbed.Figure4Sizes {
+		fmt.Fprintf(tw, "%d\t", size)
+		for _, c := range testbed.Figure4Cases {
+			fmt.Fprintf(tw, "%s\t", cell(size, c))
+		}
+		fmt.Fprintln(tw)
+	}
+	tw.Flush()
 	fmt.Println("\nthroughput in kBytes/sec; rows correspond to the paper's x-axis")
 	fmt.Printf("swept %d runs in %v\n", len(jobs), wall.Round(time.Millisecond))
 	if observe.Invariants {

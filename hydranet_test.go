@@ -217,72 +217,3 @@ func TestBackupCrashIsInvisible(t *testing.T) {
 		t.Fatalf("chain = %v, want [s0]", chain)
 	}
 }
-
-func TestScalingModeNearestReplica(t *testing.T) {
-	// Paper Figure 2: scaling replication tunnels to the nearest replica;
-	// unrelated ports pass through untouched.
-	net := New(Config{Seed: 6})
-	client := net.AddHost("client", HostConfig{})
-	rd := net.AddRedirector("rd", HostConfig{})
-	near := net.AddHost("near", HostConfig{})
-	far := net.AddHost("far", HostConfig{})
-	origin := net.AddHost("origin", HostConfig{})
-	link := LinkConfig{Rate: 10_000_000, Delay: time.Millisecond}
-	net.Link(client, rd.Host, link)
-	net.Link(near, rd.Host, link)
-	net.Link(far, rd.Host, link)
-	// The origin host really owns the service address.
-	net.LinkAddr(origin, rd.Host, link,
-		MustAddr("192.20.225.20"), MustAddr("192.20.225.1"))
-	net.AutoRoute()
-
-	svc := ServiceID{Addr: MustAddr("192.20.225.20"), Port: 80}
-	reply := func(tag string) func(*Conn) {
-		return func(c *Conn) {
-			c.OnReadable(func() {
-				buf := make([]byte, 64)
-				if n := c.Read(buf); n > 0 {
-					c.Write([]byte(tag))
-					c.Close()
-				}
-			})
-		}
-	}
-	if err := net.DeployScale(svc, rd, []ScaleTarget{
-		{Host: near, Metric: 1},
-		{Host: far, Metric: 5},
-	}, reply("replica")); err != nil {
-		t.Fatal(err)
-	}
-	// A different port on the origin host is NOT redirected (the paper's
-	// telnet example).
-	tl, err := origin.Listen(MustAddr("192.20.225.20"), 23)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tl.SetAcceptFunc(reply("origin"))
-	net.Settle()
-
-	web, _ := client.Dial(svc)
-	webReply := collect(web)
-	web.OnConnected(func() { web.Write([]byte("GET /")) })
-
-	telnet, _ := client.DialEndpoint(Endpoint{Addr: MustAddr("192.20.225.20"), Port: 23})
-	telnetReply := collect(telnet)
-	telnet.OnConnected(func() { telnet.Write([]byte("login")) })
-
-	net.RunFor(10 * time.Second)
-	if string(*webReply) != "replica" {
-		t.Fatalf("web reply = %q, want %q (nearest replica)", *webReply, "replica")
-	}
-	if string(*telnetReply) != "origin" {
-		t.Fatalf("telnet reply = %q, want %q (not redirected)", *telnetReply, "origin")
-	}
-	// Near replica must have served it, not far.
-	if near.TCP().Stats().SegsIn == 0 {
-		t.Error("near replica saw no traffic")
-	}
-	if far.TCP().Stats().SegsIn != 0 {
-		t.Error("far replica saw traffic despite higher metric")
-	}
-}

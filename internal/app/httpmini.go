@@ -32,6 +32,7 @@ func HTTPServer(pages map[string]string) func(*tcp.Conn) {
 
 // HTTPGet issues one request over an established or connecting conn and
 // calls done with the parsed response (or ok=false on connection failure).
+// It closes its end once the response is complete or the peer has closed.
 func HTTPGet(c *tcp.Conn, path string, done func(status int, body []byte, ok bool)) {
 	var buf []byte
 	finished := false
@@ -52,8 +53,10 @@ func HTTPGet(c *tcp.Conn, path string, done func(status int, body []byte, ok boo
 			buf = append(buf, tmp[:n]...)
 		}
 		if status, body, complete := decodeResponse(buf); complete {
+			c.Close()
 			finish(status, body, true)
 		} else if c.PeerClosed() {
+			c.Close()
 			finish(0, nil, false)
 		}
 	})

@@ -1,3 +1,5 @@
+// Package metrics provides the log-bucketed latency histogram that the TCP
+// stack's RTT samples, the span collector and counter snapshots share.
 package metrics
 
 import (

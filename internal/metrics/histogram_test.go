@@ -77,6 +77,26 @@ func TestHistogramQuantileWithinRange(t *testing.T) {
 	}
 }
 
+func TestMeanBetweenMinMax(t *testing.T) {
+	f := func(raw []float64) bool {
+		var h Histogram
+		for _, x := range raw {
+			if math.IsNaN(x) || math.IsInf(x, 0) {
+				continue
+			}
+			h.Observe(math.Mod(math.Abs(x), 1e6))
+		}
+		if h.Count() == 0 {
+			return true
+		}
+		eps := 1e-9 * (1 + h.Max())
+		return h.Mean() >= h.Min()-eps && h.Mean() <= h.Max()+eps
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Error(err)
+	}
+}
+
 func TestHistogramSnapshotDiff(t *testing.T) {
 	var h Histogram
 	for i := 0; i < 10; i++ {

@@ -41,20 +41,23 @@ const (
 	MsgRegisterScale
 	// MsgPing is the liveness probe used to identify the failed member of
 	// a partitioned chain. The reliable layer's acknowledgment serves as
-	// the reply; MsgPong is reserved for an explicit response should the
-	// probe ever move to plain UDP.
+	// the reply.
 	MsgPing
-	MsgPong
+)
+
+// Type 7 is unassigned and rejected on receipt; the types after it keep
+// their wire values.
+const (
 	// MsgMirror replicates an FT table entry to a peer redirector, so
 	// clients behind several redirectors reach the same replica set
 	// (paper Figure 1). Hosts carries the chain, primary first; an empty
 	// list removes the entry. ProbeID carries a per-service version for
 	// last-writer-wins ordering.
-	MsgMirror
+	MsgMirror MsgType = 8
 	// MsgHeartbeat announces a replica's liveness for a service. Sent
 	// periodically only when lease-based membership is enabled; the
 	// redirector expires chain members whose heartbeats stop.
-	MsgHeartbeat
+	MsgHeartbeat MsgType = 9
 )
 
 func (t MsgType) String() string {
@@ -71,8 +74,6 @@ func (t MsgType) String() string {
 		return "REGISTER-SCALE"
 	case MsgPing:
 		return "PING"
-	case MsgPong:
-		return "PONG"
 	case MsgMirror:
 		return "MIRROR"
 	case MsgHeartbeat:
@@ -85,7 +86,7 @@ func (t MsgType) String() string {
 // carriesProbeID reports whether the type's 4-byte slot at offset 17 holds
 // ProbeID rather than Metric.
 func (t MsgType) carriesProbeID() bool {
-	return t == MsgPing || t == MsgPong || t == MsgMirror || t == MsgChainSet
+	return t == MsgPing || t == MsgMirror || t == MsgChainSet
 }
 
 // Message is the flat RMP wire message; which fields are meaningful depends
@@ -98,7 +99,7 @@ type Message struct {
 	Upstream ipv4.Addr // CHAIN-SET: predecessor in the acknowledgment channel
 	Gated    bool      // CHAIN-SET: successor exists
 	Metric   uint16    // REGISTER-SCALE: routing metric
-	ProbeID  uint32    // PING/PONG correlation; MIRROR and CHAIN-SET version
+	ProbeID  uint32    // PING correlation; MIRROR and CHAIN-SET version
 	// Hosts is the replica chain carried by MIRROR messages.
 	Hosts []ipv4.Addr
 }
@@ -159,7 +160,7 @@ func UnmarshalMessage(b []byte) (*Message, error) {
 	} else {
 		m.Metric = getU16(b[17:19])
 	}
-	if m.Type < MsgRegister || m.Type > MsgHeartbeat {
+	if m.Type < MsgRegister || m.Type > MsgHeartbeat || (m.Type > MsgPing && m.Type < MsgMirror) {
 		return nil, ErrBadMessage
 	}
 	if m.Type == MsgMirror {

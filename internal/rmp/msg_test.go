@@ -9,10 +9,12 @@ import (
 )
 
 func TestMessageRoundTrip(t *testing.T) {
+	types := [...]MsgType{MsgRegister, MsgLeave, MsgSuspect, MsgChainSet,
+		MsgRegisterScale, MsgPing, MsgMirror, MsgHeartbeat}
 	f := func(typ uint8, svcAddr uint32, svcPort uint16, host uint32, mode uint8,
 		upstream uint32, gated bool, metric uint16, probe uint32, hostsRaw []uint32) bool {
 		in := &Message{
-			Type:     MsgType(typ%8 + 1),
+			Type:     types[int(typ)%len(types)],
 			Service:  core.ServiceID{Addr: ipv4.Addr(svcAddr), Port: svcPort},
 			Host:     ipv4.Addr(host),
 			Mode:     core.Mode(mode%2 + 1),
@@ -20,7 +22,7 @@ func TestMessageRoundTrip(t *testing.T) {
 			Gated:    gated,
 		}
 		switch in.Type {
-		case MsgPing, MsgPong, MsgChainSet:
+		case MsgPing, MsgChainSet:
 			in.ProbeID = probe
 		case MsgMirror:
 			in.ProbeID = probe
@@ -62,13 +64,12 @@ func TestMessageRejectsGarbage(t *testing.T) {
 	if _, err := UnmarshalMessage(make([]byte, msgLen-1)); err == nil {
 		t.Error("short accepted")
 	}
-	b := make([]byte, msgLen) // type 0
-	if _, err := UnmarshalMessage(b); err == nil {
-		t.Error("type 0 accepted")
-	}
-	b[0] = 200
-	if _, err := UnmarshalMessage(b); err == nil {
-		t.Error("type 200 accepted")
+	b := make([]byte, msgLen)
+	for _, typ := range []byte{0, 7, 10, 200} { // 7 is unassigned
+		b[0] = typ
+		if _, err := UnmarshalMessage(b); err == nil {
+			t.Errorf("type %d accepted", typ)
+		}
 	}
 }
 
@@ -76,7 +77,8 @@ func TestMsgTypeString(t *testing.T) {
 	names := map[MsgType]string{
 		MsgRegister: "REGISTER", MsgLeave: "LEAVE", MsgSuspect: "SUSPECT",
 		MsgChainSet: "CHAIN-SET", MsgRegisterScale: "REGISTER-SCALE",
-		MsgPing: "PING", MsgPong: "PONG",
+		MsgPing: "PING", MsgMirror: "MIRROR", MsgHeartbeat: "HEARTBEAT",
+		7: "MsgType(7)",
 	}
 	for typ, want := range names {
 		if got := typ.String(); got != want {

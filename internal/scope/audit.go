@@ -5,9 +5,9 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"text/tabwriter"
 
 	"hydranet/internal/invariant"
-	"hydranet/internal/metrics"
 )
 
 // LoadAuditFile loads an invariant-monitor audit report (written by the
@@ -47,21 +47,22 @@ func WriteAuditReport(w io.Writer, r *invariant.Report) error {
 	}
 
 	fmt.Fprintln(w)
-	rules := metrics.NewTable("rule", "checks", "violations")
+	tw := tabwriter.NewWriter(w, 0, 0, 2, ' ', tabwriter.AlignRight)
+	fmt.Fprintln(tw, "rule\tchecks\tviolations\t")
 	for _, rr := range r.Rules {
-		rules.AddRow(rr.Rule, fmt.Sprintf("%d", rr.Checks), fmt.Sprintf("%d", rr.Violations))
+		fmt.Fprintf(tw, "%s\t%d\t%d\t\n", rr.Rule, rr.Checks, rr.Violations)
 	}
-	if _, err := io.WriteString(w, rules.String()); err != nil {
+	if err := tw.Flush(); err != nil {
 		return err
 	}
 
 	if len(r.EventCounts) > 0 {
 		fmt.Fprintln(w)
-		kinds := metrics.NewTable("event kind", "count")
+		fmt.Fprintln(tw, "event kind\tcount\t")
 		for _, kc := range r.EventCounts {
-			kinds.AddRow(kc.Kind, fmt.Sprintf("%d", kc.Count))
+			fmt.Fprintf(tw, "%s\t%d\t\n", kc.Kind, kc.Count)
 		}
-		if _, err := io.WriteString(w, kinds.String()); err != nil {
+		if err := tw.Flush(); err != nil {
 			return err
 		}
 	}
