@@ -25,6 +25,9 @@ var coveredPkgs = []string{
 	"internal/core", "internal/rmp", "internal/hostserver",
 	// Its rendering is every exported artifact.
 	"internal/obs",
+	// ICMP, the address helpers and the frame pool run inside the
+	// simulation loop; metrics and capture write its artifacts.
+	"internal/icmp", "internal/inet", "internal/frame", "internal/metrics", "internal/capture",
 	// The telemetry sampler runs on the virtual clock inside the
 	// simulation loop: a wall-clock read or map-ordered emission there
 	// would make series exports (and hydrascope diffs of them) flap.

@@ -124,7 +124,6 @@ func main() {
 	observe.Scenario = fmt.Sprintf("hydranet-sim replicas=%d bytes=%d crash=%s", *replicas, *bytes, *crashWho)
 	observe.Failover = true // the timeline below is part of every narration
 	observe.SpanStats = *stats
-	observe.Watch = hosts
 	sess, err := net.Instrument(*observe)
 	fatal("observers", err)
 

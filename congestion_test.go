@@ -6,6 +6,7 @@ import (
 
 	"hydranet/internal/app"
 	"hydranet/internal/rmp"
+	"hydranet/internal/ttcp"
 )
 
 // TestCongestedBackupEvictedAndRecommissioned exercises the paper's
@@ -135,7 +136,7 @@ func TestProbeKeepsQueuedMember(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		lst.SetAcceptFunc(func(c *Conn) { app.Sink(c) })
+		lst.SetAcceptFunc(func(c *Conn) { ttcp.Sink(c) })
 		bulk, _ := client.DialEndpoint(Endpoint{Addr: replicas[0].Addr(), Port: 9})
 		app.Source(bulk, make([]byte, 8<<20), false)
 		for _, h := range replicas {

@@ -149,8 +149,6 @@ func TestCrashDuringCloseHandshake(t *testing.T) {
 // must empty, and later dials must fail rather than hang forever.
 func TestAllReplicasDead(t *testing.T) {
 	net, client, rd, replicas := ftTopology(t, 112, 2)
-	cfg := TCPConfig{MaxRetries: 6, MinRTO: 500 * time.Millisecond}
-	_ = cfg // client stack config is fixed at AddHost; defaults suffice
 	svc, err := net.DeployFT(testSvc, rd, replicas,
 		FTOptions{Detector: DetectorParams{RetransmitThreshold: 2}}, echoAccept())
 	if err != nil {

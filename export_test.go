@@ -52,7 +52,6 @@ func requireReassemblyGuardsIdle(t *testing.T, net *Net) {
 func runCaptureFailover(t *testing.T, in Instruments) Summary {
 	t.Helper()
 	net, client, rd, replicas := captureTopology(t, 11)
-	in.Watch = replicas
 	sess, err := net.Instrument(in)
 	if err != nil {
 		t.Fatal(err)
@@ -108,4 +107,18 @@ func GoldenCapture(t *testing.T) (pcap, series []byte) {
 	}
 	runCaptureFailover(t, in)
 	return mustRead(t, in.Pcap), mustRead(t, in.Series)
+}
+
+// GoldenCaptureSpansAudit is the same capture scenario with spans and the
+// audit named instead; it returns the two files Finish wrote. It is a run of
+// its own because spans add series columns.
+func GoldenCaptureSpansAudit(t *testing.T) (spans, audit []byte) {
+	t.Helper()
+	dir := t.TempDir()
+	in := Instruments{
+		Spans: filepath.Join(dir, "golden.spans.json"),
+		Audit: filepath.Join(dir, "golden.audit.json"),
+	}
+	runCaptureFailover(t, in)
+	return mustRead(t, in.Spans), mustRead(t, in.Audit)
 }

@@ -24,6 +24,8 @@ type goldenOutputs struct {
 	RecordedAt    string   `json:"recorded_at"`
 	CapturePcap   string   `json:"capture_pcap_sha256"`
 	CaptureSeries string   `json:"capture_series_sha256"`
+	CaptureSpans  string   `json:"capture_spans_sha256"`
+	CaptureAudit  string   `json:"capture_audit_sha256"`
 	Scenario77    string   `json:"scenario77_sha256"`
 	Figure4At128K []string `json:"figure4_128k"`
 }
@@ -35,9 +37,12 @@ func sha(b []byte) string {
 
 func computeGolden(t *testing.T) goldenOutputs {
 	pcap, series := hydranet.GoldenCapture(t)
+	spans, audit := hydranet.GoldenCaptureSpansAudit(t)
 	g := goldenOutputs{
 		CapturePcap:   sha(pcap),
 		CaptureSeries: sha(series),
+		CaptureSpans:  sha(spans),
+		CaptureAudit:  sha(audit),
 		Scenario77:    sha([]byte(hydranet.GoldenScenario(77))),
 	}
 	for _, size := range testbed.Figure4Sizes {
@@ -54,9 +59,10 @@ func computeGolden(t *testing.T) goldenOutputs {
 	return g
 }
 
-// TestGoldenOutputs: the FT capture scenario's pcap and series exports, the
-// runScenario(77) fingerprint and the 28-point Figure-4 table at 128 KiB are
-// exactly what the commit that recorded the golden file produced.
+// TestGoldenOutputs: the FT capture scenario's pcap and series exports, a
+// second run's spans and audit, the runScenario(77) fingerprint and the
+// 28-point Figure-4 table at 128 KiB are exactly what the commit that
+// recorded the golden file produced.
 func TestGoldenOutputs(t *testing.T) {
 	got := computeGolden(t)
 	if *updateGolden != "" {
@@ -86,6 +92,12 @@ func TestGoldenOutputs(t *testing.T) {
 	}
 	if got.CaptureSeries != want.CaptureSeries {
 		t.Errorf("capture series sha256 = %s, golden %s", got.CaptureSeries, want.CaptureSeries)
+	}
+	if got.CaptureSpans != want.CaptureSpans {
+		t.Errorf("capture spans sha256 = %s, golden %s", got.CaptureSpans, want.CaptureSpans)
+	}
+	if got.CaptureAudit != want.CaptureAudit {
+		t.Errorf("capture audit sha256 = %s, golden %s", got.CaptureAudit, want.CaptureAudit)
 	}
 	if got.Scenario77 != want.Scenario77 {
 		t.Errorf("runScenario(77) sha256 = %s, golden %s", got.Scenario77, want.Scenario77)

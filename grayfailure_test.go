@@ -2,11 +2,14 @@ package hydranet
 
 import (
 	"bytes"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
 	"hydranet/internal/icmp"
 	"hydranet/internal/scope"
+	"hydranet/internal/series"
 )
 
 // TestGrayFailureDegradedBeforeDetector is the PR's headline scenario: a
@@ -24,7 +27,7 @@ func TestGrayFailureDegradedBeforeDetector(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	tel := net.startSampler(50*time.Millisecond, nil, nil, replicas)
+	tel := net.startSampler(50*time.Millisecond, nil, nil)
 
 	var suspicions []time.Duration
 	net.Bus().Subscribe(func(e Event) {
@@ -80,6 +83,74 @@ func TestGrayFailureDegradedBeforeDetector(t *testing.T) {
 	}
 }
 
+// TestSamplerCadenceAndStop: the first tick fires one cadence after the
+// sampler starts and each later one a cadence after the last; Stop disarms it.
+func TestSamplerCadenceAndStop(t *testing.T) {
+	net := New(Config{Seed: 1})
+	a := net.AddHost("a", HostConfig{})
+	tel := net.startSampler(10*time.Millisecond, nil, nil)
+	net.RunFor(35 * time.Millisecond)
+	alive := tel.set.Get("host." + a.Name() + ".alive")
+	if tel.ticks != 3 || alive.Len() != 3 || !tel.timer.Armed() {
+		t.Fatalf("ticks=%d points=%d armed=%v, want 3 ticks (10/20/30ms), still armed", tel.ticks, alive.Len(), tel.timer.Armed())
+	}
+	for i, want := range []time.Duration{10, 20, 30} {
+		if at := alive.At(i).T; at != want*time.Millisecond {
+			t.Fatalf("tick %d at %v, want %vms", i, at, want)
+		}
+	}
+	tel.Stop()
+	net.RunFor(100 * time.Millisecond)
+	if tel.ticks != 3 || tel.timer.Armed() {
+		t.Fatalf("sampler ticked after Stop: ticks=%d armed=%v", tel.ticks, tel.timer.Armed())
+	}
+}
+
+// TestHealthWatchesEveryFTReplica: the health scorer classifies every
+// replica of every FT service deployed, each host once, including services
+// deployed after the sampler started. Each tick picks up new replicas first,
+// so their health series follow the host series and precede the series
+// created during the tick.
+func TestHealthWatchesEveryFTReplica(t *testing.T) {
+	net, _, rd, replicas := ftTopology(t, 3, 3)
+	tel := net.startSampler(50*time.Millisecond, nil, nil)
+	if _, err := net.DeployFT(testSvc, rd, replicas[:2], FTOptions{}, echoAccept()); err != nil {
+		t.Fatal(err)
+	}
+	net.RunFor(120 * time.Millisecond)
+	other := ServiceID{Addr: testSvc.Addr, Port: 81}
+	if _, err := net.DeployFT(other, rd, replicas[1:], FTOptions{}, echoAccept()); err != nil {
+		t.Fatal(err)
+	}
+	net.RunFor(100 * time.Millisecond)
+	tel.Stop()
+
+	var names []string
+	tel.set.Each(func(s *series.Series) { names = append(names, s.Name()) })
+	var health []string
+	firstHealth, firstLazy := -1, -1
+	for i, name := range names {
+		switch {
+		case strings.HasPrefix(name, "health."):
+			health = append(health, name)
+			if firstHealth < 0 {
+				firstHealth = i
+			}
+		case !strings.HasPrefix(name, "host.") && firstLazy < 0:
+			firstLazy = i
+		}
+	}
+	if want := []string{"health.s0", "health.s1", "health.s2"}; !slices.Equal(health, want) {
+		t.Fatalf("health series %v, want %v", health, want)
+	}
+	if firstHealth < 0 || firstLazy < firstHealth {
+		t.Fatalf("series order %v: health series must follow the host series and precede the rest", names)
+	}
+	if tel.set.Get("health.s2").Len() != 2 {
+		t.Errorf("health.s2 has %d points, want 2 (ticks at 150 and 200 ms)", tel.set.Get("health.s2").Len())
+	}
+}
+
 // TestSamplerZeroCostWhenStopped pins the facade's promise: telemetry is
 // zero-cost unless a sampler is actively running. A net that had a sampler
 // attached, ticking, and then stopped must perform a ping round trip with
@@ -92,7 +163,7 @@ func TestSamplerZeroCostWhenStopped(t *testing.T) {
 		net.Link(a, b, LinkConfig{Rate: 100_000_000, Delay: 100 * time.Microsecond})
 		net.AutoRoute()
 		if attach {
-			tel := net.startSampler(time.Millisecond, nil, nil, nil)
+			tel := net.startSampler(time.Millisecond, nil, nil)
 			net.RunFor(5 * time.Millisecond) // let it tick for real
 			tel.Stop()
 		}
@@ -127,7 +198,7 @@ func TestSeriesExportIdenticalSeedsDiffClean(t *testing.T) {
 			t.Fatal(err)
 		}
 		probe := net.newFailoverProbe()
-		tel := net.startSampler(50*time.Millisecond, nil, probe, replicas)
+		tel := net.startSampler(50*time.Millisecond, nil, probe)
 		net.Settle()
 
 		payload := make([]byte, 512*1024)

@@ -85,8 +85,7 @@ type Config struct {
 	// Seed drives all randomness (loss decisions). Runs with equal seeds
 	// and topologies produce identical packet traces.
 	Seed int64
-	// TCP is the default TCP configuration applied to every host; per-host
-	// overrides go in HostConfig.
+	// TCP is the TCP configuration of every host.
 	TCP TCPConfig
 }
 
@@ -98,8 +97,6 @@ type HostConfig struct {
 	// ProcPerByte is additional CPU cost per packet byte (copies and
 	// checksums on slow machines).
 	ProcPerByte time.Duration
-	// TCP overrides the net-wide TCP configuration if non-zero-valued.
-	TCP *TCPConfig
 }
 
 // Net is a simulated internetwork.
@@ -192,6 +189,9 @@ type Host struct {
 	mgr  *core.Manager
 	dmn  *rmp.HostDaemon
 	addr Addr // primary address (first link)
+	// ftReplica records that a DeployFT was given this host; the
+	// telemetry's health scorer watches every such host.
+	ftReplica bool
 }
 
 // AddHost creates a host.
@@ -200,11 +200,7 @@ func (n *Net) AddHost(name string, cfg HostConfig) *Host {
 	h := &Host{net: n, name: name, node: node}
 	h.ip = ipv4.NewStack(node, n.sched)
 	h.udp = udp.NewStack(h.ip)
-	tcpCfg := n.cfg.TCP
-	if cfg.TCP != nil {
-		tcpCfg = *cfg.TCP
-	}
-	h.tcp = tcp.NewStack(h.ip, tcpCfg)
+	h.tcp = tcp.NewStack(h.ip, n.cfg.TCP)
 	h.tcp.SetBus(n.bus)
 	h.icmp = icmp.NewStack(h.ip)
 	h.hs = hostserver.New(h.ip)

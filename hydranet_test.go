@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"hydranet/internal/app"
+	"hydranet/internal/icmp"
 )
 
 // ftTopology builds the paper's Figure 3 setup: a client, a redirector, and
@@ -215,5 +216,25 @@ func TestBackupCrashIsInvisible(t *testing.T) {
 	chain := svc.Chain()
 	if len(chain) != 1 || chain[0] != replicas[0].Addr() {
 		t.Fatalf("chain = %v, want [s0]", chain)
+	}
+}
+
+// TestPingCountsOriginated: an echo request is a datagram the sender
+// originates, counted once like any other.
+func TestPingCountsOriginated(t *testing.T) {
+	net := New(Config{Seed: 1})
+	a := net.AddHost("a", HostConfig{})
+	b := net.AddHost("b", HostConfig{})
+	net.Link(a, b, LinkConfig{Rate: 10_000_000, Delay: time.Millisecond})
+	net.AutoRoute()
+	before := a.IP().Stats().Originated
+	var got icmp.EchoResult
+	a.Ping(b.Addr(), time.Second, func(r icmp.EchoResult) { got = r })
+	net.RunFor(100 * time.Millisecond)
+	if got.TimedOut || got.Unreachable || got.RTT == 0 {
+		t.Fatalf("ping failed: %+v", got)
+	}
+	if n := a.IP().Stats().Originated - before; n != 1 {
+		t.Fatalf("one ping raised the sender's IP.Originated by %d, want 1", n)
 	}
 }

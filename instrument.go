@@ -33,13 +33,11 @@ type Instruments struct {
 	// DepositStall) even when Spans names no file.
 	SpanStats bool
 	// Series exports sampled time series to this file as JSON lines. They
-	// always carry the fail-over phases, span lag/stall columns only when
-	// spans are collected, and health verdicts only for the Watch replicas.
+	// always carry the fail-over phases and health verdicts for every FT
+	// replica, and span lag/stall columns only when spans are collected.
 	Series string
 	// SampleEvery is the Series cadence (default 100 ms of virtual time).
 	SampleEvery time.Duration
-	// Watch lists the replicas the Series health scorer classifies.
-	Watch []*Host
 	// Invariants attaches the online protocol-invariant monitor; Audit
 	// additionally writes its report as JSON to this file.
 	Invariants bool
@@ -149,7 +147,7 @@ func (n *Net) Instrument(in Instruments) (*Session, error) {
 		s.spans = n.newSpanCollector()
 	}
 	if in.Series != "" {
-		s.tel = n.startSampler(in.SampleEvery, s.spans, s.probe, in.Watch)
+		s.tel = n.startSampler(in.SampleEvery, s.spans, s.probe)
 	}
 	return s, nil
 }
@@ -189,7 +187,7 @@ func (s *Session) Finish() (Summary, error) {
 		}
 	}
 	if s.tel != nil {
-		sum.Series, sum.Ticks = s.tel.set.Len(), s.tel.sampler.Ticks()
+		sum.Series, sum.Ticks = s.tel.set.Len(), s.tel.ticks
 		fail("series", writeFile(s.in.Series, s.tel.WriteJSONL))
 	}
 	if s.mon != nil {

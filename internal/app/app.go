@@ -63,33 +63,6 @@ func (e *echo) flush() {
 	}
 }
 
-// SinkStats records what a Sink consumed.
-type SinkStats struct {
-	Bytes int
-	EOF   bool
-}
-
-// Sink consumes and discards inbound data, closing after EOF. It returns a
-// stats record that updates as data arrives.
-func Sink(c *tcp.Conn) *SinkStats {
-	st := &SinkStats{}
-	buf := make([]byte, 8192)
-	c.OnReadable(func() {
-		for {
-			n := c.Read(buf)
-			if n == 0 {
-				break
-			}
-			st.Bytes += n
-		}
-		if c.PeerClosed() && !st.EOF {
-			st.EOF = true
-			c.Close()
-		}
-	})
-	return st
-}
-
 // Collect accumulates all received bytes into out.
 func Collect(c *tcp.Conn, out *[]byte) {
 	buf := make([]byte, 8192)

@@ -11,6 +11,7 @@ import (
 	"hydranet/internal/netsim"
 	"hydranet/internal/sim"
 	"hydranet/internal/tcp"
+	"hydranet/internal/ttcp"
 )
 
 // pairConn builds two linked hosts and returns (sched, client stack, server
@@ -75,27 +76,30 @@ func TestEchoClosesAfterPeer(t *testing.T) {
 func TestSinkCountsAndEOF(t *testing.T) {
 	sched, cs, ss, serverAddr := pairConn(t, tcp.Config{})
 	l, _ := ss.Listen(0, 9)
-	var st *SinkStats
-	l.SetAcceptFunc(func(c *tcp.Conn) { st = Sink(c) })
+	var got *int
+	l.SetAcceptFunc(func(c *tcp.Conn) { got = ttcp.Sink(c) })
 	conn, _ := cs.Connect(0, tcp.Endpoint{Addr: serverAddr, Port: 9})
 	Source(conn, make([]byte, 50_000), true)
 	sched.RunUntil(time.Minute)
-	if st == nil || st.Bytes != 50_000 || !st.EOF {
-		t.Fatalf("sink stats = %+v", st)
+	if got == nil || *got != 50_000 {
+		t.Fatalf("sink consumed %v bytes, want 50000", got)
+	}
+	if !conn.PeerClosed() {
+		t.Fatalf("sink did not close its end after EOF (client in %v)", conn.State())
 	}
 }
 
 func TestSourceOnAlreadyEstablishedConn(t *testing.T) {
 	sched, cs, ss, serverAddr := pairConn(t, tcp.Config{})
 	l, _ := ss.Listen(0, 9)
-	var st *SinkStats
-	l.SetAcceptFunc(func(c *tcp.Conn) { st = Sink(c) })
+	var got *int
+	l.SetAcceptFunc(func(c *tcp.Conn) { got = ttcp.Sink(c) })
 	conn, _ := cs.Connect(0, tcp.Endpoint{Addr: serverAddr, Port: 9})
 	sched.RunUntil(time.Second) // establish first
 	Source(conn, []byte("late start"), true)
 	sched.RunUntil(time.Minute)
-	if st == nil || st.Bytes != 10 {
-		t.Fatalf("late Source delivered %+v", st)
+	if got == nil || *got != 10 {
+		t.Fatalf("late Source delivered %v bytes, want 10", got)
 	}
 }
 

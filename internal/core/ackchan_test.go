@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 	"testing/quick"
+	"time"
 
 	"hydranet/internal/inet"
 	"hydranet/internal/ipv4"
@@ -61,8 +62,8 @@ func TestDetectorParamsDefaults(t *testing.T) {
 	if p.RetransmitThreshold != 4 {
 		t.Errorf("default threshold = %d, want 4", p.RetransmitThreshold)
 	}
-	if p.SuspectCooldown <= 0 {
-		t.Error("default cooldown not positive")
+	if suspectCooldown != 2*time.Second {
+		t.Errorf("cooldown = %v, want 2s", suspectCooldown)
 	}
 	// Explicit values survive.
 	p = DetectorParams{RetransmitThreshold: 2}.withDefaults()

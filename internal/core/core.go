@@ -66,17 +66,15 @@ type DetectorParams struct {
 	// with TCP congestion control (triple-duplicate ACKs are normal).
 	// Default 4.
 	RetransmitThreshold int
-	// SuspectCooldown suppresses repeated reports for the same port while
-	// a reconfiguration is presumably in progress. Default 2s.
-	SuspectCooldown time.Duration
 }
+
+// suspectCooldown suppresses repeated reports for the same port while a
+// reconfiguration is presumably in progress.
+const suspectCooldown = 2 * time.Second
 
 func (p DetectorParams) withDefaults() DetectorParams {
 	if p.RetransmitThreshold == 0 {
 		p.RetransmitThreshold = 4
-	}
-	if p.SuspectCooldown == 0 {
-		p.SuspectCooldown = 2 * time.Second
 	}
 	return p
 }
@@ -612,7 +610,7 @@ func (fc *ftConn) OnPeerRetransmit() {
 		return
 	}
 	now := p.mgr.sched.Now()
-	if p.hasSuspected && now-p.lastSuspect < p.det.SuspectCooldown {
+	if p.hasSuspected && now-p.lastSuspect < suspectCooldown {
 		return
 	}
 	p.hasSuspected = true

@@ -80,7 +80,7 @@ func (e Endpoint) Before(o Endpoint) bool {
 // order of a replay.
 func SortedKeys[V any](m map[Endpoint]V) []Endpoint {
 	keys := make([]Endpoint, 0, len(m))
-	for k := range m {
+	for k := range m { //hydralint:nondeterministic collected, then sorted below
 		keys = append(keys, k)
 	}
 	sort.Slice(keys, func(i, j int) bool { return keys[i].Before(keys[j]) })

@@ -87,9 +87,6 @@ type Config struct {
 	// the quiesce conservation check (normally the fabric's frame.Pool
 	// via the facade).
 	Outstanding func() int
-	// MaxViolations bounds recorded violations (<= 0 selects
-	// DefaultMaxViolations).
-	MaxViolations int
 }
 
 // connKey identifies one directed connection endpoint at one node.
@@ -171,7 +168,6 @@ type nodeState struct {
 type Monitor struct {
 	scenario    string
 	outstanding func() int
-	maxRecorded int
 
 	addrName map[inet.Addr]string // host address -> node name, for management events
 
@@ -197,14 +193,9 @@ type Monitor struct {
 // New creates a monitor. Attach it to a bus before the traffic (and the
 // service registrations) it should audit.
 func New(cfg Config) *Monitor {
-	maxRec := cfg.MaxViolations
-	if maxRec <= 0 {
-		maxRec = DefaultMaxViolations
-	}
 	return &Monitor{
 		scenario:    cfg.Scenario,
 		outstanding: cfg.Outstanding,
-		maxRecorded: maxRec,
 		addrName:    make(map[inet.Addr]string),
 		flows:       make(map[flowKey]*flowState),
 		acks:        make(map[connKey]*ackState),
@@ -434,7 +425,7 @@ func (m *Monitor) noteDeliver(e obs.Event) {
 // bound). detail must be a constant: the hot path renders nothing.
 func (m *Monitor) record(rule int, e obs.Event, detail string, want, got uint64) *Violation {
 	m.failures[rule]++
-	if len(m.violations) >= m.maxRecorded {
+	if len(m.violations) >= DefaultMaxViolations {
 		return nil
 	}
 	m.violations = append(m.violations, Violation{

@@ -290,19 +290,20 @@ func TestFrameConservationAtQuiesce(t *testing.T) {
 }
 
 func TestViolationCapCountsBeyond(t *testing.T) {
-	h := newHarness(t, Config{MaxViolations: 2})
+	const forged = DefaultMaxViolations + 1
+	h := newHarness(t, Config{})
 	h.clientAck(1000)
-	for i := 0; i < 5; i++ {
+	for i := 0; i < forged; i++ {
 		h.clientAck(100)  // regression against the 1000 baseline
 		h.clientAck(1000) // restore the baseline for the next lap
 	}
 	vs := h.m.Violations()
-	if len(vs) != 2 {
+	if len(vs) != DefaultMaxViolations {
 		t.Fatalf("cap not enforced: %d recorded", len(vs))
 	}
 	var r = h.m.Finish(false)
 	for _, rr := range r.Rules {
-		if rr.Rule == RuleAck && rr.Violations != 5 {
+		if rr.Rule == RuleAck && rr.Violations != forged {
 			t.Fatalf("beyond-cap violations not counted: %+v", rr)
 		}
 	}

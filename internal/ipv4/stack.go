@@ -207,14 +207,15 @@ func (s *Stack) Send(proto uint8, src, dst Addr, payload []byte) error {
 	return s.transmit(&Packet{Header: h, Payload: payload}, ifindex)
 }
 
-// SendPacket routes and transmits a fully formed datagram (used for
-// forwarding and for tunneled packets built by the redirector).
+// SendPacket routes and transmits a datagram whose header the caller built
+// (ICMP echo requests, which set their own TTL) and counts it as originated.
 func (s *Stack) SendPacket(p *Packet) error {
 	ifindex := s.routes.Lookup(p.Dst)
 	if ifindex < 0 {
 		s.stats.NoRoute++
 		return fmt.Errorf("ipv4: no route to %s", p.Dst)
 	}
+	s.stats.Originated++
 	return s.transmit(p, ifindex)
 }
 

@@ -1,6 +1,6 @@
 // Package series is the simulator's time-series layer: fixed-capacity,
-// ring-buffered series of (virtual time, value) points, fed by a periodic
-// Sampler scheduled on the discrete-event clock. It follows the obs.Bus
+// ring-buffered series of (virtual time, value) points, fed by the facade's
+// periodic sampler on the discrete-event clock. It follows the obs.Bus
 // contract — zero allocation on the recording path and zero cost when
 // nothing is attached — so a sampler can run inside measurement loops
 // without perturbing what it measures.

@@ -6,8 +6,6 @@ import (
 	"encoding/json"
 	"testing"
 	"time"
-
-	"hydranet/internal/sim"
 )
 
 func TestSeriesRingEviction(t *testing.T) {
@@ -105,46 +103,5 @@ func TestWriteJSONLRoundTrip(t *testing.T) {
 	}
 	if d.Points[1].T != 200*time.Millisecond || d.Points[1].V != 3 {
 		t.Fatalf("points=%+v", d.Points)
-	}
-}
-
-func TestSamplerCadenceAndStop(t *testing.T) {
-	sched := sim.NewScheduler(1)
-	sm := NewSampler(sched, 10*time.Millisecond)
-	var at []time.Duration
-	sm.OnSample(func(now time.Duration) { at = append(at, now) })
-	sm.Start()
-	sm.Start() // idempotent
-	sched.RunUntil(35 * time.Millisecond)
-	if len(at) != 3 {
-		t.Fatalf("ticks=%v, want 3 (10/20/30ms)", at)
-	}
-	for i, want := range []time.Duration{10, 20, 30} {
-		if at[i] != want*time.Millisecond {
-			t.Fatalf("tick %d at %v, want %vms", i, at[i], want)
-		}
-	}
-	if sm.Ticks() != 3 || !sm.Running() {
-		t.Fatalf("ticks=%d running=%v", sm.Ticks(), sm.Running())
-	}
-	sm.Stop()
-	sched.RunUntil(100 * time.Millisecond)
-	if len(at) != 3 || sm.Running() {
-		t.Fatalf("sampler ticked after Stop: %v", at)
-	}
-}
-
-func TestSamplerTickDoesNotAllocate(t *testing.T) {
-	sched := sim.NewScheduler(1)
-	sm := NewSampler(sched, time.Millisecond)
-	s := newSeries("x", Gauge, "")
-	sm.OnSample(func(now time.Duration) { s.Observe(now, 1) })
-	sm.Start()
-	sched.RunUntil(5 * time.Millisecond) // warm the timer free-list
-	allocs := testing.AllocsPerRun(200, func() {
-		sched.RunUntil(sched.Now() + time.Millisecond)
-	})
-	if allocs != 0 {
-		t.Fatalf("sampler tick allocates %.1f/op, want 0", allocs)
 	}
 }

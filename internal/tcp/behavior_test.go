@@ -46,8 +46,7 @@ func TestSlowStartGrowth(t *testing.T) {
 
 // TestRTOBackoffDoubles: consecutive timeouts space out exponentially.
 func TestRTOBackoffDoubles(t *testing.T) {
-	cfg := Config{InitialRTO: time.Second, MinRTO: time.Second, MaxRetries: 5}
-	e := newEnv(t, netsim.LinkConfig{Delay: time.Millisecond}, cfg)
+	e := newEnv(t, netsim.LinkConfig{Delay: time.Millisecond}, Config{})
 	l, _ := e.server.Listen(0, 80)
 	l.SetAcceptFunc(func(c *Conn) {})
 	c, _ := e.client.Connect(0, Endpoint{Addr: e.serverAddr, Port: 80})

@@ -203,12 +203,12 @@ func newConn(st *Stack, local, remote Endpoint) *Conn {
 		remote:            remote,
 		state:             StateClosed,
 		mss:               st.cfg.MSS,
-		rto:               inet.NewRTO(st.cfg.InitialRTO, st.cfg.MinRTO, st.cfg.MaxRTO, 0),
+		rto:               inet.NewRTO(initialRTO, minRTO, maxRTO, 0),
 		lastAdvertisedWnd: st.cfg.RecvBufSize,
 	}
 	c.sndBuf.init(st.cfg.SendBufSize, &st.bufs)
 	c.rcv.init(st.cfg.RecvBufSize, &st.bufs)
-	c.cwnd = st.cfg.InitialCwnd * c.mss
+	c.cwnd = initialCwnd * c.mss
 	c.ssthresh = 64 * 1024
 	c.rtx.InitHandler(st.sched, (*rtxExpiry)(c))
 	c.delack.InitHandler(st.sched, (*delackExpiry)(c))
@@ -731,7 +731,7 @@ func (c *Conn) onRetransmitTimeout() {
 			Conn: c.remote, Seq: uint64(c.sndUna), Count: c.rtxCount,
 		})
 	}
-	if c.rtxCount > c.stack.cfg.MaxRetries {
+	if c.rtxCount > maxRetries {
 		c.terminate(ErrTimeout)
 		return
 	}

@@ -435,9 +435,12 @@ func TestWraparoundTransfer(t *testing.T) {
 	}
 }
 
+// TestRetransmissionTimeoutGivesUp: a partitioned connection aborts with
+// ErrTimeout on the timeout after its maxRetries-th retransmission. From the
+// 500 ms floor the backoff reaches the 60 s ceiling on the eighth timeout,
+// so the thirteenth fires about seven minutes in.
 func TestRetransmissionTimeoutGivesUp(t *testing.T) {
-	cfg := Config{MaxRetries: 3, MinRTO: 200 * time.Millisecond, InitialRTO: 200 * time.Millisecond}
-	e := newEnv(t, netsim.LinkConfig{Delay: time.Millisecond}, cfg)
+	e := newEnv(t, netsim.LinkConfig{Delay: time.Millisecond}, Config{})
 	l, _ := e.server.Listen(0, 80)
 	var srvConn *Conn
 	l.SetAcceptFunc(func(c *Conn) { srvConn = c })
@@ -449,9 +452,12 @@ func TestRetransmissionTimeoutGivesUp(t *testing.T) {
 		// Partition the network right after the first write.
 		e.link.SetLoss(1.0)
 	})
-	e.sched.RunUntil(5 * time.Minute)
+	e.sched.RunUntil(10 * time.Minute)
 	if !errors.Is(clientErr, ErrTimeout) {
 		t.Fatalf("client err = %v, want ErrTimeout", clientErr)
+	}
+	if got := c.Stats().RTOEvents; got != maxRetries+1 {
+		t.Fatalf("gave up after %d RTO events, want %d", got, maxRetries+1)
 	}
 	_ = srvConn
 }
@@ -473,8 +479,7 @@ func (closedGate) OnClosed(error)                 {}
 func TestDuplicateDataCountsAsPeerRetransmit(t *testing.T) {
 	// Drop ACKs from server to client: client RTOs and resends, server
 	// must count peer retransmissions (the HydraNet-FT detector signal).
-	e := newEnv(t, netsim.LinkConfig{Delay: time.Millisecond}, Config{
-		MinRTO: 200 * time.Millisecond, InitialRTO: 200 * time.Millisecond})
+	e := newEnv(t, netsim.LinkConfig{Delay: time.Millisecond}, Config{})
 	l, _ := e.server.Listen(0, 80)
 	var srvConn *Conn
 	l.SetAcceptFunc(func(c *Conn) { srvConn = c; attachSink(c) })
@@ -491,7 +496,7 @@ func TestDuplicateDataCountsAsPeerRetransmit(t *testing.T) {
 	srvConn.SetHooks(closedGate{srvConn})
 	c.Write([]byte("world"))
 	before := srvConn.Stats().PeerRetransmits
-	e.sched.RunUntil(5 * time.Second)
+	e.sched.RunUntil(10 * time.Second)
 	if got := srvConn.Stats().PeerRetransmits; got <= before {
 		t.Fatalf("PeerRetransmits = %d, want > %d under withheld ACKs", got, before)
 	}
@@ -502,14 +507,14 @@ func TestDuplicateDataCountsAsPeerRetransmit(t *testing.T) {
 // acknowledged), each retransmission of it must feed the failure estimator —
 // behind a dead successor it is the only signal there is.
 func TestHeldFINCountsAsPeerRetransmit(t *testing.T) {
-	e, cli, srv := establishedPair(t, Config{MinRTO: 200 * time.Millisecond, InitialRTO: 200 * time.Millisecond})
+	e, cli, srv := establishedPair(t, Config{})
 	srv.SetHooks(closedGate{srv})
 	cli.Close()
 	e.sched.RunUntil(e.sched.Now() + 100*time.Millisecond)
 	if got := srv.Stats().PeerRetransmits; got != 0 || srv.PeerClosed() {
 		t.Fatalf("first FIN: %d peer retransmissions, consumed=%v; want it held and uncounted", got, srv.PeerClosed())
 	}
-	e.sched.RunUntil(e.sched.Now() + 2*time.Second)
+	e.sched.RunUntil(e.sched.Now() + 4*time.Second)
 	rtos := cli.Stats().RTOEvents
 	if got := srv.Stats().PeerRetransmits; rtos < 2 || got != rtos {
 		t.Fatalf("PeerRetransmits = %d after the client resent its FIN %d times, want one each", got, rtos)
@@ -551,7 +556,7 @@ func TestAcceptedConnTimesItsRTOForEveryISS(t *testing.T) {
 		if n := e.server.RTTHistogram().Count(); n == 0 {
 			t.Errorf("ISS %#x: the accepting stack took no RTT sample", uint32(iss))
 		}
-		if rto := srv.rto.Current(); rto >= e.server.cfg.InitialRTO {
+		if rto := srv.rto.Current(); rto >= initialRTO {
 			t.Errorf("ISS %#x: RTO still %v, the initial value, after the transfer", uint32(iss), rto)
 		}
 	}

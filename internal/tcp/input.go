@@ -52,7 +52,7 @@ func (c *Conn) inputSynSent(seg *Segment) {
 	if seg.MSS != 0 && int(seg.MSS) < c.mss {
 		c.mss = int(seg.MSS)
 	}
-	c.cwnd = c.stack.cfg.InitialCwnd * c.mss
+	c.cwnd = initialCwnd * c.mss
 	c.sndWnd = int(seg.Window)
 	c.state = StateEstablished
 	c.rtxCount = 0

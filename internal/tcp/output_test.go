@@ -175,7 +175,15 @@ func TestGoBackNAcrossSentFIN(t *testing.T) {
 	for _, start := range starts {
 		for _, pull := range pullBacks {
 			t.Run(start.name+"/"+pull.name, func(t *testing.T) {
-				e, cli, srv := establishedPair(t, Config{InitialCwnd: 8})
+				e, cli, srv := establishedPair(t, Config{})
+				// Warm-up: two acknowledged segments open cwnd from two
+				// segments to four, enough for the whole flight.
+				cli.Write(pattern(2 * 1460))
+				e.sched.RunUntil(e.sched.Now() + 100*time.Millisecond)
+				srv.Read(make([]byte, 2*1460))
+				if cli.CongestionWindow() < payload {
+					t.Fatalf("setup: cwnd %d after the warm-up, want at least %d", cli.CongestionWindow(), payload)
+				}
 				if start.setup != nil {
 					start.setup(e, cli, srv)
 				}

@@ -12,6 +12,22 @@ import (
 	"hydranet/internal/sim"
 )
 
+// initialRTO, minRTO and maxRTO bound the retransmission timeout: BSD-era
+// conservative values; the paper attributes most FT-mode overhead to client
+// timeout waits.
+const (
+	initialRTO = time.Second
+	minRTO     = 500 * time.Millisecond
+	maxRTO     = 60 * time.Second
+)
+
+const (
+	// initialCwnd is the initial congestion window in segments.
+	initialCwnd = 2
+	// maxRetries is how many consecutive timeouts abort a connection.
+	maxRetries = 12
+)
+
 // Config tunes a TCP stack. The zero value is completed by DefaultConfig.
 type Config struct {
 	// MSS is the maximum segment size advertised and used. Default 1460
@@ -21,22 +37,11 @@ type Config struct {
 	// Defaults 32768.
 	SendBufSize int
 	RecvBufSize int
-	// InitialRTO, MinRTO and MaxRTO bound the retransmission timeout.
-	// Defaults 1s / 500ms / 60s — BSD-era conservative values; the paper
-	// attributes most FT-mode overhead to client timeout waits.
-	InitialRTO time.Duration
-	MinRTO     time.Duration
-	MaxRTO     time.Duration
 	// DelayedAckTimeout is the delayed-ACK timer; zero or negative
 	// acknowledges every data segment immediately.
 	DelayedAckTimeout time.Duration
 	// TimeWaitDuration is the 2MSL TIME-WAIT hold. Default 30s.
 	TimeWaitDuration time.Duration
-	// InitialCwnd is the initial congestion window in segments. Default 2.
-	InitialCwnd int
-	// MaxRetries is how many consecutive timeouts abort a connection.
-	// Default 12.
-	MaxRetries int
 	// ISS generates initial send sequence numbers. The default derives the
 	// ISS from the connection 4-tuple, which makes all replicas of a
 	// HydraNet-FT service agree on sequence numbers for a given client —
@@ -55,23 +60,8 @@ func DefaultConfig(cfg Config) Config {
 	if cfg.RecvBufSize == 0 {
 		cfg.RecvBufSize = 32768
 	}
-	if cfg.InitialRTO == 0 {
-		cfg.InitialRTO = time.Second
-	}
-	if cfg.MinRTO == 0 {
-		cfg.MinRTO = 500 * time.Millisecond
-	}
-	if cfg.MaxRTO == 0 {
-		cfg.MaxRTO = 60 * time.Second
-	}
 	if cfg.TimeWaitDuration == 0 {
 		cfg.TimeWaitDuration = 30 * time.Second
-	}
-	if cfg.InitialCwnd == 0 {
-		cfg.InitialCwnd = 2
-	}
-	if cfg.MaxRetries == 0 {
-		cfg.MaxRetries = 12
 	}
 	if cfg.ISS == nil {
 		cfg.ISS = TupleISS

@@ -11,6 +11,10 @@ import (
 	"hydranet/internal/ttcp"
 )
 
+// crashAt is when MeasureFailover kills the primary, relative to the start of
+// the client's stream.
+const crashAt = 500 * time.Millisecond
+
 // FailoverConfig parameterizes a failover-latency measurement (ablation A1:
 // the paper's Section 4.3 trade-off between detection latency and false
 // positives, swept over the retransmission threshold).
@@ -21,9 +25,6 @@ type FailoverConfig struct {
 	Backups int
 	// Seed drives the simulation.
 	Seed int64
-	// CrashAt is when the primary is killed, relative to the start of the
-	// client's stream (default 500 ms).
-	CrashAt time.Duration
 	// Loss, if nonzero, adds random loss to every link — for measuring
 	// false positives under congestion-like conditions.
 	Loss float64
@@ -71,9 +72,6 @@ func MeasureFailover(cfg FailoverConfig) FailoverResult {
 	if cfg.Backups == 0 {
 		cfg.Backups = 1
 	}
-	if cfg.CrashAt == 0 {
-		cfg.CrashAt = 500 * time.Millisecond
-	}
 	link := testbedLink
 	link.Loss = cfg.Loss
 	tcpCfg := hydranet.TCPConfig{
@@ -85,7 +83,6 @@ func MeasureFailover(cfg FailoverConfig) FailoverResult {
 	in := cfg.Observe
 	in.Scenario = fmt.Sprintf("failover threshold=%d backups=%d loss=%g", cfg.Threshold, cfg.Backups, cfg.Loss)
 	in.Spans = firstOf(in.Spans, cfg.SpansPath)
-	in.Watch = replicas
 	sess, err := net.Instrument(in)
 	if err != nil {
 		return FailoverResult{ObserveErr: err}
@@ -141,7 +138,7 @@ func MeasureFailover(cfg FailoverConfig) FailoverResult {
 	payload := make([]byte, 4<<20)
 	app.Source(conn, payload, false)
 
-	net.RunFor(cfg.CrashAt)
+	net.RunFor(crashAt)
 	if !cfg.NoCrash {
 		crashTime = net.Now()
 		ftsvc.CrashPrimary()

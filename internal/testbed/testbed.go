@@ -88,7 +88,7 @@ var testbedLink = hydranet.LinkConfig{
 // Config parameterizes one measurement run.
 type Config struct {
 	Case       Case
-	BufLen     int   // ttcp write size ("packet size")
+	BufLen     int   // ttcp write size ("packet size"); ablation A4 varies it past the MSS
 	TotalBytes int   // transfer volume; default 512 KiB
 	Seed       int64 // simulation seed
 	// Backups is the number of backup replicas in CasePrimaryBackup
@@ -97,8 +97,6 @@ type Config struct {
 	// AckChannelLoss drops that fraction of acknowledgment-channel
 	// messages (ablation A3).
 	AckChannelLoss float64
-	// MTU overrides the link MTU (ablation A4). Zero keeps 1500.
-	MTU int
 	// CPUScale multiplies every machine's CPU costs (robustness checks:
 	// the figure's qualitative shape must not depend on the calibration
 	// constants). Zero means 1.0.
@@ -237,11 +235,6 @@ func run(cfg Config) (ttcp.Result, *hydranet.Net, hydranet.Summary, error) {
 	if cfg.Backups == 0 {
 		cfg.Backups = 1
 	}
-	link := testbedLink
-	if cfg.MTU != 0 {
-		link.MTU = cfg.MTU
-	}
-
 	tcpCfg := hydranet.TCPConfig{
 		MSS:               1460,
 		SendBufSize:       16384,
@@ -251,9 +244,6 @@ func run(cfg Config) (ttcp.Result, *hydranet.Net, hydranet.Summary, error) {
 		// client's FIN handshake completes, so TIME-WAIT must not extend
 		// the measured interval.
 		TimeWaitDuration: time.Millisecond,
-	}
-	if cfg.MTU != 0 && cfg.MTU < 1500 {
-		tcpCfg.MSS = cfg.MTU - 40
 	}
 	m := machineModel(cfg.CPUScale, cfg.Case != CaseClean)
 
@@ -275,11 +265,11 @@ func run(cfg Config) (ttcp.Result, *hydranet.Net, hydranet.Summary, error) {
 			router = net.AddRedirector("rd", m.router).Host
 		}
 		servers = []*hydranet.Host{net.AddHost("server", m.server)}
-		mesh(net, link, client, router, servers[0])
+		mesh(net, testbedLink, client, router, servers[0])
 	case CasePrimaryOnly:
-		net, client, rd, servers = lan(cfg.Seed, tcpCfg, link, m, 1)
+		net, client, rd, servers = lan(cfg.Seed, tcpCfg, testbedLink, m, 1)
 	case CasePrimaryBackup:
-		net, client, rd, servers = lan(cfg.Seed, tcpCfg, link, m, 1+cfg.Backups)
+		net, client, rd, servers = lan(cfg.Seed, tcpCfg, testbedLink, m, 1+cfg.Backups)
 	default:
 		panic(fmt.Sprintf("testbed: unknown case %d", cfg.Case))
 	}

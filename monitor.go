@@ -19,8 +19,6 @@ type AuditReport = invariant.Report
 type MonitorConfig struct {
 	// Scenario labels the audit report.
 	Scenario string
-	// MaxViolations bounds recorded forensic records (0 = package default).
-	MaxViolations int
 }
 
 // StartMonitor attaches an invariant monitor to the network's event bus
@@ -34,9 +32,8 @@ type MonitorConfig struct {
 // MonitorConfig stay exported only for bench/ (ROADMAP 7).
 func (n *Net) StartMonitor(cfg MonitorConfig) *Monitor {
 	m := invariant.New(invariant.Config{
-		Scenario:      cfg.Scenario,
-		Outstanding:   n.fab.Pool().Outstanding,
-		MaxViolations: cfg.MaxViolations,
+		Scenario:    cfg.Scenario,
+		Outstanding: n.fab.Pool().Outstanding,
 	})
 	for _, h := range n.hosts {
 		m.MapAddr(h.addr, h.name)

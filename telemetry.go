@@ -7,29 +7,38 @@ import (
 	"hydranet/internal/metrics"
 	"hydranet/internal/obs"
 	"hydranet/internal/series"
+	"hydranet/internal/sim"
 	"hydranet/internal/tcp"
 )
+
+// defaultCadence is the sampling interval when none is given: ten ticks per
+// virtual second, fine enough to catch a sub-second gray failure, coarse
+// enough to stay far off the packet-rate hot path.
+const defaultCadence = 100 * time.Millisecond
 
 // maxConnSeries caps how many live connections per host get per-connection
 // series (srtt/rto/cwnd), in the stack's deterministic sorted order;
 // connections beyond the cap still count in host totals.
 const maxConnSeries = 4
 
-// telemetry is an attached sampling pipeline: a Sampler on the virtual
-// clock scrapes the net-wide snapshot diff, per-connection TCP state, span
+// telemetry is an attached sampling pipeline: a timer on the virtual clock
+// scrapes the net-wide snapshot diff, per-connection TCP state, span
 // statistics, redirector table sizes, link queue depths, frame-pool
 // occupancy and the scheduler backlog into a series.Set every cadence.
 //
 // Nothing here touches a packet path: when no telemetry is attached the
 // simulation runs exactly as before (zero cost), and an attached one costs
-// one scheduler event plus one snapshot per interval.
+// one scheduler event plus one snapshot per interval. A started pipeline
+// re-arms itself until Stop, so a network with one running never goes idle.
 type telemetry struct {
-	net     *Net
-	set     *series.Set
-	sampler *series.Sampler
-	scorer  *series.HealthScorer // nil unless replicas are watched
-	spans   *tcp.SpanCollector   // nil: no span lag/stall columns
-	probe   *obs.FailoverProbe   // nil: no fail-over phases in the export header
+	net    *Net
+	set    *series.Set
+	timer  *sim.Timer
+	every  time.Duration
+	ticks  uint64
+	scorer *series.HealthScorer
+	spans  *tcp.SpanCollector // nil: no span lag/stall columns
+	probe  *obs.FailoverProbe // nil: no fail-over phases in the export header
 
 	prev       Snapshot
 	prevLag    metrics.HistogramSnapshot
@@ -37,7 +46,6 @@ type telemetry struct {
 	prevMisses uint64
 
 	hosts   []hostSeries
-	watched []watchedReplica
 	samples []series.ReplicaSample // scratch, reused per tick
 }
 
@@ -50,27 +58,28 @@ type hostSeries struct {
 	segsIn, segsOut, deposited              *series.Series
 	framesRx                                *series.Series
 	alive, conns, procBacklog               *series.Series
-}
-
-type watchedReplica struct {
-	host   *Host
-	index  int // into Snapshot.Hosts
-	health *series.Series
+	health                                  *series.Series // nil unless an FT replica
 }
 
 // startSampler attaches a telemetry pipeline over the hosts, links and
 // redirectors that exist now and starts it: the first tick fires one
 // cadence (default 100 ms) from now, and it reschedules itself until Stop.
-// The gray-failure health scorer classifies the watch replicas, each into
-// a health.<host> gauge series: 0 healthy, 1 degraded, 2 dead.
-func (n *Net) startSampler(every time.Duration, spans *tcp.SpanCollector, probe *obs.FailoverProbe, watch []*Host) *telemetry {
-	t := &telemetry{
-		net:     n,
-		set:     series.NewSet(),
-		sampler: series.NewSampler(n.sched, every),
-		spans:   spans,
-		probe:   probe,
+// The gray-failure health scorer classifies every FT replica the net has
+// deployed, each into a health.<host> gauge series: 0 healthy, 1 degraded,
+// 2 dead.
+func (n *Net) startSampler(every time.Duration, spans *tcp.SpanCollector, probe *obs.FailoverProbe) *telemetry {
+	if every <= 0 {
+		every = defaultCadence
 	}
+	t := &telemetry{
+		net:    n,
+		set:    series.NewSet(),
+		scorer: series.NewHealthScorer(),
+		every:  every,
+		spans:  spans,
+		probe:  probe,
+	}
+	t.timer = sim.NewTimer(n.sched, t.tick)
 	for _, h := range n.hosts {
 		name := h.name
 		t.hosts = append(t.hosts, hostSeries{
@@ -87,28 +96,25 @@ func (n *Net) startSampler(every time.Duration, spans *tcp.SpanCollector, probe 
 			procBacklog:     t.set.Gauge("host."+name+".proc_backlog_ms", "ms"),
 		})
 	}
-	if len(watch) > 0 {
-		t.scorer = series.NewHealthScorer()
-	}
-	for _, w := range watch {
-		for i, h := range n.hosts {
-			if h == w {
-				t.watched = append(t.watched, watchedReplica{
-					host: h, index: i, health: t.set.Gauge("health."+h.name, "verdict"),
-				})
-			}
-		}
-	}
-	t.sampler.OnSample(t.sample)
-	t.sampler.Start()
+	t.timer.Reset(every)
 	return t
 }
 
-// Stop disarms the sampler; collected series remain readable.
-func (t *telemetry) Stop() { t.sampler.Stop() }
+// Stop disarms the pipeline; collected series remain readable.
+func (t *telemetry) Stop() { t.timer.Stop() }
 
-// sample is the per-tick probe: snapshot, diff, scrape, score.
-func (t *telemetry) sample(now time.Duration) {
+// tick is the per-interval probe: snapshot, diff, scrape, score, then
+// re-arm.
+func (t *telemetry) tick() {
+	now := t.net.sched.Now()
+	t.ticks++
+	// Before anything else, start a health series for each FT replica
+	// deployed since the last tick.
+	for i := range t.hosts {
+		if hs := &t.hosts[i]; hs.host.ftReplica && hs.health == nil {
+			hs.health = t.set.Gauge("health."+hs.host.name, "verdict")
+		}
+	}
 	cur := t.net.Snapshot()
 	d := cur.Diff(t.prev)
 
@@ -198,12 +204,12 @@ func (t *telemetry) sample(now time.Duration) {
 		}
 	}
 
-	// Health scoring over watched replicas: feed cumulative counters, the
+	// Health scoring over the FT replicas: feed cumulative counters, the
 	// scorer diffs internally and cross-compares the replica set.
-	if t.scorer != nil {
-		t.samples = t.samples[:0]
-		for _, w := range t.watched {
-			hs := &cur.Hosts[w.index]
+	t.samples = t.samples[:0]
+	for i := range t.hosts {
+		if t.hosts[i].health != nil {
+			hs := &cur.Hosts[i]
 			t.samples = append(t.samples, series.ReplicaSample{
 				Name:            hs.Name,
 				Alive:           hs.Alive,
@@ -213,13 +219,18 @@ func (t *telemetry) sample(now time.Duration) {
 				ProcBacklog:     hs.ProcBacklog,
 			})
 		}
+	}
+	if len(t.samples) > 0 {
 		t.scorer.Tick(now, t.samples)
-		for _, w := range t.watched {
-			w.health.Observe(now, float64(t.scorer.Verdict(w.host.name)))
+		for i := range t.hosts {
+			if hs := &t.hosts[i]; hs.health != nil {
+				hs.health.Observe(now, float64(t.scorer.Verdict(hs.host.name)))
+			}
 		}
 	}
 
 	t.prev = cur
+	t.timer.Reset(t.every)
 }
 
 // connLabel names a connection by its endpoints.
@@ -230,8 +241,8 @@ func connLabel(c *Conn) string {
 // meta builds the export header.
 func (t *telemetry) meta() series.Meta {
 	m := series.Meta{
-		Every: t.sampler.Every(),
-		Ticks: t.sampler.Ticks(),
+		Every: t.every,
+		Ticks: t.ticks,
 		Seed:  t.net.cfg.Seed,
 	}
 	if t.probe != nil {
