@@ -189,6 +189,7 @@ type Host struct {
 	mgr  *core.Manager
 	dmn  *rmp.HostDaemon
 	addr Addr // primary address (first link)
+	idx  int  // position in Net.hosts
 	// ftReplica records that a DeployFT was given this host; the
 	// telemetry's health scorer watches every such host.
 	ftReplica bool
@@ -197,7 +198,7 @@ type Host struct {
 // AddHost creates a host.
 func (n *Net) AddHost(name string, cfg HostConfig) *Host {
 	node := n.fab.AddNode(netsim.NodeConfig{Name: name, ProcDelay: cfg.ProcDelay, ProcPerByte: cfg.ProcPerByte})
-	h := &Host{net: n, name: name, node: node}
+	h := &Host{net: n, name: name, node: node, idx: len(n.hosts)}
 	h.ip = ipv4.NewStack(node, n.sched)
 	h.udp = udp.NewStack(h.ip)
 	h.tcp = tcp.NewStack(h.ip, n.cfg.TCP)
@@ -399,30 +400,45 @@ func (n *Net) LinkAddr(a, b *Host, cfg LinkConfig, aAddr, bAddr Addr) *netsim.Li
 // AutoRoute computes shortest-path routes between all link subnets and
 // installs them on every node. Call it after the topology is final.
 func (n *Net) AutoRoute() {
-	// Adjacency: host -> (neighbor, local ifindex).
-	type edge struct {
-		peer *Host
-		ifx  int
-	}
-	adj := make(map[*Host][]edge)
+	// Adjacency by host index: host i's edges (neighbour, local ifindex) are
+	// edges[first[i]:first[i+1]], in link order.
+	type edge struct{ peer, ifx int }
+	first := make([]int, len(n.hosts)+1)
 	for _, li := range n.links {
-		adj[li.a] = append(adj[li.a], edge{peer: li.b, ifx: li.aIf})
-		adj[li.b] = append(adj[li.b], edge{peer: li.a, ifx: li.bIf})
+		first[li.a.idx+1]++
+		first[li.b.idx+1]++
 	}
+	for i := 1; i < len(first); i++ {
+		first[i] += first[i-1]
+	}
+	edges := make([]edge, 2*len(n.links))
+	fill := append([]int(nil), first[:len(n.hosts)]...)
+	for _, li := range n.links {
+		edges[fill[li.a.idx]] = edge{peer: li.b.idx, ifx: li.aIf}
+		fill[li.a.idx]++
+		edges[fill[li.b.idx]] = edge{peer: li.a.idx, ifx: li.bIf}
+		fill[li.b.idx]++
+	}
+	// Scratch reused for every host: the BFS's first-hop interface per host
+	// (unreached < 0), its queue, and the routes to install.
+	const unreached, source = -1, -2
+	firstHop := make([]int, len(n.hosts))
+	queue := make([]int, 0, len(n.hosts))
+	routes := make([]ipv4.Route, 0, 3*len(n.links)+1) // at most 3 per link and a default
 	for _, h := range n.hosts {
 		// BFS from h, remembering the first-hop interface.
-		firstHop := make(map[*Host]int)
-		visited := map[*Host]bool{h: true}
-		queue := []*Host{h}
-		for len(queue) > 0 {
-			cur := queue[0]
-			queue = queue[1:]
-			for _, e := range adj[cur] {
-				if visited[e.peer] {
+		for i := range firstHop {
+			firstHop[i] = unreached
+		}
+		firstHop[h.idx] = source
+		queue = append(queue[:0], h.idx)
+		for i := 0; i < len(queue); i++ {
+			cur := queue[i]
+			for _, e := range edges[first[cur]:first[cur+1]] {
+				if firstHop[e.peer] != unreached {
 					continue
 				}
-				visited[e.peer] = true
-				if cur == h {
+				if cur == h.idx {
 					firstHop[e.peer] = e.ifx
 				} else {
 					firstHop[e.peer] = firstHop[cur]
@@ -430,28 +446,30 @@ func (n *Net) AutoRoute() {
 				queue = append(queue, e.peer)
 			}
 		}
+		routes = routes[:0]
 		for _, li := range n.links {
 			switch {
 			case li.a == h:
-				h.ip.Routes().Add(ipv4.Route{Dst: li.prefix, Ifindex: li.aIf})
+				routes = append(routes, ipv4.Route{Dst: li.prefix, Ifindex: li.aIf})
 			case li.b == h:
-				h.ip.Routes().Add(ipv4.Route{Dst: li.prefix, Ifindex: li.bIf})
+				routes = append(routes, ipv4.Route{Dst: li.prefix, Ifindex: li.bIf})
 			default:
 				// Prefix route toward whichever endpoint is reachable, plus
 				// host routes so each interface address is reached via its
 				// owner (a /24 is shared by both ends of the link, and the
 				// shortest path to each end can differ).
-				if ifx, ok := firstHop[li.a]; ok {
-					h.ip.Routes().Add(ipv4.Route{Dst: li.prefix, Ifindex: ifx})
-					h.ip.Routes().Add(ipv4.Route{
-						Dst: ipv4.Prefix{Addr: li.aAddr, Bits: 32}, Ifindex: ifx})
+				aIfx, bIfx := firstHop[li.a.idx], firstHop[li.b.idx]
+				if aIfx >= 0 {
+					routes = append(routes,
+						ipv4.Route{Dst: li.prefix, Ifindex: aIfx},
+						ipv4.Route{Dst: ipv4.Prefix{Addr: li.aAddr, Bits: 32}, Ifindex: aIfx})
 				}
-				if ifx, ok := firstHop[li.b]; ok {
-					if _, aOK := firstHop[li.a]; !aOK {
-						h.ip.Routes().Add(ipv4.Route{Dst: li.prefix, Ifindex: ifx})
+				if bIfx >= 0 {
+					if aIfx < 0 {
+						routes = append(routes, ipv4.Route{Dst: li.prefix, Ifindex: bIfx})
 					}
-					h.ip.Routes().Add(ipv4.Route{
-						Dst: ipv4.Prefix{Addr: li.bAddr, Bits: 32}, Ifindex: ifx})
+					routes = append(routes,
+						ipv4.Route{Dst: ipv4.Prefix{Addr: li.bAddr, Bits: 32}, Ifindex: bIfx})
 				}
 			}
 		}
@@ -461,12 +479,13 @@ func (n *Net) AutoRoute() {
 		// its traffic through a redirector", paper Section 1).
 		if !n.isRedirector(h) {
 			for _, r := range n.redirectors {
-				if ifx, ok := firstHop[r.Host]; ok {
-					h.ip.Routes().AddDefault(ifx)
+				if ifx := firstHop[r.Host.idx]; ifx >= 0 {
+					routes = append(routes, ipv4.Route{Ifindex: ifx})
 					break
 				}
 			}
 		}
+		h.ip.Routes().Add(routes...)
 	}
 }
 

@@ -20,6 +20,13 @@
 //     frame's bytes during HandleFrame, but must copy anything it retains
 //     past return: the fabric releases the buffer immediately afterwards.
 //
+// A pool that runs dry allocates a slab: slabBufs buffers of one size class
+// and one backing array they share, each buffer's bytes capped at its class
+// size so that no buffer can reach its neighbour. A fresh Net therefore
+// costs a pool two objects per slab, not two per buffer. Released buffers
+// wait on a per-class list chained through the buffers themselves, so
+// recycling never allocates either.
+//
 // The simulator is single-threaded per scheduler, so the pool needs no
 // locking; one Pool must never be shared across schedulers.
 package frame
@@ -42,6 +49,9 @@ const Headroom = 40
 // allocations.
 var classSizes = [...]int{128, 256, 512, 1024, 2048, 4096}
 
+// slabBufs is how many buffers of one class a pool miss allocates at once.
+const slabBufs = 16
+
 // Buf is one frame buffer. The payload occupies data[off:end]; bytes before
 // off are available headroom for Prepend.
 type Buf struct {
@@ -49,6 +59,7 @@ type Buf struct {
 	off  int
 	end  int
 	pool *Pool
+	next *Buf // the class's next free buffer while this one is free
 	cls  int8 // size-class index; -1 for oversize unpooled buffers
 	free bool
 }
@@ -97,7 +108,7 @@ func (b *Buf) Release() {
 	}
 	p.puts++
 	if b.cls >= 0 {
-		p.classes[b.cls] = append(p.classes[b.cls], b)
+		b.next, p.free[b.cls] = p.free[b.cls], b
 	}
 }
 
@@ -107,8 +118,9 @@ func (b *Buf) Release() {
 // scheduler goroutine (e.g. between parallel sweep shards), so it is
 // atomic.
 type Pool struct {
-	classes [len(classSizes)][]*Buf
-	poison  atomic.Bool
+	free   [len(classSizes)]*Buf  // released buffers, most recent first
+	fresh  [len(classSizes)][]Buf // the current slab's never-used buffers
+	poison atomic.Bool
 
 	gets, puts, misses uint64
 }
@@ -134,7 +146,8 @@ func (p *Pool) SetPoison(on bool) { p.poison.Store(on) }
 func (p *Pool) Poisoned() bool { return p.poison.Load() }
 
 // Stats returns cumulative Get calls, Release calls, and Gets that missed
-// the free lists (allocated fresh memory).
+// the free lists: one per buffer handed out for the first time, whether its
+// slab was allocated for it or before it.
 func (p *Pool) Stats() (gets, puts, misses uint64) { return p.gets, p.puts, p.misses }
 
 // Outstanding returns the frames currently checked out (Gets minus
@@ -152,21 +165,37 @@ func (p *Pool) Get(n int) *Buf {
 		if need > size {
 			continue
 		}
-		if freeList := p.classes[ci]; len(freeList) > 0 {
-			b := freeList[len(freeList)-1]
-			freeList[len(freeList)-1] = nil
-			p.classes[ci] = freeList[:len(freeList)-1]
-			b.off = Headroom
-			b.end = Headroom + n
-			b.free = false
-			return b
+		b := p.free[ci]
+		if b != nil {
+			p.free[ci], b.next = b.next, nil
+		} else {
+			b = p.fromSlab(ci, size)
 		}
-		p.misses++
-		return &Buf{data: make([]byte, size), off: Headroom, end: Headroom + n, pool: p, cls: int8(ci)}
+		b.off = Headroom
+		b.end = Headroom + n
+		b.free = false
+		return b
 	}
 	// Oversize: exact allocation, never pooled.
 	p.misses++
 	return &Buf{data: make([]byte, need), off: Headroom, end: Headroom + n, pool: p, cls: -1}
+}
+
+// fromSlab hands out the class's next never-used buffer, allocating a new
+// slab when the current one is spent. Every buffer it returns is a miss.
+func (p *Pool) fromSlab(ci, size int) *Buf {
+	p.misses++
+	if len(p.fresh[ci]) == 0 {
+		bufs := make([]Buf, slabBufs)
+		mem := make([]byte, slabBufs*size)
+		for i := range bufs {
+			bufs[i] = Buf{data: mem[i*size : (i+1)*size : (i+1)*size], pool: p, cls: int8(ci)}
+		}
+		p.fresh[ci] = bufs
+	}
+	b := &p.fresh[ci][0]
+	p.fresh[ci] = p.fresh[ci][1:]
+	return b
 }
 
 // GetCopy returns a Buf holding a copy of data, with the usual Headroom in

@@ -83,10 +83,80 @@ func TestOversize(t *testing.T) {
 		t.Fatalf("Len = %d", b.Len())
 	}
 	b.Release() // must not enter a free list
-	for _, c := range p.classes {
-		if len(c) != 0 {
+	for _, c := range p.free {
+		if c != nil {
 			t.Fatal("oversize buffer entered a size class")
 		}
+	}
+}
+
+// TestSlabBuffersAreIsolated pins the slab's layout: buffers that share one
+// backing array each stop at their class size, so neither writes through
+// their bytes nor the poison of a released one reaches a neighbour.
+func TestSlabBuffersAreIsolated(t *testing.T) {
+	p := NewPool()
+	p.SetPoison(true)
+	bufs := make([]*Buf, slabBufs)
+	for i := range bufs {
+		bufs[i] = p.Get(60) // 100 B with headroom: class 128
+		if c := cap(bufs[i].Bytes()); c != 128-Headroom {
+			t.Fatalf("buffer %d: cap of its bytes = %d, want %d", i, c, 128-Headroom)
+		}
+		data := bufs[i].Bytes()
+		for j := range data {
+			data[j] = byte(i)
+		}
+	}
+	saved := bufs[5].Bytes()
+	bufs[5].Release()
+	for j, v := range saved {
+		if v != 0xDB {
+			t.Fatalf("released buffer byte %d = %#x, want 0xDB", j, v)
+		}
+	}
+	for i, b := range bufs {
+		if i == 5 {
+			continue
+		}
+		for j, v := range b.Bytes() {
+			if v != byte(i) {
+				t.Fatalf("buffer %d byte %d = %#x after its neighbour's release, want %#x", i, j, v, byte(i))
+			}
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("double Release of a slab buffer did not panic")
+		}
+	}()
+	bufs[5].Release()
+}
+
+// TestMissesCountFreshBuffers checks that a miss is one buffer handed out
+// for the first time, not one slab allocation: a second slab's worth of Gets
+// misses once per buffer, and a reused buffer is no miss.
+func TestMissesCountFreshBuffers(t *testing.T) {
+	p := NewPool()
+	var bufs []*Buf
+	for i := 0; i < slabBufs+3; i++ {
+		bufs = append(bufs, p.Get(1000))
+	}
+	if _, _, misses := p.Stats(); misses != slabBufs+3 {
+		t.Fatalf("misses = %d after %d fresh Gets, want %d", misses, slabBufs+3, slabBufs+3)
+	}
+	for _, b := range bufs {
+		b.Release()
+	}
+	for range bufs {
+		p.Get(1000)
+	}
+	gets, puts, misses := p.Stats()
+	if gets != 2*(slabBufs+3) || puts != slabBufs+3 || misses != slabBufs+3 {
+		t.Fatalf("stats = %d/%d/%d, want %d/%d/%d", gets, puts, misses,
+			2*(slabBufs+3), slabBufs+3, slabBufs+3)
+	}
+	if n := p.Outstanding(); n != slabBufs+3 {
+		t.Fatalf("Outstanding = %d, want %d", n, slabBufs+3)
 	}
 }
 

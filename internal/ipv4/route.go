@@ -2,6 +2,7 @@ package ipv4
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -95,10 +96,26 @@ type prefixRoute struct {
 	Route
 }
 
-// Add installs a route. A route with an identical prefix replaces the
-// earlier one; among routes of equal length that match the same address, the
-// one added first wins.
-func (t *RoutingTable) Add(r Route) {
+// Add installs routes, in order. A route with an identical prefix replaces
+// the earlier one; among routes of equal length that match the same address,
+// the one added first wins. The table grows once per call, to hold every
+// route given, so a caller that has a host's routes together installs them
+// with one allocation per kind of route.
+func (t *RoutingTable) Add(rs ...Route) {
+	hosts := 0
+	for _, r := range rs {
+		if r.Dst.Bits == 32 {
+			hosts++
+		}
+	}
+	t.hosts = slices.Grow(t.hosts, hosts)
+	t.nets = slices.Grow(t.nets, len(rs)-hosts)
+	for _, r := range rs {
+		t.add(r)
+	}
+}
+
+func (t *RoutingTable) add(r Route) {
 	if r.Dst.Bits == 32 {
 		i := t.searchHost(r.Dst.Addr)
 		if i < len(t.hosts) && t.hosts[i].addr == r.Dst.Addr {

@@ -43,8 +43,7 @@ type Network struct {
 	bus    *obs.Bus
 	pool   *frame.Pool
 	tap    FrameTap
-	evFree []*frameEvent // recycled fabric event records (see frameEvent)
-	evSlab []frameEvent  // records never used yet, allocated evSlabSize at a time
+	evFree *frameEvent // fabric event records ready for use (see frameEvent)
 }
 
 // evSlabSize is how many event records one allocation holds: a fail-over
@@ -280,7 +279,7 @@ func (nd *Node) SendFrame(ifindex int, fb *frame.Buf) {
 	nd.sent++
 	ev := nd.net.getEvent(evTxReady, fb)
 	ev.node, ev.link, ev.side = nd, ifc.link, ifc.side
-	nd.cpu.At(nd.net.sched, nd.cpuDone(fb.Len()), ev.fireFn)
+	nd.cpu.AtHandler(nd.net.sched, nd.cpuDone(fb.Len()), ev)
 }
 
 // cpuDone charges the node's serial CPU the frame's processing cost (fixed
@@ -307,7 +306,7 @@ func (nd *Node) deliver(ifindex int, fb *frame.Buf) {
 	}
 	ev := nd.net.getEvent(evRxReady, fb)
 	ev.node, ev.ifindex = nd, ifindex
-	nd.cpu.At(nd.net.sched, nd.cpuDone(fb.Len()), ev.fireFn)
+	nd.cpu.AtHandler(nd.net.sched, nd.cpuDone(fb.Len()), ev)
 }
 
 // frameEventKind selects what a frameEvent does when it fires.
@@ -320,9 +319,10 @@ const (
 )
 
 // frameEvent is the fabric's one scheduled-event record. Every hop of a frame
-// (transmit CPU, arrival, receive CPU) schedules one; records are recycled
-// through the network's free list, and fireFn is the method value cached at
-// creation, so scheduling a hop allocates nothing in steady state.
+// (transmit CPU, arrival, receive CPU) schedules one, as the record itself:
+// it is the event's sim.Handler. Records come evSlabSize to an allocation
+// and are recycled through the network's free list, so scheduling a hop
+// allocates nothing in steady state.
 //
 // An arrival's record doubles as the frame's entry in its direction's
 // transmit queue (size, done, queued): the frame is serialized before it
@@ -337,36 +337,32 @@ type frameEvent struct {
 	size    int
 	done    time.Duration // when the frame has been serialized
 	queued  *frameEvent   // the frame behind this one in the transmit queue
+	free    *frameEvent   // the next free record while this one is free
 	fb      *frame.Buf
-	fireFn  func()
 }
 
-// getEvent takes a record off the free list, or, when the list is empty, the
-// next unused one of the current slab.
+// getEvent takes a record off the free list, refilling the list with a new
+// slab of records when it is empty.
 func (n *Network) getEvent(kind frameEventKind, fb *frame.Buf) *frameEvent {
-	var ev *frameEvent
-	if k := len(n.evFree); k > 0 {
-		ev = n.evFree[k-1]
-		n.evFree[k-1] = nil
-		n.evFree = n.evFree[:k-1]
-	} else {
-		if len(n.evSlab) == 0 {
-			n.evSlab = make([]frameEvent, evSlabSize)
+	if n.evFree == nil {
+		slab := make([]frameEvent, evSlabSize)
+		for i := range slab {
+			slab[i].net, slab[i].free = n, n.evFree
+			n.evFree = &slab[i]
 		}
-		ev, n.evSlab = &n.evSlab[0], n.evSlab[1:]
-		ev.net = n
-		ev.fireFn = ev.fire
 	}
+	ev := n.evFree
+	n.evFree, ev.free = ev.free, nil
 	ev.kind, ev.fb = kind, fb
 	return ev
 }
 
-// fire runs the hop. The record goes back on the free list first, so the
+// OnTimer runs the hop. The record goes back on the free list first, so the
 // events the hop schedules can reuse it.
-func (ev *frameEvent) fire() {
+func (ev *frameEvent) OnTimer() {
 	kind, node, link, side, ifindex, fb := ev.kind, ev.node, ev.link, ev.side, ev.ifindex, ev.fb
 	ev.node, ev.link, ev.fb = nil, nil, nil
-	ev.net.evFree = append(ev.net.evFree, ev)
+	ev.free, ev.net.evFree = ev.net.evFree, ev
 	switch kind {
 	case evTxReady:
 		if !node.alive {
@@ -513,5 +509,5 @@ func (l *Link) transmit(side int, fb *frame.Buf) {
 	l.queueTail[side] = ar
 	// A jittered frame that would overtake the one before it falls out of
 	// the lane and is scheduled on its own (see sim.Lane.At).
-	l.arrive[side].At(s, arrive, ar.fireFn)
+	l.arrive[side].AtHandler(s, arrive, ar)
 }

@@ -23,6 +23,7 @@ type HostDaemon struct {
 	tcpStack   *tcp.Stack
 	hostAddr   ipv4.Addr
 	redirector udp.Endpoint
+	in         Message // the datagram being handled, decoded
 
 	// Stats
 	chainSets, suspectsSent uint64
@@ -64,7 +65,7 @@ func (d *HostDaemon) RegisterFT(svc core.ServiceID, mode core.Mode, det core.Det
 	port := d.mgr.SetPortOpt(svc, mode, det)
 	port.AttachListener(listener)
 	msg := Message{Type: MsgRegister, Service: svc, Host: d.hostAddr, Mode: mode}
-	d.rel.Send(d.redirector, msg.Marshal(), nil)
+	d.rel.Send(d.redirector, &msg, nil)
 	return port
 }
 
@@ -73,7 +74,7 @@ func (d *HostDaemon) RegisterFT(svc core.ServiceID, mode core.Mode, det core.Det
 func (d *HostDaemon) RegisterScale(svc core.ServiceID, metric uint16) {
 	d.hs.VHost(svc.Addr)
 	msg := Message{Type: MsgRegisterScale, Service: svc, Host: d.hostAddr, Metric: metric}
-	d.rel.Send(d.redirector, msg.Marshal(), nil)
+	d.rel.Send(d.redirector, &msg, nil)
 }
 
 // Leave withdraws this replica from the service (deletion of primary or
@@ -82,7 +83,7 @@ func (d *HostDaemon) Leave(svc core.ServiceID) {
 	d.mgr.ClearPort(svc)
 	d.hs.ReleaseVHost(svc.Addr)
 	msg := Message{Type: MsgLeave, Service: svc, Host: d.hostAddr}
-	d.rel.Send(d.redirector, msg.Marshal(), nil)
+	d.rel.Send(d.redirector, &msg, nil)
 }
 
 // StartHeartbeats announces this replica's liveness for svc every interval
@@ -94,7 +95,7 @@ func (d *HostDaemon) StartHeartbeats(svc core.ServiceID, interval time.Duration)
 	var timer *sim.Timer
 	timer = sim.NewTimer(d.sched, func() {
 		msg := Message{Type: MsgHeartbeat, Service: svc, Host: d.hostAddr}
-		d.rel.Send(d.redirector, msg.Marshal(), nil)
+		d.rel.Send(d.redirector, &msg, nil)
 		timer.Reset(interval)
 	})
 	timer.Reset(interval)
@@ -103,12 +104,12 @@ func (d *HostDaemon) StartHeartbeats(svc core.ServiceID, interval time.Duration)
 func (d *HostDaemon) reportSuspicion(svc core.ServiceID) {
 	d.suspectsSent++
 	msg := Message{Type: MsgSuspect, Service: svc, Host: d.hostAddr}
-	d.rel.Send(d.redirector, msg.Marshal(), nil)
+	d.rel.Send(d.redirector, &msg, nil)
 }
 
 func (d *HostDaemon) onMessage(from udp.Endpoint, payload []byte) {
-	msg, err := UnmarshalMessage(payload)
-	if err != nil {
+	msg := &d.in
+	if msg.Unmarshal(payload) != nil {
 		return
 	}
 	switch msg.Type {
@@ -119,6 +120,9 @@ func (d *HostDaemon) onMessage(from udp.Endpoint, payload []byte) {
 		// "pong" — nothing further to do.
 	default:
 		// Host daemons ignore redirector-bound operations.
+	}
+	if d.tcpStack.IP().Poisoned() {
+		msg.scribble()
 	}
 }
 

@@ -109,75 +109,106 @@ const msgLen = 21
 // ErrBadMessage reports an undecodable management datagram.
 var ErrBadMessage = errors.New("rmp: malformed message")
 
-// Marshal encodes the message. MIRROR messages append the host list after
-// the fixed header.
+// Marshal encodes the message into a new slice; AppendTo is the form that
+// reuses a buffer.
 func (m *Message) Marshal() []byte {
-	b := make([]byte, msgLen, msgLen+1+4*len(m.Hosts))
-	b[0] = byte(m.Type)
-	putU32(b[1:5], uint32(m.Service.Addr))
-	putU16(b[5:7], m.Service.Port)
-	putU32(b[7:11], uint32(m.Host))
-	b[11] = byte(m.Mode)
-	putU32(b[12:16], uint32(m.Upstream))
+	return m.AppendTo(make([]byte, 0, msgLen+1+4*len(m.Hosts)))
+}
+
+// AppendTo appends the message's encoding to b and returns the extended
+// slice. MIRROR messages append the host list after the fixed header.
+func (m *Message) AppendTo(b []byte) []byte {
+	off := len(b)
+	b = append(b, make([]byte, msgLen)...)
+	f := b[off:]
+	f[0] = byte(m.Type)
+	putU32(f[1:5], uint32(m.Service.Addr))
+	putU16(f[5:7], m.Service.Port)
+	putU32(f[7:11], uint32(m.Host))
+	f[11] = byte(m.Mode)
+	putU32(f[12:16], uint32(m.Upstream))
 	if m.Gated {
-		b[16] = 1
+		f[16] = 1
 	}
 	// Metric and ProbeID overlay the same slot; no message uses both.
 	if m.Type.carriesProbeID() {
-		putU32(b[17:21], m.ProbeID)
+		putU32(f[17:21], m.ProbeID)
 	} else {
-		putU16(b[17:19], m.Metric)
+		putU16(f[17:19], m.Metric)
 	}
 	if m.Type == MsgMirror {
 		b = append(b, byte(len(m.Hosts)))
 		for _, h := range m.Hosts {
-			var quad [4]byte
-			putU32(quad[:], uint32(h))
-			b = append(b, quad[:]...)
+			b = append(b, byte(h>>24), byte(h>>16), byte(h>>8), byte(h))
 		}
 	}
 	return b
 }
 
-// UnmarshalMessage decodes a management datagram.
+// UnmarshalMessage decodes a management datagram into a new Message;
+// Message.Unmarshal is the form that reuses one.
 func UnmarshalMessage(b []byte) (*Message, error) {
+	m := new(Message)
+	if err := m.Unmarshal(b); err != nil {
+		return nil, err
+	}
+	return m, nil
+}
+
+// Unmarshal decodes a management datagram into m, overwriting every field,
+// and leaves m untouched on error. A MIRROR's Hosts reuse the array m.Hosts
+// already has, so a receiver that decodes every datagram into one scratch
+// Message allocates nothing once the array has grown; like every scratch
+// struct (DESIGN.md §5, scratch-struct lifetime rule) it is valid only until
+// the handler returns.
+func (m *Message) Unmarshal(b []byte) error {
 	if len(b) < msgLen {
-		return nil, ErrBadMessage
+		return ErrBadMessage
 	}
-	if MsgType(b[0]) != MsgMirror && len(b) != msgLen {
-		return nil, ErrBadMessage
+	typ := MsgType(b[0])
+	if typ < MsgRegister || typ > MsgHeartbeat || (typ > MsgPing && typ < MsgMirror) {
+		return ErrBadMessage
 	}
-	m := &Message{
-		Type:     MsgType(b[0]),
+	hosts := b[msgLen:]
+	if typ == MsgMirror {
+		if len(hosts) < 1 || len(hosts)-1 != 4*int(hosts[0]) {
+			return ErrBadMessage
+		}
+		hosts = hosts[1:]
+	} else if len(hosts) != 0 {
+		return ErrBadMessage
+	}
+	*m = Message{
+		Type:     typ,
 		Service:  core.ServiceID{Addr: ipv4.Addr(getU32(b[1:5])), Port: getU16(b[5:7])},
 		Host:     ipv4.Addr(getU32(b[7:11])),
 		Mode:     core.Mode(b[11]),
 		Upstream: ipv4.Addr(getU32(b[12:16])),
 		Gated:    b[16] == 1,
+		Hosts:    m.Hosts[:0],
 	}
-	if m.Type.carriesProbeID() {
+	if typ.carriesProbeID() {
 		m.ProbeID = getU32(b[17:21])
 	} else {
 		m.Metric = getU16(b[17:19])
 	}
-	if m.Type < MsgRegister || m.Type > MsgHeartbeat || (m.Type > MsgPing && m.Type < MsgMirror) {
-		return nil, ErrBadMessage
+	for i := 0; i < len(hosts); i += 4 {
+		m.Hosts = append(m.Hosts, ipv4.Addr(getU32(hosts[i:i+4])))
 	}
-	if m.Type == MsgMirror {
-		rest := b[msgLen:]
-		if len(rest) < 1 {
-			return nil, ErrBadMessage
-		}
-		count := int(rest[0])
-		rest = rest[1:]
-		if len(rest) != 4*count {
-			return nil, ErrBadMessage
-		}
-		for i := 0; i < count; i++ {
-			m.Hosts = append(m.Hosts, ipv4.Addr(getU32(rest[4*i:4*i+4])))
-		}
+	return nil
+}
+
+// scribble overwrites a scratch message, its Hosts' elements included but
+// not their array, as poison mode does when the message's handler returns.
+func (m *Message) scribble() {
+	for i := range m.Hosts {
+		m.Hosts[i] = 0xDBDBDBDB
 	}
-	return m, nil
+	*m = Message{
+		Type: 0xDB, Service: core.ServiceID{Addr: 0xDBDBDBDB, Port: 0xDBDB}, Host: 0xDBDBDBDB,
+		Mode: 0xDB, Upstream: 0xDBDBDBDB, Gated: true, Metric: 0xDBDB, ProbeID: 0xDBDBDBDB,
+		Hosts: m.Hosts,
+	}
 }
 
 func putU32(b []byte, v uint32) {

@@ -45,6 +45,7 @@ type RedirectorDaemon struct {
 	stats       RedirectorDaemonStats
 	bus         *obs.Bus
 	node        string
+	in          Message // the datagram being handled, decoded; its Hosts are reused
 
 	// onReconfig, if set, observes completed reconfigurations (testing and
 	// measurement).
@@ -189,8 +190,8 @@ func (d *RedirectorDaemon) Chain(svc core.ServiceID) []ipv4.Addr {
 }
 
 func (d *RedirectorDaemon) onMessage(from udp.Endpoint, payload []byte) {
-	msg, err := UnmarshalMessage(payload)
-	if err != nil {
+	msg := &d.in
+	if msg.Unmarshal(payload) != nil {
 		return
 	}
 	switch msg.Type {
@@ -210,6 +211,9 @@ func (d *RedirectorDaemon) onMessage(from udp.Endpoint, payload []byte) {
 		if s := d.services[msg.Service]; s != nil {
 			s.noteAlive(msg.Host, d.sched.Now())
 		}
+	}
+	if d.rd.IP().Poisoned() {
+		msg.scribble()
 	}
 }
 
@@ -287,7 +291,7 @@ func (d *RedirectorDaemon) suspect(svc core.ServiceID) {
 	for i, m := range s.probe {
 		ping := Message{Type: MsgPing, Service: svc, Host: m.host, ProbeID: s.probeID}
 		d.stats.ProbesSent++
-		d.rel.Send(udp.Endpoint{Addr: m.host, Port: ManagementPort}, ping.Marshal(),
+		d.rel.Send(udp.Endpoint{Addr: m.host, Port: ManagementPort}, &ping,
 			func(delivered bool) {
 				if delivered {
 					s.probe[i].alive = true
@@ -390,7 +394,8 @@ func (d *RedirectorDaemon) finishProbe(svc core.ServiceID, s *svcState) {
 }
 
 // applyMirror installs a peer's FT entry into the local table
-// (last-writer-wins by version).
+// (last-writer-wins by version). msg.Hosts is the daemon's decode scratch:
+// SetFTReplicas copies the backups, so nothing keeps it past the handler.
 func (d *RedirectorDaemon) applyMirror(msg *Message) {
 	if last, ok := d.mirrored[msg.Service]; ok && int32(msg.ProbeID-last) <= 0 {
 		return // stale or duplicate update
@@ -406,13 +411,8 @@ func (d *RedirectorDaemon) applyMirror(msg *Message) {
 // pushMirror replicates the service's chain to every peer redirector.
 func (d *RedirectorDaemon) pushMirror(svc core.ServiceID, s *svcState) {
 	for _, peer := range d.peers {
-		msg := Message{
-			Type:    MsgMirror,
-			Service: svc,
-			ProbeID: s.version,
-			Hosts:   append([]ipv4.Addr(nil), s.chain...),
-		}
-		d.rel.Send(peer, msg.Marshal(), nil)
+		msg := Message{Type: MsgMirror, Service: svc, ProbeID: s.version, Hosts: s.chain}
+		d.rel.Send(peer, &msg, nil)
 	}
 }
 
@@ -441,7 +441,7 @@ func (d *RedirectorDaemon) applyChain(svc core.ServiceID, s *svcState) {
 		} else {
 			set.Upstream = s.chain[i-1]
 		}
-		d.rel.Send(udp.Endpoint{Addr: host, Port: ManagementPort}, set.Marshal(), nil)
+		d.rel.Send(udp.Endpoint{Addr: host, Port: ManagementPort}, &set, nil)
 	}
 }
 

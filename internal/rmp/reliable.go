@@ -21,8 +21,10 @@ type Reliable struct {
 
 	nextSeq uint32
 	pending map[uint32]*relPending
+	free    *relPending // records of settled datagrams, ready for reuse
 	peers   map[ipv4.Addr]*peer
 	onData  func(from udp.Endpoint, payload []byte)
+	ack     [relHeaderLen]byte // the acknowledgment being sent
 
 	// Stats
 	sent, acked, failed, dupsDropped uint64
@@ -37,15 +39,24 @@ type peer struct {
 	next int                    // the ring slot the next new sequence number takes
 }
 
+// relPending is one datagram awaiting its acknowledgment. Records are
+// recycled through the endpoint's free list once settled; each keeps its
+// datagram buffer and its timer, whose handler it is, for the next message.
 type relPending struct {
-	timer    *sim.Timer
+	r        *Reliable
+	timer    sim.Timer
 	dst      udp.Endpoint
 	peer     *peer
-	frame    []byte
+	frame    []byte // header and payload; reused by the record's next datagram
+	seq      uint32
 	tries    int
 	sentAt   time.Duration // first transmission, for the RTT sample
 	onResult func(delivered bool)
+	next     *relPending // free-list link
 }
+
+// OnTimer makes a record its timer's handler: the attempt timed out.
+func (p *relPending) OnTimer() { p.r.retry(p) }
 
 const (
 	relData uint8 = 1
@@ -99,20 +110,37 @@ func (r *Reliable) peer(addr ipv4.Addr) *peer {
 	return pe
 }
 
-// Send transmits payload to dst with retries. onResult, if non-nil, reports
+// Send transmits m to dst with retries, encoded straight into the buffer of
+// the datagram's record; the caller keeps m. onResult, if non-nil, reports
 // whether the peer acknowledged within the retry budget.
-func (r *Reliable) Send(dst udp.Endpoint, payload []byte, onResult func(delivered bool)) {
+func (r *Reliable) Send(dst udp.Endpoint, m *Message, onResult func(delivered bool)) {
+	p := r.free
+	if p != nil {
+		r.free, p.next = p.next, nil
+	} else {
+		p = &relPending{r: r}
+		p.timer.InitHandler(r.sched, p)
+	}
 	r.nextSeq++
-	seq := r.nextSeq
-	frame := make([]byte, relHeaderLen+len(payload))
-	frame[0] = relData
-	putU32(frame[1:5], seq)
-	copy(frame[relHeaderLen:], payload)
-	p := &relPending{dst: dst, peer: r.peer(dst.Addr), frame: frame, sentAt: r.sched.Now(), onResult: onResult}
-	p.timer = sim.NewTimer(r.sched, func() { r.retry(seq) })
-	r.pending[seq] = p
+	p.seq = r.nextSeq
+	p.dst, p.peer, p.tries, p.sentAt, p.onResult = dst, r.peer(dst.Addr), 0, r.sched.Now(), onResult
+	p.frame = append(p.frame[:0], relData, 0, 0, 0, 0)
+	putU32(p.frame[1:5], p.seq)
+	p.frame = m.AppendTo(p.frame)
+	r.pending[p.seq] = p
 	r.sent++
 	r.transmit(p)
+}
+
+// settle takes a datagram's record out of the pending set and puts it on the
+// free list, returning the callback that is still to learn the verdict.
+func (r *Reliable) settle(p *relPending) (onResult func(delivered bool)) {
+	p.timer.Stop()
+	delete(r.pending, p.seq)
+	onResult = p.onResult
+	p.peer, p.onResult = nil, nil
+	p.next, r.free = r.free, p
+	return onResult
 }
 
 // transmit sends p once more. Each attempt waits the peer's RTO, doubled per
@@ -124,20 +152,15 @@ func (r *Reliable) transmit(p *relPending) {
 	p.timer.Reset(min(p.peer.rto.Current()<<(p.tries-1), relMaxRTO))
 }
 
-func (r *Reliable) retry(seq uint32) {
-	p := r.pending[seq]
-	if p == nil {
+func (r *Reliable) retry(p *relPending) {
+	if p.tries < relAttempts {
+		r.transmit(p)
 		return
 	}
-	if p.tries >= relAttempts {
-		delete(r.pending, seq)
-		r.failed++
-		if p.onResult != nil {
-			p.onResult(false)
-		}
-		return
+	r.failed++
+	if onResult := r.settle(p); onResult != nil {
+		onResult(false)
 	}
-	r.transmit(p)
 }
 
 func (r *Reliable) receive(from udp.Endpoint, local ipv4.Addr, b []byte) {
@@ -151,23 +174,20 @@ func (r *Reliable) receive(from udp.Endpoint, local ipv4.Addr, b []byte) {
 		if p == nil {
 			return
 		}
-		p.timer.Stop()
-		delete(r.pending, seq)
 		r.acked++
 		if p.tries == 1 {
 			// Karn: an acknowledgment of a retransmitted datagram may
 			// answer any of its copies, so only first tries are timed.
 			p.peer.rto.Sample(r.sched.Now() - p.sentAt)
 		}
-		if p.onResult != nil {
-			p.onResult(true)
+		if onResult := r.settle(p); onResult != nil {
+			onResult(true)
 		}
 	case relData:
 		// Always (re-)acknowledge, then deduplicate.
-		ack := make([]byte, relHeaderLen)
-		ack[0] = relAck
-		putU32(ack[1:5], seq)
-		_ = r.udpStack.SendTo(local, r.port, from, ack) //nolint:errcheck
+		r.ack[0] = relAck
+		putU32(r.ack[1:5], seq)
+		_ = r.udpStack.SendTo(local, r.port, from, r.ack[:]) //nolint:errcheck
 		if r.peer(from.Addr).isDup(seq) {
 			r.dupsDropped++
 			return

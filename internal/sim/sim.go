@@ -44,8 +44,7 @@ const (
 // Nodes are recycled through the scheduler's free list; gen increments on
 // every recycle so stale Event handles cannot reach a new occupant.
 type eventNode struct {
-	fn    func()
-	timer *Timer     // set instead of fn on a timer's wake-up node (nodeTimer)
+	h     Handler    // what fires; a *timerWake on a timer's wake-up node (nodeTimer)
 	next  *eventNode // lane successor if nodeHasNext; free-list link once recycled
 	s     *Scheduler
 	at    time.Duration
@@ -112,7 +111,7 @@ func (e *Event) Cancel() {
 		return
 	}
 	n := e.n
-	n.fn = nil
+	n.h = nil
 	n.s.kill(n)
 }
 
@@ -157,12 +156,15 @@ func (s *Scheduler) Pending() int { return len(s.heap) - s.dead + s.waiting }
 
 // At schedules fn to run at absolute virtual time t. Scheduling in the past
 // panics: it would reorder causality.
-func (s *Scheduler) At(t time.Duration, fn func()) Event {
+func (s *Scheduler) At(t time.Duration, fn func()) Event { return s.at(t, handlerFunc(fn)) }
+
+// at is At for a Handler.
+func (s *Scheduler) at(t time.Duration, h Handler) Event {
 	s.checkTime(t)
 	n := s.alloc()
 	n.at = t
 	n.seq = s.stamp()
-	n.fn = fn
+	n.h = h
 	s.push(n.slot())
 	return Event{n: n, gen: n.gen}
 }
@@ -269,15 +271,9 @@ func (s *Scheduler) step(deadline time.Duration) bool {
 	s.fired++
 	// Recycling first means a timer is already disarmed when its callback
 	// runs, and the callback's own scheduling can reuse the node.
-	if n.flags&nodeTimer != 0 {
-		h := n.timer.h
-		s.recycle(n)
-		h.OnTimer()
-		return true
-	}
-	fn := n.fn
+	h := n.h
 	s.recycle(n)
-	fn()
+	h.OnTimer()
 	return true
 }
 
@@ -344,10 +340,12 @@ func (s *Scheduler) peek() *eventNode {
 			s.recycle(n)
 			continue
 		}
-		if t := n.timer; n.flags&nodeTimer != 0 && t.seq != n.seq {
-			n.at, n.seq = t.at, t.seq
-			s.siftDown(0, n.slot())
-			continue
+		if n.flags&nodeTimer != 0 {
+			if t := n.timer(); t.seq != n.seq {
+				n.at, n.seq = t.at, t.seq
+				s.siftDown(0, n.slot())
+				continue
+			}
 		}
 		return n
 	}
@@ -371,12 +369,11 @@ func (s *Scheduler) kill(n *eventNode) {
 // generation bump invalidates every outstanding handle to this occupancy,
 // and a timer's wake-up node lets go of its timer.
 func (s *Scheduler) recycle(n *eventNode) {
-	if t := n.timer; t != nil {
-		t.n = nil
-		n.timer = nil
+	if n.flags&nodeTimer != 0 {
+		n.timer().n = nil
 	}
 	n.gen++
-	n.fn = nil
+	n.h = nil
 	n.flags = 0
 	n.next = s.free
 	s.free = n
@@ -500,16 +497,22 @@ type Lane struct {
 // lane — is scheduled as an ordinary event instead and takes no part in the
 // lane.
 func (l *Lane) At(s *Scheduler, t time.Duration, fn func()) Event {
+	return l.AtHandler(s, t, handlerFunc(fn))
+}
+
+// AtHandler is Lane.At for a Handler: a record that is its own event needs
+// no closure to be scheduled.
+func (l *Lane) AtHandler(s *Scheduler, t time.Duration, h Handler) Event {
 	tail := l.tail
 	busy := tail != nil && tail.gen == l.gen
 	if busy && t < tail.at {
-		return s.At(t, fn)
+		return s.at(t, h)
 	}
 	s.checkTime(t)
 	n := s.alloc()
 	n.at = t
 	n.seq = s.stamp()
-	n.fn = fn
+	n.h = h
 	l.tail, l.gen = n, n.gen
 	if busy {
 		tail.next = n
@@ -553,17 +556,29 @@ func NewTimer(s *Scheduler, fn func()) *Timer {
 // by value in a larger struct.
 func (t *Timer) Init(s *Scheduler, fn func()) { t.InitHandler(s, handlerFunc(fn)) }
 
-// Handler is a timer callback that needs no closure. A struct that embeds
-// several timers gives each a handler by converting its own pointer to a named
-// type with an OnTimer method — a conversion that allocates nothing, where a
+// Handler is a scheduled callback that needs no closure: every event node
+// holds one, whether it was scheduled with At, Lane.AtHandler or a timer. A
+// struct that embeds several timers, or is itself scheduled for several
+// reasons, gives each a handler by converting its own pointer to a named type
+// with an OnTimer method — a conversion that allocates nothing, where a
 // method value bound to the struct would allocate once per timer.
 type Handler interface{ OnTimer() }
 
 // handlerFunc adapts a plain callback; a func value is pointer-shaped, so the
-// conversion to Handler does not allocate either.
+// conversion to Handler does not allocate either. At, After and Lane.At
+// schedule through it.
 type handlerFunc func()
 
 func (f handlerFunc) OnTimer() { f() }
+
+// timerWake is the Handler of a timer's wake-up node: it fires the timer's
+// own handler.
+type timerWake Timer
+
+func (w *timerWake) OnTimer() { (*Timer)(w).h.OnTimer() }
+
+// timer returns the timer whose wake-up node n is (nodeTimer).
+func (n *eventNode) timer() *Timer { return (*Timer)(n.h.(*timerWake)) }
 
 // InitHandler is Init for a Handler.
 func (t *Timer) InitHandler(s *Scheduler, h Handler) { t.s, t.h = s, h }
@@ -589,15 +604,17 @@ func (t *Timer) Reset(d time.Duration) {
 		return
 	}
 	if n != nil {
-		// Earlier than the wake-up: abandon the node to lazy deletion.
-		n.timer, t.n = nil, nil
+		// Earlier than the wake-up: abandon the node to lazy deletion, as
+		// a plain cancelled event that no longer names the timer.
+		n.h, t.n = nil, nil
+		n.flags &^= nodeTimer
 		if n.flags&nodeCancelled == 0 {
 			s.kill(n)
 		}
 	}
 	n = s.alloc()
 	n.at, n.seq = t.at, t.seq
-	n.timer, t.n = t, n
+	n.h, t.n = (*timerWake)(t), n
 	n.flags = nodeTimer
 	s.push(n.slot())
 }

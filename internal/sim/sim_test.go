@@ -445,9 +445,14 @@ func TestEventNodeSize(t *testing.T) {
 	}
 }
 
+// countHandler is a Handler that counts its firings.
+type countHandler int
+
+func (c *countHandler) OnTimer() { *c++ }
+
 // TestSteadyStateAllocs pins the allocation-free scheduling paths: At and
-// After with the event fired, scheduling on a lane and firing from it, and
-// re-arming a timer.
+// After with the event fired, scheduling on a lane and firing from it, with
+// a func or a Handler, and re-arming a timer.
 func TestSteadyStateAllocs(t *testing.T) {
 	s := NewScheduler(1)
 	var lane Lane
@@ -471,6 +476,17 @@ func TestSteadyStateAllocs(t *testing.T) {
 		s.Step()
 	}); avg != 0 {
 		t.Errorf("Lane.At + Step allocates %.1f objects per cycle, want 0", avg)
+	}
+	var h countHandler
+	if avg := testing.AllocsPerRun(1000, func() {
+		at += time.Microsecond
+		lane.AtHandler(s, at, &h)
+		s.Step()
+	}); avg != 0 {
+		t.Errorf("Lane.AtHandler + Step allocates %.1f objects per cycle, want 0", avg)
+	}
+	if h == 0 {
+		t.Error("no Lane.AtHandler event fired")
 	}
 	tm := NewTimer(s, fn)
 	tm.Reset(time.Second)

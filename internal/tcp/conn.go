@@ -217,16 +217,19 @@ func newConn(st *Stack, local, remote Endpoint) *Conn {
 }
 
 // A *Conn converted to one of these types is the sim.Handler of the timer
-// named: a callback per timer without a closure per timer and connection.
+// or event named: a callback per timer without a closure per timer and
+// connection.
 type (
-	rtxExpiry     Conn
-	delackExpiry  Conn
-	persistExpiry Conn
+	rtxExpiry      Conn
+	delackExpiry   Conn
+	persistExpiry  Conn
+	timeWaitExpiry Conn
 )
 
-func (c *rtxExpiry) OnTimer()     { (*Conn)(c).onRetransmitTimeout() }
-func (c *delackExpiry) OnTimer()  { (*Conn)(c).sendAck() }
-func (c *persistExpiry) OnTimer() { (*Conn)(c).onPersist() }
+func (c *rtxExpiry) OnTimer()      { (*Conn)(c).onRetransmitTimeout() }
+func (c *delackExpiry) OnTimer()   { (*Conn)(c).sendAck() }
+func (c *persistExpiry) OnTimer()  { (*Conn)(c).onPersist() }
+func (c *timeWaitExpiry) OnTimer() { (*Conn)(c).terminate(nil) }
 
 // Local returns the connection's local endpoint (a virtual-host address on
 // HydraNet host servers).
@@ -826,11 +829,7 @@ func (c *Conn) startTimeWait() {
 	if wait < 0 {
 		wait = 0
 	}
-	c.timeWait = st.timeWait.At(st.sched, st.sched.Now()+wait, c.onTimeWaitDone)
-}
-
-func (c *Conn) onTimeWaitDone() {
-	c.terminate(nil)
+	c.timeWait = st.timeWait.AtHandler(st.sched, st.sched.Now()+wait, (*timeWaitExpiry)(c))
 }
 
 // terminate tears the connection down and notifies callbacks exactly once.

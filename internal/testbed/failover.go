@@ -35,7 +35,7 @@ type FailoverConfig struct {
 	// once the topology stands, before the service registers.
 	Observe hydranet.Instruments
 	// FlightPrefix and SpansPath are the names bench/ compiles against;
-	// MeasureFailover folds SpansPath into Observe (ROADMAP 7) and
+	// MeasureFailover folds SpansPath into Observe (DESIGN.md §11) and
 	// ignores FlightPrefix, which names no observer.
 	FlightPrefix, SpansPath string
 }

@@ -38,8 +38,13 @@ func ObserverFlags(fs *flag.FlagSet, note string) (in *hydranet.Instruments, sta
 // startRuntimeProfiles starts the Go runtime profilers behind -cpuprofile/-memprofile:
 // host-level profiling of the simulator itself. Either path may be empty.
 // The returned stop function ends the CPU profile and writes the heap
-// profile; call it before the process exits (os.Exit skips defers).
+// profile; call it before the process exits (os.Exit skips defers). The
+// heap profile records every allocation, not the runtime's default sample
+// of one per 512 KiB, so its alloc_objects counts are exact per call site.
 func startRuntimeProfiles(cpuPath, memPath string) (stop func() error, err error) {
+	if memPath != "" {
+		runtime.MemProfileRate = 1
+	}
 	var cpuFile *os.File
 	if cpuPath != "" {
 		cpuFile, err = os.Create(cpuPath)

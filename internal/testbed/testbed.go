@@ -105,7 +105,7 @@ type Config struct {
 	// once the topology stands, before the service registers.
 	Observe hydranet.Instruments
 	// PcapPath, SeriesPath, ProfilePath and Invariants are the names bench/
-	// compiles against; run folds them into Observe (ROADMAP 7) and
+	// compiles against; run folds them into Observe (DESIGN.md §11) and
 	// ignores ProfilePath, which names no observer.
 	PcapPath, SeriesPath, ProfilePath string
 	Invariants                        bool

@@ -29,7 +29,8 @@ type MonitorConfig struct {
 //
 // Use Instruments.Invariants: Instrument attaches the monitor at the one
 // point where it sees the registrations. StartMonitor, FinishAudit and
-// MonitorConfig stay exported only for bench/ (ROADMAP 7).
+// MonitorConfig stay exported only for bench/, which compiles against them
+// (DESIGN.md §11 is the one attach surface).
 func (n *Net) StartMonitor(cfg MonitorConfig) *Monitor {
 	m := invariant.New(invariant.Config{
 		Scenario:    cfg.Scenario,

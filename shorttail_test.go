@@ -162,15 +162,15 @@ func TestShortTailLeavesWithFIN(t *testing.T) {
 	}
 }
 
-// TestLostAckCopyAtResponseEnd is ROADMAP item 1's operation 13: a 4842-byte
-// response (three full segments and a 462-byte tail) through a primary and a
-// backup, and the backup's multicast copy of the client's first pure ACK that
-// covers the third segment is lost. While Nagle held the tail that ACK was
-// the client's last word — a delayed ACK with nothing behind it — so the
-// backup never learnt its data had arrived, never released the tail, and the
-// primary stayed send-gated behind it for good. With the tail and the FIN
-// already delivered, the client's next packet is its own FIN, whose ACK field
-// repairs the backup.
+// TestLostAckCopyAtResponseEnd is operation 13 of the lossy churn census: a
+// 4842-byte response (three full segments and a 462-byte tail) through a
+// primary and a backup, and the backup's multicast copy of the client's
+// first pure ACK that covers the third segment is lost. While Nagle held the
+// tail that ACK was the client's last word — a delayed ACK with nothing
+// behind it — so the backup never learnt its data had arrived, never
+// released the tail, and the primary stayed send-gated behind it for good.
+// With the tail and the FIN already delivered, the client's next packet is
+// its own FIN, whose ACK field repairs the backup.
 func TestLostAckCopyAtResponseEnd(t *testing.T) {
 	out := lostAckCopy(t, 3)
 	if !out.closed || out.err != nil || out.got != lostAckResponse {
@@ -178,14 +178,14 @@ func TestLostAckCopyAtResponseEnd(t *testing.T) {
 	}
 }
 
-// TestLostAckCopyOpeningWindow is ROADMAP item 1(a), the tail-ACK-copy
-// deadlock: the backup's copy of the client ACK that covers the second
-// segment, and so opens the window for the third, is lost. The client holds
-// two segments, both acknowledged, and has nothing more to say; the backup
-// waits for that ACK, and the primary, all its data acknowledged, waits at
-// its send gate for the backup. After one RTO of that silence the primary
-// probes the client, the client answers, and the redirector multicasts the
-// answer to the backup too.
+// TestLostAckCopyOpeningWindow is the tail-ACK-copy deadlock that the
+// tail-ACK probe (DESIGN.md §7 item 5) repairs: the backup's copy of the
+// client ACK that covers the second segment, and so opens the window for the
+// third, is lost. The client holds two segments, both acknowledged, and has
+// nothing more to say; the backup waits for that ACK, and the primary, all
+// its data acknowledged, waits at its send gate for the backup. After one
+// RTO of that silence the primary probes the client, the client answers, and
+// the redirector multicasts the answer to the backup too.
 func TestLostAckCopyOpeningWindow(t *testing.T) {
 	out := lostAckCopy(t, 2)
 	if !out.closed || out.err != nil || out.got != lostAckResponse {
