@@ -105,7 +105,7 @@ type Manager struct {
 	tcpStack *tcp.Stack
 	udpStack *udp.Stack
 	hostAddr ipv4.Addr // real address, used as acknowledgment-channel source
-	ports    map[ServiceID]*ReplicatedPort
+	ports    map[inet.Key]*ReplicatedPort
 	stats    Stats
 	suspect  SuspectFunc
 	bus      *obs.Bus
@@ -131,7 +131,7 @@ func NewManager(tcpStack *tcp.Stack, udpStack *udp.Stack, hostAddr ipv4.Addr) (*
 		tcpStack: tcpStack,
 		udpStack: udpStack,
 		hostAddr: hostAddr,
-		ports:    make(map[ServiceID]*ReplicatedPort),
+		ports:    make(map[inet.Key]*ReplicatedPort),
 	}
 	if err := udpStack.Bind(0, AckChannelPort, m.onChainDatagram); err != nil {
 		return nil, fmt.Errorf("core: binding acknowledgment channel: %w", err)
@@ -159,14 +159,14 @@ func (m *Manager) Stats() Stats { return m.stats }
 // setportopt(port, mode, detector-parameters) system call. It returns the
 // port object used to wire listeners and reconfigure the chain.
 func (m *Manager) SetPortOpt(svc ServiceID, mode Mode, det DetectorParams) *ReplicatedPort {
-	p := m.ports[svc]
+	p := m.ports[svc.Key()]
 	if p == nil {
 		p = &ReplicatedPort{
 			mgr:   m,
 			svc:   svc,
-			conns: make(map[tcp.Endpoint]*ftConn),
+			conns: make(map[inet.Key]*ftConn),
 		}
-		m.ports[svc] = p
+		m.ports[svc.Key()] = p
 	}
 	p.mode = mode
 	p.det = det.withDefaults()
@@ -174,10 +174,10 @@ func (m *Manager) SetPortOpt(svc ServiceID, mode Mode, det DetectorParams) *Repl
 }
 
 // Port returns the replicated port state for svc, or nil.
-func (m *Manager) Port(svc ServiceID) *ReplicatedPort { return m.ports[svc] }
+func (m *Manager) Port(svc ServiceID) *ReplicatedPort { return m.ports[svc.Key()] }
 
 // ClearPort removes the replicated-port marking (service leaving).
-func (m *Manager) ClearPort(svc ServiceID) { delete(m.ports, svc) }
+func (m *Manager) ClearPort(svc ServiceID) { delete(m.ports, svc.Key()) }
 
 // Reset discards all replicated-port state — what a host server loses when
 // it crashes. Statistics survive (they belong to the experiment, not the
@@ -186,7 +186,7 @@ func (m *Manager) Reset() {
 	for _, p := range m.ports { //hydralint:nondeterministic each port is cleared alone; nothing is sent
 		p.upstream = udp.Endpoint{}
 	}
-	m.ports = make(map[ServiceID]*ReplicatedPort)
+	m.ports = make(map[inet.Key]*ReplicatedPort)
 }
 
 // onChainDatagram handles acknowledgment-channel traffic from successors.
@@ -204,7 +204,7 @@ func (m *Manager) onChainDatagram(_ udp.Endpoint, _ ipv4.Addr, payload []byte) {
 			Seq: uint64(msg.SndNxt), Ack: uint64(msg.RcvNxt),
 		})
 	}
-	p := m.ports[msg.Service]
+	p := m.ports[msg.Service.Key()]
 	if p == nil {
 		m.stats.ChainMsgsOrphan++
 		return
@@ -235,7 +235,7 @@ type ReplicatedPort struct {
 	// version is the last chain configuration applied (AdvanceVersion).
 	version uint32
 
-	conns        map[tcp.Endpoint]*ftConn
+	conns        map[inet.Key]*ftConn // by client endpoint
 	lastSuspect  time.Duration
 	hasSuspected bool
 }
@@ -459,7 +459,7 @@ func (p *ReplicatedPort) AttachListener(l *tcp.Listener) {
 
 // adopt begins managing a server-side connection.
 func (p *ReplicatedPort) adopt(c *tcp.Conn) {
-	client := c.Remote()
+	client := c.Remote().Key()
 	fc := p.conns[client]
 	if fc == nil {
 		fc = p.newFTConn()
@@ -475,15 +475,15 @@ func (p *ReplicatedPort) Conns() int { return len(p.conns) }
 
 // onChainMsg folds successor state into the connection's limits.
 func (p *ReplicatedPort) onChainMsg(msg *ChainMsg) {
-	fc := p.conns[msg.Client]
+	client := msg.Client.Key()
+	fc := p.conns[client]
 	if fc == nil {
 		// The successor saw the SYN before we did (multicast races are
 		// normal); remember the limits for when our SYN arrives. If it
 		// never does (the SYN copy was lost, or the connection is already
 		// gone), the placeholder expires instead of leaking.
 		fc = p.newFTConn()
-		p.conns[msg.Client] = fc
-		client := msg.Client
+		p.conns[client] = fc
 		p.mgr.sched.After(pendingConnTTL, func() {
 			if ghost := p.conns[client]; ghost == fc && ghost.conn == nil {
 				delete(p.conns, client)
@@ -560,7 +560,7 @@ func (fc *ftConn) OnAckProgress() { fc.retransmits = 0 }
 // instant still leave at its end: the last may carry the FIN's deposit.
 func (fc *ftConn) OnClosed(error) {
 	fc.stall.Stop()
-	delete(fc.port.conns, fc.conn.Remote())
+	delete(fc.port.conns, fc.conn.Remote().Key())
 }
 
 // forwardChain strips a suppressed segment to its flow-control fields and

@@ -14,7 +14,7 @@ import (
 )
 
 // Protocol is the IPv4 protocol number for ICMP.
-const Protocol uint8 = 1
+const Protocol = ipv4.ProtoICMP
 
 // Type is an ICMP message type.
 type Type uint8

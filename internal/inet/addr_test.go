@@ -77,3 +77,26 @@ func TestEndpointBefore(t *testing.T) {
 		t.Error("Before is not address-then-port order")
 	}
 }
+
+func TestKeyIsEndpointInBeforeOrder(t *testing.T) {
+	roundTrip := func(addr uint32, port uint16) bool {
+		e := Endpoint{Addr: Addr(addr), Port: port}
+		return EndpointOf(e.Key()) == e
+	}
+	// Random pairs almost never share an address; draw from a few so the
+	// port decides often too.
+	order := func(a1, a2 uint8, p1, p2 uint16) bool {
+		a := Endpoint{Addr: Addr(a1 % 4), Port: p1}
+		b := Endpoint{Addr: Addr(a2 % 4), Port: p2}
+		return (a.Key() < b.Key()) == a.Before(b)
+	}
+	wide := func(a1, a2 uint32, p1, p2 uint16) bool {
+		a, b := Endpoint{Addr: Addr(a1), Port: p1}, Endpoint{Addr: Addr(a2), Port: p2}
+		return (a.Key() < b.Key()) == a.Before(b)
+	}
+	for _, f := range []any{roundTrip, order, wide} {
+		if err := quick.Check(f, nil); err != nil {
+			t.Error(err)
+		}
+	}
+}

@@ -174,7 +174,7 @@ type Monitor struct {
 	flows  map[flowKey]*flowState
 	acks   map[connKey]*ackState
 	chains map[connKey]*chainState
-	svcs   map[inet.Endpoint]*svcState
+	svcs   map[inet.Key]*svcState
 	nodes  map[string]*nodeState
 
 	events     uint64
@@ -200,7 +200,7 @@ func New(cfg Config) *Monitor {
 		flows:       make(map[flowKey]*flowState),
 		acks:        make(map[connKey]*ackState),
 		chains:      make(map[connKey]*chainState),
-		svcs:        make(map[inet.Endpoint]*svcState),
+		svcs:        make(map[inet.Key]*svcState),
 		nodes:       make(map[string]*nodeState),
 		kindCounts:  make([]uint64, len(obs.Kinds())),
 	}
@@ -338,7 +338,7 @@ func (m *Monitor) noteAck(e obs.Event) {
 	// Gate check: e.Conn is the remote endpoint; when it names a replicated
 	// service and the emitting node is not a chain member, this is the
 	// client observing the primary's ACK.
-	s := m.svcs[e.Conn]
+	s := m.svcs[e.Conn.Key()]
 	if s == nil || s.members[e.Node] || s.window {
 		return
 	}
@@ -444,10 +444,10 @@ func (m *Monitor) record(rule int, e obs.Event, detail string, want, got uint64)
 
 // svc returns the service's membership state, allocating on first sight.
 func (m *Monitor) svc(key inet.Endpoint) *svcState {
-	s := m.svcs[key]
+	s := m.svcs[key.Key()]
 	if s == nil {
 		s = &svcState{members: make(map[string]bool)}
-		m.svcs[key] = s
+		m.svcs[key.Key()] = s
 	}
 	return s
 }
@@ -593,7 +593,7 @@ func (m *Monitor) Clean() bool {
 // the registrations, reconfigurations and recommissions it understood add
 // up to.
 func (m *Monitor) Members(svc inet.Endpoint) int {
-	s := m.svcs[svc]
+	s := m.svcs[svc.Key()]
 	if s == nil {
 		return 0
 	}

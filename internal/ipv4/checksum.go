@@ -12,6 +12,24 @@ func Checksum(data []byte) uint16 {
 	return ^foldSum(sum16(0, data))
 }
 
+// headerChecksum is Checksum(b[:HeaderLen]) for an option-free header, the
+// only kind this stack emits: five big-endian 32-bit words added on one 64-bit
+// accumulator, then folded. A 32-bit word contributes its two 16-bit words
+// correctly once folded (2^16 ≡ 1 mod 65535), and an end-around fold never
+// turns a nonzero sum into zero, so the result is bit-identical to Checksum,
+// the 0x0000/0xFFFF corner included.
+func headerChecksum(b []byte) uint16 {
+	b = b[:HeaderLen]
+	sum := uint64(binary.BigEndian.Uint32(b)) + uint64(binary.BigEndian.Uint32(b[4:])) +
+		uint64(binary.BigEndian.Uint32(b[8:])) + uint64(binary.BigEndian.Uint32(b[12:])) +
+		uint64(binary.BigEndian.Uint32(b[16:]))
+	// sum < 5·2^32: three folds bring it under 2^16.
+	sum = sum&0xffff + sum>>16
+	sum = sum&0xffff + sum>>16
+	sum = sum&0xffff + sum>>16
+	return ^uint16(sum)
+}
+
 // sum16 accumulates 16-bit big-endian words of data into a running 32-bit
 // partial sum, for composing checksums over header + pseudo-header + payload.
 //

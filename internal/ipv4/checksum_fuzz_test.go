@@ -149,8 +149,14 @@ func TestSum16MatchesBytePairReference(t *testing.T) {
 }
 
 // FuzzSum16: arbitrary bytes from an arbitrary address onto an arbitrary
-// accumulator sum to what the byte-pair reference says.
+// accumulator sum to what the byte-pair reference says, and the option-free
+// header checksum agrees with the reference on the first 20 bytes.
 func FuzzSum16(f *testing.F) {
+	for _, hdr := range [][]byte{make([]byte, HeaderLen), bytes.Repeat([]byte{0xff}, HeaderLen)} {
+		if got, want := headerChecksum(hdr), ^refSum16(0, hdr); got != want {
+			f.Fatalf("header % x: headerChecksum %#04x, reference %#04x", hdr, got, want)
+		}
+	}
 	f.Add([]byte{}, uint32(0), uint8(0))
 	f.Add([]byte{0x45, 0, 0, 20, 0, 1, 0, 0, 64, 6, 0, 0, 10, 0, 0, 1, 10, 0, 0, 2}, uint32(0), uint8(0))
 	f.Add(bytes.Repeat([]byte{0xff}, 97), uint32(0xffffffff), uint8(1))
@@ -164,6 +170,11 @@ func FuzzSum16(f *testing.F) {
 		}
 		if got, want := PseudoChecksum(Addr(acc), Addr(^acc), skew, data), refPseudoChecksum(Addr(acc), Addr(^acc), skew, data); got != want {
 			t.Fatalf("%d bytes: PseudoChecksum %#04x, reference %#04x", len(data), got, want)
+		}
+		if len(data) >= HeaderLen {
+			if got, want := headerChecksum(data), ^refSum16(0, data[:HeaderLen]); got != want {
+				t.Fatalf("header % x: headerChecksum %#04x, reference %#04x", data[:HeaderLen], got, want)
+			}
 		}
 	})
 }

@@ -82,10 +82,15 @@ const (
 	reassemblyBufLen = 2048
 )
 
+// fragKey names a datagram under reassembly: source, destination, protocol
+// and identification (RFC 791).
 type fragKey struct {
 	src, dst Addr
-	proto    uint8
-	id       uint16
+	protoID  uint32 // proto<<16 | id: twelve bytes with no padding
+}
+
+func fragKeyOf(p *Packet) fragKey {
+	return fragKey{src: p.Src, dst: p.Dst, protoID: uint32(p.Proto)<<16 | uint32(p.ID)}
 }
 
 // fragSpan is a run of payload bytes [off, end) that has arrived.
@@ -162,7 +167,7 @@ func NewReassembler(sched *sim.Scheduler) *Reassembler {
 // gets the datagram back; the caller owns it — a nested Add cannot disturb
 // it — until it hands it to Recycle.
 func (r *Reassembler) Add(p *Packet) *Reassembly {
-	key := fragKey{src: p.Src, dst: p.Dst, proto: p.Proto, id: p.ID}
+	key := fragKeyOf(p)
 	e := r.pending[key]
 	end := p.FragOff + len(p.Payload)
 	if end > maxPayload {

@@ -7,6 +7,7 @@ import (
 
 // Assigned protocol numbers used by HydraNet-FT.
 const (
+	ProtoICMP uint8 = 1
 	ProtoIPIP uint8 = 4 // IP-in-IP encapsulation, the redirector's tunnel
 	ProtoTCP  uint8 = 6
 	ProtoUDP  uint8 = 17
@@ -114,7 +115,7 @@ func (p *Packet) putHeader(b []byte, total int) {
 	b[10], b[11] = 0, 0 // checksum, zero while summing
 	putAddr(b[12:16], p.Src)
 	putAddr(b[16:20], p.Dst)
-	sum := Checksum(b[:HeaderLen])
+	sum := headerChecksum(b)
 	b[10] = byte(sum >> 8)
 	b[11] = byte(sum)
 }
@@ -144,7 +145,11 @@ func (p *Packet) Unmarshal(b []byte) error {
 	if ihl < HeaderLen || len(b) < ihl {
 		return ErrTruncated
 	}
-	if Checksum(b[:ihl]) != 0 {
+	if ihl == HeaderLen {
+		if headerChecksum(b) != 0 {
+			return ErrBadChecksum
+		}
+	} else if Checksum(b[:ihl]) != 0 {
 		return ErrBadChecksum
 	}
 	total := int(b[2])<<8 | int(b[3])

@@ -37,7 +37,7 @@ func (m *refReassembler) drop(key fragKey) {
 
 // add returns the completed payload, nil while incomplete.
 func (m *refReassembler) add(now time.Duration, p *Packet) []byte {
-	key := fragKey{src: p.Src, dst: p.Dst, proto: p.Proto, id: p.ID}
+	key := fragKeyOf(p)
 	d := m.pending[key]
 	if p.FragOff+len(p.Payload) > maxPayload {
 		if d != nil {

@@ -61,7 +61,7 @@ type Stack struct {
 	local      map[Addr]bool // addresses delivered locally (iface + virtual hosts)
 	ifaceAddrs []Addr        // primary address per interface, for source selection
 	routes     RoutingTable
-	protos     map[uint8]ProtocolHandler
+	protos     [numProtos]ProtocolHandler // by protoSlot
 	reasm      *Reassembler
 	nextID     uint16
 	forwarding bool
@@ -87,11 +87,10 @@ var _ netsim.FrameHandler = (*Stack)(nil)
 // handler.
 func NewStack(node *netsim.Node, sched *sim.Scheduler) *Stack {
 	s := &Stack{
-		node:   node,
-		sched:  sched,
-		local:  make(map[Addr]bool),
-		protos: make(map[uint8]ProtocolHandler),
-		reasm:  NewReassembler(sched),
+		node:  node,
+		sched: sched,
+		local: make(map[Addr]bool),
+		reasm: NewReassembler(sched),
 	}
 	node.SetHandler(s)
 	return s
@@ -174,9 +173,34 @@ func (s *Stack) ReportError(reason ErrorReason, offending *Packet) {
 	}
 }
 
-// RegisterProto installs the handler for an IP protocol number.
+// numProtos is the number of IP protocols a stack carries: ICMP, IP-in-IP,
+// TCP and UDP. Their handlers sit in a fixed table, indexed by protoSlot.
+const numProtos = 4
+
+// protoSlot returns proto's index in Stack.protos, or -1 for a protocol the
+// stack does not carry.
+func protoSlot(proto uint8) int {
+	switch proto {
+	case ProtoICMP:
+		return 0
+	case ProtoIPIP:
+		return 1
+	case ProtoTCP:
+		return 2
+	case ProtoUDP:
+		return 3
+	}
+	return -1
+}
+
+// RegisterProto installs the handler for an IP protocol number: ProtoICMP,
+// ProtoIPIP, ProtoTCP or ProtoUDP. Any other number panics.
 func (s *Stack) RegisterProto(proto uint8, h ProtocolHandler) {
-	s.protos[proto] = h
+	i := protoSlot(proto)
+	if i < 0 {
+		panic(fmt.Sprintf("ipv4: no handler slot for protocol %d", proto))
+	}
+	s.protos[i] = h
 }
 
 // Send originates a datagram. A zero src selects the address of the
@@ -321,7 +345,10 @@ func (s *Stack) InjectLocal(p *Packet) {
 }
 
 func (s *Stack) deliverLocal(p *Packet) {
-	h := s.protos[p.Proto]
+	var h ProtocolHandler
+	if i := protoSlot(p.Proto); i >= 0 {
+		h = s.protos[i]
+	}
 	if h == nil {
 		s.stats.NoProto++
 		return

@@ -10,8 +10,6 @@
 package redirector
 
 import (
-	"sort"
-
 	"hydranet/internal/inet"
 	"hydranet/internal/ipv4"
 	"hydranet/internal/obs"
@@ -68,7 +66,7 @@ type EncapTap func(inner *ipv4.Packet, host ipv4.Addr)
 // table.
 type Redirector struct {
 	ip    *ipv4.Stack
-	table map[ServiceKey]*Entry
+	table map[inet.Key]*Entry
 	stats Stats
 	bus   *obs.Bus
 	tap   EncapTap
@@ -78,7 +76,7 @@ type Redirector struct {
 // New installs a redirector on the given stack. The stack must have
 // forwarding enabled to see transit traffic.
 func New(ip *ipv4.Stack) *Redirector {
-	r := &Redirector{ip: ip, table: make(map[ServiceKey]*Entry)}
+	r := &Redirector{ip: ip, table: make(map[inet.Key]*Entry)}
 	ip.SetForwardHook(r.intercept)
 	return r
 }
@@ -106,31 +104,26 @@ func (r *Redirector) nodeName() string { return r.ip.Node().Name() }
 
 // Install adds or replaces a table entry.
 func (r *Redirector) Install(key ServiceKey, e *Entry) {
-	r.table[key] = e
+	r.table[key.Key()] = e
 }
 
 // Remove deletes a table entry.
 func (r *Redirector) Remove(key ServiceKey) {
-	delete(r.table, key)
+	delete(r.table, key.Key())
 }
 
 // Lookup returns the entry for key, or nil.
 func (r *Redirector) Lookup(key ServiceKey) *Entry {
-	return r.table[key]
+	return r.table[key.Key()]
 }
 
 // Services lists the installed service keys (sorted, for stable output).
 func (r *Redirector) Services() []ServiceKey {
-	out := make([]ServiceKey, 0, len(r.table))
-	for k := range r.table { //hydralint:nondeterministic order normalized by the sort below
-		out = append(out, k)
+	keys := inet.SortedKeys(r.table)
+	out := make([]ServiceKey, len(keys))
+	for i, k := range keys {
+		out[i] = inet.EndpointOf(k)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Addr != out[j].Addr {
-			return out[i].Addr < out[j].Addr
-		}
-		return out[i].Port < out[j].Port
-	})
 	return out
 }
 
@@ -142,10 +135,10 @@ func (r *Redirector) NumServices() int { return len(r.table) }
 // AddTarget adds a scaling-mode replica for key, creating the entry if
 // needed.
 func (r *Redirector) AddTarget(key ServiceKey, t Target) {
-	e := r.table[key]
+	e := r.table[key.Key()]
 	if e == nil {
 		e = &Entry{}
-		r.table[key] = e
+		r.table[key.Key()] = e
 	}
 	e.Targets = append(e.Targets, t)
 }
@@ -153,10 +146,10 @@ func (r *Redirector) AddTarget(key ServiceKey, t Target) {
 // SetFTReplicas installs or updates the FT replica set for key, primary
 // first.
 func (r *Redirector) SetFTReplicas(key ServiceKey, primary ipv4.Addr, backups []ipv4.Addr) {
-	e := r.table[key]
+	e := r.table[key.Key()]
 	if e == nil {
 		e = &Entry{}
-		r.table[key] = e
+		r.table[key.Key()] = e
 	}
 	e.FT = true
 	e.Primary = primary
@@ -165,7 +158,7 @@ func (r *Redirector) SetFTReplicas(key ServiceKey, primary ipv4.Addr, backups []
 
 // RemoveTarget removes a scaling-mode replica for key (voluntary leave).
 func (r *Redirector) RemoveTarget(key ServiceKey, host ipv4.Addr) {
-	e := r.table[key]
+	e := r.table[key.Key()]
 	if e == nil {
 		return
 	}
@@ -176,7 +169,7 @@ func (r *Redirector) RemoveTarget(key ServiceKey, host ipv4.Addr) {
 		}
 	}
 	if !e.FT && len(e.Targets) == 0 {
-		delete(r.table, key)
+		delete(r.table, key.Key())
 	}
 }
 
@@ -184,7 +177,7 @@ func (r *Redirector) RemoveTarget(key ServiceKey, host ipv4.Addr) {
 // removed, the first backup is promoted in the table. It returns the new
 // primary (zero if the entry emptied out).
 func (r *Redirector) RemoveReplica(key ServiceKey, host ipv4.Addr) ipv4.Addr {
-	e := r.table[key]
+	e := r.table[key.Key()]
 	if e == nil || !e.FT {
 		return 0
 	}
@@ -223,7 +216,7 @@ func (r *Redirector) intercept(p *ipv4.Packet) bool {
 	}
 	dstPort := uint16(p.Payload[2])<<8 | uint16(p.Payload[3])
 	key := ServiceKey{Addr: p.Dst, Port: dstPort}
-	e := r.table[key]
+	e := r.table[key.Key()]
 	if e == nil {
 		r.stats.PassedThrough++
 		return false
@@ -286,7 +279,7 @@ func (r *Redirector) intercept(p *ipv4.Packet) bool {
 func (r *Redirector) sender(p *ipv4.Packet) ipv4.Addr {
 	if (p.Proto == ipv4.ProtoTCP || p.Proto == ipv4.ProtoUDP) && p.FragOff == 0 && len(p.Payload) >= 2 {
 		srcPort := uint16(p.Payload[0])<<8 | uint16(p.Payload[1])
-		if e := r.table[ServiceKey{Addr: p.Src, Port: srcPort}]; e != nil && e.FT && e.Primary != 0 {
+		if e := r.table[ServiceKey{Addr: p.Src, Port: srcPort}.Key()]; e != nil && e.FT && e.Primary != 0 {
 			return e.Primary
 		}
 	}

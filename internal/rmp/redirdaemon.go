@@ -35,10 +35,10 @@ type RedirectorDaemon struct {
 	sched *sim.Scheduler
 	addr  ipv4.Addr
 
-	services    map[core.ServiceID]*svcState
-	open        []*svcState               // services with a probe open
-	peers       []udp.Endpoint            // peer redirectors mirroring our FT entries
-	mirrored    map[core.ServiceID]uint32 // last version applied per mirrored service
+	services    map[inet.Key]*svcState
+	open        []*svcState         // services with a probe open
+	peers       []udp.Endpoint      // peer redirectors mirroring our FT entries
+	mirrored    map[inet.Key]uint32 // last version applied per mirrored service
 	congestion  CongestionPolicy
 	leaseExpiry time.Duration
 	leaseSweep  *sim.Timer
@@ -84,8 +84,8 @@ func NewRedirectorDaemon(udpStack *udp.Stack, sched *sim.Scheduler,
 		rd:       rd,
 		sched:    sched,
 		addr:     addr,
-		services: make(map[core.ServiceID]*svcState),
-		mirrored: make(map[core.ServiceID]uint32),
+		services: make(map[inet.Key]*svcState),
+		mirrored: make(map[inet.Key]uint32),
 	}
 	rel, err := NewReliable(udpStack, sched, addr, ManagementPort, d.onMessage)
 	if err != nil {
@@ -125,8 +125,8 @@ func (d *RedirectorDaemon) noteReconfig(svc core.ServiceID, cause string, hosts 
 func (d *RedirectorDaemon) AddPeer(addr ipv4.Addr) {
 	d.peers = append(d.peers, udp.Endpoint{Addr: addr, Port: ManagementPort})
 	// Push current state so late-added peers converge.
-	for _, svc := range inet.SortedKeys(d.services) {
-		d.pushMirror(svc, d.services[svc])
+	for _, k := range inet.SortedKeys(d.services) {
+		d.pushMirror(inet.EndpointOf(k), d.services[k])
 	}
 }
 
@@ -149,8 +149,8 @@ func (d *RedirectorDaemon) EnableLeases(expiry time.Duration) {
 
 func (d *RedirectorDaemon) sweepLeases() {
 	now := d.sched.Now()
-	for _, svc := range inet.SortedKeys(d.services) { // applyChain transmits
-		s := d.services[svc]
+	for _, k := range inet.SortedKeys(d.services) { // applyChain transmits
+		svc, s := inet.EndpointOf(k), d.services[k]
 		var expired []ipv4.Addr
 		for _, host := range s.chain {
 			seen, ok := s.lastSeen[host]
@@ -182,7 +182,7 @@ func (d *RedirectorDaemon) OnReconfig(fn func(svc core.ServiceID, failed []ipv4.
 
 // Chain returns the current replica chain for svc (primary first).
 func (d *RedirectorDaemon) Chain(svc core.ServiceID) []ipv4.Addr {
-	s := d.services[svc]
+	s := d.services[svc.Key()]
 	if s == nil {
 		return nil
 	}
@@ -208,7 +208,7 @@ func (d *RedirectorDaemon) onMessage(from udp.Endpoint, payload []byte) {
 	case MsgMirror:
 		d.applyMirror(msg)
 	case MsgHeartbeat:
-		if s := d.services[msg.Service]; s != nil {
+		if s := d.services[msg.Service.Key()]; s != nil {
 			s.noteAlive(msg.Host, d.sched.Now())
 		}
 	}
@@ -219,10 +219,10 @@ func (d *RedirectorDaemon) onMessage(from udp.Endpoint, payload []byte) {
 
 // register handles creation of primary and backup servers.
 func (d *RedirectorDaemon) register(msg *Message) {
-	s := d.services[msg.Service]
+	s := d.services[msg.Service.Key()]
 	if s == nil {
 		s = &svcState{}
-		d.services[msg.Service] = s
+		d.services[msg.Service.Key()] = s
 	}
 	s.noteAlive(msg.Host, d.sched.Now())
 	for _, h := range s.chain {
@@ -248,7 +248,7 @@ func (d *RedirectorDaemon) register(msg *Message) {
 // leave handles voluntary departure of a replica (FT chain member or
 // scaling-mode target).
 func (d *RedirectorDaemon) leave(msg *Message) {
-	s := d.services[msg.Service]
+	s := d.services[msg.Service.Key()]
 	if s == nil {
 		// Not an FT service here: drop any scaling-mode target.
 		d.rd.RemoveTarget(msg.Service, msg.Host)
@@ -277,7 +277,7 @@ type probeState struct {
 // channel; probing from the redirector is the concrete mechanism here. Each
 // ping's attempts are timed from the member's measured RTO (Reliable).
 func (d *RedirectorDaemon) suspect(svc core.ServiceID) {
-	s := d.services[svc]
+	s := d.services[svc.Key()]
 	if s == nil || len(s.probe) > 0 || len(s.chain) == 0 {
 		return
 	}
@@ -397,10 +397,10 @@ func (d *RedirectorDaemon) finishProbe(svc core.ServiceID, s *svcState) {
 // (last-writer-wins by version). msg.Hosts is the daemon's decode scratch:
 // SetFTReplicas copies the backups, so nothing keeps it past the handler.
 func (d *RedirectorDaemon) applyMirror(msg *Message) {
-	if last, ok := d.mirrored[msg.Service]; ok && int32(msg.ProbeID-last) <= 0 {
+	if last, ok := d.mirrored[msg.Service.Key()]; ok && int32(msg.ProbeID-last) <= 0 {
 		return // stale or duplicate update
 	}
-	d.mirrored[msg.Service] = msg.ProbeID
+	d.mirrored[msg.Service.Key()] = msg.ProbeID
 	if len(msg.Hosts) == 0 {
 		d.rd.Remove(msg.Service)
 		return

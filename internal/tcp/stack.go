@@ -6,6 +6,7 @@ import (
 	"sort"
 	"time"
 
+	"hydranet/internal/inet"
 	"hydranet/internal/ipv4"
 	"hydranet/internal/metrics"
 	"hydranet/internal/obs"
@@ -99,8 +100,14 @@ type StackStats struct {
 	NoSocket    uint64 `json:"no_socket"`
 }
 
+// connKey is a connection's map key: two endpoint Keys, 16 bytes with no
+// padding, so the runtime hashes it in one call.
 type connKey struct {
-	local, remote Endpoint
+	local, remote inet.Key
+}
+
+func keyOf(local, remote Endpoint) connKey {
+	return connKey{local: local.Key(), remote: remote.Key()}
 }
 
 // TraceFunc observes segments at the stack boundary: dir is "in" or "out".
@@ -115,7 +122,7 @@ type Stack struct {
 	cfg   Config
 
 	conns     map[connKey]*Conn
-	listeners map[Endpoint]*Listener
+	listeners map[inet.Key]*Listener
 	ephemeral uint16
 	stats     StackStats
 	trace     TraceFunc
@@ -151,7 +158,7 @@ func NewStack(ip *ipv4.Stack, cfg Config) *Stack {
 		sched:     ip.Scheduler(),
 		cfg:       DefaultConfig(cfg),
 		conns:     make(map[connKey]*Conn),
-		listeners: make(map[Endpoint]*Listener),
+		listeners: make(map[inet.Key]*Listener),
 		ephemeral: firstEphemeral,
 	}
 	s.bufs.frames = ip.Node().Pool()
@@ -220,7 +227,7 @@ func (l *Listener) SetAcceptFunc(fn func(*Conn)) { l.accept = fn }
 
 // Close stops accepting new connections (existing ones are unaffected).
 func (l *Listener) Close() {
-	delete(l.stack.listeners, l.local)
+	delete(l.stack.listeners, l.local.Key())
 }
 
 // Listen binds a listener to (addr, port). A zero addr accepts connections
@@ -228,11 +235,11 @@ func (l *Listener) Close() {
 // well-known port on every virtual host.
 func (s *Stack) Listen(addr ipv4.Addr, port uint16) (*Listener, error) {
 	key := Endpoint{Addr: addr, Port: port}
-	if _, busy := s.listeners[key]; busy {
+	if _, busy := s.listeners[key.Key()]; busy {
 		return nil, fmt.Errorf("%w: %s", ErrListenBusy, key)
 	}
 	l := &Listener{stack: s, local: key}
-	s.listeners[key] = l
+	s.listeners[key.Key()] = l
 	return l, nil
 }
 
@@ -252,7 +259,7 @@ func (s *Stack) Connect(localAddr ipv4.Addr, remote Endpoint) (*Conn, error) {
 		return nil, fmt.Errorf("tcp: no free port for a connection %s-%s", localAddr, remote)
 	}
 	c := newConn(s, local, remote)
-	s.conns[connKey{local: local, remote: remote}] = c
+	s.conns[keyOf(local, remote)] = c
 	c.open()
 	return c, nil
 }
@@ -270,11 +277,11 @@ func (s *Stack) allocEphemeral(localAddr ipv4.Addr, remote Endpoint) uint16 {
 		if s.ephemeral < firstEphemeral {
 			s.ephemeral = firstEphemeral
 		}
-		if _, busy := s.listeners[Endpoint{Port: s.ephemeral}]; busy {
+		if _, busy := s.listeners[Endpoint{Port: s.ephemeral}.Key()]; busy {
 			continue
 		}
 		local := Endpoint{Addr: localAddr, Port: s.ephemeral}
-		if _, busy := s.conns[connKey{local: local, remote: remote}]; busy {
+		if _, busy := s.conns[keyOf(local, remote)]; busy {
 			continue
 		}
 		return s.ephemeral
@@ -303,14 +310,14 @@ func (s *Stack) input(p *ipv4.Packet, seg *Segment) {
 	if s.trace != nil {
 		s.trace("in", local, remote, seg)
 	}
-	if c, ok := s.conns[connKey{local: local, remote: remote}]; ok {
+	if c, ok := s.conns[keyOf(local, remote)]; ok {
 		c.input(seg)
 		return
 	}
 	// New connection: a SYN for a listener.
-	l := s.listeners[local]
+	l := s.listeners[local.Key()]
 	if l == nil {
-		l = s.listeners[Endpoint{Port: seg.DstPort}] // wildcard
+		l = s.listeners[Endpoint{Port: seg.DstPort}.Key()] // wildcard
 	}
 	if l != nil && seg.Flags.Has(FlagSYN) && !seg.Flags.Has(FlagACK) {
 		c := newConn(s, local, remote)
@@ -318,7 +325,7 @@ func (s *Stack) input(p *ipv4.Packet, seg *Segment) {
 		if l.setup != nil {
 			l.setup(c)
 		}
-		s.conns[connKey{local: local, remote: remote}] = c
+		s.conns[keyOf(local, remote)] = c
 		c.openPassive(seg)
 		return
 	}
@@ -361,12 +368,12 @@ func (s *Stack) removeConn(c *Conn) {
 	// removeConn runs exactly once per connection (from terminate), so the
 	// connection's counters move into the closed totals exactly once.
 	s.closedTotals.accumulate(c.stats)
-	delete(s.conns, connKey{local: c.local, remote: c.remote})
+	delete(s.conns, keyOf(c.local, c.remote))
 }
 
 // Conn lookup for diagnostics and the ft-TCP core.
 func (s *Stack) FindConn(local, remote Endpoint) *Conn {
-	return s.conns[connKey{local: local, remote: remote}]
+	return s.conns[keyOf(local, remote)]
 }
 
 // Conns returns all live connections (copy), sorted by endpoint pair.

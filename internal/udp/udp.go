@@ -80,14 +80,15 @@ type RecvFunc func(from Endpoint, local ipv4.Addr, payload []byte)
 
 type binding struct {
 	addr ipv4.Addr // 0 = any local address
-	port uint16
 	recv RecvFunc
 }
 
 // Stack is the per-node UDP layer.
 type Stack struct {
-	ip       *ipv4.Stack
-	bindings map[uint16][]*binding
+	ip *ipv4.Stack
+	// bindings is keyed by the port widened to 32 bits: a uint16 key is
+	// hashed by the generic path, a uint32 one takes the map's fast path.
+	bindings map[uint32][]*binding
 
 	// Stats
 	delivered, noListener, badDatagram uint64
@@ -97,7 +98,7 @@ var _ ipv4.ProtocolHandler = (*Stack)(nil)
 
 // NewStack creates the UDP layer and registers it with the IP stack.
 func NewStack(ip *ipv4.Stack) *Stack {
-	s := &Stack{ip: ip, bindings: make(map[uint16][]*binding)}
+	s := &Stack{ip: ip, bindings: make(map[uint32][]*binding)}
 	ip.RegisterProto(ipv4.ProtoUDP, s)
 	return s
 }
@@ -110,23 +111,24 @@ func (s *Stack) Stats() (delivered, noListener, bad uint64) {
 // Bind registers recv for datagrams to (addr, port). addr 0 binds all local
 // addresses. Binding the same (addr, port) twice fails.
 func (s *Stack) Bind(addr ipv4.Addr, port uint16, recv RecvFunc) error {
-	for _, b := range s.bindings[port] {
+	for _, b := range s.bindings[uint32(port)] {
 		if b.addr == addr {
 			return fmt.Errorf("%w: %s:%d", ErrPortInUse, addr, port)
 		}
 	}
-	s.bindings[port] = append(s.bindings[port], &binding{addr: addr, port: port, recv: recv})
+	s.bindings[uint32(port)] = append(s.bindings[uint32(port)], &binding{addr: addr, recv: recv})
 	return nil
 }
 
 // Unbind removes the binding for (addr, port).
 func (s *Stack) Unbind(addr ipv4.Addr, port uint16) {
-	list := s.bindings[port]
+	list := s.bindings[uint32(port)]
 	for i, b := range list {
 		if b.addr == addr {
-			s.bindings[port] = append(list[:i], list[i+1:]...)
-			if len(s.bindings[port]) == 0 {
-				delete(s.bindings, port)
+			if list = append(list[:i], list[i+1:]...); len(list) > 0 {
+				s.bindings[uint32(port)] = list
+			} else {
+				delete(s.bindings, uint32(port))
 			}
 			return
 		}
@@ -164,7 +166,7 @@ func (s *Stack) DeliverIP(p *ipv4.Packet) {
 		return
 	}
 	var anyMatch *binding
-	for _, b := range s.bindings[dstPort] {
+	for _, b := range s.bindings[uint32(dstPort)] {
 		if b.addr == p.Dst {
 			s.delivered++
 			b.recv(Endpoint{Addr: p.Src, Port: srcPort}, p.Dst, payload)

@@ -6,6 +6,8 @@ import (
 	"time"
 
 	"hydranet/internal/app"
+	"hydranet/internal/ipv4"
+	"hydranet/internal/tcp"
 )
 
 // TestMultiHopRouting: client — r1 — r2 — rd — server, with the redirector
@@ -52,6 +54,83 @@ func TestMultiHopRouting(t *testing.T) {
 	// The plain routers really carried the traffic.
 	if r1.IP().Stats().Forwarded == 0 || r2.IP().Stats().Forwarded == 0 {
 		t.Error("intermediate routers forwarded nothing")
+	}
+}
+
+// tunnelTap sits in front of a host server's IP-in-IP handler and copies
+// every inner datagram's transport bytes before passing the packet on.
+type tunnelTap struct {
+	next ipv4.ProtocolHandler
+	segs [][]byte
+}
+
+func (tt *tunnelTap) DeliverIP(outer *ipv4.Packet) {
+	if inner, err := ipv4.Unmarshal(outer.Payload); err == nil {
+		tt.segs = append(tt.segs, append([]byte(nil), inner.Payload...))
+	}
+	tt.next.DeliverIP(outer)
+}
+
+// TestCorruptSegmentVerifiedOnlyAtEndpoints: the TCP checksum is computed
+// once, when the sender marshals the segment, and verified once, by each
+// receiving stack. A segment whose checksum is wrong crosses a forwarding
+// router and the redirector's tunnel to both replicas byte for byte, and
+// only the replicas' TCP stacks count it as bad.
+func TestCorruptSegmentVerifiedOnlyAtEndpoints(t *testing.T) {
+	net := New(Config{Seed: 125})
+	client := net.AddHost("client", HostConfig{})
+	r := net.AddRouter("r", HostConfig{})
+	rd := net.AddRedirector("rd", HostConfig{})
+	s0 := net.AddHost("s0", HostConfig{})
+	s1 := net.AddHost("s1", HostConfig{})
+	link := LinkConfig{Rate: 10_000_000, Delay: time.Millisecond}
+	net.Link(client, r, link)
+	net.Link(r, rd.Host, link)
+	net.Link(s0, rd.Host, link)
+	net.Link(s1, rd.Host, link)
+	net.AutoRoute()
+	svc := ServiceID{Addr: MustAddr("192.20.225.20"), Port: 80}
+	if _, err := net.DeployFT(svc, rd, []*Host{s0, s1}, FTOptions{}, echoAccept()); err != nil {
+		t.Fatal(err)
+	}
+	net.Settle()
+	taps := []*tunnelTap{{next: s0.HostServer()}, {next: s1.HostServer()}}
+	s0.IP().RegisterProto(ipv4.ProtoIPIP, taps[0])
+	s1.IP().RegisterProto(ipv4.ProtoIPIP, taps[1])
+
+	seg := &tcp.Segment{SrcPort: 40000, DstPort: svc.Port, Seq: 1, Flags: tcp.FlagACK, Window: 8192, Payload: []byte("corrupt me")}
+	sent := seg.Marshal(client.Addr(), svc.Addr)
+	sent[len(sent)-1] ^= 0x20 // the checksum no longer covers the payload
+	hosts := []*Host{client, r, rd.Host, s0, s1}
+	before := make([]tcp.StackStats, len(hosts))
+	for i, h := range hosts {
+		before[i] = h.TCP().Stats()
+	}
+	if err := client.IP().Send(ipv4.ProtoTCP, client.Addr(), svc.Addr, append([]byte(nil), sent...)); err != nil {
+		t.Fatal(err)
+	}
+	net.RunFor(time.Second)
+
+	for _, tt := range taps {
+		if len(tt.segs) != 1 || !bytes.Equal(tt.segs[0], sent) {
+			t.Fatalf("tunnel delivered %d segments, want the %d bytes sent unchanged: % x", len(tt.segs), len(sent), tt.segs)
+		}
+	}
+	if r.IP().Stats().Forwarded == 0 || rd.Table().Stats().Multicast != 1 {
+		t.Fatalf("the segment did not cross the router (%d forwarded) and the redirector (%d multicasts)",
+			r.IP().Stats().Forwarded, rd.Table().Stats().Multicast)
+	}
+	for i, h := range hosts {
+		want := uint64(0)
+		if h == s0 || h == s1 {
+			want = 1
+		}
+		if got := h.TCP().Stats().BadSegments - before[i].BadSegments; got != want {
+			t.Errorf("%s counted %d bad segments, want %d", h.Name(), got, want)
+		}
+		if got := h.IP().Stats().BadHeader; got != 0 {
+			t.Errorf("%s counted %d bad IP headers, want 0", h.Name(), got)
+		}
 	}
 }
 
