@@ -1,4 +1,4 @@
-// Package cmd_test pins the command-line surface of the simulator's CLIs:
+// Package cmd_test pins the command-line surface of the repository's CLIs:
 // each one's help text against a golden file, the flags that must stay gone,
 // and a seconds-long run that has to succeed.
 package cmd_test
@@ -16,9 +16,9 @@ import (
 
 var update = flag.Bool("update", false, "rewrite testdata/*.help from the current binaries")
 
-// run executes a built CLI in dir with a fixed GOMAXPROCS (the sweep tools
-// print it as the -parallel default) and returns its combined output and
-// exit status.
+// run executes a built CLI in dir with a fixed GOMAXPROCS (the experiment
+// subcommand prints it as the -parallel default) and returns its combined
+// output and exit status.
 func run(t *testing.T, bin, dir string, args ...string) (string, int) {
 	t.Helper()
 	cmd := exec.Command(bin, args...)
@@ -42,7 +42,7 @@ func run(t *testing.T, bin, dir string, args ...string) (string, int) {
 func TestCLIs(t *testing.T) {
 	bins := t.TempDir()
 	build := exec.Command("go", "build", "-o", bins+string(os.PathSeparator),
-		"./hydranet-sim", "./ttcpbench", "./failover", "./hydrascope")
+		"./hydranet-sim", "./hydrascope")
 	if out, err := build.CombinedOutput(); err != nil {
 		t.Fatalf("go build: %v\n%s", err, out)
 	}
@@ -64,8 +64,9 @@ func TestCLIs(t *testing.T) {
 	}{
 		{
 			name: "hydranet-sim",
-			help: [][]string{{"-h"}},
-			gone: [][]string{{"-workers", "2"}, {"-prof", "p.json"}, {"-flight", "f"}},
+			help: [][]string{{"-h"}, {"experiment", "-h"}},
+			gone: [][]string{{"-workers", "2"}, {"-prof", "p.json"}, {"-flight", "f"},
+				{"experiment", "a1", "-backups", "2"}, {"experiment", "fig4", "-repeat", "2"}},
 			smoke: []step{
 				{args: []string{"-bytes", "65536", "-stats", "-invariants", "-audit", "ok.audit.json"}, want: "audit report written to ok.audit.json"},
 				{args: []string{"-trace", "20"}, want: "[SYN|ACK]"},
@@ -77,25 +78,16 @@ func TestCLIs(t *testing.T) {
 				{args: []string{"-events", "nope", "-audit", "a.json"}, exit: 2, want: "-events list", none: "a.json"},
 				// An artifact that cannot be written is Finish's error: exit 1.
 				{args: []string{"-bytes", "65536", "-spans", "no-such-dir/s.json"}, exit: 1, want: "hydranet-sim: observers: hydranet: spans:"},
-			},
-		},
-		{
-			name: "ttcpbench",
-			help: [][]string{{"-h"}},
-			gone: [][]string{{"-workers", "2"}, {"-scale", "s.json"}, {"-scale-pods", "4"}, {"-json", "b.json"}, {"-prof", "p.json"}, {"-flight", "f"}},
-			smoke: []step{
-				{args: []string{"-bytes", "16384", "-parallel", "2"}, want: "swept 28 runs"},
-			},
-		},
-		{
-			name: "failover",
-			help: [][]string{{"-h"}},
-			gone: [][]string{{"-workers", "2"}, {"-prof", "p.json"}, {"-flight", "f"}},
-			smoke: []step{
-				{args: []string{"-invariants", "-audit", "fo.audit.json"}, want: "invariants: clean across the sweep"},
+				{args: []string{"experiment", "list"}, want: "fig4\na1\na1b\na2\na3\na4\na5\n"},
+				{args: []string{"experiment", "fig4", "-bytes", "16384", "-parallel", "2"}, want: "primary and backup"},
+				// A failed experiment fails the command and names its row.
+				{args: []string{"experiment", "a1", "-loss", "1"}, exit: 1, want: "experiment a1: threshold 1: the crash was never detected"},
+				{args: []string{"experiment", "nope", "-pcap", "nope.pcap"}, exit: 2, want: `unknown experiment "nope"`, none: "nope.pcap"},
+				{args: []string{"experiment", "a1", "-seeds", "0", "-cpuprofile", "z.out"}, exit: 2, want: "-seeds 0", none: "z.out"},
+				{args: []string{"experiment", "a1", "-invariants", "-audit", "fo.audit.json"}, want: "invariants: clean across the sweep"},
 				{bin: "hydrascope", args: []string{"audit", "fo-t3.audit.json", "-fail-on-violation"}, want: "verdict: CLEAN"},
-				// A sweep worker that cannot write reports it; it does not panic.
-				{args: []string{"-parallel", "2", "-pcap", "no-such-dir/f.pcap"}, exit: 1, want: "failover: threshold 1: hydranet: pcap:"},
+				// A worker that cannot write reports it; it does not panic.
+				{args: []string{"experiment", "a1", "-parallel", "2", "-pcap", "no-such-dir/f.pcap"}, exit: 1, want: "threshold 1: hydranet: pcap:"},
 			},
 		},
 		{
@@ -164,7 +156,8 @@ func TestCLIs(t *testing.T) {
 }
 
 // TestObserverFlagsReadIdentically: the eight observer flags are registered in
-// one place, so their help entries are the same text in every simulator CLI.
+// one place, so their help entries read the same in the narrated scenario and
+// in the experiment subcommand.
 func TestObserverFlagsReadIdentically(t *testing.T) {
 	entry := func(help, name string) string {
 		i := strings.Index(help, "\n  -"+name+" ")
@@ -178,26 +171,19 @@ func TestObserverFlagsReadIdentically(t *testing.T) {
 		if j := strings.Index(rest, "\n  -"); j >= 0 {
 			rest = rest[:j]
 		}
-		return strings.SplitN(rest, "\n\n", 2)[0] // a CLI's closing usage note is not part of the entry
+		return strings.TrimSpace(rest)
 	}
-	var ref string
-	for _, cli := range []string{"hydranet-sim", "ttcpbench", "failover"} {
-		raw, err := os.ReadFile(filepath.Join("testdata", cli+".help"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		var got strings.Builder
-		for _, name := range []string{"pcap", "spans", "series", "sample-every", "invariants", "audit", "cpuprofile", "memprofile"} {
-			e := entry(string(raw), name)
-			if e == "" {
-				t.Errorf("%s: no -%s in its help", cli, name)
-			}
-			got.WriteString(e + "\n")
-		}
-		if ref == "" {
-			ref = got.String()
-		} else if got.String() != ref {
-			t.Errorf("%s: observer flags read differently from hydranet-sim's:\n%s", cli, got.String())
+	raw, err := os.ReadFile(filepath.Join("testdata", "hydranet-sim.help"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sim, exp, ok := strings.Cut(string(raw), "$ hydranet-sim experiment -h\n")
+	if !ok {
+		t.Fatal("hydranet-sim.help holds no experiment -h")
+	}
+	for _, name := range []string{"pcap", "spans", "series", "sample-every", "invariants", "audit", "cpuprofile", "memprofile"} {
+		if e := entry(sim, name); e == "" || e != entry(exp, name) {
+			t.Errorf("-%s reads differently:\n%s\n%s", name, e, entry(exp, name))
 		}
 	}
 }

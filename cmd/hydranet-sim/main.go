@@ -13,8 +13,12 @@
 //	-stats           print a net-wide counter summary at the end
 //	-stats-json F    write the full snapshot (with failover timeline) to F
 //
-// The observer flags (-pcap -spans -series -invariants -audit …) are the
-// ones every simulator CLI shares: testbed.ObserverFlags.
+// The observer flags (-pcap -spans -series -invariants -audit …) are
+// testbed.ObserverFlags, shared with the experiment subcommand.
+//
+// hydranet-sim experiment <name> prints one EXPERIMENTS.md table (Figure 4
+// and ablations A1–A5), each the output of exactly this one command;
+// hydranet-sim experiment list names them.
 package main
 
 import (
@@ -59,7 +63,26 @@ func parseKinds(pattern string) ([]hydranet.EventKind, error) {
 	return out, nil
 }
 
+// usage reports a bad command line and exits 2, before any file is created
+// or any virtual time runs.
+func usage(format string, args ...any) {
+	fmt.Fprintf(os.Stderr, "hydranet-sim: "+format+"\n", args...)
+	os.Exit(2)
+}
+
+// fatal reports err, if any, and exits 1.
+func fatal(what string, err error) {
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "hydranet-sim: %s: %v\n", what, err)
+		os.Exit(1)
+	}
+}
+
 func main() {
+	if len(os.Args) > 1 && os.Args[1] == "experiment" {
+		experiment(os.Args[2:])
+		return
+	}
 	replicas := flag.Int("replicas", 3, "total replicas (1 primary + N-1 backups)")
 	bytes := flag.Int("bytes", 1<<20, "bytes the client streams through the echo service")
 	crashAt := flag.Duration("crash-at", 400*time.Millisecond, "when to crash a replica (0 = never)")
@@ -72,7 +95,7 @@ func main() {
 	perf := flag.Bool("perf", false, "report simulator performance (events/sec, frames/sec, wall time)")
 	statsJSON := flag.String("stats-json", "", "write the final snapshot as JSON to this file (\"-\" = stdout)")
 	traceSegs := flag.Int("trace", 0, "emit up to N tcpdump-style segment trace lines")
-	observe, startPprof := testbed.ObserverFlags(flag.CommandLine, "")
+	observe, startPprof := testbed.ObserverFlags(flag.CommandLine)
 	flag.Parse()
 
 	if *events == "list" {
@@ -83,10 +106,6 @@ func main() {
 	}
 	// Everything the command line can get wrong is diagnosed here, before
 	// any file is created or any virtual time runs.
-	usage := func(format string, args ...any) {
-		fmt.Fprintf(os.Stderr, "hydranet-sim: "+format+"\n", args...)
-		os.Exit(2)
-	}
 	watched, err := parseKinds(*events)
 	switch {
 	case err != nil:
@@ -97,12 +116,6 @@ func main() {
 		usage("unknown -crash %q (want primary, backup or none)", *crashWho)
 	case *crashWho == "backup" && *replicas < 2:
 		usage("-crash backup needs -replicas 2 or more")
-	}
-	fatal := func(what string, err error) {
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "hydranet-sim: %s: %v\n", what, err)
-			os.Exit(1)
-		}
 	}
 	stopPprof, err := startPprof()
 	fatal("pprof", err)

@@ -47,11 +47,6 @@ type Instruments struct {
 	Failover bool
 }
 
-// WritesFiles reports whether any observer that produces an artifact is on.
-func (in Instruments) WritesFiles() bool {
-	return in.Pcap != "" || in.Spans != "" || in.Series != "" || in.Audit != ""
-}
-
 // Suffixed returns in with tag inserted before the extension of every
 // artifact path (run.pcap → run-t3.pcap, x.audit.json → x-t3.audit.json, a
 // stem without extension run → run-t3), so the runs of a sweep write

@@ -18,7 +18,7 @@ import (
 // connection next appends to, deposits into or releases that buffer. In
 // frame-pool poison mode a returned array is scribbled, so a reader that
 // outstays that sees 0xDB. A pool belongs to one stack and is never shared:
-// Nets run on several goroutines (internal/sweep).
+// Nets run on several goroutines (testbed.RunExperiment).
 type bufPool struct {
 	free   [maxBufClass - minBufClass + 1][][]byte
 	frames *frame.Pool // whose poison mode this pool follows

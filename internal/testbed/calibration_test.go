@@ -9,7 +9,7 @@ import "testing"
 func TestFigure4OrderingRobustToCalibration(t *testing.T) {
 	for _, scale := range []float64{0.5, 2.0} {
 		run := func(c Case) float64 {
-			res := Run(Config{Case: c, BufLen: 1024, TotalBytes: 128 * 1024,
+			res, _ := RunMeasured(Config{Case: c, BufLen: 1024, TotalBytes: 128 * 1024,
 				Seed: 1, CPUScale: scale})
 			if res.Err != nil {
 				t.Fatalf("scale %.1f %v: %v", scale, c, res.Err)

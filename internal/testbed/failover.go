@@ -166,8 +166,9 @@ type CongestionResult struct {
 	Elapsed time.Duration
 	// Evictions counts congestion-based removals at the redirector.
 	Evictions uint64
-	// ClientError is the client connection's fate (nil or timeout).
-	ClientError error
+	// Violations and ObserveErr are as in FailoverResult.
+	Violations int
+	ObserveErr error
 }
 
 // MeasureCongestionEviction runs a fixed transfer through a primary+backup
@@ -175,14 +176,20 @@ type CongestionResult struct {
 // congestion: the host is alive but stalls the chain). policyStrikes > 0
 // enables the redirector's congestion-eviction policy with that strike
 // count; 0 leaves it disabled, which strands the transfer — the trade-off
-// the paper's introduction motivates.
-func MeasureCongestionEviction(policyStrikes int, seed int64) CongestionResult {
+// the paper's introduction motivates. The observers attach once the topology
+// stands, before the service registers.
+func MeasureCongestionEviction(policyStrikes int, seed int64, observe hydranet.Instruments) CongestionResult {
 	tcpCfg := hydranet.TCPConfig{
 		MSS: 1460, SendBufSize: 16384, RecvBufSize: 16384,
 		DelayedAckTimeout: 200 * time.Millisecond,
 		TimeWaitDuration:  time.Millisecond,
 	}
 	net, client, rd, replicas := lan(seed, tcpCfg, testbedLink, machineModel(1, false), 2)
+	observe.Scenario = fmt.Sprintf("congestion eviction strikes=%d", policyStrikes)
+	sess, err := net.Instrument(observe)
+	if err != nil {
+		return CongestionResult{ObserveErr: err}
+	}
 	svc := hydranet.ServiceID{Addr: ServiceAddr, Port: ServicePort}
 	opts := hydranet.FTOptions{Detector: hydranet.DetectorParams{RetransmitThreshold: 2}}
 	if _, err := net.DeployFT(svc, rd, replicas, opts,
@@ -206,7 +213,6 @@ func MeasureCongestionEviction(policyStrikes int, seed int64) CongestionResult {
 		func(r ttcp.Result) {
 			res.Completed = r.Err == nil
 			res.Elapsed = r.Elapsed()
-			res.ClientError = r.Err
 			done = true
 		})
 	net.RunFor(200 * time.Millisecond)
@@ -217,5 +223,10 @@ func MeasureCongestionEviction(policyStrikes int, seed int64) CongestionResult {
 		net.RunFor(time.Second)
 	}
 	res.Evictions = rd.Daemon().Stats().CongestionEvictions
+	sum, err := sess.Finish()
+	res.ObserveErr = err
+	if sum.Audit != nil {
+		res.Violations = int(sum.Audit.TotalViolations())
+	}
 	return res
 }

@@ -2,7 +2,6 @@ package testbed
 
 import (
 	"flag"
-	"fmt"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -10,19 +9,11 @@ import (
 	"hydranet"
 )
 
-// ObserverFlags registers, once for every simulator CLI, the flags that
-// select a run's observers. After fs is parsed, in holds what they asked
-// for and startPprof starts the Go runtime profiles, returning their stop.
-// note, if not empty, ends the usage text: how this CLI maps the flags onto
-// its runs.
-func ObserverFlags(fs *flag.FlagSet, note string) (in *hydranet.Instruments, startPprof func() (stop func() error, err error)) {
-	if note != "" {
-		fs.Usage = func() {
-			fmt.Fprintf(fs.Output(), "Usage of %s:\n", fs.Name())
-			fs.PrintDefaults()
-			fmt.Fprintf(fs.Output(), "\n%s\n", note)
-		}
-	}
+// ObserverFlags registers, once for both of hydranet-sim's flag sets, the
+// flags that select a run's observers. After fs is parsed, in holds what
+// they asked for and startPprof starts the Go runtime profiles, returning
+// their stop.
+func ObserverFlags(fs *flag.FlagSet) (in *hydranet.Instruments, startPprof func() (stop func() error, err error)) {
 	in = new(hydranet.Instruments)
 	fs.StringVar(&in.Pcap, "pcap", "", "capture every frame (plus pre-encap tunnel copies) to this pcap file")
 	fs.StringVar(&in.Spans, "spans", "", "write the per-connection ft-TCP span timeline as JSON to this file")

@@ -1,33 +1,40 @@
 package testbed
 
 import (
-	"reflect"
+	"bytes"
+	"encoding/json"
 	"testing"
-
-	"hydranet/internal/sweep"
-	"hydranet/internal/ttcp"
 )
 
-// TestParallelSweepMatchesSerial: fanning runs across workers changes which
-// host thread executes a simulation, never its result. Every run owns a
-// private scheduler, network and frame pool, so serial and parallel sweeps
-// must agree field for field. Run under -race this also proves the workers
-// share no simulator state.
+// TestParallelSweepMatchesSerial: fanning an experiment's runs across
+// workers changes which host thread executes a simulation, never its
+// result. Every run owns a private scheduler, network and frame pool, so the
+// -json of a serial and a parallel sweep must be the same bytes. Run under
+// -race this also proves the workers share no simulator state.
 func TestParallelSweepMatchesSerial(t *testing.T) {
-	var cfgs []Config
-	for _, c := range Figure4Cases {
-		for seed := int64(1); seed <= 2; seed++ {
-			cfgs = append(cfgs, Config{
-				Case: c, BufLen: 512, TotalBytes: 64 * 1024, Seed: seed,
-			})
+	for _, tc := range []struct {
+		name string
+		s    Sweep
+	}{
+		{"a1b", Sweep{Seed: 1, Seeds: 2}},
+		{"fig4", Sweep{Seed: 1, Bytes: 64 << 10}},
+	} {
+		var out [2]bytes.Buffer
+		for i, workers := range []int{1, 4} {
+			tc.s.Parallel = workers
+			tab, err := RunExperiment(tc.name, tc.s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(tab.Failures) > 0 {
+				t.Errorf("%s at %d workers: %v", tc.name, workers, tab.Failures)
+			}
+			if err := json.NewEncoder(&out[i]).Encode(tab); err != nil {
+				t.Fatal(err)
+			}
 		}
-	}
-	run := func(i int) ttcp.Result { return Run(cfgs[i]) }
-	serial := sweep.Map(1, len(cfgs), run)
-	parallel := sweep.Map(4, len(cfgs), run)
-	for i := range cfgs {
-		if !reflect.DeepEqual(serial[i], parallel[i]) {
-			t.Errorf("cfg %+v: serial %+v != parallel %+v", cfgs[i], serial[i], parallel[i])
+		if !bytes.Equal(out[0].Bytes(), out[1].Bytes()) {
+			t.Errorf("%s: serial and parallel -json differ:\n%s\n%s", tc.name, out[0].String(), out[1].String())
 		}
 	}
 }

@@ -151,7 +151,8 @@ type RunInfo struct {
 	ObserveErr error
 }
 
-// RunMeasured is Run plus execution metrics.
+// RunMeasured executes one ttcp transfer in the given configuration and
+// returns the client-side result with the run's execution metrics.
 func RunMeasured(cfg Config) (ttcp.Result, RunInfo) {
 	start := time.Now()
 	result, net, sum, err := run(cfg)
@@ -166,13 +167,6 @@ func RunMeasured(cfg Config) (ttcp.Result, RunInfo) {
 		info.Violations = int(sum.Audit.TotalViolations())
 	}
 	return result, info
-}
-
-// Run executes one ttcp transfer in the given configuration and returns
-// the client-side result.
-func Run(cfg Config) ttcp.Result {
-	result, _, _, _ := run(cfg)
-	return result
 }
 
 // machines is the CPU cost model of the testbed's three machine kinds.

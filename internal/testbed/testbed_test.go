@@ -4,7 +4,7 @@ import "testing"
 
 func runPoint(t *testing.T, c Case, size int) float64 {
 	t.Helper()
-	res := Run(Config{Case: c, BufLen: size, TotalBytes: 128 * 1024, Seed: 1})
+	res, _ := RunMeasured(Config{Case: c, BufLen: size, TotalBytes: 128 * 1024, Seed: 1})
 	if res.Err != nil {
 		t.Fatalf("%v @%dB failed: %v", c, size, res.Err)
 	}
@@ -57,8 +57,8 @@ func TestFigure4Monotonicity(t *testing.T) {
 func TestChainDepthCostsThroughput(t *testing.T) {
 	// Ablation A2: each extra backup costs throughput (one more multicast
 	// copy through the redirector plus a longer gating chain).
-	one := Run(Config{Case: CasePrimaryBackup, BufLen: 1024, TotalBytes: 128 * 1024, Seed: 1, Backups: 1})
-	three := Run(Config{Case: CasePrimaryBackup, BufLen: 1024, TotalBytes: 128 * 1024, Seed: 1, Backups: 3})
+	one, _ := RunMeasured(Config{Case: CasePrimaryBackup, BufLen: 1024, TotalBytes: 128 * 1024, Seed: 1, Backups: 1})
+	three, _ := RunMeasured(Config{Case: CasePrimaryBackup, BufLen: 1024, TotalBytes: 128 * 1024, Seed: 1, Backups: 3})
 	if one.Err != nil || three.Err != nil {
 		t.Fatalf("errs: %v %v", one.Err, three.Err)
 	}
@@ -74,10 +74,10 @@ func TestAckChannelLossDegradesButCompletes(t *testing.T) {
 	// correctness. Moderate loss is absorbed by the channel's natural
 	// redundancy (every deposit and every suppressed segment re-reports
 	// the cursors); heavy loss surfaces as client timeouts.
-	clean := Run(Config{Case: CasePrimaryBackup, BufLen: 1024, TotalBytes: 64 * 1024, Seed: 1})
-	moderate := Run(Config{Case: CasePrimaryBackup, BufLen: 1024, TotalBytes: 64 * 1024, Seed: 1,
+	clean, _ := RunMeasured(Config{Case: CasePrimaryBackup, BufLen: 1024, TotalBytes: 64 * 1024, Seed: 1})
+	moderate, _ := RunMeasured(Config{Case: CasePrimaryBackup, BufLen: 1024, TotalBytes: 64 * 1024, Seed: 1,
 		AckChannelLoss: 0.3})
-	heavy := Run(Config{Case: CasePrimaryBackup, BufLen: 1024, TotalBytes: 64 * 1024, Seed: 1,
+	heavy, _ := RunMeasured(Config{Case: CasePrimaryBackup, BufLen: 1024, TotalBytes: 64 * 1024, Seed: 1,
 		AckChannelLoss: 0.6})
 	if clean.Err != nil || moderate.Err != nil || heavy.Err != nil {
 		t.Fatalf("errs: %v %v %v", clean.Err, moderate.Err, heavy.Err)
