@@ -187,7 +187,9 @@ func TestServerPushBackupCrash(t *testing.T) {
 // same bound, and its detection to twice the primary's at the same threshold:
 // the primary's gates hold bytes behind the silent backup, and each RTO of
 // that silence counts (the gate-stall rule), not only the client's backed-off
-// retransmissions.
+// retransmissions. The mirror holds a primary's detection to the backup's
+// plus 10 ms: the tail counts each RTO its output waits on the silent
+// primary (the tail-silence rule).
 func TestMiddleCrashResumesAtDetection(t *testing.T) {
 	payload := make([]byte, 1<<20)
 	for i := range payload {
@@ -201,7 +203,7 @@ func TestMiddleCrashResumesAtDetection(t *testing.T) {
 		{"backup_of_2", 2, 1},
 		{"middle_of_3", 3, 1},
 	}
-	const slack = 50 * time.Millisecond
+	const slack, mirrorSlack = 50 * time.Millisecond, 10 * time.Millisecond
 	primaryDetect := map[string]time.Duration{}
 	t.Logf("%-12s %9s %8s  %11s %11s %10s", "victim", "threshold", "crash at", "detect [ms]", "resume [ms]", "stall [ms]")
 	for _, m := range modes {
@@ -227,8 +229,15 @@ func TestMiddleCrashResumesAtDetection(t *testing.T) {
 				}
 				if m.victim == 0 {
 					primaryDetect[cell] = r.detected
-				} else if p := primaryDetect[cell]; r.detected > 2*p {
+					continue
+				}
+				p := primaryDetect[cell]
+				if r.detected > 2*p {
 					t.Errorf("%s: detected after %v, more than twice the primary's %v", id, r.detected, p)
+				}
+				if m.name == "backup_of_2" && p > r.detected+mirrorSlack {
+					t.Errorf("%s: the primary's crash was detected after %v, more than %v after the backup's %v",
+						cell, p, mirrorSlack, r.detected)
 				}
 			}
 		}

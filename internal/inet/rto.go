@@ -52,6 +52,10 @@ func (e *RTO) Current() time.Duration {
 	return min(e.rto<<e.backoff, e.max)
 }
 
+// Base returns the RTO without backoff: what the next timeout would wait had
+// none of the earlier ones fired. It moves with Sample only.
+func (e *RTO) Base() time.Duration { return min(e.rto, e.max) }
+
 // TimedOut doubles the effective RTO for the next retransmission (RFC 6298
 // §5.5), up to max.
 func (e *RTO) TimedOut() {

@@ -35,3 +35,22 @@ func TestRTOBackoffDoublesUpToMaxAndSampleClearsIt(t *testing.T) {
 		t.Fatalf("RTO %v after a sample, want 300ms with the backoff cleared", got)
 	}
 }
+
+func TestRTOBaseIgnoresBackoffAndFollowsSamples(t *testing.T) {
+	e := NewRTO(time.Second, 200*time.Millisecond, 3*time.Second, 0)
+	for i := 0; i < 3; i++ {
+		if got := e.Base(); got != time.Second {
+			t.Fatalf("after %d timeouts: base %v, want the initial 1s (current %v)", i, got, e.Current())
+		}
+		e.TimedOut()
+	}
+	e.Sample(100 * time.Millisecond) // SRTT 100 ms, RTTVAR 50 ms
+	if got := e.Base(); got != 300*time.Millisecond {
+		t.Fatalf("base %v after a sample, want 300ms", got)
+	}
+	e.TimedOut()
+	e.Sample(100 * time.Millisecond) // RTTVAR 37.5 ms
+	if got := e.Base(); got != 250*time.Millisecond {
+		t.Fatalf("base %v after a second sample, want 250ms", got)
+	}
+}

@@ -252,6 +252,10 @@ func (c *Conn) SRTT() time.Duration { return c.rto.SRTT() }
 // included.
 func (c *Conn) RTO() time.Duration { return c.rto.Current() }
 
+// BaseRTO returns the retransmission timeout without backoff: the current
+// round-trip estimate's answer, however many timeouts have fired since.
+func (c *Conn) BaseRTO() time.Duration { return c.rto.Base() }
+
 // CongestionWindow returns the congestion window in bytes.
 func (c *Conn) CongestionWindow() int { return c.cwnd }
 

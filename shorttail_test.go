@@ -196,13 +196,115 @@ func TestLostAckCopyOpeningWindow(t *testing.T) {
 	}
 }
 
+// loseBackupAckCopy loses the backup's multicast copy of the client's first
+// pure ACK that covers the first covered bytes of the server's stream. The
+// returned check fails the test unless exactly that one frame was lost.
+func loseBackupAckCopy(net *Net, client *Host, rd *Redirector, backup *Host, backupLink *linkHandle, covered int) func(*testing.T) {
+	// The covered bytes end at the server's ISS + 1 + covered; the client's
+	// copy of the ISS is its IRS, read off the first segment it is sent.
+	var coveredEnd tcp.Seq
+	client.TCP().SetTrace(func(dir string, _, _ Endpoint, seg *tcp.Segment) {
+		if dir == "in" && seg.Flags.Has(tcp.FlagSYN) {
+			coveredEnd = seg.Seq.Add(1 + covered)
+		}
+	})
+	link, dropped := backupLink.link, 0
+	rd.Table().SetEncapTap(func(inner *ipv4.Packet, host Addr) {
+		p := inner.Payload
+		if dropped > 0 || coveredEnd == 0 || host != backup.Addr() || len(p) < tcp.HeaderLen {
+			return
+		}
+		pureAck := len(p) == int(p[12]>>4)*4 && tcp.Flags(p[13]) == tcp.FlagACK
+		if pureAck && tcp.Seq(binary.BigEndian.Uint32(p[8:])).GEQ(coveredEnd) {
+			// The tap runs just before the copy is handed to the link: cut
+			// the link for that instant (the check counts one frame).
+			dropped++
+			link.SetLoss(1)
+			net.At(net.Now()+time.Microsecond, func() { link.SetLoss(0) })
+		}
+	})
+	return func(t *testing.T) {
+		t.Helper()
+		if _, lost, _ := link.Stats(); dropped != 1 || lost[0]+lost[1] != 1 {
+			t.Fatalf("dropped %d ACK copies, the backup's link lost %v frames: want exactly one", dropped, lost)
+		}
+	}
+}
+
+// TestLostFinalAckIsNotAProbeStorm: no crash, and the tail never sees the
+// client's last word, a pure ACK of the whole answer — its multicast copy is
+// lost, and the client, which does not close, sends nothing more. The tail's
+// output stays unacknowledged, so it times out again and again, and each
+// timeout starts the tail-silence rule (DESIGN.md §7 item 5). The suspicion
+// that count raises ends it, so over four minutes the tail raises at most one
+// suspicion per timeout of its own, each filtered by a liveness probe, and
+// nobody is removed.
+func TestLostFinalAckIsNotAProbeStorm(t *testing.T) {
+	const answer = 1000
+	net, client, rd, replicas, links := ftTopologyLinks(t, Config{Seed: 131}, 2)
+	sess, err := net.Instrument(Instruments{Scenario: t.Name(), Invariants: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc, err := net.DeployFT(testSvc, rd, replicas, FTOptions{}, echoAccept())
+	if err != nil {
+		t.Fatal(err)
+	}
+	net.Settle()
+	checkDropped := loseBackupAckCopy(net, client, rd, replicas[1], links[2], answer)
+	var tail []obs.Kind // the tail's own timeouts and suspicions, in order
+	net.Bus().Subscribe(func(e obs.Event) {
+		if e.Node == replicas[1].Name() {
+			tail = append(tail, e.Kind)
+		}
+	}, obs.KindRTO, obs.KindSuspicion)
+	conn, err := client.Dial(testSvc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	echoed := collect(conn)
+	app.Source(conn, make([]byte, answer), false)
+	net.RunFor(4 * time.Minute)
+	checkDropped(t)
+	if len(*echoed) != answer {
+		t.Fatalf("client read %d of %d bytes", len(*echoed), answer)
+	}
+
+	rtos, suspicions, run, worst := 0, 0, 0, 0
+	for _, k := range tail {
+		if k == obs.KindRTO {
+			rtos, run = rtos+1, 0
+			continue
+		}
+		suspicions, run = suspicions+1, run+1
+		worst = max(worst, run)
+	}
+	t.Logf("the tail timed out %d times and raised %d suspicions", rtos, suspicions)
+	if worst > 1 {
+		t.Errorf("the tail raised up to %d suspicions between two timeouts of its own, want at most one", worst)
+	}
+	if rtos < 5 {
+		t.Errorf("the tail timed out %d times in four minutes: its output was acknowledged after all", rtos)
+	}
+	if chain := svc.Chain(); len(chain) != 2 {
+		t.Errorf("chain after four minutes = %v, want both replicas", chain)
+	}
+	sum, err := sess.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v := sum.Audit.TotalViolations(); v != 0 {
+		t.Errorf("%d invariant violations", v)
+	}
+}
+
 // lostAckResponse is three full segments and a 462-byte tail.
 const lostAckResponse = 3*1460 + 462
 
 // lostAckCopy sends one lostAckResponse through a primary and a backup, loses
 // the backup's multicast copy of the client's first pure ACK that covers the
-// first segments full segments, and returns the client's outcome after a
-// minute. The run is monitored and must show no invariant violation.
+// first segments full segments (loseBackupAckCopy), and returns the client's
+// outcome after a minute. The run is monitored and must show no invariant violation.
 func lostAckCopy(t *testing.T, segments int) *requestOutcome {
 	t.Helper()
 	net, client, rd, replicas, links := ftTopologyLinks(t, delayedAckConfig(130), 2)
@@ -214,37 +316,10 @@ func lostAckCopy(t *testing.T, segments int) *requestOutcome {
 		t.Fatal(err)
 	}
 	net.Settle()
-
-	// The covered segments end at the server's ISS + 1 + segments·1460; the
-	// client's copy of the ISS is its IRS, read off the first segment it is
-	// sent.
-	var coveredEnd tcp.Seq
-	client.TCP().SetTrace(func(dir string, _, _ Endpoint, seg *tcp.Segment) {
-		if dir == "in" && seg.Flags.Has(tcp.FlagSYN) {
-			coveredEnd = seg.Seq.Add(1 + segments*1460)
-		}
-	})
-	backupLink, dropped := links[2].link, 0
-	rd.Table().SetEncapTap(func(inner *ipv4.Packet, host Addr) {
-		p := inner.Payload
-		if dropped > 0 || coveredEnd == 0 || host != replicas[1].Addr() || len(p) < tcp.HeaderLen {
-			return
-		}
-		pureAck := len(p) == int(p[12]>>4)*4 && tcp.Flags(p[13]) == tcp.FlagACK
-		if pureAck && tcp.Seq(binary.BigEndian.Uint32(p[8:])).GEQ(coveredEnd) {
-			// The tap runs just before the copy is handed to the link: cut
-			// the link for that instant (the check below counts one frame).
-			dropped++
-			backupLink.SetLoss(1)
-			net.At(net.Now()+time.Microsecond, func() { backupLink.SetLoss(0) })
-		}
-	})
-
+	checkDropped := loseBackupAckCopy(net, client, rd, replicas[1], links[2], segments*1460)
 	out := request(t, net, client, testSvc)
 	net.RunFor(time.Minute)
-	if _, lost, _ := backupLink.Stats(); dropped != 1 || lost[0]+lost[1] != 1 {
-		t.Fatalf("dropped %d ACK copies, the backup's link lost %v frames: want exactly one", dropped, lost)
-	}
+	checkDropped(t)
 	sum, err := sess.Finish()
 	if err != nil {
 		t.Fatal(err)
