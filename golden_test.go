@@ -28,6 +28,9 @@ type goldenOutputs struct {
 	CaptureAudit  string   `json:"capture_audit_sha256"`
 	Scenario77    string   `json:"scenario77_sha256"`
 	Figure4At128K []string `json:"figure4_128k"`
+	// Experiments64K is every EXPERIMENTS.md table at seed 1 and 64 KiB per
+	// transfer, as compact -json keyed by experiment name.
+	Experiments64K map[string]string `json:"experiments_64k"`
 }
 
 func sha(b []byte) string {
@@ -56,13 +59,25 @@ func computeGolden(t *testing.T) goldenOutputs {
 				c, size, r.Bytes, r.Started, r.Finished, info.Events, info.Frames, r.Stats))
 		}
 	}
+	g.Experiments64K = map[string]string{}
+	for _, name := range testbed.ExperimentNames {
+		tab, err := testbed.RunExperiment(name, testbed.Sweep{Seed: 1, Bytes: 64 << 10})
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := json.Marshal(tab)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g.Experiments64K[name] = string(b)
+	}
 	return g
 }
 
 // TestGoldenOutputs: the FT capture scenario's pcap and series exports, a
-// second run's spans and audit, the runScenario(77) fingerprint and the
-// 28-point Figure-4 table at 128 KiB are exactly what the commit that
-// recorded the golden file produced.
+// second run's spans and audit, the runScenario(77) fingerprint, the
+// 28-point Figure-4 table at 128 KiB and every experiment table at 64 KiB
+// are exactly what the commit that recorded the golden file produced.
 func TestGoldenOutputs(t *testing.T) {
 	got := computeGolden(t)
 	if *updateGolden != "" {
@@ -108,6 +123,11 @@ func TestGoldenOutputs(t *testing.T) {
 	for i, w := range want.Figure4At128K {
 		if got.Figure4At128K[i] != w {
 			t.Errorf("Figure-4 point %d:\n  got    %s\n  golden %s", i, got.Figure4At128K[i], w)
+		}
+	}
+	for _, name := range testbed.ExperimentNames {
+		if got.Experiments64K[name] != want.Experiments64K[name] {
+			t.Errorf("experiment %s at 64 KiB:\n  got    %s\n  golden %s", name, got.Experiments64K[name], want.Experiments64K[name])
 		}
 	}
 }

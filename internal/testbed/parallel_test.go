@@ -18,6 +18,7 @@ func TestParallelSweepMatchesSerial(t *testing.T) {
 	}{
 		{"a1b", Sweep{Seed: 1, Seeds: 2}},
 		{"fig4", Sweep{Seed: 1, Bytes: 64 << 10}},
+		{"a5", Sweep{Seed: 1, Seeds: 2}},
 	} {
 		var out [2]bytes.Buffer
 		for i, workers := range []int{1, 4} {
