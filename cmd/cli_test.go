@@ -76,6 +76,9 @@ func TestCLIs(t *testing.T) {
 				{args: []string{"-crash", "bogus", "-crash-at", "0"}, exit: 2, want: `unknown -crash "bogus"`},
 				{args: []string{"-replicas", "1", "-crash", "backup", "-cpuprofile", "cpu.out"}, exit: 2, want: "-crash backup needs -replicas 2", none: "cpu.out"},
 				{args: []string{"-events", "nope", "-audit", "a.json"}, exit: 2, want: "-events list", none: "a.json"},
+				// Out-of-range numbers are a bad command line too.
+				{args: []string{"-bytes", "-1", "-pcap", "neg.pcap"}, exit: 2, want: "-bytes -1: want 0 or more", none: "neg.pcap"},
+				{args: []string{"-threshold", "-2", "-audit", "th.json"}, exit: 2, want: "-threshold -2: want 1 or more", none: "th.json"},
 				// An artifact that cannot be written is Finish's error: exit 1.
 				{args: []string{"-bytes", "65536", "-spans", "no-such-dir/s.json"}, exit: 1, want: "hydranet-sim: observers: hydranet: spans:"},
 				{args: []string{"experiment", "list"}, want: "fig4\na1\na1b\na2\na3\na4\na5\n"},
@@ -84,6 +87,9 @@ func TestCLIs(t *testing.T) {
 				{args: []string{"experiment", "a1", "-loss", "1"}, exit: 1, want: "experiment a1: threshold 1: the crash was never detected"},
 				{args: []string{"experiment", "nope", "-pcap", "nope.pcap"}, exit: 2, want: `unknown experiment "nope"`, none: "nope.pcap"},
 				{args: []string{"experiment", "a1", "-seeds", "0", "-cpuprofile", "z.out"}, exit: 2, want: "-seeds 0", none: "z.out"},
+				{args: []string{"experiment", "a2", "-bytes", "-5", "-cpuprofile", "b.out"}, exit: 2, want: "-bytes -5: want 0 or more", none: "b.out"},
+				{args: []string{"experiment", "a1", "-loss", "-0.5", "-cpuprofile", "l.out"}, exit: 2, want: "-loss -0.5: want a probability", none: "l.out"},
+				{args: []string{"experiment", "a1", "-loss", "1.5", "-cpuprofile", "m.out"}, exit: 2, want: "-loss 1.5: want a probability", none: "m.out"},
 				{args: []string{"experiment", "a1", "-invariants", "-audit", "fo.audit.json"}, want: "invariants: clean across the sweep"},
 				{bin: "hydrascope", args: []string{"audit", "fo-t3.audit.json", "-fail-on-violation"}, want: "verdict: CLEAN"},
 				// A worker that cannot write reports it; it does not panic.

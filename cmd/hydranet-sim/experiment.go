@@ -43,6 +43,10 @@ func experiment(args []string) {
 		usage("experiment: unknown experiment %q (try experiment list)", strings.Join(append([]string{name}, fs.Args()...), " "))
 	case s.Seeds < 1:
 		usage("experiment: -seeds %d: want at least 1", s.Seeds)
+	case s.Bytes < 0:
+		usage("experiment: -bytes %d: want 0 or more", s.Bytes)
+	case s.Loss != nil && !(*s.Loss >= 0 && *s.Loss <= 1):
+		usage("experiment: -loss %g: want a probability from 0 to 1", *s.Loss)
 	}
 	what := "experiment " + name
 	stopPprof, err := startPprof()

@@ -112,6 +112,10 @@ func main() {
 		usage("-events: %v (try -events list)", err)
 	case *replicas < 1:
 		usage("need at least one replica")
+	case *bytes < 0:
+		usage("-bytes %d: want 0 or more", *bytes)
+	case *threshold < 0:
+		usage("-threshold %d: want 1 or more, or 0 for the detector's default", *threshold)
 	case *crashWho != "primary" && *crashWho != "backup" && *crashWho != "none":
 		usage("unknown -crash %q (want primary, backup or none)", *crashWho)
 	case *crashWho == "backup" && *replicas < 2:
