@@ -15,7 +15,7 @@ import (
 // collector's timeline must show the inbound-atomicity ordering — the chain
 // tail deposits first, the head only after its acknowledgment arrives.
 func TestCaptureEndToEnd(t *testing.T) {
-	net, client, rd, replicas := ftTopology(t, 5, 2)
+	net, client, rd, replicas, _ := ftTopology(Config{Seed: 5}, 2, LinkConfig{})
 	if _, err := net.DeployFT(testSvc, rd, replicas, FTOptions{}, echoAccept()); err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +140,7 @@ func TestCaptureEndToEnd(t *testing.T) {
 // primary is fine — and the probe's report stays incomplete while the
 // transfer itself finishes transparently.
 func TestFailoverProbeBackupCrash(t *testing.T) {
-	net, client, rd, replicas := ftTopology(t, 9, 3)
+	net, client, rd, replicas, _ := ftTopology(Config{Seed: 9}, 3, LinkConfig{})
 	if _, err := net.DeployFT(testSvc, rd, replicas,
 		FTOptions{Detector: DetectorParams{RetransmitThreshold: 3}}, echoAccept()); err != nil {
 		t.Fatal(err)
@@ -184,11 +184,4 @@ func TestFailoverProbeBackupCrash(t *testing.T) {
 	if snap.Redirectors[0].Mgmt == nil || snap.Redirectors[0].Mgmt.HostsFailed != 1 {
 		t.Errorf("redirector mgmt = %+v, want exactly 1 host failed", snap.Redirectors[0].Mgmt)
 	}
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

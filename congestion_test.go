@@ -15,95 +15,65 @@ import (
 // congestion policy enabled the redirector "shuts it down" (evicts it), the
 // flow recovers, and once the congestion clears the server rejoins.
 func TestCongestedBackupEvictedAndRecommissioned(t *testing.T) {
-	net, client, rd, replicas := ftTopology(t, 61, 2)
-	svc, err := net.DeployFT(testSvc, rd, replicas,
-		FTOptions{Detector: DetectorParams{RetransmitThreshold: 2}}, echoAccept())
-	if err != nil {
-		t.Fatal(err)
-	}
-	rd.Daemon().SetCongestionPolicy(rmp.CongestionPolicy{Strikes: 3, Window: 2 * time.Minute})
-	net.Settle()
-
-	conn, _ := client.Dial(testSvc)
-	echoed := collect(conn)
-	payload := make([]byte, 150_000)
-	for i := range payload {
-		payload[i] = byte(i)
-	}
-	app.Source(conn, payload, false)
-	net.RunFor(100 * time.Millisecond)
-
-	// Severe congestion at the backup: its chain messages all vanish, so
-	// the primary can never acknowledge.
-	replicas[1].FTManager().SetChainLoss(1.0)
-	net.RunFor(3 * time.Minute)
-
-	if got := len(*echoed); got != len(payload) {
-		t.Fatalf("transfer stalled at %d of %d despite congestion eviction", got, len(payload))
-	}
-	chain := svc.Chain()
-	if len(chain) != 1 || chain[0] != replicas[0].Addr() {
-		t.Fatalf("chain = %v, want the congested backup evicted", chain)
-	}
-	if rd.Daemon().Stats().CongestionEvictions == 0 {
-		t.Fatal("eviction not recorded as congestion-based")
-	}
-	if !replicas[1].Alive() {
-		t.Fatal("test invariant: the evicted backup is alive, just congested")
-	}
-
-	// Congestion clears; the server rejoins for new connections.
-	replicas[1].FTManager().SetChainLoss(0)
-	if err := svc.Recommission(replicas[1]); err != nil {
-		t.Fatal(err)
-	}
-	net.Settle()
-	if got := svc.Chain(); len(got) != 2 {
-		t.Fatalf("chain after recommission = %v", got)
-	}
-	conn2, _ := client.Dial(testSvc)
-	echoed2 := collect(conn2)
-	app.Source(conn2, []byte("back in business"), false)
-	net.RunFor(10 * time.Second)
-	if string(*echoed2) != "back in business" {
-		t.Fatalf("echo after rejoin = %q", *echoed2)
-	}
-	// The rejoined backup replicates the new connection (it may also still
-	// track a stale entry for the pre-eviction connection, which it can no
-	// longer observe — the host never crashed, so that state lingers until
-	// the old connection's client endpoint is reused or the host reboots).
-	newConnSeen := false
-	for _, c := range replicas[1].TCP().Conns() {
-		if c.Remote() == conn2.Local() {
-			newConnSeen = true
+	payload := pattern(150_000, 1, 0)
+	var rejoined *stream
+	faultCase{seed: 61, replicas: 2, threshold: 2, send: payload, setup: func(r *faultRun) {
+		r.rd.Daemon().SetCongestionPolicy(rmp.CongestionPolicy{Strikes: 3, Window: 2 * time.Minute})
+	}, steps: []step{
+		// Severe congestion at the backup: its chain messages all vanish, so
+		// the primary can never acknowledge.
+		{after: 100 * time.Millisecond, do: func(r *faultRun) { r.replicas[1].FTManager().SetChainLoss(1) }},
+		{after: 3 * time.Minute, do: func(r *faultRun) {
+			if len(r.got) != len(payload) {
+				t.Fatalf("transfer stalled at %d of %d despite congestion eviction", len(r.got), len(payload))
+			}
+			r.wantChain(0)
+			if r.rd.Daemon().Stats().CongestionEvictions == 0 {
+				t.Error("eviction not recorded as congestion-based")
+			}
+			if !r.replicas[1].Alive() {
+				t.Error("test invariant: the evicted backup is alive, just congested")
+			}
+			// Congestion clears; the server rejoins for new connections.
+			r.replicas[1].FTManager().SetChainLoss(0)
+			if err := r.svc.Recommission(r.replicas[1]); err != nil {
+				t.Fatal(err)
+			}
+			r.net.Settle()
+			r.wantChain(0, 1)
+			rejoined = r.dial(r.client, testSvc, []byte("back in business"), false)
+		}},
+		{after: 10 * time.Second},
+	}, verdict: verdict{echo: payload, check: func(r *faultRun) {
+		if string(rejoined.got) != "back in business" {
+			t.Errorf("echo after rejoin = %q", rejoined.got)
 		}
-	}
-	if !newConnSeen {
-		t.Fatal("rejoined backup is not replicating the new connection")
-	}
+		// The rejoined backup replicates the new connection (it may also
+		// still track a stale entry for the pre-eviction connection, which it
+		// can no longer observe — the host never crashed, so that state
+		// lingers until the old connection's client endpoint is reused or
+		// the host reboots).
+		for _, c := range r.replicas[1].TCP().Conns() {
+			if c.Remote() == rejoined.conn.Local() {
+				return
+			}
+		}
+		t.Error("rejoined backup is not replicating the new connection")
+	}}}.play(t)
 }
 
 // TestCongestionPolicyDisabledByDefault: without the policy, live hosts are
 // never evicted no matter how many suspicions fire.
 func TestCongestionPolicyDisabledByDefault(t *testing.T) {
-	net, client, rd, replicas := ftTopology(t, 62, 2)
-	svc, err := net.DeployFT(testSvc, rd, replicas,
-		FTOptions{Detector: DetectorParams{RetransmitThreshold: 2}}, echoAccept())
-	if err != nil {
-		t.Fatal(err)
-	}
-	net.Settle()
-	conn, _ := client.Dial(testSvc)
-	app.Source(conn, make([]byte, 100_000), false)
-	net.RunFor(100 * time.Millisecond)
-	replicas[1].FTManager().SetChainLoss(1.0)
-	net.RunFor(2 * time.Minute)
-	if got := len(svc.Chain()); got != 2 {
-		t.Fatalf("chain = %d members; default policy must never evict live hosts", got)
-	}
-	if rd.Daemon().Stats().Suspicions == 0 {
-		t.Fatal("scenario inert: no suspicions despite a dead ack channel")
-	}
+	faultCase{seed: 62, replicas: 2, threshold: 2, send: make([]byte, 100_000), steps: []step{
+		{do: func(r *faultRun) { r.conn.OnReadable(nil) }}, // the client never reads its echo
+		{after: 100 * time.Millisecond, do: func(r *faultRun) { r.replicas[1].FTManager().SetChainLoss(1) }},
+		{after: 2 * time.Minute},
+	}, verdict: verdict{chain: []int{0, 1}, check: func(r *faultRun) {
+		if r.rd.Daemon().Stats().Suspicions == 0 {
+			t.Error("scenario inert: no suspicions despite a dead ack channel")
+		}
+	}}}.play(t)
 }
 
 // TestProbeKeepsQueuedMember: queueing is not loss. A bulk flow to the

@@ -27,19 +27,8 @@ type scenarioOpts struct {
 // crash) and returns a fingerprint of everything observable, including the
 // full snapshot JSON.
 func runScenario(seed int64, opts scenarioOpts) string {
-	net := New(Config{Seed: seed})
+	net, client, rd, replicas, _ := ftTopology(Config{Seed: seed}, 3, LinkConfig{Loss: 0.02})
 	net.PoisonFrames(opts.poison)
-	client := net.AddHost("client", HostConfig{})
-	rd := net.AddRedirector("rd", HostConfig{})
-	var replicas []*Host
-	link := LinkConfig{Rate: 10_000_000, Delay: time.Millisecond, Loss: 0.02}
-	net.Link(client, rd.Host, link)
-	for i := 0; i < 3; i++ {
-		h := net.AddHost("s"+string(rune('0'+i)), HostConfig{})
-		replicas = append(replicas, h)
-		net.Link(h, rd.Host, link)
-	}
-	net.AutoRoute()
 	if opts.traceOut != nil {
 		for _, h := range append([]*Host{client}, replicas...) {
 			name := h.Name()
@@ -70,11 +59,7 @@ func runScenario(seed int64, opts scenarioOpts) string {
 	}
 	var echoed []byte
 	app.Collect(conn, &echoed)
-	payload := make([]byte, 120_000)
-	for i := range payload {
-		payload[i] = byte(i * 11)
-	}
-	app.Source(conn, payload, false)
+	app.Source(conn, pattern(120_000, 11, 0), false)
 	net.RunFor(400 * time.Millisecond)
 	svc.CrashPrimary()
 	net.RunFor(2 * time.Minute)

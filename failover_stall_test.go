@@ -1,91 +1,12 @@
 package hydranet
 
 import (
-	"bytes"
 	"fmt"
 	"testing"
 	"time"
 
 	"hydranet/internal/app"
 )
-
-// crashStall is one monitored crash scenario: the longest the client went
-// without a byte from the crash on, and, timed from the crash, when the
-// redirector reconfigured and when that longest gap ended.
-type crashStall struct {
-	detected, resumed, stall time.Duration
-	delivered, chain         int
-	clientErr                error
-	violations               uint64
-}
-
-// measureCrashStall streams payload through an echo service on nReplicas,
-// kills replica victim crashAt into the stream and runs four more minutes
-// under the invariant monitor.
-func measureCrashStall(t *testing.T, seed int64, nReplicas, victim, threshold int, crashAt time.Duration, payload []byte) crashStall {
-	t.Helper()
-	net, client, rd, replicas := ftTopology(t, seed, nReplicas)
-	sess, err := net.Instrument(Instruments{Scenario: t.Name(), Invariants: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	svc, err := net.DeployFT(testSvc, rd, replicas,
-		FTOptions{Detector: DetectorParams{RetransmitThreshold: threshold}}, echoAccept())
-	if err != nil {
-		t.Fatal(err)
-	}
-	net.Settle()
-
-	var res crashStall
-	var crashTime time.Duration
-	rd.Daemon().OnReconfig(func(_ ServiceID, failed []Addr) {
-		for _, f := range failed {
-			if f != replicas[victim].Addr() {
-				t.Errorf("reconfiguration removed live host %s", f)
-			} else if res.detected == 0 {
-				res.detected = net.Now() - crashTime
-			}
-		}
-	})
-	conn, err := client.Dial(testSvc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	conn.OnClosed(func(err error) { res.clientErr = err })
-	lastByte := net.Now()
-	buf := make([]byte, 2048)
-	conn.OnReadable(func() {
-		for {
-			n := conn.Read(buf)
-			if n == 0 {
-				return
-			}
-			now := net.Now()
-			res.delivered += n
-			if gap := now - lastByte; crashTime > 0 && gap > res.stall {
-				res.stall, res.resumed = gap, now-crashTime
-			}
-			lastByte = now
-		}
-	})
-	app.Source(conn, payload, false)
-
-	net.RunFor(crashAt)
-	if res.delivered == 0 || res.delivered == len(payload) {
-		t.Fatalf("%d of %d bytes echoed at the crash instant: not mid-stream", res.delivered, len(payload))
-	}
-	crashTime = net.Now()
-	replicas[victim].Crash()
-	net.RunFor(4 * time.Minute)
-
-	sum, err := sess.Finish()
-	if err != nil {
-		t.Fatal(err)
-	}
-	res.violations = sum.Audit.TotalViolations()
-	res.chain = len(svc.Chain())
-	return res
-}
 
 // TestLosslessChainIsQuiet: with no loss and no crash, a chain of two or three
 // replicas gives the client nothing to repair. Each replica acknowledges held
@@ -95,38 +16,15 @@ func measureCrashStall(t *testing.T, seed int64, nReplicas, victim, threshold in
 // a single count trips the detector, so no gate may hold bytes for a whole
 // RTO either.
 func TestLosslessChainIsQuiet(t *testing.T) {
-	payload := make([]byte, 1<<20)
-	for i := range payload {
-		payload[i] = byte(i*7 + i>>10)
-	}
+	payload := pattern(1<<20, 7, 10)
 	var finished [4]time.Duration
 	for _, n := range []int{2, 3} {
-		net, client, rd, replicas := ftTopology(t, 12, n)
-		opts := FTOptions{Detector: DetectorParams{RetransmitThreshold: 1}}
-		if _, err := net.DeployFT(testSvc, rd, replicas, opts, echoAccept()); err != nil {
-			t.Fatal(err)
-		}
-		net.Settle()
-		start := net.Now()
-		received := streamClient(t, net, client, payload)
-		for *received < len(payload) && net.Now() < start+time.Minute {
-			net.RunFor(10 * time.Millisecond)
-		}
-		if *received != len(payload) {
-			t.Fatalf("%d replicas: client received %d of %d bytes", n, *received, len(payload))
-		}
-		finished[n] = net.Now() - start
-		var suspicions uint64
-		for _, h := range net.Snapshot().Hosts {
-			if h.Manager != nil {
-				suspicions += h.Manager.Suspicions
-			}
-		}
-		st := client.TCP().ConnTotals()
-		if st.Retransmits != 0 || st.DupAcksSeen != 0 || suspicions != 0 {
-			t.Errorf("%d replicas, lossless: client retransmitted %d segments after %d duplicate ACKs; %d suspicions; want all 0",
-				n, st.Retransmits, st.DupAcksSeen, suspicions)
-		}
+		faultCase{seed: 12, replicas: n, threshold: 1, send: payload, steps: []step{
+			{after: 10 * time.Millisecond, limit: time.Minute,
+				until: func(r *faultRun) bool { return len(r.got) == len(payload) }},
+		}, verdict: verdict{echo: payload, quiet: true, check: func(r *faultRun) {
+			finished[n] = r.net.Now() - r.dialled
+		}}}.play(t)
 	}
 	if finished[3] > finished[2]+finished[2]/10 {
 		t.Errorf("3 replicas took %v, 2 took %v: more than 10%% apart", finished[3], finished[2])
@@ -141,37 +39,17 @@ func TestLosslessChainIsQuiet(t *testing.T) {
 // The primary's own backed-off timeouts alone leave the answer short for
 // minutes.
 func TestServerPushBackupCrash(t *testing.T) {
-	payload := make([]byte, 256<<10)
-	for i := range payload {
-		payload[i] = byte(i*11 + i>>8)
-	}
-	net, client, rd, replicas := ftTopology(t, 7, 2)
-	svc, err := net.DeployFT(testSvc, rd, replicas, FTOptions{},
-		func(c *Conn) { app.Source(c, payload, false) })
-	if err != nil {
-		t.Fatal(err)
-	}
-	net.Settle()
-	start := net.Now()
-	conn, err := client.Dial(testSvc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := collect(conn)
-	net.RunFor(150 * time.Millisecond)
-	if len(*got) == 0 || len(*got) == len(payload) {
-		t.Fatalf("%d of %d bytes at the crash instant: not mid-answer", len(*got), len(payload))
-	}
-	replicas[1].Crash()
-	for len(*got) < len(payload) && net.Now() < start+10*time.Second {
-		net.RunFor(10 * time.Millisecond)
-	}
-	if !bytes.Equal(*got, payload) {
-		t.Fatalf("client received %d of %d bytes within 10 s of connecting", len(*got), len(payload))
-	}
-	if chain := svc.Chain(); len(chain) != 1 || chain[0] != replicas[0].Addr() {
-		t.Errorf("chain after the backup crash = %v, want the primary alone", chain)
-	}
+	payload := pattern(256<<10, 11, 8)
+	faultCase{seed: 7, replicas: 2, accept: func(c *Conn) { app.Source(c, payload, false) }, steps: []step{
+		{after: 150 * time.Millisecond, do: func(r *faultRun) {
+			if len(r.got) == 0 || len(r.got) == len(payload) {
+				t.Fatalf("%d of %d bytes at the crash instant: not mid-answer", len(r.got), len(payload))
+			}
+			r.replicas[1].Crash()
+		}},
+		{after: 10 * time.Millisecond, limit: 10 * time.Second,
+			until: func(r *faultRun) bool { return len(r.got) == len(payload) }},
+	}, verdict: verdict{echo: payload, chain: []int{0}}}.play(t)
 }
 
 // TestMiddleCrashResumesAtDetection: what a client waits after a replica dies
@@ -191,10 +69,7 @@ func TestServerPushBackupCrash(t *testing.T) {
 // plus 10 ms: the tail counts each RTO its output waits on the silent
 // primary (the tail-silence rule).
 func TestMiddleCrashResumesAtDetection(t *testing.T) {
-	payload := make([]byte, 1<<20)
-	for i := range payload {
-		payload[i] = byte(i*13 + i>>9)
-	}
+	payload := pattern(1<<20, 13, 9)
 	modes := []struct {
 		name             string
 		replicas, victim int
@@ -207,37 +82,68 @@ func TestMiddleCrashResumesAtDetection(t *testing.T) {
 	primaryDetect := map[string]time.Duration{}
 	t.Logf("%-12s %9s %8s  %11s %11s %10s", "victim", "threshold", "crash at", "detect [ms]", "resume [ms]", "stall [ms]")
 	for _, m := range modes {
+		var survivors []int
+		for i := 0; i < m.replicas; i++ {
+			if i != m.victim {
+				survivors = append(survivors, i)
+			}
+		}
 		for _, threshold := range []int{1, 2, 3, 4, 6, 8} {
 			for i, crashAt := range []time.Duration{320 * time.Millisecond, 570 * time.Millisecond} {
 				cell := fmt.Sprintf("threshold=%d crash at %v", threshold, crashAt)
 				id := m.name + " " + cell
-				r := measureCrashStall(t, int64(300+10*threshold+i), m.replicas, m.victim, threshold, crashAt, payload)
+				// Timed from the crash: when the redirector reconfigured, and
+				// when the longest gap between two reads ended.
+				var crashed, lastRead, detected, resumed, stall time.Duration
+				faultCase{seed: int64(300 + 10*threshold + i), replicas: m.replicas, threshold: threshold, send: payload, steps: []step{
+					{do: func(r *faultRun) {
+						lastRead = r.net.Now()
+						r.rd.Daemon().OnReconfig(func(_ ServiceID, failed []Addr) {
+							for _, f := range failed {
+								if f != r.replicas[m.victim].Addr() {
+									t.Errorf("%s: reconfiguration removed live host %s", id, f)
+								} else if detected == 0 {
+									detected = r.net.Now() - crashed
+								}
+							}
+						})
+						r.net.Bus().Subscribe(func(e Event) {
+							if gap := e.Time - lastRead; crashed > 0 && gap > stall {
+								stall, resumed = gap, e.Time-crashed
+							}
+							lastRead = e.Time
+						}, KindClientDeliver)
+					}},
+					{after: crashAt, do: func(r *faultRun) {
+						if len(r.got) == 0 || len(r.got) == len(payload) {
+							t.Fatalf("%s: %d of %d bytes echoed at the crash instant: not mid-stream", id, len(r.got), len(payload))
+						}
+						crashed = r.net.Now()
+						r.replicas[m.victim].Crash()
+					}},
+					{after: 4 * time.Minute},
+				}, verdict: verdict{echo: payload, chain: survivors, check: func(r *faultRun) {
+					if r.err != nil || detected == 0 {
+						t.Errorf("%s: client error %v, crash detected after %v", id, r.err, detected)
+					}
+				}}}.play(t)
 				t.Logf("%-12s %9d %8v  %11.0f %11.0f %10.0f", m.name, threshold, crashAt,
-					float64(r.detected)/1e6, float64(r.resumed)/1e6, float64(r.stall)/1e6)
-				if r.clientErr != nil || r.delivered != len(payload) {
-					t.Errorf("%s: %d of %d bytes echoed, client error %v", id, r.delivered, len(payload), r.clientErr)
-				}
-				if r.detected == 0 || r.chain != m.replicas-1 {
-					t.Errorf("%s: crash detected after %v, chain of %d left, want %d", id, r.detected, r.chain, m.replicas-1)
-				}
-				if r.violations != 0 {
-					t.Errorf("%s: %d invariant violations", id, r.violations)
-				}
-				if r.resumed-r.detected > slack {
+					float64(detected)/1e6, float64(resumed)/1e6, float64(stall)/1e6)
+				if resumed-detected > slack {
 					t.Errorf("%s: client stalled %v and resumed %v after the reconfiguration at %v; want at most %v",
-						id, r.stall, r.resumed-r.detected, r.detected, slack)
+						id, stall, resumed-detected, detected, slack)
 				}
 				if m.victim == 0 {
-					primaryDetect[cell] = r.detected
+					primaryDetect[cell] = detected
 					continue
 				}
 				p := primaryDetect[cell]
-				if r.detected > 2*p {
-					t.Errorf("%s: detected after %v, more than twice the primary's %v", id, r.detected, p)
+				if detected > 2*p {
+					t.Errorf("%s: detected after %v, more than twice the primary's %v", id, detected, p)
 				}
-				if m.name == "backup_of_2" && p > r.detected+mirrorSlack {
+				if m.name == "backup_of_2" && p > detected+mirrorSlack {
 					t.Errorf("%s: the primary's crash was detected after %v, more than %v after the backup's %v",
-						cell, p, mirrorSlack, r.detected)
+						cell, p, mirrorSlack, detected)
 				}
 			}
 		}
@@ -254,26 +160,15 @@ func TestMiddleCrashResumesAtDetection(t *testing.T) {
 // probe it receives (a zero-length segment below its rcvNxt) as a peer
 // retransmission, and nothing else sends it one here.
 func TestGatedPrimaryProbesOnlyASilentClient(t *testing.T) {
-	payload := make([]byte, 1<<20)
-	for i := range payload {
-		payload[i] = byte(i*13 + i>>9)
-	}
+	payload := pattern(1<<20, 13, 9)
 	for i, crashAt := range []time.Duration{320 * time.Millisecond, 570 * time.Millisecond} {
-		net, client, rd, replicas := ftTopology(t, int64(400+i), 3)
-		opts := FTOptions{Detector: DetectorParams{RetransmitThreshold: 8}}
-		if _, err := net.DeployFT(testSvc, rd, replicas, opts, echoAccept()); err != nil {
-			t.Fatal(err)
-		}
-		net.Settle()
-		received := streamClient(t, net, client, payload)
-		net.RunFor(crashAt)
-		replicas[1].Crash()
-		net.RunFor(4 * time.Minute)
-		if *received != len(payload) {
-			t.Errorf("crash at %v: client received %d of %d bytes", crashAt, *received, len(payload))
-		}
-		if n := client.TCP().ConnTotals().PeerRetransmits; n != 0 {
-			t.Errorf("crash at %v: the client received %d probes or duplicates, want 0", crashAt, n)
-		}
+		faultCase{seed: int64(400 + i), replicas: 3, threshold: 8, send: payload, steps: []step{
+			{after: crashAt, do: crash(1)},
+			{after: 4 * time.Minute},
+		}, verdict: verdict{echo: payload, check: func(r *faultRun) {
+			if n := r.client.TCP().ConnTotals().PeerRetransmits; n != 0 {
+				t.Errorf("crash at %v: the client received %d probes or duplicates, want 0", crashAt, n)
+			}
+		}}}.play(t)
 	}
 }

@@ -70,7 +70,7 @@ func allocsPerEvent(net *Net, d time.Duration) (perEvent float64, events uint64)
 // TestFramePathAllocBudget pins the allocation-free frame path (DESIGN.md
 // "Fast path"): once pools and free lists are warm, a link crossing, an IPv4
 // forward and a two-replica redirector multicast allocate nothing, and whole
-// transfers stay under a per-event ceiling far below ROADMAP's 0.1.
+// transfers stay under a per-event ceiling of 0.005 allocations.
 func TestFramePathAllocBudget(t *testing.T) {
 	t.Run("link round trip", func(t *testing.T) {
 		s := sim.NewScheduler(1)

@@ -21,7 +21,7 @@ import (
 // the replica's deposit cursor trailing the cluster while retransmissions
 // flow, within a few sampling intervals of the first retransmit.
 func TestGrayFailureDegradedBeforeDetector(t *testing.T) {
-	net, client, rd, replicas := ftTopology(t, 11, 3)
+	net, client, rd, replicas, _ := ftTopology(Config{Seed: 11}, 3, LinkConfig{})
 	if _, err := net.DeployFT(testSvc, rd, replicas,
 		FTOptions{Detector: DetectorParams{RetransmitThreshold: 3}}, echoAccept()); err != nil {
 		t.Fatal(err)
@@ -112,7 +112,7 @@ func TestSamplerCadenceAndStop(t *testing.T) {
 // so their health series follow the host series and precede the series
 // created during the tick.
 func TestHealthWatchesEveryFTReplica(t *testing.T) {
-	net, _, rd, replicas := ftTopology(t, 3, 3)
+	net, _, rd, replicas, _ := ftTopology(Config{Seed: 3}, 3, LinkConfig{})
 	tel := net.startSampler(50*time.Millisecond, nil, nil)
 	if _, err := net.DeployFT(testSvc, rd, replicas[:2], FTOptions{}, echoAccept()); err != nil {
 		t.Fatal(err)
@@ -191,7 +191,7 @@ func TestSamplerZeroCostWhenStopped(t *testing.T) {
 // gates on.
 func TestSeriesExportIdenticalSeedsDiffClean(t *testing.T) {
 	runOnce := func() []byte {
-		net, client, rd, replicas := ftTopology(t, 5, 3)
+		net, client, rd, replicas, _ := ftTopology(Config{Seed: 5}, 3, LinkConfig{})
 		svc, err := net.DeployFT(testSvc, rd, replicas,
 			FTOptions{Detector: DetectorParams{RetransmitThreshold: 3}}, echoAccept())
 		if err != nil {

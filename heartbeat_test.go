@@ -6,41 +6,25 @@ import (
 	"path/filepath"
 	"testing"
 	"time"
-
-	"hydranet/internal/app"
 )
 
 // TestLeaseDetectsIdleCrash: with heartbeats enabled, a dead primary is
 // detected and replaced with NO traffic on the connection at all — closing
 // the gap the paper's traffic-driven estimator leaves for idle services.
 func TestLeaseDetectsIdleCrash(t *testing.T) {
-	net, client, rd, replicas := ftTopology(t, 131, 2)
-	svc, err := net.DeployFT(testSvc, rd, replicas,
-		FTOptions{Heartbeat: 500 * time.Millisecond}, echoAccept())
-	if err != nil {
-		t.Fatal(err)
-	}
-	net.Settle()
-	conn, _ := client.Dial(testSvc)
-	echoed := collect(conn)
-	conn.OnConnected(func() { conn.Write([]byte("before|")) })
-	net.RunFor(2 * time.Second)
-
-	svc.CrashPrimary()
-	// Total silence from the application; the lease must expire anyway.
-	net.RunFor(10 * time.Second)
-	if got := svc.Chain(); len(got) != 1 || got[0] != replicas[1].Addr() {
-		t.Fatalf("idle crash not lease-detected: chain = %v", got)
-	}
-	if rd.Daemon().Stats().LeaseExpirations == 0 {
-		t.Fatal("no lease expiration recorded")
-	}
-	// The promoted backup serves the connection when traffic resumes.
-	conn.Write([]byte("after"))
-	net.RunFor(30 * time.Second)
-	if string(*echoed) != "before|after" {
-		t.Fatalf("echo = %q", *echoed)
-	}
+	faultCase{seed: 131, replicas: 2, heartbeat: 500 * time.Millisecond, send: []byte("before|"), steps: []step{
+		{after: 2 * time.Second, do: crash(0)},
+		// Total silence from the application; the lease must expire anyway.
+		{after: 10 * time.Second, do: func(r *faultRun) {
+			r.wantChain(1)
+			if r.rd.Daemon().Stats().LeaseExpirations == 0 {
+				t.Error("no lease expiration recorded")
+			}
+			// The promoted backup serves the connection when traffic resumes.
+			r.conn.Write([]byte("after"))
+		}},
+		{after: 30 * time.Second},
+	}, verdict: verdict{echo: []byte("before|after")}}.play(t)
 }
 
 // TestRecommissionKeepsOneHeartbeat: a host's heartbeat timer outlives its
@@ -48,7 +32,7 @@ func TestLeaseDetectsIdleCrash(t *testing.T) {
 // must not start a second one. Over 10 idle seconds it sends as many frames
 // after the recommission as it did before the crash.
 func TestRecommissionKeepsOneHeartbeat(t *testing.T) {
-	net, _, rd, replicas := ftTopology(t, 131, 2)
+	net, _, rd, replicas, _ := ftTopology(Config{Seed: 131}, 2, LinkConfig{})
 	svc, err := net.DeployFT(testSvc, rd, replicas,
 		FTOptions{Heartbeat: 500 * time.Millisecond}, echoAccept())
 	if err != nil {
@@ -92,7 +76,7 @@ func TestRecommissionKeepsOneHeartbeat(t *testing.T) {
 // the order of frames on the wire. Same seed, same pcap, byte for byte.
 func TestLeaseSweepOrderIsReplayable(t *testing.T) {
 	run := func(path string) []byte {
-		net, _, rd, replicas := ftTopology(t, 134, 2)
+		net, _, rd, replicas, _ := ftTopology(Config{Seed: 134}, 2, LinkConfig{})
 		sess, err := net.Instrument(Instruments{Pcap: path})
 		if err != nil {
 			t.Fatal(err)
@@ -131,59 +115,33 @@ func TestLeaseSweepOrderIsReplayable(t *testing.T) {
 // TestLeaseQuietWhenHealthy: heartbeats flowing → nobody expires, even over
 // a long idle stretch.
 func TestLeaseQuietWhenHealthy(t *testing.T) {
-	net, client, rd, replicas := ftTopology(t, 132, 3)
-	svc, err := net.DeployFT(testSvc, rd, replicas,
-		FTOptions{Heartbeat: 500 * time.Millisecond}, echoAccept())
-	if err != nil {
-		t.Fatal(err)
-	}
-	net.Settle()
-	conn, _ := client.Dial(testSvc)
-	echoed := collect(conn)
-	app.Source(conn, []byte("ping"), false)
-	net.RunFor(5 * time.Minute) // long healthy idle period
-	if got := len(svc.Chain()); got != 3 {
-		t.Fatalf("healthy chain shrank to %d under leases", got)
-	}
-	if rd.Daemon().Stats().LeaseExpirations != 0 {
-		t.Fatal("spurious lease expirations")
-	}
-	if string(*echoed) != "ping" {
-		t.Fatalf("echo = %q", *echoed)
-	}
+	faultCase{seed: 132, replicas: 3, heartbeat: 500 * time.Millisecond, send: []byte("ping"),
+		steps: []step{{after: 5 * time.Minute}}, // a long healthy idle period
+		verdict: verdict{echo: []byte("ping"), chain: []int{0, 1, 2}, check: func(r *faultRun) {
+			if n := r.rd.Daemon().Stats().LeaseExpirations; n != 0 {
+				t.Errorf("%d spurious lease expirations", n)
+			}
+		}}}.play(t)
 }
 
 // TestVoluntaryLeaveViaFacade: FTService.Leave resplices the chain and
 // promotes the successor when the primary departs, without any client
 // disturbance.
 func TestVoluntaryLeaveViaFacade(t *testing.T) {
-	net, client, rd, replicas := ftTopology(t, 133, 3)
-	svc, err := net.DeployFT(testSvc, rd, replicas, FTOptions{}, echoAccept())
-	if err != nil {
-		t.Fatal(err)
-	}
-	net.Settle()
-	conn, _ := client.Dial(testSvc)
-	echoed := collect(conn)
-	conn.OnConnected(func() { conn.Write([]byte("one|")) })
-	net.RunFor(2 * time.Second)
-
-	if err := svc.Leave(replicas[0]); err != nil { // the primary departs
-		t.Fatal(err)
-	}
-	net.Settle()
-	chain := svc.Chain()
-	if len(chain) != 2 || chain[0] != replicas[1].Addr() {
-		t.Fatalf("chain after primary leave = %v", chain)
-	}
-	conn.Write([]byte("two"))
-	net.RunFor(60 * time.Second)
-	if string(*echoed) != "one|two" {
-		t.Fatalf("echo = %q", *echoed)
-	}
-	// Leaving twice (or a stranger) errors cleanly.
-	stranger := net.AddHost("stranger", HostConfig{})
-	if err := svc.Leave(stranger); err == nil {
-		t.Fatal("Leave accepted a non-member")
-	}
+	faultCase{seed: 133, replicas: 3, send: []byte("one|"), steps: []step{
+		{after: 2 * time.Second, do: func(r *faultRun) {
+			if err := r.svc.Leave(r.replicas[0]); err != nil { // the primary departs
+				t.Fatal(err)
+			}
+			r.net.Settle()
+			r.wantChain(1, 2)
+			r.conn.Write([]byte("two"))
+		}},
+		{after: 60 * time.Second},
+	}, verdict: verdict{echo: []byte("one|two"), check: func(r *faultRun) {
+		// Leaving twice (or a stranger) errors cleanly.
+		if err := r.svc.Leave(r.net.AddHost("stranger", HostConfig{})); err == nil {
+			t.Error("Leave accepted a non-member")
+		}
+	}}}.play(t)
 }

@@ -35,7 +35,7 @@ func requireNothingAttached(t *testing.T, net *Net) {
 // observers — what lets testbed and bench call Instrument unconditionally
 // and still match an uninstrumented run to the last fired event.
 func TestInstrumentZeroValueAttachesNothing(t *testing.T) {
-	net, _, _, _ := ftTopology(t, 1, 2)
+	net, _, _, _, _ := ftTopology(Config{Seed: 1}, 2, LinkConfig{})
 	sess, err := net.Instrument(Instruments{})
 	if err != nil {
 		t.Fatal(err)
@@ -73,7 +73,7 @@ func TestInstrumentOrderIsEnforced(t *testing.T) {
 	}
 
 	t.Run("after DeployFT", func(t *testing.T) {
-		net, _, rd, replicas := ftTopology(t, 1, 2)
+		net, _, rd, replicas, _ := ftTopology(Config{Seed: 1}, 2, LinkConfig{})
 		if _, err := net.DeployFT(testSvc, rd, replicas, FTOptions{}, echoAccept()); err != nil {
 			t.Fatal(err)
 		}
@@ -90,7 +90,7 @@ func TestInstrumentOrderIsEnforced(t *testing.T) {
 		requireEmpty(dir)
 	})
 	t.Run("second call", func(t *testing.T) {
-		net, _, _, _ := ftTopology(t, 1, 2)
+		net, _, _, _, _ := ftTopology(Config{Seed: 1}, 2, LinkConfig{})
 		if _, err := net.Instrument(Instruments{}); err != nil {
 			t.Fatal(err)
 		}
@@ -200,7 +200,7 @@ func requireWellFormedPcap(t *testing.T, path string) int {
 // TestFinishSurfacesPcapError: a capture whose destination stops accepting
 // writes mid-run must not end as a silently truncated file.
 func TestFinishSurfacesPcapError(t *testing.T) {
-	net, client, rd, replicas := ftTopology(t, 3, 2)
+	net, client, rd, replicas, _ := ftTopology(Config{Seed: 3}, 2, LinkConfig{})
 	sess, err := net.Instrument(Instruments{Pcap: filepath.Join(t.TempDir(), "run.pcap")})
 	if err != nil {
 		t.Fatal(err)
@@ -229,7 +229,7 @@ func TestInstrumentUnwritablePcap(t *testing.T) {
 	if _, err := os.Stat("/dev/full"); err != nil {
 		t.Skip("no /dev/full on this system")
 	}
-	net, _, _, _ := ftTopology(t, 1, 2)
+	net, _, _, _, _ := ftTopology(Config{Seed: 1}, 2, LinkConfig{})
 	sess, err := net.Instrument(Instruments{Invariants: true, Pcap: "/dev/full"})
 	if err != nil {
 		requireNothingAttached(t, net)

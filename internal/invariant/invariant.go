@@ -21,10 +21,11 @@
 //   - ft-gate: a client-facing ACK for a replicated service never exceeds
 //     the minimum deposit cursor over the live replica set, outside a
 //     reconfiguration window (the ft-TCP gating invariant, paper §4.2).
-//   - chain-monotonic: the acknowledgment channel's deposit cursor
-//     (RcvNxt) is non-decreasing within a membership epoch.
+//   - chain-monotonic: the deposit cursor (RcvNxt) a replica announces on
+//     the acknowledgment channel is non-decreasing within a membership
+//     epoch (not the order it arrives in: the channel is UDP).
 //   - membership: exactly one live primary per replica set between
-//     reconfigurations.
+//     reconfigurations, the registration race aside (notePromotion).
 //   - client-delivery: a client application never consumes more bytes than
 //     its own stack deposited (exactly-once at the delivery surface).
 //   - frame-conservation: at quiesce no pooled frame remains outstanding —
@@ -128,17 +129,15 @@ type ackState struct {
 	live bool
 }
 
-// chainState is one node's acknowledgment-channel deposit-cursor baseline
-// for one (service, client) flow, per direction. Only the RcvNxt (deposit
-// cursor) is tracked: chain messages echo the send cursor of the specific
-// segment that triggered them, so a retransmission legitimately carries a
-// lower SndNxt — but the deposit cursor, the quantity that gates
+// chainState is the deposit cursor one node last announced on the
+// acknowledgment channel for one (service, client) flow. Only the RcvNxt
+// (deposit cursor) is tracked: chain messages echo the send cursor of the
+// specific segment that triggered them, so a retransmission legitimately
+// carries a lower SndNxt — but the deposit cursor, the quantity that gates
 // client-facing ACKs, must never regress within a membership epoch.
 type chainState struct {
-	sndAck  uint32 // last chain-send RcvNxt
-	rcvAck  uint32 // last chain-recv RcvNxt
-	sndSeen bool
-	rcvSeen bool
+	ack  uint32
+	seen bool
 }
 
 // svcState is one replicated service's membership view, reconstructed from
@@ -152,6 +151,9 @@ type svcState struct {
 	// promoted yet); the gate and membership rules are suspended inside
 	// it, exactly as the paper's guarantees are.
 	window bool
+	// early is the backup that registered first, before any primary: the
+	// redirector made it the chain's sole member, hence its primary.
+	early string
 }
 
 // nodeState is one node's liveness and conservation totals.
@@ -258,9 +260,7 @@ func (m *Monitor) observe(e obs.Event) {
 	case obs.KindAckProgress:
 		m.noteAck(e)
 	case obs.KindChainSend:
-		m.noteChain(e, true)
-	case obs.KindChainRecv:
-		m.noteChain(e, false)
+		m.noteChain(e)
 	case obs.KindClientDeliver:
 		m.noteDeliver(e)
 	case obs.KindNodeCrash:
@@ -382,12 +382,13 @@ func (m *Monitor) noteAck(e obs.Event) {
 }
 
 // noteChain checks acknowledgment-channel deposit-cursor sanity: within
-// one membership epoch a replica's chain RcvNxt never regresses. (SndNxt
-// is not checked — chain messages echo the send cursor of the triggering
-// segment, so retransmissions legitimately carry lower values.) Baselines
-// reset at reconfigurations (the upstream neighbor changes) and at crashes
+// one membership epoch the RcvNxt a replica announces never regresses.
+// (SndNxt is not checked — chain messages echo the send cursor of the
+// triggering segment, so retransmissions legitimately carry lower values.
+// Nor is the order messages arrive in: the channel is UDP.) Baselines reset
+// at reconfigurations (the upstream neighbor changes) and at crashes
 // (volatile state is legitimately lost).
-func (m *Monitor) noteChain(e obs.Event, send bool) {
+func (m *Monitor) noteChain(e obs.Event) {
 	ck := connKey{node: e.Node, a: e.Service, b: e.Conn}
 	st := m.chains[ck]
 	if st == nil {
@@ -396,17 +397,10 @@ func (m *Monitor) noteChain(e obs.Event, send bool) {
 	}
 	m.checks[ruleChain]++
 	ack := uint32(e.Ack)
-	if send {
-		if st.sndSeen && seqLT(ack, st.sndAck) {
-			m.record(ruleChain, e, "chain-send deposit cursor (RcvNxt) regressed", uint64(st.sndAck), uint64(ack))
-		}
-		st.sndAck, st.sndSeen = ack, true
-		return
+	if st.seen && seqLT(ack, st.ack) {
+		m.record(ruleChain, e, "chain-send deposit cursor (RcvNxt) regressed", uint64(st.ack), uint64(ack))
 	}
-	if st.rcvSeen && seqLT(ack, st.rcvAck) {
-		m.record(ruleChain, e, "chain-recv deposit cursor (RcvNxt) regressed", uint64(st.rcvAck), uint64(ack))
-	}
-	st.rcvAck, st.rcvSeen = ack, true
+	st.ack, st.seen = ack, true
 }
 
 // noteDeliver checks delivery conservation: a client harness can never
@@ -478,8 +472,7 @@ func (m *Monitor) noteCrash(e obs.Event) {
 	}
 	for k, st := range m.chains { //hydralint:nondeterministic per-conn baseline reset of one node commutes across conns
 		if k.node == e.Node {
-			st.sndSeen = false
-			st.rcvSeen = false
+			st.seen = false
 		}
 	}
 	for _, s := range m.svcs { //hydralint:nondeterministic window flag update commutes across services
@@ -495,6 +488,9 @@ func (m *Monitor) noteCrash(e obs.Event) {
 func (m *Monitor) noteRegistration(e obs.Event) {
 	name := m.resolveAddr(e.Host)
 	s := m.svc(e.Service)
+	if !e.Primary && s.primary == "" && len(s.members) == 0 {
+		s.early = name
+	}
 	s.members[name] = true
 	m.checks[ruleMembership]++
 	if e.Primary {
@@ -522,8 +518,7 @@ func (m *Monitor) noteReconfig(e obs.Event) {
 	s.window = s.primary == ""
 	for k, st := range m.chains { //hydralint:nondeterministic per-conn baseline reset commutes across conns
 		if k.a == e.Service {
-			st.sndSeen = false
-			st.rcvSeen = false
+			st.seen = false
 		}
 	}
 }
@@ -531,10 +526,15 @@ func (m *Monitor) noteReconfig(e obs.Event) {
 // notePromotion closes the service's reconfiguration window with the new
 // primary. A promotion while another live primary holds the role outside a
 // window means two primaries ACK the same client — the split-brain the
-// chain protocol exists to prevent.
+// chain protocol exists to prevent. The early backup's promotion with no
+// connection is the registration race: the role stays where the
+// registrations put it, and the newer chain configuration demotes it.
 func (m *Monitor) notePromotion(e obs.Event) {
 	s := m.svc(e.Service)
 	m.checks[ruleMembership]++
+	if !s.window && e.Node == s.early && e.Count == 0 {
+		return
+	}
 	if !s.window && s.primary != "" && s.primary != e.Node && m.alive(s.primary) {
 		m.record(ruleMembership, e, "promotion while another primary is live", 0, 0)
 	}
@@ -631,8 +631,10 @@ func KindRole(k obs.Kind) (string, bool) {
 		return "census only: fan-out and tunnel activity", true
 	case obs.KindTunnelError:
 		return "census only: counted delivery failure (frames accounted by drop kinds)", true
-	case obs.KindChainSend, obs.KindChainRecv:
+	case obs.KindChainSend:
 		return "chain-monotonic deposit-cursor sanity", true
+	case obs.KindChainRecv:
+		return "census only: the UDP channel may reorder; the receiver keeps the highest cursor", true
 	case obs.KindSuspicion:
 		return "census only: detector activity precedes reconfiguration", true
 	case obs.KindPromotion:

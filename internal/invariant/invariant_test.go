@@ -209,16 +209,32 @@ func TestChainMonotonic(t *testing.T) {
 
 func TestChainBaselineResetsOnReconfig(t *testing.T) {
 	h := newHarness(t, Config{})
-	h.pub(obs.Event{Kind: obs.KindChainRecv, Node: "s1",
+	h.pub(obs.Event{Kind: obs.KindChainSend, Node: "s1",
 		Service: testSvc, Conn: testClient, Seq: 500, Ack: 500})
 	h.pub(obs.Event{Kind: obs.KindReconfig, Node: "rd",
 		Service: testSvc, Cause: "failed", Hosts: []inet.Addr{hostS0}})
 	// After re-chaining the upstream neighbor changed; a lower cursor from
 	// the new epoch is legitimate.
-	h.pub(obs.Event{Kind: obs.KindChainRecv, Node: "s1",
+	h.pub(obs.Event{Kind: obs.KindChainSend, Node: "s1",
 		Service: testSvc, Conn: testClient, Seq: 300, Ack: 300})
 	if !h.m.Clean() {
 		t.Fatalf("new-epoch chain cursor flagged against stale baseline: %v", h.m.Violations())
+	}
+}
+
+// TestChainRecvMayArriveOutOfOrder: the acknowledgment channel is UDP, so a
+// predecessor can receive a successor's announcements out of order (the
+// receiver keeps the highest). Only what a replica announces is judged.
+func TestChainRecvMayArriveOutOfOrder(t *testing.T) {
+	h := newHarness(t, Config{})
+	for _, ack := range []uint64{1000, 2460, 3920} {
+		h.pub(obs.Event{Kind: obs.KindChainSend, Node: "s1", Service: testSvc, Conn: testClient, Ack: ack})
+	}
+	for _, ack := range []uint64{1000, 3920, 2460} {
+		h.pub(obs.Event{Kind: obs.KindChainRecv, Node: "s0", Service: testSvc, Conn: testClient, Ack: ack})
+	}
+	if !h.m.Clean() {
+		t.Fatalf("reordered chain datagrams flagged: %v", h.m.Violations())
 	}
 }
 
@@ -237,6 +253,28 @@ func TestMembershipSinglePrimary(t *testing.T) {
 	vs := violationsOf(h.m, RuleMembership)
 	if len(vs) != 1 {
 		t.Fatalf("split-brain promotion not reported: %v", h.m.Violations())
+	}
+}
+
+// TestMembershipRegistrationRace: a backup that registers before the
+// primary heads the chain alone, and a chain configuration from then can
+// reach it after the primary registered. Promoted with no connection, it is
+// demoted by the newer configuration: legal. Holding a connection, the same
+// promotion is a second primary.
+func TestMembershipRegistrationRace(t *testing.T) {
+	h := newHarness(t, Config{})
+	h.m.MapAddr(hostS0, "s0")
+	h.m.MapAddr(hostS1, "s1")
+	h.register(hostS1, false)
+	h.register(hostS0, true)
+	h.pub(obs.Event{Kind: obs.KindPromotion, Node: "s1", Service: testSvc})
+	h.pub(obs.Event{Kind: obs.KindDemotion, Node: "s1", Service: testSvc})
+	if !h.m.Clean() {
+		t.Fatalf("registration race flagged: %v", h.m.Violations())
+	}
+	h.pub(obs.Event{Kind: obs.KindPromotion, Node: "s1", Service: testSvc, Count: 1})
+	if vs := violationsOf(h.m, RuleMembership); len(vs) != 1 {
+		t.Fatalf("promotion of the early backup holding a connection not reported: %v", h.m.Violations())
 	}
 }
 

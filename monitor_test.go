@@ -75,7 +75,7 @@ func TestMonitorZeroCostWhenDetached(t *testing.T) {
 // values and the subscribers key on them. (When each emit site rendered its
 // endpoints the same stretch allocated more than two strings per event.)
 func TestAttachedObserversAllocateNothingPerEvent(t *testing.T) {
-	net, client, rd, replicas := ftTopology(t, 3, 2)
+	net, client, rd, replicas, _ := ftTopology(Config{Seed: 3}, 2, LinkConfig{})
 	sess, err := net.Instrument(Instruments{Invariants: true, SpanStats: true})
 	if err != nil {
 		t.Fatal(err)
@@ -162,7 +162,7 @@ func TestMonitorCleanOnFailover(t *testing.T) {
 	// rebuilds from the daemon's registration and reconfiguration events. If
 	// it stopped understanding them the set would be empty, both rules
 	// vacuous, and every report clean.
-	net, _, rd, replicas := ftTopology(t, 12, 3)
+	net, _, rd, replicas, _ := ftTopology(Config{Seed: 12}, 3, LinkConfig{})
 	mon := net.StartMonitor(MonitorConfig{})
 	svc, err := net.DeployFT(testSvc, rd, replicas, FTOptions{}, echoAccept())
 	if err != nil {
@@ -187,7 +187,7 @@ func TestMonitorCleanOnFailover(t *testing.T) {
 // guard the guard — if the capture hooks never saw a real event to forge,
 // the test fails rather than passing on silence.
 func TestMonitorSeededViolations(t *testing.T) {
-	net, client, rd, replicas := ftTopology(t, 13, 2)
+	net, client, rd, replicas, _ := ftTopology(Config{Seed: 13}, 2, LinkConfig{})
 	mon := net.StartMonitor(MonitorConfig{Scenario: "seeded"})
 
 	// Capture one real replica deposit and one real client-side ACK to
@@ -262,7 +262,7 @@ func TestMonitorSeededViolations(t *testing.T) {
 // degraded replica forces retransmissions and suspicions; none of them may
 // read as a safety violation.
 func TestMonitorCleanOnGrayFailure(t *testing.T) {
-	net, client, rd, replicas := ftTopology(t, 11, 3)
+	net, client, rd, replicas, _ := ftTopology(Config{Seed: 11}, 3, LinkConfig{})
 	mon := net.StartMonitor(MonitorConfig{Scenario: "gray-failure"})
 	if _, err := net.DeployFT(testSvc, rd, replicas,
 		FTOptions{Detector: DetectorParams{RetransmitThreshold: 3}}, echoAccept()); err != nil {

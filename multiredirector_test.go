@@ -4,8 +4,6 @@ import (
 	"bytes"
 	"testing"
 	"time"
-
-	"hydranet/internal/app"
 )
 
 // twoISPTopology models Figure 1: two client populations behind their own
@@ -51,14 +49,11 @@ func TestMirroredRedirectorsServeBothPopulations(t *testing.T) {
 		}
 	}
 
-	connA, _ := clientA.Dial(testSvc)
-	connB, _ := clientB.Dial(testSvc)
-	echoA, echoB := collect(connA), collect(connB)
-	app.Source(connA, []byte("population A"), false)
-	app.Source(connB, []byte("population B"), false)
+	r := &faultRun{t: t, net: net}
+	a, b := r.dial(clientA, testSvc, []byte("population A"), false), r.dial(clientB, testSvc, []byte("population B"), false)
 	net.RunFor(10 * time.Second)
-	if string(*echoA) != "population A" || string(*echoB) != "population B" {
-		t.Fatalf("echoes %q / %q", *echoA, *echoB)
+	if string(a.got) != "population A" || string(b.got) != "population B" {
+		t.Fatalf("echoes %q / %q", a.got, b.got)
 	}
 	_ = svc
 }
@@ -72,22 +67,18 @@ func TestFailoverPropagatesToMirror(t *testing.T) {
 	}
 	net.Settle()
 
-	connA, _ := clientA.Dial(testSvc)
-	connB, _ := clientB.Dial(testSvc)
-	echoA, echoB := collect(connA), collect(connB)
-	payload := bytes.Repeat([]byte("z"), 400_000)
-	app.Source(connA, payload, false)
-	app.Source(connB, payload, false)
+	r, payload := &faultRun{t: t, net: net}, bytes.Repeat([]byte("z"), 400_000)
+	a, b := r.dial(clientA, testSvc, payload, false), r.dial(clientB, testSvc, payload, false)
 	net.RunFor(100 * time.Millisecond)
 
 	svc.CrashPrimary()
 	net.RunFor(4 * time.Minute)
 
-	if !bytes.Equal(*echoA, payload) {
-		t.Errorf("client A (authority side): %d of %d bytes", len(*echoA), len(payload))
+	if !bytes.Equal(a.got, payload) {
+		t.Errorf("client A (authority side): %d of %d bytes", len(a.got), len(payload))
 	}
-	if !bytes.Equal(*echoB, payload) {
-		t.Errorf("client B (mirror side): %d of %d bytes", len(*echoB), len(payload))
+	if !bytes.Equal(b.got, payload) {
+		t.Errorf("client B (mirror side): %d of %d bytes", len(b.got), len(payload))
 	}
 	// The mirror's table must have dropped the dead primary.
 	e := rd2.Table().Lookup(testSvc)
@@ -111,11 +102,9 @@ func TestMirrorAddedLateConverges(t *testing.T) {
 	if rd2.Table().Lookup(testSvc) == nil {
 		t.Fatal("late mirror did not converge")
 	}
-	connB, _ := clientB.Dial(testSvc)
-	echoB := collect(connB)
-	app.Source(connB, []byte("late but served"), false)
+	b := (&faultRun{t: t, net: net}).dial(clientB, testSvc, []byte("late but served"), false)
 	net.RunFor(10 * time.Second)
-	if string(*echoB) != "late but served" {
-		t.Fatalf("echo = %q", *echoB)
+	if string(b.got) != "late but served" {
+		t.Fatalf("echo = %q", b.got)
 	}
 }

@@ -38,7 +38,7 @@ func streamClient(t *testing.T, net *Net, client *Host, payload []byte) *int {
 }
 
 func TestSnapshotAndFailoverTimeline(t *testing.T) {
-	net, client, rd, replicas := ftTopology(t, 7, 3)
+	net, client, rd, replicas, _ := ftTopology(Config{Seed: 7}, 3, LinkConfig{})
 	svc, err := net.DeployFT(testSvc, rd, replicas,
 		FTOptions{Detector: DetectorParams{RetransmitThreshold: 3}}, echoAccept())
 	if err != nil {
@@ -142,20 +142,9 @@ func TestSnapshotAndFailoverTimeline(t *testing.T) {
 // tunnel copy per chain member per match, no tunnel errors, and the fabric
 // (not the redirector) accounts the lost copies.
 func TestRedirectorStatsUnderLossyBackupLinks(t *testing.T) {
-	net := New(Config{Seed: 11})
-	client := net.AddHost("client", HostConfig{})
-	rd := net.AddRedirector("rd", HostConfig{})
-	var replicas []*Host
-	for _, name := range []string{"s0", "s1", "s2"} {
-		replicas = append(replicas, net.AddHost(name, HostConfig{}))
-	}
-	clean := LinkConfig{Rate: 10_000_000, Delay: time.Millisecond}
-	lossy := LinkConfig{Rate: 10_000_000, Delay: time.Millisecond, Loss: 0.03}
-	net.Link(client, rd.Host, clean)
-	net.Link(replicas[0], rd.Host, clean)
-	net.Link(replicas[1], rd.Host, lossy)
-	net.Link(replicas[2], rd.Host, lossy)
-	net.AutoRoute()
+	net, client, rd, replicas, links := ftTopology(Config{Seed: 11}, 3, LinkConfig{})
+	links[2].SetLoss(0.03) // s1's and s2's
+	links[3].SetLoss(0.03)
 
 	// A high threshold keeps the detector quiet, so the chain keeps all
 	// three members and the copies-per-match ratio stays fixed.

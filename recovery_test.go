@@ -4,97 +4,68 @@ import (
 	"bytes"
 	"testing"
 	"time"
-
-	"hydranet/internal/app"
 )
 
 func TestCrashWipesProtocolState(t *testing.T) {
-	net, client, rd, replicas := ftTopology(t, 21, 2)
-	if _, err := net.DeployFT(testSvc, rd, replicas, FTOptions{}, echoAccept()); err != nil {
-		t.Fatal(err)
-	}
-	net.Settle()
-	conn, _ := client.Dial(testSvc)
-	app.Source(conn, []byte("state"), false)
-	net.RunFor(2 * time.Second)
-	if got := replicas[0].TCP().NumConns(); got != 1 {
-		t.Fatalf("primary tracks %d conns before crash", got)
-	}
-	replicas[0].Crash()
-	if got := replicas[0].TCP().NumConns(); got != 0 {
-		t.Fatalf("crash left %d TCP connections behind", got)
-	}
-	if replicas[0].FTManager().Port(testSvc) != nil {
-		t.Fatal("crash left replicated-port state behind")
-	}
+	faultCase{seed: 21, replicas: 2, send: []byte("state"), steps: []step{{after: 2 * time.Second, do: func(r *faultRun) {
+		if got := r.replicas[0].TCP().NumConns(); got != 1 {
+			t.Fatalf("primary tracks %d conns before crash", got)
+		}
+		r.replicas[0].Crash()
+		if got := r.replicas[0].TCP().NumConns(); got != 0 {
+			t.Errorf("crash left %d TCP connections behind", got)
+		}
+		if r.replicas[0].FTManager().Port(testSvc) != nil {
+			t.Error("crash left replicated-port state behind")
+		}
+	}}}}.play(t)
 }
 
 func TestRecommissionAfterFailure(t *testing.T) {
-	net, client, rd, replicas := ftTopology(t, 22, 2)
-	svc, err := net.DeployFT(testSvc, rd, replicas, FTOptions{}, echoAccept())
-	if err != nil {
-		t.Fatal(err)
-	}
-	net.Settle()
-
-	// Establish a connection, crash the primary mid-stream, fail over.
-	conn1, _ := client.Dial(testSvc)
-	echoed1 := collect(conn1)
-	conn1.OnConnected(func() { conn1.Write([]byte("first")) })
-	net.RunFor(2 * time.Second)
-	svc.CrashPrimary()
-	conn1.Write([]byte("|more"))
-	net.RunFor(60 * time.Second)
-	if string(*echoed1) != "first|more" {
-		t.Fatalf("failover echo = %q", *echoed1)
-	}
-	if got := svc.Chain(); len(got) != 1 || got[0] != replicas[1].Addr() {
-		t.Fatalf("chain after failover = %v", got)
-	}
-
-	// Recover s0 and bring it back as a backup.
-	replicas[0].Restart()
-	if err := svc.Recommission(replicas[0]); err != nil {
-		t.Fatal(err)
-	}
-	net.Settle()
-	chain := svc.Chain()
-	if len(chain) != 2 || chain[0] != replicas[1].Addr() || chain[1] != replicas[0].Addr() {
-		t.Fatalf("chain after recommission = %v, want [s1 s0]", chain)
-	}
-
-	// A NEW connection is replicated onto the recommissioned host...
-	conn2, _ := client.Dial(testSvc)
-	echoed2 := collect(conn2)
 	payload := bytes.Repeat([]byte("x"), 20_000)
-	app.Source(conn2, payload, false)
-	net.RunFor(10 * time.Second)
-	if !bytes.Equal(*echoed2, payload) {
-		t.Fatalf("post-recommission echo incomplete: %d bytes", len(*echoed2))
-	}
-	if got := replicas[0].FTManager().Port(testSvc); got == nil || got.Conns() != 1 {
-		t.Fatal("recommissioned replica is not tracking the new connection")
-	}
-
-	// ...and survives the death of the current primary: full circle.
-	svc.CrashPrimary() // kills s1
-	conn2.Write([]byte("after second failover"))
-	net.RunFor(90 * time.Second)
-	want := append(append([]byte(nil), payload...), []byte("after second failover")...)
-	if !bytes.Equal(*echoed2, want) {
-		t.Fatalf("second failover onto recommissioned host failed: got %d bytes, want %d",
-			len(*echoed2), len(want))
-	}
-	if got := svc.Chain(); len(got) != 1 || got[0] != replicas[0].Addr() {
-		t.Fatalf("final chain = %v, want [s0]", got)
-	}
-	if p := svc.Primary(); p == nil || p.Host != replicas[0] {
-		t.Fatal("recommissioned host not promoted")
-	}
+	var second *stream
+	faultCase{seed: 22, replicas: 2, send: []byte("first"), steps: []step{
+		// Crash the primary mid-stream, fail over.
+		{after: 2 * time.Second, do: func(r *faultRun) { r.replicas[0].Crash(); r.conn.Write([]byte("|more")) }},
+		{after: 60 * time.Second, do: func(r *faultRun) {
+			if string(r.got) != "first|more" {
+				t.Fatalf("failover echo = %q", r.got)
+			}
+			r.wantChain(1)
+			// Recover s0 and bring it back as a backup.
+			r.replicas[0].Restart()
+			if err := r.svc.Recommission(r.replicas[0]); err != nil {
+				t.Fatal(err)
+			}
+			r.net.Settle()
+			r.wantChain(1, 0)
+			// A NEW connection is replicated onto the recommissioned host...
+			second = r.dial(r.client, testSvc, payload, false)
+		}},
+		{after: 10 * time.Second, do: func(r *faultRun) {
+			if !bytes.Equal(second.got, payload) {
+				t.Fatalf("post-recommission echo incomplete: %d bytes", len(second.got))
+			}
+			if got := r.replicas[0].FTManager().Port(testSvc); got == nil || got.Conns() != 1 {
+				t.Fatal("recommissioned replica is not tracking the new connection")
+			}
+			// ...and survives the death of the current primary: full circle.
+			r.replicas[1].Crash()
+			second.conn.Write([]byte("after second failover"))
+		}},
+		{after: 90 * time.Second},
+	}, verdict: verdict{chain: []int{0}, check: func(r *faultRun) {
+		if want := append(payload, "after second failover"...); !bytes.Equal(second.got, want) {
+			t.Errorf("second failover onto recommissioned host failed: got %d bytes, want %d", len(second.got), len(want))
+		}
+		if p := r.svc.Primary(); p == nil || p.Host != r.replicas[0] {
+			t.Error("recommissioned host not promoted")
+		}
+	}}}.play(t)
 }
 
 func TestRecommissionRequiresRestart(t *testing.T) {
-	net, _, rd, replicas := ftTopology(t, 23, 2)
+	net, _, rd, replicas, _ := ftTopology(Config{Seed: 23}, 2, LinkConfig{})
 	svc, err := net.DeployFT(testSvc, rd, replicas, FTOptions{}, echoAccept())
 	if err != nil {
 		t.Fatal(err)
@@ -107,7 +78,7 @@ func TestRecommissionRequiresRestart(t *testing.T) {
 }
 
 func TestRecommissionRejectsStranger(t *testing.T) {
-	net, _, rd, replicas := ftTopology(t, 24, 2)
+	net, _, rd, replicas, _ := ftTopology(Config{Seed: 24}, 2, LinkConfig{})
 	svc, err := net.DeployFT(testSvc, rd, replicas, FTOptions{}, echoAccept())
 	if err != nil {
 		t.Fatal(err)
@@ -122,7 +93,7 @@ func TestRecommissionRejectsStranger(t *testing.T) {
 }
 
 func TestManyClientsSurviveFailover(t *testing.T) {
-	net, _, rd, replicas := ftTopology(t, 25, 3)
+	net, _, rd, replicas, _ := ftTopology(Config{Seed: 25}, 3, LinkConfig{})
 	svc, err := net.DeployFT(testSvc, rd, replicas, FTOptions{}, echoAccept())
 	if err != nil {
 		t.Fatal(err)
@@ -138,76 +109,57 @@ func TestManyClientsSurviveFailover(t *testing.T) {
 	net.AutoRoute()
 	net.Settle()
 
-	payloads := make([][]byte, n)
-	echoes := make([]*[]byte, n)
+	r := &faultRun{t: t, net: net}
+	payloads, streams := make([][]byte, n), make([]*stream, n)
 	for i, h := range clients {
-		payload := bytes.Repeat([]byte{byte('A' + i)}, 30_000+1000*i)
-		payloads[i] = payload
-		conn, err := h.Dial(testSvc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		echoes[i] = collect(conn)
-		app.Source(conn, payload, false)
+		payloads[i] = bytes.Repeat([]byte{byte('A' + i)}, 30_000+1000*i)
+		streams[i] = r.dial(h, testSvc, payloads[i], false)
 	}
 	net.RunFor(200 * time.Millisecond)
 	svc.CrashPrimary()
 	net.RunFor(3 * time.Minute)
 
-	for i := range clients {
-		if !bytes.Equal(*echoes[i], payloads[i]) {
-			t.Errorf("client %d: echo %d of %d bytes after failover",
-				i, len(*echoes[i]), len(payloads[i]))
+	for i, s := range streams {
+		if !bytes.Equal(s.got, payloads[i]) {
+			t.Errorf("client %d: echo %d of %d bytes after failover", i, len(s.got), len(payloads[i]))
 		}
 	}
 	// Every replica carries all n connections (one per client).
-	for _, r := range svc.Replicas()[1:] {
-		if got := r.Port.Conns(); got != n {
-			t.Errorf("replica %s tracks %d conns, want %d", r.Host.Name(), got, n)
+	for _, rep := range svc.Replicas()[1:] {
+		if got := rep.Port.Conns(); got != n {
+			t.Errorf("replica %s tracks %d conns, want %d", rep.Host.Name(), got, n)
 		}
 	}
 }
 
 func TestTwoIndependentFTServices(t *testing.T) {
-	net, client, rd, replicas := ftTopology(t, 26, 2)
-	svcA := ServiceID{Addr: MustAddr("192.20.225.20"), Port: 80}
+	// Service A (testSvc): s0 primary; service B: s1 primary (reversed order).
 	svcB := ServiceID{Addr: MustAddr("192.20.225.21"), Port: 9000}
-	// Service A: s0 primary; service B: s1 primary (reversed order).
-	a, err := net.DeployFT(svcA, rd, replicas, FTOptions{}, echoAccept())
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := net.DeployFT(svcB, rd, []*Host{replicas[1], replicas[0]}, FTOptions{}, echoAccept())
-	if err != nil {
-		t.Fatal(err)
-	}
-	net.Settle()
-
-	connA, _ := client.Dial(svcA)
-	connB, _ := client.Dial(svcB)
-	echoA, echoB := collect(connA), collect(connB)
-	app.Source(connA, []byte("service A"), false)
-	app.Source(connB, []byte("service B"), false)
-	net.RunFor(5 * time.Second)
-	if string(*echoA) != "service A" || string(*echoB) != "service B" {
-		t.Fatalf("echoes: %q / %q", *echoA, *echoB)
-	}
-
-	// Crash s0: primary of A, backup of B. Both must keep working.
-	replicas[0].Crash()
-	connA.Write([]byte("|survives"))
-	connB.Write([]byte("|survives"))
-	net.RunFor(90 * time.Second)
-	if string(*echoA) != "service A|survives" {
-		t.Errorf("service A after its primary died: %q", *echoA)
-	}
-	if string(*echoB) != "service B|survives" {
-		t.Errorf("service B after its backup died: %q", *echoB)
-	}
-	if got := a.Chain(); len(got) != 1 || got[0] != replicas[1].Addr() {
-		t.Errorf("service A chain = %v", got)
-	}
-	if got := b.Chain(); len(got) != 1 || got[0] != replicas[1].Addr() {
-		t.Errorf("service B chain = %v", got)
-	}
+	var b *FTService
+	var connB *stream
+	faultCase{seed: 26, replicas: 2, send: []byte("service A"), setup: func(r *faultRun) {
+		var err error
+		if b, err = r.net.DeployFT(svcB, r.rd, []*Host{r.replicas[1], r.replicas[0]}, FTOptions{}, echoAccept()); err != nil {
+			t.Fatal(err)
+		}
+	}, steps: []step{
+		{do: func(r *faultRun) { connB = r.dial(r.client, svcB, []byte("service B"), false) }},
+		{after: 5 * time.Second, do: func(r *faultRun) {
+			if string(r.got) != "service A" || string(connB.got) != "service B" {
+				t.Fatalf("echoes: %q / %q", r.got, connB.got)
+			}
+			// Crash s0: primary of A, backup of B. Both must keep working.
+			r.replicas[0].Crash()
+			r.conn.Write([]byte("|survives"))
+			connB.conn.Write([]byte("|survives"))
+		}},
+		{after: 90 * time.Second},
+	}, verdict: verdict{echo: []byte("service A|survives"), chain: []int{1}, check: func(r *faultRun) {
+		if string(connB.got) != "service B|survives" {
+			t.Errorf("service B after its backup died: %q", connB.got)
+		}
+		if got := b.Chain(); len(got) != 1 || got[0] != r.replicas[1].Addr() {
+			t.Errorf("service B chain = %v", got)
+		}
+	}}}.play(t)
 }

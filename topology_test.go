@@ -137,7 +137,7 @@ func TestCorruptSegmentVerifiedOnlyAtEndpoints(t *testing.T) {
 // TestHostServerSharedVirtualHost: two services on one virtual host, one
 // FT and one scaling, on overlapping host sets.
 func TestHostServerSharedVirtualHost(t *testing.T) {
-	net, client, rd, replicas := ftTopology(t, 122, 2)
+	net, client, rd, replicas, _ := ftTopology(Config{Seed: 122}, 2, LinkConfig{})
 	vaddr := MustAddr("192.20.225.20")
 	ftSvc := ServiceID{Addr: vaddr, Port: 80}
 	scaleSvc := ServiceID{Addr: vaddr, Port: 8080}
