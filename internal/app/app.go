@@ -93,36 +93,7 @@ func Collect(c *tcp.Conn, out *[]byte) {
 
 // Source writes payload to the connection as buffer space allows and, if
 // closeWhenDone, closes afterwards. Call before or after the connection
-// establishes; it hooks OnConnected and OnWritable.
-func Source(c *tcp.Conn, payload []byte, closeWhenDone bool) {
-	s := &source{c: c, rest: payload, closeWhenDone: closeWhenDone}
-	feed := s.feed
-	c.OnWritable(feed)
-	c.OnConnected(feed)
-	if c.State() == tcp.StateEstablished {
-		feed()
-	}
-}
-
-// source is one Source call's progress: kept in a struct so that the call
-// costs two allocations (this and the bound method), not one per variable a
-// closure would capture.
-type source struct {
-	c             *tcp.Conn
-	rest          []byte
-	closeWhenDone bool
-}
-
-func (s *source) feed() {
-	for len(s.rest) > 0 {
-		n := s.c.Write(s.rest)
-		if n == 0 {
-			return
-		}
-		s.rest = s.rest[n:]
-	}
-	if s.closeWhenDone {
-		s.c.Close()
-		s.closeWhenDone = false
-	}
-}
+// establishes. It is tcp.Conn.WriteAll: the connection keeps the progress, so
+// the call allocates nothing, and a later OnConnected or OnWritable replaces
+// it.
+func Source(c *tcp.Conn, payload []byte, closeWhenDone bool) { c.WriteAll(payload, closeWhenDone) }

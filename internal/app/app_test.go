@@ -103,6 +103,26 @@ func TestSourceOnAlreadyEstablishedConn(t *testing.T) {
 	}
 }
 
+// TestSourceAllocatesNothing: Source keeps its progress in the connection,
+// so handing a connection a payload costs no allocation — neither before the
+// handshake nor on an established connection.
+func TestSourceAllocatesNothing(t *testing.T) {
+	sched, cs, ss, serverAddr := pairConn(t, tcp.Config{})
+	l, _ := ss.Listen(0, 9)
+	l.SetAcceptFunc(func(c *tcp.Conn) { ttcp.Sink(c) })
+	payload := make([]byte, 4096)
+	for _, established := range []bool{false, true} {
+		conn, _ := cs.Connect(0, tcp.Endpoint{Addr: serverAddr, Port: 9})
+		if established {
+			sched.RunUntil(sched.Now() + time.Second)
+			payload = nil // nothing to write, so no socket-buffer array is drawn
+		}
+		if n := testing.AllocsPerRun(100, func() { Source(conn, payload, false) }); n != 0 {
+			t.Errorf("Source on a connection in %v allocates %v times, want 0", conn.State(), n)
+		}
+	}
+}
+
 // TestEchoBacklogKeepsOneArray: Echo's writes are gated by a 2 KiB send
 // buffer, so every burst it reads waits in its backlog and drains a piece at
 // a time. The backlog used to be re-sliced from the front and re-allocated

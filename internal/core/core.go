@@ -243,11 +243,13 @@ type ReplicatedPort struct {
 
 // ftConn is per-connection chain state, and the connection's tcp.ConnHooks:
 // role, gating and limits are read when TCP asks, so a promotion, demotion or
-// chain repair needs no per-connection re-wiring.
+// chain repair needs no per-connection re-wiring. It holds the connection
+// itself too, so a replica's endpoint is one allocation.
 type ftConn struct {
-	port  *ReplicatedPort
-	conn  *tcp.Conn // nil until the SYN reaches us
-	gated bool      // snapshot of the port's gating at adoption; relax-only
+	port    *ReplicatedPort
+	conn    tcp.Conn // the listener's stack initialises it when the SYN arrives
+	adopted bool     // the SYN has arrived: conn is live
+	gated   bool     // snapshot of the port's gating at adoption; relax-only
 
 	// Limits reported by our successor. Valid once haveLimits is set;
 	// until then a gated replica neither deposits nor sends.
@@ -380,7 +382,7 @@ func (p *ReplicatedPort) SetUpstream(host ipv4.Addr) {
 	}
 	p.upstream = udp.Endpoint{Addr: host, Port: AckChannelPort}
 	for _, fc := range p.connsInOrder() {
-		if fc.conn != nil {
+		if fc.adopted {
 			fc.forwardCursors()
 		}
 	}
@@ -402,7 +404,7 @@ func (p *ReplicatedPort) SetGated(gated bool) {
 				fc.gated = false
 				fc.stall.Stop() // the gate-stall rule ends with the gate
 			}
-			if fc.conn != nil {
+			if fc.adopted {
 				fc.conn.Poke()
 			}
 		}
@@ -439,7 +441,7 @@ func (p *ReplicatedPort) Promote() {
 	}
 	for _, fc := range p.connsInOrder() {
 		fc.stopTailCount()
-		if fc.conn != nil {
+		if fc.adopted {
 			fc.conn.ForceRetransmit()
 			fc.conn.Poke()
 		}
@@ -464,23 +466,18 @@ func (p *ReplicatedPort) Demote() {
 
 // AttachListener wires a TCP listener for this service so every accepted
 // connection runs under ft-TCP hooks from the SYN onward.
-func (p *ReplicatedPort) AttachListener(l *tcp.Listener) {
-	l.SetSetupFunc(func(c *tcp.Conn) {
-		p.adopt(c)
-	})
-}
+func (p *ReplicatedPort) AttachListener(l *tcp.Listener) { l.SetSetupFunc(p.adopt) }
 
-// adopt begins managing a server-side connection.
-func (p *ReplicatedPort) adopt(c *tcp.Conn) {
-	client := c.Remote().Key()
-	fc := p.conns[client]
-	if fc == nil {
+// adopt is the listener's setup function: a SYN from client gets a record, or
+// the placeholder an early chain message left, limits and all.
+func (p *ReplicatedPort) adopt(client tcp.Endpoint) (*tcp.Conn, tcp.ConnHooks) {
+	fc := p.conns[client.Key()]
+	if fc == nil || fc.adopted {
 		fc = p.newFTConn()
-		p.conns[client] = fc
+		p.conns[client.Key()] = fc
 	}
-	fc.conn = c
-	fc.gated = p.gated
-	c.SetHooks(fc)
+	fc.adopted, fc.gated = true, p.gated
+	return &fc.conn, fc
 }
 
 // Conns returns the number of connections under management.
@@ -498,7 +495,7 @@ func (p *ReplicatedPort) onChainMsg(msg *ChainMsg) {
 		fc = p.newFTConn()
 		p.conns[client] = fc
 		p.mgr.sched.After(pendingConnTTL, func() {
-			if ghost := p.conns[client]; ghost == fc && ghost.conn == nil {
+			if ghost := p.conns[client]; ghost == fc && !ghost.adopted {
 				delete(p.conns, client)
 			}
 		})
@@ -511,7 +508,7 @@ func (p *ReplicatedPort) onChainMsg(msg *ChainMsg) {
 		fc.depositLimit = tcp.MaxSeq(fc.depositLimit, msg.RcvNxt)
 		fc.sendLimit = tcp.MaxSeq(fc.sendLimit, msg.SndNxt)
 	}
-	if fc.conn != nil {
+	if fc.adopted {
 		// The successor spoke: a hold the new limits do not clear re-arms
 		// the stall timer from now (OnGateHold, from inside Poke).
 		fc.stall.Stop()
@@ -612,11 +609,14 @@ func (fc *ftConn) OnAckProgress() {
 	fc.stopTailCount()
 }
 
-// OnClosed ends management of the connection. Cursors reported in this
-// instant still leave at its end: the last may carry the FIN's deposit.
+// OnClosed ends management of the connection, unless a newer record has
+// taken its client's entry. Cursors reported in this instant still leave at
+// its end: the last may carry the FIN's deposit.
 func (fc *ftConn) OnClosed(error) {
 	fc.stall.Stop()
-	delete(fc.port.conns, fc.conn.Remote().Key())
+	if client := fc.conn.Remote().Key(); fc.port.conns[client] == fc {
+		delete(fc.port.conns, client)
+	}
 }
 
 // forwardChain strips a suppressed segment to its flow-control fields and

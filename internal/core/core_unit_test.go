@@ -9,6 +9,7 @@ import (
 	"hydranet/internal/app"
 	"hydranet/internal/core"
 	"hydranet/internal/obs"
+	"hydranet/internal/tcp"
 )
 
 func TestPromoteDemoteIdempotent(t *testing.T) {
@@ -76,11 +77,14 @@ func TestGarbageOnAckChannelCounted(t *testing.T) {
 
 // TestChainMsgBeforeSYN: the multicast race — a successor's chain message
 // for a connection arrives before our copy of the SYN. The limits must be
-// remembered and applied once the connection exists.
+// remembered and applied once the connection exists, and the connection must
+// live in the placeholder that remembered them: the record is adopted in
+// place, not replaced.
 func TestChainMsgBeforeSYN(t *testing.T) {
 	// Give the future primary a long, slow link so its SYN copy arrives
 	// well after the backup has already processed the handshake and sent
-	// chain messages.
+	// chain messages — over a short link of their own, or they would queue
+	// behind the SYN on the slow one.
 	net := hydranet.New(hydranet.Config{Seed: 84})
 	client := net.AddHost("client", hydranet.HostConfig{})
 	rd := net.AddRedirector("rd", hydranet.HostConfig{})
@@ -91,10 +95,13 @@ func TestChainMsgBeforeSYN(t *testing.T) {
 	net.Link(client, rd.Host, fast)
 	net.Link(s0, rd.Host, slow) // primary is far away
 	net.Link(s1, rd.Host, fast) // backup is near
+	net.Link(s1, s0, fast)      // the acknowledgment channel's shortcut
 	net.AutoRoute()
-	ftsvc, err := net.DeployFT(svc, rd, []*hydranet.Host{s0, s1},
-		hydranet.FTOptions{}, func(c *hydranet.Conn) { app.Echo(c) })
-	if err != nil {
+	var accepted []*hydranet.Conn
+	if _, err := net.DeployFT(svc, rd, []*hydranet.Host{s0, s1}, hydranet.FTOptions{}, func(c *hydranet.Conn) {
+		accepted = append(accepted, c)
+		app.Echo(c)
+	}); err != nil {
 		t.Fatal(err)
 	}
 	net.Settle()
@@ -103,11 +110,40 @@ func TestChainMsgBeforeSYN(t *testing.T) {
 	var echoed []byte
 	app.Collect(conn, &echoed)
 	app.Source(conn, []byte("racing the chain"), false)
+	port := s0.FTManager().Port(svc)
+	// Step until the primary holds a record for the client: the placeholder,
+	// with the backup's limits and no connection yet.
+	var early *hydranet.Conn
+	var earlyDeposit, earlySend tcp.Seq
+	for step := 0; early == nil && step < 200; step++ {
+		net.RunFor(time.Millisecond)
+		var adopted, ok bool
+		if early, adopted, earlyDeposit, earlySend, ok = port.Record(conn.Local()); early != nil && (adopted || !ok) {
+			t.Fatalf("the primary's first record for the client: adopted %v, limits %v; want a placeholder with limits", adopted, ok)
+		}
+	}
+	if early == nil {
+		t.Fatal("no chain message reached the primary")
+	}
+	// Step until the SYN arrives: the limits must already be there.
+	for adopted := false; !adopted; {
+		net.RunFor(time.Millisecond)
+		c, a, deposit, send, ok := port.Record(conn.Local())
+		if adopted = a; adopted && (c != early || !ok || deposit.LT(earlyDeposit) || send.LT(earlySend)) {
+			t.Fatalf("adopted a different record (%v) or lost the early limits: ok %v, %v/%v after %v/%v",
+				c != early, ok, deposit, send, earlyDeposit, earlySend)
+		}
+	}
 	net.RunFor(10 * time.Second)
 	if string(echoed) != "racing the chain" {
 		t.Fatalf("echo = %q under SYN/chain race", echoed)
 	}
-	_ = ftsvc
+	if len(accepted) != 2 || (accepted[0] != early && accepted[1] != early) {
+		t.Fatalf("the primary did not accept the placeholder's connection (%d accepted)", len(accepted))
+	}
+	if n := port.Conns(); n != 1 {
+		t.Fatalf("the primary manages %d connections, want 1", n)
+	}
 }
 
 func TestAckChannelPortBusy(t *testing.T) {
@@ -149,6 +185,44 @@ func TestPendingChainEntryExpires(t *testing.T) {
 	net.RunFor(2 * time.Minute)
 	if port.Conns() != 0 {
 		t.Fatalf("placeholder leaked: %d entries after TTL", port.Conns())
+	}
+}
+
+// TestClosedRecordKeepsNewerEntry: a record whose connection closes removes
+// its client's entry only while the entry is still that record. Here the
+// listener's setup function runs for the client endpoint of a live
+// connection, so a newer record takes the entry (the stack itself hands such
+// a SYN to the live connection); the first one's close must leave the newer
+// record managed.
+func TestClosedRecordKeepsNewerEntry(t *testing.T) {
+	net := hydranet.New(hydranet.Config{Seed: 87})
+	client := net.AddHost("client", hydranet.HostConfig{})
+	rd := net.AddRedirector("rd", hydranet.HostConfig{})
+	s0 := net.AddHost("s0", hydranet.HostConfig{})
+	net.Link(client, rd.Host, hydranet.LinkConfig{Delay: time.Millisecond})
+	net.Link(s0, rd.Host, hydranet.LinkConfig{Delay: time.Millisecond})
+	net.AutoRoute()
+	if _, err := net.DeployFT(svc, rd, []*hydranet.Host{s0}, hydranet.FTOptions{},
+		func(c *hydranet.Conn) { app.Echo(c) }); err != nil {
+		t.Fatal(err)
+	}
+	net.Settle()
+	conn, _ := client.Dial(svc)
+	app.Source(conn, []byte("first"), false)
+	net.RunFor(time.Second)
+	port := s0.FTManager().Port(svc)
+	first, _, _, _, _ := port.Record(conn.Local())
+	if first == nil || first.State() != tcp.StateEstablished {
+		t.Fatal("the first connection is not established")
+	}
+	newer, _ := port.Adopt(conn.Local())
+	if newer == first || port.Conns() != 1 {
+		t.Fatalf("a SYN for a live record's client: new record %v, %d records; want a new one, 1", newer != first, port.Conns())
+	}
+	first.Abort()
+	net.RunFor(time.Second)
+	if c, _, _, _, _ := port.Record(conn.Local()); c != newer {
+		t.Fatal("the closed record deleted the newer record's entry")
 	}
 }
 

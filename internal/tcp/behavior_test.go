@@ -25,7 +25,7 @@ func TestSlowStartGrowth(t *testing.T) {
 		}
 	})
 	c, _ := e.client.Connect(0, Endpoint{Addr: e.serverAddr, Port: 80})
-	pump(c, pattern(120_000), true)
+	c.WriteAll(pattern(120_000), true)
 	e.sched.RunUntil(10 * time.Second)
 	if len(departures) < 20 {
 		t.Fatalf("only %d data segments", len(departures))
@@ -79,7 +79,7 @@ func TestReadAfterPeerClose(t *testing.T) {
 	var srv *Conn
 	l.SetAcceptFunc(func(c *Conn) { srv = c }) // server app does NOT read yet
 	c, _ := e.client.Connect(0, Endpoint{Addr: e.serverAddr, Port: 80})
-	pump(c, []byte("parting words"), true)
+	c.WriteAll([]byte("parting words"), true)
 	e.sched.RunUntil(5 * time.Second)
 	if srv == nil || !srv.PeerClosed() {
 		t.Fatal("server did not reach CLOSE-WAIT")
@@ -101,7 +101,7 @@ func TestWindowUpdateResumesFlow(t *testing.T) {
 	var srv *Conn
 	l.SetAcceptFunc(func(c *Conn) { srv = c })
 	c, _ := e.client.Connect(0, Endpoint{Addr: e.serverAddr, Port: 80})
-	pump(c, pattern(12_000), false)
+	c.WriteAll(pattern(12_000), false)
 	e.sched.RunUntil(3 * time.Second) // receiver full at 4096
 	if srv.Readable() != 4096 {
 		t.Fatalf("readable = %d, want full buffer", srv.Readable())
@@ -141,7 +141,7 @@ func BenchmarkBulkTransfer(b *testing.B) {
 		l, _ := e.server.Listen(0, 80)
 		l.SetAcceptFunc(func(c *Conn) { attachSink(c) })
 		c, _ := e.client.Connect(0, Endpoint{Addr: e.serverAddr, Port: 80})
-		pump(c, make([]byte, 1<<20), true)
+		c.WriteAll(make([]byte, 1<<20), true)
 		e.sched.RunUntil(e.sched.Now() + 10*time.Minute)
 	}
 	b.SetBytes(1 << 20)

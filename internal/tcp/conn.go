@@ -128,8 +128,9 @@ func (s *ConnStats) accumulate(o ConnStats) {
 	s.PeerRetransmits += o.PeerRetransmits
 }
 
-// Conn is one TCP endpoint, and one allocation: the bookkeeping of its
-// buffers, the RTO estimator and the timers are embedded by value.
+// Conn is one TCP endpoint, and one allocation or part of one (a listener's
+// setup function may supply the memory): the bookkeeping of its buffers, the
+// RTO estimator, the timers and WriteAll's outbox are embedded by value.
 type Conn struct {
 	stack  *Stack
 	local  Endpoint
@@ -189,6 +190,9 @@ type Conn struct {
 
 	txSeg Segment // scratch for sendSegment
 
+	outbox     []byte // WriteAll's bytes still to write
+	closeAfter bool   // WriteAll's Close once the outbox is written
+
 	onConnected func()
 	onReadable  func()
 	onWritable  func()
@@ -196,8 +200,10 @@ type Conn struct {
 	terminated  bool
 }
 
-func newConn(st *Stack, local, remote Endpoint) *Conn {
-	c := &Conn{
+// initConn makes c, zeroed memory that the caller allocated, a connection of
+// st between local and remote.
+func (c *Conn) initConn(st *Stack, local, remote Endpoint) {
+	*c = Conn{
 		stack:             st,
 		local:             local,
 		remote:            remote,
@@ -213,7 +219,6 @@ func newConn(st *Stack, local, remote Endpoint) *Conn {
 	c.rtx.InitHandler(st.sched, (*rtxExpiry)(c))
 	c.delack.InitHandler(st.sched, (*delackExpiry)(c))
 	c.persist.InitHandler(st.sched, (*persistExpiry)(c))
-	return c
 }
 
 // A *Conn converted to one of these types is the sim.Handler of the timer
@@ -290,18 +295,17 @@ func (c *Conn) SetNoDelay(on bool) { c.noDelay = on }
 // into two segments; callers that care should check WriteFree first.
 func (c *Conn) SetSegmentPerWrite(on bool) { c.sndBuf.marking = on }
 
-// SetHooks attaches the ft-TCP hooks (nil detaches them).
-func (c *Conn) SetHooks(h ConnHooks) { c.hooks = h }
-
-// OnConnected registers the callback fired when the handshake completes.
-func (c *Conn) OnConnected(fn func()) { c.onConnected = fn }
+// OnConnected registers the callback fired when the handshake completes. It
+// replaces a WriteAll outbox.
+func (c *Conn) OnConnected(fn func()) { c.onConnected, c.outbox, c.closeAfter = fn, nil, false }
 
 // OnReadable registers the callback fired when deposited data (or EOF)
 // becomes available.
 func (c *Conn) OnReadable(fn func()) { c.onReadable = fn }
 
 // OnWritable registers the callback fired when send-buffer space frees up.
-func (c *Conn) OnWritable(fn func()) { c.onWritable = fn }
+// It replaces a WriteAll outbox.
+func (c *Conn) OnWritable(fn func()) { c.onWritable, c.outbox, c.closeAfter = fn, nil, false }
 
 // OnClosed registers the callback fired when the connection terminates.
 // err is nil for an orderly shutdown.
@@ -321,6 +325,45 @@ func (c *Conn) Write(p []byte) int {
 	n := c.sndBuf.append(p)
 	c.output()
 	return n
+}
+
+// WriteAll writes p as send-buffer space allows and, if closeAfter, closes
+// once the last byte is written. It writes at once if the connection is
+// established, else from the handshake's completion. It takes the place of
+// the OnConnected and OnWritable callbacks until either is set again; the
+// connection keeps p, not a copy, until it is written.
+func (c *Conn) WriteAll(p []byte, closeAfter bool) {
+	c.onConnected, c.onWritable = nil, nil
+	c.outbox, c.closeAfter = p, closeAfter
+	if c.state == StateEstablished {
+		c.drain()
+	}
+}
+
+// drain writes what the outbox still holds, then closes if WriteAll asked.
+func (c *Conn) drain() {
+	for len(c.outbox) > 0 {
+		n := c.Write(c.outbox)
+		if n == 0 {
+			return
+		}
+		c.outbox = c.outbox[n:]
+	}
+	if c.closeAfter {
+		c.closeAfter = false
+		c.Close()
+	}
+}
+
+// writable is a connected or writable event: the application's callback fn
+// runs if it has set one, else the outbox drains (empty unless WriteAll,
+// which clears both callbacks, filled it).
+func (c *Conn) writable(fn func()) {
+	if fn != nil {
+		fn()
+	} else {
+		c.drain()
+	}
 }
 
 // WriteFree returns the free space in the send buffer.

@@ -74,28 +74,6 @@ func attachSink(c *Conn) *sink {
 	return s
 }
 
-// pump writes the whole payload into c as buffer space allows, closing
-// afterwards if closeWhenDone.
-func pump(c *Conn, payload []byte, closeWhenDone bool) {
-	rest := payload
-	var feed func()
-	feed = func() {
-		for len(rest) > 0 {
-			n := c.Write(rest)
-			if n == 0 {
-				return // OnWritable will call us again
-			}
-			rest = rest[n:]
-		}
-		if closeWhenDone {
-			c.Close()
-		}
-	}
-	c.OnWritable(feed)
-	c.OnConnected(feed)
-	feed()
-}
-
 func pattern(n int) []byte {
 	b := make([]byte, n)
 	for i := range b {
@@ -143,7 +121,7 @@ func TestBulkTransfer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pump(c, payload, true)
+	c.WriteAll(payload, true)
 	e.sched.RunUntil(2 * time.Minute)
 	if srv == nil {
 		t.Fatal("no connection accepted")
@@ -167,7 +145,7 @@ func TestTransferOverLossyLink(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pump(c, payload, true)
+	c.WriteAll(payload, true)
 	e.sched.RunUntil(10 * time.Minute)
 	if srv == nil || !bytes.Equal(srv.data, payload) {
 		got := 0
@@ -206,7 +184,7 @@ func TestBidirectionalEcho(t *testing.T) {
 		t.Fatal(err)
 	}
 	echoed := attachSink(c)
-	pump(c, payload, true)
+	c.WriteAll(payload, true)
 	e.sched.RunUntil(2 * time.Minute)
 	if !bytes.Equal(echoed.data, payload) {
 		t.Fatalf("echo returned %d bytes, want %d", len(echoed.data), len(payload))
@@ -339,7 +317,7 @@ func TestFastRetransmitOnSingleLoss(t *testing.T) {
 	lis.SetAcceptFunc(func(c *Conn) { srv = attachSink(c) })
 	payload := pattern(150_000)
 	c, _ := ct.Connect(0, Endpoint{Addr: sa, Port: 80})
-	pump(c, payload, true)
+	c.WriteAll(payload, true)
 	sched.RunUntil(time.Minute)
 	if !dropped {
 		t.Fatal("test never dropped a segment")
@@ -360,7 +338,7 @@ func TestZeroWindowAndReopen(t *testing.T) {
 	l.SetAcceptFunc(func(c *Conn) { srvConn = c })
 	payload := pattern(20_000)
 	c, _ := e.client.Connect(0, Endpoint{Addr: e.serverAddr, Port: 80})
-	pump(c, payload, true)
+	c.WriteAll(payload, true)
 	// Let the window fill while the server app reads nothing.
 	e.sched.RunUntil(5 * time.Second)
 	if srvConn == nil {
@@ -410,7 +388,7 @@ func TestMSSNegotiation(t *testing.T) {
 	})
 	payload := pattern(10_000)
 	c, _ := e.client.Connect(0, Endpoint{Addr: e.serverAddr, Port: 80})
-	pump(c, payload, true)
+	c.WriteAll(payload, true)
 	e.sched.RunUntil(time.Minute)
 	if srv == nil || !bytes.Equal(srv.data, payload) {
 		t.Fatal("transfer failed")
@@ -428,7 +406,7 @@ func TestWraparoundTransfer(t *testing.T) {
 	l.SetAcceptFunc(func(c *Conn) { srv = attachSink(c) })
 	payload := pattern(30_000) // crosses the 2^32 boundary
 	c, _ := e.client.Connect(0, Endpoint{Addr: e.serverAddr, Port: 80})
-	pump(c, payload, true)
+	c.WriteAll(payload, true)
 	e.sched.RunUntil(time.Minute)
 	if srv == nil || !bytes.Equal(srv.data, payload) {
 		t.Fatal("transfer across sequence wraparound failed")
@@ -493,7 +471,7 @@ func TestDuplicateDataCountsAsPeerRetransmit(t *testing.T) {
 	}
 	// Deposit gate that never opens: server receives but cannot ACK new
 	// data, so the client retransmits on timeout.
-	srvConn.SetHooks(closedGate{srvConn})
+	srvConn.hooks = closedGate{srvConn}
 	c.Write([]byte("world"))
 	before := srvConn.Stats().PeerRetransmits
 	e.sched.RunUntil(10 * time.Second)
@@ -508,7 +486,7 @@ func TestDuplicateDataCountsAsPeerRetransmit(t *testing.T) {
 // behind a dead successor it is the only signal there is.
 func TestHeldFINCountsAsPeerRetransmit(t *testing.T) {
 	e, cli, srv := establishedPair(t, Config{})
-	srv.SetHooks(closedGate{srv})
+	srv.hooks = closedGate{srv}
 	cli.Close()
 	e.sched.RunUntil(e.sched.Now() + 100*time.Millisecond)
 	if got := srv.Stats().PeerRetransmits; got != 0 || srv.PeerClosed() {
@@ -535,7 +513,7 @@ func TestAcceptedConnTimesItsRTOForEveryISS(t *testing.T) {
 		var srv *Conn
 		l.SetAcceptFunc(func(c *Conn) {
 			srv = c
-			pump(c, payload, true)
+			c.WriteAll(payload, true)
 		})
 		c, err := e.client.Connect(0, Endpoint{Addr: e.serverAddr, Port: 80})
 		if err != nil {

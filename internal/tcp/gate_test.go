@@ -39,7 +39,7 @@ func TestGatedReceiverAcksWhenTheGateOpens(t *testing.T) {
 	e, cli, srv := establishedPair(t, Config{})
 	start := cli.RcvNxt()
 	gate := &countingGate{deposit: start, send: cli.SndNxt().Add(1 << 20)}
-	cli.SetHooks(gate)
+	cli.hooks = gate
 	acks := traceAcks(e)
 	srv.SetNoDelay(true)
 	for i := 0; i < 3; i++ {
@@ -84,7 +84,7 @@ func TestGatedReceiverAcksWhenTheGateOpens(t *testing.T) {
 func TestSendGateReportsHold(t *testing.T) {
 	e, cli, srv := establishedPair(t, Config{})
 	gate := &countingGate{deposit: cli.RcvNxt().Add(1 << 20), send: cli.SndNxt().Add(100)}
-	cli.SetHooks(gate)
+	cli.hooks = gate
 	cli.SetNoDelay(true)
 	cli.Write(pattern(300))
 	if gate.holds != 1 || cli.SndNxt() != gate.send {

@@ -58,9 +58,7 @@ func (c *Conn) inputSynSent(seg *Segment) {
 	c.rtxCount = 0
 	c.rtx.Stop()
 	c.sendAck()
-	if c.onConnected != nil {
-		c.onConnected()
-	}
+	c.writable(c.onConnected)
 	c.output()
 }
 
@@ -99,9 +97,7 @@ func (c *Conn) inputSynRcvd(seg *Segment) {
 		c.acceptFn = nil
 		fn(c)
 	}
-	if c.onConnected != nil {
-		c.onConnected()
-	}
+	c.writable(c.onConnected)
 	// The handshake ACK may carry data or a FIN; fall through.
 	if len(seg.Payload) > 0 || seg.Flags.Has(FlagFIN) {
 		c.inputEstablished(seg)
@@ -229,8 +225,8 @@ func (c *Conn) processAck(seg *Segment) {
 		if c.hooks != nil {
 			c.hooks.OnAckProgress()
 		}
-		if c.onWritable != nil && c.sndBuf.free() > 0 {
-			c.onWritable()
+		if c.sndBuf.free() > 0 {
+			c.writable(c.onWritable)
 		}
 	case ack == c.sndUna:
 		c.sndWnd = int(seg.Window)

@@ -97,7 +97,7 @@ func TestSendDecision(t *testing.T) {
 			steps: []func(*env, *Conn, *sendGate){
 				func(_ *env, c *Conn, g *sendGate) {
 					g.limit = c.SndNxt().Add(150)
-					c.SetHooks(g)
+					c.hooks = g
 				},
 				write(100), write(50), closeConn,
 				func(_ *env, c *Conn, g *sendGate) {

@@ -23,7 +23,7 @@ func TestTransferOverReorderingLink(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pump(c, payload, true)
+	c.WriteAll(payload, true)
 	e.sched.RunUntil(10 * time.Minute)
 	if srv == nil || !bytes.Equal(srv.data, payload) {
 		got := 0
@@ -44,7 +44,7 @@ func TestReorderingPlusLoss(t *testing.T) {
 	l.SetAcceptFunc(func(c *Conn) { srv = attachSink(c) })
 	payload := pattern(200_000)
 	c, _ := e.client.Connect(0, Endpoint{Addr: e.serverAddr, Port: 80})
-	pump(c, payload, true)
+	c.WriteAll(payload, true)
 	e.sched.RunUntil(15 * time.Minute)
 	if srv == nil || !bytes.Equal(srv.data, payload) {
 		got := 0

@@ -209,17 +209,19 @@ func (s *Stack) NumConns() int { return len(s.conns) }
 type Listener struct {
 	stack  *Stack
 	local  Endpoint
-	setup  func(*Conn) // ft-TCP hook installation, runs at SYN time
-	accept func(*Conn) // application accept, runs when established
+	setup  func(remote Endpoint) (*Conn, ConnHooks) // ft-TCP record, runs at SYN time
+	accept func(*Conn)                              // application accept, runs when established
 }
 
 // Addr returns the endpoint the listener is bound to.
 func (l *Listener) Addr() Endpoint { return l.local }
 
-// SetSetupFunc installs a callback invoked for each new connection at SYN
-// time, before the SYN-ACK is generated. The HydraNet-FT core uses it to
-// install ConnHooks so even the handshake obeys chain gating.
-func (l *Listener) SetSetupFunc(fn func(*Conn)) { l.setup = fn }
+// SetSetupFunc installs a callback invoked for each new connection from
+// remote at SYN time, before the SYN-ACK is generated. It returns zeroed
+// memory for the connection and the connection's ConnHooks, so even the
+// handshake obeys chain gating: the HydraNet-FT core hands over the Conn
+// embedded in its per-connection record, and the stack initialises it there.
+func (l *Listener) SetSetupFunc(fn func(remote Endpoint) (*Conn, ConnHooks)) { l.setup = fn }
 
 // SetAcceptFunc installs the application's accept callback, invoked when
 // the handshake completes.
@@ -258,7 +260,8 @@ func (s *Stack) Connect(localAddr ipv4.Addr, remote Endpoint) (*Conn, error) {
 	if local.Port == 0 {
 		return nil, fmt.Errorf("tcp: no free port for a connection %s-%s", localAddr, remote)
 	}
-	c := newConn(s, local, remote)
+	c := new(Conn)
+	c.initConn(s, local, remote)
 	s.conns[keyOf(local, remote)] = c
 	c.open()
 	return c, nil
@@ -320,11 +323,15 @@ func (s *Stack) input(p *ipv4.Packet, seg *Segment) {
 		l = s.listeners[Endpoint{Port: seg.DstPort}.Key()] // wildcard
 	}
 	if l != nil && seg.Flags.Has(FlagSYN) && !seg.Flags.Has(FlagACK) {
-		c := newConn(s, local, remote)
-		c.acceptFn = l.accept
-		if l.setup != nil {
-			l.setup(c)
+		var c *Conn
+		var hooks ConnHooks
+		if l.setup == nil {
+			c = new(Conn)
+		} else {
+			c, hooks = l.setup(remote)
 		}
+		c.initConn(s, local, remote)
+		c.hooks, c.acceptFn = hooks, l.accept
 		s.conns[keyOf(local, remote)] = c
 		c.openPassive(seg)
 		return
