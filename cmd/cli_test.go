@@ -79,6 +79,9 @@ func TestCLIs(t *testing.T) {
 				// Out-of-range numbers are a bad command line too.
 				{args: []string{"-bytes", "-1", "-pcap", "neg.pcap"}, exit: 2, want: "-bytes -1: want 0 or more", none: "neg.pcap"},
 				{args: []string{"-threshold", "-2", "-audit", "th.json"}, exit: 2, want: "-threshold -2: want 1 or more", none: "th.json"},
+				{args: []string{"-replicas", "256", "-pcap", "many.pcap"}, exit: 2, want: "-replicas 256: want at most 255", none: "many.pcap"},
+				{args: []string{"-crash-at", "-1s", "-series", "ca.jsonl"}, exit: 2, want: "-crash-at -1s: want 0 or more", none: "ca.jsonl"},
+				{args: []string{"-sample-every", "-1s", "-series", "se.jsonl"}, exit: 2, want: "-sample-every -1s: want 0 or more", none: "se.jsonl"},
 				// An artifact that cannot be written is Finish's error: exit 1.
 				{args: []string{"-bytes", "65536", "-spans", "no-such-dir/s.json"}, exit: 1, want: "hydranet-sim: observers: hydranet: spans:"},
 				{args: []string{"experiment", "list"}, want: "fig4\na1\na1b\na2\na3\na4\na5\n"},
@@ -90,6 +93,7 @@ func TestCLIs(t *testing.T) {
 				{args: []string{"experiment", "a2", "-bytes", "-5", "-cpuprofile", "b.out"}, exit: 2, want: "-bytes -5: want 0 or more", none: "b.out"},
 				{args: []string{"experiment", "a1", "-loss", "-0.5", "-cpuprofile", "l.out"}, exit: 2, want: "-loss -0.5: want a probability", none: "l.out"},
 				{args: []string{"experiment", "a1", "-loss", "1.5", "-cpuprofile", "m.out"}, exit: 2, want: "-loss 1.5: want a probability", none: "m.out"},
+				{args: []string{"experiment", "a1", "-sample-every", "-1s", "-cpuprofile", "se.out"}, exit: 2, want: "-sample-every -1s: want 0 or more", none: "se.out"},
 				{args: []string{"experiment", "a1", "-invariants", "-audit", "fo.audit.json"}, want: "invariants: clean across the sweep"},
 				{bin: "hydrascope", args: []string{"audit", "fo-t3.audit.json", "-fail-on-violation"}, want: "verdict: CLEAN"},
 				// A worker that cannot write reports it; it does not panic.

@@ -112,6 +112,12 @@ func main() {
 		usage("-events: %v (try -events list)", err)
 	case *replicas < 1:
 		usage("need at least one replica")
+	case *replicas > 255:
+		usage("-replicas %d: want at most 255 (the client's link and one per replica use the 256 subnets)", *replicas)
+	case *crashAt < 0:
+		usage("-crash-at %v: want 0 or more", *crashAt)
+	case observe.SampleEvery < 0:
+		usage("-sample-every %v: want 0 or more", observe.SampleEvery)
 	case *bytes < 0:
 		usage("-bytes %d: want 0 or more", *bytes)
 	case *threshold < 0:

@@ -10,28 +10,30 @@ import (
 // Bridges for golden_test.go, which lives in package hydranet_test so it can
 // import internal/testbed (testbed imports this package).
 
-// GoldenScenario is the determinism_test.go fingerprint scenario.
-func GoldenScenario(seed int64) string { return runScenario(seed, scenarioOpts{}) }
+// GoldenScenario is determinism_test.go's fingerprint row at seed 77.
+func GoldenScenario(t *testing.T) string { return fingerprintRow(t, 77, nil) }
 
-// captureTopology builds a 4-host star with delay structure: the client sits
-// 50 µs from the redirector while both replicas hang off 1 ms backbone links,
-// and the replicas get slightly different CPU cost models so their event
-// streams are never tied.
-func captureTopology(t *testing.T, seed int64) (*Net, *Host, *Redirector, []*Host) {
-	t.Helper()
-	net := New(Config{Seed: seed})
-	client := net.AddHost("client", HostConfig{})
-	rd := net.AddRedirector("rd", HostConfig{})
-	s0 := net.AddHost("s0", HostConfig{})
-	s1 := net.AddHost("s1", HostConfig{})
-	net.Link(client, rd.Host, LinkConfig{Rate: 10_000_000, Delay: 50 * time.Microsecond})
-	backbone := LinkConfig{Rate: 10_000_000, Delay: time.Millisecond}
-	net.Link(s0, rd.Host, backbone)
-	net.Link(s1, rd.Host, backbone)
-	net.AutoRoute()
-	s0.SetProcessing(10*time.Microsecond, 0)
-	s1.SetProcessing(13*time.Microsecond, 0)
-	return net, client, rd, []*Host{s0, s1}
+// captureFailover is the FT capture scenario as a row with in's observers:
+// 1 MiB echoed through two replicas, the primary crashed 300 ms after the
+// dial. The client sits 50 µs from the redirector while both replicas hang
+// off 1 ms links, and the replicas get slightly different CPU cost models so
+// their event streams are never tied. check, when not nil, is the rest of
+// the verdict.
+func captureFailover(in Instruments, check func(*faultRun)) faultCase {
+	payload := pattern(1<<20, 31, 0)
+	return faultCase{seed: 11, replicas: 2, link: LinkConfig{Delay: 50 * time.Microsecond}, in: in, threshold: 3,
+		predeploy: func(r *faultRun) {
+			r.replicas[0].SetProcessing(10*time.Microsecond, 0)
+			r.replicas[1].SetProcessing(13*time.Microsecond, 0)
+		},
+		send:  payload,
+		steps: []step{{after: 300 * time.Millisecond, do: crashPrimary}, readAll(len(payload), 2*time.Minute)},
+		verdict: verdict{echo: payload, check: func(r *faultRun) {
+			requireReassemblyGuardsIdle(r.t, r.net)
+			if check != nil {
+				check(r)
+			}
+		}}}
 }
 
 // requireReassemblyGuardsIdle fails the test if a host's reassembler evicted a
@@ -44,46 +46,6 @@ func requireReassemblyGuardsIdle(t *testing.T, net *Net) {
 			t.Fatalf("%s: reassembler guards fired on honest traffic: %+v", h.Name(), st)
 		}
 	}
-}
-
-// runCaptureFailover runs the FT capture scenario — deploy, stream 1 MiB,
-// crash the primary at 300 ms, recover — through Instrument/Finish with the
-// named observers (the replicas are health-watched).
-func runCaptureFailover(t *testing.T, in Instruments) Summary {
-	t.Helper()
-	net, client, rd, replicas := captureTopology(t, 11)
-	sess, err := net.Instrument(in)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	svc, err := net.DeployFT(testSvc, rd, replicas,
-		FTOptions{Detector: DetectorParams{RetransmitThreshold: 3}}, echoAccept())
-	if err != nil {
-		t.Fatal(err)
-	}
-	net.Settle()
-
-	payload := make([]byte, 1024*1024)
-	for i := range payload {
-		payload[i] = byte(i * 31)
-	}
-	received := streamClient(t, net, client, payload)
-
-	net.RunFor(300 * time.Millisecond)
-	svc.CrashPrimary()
-	for *received < len(payload) && net.Now() < 2*time.Minute {
-		net.RunFor(time.Second)
-	}
-	if *received != len(payload) {
-		t.Fatalf("client received %d of %d bytes", *received, len(payload))
-	}
-	sum, err := sess.Finish()
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireReassemblyGuardsIdle(t, net)
-	return sum
 }
 
 func mustRead(t *testing.T, path string) []byte {
@@ -105,7 +67,7 @@ func GoldenCapture(t *testing.T) (pcap, series []byte) {
 		Series:      filepath.Join(dir, "golden.jsonl"),
 		SampleEvery: 50 * time.Millisecond,
 	}
-	runCaptureFailover(t, in)
+	captureFailover(in, nil).play(t)
 	return mustRead(t, in.Pcap), mustRead(t, in.Series)
 }
 
@@ -119,6 +81,6 @@ func GoldenCaptureSpansAudit(t *testing.T) (spans, audit []byte) {
 		Spans: filepath.Join(dir, "golden.spans.json"),
 		Audit: filepath.Join(dir, "golden.audit.json"),
 	}
-	runCaptureFailover(t, in)
+	captureFailover(in, nil).play(t)
 	return mustRead(t, in.Spans), mustRead(t, in.Audit)
 }

@@ -3,6 +3,7 @@ package hydranet
 import (
 	"bytes"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -14,15 +15,18 @@ import (
 // Figure-3 star (ftTopology): the service on every replica, one client
 // connection that writes send at the dial (and then closes, with close),
 // and steps that drive the run and inject its faults. Every run is
-// monitored: zero invariant violations is part of every verdict.
+// monitored: zero invariant violations is part of every verdict, which is
+// judged after the session's Finish.
 type faultCase struct {
 	seed      int64
 	replicas  int
 	tcp       TCPConfig
-	link      LinkConfig  // jitter and loss on every link
+	link      LinkConfig  // jitter and loss on every link; Delay, when set, on the client's only
+	in        Instruments // the run's observers; the invariant monitor is always on
 	accept    func(*Conn) // the service; an echo when nil
 	threshold int         // the detector's retransmission threshold
 	heartbeat time.Duration
+	predeploy func(*faultRun) // after the observers attach, before the deploy
 	setup     func(*faultRun) // after the deploy, before the settle and the dial
 	send      []byte
 	close     bool
@@ -53,7 +57,10 @@ type verdict struct {
 	chain   []int  // the service's chain, by replica index
 	noConns bool   // no replica holds a connection
 	quiet   bool   // no client retransmission or duplicate ACK, no suspicion
-	check   func(*faultRun)
+	// finishErr is what Session.Finish's error must say; it must succeed
+	// when empty.
+	finishErr string
+	check     func(*faultRun)
 }
 
 // faultRun is a faultCase being played; *stream is its client connection.
@@ -66,7 +73,9 @@ type faultRun struct {
 	replicas []*Host
 	links    []*netsim.Link // the client's, then each replica's
 	svc      *FTService
-	armed    []step // echoed-byte steps that have not fired
+	sess     *Session // the row's observers
+	sum      Summary  // what sess.Finish reported, for the verdict
+	armed    []step   // echoed-byte steps that have not fired
 }
 
 // stream is one client connection and what it has read so far.
@@ -80,15 +89,20 @@ type stream struct {
 	onRead   func()
 }
 
-// play builds and monitors the star, deploys, dials, plays the steps in
-// order and checks the verdict.
+// play builds the star, attaches the row's observers and the monitor,
+// deploys, dials, plays the steps in order, finishes the session and checks
+// the verdict.
 func (fc faultCase) play(t *testing.T) {
 	t.Helper()
 	r := &faultRun{t: t}
 	r.net, r.client, r.rd, r.replicas, r.links = ftTopology(Config{Seed: fc.seed, TCP: fc.tcp}, fc.replicas, fc.link)
-	sess, err := r.net.Instrument(Instruments{Scenario: t.Name(), Invariants: true})
-	if err != nil {
+	fc.in.Invariants = true
+	var err error
+	if r.sess, err = r.net.Instrument(fc.in); err != nil {
 		t.Fatal(err)
+	}
+	if fc.predeploy != nil {
+		fc.predeploy(r)
 	}
 	accept := fc.accept
 	if accept == nil {
@@ -130,14 +144,16 @@ func (fc faultCase) play(t *testing.T) {
 			s.do(r)
 		}
 	}
-	fc.verdict.judge(r)
-	sum, err := sess.Finish()
-	if err != nil {
+	switch r.sum, err = r.sess.Finish(); {
+	case fc.finishErr == "" && err != nil:
 		t.Fatal(err)
+	case fc.finishErr != "" && (err == nil || !strings.Contains(err.Error(), fc.finishErr)):
+		t.Fatalf("Finish = %v, want the %s error", err, fc.finishErr)
 	}
-	if n := sum.Audit.TotalViolations(); n != 0 {
-		t.Errorf("%d invariant violations, the first: %v", n, sum.Audit.Violations[0])
+	if n := r.sum.Audit.TotalViolations(); n != 0 {
+		t.Errorf("%d invariant violations, the first: %v", n, r.sum.Audit.Violations[0])
 	}
+	fc.verdict.judge(r)
 }
 
 func (v verdict) judge(r *faultRun) {
@@ -208,7 +224,7 @@ func (r *faultRun) dial(from *Host, svc ServiceID, send []byte, close bool) *str
 		r.t.Fatal(err)
 	}
 	s := &stream{conn: conn, got: make([]byte, 0, len(send)), dialled: r.net.Now()}
-	buf, bus := make([]byte, 4096), r.net.Bus()
+	buf, bus := make([]byte, 8192), r.net.Bus()
 	conn.OnReadable(func() {
 		for n := conn.Read(buf); n > 0; n = conn.Read(buf) {
 			s.got = append(s.got, buf[:n]...)
@@ -225,6 +241,15 @@ func (r *faultRun) dial(from *Host, svc ServiceID, send []byte, close bool) *str
 	app.Source(conn, send, close)
 	return s
 }
+
+// readAll is a step that runs the net a second at a time until the client
+// has read n bytes, for at most limit after the dial.
+func readAll(n int, limit time.Duration) step {
+	return step{after: time.Second, limit: limit, until: func(r *faultRun) bool { return len(r.got) == n }}
+}
+
+// crashPrimary is a step action that crashes the service's primary.
+func crashPrimary(r *faultRun) { r.svc.CrashPrimary() }
 
 // crash returns a step action that crashes replica i.
 func crash(i int) func(*faultRun) { return func(r *faultRun) { r.replicas[i].Crash() } }

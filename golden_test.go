@@ -46,7 +46,7 @@ func computeGolden(t *testing.T) goldenOutputs {
 		CaptureSeries: sha(series),
 		CaptureSpans:  sha(spans),
 		CaptureAudit:  sha(audit),
-		Scenario77:    sha([]byte(hydranet.GoldenScenario(77))),
+		Scenario77:    sha([]byte(hydranet.GoldenScenario(t))),
 	}
 	for _, size := range testbed.Figure4Sizes {
 		for _, c := range testbed.Figure4Cases {
@@ -75,7 +75,7 @@ func computeGolden(t *testing.T) goldenOutputs {
 }
 
 // TestGoldenOutputs: the FT capture scenario's pcap and series exports, a
-// second run's spans and audit, the runScenario(77) fingerprint, the
+// second run's spans and audit, the fingerprintRow(77) fingerprint, the
 // 28-point Figure-4 table at 128 KiB and every experiment table at 64 KiB
 // are exactly what the commit that recorded the golden file produced.
 func TestGoldenOutputs(t *testing.T) {
@@ -115,7 +115,7 @@ func TestGoldenOutputs(t *testing.T) {
 		t.Errorf("capture audit sha256 = %s, golden %s", got.CaptureAudit, want.CaptureAudit)
 	}
 	if got.Scenario77 != want.Scenario77 {
-		t.Errorf("runScenario(77) sha256 = %s, golden %s", got.Scenario77, want.Scenario77)
+		t.Errorf("fingerprintRow(77) sha256 = %s, golden %s", got.Scenario77, want.Scenario77)
 	}
 	if len(got.Figure4At128K) != len(want.Figure4At128K) {
 		t.Fatalf("Figure-4 table has %d points, golden %d", len(got.Figure4At128K), len(want.Figure4At128K))

@@ -2,6 +2,7 @@ package hydranet
 
 import (
 	"bytes"
+	"path/filepath"
 	"slices"
 	"strings"
 	"testing"
@@ -21,66 +22,56 @@ import (
 // the replica's deposit cursor trailing the cluster while retransmissions
 // flow, within a few sampling intervals of the first retransmit.
 func TestGrayFailureDegradedBeforeDetector(t *testing.T) {
-	net, client, rd, replicas, _ := ftTopology(Config{Seed: 11}, 3, LinkConfig{})
-	if _, err := net.DeployFT(testSvc, rd, replicas,
-		FTOptions{Detector: DetectorParams{RetransmitThreshold: 3}}, echoAccept()); err != nil {
-		t.Fatal(err)
-	}
-
-	tel := net.startSampler(50*time.Millisecond, nil, nil)
-
 	var suspicions []time.Duration
-	net.Bus().Subscribe(func(e Event) {
-		suspicions = append(suspicions, e.Time)
-	}, KindSuspicion)
-
-	net.Settle()
-	payload := make([]byte, 4<<20)
-	streamClient(t, net, client, payload)
-	net.RunFor(400 * time.Millisecond)
-
-	// Gray failure: the last backup's CPU degrades to a quarter-second per
-	// frame. It stays alive, answers probes eventually, trickles deposits
-	// — and strangles the ack chain.
-	slow := replicas[len(replicas)-1]
-	slow.SetProcessing(250*time.Millisecond, 0)
-	stallAt := net.Now()
-	net.RunFor(60 * time.Second)
-
-	// The race starts at the stall: connection-establishment churn can trip
-	// the detector spuriously beforehand, so compare reaction times from
-	// the moment the gray failure begins.
-	var suspicionAt time.Duration
-	for _, at := range suspicions {
-		if at > stallAt {
-			suspicionAt = at
-			break
+	var stallAt time.Duration
+	in := Instruments{Series: filepath.Join(t.TempDir(), "gray.jsonl"), SampleEvery: 50 * time.Millisecond}
+	faultCase{seed: 11, replicas: 3, in: in, threshold: 3, send: make([]byte, 4<<20), setup: func(r *faultRun) {
+		r.net.Bus().Subscribe(func(e Event) { suspicions = append(suspicions, e.Time) }, KindSuspicion)
+	}, steps: []step{
+		// Gray failure: the last backup's CPU degrades to a quarter-second per
+		// frame. It stays alive, answers probes eventually, trickles deposits
+		// — and strangles the ack chain.
+		{after: 400 * time.Millisecond, do: func(r *faultRun) {
+			stallAt = r.net.Now()
+			r.replicas[2].SetProcessing(250*time.Millisecond, 0)
+		}},
+		{after: 60 * time.Second},
+	}, verdict: verdict{check: func(r *faultRun) {
+		// The race starts at the stall: connection-establishment churn can trip
+		// the detector spuriously beforehand, so compare reaction times from
+		// the moment the gray failure begins.
+		var suspicionAt time.Duration
+		for _, at := range suspicions {
+			if at > stallAt {
+				suspicionAt = at
+				break
+			}
 		}
-	}
-	if suspicionAt == 0 {
-		t.Fatal("detector never raised a suspicion after the stall — it did not bite")
-	}
-	scorer := tel.scorer
-	degradedAt, ok := scorer.FirstDegradedAt(slow.Name())
-	if !ok {
-		t.Fatalf("slow replica %s never scored Degraded (verdict %v)",
-			slow.Name(), scorer.Verdict(slow.Name()))
-	}
-	if degradedAt <= stallAt {
-		t.Fatalf("degraded at %v, before the stall at %v", degradedAt, stallAt)
-	}
-	if degradedAt >= suspicionAt {
-		t.Fatalf("health scorer flagged degraded at %v, detector suspected at %v — scorer must win",
-			degradedAt, suspicionAt)
-	}
-	t.Logf("stall %v → degraded %v → suspicion %v (scorer led by %v)",
-		stallAt, degradedAt, suspicionAt, suspicionAt-degradedAt)
+		if suspicionAt == 0 {
+			t.Fatal("detector never raised a suspicion after the stall — it did not bite")
+		}
+		scorer, slow := r.sess.tel.scorer, r.replicas[2]
+		degradedAt, ok := scorer.FirstDegradedAt(slow.Name())
+		if !ok {
+			t.Fatalf("slow replica %s never scored Degraded (verdict %v)",
+				slow.Name(), scorer.Verdict(slow.Name()))
+		}
+		if degradedAt <= stallAt {
+			t.Fatalf("degraded at %v, before the stall at %v", degradedAt, stallAt)
+		}
+		if degradedAt >= suspicionAt {
+			t.Fatalf("health scorer flagged degraded at %v, detector suspected at %v — scorer must win",
+				degradedAt, suspicionAt)
+		}
+		t.Logf("stall %v → degraded %v → suspicion %v (scorer led by %v)",
+			stallAt, degradedAt, suspicionAt, suspicionAt-degradedAt)
 
-	// Attribution: the healthy primary keeps the cluster-max deposit
-	// cursor and must never be blamed for the straggler's lag.
-	if at, wrongly := scorer.FirstDegradedAt(replicas[0].Name()); wrongly {
-		t.Fatalf("primary %s wrongly degraded at %v", replicas[0].Name(), at)
-	}
+		// Attribution: the healthy primary keeps the cluster-max deposit
+		// cursor and must never be blamed for the straggler's lag.
+		if at, wrongly := scorer.FirstDegradedAt(r.replicas[0].Name()); wrongly {
+			t.Fatalf("primary %s wrongly degraded at %v", r.replicas[0].Name(), at)
+		}
+	}}}.play(t)
 }
 
 // TestSamplerCadenceAndStop: the first tick fires one cadence after the
@@ -191,32 +182,12 @@ func TestSamplerZeroCostWhenStopped(t *testing.T) {
 // gates on.
 func TestSeriesExportIdenticalSeedsDiffClean(t *testing.T) {
 	runOnce := func() []byte {
-		net, client, rd, replicas, _ := ftTopology(Config{Seed: 5}, 3, LinkConfig{})
-		svc, err := net.DeployFT(testSvc, rd, replicas,
-			FTOptions{Detector: DetectorParams{RetransmitThreshold: 3}}, echoAccept())
-		if err != nil {
-			t.Fatal(err)
-		}
-		probe := net.newFailoverProbe()
-		tel := net.startSampler(50*time.Millisecond, nil, probe)
-		net.Settle()
-
 		payload := make([]byte, 512*1024)
-		received := streamClient(t, net, client, payload)
-		net.RunFor(400 * time.Millisecond)
-		svc.CrashPrimary()
-		for *received < len(payload) && net.Now() < 2*time.Minute {
-			net.RunFor(time.Second)
-		}
-		if *received != len(payload) {
-			t.Fatalf("client received %d of %d bytes", *received, len(payload))
-		}
-		tel.Stop()
-		var buf bytes.Buffer
-		if err := tel.WriteJSONL(&buf); err != nil {
-			t.Fatal(err)
-		}
-		return buf.Bytes()
+		in := Instruments{Series: filepath.Join(t.TempDir(), "run.jsonl"), SampleEvery: 50 * time.Millisecond}
+		faultCase{seed: 5, replicas: 3, in: in, threshold: 3, send: payload, steps: []step{
+			{after: 400 * time.Millisecond, do: crashPrimary}, readAll(len(payload), 2*time.Minute),
+		}, verdict: verdict{echo: payload}}.play(t)
+		return mustRead(t, in.Series)
 	}
 
 	exportA, exportB := runOnce(), runOnce()

@@ -109,7 +109,7 @@ type Net struct {
 	hosts       []*Host
 	redirectors []*Redirector
 	links       []linkInfo
-	nextSubnet  byte
+	nextSubnet  int // Link's /24s so far: 10.1.0.0 … 10.255.0.0, then 10.0.0.0
 
 	// Taps registered by the capture and the monitor; see capture.go. Kept
 	// here so they can share the fabric's single tap slot.
@@ -367,10 +367,14 @@ func (n *Net) AddRouter(name string, cfg HostConfig) *Host {
 }
 
 // Link connects two hosts with auto-assigned addresses 10.k.0.1/10.k.0.2 on
-// a fresh /24. Use LinkAddr for explicit addressing.
+// a fresh /24. There are 256 such subnets; a 257th Link panics. Use
+// LinkAddr for explicit addressing.
 func (n *Net) Link(a, b *Host, cfg LinkConfig) *netsim.Link {
+	if n.nextSubnet == 256 {
+		panic("hydranet: Link: all 256 auto-assigned subnets 10.k.0.0/24 are taken; use LinkAddr")
+	}
 	n.nextSubnet++
-	k := n.nextSubnet
+	k := byte(n.nextSubnet)
 	return n.LinkAddr(a, b, cfg,
 		ipv4.AddrFrom4(10, k, 0, 1), ipv4.AddrFrom4(10, k, 0, 2))
 }

@@ -1,6 +1,7 @@
 package hydranet
 
 import (
+	"cmp"
 	"testing"
 	"time"
 
@@ -11,14 +12,16 @@ import (
 
 // ftTopology builds the paper's Figure 3 setup: a client and nReplicas host
 // servers s0, s1, …, each on its own 10 Mbit/s, 1 ms link to the
-// redirector rd, with link's jitter and loss. The links come back client's
-// first, then the replicas' in order.
+// redirector rd, with link's jitter and loss. link's Delay, when set, is the
+// client's link's instead. The links come back client's first, then the
+// replicas' in order.
 func ftTopology(cfg Config, nReplicas int, link LinkConfig) (*Net, *Host, *Redirector, []*Host, []*netsim.Link) {
 	net := New(cfg)
 	client := net.AddHost("client", HostConfig{})
 	rd := net.AddRedirector("rd", HostConfig{})
-	link.Rate, link.Delay = 10_000_000, time.Millisecond
+	link.Rate, link.Delay = 10_000_000, cmp.Or(link.Delay, time.Millisecond)
 	links := []*netsim.Link{net.Link(client, rd.Host, link)}
+	link.Delay = time.Millisecond
 	var replicas []*Host
 	for i := 0; i < nReplicas; i++ {
 		h := net.AddHost("s"+string(rune('0'+i)), HostConfig{})

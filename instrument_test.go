@@ -117,43 +117,46 @@ func TestInstrumentEverythingOn(t *testing.T) {
 		Series:   filepath.Join(dir, "series.jsonl"),
 		Audit:    filepath.Join(dir, "run.audit.json"),
 	}
-	sum := runCaptureFailover(t, in)
-
-	if sum.Audit == nil || !sum.Audit.Clean {
-		t.Fatalf("audit = %+v, want clean", sum.Audit)
-	}
-	if r := sum.Failover; !r.Complete || r.CrashAt != 1300*time.Millisecond {
-		t.Errorf("fail-over report %+v, want complete with the crash at 1.3s", r)
-	}
-
-	if n := requireWellFormedPcap(t, in.Pcap); uint64(n) != sum.PcapRecords || sum.PcapInner == 0 {
-		t.Errorf("pcap holds %d records, Summary says %d (%d inner)", n, sum.PcapRecords, sum.PcapInner)
-	}
-	if sr, err := scope.LoadSpanFile(in.Spans); err != nil || len(sr.Timelines) == 0 ||
-		sr.AckChainLagMS.Count != sum.AckChainLag.Count || sum.AckChainLag.Count == 0 {
-		t.Errorf("span file: %v (Summary lag count %d)", err, sum.AckChainLag.Count)
-	}
-	run, err := scope.LoadRunFile(in.Series)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if run.Meta.Failover == nil || !run.Meta.Failover.Complete || len(run.Names()) != sum.Series || run.Meta.Ticks != sum.Ticks {
-		t.Errorf("series meta %+v with %d series, Summary says %d series, %d ticks",
-			run.Meta, len(run.Names()), sum.Series, sum.Ticks)
-	}
-	// One rule for what series contain: span columns because spans are on,
-	// health verdicts because replicas are watched.
-	for _, name := range []string{"spans.ack_chain_lag_samples", "health.s0", "health.s1"} {
-		if run.Get(name) == nil {
-			t.Errorf("series export lacks %s", name)
+	captureFailover(in, func(r *faultRun) {
+		sum := r.sum
+		if sum.Audit == nil || !sum.Audit.Clean {
+			t.Fatalf("audit = %+v, want clean", sum.Audit)
 		}
-	}
-	if a, err := scope.LoadAuditFile(in.Audit); err != nil || !a.Clean || a.Scenario != in.Scenario {
-		t.Errorf("audit file: %v", err)
-	}
+		if fo := sum.Failover; !fo.Complete || fo.CrashAt != 1300*time.Millisecond {
+			t.Errorf("fail-over report %+v, want complete with the crash at 1.3s", fo)
+		}
 
+		if n := requireWellFormedPcap(t, in.Pcap); uint64(n) != sum.PcapRecords || sum.PcapInner == 0 {
+			t.Errorf("pcap holds %d records, Summary says %d (%d inner)", n, sum.PcapRecords, sum.PcapInner)
+		}
+		if sr, err := scope.LoadSpanFile(in.Spans); err != nil || len(sr.Timelines) == 0 ||
+			sr.AckChainLagMS.Count != sum.AckChainLag.Count || sum.AckChainLag.Count == 0 {
+			t.Errorf("span file: %v (Summary lag count %d)", err, sum.AckChainLag.Count)
+		}
+		run, err := scope.LoadRunFile(in.Series)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if run.Meta.Failover == nil || !run.Meta.Failover.Complete || len(run.Names()) != sum.Series || run.Meta.Ticks != sum.Ticks {
+			t.Errorf("series meta %+v with %d series, Summary says %d series, %d ticks",
+				run.Meta, len(run.Names()), sum.Series, sum.Ticks)
+		}
+		// One rule for what series contain: span columns because spans are on,
+		// health verdicts because replicas are watched.
+		for _, name := range []string{"spans.ack_chain_lag_samples", "health.s0", "health.s1"} {
+			if run.Get(name) == nil {
+				t.Errorf("series export lacks %s", name)
+			}
+		}
+		if a, err := scope.LoadAuditFile(in.Audit); err != nil || !a.Clean || a.Scenario != in.Scenario {
+			t.Errorf("audit file: %v", err)
+		}
+	}).play(t)
+
+	// The monitor is on in both runs: the golden capture hashes, recorded
+	// without one, pin that it changes no byte either.
 	alone := Instruments{Pcap: filepath.Join(dir, "alone.pcap")}
-	runCaptureFailover(t, alone)
+	captureFailover(alone, nil).play(t)
 	if !bytes.Equal(mustRead(t, in.Pcap), mustRead(t, alone.Pcap)) {
 		t.Error("the pcap of the everything-on run differs from the pcap-only run's")
 	}
@@ -200,24 +203,10 @@ func requireWellFormedPcap(t *testing.T, path string) int {
 // TestFinishSurfacesPcapError: a capture whose destination stops accepting
 // writes mid-run must not end as a silently truncated file.
 func TestFinishSurfacesPcapError(t *testing.T) {
-	net, client, rd, replicas, _ := ftTopology(Config{Seed: 3}, 2, LinkConfig{})
-	sess, err := net.Instrument(Instruments{Pcap: filepath.Join(t.TempDir(), "run.pcap")})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := net.DeployFT(testSvc, rd, replicas, FTOptions{}, echoAccept()); err != nil {
-		t.Fatal(err)
-	}
-	net.Settle()
-	sess.pcapFile.Close() // the disk "fills": every later write fails
 	payload := make([]byte, 16*1024)
-	received := streamClient(t, net, client, payload)
-	for *received < len(payload) && net.Now() < time.Minute {
-		net.RunFor(time.Second)
-	}
-	if _, err := sess.Finish(); err == nil || !strings.Contains(err.Error(), "pcap") {
-		t.Fatalf("Finish = %v, want the capture's write error", err)
-	}
+	faultCase{seed: 3, replicas: 2, in: Instruments{Pcap: filepath.Join(t.TempDir(), "run.pcap")}, send: payload,
+		setup: func(r *faultRun) { r.sess.pcapFile.Close() }, // the disk "fills": every later write fails
+		steps: []step{readAll(len(payload), time.Minute)}, verdict: verdict{echo: payload, finishErr: "pcap"}}.play(t)
 }
 
 // TestInstrumentUnwritablePcap: /dev/full can be created and fails every

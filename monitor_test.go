@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"hydranet/internal/app"
 	"hydranet/internal/invariant"
 	"hydranet/internal/obs"
 	"hydranet/internal/ttcp"
@@ -121,42 +122,34 @@ func TestAttachedObserversAllocateNothingPerEvent(t *testing.T) {
 	}
 }
 
-// runMonitoredFailover runs the capture fail-over scenario under the
-// monitor and returns the audit report.
-func runMonitoredFailover(t *testing.T) AuditReport {
-	t.Helper()
-	return *runCaptureFailover(t, Instruments{Scenario: "failover", Invariants: true}).Audit
-}
-
 // TestMonitorCleanOnFailover is the paper's semantic claim as a test: a
 // crash-failover run delivers exactly-once under the monitor's full rule
 // set, and every stream rule actually evaluated (a monitor that checks
 // nothing also violates nothing).
 func TestMonitorCleanOnFailover(t *testing.T) {
-	r := runMonitoredFailover(t)
-	if !r.Clean {
-		t.Fatalf("failover scenario violated invariants:\n%v", r.Violations)
-	}
-	if !r.QuiesceChecked || r.OutstandingFrames != 0 {
-		t.Fatalf("frame conservation undecided or leaking: checked=%v outstanding=%d",
-			r.QuiesceChecked, r.OutstandingFrames)
-	}
-	exercised := map[string]bool{}
-	for _, rr := range r.Rules {
-		exercised[rr.Rule] = rr.Checks > 0
-	}
-	for _, rule := range []string{
-		invariant.RuleDeposit, invariant.RuleAck, invariant.RuleGate,
-		invariant.RuleChain, invariant.RuleMembership, invariant.RuleDelivery,
-		invariant.RuleConservation,
-	} {
-		if !exercised[rule] {
-			t.Errorf("rule %s never evaluated in a full failover run", rule)
+	captureFailover(Instruments{Scenario: "failover"}, func(run *faultRun) {
+		r := run.sum.Audit
+		if !r.QuiesceChecked || r.OutstandingFrames != 0 {
+			t.Fatalf("frame conservation undecided or leaking: checked=%v outstanding=%d",
+				r.QuiesceChecked, r.OutstandingFrames)
 		}
-	}
-	if r.Frames == 0 || r.Events == 0 {
-		t.Fatalf("monitor observed nothing: %d events, %d frames", r.Events, r.Frames)
-	}
+		exercised := map[string]bool{}
+		for _, rr := range r.Rules {
+			exercised[rr.Rule] = rr.Checks > 0
+		}
+		for _, rule := range []string{
+			invariant.RuleDeposit, invariant.RuleAck, invariant.RuleGate,
+			invariant.RuleChain, invariant.RuleMembership, invariant.RuleDelivery,
+			invariant.RuleConservation,
+		} {
+			if !exercised[rule] {
+				t.Errorf("rule %s never evaluated in a full failover run", rule)
+			}
+		}
+		if r.Frames == 0 || r.Events == 0 {
+			t.Fatalf("monitor observed nothing: %d events, %d frames", r.Events, r.Frames)
+		}
+	}).play(t)
 
 	// The gate and membership rules judge against a replica set the monitor
 	// rebuilds from the daemon's registration and reconfiguration events. If
@@ -215,12 +208,17 @@ func TestMonitorSeededViolations(t *testing.T) {
 	}
 	net.Settle()
 	payload := make([]byte, 256*1024)
-	received := streamClient(t, net, client, payload)
-	for *received < len(payload) && net.Now() < time.Minute {
+	conn, err := client.Dial(testSvc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	echoed := collect(conn)
+	app.Source(conn, payload, false)
+	for len(*echoed) < len(payload) && net.Now() < time.Minute {
 		net.RunFor(time.Second)
 	}
-	if *received != len(payload) {
-		t.Fatalf("client received %d of %d bytes", *received, len(payload))
+	if len(*echoed) != len(payload) {
+		t.Fatalf("client received %d of %d bytes", len(*echoed), len(payload))
 	}
 
 	// The faults must actually have fired material to forge.
@@ -262,29 +260,10 @@ func TestMonitorSeededViolations(t *testing.T) {
 // degraded replica forces retransmissions and suspicions; none of them may
 // read as a safety violation.
 func TestMonitorCleanOnGrayFailure(t *testing.T) {
-	net, client, rd, replicas, _ := ftTopology(Config{Seed: 11}, 3, LinkConfig{})
-	mon := net.StartMonitor(MonitorConfig{Scenario: "gray-failure"})
-	if _, err := net.DeployFT(testSvc, rd, replicas,
-		FTOptions{Detector: DetectorParams{RetransmitThreshold: 3}}, echoAccept()); err != nil {
-		t.Fatal(err)
-	}
-	net.Settle()
 	payload := make([]byte, 1<<20)
-	received := streamClient(t, net, client, payload)
-	net.RunFor(400 * time.Millisecond)
-
-	slow := replicas[len(replicas)-1]
-	slow.SetProcessing(250*time.Millisecond, 0)
-	net.RunFor(60 * time.Second)
-	for *received < len(payload) && net.Now() < 4*time.Minute {
-		net.RunFor(time.Second)
-	}
-
-	r := net.FinishAudit(mon)
-	if !r.Clean {
-		t.Fatalf("gray-failure scenario violated invariants:\n%v", r.Violations)
-	}
-	if *received != len(payload) {
-		t.Fatalf("client received %d of %d bytes", *received, len(payload))
-	}
+	faultCase{seed: 11, replicas: 3, in: Instruments{Scenario: "gray-failure"}, threshold: 3, send: payload, steps: []step{
+		{after: 400 * time.Millisecond, do: func(r *faultRun) { r.replicas[2].SetProcessing(250*time.Millisecond, 0) }},
+		{after: 60 * time.Second},
+		readAll(len(payload), 4*time.Minute),
+	}, verdict: verdict{echo: payload}}.play(t)
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"hydranet/internal/app"
 	"hydranet/internal/core"
 	"hydranet/internal/metrics"
 	"hydranet/internal/redirector"
@@ -215,9 +216,14 @@ func TestSnapshotAllocBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	net.Settle()
-	got := streamClient(t, net, client, make([]byte, 100_000))
-	if net.RunFor(10 * time.Second); *got != 100_000 {
-		t.Fatalf("client received %d of 100000 bytes", *got)
+	conn, err := client.Dial(testSvc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := collect(conn)
+	app.Source(conn, make([]byte, 100_000), false)
+	if net.RunFor(10 * time.Second); len(*got) != 100_000 {
+		t.Fatalf("client received %d of 100000 bytes", len(*got))
 	}
 	if allocs := testing.AllocsPerRun(20, func() { net.Snapshot() }); allocs > 22 {
 		t.Errorf("Net.Snapshot allocates %v times, budget 22", allocs)

@@ -2,6 +2,8 @@ package hydranet
 
 import (
 	"bytes"
+	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -171,6 +173,26 @@ func TestHostServerSharedVirtualHost(t *testing.T) {
 	if string(*e3) != "still here" {
 		t.Fatalf("FT service broken after scaling service left: %q", *e3)
 	}
+}
+
+// TestLinkPanicsPastTheLastSubnet: Link hands out 10.1.0.0/24 through
+// 10.255.0.0/24 and then 10.0.0.0/24. A 257th link would reuse the first
+// link's subnet, so it panics instead.
+func TestLinkPanicsPastTheLastSubnet(t *testing.T) {
+	net := New(Config{Seed: 1})
+	hub := net.AddHost("hub", HostConfig{})
+	for i := range 256 {
+		net.Link(net.AddHost(fmt.Sprint("h", i), HostConfig{}), hub, LinkConfig{})
+	}
+	if first, last := net.hosts[1].Addr(), net.hosts[256].Addr(); first != MustAddr("10.1.0.1") || last != MustAddr("10.0.0.1") {
+		t.Fatalf("the first and 256th links' hosts are %s and %s, want 10.1.0.1 and 10.0.0.1", first, last)
+	}
+	defer func() {
+		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "256 auto-assigned subnets") {
+			t.Fatalf("the 257th Link: recovered %v, want the subnet panic", r)
+		}
+	}()
+	net.Link(net.AddHost("h256", HostConfig{}), hub, LinkConfig{})
 }
 
 // TestLinkAddrExplicitAddressing: explicit addresses survive AutoRoute and
