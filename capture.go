@@ -5,7 +5,6 @@ import (
 	"hydranet/internal/ipv4"
 	"hydranet/internal/netsim"
 	"hydranet/internal/redirector"
-	"hydranet/internal/tcp"
 )
 
 // attachCapture attaches a packet capture to the whole network: every frame
@@ -16,11 +15,6 @@ import (
 func (n *Net) attachCapture(c *capture.Capture) {
 	n.addFrameTap(c.FrameTap())
 	n.addEncapTap(c.CaptureInner)
-}
-
-// newSpanCollector subscribes a span collector to the network's bus.
-func (n *Net) newSpanCollector() *tcp.SpanCollector {
-	return tcp.NewSpanCollector(n.bus)
 }
 
 // addFrameTap registers t and reinstalls the fabric tap, fanning out to all

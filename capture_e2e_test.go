@@ -2,21 +2,23 @@ package hydranet
 
 import (
 	"path/filepath"
+	"slices"
 	"testing"
 	"time"
 
 	"hydranet/internal/capture"
+	"hydranet/internal/scope"
 )
 
 // TestCaptureEndToEnd captures a full FT transfer and round-trips the pcap
 // through the in-repo reader: the redirector's IP-in-IP copies (protocol 4)
-// and the inner TCP segments must both be visible on the wire, and the span
-// collector's timeline must show the inbound-atomicity ordering — the chain
-// tail deposits first, the head only after its acknowledgment arrives.
+// and the inner TCP segments must both be visible on the wire, and every
+// segment's hops read off it must show the inbound-atomicity ordering — the
+// chain tail deposits first, the head only after its acknowledgment arrives.
 func TestCaptureEndToEnd(t *testing.T) {
 	payload := pattern(64*1024, 13, 0)
 	pcap := filepath.Join(t.TempDir(), "run.pcap")
-	faultCase{seed: 5, replicas: 2, in: Instruments{Pcap: pcap, SpanStats: true}, send: payload,
+	faultCase{seed: 5, replicas: 2, in: Instruments{Pcap: pcap}, send: payload,
 		steps: []step{readAll(len(payload), 2*time.Minute)}, verdict: verdict{echo: payload, check: func(run *faultRun) {
 			if run.sum.PcapInner == 0 {
 				t.Fatal("no pre-encap inner packets recorded")
@@ -64,45 +66,74 @@ func TestCaptureEndToEnd(t *testing.T) {
 					outerIPIP, innerTCP, plainTCP)
 			}
 
-			// Span timeline: the FT chain is [s0 s1], so s1 is the tail. For every
-			// span both replicas deposited, inbound atomicity demands
-			// tail deposit ≤ head chain-arrival ≤ head deposit ≤ client ACK.
-			tls := run.sess.spans.Timelines()
-			if len(tls) == 0 {
-				t.Fatal("no span timelines collected")
+			// The FT chain is [s0 s1]: for every segment the wire shows whole,
+			// inbound atomicity demands multicast ≤ the tail's datagram (its
+			// deposit) ≤ the head's first ACK (its deposit, gated on that
+			// datagram).
+			if checked := requireWireOrdering(t, scope.Timelines(f), 2); checked < 5 {
+				t.Fatalf("only %d fully-observed segments — not enough to trust the ordering check", checked)
 			}
-			checked := 0
-			for _, tl := range tls {
-				for _, s := range tl.Spans {
-					tail, head := s.Hops["s1"], s.Hops["s0"]
-					if tail == nil || head == nil || tail.DepositAt == 0 || head.DepositAt == 0 {
-						continue
+		}}}.play(t)
+}
+
+// requireWireOrdering checks inbound atomicity on every segment of tls: each
+// backup's datagram comes at or after the multicast and at or before its
+// predecessor's datagram, or the service's first ACK when the predecessor is
+// the head. It returns how many segments showed all replicas-1 datagrams and
+// a first ACK.
+func requireWireOrdering(t *testing.T, tls []*scope.Timeline, replicas int) (checked int) {
+	t.Helper()
+	if len(tls) == 0 {
+		t.Fatal("no timelines read off the capture")
+	}
+	for _, tl := range tls {
+		for _, s := range tl.Segments {
+			for _, d := range s.Datagrams {
+				next := s.FirstAckAt
+				for _, p := range s.Datagrams {
+					if p.Replica == d.To {
+						next = p.At
 					}
-					if s.MulticastAt == 0 || s.MulticastAt > tail.DepositAt {
-						t.Fatalf("span %d: multicast %v after tail deposit %v", s.Seq, s.MulticastAt, tail.DepositAt)
-					}
-					if tail.DepositAt > head.DepositAt {
-						t.Fatalf("span %d: head deposited at %v before tail at %v — inbound atomicity violated",
-							s.Seq, head.DepositAt, tail.DepositAt)
-					}
-					if head.ChainArrivalAt == 0 || head.ChainArrivalAt > head.DepositAt {
-						t.Fatalf("span %d: head deposit %v not gated on chain arrival %v",
-							s.Seq, head.DepositAt, head.ChainArrivalAt)
-					}
-					if s.ClientAckAt != 0 && s.ClientAckAt < head.DepositAt {
-						t.Fatalf("span %d: client ACK %v before head deposit %v", s.Seq, s.ClientAckAt, head.DepositAt)
-					}
-					checked++
+				}
+				if d.At < s.MulticastAt || next != 0 && next < d.At {
+					t.Fatalf("segment %d: %s's datagram at %v, multicast %v, %s's deposit %v — inbound atomicity violated",
+						uint32(s.Seq), d.Replica, d.At, s.MulticastAt, d.To, next)
 				}
 			}
-			if checked < 5 {
-				t.Fatalf("only %d fully-observed spans — not enough to trust the ordering check", checked)
+			if len(s.Datagrams) == replicas-1 && s.FirstAckAt != 0 {
+				checked++
 			}
-			if run.sum.AckChainLag.Count == 0 {
-				t.Error("ack-chain lag histogram empty despite full spans")
+		}
+	}
+	return checked
+}
+
+// TestA1cSpanFromPcap: EXPERIMENTS.md A1c's example span, read off the
+// capture of the seed-1, three-replica star — the chain tail s2 deposits
+// first, then s1, then the head s0 acknowledges, one ~2 ms beat apart.
+func TestA1cSpanFromPcap(t *testing.T) {
+	payload := make([]byte, 64*1024)
+	pcap := filepath.Join(t.TempDir(), "run.pcap")
+	faultCase{seed: 1, replicas: 3, in: Instruments{Pcap: pcap}, threshold: 3, send: payload,
+		steps: []step{readAll(len(payload), 2*time.Minute)}, verdict: verdict{echo: payload, check: func(r *faultRun) {
+			f, err := capture.ReadFile(pcap)
+			if err != nil {
+				t.Fatal(err)
 			}
-			if run.sum.DepositStall.Count == 0 {
-				t.Error("deposit-stall histogram empty despite full spans")
+			tls := scope.Timelines(f)
+			if len(tls) != 1 || len(tls[0].Segments) == 0 {
+				t.Fatalf("%d timelines, want one with segments", len(tls))
+			}
+			s := tls[0].Segments[0]
+			s1, s2 := r.replicas[1].Addr(), r.replicas[2].Addr()
+			want := []scope.Hop{{Replica: s2, To: s1, At: 1_012_780_800}, {Replica: s1, To: r.replicas[0].Addr(), At: 1_014_860_800}}
+			if uint32(s.Seq) != 3_388_865_230 || s.MulticastAt != 1_010_548_800 || !slices.Equal(s.Datagrams, want) ||
+				s.FirstAckAt != 1_016_940_800 {
+				t.Errorf("first segment %d: multicast %d, datagrams %v, first ACK %d; want A1c's 3388865230: 1010548800, %v, 1016940800",
+					uint32(s.Seq), s.MulticastAt, s.Datagrams, s.FirstAckAt, want)
+			}
+			if checked := requireWireOrdering(t, tls, 3); checked < 5 {
+				t.Errorf("only %d fully-observed segments", checked)
 			}
 		}}}.play(t)
 }

@@ -13,7 +13,7 @@
 //	-stats           print a net-wide counter summary at the end
 //	-stats-json F    write the full snapshot (with failover timeline) to F
 //
-// The observer flags (-pcap -spans -series -invariants -audit …) are
+// The observer flags (-pcap -series -invariants -audit …) are
 // testbed.ObserverFlags, shared with the experiment subcommand.
 //
 // hydranet-sim experiment <name> prints one EXPERIMENTS.md table (Figure 4
@@ -118,8 +118,8 @@ func main() {
 		usage("-crash-at %v: want 0 or more", *crashAt)
 	case observe.SampleEvery < 0:
 		usage("-sample-every %v: want 0 or more", observe.SampleEvery)
-	case *bytes < 0:
-		usage("-bytes %d: want 0 or more", *bytes)
+	case *bytes < 1:
+		usage("-bytes %d: want 1 or more", *bytes)
 	case *threshold < 0:
 		usage("-threshold %d: want 1 or more, or 0 for the detector's default", *threshold)
 	case *crashWho != "primary" && *crashWho != "backup" && *crashWho != "none":
@@ -146,7 +146,6 @@ func main() {
 
 	observe.Scenario = fmt.Sprintf("hydranet-sim replicas=%d bytes=%d crash=%s", *replicas, *bytes, *crashWho)
 	observe.Failover = true // the timeline below is part of every narration
-	observe.SpanStats = *stats
 	sess, err := net.Instrument(*observe)
 	fatal("observers", err)
 
@@ -287,9 +286,6 @@ func main() {
 		logf("pcap: %d records (%d pre-encap inner copies) written to %s",
 			sum.PcapRecords, sum.PcapInner, observe.Pcap)
 	}
-	if observe.Spans != "" {
-		logf("span timeline written to %s", observe.Spans)
-	}
 	if observe.Series != "" {
 		logf("time series (%d series, %d ticks) written to %s", sum.Series, sum.Ticks, observe.Series)
 	}
@@ -330,12 +326,6 @@ func main() {
 		sort.Slice(counts, func(i, j int) bool { return counts[i].name < counts[j].name })
 		for _, kc := range counts {
 			fmt.Printf("    %-16s %8d\n", kc.name, kc.count)
-		}
-		if lag := sum.AckChainLag; lag.Count > 0 {
-			fmt.Printf("  ack-chain lag (ms):  %s\n", lag)
-		}
-		if stall := sum.DepositStall; stall.Count > 0 {
-			fmt.Printf("  deposit stall (ms):  %s\n", stall)
 		}
 	}
 	if *statsJSON != "" {

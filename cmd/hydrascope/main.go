@@ -1,18 +1,21 @@
 // Command hydrascope analyzes exported HydraNet-FT telemetry: it renders a
-// failover timeline report from a series export, renders an invariant audit
-// report, and diffs the series exports of two runs within a tolerance,
+// failover timeline report from a series export (with each ft-TCP
+// segment's hops read off a capture), renders an invariant audit report,
+// and diffs the series exports of two runs within a tolerance,
 // exiting non-zero on regression so CI can gate on it.
 //
 // Usage:
 //
-//	hydrascope report RUN [-spans FILE]
+//	hydrascope report RUN [-pcap FILE]
 //	hydrascope audit FILE [-fail-on-violation]
 //	hydrascope diff A B [-tol 0.02]
 //
 // report loads a -series export (JSON lines) and prints the run summary:
 // the Table-2 failover phase timeline with per-phase retransmission/RTO/
 // deposit activity, replica health verdicts, and a sorted per-series table.
-// -spans adds the ft-TCP span summary.
+// -pcap adds per-hop residence read off a capture of the same run:
+// redirector in, each fan-out step, multicast → each replica's wire
+// deposit, and each acknowledgment-chain hop.
 //
 // audit loads a protocol-invariant audit report (written by the -audit
 // flag on hydranet-sim, failover and the testbed) and renders the verdict,
@@ -30,14 +33,16 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
 
+	"hydranet/internal/capture"
 	"hydranet/internal/scope"
 )
 
 func usage() {
 	fmt.Fprintf(os.Stderr, `usage:
-  hydrascope report RUN [-spans FILE]          render a run report
+  hydrascope report RUN [-pcap FILE]           render a run report
   hydrascope audit FILE [-fail-on-violation]   render an invariant audit report
   hydrascope diff A B [-tol 0.02]              diff two runs; exit 1 on regression
 `)
@@ -63,7 +68,7 @@ func main() {
 
 func report(args []string) {
 	fs := flag.NewFlagSet("report", flag.ExitOnError)
-	spansPath := fs.String("spans", "", "also summarize this span timeline JSON")
+	pcapPath := fs.String("pcap", "", "also read each ft-TCP segment's hops off this capture of the run")
 	// As in diff: re-parse past the positional so trailing flags work.
 	fs.Parse(args)
 	rest := fs.Args()
@@ -80,14 +85,17 @@ func report(args []string) {
 	if err != nil {
 		fatal(err)
 	}
-	var spans *scope.SpanReport
-	if *spansPath != "" {
-		if spans, err = scope.LoadSpanFile(*spansPath); err != nil {
+	var pcap *capture.File
+	if *pcapPath != "" {
+		if pcap, err = capture.ReadFile(*pcapPath); err != nil {
 			fatal(err)
 		}
 	}
-	if err := scope.WriteReport(os.Stdout, run, spans); err != nil {
+	if err := scope.WriteReport(os.Stdout, run); err != nil {
 		fatal(err)
+	}
+	if pcap != nil {
+		scope.WriteHops(os.Stdout, scope.Timelines(pcap))
 	}
 }
 
@@ -134,6 +142,10 @@ func diff(args []string) {
 	}
 	if len(rest) < 2 {
 		usage()
+	}
+	// NaN compares false with everything, so it would pass any difference.
+	if math.IsNaN(*tol) || math.IsInf(*tol, 0) || *tol < 0 {
+		fatal(fmt.Errorf("-tol %v: want a finite number, 0 or more", *tol))
 	}
 	pathA, pathB := rest[0], rest[1]
 

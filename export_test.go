@@ -71,16 +71,11 @@ func GoldenCapture(t *testing.T) (pcap, series []byte) {
 	return mustRead(t, in.Pcap), mustRead(t, in.Series)
 }
 
-// GoldenCaptureSpansAudit is the same capture scenario with spans and the
-// audit named instead; it returns the two files Finish wrote. It is a run of
-// its own because spans add series columns.
-func GoldenCaptureSpansAudit(t *testing.T) (spans, audit []byte) {
+// GoldenCaptureAudit is the same capture scenario with only the audit
+// named; it returns the file Finish wrote.
+func GoldenCaptureAudit(t *testing.T) []byte {
 	t.Helper()
-	dir := t.TempDir()
-	in := Instruments{
-		Spans: filepath.Join(dir, "golden.spans.json"),
-		Audit: filepath.Join(dir, "golden.audit.json"),
-	}
+	in := Instruments{Audit: filepath.Join(t.TempDir(), "golden.audit.json")}
 	captureFailover(in, nil).play(t)
-	return mustRead(t, in.Spans), mustRead(t, in.Audit)
+	return mustRead(t, in.Audit)
 }

@@ -24,7 +24,6 @@ type goldenOutputs struct {
 	RecordedAt    string   `json:"recorded_at"`
 	CapturePcap   string   `json:"capture_pcap_sha256"`
 	CaptureSeries string   `json:"capture_series_sha256"`
-	CaptureSpans  string   `json:"capture_spans_sha256"`
 	CaptureAudit  string   `json:"capture_audit_sha256"`
 	Scenario77    string   `json:"scenario77_sha256"`
 	Figure4At128K []string `json:"figure4_128k"`
@@ -40,12 +39,10 @@ func sha(b []byte) string {
 
 func computeGolden(t *testing.T) goldenOutputs {
 	pcap, series := hydranet.GoldenCapture(t)
-	spans, audit := hydranet.GoldenCaptureSpansAudit(t)
 	g := goldenOutputs{
 		CapturePcap:   sha(pcap),
 		CaptureSeries: sha(series),
-		CaptureSpans:  sha(spans),
-		CaptureAudit:  sha(audit),
+		CaptureAudit:  sha(hydranet.GoldenCaptureAudit(t)),
 		Scenario77:    sha([]byte(hydranet.GoldenScenario(t))),
 	}
 	for _, size := range testbed.Figure4Sizes {
@@ -75,7 +72,7 @@ func computeGolden(t *testing.T) goldenOutputs {
 }
 
 // TestGoldenOutputs: the FT capture scenario's pcap and series exports, a
-// second run's spans and audit, the fingerprintRow(77) fingerprint, the
+// second run's audit, the fingerprintRow(77) fingerprint, the
 // 28-point Figure-4 table at 128 KiB and every experiment table at 64 KiB
 // are exactly what the commit that recorded the golden file produced.
 func TestGoldenOutputs(t *testing.T) {
@@ -107,9 +104,6 @@ func TestGoldenOutputs(t *testing.T) {
 	}
 	if got.CaptureSeries != want.CaptureSeries {
 		t.Errorf("capture series sha256 = %s, golden %s", got.CaptureSeries, want.CaptureSeries)
-	}
-	if got.CaptureSpans != want.CaptureSpans {
-		t.Errorf("capture spans sha256 = %s, golden %s", got.CaptureSpans, want.CaptureSpans)
 	}
 	if got.CaptureAudit != want.CaptureAudit {
 		t.Errorf("capture audit sha256 = %s, golden %s", got.CaptureAudit, want.CaptureAudit)

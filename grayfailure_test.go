@@ -79,7 +79,7 @@ func TestGrayFailureDegradedBeforeDetector(t *testing.T) {
 func TestSamplerCadenceAndStop(t *testing.T) {
 	net := New(Config{Seed: 1})
 	a := net.AddHost("a", HostConfig{})
-	tel := net.startSampler(10*time.Millisecond, nil, nil)
+	tel := net.startSampler(10*time.Millisecond, nil)
 	net.RunFor(35 * time.Millisecond)
 	alive := tel.set.Get("host." + a.Name() + ".alive")
 	if tel.ticks != 3 || alive.Len() != 3 || !tel.timer.Armed() {
@@ -104,7 +104,7 @@ func TestSamplerCadenceAndStop(t *testing.T) {
 // created during the tick.
 func TestHealthWatchesEveryFTReplica(t *testing.T) {
 	net, _, rd, replicas, _ := ftTopology(Config{Seed: 3}, 3, LinkConfig{})
-	tel := net.startSampler(50*time.Millisecond, nil, nil)
+	tel := net.startSampler(50*time.Millisecond, nil)
 	if _, err := net.DeployFT(testSvc, rd, replicas[:2], FTOptions{}, echoAccept()); err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +154,7 @@ func TestSamplerZeroCostWhenStopped(t *testing.T) {
 		net.Link(a, b, LinkConfig{Rate: 100_000_000, Delay: 100 * time.Microsecond})
 		net.AutoRoute()
 		if attach {
-			tel := net.startSampler(time.Millisecond, nil, nil)
+			tel := net.startSampler(time.Millisecond, nil)
 			net.RunFor(5 * time.Millisecond) // let it tick for real
 			tel.Stop()
 		}

@@ -11,9 +11,7 @@ import (
 	"time"
 
 	"hydranet/internal/capture"
-	"hydranet/internal/metrics"
 	"hydranet/internal/obs"
-	"hydranet/internal/tcp"
 )
 
 // Instruments names the observers of one run and the files their artifacts
@@ -26,15 +24,9 @@ type Instruments struct {
 	// Pcap captures every fabric frame, plus the pre-encapsulation inner
 	// packet of every redirector tunnel copy, to this pcap file.
 	Pcap string
-	// Spans writes the per-connection ft-TCP span timeline as JSON to
-	// this file.
-	Spans string
-	// SpanStats collects span statistics (Summary.AckChainLag and
-	// DepositStall) even when Spans names no file.
-	SpanStats bool
 	// Series exports sampled time series to this file as JSON lines. They
 	// always carry the fail-over phases and health verdicts for every FT
-	// replica, and span lag/stall columns only when spans are collected.
+	// replica.
 	Series string
 	// SampleEvery is the Series cadence (default 100 ms of virtual time).
 	SampleEvery time.Duration
@@ -52,7 +44,7 @@ type Instruments struct {
 // stem without extension run → run-t3), so the runs of a sweep write
 // distinct files. Empty paths stay empty.
 func (in Instruments) Suffixed(tag string) Instruments {
-	for _, p := range []*string{&in.Pcap, &in.Spans, &in.Series, &in.Audit} {
+	for _, p := range []*string{&in.Pcap, &in.Series, &in.Audit} {
 		if *p == "" {
 			continue
 		}
@@ -76,7 +68,6 @@ type Session struct {
 	pcapBuf  *bufio.Writer // the capture writes here; Finish flushes it into pcapFile
 	capt     *capture.Capture
 	probe    *obs.FailoverProbe
-	spans    *tcp.SpanCollector
 	tel      *telemetry
 	finished bool
 }
@@ -94,19 +85,16 @@ type Summary struct {
 	// Series and Ticks count the exported series and sampler ticks.
 	Series int
 	Ticks  uint64
-	// AckChainLag and DepositStall are the span statistics (milliseconds).
-	AckChainLag, DepositStall metrics.HistogramSnapshot
 }
 
 // Instrument attaches the observers in selects, once per Net, after the
 // topology is final (taps cover the links and redirectors that exist now)
 // and before DeployFT (the monitor rebuilds replica-set membership from the
 // registration events, and every artifact starts at registration). It owns
-// the attach order — monitor, capture, fail-over probe, span collector,
-// sampler — so a caller cannot get it wrong: a second call, or one after
-// DeployFT, is an error and attaches nothing, and so is a pcap file that
-// cannot be set up: every step that can fail runs before the first observer
-// attaches. Flush with Session.Finish after the run's last RunFor.
+// the attach order — monitor, capture, fail-over probe, sampler — so a
+// caller cannot get it wrong: a second call, or one after DeployFT, is an
+// error and attaches nothing, and so is a pcap file that cannot be set up:
+// every step that can fail runs before the first observer attaches. Flush with Session.Finish after the run's last RunFor.
 func (n *Net) Instrument(in Instruments) (*Session, error) {
 	switch {
 	case n.session != nil:
@@ -138,18 +126,15 @@ func (n *Net) Instrument(in Instruments) (*Session, error) {
 	if in.Failover || in.Series != "" {
 		s.probe = n.newFailoverProbe()
 	}
-	if in.Spans != "" || in.SpanStats {
-		s.spans = n.newSpanCollector()
-	}
 	if in.Series != "" {
-		s.tel = n.startSampler(in.SampleEvery, s.spans, s.probe)
+		s.tel = n.startSampler(in.SampleEvery, s.probe)
 	}
 	return s, nil
 }
 
 // Finish detaches what reschedules itself and flushes every artifact: it
 // stops the sampler, flushes and closes the pcap and surfaces the capture's
-// sticky write error, writes spans and series, and runs the monitor's
+// sticky write error, writes the series, and runs the monitor's
 // end-of-run conservation check (decided only when the simulation is
 // quiescent) before writing the audit. Every step runs even if an earlier
 // one failed; the errors come back joined.
@@ -174,12 +159,6 @@ func (s *Session) Finish() (Summary, error) {
 	if s.capt != nil {
 		sum.PcapRecords, sum.PcapInner = s.capt.Packets(), s.capt.InnerPackets()
 		fail("pcap", errors.Join(s.capt.Err(), s.pcapBuf.Flush(), s.pcapFile.Close()))
-	}
-	if s.spans != nil {
-		sum.AckChainLag, sum.DepositStall = s.spans.AckChainLag(), s.spans.DepositStall()
-		if s.in.Spans != "" {
-			fail("spans", writeFile(s.in.Spans, s.spans.WriteJSON))
-		}
 	}
 	if s.tel != nil {
 		sum.Series, sum.Ticks = s.tel.set.Len(), s.tel.ticks

@@ -60,9 +60,9 @@ func TestInstrumentZeroValueAttachesNothing(t *testing.T) {
 func TestInstrumentOrderIsEnforced(t *testing.T) {
 	everything := func(dir string) Instruments {
 		return Instruments{
-			Pcap:  filepath.Join(dir, "x.pcap"),
-			Spans: filepath.Join(dir, "x.json"), Series: filepath.Join(dir, "x.jsonl"),
-			Audit: filepath.Join(dir, "x.audit.json"),
+			Pcap:   filepath.Join(dir, "x.pcap"),
+			Series: filepath.Join(dir, "x.jsonl"),
+			Audit:  filepath.Join(dir, "x.audit.json"),
 		}
 	}
 	requireEmpty := func(dir string) {
@@ -104,16 +104,15 @@ func TestInstrumentOrderIsEnforced(t *testing.T) {
 }
 
 // TestInstrumentEverythingOn runs the capture fail-over scenario with every
-// observer named: Finish must leave all four artifacts on disk, each
+// observer named: Finish must leave all three artifacts on disk, each
 // readable by the in-repo loader the tools use, report a clean audit and a
-// complete fail-over — and four more observers must not change one byte of
+// complete fail-over — and the other observers must not change one byte of
 // what the capture saw.
 func TestInstrumentEverythingOn(t *testing.T) {
 	dir := t.TempDir()
 	in := Instruments{
 		Scenario: "everything on",
 		Pcap:     filepath.Join(dir, "run.pcap"),
-		Spans:    filepath.Join(dir, "spans.json"),
 		Series:   filepath.Join(dir, "series.jsonl"),
 		Audit:    filepath.Join(dir, "run.audit.json"),
 	}
@@ -129,9 +128,10 @@ func TestInstrumentEverythingOn(t *testing.T) {
 		if n := requireWellFormedPcap(t, in.Pcap); uint64(n) != sum.PcapRecords || sum.PcapInner == 0 {
 			t.Errorf("pcap holds %d records, Summary says %d (%d inner)", n, sum.PcapRecords, sum.PcapInner)
 		}
-		if sr, err := scope.LoadSpanFile(in.Spans); err != nil || len(sr.Timelines) == 0 ||
-			sr.AckChainLagMS.Count != sum.AckChainLag.Count || sum.AckChainLag.Count == 0 {
-			t.Errorf("span file: %v (Summary lag count %d)", err, sum.AckChainLag.Count)
+		if f, err := capture.ReadFile(in.Pcap); err != nil {
+			t.Error(err)
+		} else if tls := scope.Timelines(f); len(tls) != 1 || len(tls[0].Segments) == 0 {
+			t.Errorf("%d FT timelines read off the pcap, want one with segments", len(tls))
 		}
 		run, err := scope.LoadRunFile(in.Series)
 		if err != nil {
@@ -141,9 +141,9 @@ func TestInstrumentEverythingOn(t *testing.T) {
 			t.Errorf("series meta %+v with %d series, Summary says %d series, %d ticks",
 				run.Meta, len(run.Names()), sum.Series, sum.Ticks)
 		}
-		// One rule for what series contain: span columns because spans are on,
-		// health verdicts because replicas are watched.
-		for _, name := range []string{"spans.ack_chain_lag_samples", "health.s0", "health.s1"} {
+		// One rule for what series contain: health verdicts because replicas
+		// are watched.
+		for _, name := range []string{"health.s0", "health.s1"} {
 			if run.Get(name) == nil {
 				t.Errorf("series export lacks %s", name)
 			}
@@ -240,9 +240,8 @@ func TestInstrumentsSuffixed(t *testing.T) {
 		{".hidden", ".hidden-t3"},
 		{"", ""},
 	} {
-		got := Instruments{Pcap: tc.path, Spans: tc.path, Series: tc.path,
-			Audit: tc.path}.Suffixed("-t3")
-		for _, p := range []string{got.Pcap, got.Spans, got.Series, got.Audit} {
+		got := Instruments{Pcap: tc.path, Series: tc.path, Audit: tc.path}.Suffixed("-t3")
+		for _, p := range []string{got.Pcap, got.Series, got.Audit} {
 			if p != tc.want {
 				t.Errorf("Suffixed(%q) = %q, want %q", tc.path, p, tc.want)
 			}

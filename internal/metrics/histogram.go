@@ -1,5 +1,6 @@
 // Package metrics provides the log-bucketed latency histogram that the TCP
-// stack's RTT samples, the span collector and counter snapshots share.
+// stack's RTT samples, counter snapshots and hydrascope's per-hop residence
+// rows share.
 package metrics
 
 import (

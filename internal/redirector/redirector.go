@@ -227,8 +227,8 @@ func (r *Redirector) intercept(p *ipv4.Packet) bool {
 			// Conn identifies the client flow and Seq carries the raw TCP
 			// sequence number: because ft-TCP derives the ISS from the
 			// 4-tuple, the same raw seq names the same client byte at every
-			// replica, which is what lets the span collector correlate this
-			// multicast with downstream deposit/ack events.
+			// replica, so this multicast lines up with the replicas'
+			// deposit and ack events.
 			ev := obs.Event{
 				Kind: obs.KindMulticast, Node: r.nodeName(),
 				Service: key,
@@ -236,9 +236,9 @@ func (r *Redirector) intercept(p *ipv4.Packet) bool {
 				Size:    e.numReplicas(),
 			}
 			if p.Proto == ipv4.ProtoTCP && len(p.Payload) >= 13 {
-				// Seq is stamped only on data-bearing segments: spans track
-				// client byte ranges, and pure ACKs would otherwise pre-claim
-				// the next data segment's sequence number.
+				// Seq is stamped only on data-bearing segments: pure ACKs
+				// would otherwise pre-claim the next data segment's sequence
+				// number.
 				dataOff := int(p.Payload[12]>>4) * 4
 				if dataOff >= 20 && len(p.Payload) > dataOff {
 					ev.Seq = uint64(uint32(p.Payload[4])<<24 | uint32(p.Payload[5])<<16 |

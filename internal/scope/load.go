@@ -1,7 +1,7 @@
-// Package scope is hydrascope's analysis engine: it loads series exports,
-// span timelines and audit reports, renders a failover
-// timeline report aligned to the paper's Table-2 phases, and diffs two runs
-// within a tolerance — the regression gate CI runs.
+// Package scope is hydrascope's analysis engine: it loads series exports
+// and audit reports, renders a failover timeline report aligned to the
+// paper's Table-2 phases, reads each ft-TCP segment's hops off a capture,
+// and diffs two runs within a tolerance — the regression gate CI runs.
 //
 // Unlike internal/series it runs offline, after the simulation, so it is
 // deliberately outside the determinism fence: it sorts whatever it loads

@@ -1,44 +1,14 @@
 package scope
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
-	"os"
 	"sort"
 	"strings"
 	"time"
 
-	"hydranet/internal/metrics"
 	"hydranet/internal/series"
 )
-
-// SpanReport mirrors the span collector's JSON output closely enough to
-// summarize it (per-timeline span counts plus the lag histograms).
-type SpanReport struct {
-	Timelines []struct {
-		Service              string            `json:"service"`
-		Client               string            `json:"client"`
-		RetransmitMulticasts uint64            `json:"retransmit_multicasts,omitempty"`
-		Spans                []json.RawMessage `json:"spans"`
-	} `json:"timelines"`
-	AckChainLagMS  metrics.HistogramSnapshot `json:"ack_chain_lag_ms"`
-	DepositStallMS metrics.HistogramSnapshot `json:"deposit_stall_ms"`
-	DroppedSpans   uint64                    `json:"dropped_spans,omitempty"`
-}
-
-// LoadSpanFile loads a span timeline JSON written by the span collector.
-func LoadSpanFile(path string) (*SpanReport, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var sr SpanReport
-	if err := json.Unmarshal(data, &sr); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	return &sr, nil
-}
 
 // phase is one window of the Table-2 decomposition; to == 0 means "until
 // the end of the run".
@@ -65,8 +35,8 @@ func windowSum(d *series.Data, from, to time.Duration) float64 {
 
 // WriteReport renders a run: header, failover timeline aligned to the
 // Table-2 phases with per-phase series activity, then a per-series summary
-// sorted by name. spans may be nil.
-func WriteReport(w io.Writer, run *Run, spans *SpanReport) error {
+// sorted by name.
+func WriteReport(w io.Writer, run *Run) error {
 	var end time.Duration
 	for i := range run.Series {
 		if pts := run.Series[i].Points; len(pts) > 0 {
@@ -157,23 +127,6 @@ func WriteReport(w io.Writer, run *Run, spans *SpanReport) error {
 			agg = d.Mean
 		}
 		fmt.Fprintf(w, "  %-52s %-7s %7d %14.6g %14.6g\n", d.Name, d.Kind, d.Count, agg, d.Max)
-	}
-
-	if spans != nil {
-		fmt.Fprintf(w, "\nft-TCP spans:\n")
-		for _, tl := range spans.Timelines {
-			fmt.Fprintf(w, "  %s ← %s: %d spans, %d retransmit multicasts\n",
-				tl.Service, tl.Client, len(tl.Spans), tl.RetransmitMulticasts)
-		}
-		if spans.AckChainLagMS.Count > 0 {
-			fmt.Fprintf(w, "  ack-chain lag (ms):  %s\n", spans.AckChainLagMS)
-		}
-		if spans.DepositStallMS.Count > 0 {
-			fmt.Fprintf(w, "  deposit stall (ms):  %s\n", spans.DepositStallMS)
-		}
-		if spans.DroppedSpans > 0 {
-			fmt.Fprintf(w, "  dropped spans: %d\n", spans.DroppedSpans)
-		}
 	}
 	return nil
 }

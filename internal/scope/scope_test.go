@@ -124,7 +124,7 @@ func TestWriteReport(t *testing.T) {
 	meta, set := reportInput()
 	run := exportJSONL(t, meta, set)
 	var buf bytes.Buffer
-	if err := WriteReport(&buf, run, nil); err != nil {
+	if err := WriteReport(&buf, run); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -148,7 +148,7 @@ func FuzzLoadRun(f *testing.F) {
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		if run, err := LoadRun(bytes.NewReader(raw)); err == nil {
-			WriteReport(io.Discard, run, nil)
+			WriteReport(io.Discard, run)
 			DiffRuns(run, run, 0)
 		}
 	})

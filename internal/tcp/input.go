@@ -309,9 +309,9 @@ func (c *Conn) depositAndAck() {
 		c.stats.BytesReceived += uint64(n)
 		if b := c.stack.bus; b.Enabled(obs.KindDeposit) {
 			// Seq is the post-deposit cursor: every byte below it has been
-			// handed to the application. Span collectors use it to place
-			// the deposit instant of each multicast span, and its gating
-			// behaviour is the inbound-atomicity rule made visible.
+			// handed to the application. The monitor checks its continuity
+			// and the ft-gate minimum, and its gating behaviour is the
+			// inbound-atomicity rule made visible.
 			b.Publish(obs.Event{
 				Kind: obs.KindDeposit, Node: c.stack.nodeName(),
 				Service: c.local, Conn: c.remote,

@@ -31,9 +31,8 @@ type FailoverConfig struct {
 	// Observe selects the run's observers and artifact files; they attach
 	// once the topology stands, before the service registers.
 	Observe hydranet.Instruments
-	// FlightPrefix and SpansPath are the names bench/ compiles against;
-	// MeasureFailover folds SpansPath into Observe (DESIGN.md §11) and
-	// ignores FlightPrefix, which names no observer.
+	// FlightPrefix and SpansPath are names bench/ compiles against;
+	// MeasureFailover ignores both, which name no observer (DESIGN.md §11).
 	FlightPrefix, SpansPath string
 }
 
@@ -73,13 +72,11 @@ func MeasureFailover(cfg FailoverConfig) FailoverResult {
 // unless NoCrash. The run lasts long enough for worst-case detection
 // (threshold retransmissions under exponential backoff) plus recovery.
 func (c FailoverConfig) scenario() scenario {
-	in := c.Observe
-	in.Spans = cmp.Or(in.Spans, c.SpansPath)
 	backups, f := cmp.Or(c.Backups, 1), crashPrimary
 	if c.NoCrash {
 		f = noFault
 	}
 	return scenario{name: fmt.Sprintf("failover threshold=%d backups=%d loss=%g", c.Threshold, backups, c.Loss),
-		seed: c.Seed, observe: in, replicas: 1 + backups, loss: c.Loss, threshold: c.Threshold,
+		seed: c.Seed, observe: c.Observe, replicas: 1 + backups, loss: c.Loss, threshold: c.Threshold,
 		fault: f, faultAt: crashAt, limit: 4 * time.Minute}
 }

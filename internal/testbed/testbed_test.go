@@ -1,6 +1,16 @@
 package testbed
 
-import "testing"
+import (
+	"path/filepath"
+	"testing"
+	"time"
+
+	"hydranet"
+	"hydranet/internal/capture"
+	"hydranet/internal/ipv4"
+	"hydranet/internal/scope"
+	"hydranet/internal/tcp"
+)
 
 func runPoint(t *testing.T, c Case, size int) float64 {
 	t.Helper()
@@ -65,6 +75,42 @@ func TestChainDepthCostsThroughput(t *testing.T) {
 	if three.ThroughputKBps() >= one.ThroughputKBps() {
 		t.Errorf("3 backups (%.0f) not slower than 1 (%.0f)",
 			three.ThroughputKBps(), one.ThroughputKBps())
+	}
+}
+
+// TestFanOutStepIsTheRouterCost reads A2's per-replica cost straight off a
+// capture: each further tunnel copy of a 1024-byte segment leaves the 486
+// redirector one copy's CPU time after the one before it, the per-packet
+// cost plus the redirector software plus the per-byte cost of the 1 084-byte
+// IP-in-IP packet (250 + 25 + 1 084 × 0.75 = 1 088 µs).
+func TestFanOutStepIsTheRouterCost(t *testing.T) {
+	pcap := filepath.Join(t.TempDir(), "a2.pcap")
+	res, _ := RunMeasured(Config{Case: CasePrimaryBackup, BufLen: 1024, TotalBytes: 64 * 1024, Seed: 1, Backups: 2,
+		Observe: hydranet.Instruments{Pcap: pcap}})
+	if res.Err != nil {
+		t.Fatal(res.Err)
+	}
+	f, err := capture.ReadFile(pcap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := router486Proc + redirectorSWCost + time.Duration(2*ipv4.HeaderLen+tcp.HeaderLen+1024)*router486PerByte
+	if want != 1088*time.Microsecond {
+		t.Fatalf("machine constants give a %v step, want 1.088ms", want)
+	}
+	tls := scope.Timelines(f)
+	if len(tls) != 1 || len(tls[0].Segments) != 64 {
+		t.Fatalf("%d timelines, want one of 64 segments", len(tls))
+	}
+	for _, s := range tls[0].Segments {
+		if len(s.Copies) != 3 {
+			t.Fatalf("segment %d: %d tunnel copies, want 3", uint32(s.Seq), len(s.Copies))
+		}
+		for i := 1; i < len(s.Copies); i++ {
+			if step := s.Copies[i].At - s.Copies[i-1].At; step != want {
+				t.Errorf("segment %d: copy %d left %v after copy %d, want %v", uint32(s.Seq), i, step, i-1, want)
+			}
+		}
 	}
 }
 

@@ -69,15 +69,15 @@ func TestMonitorZeroCostWhenDetached(t *testing.T) {
 }
 
 // TestAttachedObserversAllocateNothingPerEvent is the same contract measured
-// at the real emit sites: a two-replica transfer with the monitor and a span
-// collector attached, once every connection has its tracking slots and the
-// span list is full, allocates nothing for a deposit, ack-progress,
+// at the real emit sites: a two-replica transfer with the monitor attached,
+// once every connection has its tracking slots, allocates nothing for a
+// deposit, ack-progress,
 // chain-send, chain-recv or multicast event — the event carries endpoints as
 // values and the subscribers key on them. (When each emit site rendered its
 // endpoints the same stretch allocated more than two strings per event.)
 func TestAttachedObserversAllocateNothingPerEvent(t *testing.T) {
 	net, client, rd, replicas, _ := ftTopology(Config{Seed: 3}, 2, LinkConfig{})
-	sess, err := net.Instrument(Instruments{Invariants: true, SpanStats: true})
+	sess, err := net.Instrument(Instruments{Invariants: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,12 +93,7 @@ func TestAttachedObserversAllocateNothingPerEvent(t *testing.T) {
 		t.Fatal(err)
 	}
 	ttcp.Transmit(client.Scheduler(), conn, ttcp.Params{BufLen: 1024, Count: 1 << 30}, func(ttcp.Result) {})
-	for sess.spans.DroppedSpans() == 0 && net.Now() < time.Minute {
-		net.RunFor(time.Second)
-	}
-	if sess.spans.DroppedSpans() == 0 {
-		t.Fatal("the span list never filled: the collector still allocates a span per segment")
-	}
+	net.RunFor(5 * time.Second) // warm-up: every tracking slot and buffer exists
 
 	before := append([]uint64(nil), seen...)
 	var m0, m1 runtime.MemStats

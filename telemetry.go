@@ -4,11 +4,9 @@ import (
 	"io"
 	"time"
 
-	"hydranet/internal/metrics"
 	"hydranet/internal/obs"
 	"hydranet/internal/series"
 	"hydranet/internal/sim"
-	"hydranet/internal/tcp"
 )
 
 // defaultCadence is the sampling interval when none is given: ten ticks per
@@ -22,8 +20,8 @@ const defaultCadence = 100 * time.Millisecond
 const maxConnSeries = 4
 
 // telemetry is an attached sampling pipeline: a timer on the virtual clock
-// scrapes the net-wide snapshot diff, per-connection TCP state, span
-// statistics, redirector table sizes, link queue depths, frame-pool
+// scrapes the net-wide snapshot diff, per-connection TCP state,
+// redirector table sizes, link queue depths, frame-pool
 // occupancy and the scheduler backlog into a series.Set every cadence.
 //
 // Nothing here touches a packet path: when no telemetry is attached the
@@ -37,12 +35,9 @@ type telemetry struct {
 	every  time.Duration
 	ticks  uint64
 	scorer *series.HealthScorer
-	spans  *tcp.SpanCollector // nil: no span lag/stall columns
 	probe  *obs.FailoverProbe // nil: no fail-over phases in the export header
 
 	prev       Snapshot
-	prevLag    metrics.HistogramSnapshot
-	prevStall  metrics.HistogramSnapshot
 	prevMisses uint64
 
 	hosts   []hostSeries
@@ -67,7 +62,7 @@ type hostSeries struct {
 // The gray-failure health scorer classifies every FT replica the net has
 // deployed, each into a health.<host> gauge series: 0 healthy, 1 degraded,
 // 2 dead.
-func (n *Net) startSampler(every time.Duration, spans *tcp.SpanCollector, probe *obs.FailoverProbe) *telemetry {
+func (n *Net) startSampler(every time.Duration, probe *obs.FailoverProbe) *telemetry {
 	if every <= 0 {
 		every = defaultCadence
 	}
@@ -76,7 +71,6 @@ func (n *Net) startSampler(every time.Duration, spans *tcp.SpanCollector, probe 
 		set:    series.NewSet(),
 		scorer: series.NewHealthScorer(),
 		every:  every,
-		spans:  spans,
 		probe:  probe,
 	}
 	t.timer = sim.NewTimer(n.sched, t.tick)
@@ -185,24 +179,6 @@ func (t *telemetry) tick() {
 	t.set.Counter("pool.misses", "frames").Observe(now, float64(misses-t.prevMisses))
 	t.prevMisses = misses
 	t.set.Gauge("sched.pending", "events").Observe(now, float64(t.net.sched.Pending()))
-
-	// Span statistics: interval ack-chain lag and deposit stall.
-	if t.spans != nil {
-		lag := t.spans.AckChainLag()
-		dl := lag.Diff(t.prevLag)
-		t.prevLag = lag
-		t.set.Counter("spans.ack_chain_lag_samples", "spans").Observe(now, float64(dl.Count))
-		if dl.Count > 0 {
-			t.set.Gauge("spans.ack_chain_lag_ms", "ms").Observe(now, dl.Mean)
-		}
-		stall := t.spans.DepositStall()
-		ds := stall.Diff(t.prevStall)
-		t.prevStall = stall
-		t.set.Counter("spans.deposit_stall_samples", "spans").Observe(now, float64(ds.Count))
-		if ds.Count > 0 {
-			t.set.Gauge("spans.deposit_stall_ms", "ms").Observe(now, ds.Mean)
-		}
-	}
 
 	// Health scoring over the FT replicas: feed cumulative counters, the
 	// scorer diffs internally and cross-compares the replica set.
