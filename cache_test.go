@@ -1,48 +1,44 @@
-package hydranet
+package hydranet_test
 
 import (
 	"testing"
 	"time"
 
+	"hydranet"
 	"hydranet/internal/app"
 )
-
-// cacheTopology: clients — rd — hostserver(cache) ... WAN ... origin.
-func cacheTopology(t *testing.T, seed int64) (*Net, []*Host, *Redirector, *Host, *Host) {
-	t.Helper()
-	net := New(Config{Seed: seed})
-	rd := net.AddRedirector("rd", HostConfig{})
-	hs := net.AddHost("hostserver", HostConfig{})
-	origin := net.AddHost("origin", HostConfig{})
-	lan := LinkConfig{Rate: 10_000_000, Delay: time.Millisecond}
-	wan := LinkConfig{Rate: 1_000_000, Delay: 100 * time.Millisecond}
-	var clients []*Host
-	for i := 0; i < 2; i++ {
-		c := net.AddHost("client"+string(rune('0'+i)), HostConfig{})
-		clients = append(clients, c)
-		net.Link(c, rd.Host, lan)
-	}
-	net.Link(hs, rd.Host, lan)
-	net.LinkAddr(origin, rd.Host, wan,
-		MustAddr("192.20.225.20"), MustAddr("192.20.225.1"))
-	// A second origin address for agent fetch-back traffic: the host
-	// server hosts the service's virtual address itself, so dialing
-	// 192.20.225.20 from the host server loops back locally. Agents reach
-	// the origin by a dedicated address, as a real cache hierarchy would.
-	net.Link(origin, rd.Host, wan)
-	net.AutoRoute()
-	return net, clients, rd, hs, origin
-}
 
 // TestActiveCacheAgent reproduces the paper's Section 3 footnote: the host
 // server runs "a scaled-down version of the service (for example an active
 // cache) ... as agent of the server on the origin host". Requests from the
 // local population are served from the cache; only the first miss crosses
 // the WAN to the origin.
+//
+// The topology: clients — rd — hostserver(cache) ... WAN ... origin.
 func TestActiveCacheAgent(t *testing.T) {
-	net, clients, rd, hs, origin := cacheTopology(t, 71)
-	originAddr := MustAddr("192.20.225.20")
-	webSvc := ServiceID{Addr: originAddr, Port: 80}
+	net := hydranet.New(hydranet.Config{Seed: 71})
+	rd := net.AddRedirector("rd", hydranet.HostConfig{})
+	hs := net.AddHost("hostserver", hydranet.HostConfig{})
+	origin := net.AddHost("origin", hydranet.HostConfig{})
+	lan := hydranet.LinkConfig{Rate: 10_000_000, Delay: time.Millisecond}
+	wan := hydranet.LinkConfig{Rate: 1_000_000, Delay: 100 * time.Millisecond}
+	var clients []*hydranet.Host
+	for i := 0; i < 2; i++ {
+		c := net.AddHost("client"+string(rune('0'+i)), hydranet.HostConfig{})
+		clients = append(clients, c)
+		net.Link(c, rd.Host, lan)
+	}
+	net.Link(hs, rd.Host, lan)
+	net.LinkAddr(origin, rd.Host, wan,
+		hydranet.MustAddr("192.20.225.20"), hydranet.MustAddr("192.20.225.1"))
+	// A second origin address for agent fetch-back traffic: the host
+	// server hosts the service's virtual address itself, so dialing
+	// 192.20.225.20 from the host server loops back locally. Agents reach
+	// the origin by a dedicated address, as a real cache hierarchy would.
+	net.Link(origin, rd.Host, wan)
+	net.AutoRoute()
+	originAddr := hydranet.MustAddr("192.20.225.20")
+	webSvc := hydranet.ServiceID{Addr: originAddr, Port: 80}
 
 	// The real service on the origin host.
 	pages := map[string]string{"/index.html": "<html>welcome to northwest.com</html>"}
@@ -57,8 +53,8 @@ func TestActiveCacheAgent(t *testing.T) {
 	// The agent reaches the origin by its dedicated fetch address: the
 	// virtual address would resolve to the agent's own host server.
 	fetchAddr := origin.IP().Addr(1)
-	agent := app.NewCacheAgent(func() (*Conn, error) {
-		return hs.DialEndpoint(Endpoint{Addr: fetchAddr, Port: 8080})
+	agent := app.NewCacheAgent(func() (*hydranet.Conn, error) {
+		return hs.DialEndpoint(hydranet.Endpoint{Addr: fetchAddr, Port: 8080})
 	})
 	// The origin exposes the fetch port for its agents.
 	back, err := origin.Listen(0, 8080)
@@ -66,13 +62,13 @@ func TestActiveCacheAgent(t *testing.T) {
 		t.Fatal(err)
 	}
 	back.SetAcceptFunc(app.HTTPServer(pages))
-	if err := net.DeployScale(webSvc, rd, []ScaleTarget{{Host: hs, Metric: 1}},
+	if err := net.DeployScale(webSvc, rd, []hydranet.ScaleTarget{{Host: hs, Metric: 1}},
 		agent.Accept); err != nil {
 		t.Fatal(err)
 	}
 	net.Settle()
 
-	get := func(c *Host, path string) (int, string, time.Duration) {
+	get := func(c *hydranet.Host, path string) (int, string, time.Duration) {
 		conn, err := c.Dial(webSvc)
 		if err != nil {
 			t.Fatal(err)

@@ -1,4 +1,4 @@
-package hydranet
+package hydranet_test
 
 import (
 	"encoding/binary"
@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"hydranet"
 	"hydranet/internal/app"
 	"hydranet/internal/tcp"
 )
@@ -65,10 +66,10 @@ const (
 // TIME-WAIT. crash kills pod 0's backup a third of the way through.
 func runChurn(t *testing.T, loss float64, crash bool) churnFingerprint {
 	t.Helper()
-	net := New(Config{Seed: 5, TCP: TCPConfig{
+	net := hydranet.New(hydranet.Config{Seed: 5, TCP: hydranet.TCPConfig{
 		SendBufSize: 16384, RecvBufSize: 16384, DelayedAckTimeout: churnDelayedAck,
 	}})
-	lan := LinkConfig{Rate: 10_000_000, Delay: 100 * time.Microsecond, Loss: loss}
+	lan := hydranet.LinkConfig{Rate: 10_000_000, Delay: 100 * time.Microsecond, Loss: loss}
 	blob := make([]byte, 64<<10)
 	for i := range blob {
 		blob[i] = byte(i*7 + i>>8)
@@ -80,34 +81,34 @@ func runChurn(t *testing.T, loss float64, crash bool) churnFingerprint {
 		ConnTotals:    map[string]untaggedConns{},
 	}
 	type pod struct {
-		client   *Host
-		svc      ServiceID
-		replicas []*Host
+		client   *hydranet.Host
+		svc      hydranet.ServiceID
+		replicas []*hydranet.Host
 	}
 	var pods []*pod
-	var rds []*Redirector
-	var hosts []*Host
+	var rds []*hydranet.Redirector
+	var hosts []*hydranet.Host
 	for i := 0; i < churnTestPods; i++ {
 		p := &pod{
-			client: net.AddHost(fmt.Sprintf("c%d", i), HostConfig{}),
-			svc:    ServiceID{Addr: MustAddr(fmt.Sprintf("192.20.225.%d", 20+i)), Port: 80},
+			client: net.AddHost(fmt.Sprintf("c%d", i), hydranet.HostConfig{}),
+			svc:    hydranet.ServiceID{Addr: hydranet.MustAddr(fmt.Sprintf("192.20.225.%d", 20+i)), Port: 80},
 		}
-		rd := net.AddRedirector(fmt.Sprintf("rd%d", i), HostConfig{})
+		rd := net.AddRedirector(fmt.Sprintf("rd%d", i), hydranet.HostConfig{})
 		net.Link(p.client, rd.Host, lan)
 		for _, name := range []string{"a", "b"} {
-			h := net.AddHost(fmt.Sprintf("s%d%s", i, name), HostConfig{})
+			h := net.AddHost(fmt.Sprintf("s%d%s", i, name), hydranet.HostConfig{})
 			net.Link(h, rd.Host, lan)
 			p.replicas = append(p.replicas, h)
 		}
 		pods, rds = append(pods, p), append(rds, rd)
 		hosts = append(append(hosts, p.client), p.replicas...)
 	}
-	net.Link(rds[0].Host, rds[1].Host, LinkConfig{Rate: 100_000_000, Delay: 2 * time.Millisecond})
+	net.Link(rds[0].Host, rds[1].Host, hydranet.LinkConfig{Rate: 100_000_000, Delay: 2 * time.Millisecond})
 	net.AutoRoute()
 
 	// serve is the service on replica h: read a fixed-length request naming a
 	// slice of blob, send that slice, close.
-	serve := func(h *Host, c *Conn) {
+	serve := func(h *hydranet.Host, c *hydranet.Conn) {
 		var req []byte
 		buf := make([]byte, churnReqLen)
 		c.OnClosed(func(error) {
@@ -129,7 +130,7 @@ func runChurn(t *testing.T, loss float64, crash bool) churnFingerprint {
 	}
 	for i, p := range pods {
 		for _, h := range p.replicas {
-			h.TCP().SetTrace(func(dir string, local, remote Endpoint, seg *tcp.Segment) {
+			h.TCP().SetTrace(func(dir string, local, remote hydranet.Endpoint, seg *tcp.Segment) {
 				if dir == "in" && seg.Flags.Has(tcp.FlagFIN) {
 					if c := h.TCP().FindConn(local, remote); c != nil && c.State() == tcp.StateTimeWait {
 						fp.TimeWaitRestarts++
@@ -137,7 +138,7 @@ func runChurn(t *testing.T, loss float64, crash bool) churnFingerprint {
 				}
 			})
 		}
-		if _, err := net.DeployFT(p.svc, rds[i], p.replicas, FTOptions{}, func(c *Conn) {
+		if _, err := net.DeployFT(p.svc, rds[i], p.replicas, hydranet.FTOptions{}, func(c *hydranet.Conn) {
 			// Every replica accepts under the same endpoint pair; the one
 			// whose table holds c is the one it was accepted on.
 			for _, h := range p.replicas {
@@ -213,7 +214,7 @@ func runChurn(t *testing.T, loss float64, crash bool) churnFingerprint {
 		t.Fatalf("%d pods still running after a virtual hour", running)
 	}
 	net.RunFor(90 * time.Second) // every TIME-WAIT, restarted or not, expires
-	requireReassemblyGuardsIdle(t, net)
+	requireReassemblyGuardsIdle(t, append(hosts, rds[0].Host, rds[1].Host)...)
 	fp.Events = net.EventsFired()
 	for _, h := range hosts {
 		fp.ConnTotals[h.Name()] = untaggedConns(h.TCP().ConnTotals())

@@ -24,13 +24,13 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 	"strings"
 	"time"
 
 	"hydranet"
-	"hydranet/internal/app"
 	"hydranet/internal/obs"
 	"hydranet/internal/tcp"
 	"hydranet/internal/testbed"
@@ -130,157 +130,87 @@ func main() {
 	stopPprof, err := startPprof()
 	fatal("pprof", err)
 
-	net := hydranet.New(hydranet.Config{Seed: *seed})
-	client := net.AddHost("client", hydranet.HostConfig{})
-	rd := net.AddRedirector("rd", hydranet.HostConfig{})
-	var hosts []*hydranet.Host
-	for i := 0; i < *replicas; i++ {
-		hosts = append(hosts, net.AddHost(fmt.Sprintf("s%d", i), hydranet.HostConfig{}))
+	// With -stats-json -, standard output carries the snapshot alone and the
+	// narration goes to standard error.
+	out := os.Stdout
+	if *statsJSON == "-" {
+		out = os.Stderr
 	}
-	link := hydranet.LinkConfig{Rate: 10_000_000, Delay: time.Millisecond}
-	net.Link(client, rd.Host, link)
-	for _, h := range hosts {
-		net.Link(h, rd.Host, link)
-	}
-	net.AutoRoute()
-
-	observe.Scenario = fmt.Sprintf("hydranet-sim replicas=%d bytes=%d crash=%s", *replicas, *bytes, *crashWho)
-	observe.Failover = true // the timeline below is part of every narration
-	sess, err := net.Instrument(*observe)
-	fatal("observers", err)
-
-	if *traceSegs > 0 {
-		// One tcpdump-style line per segment at each stack boundary, the
-		// first -trace of them.
-		lines := 0
-		traceTCP := func(host string) tcp.TraceFunc {
-			return func(dir string, local, remote tcp.Endpoint, seg *tcp.Segment) {
-				if lines >= *traceSegs {
-					return
-				}
-				lines++
-				a, b, arrow := local, remote, "→"
-				if dir == "in" {
-					a, b, arrow = remote, local, "←"
-				}
-				fmt.Printf("%12s %-10s tcp %s %s %s  %s\n", net.Now().Round(time.Microsecond), host, a, arrow, b, seg)
-			}
-		}
-		client.TCP().SetTrace(traceTCP("client"))
-		for _, h := range hosts {
-			h.TCP().SetTrace(traceTCP(h.Name()))
-		}
-	}
-
-	// -v and -events share one code path: both subscribe the same printer
-	// to the observability bus, just for different kind sets.
-	bus := net.Bus()
-	if *verbose {
-		watched = append(watched, verboseKinds...)
-	}
-	if len(watched) > 0 {
-		bus.Subscribe(func(e hydranet.Event) { fmt.Println(e) }, watched...)
+	var run *testbed.Run // the run being narrated, once it has a network
+	logf := func(format string, args ...any) {
+		fmt.Fprintf(out, "%10s  %s\n", run.Net.Now().Round(time.Microsecond), fmt.Sprintf(format, args...))
 	}
 	// kindCounts is a slice indexed by event kind, not a map: iterating it
 	// at print time is deterministic. The -stats emission below still sorts
 	// by kind name so the listing is stable under kind renumbering.
 	var kindCounts []uint64
-	if *stats {
-		kindCounts = make([]uint64, len(obs.Kinds()))
-		bus.Subscribe(func(e hydranet.Event) { kindCounts[e.Kind]++ })
-	}
-
-	logf := func(format string, args ...any) {
-		fmt.Printf("%10s  %s\n", net.Now().Round(time.Microsecond), fmt.Sprintf(format, args...))
-	}
-
-	svc := hydranet.ServiceID{Addr: hydranet.MustAddr("192.20.225.20"), Port: 80}
-	opts := hydranet.FTOptions{Detector: hydranet.DetectorParams{RetransmitThreshold: *threshold}}
-	ftsvc, err := net.DeployFT(svc, rd, hosts, opts, func(c *hydranet.Conn) { app.Echo(c) })
-	fatal("deploy", err)
-	logf("deployed %s across %d replicas", svc, *replicas)
-	wallStart := time.Now()
-	net.Settle()
-	logf("chain established: %v (primary first)", ftsvc.Chain())
-
-	conn, err := client.Dial(svc)
-	fatal("dial", err)
-	received := 0
-	buf := make([]byte, 8192)
-	conn.OnReadable(func() {
-		for {
-			n := conn.Read(buf)
-			if n == 0 {
-				break
+	observe.Scenario = fmt.Sprintf("hydranet-sim replicas=%d bytes=%d crash=%s", *replicas, *bytes, *crashWho)
+	observe.Failover = true // the timeline below is part of every narration
+	sc := testbed.Scenario{Seed: *seed, Observe: *observe, Replicas: *replicas, Threshold: *threshold,
+		Send: make([]byte, *bytes), Log: logf, Setup: func(r *testbed.Run) {
+			run = r
+			if *traceSegs > 0 {
+				traceSegments(r, out, *traceSegs)
 			}
-			received += n
-			if b := net.Bus(); b.Enabled(hydranet.KindClientDeliver) {
-				b.Publish(hydranet.Event{
-					Kind: hydranet.KindClientDeliver, Node: "client", Size: n,
-				})
+			// -v and -events share one code path: both subscribe the same
+			// printer to the observability bus, just for different kind sets.
+			if *verbose {
+				watched = append(watched, verboseKinds...)
 			}
-		}
-	})
-	conn.OnClosed(func(err error) {
-		if err != nil {
-			logf("CLIENT CONNECTION FAILED: %v", err)
-		}
-	})
-	payload := make([]byte, *bytes)
-	app.Source(conn, payload, false)
-	logf("client streaming %d bytes through the fault-tolerant connection", *bytes)
-
-	if *crashAt > 0 && *crashWho != "none" {
-		net.RunFor(*crashAt)
-		switch *crashWho {
-		case "primary":
-			dead := ftsvc.CrashPrimary()
-			logf("CRASH: primary %s fail-stopped", dead.Name())
-		case "backup":
-			last := hosts[len(hosts)-1]
-			last.Crash()
-			logf("CRASH: backup %s fail-stopped", last.Name())
-		}
-	}
-
+			if len(watched) > 0 {
+				r.Net.Bus().Subscribe(func(e hydranet.Event) { fmt.Fprintln(out, e) }, watched...)
+			}
+			if *stats {
+				kindCounts = make([]uint64, len(obs.Kinds()))
+				r.Net.Bus().Subscribe(func(e hydranet.Event) { kindCounts[e.Kind]++ })
+			}
+		}}
 	// Run until the stream completes or a generous deadline passes.
-	deadline := net.Now() + 5*time.Minute
-	for received < *bytes && net.Now() < deadline {
-		net.RunFor(time.Second)
+	received := func(r *testbed.Run) bool { return r.Delivered >= *bytes }
+	sc.Steps = []testbed.Step{{After: time.Second, Until: received, Limit: 5 * time.Minute}}
+	if *crashAt > 0 && *crashWho != "none" {
+		crash := testbed.Fault{At: *crashAt, Kind: testbed.CrashPrimary}
+		if *crashWho == "backup" {
+			crash = testbed.Fault{At: *crashAt, Kind: testbed.Crash, Replica: *replicas - 1}
+		}
+		sc.Faults = []testbed.Fault{crash}
+		sc.Steps = []testbed.Step{{After: *crashAt}, {After: time.Second, Until: received, Limit: *crashAt + 5*time.Minute}}
+	}
+	r := sc.Play()
+	if r.Session == nil {
+		fatal("observers", r.ObserveErr)
 	}
 	logf("client received %d of %d bytes (%.1f%%)",
-		received, *bytes, 100*float64(received)/float64(*bytes))
-	logf("final chain: %v", ftsvc.Chain())
+		r.Delivered, *bytes, 100*float64(r.Delivered)/float64(*bytes))
+	logf("final chain: %v", r.Service.Chain())
 
-	fmt.Println("\ncomponent statistics:")
-	rs := rd.Table().Stats()
-	fmt.Printf("  redirector: %d FT matches, %d tunnel copies, %d passed through\n",
+	fmt.Fprintln(out, "\ncomponent statistics:")
+	rs := r.Redirector.Table().Stats()
+	fmt.Fprintf(out, "  redirector: %d FT matches, %d tunnel copies, %d passed through\n",
 		rs.Multicast, rs.MulticastCopies, rs.PassedThrough)
-	ds := rd.Daemon().Stats()
-	fmt.Printf("  management: %d registrations, %d suspicions, %d probes, %d hosts failed\n",
+	ds := r.Redirector.Daemon().Stats()
+	fmt.Fprintf(out, "  management: %d registrations, %d suspicions, %d probes, %d hosts failed\n",
 		ds.Registrations, ds.Suspicions, ds.ProbesSent, ds.HostsFailed)
-	for _, r := range ftsvc.Replicas() {
-		ms := r.Host.FTManager().Stats()
+	for _, rep := range r.Service.Replicas() {
+		ms := rep.Host.FTManager().Stats()
 		status := "alive"
-		if !r.Host.Alive() {
+		if !rep.Host.Alive() {
 			status = "CRASHED"
 		}
-		fmt.Printf("  %s (%s, %s): chain msgs %d sent / %d received, %d suspicions, %d promotions\n",
-			r.Host.Name(), r.Port.Mode(), status,
+		fmt.Fprintf(out, "  %s (%s, %s): chain msgs %d sent / %d received, %d suspicions, %d promotions\n",
+			rep.Host.Name(), rep.Port.Mode(), status,
 			ms.ChainMsgsSent, ms.ChainMsgsReceived, ms.Suspicions, ms.Promotions)
 	}
-
-	wall := time.Since(wallStart)
-	sum, err := sess.Finish()
-	fatal("observers", err)
+	fatal("observers", r.ObserveErr)
+	sum := r.Summary
 
 	report := sum.Failover
 	if report.CrashAt > 0 {
-		fmt.Println("\nfailover timeline:")
-		fmt.Printf("  crash            %v\n", report.CrashAt)
-		fmt.Printf("  detection        %v\n", report.Detection)
-		fmt.Printf("  reconfiguration  %v\n", report.Reconfiguration)
-		fmt.Printf("  client stall     %v  (complete: %v)\n", report.ClientStall, report.Complete)
+		fmt.Fprintln(out, "\nfailover timeline:")
+		fmt.Fprintf(out, "  crash            %v\n", report.CrashAt)
+		fmt.Fprintf(out, "  detection        %v\n", report.Detection)
+		fmt.Fprintf(out, "  reconfiguration  %v\n", report.Reconfiguration)
+		fmt.Fprintf(out, "  client stall     %v  (complete: %v)\n", report.ClientStall, report.Complete)
 	}
 	if observe.Pcap != "" {
 		logf("pcap: %d records (%d pre-encap inner copies) written to %s",
@@ -293,26 +223,22 @@ func main() {
 		logf("audit report written to %s (render with: hydrascope audit %s)", observe.Audit, observe.Audit)
 	}
 
-	snap := net.Snapshot()
+	snap := r.Net.Snapshot()
 	if report.CrashAt > 0 {
 		snap.Failover = &report
 	}
 	if *perf {
-		events := net.EventsFired()
-		var frames uint64
-		for _, h := range snap.Hosts {
-			frames += h.Frames.Sent
+		info := r.Info()
+		fmt.Fprintf(out, "\nsimulator performance: %d events, %d frames in %v",
+			info.Events, info.Frames, info.Wall.Round(time.Microsecond))
+		if s := info.Wall.Seconds(); s > 0 {
+			fmt.Fprintf(out, " (%.0f events/sec, %.0f frames/sec)", float64(info.Events)/s, float64(info.Frames)/s)
 		}
-		fmt.Printf("\nsimulator performance: %d events, %d frames in %v",
-			events, frames, wall.Round(time.Microsecond))
-		if s := wall.Seconds(); s > 0 {
-			fmt.Printf(" (%.0f events/sec, %.0f frames/sec)", float64(events)/s, float64(frames)/s)
-		}
-		fmt.Println()
+		fmt.Fprintln(out)
 	}
 	if *stats {
-		printSnapshot(snap)
-		fmt.Println("  event counts:")
+		printSnapshot(out, snap)
+		fmt.Fprintln(out, "  event counts:")
 		type kindCount struct {
 			name  string
 			count uint64
@@ -325,64 +251,87 @@ func main() {
 		}
 		sort.Slice(counts, func(i, j int) bool { return counts[i].name < counts[j].name })
 		for _, kc := range counts {
-			fmt.Printf("    %-16s %8d\n", kc.name, kc.count)
+			fmt.Fprintf(out, "    %-16s %8d\n", kc.name, kc.count)
 		}
 	}
 	if *statsJSON != "" {
-		out, err := snap.JSON()
+		js, err := snap.JSON()
 		fatal("-stats-json", err)
-		out = append(out, '\n')
+		js = append(js, '\n')
 		if *statsJSON == "-" {
-			os.Stdout.Write(out)
+			os.Stdout.Write(js)
 		} else {
-			fatal("-stats-json", os.WriteFile(*statsJSON, out, 0o644))
+			fatal("-stats-json", os.WriteFile(*statsJSON, js, 0o644))
 		}
 	}
 	if audit := sum.Audit; audit != nil && audit.Clean {
-		fmt.Printf("\ninvariants: clean (%d checks over %d events, %d frames)\n",
+		fmt.Fprintf(out, "\ninvariants: clean (%d checks over %d events, %d frames)\n",
 			audit.Checks, audit.Events, audit.Frames)
 	} else if audit != nil {
-		fmt.Printf("\ninvariants: %d VIOLATIONS (%d checks over %d events):\n",
+		fmt.Fprintf(out, "\ninvariants: %d VIOLATIONS (%d checks over %d events):\n",
 			audit.TotalViolations(), audit.Checks, audit.Events)
 		for _, v := range audit.Violations {
-			fmt.Printf("  %s\n", v)
+			fmt.Fprintf(out, "  %s\n", v)
 		}
 	}
 	if *verbose {
-		fmt.Printf("\nvirtual time elapsed: %v\n", net.Now())
+		fmt.Fprintf(out, "\nvirtual time elapsed: %v\n", r.Net.Now())
 	}
 	fatal("pprof", stopPprof())
-	if received < *bytes || (sum.Audit != nil && !sum.Audit.Clean) {
+	if r.Delivered < *bytes || (sum.Audit != nil && !sum.Audit.Clean) {
 		os.Exit(1)
 	}
 }
 
+// traceSegments prints one tcpdump-style line per segment at each stack
+// boundary of the client and the replicas, the first n of them.
+func traceSegments(r *testbed.Run, out io.Writer, n int) {
+	lines := 0
+	trace := func(host string) tcp.TraceFunc {
+		return func(dir string, local, remote tcp.Endpoint, seg *tcp.Segment) {
+			if lines >= n {
+				return
+			}
+			lines++
+			a, b, arrow := local, remote, "→"
+			if dir == "in" {
+				a, b, arrow = remote, local, "←"
+			}
+			fmt.Fprintf(out, "%12s %-10s tcp %s %s %s  %s\n", r.Net.Now().Round(time.Microsecond), host, a, arrow, b, seg)
+		}
+	}
+	r.Client.TCP().SetTrace(trace("client"))
+	for _, h := range r.Replicas {
+		h.TCP().SetTrace(trace(h.Name()))
+	}
+}
+
 // printSnapshot renders the net-wide snapshot as tables.
-func printSnapshot(s hydranet.Snapshot) {
-	fmt.Printf("\nnet-wide statistics at %v:\n", s.Time)
-	fmt.Printf("  %-8s %6s %6s %6s | %8s %8s %6s %5s %5s | %10s %10s\n",
+func printSnapshot(out io.Writer, s hydranet.Snapshot) {
+	fmt.Fprintf(out, "\nnet-wide statistics at %v:\n", s.Time)
+	fmt.Fprintf(out, "  %-8s %6s %6s %6s | %8s %8s %6s %5s %5s | %10s %10s\n",
 		"host", "frTx", "frRx", "frDrp", "segsOut", "segsIn", "rexmt", "rto", "fast", "bytesOut", "bytesIn")
 	for _, h := range s.Hosts {
 		mark := ""
 		if !h.Alive {
 			mark = " (down)"
 		}
-		fmt.Printf("  %-8s %6d %6d %6d | %8d %8d %6d %5d %5d | %10d %10d%s\n",
+		fmt.Fprintf(out, "  %-8s %6d %6d %6d | %8d %8d %6d %5d %5d | %10d %10d%s\n",
 			h.Name, h.Frames.Sent, h.Frames.Received, h.Frames.Dropped,
 			h.TCP.SegsOut, h.TCP.SegsIn,
 			h.Conns.Retransmits, h.Conns.RTOEvents, h.Conns.FastRetransmits,
 			h.Conns.BytesSent, h.Conns.BytesReceived, mark)
 	}
-	fmt.Printf("  %-17s %8s %6s %6s | %8s %6s %6s\n",
+	fmt.Fprintf(out, "  %-17s %8s %6s %6s | %8s %6s %6s\n",
 		"link", "a→b tx", "lost", "qdrop", "b→a tx", "lost", "qdrop")
 	for _, l := range s.Links {
-		fmt.Printf("  %-8s-%-8s %8d %6d %6d | %8d %6d %6d\n",
+		fmt.Fprintf(out, "  %-8s-%-8s %8d %6d %6d | %8d %6d %6d\n",
 			l.A, l.B, l.AB.TxFrames, l.AB.Lost, l.AB.QueueDrop,
 			l.BA.TxFrames, l.BA.Lost, l.BA.QueueDrop)
 	}
 	for _, h := range s.Hosts {
 		if h.RTT != nil {
-			fmt.Printf("  %s rtt: n=%d p50=%.2fms p99=%.2fms max=%.2fms\n",
+			fmt.Fprintf(out, "  %s rtt: n=%d p50=%.2fms p99=%.2fms max=%.2fms\n",
 				h.Name, h.RTT.Count, h.RTT.P50, h.RTT.P99, h.RTT.Max)
 		}
 	}

@@ -1,11 +1,12 @@
-package hydranet
+package hydranet_test
 
 import (
 	"testing"
 	"time"
 
+	"hydranet"
 	"hydranet/internal/app"
-	"hydranet/internal/rmp"
+	"hydranet/internal/testbed"
 	"hydranet/internal/ttcp"
 )
 
@@ -15,65 +16,64 @@ import (
 // congestion policy enabled the redirector "shuts it down" (evicts it), the
 // flow recovers, and once the congestion clears the server rejoins.
 func TestCongestedBackupEvictedAndRecommissioned(t *testing.T) {
-	payload := pattern(150_000, 1, 0)
-	var rejoined *stream
-	faultCase{seed: 61, replicas: 2, threshold: 2, send: payload, setup: func(r *faultRun) {
-		r.rd.Daemon().SetCongestionPolicy(rmp.CongestionPolicy{Strikes: 3, Window: 2 * time.Minute})
-	}, steps: []step{
+	var rejoined *testbed.Stream
+	row(t, testbed.Scenario{Seed: 61, Replicas: 2, Threshold: 2, Strikes: 3, Send: pattern(150_000, 1, 0),
 		// Severe congestion at the backup: its chain messages all vanish, so
 		// the primary can never acknowledge.
-		{after: 100 * time.Millisecond, do: func(r *faultRun) { r.replicas[1].FTManager().SetChainLoss(1) }},
-		{after: 3 * time.Minute, do: func(r *faultRun) {
-			if len(r.got) != len(payload) {
-				t.Fatalf("transfer stalled at %d of %d despite congestion eviction", len(r.got), len(payload))
-			}
-			r.wantChain(0)
-			if r.rd.Daemon().Stats().CongestionEvictions == 0 {
-				t.Error("eviction not recorded as congestion-based")
-			}
-			if !r.replicas[1].Alive() {
-				t.Error("test invariant: the evicted backup is alive, just congested")
-			}
-			// Congestion clears; the server rejoins for new connections.
-			r.replicas[1].FTManager().SetChainLoss(0)
-			if err := r.svc.Recommission(r.replicas[1]); err != nil {
-				t.Fatal(err)
-			}
-			r.net.Settle()
-			r.wantChain(0, 1)
-			rejoined = r.dial(r.client, testSvc, []byte("back in business"), false)
-		}},
-		{after: 10 * time.Second},
-	}, verdict: verdict{echo: payload, check: func(r *faultRun) {
-		if string(rejoined.got) != "back in business" {
-			t.Errorf("echo after rejoin = %q", rejoined.got)
+		Faults: at(100*time.Millisecond, testbed.Silence, 1),
+		Steps: []testbed.Step{
+			{After: 100*time.Millisecond + 3*time.Minute, Do: func(r *testbed.Run) {
+				if !r.Echoed() {
+					t.Fatalf("transfer stalled at %d bytes despite congestion eviction", r.Delivered)
+				}
+				wantChain(t, r, 0)
+				if r.Redirector.Daemon().Stats().CongestionEvictions == 0 {
+					t.Error("eviction not recorded as congestion-based")
+				}
+				if !r.Replicas[1].Alive() {
+					t.Error("test invariant: the evicted backup is alive, just congested")
+				}
+				// Congestion clears; the server rejoins for new connections.
+				r.Replicas[1].FTManager().SetChainLoss(0)
+				if err := r.Service.Recommission(r.Replicas[1]); err != nil {
+					t.Fatal(err)
+				}
+				r.Net.Settle()
+				wantChain(t, r, 0, 1)
+				rejoined = r.Dial(r.Client, testSvc, []byte("back in business"), false)
+			}},
+			{After: 10 * time.Second},
+		}}, verdict{echo: true, check: func(r *testbed.Run) {
+		if !rejoined.Echoed() {
+			t.Errorf("echo after rejoin: %d bytes, garbled=%v", rejoined.Delivered, rejoined.Garbled)
 		}
 		// The rejoined backup replicates the new connection (it may also
 		// still track a stale entry for the pre-eviction connection, which it
 		// can no longer observe — the host never crashed, so that state
 		// lingers until the old connection's client endpoint is reused or
 		// the host reboots).
-		for _, c := range r.replicas[1].TCP().Conns() {
-			if c.Remote() == rejoined.conn.Local() {
+		for _, c := range r.Replicas[1].TCP().Conns() {
+			if c.Remote() == rejoined.Conn.Local() {
 				return
 			}
 		}
 		t.Error("rejoined backup is not replicating the new connection")
-	}}}.play(t)
+	}})
 }
 
 // TestCongestionPolicyDisabledByDefault: without the policy, live hosts are
 // never evicted no matter how many suspicions fire.
 func TestCongestionPolicyDisabledByDefault(t *testing.T) {
-	faultCase{seed: 62, replicas: 2, threshold: 2, send: make([]byte, 100_000), steps: []step{
-		{do: func(r *faultRun) { r.conn.OnReadable(nil) }}, // the client never reads its echo
-		{after: 100 * time.Millisecond, do: func(r *faultRun) { r.replicas[1].FTManager().SetChainLoss(1) }},
-		{after: 2 * time.Minute},
-	}, verdict: verdict{chain: []int{0, 1}, check: func(r *faultRun) {
-		if r.rd.Daemon().Stats().Suspicions == 0 {
+	row(t, testbed.Scenario{Seed: 62, Replicas: 2, Threshold: 2, Send: make([]byte, 100_000),
+		Faults: at(100*time.Millisecond, testbed.Silence, 1),
+		Steps: []testbed.Step{
+			{Do: func(r *testbed.Run) { r.Conn.OnReadable(nil) }}, // the client never reads its echo
+			{After: 100*time.Millisecond + 2*time.Minute},
+		}}, verdict{chain: []int{0, 1}, check: func(r *testbed.Run) {
+		if r.Redirector.Daemon().Stats().Suspicions == 0 {
 			t.Error("scenario inert: no suspicions despite a dead ack channel")
 		}
-	}}}.play(t)
+	}})
 }
 
 // TestProbeKeepsQueuedMember: queueing is not loss. A bulk flow to the
@@ -85,29 +85,29 @@ func TestCongestionPolicyDisabledByDefault(t *testing.T) {
 // evidence must keep the live primary in the chain.
 func TestProbeKeepsQueuedMember(t *testing.T) {
 	for _, rate := range []int64{500_000, 1_000_000, 2_000_000} {
-		net := New(Config{Seed: 71})
-		client := net.AddHost("client", HostConfig{})
-		rd := net.AddRedirector("rd", HostConfig{})
-		replicas := []*Host{net.AddHost("s0", HostConfig{}), net.AddHost("s1", HostConfig{})}
-		lan := LinkConfig{Rate: 10_000_000, Delay: time.Millisecond}
+		net := hydranet.New(hydranet.Config{Seed: 71})
+		client := net.AddHost("client", hydranet.HostConfig{})
+		rd := net.AddRedirector("rd", hydranet.HostConfig{})
+		replicas := []*hydranet.Host{net.AddHost("s0", hydranet.HostConfig{}), net.AddHost("s1", hydranet.HostConfig{})}
+		lan := hydranet.LinkConfig{Rate: 10_000_000, Delay: time.Millisecond}
 		net.Link(client, rd.Host, lan)
-		net.Link(replicas[0], rd.Host, LinkConfig{Rate: rate, Delay: time.Millisecond, QueueBytes: 64 << 10})
+		net.Link(replicas[0], rd.Host, hydranet.LinkConfig{Rate: rate, Delay: time.Millisecond, QueueBytes: 64 << 10})
 		net.Link(replicas[1], rd.Host, lan)
 		net.AutoRoute()
-		svc, err := net.DeployFT(testSvc, rd, replicas, FTOptions{}, echoAccept())
+		svc, err := net.DeployFT(testSvc, rd, replicas, hydranet.FTOptions{}, app.Echo)
 		if err != nil {
 			t.Fatal(err)
 		}
 		net.Settle()
 		reconfigs := 0
-		rd.Daemon().OnReconfig(func(ServiceID, []Addr) { reconfigs++ })
+		rd.Daemon().OnReconfig(func(hydranet.ServiceID, []hydranet.Addr) { reconfigs++ })
 
 		lst, err := replicas[0].Listen(0, 9)
 		if err != nil {
 			t.Fatal(err)
 		}
-		lst.SetAcceptFunc(func(c *Conn) { ttcp.Sink(c) })
-		bulk, _ := client.DialEndpoint(Endpoint{Addr: replicas[0].Addr(), Port: 9})
+		lst.SetAcceptFunc(func(c *hydranet.Conn) { ttcp.Sink(c) })
+		bulk, _ := client.DialEndpoint(hydranet.Endpoint{Addr: replicas[0].Addr(), Port: 9})
 		app.Source(bulk, make([]byte, 8<<20), false)
 		for _, h := range replicas {
 			h.FTManager().SetChainLoss(0.9)

@@ -1,9 +1,10 @@
-package hydranet
+package hydranet_test
 
 import (
-	"bytes"
 	"testing"
 	"time"
+
+	"hydranet/internal/testbed"
 )
 
 // TestCrashAtEveryPhase kills the primary at increasingly late points of a
@@ -30,24 +31,23 @@ func TestCrashAtEveryPhase(t *testing.T) {
 	}
 	for i, phase := range phases {
 		t.Run(phase.name, func(t *testing.T) {
-			fc := faultCase{seed: int64(100 + i), replicas: 2, threshold: 2, send: payload, close: true,
-				steps: []step{
-					{after: phase.crashAt, echoed: phase.atBytes, do: crash(0)}, // always the original primary
-					{after: 5 * time.Minute},
-				},
-				verdict: verdict{echo: payload, closed: true, chain: []int{1}}}
+			sc := testbed.Scenario{Seed: int64(100 + i), Replicas: 2, Threshold: 2, Send: payload, Close: true,
+				// Always the original primary.
+				Faults: []testbed.Fault{{At: phase.crashAt, Echoed: phase.atBytes, Kind: testbed.Crash}},
+				Steps:  []testbed.Step{{After: phase.crashAt + 5*time.Minute}}}
+			v := verdict{echo: true, closed: true, chain: []int{1}}
 			if phase.name == "close" {
-				var next *stream
-				fc.steps = append(fc.steps,
-					step{do: func(r *faultRun) { next = r.dial(r.client, testSvc, payload[:3000], true) }},
-					step{after: 5 * time.Minute})
-				fc.check = func(r *faultRun) {
-					if !bytes.Equal(next.got, payload[:3000]) {
-						t.Errorf("next connection echoed %d of 3000 bytes", len(next.got))
+				var next *testbed.Stream
+				sc.Steps = append(sc.Steps,
+					testbed.Step{Do: func(r *testbed.Run) { next = r.Dial(r.Client, testSvc, payload[:3000], true) }},
+					testbed.Step{After: 5 * time.Minute})
+				v.check = func(r *testbed.Run) {
+					if !next.Echoed() {
+						t.Errorf("next connection echoed %d of 3000 bytes", next.Delivered)
 					}
 				}
 			}
-			fc.play(t)
+			row(t, sc, v)
 		})
 	}
 }
@@ -56,15 +56,15 @@ func TestCrashAtEveryPhase(t *testing.T) {
 // acknowledged but (possibly) before the server side finishes closing. The
 // client must still terminate cleanly rather than hang in FIN-WAIT.
 func TestCrashDuringCloseHandshake(t *testing.T) {
-	faultCase{seed: 110, replicas: 2, threshold: 2, send: []byte("short"), close: true, steps: []step{
-		{after: 8 * time.Millisecond, do: crash(0)}, // the data and FIN are out: mid-teardown
-		{after: 5 * time.Minute},
-	}, verdict: verdict{echo: []byte("short"), check: func(r *faultRun) {
+	row(t, testbed.Scenario{Seed: 110, Replicas: 2, Threshold: 2, Send: []byte("short"), Close: true,
+		Faults: at(8*time.Millisecond, testbed.Crash, 0), // the data and FIN are out: mid-teardown
+		Steps:  []testbed.Step{{After: 8*time.Millisecond + 5*time.Minute}},
+	}, verdict{echo: true, check: func(r *testbed.Run) {
 		// A clean close is ideal but a late RST-free timeout is tolerated.
-		if !r.closed {
+		if !r.Closed {
 			t.Error("client hung in teardown after primary crash")
 		}
-	}}}.play(t)
+	}})
 }
 
 // TestAllReplicasDead: when the whole replica set fails, HydraNet-FT's
@@ -73,58 +73,57 @@ func TestCrashDuringCloseHandshake(t *testing.T) {
 // client's connection must die a normal TCP death, the redirector table
 // must empty, and later dials must fail rather than hang forever.
 func TestAllReplicasDead(t *testing.T) {
-	var again *stream
-	faultCase{seed: 112, replicas: 2, threshold: 2, send: make([]byte, 200_000), steps: []step{
-		{do: func(r *faultRun) { r.conn.OnReadable(nil) }}, // the client never reads its echo
-		{after: 100 * time.Millisecond, do: func(r *faultRun) {
-			for _, h := range r.replicas {
-				h.Crash()
-			}
-		}},
-		// Enough for the client's full retry budget; then a fresh dial
-		// cannot succeed: it must fail, not hang.
-		{after: 30 * time.Minute, do: func(r *faultRun) {
-			if r.err == nil {
-				t.Errorf("client connection still alive with zero operational servers (state %v)", r.conn.State())
-			}
-			again = r.dial(r.client, testSvc, nil, false)
-		}},
-		{after: 30 * time.Minute},
-	}, verdict: verdict{
+	var again *testbed.Stream
+	row(t, testbed.Scenario{Seed: 112, Replicas: 2, Threshold: 2, Send: make([]byte, 200_000),
+		Faults: []testbed.Fault{{At: 100 * time.Millisecond, Kind: testbed.Crash, Replica: 0},
+			{At: 100 * time.Millisecond, Kind: testbed.Crash, Replica: 1}},
+		Steps: []testbed.Step{
+			{Do: func(r *testbed.Run) { r.Conn.OnReadable(nil) }}, // the client never reads its echo
+			// Enough for the client's full retry budget; then a fresh dial
+			// cannot succeed: it must fail, not hang.
+			{After: 100*time.Millisecond + 30*time.Minute, Do: func(r *testbed.Run) {
+				if r.Err == nil {
+					t.Errorf("client connection still alive with zero operational servers (state %v)", r.Conn.State())
+				}
+				again = r.Dial(r.Client, testSvc, nil, false)
+			}},
+			{After: 30 * time.Minute},
+		}}, verdict{
 		// Faithful limitation: failure reports come from the replicas
 		// themselves ("failure detectors on the hosts inform the
 		// redirectors"), so with the whole set dead nobody reports and the
 		// stale chain persists.
 		chain: []int{0, 1},
-		check: func(r *faultRun) {
-			if !again.closed || again.err == nil {
-				t.Errorf("dial against a dead service: closed=%v err=%v", again.closed, again.err)
+		check: func(r *testbed.Run) {
+			if !again.Closed || again.Err == nil {
+				t.Errorf("dial against a dead service: closed=%v err=%v", again.Closed, again.Err)
 			}
-		}}}.play(t)
+		}})
 }
 
 // TestSequentialCrashes: with three replicas, kill the primary, then kill
 // its successor; the last survivor carries the connection home.
 func TestSequentialCrashes(t *testing.T) {
 	payload := pattern(1_000_000, 7, 0)
-	faultCase{seed: 111, replicas: 3, threshold: 2, send: payload, steps: []step{
+	row(t, testbed.Scenario{Seed: 111, Replicas: 3, Threshold: 2, Send: payload,
 		// Stage the first crash by byte progress so it always lands inside
 		// the transfer regardless of timing.
-		{echoed: len(payload) / 5, do: crash(0)},
-		// Wait for the first failover to complete, then kill the new
-		// primary while the transfer is still in flight.
-		{after: 50 * time.Millisecond, limit: 4 * time.Minute,
-			until: func(r *faultRun) bool { return len(r.armed) == 0 && len(r.svc.Chain()) == 2 },
-			do: func(r *faultRun) {
-				if len(r.got) >= len(payload) {
-					t.Fatal("transfer finished before the second crash could land")
-				}
-				r.replicas[1].Crash()
-			}},
-		{after: 4 * time.Minute},
-	}, verdict: verdict{echo: payload, chain: []int{2}, check: func(r *faultRun) {
-		if s := r.conn.State(); s.String() != "ESTABLISHED" {
+		Faults: []testbed.Fault{{Echoed: len(payload) / 5, Kind: testbed.Crash}},
+		Steps: []testbed.Step{
+			// Wait for the first failover to complete, then kill the new
+			// primary while the transfer is still in flight.
+			{After: 50 * time.Millisecond, Limit: 4 * time.Minute,
+				Until: func(r *testbed.Run) bool { return len(r.Service.Chain()) == 2 },
+				Do: func(r *testbed.Run) {
+					if r.Delivered >= len(payload) {
+						t.Fatal("transfer finished before the second crash could land")
+					}
+					r.Replicas[1].Crash()
+				}},
+			{After: 4 * time.Minute},
+		}}, verdict{echo: true, chain: []int{2}, check: func(r *testbed.Run) {
+		if s := r.Conn.State(); s.String() != "ESTABLISHED" {
 			t.Errorf("client state = %v", s)
 		}
-	}}}.play(t)
+	}})
 }

@@ -1,4 +1,4 @@
-package hydranet
+package hydranet_test
 
 import (
 	"bytes"
@@ -7,36 +7,38 @@ import (
 	"testing"
 	"time"
 
+	"hydranet"
 	"hydranet/internal/ipv4"
 	"hydranet/internal/tcp"
+	"hydranet/internal/testbed"
 )
 
 // fingerprintRow plays a fixed FT scenario (2 %-lossy links, mid-stream
 // primary crash) and returns a fingerprint of everything observable, the
 // full snapshot JSON included. Frame poisoning is off unless setup, which
 // must not change the simulated workload, turns it on.
-func fingerprintRow(t *testing.T, seed int64, setup func(*faultRun)) (fp string) {
-	payload := pattern(120_000, 11, 0)
-	faultCase{seed: seed, replicas: 3, link: LinkConfig{Loss: 0.02}, send: payload,
-		setup: func(r *faultRun) {
-			r.net.PoisonFrames(false)
+func fingerprintRow(t *testing.T, seed int64, setup func(*testbed.Run)) (fp string) {
+	row(t, testbed.Scenario{Seed: seed, Replicas: 3, Link: hydranet.LinkConfig{Loss: 0.02}, Send: pattern(120_000, 11, 0),
+		Setup: func(r *testbed.Run) {
+			r.Net.PoisonFrames(false)
 			if setup != nil {
 				setup(r)
 			}
 		},
-		steps: []step{{after: 400 * time.Millisecond, do: crashPrimary}, {after: 2 * time.Minute}},
-		verdict: verdict{echo: payload, check: func(r *faultRun) {
-			fp = fmt.Sprintf("echoed=%d chain=%v events=%d conn=%+v rd=%+v",
-				len(r.got), r.svc.Chain(), r.net.Scheduler().Fired(), r.conn.Stats(), r.rd.Daemon().Stats())
-			for _, h := range r.replicas {
-				fp += fmt.Sprintf(" %s=%+v", h.Name(), h.FTManager().Stats())
-			}
-			snap, err := r.net.Snapshot().JSON()
-			if err != nil {
-				r.t.Fatal(err)
-			}
-			fp += "\n" + string(snap)
-		}}}.play(t)
+		Faults: at(400*time.Millisecond, testbed.CrashPrimary, 0),
+		Steps:  []testbed.Step{{After: 400*time.Millisecond + 2*time.Minute}},
+	}, verdict{echo: true, check: func(r *testbed.Run) {
+		fp = fmt.Sprintf("echoed=%d chain=%v events=%d conn=%+v rd=%+v",
+			r.Delivered, r.Service.Chain(), r.Net.Scheduler().Fired(), r.Conn.Stats(), r.Redirector.Daemon().Stats())
+		for _, h := range r.Replicas {
+			fp += fmt.Sprintf(" %s=%+v", h.Name(), h.FTManager().Stats())
+		}
+		snap, err := r.Net.Snapshot().JSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		fp += "\n" + string(snap)
+	}})
 	return fp
 }
 
@@ -62,12 +64,12 @@ func TestWholeRunDeterminism(t *testing.T) {
 func TestPoolingDeterminism(t *testing.T) {
 	run := func(poison bool) (fp string, trace []byte) {
 		var tr bytes.Buffer
-		fp = fingerprintRow(t, 77, func(r *faultRun) {
-			r.net.PoisonFrames(poison)
-			for _, h := range append([]*Host{r.client}, r.replicas...) {
+		fp = fingerprintRow(t, 77, func(r *testbed.Run) {
+			r.Net.PoisonFrames(poison)
+			for _, h := range append([]*hydranet.Host{r.Client}, r.Replicas...) {
 				name := h.Name()
-				h.TCP().SetTrace(func(dir string, local, remote Endpoint, seg *tcp.Segment) {
-					fmt.Fprintf(&tr, "%v %s %s %s %s %s\n", r.net.Now(), name, dir, local, remote, seg)
+				h.TCP().SetTrace(func(dir string, local, remote hydranet.Endpoint, seg *tcp.Segment) {
+					fmt.Fprintf(&tr, "%v %s %s %s %s %s\n", r.Net.Now(), name, dir, local, remote, seg)
 				})
 			}
 		})
@@ -98,14 +100,14 @@ func TestScratchPoisonCatchesRetention(t *testing.T) {
 	run := func(poison bool) (fp, kept string) {
 		var seg *tcp.Segment
 		var pkt *ipv4.Packet
-		fp = fingerprintRow(t, 77, func(r *faultRun) {
-			r.net.PoisonFrames(poison)
-			r.client.TCP().SetTrace(func(dir string, _, _ Endpoint, s *tcp.Segment) {
+		fp = fingerprintRow(t, 77, func(r *testbed.Run) {
+			r.Net.PoisonFrames(poison)
+			r.Client.TCP().SetTrace(func(dir string, _, _ hydranet.Endpoint, s *tcp.Segment) {
 				if dir == "in" {
 					seg = s
 				}
 			})
-			r.net.addEncapTap(func(inner *ipv4.Packet, _ Addr) { pkt = inner })
+			hydranet.AddEncapTap(r.Net, func(inner *ipv4.Packet, _ hydranet.Addr) { pkt = inner })
 		})
 		return fp, fmt.Sprintf(" seg %v; inner %s→%s proto %d", seg, pkt.Src, pkt.Dst, pkt.Proto)
 	}

@@ -13,7 +13,7 @@ import (
 // path itself allocates next to nothing — so a new per-object allocation in
 // the frame pool, the scheduler, rmp or the route build shows here first.
 //
-// It takes 350–351 objects (361 under the race detector), four fewer than
+// It takes 350–351 objects (359–363 under the race detector), four fewer than
 // when each replica's tcp.Conn was an object of its own beside its ft-TCP
 // record and app.Source allocated its progress; the budget is 10 % above.
 func TestFailoverScenarioAllocBudget(t *testing.T) {

@@ -1,11 +1,13 @@
-package hydranet
+package hydranet_test
 
 import (
 	"fmt"
 	"testing"
 	"time"
 
+	"hydranet"
 	"hydranet/internal/app"
+	"hydranet/internal/testbed"
 )
 
 // TestLosslessChainIsQuiet: with no loss and no crash, a chain of two or three
@@ -19,12 +21,15 @@ func TestLosslessChainIsQuiet(t *testing.T) {
 	payload := pattern(1<<20, 7, 10)
 	var finished [4]time.Duration
 	for _, n := range []int{2, 3} {
-		faultCase{seed: 12, replicas: n, threshold: 1, send: payload, steps: []step{
-			{after: 10 * time.Millisecond, limit: time.Minute,
-				until: func(r *faultRun) bool { return len(r.got) == len(payload) }},
-		}, verdict: verdict{echo: payload, quiet: true, check: func(r *faultRun) {
-			finished[n] = r.net.Now() - r.dialled
-		}}}.play(t)
+		row(t, testbed.Scenario{Seed: 12, Replicas: n, Threshold: 1, Send: payload, Steps: []testbed.Step{
+			{After: 10 * time.Millisecond, Limit: time.Minute, Until: func(r *testbed.Run) bool { return r.Delivered == len(payload) }},
+		}}, verdict{echo: true, check: func(r *testbed.Run) {
+			finished[n] = r.Net.Now() - r.Dialled
+			if st := r.Client.TCP().ConnTotals(); st.Retransmits != 0 || st.DupAcksSeen != 0 || r.Suspicions != 0 {
+				t.Errorf("the client retransmitted %d segments after %d duplicate ACKs; %d suspicions; want all 0",
+					st.Retransmits, st.DupAcksSeen, r.Suspicions)
+			}
+		}})
 	}
 	if finished[3] > finished[2]+finished[2]/10 {
 		t.Errorf("3 replicas took %v, 2 took %v: more than 10%% apart", finished[3], finished[2])
@@ -40,16 +45,15 @@ func TestLosslessChainIsQuiet(t *testing.T) {
 // minutes.
 func TestServerPushBackupCrash(t *testing.T) {
 	payload := pattern(256<<10, 11, 8)
-	faultCase{seed: 7, replicas: 2, accept: func(c *Conn) { app.Source(c, payload, false) }, steps: []step{
-		{after: 150 * time.Millisecond, do: func(r *faultRun) {
-			if len(r.got) == 0 || len(r.got) == len(payload) {
-				t.Fatalf("%d of %d bytes at the crash instant: not mid-answer", len(r.got), len(payload))
-			}
-			r.replicas[1].Crash()
-		}},
-		{after: 10 * time.Millisecond, limit: 10 * time.Second,
-			until: func(r *faultRun) bool { return len(r.got) == len(payload) }},
-	}, verdict: verdict{echo: payload, chain: []int{0}}}.play(t)
+	row(t, testbed.Scenario{Seed: 7, Replicas: 2, Accept: func(c *hydranet.Conn) { app.Source(c, payload, false) }, Echo: payload,
+		Faults: at(150*time.Millisecond, testbed.Crash, 1), Steps: []testbed.Step{
+			{After: 150 * time.Millisecond, Do: func(r *testbed.Run) {
+				if r.Delivered == 0 || r.Delivered == len(payload) {
+					t.Fatalf("%d of %d bytes at the crash instant: not mid-answer", r.Delivered, len(payload))
+				}
+			}},
+			{After: 10 * time.Millisecond, Limit: 10 * time.Second, Until: func(r *testbed.Run) bool { return r.Delivered == len(payload) }},
+		}}, verdict{echo: true, chain: []int{0}})
 }
 
 // TestMiddleCrashResumesAtDetection: what a client waits after a replica dies
@@ -94,39 +98,30 @@ func TestMiddleCrashResumesAtDetection(t *testing.T) {
 				id := m.name + " " + cell
 				// Timed from the crash: when the redirector reconfigured, and
 				// when the longest gap between two reads ended.
-				var crashed, lastRead, detected, resumed, stall time.Duration
-				faultCase{seed: int64(300 + 10*threshold + i), replicas: m.replicas, threshold: threshold, send: payload, steps: []step{
-					{do: func(r *faultRun) {
-						lastRead = r.net.Now()
-						r.rd.Daemon().OnReconfig(func(_ ServiceID, failed []Addr) {
-							for _, f := range failed {
-								if f != r.replicas[m.victim].Addr() {
-									t.Errorf("%s: reconfiguration removed live host %s", id, f)
-								} else if detected == 0 {
-									detected = r.net.Now() - crashed
-								}
-							}
-						})
-						r.net.Bus().Subscribe(func(e Event) {
-							if gap := e.Time - lastRead; crashed > 0 && gap > stall {
-								stall, resumed = gap, e.Time-crashed
+				var lastRead, detected, resumed, stall time.Duration
+				row(t, testbed.Scenario{Seed: int64(300 + 10*threshold + i), Replicas: m.replicas, Threshold: threshold, Send: payload,
+					Setup: func(r *testbed.Run) {
+						r.Net.Bus().Subscribe(func(e hydranet.Event) {
+							if gap := e.Time - lastRead; r.CrashedAt > 0 && gap > stall {
+								stall, resumed = gap, e.Time-r.CrashedAt
 							}
 							lastRead = e.Time
-						}, KindClientDeliver)
-					}},
-					{after: crashAt, do: func(r *faultRun) {
-						if len(r.got) == 0 || len(r.got) == len(payload) {
-							t.Fatalf("%s: %d of %d bytes echoed at the crash instant: not mid-stream", id, len(r.got), len(payload))
-						}
-						crashed = r.net.Now()
-						r.replicas[m.victim].Crash()
-					}},
-					{after: 4 * time.Minute},
-				}, verdict: verdict{echo: payload, chain: survivors, check: func(r *faultRun) {
-					if r.err != nil || detected == 0 {
-						t.Errorf("%s: client error %v, crash detected after %v", id, r.err, detected)
+						}, hydranet.KindClientDeliver)
+					},
+					Faults: at(crashAt, testbed.Crash, m.victim),
+					Steps: []testbed.Step{
+						{After: crashAt, Do: func(r *testbed.Run) {
+							if r.Delivered == 0 || r.Delivered == len(payload) {
+								t.Fatalf("%s: %d of %d bytes echoed at the crash instant: not mid-stream", id, r.Delivered, len(payload))
+							}
+						}},
+						{After: 4 * time.Minute},
+					}}, verdict{echo: true, chain: survivors, check: func(r *testbed.Run) {
+					if detected = r.Detected; r.Err != nil || detected == 0 || r.FalseReconfigs != 0 {
+						t.Errorf("%s: client error %v, crash detected after %v, %d reconfigurations removed live hosts",
+							id, r.Err, detected, r.FalseReconfigs)
 					}
-				}}}.play(t)
+				}})
 				t.Logf("%-12s %9d %8v  %11.0f %11.0f %10.0f", m.name, threshold, crashAt,
 					float64(detected)/1e6, float64(resumed)/1e6, float64(stall)/1e6)
 				if resumed-detected > slack {
@@ -162,13 +157,12 @@ func TestMiddleCrashResumesAtDetection(t *testing.T) {
 func TestGatedPrimaryProbesOnlyASilentClient(t *testing.T) {
 	payload := pattern(1<<20, 13, 9)
 	for i, crashAt := range []time.Duration{320 * time.Millisecond, 570 * time.Millisecond} {
-		faultCase{seed: int64(400 + i), replicas: 3, threshold: 8, send: payload, steps: []step{
-			{after: crashAt, do: crash(1)},
-			{after: 4 * time.Minute},
-		}, verdict: verdict{echo: payload, check: func(r *faultRun) {
-			if n := r.client.TCP().ConnTotals().PeerRetransmits; n != 0 {
+		row(t, testbed.Scenario{Seed: int64(400 + i), Replicas: 3, Threshold: 8, Send: payload,
+			Faults: at(crashAt, testbed.Crash, 1), Steps: []testbed.Step{{After: crashAt + 4*time.Minute}},
+		}, verdict{echo: true, check: func(r *testbed.Run) {
+			if n := r.Client.TCP().ConnTotals().PeerRetransmits; n != 0 {
 				t.Errorf("crash at %v: the client received %d probes or duplicates, want 0", crashAt, n)
 			}
-		}}}.play(t)
+		}})
 	}
 }

@@ -1,10 +1,11 @@
-package hydranet
+package hydranet_test
 
 import (
 	"runtime"
 	"testing"
 	"time"
 
+	"hydranet"
 	"hydranet/internal/app"
 	"hydranet/internal/core"
 	"hydranet/internal/hostserver"
@@ -57,7 +58,7 @@ func budgetTCPFrame(t *testing.T, src, dst ipv4.Addr, dstPort uint16, payloadLen
 
 // allocsPerEvent runs the net for d and returns heap allocations per
 // scheduler event over that stretch.
-func allocsPerEvent(net *Net, d time.Duration) (perEvent float64, events uint64) {
+func allocsPerEvent(net *hydranet.Net, d time.Duration) (perEvent float64, events uint64) {
 	var m0, m1 runtime.MemStats
 	e0 := net.EventsFired()
 	runtime.ReadMemStats(&m0)
@@ -194,12 +195,12 @@ func TestFramePathAllocBudget(t *testing.T) {
 	// allocation-free path achieves (under 0.0005) with an order of
 	// magnitude to spare; the design target is 0.1.
 	const ceiling = 0.005
-	tcpCfg := TCPConfig{SendBufSize: 16384, RecvBufSize: 16384, DelayedAckTimeout: 200 * time.Millisecond}
-	clientCfg := HostConfig{ProcDelay: 300 * time.Microsecond, ProcPerByte: 1300 * time.Nanosecond}
-	routerCfg := HostConfig{ProcDelay: 275 * time.Microsecond, ProcPerByte: 750 * time.Nanosecond}
-	serverCfg := HostConfig{ProcDelay: 170 * time.Microsecond, ProcPerByte: 350 * time.Nanosecond}
-	mesh := func(net *Net, hosts ...*Host) {
-		link := LinkConfig{Rate: 10_000_000, Delay: 100 * time.Microsecond, QueueBytes: 32 * 1024}
+	tcpCfg := hydranet.TCPConfig{SendBufSize: 16384, RecvBufSize: 16384, DelayedAckTimeout: 200 * time.Millisecond}
+	clientCfg := hydranet.HostConfig{ProcDelay: 300 * time.Microsecond, ProcPerByte: 1300 * time.Nanosecond}
+	routerCfg := hydranet.HostConfig{ProcDelay: 275 * time.Microsecond, ProcPerByte: 750 * time.Nanosecond}
+	serverCfg := hydranet.HostConfig{ProcDelay: 170 * time.Microsecond, ProcPerByte: 350 * time.Nanosecond}
+	mesh := func(net *hydranet.Net, hosts ...*hydranet.Host) {
+		link := hydranet.LinkConfig{Rate: 10_000_000, Delay: 100 * time.Microsecond, QueueBytes: 32 * 1024}
 		for i := range hosts {
 			for j := i + 1; j < len(hosts); j++ {
 				net.Link(hosts[i], hosts[j], link)
@@ -207,7 +208,7 @@ func TestFramePathAllocBudget(t *testing.T) {
 		}
 		net.AutoRoute()
 	}
-	stream := func(t *testing.T, net *Net, client *Host, to Endpoint, bufLen int) {
+	stream := func(t *testing.T, net *hydranet.Net, client *hydranet.Host, to hydranet.Endpoint, bufLen int) {
 		t.Helper()
 		conn, err := client.DialEndpoint(to)
 		if err != nil {
@@ -224,19 +225,19 @@ func TestFramePathAllocBudget(t *testing.T) {
 		}
 	}
 	t.Run("ft 16-byte writes", func(t *testing.T) {
-		net := New(Config{Seed: 3, TCP: tcpCfg})
+		net := hydranet.New(hydranet.Config{Seed: 3, TCP: tcpCfg})
 		client := net.AddHost("client", clientCfg)
 		rd := net.AddRedirector("rd", routerCfg)
-		replicas := []*Host{net.AddHost("s0", serverCfg), net.AddHost("s1", serverCfg)}
+		replicas := []*hydranet.Host{net.AddHost("s0", serverCfg), net.AddHost("s1", serverCfg)}
 		mesh(net, rd.Host, client, replicas[0], replicas[1])
-		if _, err := net.DeployFT(testSvc, rd, replicas, FTOptions{}, func(c *Conn) { ttcp.Sink(c) }); err != nil {
+		if _, err := net.DeployFT(testSvc, rd, replicas, hydranet.FTOptions{}, func(c *hydranet.Conn) { ttcp.Sink(c) }); err != nil {
 			t.Fatal(err)
 		}
 		net.Settle()
 		stream(t, net, client, testSvc, 16)
 	})
 	t.Run("clean 1024-byte writes", func(t *testing.T) {
-		net := New(Config{Seed: 3, TCP: tcpCfg})
+		net := hydranet.New(hydranet.Config{Seed: 3, TCP: tcpCfg})
 		client := net.AddHost("client", clientCfg)
 		router := net.AddRouter("router", routerCfg)
 		server := net.AddHost("server", serverCfg)
@@ -245,8 +246,8 @@ func TestFramePathAllocBudget(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		lst.SetAcceptFunc(func(c *Conn) { ttcp.Sink(c) })
-		stream(t, net, client, Endpoint{Addr: server.Addr(), Port: 5001}, 1024)
+		lst.SetAcceptFunc(func(c *hydranet.Conn) { ttcp.Sink(c) })
+		stream(t, net, client, hydranet.Endpoint{Addr: server.Addr(), Port: 5001}, 1024)
 	})
 }
 
@@ -267,14 +268,14 @@ func TestConnLifecycleAllocBudget(t *testing.T) {
 		warm    = 300 // several TIME-WAIT lifetimes: the population is steady
 		measure = 200
 	)
-	net := New(Config{Seed: 3, TCP: TCPConfig{
+	net := hydranet.New(hydranet.Config{Seed: 3, TCP: hydranet.TCPConfig{
 		SendBufSize: 16384, RecvBufSize: 16384,
 		DelayedAckTimeout: 200 * time.Millisecond, TimeWaitDuration: 500 * time.Millisecond,
 	}})
-	client := net.AddHost("client", HostConfig{})
-	rd := net.AddRedirector("rd", HostConfig{})
-	replicas := []*Host{net.AddHost("s0", HostConfig{}), net.AddHost("s1", HostConfig{})}
-	link := LinkConfig{Rate: 100_000_000, Delay: 100 * time.Microsecond}
+	client := net.AddHost("client", hydranet.HostConfig{})
+	rd := net.AddRedirector("rd", hydranet.HostConfig{})
+	replicas := []*hydranet.Host{net.AddHost("s0", hydranet.HostConfig{}), net.AddHost("s1", hydranet.HostConfig{})}
+	link := hydranet.LinkConfig{Rate: 100_000_000, Delay: 100 * time.Microsecond}
 	net.Link(client, rd.Host, link)
 	for _, h := range replicas {
 		net.Link(h, rd.Host, link)
@@ -285,7 +286,7 @@ func TestConnLifecycleAllocBudget(t *testing.T) {
 	// Replica-side state, reused round-robin: a connection's slot is free
 	// again long before the ring comes back to it.
 	type server struct {
-		c          *Conn
+		c          *hydranet.Conn
 		got        int
 		onReadable func()
 	}
@@ -306,7 +307,7 @@ func TestConnLifecycleAllocBudget(t *testing.T) {
 		servers[i] = s
 	}
 	accepted := 0
-	if _, err := net.DeployFT(testSvc, rd, replicas, FTOptions{}, func(c *Conn) {
+	if _, err := net.DeployFT(testSvc, rd, replicas, hydranet.FTOptions{}, func(c *hydranet.Conn) {
 		s := servers[accepted%len(servers)]
 		accepted++
 		s.c, s.got = c, 0
@@ -316,7 +317,7 @@ func TestConnLifecycleAllocBudget(t *testing.T) {
 	}
 	net.Settle()
 
-	var conn *Conn
+	var conn *hydranet.Conn
 	got, closed := 0, false
 	var closeErr error
 	onReadable := func() {

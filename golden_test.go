@@ -7,7 +7,9 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"path/filepath"
 	"testing"
+	"time"
 
 	"hydranet"
 	"hydranet/internal/testbed"
@@ -37,13 +39,21 @@ func sha(b []byte) string {
 	return hex.EncodeToString(s[:])
 }
 
+// computeGolden plays the capture scenario with a pcap and a 50 ms sampler
+// named, then with only the audit named, and the fingerprint row at seed 77,
+// before the Figure-4 points and the experiments.
 func computeGolden(t *testing.T) goldenOutputs {
-	pcap, series := hydranet.GoldenCapture(t)
+	dir := t.TempDir()
+	in := hydranet.Instruments{Pcap: filepath.Join(dir, "golden.pcap"), Series: filepath.Join(dir, "golden.jsonl"),
+		SampleEvery: 50 * time.Millisecond}
+	captureRow(t, in, nil)
+	audit := hydranet.Instruments{Audit: filepath.Join(dir, "golden.audit.json")}
+	captureRow(t, audit, nil)
 	g := goldenOutputs{
-		CapturePcap:   sha(pcap),
-		CaptureSeries: sha(series),
-		CaptureAudit:  sha(hydranet.GoldenCaptureAudit(t)),
-		Scenario77:    sha([]byte(hydranet.GoldenScenario(t))),
+		CapturePcap:   sha(mustRead(t, in.Pcap)),
+		CaptureSeries: sha(mustRead(t, in.Series)),
+		CaptureAudit:  sha(mustRead(t, audit.Audit)),
+		Scenario77:    sha([]byte(fingerprintRow(t, 77, nil))),
 	}
 	for _, size := range testbed.Figure4Sizes {
 		for _, c := range testbed.Figure4Cases {

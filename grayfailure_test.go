@@ -1,16 +1,14 @@
-package hydranet
+package hydranet_test
 
 import (
 	"bytes"
 	"path/filepath"
-	"slices"
-	"strings"
 	"testing"
 	"time"
 
-	"hydranet/internal/icmp"
+	"hydranet"
 	"hydranet/internal/scope"
-	"hydranet/internal/series"
+	"hydranet/internal/testbed"
 )
 
 // TestGrayFailureDegradedBeforeDetector is the PR's headline scenario: a
@@ -24,19 +22,19 @@ import (
 func TestGrayFailureDegradedBeforeDetector(t *testing.T) {
 	var suspicions []time.Duration
 	var stallAt time.Duration
-	in := Instruments{Series: filepath.Join(t.TempDir(), "gray.jsonl"), SampleEvery: 50 * time.Millisecond}
-	faultCase{seed: 11, replicas: 3, in: in, threshold: 3, send: make([]byte, 4<<20), setup: func(r *faultRun) {
-		r.net.Bus().Subscribe(func(e Event) { suspicions = append(suspicions, e.Time) }, KindSuspicion)
-	}, steps: []step{
+	in := hydranet.Instruments{Series: filepath.Join(t.TempDir(), "gray.jsonl"), SampleEvery: 50 * time.Millisecond}
+	row(t, testbed.Scenario{Seed: 11, Replicas: 3, Observe: in, Threshold: 3, Send: make([]byte, 4<<20), Setup: func(r *testbed.Run) {
+		r.Net.Bus().Subscribe(func(e hydranet.Event) { suspicions = append(suspicions, e.Time) }, hydranet.KindSuspicion)
+	}, Steps: []testbed.Step{
 		// Gray failure: the last backup's CPU degrades to a quarter-second per
 		// frame. It stays alive, answers probes eventually, trickles deposits
 		// — and strangles the ack chain.
-		{after: 400 * time.Millisecond, do: func(r *faultRun) {
-			stallAt = r.net.Now()
-			r.replicas[2].SetProcessing(250*time.Millisecond, 0)
+		{After: 400 * time.Millisecond, Do: func(r *testbed.Run) {
+			stallAt = r.Net.Now()
+			r.Replicas[2].SetProcessing(250*time.Millisecond, 0)
 		}},
-		{after: 60 * time.Second},
-	}, verdict: verdict{check: func(r *faultRun) {
+		{After: 60 * time.Second},
+	}}, verdict{check: func(r *testbed.Run) {
 		// The race starts at the stall: connection-establishment churn can trip
 		// the detector spuriously beforehand, so compare reaction times from
 		// the moment the gray failure begins.
@@ -50,7 +48,7 @@ func TestGrayFailureDegradedBeforeDetector(t *testing.T) {
 		if suspicionAt == 0 {
 			t.Fatal("detector never raised a suspicion after the stall — it did not bite")
 		}
-		scorer, slow := r.sess.tel.scorer, r.replicas[2]
+		scorer, slow := hydranet.HealthScorer(r.Session), r.Replicas[2]
 		degradedAt, ok := scorer.FirstDegradedAt(slow.Name())
 		if !ok {
 			t.Fatalf("slow replica %s never scored Degraded (verdict %v)",
@@ -68,110 +66,10 @@ func TestGrayFailureDegradedBeforeDetector(t *testing.T) {
 
 		// Attribution: the healthy primary keeps the cluster-max deposit
 		// cursor and must never be blamed for the straggler's lag.
-		if at, wrongly := scorer.FirstDegradedAt(r.replicas[0].Name()); wrongly {
-			t.Fatalf("primary %s wrongly degraded at %v", r.replicas[0].Name(), at)
+		if at, wrongly := scorer.FirstDegradedAt(r.Replicas[0].Name()); wrongly {
+			t.Fatalf("primary %s wrongly degraded at %v", r.Replicas[0].Name(), at)
 		}
-	}}}.play(t)
-}
-
-// TestSamplerCadenceAndStop: the first tick fires one cadence after the
-// sampler starts and each later one a cadence after the last; Stop disarms it.
-func TestSamplerCadenceAndStop(t *testing.T) {
-	net := New(Config{Seed: 1})
-	a := net.AddHost("a", HostConfig{})
-	tel := net.startSampler(10*time.Millisecond, nil)
-	net.RunFor(35 * time.Millisecond)
-	alive := tel.set.Get("host." + a.Name() + ".alive")
-	if tel.ticks != 3 || alive.Len() != 3 || !tel.timer.Armed() {
-		t.Fatalf("ticks=%d points=%d armed=%v, want 3 ticks (10/20/30ms), still armed", tel.ticks, alive.Len(), tel.timer.Armed())
-	}
-	for i, want := range []time.Duration{10, 20, 30} {
-		if at := alive.At(i).T; at != want*time.Millisecond {
-			t.Fatalf("tick %d at %v, want %vms", i, at, want)
-		}
-	}
-	tel.Stop()
-	net.RunFor(100 * time.Millisecond)
-	if tel.ticks != 3 || tel.timer.Armed() {
-		t.Fatalf("sampler ticked after Stop: ticks=%d armed=%v", tel.ticks, tel.timer.Armed())
-	}
-}
-
-// TestHealthWatchesEveryFTReplica: the health scorer classifies every
-// replica of every FT service deployed, each host once, including services
-// deployed after the sampler started. Each tick picks up new replicas first,
-// so their health series follow the host series and precede the series
-// created during the tick.
-func TestHealthWatchesEveryFTReplica(t *testing.T) {
-	net, _, rd, replicas, _ := ftTopology(Config{Seed: 3}, 3, LinkConfig{})
-	tel := net.startSampler(50*time.Millisecond, nil)
-	if _, err := net.DeployFT(testSvc, rd, replicas[:2], FTOptions{}, echoAccept()); err != nil {
-		t.Fatal(err)
-	}
-	net.RunFor(120 * time.Millisecond)
-	other := ServiceID{Addr: testSvc.Addr, Port: 81}
-	if _, err := net.DeployFT(other, rd, replicas[1:], FTOptions{}, echoAccept()); err != nil {
-		t.Fatal(err)
-	}
-	net.RunFor(100 * time.Millisecond)
-	tel.Stop()
-
-	var names []string
-	tel.set.Each(func(s *series.Series) { names = append(names, s.Name()) })
-	var health []string
-	firstHealth, firstLazy := -1, -1
-	for i, name := range names {
-		switch {
-		case strings.HasPrefix(name, "health."):
-			health = append(health, name)
-			if firstHealth < 0 {
-				firstHealth = i
-			}
-		case !strings.HasPrefix(name, "host.") && firstLazy < 0:
-			firstLazy = i
-		}
-	}
-	if want := []string{"health.s0", "health.s1", "health.s2"}; !slices.Equal(health, want) {
-		t.Fatalf("health series %v, want %v", health, want)
-	}
-	if firstHealth < 0 || firstLazy < firstHealth {
-		t.Fatalf("series order %v: health series must follow the host series and precede the rest", names)
-	}
-	if tel.set.Get("health.s2").Len() != 2 {
-		t.Errorf("health.s2 has %d points, want 2 (ticks at 150 and 200 ms)", tel.set.Get("health.s2").Len())
-	}
-}
-
-// TestSamplerZeroCostWhenStopped pins the facade's promise: telemetry is
-// zero-cost unless a sampler is actively running. A net that had a sampler
-// attached, ticking, and then stopped must perform a ping round trip with
-// exactly as many heap allocations as a net that never saw one.
-func TestSamplerZeroCostWhenStopped(t *testing.T) {
-	pingAllocs := func(attach bool) float64 {
-		net := New(Config{Seed: 1})
-		a := net.AddHost("a", HostConfig{})
-		b := net.AddHost("b", HostConfig{})
-		net.Link(a, b, LinkConfig{Rate: 100_000_000, Delay: 100 * time.Microsecond})
-		net.AutoRoute()
-		if attach {
-			tel := net.startSampler(time.Millisecond, nil)
-			net.RunFor(5 * time.Millisecond) // let it tick for real
-			tel.Stop()
-		}
-		done := func(icmp.EchoResult) {}
-		a.Ping(b.Addr(), time.Second, done) // warm stacks and pools
-		net.RunFor(50 * time.Millisecond)
-		return testing.AllocsPerRun(100, func() {
-			a.Ping(b.Addr(), time.Second, done)
-			net.RunFor(10 * time.Millisecond)
-		})
-	}
-	base := pingAllocs(false)
-	stopped := pingAllocs(true)
-	if stopped != base {
-		t.Fatalf("round trip with stopped sampler allocates %v/op, baseline %v/op — idle telemetry must add 0",
-			stopped, base)
-	}
+	}})
 }
 
 // TestSeriesExportIdenticalSeedsDiffClean runs the same seeded failover
@@ -183,10 +81,11 @@ func TestSamplerZeroCostWhenStopped(t *testing.T) {
 func TestSeriesExportIdenticalSeedsDiffClean(t *testing.T) {
 	runOnce := func() []byte {
 		payload := make([]byte, 512*1024)
-		in := Instruments{Series: filepath.Join(t.TempDir(), "run.jsonl"), SampleEvery: 50 * time.Millisecond}
-		faultCase{seed: 5, replicas: 3, in: in, threshold: 3, send: payload, steps: []step{
-			{after: 400 * time.Millisecond, do: crashPrimary}, readAll(len(payload), 2*time.Minute),
-		}, verdict: verdict{echo: payload}}.play(t)
+		in := hydranet.Instruments{Series: filepath.Join(t.TempDir(), "run.jsonl"), SampleEvery: 50 * time.Millisecond}
+		row(t, testbed.Scenario{Seed: 5, Replicas: 3, Observe: in, Threshold: 3, Send: payload,
+			Faults: at(400*time.Millisecond, testbed.CrashPrimary, 0),
+			Steps:  []testbed.Step{{After: 400 * time.Millisecond}, readAll(len(payload), 2*time.Minute)},
+		}, verdict{echo: true})
 		return mustRead(t, in.Series)
 	}
 

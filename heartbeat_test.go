@@ -1,4 +1,4 @@
-package hydranet
+package hydranet_test
 
 import (
 	"bytes"
@@ -6,25 +6,30 @@ import (
 	"path/filepath"
 	"testing"
 	"time"
+
+	"hydranet"
+	"hydranet/internal/app"
+	"hydranet/internal/testbed"
 )
 
 // TestLeaseDetectsIdleCrash: with heartbeats enabled, a dead primary is
 // detected and replaced with NO traffic on the connection at all — closing
 // the gap the paper's traffic-driven estimator leaves for idle services.
 func TestLeaseDetectsIdleCrash(t *testing.T) {
-	faultCase{seed: 131, replicas: 2, heartbeat: 500 * time.Millisecond, send: []byte("before|"), steps: []step{
-		{after: 2 * time.Second, do: crash(0)},
-		// Total silence from the application; the lease must expire anyway.
-		{after: 10 * time.Second, do: func(r *faultRun) {
-			r.wantChain(1)
-			if r.rd.Daemon().Stats().LeaseExpirations == 0 {
-				t.Error("no lease expiration recorded")
-			}
-			// The promoted backup serves the connection when traffic resumes.
-			r.conn.Write([]byte("after"))
-		}},
-		{after: 30 * time.Second},
-	}, verdict: verdict{echo: []byte("before|after")}}.play(t)
+	row(t, testbed.Scenario{Seed: 131, Replicas: 2, Heartbeat: 500 * time.Millisecond, Send: []byte("before|"),
+		Faults: at(2*time.Second, testbed.Crash, 0),
+		Steps: []testbed.Step{
+			// Total silence from the application; the lease must expire anyway.
+			{After: 2*time.Second + 10*time.Second, Do: func(r *testbed.Run) {
+				wantChain(t, r, 1)
+				if r.Redirector.Daemon().Stats().LeaseExpirations == 0 {
+					t.Error("no lease expiration recorded")
+				}
+				// The promoted backup serves the connection when traffic resumes.
+				r.Write([]byte("after"))
+			}},
+			{After: 30 * time.Second},
+		}}, verdict{echo: true})
 }
 
 // TestRecommissionKeepsOneHeartbeat: a host's heartbeat timer outlives its
@@ -32,14 +37,15 @@ func TestLeaseDetectsIdleCrash(t *testing.T) {
 // must not start a second one. Over 10 idle seconds it sends as many frames
 // after the recommission as it did before the crash.
 func TestRecommissionKeepsOneHeartbeat(t *testing.T) {
-	net, _, rd, replicas, _ := ftTopology(Config{Seed: 131}, 2, LinkConfig{})
-	svc, err := net.DeployFT(testSvc, rd, replicas,
-		FTOptions{Heartbeat: 500 * time.Millisecond}, echoAccept())
+	r := testbed.Star(hydranet.New(hydranet.Config{Seed: 131}), 2, hydranet.LinkConfig{})
+	net := r.Net
+	svc, err := net.DeployFT(testSvc, r.Redirector, r.Replicas,
+		hydranet.FTOptions{Heartbeat: 500 * time.Millisecond}, app.Echo)
 	if err != nil {
 		t.Fatal(err)
 	}
 	net.Settle()
-	h := replicas[1]
+	h := r.Replicas[1]
 	sent := func() uint64 {
 		for _, hs := range net.Snapshot().Hosts {
 			if hs.Name == h.Name() {
@@ -76,22 +82,22 @@ func TestRecommissionKeepsOneHeartbeat(t *testing.T) {
 // the order of frames on the wire. Same seed, same pcap, byte for byte.
 func TestLeaseSweepOrderIsReplayable(t *testing.T) {
 	run := func(path string) []byte {
-		net, _, rd, replicas, _ := ftTopology(Config{Seed: 134}, 2, LinkConfig{})
-		sess, err := net.Instrument(Instruments{Pcap: path})
+		r := testbed.Star(hydranet.New(hydranet.Config{Seed: 134}), 2, hydranet.LinkConfig{})
+		sess, err := r.Net.Instrument(hydranet.Instruments{Pcap: path})
 		if err != nil {
 			t.Fatal(err)
 		}
 		for i := 0; i < 8; i++ {
-			svc := ServiceID{Addr: testSvc.Addr + Addr(i), Port: testSvc.Port}
-			if _, err := net.DeployFT(svc, rd, replicas,
-				FTOptions{Heartbeat: 500 * time.Millisecond}, echoAccept()); err != nil {
+			svc := hydranet.ServiceID{Addr: testSvc.Addr + hydranet.Addr(i), Port: testSvc.Port}
+			if _, err := r.Net.DeployFT(svc, r.Redirector, r.Replicas,
+				hydranet.FTOptions{Heartbeat: 500 * time.Millisecond}, app.Echo); err != nil {
 				t.Fatal(err)
 			}
 		}
-		net.Settle()
-		replicas[0].Crash()
-		net.RunFor(10 * time.Second)
-		if got := rd.Daemon().Stats().LeaseExpirations; got != 8 {
+		r.Net.Settle()
+		r.Replicas[0].Crash()
+		r.Net.RunFor(10 * time.Second)
+		if got := r.Redirector.Daemon().Stats().LeaseExpirations; got != 8 {
 			t.Fatalf("%d lease expirations, want one per service (8)", got)
 		}
 		if _, err := sess.Finish(); err != nil {
@@ -115,33 +121,33 @@ func TestLeaseSweepOrderIsReplayable(t *testing.T) {
 // TestLeaseQuietWhenHealthy: heartbeats flowing → nobody expires, even over
 // a long idle stretch.
 func TestLeaseQuietWhenHealthy(t *testing.T) {
-	faultCase{seed: 132, replicas: 3, heartbeat: 500 * time.Millisecond, send: []byte("ping"),
-		steps: []step{{after: 5 * time.Minute}}, // a long healthy idle period
-		verdict: verdict{echo: []byte("ping"), chain: []int{0, 1, 2}, check: func(r *faultRun) {
-			if n := r.rd.Daemon().Stats().LeaseExpirations; n != 0 {
-				t.Errorf("%d spurious lease expirations", n)
-			}
-		}}}.play(t)
+	row(t, testbed.Scenario{Seed: 132, Replicas: 3, Heartbeat: 500 * time.Millisecond, Send: []byte("ping"),
+		Steps: []testbed.Step{{After: 5 * time.Minute}}, // a long healthy idle period
+	}, verdict{echo: true, chain: []int{0, 1, 2}, check: func(r *testbed.Run) {
+		if n := r.Redirector.Daemon().Stats().LeaseExpirations; n != 0 {
+			t.Errorf("%d spurious lease expirations", n)
+		}
+	}})
 }
 
 // TestVoluntaryLeaveViaFacade: FTService.Leave resplices the chain and
 // promotes the successor when the primary departs, without any client
 // disturbance.
 func TestVoluntaryLeaveViaFacade(t *testing.T) {
-	faultCase{seed: 133, replicas: 3, send: []byte("one|"), steps: []step{
-		{after: 2 * time.Second, do: func(r *faultRun) {
-			if err := r.svc.Leave(r.replicas[0]); err != nil { // the primary departs
+	row(t, testbed.Scenario{Seed: 133, Replicas: 3, Send: []byte("one|"), Steps: []testbed.Step{
+		{After: 2 * time.Second, Do: func(r *testbed.Run) {
+			if err := r.Service.Leave(r.Replicas[0]); err != nil { // the primary departs
 				t.Fatal(err)
 			}
-			r.net.Settle()
-			r.wantChain(1, 2)
-			r.conn.Write([]byte("two"))
+			r.Net.Settle()
+			wantChain(t, r, 1, 2)
+			r.Write([]byte("two"))
 		}},
-		{after: 60 * time.Second},
-	}, verdict: verdict{echo: []byte("one|two"), check: func(r *faultRun) {
+		{After: 60 * time.Second},
+	}}, verdict{echo: true, check: func(r *testbed.Run) {
 		// Leaving twice (or a stranger) errors cleanly.
-		if err := r.svc.Leave(r.net.AddHost("stranger", HostConfig{})); err == nil {
+		if err := r.Service.Leave(r.Net.AddHost("stranger", hydranet.HostConfig{})); err == nil {
 			t.Error("Leave accepted a non-member")
 		}
-	}}}.play(t)
+	}})
 }

@@ -1,18 +1,37 @@
 package hydranet
 
 import (
-	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
-	"hydranet/internal/capture"
-	"hydranet/internal/ipv4"
+	"hydranet/internal/app"
+	"hydranet/internal/icmp"
 	"hydranet/internal/obs"
-	"hydranet/internal/scope"
+	"hydranet/internal/series"
 )
+
+// star is internal/testbed's Figure-3 star, which the tests of this package
+// cannot import: a client and n replicas s0, s1, …, each on its own
+// 10 Mbit/s, 1 ms link to the redirector.
+func star(seed int64, n int) (*Net, *Redirector, []*Host) {
+	net := New(Config{Seed: seed})
+	client := net.AddHost("client", HostConfig{})
+	rd := net.AddRedirector("rd", HostConfig{})
+	link := LinkConfig{Rate: 10_000_000, Delay: time.Millisecond}
+	net.Link(client, rd.Host, link)
+	var replicas []*Host
+	for i := range n {
+		replicas = append(replicas, net.AddHost(fmt.Sprintf("s%d", i), HostConfig{}))
+		net.Link(replicas[i], rd.Host, link)
+	}
+	net.AutoRoute()
+	return net, rd, replicas
+}
 
 // requireNothingAttached fails unless the net is as bare as New left it: no
 // bus subscriber on any kind, no frame or encap tap and no scheduler event.
@@ -35,7 +54,7 @@ func requireNothingAttached(t *testing.T, net *Net) {
 // observers — what lets testbed and bench call Instrument unconditionally
 // and still match an uninstrumented run to the last fired event.
 func TestInstrumentZeroValueAttachesNothing(t *testing.T) {
-	net, _, _, _, _ := ftTopology(Config{Seed: 1}, 2, LinkConfig{})
+	net, _, _ := star(1, 2)
 	sess, err := net.Instrument(Instruments{})
 	if err != nil {
 		t.Fatal(err)
@@ -73,8 +92,8 @@ func TestInstrumentOrderIsEnforced(t *testing.T) {
 	}
 
 	t.Run("after DeployFT", func(t *testing.T) {
-		net, _, rd, replicas, _ := ftTopology(Config{Seed: 1}, 2, LinkConfig{})
-		if _, err := net.DeployFT(testSvc, rd, replicas, FTOptions{}, echoAccept()); err != nil {
+		net, rd, replicas := star(1, 2)
+		if _, err := net.DeployFT(ServiceID{Addr: MustAddr("192.20.225.20"), Port: 80}, rd, replicas, FTOptions{}, app.Echo); err != nil {
 			t.Fatal(err)
 		}
 		pending := net.sched.Pending()
@@ -90,7 +109,7 @@ func TestInstrumentOrderIsEnforced(t *testing.T) {
 		requireEmpty(dir)
 	})
 	t.Run("second call", func(t *testing.T) {
-		net, _, _, _, _ := ftTopology(Config{Seed: 1}, 2, LinkConfig{})
+		net, _, _ := star(1, 2)
 		if _, err := net.Instrument(Instruments{}); err != nil {
 			t.Fatal(err)
 		}
@@ -103,112 +122,6 @@ func TestInstrumentOrderIsEnforced(t *testing.T) {
 	})
 }
 
-// TestInstrumentEverythingOn runs the capture fail-over scenario with every
-// observer named: Finish must leave all three artifacts on disk, each
-// readable by the in-repo loader the tools use, report a clean audit and a
-// complete fail-over — and the other observers must not change one byte of
-// what the capture saw.
-func TestInstrumentEverythingOn(t *testing.T) {
-	dir := t.TempDir()
-	in := Instruments{
-		Scenario: "everything on",
-		Pcap:     filepath.Join(dir, "run.pcap"),
-		Series:   filepath.Join(dir, "series.jsonl"),
-		Audit:    filepath.Join(dir, "run.audit.json"),
-	}
-	captureFailover(in, func(r *faultRun) {
-		sum := r.sum
-		if sum.Audit == nil || !sum.Audit.Clean {
-			t.Fatalf("audit = %+v, want clean", sum.Audit)
-		}
-		if fo := sum.Failover; !fo.Complete || fo.CrashAt != 1300*time.Millisecond {
-			t.Errorf("fail-over report %+v, want complete with the crash at 1.3s", fo)
-		}
-
-		if n := requireWellFormedPcap(t, in.Pcap); uint64(n) != sum.PcapRecords || sum.PcapInner == 0 {
-			t.Errorf("pcap holds %d records, Summary says %d (%d inner)", n, sum.PcapRecords, sum.PcapInner)
-		}
-		if f, err := capture.ReadFile(in.Pcap); err != nil {
-			t.Error(err)
-		} else if tls := scope.Timelines(f); len(tls) != 1 || len(tls[0].Segments) == 0 {
-			t.Errorf("%d FT timelines read off the pcap, want one with segments", len(tls))
-		}
-		run, err := scope.LoadRunFile(in.Series)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if run.Meta.Failover == nil || !run.Meta.Failover.Complete || len(run.Names()) != sum.Series || run.Meta.Ticks != sum.Ticks {
-			t.Errorf("series meta %+v with %d series, Summary says %d series, %d ticks",
-				run.Meta, len(run.Names()), sum.Series, sum.Ticks)
-		}
-		// One rule for what series contain: health verdicts because replicas
-		// are watched.
-		for _, name := range []string{"health.s0", "health.s1"} {
-			if run.Get(name) == nil {
-				t.Errorf("series export lacks %s", name)
-			}
-		}
-		if a, err := scope.LoadAuditFile(in.Audit); err != nil || !a.Clean || a.Scenario != in.Scenario {
-			t.Errorf("audit file: %v", err)
-		}
-	}).play(t)
-
-	// The monitor is on in both runs: the golden capture hashes, recorded
-	// without one, pin that it changes no byte either.
-	alone := Instruments{Pcap: filepath.Join(dir, "alone.pcap")}
-	captureFailover(alone, nil).play(t)
-	if !bytes.Equal(mustRead(t, in.Pcap), mustRead(t, alone.Pcap)) {
-		t.Error("the pcap of the everything-on run differs from the pcap-only run's")
-	}
-}
-
-// requireWellFormedPcap reads a capture back with the in-repo reader and
-// checks what every pcap of the fabric must be: LINKTYPE_RAW, timestamps
-// that never decrease, an IPv4 header on every record, and an IPv4 packet
-// inside every first-fragment IP-in-IP record, of which there is at least
-// one (the redirector's tunnel copies). It returns the record count.
-func requireWellFormedPcap(t *testing.T, path string) int {
-	t.Helper()
-	f, err := capture.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if f.LinkType != capture.LinkTypeRaw {
-		t.Fatalf("%s: linktype %d, want %d (LINKTYPE_RAW)", path, f.LinkType, capture.LinkTypeRaw)
-	}
-	ipip := 0
-	last := time.Duration(-1)
-	for i, r := range f.Records {
-		if r.Ts < last {
-			t.Fatalf("%s: record %d: timestamp %v before predecessor %v", path, i, r.Ts, last)
-		}
-		last = r.Ts
-		if len(r.Data) < ipv4.HeaderLen || r.Data[0]>>4 != 4 {
-			t.Fatalf("%s: record %d: not an IPv4 packet", path, i)
-		}
-		if fragOffset := (int(r.Data[6])<<8 | int(r.Data[7])) & 0x1fff; fragOffset != 0 || r.Data[9] != ipv4.ProtoIPIP {
-			continue // a fragment continuation has no inner header
-		}
-		ipip++
-		if inner := r.Data[ipv4.HeaderLen:]; len(inner) < ipv4.HeaderLen || inner[0]>>4 != 4 {
-			t.Fatalf("%s: record %d: IP-in-IP payload is not IPv4", path, i)
-		}
-	}
-	if ipip == 0 {
-		t.Fatalf("%s: %d records, none of them a tunnel copy", path, len(f.Records))
-	}
-	return len(f.Records)
-}
-
-// TestFinishSurfacesPcapError: a capture whose destination stops accepting
-// writes mid-run must not end as a silently truncated file.
-func TestFinishSurfacesPcapError(t *testing.T) {
-	payload := make([]byte, 16*1024)
-	faultCase{seed: 3, replicas: 2, in: Instruments{Pcap: filepath.Join(t.TempDir(), "run.pcap")}, send: payload,
-		setup: func(r *faultRun) { r.sess.pcapFile.Close() }, // the disk "fills": every later write fails
-		steps: []step{readAll(len(payload), time.Minute)}, verdict: verdict{echo: payload, finishErr: "pcap"}}.play(t)
-}
-
 // TestInstrumentUnwritablePcap: /dev/full can be created and fails every
 // write with ENOSPC. Instrument must never return an error with observers
 // left attached (a monitor subscribed, a Net that answers "called twice" to
@@ -218,7 +131,7 @@ func TestInstrumentUnwritablePcap(t *testing.T) {
 	if _, err := os.Stat("/dev/full"); err != nil {
 		t.Skip("no /dev/full on this system")
 	}
-	net, _, _, _, _ := ftTopology(Config{Seed: 1}, 2, LinkConfig{})
+	net, _, _ := star(1, 2)
 	sess, err := net.Instrument(Instruments{Invariants: true, Pcap: "/dev/full"})
 	if err != nil {
 		requireNothingAttached(t, net)
@@ -246,5 +159,106 @@ func TestInstrumentsSuffixed(t *testing.T) {
 				t.Errorf("Suffixed(%q) = %q, want %q", tc.path, p, tc.want)
 			}
 		}
+	}
+}
+
+// TestSamplerCadenceAndStop: the first tick fires one cadence after the
+// sampler starts and each later one a cadence after the last; Stop disarms it.
+func TestSamplerCadenceAndStop(t *testing.T) {
+	net := New(Config{Seed: 1})
+	a := net.AddHost("a", HostConfig{})
+	tel := net.startSampler(10*time.Millisecond, nil)
+	net.RunFor(35 * time.Millisecond)
+	alive := tel.set.Get("host." + a.Name() + ".alive")
+	if tel.ticks != 3 || alive.Len() != 3 || !tel.timer.Armed() {
+		t.Fatalf("ticks=%d points=%d armed=%v, want 3 ticks (10/20/30ms), still armed", tel.ticks, alive.Len(), tel.timer.Armed())
+	}
+	for i, want := range []time.Duration{10, 20, 30} {
+		if at := alive.At(i).T; at != want*time.Millisecond {
+			t.Fatalf("tick %d at %v, want %vms", i, at, want)
+		}
+	}
+	tel.Stop()
+	net.RunFor(100 * time.Millisecond)
+	if tel.ticks != 3 || tel.timer.Armed() {
+		t.Fatalf("sampler ticked after Stop: ticks=%d armed=%v", tel.ticks, tel.timer.Armed())
+	}
+}
+
+// TestHealthWatchesEveryFTReplica: the health scorer classifies every
+// replica of every FT service deployed, each host once, including services
+// deployed after the sampler started. Each tick picks up new replicas first,
+// so their health series follow the host series and precede the series
+// created during the tick.
+func TestHealthWatchesEveryFTReplica(t *testing.T) {
+	net, rd, replicas := star(3, 3)
+	tel := net.startSampler(50*time.Millisecond, nil)
+	svc := ServiceID{Addr: MustAddr("192.20.225.20"), Port: 80}
+	if _, err := net.DeployFT(svc, rd, replicas[:2], FTOptions{}, app.Echo); err != nil {
+		t.Fatal(err)
+	}
+	net.RunFor(120 * time.Millisecond)
+	other := ServiceID{Addr: svc.Addr, Port: 81}
+	if _, err := net.DeployFT(other, rd, replicas[1:], FTOptions{}, app.Echo); err != nil {
+		t.Fatal(err)
+	}
+	net.RunFor(100 * time.Millisecond)
+	tel.Stop()
+
+	var names []string
+	tel.set.Each(func(s *series.Series) { names = append(names, s.Name()) })
+	var health []string
+	firstHealth, firstLazy := -1, -1
+	for i, name := range names {
+		switch {
+		case strings.HasPrefix(name, "health."):
+			health = append(health, name)
+			if firstHealth < 0 {
+				firstHealth = i
+			}
+		case !strings.HasPrefix(name, "host.") && firstLazy < 0:
+			firstLazy = i
+		}
+	}
+	if want := []string{"health.s0", "health.s1", "health.s2"}; !slices.Equal(health, want) {
+		t.Fatalf("health series %v, want %v", health, want)
+	}
+	if firstHealth < 0 || firstLazy < firstHealth {
+		t.Fatalf("series order %v: health series must follow the host series and precede the rest", names)
+	}
+	if tel.set.Get("health.s2").Len() != 2 {
+		t.Errorf("health.s2 has %d points, want 2 (ticks at 150 and 200 ms)", tel.set.Get("health.s2").Len())
+	}
+}
+
+// TestSamplerZeroCostWhenStopped pins the facade's promise: telemetry is
+// zero-cost unless a sampler is actively running. A net that had a sampler
+// attached, ticking, and then stopped must perform a ping round trip with
+// exactly as many heap allocations as a net that never saw one.
+func TestSamplerZeroCostWhenStopped(t *testing.T) {
+	pingAllocs := func(attach bool) float64 {
+		net := New(Config{Seed: 1})
+		a := net.AddHost("a", HostConfig{})
+		b := net.AddHost("b", HostConfig{})
+		net.Link(a, b, LinkConfig{Rate: 100_000_000, Delay: 100 * time.Microsecond})
+		net.AutoRoute()
+		if attach {
+			tel := net.startSampler(time.Millisecond, nil)
+			net.RunFor(5 * time.Millisecond) // let it tick for real
+			tel.Stop()
+		}
+		done := func(icmp.EchoResult) {}
+		a.Ping(b.Addr(), time.Second, done) // warm stacks and pools
+		net.RunFor(50 * time.Millisecond)
+		return testing.AllocsPerRun(100, func() {
+			a.Ping(b.Addr(), time.Second, done)
+			net.RunFor(10 * time.Millisecond)
+		})
+	}
+	base := pingAllocs(false)
+	stopped := pingAllocs(true)
+	if stopped != base {
+		t.Fatalf("round trip with stopped sampler allocates %v/op, baseline %v/op — idle telemetry must add 0",
+			stopped, base)
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"hydranet/internal/netsim"
 	"hydranet/internal/obs"
 	"hydranet/internal/tcp"
+	"hydranet/internal/testbed"
 )
 
 // pair deploys serve on a primary and a backup behind one redirector and
@@ -17,21 +18,13 @@ import (
 func pair(t *testing.T, seed int64, serve func(*hydranet.Conn)) (
 	*hydranet.Net, *hydranet.Conn, *hydranet.Host, *tcp.Conn, *netsim.Link) {
 	t.Helper()
-	net := hydranet.New(hydranet.Config{Seed: seed})
-	client := net.AddHost("client", hydranet.HostConfig{})
-	rd := net.AddRedirector("rd", hydranet.HostConfig{})
-	s0 := net.AddHost("s0", hydranet.HostConfig{})
-	s1 := net.AddHost("s1", hydranet.HostConfig{})
-	link := hydranet.LinkConfig{Rate: 10_000_000, Delay: time.Millisecond}
-	net.Link(client, rd.Host, link)
-	net.Link(s0, rd.Host, link)
-	backupLink := net.Link(s1, rd.Host, link)
-	net.AutoRoute()
-	if _, err := net.DeployFT(svc, rd, []*hydranet.Host{s0, s1}, hydranet.FTOptions{}, serve); err != nil {
+	r := testbed.Star(hydranet.New(hydranet.Config{Seed: seed}), 2, hydranet.LinkConfig{})
+	net, s1, backupLink := r.Net, r.Replicas[1], r.Links[2]
+	if _, err := net.DeployFT(svc, r.Redirector, r.Replicas, hydranet.FTOptions{}, serve); err != nil {
 		t.Fatal(err)
 	}
 	net.Settle()
-	conn, err := client.Dial(svc)
+	conn, err := r.Client.Dial(svc)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,34 +8,23 @@ import (
 	"hydranet"
 	"hydranet/internal/app"
 	"hydranet/internal/core"
+	"hydranet/internal/testbed"
 )
 
 var svc = hydranet.ServiceID{Addr: hydranet.MustAddr("192.20.225.20"), Port: 80}
 
-// build constructs a client + redirector + n replicas star and deploys an
-// echo service.
+// build constructs the Figure-3 star with n replicas and deploys an echo
+// service.
 func build(t *testing.T, seed int64, n int, opts hydranet.FTOptions) (
 	*hydranet.Net, *hydranet.Host, *hydranet.FTService, []*hydranet.Host) {
 	t.Helper()
-	net := hydranet.New(hydranet.Config{Seed: seed})
-	client := net.AddHost("client", hydranet.HostConfig{})
-	rd := net.AddRedirector("rd", hydranet.HostConfig{})
-	var replicas []*hydranet.Host
-	for i := 0; i < n; i++ {
-		replicas = append(replicas, net.AddHost("s"+string(rune('0'+i)), hydranet.HostConfig{}))
-	}
-	link := hydranet.LinkConfig{Rate: 10_000_000, Delay: time.Millisecond}
-	net.Link(client, rd.Host, link)
-	for _, h := range replicas {
-		net.Link(h, rd.Host, link)
-	}
-	net.AutoRoute()
-	s, err := net.DeployFT(svc, rd, replicas, opts, func(c *hydranet.Conn) { app.Echo(c) })
+	r := testbed.Star(hydranet.New(hydranet.Config{Seed: seed}), n, hydranet.LinkConfig{})
+	s, err := r.Net.DeployFT(svc, r.Redirector, r.Replicas, opts, app.Echo)
 	if err != nil {
 		t.Fatal(err)
 	}
-	net.Settle()
-	return net, client, s, replicas
+	r.Net.Settle()
+	return r.Net, r.Client, s, r.Replicas
 }
 
 // TestChainGatingInvariant samples the chain throughout a transfer and

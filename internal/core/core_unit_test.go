@@ -10,6 +10,7 @@ import (
 	"hydranet/internal/core"
 	"hydranet/internal/obs"
 	"hydranet/internal/tcp"
+	"hydranet/internal/testbed"
 )
 
 func TestPromoteDemoteIdempotent(t *testing.T) {
@@ -232,15 +233,9 @@ func TestClosedRecordKeepsNewerEntry(t *testing.T) {
 // promoting it puts the stream back on the wire — nothing is re-installed
 // per connection.
 func TestRoleChangeReachesLiveConnections(t *testing.T) {
-	net := hydranet.New(hydranet.Config{Seed: 87})
-	client := net.AddHost("client", hydranet.HostConfig{})
-	rd := net.AddRedirector("rd", hydranet.HostConfig{})
-	s0 := net.AddHost("s0", hydranet.HostConfig{})
-	link := hydranet.LinkConfig{Rate: 10_000_000, Delay: time.Millisecond}
-	net.Link(client, rd.Host, link)
-	net.Link(s0, rd.Host, link)
-	net.AutoRoute()
-	if _, err := net.DeployFT(svc, rd, []*hydranet.Host{s0}, hydranet.FTOptions{},
+	r := testbed.Star(hydranet.New(hydranet.Config{Seed: 87}), 1, hydranet.LinkConfig{})
+	net, client, s0 := r.Net, r.Client, r.Replicas[0]
+	if _, err := net.DeployFT(svc, r.Redirector, r.Replicas, hydranet.FTOptions{},
 		func(c *hydranet.Conn) { app.Echo(c) }); err != nil {
 		t.Fatal(err)
 	}

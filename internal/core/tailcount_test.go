@@ -9,6 +9,7 @@ import (
 	"hydranet/internal/core"
 	"hydranet/internal/obs"
 	"hydranet/internal/tcp"
+	"hydranet/internal/testbed"
 )
 
 // tailRun is a primary and a backup, the chain's tail, pushing a 256-KiB
@@ -25,29 +26,21 @@ type tailRun struct {
 // pushThroughTail starts the answer and returns 40 ms into it, mid-answer.
 func pushThroughTail(t *testing.T, threshold int) *tailRun {
 	t.Helper()
-	net := hydranet.New(hydranet.Config{Seed: 97})
-	client := net.AddHost("client", hydranet.HostConfig{})
-	rd := net.AddRedirector("rd", hydranet.HostConfig{})
-	s0 := net.AddHost("s0", hydranet.HostConfig{})
-	s1 := net.AddHost("s1", hydranet.HostConfig{})
-	link := hydranet.LinkConfig{Rate: 10_000_000, Delay: time.Millisecond}
-	for _, h := range []*hydranet.Host{client, s0, s1} {
-		net.Link(h, rd.Host, link)
-	}
-	net.AutoRoute()
+	star := testbed.Star(hydranet.New(hydranet.Config{Seed: 97}), 2, hydranet.LinkConfig{})
+	net, s1 := star.Net, star.Replicas[1]
 	opts := hydranet.FTOptions{Detector: hydranet.DetectorParams{RetransmitThreshold: threshold}}
 	answer := make([]byte, 256<<10)
-	if _, err := net.DeployFT(svc, rd, []*hydranet.Host{s0, s1}, opts,
+	if _, err := net.DeployFT(svc, star.Redirector, star.Replicas, opts,
 		func(c *hydranet.Conn) { app.Source(c, answer, false) }); err != nil {
 		t.Fatal(err)
 	}
 	net.Settle()
-	conn, err := client.Dial(svc)
+	conn, err := star.Client.Dial(svc)
 	if err != nil {
 		t.Fatal(err)
 	}
 	drain(conn)
-	r := &tailRun{net: net, client: conn, replicas: []*hydranet.Host{s0, s1}, port: s1.FTManager().Port(svc)}
+	r := &tailRun{net: net, client: conn, replicas: star.Replicas, port: s1.FTManager().Port(svc)}
 	net.Bus().Subscribe(func(e obs.Event) {
 		if e.Node == s1.Name() {
 			r.rtos = append(r.rtos, e.Time)

@@ -8,6 +8,7 @@ import (
 	"hydranet"
 	"hydranet/internal/icmp"
 	"hydranet/internal/ipv4"
+	"hydranet/internal/testbed"
 	"hydranet/internal/udp"
 )
 
@@ -166,14 +167,8 @@ func TestPortUnreachable(t *testing.T) {
 func TestPingVirtualServiceAddress(t *testing.T) {
 	// A virtual host answers pings under its virtual address — transparency
 	// extends to ICMP.
-	net := hydranet.New(hydranet.Config{Seed: 92})
-	client := net.AddHost("client", hydranet.HostConfig{})
-	rd := net.AddRedirector("rd", hydranet.HostConfig{})
-	hs := net.AddHost("hs", hydranet.HostConfig{})
-	link := hydranet.LinkConfig{Rate: 10_000_000, Delay: time.Millisecond}
-	net.Link(client, rd.Host, link)
-	net.Link(hs, rd.Host, link)
-	net.AutoRoute()
+	star := testbed.Star(hydranet.New(hydranet.Config{Seed: 92}), 1, hydranet.LinkConfig{})
+	net, client, hs := star.Net, star.Client, star.Replicas[0]
 	vaddr := hydranet.MustAddr("192.20.225.20")
 	hs.HostServer().VHost(vaddr)
 	// Ping to the virtual address routes via the redirector's default...

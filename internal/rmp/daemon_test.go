@@ -1,6 +1,7 @@
 package rmp_test
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -8,6 +9,7 @@ import (
 	"hydranet/internal/app"
 	"hydranet/internal/core"
 	"hydranet/internal/rmp"
+	"hydranet/internal/testbed"
 )
 
 var svc = hydranet.ServiceID{Addr: hydranet.MustAddr("192.20.225.20"), Port: 80}
@@ -18,7 +20,7 @@ func build(t *testing.T, seed int64, n int) (*hydranet.Net, *hydranet.Redirector
 	rd := net.AddRedirector("rd", hydranet.HostConfig{})
 	var hosts []*hydranet.Host
 	for i := 0; i < n; i++ {
-		h := net.AddHost("s"+string(rune('0'+i)), hydranet.HostConfig{})
+		h := net.AddHost(fmt.Sprintf("s%d", i), hydranet.HostConfig{})
 		hosts = append(hosts, h)
 		net.Link(h, rd.Host, hydranet.LinkConfig{Delay: time.Millisecond})
 	}
@@ -155,19 +157,9 @@ func TestRegistrationRaceDemotesInterimPrimary(t *testing.T) {
 	// primary — until the real primary registers; the subsequent
 	// CHAIN-SET must demote it (suppression back on), or it becomes an
 	// unsuppressed co-primary corrupting the client stream.
-	net := hydranet.New(hydranet.Config{Seed: 67})
-	rd := net.AddRedirector("rd", hydranet.HostConfig{})
-	client := net.AddHost("client", hydranet.HostConfig{})
-	var hosts []*hydranet.Host
-	link := hydranet.LinkConfig{Rate: 10_000_000, Delay: time.Millisecond,
-		Jitter: 10 * time.Millisecond} // strong management reordering
-	net.Link(client, rd.Host, link)
-	for i := 0; i < 3; i++ {
-		h := net.AddHost("s"+string(rune('0'+i)), hydranet.HostConfig{})
-		hosts = append(hosts, h)
-		net.Link(h, rd.Host, link)
-	}
-	net.AutoRoute()
+	star := testbed.Star(hydranet.New(hydranet.Config{Seed: 67}), 3,
+		hydranet.LinkConfig{Jitter: 10 * time.Millisecond}) // strong management reordering
+	net, rd, client, hosts := star.Net, star.Redirector, star.Client, star.Replicas
 	if _, err := net.DeployFT(svc, rd, hosts, hydranet.FTOptions{},
 		func(c *hydranet.Conn) { app.Echo(c) }); err != nil {
 		t.Fatal(err)

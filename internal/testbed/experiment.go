@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"hydranet"
+	"hydranet/internal/ttcp"
 )
 
 // Sweep says how to run one experiment: over which seeds, on how many
@@ -70,8 +71,8 @@ func (v value) MarshalJSON() ([]byte, error) {
 // off each run: its values and the check it failed.
 type point struct {
 	what, tag string // "threshold 3" in failures, "-t3" in artifact paths
-	sc        scenario
-	read      func(outcome) ([]value, string)
+	sc        Scenario
+	read      func(*Run) ([]value, string)
 }
 
 // A reading is one run of a point: its values, the check it failed, and
@@ -111,10 +112,13 @@ func RunExperiment(name string, s Sweep) (*Table, error) {
 		go func() {
 			defer wg.Done()
 			sc := p.sc // runs at other seeds share the point
-			sc.seed, sc.observe = seed, in
-			o := sc.play()
-			vals, fail := p.read(o)
-			readings[i] = reading{vals, fail, o.Violations, o.ObserveErr}
+			in.Scenario = sc.Observe.Scenario
+			sc.Seed, sc.Observe = seed, in
+			r, vals, fail := sc.Play(), make([]value, width), ""
+			if r.Session != nil { // the observers attached and the run ran
+				vals, fail = p.read(r)
+			}
+			readings[i] = reading{vals, fail, r.Violations, r.ObserveErr}
 			<-workers
 		}()
 	}
@@ -201,17 +205,17 @@ func cell(format string, vals []value) string {
 }
 
 // throughput reads a transfer's kB/s; a transfer error fails the point.
-func throughput(o outcome) ([]value, string) {
-	if o.transfer.Err != nil {
-		return []value{value(math.NaN())}, "transfer failed: " + o.transfer.Err.Error()
+func throughput(r *Run) ([]value, string) {
+	if r.Transfer.Err != nil {
+		return []value{value(math.NaN())}, "transfer failed: " + r.Transfer.Err.Error()
 	}
-	return []value{value(o.transfer.ThroughputKBps())}, ""
+	return []value{value(r.Transfer.ThroughputKBps())}, ""
 }
 
 // thresholds is a table with a row per detection threshold, each cfg's
 // fail-over scenario at that threshold, titled by the link loss: def, or
 // the sweep's.
-func thresholds(t *Table, s Sweep, def float64, ths []int, cfg FailoverConfig, read func(outcome) ([]value, string)) *Table {
+func thresholds(t *Table, s Sweep, def float64, ths []int, cfg FailoverConfig, read func(*Run) ([]value, string)) *Table {
 	cfg.Loss = def
 	if s.Loss != nil {
 		cfg.Loss = *s.Loss
@@ -268,17 +272,17 @@ func failoverLatency(s Sweep) *Table {
 			"against detection threshold, primary of 2 crashed 500 ms in",
 		Columns: []string{"detect [ms]", "resume [ms]", "suspicions", "false reconfigs"},
 		formats: []string{"%.0f", "%.0f", "%.0f", "%.0f"},
-	}, s, 0, []int{1, 2, 3, 4, 6, 8}, FailoverConfig{}, func(o outcome) ([]value, string) {
+	}, s, 0, []int{1, 2, 3, 4, 6, 8}, FailoverConfig{}, func(r *Run) ([]value, string) {
 		fail := ""
 		switch {
-		case o.ClientError != nil:
-			fail = "client connection failed: " + o.ClientError.Error()
-		case o.Detected == 0:
+		case r.Err != nil:
+			fail = "client connection failed: " + r.Err.Error()
+		case r.Detected == 0:
 			fail = "the crash was never detected"
-		case o.Resumed == 0:
+		case r.Resumed == 0:
 			fail = "the client never resumed"
 		}
-		return []value{ms(o.Detected), ms(o.Resumed), value(o.Suspicions), value(o.FalseReconfigs)}, fail
+		return []value{ms(r.Detected), ms(r.Resumed), value(r.Suspicions), value(r.FalseReconfigs)}, fail
 	})
 }
 
@@ -287,12 +291,12 @@ func falsePositives(s Sweep) *Table {
 		Title:   "A1b: false positives with no crash",
 		Columns: []string{"spurious suspicions", "wrongful removals"},
 		formats: []string{"%.0f", "%.0f"},
-	}, s, 0.02, []int{1, 2, 4, 8}, FailoverConfig{NoCrash: true}, func(o outcome) ([]value, string) {
+	}, s, 0.02, []int{1, 2, 4, 8}, FailoverConfig{NoCrash: true}, func(r *Run) ([]value, string) {
 		fail := ""
-		if o.FalseReconfigs != 0 {
-			fail = fmt.Sprintf("the probe allowed %d wrongful removals", o.FalseReconfigs)
+		if r.FalseReconfigs != 0 {
+			fail = fmt.Sprintf("the probe allowed %d wrongful removals", r.FalseReconfigs)
 		}
-		return []value{value(o.Suspicions), value(o.FalseReconfigs)}, fail
+		return []value{value(r.Suspicions), value(r.FalseReconfigs)}, fail
 	})
 }
 
@@ -318,9 +322,9 @@ func chainDepth(s Sweep) *Table {
 		}
 		t.Rows = append(t.Rows, strconv.Itoa(n))
 		t.points = append(t.points, point{fmt.Sprintf("%d backups", n), fmt.Sprintf("-b%d", n), cfg.scenario(),
-			func(o outcome) ([]value, string) {
-				tput, fail := throughput(o)
-				return append(tput, 0, value(float64(o.info().ChainMsgs)/(float64(total)/1e3))), fail
+			func(r *Run) ([]value, string) {
+				tput, fail := throughput(r)
+				return append(tput, 0, value(float64(r.Info().ChainMsgs)/(float64(total)/1e3))), fail
 			}})
 	}
 	return t
@@ -339,12 +343,12 @@ func ackChannelLoss(s Sweep) *Table {
 		t.Rows = append(t.Rows, pct)
 		t.points = append(t.points, point{"channel loss " + pct, fmt.Sprintf("-l%.0f", p*100),
 			Config{Case: CasePrimaryBackup, BufLen: 1024, TotalBytes: total, AckChannelLoss: p}.scenario(),
-			func(o outcome) ([]value, string) {
+			func(r *Run) ([]value, string) {
 				// A client that exhausts its retries is the trade-off measured here.
-				if o.transfer.Err != nil {
+				if r.Transfer.Err != nil {
 					return []value{value(math.NaN()), 1, value(math.NaN())}, ""
 				}
-				return []value{value(o.transfer.ThroughputKBps()), 0, value(o.transfer.Stats.RTOEvents)}, ""
+				return []value{value(r.Transfer.ThroughputKBps()), 0, value(r.Transfer.Stats.RTOEvents)}, ""
 			}})
 	}
 	return t
@@ -367,15 +371,17 @@ func congestionEviction(Sweep) *Table {
 		// congestion: the host is alive but stalls the chain). Without the
 		// policy the transfer strands; that is this experiment's data, not a
 		// failure.
-		sc := scenario{name: fmt.Sprintf("congestion eviction strikes=%d", strikes), replicas: 2,
-			threshold: 2, strikes: strikes, bufLen: 1024, total: 512 << 10,
-			fault: silenceBackup, faultAt: 200 * time.Millisecond, limit: 20 * time.Minute}
-		t.points = append(t.points, point{"policy " + label, tag, sc, func(o outcome) ([]value, string) {
+		sc := Scenario{Observe: hydranet.Instruments{Scenario: fmt.Sprintf("congestion eviction strikes=%d", strikes)},
+			Testbed: CaseFailover, Replicas: 2, Threshold: 2, Strikes: strikes,
+			TTCP: ttcp.Params{BufLen: 1024, TotalBytes: 512 << 10}, Steps: []Step{
+				{After: 200 * time.Millisecond}, {After: time.Second, Until: transferred, Limit: 200*time.Millisecond + 20*time.Minute}},
+			Faults: []Fault{{At: 200 * time.Millisecond, Kind: Silence, Replica: 1}}}
+		t.points = append(t.points, point{"policy " + label, tag, sc, func(r *Run) ([]value, string) {
 			done, elapsed := value(0), value(math.NaN())
-			if o.done && o.transfer.Err == nil {
-				done, elapsed = 1, value(o.transfer.Elapsed().Seconds())
+			if r.Done && r.Transfer.Err == nil {
+				done, elapsed = 1, value(r.Transfer.Elapsed().Seconds())
 			}
-			return []value{done, elapsed, value(o.net.Snapshot().Redirectors[0].Mgmt.CongestionEvictions)}, ""
+			return []value{done, elapsed, value(r.Net.Snapshot().Redirectors[0].Mgmt.CongestionEvictions)}, ""
 		}})
 	}
 	return t

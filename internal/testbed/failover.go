@@ -65,18 +65,32 @@ type FailoverResult struct {
 // kills the primary mid-stream, and measures detection and resume latency
 // at the client.
 func MeasureFailover(cfg FailoverConfig) FailoverResult {
-	return cfg.scenario().play().FailoverResult
+	r := cfg.scenario().Play()
+	res := FailoverResult{Detected: r.Detected, Resumed: r.Resumed, Suspicions: r.Suspicions,
+		FalseReconfigs: r.FalseReconfigs, Violations: r.Violations, ObserveErr: r.ObserveErr}
+	if r.Stream != nil {
+		res.Delivered, res.ClientError = r.Delivered, r.Err
+	}
+	return res
 }
 
-// scenario is the echo stream cfg describes, its primary crashed at crashAt
-// unless NoCrash. The run lasts long enough for worst-case detection
-// (threshold retransmissions under exponential backoff) plus recovery.
-func (c FailoverConfig) scenario() scenario {
-	backups, f := cmp.Or(c.Backups, 1), crashPrimary
+// scenario is a 4 MiB stream through an echo service, the primary crashed
+// at crashAt unless NoCrash. The run lasts long enough for worst-case
+// detection (threshold retransmissions under exponential backoff) plus
+// recovery.
+func (c FailoverConfig) scenario() Scenario {
+	backups := cmp.Or(c.Backups, 1)
+	sc := Scenario{Seed: c.Seed, Observe: c.Observe, Testbed: CaseFailover, Replicas: 1 + backups,
+		Link: hydranet.LinkConfig{Loss: c.Loss}, Threshold: c.Threshold, Send: make([]byte, 4<<20),
+		Steps: failoverSteps, Faults: primaryCrash}
+	sc.Observe.Scenario = fmt.Sprintf("failover threshold=%d backups=%d loss=%g", c.Threshold, backups, c.Loss)
 	if c.NoCrash {
-		f = noFault
+		sc.Faults = nil
 	}
-	return scenario{name: fmt.Sprintf("failover threshold=%d backups=%d loss=%g", c.Threshold, backups, c.Loss),
-		seed: c.Seed, observe: c.Observe, replicas: 1 + backups, loss: c.Loss, threshold: c.Threshold,
-		fault: f, faultAt: crashAt, limit: 4 * time.Minute}
+	return sc
 }
+
+var (
+	failoverSteps = []Step{{After: crashAt + 4*time.Minute}}
+	primaryCrash  = []Fault{{At: crashAt, Kind: CrashPrimary}}
+)

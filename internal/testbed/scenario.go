@@ -1,204 +1,433 @@
 package testbed
 
 import (
+	"bytes"
+	"cmp"
 	"fmt"
 	"time"
 
 	"hydranet"
 	"hydranet/internal/app"
 	"hydranet/internal/core"
+	"hydranet/internal/netsim"
 	"hydranet/internal/rmp"
 	"hydranet/internal/ttcp"
 )
 
-// A scenario is one testbed run as a value: a network, the service on it,
-// the client's workload, and one fault at one instant. play runs it.
-type scenario struct {
-	name    string // the run's name in its artifacts
-	seed    int64
-	observe hydranet.Instruments
+// A Scenario is one run as a value: a network, the service on it, the
+// client's workload, the faults to inject and the steps that drive the run.
+// Play runs it. Play reads the Scenario's slices and never writes them, so
+// one value can be played at several seeds at once.
+type Scenario struct {
+	Seed    int64
+	Observe hydranet.Instruments // the run's observers; Observe.Scenario names the run
 
-	// The network. fig4 is a Figure-4 configuration; zero is the replicated
-	// testbed of A1 and A5, whose machines carry no cost for the HydraNet-FT
-	// software. replicas counts the replicated cases' hosts.
-	fig4     Case
-	replicas int
-	cpuScale float64 // zero means 1
-	loss     float64 // every link's
+	// The network. Testbed zero is the paper's Figure-3 star (Star) with TCP
+	// and Link. Any other case is the Section-5 LAN in that configuration:
+	// the machine model scaled by CPUScale (zero means 1), the testbed's own
+	// TCP settings and Link's loss on every link. Replicas counts the
+	// replicated cases' servers.
+	Testbed  Case
+	Replicas int
+	CPUScale float64
+	TCP      hydranet.TCPConfig
+	Link     hydranet.LinkConfig
 
-	// The service: the detector's threshold (zero: its default), the loss
-	// of every replica's acknowledgment channel, and the strikes after which
-	// the redirector evicts a congested replica (zero: never).
-	threshold, strikes int
-	chainLoss          float64
+	// The service on every replica: Accept (an echo when nil, a ttcp sink
+	// under a TTCP workload), the detector's Threshold (zero: its default),
+	// the Heartbeat period (zero: none), the loss of every replica's
+	// acknowledgment channel, and the strikes after which the redirector
+	// evicts a congested replica (zero: never).
+	Accept    func(*hydranet.Conn)
+	Threshold int
+	Heartbeat time.Duration
+	ChainLoss float64
+	Strikes   int
 
-	// The workload: a ttcp transfer of total bytes in bufLen-byte writes,
-	// or, with bufLen zero, a 4 MiB stream through an echo service.
-	bufLen, total int
+	// The workload: a ttcp transfer when TTCP.BufLen is set. Otherwise the
+	// client writes Send (then closes, with Close) and reads what the
+	// service answers, expecting Echo, or the echo of what it sent when Echo
+	// is nil.
+	TTCP  ttcp.Params
+	Send  []byte
+	Close bool
+	Echo  []byte
 
-	// The fault at faultAt, then the run's limit: a transfer that ends
-	// earlier ends the run.
-	fault          fault
-	faultAt, limit time.Duration
+	// Setup runs once the observers are attached, before the service
+	// deploys. After the dial the steps run in order, and each fault is
+	// injected at its instant or byte count. Log, when set, narrates the
+	// run's milestones.
+	Setup  func(*Run)
+	Steps  []Step
+	Faults []Fault // at most 64
+	Log    func(format string, args ...any)
 }
 
-// A fault is what a scenario breaks at its fault instant.
-type fault int
+// A Step runs the network for After and then calls Do. With Until set it
+// polls Until every After instead, for at most Limit after the dial, and
+// calls Do only once Until holds; a step whose Until never held is named in
+// Run.Unmet.
+type Step struct {
+	After time.Duration
+	Until func(*Run) bool
+	Limit time.Duration
+	Do    func(*Run)
+}
+
+// A Fault is what a scenario breaks, and when: At after the dial, or, when
+// Echoed is set, inside the read that brings the client to that many bytes.
+// A fault due at the end of a step is injected before the step's Do.
+type Fault struct {
+	At      time.Duration
+	Echoed  int
+	Kind    FaultKind
+	Replica int // the victim of Crash, Silence and Cut, by index
+}
+
+// FaultKind says what a Fault breaks.
+type FaultKind int
 
 const (
-	noFault       fault = iota
-	crashPrimary        // the primary fail-stops
-	silenceBackup       // the first backup's acknowledgment channel drops everything: alive, but congested
+	CrashPrimary FaultKind = iota // the service's current primary fail-stops
+	Crash                         // the replica fail-stops
+	Silence                       // the replica's acknowledgment channel drops everything: alive, but congested
+	Cut                           // the replica's link on the star loses every frame: alive, but unreachable
 )
 
-// An outcome is what one run of a scenario reports. FailoverResult's fields
-// hold the echo stream's reading and every run's observer verdict. The Net
-// is kept for readers that want its totals: only they pay for a Snapshot.
-type outcome struct {
-	FailoverResult
-	net      *hydranet.Net
-	transfer ttcp.Result // the ttcp transfer's result, once done
-	done     bool
-	wall     time.Duration
+// StarService is the service a star scenario deploys.
+var StarService = hydranet.ServiceID{Addr: ServiceAddr, Port: 80}
+
+// A Run is a scenario being played and, once Play returns, what it showed.
+// Its fields beyond the network are readings: Detected and Resumed are
+// timed from CrashedAt, the first crash fault's instant, to the first
+// reconfiguration that removed a crashed replica and to the first byte the
+// client read after the crash; FalseReconfigs counts the reconfigurations
+// that removed only live replicas.
+type Run struct {
+	Net        *hydranet.Net
+	Client     *hydranet.Host
+	Redirector *hydranet.Redirector // nil unless the service is replicated
+	Replicas   []*hydranet.Host     // the servers
+	Links      []*netsim.Link       // on the star, the client's link, then each replica's
+	Service    *hydranet.FTService  // nil unless the service is replicated
+	Session    *hydranet.Session    // nil if the observers could not attach
+	Summary    hydranet.Summary     // what Session.Finish reported
+	ObserveErr error                // what attaching or finishing the observers reported
+
+	*Stream                                // the client's echo stream; nil under a ttcp workload
+	Transfer                   ttcp.Result // the ttcp transfer's result, once Done
+	Done                       bool
+	CrashedAt                  time.Duration
+	Detected                   time.Duration
+	Resumed                    time.Duration
+	Suspicions                 uint64 // detector trips, summed over the replicas
+	FalseReconfigs, Violations int
+	Unmet                      []string // steps whose Until never held, faults that never fired
+	Wall                       time.Duration
+
+	dialAt time.Duration // when the workload started
+	faults []Fault
+	fired  uint64 // bit i: faults[i] was injected
+	log    func(format string, args ...any)
 }
 
-// play builds the scenario's network, attaches its observers, deploys the
-// service, starts the workload, injects the fault and runs to the limit.
-func (sc scenario) play() outcome {
-	start := time.Now()
-	m := machineModel(sc.cpuScale, sc.fig4 != 0 && sc.fig4 != CaseClean)
+// A Stream is one client connection and what the client read: Delivered
+// bytes, Garbled if they are not a prefix of the bytes it expects.
+type Stream struct {
+	Conn              *hydranet.Conn
+	Delivered         int
+	Garbled, Closed   bool
+	Err               error         // what the connection closed with
+	Dialled, ClosedAt time.Duration // ClosedAt counts from the dial
+	want              []byte
+}
+
+// Echoed reports whether the client read exactly the bytes it expects.
+func (s *Stream) Echoed() bool { return s.Delivered == len(s.want) && !s.Garbled }
+
+// Write sends b on an echo service's connection and expects it back after
+// everything sent before.
+func (s *Stream) Write(b []byte) {
+	s.want = append(s.want[:len(s.want):len(s.want)], b...)
+	s.Conn.Write(b)
+}
+
+// Dial connects from to to, writes send (then closes, with close) and reads
+// everything the service answers, expecting the echo of send. Each read is
+// published for the monitor's client-delivery rule, and the client closes
+// when the server does, as a request/response client would.
+func (r *Run) Dial(from *hydranet.Host, to hydranet.Endpoint, send []byte, close bool) *Stream {
+	conn, err := from.DialEndpoint(to)
+	if err != nil {
+		panic(fmt.Sprintf("testbed: dial: %v", err))
+	}
+	s := &Stream{Conn: conn, want: send, Dialled: r.Net.Now()}
+	buf, bus, name := make([]byte, 8192), r.Net.Bus(), from.Name()
+	conn.OnReadable(func() {
+		for n := conn.Read(buf); n > 0; n = conn.Read(buf) {
+			k := min(n, max(len(s.want)-s.Delivered, 0))
+			s.Garbled = s.Garbled || k < n || !bytes.Equal(buf[:k], s.want[s.Delivered:s.Delivered+k])
+			s.Delivered += n
+			bus.Publish(hydranet.Event{Kind: hydranet.KindClientDeliver, Node: name, Size: n})
+			if r.CrashedAt > 0 && r.Resumed == 0 {
+				r.Resumed = r.Net.Now() - r.CrashedAt
+			}
+		}
+		if conn.PeerClosed() {
+			conn.Close()
+		}
+		for i, f := range r.faults {
+			if s == r.Stream && r.fired&(1<<i) == 0 && f.Echoed > 0 && s.Delivered >= f.Echoed {
+				r.inject(i)
+			}
+		}
+	})
+	conn.OnClosed(func(err error) {
+		s.Closed, s.Err, s.ClosedAt = true, err, r.Net.Now()-s.Dialled
+		if err != nil && r.log != nil {
+			r.log("CLIENT CONNECTION FAILED: %v", err)
+		}
+	})
+	app.Source(conn, send, close)
+	return s
+}
+
+// Star builds the paper's Figure-3 setup on net: a client and replicas
+// host servers s0, s1, …, each on its own 10 Mbit/s, 1 ms link to the
+// redirector rd, with link's jitter and loss. link's Delay, when set, is the
+// client's link's instead.
+func Star(net *hydranet.Net, replicas int, link hydranet.LinkConfig) *Run {
+	r := &Run{Net: net, Client: net.AddHost("client", hydranet.HostConfig{}),
+		Redirector: net.AddRedirector("rd", hydranet.HostConfig{})}
+	link.Rate, link.Delay = 10_000_000, cmp.Or(link.Delay, time.Millisecond)
+	r.Links = append(r.Links, net.Link(r.Client, r.Redirector.Host, link))
+	link.Delay = time.Millisecond
+	for i := range replicas {
+		h := net.AddHost(fmt.Sprintf("s%d", i), hydranet.HostConfig{})
+		r.Replicas = append(r.Replicas, h)
+		r.Links = append(r.Links, net.Link(h, r.Redirector.Host, link))
+	}
+	net.AutoRoute()
+	return r
+}
+
+// lanTCP is the TCP of the Section-5 testbed. TIME-WAIT is short to keep
+// the measurement window tight: a transfer ends when the client's FIN
+// handshake completes, so TIME-WAIT must not extend the measured interval.
+// No echo stream closes.
+var lanTCP = hydranet.TCPConfig{MSS: 1460, SendBufSize: 16384, RecvBufSize: 16384,
+	DelayedAckTimeout: 200 * time.Millisecond, TimeWaitDuration: time.Millisecond}
+
+// lan builds the Section-5 testbed on net in the scenario's configuration:
+// one Ethernet segment of the client, the router or redirector and the
+// servers.
+func (sc *Scenario) lan(net *hydranet.Net) *Run {
+	m := machineModel(sc.CPUScale, sc.Testbed != CaseClean && sc.Testbed != CaseFailover)
 	link := testbedLink
-	link.Loss = sc.loss
-	net := hydranet.New(hydranet.Config{Seed: sc.seed, TCP: hydranet.TCPConfig{
-		MSS: 1460, SendBufSize: 16384, RecvBufSize: 16384,
-		DelayedAckTimeout: 200 * time.Millisecond,
-		// Keep the measurement window tight: a transfer ends when the
-		// client's FIN handshake completes, so TIME-WAIT must not extend
-		// the measured interval. No echo stream closes.
-		TimeWaitDuration: time.Millisecond,
-	}})
-	o := outcome{net: net}
-	client := net.AddHost("client", m.client)
-	var (
-		router  *hydranet.Host
-		rd      *hydranet.Redirector // nil unless the service is replicated
-		servers []*hydranet.Host
-	)
-	switch sc.fig4 {
+	link.Loss = sc.Link.Loss
+	r := &Run{Net: net, Client: net.AddHost("client", m.client)}
+	var router *hydranet.Host
+	switch sc.Testbed {
 	case CaseClean:
 		router = net.AddRouter("router", m.router)
 	case CaseNoRedirection: // the redirector software runs, its table stays empty
 		router = net.AddRedirector("rd", m.router).Host
 	default:
-		rd = net.AddRedirector("rd", m.router)
+		r.Redirector = net.AddRedirector("rd", m.router)
 	}
-	if rd == nil {
-		servers = []*hydranet.Host{net.AddHost("server", m.server)}
-		mesh(net, link, client, router, servers[0])
+	if router != nil {
+		r.Replicas = []*hydranet.Host{net.AddHost("server", m.server)}
+		mesh(net, link, r.Client, router, r.Replicas[0])
+		return r
+	}
+	for i := range sc.Replicas {
+		r.Replicas = append(r.Replicas, net.AddHost(fmt.Sprintf("s%d", i), m.server))
+	}
+	mesh(net, link, append([]*hydranet.Host{r.Redirector.Host, r.Client}, r.Replicas...)...)
+	return r
+}
+
+// Play builds the scenario's network, attaches its observers, runs Setup,
+// deploys the service, starts the workload and runs the steps, injecting
+// the faults as they fall due.
+func (sc Scenario) Play() *Run {
+	start := time.Now()
+	cfg, target := hydranet.Config{Seed: sc.Seed, TCP: sc.TCP}, StarService
+	if sc.Testbed != 0 {
+		cfg.TCP, target = lanTCP, hydranet.Endpoint{Addr: ServiceAddr, Port: ServicePort}
+	}
+	var r *Run
+	if net := hydranet.New(cfg); sc.Testbed == 0 {
+		r = Star(net, sc.Replicas, sc.Link)
 	} else {
-		for i := range sc.replicas {
-			servers = append(servers, net.AddHost(fmt.Sprintf("s%d", i), m.server))
-		}
-		mesh(net, link, append([]*hydranet.Host{rd.Host, client}, servers...)...)
+		r = sc.lan(net)
+	}
+	r.faults, r.log = sc.Faults, sc.Log
+	if r.Session, r.ObserveErr = r.Net.Instrument(sc.Observe); r.ObserveErr != nil {
+		return r
+	}
+	if sc.Setup != nil {
+		sc.Setup(r)
 	}
 
-	in := sc.observe
-	in.Scenario = sc.name
-	sess, err := net.Instrument(in)
-	if err != nil {
-		o.ObserveErr = err
-		return o
-	}
-
-	accept := app.Echo
-	if sc.bufLen > 0 {
+	accept := sc.Accept
+	if sc.TTCP.BufLen > 0 {
 		accept = func(c *hydranet.Conn) { ttcp.Sink(c) }
+	} else if accept == nil {
+		accept = app.Echo
 	}
-	target := hydranet.Endpoint{Addr: ServiceAddr, Port: ServicePort}
-	var svc *hydranet.FTService
-	var crashTime time.Duration
-	if rd == nil {
-		target.Addr = servers[0].Addr()
-		lst, err := servers[0].Listen(0, ServicePort)
+	if r.Redirector == nil {
+		target.Addr = r.Replicas[0].Addr()
+		lst, err := r.Replicas[0].Listen(0, ServicePort)
 		if err != nil {
 			panic(err)
 		}
 		lst.SetAcceptFunc(accept)
 	} else {
-		opts := hydranet.FTOptions{Detector: hydranet.DetectorParams{RetransmitThreshold: sc.threshold}}
-		if svc, err = net.DeployFT(target, rd, servers, opts, accept); err != nil {
-			panic(err)
-		}
-		if sc.chainLoss > 0 {
-			for _, h := range servers {
-				h.FTManager().SetChainLoss(sc.chainLoss)
-			}
-		}
-		if sc.strikes > 0 {
-			rd.Daemon().SetCongestionPolicy(rmp.CongestionPolicy{Strikes: sc.strikes, Window: 2 * time.Minute})
-		}
-		net.Settle()
-		// A reconfiguration that removes a crashed replica detects the crash;
-		// one that removes a live replica is a false positive.
-		rd.Daemon().OnReconfig(func(_ core.ServiceID, failed []hydranet.Addr) {
-			genuine := false
-			for _, f := range failed {
-				for _, h := range servers {
-					genuine = genuine || h.Addr() == f && !h.Alive()
-				}
-			}
-			if !genuine {
-				o.FalseReconfigs++
-			} else if o.Detected == 0 && crashTime > 0 {
-				o.Detected = net.Now() - crashTime
-			}
-		})
+		r.deploy(&sc, target, accept)
 	}
 
-	conn, err := client.DialEndpoint(target)
-	if err != nil {
-		panic(fmt.Sprintf("testbed: dial: %v", err))
-	}
-	if sc.bufLen > 0 {
-		ttcp.Transmit(client.Scheduler(), conn, ttcp.Params{BufLen: sc.bufLen, TotalBytes: sc.total},
-			func(r ttcp.Result) { o.transfer, o.done = r, true })
+	r.dialAt = r.Net.Now()
+	if sc.TTCP.BufLen > 0 {
+		conn, err := r.Client.DialEndpoint(target)
+		if err != nil {
+			panic(fmt.Sprintf("testbed: dial: %v", err))
+		}
+		ttcp.Transmit(r.Client.Scheduler(), conn, sc.TTCP, func(res ttcp.Result) { r.Transfer, r.Done = res, true })
 	} else {
-		conn.OnClosed(func(err error) { o.ClientError = err })
-		buf := make([]byte, 2048)
-		conn.OnReadable(func() {
-			for n := conn.Read(buf); n > 0; n = conn.Read(buf) {
-				o.Delivered += n
-				if crashTime > 0 && o.Resumed == 0 {
-					o.Resumed = net.Now() - crashTime
-				}
-			}
-		})
-		app.Source(conn, make([]byte, 4<<20), false)
-	}
-
-	net.RunFor(sc.faultAt)
-	switch sc.fault {
-	case crashPrimary:
-		crashTime = net.Now()
-		svc.CrashPrimary()
-	case silenceBackup:
-		servers[1].FTManager().SetChainLoss(1)
-	}
-	deadline := net.Now() + sc.limit
-	for !o.done && net.Now() < deadline {
-		net.RunFor(time.Second)
-	}
-
-	if rd != nil {
-		for _, h := range servers {
-			o.Suspicions += h.FTManager().Stats().Suspicions
+		r.Stream = r.Dial(r.Client, target, sc.Send, sc.Close)
+		if sc.Echo != nil {
+			r.want = sc.Echo
+		}
+		if r.log != nil {
+			r.log("client streaming %d bytes through the fault-tolerant connection", len(sc.Send))
 		}
 	}
-	sum, err := sess.Finish()
-	o.ObserveErr = err
-	if sum.Audit != nil {
-		o.Violations = int(sum.Audit.TotalViolations())
+
+	for i, s := range sc.Steps {
+		for s.Until != nil && !s.Until(r) && r.Net.Now() < r.dialAt+s.Limit {
+			r.advance(s.After)
+		}
+		switch {
+		case s.Until == nil:
+			r.advance(s.After)
+		case !s.Until(r):
+			r.Unmet = append(r.Unmet, fmt.Sprintf("step %d: not met %v after the dial", i, s.Limit))
+			continue
+		}
+		if s.Do != nil {
+			s.Do(r)
+		}
 	}
-	o.wall = time.Since(start)
-	return o
+	for i, f := range r.faults {
+		if r.fired&(1<<i) == 0 {
+			r.Unmet = append(r.Unmet, fmt.Sprintf("fault %d (%+v) never fired", i, f))
+		}
+	}
+	if r.Service != nil {
+		for _, h := range r.Replicas {
+			r.Suspicions += h.FTManager().Stats().Suspicions
+		}
+	}
+	if r.Summary, r.ObserveErr = r.Session.Finish(); r.Summary.Audit != nil {
+		r.Violations = int(r.Summary.Audit.TotalViolations())
+	}
+	r.Wall = time.Since(start)
+	return r
+}
+
+// deploy replicates the service on every server, settles the chain and
+// starts timing reconfigurations.
+func (r *Run) deploy(sc *Scenario, svc hydranet.ServiceID, accept func(*hydranet.Conn)) {
+	opts := hydranet.FTOptions{Detector: hydranet.DetectorParams{RetransmitThreshold: sc.Threshold}, Heartbeat: sc.Heartbeat}
+	var err error
+	if r.Service, err = r.Net.DeployFT(svc, r.Redirector, r.Replicas, opts, accept); err != nil {
+		panic(err)
+	}
+	if r.log != nil {
+		r.log("deployed %s across %d replicas", svc, len(r.Replicas))
+	}
+	if sc.ChainLoss > 0 {
+		for _, h := range r.Replicas {
+			h.FTManager().SetChainLoss(sc.ChainLoss)
+		}
+	}
+	if sc.Strikes > 0 {
+		r.Redirector.Daemon().SetCongestionPolicy(rmp.CongestionPolicy{Strikes: sc.Strikes, Window: 2 * time.Minute})
+	}
+	r.Net.Settle()
+	if r.log != nil {
+		r.log("chain established: %v (primary first)", r.Service.Chain())
+	}
+	r.Redirector.Daemon().OnReconfig(func(_ core.ServiceID, failed []hydranet.Addr) {
+		genuine := false
+		for _, f := range failed {
+			for _, h := range r.Replicas {
+				genuine = genuine || h.Addr() == f && !h.Alive()
+			}
+		}
+		if !genuine {
+			r.FalseReconfigs++
+		} else if r.Detected == 0 && r.CrashedAt > 0 {
+			r.Detected = r.Net.Now() - r.CrashedAt
+		}
+	})
+}
+
+// advance runs the network for d, injecting every fault due on the way.
+// The network runs to each fault's instant; once a fault is injected, more
+// faults due at that instant, and a Do at the end of the step, follow before
+// anything else runs.
+func (r *Run) advance(d time.Duration) {
+	end, injected := r.Net.Now()+d, time.Duration(-1)
+	for {
+		next := -1
+		for i, f := range r.faults {
+			if r.fired&(1<<i) == 0 && f.Echoed == 0 && r.dialAt+f.At <= end && (next < 0 || f.At < r.faults[next].At) {
+				next = i
+			}
+		}
+		if next < 0 {
+			break
+		}
+		if due := r.dialAt + r.faults[next].At; due != injected {
+			r.Net.RunUntil(due)
+		}
+		r.inject(next)
+		injected = r.Net.Now()
+	}
+	if end != injected {
+		r.Net.RunUntil(end)
+	}
+}
+
+// inject breaks what faults[i] names. Every fault due at the client's byte
+// count is injected in the read that reaches it (Dial); the others at their
+// instants (advance).
+func (r *Run) inject(i int) {
+	f := r.faults[i]
+	r.fired |= 1 << i
+	switch f.Kind {
+	case Silence:
+		r.Replicas[f.Replica].FTManager().SetChainLoss(1)
+		return
+	case Cut:
+		r.Links[1+f.Replica].SetLoss(1)
+		return
+	}
+	p, victim, role := r.Service.Primary(), r.Replicas[f.Replica], "backup"
+	if f.Kind == CrashPrimary {
+		if p == nil {
+			return // the chain is empty: there is no primary to crash
+		}
+		victim = p.Host
+	}
+	if p != nil && p.Host == victim {
+		role = "primary"
+	}
+	victim.Crash()
+	r.CrashedAt = cmp.Or(r.CrashedAt, r.Net.Now())
+	if r.log != nil {
+		r.log("CRASH: %s %s fail-stopped", role, victim.Name())
+	}
 }

@@ -38,6 +38,10 @@ const (
 	// multicasting to a primary and backups synchronized over the
 	// acknowledgment channel.
 	CasePrimaryBackup
+	// CaseFailover: as CasePrimaryBackup, but the machines carry no cost
+	// for the HydraNet-FT software: the replicated testbed of the fail-over
+	// ablations A1 and A5.
+	CaseFailover
 )
 
 // String names the case as in the paper's legend.
@@ -113,7 +117,7 @@ type Config struct {
 }
 
 // scenario is the Figure-4 run cfg describes: a ttcp transfer, no fault.
-func (c Config) scenario() scenario {
+func (c Config) scenario() Scenario {
 	in := c.Observe
 	in.Pcap = cmp.Or(in.Pcap, c.PcapPath)
 	in.Series = cmp.Or(in.Series, c.SeriesPath)
@@ -126,12 +130,19 @@ func (c Config) scenario() scenario {
 	default:
 		panic(fmt.Sprintf("testbed: unknown case %d", c.Case))
 	}
-	// Generous ceiling: slow small-packet runs take tens of virtual
-	// seconds; a wedged run stops here instead of spinning forever.
-	return scenario{name: fmt.Sprintf("figure4 %s buf=%d", c.Case, c.BufLen), seed: c.Seed, observe: in,
-		fig4: c.Case, replicas: replicas, cpuScale: c.CPUScale, chainLoss: c.AckChannelLoss,
-		bufLen: c.BufLen, total: cmp.Or(c.TotalBytes, 512<<10), limit: 30 * time.Minute}
+	in.Scenario = fmt.Sprintf("figure4 %s buf=%d", c.Case, c.BufLen)
+	return Scenario{Seed: c.Seed, Observe: in, Testbed: c.Case, Replicas: replicas, CPUScale: c.CPUScale,
+		ChainLoss: c.AckChannelLoss, TTCP: ttcp.Params{BufLen: c.BufLen, TotalBytes: cmp.Or(c.TotalBytes, 512<<10)},
+		Steps: figure4Steps}
 }
+
+// figure4Steps run a transfer until it is done, polling every second.
+// Generous ceiling: slow small-packet runs take tens of virtual seconds; a
+// wedged run stops here instead of spinning forever.
+var figure4Steps = []Step{{After: time.Second, Until: transferred, Limit: 30 * time.Minute}}
+
+// transferred reports whether the run's ttcp transfer is done.
+func transferred(r *Run) bool { return r.Done }
 
 // ServiceAddr is the replicated service's virtual address — a host that
 // does not physically exist, as in the paper's "primary only" experiment.
@@ -159,15 +170,15 @@ type RunInfo struct {
 // RunMeasured executes one ttcp transfer in the given configuration and
 // returns the client-side result with the run's execution metrics.
 func RunMeasured(cfg Config) (ttcp.Result, RunInfo) {
-	o := cfg.scenario().play()
-	return o.transfer, o.info()
+	r := cfg.scenario().Play()
+	return r.Transfer, r.Info()
 }
 
-// info is a run's execution metrics; the frame and chain-message totals
+// Info is a run's execution metrics; the frame and chain-message totals
 // take a Snapshot of the run's Net.
-func (o outcome) info() RunInfo {
-	info := RunInfo{Wall: o.wall, Events: o.net.EventsFired(), Violations: o.Violations, ObserveErr: o.ObserveErr}
-	for _, h := range o.net.Snapshot().Hosts {
+func (r *Run) Info() RunInfo {
+	info := RunInfo{Wall: r.Wall, Events: r.Net.EventsFired(), Violations: r.Violations, ObserveErr: r.ObserveErr}
+	for _, h := range r.Net.Snapshot().Hosts {
 		info.Frames += h.Frames.Sent
 		if h.Manager != nil {
 			info.ChainMsgs += h.Manager.ChainMsgsSent

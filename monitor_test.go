@@ -1,13 +1,15 @@
-package hydranet
+package hydranet_test
 
 import (
 	"runtime"
 	"testing"
 	"time"
 
+	"hydranet"
 	"hydranet/internal/app"
 	"hydranet/internal/invariant"
 	"hydranet/internal/obs"
+	"hydranet/internal/testbed"
 	"hydranet/internal/ttcp"
 )
 
@@ -26,8 +28,8 @@ func TestMonitorZeroCostWhenDetached(t *testing.T) {
 			m.Attach(bus)
 			noteFrame = m.NoteFrame
 		}
-		svc := Endpoint{Addr: MustAddr("10.9.0.9"), Port: 80}
-		cli := Endpoint{Addr: MustAddr("10.1.0.1"), Port: 4000}
+		svc := hydranet.Endpoint{Addr: hydranet.MustAddr("10.9.0.9"), Port: 80}
+		cli := hydranet.Endpoint{Addr: hydranet.MustAddr("10.1.0.1"), Port: 4000}
 		var cursor, ack uint64 = 1000, 1000
 		cycle := func() {
 			// A violation-free deposit/ack/chain/deliver round on one
@@ -76,30 +78,16 @@ func TestMonitorZeroCostWhenDetached(t *testing.T) {
 // values and the subscribers key on them. (When each emit site rendered its
 // endpoints the same stretch allocated more than two strings per event.)
 func TestAttachedObserversAllocateNothingPerEvent(t *testing.T) {
-	net, client, rd, replicas, _ := ftTopology(Config{Seed: 3}, 2, LinkConfig{})
-	sess, err := net.Instrument(Instruments{Invariants: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	hot := []obs.Kind{KindDeposit, KindAckProgress, KindChainSend, KindChainRecv, KindMulticast}
-	seen := make([]uint64, len(obs.Kinds()))
-	net.Bus().Subscribe(func(e Event) { seen[e.Kind]++ }, hot...)
-	if _, err := net.DeployFT(testSvc, rd, replicas, FTOptions{}, func(c *Conn) { ttcp.Sink(c) }); err != nil {
-		t.Fatal(err)
-	}
-	net.Settle()
-	conn, err := client.Dial(testSvc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ttcp.Transmit(client.Scheduler(), conn, ttcp.Params{BufLen: 1024, Count: 1 << 30}, func(ttcp.Result) {})
-	net.RunFor(5 * time.Second) // warm-up: every tracking slot and buffer exists
-
-	before := append([]uint64(nil), seen...)
+	hot := []obs.Kind{hydranet.KindDeposit, hydranet.KindAckProgress, hydranet.KindChainSend, hydranet.KindChainRecv, hydranet.KindMulticast}
+	seen, before := make([]uint64, len(obs.Kinds())), make([]uint64, len(obs.Kinds()))
 	var m0, m1 runtime.MemStats
-	runtime.ReadMemStats(&m0)
-	net.RunFor(5 * time.Second)
-	runtime.ReadMemStats(&m1)
+	row(t, testbed.Scenario{Seed: 3, Replicas: 2, TTCP: ttcp.Params{BufLen: 1024, Count: 1 << 30},
+		Setup: func(r *testbed.Run) { r.Net.Bus().Subscribe(func(e hydranet.Event) { seen[e.Kind]++ }, hot...) },
+		Steps: []testbed.Step{
+			// Warm-up: every tracking slot and buffer exists.
+			{After: 5 * time.Second, Do: func(*testbed.Run) { copy(before, seen); runtime.ReadMemStats(&m0) }},
+			{After: 5 * time.Second, Do: func(*testbed.Run) { runtime.ReadMemStats(&m1) }},
+		}}, verdict{})
 	var events uint64
 	for _, k := range hot {
 		n := seen[k] - before[k]
@@ -112,9 +100,6 @@ func TestAttachedObserversAllocateNothingPerEvent(t *testing.T) {
 		t.Errorf("%d allocations over %d monitored events (%.3f each), want none",
 			m1.Mallocs-m0.Mallocs, events, perEvent)
 	}
-	if sum, err := sess.Finish(); err != nil || !sum.Audit.Clean {
-		t.Fatalf("finish: %v, audit %+v", err, sum.Audit)
-	}
 }
 
 // TestMonitorCleanOnFailover is the paper's semantic claim as a test: a
@@ -122,8 +107,8 @@ func TestAttachedObserversAllocateNothingPerEvent(t *testing.T) {
 // set, and every stream rule actually evaluated (a monitor that checks
 // nothing also violates nothing).
 func TestMonitorCleanOnFailover(t *testing.T) {
-	captureFailover(Instruments{Scenario: "failover"}, func(run *faultRun) {
-		r := run.sum.Audit
+	captureRow(t, hydranet.Instruments{Scenario: "failover"}, func(run *testbed.Run) {
+		r := run.Summary.Audit
 		if !r.QuiesceChecked || r.OutstandingFrames != 0 {
 			t.Fatalf("frame conservation undecided or leaking: checked=%v outstanding=%d",
 				r.QuiesceChecked, r.OutstandingFrames)
@@ -144,15 +129,16 @@ func TestMonitorCleanOnFailover(t *testing.T) {
 		if r.Frames == 0 || r.Events == 0 {
 			t.Fatalf("monitor observed nothing: %d events, %d frames", r.Events, r.Frames)
 		}
-	}).play(t)
+	})
 
 	// The gate and membership rules judge against a replica set the monitor
 	// rebuilds from the daemon's registration and reconfiguration events. If
 	// it stopped understanding them the set would be empty, both rules
 	// vacuous, and every report clean.
-	net, _, rd, replicas, _ := ftTopology(Config{Seed: 12}, 3, LinkConfig{})
-	mon := net.StartMonitor(MonitorConfig{})
-	svc, err := net.DeployFT(testSvc, rd, replicas, FTOptions{}, echoAccept())
+	star := testbed.Star(hydranet.New(hydranet.Config{Seed: 12}), 3, hydranet.LinkConfig{})
+	net, replicas := star.Net, star.Replicas
+	mon := net.StartMonitor(hydranet.MonitorConfig{})
+	svc, err := net.DeployFT(testSvc, star.Redirector, replicas, hydranet.FTOptions{}, app.Echo)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,45 +161,41 @@ func TestMonitorCleanOnFailover(t *testing.T) {
 // guard the guard — if the capture hooks never saw a real event to forge,
 // the test fails rather than passing on silence.
 func TestMonitorSeededViolations(t *testing.T) {
-	net, client, rd, replicas, _ := ftTopology(Config{Seed: 13}, 2, LinkConfig{})
-	mon := net.StartMonitor(MonitorConfig{Scenario: "seeded"})
+	star := testbed.Star(hydranet.New(hydranet.Config{Seed: 13}), 2, hydranet.LinkConfig{})
+	net := star.Net
+	mon := net.StartMonitor(hydranet.MonitorConfig{Scenario: "seeded"})
 
 	// Capture one real replica deposit and one real client-side ACK to
 	// forge from.
-	var lastDeposit, lastClientAck Event
+	var lastDeposit, lastClientAck hydranet.Event
 	var deposits, clientAcks int
-	net.Bus().Subscribe(func(e Event) {
+	net.Bus().Subscribe(func(e hydranet.Event) {
 		switch e.Kind {
-		case KindDeposit:
+		case hydranet.KindDeposit:
 			if e.Node != "client" && e.Size > 0 {
 				lastDeposit = e
 				deposits++
 			}
-		case KindAckProgress:
+		case hydranet.KindAckProgress:
 			if e.Node == "client" {
 				lastClientAck = e
 				clientAcks++
 			}
 		}
-	}, KindDeposit, KindAckProgress)
+	}, hydranet.KindDeposit, hydranet.KindAckProgress)
 
-	if _, err := net.DeployFT(testSvc, rd, replicas,
-		FTOptions{Detector: DetectorParams{RetransmitThreshold: 3}}, echoAccept()); err != nil {
+	if _, err := net.DeployFT(testSvc, star.Redirector, star.Replicas,
+		hydranet.FTOptions{Detector: hydranet.DetectorParams{RetransmitThreshold: 3}}, app.Echo); err != nil {
 		t.Fatal(err)
 	}
 	net.Settle()
 	payload := make([]byte, 256*1024)
-	conn, err := client.Dial(testSvc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	echoed := collect(conn)
-	app.Source(conn, payload, false)
-	for len(*echoed) < len(payload) && net.Now() < time.Minute {
+	echoed := star.Dial(star.Client, testSvc, payload, false)
+	for echoed.Delivered < len(payload) && net.Now() < time.Minute {
 		net.RunFor(time.Second)
 	}
-	if len(*echoed) != len(payload) {
-		t.Fatalf("client received %d of %d bytes", len(*echoed), len(payload))
+	if !echoed.Echoed() {
+		t.Fatalf("client received %d of %d bytes", echoed.Delivered, len(payload))
 	}
 
 	// The faults must actually have fired material to forge.
@@ -256,9 +238,10 @@ func TestMonitorSeededViolations(t *testing.T) {
 // read as a safety violation.
 func TestMonitorCleanOnGrayFailure(t *testing.T) {
 	payload := make([]byte, 1<<20)
-	faultCase{seed: 11, replicas: 3, in: Instruments{Scenario: "gray-failure"}, threshold: 3, send: payload, steps: []step{
-		{after: 400 * time.Millisecond, do: func(r *faultRun) { r.replicas[2].SetProcessing(250*time.Millisecond, 0) }},
-		{after: 60 * time.Second},
-		readAll(len(payload), 4*time.Minute),
-	}, verdict: verdict{echo: payload}}.play(t)
+	row(t, testbed.Scenario{Seed: 11, Replicas: 3, Observe: hydranet.Instruments{Scenario: "gray-failure"}, Threshold: 3, Send: payload,
+		Steps: []testbed.Step{
+			{After: 400 * time.Millisecond, Do: func(r *testbed.Run) { r.Replicas[2].SetProcessing(250*time.Millisecond, 0) }},
+			{After: 60 * time.Second},
+			readAll(len(payload), 4*time.Minute),
+		}}, verdict{echo: true})
 }

@@ -1,21 +1,25 @@
-package hydranet
+package hydranet_test
 
 import (
 	"encoding/json"
 	"testing"
 	"time"
+
+	"hydranet"
+	"hydranet/internal/testbed"
 )
 
 func TestSnapshotAndFailoverTimeline(t *testing.T) {
 	// About a second of echo through three replicas: the 400 ms crash lands
 	// mid-transfer.
 	payload := make([]byte, 1<<20)
-	var before Snapshot
-	faultCase{seed: 7, replicas: 3, in: Instruments{Failover: true}, threshold: 3, send: payload, steps: []step{
-		{after: 400 * time.Millisecond, do: func(r *faultRun) { before = r.net.Snapshot(); r.svc.CrashPrimary() }},
-		readAll(len(payload), 2*time.Minute),
-	}, verdict: verdict{echo: payload, check: func(r *faultRun) {
-		report := r.sum.Failover
+	var before hydranet.Snapshot
+	row(t, testbed.Scenario{Seed: 7, Replicas: 3, Observe: hydranet.Instruments{Failover: true}, Threshold: 3, Send: payload,
+		Faults: at(400*time.Millisecond, testbed.CrashPrimary, 0), Steps: []testbed.Step{
+			{After: 400 * time.Millisecond, Do: func(r *testbed.Run) { before = r.Net.Snapshot() }},
+			readAll(len(payload), 2*time.Minute),
+		}}, verdict{echo: true, check: func(r *testbed.Run) {
+		report := r.Summary.Failover
 		if !report.Complete {
 			t.Fatalf("failover report incomplete: %+v", report)
 		}
@@ -27,7 +31,7 @@ func TestSnapshotAndFailoverTimeline(t *testing.T) {
 				report.ClientStall, report.Detection)
 		}
 
-		snap := r.net.Snapshot()
+		snap := r.Net.Snapshot()
 		snap.Failover = &report
 
 		byName := make(map[string]int)
@@ -61,11 +65,11 @@ func TestSnapshotAndFailoverTimeline(t *testing.T) {
 		}
 
 		// The snapshot must mirror the direct component counters exactly.
-		if got, want := snap.Redirectors[0].Table.MulticastCopies, r.rd.Table().Stats().MulticastCopies; got != want {
+		if got, want := snap.Redirectors[0].Table.MulticastCopies, r.Redirector.Table().Stats().MulticastCopies; got != want {
 			t.Errorf("snapshot copies %d != direct stats %d", got, want)
 		}
 
-		// Interval diff covers only post-crash activity.
+		// Interval diff covers only activity after the crash instant.
 		d := snap.Diff(before)
 		if d.Time <= 0 {
 			t.Errorf("diff time = %v", d.Time)
@@ -88,7 +92,7 @@ func TestSnapshotAndFailoverTimeline(t *testing.T) {
 		if !ok || fo["complete"] != true {
 			t.Fatalf("failover section missing or incomplete in JSON: %v", parsed["failover"])
 		}
-	}}}.play(t)
+	}})
 }
 
 // TestRedirectorStatsUnderLossyBackupLinks drops multicast copies on the
@@ -99,11 +103,11 @@ func TestRedirectorStatsUnderLossyBackupLinks(t *testing.T) {
 	payload := pattern(64*1024, 7, 0)
 	// A high threshold keeps the detector quiet, so the chain keeps all
 	// three members and the copies-per-match ratio stays fixed.
-	faultCase{seed: 11, replicas: 3, threshold: 50, send: payload, predeploy: func(r *faultRun) {
-		r.links[2].SetLoss(0.03) // s1's and s2's
-		r.links[3].SetLoss(0.03)
-	}, steps: []step{readAll(len(payload), 2*time.Minute)}, verdict: verdict{echo: payload, check: func(r *faultRun) {
-		rs := r.rd.Table().Stats()
+	row(t, testbed.Scenario{Seed: 11, Replicas: 3, Threshold: 50, Send: payload, Setup: func(r *testbed.Run) {
+		r.Links[2].SetLoss(0.03) // s1's and s2's
+		r.Links[3].SetLoss(0.03)
+	}, Steps: []testbed.Step{readAll(len(payload), 2*time.Minute)}}, verdict{echo: true, check: func(r *testbed.Run) {
+		rs := r.Redirector.Table().Stats()
 		if rs.Multicast == 0 {
 			t.Fatal("no multicast matches recorded")
 		}
@@ -115,7 +119,7 @@ func TestRedirectorStatsUnderLossyBackupLinks(t *testing.T) {
 			t.Errorf("tunnel errors = %d, want 0 (loss is not a routing failure)", rs.TunnelErrors)
 		}
 
-		snap := r.net.Snapshot()
+		snap := r.Net.Snapshot()
 		var lost uint64
 		for _, l := range snap.Links {
 			if l.A == "s1" || l.A == "s2" { // rd is side B on these links
@@ -136,5 +140,5 @@ func TestRedirectorStatsUnderLossyBackupLinks(t *testing.T) {
 		if delivered == 0 {
 			t.Error("backups received nothing despite an intact chain")
 		}
-	}}}.play(t)
+	}})
 }

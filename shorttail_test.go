@@ -1,4 +1,4 @@
-package hydranet
+package hydranet_test
 
 import (
 	"encoding/binary"
@@ -6,10 +6,12 @@ import (
 	"testing"
 	"time"
 
+	"hydranet"
 	"hydranet/internal/app"
 	"hydranet/internal/ipv4"
 	"hydranet/internal/obs"
 	"hydranet/internal/tcp"
+	"hydranet/internal/testbed"
 )
 
 const (
@@ -19,8 +21,8 @@ const (
 
 // respondAndClose is a service that reads a shortTailRequest-byte request,
 // writes size bytes and closes: the close-after-write shape of bench's churn.
-func respondAndClose(size int) func(*Conn) {
-	return func(c *Conn) {
+func respondAndClose(size int) func(*hydranet.Conn) {
+	return func(c *hydranet.Conn) {
 		got, buf := 0, make([]byte, shortTailRequest)
 		c.OnReadable(func() {
 			for got < shortTailRequest {
@@ -37,13 +39,14 @@ func respondAndClose(size int) func(*Conn) {
 }
 
 // delayedAcks delays every host's ACKs, as bench's churn clients do.
-var delayedAcks = TCPConfig{DelayedAckTimeout: delayedAck}
+var delayedAcks = hydranet.TCPConfig{DelayedAckTimeout: delayedAck}
 
-// request is a row whose client sends one shortTailRequest-byte request
-// through a respondAndClose(response) service on a delayed-ACK network.
-func request(seed int64, replicas, response int) faultCase {
-	return faultCase{seed: seed, replicas: replicas, tcp: delayedAcks, accept: respondAndClose(response),
-		send: make([]byte, shortTailRequest), verdict: verdict{echo: make([]byte, response), closed: true}}
+// request is a scenario whose client sends one shortTailRequest-byte
+// request through a respondAndClose(response) service on a delayed-ACK
+// network; its row's verdict is the whole response and a clean close.
+func request(seed int64, replicas, response int) testbed.Scenario {
+	return testbed.Scenario{Seed: seed, Replicas: replicas, TCP: delayedAcks, Accept: respondAndClose(response),
+		Send: make([]byte, shortTailRequest), Echo: make([]byte, response)}
 }
 
 // TestShortTailLeavesWithFIN: a response of one full segment and a 462-byte
@@ -55,24 +58,23 @@ func request(seed int64, replicas, response int) faultCase {
 // opens one hop later.
 func TestShortTailLeavesWithFIN(t *testing.T) {
 	const response = 1460 + 462
-	check := func(t *testing.T, out *stream) {
+	check := func(t *testing.T, out *testbed.Stream) {
 		t.Helper()
-		if out.closedAt >= delayedAck {
-			t.Errorf("client closed %v after the dial: the response waited out a %v delayed ACK", out.closedAt, delayedAck)
+		if out.ClosedAt >= delayedAck {
+			t.Errorf("client closed %v after the dial: the response waited out a %v delayed ACK", out.ClosedAt, delayedAck)
 		}
 	}
 	t.Run("plain", func(t *testing.T) {
-		net, client, _, servers, _ := ftTopology(Config{Seed: 120, TCP: delayedAcks}, 1, LinkConfig{})
-		l, err := servers[0].Listen(0, 80)
+		r := testbed.Star(hydranet.New(hydranet.Config{Seed: 120, TCP: delayedAcks}), 1, hydranet.LinkConfig{})
+		l, err := r.Replicas[0].Listen(0, 80)
 		if err != nil {
 			t.Fatal(err)
 		}
 		l.SetAcceptFunc(respondAndClose(response))
-		r := &faultRun{t: t, net: net}
-		out := r.dial(client, Endpoint{Addr: servers[0].Addr(), Port: 80}, make([]byte, shortTailRequest), false)
-		net.RunFor(time.Minute)
-		if !out.closed || out.err != nil || len(out.got) != response {
-			t.Fatalf("client read %d of %d bytes, closed=%v err=%v", len(out.got), response, out.closed, out.err)
+		out := r.Dial(r.Client, hydranet.Endpoint{Addr: r.Replicas[0].Addr(), Port: 80}, make([]byte, shortTailRequest), false)
+		r.Net.RunFor(time.Minute)
+		if !out.Closed || out.Err != nil || out.Delivered != response {
+			t.Fatalf("client read %d of %d bytes, closed=%v err=%v", out.Delivered, response, out.Closed, out.Err)
 		}
 		check(t, out)
 	})
@@ -87,39 +89,39 @@ func TestShortTailLeavesWithFIN(t *testing.T) {
 				seq  uint64
 			}
 			announced := map[announce]time.Duration{}
-			fc := request(int64(120+n), n, response)
-			fc.steps = []step{{do: func(r *faultRun) {
-				r.replicas[0].TCP().SetTrace(func(dir string, _, _ Endpoint, seg *tcp.Segment) {
+			sc := request(int64(120+n), n, response)
+			sc.Setup = func(r *testbed.Run) {
+				r.Replicas[0].TCP().SetTrace(func(dir string, _, _ hydranet.Endpoint, seg *tcp.Segment) {
 					if dir == "out" && seg.Flags.Has(tcp.FlagFIN) && finAt == 0 {
-						finAt, finEnd = r.net.Now(), seg.Seq.Add(seg.Len())
+						finAt, finEnd = r.Net.Now(), seg.Seq.Add(seg.Len())
 						if len(seg.Payload) != 462 {
 							t.Errorf("the primary's FIN travels with %d bytes, want the 462-byte tail", len(seg.Payload))
 						}
 					}
 				})
-				r.net.Bus().Subscribe(func(e obs.Event) {
+				r.Net.Bus().Subscribe(func(e obs.Event) {
 					if k := (announce{e.Node, e.Seq}); announced[k] == 0 {
 						announced[k] = e.Time
 					}
 				}, obs.KindChainSend)
-			}}, {after: time.Minute}}
-			fc.check = func(r *faultRun) {
-				check(t, r.stream)
+			}
+			sc.Steps = []testbed.Step{{After: time.Minute}}
+			row(t, sc, verdict{echo: true, closed: true, check: func(r *testbed.Run) {
+				check(t, r.Stream)
 				if finAt == 0 {
 					t.Fatal("the primary never sent a FIN")
 				}
 				// Outbound ordering, hop by hop from the tail of the chain.
 				before := finAt
 				for i := 1; i < n; i++ {
-					at := announced[announce{r.replicas[i].Name(), uint64(finEnd)}]
+					at := announced[announce{r.Replicas[i].Name(), uint64(finEnd)}]
 					if at == 0 || at >= before {
 						t.Errorf("%s announced the cursor past its FIN at %v, its predecessor released the FIN at %v: want earlier",
-							r.replicas[i].Name(), at, before)
+							r.Replicas[i].Name(), at, before)
 					}
 					before = at
 				}
-			}
-			fc.play(t)
+			}})
 		})
 	}
 }
@@ -127,18 +129,21 @@ func TestShortTailLeavesWithFIN(t *testing.T) {
 // lostAckResponse is three full segments and a 462-byte tail.
 const lostAckResponse = 3*1460 + 462
 
-// lostAckCopy is a row that sends one lostAckResponse through a primary and
-// a backup and loses the backup's multicast copy of the client's first pure
-// ACK that covers the first segments full segments (loseBackupAckCopy).
-func lostAckCopy(segments int) faultCase {
-	fc := request(130, 2, lostAckResponse)
-	var checkDropped func(*testing.T)
-	fc.steps = []step{
-		{do: func(r *faultRun) { checkDropped = loseBackupAckCopy(r, segments*1460) }},
-		{after: time.Minute},
-	}
-	fc.check = func(r *faultRun) { checkDropped(r.t) }
-	return fc
+// lostAckCopy plays a row that sends one lostAckResponse through a primary
+// and a backup and loses the backup's multicast copy of the client's first
+// pure ACK that covers the first segments full segments
+// (loseBackupAckCopy). check, when not nil, is the rest of the verdict.
+func lostAckCopy(t *testing.T, segments int, check func(*testbed.Run)) {
+	sc := request(130, 2, lostAckResponse)
+	var dropped func(*testing.T)
+	sc.Setup = func(r *testbed.Run) { dropped = loseBackupAckCopy(r, segments*1460) }
+	sc.Steps = []testbed.Step{{After: time.Minute}}
+	row(t, sc, verdict{echo: true, closed: true, check: func(r *testbed.Run) {
+		dropped(t)
+		if check != nil {
+			check(r)
+		}
+	}})
 }
 
 // TestLostAckCopyAtResponseEnd is operation 13 of the lossy churn census: a
@@ -151,7 +156,7 @@ func lostAckCopy(segments int) faultCase {
 // With the tail and the FIN already delivered, the client's next packet is
 // its own FIN, whose ACK field repairs the backup.
 func TestLostAckCopyAtResponseEnd(t *testing.T) {
-	lostAckCopy(3).play(t)
+	lostAckCopy(t, 3, nil)
 }
 
 // TestLostAckCopyOpeningWindow is the tail-ACK-copy deadlock that the
@@ -163,31 +168,27 @@ func TestLostAckCopyAtResponseEnd(t *testing.T) {
 // RTO of that silence the primary probes the client, the client answers, and
 // the redirector multicasts the answer to the backup too.
 func TestLostAckCopyOpeningWindow(t *testing.T) {
-	fc := lostAckCopy(2)
-	dropped := fc.check
-	fc.check = func(r *faultRun) {
-		dropped(r)
-		if r.closedAt > 2*time.Second {
-			t.Errorf("client closed %v after the dial, want within a couple of RTOs", r.closedAt)
+	lostAckCopy(t, 2, func(r *testbed.Run) {
+		if r.ClosedAt > 2*time.Second {
+			t.Errorf("client closed %v after the dial, want within a couple of RTOs", r.ClosedAt)
 		}
-	}
-	fc.play(t)
+	})
 }
 
 // loseBackupAckCopy loses the backup's multicast copy of the client's first
 // pure ACK that covers the first covered bytes of the server's stream. The
 // returned check fails the test unless exactly that one frame was lost.
-func loseBackupAckCopy(r *faultRun, covered int) func(*testing.T) {
+func loseBackupAckCopy(r *testbed.Run, covered int) func(*testing.T) {
 	// The covered bytes end at the server's ISS + 1 + covered; the client's
 	// copy of the ISS is its IRS, read off the first segment it is sent.
 	var coveredEnd tcp.Seq
-	r.client.TCP().SetTrace(func(dir string, _, _ Endpoint, seg *tcp.Segment) {
+	r.Client.TCP().SetTrace(func(dir string, _, _ hydranet.Endpoint, seg *tcp.Segment) {
 		if dir == "in" && seg.Flags.Has(tcp.FlagSYN) {
 			coveredEnd = seg.Seq.Add(1 + covered)
 		}
 	})
-	backup, link, dropped := r.replicas[1], r.links[2], 0
-	r.rd.Table().SetEncapTap(func(inner *ipv4.Packet, host Addr) {
+	backup, link, dropped := r.Replicas[1], r.Links[2], 0
+	r.Redirector.Table().SetEncapTap(func(inner *ipv4.Packet, host hydranet.Addr) {
 		p := inner.Payload
 		if dropped > 0 || coveredEnd == 0 || host != backup.Addr() || len(p) < tcp.HeaderLen {
 			return
@@ -198,7 +199,7 @@ func loseBackupAckCopy(r *faultRun, covered int) func(*testing.T) {
 			// the link for that instant (the check counts one frame).
 			dropped++
 			link.SetLoss(1)
-			r.net.At(r.net.Now()+time.Microsecond, func() { link.SetLoss(0) })
+			r.Net.At(r.Net.Now()+time.Microsecond, func() { link.SetLoss(0) })
 		}
 	})
 	return func(t *testing.T) {
@@ -219,20 +220,18 @@ func loseBackupAckCopy(r *faultRun, covered int) func(*testing.T) {
 // nobody is removed.
 func TestLostFinalAckIsNotAProbeStorm(t *testing.T) {
 	const answer = 1000
-	var checkDropped func(*testing.T)
+	var dropped func(*testing.T)
 	var tail []obs.Kind // the tail's own timeouts and suspicions, in order
-	faultCase{seed: 131, replicas: 2, send: make([]byte, answer), steps: []step{
-		{do: func(r *faultRun) {
-			checkDropped = loseBackupAckCopy(r, answer)
-			r.net.Bus().Subscribe(func(e obs.Event) {
-				if e.Node == r.replicas[1].Name() {
-					tail = append(tail, e.Kind)
-				}
-			}, obs.KindRTO, obs.KindSuspicion)
-		}},
-		{after: 4 * time.Minute},
-	}, verdict: verdict{echo: make([]byte, answer), chain: []int{0, 1}, check: func(r *faultRun) {
-		checkDropped(t)
+	row(t, testbed.Scenario{Seed: 131, Replicas: 2, Send: make([]byte, answer), Setup: func(r *testbed.Run) {
+		dropped = loseBackupAckCopy(r, answer)
+		r.Net.Bus().Subscribe(func(e obs.Event) {
+			if e.Node == r.Replicas[1].Name() {
+				tail = append(tail, e.Kind)
+			}
+		}, obs.KindRTO, obs.KindSuspicion)
+	}, Steps: []testbed.Step{{After: 4 * time.Minute}},
+	}, verdict{echo: true, chain: []int{0, 1}, check: func(r *testbed.Run) {
+		dropped(t)
 		rtos, suspicions, run, worst := 0, 0, 0, 0
 		for _, k := range tail {
 			if k == obs.KindRTO {
@@ -249,5 +248,5 @@ func TestLostFinalAckIsNotAProbeStorm(t *testing.T) {
 		if rtos < 5 {
 			t.Errorf("the tail timed out %d times in four minutes: its output was acknowledged after all", rtos)
 		}
-	}}}.play(t)
+	}})
 }

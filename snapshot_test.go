@@ -1,4 +1,4 @@
-package hydranet
+package hydranet_test
 
 import (
 	"fmt"
@@ -6,12 +6,14 @@ import (
 	"testing"
 	"time"
 
+	"hydranet"
 	"hydranet/internal/app"
 	"hydranet/internal/core"
 	"hydranet/internal/metrics"
 	"hydranet/internal/redirector"
 	"hydranet/internal/rmp"
 	"hydranet/internal/tcp"
+	"hydranet/internal/testbed"
 )
 
 // fillUints sets every uint64 reachable from v — through structs, non-nil
@@ -63,13 +65,13 @@ func checkUints(t *testing.T, path string, v reflect.Value, want uint64) {
 
 // fullSnapshot is the maximal shape Diff must cover — a host, a link and a
 // redirector, every pointer set, an RTT bucket — with every counter x.
-func fullSnapshot(x uint64) Snapshot {
-	s := Snapshot{
-		Failover: &FailoverReport{},
-		Hosts: []HostSnapshot{{Name: "h0", Alive: true, Manager: &core.Stats{},
+func fullSnapshot(x uint64) hydranet.Snapshot {
+	s := hydranet.Snapshot{
+		Failover: &hydranet.FailoverReport{},
+		Hosts: []hydranet.HostSnapshot{{Name: "h0", Alive: true, Manager: &core.Stats{},
 			RTT: &metrics.HistogramSnapshot{Buckets: []metrics.HistogramBucket{{Lo: 1, Hi: 2}}}}},
-		Links:       []LinkSnapshot{{A: "h0", B: "h1"}},
-		Redirectors: []RedirectorSnapshot{{Name: "rd", Mgmt: &rmp.RedirectorDaemonStats{}}},
+		Links:       []hydranet.LinkSnapshot{{A: "h0", B: "h1"}},
+		Redirectors: []hydranet.RedirectorSnapshot{{Name: "rd", Mgmt: &rmp.RedirectorDaemonStats{}}},
 	}
 	fillUints(reflect.ValueOf(&s).Elem(), x)
 	return s
@@ -101,43 +103,43 @@ func TestSnapshotDiffLeavesInputs(t *testing.T) {
 }
 
 func TestSnapshotDiff(t *testing.T) {
-	prev := Snapshot{
+	prev := hydranet.Snapshot{
 		Time: time.Second,
-		Hosts: []HostSnapshot{{Name: "s0", Alive: true,
-			Frames: FrameCounters{Sent: 100, Received: 200},
+		Hosts: []hydranet.HostSnapshot{{Name: "s0", Alive: true,
+			Frames: hydranet.FrameCounters{Sent: 100, Received: 200},
 			Conns:  tcp.ConnStats{BytesSent: 1000, Retransmits: 3},
 			RTT:    &metrics.HistogramSnapshot{Count: 3, Buckets: []metrics.HistogramBucket{{Lo: 1, Hi: 2, Count: 3}}}}},
-		Links:       []LinkSnapshot{{A: "s0", B: "rd", AB: LinkDirCounters{TxFrames: 100, Lost: 2}}},
-		Redirectors: []RedirectorSnapshot{{Name: "rd", Table: redirector.Stats{Multicast: 10, MulticastCopies: 30}}},
+		Links:       []hydranet.LinkSnapshot{{A: "s0", B: "rd", AB: hydranet.LinkDirCounters{TxFrames: 100, Lost: 2}}},
+		Redirectors: []hydranet.RedirectorSnapshot{{Name: "rd", Table: redirector.Stats{Multicast: 10, MulticastCopies: 30}}},
 	}
-	cur := Snapshot{
+	cur := hydranet.Snapshot{
 		Time: 3 * time.Second,
-		Hosts: []HostSnapshot{{Name: "s0",
-			Frames: FrameCounters{Sent: 150, Received: 260},
+		Hosts: []hydranet.HostSnapshot{{Name: "s0",
+			Frames: hydranet.FrameCounters{Sent: 150, Received: 260},
 			Conns:  tcp.ConnStats{BytesSent: 1500, Retransmits: 7},
 			RTT:    &metrics.HistogramSnapshot{Count: 5, Buckets: []metrics.HistogramBucket{{Lo: 0, Hi: 1, Count: 2}, {Lo: 1, Hi: 2, Count: 3}}}}},
-		Links:       []LinkSnapshot{{A: "s0", B: "rd", AB: LinkDirCounters{TxFrames: 150, Lost: 5}}},
-		Redirectors: []RedirectorSnapshot{{Name: "rd", Table: redirector.Stats{Multicast: 25, MulticastCopies: 75}}},
+		Links:       []hydranet.LinkSnapshot{{A: "s0", B: "rd", AB: hydranet.LinkDirCounters{TxFrames: 150, Lost: 5}}},
+		Redirectors: []hydranet.RedirectorSnapshot{{Name: "rd", Table: redirector.Stats{Multicast: 25, MulticastCopies: 75}}},
 	}
 	d := cur.Diff(prev)
 	if d.Time != 2*time.Second {
 		t.Errorf("Time = %v", d.Time)
 	}
-	if h := d.Hosts[0]; h.Frames != (FrameCounters{Sent: 50, Received: 60}) ||
+	if h := d.Hosts[0]; h.Frames != (hydranet.FrameCounters{Sent: 50, Received: 60}) ||
 		h.Conns != (tcp.ConnStats{BytesSent: 500, Retransmits: 4}) || h.Alive {
 		t.Errorf("host diff = %+v; liveness must reflect the current snapshot", h)
 	}
 	if h := d.Hosts[0].RTT; !reflect.DeepEqual(*h, cur.Hosts[0].RTT.Diff(*prev.Hosts[0].RTT)) {
 		t.Errorf("RTT diff = %+v, not the histogram's own Diff", h)
 	}
-	if l := d.Links[0].AB; l != (LinkDirCounters{TxFrames: 50, Lost: 3}) {
+	if l := d.Links[0].AB; l != (hydranet.LinkDirCounters{TxFrames: 50, Lost: 3}) {
 		t.Errorf("link diff = %+v", l)
 	}
 	if r := d.Redirectors[0].Table; r != (redirector.Stats{Multicast: 15, MulticastCopies: 45}) {
 		t.Errorf("redirector diff = %+v", r)
 	}
 	// An entry past prev's end passes through unchanged.
-	cur.Hosts = append(cur.Hosts, HostSnapshot{Name: "s9", Frames: FrameCounters{Sent: 7}})
+	cur.Hosts = append(cur.Hosts, hydranet.HostSnapshot{Name: "s9", Frames: hydranet.FrameCounters{Sent: 7}})
 	if d = cur.Diff(prev); d.Hosts[1].Frames.Sent != 7 {
 		t.Errorf("new host not passed through: %+v", d.Hosts[1])
 	}
@@ -147,13 +149,13 @@ func TestSnapshotDiff(t *testing.T) {
 // management-daemon counters field by field, and a redirector with no entry
 // in the previous snapshot passes through.
 func TestSnapshotDiffMgmtCounters(t *testing.T) {
-	prev := Snapshot{Time: time.Second, Redirectors: []RedirectorSnapshot{{
+	prev := hydranet.Snapshot{Time: time.Second, Redirectors: []hydranet.RedirectorSnapshot{{
 		Name:  "rd",
 		Table: redirector.Stats{Redirected: 10, Multicast: 5, MulticastCopies: 15},
 		Mgmt: &rmp.RedirectorDaemonStats{Registrations: 3, Leaves: 1, Suspicions: 2, ProbesSent: 20,
 			HostsFailed: 1, Reconfigs: 1, CongestionEvictions: 0, LeaseExpirations: 4},
 	}}}
-	cur := Snapshot{Time: 3 * time.Second, Redirectors: []RedirectorSnapshot{{
+	cur := hydranet.Snapshot{Time: 3 * time.Second, Redirectors: []hydranet.RedirectorSnapshot{{
 		Name:  "rd",
 		Table: redirector.Stats{Redirected: 25, Multicast: 12, MulticastCopies: 36},
 		Mgmt: &rmp.RedirectorDaemonStats{Registrations: 4, Leaves: 1, Suspicions: 5, ProbesSent: 32,
@@ -181,9 +183,9 @@ func TestSnapshotDiffMgmtCounters(t *testing.T) {
 // TestSnapshotDiffMgmtNilPrev: a daemon started between the two snapshots
 // diffs against zero; one that stopped reporting stays nil.
 func TestSnapshotDiffMgmtNilPrev(t *testing.T) {
-	prev := Snapshot{Time: time.Second, Redirectors: []RedirectorSnapshot{{Name: "rd"}}}
+	prev := hydranet.Snapshot{Time: time.Second, Redirectors: []hydranet.RedirectorSnapshot{{Name: "rd"}}}
 	want := rmp.RedirectorDaemonStats{Registrations: 6, ProbesSent: 9, Reconfigs: 2}
-	cur := Snapshot{Time: 2 * time.Second, Redirectors: []RedirectorSnapshot{{Name: "rd", Mgmt: &want}}}
+	cur := hydranet.Snapshot{Time: 2 * time.Second, Redirectors: []hydranet.RedirectorSnapshot{{Name: "rd", Mgmt: &want}}}
 	if m := cur.Diff(prev).Redirectors[0].Mgmt; m == nil || *m != want {
 		t.Fatalf("nil-prev mgmt diff = %+v", m)
 	}
@@ -200,30 +202,25 @@ func TestSnapshotDiffMgmtNilPrev(t *testing.T) {
 // per ft-TCP manager and daemon; 18 under the race detector, where
 // slices.Grow allocates twice.
 func TestSnapshotAllocBudget(t *testing.T) {
-	net := New(Config{Seed: 3})
-	client, rd := net.AddHost("client", HostConfig{}), net.AddRedirector("rd", HostConfig{})
-	hosts := []*Host{client, rd.Host}
+	net := hydranet.New(hydranet.Config{Seed: 3})
+	client, rd := net.AddHost("client", hydranet.HostConfig{}), net.AddRedirector("rd", hydranet.HostConfig{})
+	hosts := []*hydranet.Host{client, rd.Host}
 	for _, name := range []string{"s0", "s1", "s2"} {
-		hosts = append(hosts, net.AddHost(name, HostConfig{}))
+		hosts = append(hosts, net.AddHost(name, hydranet.HostConfig{}))
 	}
 	for i := range hosts {
 		for _, h := range hosts[i+1:] {
-			net.Link(hosts[i], h, LinkConfig{Rate: 10_000_000, Delay: time.Millisecond})
+			net.Link(hosts[i], h, hydranet.LinkConfig{Rate: 10_000_000, Delay: time.Millisecond})
 		}
 	}
 	net.AutoRoute()
-	if _, err := net.DeployFT(testSvc, rd, hosts[2:], FTOptions{}, echoAccept()); err != nil {
+	if _, err := net.DeployFT(testSvc, rd, hosts[2:], hydranet.FTOptions{}, app.Echo); err != nil {
 		t.Fatal(err)
 	}
 	net.Settle()
-	conn, err := client.Dial(testSvc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := collect(conn)
-	app.Source(conn, make([]byte, 100_000), false)
-	if net.RunFor(10 * time.Second); len(*got) != 100_000 {
-		t.Fatalf("client received %d of 100000 bytes", len(*got))
+	got := (&testbed.Run{Net: net}).Dial(client, testSvc, make([]byte, 100_000), false)
+	if net.RunFor(10 * time.Second); !got.Echoed() {
+		t.Fatalf("client received %d of 100000 bytes", got.Delivered)
 	}
 	if allocs := testing.AllocsPerRun(20, func() { net.Snapshot() }); allocs > 22 {
 		t.Errorf("Net.Snapshot allocates %v times, budget 22", allocs)

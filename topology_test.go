@@ -1,4 +1,4 @@
-package hydranet
+package hydranet_test
 
 import (
 	"bytes"
@@ -7,23 +7,25 @@ import (
 	"testing"
 	"time"
 
+	"hydranet"
 	"hydranet/internal/app"
 	"hydranet/internal/ipv4"
 	"hydranet/internal/tcp"
+	"hydranet/internal/testbed"
 )
 
 // TestMultiHopRouting: client — r1 — r2 — rd — server, with the redirector
 // three hops from the client. AutoRoute must chain the path, and the
 // default-route-toward-redirector rule must work across plain routers.
 func TestMultiHopRouting(t *testing.T) {
-	net := New(Config{Seed: 121})
-	client := net.AddHost("client", HostConfig{})
-	r1 := net.AddRouter("r1", HostConfig{})
-	r2 := net.AddRouter("r2", HostConfig{})
-	rd := net.AddRedirector("rd", HostConfig{})
-	s0 := net.AddHost("s0", HostConfig{})
-	s1 := net.AddHost("s1", HostConfig{})
-	link := LinkConfig{Rate: 10_000_000, Delay: 2 * time.Millisecond}
+	net := hydranet.New(hydranet.Config{Seed: 121})
+	client := net.AddHost("client", hydranet.HostConfig{})
+	r1 := net.AddRouter("r1", hydranet.HostConfig{})
+	r2 := net.AddRouter("r2", hydranet.HostConfig{})
+	rd := net.AddRedirector("rd", hydranet.HostConfig{})
+	s0 := net.AddHost("s0", hydranet.HostConfig{})
+	s1 := net.AddHost("s1", hydranet.HostConfig{})
+	link := hydranet.LinkConfig{Rate: 10_000_000, Delay: 2 * time.Millisecond}
 	net.Link(client, r1, link)
 	net.Link(r1, r2, link)
 	net.Link(r2, rd.Host, link)
@@ -31,27 +33,23 @@ func TestMultiHopRouting(t *testing.T) {
 	net.Link(s1, rd.Host, link)
 	net.AutoRoute()
 
-	svc := ServiceID{Addr: MustAddr("192.20.225.20"), Port: 80}
-	ftsvc, err := net.DeployFT(svc, rd, []*Host{s0, s1}, FTOptions{}, echoAccept())
+	svc := hydranet.ServiceID{Addr: hydranet.MustAddr("192.20.225.20"), Port: 80}
+	ftsvc, err := net.DeployFT(svc, rd, []*hydranet.Host{s0, s1}, hydranet.FTOptions{}, app.Echo)
 	if err != nil {
 		t.Fatal(err)
 	}
 	net.Settle()
-	conn, _ := client.Dial(svc)
-	echoed := collect(conn)
-	payload := bytes.Repeat([]byte("far"), 10_000)
-	app.Source(conn, payload, false)
+	echoed := (&testbed.Run{Net: net}).Dial(client, svc, bytes.Repeat([]byte("far"), 10_000), false)
 	net.RunFor(30 * time.Second)
-	if !bytes.Equal(*echoed, payload) {
-		t.Fatalf("multi-hop echo: %d of %d bytes", len(*echoed), len(payload))
+	if !echoed.Echoed() {
+		t.Fatalf("multi-hop echo: %d of 30000 bytes", echoed.Delivered)
 	}
 	// Failover still works across the multi-hop path.
 	ftsvc.CrashPrimary()
-	conn.Write([]byte("|post"))
+	echoed.Write([]byte("|post"))
 	net.RunFor(2 * time.Minute)
-	want := append(append([]byte(nil), payload...), []byte("|post")...)
-	if !bytes.Equal(*echoed, want) {
-		t.Fatalf("multi-hop failover: %d of %d bytes", len(*echoed), len(want))
+	if !echoed.Echoed() {
+		t.Fatalf("multi-hop failover: %d of 30005 bytes", echoed.Delivered)
 	}
 	// The plain routers really carried the traffic.
 	if r1.IP().Stats().Forwarded == 0 || r2.IP().Stats().Forwarded == 0 {
@@ -79,20 +77,20 @@ func (tt *tunnelTap) DeliverIP(outer *ipv4.Packet) {
 // router and the redirector's tunnel to both replicas byte for byte, and
 // only the replicas' TCP stacks count it as bad.
 func TestCorruptSegmentVerifiedOnlyAtEndpoints(t *testing.T) {
-	net := New(Config{Seed: 125})
-	client := net.AddHost("client", HostConfig{})
-	r := net.AddRouter("r", HostConfig{})
-	rd := net.AddRedirector("rd", HostConfig{})
-	s0 := net.AddHost("s0", HostConfig{})
-	s1 := net.AddHost("s1", HostConfig{})
-	link := LinkConfig{Rate: 10_000_000, Delay: time.Millisecond}
+	net := hydranet.New(hydranet.Config{Seed: 125})
+	client := net.AddHost("client", hydranet.HostConfig{})
+	r := net.AddRouter("r", hydranet.HostConfig{})
+	rd := net.AddRedirector("rd", hydranet.HostConfig{})
+	s0 := net.AddHost("s0", hydranet.HostConfig{})
+	s1 := net.AddHost("s1", hydranet.HostConfig{})
+	link := hydranet.LinkConfig{Rate: 10_000_000, Delay: time.Millisecond}
 	net.Link(client, r, link)
 	net.Link(r, rd.Host, link)
 	net.Link(s0, rd.Host, link)
 	net.Link(s1, rd.Host, link)
 	net.AutoRoute()
-	svc := ServiceID{Addr: MustAddr("192.20.225.20"), Port: 80}
-	if _, err := net.DeployFT(svc, rd, []*Host{s0, s1}, FTOptions{}, echoAccept()); err != nil {
+	svc := hydranet.ServiceID{Addr: hydranet.MustAddr("192.20.225.20"), Port: 80}
+	if _, err := net.DeployFT(svc, rd, []*hydranet.Host{s0, s1}, hydranet.FTOptions{}, app.Echo); err != nil {
 		t.Fatal(err)
 	}
 	net.Settle()
@@ -103,7 +101,7 @@ func TestCorruptSegmentVerifiedOnlyAtEndpoints(t *testing.T) {
 	seg := &tcp.Segment{SrcPort: 40000, DstPort: svc.Port, Seq: 1, Flags: tcp.FlagACK, Window: 8192, Payload: []byte("corrupt me")}
 	sent := seg.Marshal(client.Addr(), svc.Addr)
 	sent[len(sent)-1] ^= 0x20 // the checksum no longer covers the payload
-	hosts := []*Host{client, r, rd.Host, s0, s1}
+	hosts := []*hydranet.Host{client, r, rd.Host, s0, s1}
 	before := make([]tcp.StackStats, len(hosts))
 	for i, h := range hosts {
 		before[i] = h.TCP().Stats()
@@ -139,39 +137,36 @@ func TestCorruptSegmentVerifiedOnlyAtEndpoints(t *testing.T) {
 // TestHostServerSharedVirtualHost: two services on one virtual host, one
 // FT and one scaling, on overlapping host sets.
 func TestHostServerSharedVirtualHost(t *testing.T) {
-	net, client, rd, replicas, _ := ftTopology(Config{Seed: 122}, 2, LinkConfig{})
-	vaddr := MustAddr("192.20.225.20")
-	ftSvc := ServiceID{Addr: vaddr, Port: 80}
-	scaleSvc := ServiceID{Addr: vaddr, Port: 8080}
-	if _, err := net.DeployFT(ftSvc, rd, replicas, FTOptions{}, echoAccept()); err != nil {
+	r := testbed.Star(hydranet.New(hydranet.Config{Seed: 122}), 2, hydranet.LinkConfig{})
+	net, client, rd, replicas := r.Net, r.Client, r.Redirector, r.Replicas
+	vaddr := hydranet.MustAddr("192.20.225.20")
+	ftSvc := hydranet.ServiceID{Addr: vaddr, Port: 80}
+	scaleSvc := hydranet.ServiceID{Addr: vaddr, Port: 8080}
+	if _, err := net.DeployFT(ftSvc, rd, replicas, hydranet.FTOptions{}, app.Echo); err != nil {
 		t.Fatal(err)
 	}
-	if err := net.DeployScale(scaleSvc, rd, []ScaleTarget{{Host: replicas[1], Metric: 1}},
-		func(c *Conn) { app.Source(c, []byte("scaled"), true) }); err != nil {
+	if err := net.DeployScale(scaleSvc, rd, []hydranet.ScaleTarget{{Host: replicas[1], Metric: 1}},
+		func(c *hydranet.Conn) { app.Source(c, []byte("scaled"), true) }); err != nil {
 		t.Fatal(err)
 	}
 	net.Settle()
 
-	c1, _ := client.Dial(ftSvc)
-	e1 := collect(c1)
-	app.Source(c1, []byte("replicated"), false)
+	e1 := r.Dial(client, ftSvc, []byte("replicated"), false)
 	c2, _ := client.Dial(scaleSvc)
 	e2 := collect(c2)
 	app.Source(c2, []byte("x"), false)
 	net.RunFor(10 * time.Second)
-	if string(*e1) != "replicated" || string(*e2) != "scaled" {
-		t.Fatalf("echoes: %q / %q", *e1, *e2)
+	if !e1.Echoed() || string(*e2) != "scaled" {
+		t.Fatalf("echoes: %d bytes / %q", e1.Delivered, *e2)
 	}
 	// The shared virtual host is reference-counted: removing one service
 	// must not strand the other.
 	replicas[1].Daemon(rd).Leave(scaleSvc)
 	net.Settle()
-	c3, _ := client.Dial(ftSvc)
-	e3 := collect(c3)
-	app.Source(c3, []byte("still here"), false)
+	e3 := r.Dial(client, ftSvc, []byte("still here"), false)
 	net.RunFor(10 * time.Second)
-	if string(*e3) != "still here" {
-		t.Fatalf("FT service broken after scaling service left: %q", *e3)
+	if !e3.Echoed() {
+		t.Fatalf("FT service broken after scaling service left: %d bytes", e3.Delivered)
 	}
 }
 
@@ -179,12 +174,14 @@ func TestHostServerSharedVirtualHost(t *testing.T) {
 // 10.255.0.0/24 and then 10.0.0.0/24. A 257th link would reuse the first
 // link's subnet, so it panics instead.
 func TestLinkPanicsPastTheLastSubnet(t *testing.T) {
-	net := New(Config{Seed: 1})
-	hub := net.AddHost("hub", HostConfig{})
+	net := hydranet.New(hydranet.Config{Seed: 1})
+	hub := net.AddHost("hub", hydranet.HostConfig{})
+	var hosts []*hydranet.Host
 	for i := range 256 {
-		net.Link(net.AddHost(fmt.Sprint("h", i), HostConfig{}), hub, LinkConfig{})
+		hosts = append(hosts, net.AddHost(fmt.Sprint("h", i), hydranet.HostConfig{}))
+		net.Link(hosts[i], hub, hydranet.LinkConfig{})
 	}
-	if first, last := net.hosts[1].Addr(), net.hosts[256].Addr(); first != MustAddr("10.1.0.1") || last != MustAddr("10.0.0.1") {
+	if first, last := hosts[0].Addr(), hosts[255].Addr(); first != hydranet.MustAddr("10.1.0.1") || last != hydranet.MustAddr("10.0.0.1") {
 		t.Fatalf("the first and 256th links' hosts are %s and %s, want 10.1.0.1 and 10.0.0.1", first, last)
 	}
 	defer func() {
@@ -192,32 +189,27 @@ func TestLinkPanicsPastTheLastSubnet(t *testing.T) {
 			t.Fatalf("the 257th Link: recovered %v, want the subnet panic", r)
 		}
 	}()
-	net.Link(net.AddHost("h256", HostConfig{}), hub, LinkConfig{})
+	net.Link(net.AddHost("h256", hydranet.HostConfig{}), hub, hydranet.LinkConfig{})
 }
 
 // TestLinkAddrExplicitAddressing: explicit addresses survive AutoRoute and
 // carry traffic between real hosts.
 func TestLinkAddrExplicitAddressing(t *testing.T) {
-	net := New(Config{Seed: 123})
-	a := net.AddHost("a", HostConfig{})
-	r := net.AddRouter("r", HostConfig{})
-	b := net.AddHost("b", HostConfig{})
-	net.LinkAddr(a, r, LinkConfig{}, MustAddr("172.16.1.10"), MustAddr("172.16.1.1"))
-	net.LinkAddr(b, r, LinkConfig{}, MustAddr("172.16.2.10"), MustAddr("172.16.2.1"))
+	net := hydranet.New(hydranet.Config{Seed: 123})
+	a := net.AddHost("a", hydranet.HostConfig{})
+	r := net.AddRouter("r", hydranet.HostConfig{})
+	b := net.AddHost("b", hydranet.HostConfig{})
+	net.LinkAddr(a, r, hydranet.LinkConfig{}, hydranet.MustAddr("172.16.1.10"), hydranet.MustAddr("172.16.1.1"))
+	net.LinkAddr(b, r, hydranet.LinkConfig{}, hydranet.MustAddr("172.16.2.10"), hydranet.MustAddr("172.16.2.1"))
 	net.AutoRoute()
-	if a.Addr() != MustAddr("172.16.1.10") || b.Addr() != MustAddr("172.16.2.10") {
+	if a.Addr() != hydranet.MustAddr("172.16.1.10") || b.Addr() != hydranet.MustAddr("172.16.2.10") {
 		t.Fatalf("addrs: %s / %s", a.Addr(), b.Addr())
 	}
 	l, _ := b.Listen(0, 7)
-	l.SetAcceptFunc(func(c *Conn) { app.Echo(c) })
-	conn, err := a.DialEndpoint(Endpoint{Addr: b.Addr(), Port: 7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	echoed := collect(conn)
-	app.Source(conn, []byte("explicit"), false)
+	l.SetAcceptFunc(func(c *hydranet.Conn) { app.Echo(c) })
+	echoed := (&testbed.Run{Net: net}).Dial(a, hydranet.Endpoint{Addr: b.Addr(), Port: 7}, []byte("explicit"), false)
 	net.RunFor(5 * time.Second)
-	if string(*echoed) != "explicit" {
-		t.Fatalf("echo = %q", *echoed)
+	if !echoed.Echoed() {
+		t.Fatalf("echo: %d of 8 bytes", echoed.Delivered)
 	}
 }

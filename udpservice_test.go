@@ -1,8 +1,10 @@
-package hydranet
+package hydranet_test
 
 import (
 	"testing"
 	"time"
+
+	"hydranet"
 )
 
 // TestScaledUDPService: the redirector table matches UDP ports too (paper
@@ -10,23 +12,23 @@ import (
 // request/response service is replicated; the nearest replica answers under
 // the virtual address.
 func TestScaledUDPService(t *testing.T) {
-	net := New(Config{Seed: 51})
-	client := net.AddHost("client", HostConfig{})
-	rd := net.AddRedirector("rd", HostConfig{})
-	near := net.AddHost("near", HostConfig{})
-	far := net.AddHost("far", HostConfig{})
-	link := LinkConfig{Rate: 10_000_000, Delay: time.Millisecond}
-	for _, h := range []*Host{client, near, far} {
+	net := hydranet.New(hydranet.Config{Seed: 51})
+	client := net.AddHost("client", hydranet.HostConfig{})
+	rd := net.AddRedirector("rd", hydranet.HostConfig{})
+	near := net.AddHost("near", hydranet.HostConfig{})
+	far := net.AddHost("far", hydranet.HostConfig{})
+	link := hydranet.LinkConfig{Rate: 10_000_000, Delay: time.Millisecond}
+	for _, h := range []*hydranet.Host{client, near, far} {
 		net.Link(h, rd.Host, link)
 	}
 	net.AutoRoute()
 
-	svc := ServiceID{Addr: MustAddr("192.20.225.53"), Port: 53}
-	err := net.DeployScaleUDP(svc, rd, []ScaleTarget{
+	svc := hydranet.ServiceID{Addr: hydranet.MustAddr("192.20.225.53"), Port: 53}
+	err := net.DeployScaleUDP(svc, rd, []hydranet.ScaleTarget{
 		{Host: near, Metric: 1},
 		{Host: far, Metric: 9},
-	}, func(h *Host) UDPRecvFunc {
-		return func(from UDPEndpoint, local Addr, payload []byte) {
+	}, func(h *hydranet.Host) hydranet.UDPRecvFunc {
+		return func(from hydranet.UDPEndpoint, local hydranet.Addr, payload []byte) {
 			resp := append([]byte(h.Name()+" answers: "), payload...)
 			// Reply from the virtual address: the client must see the
 			// service, not the physical replica.
@@ -39,8 +41,8 @@ func TestScaledUDPService(t *testing.T) {
 	net.Settle()
 
 	var reply []byte
-	var replyFrom UDPEndpoint
-	if err := client.UDP().Bind(0, 4053, func(from UDPEndpoint, _ Addr, p []byte) {
+	var replyFrom hydranet.UDPEndpoint
+	if err := client.UDP().Bind(0, 4053, func(from hydranet.UDPEndpoint, _ hydranet.Addr, p []byte) {
 		reply = append([]byte(nil), p...)
 		replyFrom = from
 	}); err != nil {
@@ -63,23 +65,23 @@ func TestScaledUDPService(t *testing.T) {
 // TestScaleTargetLeave: a scaling replica that leaves is removed from the
 // table, and traffic shifts to the remaining replica.
 func TestScaleTargetLeave(t *testing.T) {
-	net := New(Config{Seed: 52})
-	client := net.AddHost("client", HostConfig{})
-	rd := net.AddRedirector("rd", HostConfig{})
-	a := net.AddHost("a", HostConfig{})
-	b := net.AddHost("b", HostConfig{})
-	link := LinkConfig{Rate: 10_000_000, Delay: time.Millisecond}
-	for _, h := range []*Host{client, a, b} {
+	net := hydranet.New(hydranet.Config{Seed: 52})
+	client := net.AddHost("client", hydranet.HostConfig{})
+	rd := net.AddRedirector("rd", hydranet.HostConfig{})
+	a := net.AddHost("a", hydranet.HostConfig{})
+	b := net.AddHost("b", hydranet.HostConfig{})
+	link := hydranet.LinkConfig{Rate: 10_000_000, Delay: time.Millisecond}
+	for _, h := range []*hydranet.Host{client, a, b} {
 		net.Link(h, rd.Host, link)
 	}
 	net.AutoRoute()
 
-	svc := ServiceID{Addr: MustAddr("192.20.225.53"), Port: 53}
-	err := net.DeployScaleUDP(svc, rd, []ScaleTarget{
+	svc := hydranet.ServiceID{Addr: hydranet.MustAddr("192.20.225.53"), Port: 53}
+	err := net.DeployScaleUDP(svc, rd, []hydranet.ScaleTarget{
 		{Host: a, Metric: 1},
 		{Host: b, Metric: 5},
-	}, func(h *Host) UDPRecvFunc {
-		return func(from UDPEndpoint, local Addr, payload []byte) {
+	}, func(h *hydranet.Host) hydranet.UDPRecvFunc {
+		return func(from hydranet.UDPEndpoint, local hydranet.Addr, payload []byte) {
 			_ = h.UDP().SendTo(local, svc.Port, from, []byte(h.Name()))
 		}
 	})
@@ -89,7 +91,7 @@ func TestScaleTargetLeave(t *testing.T) {
 	net.Settle()
 
 	var replies []string
-	_ = client.UDP().Bind(0, 4053, func(_ UDPEndpoint, _ Addr, p []byte) {
+	_ = client.UDP().Bind(0, 4053, func(_ hydranet.UDPEndpoint, _ hydranet.Addr, p []byte) {
 		replies = append(replies, string(p))
 	})
 	ask := func() {
