@@ -175,6 +175,18 @@ func TestInstrumentEverythingOn(t *testing.T) {
 			t.Errorf("fail-over report %+v, want complete with the crash at 1.3s", fo)
 		}
 
+		// Two counts of the same frames: the capture's records less its
+		// inner copies, and the link counters the audit's census reads.
+		var linkBytes uint64
+		for _, l := range r.Links {
+			b := l.TxBytes()
+			linkBytes += b[0] + b[1]
+		}
+		if a := sum.Audit; sum.PcapRecords-sum.PcapInner != a.Frames || a.FrameBytes != linkBytes {
+			t.Errorf("pcap holds %d frames (%d records, %d inner), audit counts %d; links sent %d bytes, audit counts %d",
+				sum.PcapRecords-sum.PcapInner, sum.PcapRecords, sum.PcapInner, a.Frames, linkBytes, a.FrameBytes)
+		}
+
 		f := requireWellFormedPcap(t, in.Pcap)
 		if n := len(f.Records); uint64(n) != sum.PcapRecords || sum.PcapInner == 0 {
 			t.Errorf("pcap holds %d records, Summary says %d (%d inner)", n, sum.PcapRecords, sum.PcapInner)

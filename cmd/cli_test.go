@@ -111,6 +111,7 @@ func TestCLIs(t *testing.T) {
 				{args: []string{"-replicas", "256", "-pcap", "many.pcap"}, exit: 2, want: "-replicas 256: want at most 255", none: "many.pcap"},
 				{args: []string{"-crash-at", "-1s", "-series", "ca.jsonl"}, exit: 2, want: "-crash-at -1s: want 0 or more", none: "ca.jsonl"},
 				{args: []string{"-sample-every", "-1s", "-series", "se.jsonl"}, exit: 2, want: "-sample-every -1s: want 0 or more", none: "se.jsonl"},
+				{args: []string{"-trace", "-3", "-pcap", "tr.pcap"}, exit: 2, want: "-trace -3: want 0 or more", none: "tr.pcap"},
 				// An artifact that cannot be written is Finish's error: exit 1.
 				{args: []string{"-bytes", "65536", "-series", "no-such-dir/s.jsonl"}, exit: 1, want: "hydranet-sim: observers: hydranet: series:"},
 				{args: []string{"experiment", "list"}, want: "fig4\na1\na1b\na2\na3\na4\na5\n"},

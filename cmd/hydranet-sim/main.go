@@ -118,6 +118,8 @@ func main() {
 		usage("-crash-at %v: want 0 or more", *crashAt)
 	case observe.SampleEvery < 0:
 		usage("-sample-every %v: want 0 or more", observe.SampleEvery)
+	case *traceSegs < 0:
+		usage("-trace %d: want 0 or more", *traceSegs)
 	case *bytes < 1:
 		usage("-bytes %d: want 1 or more", *bytes)
 	case *threshold < 0:

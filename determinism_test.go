@@ -107,7 +107,7 @@ func TestScratchPoisonCatchesRetention(t *testing.T) {
 					seg = s
 				}
 			})
-			hydranet.AddEncapTap(r.Net, func(inner *ipv4.Packet, _ hydranet.Addr) { pkt = inner })
+			r.Redirector.Table().SetEncapTap(func(inner *ipv4.Packet, _ hydranet.Addr) { pkt = inner })
 		})
 		return fp, fmt.Sprintf(" seg %v; inner %s→%s proto %d", seg, pkt.Src, pkt.Dst, pkt.Proto)
 	}

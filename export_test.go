@@ -1,15 +1,9 @@
 package hydranet
 
-import (
-	"hydranet/internal/redirector"
-	"hydranet/internal/series"
-)
+import "hydranet/internal/series"
 
 // Accessors for the external tests (package hydranet_test, which can import
 // internal/testbed) to state the API does not export.
-
-// AddEncapTap registers tap on every redirector of n, as a capture does.
-func AddEncapTap(n *Net, tap redirector.EncapTap) { n.addEncapTap(tap) }
 
 // HealthScorer is the replica health scorer of s's sampler.
 func HealthScorer(s *Session) *series.HealthScorer { return s.tel.scorer }

@@ -111,11 +111,6 @@ type Net struct {
 	links       []linkInfo
 	nextSubnet  int // Link's /24s so far: 10.1.0.0 … 10.255.0.0, then 10.0.0.0
 
-	// Taps registered by the capture and the monitor; see capture.go. Kept
-	// here so they can share the fabric's single tap slot.
-	frameTaps []netsim.FrameTap
-	encapTaps []redirector.EncapTap
-
 	// session is what Instrument attached; deployed records that a DeployFT
 	// has run, after which Instrument refuses (instrument.go).
 	session  *Session
@@ -153,9 +148,6 @@ func (n *Net) PoisonFrames(on bool) { n.fab.Pool().SetPoison(on) }
 
 // Now returns the current virtual time.
 func (n *Net) Now() time.Duration { return n.sched.Now() }
-
-// Run executes events until the network goes idle.
-func (n *Net) Run() { n.sched.Run() }
 
 // RunFor advances virtual time by d.
 func (n *Net) RunFor(d time.Duration) { n.sched.RunUntil(n.sched.Now() + d) }

@@ -121,7 +121,13 @@ func (n *Net) Instrument(in Instruments) (*Session, error) {
 		s.mon = n.StartMonitor(MonitorConfig{Scenario: in.Scenario})
 	}
 	if s.capt != nil {
-		n.attachCapture(s.capt)
+		// Every frame accepted on every link, both directions, and the
+		// inner packet of every tunnel copy of the redirectors present
+		// now. The capture is the only tap of either kind.
+		n.fab.SetFrameTap(s.capt.FrameTap())
+		for _, r := range n.redirectors {
+			r.rd.SetEncapTap(s.capt.CaptureInner)
+		}
 	}
 	if in.Failover || in.Series != "" {
 		s.probe = n.newFailoverProbe()

@@ -42,8 +42,8 @@ func requireNothingAttached(t *testing.T, net *Net) {
 			t.Errorf("bus has a subscriber for %s", k)
 		}
 	}
-	if len(net.frameTaps) != 0 || len(net.encapTaps) != 0 {
-		t.Errorf("%d frame taps, %d encap taps attached", len(net.frameTaps), len(net.encapTaps))
+	if s := net.session; s != nil && s.capt != nil {
+		t.Error("a capture, the only frame and encap tap, is attached")
 	}
 	if p := net.sched.Pending(); p != 0 {
 		t.Errorf("%d scheduler events pending", p)

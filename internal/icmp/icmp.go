@@ -119,9 +119,6 @@ type Stack struct {
 	nextID  uint16
 	pending map[echoKey]*pendingEcho
 	onError ErrorFunc
-
-	// Stats
-	echoed, replies, errorsIn, errorsOut uint64
 }
 
 var _ ipv4.ProtocolHandler = (*Stack)(nil)
@@ -142,12 +139,6 @@ func NewStack(ip *ipv4.Stack) *Stack {
 
 // OnError installs an observer for inbound ICMP errors.
 func (s *Stack) OnError(fn ErrorFunc) { s.onError = fn }
-
-// Stats returns echo requests answered, echo replies received, errors
-// received and errors emitted.
-func (s *Stack) Stats() (echoed, replies, errorsIn, errorsOut uint64) {
-	return s.echoed, s.replies, s.errorsIn, s.errorsOut
-}
 
 // Ping sends one echo request to dst and calls done with the outcome. ttl
 // zero means the default; small ttls implement traceroute probing.
@@ -190,12 +181,10 @@ func (s *Stack) DeliverIP(pkt *ipv4.Packet) {
 	}
 	switch msg.Type {
 	case TypeEchoRequest:
-		s.echoed++
 		reply := Message{Type: TypeEchoReply, ID: msg.ID, Seq: msg.Seq, Payload: msg.Payload}
 		// Reply from the address that was pinged (it may be virtual).
 		_ = s.ip.Send(Protocol, pkt.Dst, pkt.Src, reply.Marshal()) //nolint:errcheck
 	case TypeEchoReply:
-		s.replies++
 		key := echoKey{id: msg.ID, seq: msg.Seq}
 		if p := s.pending[key]; p != nil {
 			p.deadline.Cancel()
@@ -203,7 +192,6 @@ func (s *Stack) DeliverIP(pkt *ipv4.Packet) {
 			p.done(EchoResult{From: pkt.Src, Seq: msg.Seq, RTT: s.sched.Now() - p.sentAt})
 		}
 	case TypeUnreachable, TypeTimeExceeded:
-		s.errorsIn++
 		inner, innerErr := ipv4.Unmarshal(msg.Payload)
 		var hdr *ipv4.Header
 		if innerErr == nil {
@@ -267,7 +255,6 @@ func (s *Stack) reportIPError(reason ipv4.ErrorReason, offending *ipv4.Packet) {
 	if err != nil {
 		return
 	}
-	s.errorsOut++
 	msg := Message{Type: typ, Code: code, Payload: quote}
 	_ = s.ip.Send(Protocol, 0, offending.Src, msg.Marshal()) //nolint:errcheck
 }

@@ -88,6 +88,10 @@ type Config struct {
 	// the quiesce conservation check (normally the fabric's frame.Pool
 	// via the facade).
 	Outstanding func() int
+	// Census, if set, reports the frames and bytes the fabric transmitted
+	// since the monitor attached (normally the links' own counters, via
+	// the facade).
+	Census func() (frames, bytes uint64)
 }
 
 // connKey identifies one directed connection endpoint at one node.
@@ -170,6 +174,7 @@ type nodeState struct {
 type Monitor struct {
 	scenario    string
 	outstanding func() int
+	census      func() (frames, bytes uint64)
 
 	addrName map[inet.Addr]string // host address -> node name, for management events
 
@@ -180,8 +185,6 @@ type Monitor struct {
 	nodes  map[string]*nodeState
 
 	events     uint64
-	frames     uint64
-	frameBytes uint64
 	kindCounts []uint64
 
 	checks     [numRules]uint64
@@ -198,6 +201,7 @@ func New(cfg Config) *Monitor {
 	return &Monitor{
 		scenario:    cfg.Scenario,
 		outstanding: cfg.Outstanding,
+		census:      cfg.Census,
 		addrName:    make(map[inet.Addr]string),
 		flows:       make(map[flowKey]*flowState),
 		acks:        make(map[connKey]*ackState),
@@ -215,13 +219,6 @@ func (m *Monitor) MapAddr(addr inet.Addr, name string) { m.addrName[addr] = name
 
 // Attach subscribes the monitor to every kind on the bus.
 func (m *Monitor) Attach(b *obs.Bus) { b.Subscribe(m.observe) }
-
-// NoteFrame counts one fabric frame for the audit census. The facade
-// routes a frame tap here.
-func (m *Monitor) NoteFrame(size int) {
-	m.frames++
-	m.frameBytes += uint64(size)
-}
 
 // seqLT reports a < b in mod-2^32 serial-number arithmetic (RFC 1982 as
 // TCP applies it).

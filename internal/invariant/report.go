@@ -88,12 +88,13 @@ func (m *Monitor) report() Report {
 		Scenario:          m.scenario,
 		Clean:             m.Clean(),
 		Events:            m.events,
-		Frames:            m.frames,
-		FrameBytes:        m.frameBytes,
 		Checks:            m.Checks(),
 		QuiesceChecked:    m.quiesceChecked,
 		OutstandingFrames: m.outstandingEnd,
 		Violations:        m.violations,
+	}
+	if m.census != nil {
+		r.Frames, r.FrameBytes = m.census()
 	}
 	for i := 0; i < numRules; i++ {
 		r.Rules = append(r.Rules, RuleReport{

@@ -69,9 +69,6 @@ func (n *Network) SetBus(b *obs.Bus) { n.bus = b }
 // The disabled cost is a single pointer test on the link transmit path.
 func (n *Network) SetFrameTap(t FrameTap) { n.tap = t }
 
-// Scheduler returns the scheduler driving this network.
-func (n *Network) Scheduler() *sim.Scheduler { return n.sched }
-
 // NodeConfig describes a node's processing characteristics.
 type NodeConfig struct {
 	// Name identifies the node in traces and errors.
@@ -410,6 +407,7 @@ type Link struct {
 
 	// Stats per direction (index = sending side).
 	txFrames  [2]uint64
+	txBytes   [2]uint64
 	lost      [2]uint64
 	queueDrop [2]uint64
 }
@@ -422,6 +420,9 @@ func (l *Link) SetLoss(p float64) { l.cfg.Loss = p }
 func (l *Link) Stats() (tx, lost, queueDrop [2]uint64) {
 	return l.txFrames, l.lost, l.queueDrop
 }
+
+// TxBytes returns, per direction, the bytes of the frames transmitted.
+func (l *Link) TxBytes() [2]uint64 { return l.txBytes }
 
 // Backlogs returns the bytes currently queued in each direction (index =
 // sending side) — the instantaneous queue depths a telemetry sampler reads.
@@ -489,6 +490,7 @@ func (l *Link) transmit(side int, fb *frame.Buf) {
 	l.txFree[side] = done
 	dst := l.ends[1-side]
 	l.txFrames[side]++
+	l.txBytes[side] += uint64(size)
 	if tap := n.tap; tap != nil {
 		tap(l.ends[side].node, dst.node, fb.Bytes())
 	}

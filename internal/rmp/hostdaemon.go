@@ -24,9 +24,6 @@ type HostDaemon struct {
 	hostAddr   ipv4.Addr
 	redirector udp.Endpoint
 	in         Message // the datagram being handled, decoded
-
-	// Stats
-	chainSets, suspectsSent uint64
 }
 
 // NewHostDaemon starts the daemon: it binds the management port and wires
@@ -49,11 +46,6 @@ func NewHostDaemon(udpStack *udp.Stack, sched *sim.Scheduler, mgr *core.Manager,
 	d.rel = rel
 	mgr.OnSuspect(d.reportSuspicion)
 	return d, nil
-}
-
-// Stats returns chain reconfigurations applied and suspicions reported.
-func (d *HostDaemon) Stats() (chainSets, suspectsSent uint64) {
-	return d.chainSets, d.suspectsSent
 }
 
 // RegisterFT deploys a fault-tolerant replica locally and registers it with
@@ -102,7 +94,6 @@ func (d *HostDaemon) StartHeartbeats(svc core.ServiceID, interval time.Duration)
 }
 
 func (d *HostDaemon) reportSuspicion(svc core.ServiceID) {
-	d.suspectsSent++
 	msg := Message{Type: MsgSuspect, Service: svc, Host: d.hostAddr}
 	d.rel.Send(d.redirector, &msg, nil)
 }
@@ -134,7 +125,6 @@ func (d *HostDaemon) applyChainSet(msg *Message) {
 	if port == nil || !port.AdvanceVersion(msg.ProbeID) {
 		return
 	}
-	d.chainSets++
 	port.SetUpstream(msg.Upstream)
 	switch {
 	case msg.Mode == core.ModePrimary && port.Mode() == core.ModeBackup:

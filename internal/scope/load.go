@@ -12,6 +12,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -75,7 +76,10 @@ func LoadRun(r io.Reader) (*Run, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 1<<20), 1<<26)
 	if !sc.Scan() {
-		return nil, fmt.Errorf("missing meta line: %w", sc.Err())
+		if err := sc.Err(); err != nil {
+			return nil, fmt.Errorf("meta line: %w", err)
+		}
+		return nil, errors.New("empty file")
 	}
 	run := &Run{}
 	if err := json.Unmarshal(sc.Bytes(), &run.Meta); err != nil {

@@ -139,7 +139,7 @@ func TestWriteReport(t *testing.T) {
 }
 
 // FuzzLoadRun: whatever LoadRun accepts, the report and a self-diff render
-// without panicking.
+// without panicking; whatever it refuses, it says why in plain text.
 func FuzzLoadRun(f *testing.F) {
 	meta, set := reportInput()
 	var buf bytes.Buffer
@@ -147,9 +147,14 @@ func FuzzLoadRun(f *testing.F) {
 	f.Add(buf.Bytes())
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, raw []byte) {
-		if run, err := LoadRun(bytes.NewReader(raw)); err == nil {
-			WriteReport(io.Discard, run)
-			DiffRuns(run, run, 0)
+		run, err := LoadRun(bytes.NewReader(raw))
+		if err != nil {
+			if strings.Contains(err.Error(), "%!") {
+				t.Fatalf("malformed error text: %v", err)
+			}
+			return
 		}
+		WriteReport(io.Discard, run)
+		DiffRuns(run, run, 0)
 	})
 }

@@ -88,7 +88,6 @@ type VerdictChange struct {
 }
 
 type replicaHealth struct {
-	name    string
 	verdict Verdict
 
 	prev    ReplicaSample
@@ -128,7 +127,6 @@ type replicaHealth struct {
 // clean intervals.
 type HealthScorer struct {
 	replicas map[string]*replicaHealth
-	order    []*replicaHealth
 	latched  bool // retransmissions seen, set not yet back in step
 }
 
@@ -234,9 +232,8 @@ func (h *HealthScorer) replica(name string) *replicaHealth {
 	if r, ok := h.replicas[name]; ok {
 		return r
 	}
-	r := &replicaHealth{name: name}
+	r := &replicaHealth{}
 	h.replicas[name] = r
-	h.order = append(h.order, r)
 	return r
 }
 
@@ -284,13 +281,4 @@ func (h *HealthScorer) History(name string) []VerdictChange {
 		return append([]VerdictChange(nil), r.history...)
 	}
 	return nil
-}
-
-// Replicas returns the watched replica names in first-seen order.
-func (h *HealthScorer) Replicas() []string {
-	out := make([]string, len(h.order))
-	for i, r := range h.order {
-		out[i] = r.name
-	}
-	return out
 }

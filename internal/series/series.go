@@ -34,17 +34,6 @@ func (k Kind) String() string {
 	return "gauge"
 }
 
-// KindByName parses an exported kind name.
-func KindByName(s string) (Kind, bool) {
-	switch s {
-	case "counter":
-		return Counter, true
-	case "gauge":
-		return Gauge, true
-	}
-	return 0, false
-}
-
 // Point is one sample: a virtual-clock instant and a value.
 type Point struct {
 	T time.Duration `json:"t"`
@@ -105,12 +94,6 @@ func (s *Series) Observe(t time.Duration, v float64) {
 
 // Name returns the series name.
 func (s *Series) Name() string { return s.name }
-
-// Kind returns the series kind.
-func (s *Series) Kind() Kind { return s.kind }
-
-// Unit returns the value unit ("" if unitless).
-func (s *Series) Unit() string { return s.unit }
 
 // Len returns the number of retained points.
 func (s *Series) Len() int { return s.n }

@@ -94,15 +94,6 @@ func (e *Event) live() bool {
 	return e != nil && e.n != nil && e.n.gen == e.gen && e.n.flags&nodeCancelled == 0
 }
 
-// At returns the virtual time the event is scheduled for, or 0 if the event
-// has already fired or been cancelled.
-func (e *Event) At() time.Duration {
-	if !e.live() {
-		return 0
-	}
-	return e.n.at
-}
-
 // Cancel prevents the event from firing. Cancelling an already-fired or
 // already-cancelled event is a no-op, even if the scheduler has recycled the
 // underlying node for a different event.

@@ -467,7 +467,7 @@ func (c *Conn) goBackN() {
 
 // open starts the active-open handshake (stack.Connect).
 func (c *Conn) open() {
-	c.iss = c.stack.cfg.ISS(c.local, c.remote)
+	c.iss = c.stack.cfg.iss(c.local, c.remote)
 	c.sndUna = c.iss
 	c.sndNxt = c.iss
 	c.sndBuf.setBase(c.iss.Add(1))
@@ -483,7 +483,7 @@ func (c *Conn) open() {
 
 // openPassive initializes server-side state from a received SYN.
 func (c *Conn) openPassive(seg *Segment) {
-	c.iss = c.stack.cfg.ISS(c.local, c.remote)
+	c.iss = c.stack.cfg.iss(c.local, c.remote)
 	c.sndUna = c.iss
 	c.sndNxt = c.iss
 	c.sndMax = c.iss // not the zero Seq: serial comparisons against it must hold for every ISS

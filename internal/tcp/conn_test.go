@@ -399,7 +399,7 @@ func TestMSSNegotiation(t *testing.T) {
 }
 
 func TestWraparoundTransfer(t *testing.T) {
-	cfg := Config{ISS: func(local, remote Endpoint) Seq { return 0xffffff00 }}
+	cfg := Config{iss: func(local, remote Endpoint) Seq { return 0xffffff00 }}
 	e := newEnv(t, netsim.LinkConfig{Rate: 10_000_000, Delay: time.Millisecond}, cfg)
 	l, _ := e.server.Listen(0, 80)
 	var srv *sink
@@ -506,7 +506,7 @@ func TestHeldFINCountsAsPeerRetransmit(t *testing.T) {
 // the upper half no segment ever compared as fresh.)
 func TestAcceptedConnTimesItsRTOForEveryISS(t *testing.T) {
 	for _, iss := range []Seq{0, 1<<31 - 1, 1 << 31, 1<<32 - 1} {
-		cfg := Config{ISS: func(local, remote Endpoint) Seq { return iss }}
+		cfg := Config{iss: func(local, remote Endpoint) Seq { return iss }}
 		e := newEnv(t, netsim.LinkConfig{Rate: 10_000_000, Delay: time.Millisecond}, cfg)
 		l, _ := e.server.Listen(0, 80)
 		payload := pattern(30_000)

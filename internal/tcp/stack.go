@@ -43,11 +43,12 @@ type Config struct {
 	DelayedAckTimeout time.Duration
 	// TimeWaitDuration is the 2MSL TIME-WAIT hold. Default 30s.
 	TimeWaitDuration time.Duration
-	// ISS generates initial send sequence numbers. The default derives the
-	// ISS from the connection 4-tuple, which makes all replicas of a
-	// HydraNet-FT service agree on sequence numbers for a given client —
-	// the property transparent failover relies on (see DESIGN.md).
-	ISS func(local, remote Endpoint) Seq
+
+	// iss generates initial send sequence numbers: TupleISS, which makes
+	// all replicas of a HydraNet-FT service agree on sequence numbers for
+	// a given client — the property transparent failover relies on (see
+	// DESIGN.md). Only this package's tests set another.
+	iss func(local, remote Endpoint) Seq
 }
 
 // DefaultConfig fills unset fields with defaults.
@@ -64,8 +65,8 @@ func DefaultConfig(cfg Config) Config {
 	if cfg.TimeWaitDuration == 0 {
 		cfg.TimeWaitDuration = 30 * time.Second
 	}
-	if cfg.ISS == nil {
-		cfg.ISS = TupleISS
+	if cfg.iss == nil {
+		cfg.iss = TupleISS
 	}
 	return cfg
 }
@@ -182,9 +183,6 @@ func (s *Stack) SetTrace(fn TraceFunc) { s.trace = fn }
 // RTO and fast-retransmit events on it. A nil bus disables emission.
 func (s *Stack) SetBus(b *obs.Bus) { s.bus = b }
 
-// Bus returns the attached event bus (nil when none).
-func (s *Stack) Bus() *obs.Bus { return s.bus }
-
 // nodeName labels events with the owning node.
 func (s *Stack) nodeName() string { return s.ip.Node().Name() }
 
@@ -212,9 +210,6 @@ type Listener struct {
 	setup  func(remote Endpoint) (*Conn, ConnHooks) // ft-TCP record, runs at SYN time
 	accept func(*Conn)                              // application accept, runs when established
 }
-
-// Addr returns the endpoint the listener is bound to.
-func (l *Listener) Addr() Endpoint { return l.local }
 
 // SetSetupFunc installs a callback invoked for each new connection from
 // remote at SYN time, before the SYN-ACK is generated. It returns zeroed

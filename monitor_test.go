@@ -22,11 +22,8 @@ import (
 func TestMonitorZeroCostWhenDetached(t *testing.T) {
 	measure := func(attach bool) float64 {
 		bus := obs.NewBus(func() time.Duration { return 0 })
-		noteFrame := func(int) {}
 		if attach {
-			m := invariant.New(invariant.Config{})
-			m.Attach(bus)
-			noteFrame = m.NoteFrame
+			invariant.New(invariant.Config{}).Attach(bus)
 		}
 		svc := hydranet.Endpoint{Addr: hydranet.MustAddr("10.9.0.9"), Port: 80}
 		cli := hydranet.Endpoint{Addr: hydranet.MustAddr("10.1.0.1"), Port: 4000}
@@ -55,7 +52,6 @@ func TestMonitorZeroCostWhenDetached(t *testing.T) {
 			if bus.Enabled(obs.KindClientDeliver) {
 				bus.Publish(obs.Event{Kind: obs.KindClientDeliver, Node: "s0", Size: 256})
 			}
-			noteFrame(552)
 		}
 		for i := 0; i < 256; i++ {
 			cycle()
