@@ -9,6 +9,7 @@ import (
 
 	"hydranet"
 	"hydranet/internal/app"
+	"hydranet/internal/invariant"
 	"hydranet/internal/testbed"
 )
 
@@ -16,7 +17,8 @@ import (
 var testSvc = testbed.StarService
 
 // verdict is what a row's run must show at its end besides what every row
-// must: no invariant violation, every step met and every fault fired, and a
+// must: an audit that checked something (the client's reads too, if it read
+// any) and found no violation, every step met and every fault fired, and a
 // Finish that succeeds. Zero fields are not checked.
 type verdict struct {
 	echo    bool  // the client read exactly the bytes it expects
@@ -25,7 +27,10 @@ type verdict struct {
 	noConns bool  // no replica holds a connection
 	// finishErr is what Session.Finish's error must say instead.
 	finishErr string
-	check     func(*testbed.Run)
+	// violated names the rules the run breaks on purpose: each must report
+	// a violation, and no other rule may.
+	violated []string
+	check    func(*testbed.Run)
 }
 
 // row plays sc, a run on the Figure-3 star, under the invariant monitor and
@@ -40,8 +45,20 @@ func row(t *testing.T, sc testbed.Scenario, v verdict) {
 	case v.finishErr != "" && (err == nil || !strings.Contains(err.Error(), v.finishErr)):
 		t.Fatalf("Finish = %v, want the %s error", err, v.finishErr)
 	}
-	if r.Violations != 0 {
-		t.Errorf("%d invariant violations, the first: %v", r.Violations, r.Summary.Audit.Violations[0])
+	audit := r.Summary.Audit
+	if audit.Checks == 0 {
+		t.Error("the monitor checked nothing")
+	}
+	for _, rr := range audit.Rules {
+		want := slices.Contains(v.violated, rr.Rule)
+		switch {
+		case rr.Rule == invariant.RuleDelivery && r.Stream != nil && r.Delivered > 0 && rr.Checks == 0:
+			t.Error("the monitor never checked the client's reads")
+		case want && rr.Violations == 0:
+			t.Errorf("rule %s reported no violation", rr.Rule)
+		case !want && rr.Violations != 0:
+			t.Errorf("rule %s: %d violations, the first: %v", rr.Rule, rr.Violations, audit.Violations[0])
+		}
 	}
 	for _, u := range r.Unmet {
 		t.Error(u)
@@ -62,6 +79,16 @@ func row(t *testing.T, sc testbed.Scenario, v verdict) {
 	}
 	if v.check != nil {
 		v.check(r)
+	}
+}
+
+// logDeliveryChecks logs how many client reads the monitor judged.
+func logDeliveryChecks(t *testing.T, r *testbed.Run) {
+	t.Helper()
+	for _, rr := range r.Summary.Audit.Rules {
+		if rr.Rule == invariant.RuleDelivery {
+			t.Logf("%s: %d checks", rr.Rule, rr.Checks)
+		}
 	}
 }
 

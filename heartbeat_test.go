@@ -2,7 +2,6 @@ package hydranet_test
 
 import (
 	"bytes"
-	"os"
 	"path/filepath"
 	"testing"
 	"time"
@@ -37,43 +36,36 @@ func TestLeaseDetectsIdleCrash(t *testing.T) {
 // must not start a second one. Over 10 idle seconds it sends as many frames
 // after the recommission as it did before the crash.
 func TestRecommissionKeepsOneHeartbeat(t *testing.T) {
-	r := testbed.Star(hydranet.New(hydranet.Config{Seed: 131}), 2, hydranet.LinkConfig{})
-	net := r.Net
-	svc, err := net.DeployFT(testSvc, r.Redirector, r.Replicas,
-		hydranet.FTOptions{Heartbeat: 500 * time.Millisecond}, app.Echo)
-	if err != nil {
-		t.Fatal(err)
-	}
-	net.Settle()
-	h := r.Replicas[1]
-	sent := func() uint64 {
-		for _, hs := range net.Snapshot().Hosts {
-			if hs.Name == h.Name() {
+	var before, want uint64
+	sent := func(r *testbed.Run) uint64 {
+		for _, hs := range r.Net.Snapshot().Hosts {
+			if hs.Name == "s1" {
 				return hs.Frames.Sent
 			}
 		}
-		t.Fatalf("no snapshot for %s", h.Name())
+		t.Fatal("no snapshot for s1")
 		return 0
 	}
-	idleFrames := func() uint64 {
-		before := sent()
-		net.RunFor(10 * time.Second)
-		return sent() - before
-	}
-	want := idleFrames()
-	h.Crash()
-	net.RunFor(5 * time.Second) // the lease expires
-	h.Restart()
-	if err := svc.Recommission(h); err != nil {
-		t.Fatal(err)
-	}
-	net.Settle()
-	if got := svc.Chain(); len(got) != 2 {
-		t.Fatalf("chain after recommission = %v, want 2 members", got)
-	}
-	if got := idleFrames(); got != want {
-		t.Fatalf("%s sent %d frames in 10 idle seconds after recommission, %d before the crash", h.Name(), got, want)
-	}
+	row(t, testbed.Scenario{Seed: 131, Replicas: 2, Heartbeat: 500 * time.Millisecond, Send: []byte("echoed, then idle"),
+		Faults: at(11*time.Second, testbed.Crash, 1),
+		Steps: []testbed.Step{
+			{After: time.Second, Do: func(r *testbed.Run) { before = sent(r) }},
+			{After: 10 * time.Second, Do: func(r *testbed.Run) { want = sent(r) - before }},
+			{After: 5 * time.Second, Do: func(r *testbed.Run) { // the lease expires
+				r.Replicas[1].Restart()
+				if err := r.Service.Recommission(r.Replicas[1]); err != nil {
+					t.Fatal(err)
+				}
+				r.Net.Settle()
+				wantChain(t, r, 0, 1)
+				before = sent(r)
+			}},
+			{After: 10 * time.Second, Do: func(r *testbed.Run) {
+				if got := sent(r) - before; got != want {
+					t.Errorf("s1 sent %d frames in 10 idle seconds after recommission, %d before the crash", got, want)
+				}
+			}},
+		}}, verdict{echo: true})
 }
 
 // TestLeaseSweepOrderIsReplayable: one lease sweep that expires the same
@@ -82,32 +74,22 @@ func TestRecommissionKeepsOneHeartbeat(t *testing.T) {
 // the order of frames on the wire. Same seed, same pcap, byte for byte.
 func TestLeaseSweepOrderIsReplayable(t *testing.T) {
 	run := func(path string) []byte {
-		r := testbed.Star(hydranet.New(hydranet.Config{Seed: 134}), 2, hydranet.LinkConfig{})
-		sess, err := r.Net.Instrument(hydranet.Instruments{Pcap: path})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < 8; i++ {
-			svc := hydranet.ServiceID{Addr: testSvc.Addr + hydranet.Addr(i), Port: testSvc.Port}
-			if _, err := r.Net.DeployFT(svc, r.Redirector, r.Replicas,
-				hydranet.FTOptions{Heartbeat: 500 * time.Millisecond}, app.Echo); err != nil {
-				t.Fatal(err)
+		heartbeat := 500 * time.Millisecond
+		row(t, testbed.Scenario{Seed: 134, Replicas: 2, Heartbeat: heartbeat, Observe: hydranet.Instruments{Pcap: path},
+			Send: []byte("echoed, then idle"), Setup: func(r *testbed.Run) {
+				for i := 1; i < 8; i++ {
+					svc := hydranet.ServiceID{Addr: testSvc.Addr + hydranet.Addr(i), Port: testSvc.Port}
+					if _, err := r.Net.DeployFT(svc, r.Redirector, r.Replicas, hydranet.FTOptions{Heartbeat: heartbeat}, app.Echo); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}, Faults: at(time.Second, testbed.Crash, 0), Steps: []testbed.Step{{After: 11 * time.Second}},
+		}, verdict{echo: true, check: func(r *testbed.Run) {
+			if got := r.Redirector.Daemon().Stats().LeaseExpirations; got != 8 {
+				t.Fatalf("%d lease expirations, want one per service (8)", got)
 			}
-		}
-		r.Net.Settle()
-		r.Replicas[0].Crash()
-		r.Net.RunFor(10 * time.Second)
-		if got := r.Redirector.Daemon().Stats().LeaseExpirations; got != 8 {
-			t.Fatalf("%d lease expirations, want one per service (8)", got)
-		}
-		if _, err := sess.Finish(); err != nil {
-			t.Fatal(err)
-		}
-		pcap, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return pcap
+		}})
+		return mustRead(t, path)
 	}
 	dir := t.TempDir()
 	first := run(filepath.Join(dir, "run0.pcap"))

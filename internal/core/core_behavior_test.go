@@ -1,57 +1,64 @@
 package core_test
 
 import (
-	"bytes"
+	"slices"
 	"testing"
 	"time"
 
 	"hydranet"
-	"hydranet/internal/app"
 	"hydranet/internal/core"
+	"hydranet/internal/invariant"
 	"hydranet/internal/testbed"
 )
 
 var svc = hydranet.ServiceID{Addr: hydranet.MustAddr("192.20.225.20"), Port: 80}
 
-// build constructs the Figure-3 star with n replicas and deploys an echo
-// service.
-func build(t *testing.T, seed int64, n int, opts hydranet.FTOptions) (
-	*hydranet.Net, *hydranet.Host, *hydranet.FTService, []*hydranet.Host) {
+// play plays sc, a run on the Figure-3 star, under the invariant monitor. It
+// fails the test unless the audit checked something (the client's reads
+// too, if it read any), every rule in violated and no other reported a
+// violation, and every step was met.
+func play(t *testing.T, sc testbed.Scenario, violated ...string) *testbed.Run {
 	t.Helper()
-	r := testbed.Star(hydranet.New(hydranet.Config{Seed: seed}), n, hydranet.LinkConfig{})
-	s, err := r.Net.DeployFT(svc, r.Redirector, r.Replicas, opts, app.Echo)
-	if err != nil {
-		t.Fatal(err)
+	sc.Observe.Invariants = true
+	r := sc.Play()
+	if r.ObserveErr != nil {
+		t.Fatal(r.ObserveErr)
 	}
-	r.Net.Settle()
-	return r.Net, r.Client, s, r.Replicas
+	if r.Summary.Audit.Checks == 0 {
+		t.Error("the monitor checked nothing")
+	}
+	for _, rr := range r.Summary.Audit.Rules {
+		switch want := slices.Contains(violated, rr.Rule); {
+		case want && rr.Violations == 0:
+			t.Errorf("rule %s reported no violation", rr.Rule)
+		case !want && rr.Violations != 0:
+			t.Errorf("rule %s: %d violations, the first: %v", rr.Rule, rr.Violations, r.Summary.Audit.Violations[0])
+		}
+		if rr.Rule == invariant.RuleDelivery && r.Delivered > 0 && rr.Checks == 0 {
+			t.Error("the monitor never checked the client's reads")
+		}
+	}
+	for _, u := range r.Unmet {
+		t.Error(u)
+	}
+	return r
 }
 
 // TestChainGatingInvariant samples the chain throughout a transfer and
 // asserts the paper's safety property: a replica never deposits (rcvNxt)
 // or sends (sndNxt) ahead of its successor.
 func TestChainGatingInvariant(t *testing.T) {
-	net, client, ftsvc, replicas := build(t, 11, 3, hydranet.FTOptions{})
-	conn, err := client.Dial(svc)
-	if err != nil {
-		t.Fatal(err)
-	}
 	payload := make([]byte, 200*1024)
 	for i := range payload {
 		payload[i] = byte(i * 7)
 	}
-	var got []byte
-	app.Collect(conn, &got)
-	app.Source(conn, payload, false)
-
-	deadline := 2 * time.Minute
 	violations := 0
-	for elapsed := time.Duration(0); elapsed < deadline && len(got) < len(payload); elapsed += 5 * time.Millisecond {
-		net.RunFor(5 * time.Millisecond)
-		// Collect per-replica cursors for the single connection.
+	// Every 5 ms, until the echo is back, the chain's cursors for the single
+	// connection.
+	sample := func(r *testbed.Run) bool {
 		type cursors struct{ rcv, snd uint32 }
 		var chain []cursors
-		for _, h := range replicas {
+		for _, h := range r.Replicas {
 			conns := h.TCP().Conns()
 			if len(conns) != 1 {
 				chain = nil
@@ -64,38 +71,35 @@ func TestChainGatingInvariant(t *testing.T) {
 			if int32(chain[i].rcv-chain[i+1].rcv) > 0 {
 				violations++
 				t.Errorf("deposit gate violated at t=%v: S%d rcvNxt=%d > S%d rcvNxt=%d",
-					net.Now(), i, chain[i].rcv, i+1, chain[i+1].rcv)
+					r.Net.Now(), i, chain[i].rcv, i+1, chain[i+1].rcv)
 			}
 			if int32(chain[i].snd-chain[i+1].snd) > 0 {
 				violations++
 				t.Errorf("send gate violated at t=%v: S%d sndNxt=%d > S%d sndNxt=%d",
-					net.Now(), i, chain[i].snd, i+1, chain[i+1].snd)
+					r.Net.Now(), i, chain[i].snd, i+1, chain[i+1].snd)
 			}
 		}
 		if violations > 5 {
 			t.Fatal("too many violations; aborting")
 		}
+		return r.Delivered >= len(payload)
 	}
-	if !bytes.Equal(got, payload) {
-		t.Fatalf("echo incomplete: %d of %d bytes", len(got), len(payload))
+	r := play(t, testbed.Scenario{Seed: 11, Replicas: 3, Send: payload,
+		Steps: []testbed.Step{{After: 5 * time.Millisecond, Until: sample, Limit: 2 * time.Minute}}})
+	if !r.Echoed() {
+		t.Fatalf("echo incomplete: %d of %d bytes", r.Delivered, len(payload))
 	}
-	_ = ftsvc
 }
 
 // TestBackupsNeverTransmitToClient asserts full suppression: every segment
 // the client receives comes from the primary's stack.
 func TestBackupsNeverTransmitToClient(t *testing.T) {
-	net, client, ftsvc, replicas := build(t, 12, 3, hydranet.FTOptions{})
-	conn, _ := client.Dial(svc)
-	var got []byte
-	app.Collect(conn, &got)
-	payload := make([]byte, 64*1024)
-	app.Source(conn, payload, true)
-	net.RunFor(time.Minute)
-	if len(got) != len(payload) {
-		t.Fatalf("echo incomplete: %d bytes", len(got))
+	r := play(t, testbed.Scenario{Seed: 12, Replicas: 3, Send: make([]byte, 64*1024), Close: true,
+		Steps: []testbed.Step{{After: time.Minute}}})
+	if !r.Echoed() {
+		t.Fatalf("echo incomplete: %d bytes", r.Delivered)
 	}
-	for i, h := range replicas[1:] {
+	for i, h := range r.Replicas[1:] {
 		for _, c := range h.TCP().Conns() {
 			if c.Stats().SegsSent != 0 {
 				t.Errorf("backup %d transmitted %d segments to the client", i+1, c.Stats().SegsSent)
@@ -105,49 +109,43 @@ func TestBackupsNeverTransmitToClient(t *testing.T) {
 			}
 		}
 	}
-	_ = ftsvc
 }
 
 // TestDetectorFiresOnStall verifies the failure estimator trips after the
 // configured number of client retransmissions.
 func TestDetectorFiresOnStall(t *testing.T) {
-	opts := hydranet.FTOptions{Detector: hydranet.DetectorParams{RetransmitThreshold: 3}}
-	net, client, ftsvc, replicas := build(t, 13, 2, opts)
-	conn, _ := client.Dial(svc)
-	app.Source(conn, []byte("data before failure"), false)
-	net.RunFor(2 * time.Second)
-
-	before := replicas[1].FTManager().Stats().Suspicions
-	replicas[0].Crash()
-	conn.Write([]byte("this write will stall"))
-	net.RunFor(30 * time.Second)
-	if got := replicas[1].FTManager().Stats().Suspicions; got <= before {
+	var before uint64
+	r := play(t, testbed.Scenario{Seed: 13, Replicas: 2, Threshold: 3, Send: []byte("data before failure"),
+		Faults: []testbed.Fault{{At: 2 * time.Second, Kind: testbed.Crash}},
+		Steps: []testbed.Step{
+			{After: 2 * time.Second, Do: func(r *testbed.Run) {
+				before = r.Replicas[1].FTManager().Stats().Suspicions
+				r.Write([]byte("this write will stall"))
+			}},
+			{After: 30 * time.Second},
+		}})
+	if got := r.Replicas[1].FTManager().Stats().Suspicions; got <= before {
 		t.Fatalf("backup raised no suspicion after primary crash (got %d)", got)
 	}
-	if len(ftsvc.Chain()) != 1 {
-		t.Fatalf("chain not reconfigured: %v", ftsvc.Chain())
+	if len(r.Service.Chain()) != 1 {
+		t.Fatalf("chain not reconfigured: %v", r.Service.Chain())
 	}
 }
 
 // TestDetectorQuietWhenHealthy: a clean long transfer must not trip the
 // estimator (no false positives without loss).
 func TestDetectorQuietWhenHealthy(t *testing.T) {
-	net, client, ftsvc, replicas := build(t, 14, 2, hydranet.FTOptions{})
-	conn, _ := client.Dial(svc)
-	var got []byte
-	app.Collect(conn, &got)
-	payload := make([]byte, 256*1024)
-	app.Source(conn, payload, true)
-	net.RunFor(2 * time.Minute)
-	if len(got) != len(payload) {
-		t.Fatalf("echo incomplete: %d bytes", len(got))
+	r := play(t, testbed.Scenario{Seed: 14, Replicas: 2, Send: make([]byte, 256*1024), Close: true,
+		Steps: []testbed.Step{{After: 2 * time.Minute}}})
+	if !r.Echoed() {
+		t.Fatalf("echo incomplete: %d bytes", r.Delivered)
 	}
-	for i, h := range replicas {
+	for i, h := range r.Replicas {
 		if n := h.FTManager().Stats().Suspicions; n != 0 {
 			t.Errorf("replica %d raised %d spurious suspicions", i, n)
 		}
 	}
-	if got := len(ftsvc.Chain()); got != 2 {
+	if got := len(r.Service.Chain()); got != 2 {
 		t.Errorf("chain shrank to %d without failures", got)
 	}
 }
@@ -155,25 +153,18 @@ func TestDetectorQuietWhenHealthy(t *testing.T) {
 // TestChainLossRecovery: dropped acknowledgment-channel messages cost
 // retransmissions but not correctness (the paper's stated trade-off).
 func TestChainLossRecovery(t *testing.T) {
-	net, client, ftsvc, replicas := build(t, 15, 2, hydranet.FTOptions{})
-	for _, h := range replicas {
-		h.FTManager().SetChainLoss(0.2)
-	}
-	conn, _ := client.Dial(svc)
-	var got []byte
-	app.Collect(conn, &got)
 	payload := make([]byte, 64*1024)
 	for i := range payload {
 		payload[i] = byte(i * 3)
 	}
-	app.Source(conn, payload, false)
-	net.RunFor(5 * time.Minute)
-	if !bytes.Equal(got, payload) {
-		t.Fatalf("echo with 20%% chain loss incomplete: %d of %d", len(got), len(payload))
+	r := play(t, testbed.Scenario{Seed: 15, Replicas: 2, ChainLoss: 0.2, Send: payload,
+		Steps: []testbed.Step{{After: 5 * time.Minute}}})
+	if !r.Echoed() {
+		t.Fatalf("echo with 20%% chain loss incomplete: %d of %d, garbled=%v", r.Delivered, len(payload), r.Garbled)
 	}
 	// The reconfiguration machinery may have probed, but with all hosts
 	// alive nothing must be removed.
-	if got := len(ftsvc.Chain()); got != 2 {
+	if got := len(r.Service.Chain()); got != 2 {
 		t.Errorf("chain = %d members, want 2 (no host actually failed)", got)
 	}
 }

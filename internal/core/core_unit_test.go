@@ -196,35 +196,22 @@ func TestPendingChainEntryExpires(t *testing.T) {
 // a SYN to the live connection); the first one's close must leave the newer
 // record managed.
 func TestClosedRecordKeepsNewerEntry(t *testing.T) {
-	net := hydranet.New(hydranet.Config{Seed: 87})
-	client := net.AddHost("client", hydranet.HostConfig{})
-	rd := net.AddRedirector("rd", hydranet.HostConfig{})
-	s0 := net.AddHost("s0", hydranet.HostConfig{})
-	net.Link(client, rd.Host, hydranet.LinkConfig{Delay: time.Millisecond})
-	net.Link(s0, rd.Host, hydranet.LinkConfig{Delay: time.Millisecond})
-	net.AutoRoute()
-	if _, err := net.DeployFT(svc, rd, []*hydranet.Host{s0}, hydranet.FTOptions{},
-		func(c *hydranet.Conn) { app.Echo(c) }); err != nil {
-		t.Fatal(err)
-	}
-	net.Settle()
-	conn, _ := client.Dial(svc)
-	app.Source(conn, []byte("first"), false)
-	net.RunFor(time.Second)
-	port := s0.FTManager().Port(svc)
-	first, _, _, _, _ := port.Record(conn.Local())
-	if first == nil || first.State() != tcp.StateEstablished {
-		t.Fatal("the first connection is not established")
-	}
-	newer, _ := port.Adopt(conn.Local())
-	if newer == first || port.Conns() != 1 {
-		t.Fatalf("a SYN for a live record's client: new record %v, %d records; want a new one, 1", newer != first, port.Conns())
-	}
-	first.Abort()
-	net.RunFor(time.Second)
-	if c, _, _, _, _ := port.Record(conn.Local()); c != newer {
-		t.Fatal("the closed record deleted the newer record's entry")
-	}
+	play(t, testbed.Scenario{Seed: 87, Replicas: 1, Send: []byte("first"), Steps: []testbed.Step{{After: time.Second, Do: func(r *testbed.Run) {
+		port := r.Replicas[0].FTManager().Port(svc)
+		first, _, _, _, _ := port.Record(r.Conn.Local())
+		if first == nil || first.State() != tcp.StateEstablished {
+			t.Fatal("the first connection is not established")
+		}
+		newer, _ := port.Adopt(r.Conn.Local())
+		if newer == first || port.Conns() != 1 {
+			t.Fatalf("a SYN for a live record's client: new record %v, %d records; want a new one, 1", newer != first, port.Conns())
+		}
+		first.Abort()
+		r.Net.RunFor(time.Second)
+		if c, _, _, _, _ := port.Record(r.Conn.Local()); c != newer {
+			t.Fatal("the closed record deleted the newer record's entry")
+		}
+	}}}})
 }
 
 // TestRoleChangeReachesLiveConnections: the hooks read the port's role when
@@ -233,41 +220,27 @@ func TestClosedRecordKeepsNewerEntry(t *testing.T) {
 // promoting it puts the stream back on the wire — nothing is re-installed
 // per connection.
 func TestRoleChangeReachesLiveConnections(t *testing.T) {
-	r := testbed.Star(hydranet.New(hydranet.Config{Seed: 87}), 1, hydranet.LinkConfig{})
-	net, client, s0 := r.Net, r.Client, r.Replicas[0]
-	if _, err := net.DeployFT(svc, r.Redirector, r.Replicas, hydranet.FTOptions{},
-		func(c *hydranet.Conn) { app.Echo(c) }); err != nil {
-		t.Fatal(err)
-	}
-	net.Settle()
-	conn, err := client.Dial(svc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var echoed []byte
-	app.Collect(conn, &echoed)
-	app.Source(conn, []byte("as primary;"), false)
-	net.RunFor(time.Second)
-	if string(echoed) != "as primary;" {
-		t.Fatalf("echo = %q before any role change", echoed)
-	}
-
-	port := s0.FTManager().Port(svc)
-	port.Demote()
-	suppressed := s0.TCP().ConnTotals().SegsSuppressed
-	conn.Write([]byte("as backup;"))
-	net.RunFor(300 * time.Millisecond)
-	if string(echoed) != "as primary;" {
-		t.Fatalf("echo = %q: a backup's segments reached the client", echoed)
-	}
-	if got := s0.TCP().ConnTotals().SegsSuppressed; got <= suppressed {
-		t.Fatalf("SegsSuppressed stayed at %d after the demotion", got)
-	}
-
-	port.Promote()
-	net.RunFor(5 * time.Second)
-	if string(echoed) != "as primary;as backup;" {
-		t.Fatalf("echo = %q after re-promotion, want the whole stream", echoed)
+	r := play(t, testbed.Scenario{Seed: 87, Replicas: 1, Send: []byte("as primary;"), Steps: []testbed.Step{
+		{After: time.Second, Do: func(r *testbed.Run) {
+			if r.Delivered != len("as primary;") {
+				t.Fatalf("echoed %d bytes before any role change, want %d", r.Delivered, len("as primary;"))
+			}
+			r.Replicas[0].FTManager().Port(svc).Demote()
+			suppressed := r.Replicas[0].TCP().ConnTotals().SegsSuppressed
+			r.Write([]byte("as backup;"))
+			r.Net.RunFor(300 * time.Millisecond)
+			if r.Delivered != len("as primary;") {
+				t.Fatalf("echoed %d bytes: a backup's segments reached the client", r.Delivered)
+			}
+			if got := r.Replicas[0].TCP().ConnTotals().SegsSuppressed; got <= suppressed {
+				t.Fatalf("SegsSuppressed stayed at %d after the demotion", got)
+			}
+			r.Replicas[0].FTManager().Port(svc).Promote()
+		}},
+		{After: 5 * time.Second},
+	}})
+	if !r.Echoed() {
+		t.Fatalf("echoed %d bytes after re-promotion, garbled=%v: want the whole stream", r.Delivered, r.Garbled)
 	}
 }
 
@@ -277,63 +250,64 @@ func TestRoleChangeReachesLiveConnections(t *testing.T) {
 // would otherwise wait for its next segment. An unchanged or cleared upstream,
 // and a placeholder that has no connection yet, send nothing.
 func TestSetUpstreamAnnouncesCursors(t *testing.T) {
-	net, client, _, replicas := build(t, 86, 3, hydranet.FTOptions{})
-	for i := 0; i < 3; i++ {
-		conn, err := client.Dial(svc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		app.Source(conn, []byte("established, then idle"), false)
-	}
-	net.RunFor(5 * time.Second)
-	tail := replicas[2]
-	port := tail.FTManager().Port(svc)
-	conns := tail.TCP().Conns()
-	sort.Slice(conns, func(i, j int) bool { return conns[i].Remote().Before(conns[j].Remote()) })
-	if len(conns) != 3 {
-		t.Fatalf("tail holds %d connections, want 3", len(conns))
-	}
-	// A chain message for a client whose SYN never arrives leaves a
-	// placeholder without a connection on the tail.
-	ghost := core.ChainMsg{Service: svc, Client: hydranet.Endpoint{Addr: client.Addr(), Port: 9}, SndNxt: 1, RcvNxt: 2}
-	if err := replicas[0].UDP().SendTo(0, core.AckChannelPort,
-		hydranet.UDPEndpoint{Addr: tail.Addr(), Port: core.AckChannelPort}, ghost.Marshal()); err != nil {
-		t.Fatal(err)
-	}
-	net.RunFor(time.Second)
-	if port.Conns() != 4 {
-		t.Fatalf("tail manages %d connections, want 3 and a placeholder", port.Conns())
-	}
+	play(t, testbed.Scenario{Seed: 86, Replicas: 3, Send: []byte("established, then idle"), Steps: []testbed.Step{
+		{Do: func(r *testbed.Run) {
+			for range 2 {
+				r.Dial(r.Client, svc, []byte("established, then idle"), false)
+			}
+		}},
+		{After: 5 * time.Second, Do: func(r *testbed.Run) {
+			net, client, replicas := r.Net, r.Client, r.Replicas
+			tail := replicas[2]
+			port := tail.FTManager().Port(svc)
+			conns := tail.TCP().Conns()
+			sort.Slice(conns, func(i, j int) bool { return conns[i].Remote().Before(conns[j].Remote()) })
+			if len(conns) != 3 {
+				t.Fatalf("tail holds %d connections, want 3", len(conns))
+			}
+			// A chain message for a client whose SYN never arrives leaves a
+			// placeholder without a connection on the tail.
+			ghost := core.ChainMsg{Service: svc, Client: hydranet.Endpoint{Addr: client.Addr(), Port: 9}, SndNxt: 1, RcvNxt: 2}
+			if err := replicas[0].UDP().SendTo(0, core.AckChannelPort,
+				hydranet.UDPEndpoint{Addr: tail.Addr(), Port: core.AckChannelPort}, ghost.Marshal()); err != nil {
+				t.Fatal(err)
+			}
+			net.RunFor(time.Second)
+			if port.Conns() != 4 {
+				t.Fatalf("tail manages %d connections, want 3 and a placeholder", port.Conns())
+			}
 
-	var sent []obs.Event
-	net.Bus().Subscribe(func(e obs.Event) {
-		if e.Node == tail.Name() {
-			sent = append(sent, e)
-		}
-	}, obs.KindChainSend)
+			var sent []obs.Event
+			net.Bus().Subscribe(func(e obs.Event) {
+				if e.Node == tail.Name() {
+					sent = append(sent, e)
+				}
+			}, obs.KindChainSend)
 
-	port.SetUpstream(replicas[1].Addr()) // the predecessor it already has
-	port.SetUpstream(0)
-	net.RunFor(0) // to the end of the instant, where the messages leave
-	if len(sent) != 0 {
-		t.Fatalf("%d chain messages for an unchanged and a cleared upstream, want none", len(sent))
-	}
-	at := net.Now()
-	port.SetUpstream(replicas[0].Addr())
-	net.RunFor(0)
-	if len(sent) != len(conns) {
-		t.Fatalf("%d chain messages on a new upstream, want one per connection (%d)", len(sent), len(conns))
-	}
-	for i, c := range conns {
-		e := sent[i]
-		if e.Conn != c.Remote() || e.Seq != uint64(c.SndNxt()) || e.Ack != uint64(c.RcvNxt()) || e.Time != at {
-			t.Errorf("message %d: conn %s seq %d ack %d at %v, want %s %d %d at %v",
-				i, e.Conn, e.Seq, e.Ack, e.Time, c.Remote(), c.SndNxt(), c.RcvNxt(), at)
-		}
-	}
-	before := replicas[0].FTManager().Stats().ChainMsgsReceived
-	net.RunFor(time.Second)
-	if got := replicas[0].FTManager().Stats().ChainMsgsReceived - before; got != uint64(len(conns)) {
-		t.Errorf("new predecessor received %d chain messages, want %d", got, len(conns))
-	}
+			port.SetUpstream(replicas[1].Addr()) // the predecessor it already has
+			port.SetUpstream(0)
+			net.RunFor(0) // to the end of the instant, where the messages leave
+			if len(sent) != 0 {
+				t.Fatalf("%d chain messages for an unchanged and a cleared upstream, want none", len(sent))
+			}
+			at := net.Now()
+			port.SetUpstream(replicas[0].Addr())
+			net.RunFor(0)
+			if len(sent) != len(conns) {
+				t.Fatalf("%d chain messages on a new upstream, want one per connection (%d)", len(sent), len(conns))
+			}
+			for i, c := range conns {
+				e := sent[i]
+				if e.Conn != c.Remote() || e.Seq != uint64(c.SndNxt()) || e.Ack != uint64(c.RcvNxt()) || e.Time != at {
+					t.Errorf("message %d: conn %s seq %d ack %d at %v, want %s %d %d at %v",
+						i, e.Conn, e.Seq, e.Ack, e.Time, c.Remote(), c.SndNxt(), c.RcvNxt(), at)
+				}
+			}
+			before := replicas[0].FTManager().Stats().ChainMsgsReceived
+			net.RunFor(time.Second)
+			if got := replicas[0].FTManager().Stats().ChainMsgsReceived - before; got != uint64(len(conns)) {
+				t.Errorf("new predecessor received %d chain messages, want %d", got, len(conns))
+			}
+		}},
+	}})
 }

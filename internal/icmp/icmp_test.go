@@ -8,7 +8,6 @@ import (
 	"hydranet"
 	"hydranet/internal/icmp"
 	"hydranet/internal/ipv4"
-	"hydranet/internal/testbed"
 	"hydranet/internal/udp"
 )
 
@@ -167,8 +166,12 @@ func TestPortUnreachable(t *testing.T) {
 func TestPingVirtualServiceAddress(t *testing.T) {
 	// A virtual host answers pings under its virtual address — transparency
 	// extends to ICMP.
-	star := testbed.Star(hydranet.New(hydranet.Config{Seed: 92}), 1, hydranet.LinkConfig{})
-	net, client, hs := star.Net, star.Client, star.Replicas[0]
+	net := hydranet.New(hydranet.Config{Seed: 92})
+	client, rd, hs := net.AddHost("client", hydranet.HostConfig{}), net.AddRedirector("rd", hydranet.HostConfig{}), net.AddHost("s0", hydranet.HostConfig{})
+	link := hydranet.LinkConfig{Rate: 10_000_000, Delay: time.Millisecond}
+	net.Link(client, rd.Host, link)
+	net.Link(hs, rd.Host, link)
+	net.AutoRoute()
 	vaddr := hydranet.MustAddr("192.20.225.20")
 	hs.HostServer().VHost(vaddr)
 	// Ping to the virtual address routes via the redirector's default...

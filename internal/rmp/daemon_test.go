@@ -8,6 +8,7 @@ import (
 	"hydranet"
 	"hydranet/internal/app"
 	"hydranet/internal/core"
+	"hydranet/internal/invariant"
 	"hydranet/internal/rmp"
 	"hydranet/internal/testbed"
 )
@@ -119,36 +120,41 @@ func TestVoluntaryLeaveOfPrimaryPromotesNext(t *testing.T) {
 
 func TestSuspectProbeKeepsLiveHosts(t *testing.T) {
 	// A false suspicion (all hosts alive) must not reconfigure anything.
-	net, rd, hosts := build(t, 65, 2)
-	if _, err := net.DeployFT(svc, rd, hosts, hydranet.FTOptions{},
-		func(c *hydranet.Conn) { app.Echo(c) }); err != nil {
-		t.Fatal(err)
-	}
-	net.Settle()
-	reconfigs := 0
-	rd.Daemon().OnReconfig(func(s hydranet.ServiceID, failed []hydranet.Addr) { reconfigs++ })
-	// Provoke genuine suspicions without any host failing: heavy loss on
-	// the acknowledgment channel stalls the flow-control loop, the client
-	// retransmits, and the detector fires — but the probe finds everyone
-	// alive, so nothing may change.
-	for _, h := range hosts {
-		h.FTManager().SetChainLoss(0.9)
-	}
-	client := net.AddHost("client", hydranet.HostConfig{})
-	net.Link(client, rd.Host, hydranet.LinkConfig{Delay: time.Millisecond})
-	net.AutoRoute()
-	conn, _ := client.Dial(svc)
-	app.Source(conn, make([]byte, 64*1024), false)
-	net.RunFor(2 * time.Minute)
-	if rd.Daemon().Stats().Suspicions == 0 {
+	// Heavy loss on the acknowledgment channel stalls the flow-control
+	// loop, the client retransmits, and the detector fires — but the probe
+	// finds everyone alive, so nothing may change.
+	r := play(t, testbed.Scenario{Seed: 65, Replicas: 2, ChainLoss: 0.9, Send: make([]byte, 64*1024),
+		Steps: []testbed.Step{{After: 2 * time.Minute}}})
+	if r.Redirector.Daemon().Stats().Suspicions == 0 {
 		t.Fatal("chain loss provoked no suspicion — the scenario is inert")
 	}
-	if got := len(rd.Daemon().Chain(svc)); got != 2 {
-		t.Fatalf("live hosts removed from chain: %v", rd.Daemon().Chain(svc))
+	if got := len(r.Redirector.Daemon().Chain(svc)); got != 2 {
+		t.Fatalf("live hosts removed from chain: %v", r.Redirector.Daemon().Chain(svc))
 	}
-	if reconfigs != 0 {
-		t.Errorf("%d reconfigurations despite all hosts alive", reconfigs)
+	if r.FalseReconfigs != 0 {
+		t.Errorf("%d reconfigurations despite all hosts alive", r.FalseReconfigs)
 	}
+}
+
+// play plays sc, a run on the Figure-3 star, under the invariant monitor. It
+// fails the test unless the audit found no violation and checked the
+// client's reads, if it read any.
+func play(t *testing.T, sc testbed.Scenario) *testbed.Run {
+	t.Helper()
+	sc.Observe.Invariants = true
+	r := sc.Play()
+	if r.ObserveErr != nil {
+		t.Fatal(r.ObserveErr)
+	}
+	for _, rr := range r.Summary.Audit.Rules {
+		if rr.Violations != 0 || rr.Rule == invariant.RuleDelivery && r.Delivered > 0 && rr.Checks == 0 {
+			t.Errorf("rule %s: %d violations in %d checks", rr.Rule, rr.Violations, rr.Checks)
+		}
+	}
+	for _, u := range r.Unmet {
+		t.Error(u)
+	}
+	return r
 }
 
 func TestRegistrationRaceDemotesInterimPrimary(t *testing.T) {
@@ -157,40 +163,33 @@ func TestRegistrationRaceDemotesInterimPrimary(t *testing.T) {
 	// primary — until the real primary registers; the subsequent
 	// CHAIN-SET must demote it (suppression back on), or it becomes an
 	// unsuppressed co-primary corrupting the client stream.
-	star := testbed.Star(hydranet.New(hydranet.Config{Seed: 67}), 3,
-		hydranet.LinkConfig{Jitter: 10 * time.Millisecond}) // strong management reordering
-	net, rd, client, hosts := star.Net, star.Redirector, star.Client, star.Replicas
-	if _, err := net.DeployFT(svc, rd, hosts, hydranet.FTOptions{},
-		func(c *hydranet.Conn) { app.Echo(c) }); err != nil {
-		t.Fatal(err)
-	}
-	net.RunFor(5 * time.Second)
-	// Whatever the arrival order, the settled modes must match the chain.
-	chain := rd.Daemon().Chain(svc)
-	if len(chain) != 3 {
-		t.Fatalf("chain = %v", chain)
-	}
-	for i, h := range hosts {
-		port := h.FTManager().Port(svc)
-		want := core.ModeBackup
-		if h.Addr() == chain[0] {
-			want = core.ModePrimary
+	//
+	// The client dials once the deploy has settled: whatever the arrival
+	// order, the settled modes must match the chain by then.
+	modes := func(r *testbed.Run) {
+		chain := r.Redirector.Daemon().Chain(svc)
+		if len(chain) != 3 {
+			t.Fatalf("chain = %v", chain)
 		}
-		if port.Mode() != want {
-			t.Errorf("host %d mode = %v, want %v (chain %v)", i, port.Mode(), want, chain)
+		for i, h := range r.Replicas {
+			want := core.ModeBackup
+			if h.Addr() == chain[0] {
+				want = core.ModePrimary
+			}
+			if got := h.FTManager().Port(svc).Mode(); got != want {
+				t.Errorf("host %d mode = %v, want %v (chain %v)", i, got, want, chain)
+			}
 		}
 	}
+	r := play(t, testbed.Scenario{Seed: 67, Replicas: 3,
+		Link: hydranet.LinkConfig{Jitter: 10 * time.Millisecond}, // strong management reordering
+		Send: []byte("who answers?"), Steps: []testbed.Step{{Do: modes}, {After: 20 * time.Second}}})
 	// And exactly one replica answers the client.
-	conn, _ := client.Dial(svc)
-	var got []byte
-	app.Collect(conn, &got)
-	app.Source(conn, []byte("who answers?"), false)
-	net.RunFor(20 * time.Second)
-	if string(got) != "who answers?" {
-		t.Fatalf("echo = %q", got)
+	if !r.Echoed() {
+		t.Fatalf("echoed %d bytes, garbled=%v", r.Delivered, r.Garbled)
 	}
 	transmitters := 0
-	for _, h := range hosts {
+	for _, h := range r.Replicas {
 		for _, c := range h.TCP().Conns() {
 			if c.Stats().SegsSent > 0 {
 				transmitters++
@@ -223,34 +222,26 @@ func TestStaleChainSetIgnored(t *testing.T) {
 	// so an older one can arrive after a newer one: a primary registered
 	// alone (ungated) loses that CHAIN-SET, gets the gated one sent when its
 	// backup joined, and then the retransmission of the first. The older
-	// configuration must not undo the newer.
-	net, rd, hosts := build(t, 68, 2)
-	if _, err := net.DeployFT(svc, rd, hosts, hydranet.FTOptions{},
-		func(c *hydranet.Conn) { app.Echo(c) }); err != nil {
-		t.Fatal(err)
-	}
-	net.Settle()
-	d := hosts[0].Daemon(rd)
-	for _, set := range []rmp.Message{
-		{Type: rmp.MsgChainSet, Service: svc, Host: hosts[0].Addr(), Mode: core.ModePrimary, Gated: true, ProbeID: 1000},
-		{Type: rmp.MsgChainSet, Service: svc, Host: hosts[0].Addr(), Mode: core.ModePrimary, Gated: false, ProbeID: 999},
-	} {
-		d.Deliver(set.Marshal())
-	}
-
-	// A gated primary deposits nothing its backup has not acknowledged.
-	// With every acknowledgment-channel message of the backup lost, no echo
-	// may come back.
-	hosts[1].FTManager().SetChainLoss(1)
-	client := net.AddHost("client", hydranet.HostConfig{})
-	net.Link(client, rd.Host, hydranet.LinkConfig{Delay: time.Millisecond})
-	net.AutoRoute()
-	conn, _ := client.Dial(svc)
-	var got []byte
-	app.Collect(conn, &got)
-	app.Source(conn, []byte("gated?"), false)
-	net.RunFor(500 * time.Millisecond)
-	if len(got) != 0 {
-		t.Fatalf("the primary echoed %q: the older, ungated CHAIN-SET was applied", got)
+	// configuration must not undo the newer. Both arrive before the
+	// client's SYN does.
+	r := play(t, testbed.Scenario{Seed: 68, Replicas: 2, Send: []byte("gated?"), Steps: []testbed.Step{
+		{Do: func(r *testbed.Run) {
+			hosts := r.Replicas
+			d := hosts[0].Daemon(r.Redirector)
+			for _, set := range []rmp.Message{
+				{Type: rmp.MsgChainSet, Service: svc, Host: hosts[0].Addr(), Mode: core.ModePrimary, Gated: true, ProbeID: 1000},
+				{Type: rmp.MsgChainSet, Service: svc, Host: hosts[0].Addr(), Mode: core.ModePrimary, Gated: false, ProbeID: 999},
+			} {
+				d.Deliver(set.Marshal())
+			}
+			// A gated primary deposits nothing its backup has not
+			// acknowledged. With every acknowledgment-channel message of the
+			// backup lost, no echo may come back.
+			hosts[1].FTManager().SetChainLoss(1)
+		}},
+		{After: 500 * time.Millisecond},
+	}})
+	if r.Delivered != 0 {
+		t.Fatalf("the primary echoed %d bytes: the older, ungated CHAIN-SET was applied", r.Delivered)
 	}
 }

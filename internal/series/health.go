@@ -81,12 +81,6 @@ type ReplicaSample struct {
 	ProcBacklog time.Duration
 }
 
-// VerdictChange records a verdict transition.
-type VerdictChange struct {
-	T       time.Duration `json:"t"`
-	Verdict Verdict       `json:"verdict"`
-}
-
 type replicaHealth struct {
 	verdict Verdict
 
@@ -98,8 +92,6 @@ type replicaHealth struct {
 	silent     int // consecutive zero-SegsIn intervals while peers receive
 
 	firstDegraded time.Duration
-	firstDead     time.Duration
-	history       []VerdictChange
 }
 
 // HealthScorer turns per-replica telemetry series into healthy/degraded/
@@ -242,12 +234,8 @@ func (h *HealthScorer) setVerdict(r *replicaHealth, v Verdict, now time.Duration
 		return
 	}
 	r.verdict = v
-	r.history = append(r.history, VerdictChange{T: now, Verdict: v})
 	if v == Degraded && r.firstDegraded == 0 {
 		r.firstDegraded = now
-	}
-	if v == Dead && r.firstDead == 0 {
-		r.firstDead = now
 	}
 }
 
@@ -265,20 +253,4 @@ func (h *HealthScorer) FirstDegradedAt(name string) (time.Duration, bool) {
 		return r.firstDegraded, true
 	}
 	return 0, false
-}
-
-// FirstDeadAt returns when the replica was first declared Dead.
-func (h *HealthScorer) FirstDeadAt(name string) (time.Duration, bool) {
-	if r, ok := h.replicas[name]; ok && r.firstDead != 0 {
-		return r.firstDead, true
-	}
-	return 0, false
-}
-
-// History returns the replica's verdict transitions in order.
-func (h *HealthScorer) History(name string) []VerdictChange {
-	if r, ok := h.replicas[name]; ok {
-		return append([]VerdictChange(nil), r.history...)
-	}
-	return nil
 }

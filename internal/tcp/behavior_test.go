@@ -103,8 +103,8 @@ func TestWindowUpdateResumesFlow(t *testing.T) {
 	c, _ := e.client.Connect(0, Endpoint{Addr: e.serverAddr, Port: 80})
 	c.WriteAll(pattern(12_000), false)
 	e.sched.RunUntil(3 * time.Second) // receiver full at 4096
-	if srv.Readable() != 4096 {
-		t.Fatalf("readable = %d, want full buffer", srv.Readable())
+	if srv.rcv.readable() != 4096 {
+		t.Fatalf("readable = %d, want full buffer", srv.rcv.readable())
 	}
 	drainAt := e.sched.Now()
 	got := 0

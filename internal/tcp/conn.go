@@ -264,9 +264,6 @@ func (c *Conn) BaseRTO() time.Duration { return c.rto.Base() }
 // CongestionWindow returns the congestion window in bytes.
 func (c *Conn) CongestionWindow() int { return c.cwnd }
 
-// ISS returns the initial send sequence number.
-func (c *Conn) ISS() Seq { return c.iss }
-
 // SndNxt returns the next send sequence number.
 func (c *Conn) SndNxt() Seq { return c.sndNxt }
 
@@ -383,9 +380,6 @@ func (c *Conn) Read(p []byte) int {
 	}
 	return n
 }
-
-// Readable returns the number of deposited, unread bytes.
-func (c *Conn) Readable() int { return c.rcv.readable() }
 
 // PeerClosed reports whether the peer's FIN has been consumed: Read
 // returning 0 then means EOF.

@@ -344,7 +344,7 @@ func TestZeroWindowAndReopen(t *testing.T) {
 	if srvConn == nil {
 		t.Fatal("no server conn")
 	}
-	if got := srvConn.Readable(); got != 4096 {
+	if got := srvConn.rcv.readable(); got != 4096 {
 		t.Fatalf("server buffered %d bytes, want full 4096", got)
 	}
 	// Now drain: transfer must complete even after a zero-window phase.

@@ -25,20 +25,6 @@ func (c *Conn) SetKeepAlive(idle, interval time.Duration, probes int) {
 	c.keepalive.Reset(idle)
 }
 
-// DisableKeepAlive stops probing.
-func (c *Conn) DisableKeepAlive() {
-	if c.keepalive != nil {
-		c.keepalive.Stop()
-	}
-	c.keepaliveIdle = 0
-}
-
-// IdleSince returns how long the connection has been without inbound
-// segments.
-func (c *Conn) IdleSince() time.Duration {
-	return c.stack.sched.Now() - c.lastActivity
-}
-
 // noteActivity records segment arrival for keepalive idleness tracking.
 func (c *Conn) noteActivity() {
 	c.lastActivity = c.stack.sched.Now()

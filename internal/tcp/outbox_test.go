@@ -98,7 +98,7 @@ func TestWriteAllClosesOnceAfterTheLastByte(t *testing.T) {
 		if srv == nil || !bytes.Equal(srv.data, payload) || !srv.eof {
 			t.Fatalf("%d-byte payload: peer did not read it all, then EOF", len(payload))
 		}
-		if want := c.ISS().Add(1 + len(payload)); len(finSeqs) != 1 || !finSeqs[want] {
+		if want := c.iss.Add(1 + len(payload)); len(finSeqs) != 1 || !finSeqs[want] {
 			t.Fatalf("%d-byte payload: FINs at %v, want one at %v", len(payload), finSeqs, want)
 		}
 		if c.closeAfter {

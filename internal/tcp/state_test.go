@@ -469,8 +469,8 @@ func TestTimeWaitReleasesBuffers(t *testing.T) {
 		t.Fatal("TIME-WAIT connection still holds socket-buffer arrays")
 	}
 	// The server never read its 3000 bytes: they must outlive its close.
-	if srv.State() != StateClosed || srv.Readable() != 3000 {
-		t.Fatalf("server in %v with %d bytes readable, want CLOSED and 3000", srv.State(), srv.Readable())
+	if srv.State() != StateClosed || srv.rcv.readable() != 3000 {
+		t.Fatalf("server in %v with %d bytes readable, want CLOSED and 3000", srv.State(), srv.rcv.readable())
 	}
 	buf := make([]byte, 4096)
 	if n := srv.Read(buf); n != 3000 || !bytes.Equal(buf[:n], pattern(3000)) {

@@ -22,7 +22,7 @@ type Scenario struct {
 	Seed    int64
 	Observe hydranet.Instruments // the run's observers; Observe.Scenario names the run
 
-	// The network. Testbed zero is the paper's Figure-3 star (Star) with TCP
+	// The network. Testbed zero is the paper's Figure-3 star (star) with TCP
 	// and Link. Any other case is the Section-5 LAN in that configuration:
 	// the machine model scaled by CPUScale (zero means 1), the testbed's own
 	// TCP settings and Link's loss on every link. Replicas counts the
@@ -54,7 +54,12 @@ type Scenario struct {
 	Echo  []byte
 
 	// Setup runs once the observers are attached, before the service
-	// deploys. After the dial the steps run in order, and each fault is
+	// deploys: it adds clients, routers or a mirrored redirector, and
+	// subscribes its own observers. The monitor and the capture's frame tap
+	// see hosts and links added there (the monitor names chain members by
+	// the hosts present at attach); a redirector's encap tap and the
+	// sampler's per-host series are fixed when the observers attach and do
+	// not. After the dial the steps run in order, and each fault is
 	// injected at its instant or byte count. Log, when set, narrates the
 	// run's milestones.
 	Setup  func(*Run)
@@ -192,11 +197,11 @@ func (r *Run) Dial(from *hydranet.Host, to hydranet.Endpoint, send []byte, close
 	return s
 }
 
-// Star builds the paper's Figure-3 setup on net: a client and replicas
+// star builds the paper's Figure-3 setup on net: a client and replicas
 // host servers s0, s1, …, each on its own 10 Mbit/s, 1 ms link to the
 // redirector rd, with link's jitter and loss. link's Delay, when set, is the
 // client's link's instead.
-func Star(net *hydranet.Net, replicas int, link hydranet.LinkConfig) *Run {
+func star(net *hydranet.Net, replicas int, link hydranet.LinkConfig) *Run {
 	r := &Run{Net: net, Client: net.AddHost("client", hydranet.HostConfig{}),
 		Redirector: net.AddRedirector("rd", hydranet.HostConfig{})}
 	link.Rate, link.Delay = 10_000_000, cmp.Or(link.Delay, time.Millisecond)
@@ -258,7 +263,7 @@ func (sc Scenario) Play() *Run {
 	}
 	var r *Run
 	if net := hydranet.New(cfg); sc.Testbed == 0 {
-		r = Star(net, sc.Replicas, sc.Link)
+		r = star(net, sc.Replicas, sc.Link)
 	} else {
 		r = sc.lan(net)
 	}

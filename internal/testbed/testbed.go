@@ -1,8 +1,14 @@
-// Package testbed models the paper's measurement testbed (Section 5): two
-// Pentium/120 PCs as primary and backup host servers, a 486 PC as the
-// redirector/router, and a 486 PC as the client, joined by 10 Mbit/s links.
-// It builds each of Figure 4's four configurations and runs ttcp transfers
-// over them.
+// Package testbed plays every replicated run as a Scenario (scenario.go):
+// the experiments, the narrated hydranet-sim run and every test that
+// deploys a replicated service and dials it. A Scenario runs on the paper's
+// Figure-3 star, or on its measurement testbed (Section 5): two Pentium/120
+// PCs as primary and backup host servers, a 486 PC as the redirector/router,
+// and a 486 PC as the client, joined by 10 Mbit/s links, in each of Figure
+// 4's four configurations. Extra clients, routers or redirectors join in
+// Setup. The runs still built by hand, each for one reason: a replica link
+// slower than the star's (TestProbeKeepsQueuedMember,
+// TestChainMsgBeforeSYN), a 100 Mbit/s star (TestConnLifecycleAllocBudget),
+// the churn pods pinned by testdata/golden_churn.json, and the API examples.
 //
 // The machine model charges per-packet and per-byte CPU costs calibrated so
 // the clean-kernel curve lands in the few-hundred-kB/s range the paper

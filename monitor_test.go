@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"hydranet"
-	"hydranet/internal/app"
 	"hydranet/internal/invariant"
 	"hydranet/internal/obs"
 	"hydranet/internal/testbed"
@@ -131,24 +130,21 @@ func TestMonitorCleanOnFailover(t *testing.T) {
 	// rebuilds from the daemon's registration and reconfiguration events. If
 	// it stopped understanding them the set would be empty, both rules
 	// vacuous, and every report clean.
-	star := testbed.Star(hydranet.New(hydranet.Config{Seed: 12}), 3, hydranet.LinkConfig{})
-	net, replicas := star.Net, star.Replicas
-	mon := net.StartMonitor(hydranet.MonitorConfig{})
-	svc, err := net.DeployFT(testSvc, star.Redirector, replicas, hydranet.FTOptions{}, app.Echo)
-	if err != nil {
-		t.Fatal(err)
-	}
-	net.Settle()
-	if got := mon.Members(testSvc); got != len(replicas) {
-		t.Errorf("monitor learnt %d members from %d registrations", got, len(replicas))
-	}
-	if err := svc.Leave(replicas[2]); err != nil {
-		t.Fatal(err)
-	}
-	net.Settle()
-	if got := mon.Members(testSvc); got != len(replicas)-1 {
-		t.Errorf("monitor counts %d members after one of %d left", got, len(replicas))
-	}
+	var mon *hydranet.Monitor
+	row(t, testbed.Scenario{Seed: 12, Replicas: 3, Send: []byte("members"),
+		Setup: func(r *testbed.Run) { mon = r.Net.StartMonitor(hydranet.MonitorConfig{}) },
+		Steps: []testbed.Step{{Do: func(r *testbed.Run) {
+			if got := mon.Members(testSvc); got != 3 {
+				t.Errorf("monitor learnt %d members from 3 registrations", got)
+			}
+			if err := r.Service.Leave(r.Replicas[2]); err != nil {
+				t.Fatal(err)
+			}
+			r.Net.Settle()
+			if got := mon.Members(testSvc); got != 2 {
+				t.Errorf("monitor counts %d members after one of 3 left", got)
+			}
+		}}}}, verdict{echo: true})
 }
 
 // TestMonitorSeededViolations is the oracle's own oracle: it forges a
@@ -157,75 +153,51 @@ func TestMonitorCleanOnFailover(t *testing.T) {
 // guard the guard — if the capture hooks never saw a real event to forge,
 // the test fails rather than passing on silence.
 func TestMonitorSeededViolations(t *testing.T) {
-	star := testbed.Star(hydranet.New(hydranet.Config{Seed: 13}), 2, hydranet.LinkConfig{})
-	net := star.Net
-	mon := net.StartMonitor(hydranet.MonitorConfig{Scenario: "seeded"})
-
 	// Capture one real replica deposit and one real client-side ACK to
 	// forge from.
 	var lastDeposit, lastClientAck hydranet.Event
 	var deposits, clientAcks int
-	net.Bus().Subscribe(func(e hydranet.Event) {
-		switch e.Kind {
-		case hydranet.KindDeposit:
-			if e.Node != "client" && e.Size > 0 {
-				lastDeposit = e
-				deposits++
-			}
-		case hydranet.KindAckProgress:
-			if e.Node == "client" {
-				lastClientAck = e
-				clientAcks++
-			}
-		}
-	}, hydranet.KindDeposit, hydranet.KindAckProgress)
-
-	if _, err := net.DeployFT(testSvc, star.Redirector, star.Replicas,
-		hydranet.FTOptions{Detector: hydranet.DetectorParams{RetransmitThreshold: 3}}, app.Echo); err != nil {
-		t.Fatal(err)
-	}
-	net.Settle()
 	payload := make([]byte, 256*1024)
-	echoed := star.Dial(star.Client, testSvc, payload, false)
-	for echoed.Delivered < len(payload) && net.Now() < time.Minute {
-		net.RunFor(time.Second)
-	}
-	if !echoed.Echoed() {
-		t.Fatalf("client received %d of %d bytes", echoed.Delivered, len(payload))
-	}
-
-	// The faults must actually have fired material to forge.
-	if deposits == 0 || clientAcks == 0 {
-		t.Fatalf("no real events captured to forge (deposits=%d clientAcks=%d) — the self-test is vacuous", deposits, clientAcks)
-	}
-
-	// Fault 1: replay the last replica deposit verbatim — the cursor did
-	// not advance by the bytes deposited, i.e. duplicate delivery.
-	net.Bus().Publish(lastDeposit)
-	// Fault 2: a client ACK far beyond the replica deposit minimum.
-	forged := lastClientAck
-	forged.Seq += 1 << 20
-	net.Bus().Publish(forged)
-
-	r := net.FinishAudit(mon)
-	if r.Clean {
-		t.Fatal("monitor passed a run with seeded faults")
-	}
-	byRule := map[string]uint64{}
-	for _, rr := range r.Rules {
-		byRule[rr.Rule] = rr.Violations
-	}
-	if byRule[invariant.RuleDeposit] == 0 {
-		t.Errorf("forged duplicate deposit not reported: %+v", r.Rules)
-	}
-	if byRule[invariant.RuleGate] == 0 {
-		t.Errorf("forged premature client ACK not reported: %+v", r.Rules)
-	}
-	for _, v := range r.Violations {
-		if v.Time == 0 {
-			t.Errorf("violation missing virtual-clock instant: %+v", v)
+	row(t, testbed.Scenario{Seed: 13, Replicas: 2, Observe: hydranet.Instruments{Scenario: "seeded"}, Threshold: 3, Send: payload,
+		Setup: func(r *testbed.Run) {
+			r.Net.Bus().Subscribe(func(e hydranet.Event) {
+				switch e.Kind {
+				case hydranet.KindDeposit:
+					if e.Node != "client" && e.Size > 0 {
+						lastDeposit = e
+						deposits++
+					}
+				case hydranet.KindAckProgress:
+					if e.Node == "client" {
+						lastClientAck = e
+						clientAcks++
+					}
+				}
+			}, hydranet.KindDeposit, hydranet.KindAckProgress)
+		},
+		Steps: []testbed.Step{{After: time.Second, Limit: time.Minute - time.Second, Until: func(r *testbed.Run) bool { return r.Delivered >= len(payload) },
+			Do: func(r *testbed.Run) {
+				// The faults must actually have fired material to forge.
+				if deposits == 0 || clientAcks == 0 {
+					t.Fatalf("no real events captured to forge (deposits=%d clientAcks=%d) — the self-test is vacuous", deposits, clientAcks)
+				}
+				// Fault 1: replay the last replica deposit verbatim — the
+				// cursor did not advance by the bytes deposited, i.e.
+				// duplicate delivery.
+				r.Net.Bus().Publish(lastDeposit)
+				// Fault 2: a client ACK far beyond the replica deposit
+				// minimum.
+				forged := lastClientAck
+				forged.Seq += 1 << 20
+				r.Net.Bus().Publish(forged)
+			}}},
+	}, verdict{echo: true, violated: []string{invariant.RuleDeposit, invariant.RuleGate}, check: func(r *testbed.Run) {
+		for _, v := range r.Summary.Audit.Violations {
+			if v.Time == 0 {
+				t.Errorf("violation missing virtual-clock instant: %+v", v)
+			}
 		}
-	}
+	}})
 }
 
 // TestMonitorCleanOnGrayFailure runs the gray-failure scenario — a slow,

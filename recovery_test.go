@@ -74,71 +74,63 @@ func TestRecommissionAfterFailure(t *testing.T) {
 	}})
 }
 
+// recommission plays a two-replica echo and, a second after the dial, asks
+// the service to recommission the host that try returns; that must fail.
+func recommission(t *testing.T, seed int64, try func(*testbed.Run) *hydranet.Host, why string) {
+	row(t, testbed.Scenario{Seed: seed, Replicas: 2, Send: []byte("member"), Steps: []testbed.Step{{After: time.Second, Do: func(r *testbed.Run) {
+		if err := r.Service.Recommission(try(r)); err == nil {
+			t.Fatalf("recommissioning %s succeeded", why)
+		}
+	}}}}, verdict{echo: true})
+}
+
 func TestRecommissionRequiresRestart(t *testing.T) {
-	r := testbed.Star(hydranet.New(hydranet.Config{Seed: 23}), 2, hydranet.LinkConfig{})
-	svc, err := r.Net.DeployFT(testSvc, r.Redirector, r.Replicas, hydranet.FTOptions{}, app.Echo)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r.Net.Settle()
-	r.Replicas[0].Crash()
-	if err := svc.Recommission(r.Replicas[0]); err == nil {
-		t.Fatal("recommissioning a dead host succeeded")
-	}
+	recommission(t, 23, func(r *testbed.Run) *hydranet.Host { r.Replicas[0].Crash(); return r.Replicas[0] }, "a dead host")
 }
 
 func TestRecommissionRejectsStranger(t *testing.T) {
-	r := testbed.Star(hydranet.New(hydranet.Config{Seed: 24}), 2, hydranet.LinkConfig{})
-	svc, err := r.Net.DeployFT(testSvc, r.Redirector, r.Replicas, hydranet.FTOptions{}, app.Echo)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r.Net.Settle()
-	stranger := r.Net.AddHost("stranger", hydranet.HostConfig{})
-	r.Net.Link(stranger, r.Redirector.Host, hydranet.LinkConfig{})
-	r.Net.AutoRoute()
-	if err := svc.Recommission(stranger); err == nil {
-		t.Fatal("recommissioning a never-member host succeeded")
-	}
+	recommission(t, 24, func(r *testbed.Run) *hydranet.Host {
+		stranger := r.Net.AddHost("stranger", hydranet.HostConfig{})
+		r.Net.Link(stranger, r.Redirector.Host, hydranet.LinkConfig{})
+		r.Net.AutoRoute()
+		return stranger
+	}, "a never-member host")
 }
 
+// TestManyClientsSurviveFailover: five client hosts, each on its own link to
+// the redirector, stream through one primary crash.
 func TestManyClientsSurviveFailover(t *testing.T) {
-	r := testbed.Star(hydranet.New(hydranet.Config{Seed: 25}), 3, hydranet.LinkConfig{})
-	net := r.Net
-	svc, err := net.DeployFT(testSvc, r.Redirector, r.Replicas, hydranet.FTOptions{}, app.Echo)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Several independent client hosts.
 	const n = 5
-	var clients []*hydranet.Host
-	for i := 0; i < n; i++ {
-		h := net.AddHost(fmt.Sprintf("c%d", i), hydranet.HostConfig{})
-		clients = append(clients, h)
-		net.Link(h, r.Redirector.Host, hydranet.LinkConfig{Rate: 10_000_000, Delay: time.Millisecond})
-	}
-	net.AutoRoute()
-	net.Settle()
-
-	streams := make([]*testbed.Stream, n)
-	for i, h := range clients {
-		streams[i] = r.Dial(h, testSvc, bytes.Repeat([]byte{byte('A' + i)}, 30_000+1000*i), false)
-	}
-	net.RunFor(200 * time.Millisecond)
-	svc.CrashPrimary()
-	net.RunFor(3 * time.Minute)
-
-	for i, s := range streams {
-		if !s.Echoed() {
-			t.Errorf("client %d: echo %d of %d bytes after failover", i, s.Delivered, 30_000+1000*i)
+	send := func(i int) []byte { return bytes.Repeat([]byte{byte('A' + i)}, 30_000+1000*i) }
+	streams, clients := make([]*testbed.Stream, n), make([]*hydranet.Host, n)
+	row(t, testbed.Scenario{Seed: 25, Replicas: 3, Send: send(0), Setup: func(r *testbed.Run) {
+		for i := 1; i < n; i++ {
+			clients[i] = r.Net.AddHost(fmt.Sprintf("c%d", i), hydranet.HostConfig{})
+			r.Net.Link(clients[i], r.Redirector.Host, hydranet.LinkConfig{Rate: 10_000_000, Delay: time.Millisecond})
 		}
-	}
-	// Every replica carries all n connections (one per client).
-	for _, rep := range svc.Replicas()[1:] {
-		if got := rep.Port.Conns(); got != n {
-			t.Errorf("replica %s tracks %d conns, want %d", rep.Host.Name(), got, n)
+		r.Net.AutoRoute()
+	}, Faults: at(200*time.Millisecond, testbed.CrashPrimary, 0), Steps: []testbed.Step{
+		{Do: func(r *testbed.Run) {
+			streams[0] = r.Stream
+			for i := 1; i < n; i++ {
+				streams[i] = r.Dial(clients[i], testSvc, send(i), false)
+			}
+		}},
+		{After: 200*time.Millisecond + 3*time.Minute},
+	}}, verdict{check: func(r *testbed.Run) {
+		for i, s := range streams {
+			if !s.Echoed() {
+				t.Errorf("client %d: echo %d of %d bytes after failover", i, s.Delivered, len(send(i)))
+			}
 		}
-	}
+		// Every replica carries all n connections (one per client).
+		for _, rep := range r.Service.Replicas()[1:] {
+			if got := rep.Port.Conns(); got != n {
+				t.Errorf("replica %s tracks %d conns, want %d", rep.Host.Name(), got, n)
+			}
+		}
+		logDeliveryChecks(t, r)
+	}})
 }
 
 func TestTwoIndependentFTServices(t *testing.T) {

@@ -58,25 +58,48 @@ func request(seed int64, replicas, response int) testbed.Scenario {
 // opens one hop later.
 func TestShortTailLeavesWithFIN(t *testing.T) {
 	const response = 1460 + 462
-	check := func(t *testing.T, out *testbed.Stream) {
+	check := func(t *testing.T, closedAt time.Duration) {
 		t.Helper()
-		if out.ClosedAt >= delayedAck {
-			t.Errorf("client closed %v after the dial: the response waited out a %v delayed ACK", out.ClosedAt, delayedAck)
+		if closedAt >= delayedAck {
+			t.Errorf("client closed %v after the dial: the response waited out a %v delayed ACK", closedAt, delayedAck)
 		}
 	}
 	t.Run("plain", func(t *testing.T) {
-		r := testbed.Star(hydranet.New(hydranet.Config{Seed: 120, TCP: delayedAcks}), 1, hydranet.LinkConfig{})
-		l, err := r.Replicas[0].Listen(0, 80)
+		// The star's three hosts, with a plain listener on s0.
+		net := hydranet.New(hydranet.Config{Seed: 120, TCP: delayedAcks})
+		client, rd, s0 := net.AddHost("client", hydranet.HostConfig{}), net.AddRedirector("rd", hydranet.HostConfig{}), net.AddHost("s0", hydranet.HostConfig{})
+		link := hydranet.LinkConfig{Rate: 10_000_000, Delay: time.Millisecond}
+		net.Link(client, rd.Host, link)
+		net.Link(s0, rd.Host, link)
+		net.AutoRoute()
+		l, err := s0.Listen(0, 80)
 		if err != nil {
 			t.Fatal(err)
 		}
 		l.SetAcceptFunc(respondAndClose(response))
-		out := r.Dial(r.Client, hydranet.Endpoint{Addr: r.Replicas[0].Addr(), Port: 80}, make([]byte, shortTailRequest), false)
-		r.Net.RunFor(time.Minute)
-		if !out.Closed || out.Err != nil || out.Delivered != response {
-			t.Fatalf("client read %d of %d bytes, closed=%v err=%v", out.Delivered, response, out.Closed, out.Err)
+		conn, err := client.DialEndpoint(hydranet.Endpoint{Addr: s0.Addr(), Port: 80})
+		if err != nil {
+			t.Fatal(err)
 		}
-		check(t, out)
+		// The client reads everything and closes when the server does.
+		read, buf := 0, make([]byte, 8192)
+		conn.OnReadable(func() {
+			for n := conn.Read(buf); n > 0; n = conn.Read(buf) {
+				read += n
+			}
+			if conn.PeerClosed() {
+				conn.Close()
+			}
+		})
+		var closedAt time.Duration
+		var closeErr error
+		conn.OnClosed(func(err error) { closedAt, closeErr = net.Now(), err })
+		app.Source(conn, make([]byte, shortTailRequest), false)
+		net.RunFor(time.Minute)
+		if closedAt == 0 || closeErr != nil || read != response {
+			t.Fatalf("client read %d of %d bytes, closed at %v err=%v", read, response, closedAt, closeErr)
+		}
+		check(t, closedAt)
 	})
 	for _, n := range []int{2, 3} {
 		t.Run(fmt.Sprintf("ft-%d", n), func(t *testing.T) {
@@ -107,7 +130,7 @@ func TestShortTailLeavesWithFIN(t *testing.T) {
 			}
 			sc.Steps = []testbed.Step{{After: time.Minute}}
 			row(t, sc, verdict{echo: true, closed: true, check: func(r *testbed.Run) {
-				check(t, r.Stream)
+				check(t, r.ClosedAt)
 				if finAt == 0 {
 					t.Fatal("the primary never sent a FIN")
 				}

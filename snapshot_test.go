@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"hydranet"
-	"hydranet/internal/app"
 	"hydranet/internal/core"
 	"hydranet/internal/metrics"
 	"hydranet/internal/redirector"
@@ -195,34 +194,17 @@ func TestSnapshotDiffMgmtNilPrev(t *testing.T) {
 }
 
 // TestSnapshotAllocBudget pins Net.Snapshot's allocations, since
-// failover_sweep takes one per scenario inside its timed run. On a
-// five-host full mesh after an FT echo the budget is 22 (failover_sweep's
-// mallocs_m is 0.0385 M in all, the snapshots included). It takes 15:
-// one per section, two per RTT histogram (client and three replicas), one
-// per ft-TCP manager and daemon; 18 under the race detector, where
-// slices.Grow allocates twice.
+// failover_sweep takes one per scenario inside its timed run. On its
+// five-host Section-5 LAN after an FT echo the budget is 22
+// (failover_sweep's mallocs_m is 0.0385 M in all, the snapshots included).
+// It takes 15: one per section, two per RTT histogram (client and three
+// replicas), one per ft-TCP manager and daemon; 18 under the race detector,
+// where slices.Grow allocates twice.
 func TestSnapshotAllocBudget(t *testing.T) {
-	net := hydranet.New(hydranet.Config{Seed: 3})
-	client, rd := net.AddHost("client", hydranet.HostConfig{}), net.AddRedirector("rd", hydranet.HostConfig{})
-	hosts := []*hydranet.Host{client, rd.Host}
-	for _, name := range []string{"s0", "s1", "s2"} {
-		hosts = append(hosts, net.AddHost(name, hydranet.HostConfig{}))
-	}
-	for i := range hosts {
-		for _, h := range hosts[i+1:] {
-			net.Link(hosts[i], h, hydranet.LinkConfig{Rate: 10_000_000, Delay: time.Millisecond})
+	row(t, testbed.Scenario{Seed: 3, Testbed: testbed.CaseFailover, Replicas: 3, Send: make([]byte, 100_000),
+		Steps: []testbed.Step{{After: 10 * time.Second}}}, verdict{echo: true, check: func(r *testbed.Run) {
+		if allocs := testing.AllocsPerRun(20, func() { r.Net.Snapshot() }); allocs > 22 {
+			t.Errorf("Net.Snapshot allocates %v times, budget 22", allocs)
 		}
-	}
-	net.AutoRoute()
-	if _, err := net.DeployFT(testSvc, rd, hosts[2:], hydranet.FTOptions{}, app.Echo); err != nil {
-		t.Fatal(err)
-	}
-	net.Settle()
-	got := (&testbed.Run{Net: net}).Dial(client, testSvc, make([]byte, 100_000), false)
-	if net.RunFor(10 * time.Second); !got.Echoed() {
-		t.Fatalf("client received %d of 100000 bytes", got.Delivered)
-	}
-	if allocs := testing.AllocsPerRun(20, func() { net.Snapshot() }); allocs > 22 {
-		t.Errorf("Net.Snapshot allocates %v times, budget 22", allocs)
-	}
+	}})
 }

@@ -14,47 +14,39 @@ import (
 	"hydranet/internal/testbed"
 )
 
-// TestMultiHopRouting: client — r1 — r2 — rd — server, with the redirector
-// three hops from the client. AutoRoute must chain the path, and the
+// TestMultiHopRouting: far — r1 — r2 — rd — server, with the redirector
+// three hops from the far client. AutoRoute must chain the path, and the
 // default-route-toward-redirector rule must work across plain routers.
 func TestMultiHopRouting(t *testing.T) {
-	net := hydranet.New(hydranet.Config{Seed: 121})
-	client := net.AddHost("client", hydranet.HostConfig{})
-	r1 := net.AddRouter("r1", hydranet.HostConfig{})
-	r2 := net.AddRouter("r2", hydranet.HostConfig{})
-	rd := net.AddRedirector("rd", hydranet.HostConfig{})
-	s0 := net.AddHost("s0", hydranet.HostConfig{})
-	s1 := net.AddHost("s1", hydranet.HostConfig{})
-	link := hydranet.LinkConfig{Rate: 10_000_000, Delay: 2 * time.Millisecond}
-	net.Link(client, r1, link)
-	net.Link(r1, r2, link)
-	net.Link(r2, rd.Host, link)
-	net.Link(s0, rd.Host, link)
-	net.Link(s1, rd.Host, link)
-	net.AutoRoute()
-
-	svc := hydranet.ServiceID{Addr: hydranet.MustAddr("192.20.225.20"), Port: 80}
-	ftsvc, err := net.DeployFT(svc, rd, []*hydranet.Host{s0, s1}, hydranet.FTOptions{}, app.Echo)
-	if err != nil {
-		t.Fatal(err)
-	}
-	net.Settle()
-	echoed := (&testbed.Run{Net: net}).Dial(client, svc, bytes.Repeat([]byte("far"), 10_000), false)
-	net.RunFor(30 * time.Second)
-	if !echoed.Echoed() {
-		t.Fatalf("multi-hop echo: %d of 30000 bytes", echoed.Delivered)
-	}
-	// Failover still works across the multi-hop path.
-	ftsvc.CrashPrimary()
-	echoed.Write([]byte("|post"))
-	net.RunFor(2 * time.Minute)
-	if !echoed.Echoed() {
-		t.Fatalf("multi-hop failover: %d of 30005 bytes", echoed.Delivered)
-	}
-	// The plain routers really carried the traffic.
-	if r1.IP().Stats().Forwarded == 0 || r2.IP().Stats().Forwarded == 0 {
-		t.Error("intermediate routers forwarded nothing")
-	}
+	var far, r1, r2 *hydranet.Host
+	var echoed *testbed.Stream
+	row(t, testbed.Scenario{Seed: 121, Replicas: 2, Send: []byte("near"), Setup: func(r *testbed.Run) {
+		far, r1, r2 = r.Net.AddHost("far", hydranet.HostConfig{}), r.Net.AddRouter("r1", hydranet.HostConfig{}), r.Net.AddRouter("r2", hydranet.HostConfig{})
+		link := hydranet.LinkConfig{Rate: 10_000_000, Delay: 2 * time.Millisecond}
+		r.Net.Link(far, r1, link)
+		r.Net.Link(r1, r2, link)
+		r.Net.Link(r2, r.Redirector.Host, link)
+		r.Net.AutoRoute()
+	}, Faults: at(30*time.Second, testbed.CrashPrimary, 0), Steps: []testbed.Step{
+		{Do: func(r *testbed.Run) { echoed = r.Dial(far, testSvc, bytes.Repeat([]byte("far"), 10_000), false) }},
+		{After: 30 * time.Second, Do: func(r *testbed.Run) {
+			if !echoed.Echoed() {
+				t.Fatalf("multi-hop echo: %d of 30000 bytes", echoed.Delivered)
+			}
+			// Failover still works across the multi-hop path.
+			echoed.Write([]byte("|post"))
+		}},
+		{After: 2 * time.Minute},
+	}}, verdict{echo: true, chain: []int{1}, check: func(r *testbed.Run) {
+		if !echoed.Echoed() {
+			t.Fatalf("multi-hop failover: %d of 30005 bytes", echoed.Delivered)
+		}
+		// The plain routers really carried the traffic.
+		if r1.IP().Stats().Forwarded == 0 || r2.IP().Stats().Forwarded == 0 {
+			t.Error("intermediate routers forwarded nothing")
+		}
+		logDeliveryChecks(t, r)
+	}})
 }
 
 // tunnelTap sits in front of a host server's IP-in-IP handler and copies
@@ -137,37 +129,36 @@ func TestCorruptSegmentVerifiedOnlyAtEndpoints(t *testing.T) {
 // TestHostServerSharedVirtualHost: two services on one virtual host, one
 // FT and one scaling, on overlapping host sets.
 func TestHostServerSharedVirtualHost(t *testing.T) {
-	r := testbed.Star(hydranet.New(hydranet.Config{Seed: 122}), 2, hydranet.LinkConfig{})
-	net, client, rd, replicas := r.Net, r.Client, r.Redirector, r.Replicas
-	vaddr := hydranet.MustAddr("192.20.225.20")
-	ftSvc := hydranet.ServiceID{Addr: vaddr, Port: 80}
-	scaleSvc := hydranet.ServiceID{Addr: vaddr, Port: 8080}
-	if _, err := net.DeployFT(ftSvc, rd, replicas, hydranet.FTOptions{}, app.Echo); err != nil {
-		t.Fatal(err)
-	}
-	if err := net.DeployScale(scaleSvc, rd, []hydranet.ScaleTarget{{Host: replicas[1], Metric: 1}},
-		func(c *hydranet.Conn) { app.Source(c, []byte("scaled"), true) }); err != nil {
-		t.Fatal(err)
-	}
-	net.Settle()
-
-	e1 := r.Dial(client, ftSvc, []byte("replicated"), false)
-	c2, _ := client.Dial(scaleSvc)
-	e2 := collect(c2)
-	app.Source(c2, []byte("x"), false)
-	net.RunFor(10 * time.Second)
-	if !e1.Echoed() || string(*e2) != "scaled" {
-		t.Fatalf("echoes: %d bytes / %q", e1.Delivered, *e2)
-	}
-	// The shared virtual host is reference-counted: removing one service
-	// must not strand the other.
-	replicas[1].Daemon(rd).Leave(scaleSvc)
-	net.Settle()
-	e3 := r.Dial(client, ftSvc, []byte("still here"), false)
-	net.RunFor(10 * time.Second)
-	if !e3.Echoed() {
-		t.Fatalf("FT service broken after scaling service left: %d bytes", e3.Delivered)
-	}
+	scaleSvc := hydranet.ServiceID{Addr: testSvc.Addr, Port: 8080}
+	var scaled *[]byte
+	var e3 *testbed.Stream
+	row(t, testbed.Scenario{Seed: 122, Replicas: 2, Send: []byte("replicated"), Setup: func(r *testbed.Run) {
+		if err := r.Net.DeployScale(scaleSvc, r.Redirector, []hydranet.ScaleTarget{{Host: r.Replicas[1], Metric: 1}},
+			func(c *hydranet.Conn) { app.Source(c, []byte("scaled"), true) }); err != nil {
+			t.Fatal(err)
+		}
+	}, Steps: []testbed.Step{
+		{Do: func(r *testbed.Run) {
+			c2, _ := r.Client.Dial(scaleSvc)
+			scaled = collect(c2)
+			app.Source(c2, []byte("x"), false)
+		}},
+		{After: 10 * time.Second, Do: func(r *testbed.Run) {
+			if !r.Echoed() || string(*scaled) != "scaled" {
+				t.Fatalf("echoes: %d bytes / %q", r.Delivered, *scaled)
+			}
+			// The shared virtual host is reference-counted: removing one
+			// service must not strand the other.
+			r.Replicas[1].Daemon(r.Redirector).Leave(scaleSvc)
+			r.Net.Settle()
+			e3 = r.Dial(r.Client, testSvc, []byte("still here"), false)
+		}},
+		{After: 10 * time.Second},
+	}}, verdict{echo: true, check: func(*testbed.Run) {
+		if !e3.Echoed() {
+			t.Fatalf("FT service broken after scaling service left: %d bytes", e3.Delivered)
+		}
+	}})
 }
 
 // TestLinkPanicsPastTheLastSubnet: Link hands out 10.1.0.0/24 through
@@ -207,9 +198,11 @@ func TestLinkAddrExplicitAddressing(t *testing.T) {
 	}
 	l, _ := b.Listen(0, 7)
 	l.SetAcceptFunc(func(c *hydranet.Conn) { app.Echo(c) })
-	echoed := (&testbed.Run{Net: net}).Dial(a, hydranet.Endpoint{Addr: b.Addr(), Port: 7}, []byte("explicit"), false)
+	c, _ := a.DialEndpoint(hydranet.Endpoint{Addr: b.Addr(), Port: 7})
+	echoed := collect(c)
+	app.Source(c, []byte("explicit"), false)
 	net.RunFor(5 * time.Second)
-	if !echoed.Echoed() {
-		t.Fatalf("echo: %d of 8 bytes", echoed.Delivered)
+	if string(*echoed) != "explicit" {
+		t.Fatalf("echo: %q, want %q", *echoed, "explicit")
 	}
 }
