@@ -62,7 +62,10 @@ func TestCongestedBackupEvictedAndRecommissioned(t *testing.T) {
 }
 
 // TestCongestionPolicyDisabledByDefault: without the policy, live hosts are
-// never evicted no matter how many suspicions fire.
+// never evicted no matter how many suspicions fire. The client stops reading
+// on purpose, as the hand-built test it replaced did: the run is its upload
+// against a dead acknowledgment channel, so the audit's client-delivery rule
+// has nothing to check (TestReplicaStreamAgreementUnderLoss checks it).
 func TestCongestionPolicyDisabledByDefault(t *testing.T) {
 	row(t, testbed.Scenario{Seed: 62, Replicas: 2, Threshold: 2, Send: make([]byte, 100_000),
 		Faults: at(100*time.Millisecond, testbed.Silence, 1),

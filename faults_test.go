@@ -82,14 +82,16 @@ func row(t *testing.T, sc testbed.Scenario, v verdict) {
 	}
 }
 
-// logDeliveryChecks logs how many client reads the monitor judged.
-func logDeliveryChecks(t *testing.T, r *testbed.Run) {
+// deliveryChecks logs and returns how many client reads the monitor judged.
+func deliveryChecks(t *testing.T, r *testbed.Run) (checks uint64) {
 	t.Helper()
 	for _, rr := range r.Summary.Audit.Rules {
 		if rr.Rule == invariant.RuleDelivery {
 			t.Logf("%s: %d checks", rr.Rule, rr.Checks)
+			checks = rr.Checks
 		}
 	}
+	return checks
 }
 
 // wantChain fails the test unless the service's chain is the replicas at

@@ -115,6 +115,9 @@ type Net struct {
 	// has run, after which Instrument refuses (instrument.go).
 	session  *Session
 	deployed bool
+
+	hosts0 [8]*Host     // hosts' backing up to eight hosts
+	links0 [16]linkInfo // links' backing up to sixteen links
 }
 
 type linkInfo struct {
@@ -130,6 +133,7 @@ type linkInfo struct {
 func New(cfg Config) *Net {
 	s := sim.NewScheduler(cfg.Seed)
 	n := &Net{cfg: cfg, sched: s, fab: netsim.New(s), bus: obs.NewBus(s.Now)}
+	n.hosts, n.links = n.hosts0[:0], n.links0[:0]
 	n.fab.SetBus(n.bus)
 	return n
 }
@@ -167,17 +171,18 @@ func (n *Net) At(t time.Duration, fn func()) { n.sched.At(t, fn) }
 func (n *Net) EventsFired() uint64 { return n.sched.Fired() }
 
 // Host is a simulated machine: IP, UDP and TCP stacks, HydraNet host-server
-// support, the ft-TCP engine, and a management daemon.
+// support, the ft-TCP engine, and a management daemon. The node and its
+// stacks live in the Host by value, so a host is one object (DESIGN §5).
 type Host struct {
 	net  *Net
 	name string
-	node *netsim.Node
+	node netsim.Node
 
-	ip   *ipv4.Stack
-	udp  *udp.Stack
-	tcp  *tcp.Stack
-	icmp *icmp.Stack
-	hs   *hostserver.HostServer
+	ip   ipv4.Stack
+	udp  udp.Stack
+	tcp  tcp.Stack
+	icmp icmp.Stack
+	hs   hostserver.HostServer
 	mgr  *core.Manager
 	dmn  *rmp.HostDaemon
 	addr Addr // primary address (first link)
@@ -189,14 +194,14 @@ type Host struct {
 
 // AddHost creates a host.
 func (n *Net) AddHost(name string, cfg HostConfig) *Host {
-	node := n.fab.AddNode(netsim.NodeConfig{Name: name, ProcDelay: cfg.ProcDelay, ProcPerByte: cfg.ProcPerByte})
-	h := &Host{net: n, name: name, node: node, idx: len(n.hosts)}
-	h.ip = ipv4.NewStack(node, n.sched)
-	h.udp = udp.NewStack(h.ip)
-	h.tcp = tcp.NewStack(h.ip, n.cfg.TCP)
+	h := &Host{net: n, name: name, idx: len(n.hosts)}
+	n.fab.InitNode(&h.node, netsim.NodeConfig{Name: name, ProcDelay: cfg.ProcDelay, ProcPerByte: cfg.ProcPerByte})
+	h.ip.Init(&h.node, n.sched)
+	h.udp.Init(&h.ip)
+	h.tcp.Init(&h.ip, n.cfg.TCP)
 	h.tcp.SetBus(n.bus)
-	h.icmp = icmp.NewStack(h.ip)
-	h.hs = hostserver.New(h.ip)
+	h.icmp.Init(&h.ip)
+	h.hs.Init(&h.ip)
 	n.hosts = append(n.hosts, h)
 	return h
 }
@@ -212,19 +217,19 @@ func (h *Host) Scheduler() *sim.Scheduler { return h.node.Scheduler() }
 func (h *Host) Addr() Addr { return h.addr }
 
 // TCP returns the host's TCP stack (advanced use: traces, raw connects).
-func (h *Host) TCP() *tcp.Stack { return h.tcp }
+func (h *Host) TCP() *tcp.Stack { return &h.tcp }
 
 // UDP returns the host's UDP stack.
-func (h *Host) UDP() *udp.Stack { return h.udp }
+func (h *Host) UDP() *udp.Stack { return &h.udp }
 
 // IP returns the host's IPv4 stack.
-func (h *Host) IP() *ipv4.Stack { return h.ip }
+func (h *Host) IP() *ipv4.Stack { return &h.ip }
 
 // HostServer returns the HydraNet host-server facet.
-func (h *Host) HostServer() *hostserver.HostServer { return h.hs }
+func (h *Host) HostServer() *hostserver.HostServer { return &h.hs }
 
 // ICMP returns the host's ICMP layer (ping, error observation).
-func (h *Host) ICMP() *icmp.Stack { return h.icmp }
+func (h *Host) ICMP() *icmp.Stack { return &h.icmp }
 
 // Ping sends one ICMP echo to dst; done receives the outcome. Run the
 // network to let it complete.
@@ -263,7 +268,7 @@ func (h *Host) Traceroute(dst Addr, maxHops int, done func(hops []Addr)) {
 // FTManager returns the host's ft-TCP engine, initializing it on first use.
 func (h *Host) FTManager() *core.Manager {
 	if h.mgr == nil {
-		mgr, err := core.NewManager(h.tcp, h.udp, h.addr)
+		mgr, err := core.NewManager(&h.tcp, &h.udp, h.addr)
 		if err != nil {
 			panic(fmt.Sprintf("hydranet: %s: %v", h.name, err))
 		}
@@ -319,7 +324,7 @@ type Redirector struct {
 func (n *Net) AddRedirector(name string, cfg HostConfig) *Redirector {
 	h := n.AddHost(name, cfg)
 	h.ip.SetForwarding(true)
-	r := &Redirector{Host: h, rd: redirector.New(h.ip)}
+	r := &Redirector{Host: h, rd: redirector.New(&h.ip)}
 	r.rd.SetBus(n.bus)
 	n.redirectors = append(n.redirectors, r)
 	return r
@@ -332,7 +337,7 @@ func (r *Redirector) Table() *redirector.Redirector { return r.rd }
 // redirector must have an address, i.e. at least one link).
 func (r *Redirector) Daemon() *rmp.RedirectorDaemon {
 	if r.dmn == nil {
-		d, err := rmp.NewRedirectorDaemon(r.Host.udp, r.Host.node.Scheduler(), r.rd, r.Host.addr)
+		d, err := rmp.NewRedirectorDaemon(&r.Host.udp, r.Host.node.Scheduler(), r.rd, r.Host.addr)
 		if err != nil {
 			panic(fmt.Sprintf("hydranet: %s: %v", r.Host.name, err))
 		}
@@ -374,7 +379,7 @@ func (n *Net) Link(a, b *Host, cfg LinkConfig) *netsim.Link {
 // LinkAddr connects two hosts with explicit addresses. Both must share one
 // /24, distinct from every other link's.
 func (n *Net) LinkAddr(a, b *Host, cfg LinkConfig, aAddr, bAddr Addr) *netsim.Link {
-	l := n.fab.Connect(a.node, b.node, cfg)
+	l := n.fab.Connect(&a.node, &b.node, cfg)
 	aIf := a.node.NumInterfaces() - 1
 	bIf := b.node.NumInterfaces() - 1
 	a.ip.SetAddr(aIf, aAddr)
@@ -397,9 +402,12 @@ func (n *Net) LinkAddr(a, b *Host, cfg LinkConfig, aAddr, bAddr Addr) *netsim.Li
 // installs them on every node. Call it after the topology is final.
 func (n *Net) AutoRoute() {
 	// Adjacency by host index: host i's edges (neighbour, local ifindex) are
-	// edges[first[i]:first[i+1]], in link order.
+	// edges[first[i]:first[i+1]], in link order. One allocation holds the int
+	// scratch: first, fill, and the BFS's first hops (unreached < 0) and queue.
 	type edge struct{ peer, ifx int }
-	first := make([]int, len(n.hosts)+1)
+	nh := len(n.hosts)
+	ints := make([]int, 4*nh+1)
+	first, fill, firstHop, queue := ints[:nh+1], ints[nh+1:2*nh+1], ints[2*nh+1:3*nh+1], ints[3*nh+1:3*nh+1]
 	for _, li := range n.links {
 		first[li.a.idx+1]++
 		first[li.b.idx+1]++
@@ -408,18 +416,14 @@ func (n *Net) AutoRoute() {
 		first[i] += first[i-1]
 	}
 	edges := make([]edge, 2*len(n.links))
-	fill := append([]int(nil), first[:len(n.hosts)]...)
+	copy(fill, first)
 	for _, li := range n.links {
 		edges[fill[li.a.idx]] = edge{peer: li.b.idx, ifx: li.aIf}
 		fill[li.a.idx]++
 		edges[fill[li.b.idx]] = edge{peer: li.a.idx, ifx: li.bIf}
 		fill[li.b.idx]++
 	}
-	// Scratch reused for every host: the BFS's first-hop interface per host
-	// (unreached < 0), its queue, and the routes to install.
 	const unreached, source = -1, -2
-	firstHop := make([]int, len(n.hosts))
-	queue := make([]int, 0, len(n.hosts))
 	routes := make([]ipv4.Route, 0, 3*len(n.links)+1) // at most 3 per link and a default
 	for _, h := range n.hosts {
 		// BFS from h, remembering the first-hop interface.

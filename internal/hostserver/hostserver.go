@@ -5,7 +5,6 @@
 package hostserver
 
 import (
-	"fmt"
 	"sort"
 
 	"hydranet/internal/ipv4"
@@ -28,8 +27,12 @@ var _ ipv4.ProtocolHandler = (*HostServer)(nil)
 
 // New equips the given IP stack as a HydraNet host server. It registers
 // itself as the IP-in-IP (protocol 4) handler.
-func New(ip *ipv4.Stack) *HostServer {
-	h := &HostServer{ip: ip, vhosts: make(map[ipv4.Addr]int)}
+func New(ip *ipv4.Stack) *HostServer { return new(HostServer).Init(ip) }
+
+// Init is New for a HostServer embedded by value. The virtual-host table is
+// made by the first VHost.
+func (h *HostServer) Init(ip *ipv4.Stack) *HostServer {
+	h.ip = ip
 	ip.RegisterProto(ipv4.ProtoIPIP, h)
 	return h
 }
@@ -42,6 +45,9 @@ func (h *HostServer) IP() *ipv4.Stack { return h.ip }
 // here (by tunnel) reach local sockets. Multiple services may share a
 // virtual host; calls are reference-counted.
 func (h *HostServer) VHost(addr ipv4.Addr) {
+	if h.vhosts == nil {
+		h.vhosts = make(map[ipv4.Addr]int)
+	}
 	h.vhosts[addr]++
 	h.ip.AddLocalAddr(addr)
 }
@@ -100,9 +106,4 @@ func (h *HostServer) DeliverIP(outer *ipv4.Packet) {
 	if h.ip.Poisoned() {
 		inner.Scribble()
 	}
-}
-
-// String describes the host server for traces.
-func (h *HostServer) String() string {
-	return fmt.Sprintf("hostserver(%s, %d vhosts)", h.ip.Node().Name(), len(h.vhosts))
 }

@@ -126,14 +126,14 @@ var _ ipv4.ProtocolHandler = (*Stack)(nil)
 // NewStack creates the ICMP layer: it registers for protocol 1 and installs
 // itself as the IP stack's error reporter, so TTL expiry and routing
 // failures on this node emit Time Exceeded / Unreachable messages.
-func NewStack(ip *ipv4.Stack) *Stack {
-	s := &Stack{
-		ip:      ip,
-		sched:   ip.Scheduler(),
-		pending: make(map[echoKey]*pendingEcho),
-	}
+func NewStack(ip *ipv4.Stack) *Stack { return new(Stack).Init(ip) }
+
+// Init is NewStack for a Stack embedded by value. The table of outstanding
+// echoes is made by the first Ping.
+func (s *Stack) Init(ip *ipv4.Stack) *Stack {
+	s.ip, s.sched = ip, ip.Scheduler()
 	ip.RegisterProto(Protocol, s)
-	ip.SetErrorReporter(s.reportIPError)
+	ip.SetErrorReporter(s)
 	return s
 }
 
@@ -152,6 +152,9 @@ func (s *Stack) Ping(dst ipv4.Addr, ttl uint8, timeout time.Duration, done func(
 		delete(s.pending, key)
 		done(EchoResult{Seq: seq, TimedOut: true})
 	})
+	if s.pending == nil {
+		s.pending = make(map[echoKey]*pendingEcho)
+	}
 	s.pending[key] = p
 	msg := Message{Type: TypeEchoRequest, ID: id, Seq: seq, Payload: []byte("hydranet ping")}
 	pkt := &ipv4.Packet{
@@ -224,9 +227,10 @@ func (s *Stack) DeliverIP(pkt *ipv4.Packet) {
 	}
 }
 
-// reportIPError converts an IP-layer failure into the matching ICMP error,
-// quoting the offending packet's header plus 8 payload bytes, per RFC 792.
-func (s *Stack) reportIPError(reason ipv4.ErrorReason, offending *ipv4.Packet) {
+// ReportIPError implements ipv4.ErrorReporter: it converts an IP-layer
+// failure into the matching ICMP error, quoting the offending packet's header
+// plus 8 payload bytes, per RFC 792.
+func (s *Stack) ReportIPError(reason ipv4.ErrorReason, offending *ipv4.Packet) {
 	// Never generate errors about ICMP errors or non-initial fragments.
 	if offending.Proto == Protocol {
 		if m, err := Unmarshal(offending.Payload); err == nil &&

@@ -17,7 +17,7 @@ import (
 // checksum over it, so source selection already happened.
 func (s *Stack) SendSegment(proto uint8, src, dst Addr, fb *frame.Buf) error {
 	h := Header{TTL: DefaultTTL, Proto: proto, Src: src, Dst: dst, ID: s.allocID()}
-	if s.local[dst] {
+	if s.IsLocal(dst) {
 		// Loopback: deliver asynchronously so protocol code never reenters
 		// itself within one call stack. The frame must stay alive until the
 		// deferred delivery runs.

@@ -98,8 +98,7 @@ type fragSpan struct{ off, end int }
 
 // Reassembly is one datagram being put together from its fragments and, once
 // Add has returned it, the finished datagram. It is recycled: the byte
-// buffer, the span list and the bound expiry callback are kept from one
-// datagram to the next.
+// buffer and the span list are kept from one datagram to the next.
 //
 // The buffer is the reassembler's own, not a frame.Pool frame: a partial
 // datagram lives for up to ReassemblyTimeout, outside the fabric's
@@ -114,12 +113,18 @@ type Reassembly struct {
 	total   int        // payload length, -1 until the last fragment has arrived
 	spans   []fragSpan // what has arrived: ordered by offset, disjoint, not touching
 	spans0  [4]fragSpan
+	r       *Reassembler
 	expires sim.Event
-	expire  func() // timeout, bound once
 
 	// The pending list, oldest first — which is also expiry order, the
 	// timeout being constant. next chains the free list too.
 	prev, next *Reassembly
+}
+
+// OnTimer makes a pending datagram its own timeout's handler.
+func (e *Reassembly) OnTimer() {
+	e.r.Expired++
+	e.r.discard(e)
 }
 
 // Packet returns the finished datagram. It and its payload are valid until
@@ -157,8 +162,13 @@ type Reassembler struct {
 }
 
 // NewReassembler returns an empty reassembler.
-func NewReassembler(sched *sim.Scheduler) *Reassembler {
-	return &Reassembler{sched: sched, pending: make(map[fragKey]*Reassembly)}
+func NewReassembler(sched *sim.Scheduler) *Reassembler { return new(Reassembler).Init(sched) }
+
+// Init is NewReassembler for a Reassembler embedded by value. The pending
+// table is made by the first fragment: most stacks never see one.
+func (r *Reassembler) Init(sched *sim.Scheduler) *Reassembler {
+	r.sched = sched
+	return r
 }
 
 // Add ingests a fragment, copying its payload: p may alias a pooled frame
@@ -232,12 +242,8 @@ func (r *Reassembler) start(key fragKey) *Reassembly {
 	if e != nil {
 		r.free = e.next
 	} else {
-		e = &Reassembly{buf: make([]byte, reassemblyBufLen)}
+		e = &Reassembly{buf: make([]byte, reassemblyBufLen), r: r}
 		e.spans = e.spans0[:0]
-		e.expire = func() {
-			r.Expired++
-			r.discard(e)
-		}
 	}
 	e.key, e.high, e.total, e.spans = key, 0, -1, e.spans[:0]
 	e.prev, e.next = r.newest, nil
@@ -247,8 +253,11 @@ func (r *Reassembler) start(key fragKey) *Reassembly {
 		r.oldest = e
 	}
 	r.newest = e
+	if r.pending == nil {
+		r.pending = make(map[fragKey]*Reassembly)
+	}
 	r.pending[key] = e
-	e.expires = r.timeouts.At(r.sched, r.sched.Now()+ReassemblyTimeout, e.expire)
+	e.expires = r.timeouts.AtHandler(r.sched, r.sched.Now()+ReassemblyTimeout, e)
 	return e
 }
 

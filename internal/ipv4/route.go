@@ -2,7 +2,6 @@ package ipv4
 
 import (
 	"fmt"
-	"slices"
 	"strconv"
 	"strings"
 
@@ -108,8 +107,13 @@ func (t *RoutingTable) Add(rs ...Route) {
 			hosts++
 		}
 	}
-	t.hosts = slices.Grow(t.hosts, hosts)
-	t.nets = slices.Grow(t.nets, len(rs)-hosts)
+	// Not slices.Grow: under the race detector it allocates twice.
+	if n := len(t.hosts) + hosts; n > cap(t.hosts) {
+		t.hosts = append(make([]hostRoute, 0, n), t.hosts...)
+	}
+	if n := len(t.nets) + len(rs) - hosts; n > cap(t.nets) {
+		t.nets = append(make([]prefixRoute, 0, n), t.nets...)
+	}
 	for _, r := range rs {
 		t.add(r)
 	}

@@ -3,6 +3,7 @@ package ipv4
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"hydranet/internal/inet"
 	"hydranet/internal/netsim"
@@ -34,7 +35,9 @@ const (
 
 // ErrorReporter receives IP-layer failures together with the offending
 // packet; the ICMP layer turns them into control messages.
-type ErrorReporter func(reason ErrorReason, offending *Packet)
+type ErrorReporter interface {
+	ReportIPError(reason ErrorReason, offending *Packet)
+}
 
 // ForwardHook lets a router component (the HydraNet redirector) inspect and
 // possibly consume packets in the forwarding path. Returning true means the
@@ -58,11 +61,11 @@ type Stack struct {
 	node  *netsim.Node
 	sched *sim.Scheduler
 
-	local      map[Addr]bool // addresses delivered locally (iface + virtual hosts)
-	ifaceAddrs []Addr        // primary address per interface, for source selection
+	local      []Addr // addresses delivered locally (iface + virtual hosts), each once
+	ifaceAddrs []Addr // primary address per interface, for source selection
 	routes     RoutingTable
 	protos     [numProtos]ProtocolHandler // by protoSlot
-	reasm      *Reassembler
+	reasm      Reassembler
 	nextID     uint16
 	forwarding bool
 	fwdHook    ForwardHook
@@ -79,19 +82,24 @@ type Stack struct {
 	encap []byte
 
 	stats StackStats
+
+	// The tables' backing up to four interfaces and one virtual host.
+	local0      [5]Addr
+	ifaceAddrs0 [4]Addr
 }
 
 var _ netsim.FrameHandler = (*Stack)(nil)
 
 // NewStack creates an IPv4 stack and installs it as the node's frame
 // handler.
-func NewStack(node *netsim.Node, sched *sim.Scheduler) *Stack {
-	s := &Stack{
-		node:  node,
-		sched: sched,
-		local: make(map[Addr]bool),
-		reasm: NewReassembler(sched),
-	}
+func NewStack(node *netsim.Node, sched *sim.Scheduler) *Stack { return new(Stack).Init(node, sched) }
+
+// Init is NewStack for a Stack embedded by value, which must not be copied
+// afterwards.
+func (s *Stack) Init(node *netsim.Node, sched *sim.Scheduler) *Stack {
+	s.node, s.sched = node, sched
+	s.local, s.ifaceAddrs = s.local0[:0], s.ifaceAddrs0[:0]
+	s.reasm.Init(sched)
 	node.SetHandler(s)
 	return s
 }
@@ -120,7 +128,7 @@ func (s *Stack) SetAddr(ifindex int, a Addr) {
 		s.ifaceAddrs = append(s.ifaceAddrs, 0)
 	}
 	s.ifaceAddrs[ifindex] = a
-	s.local[a] = true
+	s.AddLocalAddr(a)
 }
 
 // Addr returns the primary address of interface ifindex (zero if unset).
@@ -133,25 +141,27 @@ func (s *Stack) Addr(ifindex int) Addr {
 
 // IsInterfaceAddr reports whether a is assigned to one of the stack's
 // interfaces (as opposed to a virtual-host address).
-func (s *Stack) IsInterfaceAddr(a Addr) bool {
-	for _, x := range s.ifaceAddrs {
-		if x == a && a != 0 {
-			return true
-		}
-	}
-	return false
-}
+func (s *Stack) IsInterfaceAddr(a Addr) bool { return a != 0 && slices.Contains(s.ifaceAddrs, a) }
 
 // AddLocalAddr marks an address as locally delivered without binding it to
 // an interface. Host servers use this to host virtual hosts: services known
 // to the world under the IP address of another machine (paper Section 3).
-func (s *Stack) AddLocalAddr(a Addr) { s.local[a] = true }
+func (s *Stack) AddLocalAddr(a Addr) {
+	if !s.IsLocal(a) {
+		s.local = append(s.local, a)
+	}
+}
 
 // RemoveLocalAddr withdraws a virtual-host address.
-func (s *Stack) RemoveLocalAddr(a Addr) { delete(s.local, a) }
+func (s *Stack) RemoveLocalAddr(a Addr) {
+	if i := slices.Index(s.local, a); i >= 0 {
+		s.local = slices.Delete(s.local, i, i+1)
+	}
+}
 
-// IsLocal reports whether the stack delivers datagrams for a locally.
-func (s *Stack) IsLocal(a Addr) bool { return s.local[a] }
+// IsLocal reports whether the stack delivers datagrams for a locally. The
+// set is a handful of addresses, so a scan beats a hash.
+func (s *Stack) IsLocal(a Addr) bool { return slices.Contains(s.local, a) }
 
 // Routes exposes the routing table for topology construction.
 func (s *Stack) Routes() *RoutingTable { return &s.routes }
@@ -163,13 +173,13 @@ func (s *Stack) SetForwarding(on bool) { s.forwarding = on }
 func (s *Stack) SetForwardHook(h ForwardHook) { s.fwdHook = h }
 
 // SetErrorReporter installs the ICMP layer's failure observer.
-func (s *Stack) SetErrorReporter(fn ErrorReporter) { s.reporter = fn }
+func (s *Stack) SetErrorReporter(r ErrorReporter) { s.reporter = r }
 
 // ReportError lets transport layers report delivery failures (e.g. UDP
 // port unreachable) into the same channel as IP-layer failures.
 func (s *Stack) ReportError(reason ErrorReason, offending *Packet) {
 	if s.reporter != nil {
-		s.reporter(reason, offending)
+		s.reporter.ReportIPError(reason, offending)
 	}
 }
 
@@ -207,7 +217,7 @@ func (s *Stack) RegisterProto(proto uint8, h ProtocolHandler) {
 // outgoing interface. The payload is not copied; callers must not reuse it.
 func (s *Stack) Send(proto uint8, src, dst Addr, payload []byte) error {
 	h := Header{TTL: DefaultTTL, Proto: proto, Src: src, Dst: dst, ID: s.allocID()}
-	if s.local[dst] {
+	if s.IsLocal(dst) {
 		// Loopback: deliver asynchronously so protocol code never
 		// reenters itself within one call stack.
 		s.stats.Originated++
@@ -300,7 +310,7 @@ func (s *Stack) HandleFrame(ifindex int, frame []byte) {
 
 // input delivers or forwards one parsed frame.
 func (s *Stack) input(p *Packet) {
-	if s.local[p.Dst] || p.Dst == inet.Broadcast {
+	if s.IsLocal(p.Dst) || p.Dst == inet.Broadcast {
 		s.InjectLocal(p)
 		return
 	}

@@ -2,6 +2,7 @@ package ipv4
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 	"time"
 
@@ -334,5 +335,50 @@ func TestNoProtoHandlerCounted(t *testing.T) {
 	sched.Run()
 	if got := ss.Stats().NoProto; got != 1 {
 		t.Errorf("NoProto = %d, want 1", got)
+	}
+}
+
+// TestLocalAddrTable steps one router's set of local addresses through
+// AddLocalAddr and RemoveLocalAddr, over its two interface addresses and
+// more virtual hosts than the set holds inline, checking IsLocal for every
+// address after each step. It is a set: adding twice needs one removal, and
+// a removal withdraws an interface's address too (the host server never
+// asks for that) while the interface keeps it.
+func TestLocalAddrTable(t *testing.T) {
+	_, _, rs, _ := threeNodeNet(t, netsim.LinkConfig{})
+	if0, if1 := inet.MustParseAddr("10.1.0.1"), inet.MustParseAddr("10.2.0.1")
+	v := func(i byte) Addr { return AddrFrom4(192, 20, 225, i) }
+	all := []Addr{if0, if1, v(1), v(2), v(3), v(4), v(5), v(6)}
+	for i, st := range []struct {
+		add   bool
+		a     Addr
+		local []Addr
+	}{
+		{true, v(1), []Addr{if0, if1, v(1)}},
+		{true, v(1), []Addr{if0, if1, v(1)}},
+		{true, if0, []Addr{if0, if1, v(1)}},
+		{true, v(2), []Addr{if0, if1, v(1), v(2)}},
+		{true, v(3), []Addr{if0, if1, v(1), v(2), v(3)}},
+		{true, v(4), []Addr{if0, if1, v(1), v(2), v(3), v(4)}},
+		{true, v(5), []Addr{if0, if1, v(1), v(2), v(3), v(4), v(5)}},
+		{false, v(3), []Addr{if0, if1, v(1), v(2), v(4), v(5)}},
+		{false, v(1), []Addr{if0, if1, v(2), v(4), v(5)}},
+		{false, v(6), []Addr{if0, if1, v(2), v(4), v(5)}},
+		{false, if1, []Addr{if0, v(2), v(4), v(5)}},
+		{true, if1, []Addr{if0, if1, v(2), v(4), v(5)}},
+	} {
+		if st.add {
+			rs.AddLocalAddr(st.a)
+		} else {
+			rs.RemoveLocalAddr(st.a)
+		}
+		for _, a := range all {
+			if got, want := rs.IsLocal(a), slices.Contains(st.local, a); got != want {
+				t.Errorf("step %d (add %v %s): IsLocal(%s) = %v, want %v", i, st.add, st.a, a, got, want)
+			}
+		}
+		if rs.Addr(1) != if1 || !rs.IsInterfaceAddr(if1) {
+			t.Errorf("step %d: interface 1's address is %s, want %s", i, rs.Addr(1), if1)
+		}
 	}
 }

@@ -38,8 +38,6 @@ type FrameTap func(from, to *Node, data []byte)
 // frame pool and one event bus.
 type Network struct {
 	sched  *sim.Scheduler
-	nodes  []*Node
-	links  []*Link
 	bus    *obs.Bus
 	pool   *frame.Pool
 	tap    FrameTap
@@ -84,16 +82,14 @@ type NodeConfig struct {
 }
 
 // AddNode creates a node in the network.
-func (n *Network) AddNode(cfg NodeConfig) *Node {
-	node := &Node{
-		net:         n,
-		name:        cfg.Name,
-		procDelay:   cfg.ProcDelay,
-		procPerByte: cfg.ProcPerByte,
-		alive:       true,
-	}
-	n.nodes = append(n.nodes, node)
-	return node
+func (n *Network) AddNode(cfg NodeConfig) *Node { return n.InitNode(new(Node), cfg) }
+
+// InitNode is AddNode for a Node embedded by value, which must not be copied
+// afterwards.
+func (n *Network) InitNode(nd *Node, cfg NodeConfig) *Node {
+	*nd = Node{net: n, name: cfg.Name, procDelay: cfg.ProcDelay, procPerByte: cfg.ProcPerByte, alive: true}
+	nd.ifaces = nd.ifaces0[:0]
+	return nd
 }
 
 // LinkConfig describes one duplex link.
@@ -136,7 +132,6 @@ func (n *Network) Connect(a, b *Node, cfg LinkConfig) *Link {
 	l.ends[1] = endpoint{node: b, ifindex: len(b.ifaces)}
 	a.ifaces = append(a.ifaces, iface{link: l, side: 0})
 	b.ifaces = append(b.ifaces, iface{link: l, side: 1})
-	n.links = append(n.links, l)
 	return l
 }
 
@@ -147,6 +142,7 @@ type Node struct {
 	procDelay   time.Duration
 	procPerByte time.Duration
 	ifaces      []iface
+	ifaces0     [4]iface // ifaces' backing while a node has at most four links
 	handler     FrameHandler
 	alive       bool
 	cpuFree     time.Duration // virtual time the CPU becomes idle

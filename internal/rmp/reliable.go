@@ -47,7 +47,8 @@ type relPending struct {
 	timer    sim.Timer
 	dst      udp.Endpoint
 	peer     *peer
-	frame    []byte // header and payload; reused by the record's next datagram
+	frame    []byte                      // header and payload; reused by the record's next datagram
+	frame0   [relHeaderLen + msgLen]byte // frame's backing for all but MIRROR
 	seq      uint32
 	tries    int
 	sentAt   time.Duration // first transmission, for the RTT sample
@@ -119,6 +120,7 @@ func (r *Reliable) Send(dst udp.Endpoint, m *Message, onResult func(delivered bo
 		r.free, p.next = p.next, nil
 	} else {
 		p = &relPending{r: r}
+		p.frame = p.frame0[:0]
 		p.timer.InitHandler(r.sched, p)
 	}
 	r.nextSeq++

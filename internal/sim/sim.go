@@ -122,12 +122,19 @@ type Scheduler struct {
 	rng     *rand.Rand
 	fired   uint64
 	running bool
+
+	// The backing of heap and chunks while they are small: a fail-over
+	// scenario on a fresh network stays within both.
+	heap0   [64]slot
+	chunks0 [16]*[chunkSize]eventNode
 }
 
 // NewScheduler returns a scheduler with its clock at zero and a PRNG seeded
 // with the given seed.
 func NewScheduler(seed int64) *Scheduler {
-	return &Scheduler{rng: rand.New(rand.NewSource(seed))}
+	s := &Scheduler{rng: rand.New(rand.NewSource(seed))}
+	s.heap, s.chunks = s.heap0[:0], s.chunks0[:0]
+	return s
 }
 
 // Now returns the current virtual time.

@@ -153,15 +153,14 @@ type Stack struct {
 var _ ipv4.ProtocolHandler = (*Stack)(nil)
 
 // NewStack creates the TCP layer and registers it with the IP stack.
-func NewStack(ip *ipv4.Stack, cfg Config) *Stack {
-	s := &Stack{
-		ip:        ip,
-		sched:     ip.Scheduler(),
-		cfg:       DefaultConfig(cfg),
-		conns:     make(map[connKey]*Conn),
-		listeners: make(map[inet.Key]*Listener),
-		ephemeral: firstEphemeral,
-	}
+func NewStack(ip *ipv4.Stack, cfg Config) *Stack { return new(Stack).Init(ip, cfg) }
+
+// Init is NewStack for a Stack embedded by value, which must not be copied
+// afterwards. The tables are made by their first entry: a router never
+// writes either, a client never listens.
+func (s *Stack) Init(ip *ipv4.Stack, cfg Config) *Stack {
+	s.ip, s.sched, s.cfg = ip, ip.Scheduler(), DefaultConfig(cfg)
+	s.ephemeral = firstEphemeral
 	s.bufs.frames = ip.Node().Pool()
 	ip.RegisterProto(ipv4.ProtoTCP, s)
 	return s
@@ -236,6 +235,9 @@ func (s *Stack) Listen(addr ipv4.Addr, port uint16) (*Listener, error) {
 		return nil, fmt.Errorf("%w: %s", ErrListenBusy, key)
 	}
 	l := &Listener{stack: s, local: key}
+	if s.listeners == nil {
+		s.listeners = make(map[inet.Key]*Listener)
+	}
 	s.listeners[key.Key()] = l
 	return l, nil
 }
@@ -257,7 +259,7 @@ func (s *Stack) Connect(localAddr ipv4.Addr, remote Endpoint) (*Conn, error) {
 	}
 	c := new(Conn)
 	c.initConn(s, local, remote)
-	s.conns[keyOf(local, remote)] = c
+	s.addConn(c)
 	c.open()
 	return c, nil
 }
@@ -327,7 +329,7 @@ func (s *Stack) input(p *ipv4.Packet, seg *Segment) {
 		}
 		c.initConn(s, local, remote)
 		c.hooks, c.acceptFn = hooks, l.accept
-		s.conns[keyOf(local, remote)] = c
+		s.addConn(c)
 		c.openPassive(seg)
 		return
 	}
@@ -364,6 +366,13 @@ func (s *Stack) transmit(local, remote Endpoint, seg *Segment) {
 	seg.MarshalInto(fb.Bytes(), local.Addr, remote.Addr)
 	// Errors (no route) surface as drops; TCP recovers by retransmission.
 	_ = s.ip.SendSegment(ipv4.ProtoTCP, local.Addr, remote.Addr, fb) //nolint:errcheck
+}
+
+func (s *Stack) addConn(c *Conn) {
+	if s.conns == nil {
+		s.conns = make(map[connKey]*Conn)
+	}
+	s.conns[keyOf(c.local, c.remote)] = c
 }
 
 func (s *Stack) removeConn(c *Conn) {

@@ -8,6 +8,7 @@ package udp
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"hydranet/internal/inet"
 	"hydranet/internal/ipv4"
@@ -79,6 +80,7 @@ func Unmarshal(src, dst ipv4.Addr, b []byte) (srcPort, dstPort uint16, payload [
 type RecvFunc func(from Endpoint, local ipv4.Addr, payload []byte)
 
 type binding struct {
+	port uint16
 	addr ipv4.Addr // 0 = any local address
 	recv RecvFunc
 }
@@ -86,9 +88,10 @@ type binding struct {
 // Stack is the per-node UDP layer.
 type Stack struct {
 	ip *ipv4.Stack
-	// bindings is keyed by the port widened to 32 bits: a uint16 key is
-	// hashed by the generic path, a uint32 one takes the map's fast path.
-	bindings map[uint32][]*binding
+	// bindings is a handful on any host (the acknowledgment channel, the
+	// management daemon, a UDP service or two), so a scan beats a hash.
+	bindings  []binding
+	bindings0 [4]binding // bindings' backing while there are at most four
 
 	// Stats
 	delivered, noListener, badDatagram uint64
@@ -97,8 +100,12 @@ type Stack struct {
 var _ ipv4.ProtocolHandler = (*Stack)(nil)
 
 // NewStack creates the UDP layer and registers it with the IP stack.
-func NewStack(ip *ipv4.Stack) *Stack {
-	s := &Stack{ip: ip, bindings: make(map[uint32][]*binding)}
+func NewStack(ip *ipv4.Stack) *Stack { return new(Stack).Init(ip) }
+
+// Init is NewStack for a Stack embedded by value, which must not be copied
+// afterwards.
+func (s *Stack) Init(ip *ipv4.Stack) *Stack {
+	s.ip, s.bindings = ip, s.bindings0[:0]
 	ip.RegisterProto(ipv4.ProtoUDP, s)
 	return s
 }
@@ -111,28 +118,28 @@ func (s *Stack) Stats() (delivered, noListener, bad uint64) {
 // Bind registers recv for datagrams to (addr, port). addr 0 binds all local
 // addresses. Binding the same (addr, port) twice fails.
 func (s *Stack) Bind(addr ipv4.Addr, port uint16, recv RecvFunc) error {
-	for _, b := range s.bindings[uint32(port)] {
-		if b.addr == addr {
-			return fmt.Errorf("%w: %s:%d", ErrPortInUse, addr, port)
-		}
+	if s.find(addr, port) >= 0 {
+		return fmt.Errorf("%w: %s:%d", ErrPortInUse, addr, port)
 	}
-	s.bindings[uint32(port)] = append(s.bindings[uint32(port)], &binding{addr: addr, recv: recv})
+	s.bindings = append(s.bindings, binding{port: port, addr: addr, recv: recv})
 	return nil
 }
 
 // Unbind removes the binding for (addr, port).
 func (s *Stack) Unbind(addr ipv4.Addr, port uint16) {
-	list := s.bindings[uint32(port)]
-	for i, b := range list {
-		if b.addr == addr {
-			if list = append(list[:i], list[i+1:]...); len(list) > 0 {
-				s.bindings[uint32(port)] = list
-			} else {
-				delete(s.bindings, uint32(port))
-			}
-			return
+	if i := s.find(addr, port); i >= 0 {
+		s.bindings = slices.Delete(s.bindings, i, i+1)
+	}
+}
+
+// find returns the index of the binding for (addr, port), or -1.
+func (s *Stack) find(addr ipv4.Addr, port uint16) int {
+	for i, b := range s.bindings {
+		if b.port == port && b.addr == addr {
+			return i
 		}
 	}
+	return -1
 }
 
 // SendTo transmits a datagram from (srcAddr, srcPort) to dst. A zero
@@ -165,20 +172,23 @@ func (s *Stack) DeliverIP(p *ipv4.Packet) {
 		s.badDatagram++
 		return
 	}
-	var anyMatch *binding
-	for _, b := range s.bindings[uint32(dstPort)] {
+	// The binding for the datagram's own address wins over a wildcard.
+	var recv RecvFunc
+	for _, b := range s.bindings {
+		if b.port != dstPort {
+			continue
+		}
 		if b.addr == p.Dst {
-			s.delivered++
-			b.recv(Endpoint{Addr: p.Src, Port: srcPort}, p.Dst, payload)
-			return
+			recv = b.recv
+			break
 		}
 		if b.addr == 0 {
-			anyMatch = b
+			recv = b.recv
 		}
 	}
-	if anyMatch != nil {
+	if recv != nil {
 		s.delivered++
-		anyMatch.recv(Endpoint{Addr: p.Src, Port: srcPort}, p.Dst, payload)
+		recv(Endpoint{Addr: p.Src, Port: srcPort}, p.Dst, payload)
 		return
 	}
 	s.noListener++

@@ -169,3 +169,54 @@ func TestVirtualHostDemux(t *testing.T) {
 
 // ubIPStack exposes the IP stack for tests in this package.
 func ubIPStack(s *Stack) *ipv4.Stack { return s.ip }
+
+// TestBindingTable drives one port's two bindings — the wildcard and the
+// host's own address — in both bind orders and through each Unbind. After
+// every step a datagram goes to the host's own address and one to a virtual
+// host: the specific binding wins for its address, the wildcard takes the
+// rest.
+func TestBindingTable(t *testing.T) {
+	own, vhost := inet.MustParseAddr("10.0.0.2"), inet.MustParseAddr("192.20.225.20")
+	name := map[ipv4.Addr]string{0: "wildcard", own: "own"}
+	for _, tc := range []struct {
+		name   string
+		bind   []ipv4.Addr
+		unbind []ipv4.Addr
+		// per check, first before any Unbind: the binding that a datagram
+		// to own, then one to vhost, reaches ("" for none)
+		want [][2]string
+	}{
+		{"wildcard first", []ipv4.Addr{0, own}, nil, [][2]string{{"own", "wildcard"}}},
+		{"own first", []ipv4.Addr{own, 0}, nil, [][2]string{{"own", "wildcard"}}},
+		{"unbind own", []ipv4.Addr{0, own}, []ipv4.Addr{own},
+			[][2]string{{"own", "wildcard"}, {"wildcard", "wildcard"}}},
+		{"unbind wildcard", []ipv4.Addr{own, 0}, []ipv4.Addr{0},
+			[][2]string{{"own", "wildcard"}, {"own", ""}}},
+		{"unbind both", []ipv4.Addr{own, 0}, []ipv4.Addr{own, 0},
+			[][2]string{{"own", "wildcard"}, {"wildcard", "wildcard"}, {"", ""}}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sched, ua, ub, _, _ := twoHosts(t)
+			ubIPStack(ub).AddLocalAddr(vhost)
+			var hit string
+			for _, a := range tc.bind {
+				if err := ub.Bind(a, 80, func(Endpoint, ipv4.Addr, []byte) { hit = name[a] }); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for i, want := range tc.want {
+				if i > 0 {
+					ub.Unbind(tc.unbind[i-1], 80)
+				}
+				for j, dst := range []ipv4.Addr{own, vhost} {
+					hit = ""
+					_ = ua.SendTo(0, 1234, Endpoint{Addr: dst, Port: 80}, []byte("x"))
+					sched.Run()
+					if hit != want[j] {
+						t.Errorf("check %d: datagram to %s reached %q, want %q", i, dst, hit, want[j])
+					}
+				}
+			}
+		})
+	}
+}

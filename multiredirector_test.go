@@ -47,7 +47,7 @@ func (w *twoISPs) echoed(t *testing.T) func(*testbed.Run) {
 		if !w.b.Echoed() {
 			t.Errorf("client B (mirror side): %d bytes, garbled=%v: want exactly the echo", w.b.Delivered, w.b.Garbled)
 		}
-		logDeliveryChecks(t, r)
+		deliveryChecks(t, r)
 	}
 }
 

@@ -129,7 +129,7 @@ func TestManyClientsSurviveFailover(t *testing.T) {
 				t.Errorf("replica %s tracks %d conns, want %d", rep.Host.Name(), got, n)
 			}
 		}
-		logDeliveryChecks(t, r)
+		deliveryChecks(t, r)
 	}})
 }
 

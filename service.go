@@ -16,7 +16,7 @@ func (h *Host) Daemon(rd *Redirector) *rmp.HostDaemon {
 	if h.dmn == nil {
 		// Make sure the redirector side is listening before we register.
 		rd.Daemon()
-		d, err := rmp.NewHostDaemon(h.udp, h.node.Scheduler(), h.FTManager(), h.hs, h.tcp,
+		d, err := rmp.NewHostDaemon(&h.udp, h.node.Scheduler(), h.FTManager(), &h.hs, &h.tcp,
 			h.addr, rd.Host.addr)
 		if err != nil {
 			panic(fmt.Sprintf("hydranet: %s: %v", h.name, err))

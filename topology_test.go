@@ -45,7 +45,7 @@ func TestMultiHopRouting(t *testing.T) {
 		if r1.IP().Stats().Forwarded == 0 || r2.IP().Stats().Forwarded == 0 {
 			t.Error("intermediate routers forwarded nothing")
 		}
-		logDeliveryChecks(t, r)
+		deliveryChecks(t, r)
 	}})
 }
 
