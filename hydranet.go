@@ -30,6 +30,7 @@ package hydranet
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"hydranet/internal/core"
@@ -116,8 +117,9 @@ type Net struct {
 	session  *Session
 	deployed bool
 
-	hosts0 [8]*Host     // hosts' backing up to eight hosts
-	links0 [16]linkInfo // links' backing up to sixteen links
+	hosts0       [8]*Host       // hosts' backing up to eight hosts
+	redirectors0 [2]*Redirector // redirectors' backing up to two redirectors
+	links0       [16]linkInfo   // links' backing up to sixteen links
 }
 
 type linkInfo struct {
@@ -133,7 +135,7 @@ type linkInfo struct {
 func New(cfg Config) *Net {
 	s := sim.NewScheduler(cfg.Seed)
 	n := &Net{cfg: cfg, sched: s, fab: netsim.New(s), bus: obs.NewBus(s.Now)}
-	n.hosts, n.links = n.hosts0[:0], n.links0[:0]
+	n.hosts, n.redirectors, n.links = n.hosts0[:0], n.redirectors0[:0], n.links0[:0]
 	n.fab.SetBus(n.bus)
 	return n
 }
@@ -316,7 +318,7 @@ func (h *Host) Listen(addr Addr, port uint16) (*Listener, error) {
 type Redirector struct {
 	// Host is the underlying router node (for linking and addressing).
 	Host *Host
-	rd   *redirector.Redirector
+	rd   redirector.Redirector
 	dmn  *rmp.RedirectorDaemon
 }
 
@@ -324,20 +326,20 @@ type Redirector struct {
 func (n *Net) AddRedirector(name string, cfg HostConfig) *Redirector {
 	h := n.AddHost(name, cfg)
 	h.ip.SetForwarding(true)
-	r := &Redirector{Host: h, rd: redirector.New(&h.ip)}
-	r.rd.SetBus(n.bus)
+	r := &Redirector{Host: h}
+	r.rd.Init(&h.ip).SetBus(n.bus)
 	n.redirectors = append(n.redirectors, r)
 	return r
 }
 
 // Table exposes the redirector table (inspection, manual setup).
-func (r *Redirector) Table() *redirector.Redirector { return r.rd }
+func (r *Redirector) Table() *redirector.Redirector { return &r.rd }
 
 // Daemon returns the management daemon, initializing it on first use (the
 // redirector must have an address, i.e. at least one link).
 func (r *Redirector) Daemon() *rmp.RedirectorDaemon {
 	if r.dmn == nil {
-		d, err := rmp.NewRedirectorDaemon(&r.Host.udp, r.Host.node.Scheduler(), r.rd, r.Host.addr)
+		d, err := rmp.NewRedirectorDaemon(&r.Host.udp, r.Host.node.Scheduler(), &r.rd, r.Host.addr)
 		if err != nil {
 			panic(fmt.Sprintf("hydranet: %s: %v", r.Host.name, err))
 		}
@@ -477,7 +479,7 @@ func (n *Net) AutoRoute() {
 		// traffic for replicated services — addresses that may belong to
 		// no physical host — flows through redirectors ("the ISP routes
 		// its traffic through a redirector", paper Section 1).
-		if !n.isRedirector(h) {
+		if !slices.ContainsFunc(n.redirectors, func(r *Redirector) bool { return r.Host == h }) {
 			for _, r := range n.redirectors {
 				if ifx := firstHop[r.Host.idx]; ifx >= 0 {
 					routes = append(routes, ipv4.Route{Ifindex: ifx})
@@ -487,13 +489,4 @@ func (n *Net) AutoRoute() {
 		}
 		h.ip.Routes().Add(routes...)
 	}
-}
-
-func (n *Net) isRedirector(h *Host) bool {
-	for _, r := range n.redirectors {
-		if r.Host == h {
-			return true
-		}
-	}
-	return false
 }

@@ -10,6 +10,9 @@
 package redirector
 
 import (
+	"encoding/binary"
+	"slices"
+
 	"hydranet/internal/inet"
 	"hydranet/internal/ipv4"
 	"hydranet/internal/obs"
@@ -25,25 +28,15 @@ type Target struct {
 	Metric int
 }
 
-// Entry is one redirector-table row.
+// Entry is one redirector-table row: a fault-tolerant service's chain, or
+// a scaling service's targets.
 type Entry struct {
-	// FT selects fault-tolerant multicast mode; otherwise scaling mode.
-	FT bool
-	// Primary and Backups are the FT replica set, in chain order
-	// S0 (primary) first.
-	Primary ipv4.Addr
-	Backups []ipv4.Addr
+	// Chain is the FT replica set in chain order, S0 (the primary) first —
+	// the management daemon's chain, written only by SetFTReplicas. Empty
+	// in scaling mode.
+	Chain []ipv4.Addr
 	// Targets are the scaling-mode replicas.
 	Targets []Target
-}
-
-// numReplicas counts the hosts the entry redirects to in FT mode.
-func (e *Entry) numReplicas() int {
-	n := len(e.Backups)
-	if e.Primary != 0 {
-		n++
-	}
-	return n
 }
 
 // Stats counts redirector activity.
@@ -75,8 +68,12 @@ type Redirector struct {
 
 // New installs a redirector on the given stack. The stack must have
 // forwarding enabled to see transit traffic.
-func New(ip *ipv4.Stack) *Redirector {
-	r := &Redirector{ip: ip, table: make(map[inet.Key]*Entry)}
+func New(ip *ipv4.Stack) *Redirector { return new(Redirector).Init(ip) }
+
+// Init is New for a Redirector embedded by value, which must not be copied
+// afterwards.
+func (r *Redirector) Init(ip *ipv4.Stack) *Redirector {
+	r.ip, r.table = ip, make(map[inet.Key]*Entry)
 	ip.SetForwardHook(r.intercept)
 	return r
 }
@@ -102,58 +99,39 @@ func (r *Redirector) SetHeardHook(fn func(member ipv4.Addr)) { r.heard = fn }
 
 func (r *Redirector) nodeName() string { return r.ip.Node().Name() }
 
-// Install adds or replaces a table entry.
-func (r *Redirector) Install(key ServiceKey, e *Entry) {
-	r.table[key.Key()] = e
-}
-
 // Remove deletes a table entry.
-func (r *Redirector) Remove(key ServiceKey) {
-	delete(r.table, key.Key())
-}
+func (r *Redirector) Remove(key ServiceKey) { delete(r.table, key.Key()) }
 
 // Lookup returns the entry for key, or nil.
-func (r *Redirector) Lookup(key ServiceKey) *Entry {
-	return r.table[key.Key()]
-}
-
-// Services lists the installed service keys (sorted, for stable output).
-func (r *Redirector) Services() []ServiceKey {
-	keys := inet.SortedKeys(r.table)
-	out := make([]ServiceKey, len(keys))
-	for i, k := range keys {
-		out[i] = inet.EndpointOf(k)
-	}
-	return out
-}
+func (r *Redirector) Lookup(key ServiceKey) *Entry { return r.table[key.Key()] }
 
 // NumServices returns the number of installed table entries — the
-// redirector table-size gauge, read per sampling tick without the sort
-// Services pays for.
+// redirector table-size gauge.
 func (r *Redirector) NumServices() int { return len(r.table) }
 
-// AddTarget adds a scaling-mode replica for key, creating the entry if
-// needed.
-func (r *Redirector) AddTarget(key ServiceKey, t Target) {
+// entry returns key's entry, making an empty one if there is none.
+func (r *Redirector) entry(key ServiceKey) *Entry {
 	e := r.table[key.Key()]
 	if e == nil {
-		e = &Entry{}
+		e = new(Entry)
 		r.table[key.Key()] = e
 	}
+	return e
+}
+
+// AddTarget adds a scaling-mode replica for key.
+func (r *Redirector) AddTarget(key ServiceKey, t Target) {
+	e := r.entry(key)
 	e.Targets = append(e.Targets, t)
 }
 
-// SetFTReplicas installs or updates the FT replica set for key, primary
-// first.
+// SetFTReplicas installs or updates the FT chain for key: primary, then the
+// backups in chain order. It copies them into the entry's own backing, so
+// the caller may reuse backups, and a chain no longer than the entry's
+// last allocates nothing.
 func (r *Redirector) SetFTReplicas(key ServiceKey, primary ipv4.Addr, backups []ipv4.Addr) {
-	e := r.table[key.Key()]
-	if e == nil {
-		e = &Entry{}
-		r.table[key.Key()] = e
-	}
-	e.FT = true
-	e.Primary = primary
-	e.Backups = append([]ipv4.Addr(nil), backups...)
+	e := r.entry(key)
+	e.Chain = append(append(slices.Grow(e.Chain[:0], 1+len(backups)), primary), backups...)
 }
 
 // RemoveTarget removes a scaling-mode replica for key (voluntary leave).
@@ -162,66 +140,34 @@ func (r *Redirector) RemoveTarget(key ServiceKey, host ipv4.Addr) {
 	if e == nil {
 		return
 	}
-	for i, t := range e.Targets {
-		if t.Host == host {
-			e.Targets = append(e.Targets[:i], e.Targets[i+1:]...)
-			break
-		}
+	if i := slices.IndexFunc(e.Targets, func(t Target) bool { return t.Host == host }); i >= 0 {
+		e.Targets = slices.Delete(e.Targets, i, i+1)
 	}
-	if !e.FT && len(e.Targets) == 0 {
+	if len(e.Chain) == 0 && len(e.Targets) == 0 {
 		delete(r.table, key.Key())
 	}
-}
-
-// RemoveReplica removes a failed host from an FT entry. If the primary was
-// removed, the first backup is promoted in the table. It returns the new
-// primary (zero if the entry emptied out).
-func (r *Redirector) RemoveReplica(key ServiceKey, host ipv4.Addr) ipv4.Addr {
-	e := r.table[key.Key()]
-	if e == nil || !e.FT {
-		return 0
-	}
-	if e.Primary == host {
-		if len(e.Backups) == 0 {
-			e.Primary = 0
-			return 0
-		}
-		e.Primary = e.Backups[0]
-		e.Backups = append([]ipv4.Addr(nil), e.Backups[1:]...)
-		return e.Primary
-	}
-	for i, b := range e.Backups {
-		if b == host {
-			e.Backups = append(e.Backups[:i], e.Backups[i+1:]...)
-			break
-		}
-	}
-	return e.Primary
 }
 
 // intercept is the forward-path hook: it inspects transit packets and
 // consumes those matching the redirector table.
 func (r *Redirector) intercept(p *ipv4.Packet) bool {
+	// Ports live in the first 4 bytes of the transport header; only first
+	// fragments carry them. TCP segments never exceed the MSS in this
+	// stack, so in practice inner packets arrive unfragmented.
+	ports := (p.Proto == ipv4.ProtoTCP || p.Proto == ipv4.ProtoUDP) && p.FragOff == 0 && len(p.Payload) >= 4
 	if r.heard != nil {
-		r.heard(r.sender(p))
+		r.heard(r.sender(p, ports))
 	}
-	// Ports live in the first 4 bytes of the transport header; only
-	// first fragments carry them. TCP segments never exceed the MSS in
-	// this stack, so in practice inner packets arrive unfragmented.
-	if p.Proto != ipv4.ProtoTCP && p.Proto != ipv4.ProtoUDP {
+	if !ports {
 		return false
 	}
-	if p.FragOff != 0 || len(p.Payload) < 4 {
-		return false
-	}
-	dstPort := uint16(p.Payload[2])<<8 | uint16(p.Payload[3])
-	key := ServiceKey{Addr: p.Dst, Port: dstPort}
+	key := ServiceKey{Addr: p.Dst, Port: binary.BigEndian.Uint16(p.Payload[2:])}
 	e := r.table[key.Key()]
 	if e == nil {
 		r.stats.PassedThrough++
 		return false
 	}
-	if e.FT {
+	if len(e.Chain) > 0 {
 		r.stats.Multicast++
 		if b := r.bus; b.Enabled(obs.KindMulticast) {
 			// Conn identifies the client flow and Seq carries the raw TCP
@@ -232,8 +178,8 @@ func (r *Redirector) intercept(p *ipv4.Packet) bool {
 			ev := obs.Event{
 				Kind: obs.KindMulticast, Node: r.nodeName(),
 				Service: key,
-				Conn:    inet.Endpoint{Addr: p.Src, Port: uint16(p.Payload[0])<<8 | uint16(p.Payload[1])},
-				Size:    e.numReplicas(),
+				Conn:    inet.Endpoint{Addr: p.Src, Port: binary.BigEndian.Uint16(p.Payload)},
+				Size:    len(e.Chain),
 			}
 			if p.Proto == ipv4.ProtoTCP && len(p.Payload) >= 13 {
 				// Seq is stamped only on data-bearing segments: pure ACKs
@@ -241,18 +187,13 @@ func (r *Redirector) intercept(p *ipv4.Packet) bool {
 				// number.
 				dataOff := int(p.Payload[12]>>4) * 4
 				if dataOff >= 20 && len(p.Payload) > dataOff {
-					ev.Seq = uint64(uint32(p.Payload[4])<<24 | uint32(p.Payload[5])<<16 |
-						uint32(p.Payload[6])<<8 | uint32(p.Payload[7]))
+					ev.Seq = uint64(binary.BigEndian.Uint32(p.Payload[4:]))
 				}
 			}
 			b.Publish(ev)
 		}
 		// Chain order: primary first, then the backups.
-		if e.Primary != 0 {
-			r.tunnel(p, e.Primary)
-			r.stats.MulticastCopies++
-		}
-		for _, host := range e.Backups {
+		for _, host := range e.Chain {
 			r.tunnel(p, host)
 			r.stats.MulticastCopies++
 		}
@@ -274,13 +215,14 @@ func (r *Redirector) intercept(p *ipv4.Packet) bool {
 }
 
 // sender names the host a forwarded packet comes from: its source address,
-// or, for a packet sent as a fault-tolerant service, the service's primary —
-// a backup transmits nothing as the service until it is promoted.
-func (r *Redirector) sender(p *ipv4.Packet) ipv4.Addr {
-	if (p.Proto == ipv4.ProtoTCP || p.Proto == ipv4.ProtoUDP) && p.FragOff == 0 && len(p.Payload) >= 2 {
-		srcPort := uint16(p.Payload[0])<<8 | uint16(p.Payload[1])
-		if e := r.table[ServiceKey{Addr: p.Src, Port: srcPort}.Key()]; e != nil && e.FT && e.Primary != 0 {
-			return e.Primary
+// or, for a packet sent as a fault-tolerant service (ports: it carries
+// them), the service's primary — a backup transmits nothing as the service
+// until it is promoted.
+func (r *Redirector) sender(p *ipv4.Packet, ports bool) ipv4.Addr {
+	if ports {
+		key := ServiceKey{Addr: p.Src, Port: binary.BigEndian.Uint16(p.Payload)}
+		if e := r.table[key.Key()]; e != nil && len(e.Chain) > 0 {
+			return e.Chain[0]
 		}
 	}
 	return p.Src

@@ -1,6 +1,7 @@
 package redirector
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -142,39 +143,39 @@ func TestNonTransportProtocolIgnored(t *testing.T) {
 	}
 }
 
-func TestRemoveReplicaPromotesInTable(t *testing.T) {
-	_, _, rd, _, _, hosts := rig(t)
-	key := ServiceKey{Addr: svcAddr, Port: 80}
-	rd.SetFTReplicas(key, hosts[0], []ipv4.Addr{hosts[1]})
-
-	// Removing a backup keeps the primary.
-	if p := rd.RemoveReplica(key, hosts[1]); p != hosts[0] {
-		t.Fatalf("primary after backup removal = %s", p)
-	}
-	// Re-add and remove the primary: backup must take over.
-	rd.SetFTReplicas(key, hosts[0], []ipv4.Addr{hosts[1]})
-	if p := rd.RemoveReplica(key, hosts[0]); p != hosts[1] {
-		t.Fatalf("promoted primary = %s, want backup", p)
-	}
-	// Removing the last member empties the entry.
-	if p := rd.RemoveReplica(key, hosts[1]); p != 0 {
-		t.Fatalf("primary after emptying = %s, want none", p)
-	}
-}
-
 func TestInstallRemoveLookup(t *testing.T) {
 	_, _, rd, _, _, hosts := rig(t)
 	key := ServiceKey{Addr: svcAddr, Port: 443}
-	rd.Install(key, &Entry{FT: true, Primary: hosts[0]})
+	rd.SetFTReplicas(key, hosts[0], nil)
 	if rd.Lookup(key) == nil {
-		t.Fatal("Lookup after Install failed")
+		t.Fatal("Lookup after SetFTReplicas failed")
 	}
-	if n := len(rd.Services()); n != 1 {
-		t.Fatalf("Services = %d entries", n)
+	if n := rd.NumServices(); n != 1 {
+		t.Fatalf("NumServices = %d", n)
 	}
 	rd.Remove(key)
 	if rd.Lookup(key) != nil {
 		t.Fatal("entry survives Remove")
+	}
+}
+
+// TestSetFTReplicasCopiesChain: the entry keeps its own copy of the chain —
+// the daemon passes its decode scratch, with room to spare, as backups and
+// reuses it — and re-setting a chain of the same length allocates nothing.
+func TestSetFTReplicasCopiesChain(t *testing.T) {
+	_, _, rd, _, _, hosts := rig(t)
+	key := ServiceKey{Addr: svcAddr, Port: 80}
+	backups := append(make([]ipv4.Addr, 0, 4), hosts[1], svcAddr)
+	rd.SetFTReplicas(key, hosts[0], backups)
+	backups[0], backups[1] = svcAddr, hosts[0]
+	if e, want := rd.Lookup(key), []ipv4.Addr{hosts[0], hosts[1], svcAddr}; !slices.Equal(e.Chain, want) {
+		t.Fatalf("chain after the caller reused backups = %v, want %v", e.Chain, want)
+	}
+	if n := testing.AllocsPerRun(10, func() { rd.SetFTReplicas(key, hosts[1], backups) }); n != 0 {
+		t.Errorf("re-setting a chain of the same length allocates %v objects, want 0", n)
+	}
+	if e, want := rd.Lookup(key), []ipv4.Addr{hosts[1], svcAddr, hosts[0]}; !slices.Equal(e.Chain, want) {
+		t.Errorf("chain = %v, want %v", e.Chain, want)
 	}
 }
 

@@ -2,6 +2,7 @@ package rmp
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"hydranet/internal/core"
@@ -225,10 +226,8 @@ func (d *RedirectorDaemon) register(msg *Message) {
 		d.services[msg.Service.Key()] = s
 	}
 	s.noteAlive(msg.Host, d.sched.Now())
-	for _, h := range s.chain {
-		if h == msg.Host {
-			return // duplicate registration (retried datagram)
-		}
+	if slices.Contains(s.chain, msg.Host) {
+		return // duplicate registration (retried datagram)
 	}
 	d.stats.Registrations++
 	if b := d.bus; b.Enabled(obs.KindRegistration) {
@@ -238,7 +237,7 @@ func (d *RedirectorDaemon) register(msg *Message) {
 		})
 	}
 	if msg.Mode == core.ModePrimary {
-		s.chain = append([]ipv4.Addr{msg.Host}, s.chain...)
+		s.chain = slices.Insert(s.chain, 0, msg.Host)
 	} else {
 		s.chain = append(s.chain, msg.Host)
 	}
@@ -316,11 +315,8 @@ func (d *RedirectorDaemon) openProbe(s *svcState) {
 // closeProbe removes s from the open probes; the last one closed stops
 // listening.
 func (d *RedirectorDaemon) closeProbe(s *svcState) {
-	for i, o := range d.open {
-		if o == s {
-			d.open = append(d.open[:i], d.open[i+1:]...)
-			break
-		}
+	if i := slices.Index(d.open, s); i >= 0 {
+		d.open = slices.Delete(d.open, i, i+1)
 	}
 	if len(d.open) == 0 {
 		d.rd.SetHeardHook(nil)
@@ -360,14 +356,8 @@ func (d *RedirectorDaemon) finishProbe(svc core.ServiceID, s *svcState) {
 		// can re-register once its congestion clears.
 		if d.congestion.Strikes > 0 && len(s.chain) > 1 {
 			now := d.sched.Now()
-			cutoff := now - d.congestion.Window
-			kept := s.aliveStrikes[:0]
-			for _, ts := range s.aliveStrikes {
-				if ts >= cutoff {
-					kept = append(kept, ts)
-				}
-			}
-			s.aliveStrikes = append(kept, now)
+			stale := func(ts time.Duration) bool { return ts < now-d.congestion.Window }
+			s.aliveStrikes = append(slices.DeleteFunc(s.aliveStrikes, stale), now)
 			if len(s.aliveStrikes) >= d.congestion.Strikes {
 				s.aliveStrikes = s.aliveStrikes[:0]
 				tail := s.chain[len(s.chain)-1]
@@ -453,12 +443,11 @@ func (s *svcState) noteAlive(host ipv4.Addr, now time.Duration) {
 	s.lastSeen[host] = now
 }
 
+// removeHost deletes host from chain and reports whether it was there.
 func removeHost(chain *[]ipv4.Addr, host ipv4.Addr) bool {
-	for i, h := range *chain {
-		if h == host {
-			*chain = append((*chain)[:i], (*chain)[i+1:]...)
-			return true
-		}
+	i := slices.Index(*chain, host)
+	if i >= 0 {
+		*chain = slices.Delete(*chain, i, i+1)
 	}
-	return false
+	return i >= 0
 }

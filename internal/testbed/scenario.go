@@ -4,11 +4,13 @@ import (
 	"bytes"
 	"cmp"
 	"fmt"
+	"slices"
 	"time"
 
 	"hydranet"
 	"hydranet/internal/app"
 	"hydranet/internal/core"
+	"hydranet/internal/invariant"
 	"hydranet/internal/netsim"
 	"hydranet/internal/rmp"
 	"hydranet/internal/ttcp"
@@ -339,6 +341,36 @@ func (sc Scenario) Play() *Run {
 	}
 	r.Wall = time.Since(start)
 	return r
+}
+
+// Problems judges a run played under the invariant monitor
+// (Observe.Invariants): what attaching or finishing the observers reported,
+// an audit that checked nothing, a rule in violated that reported no
+// violation and any other that reported one, client reads the monitor never
+// judged, and each step unmet or fault never fired. A sound run has none.
+func (r *Run) Problems(violated ...string) []string {
+	var out []string
+	if r.ObserveErr != nil {
+		out = append(out, fmt.Sprintf("observers: %v", r.ObserveErr))
+	}
+	audit := r.Summary.Audit
+	if audit == nil {
+		return append(out, "no audit: the run was not monitored")
+	}
+	if audit.Checks == 0 {
+		out = append(out, "the monitor checked nothing")
+	}
+	for _, rr := range audit.Rules {
+		switch want := slices.Contains(violated, rr.Rule); {
+		case want && rr.Violations == 0:
+			out = append(out, fmt.Sprintf("rule %s reported no violation", rr.Rule))
+		case !want && rr.Violations != 0:
+			out = append(out, fmt.Sprintf("rule %s: %d violations, the first: %v", rr.Rule, rr.Violations, audit.Violations[0]))
+		case rr.Rule == invariant.RuleDelivery && r.Stream != nil && r.Delivered > 0 && rr.Checks == 0:
+			out = append(out, "the monitor never checked the client's reads")
+		}
+	}
+	return append(out, r.Unmet...)
 }
 
 // deploy replicates the service on every server, settles the chain and

@@ -220,3 +220,26 @@ func TestBindingTable(t *testing.T) {
 		})
 	}
 }
+
+// TestBindingsInline: a Stack's first four bindings live in its inline
+// backing, so binding and unbinding them allocates nothing.
+func TestBindingsInline(t *testing.T) {
+	_, ua, _, _, _ := twoHosts(t)
+	ip, recv := ubIPStack(ua), func(Endpoint, ipv4.Addr, []byte) {}
+	var s Stack
+	allocs := testing.AllocsPerRun(10, func() {
+		s = Stack{}
+		s.Init(ip)
+		for port := uint16(1); port <= 4; port++ {
+			if err := s.Bind(0, port, recv); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for port := uint16(1); port <= 4; port++ {
+			s.Unbind(0, port)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("Init, four Binds and their Unbinds allocate %v objects, want 0", allocs)
+	}
+}

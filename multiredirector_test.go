@@ -2,6 +2,7 @@ package hydranet_test
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 	"time"
 
@@ -56,8 +57,9 @@ func TestMirroredRedirectorsServeBothPopulations(t *testing.T) {
 	row(t, testbed.Scenario{Seed: 41, Replicas: 2, Send: []byte("population A"), Setup: w.setup(true), Steps: []testbed.Step{
 		{Do: func(r *testbed.Run) {
 			// Both redirectors hold the entry.
+			chain := []hydranet.Addr{r.Replicas[0].Addr(), r.Replicas[1].Addr()}
 			for i, rd := range []*hydranet.Redirector{r.Redirector, w.rd2} {
-				if e := rd.Table().Lookup(testSvc); e == nil || !e.FT || e.Primary != r.Replicas[0].Addr() {
+				if e := rd.Table().Lookup(testSvc); e == nil || !slices.Equal(e.Chain, chain) {
 					t.Fatalf("redirector %d entry = %+v", i+1, e)
 				}
 			}
@@ -76,7 +78,7 @@ func TestFailoverPropagatesToMirror(t *testing.T) {
 	}, verdict{echo: true, check: func(r *testbed.Run) {
 		w.echoed(t)(r)
 		// The mirror's table must have dropped the dead primary.
-		if e := w.rd2.Table().Lookup(testSvc); e == nil || e.Primary != r.Replicas[1].Addr() || len(e.Backups) != 0 {
+		if e := w.rd2.Table().Lookup(testSvc); e == nil || !slices.Equal(e.Chain, []hydranet.Addr{r.Replicas[1].Addr()}) {
 			t.Fatalf("mirror entry after failover = %+v", e)
 		}
 	}})

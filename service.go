@@ -2,6 +2,7 @@ package hydranet
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"hydranet/internal/core"
@@ -131,11 +132,9 @@ func (s *FTService) CrashPrimary() *Host {
 // server, paper Section 4.4): the chain is respliced and, if the primary
 // left, its successor is promoted.
 func (s *FTService) Leave(h *Host) error {
-	for _, r := range s.replicas {
-		if r.Host == h {
-			h.Daemon(s.rd).Leave(s.svc)
-			return nil
-		}
+	if slices.ContainsFunc(s.replicas, func(r *FTReplica) bool { return r.Host == h }) {
+		h.Daemon(s.rd).Leave(s.svc)
+		return nil
 	}
 	return fmt.Errorf("hydranet: %s is not a replica of %s", h.name, s.svc)
 }
