@@ -4,24 +4,24 @@ import (
 	"testing"
 
 	"hydranet"
+	"hydranet/internal/app"
 	"hydranet/internal/testbed"
 )
 
 // TestFailoverScenarioAllocBudget pins what one fail-over scenario on a fresh
-// Net allocates, topology build included: testbed.MeasureFailover with one
-// backup, the primary killed mid-stream, detection, reconfiguration and the
-// resumed stream. The count is dominated by building the Net — the protocol
-// path itself allocates next to nothing — so a new per-object allocation in
-// the frame pool, the scheduler, rmp or the route build shows here first.
+// Net allocates: testbed.MeasureFailover with one backup, the primary killed
+// mid-stream, detection, reconfiguration and the resumed stream. A new
+// per-object allocation in the frame pool, the scheduler, rmp, core or the
+// route build shows here first.
 //
-// It takes 219 objects (220 to 226 under the race detector); the budget is
-// 10 % above. Each of the four hosts is one object: the Host holds its
-// netsim node and its IP, UDP, TCP, ICMP and host-server layers by value,
-// their small tables (interfaces, local addresses, UDP bindings) in inline
-// arrays, and the maps most hosts never write are made on first insert
-// (TestStarBuildAllocBudget).
+// It takes 107 objects (109 under the race detector); the budget is 10 %
+// above. Building the Net and the scenario takes about 37 of them, DeployFT
+// 5, Settle 4 and the stream, crash, probe, reconfiguration and resumed
+// stream about 61. Each host is one object — its netsim node, its stacks, and
+// on a replica its ft-TCP engine and management daemon, all held by value —
+// and their small tables are inline (TestStarBuildAllocBudget).
 func TestFailoverScenarioAllocBudget(t *testing.T) {
-	const budget = 241
+	const budget = 118
 	var res testbed.FailoverResult
 	allocs := testing.AllocsPerRun(1, func() {
 		res = testbed.MeasureFailover(testbed.FailoverConfig{Threshold: 3, Seed: 1})
@@ -35,15 +35,19 @@ func TestFailoverScenarioAllocBudget(t *testing.T) {
 	}
 }
 
-// TestStarBuildAllocBudget pins what building a network costs, phase by
-// phase, on the Figure-3 hosts — a client, a redirector and two replicas —
-// joined as a full mesh, as the fail-over sweep builds them 96 times a
-// repetition. A host is one object: its node and every stack live in the
-// Host by value, their small tables in inline arrays, and their maps are
-// made by the first entry. A new per-layer object or an eagerly made map
-// shows here as a host that costs two.
+// TestStarBuildAllocBudget pins what building a network and deploying a
+// replicated service on it costs, phase by phase, on the Figure-3 hosts — a
+// client, a redirector and two replicas — joined as a full mesh, as the
+// fail-over sweep builds them 96 times a repetition. A host is one object: its
+// node and every stack live in the Host by value, their small tables in
+// inline arrays, and their maps are made by the first entry. A replica adds
+// nothing to it: its ft-TCP engine, its first replicated port, its
+// management daemon with its reliable-UDP tables, its listener and its
+// virtual host are inline too. A new per-layer object or an eagerly made map
+// shows here as a host or a replica that costs one more.
 func TestStarBuildAllocBudget(t *testing.T) {
-	const perHost, perLink = 1, 1
+	const perHost, perLink, perReplica = 1, 1, 0
+	var rd *hydranet.Redirector
 	phases := []struct {
 		name  string
 		build func(*hydranet.Net, []*hydranet.Host)
@@ -60,7 +64,8 @@ func TestStarBuildAllocBudget(t *testing.T) {
 		// The host, its Redirector (which holds the redirector table by
 		// value), the table's map and the bound intercept hook.
 		{"AddRedirector", func(net *hydranet.Net, hosts []*hydranet.Host) {
-			hosts[1] = net.AddRedirector("rd", hydranet.HostConfig{}).Host
+			rd = net.AddRedirector("rd", hydranet.HostConfig{})
+			hosts[1] = rd.Host
 		}, perHost + 3},
 		{"six Links", func(net *hydranet.Net, hosts []*hydranet.Host) {
 			for i := range hosts {
@@ -71,6 +76,19 @@ func TestStarBuildAllocBudget(t *testing.T) {
 		}, 6 * perLink},
 		// Three scratch slices, and each host's two route tables.
 		{"AutoRoute", func(net *hydranet.Net, _ []*hydranet.Host) { net.AutoRoute() }, 3 + 4*2},
+		// The FTService, which holds its replicas; the REGISTERs are the
+		// Net's first frames, so the frame pool's first two slabs, the
+		// fabric's first event record and the scheduler's first chunk of
+		// event nodes.
+		{"DeployFT", func(net *hydranet.Net, hosts []*hydranet.Host) {
+			if _, err := net.DeployFT(testSvc, rd, hosts[2:], hydranet.FTOptions{}, app.Echo); err != nil {
+				t.Fatal(err)
+			}
+		}, 1 + 4 + 2*perReplica},
+		// Registration and chain set-up, per service: the redirector's table
+		// entry, which holds a short chain, and the table's map group; the
+		// daemon's lease map with its group.
+		{"Settle", func(net *hydranet.Net, _ []*hydranet.Host) { net.Settle() }, 2 + 2 + 2*perReplica},
 	}
 	hosts, before := make([]*hydranet.Host, 4), 0.0
 	for n, ph := range phases {

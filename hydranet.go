@@ -173,8 +173,8 @@ func (n *Net) At(t time.Duration, fn func()) { n.sched.At(t, fn) }
 func (n *Net) EventsFired() uint64 { return n.sched.Fired() }
 
 // Host is a simulated machine: IP, UDP and TCP stacks, HydraNet host-server
-// support, the ft-TCP engine, and a management daemon. The node and its
-// stacks live in the Host by value, so a host is one object (DESIGN §5).
+// support, the ft-TCP engine, and a management daemon, all held by value, so
+// a host is one object, a replica included (DESIGN §5).
 type Host struct {
 	net  *Net
 	name string
@@ -185,8 +185,10 @@ type Host struct {
 	tcp  tcp.Stack
 	icmp icmp.Stack
 	hs   hostserver.HostServer
-	mgr  *core.Manager
-	dmn  *rmp.HostDaemon
+	mgr  *core.Manager   // &mgr0 once FTManager has run
+	dmn  *rmp.HostDaemon // &dmn0 once Daemon has run
+	mgr0 core.Manager
+	dmn0 rmp.HostDaemon
 	addr Addr // primary address (first link)
 	idx  int  // position in Net.hosts
 	// ftReplica records that a DeployFT was given this host; the
@@ -270,12 +272,11 @@ func (h *Host) Traceroute(dst Addr, maxHops int, done func(hops []Addr)) {
 // FTManager returns the host's ft-TCP engine, initializing it on first use.
 func (h *Host) FTManager() *core.Manager {
 	if h.mgr == nil {
-		mgr, err := core.NewManager(&h.tcp, &h.udp, h.addr)
-		if err != nil {
+		if err := h.mgr0.Init(&h.tcp, &h.udp, h.addr); err != nil {
 			panic(fmt.Sprintf("hydranet: %s: %v", h.name, err))
 		}
-		mgr.SetBus(h.net.bus)
-		h.mgr = mgr
+		h.mgr0.SetBus(h.net.bus)
+		h.mgr = &h.mgr0
 	}
 	return h.mgr
 }
@@ -319,7 +320,8 @@ type Redirector struct {
 	// Host is the underlying router node (for linking and addressing).
 	Host *Host
 	rd   redirector.Redirector
-	dmn  *rmp.RedirectorDaemon
+	dmn  *rmp.RedirectorDaemon // &dmn0 once Daemon has run
+	dmn0 rmp.RedirectorDaemon
 }
 
 // AddRedirector creates a redirector node.
@@ -339,12 +341,11 @@ func (r *Redirector) Table() *redirector.Redirector { return &r.rd }
 // redirector must have an address, i.e. at least one link).
 func (r *Redirector) Daemon() *rmp.RedirectorDaemon {
 	if r.dmn == nil {
-		d, err := rmp.NewRedirectorDaemon(&r.Host.udp, r.Host.node.Scheduler(), &r.rd, r.Host.addr)
-		if err != nil {
+		if err := r.dmn0.Init(&r.Host.udp, r.Host.node.Scheduler(), &r.rd, r.Host.addr); err != nil {
 			panic(fmt.Sprintf("hydranet: %s: %v", r.Host.name, err))
 		}
-		d.SetBus(r.Host.net.bus, r.Host.name)
-		r.dmn = d
+		r.dmn0.SetBus(r.Host.net.bus, r.Host.name)
+		r.dmn = &r.dmn0
 	}
 	return r.dmn
 }

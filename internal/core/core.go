@@ -21,7 +21,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"time"
 
 	"hydranet/internal/inet"
@@ -84,10 +86,10 @@ func (p DetectorParams) withDefaults() DetectorParams {
 // connection whose SYN has not arrived yet is kept before it is discarded.
 const pendingConnTTL = time.Minute
 
-// SuspectFunc is notified when the failure estimator on a replicated port
+// Suspecter is notified when the failure estimator on a replicated port
 // trips. The replica management daemon forwards the report to the
 // redirector.
-type SuspectFunc func(svc ServiceID)
+type Suspecter interface{ Suspect(svc ServiceID) }
 
 // Stats counts manager-level events.
 type Stats struct {
@@ -106,13 +108,16 @@ type Manager struct {
 	tcpStack *tcp.Stack
 	udpStack *udp.Stack
 	hostAddr ipv4.Addr // real address, used as acknowledgment-channel source
-	ports    map[inet.Key]*ReplicatedPort
-	stats    Stats
-	suspect  SuspectFunc
-	bus      *obs.Bus
+	// ports is a handful, so a scan beats a hash; the first lives here.
+	ports   []*ReplicatedPort
+	ports0  [2]*ReplicatedPort
+	port0   ReplicatedPort
+	stats   Stats
+	suspect Suspecter
+	bus     *obs.Bus
 
 	// Scratch for the acknowledgment channel: rxMsg is the message being
-	// handled (valid only during onChainDatagram), txBuf the encoding of the
+	// handled (valid only in chainChannel.Receive), txBuf the encoding of the
 	// one being sent (udp.SendTo copies it into the pooled frame).
 	rxMsg ChainMsg
 	txBuf [chainMsgLen]byte
@@ -124,24 +129,19 @@ type Manager struct {
 	chainLoss float64
 }
 
-// NewManager creates the engine and binds the acknowledgment-channel UDP
-// port. hostAddr is the host server's real (non-virtual) address.
-func NewManager(tcpStack *tcp.Stack, udpStack *udp.Stack, hostAddr ipv4.Addr) (*Manager, error) {
-	m := &Manager{
-		sched:    tcpStack.Scheduler(),
-		tcpStack: tcpStack,
-		udpStack: udpStack,
-		hostAddr: hostAddr,
-		ports:    make(map[inet.Key]*ReplicatedPort),
+// Init starts the engine, which must not be copied afterwards, on the host
+// server's real (non-virtual) address, and binds the acknowledgment channel.
+func (m *Manager) Init(tcpStack *tcp.Stack, udpStack *udp.Stack, hostAddr ipv4.Addr) error {
+	m.sched, m.tcpStack, m.udpStack, m.hostAddr = tcpStack.Scheduler(), tcpStack, udpStack, hostAddr
+	m.ports = m.ports0[:0]
+	if err := udpStack.Bind(0, AckChannelPort, (*chainChannel)(m)); err != nil {
+		return fmt.Errorf("core: binding acknowledgment channel: %w", err)
 	}
-	if err := udpStack.Bind(0, AckChannelPort, m.onChainDatagram); err != nil {
-		return nil, fmt.Errorf("core: binding acknowledgment channel: %w", err)
-	}
-	return m, nil
+	return nil
 }
 
 // OnSuspect installs the failure-report callback.
-func (m *Manager) OnSuspect(fn SuspectFunc) { m.suspect = fn }
+func (m *Manager) OnSuspect(s Suspecter) { m.suspect = s }
 
 // SetBus attaches an observability event bus for chain-channel, suspicion
 // and role-change events. A nil bus (the default) disables all emission.
@@ -160,14 +160,13 @@ func (m *Manager) Stats() Stats { return m.stats }
 // setportopt(port, mode, detector-parameters) system call. It returns the
 // port object used to wire listeners and reconfigure the chain.
 func (m *Manager) SetPortOpt(svc ServiceID, mode Mode, det DetectorParams) *ReplicatedPort {
-	p := m.ports[svc.Key()]
+	p := m.Port(svc)
 	if p == nil {
-		p = &ReplicatedPort{
-			mgr:   m,
-			svc:   svc,
-			conns: make(map[inet.Key]*ftConn),
+		if p = &m.port0; p.mgr != nil { // used before: its FTReplica may hold it
+			p = new(ReplicatedPort)
 		}
-		m.ports[svc.Key()] = p
+		p.mgr, p.svc, p.order = m, svc, p.order0[:0]
+		m.ports = append(m.ports, p)
 	}
 	p.mode = mode
 	p.det = det.withDefaults()
@@ -175,23 +174,33 @@ func (m *Manager) SetPortOpt(svc ServiceID, mode Mode, det DetectorParams) *Repl
 }
 
 // Port returns the replicated port state for svc, or nil.
-func (m *Manager) Port(svc ServiceID) *ReplicatedPort { return m.ports[svc.Key()] }
+func (m *Manager) Port(svc ServiceID) *ReplicatedPort {
+	if i := slices.IndexFunc(m.ports, func(p *ReplicatedPort) bool { return p.svc == svc }); i >= 0 {
+		return m.ports[i]
+	}
+	return nil
+}
 
 // ClearPort removes the replicated-port marking (service leaving).
-func (m *Manager) ClearPort(svc ServiceID) { delete(m.ports, svc.Key()) }
+func (m *Manager) ClearPort(svc ServiceID) {
+	m.ports = slices.DeleteFunc(m.ports, func(p *ReplicatedPort) bool { return p.svc == svc })
+}
 
 // Reset discards all replicated-port state — what a host server loses when
 // it crashes. Statistics survive (they belong to the experiment, not the
 // machine). Chain messages still pending in this instant die with the host.
 func (m *Manager) Reset() {
-	for _, p := range m.ports { //hydralint:nondeterministic each port is cleared alone; nothing is sent
+	for _, p := range m.ports {
 		p.upstream = udp.Endpoint{}
 	}
-	m.ports = make(map[inet.Key]*ReplicatedPort)
+	m.ports = slices.Delete(m.ports, 0, len(m.ports))
 }
 
-// onChainDatagram handles acknowledgment-channel traffic from successors.
-func (m *Manager) onChainDatagram(_ udp.Endpoint, _ ipv4.Addr, payload []byte) {
+// A *Manager converted to chainChannel receives its successors' datagrams.
+type chainChannel Manager
+
+func (c *chainChannel) Receive(_ udp.Endpoint, _ ipv4.Addr, payload []byte) {
+	m := (*Manager)(c)
 	msg := &m.rxMsg
 	if err := msg.Unmarshal(payload); err != nil {
 		m.stats.ChainMsgsBad++
@@ -205,7 +214,7 @@ func (m *Manager) onChainDatagram(_ udp.Endpoint, _ ipv4.Addr, payload []byte) {
 			Seq: uint64(msg.SndNxt), Ack: uint64(msg.RcvNxt),
 		})
 	}
-	p := m.ports[msg.Service.Key()]
+	p := m.Port(msg.Service)
 	if p == nil {
 		m.stats.ChainMsgsOrphan++
 		return
@@ -239,6 +248,9 @@ type ReplicatedPort struct {
 	conns        map[inet.Key]*ftConn // by client endpoint
 	lastSuspect  time.Duration
 	hasSuspected bool
+
+	order  []*ftConn // connsInOrder's result, reused
+	order0 [2]*ftConn
 }
 
 // ftConn is per-connection chain state, and the connection's tcp.ConnHooks:
@@ -247,6 +259,7 @@ type ReplicatedPort struct {
 // itself too, so a replica's endpoint is one allocation.
 type ftConn struct {
 	port    *ReplicatedPort
+	client  inet.Key // the conns entry, which the SYN or a chain message made
 	conn    tcp.Conn // the listener's stack initialises it when the SYN arrives
 	adopted bool     // the SYN has arrived: conn is live
 	gated   bool     // snapshot of the port's gating at adoption; relax-only
@@ -270,10 +283,15 @@ type ftConn struct {
 	sndNxt, rcvNxt tcp.Seq
 }
 
-func (p *ReplicatedPort) newFTConn() *ftConn {
-	fc := &ftConn{port: p}
+// newFTConn makes client's record and enters it in the port's table.
+func (p *ReplicatedPort) newFTConn(client inet.Key) *ftConn {
+	fc := &ftConn{port: p, client: client}
 	fc.stall.InitHandler(p.mgr.sched, (*stallExpiry)(fc))
 	fc.announce.InitHandler(p.mgr.sched, (*announceExpiry)(fc))
+	if p.conns == nil {
+		p.conns = make(map[inet.Key]*ftConn)
+	}
+	p.conns[client] = fc
 	return fc
 }
 
@@ -411,16 +429,16 @@ func (p *ReplicatedPort) SetGated(gated bool) {
 	}
 }
 
-// connsInOrder returns the managed connections sorted by client endpoint.
-// Reconfiguration pokes them one after another and each may transmit, so the
-// map's iteration order would leak into the frame order of a replay.
+// connsInOrder returns the managed connections by client endpoint, valid until
+// the next call. Reconfiguration pokes them one after another and each may
+// transmit, so map order would leak into the frame order of a replay.
 func (p *ReplicatedPort) connsInOrder() []*ftConn {
-	clients := inet.SortedKeys(p.conns)
-	out := make([]*ftConn, len(clients))
-	for i, client := range clients {
-		out[i] = p.conns[client]
+	p.order = p.order[:0]
+	for _, fc := range p.conns { //hydralint:nondeterministic order normalized by the sort below
+		p.order = append(p.order, fc)
 	}
-	return out
+	slices.SortFunc(p.order, func(a, b *ftConn) int { return cmp.Compare(a.client, b.client) })
+	return p.order
 }
 
 // Promote switches a backup to primary — the fail-over step. Suppression
@@ -466,15 +484,18 @@ func (p *ReplicatedPort) Demote() {
 
 // AttachListener wires a TCP listener for this service so every accepted
 // connection runs under ft-TCP hooks from the SYN onward.
-func (p *ReplicatedPort) AttachListener(l *tcp.Listener) { l.SetSetupFunc(p.adopt) }
+func (p *ReplicatedPort) AttachListener(l *tcp.Listener) { l.SetSetup((*portSetup)(p)) }
 
-// adopt is the listener's setup function: a SYN from client gets a record, or
-// the placeholder an early chain message left, limits and all.
-func (p *ReplicatedPort) adopt(client tcp.Endpoint) (*tcp.Conn, tcp.ConnHooks) {
+// A *ReplicatedPort converted to portSetup is its listeners' tcp.ConnSetup.
+type portSetup ReplicatedPort
+
+// SetupConn gives a SYN from client a record, or the placeholder an early
+// chain message left, limits and all.
+func (ps *portSetup) SetupConn(client tcp.Endpoint) (*tcp.Conn, tcp.ConnHooks) {
+	p := (*ReplicatedPort)(ps)
 	fc := p.conns[client.Key()]
 	if fc == nil || fc.adopted {
-		fc = p.newFTConn()
-		p.conns[client.Key()] = fc
+		fc = p.newFTConn(client.Key())
 	}
 	fc.adopted, fc.gated = true, p.gated
 	return &fc.conn, fc
@@ -492,8 +513,7 @@ func (p *ReplicatedPort) onChainMsg(msg *ChainMsg) {
 		// normal); remember the limits for when our SYN arrives. If it
 		// never does (the SYN copy was lost, or the connection is already
 		// gone), the placeholder expires instead of leaking.
-		fc = p.newFTConn()
-		p.conns[client] = fc
+		fc = p.newFTConn(client)
 		p.mgr.sched.After(pendingConnTTL, func() {
 			if ghost := p.conns[client]; ghost == fc && !ghost.adopted {
 				delete(p.conns, client)
@@ -614,8 +634,8 @@ func (fc *ftConn) OnAckProgress() {
 // its end: the last may carry the FIN's deposit.
 func (fc *ftConn) OnClosed(error) {
 	fc.stall.Stop()
-	if client := fc.conn.Remote().Key(); fc.port.conns[client] == fc {
-		delete(fc.port.conns, client)
+	if fc.port.conns[fc.client] == fc {
+		delete(fc.port.conns, fc.client)
 	}
 }
 
@@ -692,7 +712,7 @@ func (fc *ftConn) count() bool {
 		})
 	}
 	if p.mgr.suspect != nil {
-		p.mgr.suspect(p.svc)
+		p.mgr.suspect.Suspect(p.svc)
 	}
 	return true
 }

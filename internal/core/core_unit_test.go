@@ -154,10 +154,10 @@ func TestAckChannelPortBusy(t *testing.T) {
 	net.Link(h, rd.Host, hydranet.LinkConfig{})
 	net.AutoRoute()
 	// Squat the acknowledgment-channel port before the manager starts.
-	if err := h.UDP().Bind(0, core.AckChannelPort, func(hydranet.UDPEndpoint, hydranet.Addr, []byte) {}); err != nil {
+	if err := h.UDP().Bind(0, core.AckChannelPort, hydranet.UDPRecvFunc(func(hydranet.UDPEndpoint, hydranet.Addr, []byte) {})); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := core.NewManager(h.TCP(), h.UDP(), h.Addr()); err == nil {
+	if err := new(core.Manager).Init(h.TCP(), h.UDP(), h.Addr()); err == nil {
 		t.Fatal("manager bound a busy acknowledgment-channel port")
 	}
 }
@@ -261,7 +261,7 @@ func TestSetUpstreamAnnouncesCursors(t *testing.T) {
 			tail := replicas[2]
 			port := tail.FTManager().Port(svc)
 			conns := tail.TCP().Conns()
-			sort.Slice(conns, func(i, j int) bool { return conns[i].Remote().Before(conns[j].Remote()) })
+			sort.Slice(conns, func(i, j int) bool { return conns[i].Remote().Key() < conns[j].Remote().Key() })
 			if len(conns) != 3 {
 				t.Fatalf("tail holds %d connections, want 3", len(conns))
 			}

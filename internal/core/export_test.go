@@ -23,7 +23,7 @@ func (p *ReplicatedPort) Record(client inet.Endpoint) (conn *tcp.Conn, adopted b
 	return &fc.conn, fc.adopted, fc.depositLimit, fc.sendLimit, fc.haveLimits
 }
 
-// Adopt is what the listener's setup function does for a SYN from client.
+// Adopt is what the listener's ConnSetup does for a SYN from client.
 func (p *ReplicatedPort) Adopt(client inet.Endpoint) (*tcp.Conn, tcp.ConnHooks) {
-	return p.adopt(client)
+	return (*portSetup)(p).SetupConn(client)
 }

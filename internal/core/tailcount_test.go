@@ -182,7 +182,7 @@ func TestTailCountStops(t *testing.T) {
 	t.Run("suspicion", func(t *testing.T) {
 		pushThroughTail(t, 3, func(r *tailRun) {
 			var suspected []time.Duration
-			r.replicas[1].FTManager().OnSuspect(func(core.ServiceID) { suspected = append(suspected, r.net.Now()) })
+			r.replicas[1].FTManager().OnSuspect(suspectFunc(func(core.ServiceID) { suspected = append(suspected, r.net.Now()) }))
 			r.replicas[0].Crash()
 			r.toFirstRTO(t)
 			base := r.conn.BaseRTO()
@@ -196,3 +196,8 @@ func TestTailCountStops(t *testing.T) {
 		})
 	})
 }
+
+// suspectFunc adapts a test's closure to core.Suspecter.
+type suspectFunc func(svc core.ServiceID)
+
+func (f suspectFunc) Suspect(svc core.ServiceID) { f(svc) }

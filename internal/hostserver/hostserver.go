@@ -5,7 +5,7 @@
 package hostserver
 
 import (
-	"sort"
+	"slices"
 
 	"hydranet/internal/ipv4"
 )
@@ -13,9 +13,12 @@ import (
 // HostServer decorates a node's IP stack with virtual-host management and
 // tunnel decapsulation.
 type HostServer struct {
-	ip     *ipv4.Stack
-	vhosts map[ipv4.Addr]int // reference counts per virtual host address
-	inner  ipv4.Packet       // scratch for the decapsulated datagram; valid during DeliverIP only
+	ip *ipv4.Stack
+	// vhosts holds a virtual host's address once per reference: one or two
+	// on any host server, so a scan beats a hash.
+	vhosts  []ipv4.Addr
+	vhosts0 [2]ipv4.Addr // vhosts' backing while there are at most two
+	inner   ipv4.Packet  // scratch for the decapsulated datagram; valid during DeliverIP only
 
 	// Stats
 	decapsulated uint64
@@ -29,10 +32,10 @@ var _ ipv4.ProtocolHandler = (*HostServer)(nil)
 // itself as the IP-in-IP (protocol 4) handler.
 func New(ip *ipv4.Stack) *HostServer { return new(HostServer).Init(ip) }
 
-// Init is New for a HostServer embedded by value. The virtual-host table is
-// made by the first VHost.
+// Init is New for a HostServer embedded by value, which must not be copied
+// afterwards.
 func (h *HostServer) Init(ip *ipv4.Stack) *HostServer {
-	h.ip = ip
+	h.ip, h.vhosts = ip, h.vhosts0[:0]
 	ip.RegisterProto(ipv4.ProtoIPIP, h)
 	return h
 }
@@ -45,22 +48,18 @@ func (h *HostServer) IP() *ipv4.Stack { return h.ip }
 // here (by tunnel) reach local sockets. Multiple services may share a
 // virtual host; calls are reference-counted.
 func (h *HostServer) VHost(addr ipv4.Addr) {
-	if h.vhosts == nil {
-		h.vhosts = make(map[ipv4.Addr]int)
-	}
-	h.vhosts[addr]++
+	h.vhosts = append(h.vhosts, addr)
 	h.ip.AddLocalAddr(addr)
 }
 
 // ReleaseVHost drops one reference to a virtual host, withdrawing the
 // address when the last reference goes.
 func (h *HostServer) ReleaseVHost(addr ipv4.Addr) {
-	if h.vhosts[addr] == 0 {
+	i := slices.Index(h.vhosts, addr)
+	if i < 0 {
 		return
 	}
-	h.vhosts[addr]--
-	if h.vhosts[addr] == 0 {
-		delete(h.vhosts, addr)
+	if h.vhosts = slices.Delete(h.vhosts, i, i+1); !h.HasVHost(addr) {
 		// A replica may run on the service's origin host, where the
 		// "virtual" host is the machine's own interface address — never
 		// withdraw that.
@@ -71,16 +70,13 @@ func (h *HostServer) ReleaseVHost(addr ipv4.Addr) {
 }
 
 // HasVHost reports whether addr is currently hosted here.
-func (h *HostServer) HasVHost(addr ipv4.Addr) bool { return h.vhosts[addr] > 0 }
+func (h *HostServer) HasVHost(addr ipv4.Addr) bool { return slices.Contains(h.vhosts, addr) }
 
 // VHosts returns the hosted virtual-host addresses, ascending.
 func (h *HostServer) VHosts() []ipv4.Addr {
-	out := make([]ipv4.Addr, 0, len(h.vhosts))
-	for a := range h.vhosts { //hydralint:nondeterministic order normalized by the sort below
-		out = append(out, a)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	out := slices.Clone(h.vhosts)
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
 // Stats returns decapsulated, malformed-tunnel and non-virtual-host drops.

@@ -7,7 +7,6 @@ package inet
 
 import (
 	"fmt"
-	"slices"
 	"strconv"
 	"strings"
 )
@@ -66,39 +65,17 @@ type Endpoint struct {
 // String renders addr:port.
 func (e Endpoint) String() string { return fmt.Sprintf("%s:%d", e.Addr, e.Port) }
 
-// Before orders endpoints by address, then port.
-func (e Endpoint) Before(o Endpoint) bool {
-	if e.Addr != o.Addr {
-		return e.Addr < o.Addr
-	}
-	return e.Port < o.Port
-}
-
 // Key packs an endpoint into one integer, Addr<<16 | Port: the key of every
 // endpoint-indexed map on the frame path. An Endpoint has two bytes of
 // padding, so the runtime hashes it field by field; a Key takes the map's
 // 64-bit fast path, and a pair of Keys is 16 bytes hashed in one call.
-// Numeric Key order is Before order.
+// Numeric Key order is address-then-port order, the order of every walk over
+// connections or services that has side effects (a reset, a reconfiguration,
+// a transmission): map order would leak into the frame order of a replay.
 type Key uint64
 
 // Key returns e's map key.
 func (e Endpoint) Key() Key { return Key(e.Addr)<<16 | Key(e.Port) }
-
-// EndpointOf is Endpoint.Key's inverse.
-func EndpointOf(k Key) Endpoint { return Endpoint{Addr: Addr(k >> 16), Port: uint16(k)} }
-
-// SortedKeys returns m's keys in ascending order, which for endpoint keys is
-// Before order. A walk over connections or services that has side effects
-// (a reset, a reconfiguration, a transmission) goes in this order: map order
-// would leak into the frame order of a replay.
-func SortedKeys[V any](m map[Key]V) []Key {
-	keys := make([]Key, 0, len(m))
-	for k := range m { //hydralint:nondeterministic collected, then sorted below
-		keys = append(keys, k)
-	}
-	slices.Sort(keys)
-	return keys
-}
 
 // UnmarshalText parses "a.b.c.d:port", the form String renders, so that an
 // endpoint exported as text (an event's JSON) reads back as a value.

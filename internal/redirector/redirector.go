@@ -37,6 +37,7 @@ type Entry struct {
 	Chain []ipv4.Addr
 	// Targets are the scaling-mode replicas.
 	Targets []Target
+	chain0  [3]ipv4.Addr // Chain's backing up to three replicas
 }
 
 // Stats counts redirector activity.
@@ -63,8 +64,12 @@ type Redirector struct {
 	stats Stats
 	bus   *obs.Bus
 	tap   EncapTap
-	heard func(member ipv4.Addr)
+	heard HeardHook
 }
+
+// HeardHook observes every packet the redirector forwards, with the host the
+// packet comes from (see sender).
+type HeardHook interface{ HeardFrom(member ipv4.Addr) }
 
 // New installs a redirector on the given stack. The stack must have
 // forwarding enabled to see transit traffic.
@@ -92,10 +97,9 @@ func (r *Redirector) SetBus(b *obs.Bus) { r.bus = b }
 // disabled cost is one pointer test per tunnel copy.
 func (r *Redirector) SetEncapTap(t EncapTap) { r.tap = t }
 
-// SetHeardHook installs (or, with nil, removes) an observer of every packet
-// the redirector forwards, called with the host the packet comes from (see
-// sender). The disabled cost is one pointer test per forwarded packet.
-func (r *Redirector) SetHeardHook(fn func(member ipv4.Addr)) { r.heard = fn }
+// SetHeardHook installs (or, with nil, removes) the observer of forwarded
+// packets. The disabled cost is one pointer test per forwarded packet.
+func (r *Redirector) SetHeardHook(h HeardHook) { r.heard = h }
 
 func (r *Redirector) nodeName() string { return r.ip.Node().Name() }
 
@@ -114,7 +118,7 @@ func (r *Redirector) entry(key ServiceKey) *Entry {
 	e := r.table[key.Key()]
 	if e == nil {
 		e = new(Entry)
-		r.table[key.Key()] = e
+		e.Chain, r.table[key.Key()] = e.chain0[:0], e
 	}
 	return e
 }
@@ -131,7 +135,7 @@ func (r *Redirector) AddTarget(key ServiceKey, t Target) {
 // last allocates nothing.
 func (r *Redirector) SetFTReplicas(key ServiceKey, primary ipv4.Addr, backups []ipv4.Addr) {
 	e := r.entry(key)
-	e.Chain = append(append(slices.Grow(e.Chain[:0], 1+len(backups)), primary), backups...)
+	e.Chain = append(append(e.Chain[:0], primary), backups...)
 }
 
 // RemoveTarget removes a scaling-mode replica for key (voluntary leave).
@@ -156,7 +160,7 @@ func (r *Redirector) intercept(p *ipv4.Packet) bool {
 	// stack, so in practice inner packets arrive unfragmented.
 	ports := (p.Proto == ipv4.ProtoTCP || p.Proto == ipv4.ProtoUDP) && p.FragOff == 0 && len(p.Payload) >= 4
 	if r.heard != nil {
-		r.heard(r.sender(p, ports))
+		r.heard.HeardFrom(r.sender(p, ports))
 	}
 	if !ports {
 		return false

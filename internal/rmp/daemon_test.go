@@ -239,3 +239,28 @@ func TestStaleChainSetIgnored(t *testing.T) {
 		t.Fatalf("the primary echoed %d bytes: the older, ungated CHAIN-SET was applied", r.Delivered)
 	}
 }
+
+// TestProbeAllocatesNothing: once warm, a suspicion's probe — a ping to each
+// member and its acknowledgment, the heard-from hook installed and removed —
+// allocates nothing. The pings' records and the members' peer records are
+// the reliable layer's inline tables, and each member's record in the probe
+// is its ping's result handler.
+func TestProbeAllocatesNothing(t *testing.T) {
+	net, rd, hosts := build(t, 63, 3)
+	if _, err := net.DeployFT(svc, rd, hosts, hydranet.FTOptions{}, app.Echo); err != nil {
+		t.Fatal(err)
+	}
+	net.Settle()
+	probe := func() {
+		rd.Daemon().Probe(svc)
+		net.RunFor(time.Second)
+	}
+	probe()
+	if avg := testing.AllocsPerRun(20, probe); avg != 0 {
+		t.Errorf("a probe of three live members allocates %.1f objects, want 0", avg)
+	}
+	st := rd.Daemon().Stats()
+	if st.Suspicions != 22 || st.ProbesSent != 66 || st.HostsFailed != 0 || len(rd.Daemon().Chain(svc)) != 3 {
+		t.Fatalf("after 22 probes: %+v, chain %v", st, rd.Daemon().Chain(svc))
+	}
+}

@@ -16,7 +16,7 @@ import (
 // local replicas with the redirector, applies chain configuration pushed
 // back by the redirector, and forwards failure suspicions.
 type HostDaemon struct {
-	rel        *Reliable
+	rel        Reliable
 	sched      *sim.Scheduler
 	mgr        *core.Manager
 	hs         *hostserver.HostServer
@@ -26,26 +26,18 @@ type HostDaemon struct {
 	in         Message // the datagram being handled, decoded
 }
 
-// NewHostDaemon starts the daemon: it binds the management port and wires
-// the ft-TCP failure estimator to SUSPECT reports.
-func NewHostDaemon(udpStack *udp.Stack, sched *sim.Scheduler, mgr *core.Manager,
-	hs *hostserver.HostServer, tcpStack *tcp.Stack,
-	hostAddr, redirectorAddr ipv4.Addr) (*HostDaemon, error) {
-	d := &HostDaemon{
-		sched:      sched,
-		mgr:        mgr,
-		hs:         hs,
-		tcpStack:   tcpStack,
-		hostAddr:   hostAddr,
-		redirector: udp.Endpoint{Addr: redirectorAddr, Port: ManagementPort},
+// Init starts a daemon embedded by value, which must not be copied
+// afterwards: it binds the management port and wires the ft-TCP failure
+// estimator to SUSPECT reports.
+func (d *HostDaemon) Init(udpStack *udp.Stack, sched *sim.Scheduler, mgr *core.Manager,
+	hs *hostserver.HostServer, tcpStack *tcp.Stack, hostAddr, redirectorAddr ipv4.Addr) error {
+	d.sched, d.mgr, d.hs, d.tcpStack, d.hostAddr = sched, mgr, hs, tcpStack, hostAddr
+	d.redirector = udp.Endpoint{Addr: redirectorAddr, Port: ManagementPort}
+	if err := d.rel.Init(udpStack, sched, hostAddr, ManagementPort, d); err != nil {
+		return fmt.Errorf("rmp: host daemon: %w", err)
 	}
-	rel, err := NewReliable(udpStack, sched, hostAddr, ManagementPort, d.onMessage)
-	if err != nil {
-		return nil, fmt.Errorf("rmp: host daemon: %w", err)
-	}
-	d.rel = rel
-	mgr.OnSuspect(d.reportSuspicion)
-	return d, nil
+	mgr.OnSuspect((*suspicionReport)(d))
+	return nil
 }
 
 // RegisterFT deploys a fault-tolerant replica locally and registers it with
@@ -93,7 +85,12 @@ func (d *HostDaemon) StartHeartbeats(svc core.ServiceID, interval time.Duration)
 	timer.Reset(interval)
 }
 
-func (d *HostDaemon) reportSuspicion(svc core.ServiceID) {
+// A *HostDaemon converted to suspicionReport forwards the failure
+// estimator's suspicions to the redirector.
+type suspicionReport HostDaemon
+
+func (r *suspicionReport) Suspect(svc core.ServiceID) {
+	d := (*HostDaemon)(r)
 	msg := Message{Type: MsgSuspect, Service: svc, Host: d.hostAddr}
 	d.rel.Send(d.redirector, &msg, nil)
 }

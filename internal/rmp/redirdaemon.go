@@ -1,6 +1,7 @@
 package rmp
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 	"time"
@@ -31,15 +32,19 @@ type RedirectorDaemonStats struct {
 // registrations, keeps the redirector table in sync, and runs the
 // reconfiguration procedure when a failure is reported.
 type RedirectorDaemon struct {
-	rel   *Reliable
+	rel   Reliable
 	rd    *redirector.Redirector
 	sched *sim.Scheduler
 	addr  ipv4.Addr
 
-	services    map[inet.Key]*svcState
-	open        []*svcState         // services with a probe open
+	// services is sorted by key, the order of every walk over them that
+	// transmits. The first one registered lives in the daemon.
+	services    []*svcState
+	services0   [1]*svcState
+	svc0        svcState
+	probing     int                 // services with a probe open
 	peers       []udp.Endpoint      // peer redirectors mirroring our FT entries
-	mirrored    map[inet.Key]uint32 // last version applied per mirrored service
+	mirrored    map[inet.Key]uint32 // last version applied per mirrored service; made by the first MIRROR
 	congestion  CongestionPolicy
 	leaseExpiry time.Duration
 	leaseSweep  *sim.Timer
@@ -54,16 +59,22 @@ type RedirectorDaemon struct {
 }
 
 type svcState struct {
-	chain   []ipv4.Addr  // S0 (primary) first
-	probe   []probeState // the open probe's members; empty when none is open
-	probeID uint32
-	version uint32 // bumped on every chain change; orders CHAIN-SET and MIRROR
+	d           *RedirectorDaemon
+	svc         core.ServiceID
+	chain       []ipv4.Addr  // S0 (primary) first
+	probe       []probeState // the open probe's members; empty when none is open
+	outstanding int          // the open probe's pings still unanswered
+	probeID     uint32
+	version     uint32 // bumped on every chain change; orders CHAIN-SET and MIRROR
 
 	// Congestion-eviction bookkeeping: times of all-alive probe outcomes
 	// within the policy window.
 	aliveStrikes []time.Duration
 	// Lease bookkeeping: last heartbeat (or registration) per member.
 	lastSeen map[ipv4.Addr]time.Duration
+
+	chain0 [3]ipv4.Addr  // chain's backing up to three members
+	probe0 [3]probeState // probe's
 }
 
 // CongestionPolicy configures eviction of live-but-disruptive replicas
@@ -78,22 +89,23 @@ type CongestionPolicy struct {
 	Window  time.Duration
 }
 
-// NewRedirectorDaemon starts the daemon on the redirector node.
-func NewRedirectorDaemon(udpStack *udp.Stack, sched *sim.Scheduler,
-	rd *redirector.Redirector, addr ipv4.Addr) (*RedirectorDaemon, error) {
-	d := &RedirectorDaemon{
-		rd:       rd,
-		sched:    sched,
-		addr:     addr,
-		services: make(map[inet.Key]*svcState),
-		mirrored: make(map[inet.Key]uint32),
+// Init starts a daemon embedded by value on the redirector node. It must not
+// be copied afterwards.
+func (d *RedirectorDaemon) Init(udpStack *udp.Stack, sched *sim.Scheduler, rd *redirector.Redirector, addr ipv4.Addr) error {
+	d.rd, d.sched, d.addr, d.services = rd, sched, addr, d.services0[:0]
+	if err := d.rel.Init(udpStack, sched, addr, ManagementPort, d); err != nil {
+		return fmt.Errorf("rmp: redirector daemon: %w", err)
 	}
-	rel, err := NewReliable(udpStack, sched, addr, ManagementPort, d.onMessage)
-	if err != nil {
-		return nil, fmt.Errorf("rmp: redirector daemon: %w", err)
+	return nil
+}
+
+// service returns svc's state, or nil and where in services it would go.
+func (d *RedirectorDaemon) service(svc core.ServiceID) (*svcState, int) {
+	i, ok := slices.BinarySearchFunc(d.services, svc.Key(), func(s *svcState, k inet.Key) int { return cmp.Compare(s.svc.Key(), k) })
+	if !ok {
+		return nil, i
 	}
-	d.rel = rel
-	return d, nil
+	return d.services[i], i
 }
 
 // Stats returns a snapshot of the daemon counters.
@@ -126,8 +138,8 @@ func (d *RedirectorDaemon) noteReconfig(svc core.ServiceID, cause string, hosts 
 func (d *RedirectorDaemon) AddPeer(addr ipv4.Addr) {
 	d.peers = append(d.peers, udp.Endpoint{Addr: addr, Port: ManagementPort})
 	// Push current state so late-added peers converge.
-	for _, k := range inet.SortedKeys(d.services) {
-		d.pushMirror(inet.EndpointOf(k), d.services[k])
+	for _, s := range d.services {
+		d.pushMirror(s)
 	}
 }
 
@@ -150,8 +162,7 @@ func (d *RedirectorDaemon) EnableLeases(expiry time.Duration) {
 
 func (d *RedirectorDaemon) sweepLeases() {
 	now := d.sched.Now()
-	for _, k := range inet.SortedKeys(d.services) { // applyChain transmits
-		svc, s := inet.EndpointOf(k), d.services[k]
+	for _, s := range d.services { // applyChain transmits
 		var expired []ipv4.Addr
 		for _, host := range s.chain {
 			seen, ok := s.lastSeen[host]
@@ -167,10 +178,10 @@ func (d *RedirectorDaemon) sweepLeases() {
 			removeHost(&s.chain, host)
 			delete(s.lastSeen, host)
 		}
-		d.applyChain(svc, s)
-		d.noteReconfig(svc, "lease-expired", expired)
+		d.applyChain(s)
+		d.noteReconfig(s.svc, "lease-expired", expired)
 		if d.onReconfig != nil {
-			d.onReconfig(svc, expired)
+			d.onReconfig(s.svc, expired)
 		}
 	}
 	d.leaseSweep.Reset(d.leaseExpiry / 2)
@@ -183,7 +194,7 @@ func (d *RedirectorDaemon) OnReconfig(fn func(svc core.ServiceID, failed []ipv4.
 
 // Chain returns the current replica chain for svc (primary first).
 func (d *RedirectorDaemon) Chain(svc core.ServiceID) []ipv4.Addr {
-	s := d.services[svc.Key()]
+	s, _ := d.service(svc)
 	if s == nil {
 		return nil
 	}
@@ -209,7 +220,7 @@ func (d *RedirectorDaemon) onMessage(from udp.Endpoint, payload []byte) {
 	case MsgMirror:
 		d.applyMirror(msg)
 	case MsgHeartbeat:
-		if s := d.services[msg.Service.Key()]; s != nil {
+		if s, _ := d.service(msg.Service); s != nil {
 			s.noteAlive(msg.Host, d.sched.Now())
 		}
 	}
@@ -220,10 +231,13 @@ func (d *RedirectorDaemon) onMessage(from udp.Endpoint, payload []byte) {
 
 // register handles creation of primary and backup servers.
 func (d *RedirectorDaemon) register(msg *Message) {
-	s := d.services[msg.Service.Key()]
+	s, i := d.service(msg.Service)
 	if s == nil {
-		s = &svcState{}
-		d.services[msg.Service.Key()] = s
+		if s = &d.svc0; s.d != nil {
+			s = new(svcState)
+		}
+		s.d, s.svc, s.chain, s.probe = d, msg.Service, s.chain0[:0], s.probe0[:0]
+		d.services = slices.Insert(d.services, i, s)
 	}
 	s.noteAlive(msg.Host, d.sched.Now())
 	if slices.Contains(s.chain, msg.Host) {
@@ -241,13 +255,13 @@ func (d *RedirectorDaemon) register(msg *Message) {
 	} else {
 		s.chain = append(s.chain, msg.Host)
 	}
-	d.applyChain(msg.Service, s)
+	d.applyChain(s)
 }
 
 // leave handles voluntary departure of a replica (FT chain member or
 // scaling-mode target).
 func (d *RedirectorDaemon) leave(msg *Message) {
-	s := d.services[msg.Service.Key()]
+	s, _ := d.service(msg.Service)
 	if s == nil {
 		// Not an FT service here: drop any scaling-mode target.
 		d.rd.RemoveTarget(msg.Service, msg.Host)
@@ -258,14 +272,26 @@ func (d *RedirectorDaemon) leave(msg *Message) {
 		return
 	}
 	d.stats.Leaves++
-	d.applyChain(msg.Service, s)
+	d.applyChain(s)
 	d.noteReconfig(msg.Service, "leave", []ipv4.Addr{msg.Host})
 }
 
-// probeState is one member of an open probe.
+// probeState is one member of an open probe, and its ping's result handler.
 type probeState struct {
+	s     *svcState
 	host  ipv4.Addr
-	alive bool // acknowledged its ping, or heard from (heardFrom)
+	alive bool // acknowledged its ping, or heard from (heardHook)
+}
+
+// onResult takes the verdict on the member's ping; the last one ends the
+// probe.
+func (m *probeState) onResult(delivered bool) {
+	if delivered {
+		m.alive = true
+	}
+	if m.s.outstanding--; m.s.outstanding == 0 {
+		m.s.d.finishProbe(m.s)
+	}
 }
 
 // suspect runs the failure-identification procedure: probe every chain
@@ -276,61 +302,40 @@ type probeState struct {
 // channel; probing from the redirector is the concrete mechanism here. Each
 // ping's attempts are timed from the member's measured RTO (Reliable).
 func (d *RedirectorDaemon) suspect(svc core.ServiceID) {
-	s := d.services[svc.Key()]
+	s, _ := d.service(svc)
 	if s == nil || len(s.probe) > 0 || len(s.chain) == 0 {
 		return
 	}
 	d.stats.Suspicions++
 	s.probeID++
 	for _, host := range s.chain {
-		s.probe = append(s.probe, probeState{host: host})
+		s.probe = append(s.probe, probeState{s: s, host: host})
 	}
-	d.openProbe(s)
-	outstanding := len(s.probe)
-	for i, m := range s.probe {
+	// The first probe opened starts listening for heard-from evidence.
+	if d.probing++; d.probing == 1 {
+		d.rd.SetHeardHook((*heardHook)(d))
+	}
+	s.outstanding = len(s.probe)
+	for i := range s.probe {
+		m := &s.probe[i]
 		ping := Message{Type: MsgPing, Service: svc, Host: m.host, ProbeID: s.probeID}
 		d.stats.ProbesSent++
-		d.rel.Send(udp.Endpoint{Addr: m.host, Port: ManagementPort}, &ping,
-			func(delivered bool) {
-				if delivered {
-					s.probe[i].alive = true
-				}
-				outstanding--
-				if outstanding == 0 {
-					d.finishProbe(svc, s)
-				}
-			})
+		d.rel.Send(udp.Endpoint{Addr: m.host, Port: ManagementPort}, &ping, m)
 	}
 }
 
-// openProbe adds s to the open probes; the first one opened starts
-// listening for heard-from evidence.
-func (d *RedirectorDaemon) openProbe(s *svcState) {
-	if len(d.open) == 0 {
-		d.rd.SetHeardHook(d.heardFrom)
-	}
-	d.open = append(d.open, s)
-}
+// A *RedirectorDaemon converted to heardHook hears the redirector's forwarded
+// packets while a probe is open.
+type heardHook RedirectorDaemon
 
-// closeProbe removes s from the open probes; the last one closed stops
-// listening.
-func (d *RedirectorDaemon) closeProbe(s *svcState) {
-	if i := slices.Index(d.open, s); i >= 0 {
-		d.open = slices.Delete(d.open, i, i+1)
-	}
-	if len(d.open) == 0 {
-		d.rd.SetHeardHook(nil)
-	}
-}
-
-// heardFrom is the heard-from rule: while a probe is open, any packet the
+// HeardFrom is the heard-from rule: while a probe is open, any packet the
 // redirector forwards from a probed member answers for that member as its
 // ping's acknowledgment would. A live member behind a deep queue can delay
 // the ping past every attempt while its own traffic still flows; a dead host
 // sends nothing. Traffic of the member's that bypasses the redirector is
 // never seen here, so it is no evidence.
-func (d *RedirectorDaemon) heardFrom(member ipv4.Addr) {
-	for _, s := range d.open {
+func (h *heardHook) HeardFrom(member ipv4.Addr) {
+	for _, s := range h.services {
 		for i := range s.probe {
 			if s.probe[i].host == member {
 				s.probe[i].alive = true
@@ -339,7 +344,8 @@ func (d *RedirectorDaemon) heardFrom(member ipv4.Addr) {
 	}
 }
 
-func (d *RedirectorDaemon) finishProbe(svc core.ServiceID, s *svcState) {
+func (d *RedirectorDaemon) finishProbe(s *svcState) {
+	svc := s.svc
 	var failed []ipv4.Addr
 	for _, m := range s.probe {
 		if !m.alive {
@@ -347,7 +353,10 @@ func (d *RedirectorDaemon) finishProbe(svc core.ServiceID, s *svcState) {
 		}
 	}
 	s.probe = s.probe[:0]
-	d.closeProbe(s)
+	// The last probe closed stops listening.
+	if d.probing--; d.probing == 0 {
+		d.rd.SetHeardHook(nil)
+	}
 	if len(failed) == 0 {
 		// All members alive: a false positive, or congestion somewhere in
 		// the chain. Under the congestion policy, repeated strikes evict
@@ -363,7 +372,7 @@ func (d *RedirectorDaemon) finishProbe(svc core.ServiceID, s *svcState) {
 				tail := s.chain[len(s.chain)-1]
 				d.stats.CongestionEvictions++
 				removeHost(&s.chain, tail)
-				d.applyChain(svc, s)
+				d.applyChain(s)
 				d.noteReconfig(svc, "congestion-evicted", []ipv4.Addr{tail})
 				if d.onReconfig != nil {
 					d.onReconfig(svc, []ipv4.Addr{tail})
@@ -376,7 +385,7 @@ func (d *RedirectorDaemon) finishProbe(svc core.ServiceID, s *svcState) {
 		d.stats.HostsFailed++
 		removeHost(&s.chain, host)
 	}
-	d.applyChain(svc, s)
+	d.applyChain(s)
 	d.noteReconfig(svc, "failed", failed)
 	if d.onReconfig != nil {
 		d.onReconfig(svc, failed)
@@ -390,6 +399,9 @@ func (d *RedirectorDaemon) applyMirror(msg *Message) {
 	if last, ok := d.mirrored[msg.Service.Key()]; ok && int32(msg.ProbeID-last) <= 0 {
 		return // stale or duplicate update
 	}
+	if d.mirrored == nil {
+		d.mirrored = make(map[inet.Key]uint32)
+	}
 	d.mirrored[msg.Service.Key()] = msg.ProbeID
 	if len(msg.Hosts) == 0 {
 		d.rd.Remove(msg.Service)
@@ -399,19 +411,20 @@ func (d *RedirectorDaemon) applyMirror(msg *Message) {
 }
 
 // pushMirror replicates the service's chain to every peer redirector.
-func (d *RedirectorDaemon) pushMirror(svc core.ServiceID, s *svcState) {
+func (d *RedirectorDaemon) pushMirror(s *svcState) {
 	for _, peer := range d.peers {
-		msg := Message{Type: MsgMirror, Service: svc, ProbeID: s.version, Hosts: s.chain}
+		msg := Message{Type: MsgMirror, Service: s.svc, ProbeID: s.version, Hosts: s.chain}
 		d.rel.Send(peer, &msg, nil)
 	}
 }
 
 // applyChain synchronizes the redirector table with the chain and pushes
 // each member its position.
-func (d *RedirectorDaemon) applyChain(svc core.ServiceID, s *svcState) {
+func (d *RedirectorDaemon) applyChain(s *svcState) {
+	svc := s.svc
 	d.stats.Reconfigs++
 	s.version++
-	defer d.pushMirror(svc, s)
+	defer d.pushMirror(s)
 	if len(s.chain) == 0 {
 		d.rd.Remove(svc)
 		return

@@ -1,6 +1,7 @@
 package rmp
 
 import (
+	"slices"
 	"time"
 
 	"hydranet/internal/inet"
@@ -13,6 +14,8 @@ import (
 // message exchanges: sequence-numbered datagrams, positive acknowledgment,
 // bounded retransmission timed from each peer's measured round trip, and
 // duplicate suppression at the receiver.
+// A daemon has a few datagrams in flight and a few peers, so both tables are
+// scanned, and the first relInline entries of each live in the endpoint.
 type Reliable struct {
 	sched     *sim.Scheduler
 	udpStack  *udp.Stack
@@ -20,40 +23,44 @@ type Reliable struct {
 	port      uint16
 
 	nextSeq uint32
-	pending map[uint32]*relPending
-	free    *relPending // records of settled datagrams, ready for reuse
-	peers   map[ipv4.Addr]*peer
-	onData  func(from udp.Endpoint, payload []byte)
+	recs    []*relPending // every record made; a settled one (seq 0) is reused
+	recs0   [relInline]*relPending
+	rec0    [relInline]relPending
+	peers   []peer
+	peers0  [relInline]peer
+	onData  receiver
 	ack     [relHeaderLen]byte // the acknowledgment being sent
-
-	// Stats
-	sent, acked, failed, dupsDropped uint64
 }
+
+// A receiver (the owning daemon) is handed each distinct datagram delivered; a
+// resultHandler (a probe's member record) learns if one was acknowledged.
+type receiver interface{ onMessage(udp.Endpoint, []byte) }
+type resultHandler interface{ onResult(delivered bool) }
 
 // peer is what the endpoint knows of one remote daemon: the RTO of the
 // datagrams it sends there, and the sequence numbers it recently received
 // from there.
 type peer struct {
+	addr ipv4.Addr
 	rto  inet.RTO
 	seen [relDedupWindow]uint32 // ring; sequence numbers start at 1, so 0 is empty
 	next int                    // the ring slot the next new sequence number takes
 }
 
-// relPending is one datagram awaiting its acknowledgment. Records are
-// recycled through the endpoint's free list once settled; each keeps its
-// datagram buffer and its timer, whose handler it is, for the next message.
+// relPending is one datagram awaiting its acknowledgment. A settled record
+// keeps its datagram buffer and its timer, whose handler it is, for a later
+// message.
 type relPending struct {
 	r        *Reliable
 	timer    sim.Timer
 	dst      udp.Endpoint
-	peer     *peer
+	peer     int                         // index in r.peers
 	frame    []byte                      // header and payload; reused by the record's next datagram
 	frame0   [relHeaderLen + msgLen]byte // frame's backing for all but MIRROR
-	seq      uint32
+	seq      uint32                      // 0 once settled
 	tries    int
 	sentAt   time.Duration // first transmission, for the RTT sample
-	onResult func(delivered bool)
-	next     *relPending // free-list link
+	onResult resultHandler
 }
 
 // OnTimer makes a record its timer's handler: the attempt timed out.
@@ -65,6 +72,7 @@ const (
 
 	relHeaderLen   = 5
 	relDedupWindow = 64
+	relInline      = 3
 
 	// relAttempts transmissions are made before a datagram is given up.
 	relAttempts = 4
@@ -76,72 +84,62 @@ const (
 	relGranularity = time.Millisecond
 )
 
-// NewReliable binds a reliable-UDP endpoint on (localAddr, port). onData is
-// invoked once per distinct delivered datagram.
-func NewReliable(udpStack *udp.Stack, sched *sim.Scheduler, localAddr ipv4.Addr, port uint16,
-	onData func(from udp.Endpoint, payload []byte)) (*Reliable, error) {
-	r := &Reliable{
-		sched:     sched,
-		udpStack:  udpStack,
-		localAddr: localAddr,
-		port:      port,
-		pending:   make(map[uint32]*relPending),
-		peers:     make(map[ipv4.Addr]*peer),
-		onData:    onData,
-	}
-	if err := udpStack.Bind(localAddr, port, r.receive); err != nil {
-		return nil, err
-	}
-	return r, nil
+// Init binds a reliable-UDP endpoint on (localAddr, port), which must not be
+// copied afterwards.
+func (r *Reliable) Init(udpStack *udp.Stack, sched *sim.Scheduler, localAddr ipv4.Addr, port uint16, onData receiver) error {
+	r.sched, r.udpStack, r.localAddr, r.port, r.onData = sched, udpStack, localAddr, port, onData
+	r.recs, r.peers = r.recs0[:0], r.peers0[:0]
+	return udpStack.Bind(localAddr, port, (*relReceiver)(r))
 }
 
-// Stats returns datagrams sent, acknowledged, failed (all retries
-// exhausted) and duplicates dropped.
-func (r *Reliable) Stats() (sent, acked, failed, dups uint64) {
-	return r.sent, r.acked, r.failed, r.dupsDropped
+// peer returns the index of addr's record, creating it on first contact.
+func (r *Reliable) peer(addr ipv4.Addr) int {
+	for i := range r.peers {
+		if r.peers[i].addr == addr {
+			return i
+		}
+	}
+	r.peers = append(r.peers, peer{addr: addr, rto: inet.NewRTO(relMaxRTO, 0, relMaxRTO, relGranularity)})
+	return len(r.peers) - 1
 }
 
-// peer returns addr's record, creating it on first contact.
-func (r *Reliable) peer(addr ipv4.Addr) *peer {
-	pe := r.peers[addr]
-	if pe == nil {
-		pe = &peer{rto: inet.NewRTO(relMaxRTO, 0, relMaxRTO, relGranularity)}
-		r.peers[addr] = pe
+// record returns a settled datagram record, making one if all are in flight.
+func (r *Reliable) record() *relPending {
+	for _, p := range r.recs {
+		if p.seq == 0 {
+			return p
+		}
 	}
-	return pe
+	p := &r.rec0[len(r.recs)%relInline]
+	if len(r.recs) >= relInline {
+		p = new(relPending)
+	}
+	p.r, p.frame = r, p.frame0[:0]
+	p.timer.InitHandler(r.sched, p)
+	r.recs = append(r.recs, p)
+	return p
 }
 
 // Send transmits m to dst with retries, encoded straight into the buffer of
-// the datagram's record; the caller keeps m. onResult, if non-nil, reports
+// the datagram's record; the caller keeps m. onResult, if non-nil, learns
 // whether the peer acknowledged within the retry budget.
-func (r *Reliable) Send(dst udp.Endpoint, m *Message, onResult func(delivered bool)) {
-	p := r.free
-	if p != nil {
-		r.free, p.next = p.next, nil
-	} else {
-		p = &relPending{r: r}
-		p.frame = p.frame0[:0]
-		p.timer.InitHandler(r.sched, p)
-	}
+func (r *Reliable) Send(dst udp.Endpoint, m *Message, onResult resultHandler) {
+	p := r.record()
 	r.nextSeq++
 	p.seq = r.nextSeq
 	p.dst, p.peer, p.tries, p.sentAt, p.onResult = dst, r.peer(dst.Addr), 0, r.sched.Now(), onResult
 	p.frame = append(p.frame[:0], relData, 0, 0, 0, 0)
 	putU32(p.frame[1:5], p.seq)
 	p.frame = m.AppendTo(p.frame)
-	r.pending[p.seq] = p
-	r.sent++
 	r.transmit(p)
 }
 
-// settle takes a datagram's record out of the pending set and puts it on the
-// free list, returning the callback that is still to learn the verdict.
-func (r *Reliable) settle(p *relPending) (onResult func(delivered bool)) {
+// settle frees a datagram's record, returning the handler that is still to
+// learn the verdict.
+func (r *Reliable) settle(p *relPending) (onResult resultHandler) {
 	p.timer.Stop()
-	delete(r.pending, p.seq)
 	onResult = p.onResult
-	p.peer, p.onResult = nil, nil
-	p.next, r.free = r.free, p
+	p.seq, p.onResult = 0, nil
 	return onResult
 }
 
@@ -151,7 +149,7 @@ func (r *Reliable) transmit(p *relPending) {
 	p.tries++
 	// A missing route is equivalent to loss; retries cover it.
 	_ = r.udpStack.SendTo(r.localAddr, r.port, p.dst, p.frame) //nolint:errcheck
-	p.timer.Reset(min(p.peer.rto.Current()<<(p.tries-1), relMaxRTO))
+	p.timer.Reset(min(r.peers[p.peer].rto.Current()<<(p.tries-1), relMaxRTO))
 }
 
 func (r *Reliable) retry(p *relPending) {
@@ -159,43 +157,45 @@ func (r *Reliable) retry(p *relPending) {
 		r.transmit(p)
 		return
 	}
-	r.failed++
 	if onResult := r.settle(p); onResult != nil {
-		onResult(false)
+		onResult.onResult(false)
 	}
 }
 
-func (r *Reliable) receive(from udp.Endpoint, local ipv4.Addr, b []byte) {
+// A *Reliable converted to relReceiver receives the endpoint's datagrams.
+type relReceiver Reliable
+
+func (rr *relReceiver) Receive(from udp.Endpoint, local ipv4.Addr, b []byte) {
+	r := (*Reliable)(rr)
 	if len(b) < relHeaderLen {
 		return
 	}
 	seq := getU32(b[1:5])
 	switch b[0] {
 	case relAck:
-		p := r.pending[seq]
-		if p == nil {
+		i := slices.IndexFunc(r.recs, func(p *relPending) bool { return p.seq == seq })
+		if seq == 0 || i < 0 {
 			return
 		}
-		r.acked++
+		p := r.recs[i]
 		if p.tries == 1 {
 			// Karn: an acknowledgment of a retransmitted datagram may
 			// answer any of its copies, so only first tries are timed.
-			p.peer.rto.Sample(r.sched.Now() - p.sentAt)
+			r.peers[p.peer].rto.Sample(r.sched.Now() - p.sentAt)
 		}
 		if onResult := r.settle(p); onResult != nil {
-			onResult(true)
+			onResult.onResult(true)
 		}
 	case relData:
 		// Always (re-)acknowledge, then deduplicate.
 		r.ack[0] = relAck
 		putU32(r.ack[1:5], seq)
 		_ = r.udpStack.SendTo(local, r.port, from, r.ack[:]) //nolint:errcheck
-		if r.peer(from.Addr).isDup(seq) {
-			r.dupsDropped++
+		if r.peers[r.peer(from.Addr)].isDup(seq) {
 			return
 		}
 		if r.onData != nil {
-			r.onData(from, b[relHeaderLen:])
+			r.onData.onMessage(from, b[relHeaderLen:])
 		}
 	}
 }

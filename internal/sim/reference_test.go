@@ -393,6 +393,11 @@ func (w *world) apply(op, a, b byte) {
 			}
 		}
 		w.laneBurst(lane, 1+int(b>>4)%3, a)
+		// A cancelled tail's node goes to the next event on its lane; the
+		// tail's own handle must not reach that event.
+		if b&4 != 0 {
+			burst[len(burst)-1].Cancel()
+		}
 	case 15:
 		// Compaction over cancelled lane heads: each lane's chain must
 		// survive its head being swept out of the heap, also when the

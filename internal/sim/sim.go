@@ -481,6 +481,8 @@ func (s *Scheduler) popRoot() {
 // An event cancelled while it waits stays chained, uncounted, until the events
 // ahead of it have left the lane; the one behind it then moves up in its
 // place, so a cancellation never fires anything and never costs a heap slot.
+// A cancelled tail's node goes to the lane's next event, so reassembly timeouts
+// that are nearly all cancelled hold two nodes, not one per datagram.
 //
 // The zero Lane is ready to use. A lane belongs to the scheduler its events
 // are scheduled on, allocates nothing, and must not be copied while events
@@ -507,6 +509,15 @@ func (l *Lane) AtHandler(s *Scheduler, t time.Duration, h Handler) Event {
 		return s.at(t, h)
 	}
 	s.checkTime(t)
+	if busy && tail.flags == nodeCancelled|nodeWaiting {
+		// The new event takes the node of a cancelled one waiting where it
+		// would be chained, under a new generation: the old handle is inert.
+		tail.gen++
+		tail.at, tail.seq, tail.h, tail.flags = t, s.stamp(), h, nodeWaiting
+		s.waiting++
+		l.gen = tail.gen
+		return Event{n: tail, gen: tail.gen}
+	}
 	n := s.alloc()
 	n.at = t
 	n.seq = s.stamp()

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"slices"
 	"testing"
 	"time"
 	"unsafe"
@@ -391,6 +392,65 @@ func TestLaneCancelKeepsHeapShallow(t *testing.T) {
 		if i == 0 || i%20 == 9 || i%20 == 14 {
 			t.Fatalf("cancelled entry %d fired", i)
 		}
+	}
+}
+
+// TestLaneReusesCancelledTail: a lane whose tail is cancelled before the next
+// event is scheduled on it — a reassembly timeout once its datagram is
+// complete — fires in the (time, sequence) order of plain At, holds two nodes
+// however many waits were cancelled, and the reused node's old handle is
+// inert.
+func TestLaneReusesCancelledTail(t *testing.T) {
+	type firing struct {
+		at  time.Duration
+		tag int
+	}
+	play := func(schedule func(s *Scheduler, t time.Duration, fn func()) Event) []firing {
+		s := NewScheduler(1)
+		var got []firing
+		ev := func(tag int) func() { return func() { got = append(got, firing{s.Now(), tag}) } }
+		for i := 0; i < 1000; i++ {
+			s.RunUntil(time.Duration(i/4) * time.Millisecond)
+			h := schedule(s, s.Now()+30*time.Second, ev(i))
+			s.At(s.Now()+30*time.Second, ev(-i)) // same instant, later sequence
+			if i%3 != 0 {
+				h.Cancel()
+			}
+		}
+		s.Run()
+		return got
+	}
+	var lane Lane
+	got := play(lane.At)
+	want := play(func(s *Scheduler, t time.Duration, fn func()) Event { return s.At(t, fn) })
+	if !slices.Equal(got, want) {
+		i := 0
+		for i < min(len(got), len(want)) && got[i] == want[i] {
+			i++
+		}
+		t.Fatalf("lane fired %d events, plain At %d; they differ from firing %d on", len(got), len(want), i)
+	}
+
+	s := NewScheduler(1)
+	var l Lane
+	l.At(s, time.Second, func() {}) // the lane's head, in the heap
+	var old Event
+	for i := 0; i < 1000; i++ {
+		old = l.At(s, 2*time.Second, func() { t.Error("a cancelled wait fired") })
+		old.Cancel()
+	}
+	if len(s.chunks) != 1 || s.Pending() != 1 {
+		t.Fatalf("1000 cancelled waits left %d chunks and %d pending, want 1 and 1", len(s.chunks), s.Pending())
+	}
+	fired := false
+	l.At(s, 3*time.Second, func() { fired = true })
+	old.Cancel() // names the node the new event took
+	if s.Pending() != 2 {
+		t.Errorf("Pending = %d after a stale Cancel, want 2", s.Pending())
+	}
+	s.Run()
+	if !fired {
+		t.Error("a stale handle cancelled the event that reused its node")
 	}
 }
 

@@ -20,8 +20,9 @@ import (
 // outstays that sees 0xDB. A pool belongs to one stack and is never shared:
 // Nets run on several goroutines (testbed.RunExperiment).
 type bufPool struct {
-	free   [maxBufClass - minBufClass + 1][][]byte
-	frames *frame.Pool // whose poison mode this pool follows
+	free   [bufClasses][][]byte
+	free0  [bufClasses][2][]byte // each list's backing while it holds at most two
+	frames *frame.Pool           // whose poison mode this pool follows
 }
 
 // Arrays of 1<<minBufClass … 1<<maxBufClass bytes are pooled; larger ones
@@ -29,6 +30,7 @@ type bufPool struct {
 const (
 	minBufClass = 6
 	maxBufClass = 20
+	bufClasses  = maxBufClass - minBufClass + 1
 )
 
 // get returns an array of length size. Its capacity is size rounded up to the

@@ -1,9 +1,10 @@
 package tcp
 
 import (
+	"cmp"
 	"fmt"
 	"hash/fnv"
-	"sort"
+	"slices"
 	"time"
 
 	"hydranet/internal/inet"
@@ -122,12 +123,15 @@ type Stack struct {
 	sched *sim.Scheduler
 	cfg   Config
 
-	conns     map[connKey]*Conn
-	listeners map[inet.Key]*Listener
-	ephemeral uint16
-	stats     StackStats
-	trace     TraceFunc
-	bus       *obs.Bus
+	conns map[connKey]*Conn
+	// listeners is a handful, so a scan beats a hash; the first two live here.
+	listeners  []*Listener
+	listeners0 [2]*Listener
+	lsn0       [2]Listener
+	ephemeral  uint16
+	stats      StackStats
+	trace      TraceFunc
+	bus        *obs.Bus
 
 	// bufs recycles socket-buffer arrays between this stack's connections.
 	bufs bufPool
@@ -156,12 +160,16 @@ var _ ipv4.ProtocolHandler = (*Stack)(nil)
 func NewStack(ip *ipv4.Stack, cfg Config) *Stack { return new(Stack).Init(ip, cfg) }
 
 // Init is NewStack for a Stack embedded by value, which must not be copied
-// afterwards. The tables are made by their first entry: a router never
-// writes either, a client never listens.
+// afterwards. The connection table is made by its first entry: a router
+// never writes it.
 func (s *Stack) Init(ip *ipv4.Stack, cfg Config) *Stack {
 	s.ip, s.sched, s.cfg = ip, ip.Scheduler(), DefaultConfig(cfg)
+	s.listeners = s.listeners0[:0]
 	s.ephemeral = firstEphemeral
 	s.bufs.frames = ip.Node().Pool()
+	for k := range s.bufs.free {
+		s.bufs.free[k] = s.bufs.free0[k][:0]
+	}
 	ip.RegisterProto(ipv4.ProtoTCP, s)
 	return s
 }
@@ -206,16 +214,21 @@ func (s *Stack) NumConns() int { return len(s.conns) }
 type Listener struct {
 	stack  *Stack
 	local  Endpoint
-	setup  func(remote Endpoint) (*Conn, ConnHooks) // ft-TCP record, runs at SYN time
-	accept func(*Conn)                              // application accept, runs when established
+	setup  ConnSetup   // ft-TCP record, runs at SYN time
+	accept func(*Conn) // application accept, runs when established
 }
 
-// SetSetupFunc installs a callback invoked for each new connection from
-// remote at SYN time, before the SYN-ACK is generated. It returns zeroed
-// memory for the connection and the connection's ConnHooks, so even the
-// handshake obeys chain gating: the HydraNet-FT core hands over the Conn
-// embedded in its per-connection record, and the stack initialises it there.
-func (l *Listener) SetSetupFunc(fn func(remote Endpoint) (*Conn, ConnHooks)) { l.setup = fn }
+// ConnSetup is asked for each new connection from remote at SYN time, before
+// the SYN-ACK is generated. It returns zeroed memory for the connection and
+// the connection's ConnHooks, so even the handshake obeys chain gating: the
+// HydraNet-FT core hands over the Conn embedded in its per-connection record,
+// and the stack initialises it there.
+type ConnSetup interface {
+	SetupConn(remote Endpoint) (*Conn, ConnHooks)
+}
+
+// SetSetup installs the listener's ConnSetup.
+func (l *Listener) SetSetup(cs ConnSetup) { l.setup = cs }
 
 // SetAcceptFunc installs the application's accept callback, invoked when
 // the handshake completes.
@@ -223,7 +236,15 @@ func (l *Listener) SetAcceptFunc(fn func(*Conn)) { l.accept = fn }
 
 // Close stops accepting new connections (existing ones are unaffected).
 func (l *Listener) Close() {
-	delete(l.stack.listeners, l.local.Key())
+	l.stack.listeners = slices.DeleteFunc(l.stack.listeners, func(x *Listener) bool { return x == l })
+}
+
+// listener returns the listener bound to local, or nil.
+func (s *Stack) listener(local Endpoint) *Listener {
+	if i := slices.IndexFunc(s.listeners, func(l *Listener) bool { return l.local == local }); i >= 0 {
+		return s.listeners[i]
+	}
+	return nil
 }
 
 // Listen binds a listener to (addr, port). A zero addr accepts connections
@@ -231,14 +252,15 @@ func (l *Listener) Close() {
 // well-known port on every virtual host.
 func (s *Stack) Listen(addr ipv4.Addr, port uint16) (*Listener, error) {
 	key := Endpoint{Addr: addr, Port: port}
-	if _, busy := s.listeners[key.Key()]; busy {
+	if s.listener(key) != nil {
 		return nil, fmt.Errorf("%w: %s", ErrListenBusy, key)
 	}
-	l := &Listener{stack: s, local: key}
-	if s.listeners == nil {
-		s.listeners = make(map[inet.Key]*Listener)
+	l := &s.lsn0[len(s.listeners)%len(s.lsn0)]
+	if len(s.listeners) >= len(s.lsn0) || l.stack != nil { // a closed one's owner may hold it
+		l = new(Listener)
 	}
-	s.listeners[key.Key()] = l
+	*l = Listener{stack: s, local: key}
+	s.listeners = append(s.listeners, l)
 	return l, nil
 }
 
@@ -277,7 +299,7 @@ func (s *Stack) allocEphemeral(localAddr ipv4.Addr, remote Endpoint) uint16 {
 		if s.ephemeral < firstEphemeral {
 			s.ephemeral = firstEphemeral
 		}
-		if _, busy := s.listeners[Endpoint{Port: s.ephemeral}.Key()]; busy {
+		if s.listener(Endpoint{Port: s.ephemeral}) != nil {
 			continue
 		}
 		local := Endpoint{Addr: localAddr, Port: s.ephemeral}
@@ -315,9 +337,9 @@ func (s *Stack) input(p *ipv4.Packet, seg *Segment) {
 		return
 	}
 	// New connection: a SYN for a listener.
-	l := s.listeners[local.Key()]
+	l := s.listener(local)
 	if l == nil {
-		l = s.listeners[Endpoint{Port: seg.DstPort}.Key()] // wildcard
+		l = s.listener(Endpoint{Port: seg.DstPort}) // wildcard
 	}
 	if l != nil && seg.Flags.Has(FlagSYN) && !seg.Flags.Has(FlagACK) {
 		var c *Conn
@@ -325,7 +347,7 @@ func (s *Stack) input(p *ipv4.Packet, seg *Segment) {
 		if l.setup == nil {
 			c = new(Conn)
 		} else {
-			c, hooks = l.setup(remote)
+			c, hooks = l.setup.SetupConn(remote)
 		}
 		c.initConn(s, local, remote)
 		c.hooks, c.acceptFn = hooks, l.accept
@@ -388,20 +410,18 @@ func (s *Stack) FindConn(local, remote Endpoint) *Conn {
 }
 
 // Conns returns all live connections (copy), sorted by endpoint pair.
-// Reset terminates connections through this list, and termination emits
-// events and mutates shared state — map order here would leak into the
-// replay timeline.
-func (s *Stack) Conns() []*Conn {
-	out := make([]*Conn, 0, len(s.conns))
+func (s *Stack) Conns() []*Conn { return s.appendConns(make([]*Conn, 0, len(s.conns))) }
+
+// appendConns appends the live connections to out, sorted by endpoint pair.
+// Reset terminates connections in this order, and termination emits events
+// and mutates shared state — map order here would leak into the replay
+// timeline.
+func (s *Stack) appendConns(out []*Conn) []*Conn {
 	for _, c := range s.conns { //hydralint:nondeterministic order normalized by the sort below
 		out = append(out, c)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i], out[j]
-		if a.local != b.local {
-			return a.local.Before(b.local)
-		}
-		return a.remote.Before(b.remote)
+	slices.SortFunc(out, func(a, b *Conn) int {
+		return cmp.Or(cmp.Compare(a.local.Key(), b.local.Key()), cmp.Compare(a.remote.Key(), b.remote.Key()))
 	})
 	return out
 }
@@ -410,7 +430,8 @@ func (s *Stack) Conns() []*Conn {
 // state a machine loses when it crashes. Listeners survive: a rebooting
 // machine's services come back and re-listen.
 func (s *Stack) Reset() {
-	for _, c := range s.Conns() {
+	var conns [8]*Conn // a crashed replica's connections, without an allocation
+	for _, c := range s.appendConns(conns[:0]) {
 		c.terminate(ErrReset)
 	}
 }

@@ -483,7 +483,7 @@ func TestTimeWaitReleasesBuffers(t *testing.T) {
 	}
 	attachSink(next)
 	var srv2 *Conn
-	e.server.listeners[Endpoint{Port: 80}.Key()].SetAcceptFunc(func(c *Conn) { srv2 = c })
+	e.server.listener(Endpoint{Port: 80}).SetAcceptFunc(func(c *Conn) { srv2 = c })
 	e.sched.RunUntil(e.sched.Now() + time.Second)
 	next.Write(pattern(3000))
 	srv2.Write(pattern(2000))

@@ -74,15 +74,22 @@ func Unmarshal(src, dst ipv4.Addr, b []byte) (srcPort, dstPort uint16, payload [
 	return srcPort, dstPort, b[HeaderLen:length], nil
 }
 
-// RecvFunc is invoked for each datagram delivered to a bound socket. local
-// is the destination address the datagram arrived for — sockets bound to
-// the wildcard address use it to tell virtual hosts apart.
+// Receiver is handed each datagram delivered to a bound socket, and local is
+// the address it arrived for: wildcard sockets tell virtual hosts apart by it.
+// Like a sim.Handler, it is best a named pointer type, which allocates nothing.
+type Receiver interface {
+	Receive(from Endpoint, local ipv4.Addr, payload []byte)
+}
+
+// RecvFunc adapts a plain callback to a Receiver.
 type RecvFunc func(from Endpoint, local ipv4.Addr, payload []byte)
+
+func (f RecvFunc) Receive(from Endpoint, local ipv4.Addr, payload []byte) { f(from, local, payload) }
 
 type binding struct {
 	port uint16
 	addr ipv4.Addr // 0 = any local address
-	recv RecvFunc
+	recv Receiver
 }
 
 // Stack is the per-node UDP layer.
@@ -117,7 +124,7 @@ func (s *Stack) Stats() (delivered, noListener, bad uint64) {
 
 // Bind registers recv for datagrams to (addr, port). addr 0 binds all local
 // addresses. Binding the same (addr, port) twice fails.
-func (s *Stack) Bind(addr ipv4.Addr, port uint16, recv RecvFunc) error {
+func (s *Stack) Bind(addr ipv4.Addr, port uint16, recv Receiver) error {
 	if s.find(addr, port) >= 0 {
 		return fmt.Errorf("%w: %s:%d", ErrPortInUse, addr, port)
 	}
@@ -173,7 +180,7 @@ func (s *Stack) DeliverIP(p *ipv4.Packet) {
 		return
 	}
 	// The binding for the datagram's own address wins over a wildcard.
-	var recv RecvFunc
+	var recv Receiver
 	for _, b := range s.bindings {
 		if b.port != dstPort {
 			continue
@@ -188,7 +195,7 @@ func (s *Stack) DeliverIP(p *ipv4.Packet) {
 	}
 	if recv != nil {
 		s.delivered++
-		recv(Endpoint{Addr: p.Src, Port: srcPort}, p.Dst, payload)
+		recv.Receive(Endpoint{Addr: p.Src, Port: srcPort}, p.Dst, payload)
 		return
 	}
 	s.noListener++

@@ -73,10 +73,10 @@ func TestSendReceive(t *testing.T) {
 	sched, ua, ub, addrA, addrB := twoHosts(t)
 	var got []byte
 	var from Endpoint
-	if err := ub.Bind(0, 7000, func(f Endpoint, _ ipv4.Addr, p []byte) {
+	if err := ub.Bind(0, 7000, RecvFunc(func(f Endpoint, _ ipv4.Addr, p []byte) {
 		from = f
 		got = append([]byte(nil), p...)
-	}); err != nil {
+	})); err != nil {
 		t.Fatal(err)
 	}
 	if err := ua.SendTo(0, 5555, Endpoint{Addr: addrB, Port: 7000}, []byte("hello")); err != nil {
@@ -93,14 +93,14 @@ func TestSendReceive(t *testing.T) {
 
 func TestBindConflict(t *testing.T) {
 	_, _, ub, _, _ := twoHosts(t)
-	if err := ub.Bind(0, 9000, func(Endpoint, ipv4.Addr, []byte) {}); err != nil {
+	if err := ub.Bind(0, 9000, RecvFunc(func(Endpoint, ipv4.Addr, []byte) {})); err != nil {
 		t.Fatal(err)
 	}
-	if err := ub.Bind(0, 9000, func(Endpoint, ipv4.Addr, []byte) {}); !errors.Is(err, ErrPortInUse) {
+	if err := ub.Bind(0, 9000, RecvFunc(func(Endpoint, ipv4.Addr, []byte) {})); !errors.Is(err, ErrPortInUse) {
 		t.Errorf("second bind err = %v, want ErrPortInUse", err)
 	}
 	// A specific-address bind on the same port coexists with the wildcard.
-	if err := ub.Bind(inet.MustParseAddr("10.0.0.2"), 9000, func(Endpoint, ipv4.Addr, []byte) {}); err != nil {
+	if err := ub.Bind(inet.MustParseAddr("10.0.0.2"), 9000, RecvFunc(func(Endpoint, ipv4.Addr, []byte) {})); err != nil {
 		t.Errorf("specific bind alongside wildcard failed: %v", err)
 	}
 }
@@ -108,8 +108,8 @@ func TestBindConflict(t *testing.T) {
 func TestSpecificAddressPreferredOverWildcard(t *testing.T) {
 	sched, ua, ub, _, addrB := twoHosts(t)
 	var hits []string
-	_ = ub.Bind(0, 80, func(_ Endpoint, _ ipv4.Addr, _ []byte) { hits = append(hits, "wildcard") })
-	_ = ub.Bind(addrB, 80, func(_ Endpoint, _ ipv4.Addr, _ []byte) { hits = append(hits, "specific") })
+	_ = ub.Bind(0, 80, RecvFunc(func(_ Endpoint, _ ipv4.Addr, _ []byte) { hits = append(hits, "wildcard") }))
+	_ = ub.Bind(addrB, 80, RecvFunc(func(_ Endpoint, _ ipv4.Addr, _ []byte) { hits = append(hits, "specific") }))
 	_ = ua.SendTo(0, 1234, Endpoint{Addr: addrB, Port: 80}, []byte("x"))
 	sched.Run()
 	if len(hits) != 1 || hits[0] != "specific" {
@@ -120,7 +120,7 @@ func TestSpecificAddressPreferredOverWildcard(t *testing.T) {
 func TestUnbindStopsDelivery(t *testing.T) {
 	sched, ua, ub, _, addrB := twoHosts(t)
 	count := 0
-	_ = ub.Bind(0, 81, func(Endpoint, ipv4.Addr, []byte) { count++ })
+	_ = ub.Bind(0, 81, RecvFunc(func(Endpoint, ipv4.Addr, []byte) { count++ }))
 	_ = ua.SendTo(0, 1, Endpoint{Addr: addrB, Port: 81}, []byte("1"))
 	sched.Run()
 	ub.Unbind(0, 81)
@@ -138,10 +138,10 @@ func TestUnbindStopsDelivery(t *testing.T) {
 func TestReplyUsingFromEndpoint(t *testing.T) {
 	sched, ua, ub, addrA, addrB := twoHosts(t)
 	var reply []byte
-	_ = ub.Bind(0, 50, func(from Endpoint, local ipv4.Addr, p []byte) {
+	_ = ub.Bind(0, 50, RecvFunc(func(from Endpoint, local ipv4.Addr, p []byte) {
 		_ = ub.SendTo(local, 50, from, append([]byte("re:"), p...))
-	})
-	_ = ua.Bind(0, 60, func(_ Endpoint, _ ipv4.Addr, p []byte) { reply = append([]byte(nil), p...) })
+	}))
+	_ = ua.Bind(0, 60, RecvFunc(func(_ Endpoint, _ ipv4.Addr, p []byte) { reply = append([]byte(nil), p...) }))
 	_ = ua.SendTo(addrA, 60, Endpoint{Addr: addrB, Port: 50}, []byte("ping"))
 	sched.Run()
 	if string(reply) != "re:ping" {
@@ -159,7 +159,7 @@ func TestVirtualHostDemux(t *testing.T) {
 	ubIP := ubIPStack(ub)
 	ubIP.AddLocalAddr(vhost)
 	var sawLocal ipv4.Addr
-	_ = ub.Bind(vhost, 80, func(_ Endpoint, local ipv4.Addr, _ []byte) { sawLocal = local })
+	_ = ub.Bind(vhost, 80, RecvFunc(func(_ Endpoint, local ipv4.Addr, _ []byte) { sawLocal = local }))
 	_ = ua.SendTo(0, 1000, Endpoint{Addr: vhost, Port: 80}, []byte("GET"))
 	sched.Run()
 	if sawLocal != vhost {
@@ -200,7 +200,7 @@ func TestBindingTable(t *testing.T) {
 			ubIPStack(ub).AddLocalAddr(vhost)
 			var hit string
 			for _, a := range tc.bind {
-				if err := ub.Bind(a, 80, func(Endpoint, ipv4.Addr, []byte) { hit = name[a] }); err != nil {
+				if err := ub.Bind(a, 80, RecvFunc(func(Endpoint, ipv4.Addr, []byte) { hit = name[a] })); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -225,7 +225,7 @@ func TestBindingTable(t *testing.T) {
 // backing, so binding and unbinding them allocates nothing.
 func TestBindingsInline(t *testing.T) {
 	_, ua, _, _, _ := twoHosts(t)
-	ip, recv := ubIPStack(ua), func(Endpoint, ipv4.Addr, []byte) {}
+	ip, recv := ubIPStack(ua), RecvFunc(func(Endpoint, ipv4.Addr, []byte) {})
 	var s Stack
 	allocs := testing.AllocsPerRun(10, func() {
 		s = Stack{}

@@ -17,12 +17,10 @@ func (h *Host) Daemon(rd *Redirector) *rmp.HostDaemon {
 	if h.dmn == nil {
 		// Make sure the redirector side is listening before we register.
 		rd.Daemon()
-		d, err := rmp.NewHostDaemon(&h.udp, h.node.Scheduler(), h.FTManager(), &h.hs, &h.tcp,
-			h.addr, rd.Host.addr)
-		if err != nil {
+		if err := h.dmn0.Init(&h.udp, h.node.Scheduler(), h.FTManager(), &h.hs, &h.tcp, h.addr, rd.Host.addr); err != nil {
 			panic(fmt.Sprintf("hydranet: %s: %v", h.name, err))
 		}
-		h.dmn = d
+		h.dmn = &h.dmn0
 	}
 	return h.dmn
 }
@@ -48,12 +46,13 @@ type FTReplica struct {
 
 // FTService is a deployed fault-tolerant service.
 type FTService struct {
-	net      *Net
-	svc      ServiceID
-	rd       *Redirector
-	opts     FTOptions
-	accept   func(*Conn)
-	replicas []*FTReplica
+	net       *Net
+	svc       ServiceID
+	rd        *Redirector
+	opts      FTOptions
+	accept    func(*Conn)
+	replicas  []FTReplica  // complete when DeployFT returns, so its elements stay put
+	replicas0 [3]FTReplica // replicas' backing up to three
 }
 
 // DeployFT replicates a TCP service across hosts (hosts[0] becomes the
@@ -74,6 +73,7 @@ func (n *Net) DeployFT(svc ServiceID, rd *Redirector, hosts []*Host,
 		h.ftReplica = true
 	}
 	s := &FTService{net: n, svc: svc, rd: rd, opts: opts, accept: accept}
+	s.replicas = s.replicas0[:0]
 	for i, h := range hosts {
 		mode := ModeBackup
 		if i == 0 {
@@ -88,7 +88,7 @@ func (n *Net) DeployFT(svc ServiceID, rd *Redirector, hosts []*Host,
 		if opts.Heartbeat > 0 {
 			h.Daemon(rd).StartHeartbeats(svc, opts.Heartbeat)
 		}
-		s.replicas = append(s.replicas, &FTReplica{Host: h, Port: port, Listener: listener})
+		s.replicas = append(s.replicas, FTReplica{Host: h, Port: port, Listener: listener})
 	}
 	if opts.Heartbeat > 0 {
 		rd.Daemon().EnableLeases(3 * opts.Heartbeat)
@@ -97,7 +97,13 @@ func (n *Net) DeployFT(svc ServiceID, rd *Redirector, hosts []*Host,
 }
 
 // Replicas returns the deployed replicas in registration order.
-func (s *FTService) Replicas() []*FTReplica { return append([]*FTReplica(nil), s.replicas...) }
+func (s *FTService) Replicas() []*FTReplica {
+	out := make([]*FTReplica, len(s.replicas))
+	for i := range s.replicas {
+		out[i] = &s.replicas[i]
+	}
+	return out
+}
 
 // Primary returns the replica whose host the redirector currently treats as
 // primary (nil if the service has no live chain).
@@ -106,9 +112,9 @@ func (s *FTService) Primary() *FTReplica {
 	if len(chain) == 0 {
 		return nil
 	}
-	for _, r := range s.replicas {
+	for i, r := range s.replicas {
 		if r.Host.addr == chain[0] {
-			return r
+			return &s.replicas[i]
 		}
 	}
 	return nil
@@ -132,7 +138,7 @@ func (s *FTService) CrashPrimary() *Host {
 // server, paper Section 4.4): the chain is respliced and, if the primary
 // left, its successor is promoted.
 func (s *FTService) Leave(h *Host) error {
-	if slices.ContainsFunc(s.replicas, func(r *FTReplica) bool { return r.Host == h }) {
+	if slices.ContainsFunc(s.replicas, func(r FTReplica) bool { return r.Host == h }) {
 		h.Daemon(s.rd).Leave(s.svc)
 		return nil
 	}
@@ -151,9 +157,9 @@ func (s *FTService) Recommission(h *Host) error {
 		return fmt.Errorf("hydranet: recommissioning %s: host is down (Restart it first)", h.name)
 	}
 	var rep *FTReplica
-	for _, r := range s.replicas {
-		if r.Host == h {
-			rep = r
+	for i := range s.replicas {
+		if s.replicas[i].Host == h {
+			rep = &s.replicas[i]
 		}
 	}
 	if rep == nil {

@@ -42,10 +42,10 @@ func TestScaledUDPService(t *testing.T) {
 
 	var reply []byte
 	var replyFrom hydranet.UDPEndpoint
-	if err := client.UDP().Bind(0, 4053, func(from hydranet.UDPEndpoint, _ hydranet.Addr, p []byte) {
+	if err := client.UDP().Bind(0, 4053, hydranet.UDPRecvFunc(func(from hydranet.UDPEndpoint, _ hydranet.Addr, p []byte) {
 		reply = append([]byte(nil), p...)
 		replyFrom = from
-	}); err != nil {
+	})); err != nil {
 		t.Fatal(err)
 	}
 	if err := client.UDP().SendTo(0, 4053,
@@ -91,9 +91,9 @@ func TestScaleTargetLeave(t *testing.T) {
 	net.Settle()
 
 	var replies []string
-	_ = client.UDP().Bind(0, 4053, func(_ hydranet.UDPEndpoint, _ hydranet.Addr, p []byte) {
+	_ = client.UDP().Bind(0, 4053, hydranet.UDPRecvFunc(func(_ hydranet.UDPEndpoint, _ hydranet.Addr, p []byte) {
 		replies = append(replies, string(p))
-	})
+	}))
 	ask := func() {
 		_ = client.UDP().SendTo(0, 4053, svc, []byte("q"))
 		net.RunFor(time.Second)
