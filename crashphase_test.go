@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"hydranet"
 	"hydranet/internal/testbed"
 )
 
@@ -50,6 +51,19 @@ func TestCrashAtEveryPhase(t *testing.T) {
 			row(t, sc, v)
 		})
 	}
+}
+
+// TestOldAckDoesNotStrandSender: 5 % loss on every link and the primary dead
+// from the dial. After the fail-over the new primary has 2 920 bytes in flight
+// and the echo's last 4 341 bytes and its FIN queued when the client, its send
+// cursor pulled back by a timeout, acknowledges the flight with an ACK below
+// rcvNxt. Unless that ACK sends what waits, nothing else does: the client sat
+// in FIN-WAIT-2 at 7 300 bytes for good (TestOldAckSendsQueuedData).
+func TestOldAckDoesNotStrandSender(t *testing.T) {
+	row(t, testbed.Scenario{Seed: 193, Replicas: 2, Threshold: 2, Link: hydranet.LinkConfig{Loss: 0.05},
+		Send: pattern(11_641, 7, 0), Close: true, Faults: at(0, testbed.CrashPrimary, 0),
+		Steps: []testbed.Step{{After: 5 * time.Minute}},
+	}, verdict{echo: true, closed: true})
 }
 
 // TestCrashDuringCloseHandshake: the primary dies after the client's FIN is

@@ -129,10 +129,12 @@ func (c *Conn) inputEstablished(seg *Segment) {
 		// duplicate). RFC 793 acceptability demands an ACK in reply. It
 		// also feeds the failure estimator: on a HydraNet-FT backup, a
 		// stream of unanswered client probes is the only failure signal an
-		// idle connection produces (the redirector's liveness probe
-		// filters the healthy-idle case).
+		// idle connection produces (the redirector's liveness probe filters
+		// the healthy-idle case). If its ACK emptied the flight, no event
+		// but this sends what waits (DESIGN.md §7.5).
 		c.notePeerRetransmit()
 		c.sendAck()
+		c.output()
 		return
 	}
 	if len(seg.Payload) > 0 {

@@ -68,3 +68,24 @@ func TestIdleSince(t *testing.T) {
 		t.Fatalf("idle for %v right after traffic", got)
 	}
 }
+
+// TestOldAckSendsQueuedData: a pure ACK below rcvNxt — a keepalive probe, or
+// what a peer sends once a retransmission timeout has pulled its send cursor
+// back — can still acknowledge everything in flight. What that makes room
+// for goes out at once: with nothing in flight the retransmission timer has
+// stopped, so no later event would send it.
+func TestOldAckSendsQueuedData(t *testing.T) {
+	e, cli, srv := establishedPair(t, Config{})
+	sent, _ := traceSends(e)
+	e.link.SetLoss(1) // the server hears nothing; its ACK is forged below
+	const mss = 1460
+	cli.Write(pattern(4 * mss))
+	if len(*sent) != 2 {
+		t.Fatalf("sent %d segments into an initial window of two", len(*sent))
+	}
+	e.deliverToClient(&Segment{SrcPort: srv.Local().Port, DstPort: cli.Local().Port,
+		Flags: FlagACK, Seq: cli.RcvNxt().Add(-1), Ack: cli.SndNxt(), Window: 32768})
+	if len(*sent) != 4 {
+		t.Errorf("an old ACK emptied the flight and %d of 4 segments have been sent", len(*sent))
+	}
+}
