@@ -202,9 +202,9 @@ func TestInstrumentEverythingOn(t *testing.T) {
 			t.Errorf("series meta %+v with %d series, Summary says %d series, %d ticks",
 				run.Meta, len(run.Names()), sum.Series, sum.Ticks)
 		}
-		// One rule for what series contain: health verdicts because replicas
-		// are watched.
-		for _, name := range []string{"health.s0", "health.s1"} {
+		// One rule for what series contain: every host's layer counters and
+		// gauges, replicas included.
+		for _, name := range []string{"host.s0.deposited_bytes", "host.s1.proc_backlog_ms"} {
 			if run.Get(name) == nil {
 				t.Errorf("series export lacks %s", name)
 			}

@@ -12,7 +12,7 @@
 //
 // report loads a -series export (JSON lines) and prints the run summary:
 // the Table-2 failover phase timeline with per-phase retransmission/RTO/
-// deposit activity, replica health verdicts, and a sorted per-series table.
+// deposit activity, and a sorted per-series table.
 // -pcap adds per-hop residence read off a capture of the same run:
 // redirector in, each fan-out step, multicast → each replica's wire
 // deposit, and each acknowledgment-chain hop.

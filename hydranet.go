@@ -191,9 +191,6 @@ type Host struct {
 	dmn0 rmp.HostDaemon
 	addr Addr // primary address (first link)
 	idx  int  // position in Net.hosts
-	// ftReplica records that a DeployFT was given this host; the
-	// telemetry's health scorer watches every such host.
-	ftReplica bool
 }
 
 // AddHost creates a host.

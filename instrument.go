@@ -25,8 +25,7 @@ type Instruments struct {
 	// packet of every redirector tunnel copy, to this pcap file.
 	Pcap string
 	// Series exports sampled time series to this file as JSON lines. They
-	// always carry the fail-over phases and health verdicts for every FT
-	// replica.
+	// always carry the fail-over phases.
 	Series string
 	// SampleEvery is the Series cadence (default 100 ms of virtual time).
 	SampleEvery time.Duration

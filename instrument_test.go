@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -12,7 +11,6 @@ import (
 	"hydranet/internal/app"
 	"hydranet/internal/icmp"
 	"hydranet/internal/obs"
-	"hydranet/internal/series"
 )
 
 // star is internal/testbed's Figure-3 star, which the tests of this package
@@ -182,52 +180,6 @@ func TestSamplerCadenceAndStop(t *testing.T) {
 	net.RunFor(100 * time.Millisecond)
 	if tel.ticks != 3 || tel.timer.Armed() {
 		t.Fatalf("sampler ticked after Stop: ticks=%d armed=%v", tel.ticks, tel.timer.Armed())
-	}
-}
-
-// TestHealthWatchesEveryFTReplica: the health scorer classifies every
-// replica of every FT service deployed, each host once, including services
-// deployed after the sampler started. Each tick picks up new replicas first,
-// so their health series follow the host series and precede the series
-// created during the tick.
-func TestHealthWatchesEveryFTReplica(t *testing.T) {
-	net, rd, replicas := star(3, 3)
-	tel := net.startSampler(50*time.Millisecond, nil)
-	svc := ServiceID{Addr: MustAddr("192.20.225.20"), Port: 80}
-	if _, err := net.DeployFT(svc, rd, replicas[:2], FTOptions{}, app.Echo); err != nil {
-		t.Fatal(err)
-	}
-	net.RunFor(120 * time.Millisecond)
-	other := ServiceID{Addr: svc.Addr, Port: 81}
-	if _, err := net.DeployFT(other, rd, replicas[1:], FTOptions{}, app.Echo); err != nil {
-		t.Fatal(err)
-	}
-	net.RunFor(100 * time.Millisecond)
-	tel.Stop()
-
-	var names []string
-	tel.set.Each(func(s *series.Series) { names = append(names, s.Name()) })
-	var health []string
-	firstHealth, firstLazy := -1, -1
-	for i, name := range names {
-		switch {
-		case strings.HasPrefix(name, "health."):
-			health = append(health, name)
-			if firstHealth < 0 {
-				firstHealth = i
-			}
-		case !strings.HasPrefix(name, "host.") && firstLazy < 0:
-			firstLazy = i
-		}
-	}
-	if want := []string{"health.s0", "health.s1", "health.s2"}; !slices.Equal(health, want) {
-		t.Fatalf("health series %v, want %v", health, want)
-	}
-	if firstHealth < 0 || firstLazy < firstHealth {
-		t.Fatalf("series order %v: health series must follow the host series and precede the rest", names)
-	}
-	if tel.set.Get("health.s2").Len() != 2 {
-		t.Errorf("health.s2 has %d points, want 2 (ticks at 150 and 200 ms)", tel.set.Get("health.s2").Len())
 	}
 }
 

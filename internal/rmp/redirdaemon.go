@@ -71,10 +71,17 @@ type svcState struct {
 	// within the policy window.
 	aliveStrikes []time.Duration
 	// Lease bookkeeping: last heartbeat (or registration) per member.
-	lastSeen map[ipv4.Addr]time.Duration
+	lastSeen []leaseSeen
 
 	chain0 [3]ipv4.Addr  // chain's backing up to three members
 	probe0 [3]probeState // probe's
+	seen0  [3]leaseSeen  // lastSeen's
+}
+
+// leaseSeen is when a member was last heard from.
+type leaseSeen struct {
+	host ipv4.Addr
+	at   time.Duration
 }
 
 // CongestionPolicy configures eviction of live-but-disruptive replicas
@@ -165,8 +172,8 @@ func (d *RedirectorDaemon) sweepLeases() {
 	for _, s := range d.services { // applyChain transmits
 		var expired []ipv4.Addr
 		for _, host := range s.chain {
-			seen, ok := s.lastSeen[host]
-			if ok && now-seen > d.leaseExpiry {
+			i := s.seen(host)
+			if i >= 0 && now-s.lastSeen[i].at > d.leaseExpiry {
 				expired = append(expired, host)
 			}
 		}
@@ -176,7 +183,8 @@ func (d *RedirectorDaemon) sweepLeases() {
 		for _, host := range expired {
 			d.stats.LeaseExpirations++
 			removeHost(&s.chain, host)
-			delete(s.lastSeen, host)
+			i := s.seen(host)
+			s.lastSeen = slices.Delete(s.lastSeen, i, i+1)
 		}
 		d.applyChain(s)
 		d.noteReconfig(s.svc, "lease-expired", expired)
@@ -236,7 +244,7 @@ func (d *RedirectorDaemon) register(msg *Message) {
 		if s = &d.svc0; s.d != nil {
 			s = new(svcState)
 		}
-		s.d, s.svc, s.chain, s.probe = d, msg.Service, s.chain0[:0], s.probe0[:0]
+		s.d, s.svc, s.chain, s.probe, s.lastSeen = d, msg.Service, s.chain0[:0], s.probe0[:0], s.seen0[:0]
 		d.services = slices.Insert(d.services, i, s)
 	}
 	s.noteAlive(msg.Host, d.sched.Now())
@@ -450,10 +458,21 @@ func (d *RedirectorDaemon) applyChain(s *svcState) {
 
 // noteAlive records lease liveness for a member.
 func (s *svcState) noteAlive(host ipv4.Addr, now time.Duration) {
-	if s.lastSeen == nil {
-		s.lastSeen = make(map[ipv4.Addr]time.Duration)
+	if i := s.seen(host); i >= 0 {
+		s.lastSeen[i].at = now
+		return
 	}
-	s.lastSeen[host] = now
+	s.lastSeen = append(s.lastSeen, leaseSeen{host, now})
+}
+
+// seen is host's index in lastSeen, or -1.
+func (s *svcState) seen(host ipv4.Addr) int {
+	for i := range s.lastSeen {
+		if s.lastSeen[i].host == host {
+			return i
+		}
+	}
+	return -1
 }
 
 // removeHost deletes host from chain and reports whether it was there.

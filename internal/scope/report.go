@@ -98,24 +98,6 @@ func WriteReport(w io.Writer, run *Run) error {
 		}
 	}
 
-	// Health verdicts, if the run scored any.
-	var healthNames []string
-	for i := range run.Series {
-		if strings.HasPrefix(run.Series[i].Name, "health.") {
-			healthNames = append(healthNames, run.Series[i].Name)
-		}
-	}
-	if len(healthNames) > 0 {
-		sort.Strings(healthNames)
-		fmt.Fprintf(w, "\nreplica health (0 healthy / 1 degraded / 2 dead):\n")
-		for _, name := range healthNames {
-			d := run.Get(name)
-			fmt.Fprintf(w, "  %-24s last=%v peak=%v\n",
-				strings.TrimPrefix(name, "health."),
-				series.Verdict(d.Last), series.Verdict(d.Max))
-		}
-	}
-
 	fmt.Fprintf(w, "\nseries (sorted; counters report totals, gauges mean/max):\n")
 	names := run.Names()
 	sort.Strings(names)

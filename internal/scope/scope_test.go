@@ -104,8 +104,8 @@ func TestDiffRunsFindsRegressions(t *testing.T) {
 	}
 }
 
-// reportInput is a run header with a fail-over timeline, a counter, a gauge
-// and a health verdict: every section WriteReport renders.
+// reportInput is a run header with a fail-over timeline, a counter and a
+// gauge: every section WriteReport renders.
 func reportInput() (series.Meta, *series.Set) {
 	meta := series.Meta{
 		Every: 100 * time.Millisecond, Ticks: 3, Seed: 1,
@@ -116,7 +116,6 @@ func reportInput() (series.Meta, *series.Set) {
 		},
 	}
 	set := buildSet([]float64{0, 5, 1}, []float64{10, 20, 30})
-	set.Gauge("health.s1", "verdict").Observe(200*time.Millisecond, 1)
 	return meta, set
 }
 
@@ -130,7 +129,7 @@ func TestWriteReport(t *testing.T) {
 	out := buf.String()
 	for _, want := range []string{
 		"failover timeline", "detection", "pre-crash", "recovery",
-		"host.s0.retransmits", "replica health", "degraded",
+		"host.s0.retransmits", "link.a-b.queue_ab",
 	} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("report missing %q:\n%s", want, out)

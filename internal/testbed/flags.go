@@ -16,7 +16,7 @@ import (
 func ObserverFlags(fs *flag.FlagSet) (in *hydranet.Instruments, startPprof func() (stop func() error, err error)) {
 	in = new(hydranet.Instruments)
 	fs.StringVar(&in.Pcap, "pcap", "", "capture every frame (plus pre-encap tunnel copies) to this pcap file")
-	fs.StringVar(&in.Series, "series", "", "export sampled time series (with replica health verdicts) to this file as JSON lines")
+	fs.StringVar(&in.Series, "series", "", "export sampled time series to this file as JSON lines")
 	fs.DurationVar(&in.SampleEvery, "sample-every", 0, "telemetry sampling cadence for -series (default 100ms of virtual time)")
 	fs.BoolVar(&in.Invariants, "invariants", false, "run the online protocol-invariant monitor; exit 1 on any violation")
 	fs.StringVar(&in.Audit, "audit", "", "write the invariant audit report as JSON to this file (implies -invariants); inspect with hydrascope audit")

@@ -203,13 +203,30 @@ func TestMonitorSeededViolations(t *testing.T) {
 // TestMonitorCleanOnGrayFailure runs the gray-failure scenario — a slow,
 // not crashed, backup strangling the ack chain — under the monitor. The
 // degraded replica forces retransmissions and suspicions; none of them may
-// read as a safety violation.
+// read as a safety violation, and the paper's retransmission detector must
+// raise at least one suspicion after the stall.
 func TestMonitorCleanOnGrayFailure(t *testing.T) {
 	payload := make([]byte, 1<<20)
+	var stallAt, suspicionAt time.Duration
 	row(t, testbed.Scenario{Seed: 11, Replicas: 3, Observe: hydranet.Instruments{Scenario: "gray-failure"}, Threshold: 3, Send: payload,
+		Setup: func(r *testbed.Run) {
+			r.Net.Bus().Subscribe(func(e hydranet.Event) {
+				if stallAt > 0 && e.Time > stallAt && suspicionAt == 0 {
+					suspicionAt = e.Time
+				}
+			}, hydranet.KindSuspicion)
+		},
 		Steps: []testbed.Step{
-			{After: 400 * time.Millisecond, Do: func(r *testbed.Run) { r.Replicas[2].SetProcessing(250*time.Millisecond, 0) }},
+			{After: 400 * time.Millisecond, Do: func(r *testbed.Run) {
+				stallAt = r.Net.Now()
+				r.Replicas[2].SetProcessing(250*time.Millisecond, 0)
+			}},
 			{After: 60 * time.Second},
 			readAll(len(payload), 4*time.Minute),
-		}}, verdict{echo: true})
+		}}, verdict{echo: true, check: func(*testbed.Run) {
+		if suspicionAt == 0 {
+			t.Fatalf("no suspicion after the stall at %v: the detector did not see the slow backup", stallAt)
+		}
+		t.Logf("stall %v → first suspicion %v", stallAt, suspicionAt)
+	}})
 }

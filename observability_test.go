@@ -1,11 +1,14 @@
 package hydranet_test
 
 import (
+	"bytes"
 	"encoding/json"
+	"path/filepath"
 	"testing"
 	"time"
 
 	"hydranet"
+	"hydranet/internal/scope"
 	"hydranet/internal/testbed"
 )
 
@@ -141,4 +144,41 @@ func TestRedirectorStatsUnderLossyBackupLinks(t *testing.T) {
 			t.Error("backups received nothing despite an intact chain")
 		}
 	}})
+}
+
+// TestSeriesExportIdenticalSeedsDiffClean runs the same seeded failover
+// scenario twice, exports both telemetry streams, and requires the
+// hydrascope comparison to come back empty — the determinism contract
+// extended to the new observability layer. The exports must in fact be
+// byte-identical; DiffRuns is additionally exercised because it is what CI
+// gates on.
+func TestSeriesExportIdenticalSeedsDiffClean(t *testing.T) {
+	runOnce := func() []byte {
+		payload := make([]byte, 512*1024)
+		in := hydranet.Instruments{Series: filepath.Join(t.TempDir(), "run.jsonl"), SampleEvery: 50 * time.Millisecond}
+		row(t, testbed.Scenario{Seed: 5, Replicas: 3, Observe: in, Threshold: 3, Send: payload,
+			Faults: at(400*time.Millisecond, testbed.CrashPrimary, 0),
+			Steps:  []testbed.Step{{After: 400 * time.Millisecond}, readAll(len(payload), 2*time.Minute)},
+		}, verdict{echo: true})
+		return mustRead(t, in.Series)
+	}
+
+	exportA, exportB := runOnce(), runOnce()
+	if !bytes.Equal(exportA, exportB) {
+		t.Error("identical-seed exports differ byte-for-byte")
+	}
+	runA, err := scope.LoadRun(bytes.NewReader(exportA))
+	if err != nil {
+		t.Fatal(err)
+	}
+	runB, err := scope.LoadRun(bytes.NewReader(exportB))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if findings := scope.DiffRuns(runA, runB, 0.001); len(findings) != 0 {
+		t.Fatalf("identical-seed runs diff dirty: %v", findings)
+	}
+	if runA.Meta.Failover == nil || !runA.Meta.Failover.Complete {
+		t.Fatalf("export missing the completed failover timeline: %+v", runA.Meta.Failover)
+	}
 }

@@ -69,9 +69,6 @@ func (n *Net) DeployFT(svc ServiceID, rd *Redirector, hosts []*Host,
 		return nil, fmt.Errorf("hydranet: DeployFT needs at least one host")
 	}
 	n.deployed = true
-	for _, h := range hosts {
-		h.ftReplica = true
-	}
 	s := &FTService{net: n, svc: svc, rd: rd, opts: opts, accept: accept}
 	s.replicas = s.replicas0[:0]
 	for i, h := range hosts {

@@ -10,8 +10,8 @@ import (
 )
 
 // defaultCadence is the sampling interval when none is given: ten ticks per
-// virtual second, fine enough to catch a sub-second gray failure, coarse
-// enough to stay far off the packet-rate hot path.
+// virtual second, finer than TCP's 500 ms minimum RTO, coarse enough to stay
+// far off the packet-rate hot path.
 const defaultCadence = 100 * time.Millisecond
 
 // maxConnSeries caps how many live connections per host get per-connection
@@ -29,19 +29,17 @@ const maxConnSeries = 4
 // one scheduler event plus one snapshot per interval. A started pipeline
 // re-arms itself until Stop, so a network with one running never goes idle.
 type telemetry struct {
-	net    *Net
-	set    *series.Set
-	timer  *sim.Timer
-	every  time.Duration
-	ticks  uint64
-	scorer *series.HealthScorer
-	probe  *obs.FailoverProbe // nil: no fail-over phases in the export header
+	net   *Net
+	set   *series.Set
+	timer *sim.Timer
+	every time.Duration
+	ticks uint64
+	probe *obs.FailoverProbe // nil: no fail-over phases in the export header
 
 	prev       Snapshot
 	prevMisses uint64
 
-	hosts   []hostSeries
-	samples []series.ReplicaSample // scratch, reused per tick
+	hosts []hostSeries
 }
 
 // hostSeries caches one host's series so the tick loop does no name
@@ -53,25 +51,20 @@ type hostSeries struct {
 	segsIn, segsOut, deposited              *series.Series
 	framesRx                                *series.Series
 	alive, conns, procBacklog               *series.Series
-	health                                  *series.Series // nil unless an FT replica
 }
 
 // startSampler attaches a telemetry pipeline over the hosts, links and
 // redirectors that exist now and starts it: the first tick fires one
 // cadence (default 100 ms) from now, and it reschedules itself until Stop.
-// The gray-failure health scorer classifies every FT replica the net has
-// deployed, each into a health.<host> gauge series: 0 healthy, 1 degraded,
-// 2 dead.
 func (n *Net) startSampler(every time.Duration, probe *obs.FailoverProbe) *telemetry {
 	if every <= 0 {
 		every = defaultCadence
 	}
 	t := &telemetry{
-		net:    n,
-		set:    series.NewSet(),
-		scorer: series.NewHealthScorer(),
-		every:  every,
-		probe:  probe,
+		net:   n,
+		set:   series.NewSet(),
+		every: every,
+		probe: probe,
 	}
 	t.timer = sim.NewTimer(n.sched, t.tick)
 	for _, h := range n.hosts {
@@ -97,18 +90,10 @@ func (n *Net) startSampler(every time.Duration, probe *obs.FailoverProbe) *telem
 // Stop disarms the pipeline; collected series remain readable.
 func (t *telemetry) Stop() { t.timer.Stop() }
 
-// tick is the per-interval probe: snapshot, diff, scrape, score, then
-// re-arm.
+// tick is the per-interval probe: snapshot, diff, scrape, then re-arm.
 func (t *telemetry) tick() {
 	now := t.net.sched.Now()
 	t.ticks++
-	// Before anything else, start a health series for each FT replica
-	// deployed since the last tick.
-	for i := range t.hosts {
-		if hs := &t.hosts[i]; hs.host.ftReplica && hs.health == nil {
-			hs.health = t.set.Gauge("health."+hs.host.name, "verdict")
-		}
-	}
 	cur := t.net.Snapshot()
 	d := cur.Diff(t.prev)
 
@@ -180,31 +165,6 @@ func (t *telemetry) tick() {
 	t.prevMisses = misses
 	t.set.Gauge("sched.pending", "events").Observe(now, float64(t.net.sched.Pending()))
 
-	// Health scoring over the FT replicas: feed cumulative counters, the
-	// scorer diffs internally and cross-compares the replica set.
-	t.samples = t.samples[:0]
-	for i := range t.hosts {
-		if t.hosts[i].health != nil {
-			hs := &cur.Hosts[i]
-			t.samples = append(t.samples, series.ReplicaSample{
-				Name:            hs.Name,
-				Alive:           hs.Alive,
-				PeerRetransmits: float64(hs.Conns.PeerRetransmits),
-				DepositedBytes:  float64(hs.Conns.BytesReceived),
-				SegsIn:          float64(hs.TCP.SegsIn),
-				ProcBacklog:     hs.ProcBacklog,
-			})
-		}
-	}
-	if len(t.samples) > 0 {
-		t.scorer.Tick(now, t.samples)
-		for i := range t.hosts {
-			if hs := &t.hosts[i]; hs.health != nil {
-				hs.health.Observe(now, float64(t.scorer.Verdict(hs.host.name)))
-			}
-		}
-	}
-
 	t.prev = cur
 	t.timer.Reset(t.every)
 }
@@ -237,7 +197,8 @@ func (t *telemetry) WriteJSONL(w io.Writer) error {
 
 // SetProcessing changes the host's CPU cost model mid-run — gray-failure
 // injection: a large per-frame delay makes the host slow without killing
-// it, the "degraded, not dead" scenario the health scorer exists to catch.
+// it, a fault the retransmission detector must still see
+// (TestMonitorCleanOnGrayFailure).
 func (h *Host) SetProcessing(procDelay, procPerByte time.Duration) {
 	h.node.SetProc(procDelay, procPerByte)
 }
