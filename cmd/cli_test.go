@@ -94,7 +94,7 @@ func TestCLIs(t *testing.T) {
 			help: [][]string{{"-h"}, {"experiment", "-h"}},
 			gone: [][]string{{"-workers", "2"}, {"-prof", "p.json"}, {"-flight", "f"}, {"-spans", "s.json"},
 				{"experiment", "a1", "-backups", "2"}, {"experiment", "fig4", "-repeat", "2"},
-				{"experiment", "a1", "-spans", "s.json"}},
+				{"experiment", "a1", "-spans", "s.json"}, {"-series", "s.jsonl"}, {"experiment", "a1", "-sample-every", "1s"}},
 			smoke: []step{
 				{args: []string{"-bytes", "65536", "-stats", "-invariants", "-audit", "ok.audit.json"}, want: "audit report written to ok.audit.json"},
 				{args: []string{"-trace", "20"}, want: "[SYN|ACK]"},
@@ -109,11 +109,10 @@ func TestCLIs(t *testing.T) {
 				{args: []string{"-bytes", "0", "-pcap", "zero.pcap"}, exit: 2, want: "-bytes 0: want 1 or more", none: "zero.pcap"},
 				{args: []string{"-threshold", "-2", "-audit", "th.json"}, exit: 2, want: "-threshold -2: want 1 or more", none: "th.json"},
 				{args: []string{"-replicas", "256", "-pcap", "many.pcap"}, exit: 2, want: "-replicas 256: want at most 255", none: "many.pcap"},
-				{args: []string{"-crash-at", "-1s", "-series", "ca.jsonl"}, exit: 2, want: "-crash-at -1s: want 0 or more", none: "ca.jsonl"},
-				{args: []string{"-sample-every", "-1s", "-series", "se.jsonl"}, exit: 2, want: "-sample-every -1s: want 0 or more", none: "se.jsonl"},
+				{args: []string{"-crash-at", "-1s", "-pcap", "ca.pcap"}, exit: 2, want: "-crash-at -1s: want 0 or more", none: "ca.pcap"},
 				{args: []string{"-trace", "-3", "-pcap", "tr.pcap"}, exit: 2, want: "-trace -3: want 0 or more", none: "tr.pcap"},
 				// An artifact that cannot be written is Finish's error: exit 1.
-				{args: []string{"-bytes", "65536", "-series", "no-such-dir/s.jsonl"}, exit: 1, want: "hydranet-sim: observers: hydranet: series:"},
+				{args: []string{"-bytes", "65536", "-audit", "no-such-dir/a.json"}, exit: 1, want: "hydranet-sim: observers: hydranet: audit:"},
 				{args: []string{"experiment", "list"}, want: "fig4\na1\na1b\na2\na3\na4\na5\n"},
 				{args: []string{"experiment", "fig4", "-bytes", "16384", "-parallel", "2"}, want: "primary and backup"},
 				// A failed experiment fails the command and names its row.
@@ -123,7 +122,6 @@ func TestCLIs(t *testing.T) {
 				{args: []string{"experiment", "a2", "-bytes", "-5", "-cpuprofile", "b.out"}, exit: 2, want: "-bytes -5: want 0 or more", none: "b.out"},
 				{args: []string{"experiment", "a1", "-loss", "-0.5", "-cpuprofile", "l.out"}, exit: 2, want: "-loss -0.5: want a probability", none: "l.out"},
 				{args: []string{"experiment", "a1", "-loss", "1.5", "-cpuprofile", "m.out"}, exit: 2, want: "-loss 1.5: want a probability", none: "m.out"},
-				{args: []string{"experiment", "a1", "-sample-every", "-1s", "-cpuprofile", "se.out"}, exit: 2, want: "-sample-every -1s: want 0 or more", none: "se.out"},
 				{args: []string{"experiment", "a1", "-invariants", "-audit", "fo.audit.json"}, want: "invariants: clean across the sweep"},
 				{bin: "hydrascope", args: []string{"audit", "fo-t3.audit.json", "-fail-on-violation"}, want: "verdict: CLEAN"},
 				// A worker that cannot write reports it; it does not panic.
@@ -132,21 +130,14 @@ func TestCLIs(t *testing.T) {
 		},
 		{
 			name: "hydrascope",
-			help: [][]string{{}, {"report", "-h"}, {"audit", "-h"}, {"diff", "-h"}},
-			gone: [][]string{{"profile", "s.jsonl"}, {"diff", "s.jsonl", "s.jsonl", "-stall-tol", "0.1"},
-				{"report", "s.jsonl", "-spans", "s.pcap"}},
+			help: [][]string{{}, {"report", "-h"}, {"audit", "-h"}},
+			gone: [][]string{{"profile", "s.jsonl"}, {"diff", "a.json", "a.json"},
+				{"report", "s.jsonl", "-spans", "s.pcap"}, {"report", "s.jsonl", "-pcap", "s.pcap"}},
 			smoke: []step{
-				{bin: "hydranet-sim", args: []string{"-bytes", "65536", "-series", "s.jsonl", "-audit", "a.json", "-pcap", "s.pcap"}},
-				{args: []string{"diff", "s.jsonl", "s.jsonl", "-tol", "0"}, want: "series diff clean"},
-				// A tolerance no difference can exceed is a bad command line,
-				// rejected before either file is read.
-				{args: []string{"diff", "no-a.jsonl", "no-b.jsonl", "-tol", "NaN"}, exit: 2, want: "-tol NaN: want a finite number"},
-				{args: []string{"diff", "no-a.jsonl", "no-b.jsonl", "-tol", "-1"}, exit: 2, want: "-tol -1: want a finite number"},
-				{args: []string{"diff", "no-a.jsonl", "no-b.jsonl", "-tol", "Inf"}, exit: 2, want: "-tol +Inf: want a finite number"},
-				// diff reads series exports and nothing else: no sniffing.
-				{args: []string{"diff", "a.json", "a.json"}, exit: 2, want: "hydrascope:"},
-				{args: []string{"report", "s.jsonl"}, want: "failover timeline"},
-				{args: []string{"report", "s.jsonl", "-pcap", "s.pcap"}, want: "chain hop 10.4.0.1 → 10.3.0.1 datagram"},
+				{bin: "hydranet-sim", args: []string{"-bytes", "65536", "-audit", "a.json", "-pcap", "s.pcap"}},
+				// report reads captures and nothing else: no sniffing.
+				{args: []string{"report", "a.json"}, exit: 2, want: "hydrascope:"},
+				{args: []string{"report", "s.pcap"}, want: "chain hop 10.4.0.1 → 10.3.0.1 datagram"},
 				{args: []string{"audit", "a.json", "-fail-on-violation"}, want: "verdict: CLEAN"},
 				{args: []string{"frobnicate"}, exit: 2, want: "unknown subcommand"},
 			},
@@ -228,7 +219,7 @@ func TestCLIs(t *testing.T) {
 	}
 }
 
-// TestObserverFlagsReadIdentically: the seven observer flags are registered in
+// TestObserverFlagsReadIdentically: the five observer flags are registered in
 // one place, so their help entries read the same in the narrated scenario and
 // in the experiment subcommand.
 func TestObserverFlagsReadIdentically(t *testing.T) {
@@ -254,7 +245,7 @@ func TestObserverFlagsReadIdentically(t *testing.T) {
 	if !ok {
 		t.Fatal("hydranet-sim.help holds no experiment -h")
 	}
-	for _, name := range []string{"pcap", "series", "sample-every", "invariants", "audit", "cpuprofile", "memprofile"} {
+	for _, name := range []string{"pcap", "invariants", "audit", "cpuprofile", "memprofile"} {
 		if e := entry(sim, name); e == "" || e != entry(exp, name) {
 			t.Errorf("-%s reads differently:\n%s\n%s", name, e, entry(exp, name))
 		}

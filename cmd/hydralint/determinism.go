@@ -28,10 +28,6 @@ var coveredPkgs = []string{
 	// ICMP, the address helpers and the frame pool run inside the
 	// simulation loop; metrics and capture write its artifacts.
 	"internal/icmp", "internal/inet", "internal/frame", "internal/metrics", "internal/capture",
-	// The telemetry sampler runs on the virtual clock inside the
-	// simulation loop: a wall-clock read or map-ordered emission there
-	// would make series exports (and hydrascope diffs of them) flap.
-	"internal/series",
 	// The invariant monitor's verdicts must be byte-identical across runs
 	// of one seed: a map-ordered violation emission or wall-clock stamp
 	// would break audit-report parity.
@@ -39,8 +35,8 @@ var coveredPkgs = []string{
 	// The applications and ttcp run on the scheduler: they write the traffic.
 	"internal/app", "internal/ttcp",
 	// The facade: topology, deployment and fault injection drive the run,
-	// telemetry's sampler ticks inside it, and Net.Snapshot/Diff are the
-	// counters every export and the benchmark digest read.
+	// and Net.Snapshot/Diff are the counters every export and the benchmark
+	// digest read.
 	"hydranet",
 }
 

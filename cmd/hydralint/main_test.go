@@ -87,9 +87,9 @@ func golden(t *testing.T, dir string) {
 	}
 }
 
-func TestCoveredPackage(t *testing.T)       { golden(t, "testdata/src/internal/sim") }
-func TestCoveredSeriesPackage(t *testing.T) { golden(t, "testdata/src/internal/series") }
-func TestUncoveredPackage(t *testing.T)     { golden(t, "testdata/src/other") }
+func TestCoveredPackage(t *testing.T)          { golden(t, "testdata/src/internal/sim") }
+func TestCoveredInvariantPackage(t *testing.T) { golden(t, "testdata/src/internal/invariant") }
+func TestUncoveredPackage(t *testing.T)        { golden(t, "testdata/src/other") }
 
 // TestMultipleWantsPerLine: two wants on one line each claim exactly one of
 // the line's findings, so one finding cannot satisfy both.

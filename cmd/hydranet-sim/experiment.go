@@ -47,8 +47,6 @@ func experiment(args []string) {
 		usage("experiment: -bytes %d: want 0 or more", s.Bytes)
 	case s.Loss != nil && !(*s.Loss >= 0 && *s.Loss <= 1):
 		usage("experiment: -loss %g: want a probability from 0 to 1", *s.Loss)
-	case observe.SampleEvery < 0:
-		usage("experiment: -sample-every %v: want 0 or more", observe.SampleEvery)
 	}
 	what := "experiment " + name
 	stopPprof, err := startPprof()

@@ -13,7 +13,7 @@
 //	-stats           print a net-wide counter summary at the end
 //	-stats-json F    write the full snapshot (with failover timeline) to F
 //
-// The observer flags (-pcap -series -invariants -audit …) are
+// The observer flags (-pcap -invariants -audit …) are
 // testbed.ObserverFlags, shared with the experiment subcommand.
 //
 // hydranet-sim experiment <name> prints one EXPERIMENTS.md table (Figure 4
@@ -116,8 +116,6 @@ func main() {
 		usage("-replicas %d: want at most 255 (the client's link and one per replica use the 256 subnets)", *replicas)
 	case *crashAt < 0:
 		usage("-crash-at %v: want 0 or more", *crashAt)
-	case observe.SampleEvery < 0:
-		usage("-sample-every %v: want 0 or more", observe.SampleEvery)
 	case *traceSegs < 0:
 		usage("-trace %d: want 0 or more", *traceSegs)
 	case *bytes < 1:
@@ -217,9 +215,6 @@ func main() {
 	if observe.Pcap != "" {
 		logf("pcap: %d records (%d pre-encap inner copies) written to %s",
 			sum.PcapRecords, sum.PcapInner, observe.Pcap)
-	}
-	if observe.Series != "" {
-		logf("time series (%d series, %d ticks) written to %s", sum.Series, sum.Ticks, observe.Series)
 	}
 	if observe.Audit != "" {
 		logf("audit report written to %s (render with: hydrascope audit %s)", observe.Audit, observe.Audit)

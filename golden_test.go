@@ -9,7 +9,6 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
-	"time"
 
 	"hydranet"
 	"hydranet/internal/testbed"
@@ -25,7 +24,6 @@ const goldenPath = "testdata/golden_outputs.json"
 type goldenOutputs struct {
 	RecordedAt    string   `json:"recorded_at"`
 	CapturePcap   string   `json:"capture_pcap_sha256"`
-	CaptureSeries string   `json:"capture_series_sha256"`
 	CaptureAudit  string   `json:"capture_audit_sha256"`
 	Scenario77    string   `json:"scenario77_sha256"`
 	Figure4At128K []string `json:"figure4_128k"`
@@ -39,21 +37,19 @@ func sha(b []byte) string {
 	return hex.EncodeToString(s[:])
 }
 
-// computeGolden plays the capture scenario with a pcap and a 50 ms sampler
-// named, then with only the audit named, and the fingerprint row at seed 77,
-// before the Figure-4 points and the experiments.
+// computeGolden plays the capture scenario with a pcap named, then with
+// only the audit named, and the fingerprint row at seed 77, before the
+// Figure-4 points and the experiments.
 func computeGolden(t *testing.T) goldenOutputs {
 	dir := t.TempDir()
-	in := hydranet.Instruments{Pcap: filepath.Join(dir, "golden.pcap"), Series: filepath.Join(dir, "golden.jsonl"),
-		SampleEvery: 50 * time.Millisecond}
+	in := hydranet.Instruments{Pcap: filepath.Join(dir, "golden.pcap")}
 	captureRow(t, in, nil)
 	audit := hydranet.Instruments{Audit: filepath.Join(dir, "golden.audit.json")}
 	captureRow(t, audit, nil)
 	g := goldenOutputs{
-		CapturePcap:   sha(mustRead(t, in.Pcap)),
-		CaptureSeries: sha(mustRead(t, in.Series)),
-		CaptureAudit:  sha(mustRead(t, audit.Audit)),
-		Scenario77:    sha([]byte(fingerprintRow(t, 77, nil))),
+		CapturePcap:  sha(mustRead(t, in.Pcap)),
+		CaptureAudit: sha(mustRead(t, audit.Audit)),
+		Scenario77:   sha([]byte(fingerprintRow(t, 77, nil))),
 	}
 	for _, size := range testbed.Figure4Sizes {
 		for _, c := range testbed.Figure4Cases {
@@ -81,7 +77,7 @@ func computeGolden(t *testing.T) goldenOutputs {
 	return g
 }
 
-// TestGoldenOutputs: the FT capture scenario's pcap and series exports, a
+// TestGoldenOutputs: the FT capture scenario's pcap, a
 // second run's audit, the fingerprintRow(77) fingerprint, the
 // 28-point Figure-4 table at 128 KiB and every experiment table at 64 KiB
 // are exactly what the commit that recorded the golden file produced.
@@ -111,9 +107,6 @@ func TestGoldenOutputs(t *testing.T) {
 	}
 	if got.CapturePcap != want.CapturePcap {
 		t.Errorf("capture pcap sha256 = %s, golden %s", got.CapturePcap, want.CapturePcap)
-	}
-	if got.CaptureSeries != want.CaptureSeries {
-		t.Errorf("capture series sha256 = %s, golden %s", got.CaptureSeries, want.CaptureSeries)
 	}
 	if got.CaptureAudit != want.CaptureAudit {
 		t.Errorf("capture audit sha256 = %s, golden %s", got.CaptureAudit, want.CaptureAudit)

@@ -296,6 +296,14 @@ func (h *Host) Restart() { h.node.Restart() }
 // Alive reports whether the host is up.
 func (h *Host) Alive() bool { return h.node.Alive() }
 
+// SetProcessing changes the host's CPU cost model mid-run — gray-failure
+// injection: a large per-frame delay makes the host slow without killing
+// it, a fault the retransmission detector must still see
+// (TestMonitorCleanOnGrayFailure).
+func (h *Host) SetProcessing(procDelay, procPerByte time.Duration) {
+	h.node.SetProc(procDelay, procPerByte)
+}
+
 // Dial opens a TCP connection from this host to a service.
 func (h *Host) Dial(svc ServiceID) (*Conn, error) {
 	return h.tcp.Connect(0, svc)

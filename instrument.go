@@ -4,11 +4,9 @@ import (
 	"bufio"
 	"errors"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"strings"
-	"time"
 
 	"hydranet/internal/capture"
 	"hydranet/internal/obs"
@@ -24,17 +22,11 @@ type Instruments struct {
 	// Pcap captures every fabric frame, plus the pre-encapsulation inner
 	// packet of every redirector tunnel copy, to this pcap file.
 	Pcap string
-	// Series exports sampled time series to this file as JSON lines. They
-	// always carry the fail-over phases.
-	Series string
-	// SampleEvery is the Series cadence (default 100 ms of virtual time).
-	SampleEvery time.Duration
 	// Invariants attaches the online protocol-invariant monitor; Audit
 	// additionally writes its report as JSON to this file.
 	Invariants bool
 	Audit      string
-	// Failover attaches the fail-over probe even when no artifact needs it
-	// (Series always does), for Summary.Failover.
+	// Failover attaches the fail-over probe, for Summary.Failover.
 	Failover bool
 }
 
@@ -43,7 +35,7 @@ type Instruments struct {
 // stem without extension run → run-t3), so the runs of a sweep write
 // distinct files. Empty paths stay empty.
 func (in Instruments) Suffixed(tag string) Instruments {
-	for _, p := range []*string{&in.Pcap, &in.Series, &in.Audit} {
+	for _, p := range []*string{&in.Pcap, &in.Audit} {
 		if *p == "" {
 			continue
 		}
@@ -67,7 +59,6 @@ type Session struct {
 	pcapBuf  *bufio.Writer // the capture writes here; Finish flushes it into pcapFile
 	capt     *capture.Capture
 	probe    *obs.FailoverProbe
-	tel      *telemetry
 	finished bool
 }
 
@@ -81,19 +72,17 @@ type Summary struct {
 	// PcapRecords counts capture records, PcapInner the pre-encap inner
 	// copies among them.
 	PcapRecords, PcapInner uint64
-	// Series and Ticks count the exported series and sampler ticks.
-	Series int
-	Ticks  uint64
 }
 
 // Instrument attaches the observers in selects, once per Net, after the
 // topology is final (taps cover the links and redirectors that exist now)
 // and before DeployFT (the monitor rebuilds replica-set membership from the
 // registration events, and every artifact starts at registration). It owns
-// the attach order — monitor, capture, fail-over probe, sampler — so a
-// caller cannot get it wrong: a second call, or one after DeployFT, is an
-// error and attaches nothing, and so is a pcap file that cannot be set up:
-// every step that can fail runs before the first observer attaches. Flush with Session.Finish after the run's last RunFor.
+// the attach order — monitor, capture, fail-over probe — so a caller cannot
+// get it wrong: a second call, or one after DeployFT, is an error and
+// attaches nothing, and so is a pcap file that cannot be set up: every step
+// that can fail runs before the first observer attaches. No observer
+// schedules an event. Flush with Session.Finish after the run's last RunFor.
 func (n *Net) Instrument(in Instruments) (*Session, error) {
 	switch {
 	case n.session != nil:
@@ -128,18 +117,14 @@ func (n *Net) Instrument(in Instruments) (*Session, error) {
 			r.rd.SetEncapTap(s.capt.CaptureInner)
 		}
 	}
-	if in.Failover || in.Series != "" {
+	if in.Failover {
 		s.probe = n.newFailoverProbe()
-	}
-	if in.Series != "" {
-		s.tel = n.startSampler(in.SampleEvery, s.probe)
 	}
 	return s, nil
 }
 
-// Finish detaches what reschedules itself and flushes every artifact: it
-// stops the sampler, flushes and closes the pcap and surfaces the capture's
-// sticky write error, writes the series, and runs the monitor's
+// Finish flushes every artifact: it flushes and closes the pcap and
+// surfaces the capture's sticky write error, and runs the monitor's
 // end-of-run conservation check (decided only when the simulation is
 // quiescent) before writing the audit. Every step runs even if an earlier
 // one failed; the errors come back joined.
@@ -155,19 +140,12 @@ func (s *Session) Finish() (Summary, error) {
 			errs = append(errs, fmt.Errorf("hydranet: %s: %w", what, err))
 		}
 	}
-	if s.tel != nil {
-		s.tel.Stop()
-	}
 	if s.probe != nil {
 		sum.Failover = s.probe.Report()
 	}
 	if s.capt != nil {
 		sum.PcapRecords, sum.PcapInner = s.capt.Packets(), s.capt.InnerPackets()
 		fail("pcap", errors.Join(s.capt.Err(), s.pcapBuf.Flush(), s.pcapFile.Close()))
-	}
-	if s.tel != nil {
-		sum.Series, sum.Ticks = s.tel.set.Len(), s.tel.ticks
-		fail("series", writeFile(s.in.Series, s.tel.WriteJSONL))
 	}
 	if s.mon != nil {
 		audit := s.net.FinishAudit(s.mon)
@@ -177,18 +155,4 @@ func (s *Session) Finish() (Summary, error) {
 		}
 	}
 	return sum, errors.Join(errs...)
-}
-
-// writeFile creates path, streams write into it and reports the first
-// error of create, write and close.
-func writeFile(path string, write func(io.Writer) error) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	err = write(f)
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	return err
 }

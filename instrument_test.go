@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"hydranet/internal/app"
-	"hydranet/internal/icmp"
 	"hydranet/internal/obs"
 )
 
@@ -62,7 +61,7 @@ func TestInstrumentZeroValueAttachesNothing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sum.Audit != nil || sum.Failover != (FailoverReport{}) || sum.PcapRecords != 0 || sum.Series != 0 {
+	if sum.Audit != nil || sum.Failover != (FailoverReport{}) || sum.PcapRecords != 0 {
 		t.Errorf("zero Instruments reported %+v", sum)
 	}
 	if _, err := sess.Finish(); err == nil {
@@ -77,9 +76,8 @@ func TestInstrumentZeroValueAttachesNothing(t *testing.T) {
 func TestInstrumentOrderIsEnforced(t *testing.T) {
 	everything := func(dir string) Instruments {
 		return Instruments{
-			Pcap:   filepath.Join(dir, "x.pcap"),
-			Series: filepath.Join(dir, "x.jsonl"),
-			Audit:  filepath.Join(dir, "x.audit.json"),
+			Pcap:  filepath.Join(dir, "x.pcap"),
+			Audit: filepath.Join(dir, "x.audit.json"),
 		}
 	}
 	requireEmpty := func(dir string) {
@@ -151,66 +149,11 @@ func TestInstrumentsSuffixed(t *testing.T) {
 		{".hidden", ".hidden-t3"},
 		{"", ""},
 	} {
-		got := Instruments{Pcap: tc.path, Series: tc.path, Audit: tc.path}.Suffixed("-t3")
-		for _, p := range []string{got.Pcap, got.Series, got.Audit} {
+		got := Instruments{Pcap: tc.path, Audit: tc.path}.Suffixed("-t3")
+		for _, p := range []string{got.Pcap, got.Audit} {
 			if p != tc.want {
 				t.Errorf("Suffixed(%q) = %q, want %q", tc.path, p, tc.want)
 			}
 		}
-	}
-}
-
-// TestSamplerCadenceAndStop: the first tick fires one cadence after the
-// sampler starts and each later one a cadence after the last; Stop disarms it.
-func TestSamplerCadenceAndStop(t *testing.T) {
-	net := New(Config{Seed: 1})
-	a := net.AddHost("a", HostConfig{})
-	tel := net.startSampler(10*time.Millisecond, nil)
-	net.RunFor(35 * time.Millisecond)
-	alive := tel.set.Get("host." + a.Name() + ".alive")
-	if tel.ticks != 3 || alive.Len() != 3 || !tel.timer.Armed() {
-		t.Fatalf("ticks=%d points=%d armed=%v, want 3 ticks (10/20/30ms), still armed", tel.ticks, alive.Len(), tel.timer.Armed())
-	}
-	for i, want := range []time.Duration{10, 20, 30} {
-		if at := alive.At(i).T; at != want*time.Millisecond {
-			t.Fatalf("tick %d at %v, want %vms", i, at, want)
-		}
-	}
-	tel.Stop()
-	net.RunFor(100 * time.Millisecond)
-	if tel.ticks != 3 || tel.timer.Armed() {
-		t.Fatalf("sampler ticked after Stop: ticks=%d armed=%v", tel.ticks, tel.timer.Armed())
-	}
-}
-
-// TestSamplerZeroCostWhenStopped pins the facade's promise: telemetry is
-// zero-cost unless a sampler is actively running. A net that had a sampler
-// attached, ticking, and then stopped must perform a ping round trip with
-// exactly as many heap allocations as a net that never saw one.
-func TestSamplerZeroCostWhenStopped(t *testing.T) {
-	pingAllocs := func(attach bool) float64 {
-		net := New(Config{Seed: 1})
-		a := net.AddHost("a", HostConfig{})
-		b := net.AddHost("b", HostConfig{})
-		net.Link(a, b, LinkConfig{Rate: 100_000_000, Delay: 100 * time.Microsecond})
-		net.AutoRoute()
-		if attach {
-			tel := net.startSampler(time.Millisecond, nil)
-			net.RunFor(5 * time.Millisecond) // let it tick for real
-			tel.Stop()
-		}
-		done := func(icmp.EchoResult) {}
-		a.Ping(b.Addr(), time.Second, done) // warm stacks and pools
-		net.RunFor(50 * time.Millisecond)
-		return testing.AllocsPerRun(100, func() {
-			a.Ping(b.Addr(), time.Second, done)
-			net.RunFor(10 * time.Millisecond)
-		})
-	}
-	base := pingAllocs(false)
-	stopped := pingAllocs(true)
-	if stopped != base {
-		t.Fatalf("round trip with stopped sampler allocates %v/op, baseline %v/op — idle telemetry must add 0",
-			stopped, base)
 	}
 }

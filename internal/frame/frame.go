@@ -151,8 +151,8 @@ func (p *Pool) Poisoned() bool { return p.poison.Load() }
 func (p *Pool) Stats() (gets, puts, misses uint64) { return p.gets, p.puts, p.misses }
 
 // Outstanding returns the frames currently checked out (Gets minus
-// Releases) — the pool-occupancy gauge a telemetry sampler reads. A steady
-// climb under constant load means a frame leak.
+// Releases) — what the invariant monitor's frame-conservation check reads.
+// A steady climb under constant load means a frame leak.
 func (p *Pool) Outstanding() int { return int(p.gets - p.puts) }
 
 // Get returns a Buf holding n uninitialized payload bytes with Headroom

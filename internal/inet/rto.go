@@ -44,9 +44,6 @@ func (e *RTO) Sample(rtt time.Duration) {
 	e.rto = min(max(e.rto, e.min), e.max)
 }
 
-// SRTT returns the smoothed round-trip time (zero before the first sample).
-func (e *RTO) SRTT() time.Duration { return e.srtt }
-
 // Current returns the RTO including backoff.
 func (e *RTO) Current() time.Duration {
 	return min(e.rto<<e.backoff, e.max)

@@ -206,8 +206,8 @@ func (nd *Node) SetProc(procDelay, procPerByte time.Duration) {
 // frame arrival: the time until a frame delivered right now would actually
 // be processed. Zero on an idle or keeping-up node; on a gray-failing one
 // it grows with every queued frame. This is the host-local ingress-queue
-// depth a node's own telemetry agent can always export, even when the
-// node looks alive from the network.
+// depth Net.Snapshot exports, even when the node looks alive from the
+// network.
 func (nd *Node) ProcBacklog() time.Duration {
 	if b := nd.cpuFree - nd.net.sched.Now(); b > 0 {
 		return b
@@ -421,7 +421,7 @@ func (l *Link) Stats() (tx, lost, queueDrop [2]uint64) {
 func (l *Link) TxBytes() [2]uint64 { return l.txBytes }
 
 // Backlogs returns the bytes currently queued in each direction (index =
-// sending side) — the instantaneous queue depths a telemetry sampler reads.
+// sending side) — the instantaneous queue depths.
 func (l *Link) Backlogs() (ab, ba int) {
 	l.drain(0)
 	l.drain(1)

@@ -1,3 +1,10 @@
+// Package scope is hydrascope's analysis engine: it reads each ft-TCP
+// segment's hops off a capture and loads and renders invariant audit
+// reports.
+//
+// It runs offline, after the simulation, so it is deliberately outside the
+// determinism fence: it sorts whatever it loads and owns its own output
+// stability.
 package scope
 
 import (

@@ -249,10 +249,6 @@ func (c *Conn) State() State { return c.state }
 // Stats returns a snapshot of the connection counters.
 func (c *Conn) Stats() ConnStats { return c.stats }
 
-// SRTT returns the smoothed round-trip time estimate (zero before the
-// first valid measurement).
-func (c *Conn) SRTT() time.Duration { return c.rto.SRTT() }
-
 // RTO returns the current retransmission timeout, exponential backoff
 // included.
 func (c *Conn) RTO() time.Duration { return c.rto.Current() }

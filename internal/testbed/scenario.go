@@ -59,11 +59,10 @@ type Scenario struct {
 	// deploys: it adds clients, routers or a mirrored redirector, and
 	// subscribes its own observers. The monitor and the capture's frame tap
 	// see hosts and links added there (the monitor names chain members by
-	// the hosts present at attach); a redirector's encap tap and the
-	// sampler's per-host series are fixed when the observers attach and do
-	// not. After the dial the steps run in order, and each fault is
-	// injected at its instant or byte count. Log, when set, narrates the
-	// run's milestones.
+	// the hosts present at attach); a redirector's encap tap is fixed when
+	// the observers attach and does not. After the dial the steps run in
+	// order, and each fault is injected at its instant or byte count. Log,
+	// when set, narrates the run's milestones.
 	Setup  func(*Run)
 	Steps  []Step
 	Faults []Fault // at most 64

@@ -117,7 +117,7 @@ type Config struct {
 	Observe hydranet.Instruments
 	// PcapPath, SeriesPath, ProfilePath and Invariants are the names bench/
 	// compiles against; scenario folds them into Observe (DESIGN.md §11) and
-	// ignores ProfilePath, which names no observer.
+	// ignores SeriesPath and ProfilePath, which name no observer.
 	PcapPath, SeriesPath, ProfilePath string
 	Invariants                        bool
 }
@@ -126,7 +126,6 @@ type Config struct {
 func (c Config) scenario() Scenario {
 	in := c.Observe
 	in.Pcap = cmp.Or(in.Pcap, c.PcapPath)
-	in.Series = cmp.Or(in.Series, c.SeriesPath)
 	in.Invariants = in.Invariants || c.Invariants
 	replicas := 1 + cmp.Or(c.Backups, 1)
 	switch c.Case {

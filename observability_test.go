@@ -1,14 +1,12 @@
 package hydranet_test
 
 import (
-	"bytes"
 	"encoding/json"
 	"path/filepath"
 	"testing"
 	"time"
 
 	"hydranet"
-	"hydranet/internal/scope"
 	"hydranet/internal/testbed"
 )
 
@@ -146,39 +144,41 @@ func TestRedirectorStatsUnderLossyBackupLinks(t *testing.T) {
 	}})
 }
 
-// TestSeriesExportIdenticalSeedsDiffClean runs the same seeded failover
-// scenario twice, exports both telemetry streams, and requires the
-// hydrascope comparison to come back empty — the determinism contract
-// extended to the new observability layer. The exports must in fact be
-// byte-identical; DiffRuns is additionally exercised because it is what CI
-// gates on.
-func TestSeriesExportIdenticalSeedsDiffClean(t *testing.T) {
-	runOnce := func() []byte {
+// TestObserversDoNotPerturbRun plays one seeded fail-over twice: bare, and
+// with the capture, the invariant monitor, its audit and the fail-over probe
+// attached. Observation never perturbs a run (DESIGN.md §5), so both fire
+// the same events, end at the same instant and deliver the same client
+// bytes.
+func TestObserversDoNotPerturbRun(t *testing.T) {
+	play := func(in hydranet.Instruments) *testbed.Run {
 		payload := make([]byte, 512*1024)
-		in := hydranet.Instruments{Series: filepath.Join(t.TempDir(), "run.jsonl"), SampleEvery: 50 * time.Millisecond}
-		row(t, testbed.Scenario{Seed: 5, Replicas: 3, Observe: in, Threshold: 3, Send: payload,
+		return testbed.Scenario{Seed: 5, Replicas: 3, Observe: in, Threshold: 3, Send: payload,
 			Faults: at(400*time.Millisecond, testbed.CrashPrimary, 0),
 			Steps:  []testbed.Step{{After: 400 * time.Millisecond}, readAll(len(payload), 2*time.Minute)},
-		}, verdict{echo: true})
-		return mustRead(t, in.Series)
+		}.Play()
 	}
-
-	exportA, exportB := runOnce(), runOnce()
-	if !bytes.Equal(exportA, exportB) {
-		t.Error("identical-seed exports differ byte-for-byte")
+	dir := t.TempDir()
+	bare := play(hydranet.Instruments{})
+	observed := play(hydranet.Instruments{Pcap: filepath.Join(dir, "run.pcap"), Invariants: true,
+		Audit: filepath.Join(dir, "run.audit.json"), Failover: true})
+	for _, p := range observed.Problems() {
+		t.Error(p)
 	}
-	runA, err := scope.LoadRun(bytes.NewReader(exportA))
-	if err != nil {
-		t.Fatal(err)
+	if !bare.Echoed() || len(bare.Unmet) != 0 {
+		t.Fatalf("bare run: the client read %d bytes, garbled=%v, unmet %v: want the whole echo",
+			bare.Delivered, bare.Garbled, bare.Unmet)
 	}
-	runB, err := scope.LoadRun(bytes.NewReader(exportB))
-	if err != nil {
-		t.Fatal(err)
+	if sum := observed.Summary; sum.PcapRecords == 0 || sum.Audit == nil || !sum.Failover.Complete {
+		t.Fatalf("observers did not all attach: %d pcap records, audit %v, fail-over %+v",
+			sum.PcapRecords, sum.Audit != nil, sum.Failover)
 	}
-	if findings := scope.DiffRuns(runA, runB, 0.001); len(findings) != 0 {
-		t.Fatalf("identical-seed runs diff dirty: %v", findings)
+	if b, o := bare.Net.EventsFired(), observed.Net.EventsFired(); b != o {
+		t.Errorf("events fired: bare %d, observed %d", b, o)
 	}
-	if runA.Meta.Failover == nil || !runA.Meta.Failover.Complete {
-		t.Fatalf("export missing the completed failover timeline: %+v", runA.Meta.Failover)
+	if b, o := bare.Net.Now(), observed.Net.Now(); b != o {
+		t.Errorf("final instant: bare %v, observed %v", b, o)
+	}
+	if b, o := bare.Delivered, observed.Delivered; b != o {
+		t.Errorf("client bytes: bare %d, observed %d", b, o)
 	}
 }
