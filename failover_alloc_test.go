@@ -14,14 +14,15 @@ import (
 // per-object allocation in the frame pool, the scheduler, rmp, core or the
 // route build shows here first.
 //
-// It takes 105 objects (107 under the race detector); the budget is 10 %
-// above. Building the Net and the scenario takes about 37 of them, DeployFT
-// 5, Settle 2 and the stream, crash, probe, reconfiguration and resumed
-// stream about 61. Each host is one object — its netsim node, its stacks, and
+// It takes 67 objects (69 under the race detector); the budget is 10 %
+// above. Building the Net takes 22 of them, DeployFT 5, Settle none, and the
+// scenario's record, the stream, crash, probe, reconfiguration and resumed
+// stream about 40. Each host is one object — its netsim node, its stacks, and
 // on a replica its ft-TCP engine and management daemon, all held by value —
-// and their small tables are inline (TestStarBuildAllocBudget).
+// and its tables are inline: no map is made on the frame path
+// (TestStarBuildAllocBudget).
 func TestFailoverScenarioAllocBudget(t *testing.T) {
-	const budget = 115
+	const budget = 74
 	var res testbed.FailoverResult
 	allocs := testing.AllocsPerRun(1, func() {
 		res = testbed.MeasureFailover(testbed.FailoverConfig{Threshold: 3, Seed: 1})
@@ -39,14 +40,15 @@ func TestFailoverScenarioAllocBudget(t *testing.T) {
 // replicated service on it costs, phase by phase, on the Figure-3 hosts — a
 // client, a redirector and two replicas — joined as a full mesh, as the
 // fail-over sweep builds them 96 times a repetition. A host is one object: its
-// node and every stack live in the Host by value, their small tables in
-// inline arrays, and their maps are made by the first entry. A replica adds
-// nothing to it: its ft-TCP engine, its first replicated port, its
-// management daemon with its reliable-UDP tables, its listener and its
-// virtual host are inline too. A new per-layer object or an eagerly made map
-// shows here as a host or a replica that costs one more.
+// node and every stack live in the Host by value, and their tables —
+// routes, connections, reassemblies, the redirector's services — in inline
+// arrays. A replica adds nothing to it: its ft-TCP engine, its first
+// replicated port, its management daemon with its reliable-UDP tables, its
+// listener and its virtual host are inline too. A link is none: the Net holds
+// its first sixteen. A new per-layer object or a table that outgrows its
+// backing shows here as a host, a link or a replica that costs one more.
 func TestStarBuildAllocBudget(t *testing.T) {
-	const perHost, perLink, perReplica = 1, 1, 0
+	const perHost, perLink, perReplica = 1, 0, 0
 	var rd *hydranet.Redirector
 	phases := []struct {
 		name  string
@@ -61,12 +63,12 @@ func TestStarBuildAllocBudget(t *testing.T) {
 			hosts[2] = net.AddHost("s0", hydranet.HostConfig{})
 			hosts[3] = net.AddHost("s1", hydranet.HostConfig{})
 		}, 3 * perHost},
-		// The host, its Redirector (which holds the redirector table by
-		// value), the table's map and the bound intercept hook.
+		// The host and its Redirector, which holds the redirector table and
+		// its first entry by value.
 		{"AddRedirector", func(net *hydranet.Net, hosts []*hydranet.Host) {
 			rd = net.AddRedirector("rd", hydranet.HostConfig{})
 			hosts[1] = rd.Host
-		}, perHost + 3},
+		}, perHost + 1},
 		{"six Links", func(net *hydranet.Net, hosts []*hydranet.Host) {
 			for i := range hosts {
 				for j := i + 1; j < len(hosts); j++ {
@@ -74,8 +76,8 @@ func TestStarBuildAllocBudget(t *testing.T) {
 				}
 			}
 		}, 6 * perLink},
-		// Three scratch slices, and each host's two route tables.
-		{"AutoRoute", func(net *hydranet.Net, _ []*hydranet.Host) { net.AutoRoute() }, 3 + 4*2},
+		// Three scratch slices; the route tables are the hosts' own.
+		{"AutoRoute", func(net *hydranet.Net, _ []*hydranet.Host) { net.AutoRoute() }, 3},
 		// The FTService, which holds its replicas; the REGISTERs are the
 		// Net's first frames, so the frame pool's first two slabs, the
 		// fabric's first event record and the scheduler's first chunk of
@@ -85,9 +87,9 @@ func TestStarBuildAllocBudget(t *testing.T) {
 				t.Fatal(err)
 			}
 		}, 1 + 4 + 2*perReplica},
-		// Registration and chain set-up, per service: the redirector's table
-		// entry, which holds a short chain, and the table's map group.
-		{"Settle", func(net *hydranet.Net, _ []*hydranet.Host) { net.Settle() }, 2 + 2*perReplica},
+		// Registration and chain set-up: the redirector's first entry, which
+		// holds a short chain, and its row are inline.
+		{"Settle", func(net *hydranet.Net, _ []*hydranet.Host) { net.Settle() }, 2 * perReplica},
 	}
 	hosts, before := make([]*hydranet.Host, 4), 0.0
 	for n, ph := range phases {

@@ -117,9 +117,10 @@ type Net struct {
 	session  *Session
 	deployed bool
 
-	hosts0       [8]*Host       // hosts' backing up to eight hosts
-	redirectors0 [2]*Redirector // redirectors' backing up to two redirectors
-	links0       [16]linkInfo   // links' backing up to sixteen links
+	hosts0       [8]*Host        // hosts' backing up to eight hosts
+	redirectors0 [2]*Redirector  // redirectors' backing up to two redirectors
+	links0       [16]linkInfo    // links' backing up to sixteen links
+	fabLinks0    [16]netsim.Link // the first sixteen links themselves
 }
 
 type linkInfo struct {
@@ -387,7 +388,13 @@ func (n *Net) Link(a, b *Host, cfg LinkConfig) *netsim.Link {
 // LinkAddr connects two hosts with explicit addresses. Both must share one
 // /24, distinct from every other link's.
 func (n *Net) LinkAddr(a, b *Host, cfg LinkConfig, aAddr, bAddr Addr) *netsim.Link {
-	l := n.fab.Connect(&a.node, &b.node, cfg)
+	var l *netsim.Link
+	if i := len(n.links); i < len(n.fabLinks0) {
+		l = &n.fabLinks0[i]
+	} else {
+		l = new(netsim.Link)
+	}
+	n.fab.InitLink(l, &a.node, &b.node, cfg)
 	aIf := a.node.NumInterfaces() - 1
 	bIf := b.node.NumInterfaces() - 1
 	a.ip.SetAddr(aIf, aAddr)

@@ -24,14 +24,14 @@ const (
 
 // Echo returns everything it receives and closes when the peer closes.
 func Echo(c *tcp.Conn) {
-	// The read buffer and the backlog's first array are one allocation.
-	mem := make([]byte, echoRead+echoBacklog)
-	e := &echo{c: c, buf: mem[:echoRead:echoRead], backlog: mem[echoRead:echoRead]}
+	e := &echo{c: c}
+	e.backlog = e.backlog0[:0]
 	c.OnReadable(e.readable)
 	c.OnWritable(e.flush)
 }
 
-// echo is one Echo call's state. What has been read but not yet written
+// echo is one Echo call's state, its read buffer and its backlog's first
+// array included: one allocation. What has been read but not yet written
 // back is backlog[head:]. The backlog keeps one backing array: rewound
 // whenever it drains, and when it is full slid to the front if that frees at
 // least as much as it copies — else append grows it — so the array settles
@@ -39,15 +39,16 @@ func Echo(c *tcp.Conn) {
 // no more than one copied byte per byte echoed.
 type echo struct {
 	c        *tcp.Conn
-	buf      []byte
 	backlog  []byte
 	head     int
 	peerDone bool
+	buf      [echoRead]byte
+	backlog0 [echoBacklog]byte
 }
 
 func (e *echo) readable() {
 	for {
-		n := e.c.Read(e.buf)
+		n := e.c.Read(e.buf[:])
 		if n == 0 {
 			break
 		}

@@ -172,3 +172,17 @@ func TestEchoBacklogKeepsOneArray(t *testing.T) {
 		t.Errorf("echoing 4 MiB allocates %d times, 1 MiB %d: the backlog is being re-allocated as it drains", four, one)
 	}
 }
+
+// TestEchoAllocs: one Echo call is three objects, its record — which holds
+// the read buffer and the backlog's first array — and the two callbacks it
+// installs.
+func TestEchoAllocs(t *testing.T) {
+	_, cs, _, serverAddr := pairConn(t, tcp.Config{})
+	conn, err := cs.Connect(0, tcp.Endpoint{Addr: serverAddr, Port: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if allocs := testing.AllocsPerRun(10, func() { Echo(conn) }); allocs != 3 {
+		t.Errorf("Echo allocates %v objects, want 3", allocs)
+	}
+}

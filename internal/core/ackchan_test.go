@@ -7,6 +7,7 @@ import (
 
 	"hydranet/internal/inet"
 	"hydranet/internal/ipv4"
+	"hydranet/internal/sim"
 	"hydranet/internal/tcp"
 )
 
@@ -76,5 +77,22 @@ func TestServiceIDString(t *testing.T) {
 	svc := ServiceID{Addr: inet.MustParseAddr("192.20.225.20"), Port: 80}
 	if got := svc.String(); got != "192.20.225.20:80" {
 		t.Errorf("String = %q", got)
+	}
+}
+
+// TestConnTableInline: a port's first two records have their rows in it, so
+// entering two connections and closing them allocates only the two records.
+func TestConnTableInline(t *testing.T) {
+	m := Manager{sched: sim.NewScheduler(1)}
+	m.ports = m.ports0[:0]
+	allocs := testing.AllocsPerRun(10, func() {
+		m.port0, m.ports = ReplicatedPort{}, m.ports[:0]
+		p := m.SetPortOpt(ServiceID{Addr: 1, Port: 80}, ModeBackup, DetectorParams{})
+		a, b := p.newFTConn(2), p.newFTConn(1)
+		a.OnClosed(nil)
+		b.OnClosed(nil)
+	})
+	if allocs != 2 {
+		t.Errorf("two connections entered and closed allocate %v objects, want 2 (their records)", allocs)
 	}
 }

@@ -165,7 +165,7 @@ func (m *Manager) SetPortOpt(svc ServiceID, mode Mode, det DetectorParams) *Repl
 		if p = &m.port0; p.mgr != nil { // used before: its FTReplica may hold it
 			p = new(ReplicatedPort)
 		}
-		p.mgr, p.svc, p.order = m, svc, p.order0[:0]
+		p.mgr, p.svc, p.conns = m, svc, p.conns0[:0]
 		m.ports = append(m.ports, p)
 	}
 	p.mode = mode
@@ -245,12 +245,17 @@ type ReplicatedPort struct {
 	// version is the last chain configuration applied (AdvanceVersion).
 	version uint32
 
-	conns        map[inet.Key]*ftConn // by client endpoint
+	// conns is sorted by client endpoint Key; the first two rows live here.
+	conns        []clientConn
+	conns0       [2]clientConn
 	lastSuspect  time.Duration
 	hasSuspected bool
+}
 
-	order  []*ftConn // connsInOrder's result, reused
-	order0 [2]*ftConn
+// clientConn is one row of a port's table: a client and its record.
+type clientConn struct {
+	client inet.Key
+	fc     *ftConn
 }
 
 // ftConn is per-connection chain state, and the connection's tcp.ConnHooks:
@@ -283,16 +288,46 @@ type ftConn struct {
 	sndNxt, rcvNxt tcp.Seq
 }
 
-// newFTConn makes client's record and enters it in the port's table.
+// newFTConn makes client's record and enters it in the port's table, in
+// place of any record the client had.
 func (p *ReplicatedPort) newFTConn(client inet.Key) *ftConn {
 	fc := &ftConn{port: p, client: client}
 	fc.stall.InitHandler(p.mgr.sched, (*stallExpiry)(fc))
 	fc.announce.InitHandler(p.mgr.sched, (*announceExpiry)(fc))
-	if p.conns == nil {
-		p.conns = make(map[inet.Key]*ftConn)
+	if i, ok := p.search(client); ok {
+		p.conns[i].fc = fc
+	} else {
+		p.conns = slices.Insert(p.conns, i, clientConn{client: client, fc: fc})
 	}
-	p.conns[client] = fc
 	return fc
+}
+
+// search returns where client's record is, or would go, in the table.
+func (p *ReplicatedPort) search(client inet.Key) (int, bool) {
+	return slices.BinarySearchFunc(p.conns, client, func(c clientConn, k inet.Key) int { return cmp.Compare(c.client, k) })
+}
+
+// find returns client's record, or nil.
+func (p *ReplicatedPort) find(client inet.Key) *ftConn {
+	if i, ok := p.search(client); ok {
+		return p.conns[i].fc
+	}
+	return nil
+}
+
+// eachConn calls fn on every record in client-endpoint order: each poke may
+// transmit, and the frame order of a replay must follow the endpoints. fn may
+// end connections or add them, so the walk goes by key: every client still
+// in the table when its turn comes is visited once.
+func (p *ReplicatedPort) eachConn(fn func(*ftConn)) {
+	for i := 0; i < len(p.conns); {
+		fc := p.conns[i].fc
+		fn(fc)
+		var ok bool
+		if i, ok = p.search(fc.client); ok {
+			i++
+		}
+	}
 }
 
 // A *ftConn converted to stallExpiry is the stall timer's sim.Handler.
@@ -399,11 +434,11 @@ func (p *ReplicatedPort) SetUpstream(host ipv4.Addr) {
 		return
 	}
 	p.upstream = udp.Endpoint{Addr: host, Port: AckChannelPort}
-	for _, fc := range p.connsInOrder() {
+	p.eachConn(func(fc *ftConn) {
 		if fc.adopted {
 			fc.forwardCursors()
 		}
-	}
+	})
 }
 
 // SetGated declares whether a successor replica exists behind this one.
@@ -417,7 +452,7 @@ func (p *ReplicatedPort) SetUpstream(host ipv4.Addr) {
 func (p *ReplicatedPort) SetGated(gated bool) {
 	p.gated = gated
 	if !gated {
-		for _, fc := range p.connsInOrder() {
+		p.eachConn(func(fc *ftConn) {
 			if fc.gated {
 				fc.gated = false
 				fc.stall.Stop() // the gate-stall rule ends with the gate
@@ -425,20 +460,8 @@ func (p *ReplicatedPort) SetGated(gated bool) {
 			if fc.adopted {
 				fc.conn.Poke()
 			}
-		}
+		})
 	}
-}
-
-// connsInOrder returns the managed connections by client endpoint, valid until
-// the next call. Reconfiguration pokes them one after another and each may
-// transmit, so map order would leak into the frame order of a replay.
-func (p *ReplicatedPort) connsInOrder() []*ftConn {
-	p.order = p.order[:0]
-	for _, fc := range p.conns { //hydralint:nondeterministic order normalized by the sort below
-		p.order = append(p.order, fc)
-	}
-	slices.SortFunc(p.order, func(a, b *ftConn) int { return cmp.Compare(a.client, b.client) })
-	return p.order
 }
 
 // Promote switches a backup to primary — the fail-over step. Suppression
@@ -457,13 +480,13 @@ func (p *ReplicatedPort) Promote() {
 			Service: p.svc, Count: len(p.conns),
 		})
 	}
-	for _, fc := range p.connsInOrder() {
+	p.eachConn(func(fc *ftConn) {
 		fc.stopTailCount()
 		if fc.adopted {
 			fc.conn.ForceRetransmit()
 			fc.conn.Poke()
 		}
-	}
+	})
 }
 
 // Demote switches a primary back to backup. This happens when management
@@ -493,7 +516,7 @@ type portSetup ReplicatedPort
 // chain message left, limits and all.
 func (ps *portSetup) SetupConn(client tcp.Endpoint) (*tcp.Conn, tcp.ConnHooks) {
 	p := (*ReplicatedPort)(ps)
-	fc := p.conns[client.Key()]
+	fc := p.find(client.Key())
 	if fc == nil || fc.adopted {
 		fc = p.newFTConn(client.Key())
 	}
@@ -507,7 +530,7 @@ func (p *ReplicatedPort) Conns() int { return len(p.conns) }
 // onChainMsg folds successor state into the connection's limits.
 func (p *ReplicatedPort) onChainMsg(msg *ChainMsg) {
 	client := msg.Client.Key()
-	fc := p.conns[client]
+	fc := p.find(client)
 	if fc == nil {
 		// The successor saw the SYN before we did (multicast races are
 		// normal); remember the limits for when our SYN arrives. If it
@@ -515,8 +538,8 @@ func (p *ReplicatedPort) onChainMsg(msg *ChainMsg) {
 		// gone), the placeholder expires instead of leaking.
 		fc = p.newFTConn(client)
 		p.mgr.sched.After(pendingConnTTL, func() {
-			if ghost := p.conns[client]; ghost == fc && !ghost.adopted {
-				delete(p.conns, client)
+			if i, ok := p.search(client); ok && p.conns[i].fc == fc && !fc.adopted {
+				p.conns = slices.Delete(p.conns, i, i+1)
 			}
 		})
 	}
@@ -634,8 +657,9 @@ func (fc *ftConn) OnAckProgress() {
 // its end: the last may carry the FIN's deposit.
 func (fc *ftConn) OnClosed(error) {
 	fc.stall.Stop()
-	if fc.port.conns[fc.client] == fc {
-		delete(fc.port.conns, fc.client)
+	p := fc.port
+	if i, ok := p.search(fc.client); ok && p.conns[i].fc == fc {
+		p.conns = slices.Delete(p.conns, i, i+1)
 	}
 }
 

@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"slices"
 	"sort"
 	"testing"
 	"time"
@@ -310,4 +311,64 @@ func TestSetUpstreamAnnouncesCursors(t *testing.T) {
 			}
 		}},
 	}})
+}
+
+// TestPromoteWalksTableAsItChanges: Promote pokes every connection in client
+// order, and a poke may end connections — here the first segment it sends
+// on the second makes an observer abort the first (already poked) and the
+// fourth. Every record still in the table when its turn comes is poked once,
+// in order.
+func TestPromoteWalksTableAsItChanges(t *testing.T) {
+	net := hydranet.New(hydranet.Config{Seed: 85})
+	client := net.AddHost("client", hydranet.HostConfig{})
+	rd := net.AddRedirector("rd", hydranet.HostConfig{})
+	s0 := net.AddHost("s0", hydranet.HostConfig{})
+	s1 := net.AddHost("s1", hydranet.HostConfig{})
+	for _, h := range []*hydranet.Host{client, s0, s1} {
+		net.Link(h, rd.Host, hydranet.LinkConfig{Rate: 10_000_000, Delay: time.Millisecond})
+	}
+	net.AutoRoute()
+	if _, err := net.DeployFT(svc, rd, []*hydranet.Host{s0, s1}, hydranet.FTOptions{}, app.Echo); err != nil {
+		t.Fatal(err)
+	}
+	net.Settle()
+	clients := make([]hydranet.Endpoint, 4)
+	for i := range clients {
+		c, err := client.Dial(svc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		clients[i] = c.Local()
+	}
+	net.RunFor(time.Second)
+	port := s1.FTManager().Port(svc)
+	if port.Conns() != len(clients) {
+		t.Fatalf("backup manages %d connections, want %d", port.Conns(), len(clients))
+	}
+	var poked []hydranet.Endpoint
+	aborting := false
+	s1.TCP().SetTrace(func(dir string, local, remote tcp.Endpoint, seg *tcp.Segment) {
+		if dir != "out" || aborting || seg.Flags.Has(tcp.FlagRST) {
+			return
+		}
+		if len(poked) == 0 || poked[len(poked)-1] != remote {
+			poked = append(poked, remote)
+		}
+		if remote == clients[1] {
+			aborting = true
+			for _, i := range []int{0, 3} {
+				if c := s1.TCP().FindConn(local, clients[i]); c != nil {
+					c.Abort()
+				}
+			}
+			aborting = false
+		}
+	})
+	port.Promote()
+	if want := clients[:3]; !slices.Equal(poked, want) {
+		t.Errorf("Promote poked %v, want %v", poked, want)
+	}
+	if port.Conns() != 2 {
+		t.Errorf("port manages %d connections after two aborts, want 2", port.Conns())
+	}
 }

@@ -8,7 +8,7 @@ import (
 // Strikes returns the failure estimator's count on the client's connection
 // and whether the tail-silence rule is counting there (ftConn.OnRTO).
 func (p *ReplicatedPort) Strikes(client inet.Endpoint) (count int, tailCounting bool) {
-	fc := p.conns[client.Key()]
+	fc := p.find(client.Key())
 	return fc.retransmits, fc.tailCounting()
 }
 
@@ -16,7 +16,7 @@ func (p *ReplicatedPort) Strikes(client inet.Endpoint) (count int, tailCounting 
 // it embeds (nil if there is no record), whether the SYN has arrived, and the
 // deposit and send limits the successor reported (ok false before any).
 func (p *ReplicatedPort) Record(client inet.Endpoint) (conn *tcp.Conn, adopted bool, deposit, send tcp.Seq, ok bool) {
-	fc := p.conns[client.Key()]
+	fc := p.find(client.Key())
 	if fc == nil {
 		return nil, false, 0, 0, false
 	}

@@ -1,8 +1,10 @@
 package ipv4
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"hydranet/internal/sim"
@@ -93,12 +95,17 @@ func fragKeyOf(p *Packet) fragKey {
 	return fragKey{src: p.Src, dst: p.Dst, protoID: uint32(p.Proto)<<16 | uint32(p.ID)}
 }
 
+func (k fragKey) compare(o fragKey) int {
+	return cmp.Or(cmp.Compare(k.src, o.src), cmp.Compare(k.dst, o.dst), cmp.Compare(k.protoID, o.protoID))
+}
+
 // fragSpan is a run of payload bytes [off, end) that has arrived.
 type fragSpan struct{ off, end int }
 
 // Reassembly is one datagram being put together from its fragments and, once
 // Add has returned it, the finished datagram. It is recycled: the byte
-// buffer and the span list are kept from one datagram to the next.
+// buffer and the span list are kept from one datagram to the next. The
+// buffer starts as the record's own buf0, so a record is one object.
 //
 // The buffer is the reassembler's own, not a frame.Pool frame: a partial
 // datagram lives for up to ReassemblyTimeout, outside the fabric's
@@ -119,6 +126,14 @@ type Reassembly struct {
 	// The pending list, oldest first — which is also expiry order, the
 	// timeout being constant. next chains the free list too.
 	prev, next *Reassembly
+
+	buf0 [reassemblyBufLen]byte
+}
+
+// init readies a record of r's that has never been used.
+func (e *Reassembly) init(r *Reassembler) *Reassembly {
+	e.r, e.buf, e.spans = r, e.buf0[:], e.spans0[:0]
+	return e
 }
 
 // OnTimer makes a pending datagram its own timeout's handler.
@@ -148,15 +163,19 @@ type ReassemblyStats struct {
 // Reassembler collects fragments and produces whole datagrams. It is
 // per-stack state, driven by the stack's scheduler for timeouts.
 type Reassembler struct {
-	sched   *sim.Scheduler
-	pending map[fragKey]*Reassembly
-	oldest  *Reassembly
-	newest  *Reassembly
-	free    *Reassembly
+	sched *sim.Scheduler
+	// pending is sorted by key. Honest traffic holds a handful: the first
+	// four rows live here, and so does the first record (first).
+	pending  []*Reassembly
+	pending0 [4]*Reassembly
+	oldest   *Reassembly
+	newest   *Reassembly
+	free     *Reassembly
 	// timeouts queues every pending datagram's expiry. They all wait
 	// ReassemblyTimeout, so deadlines never decrease and only the earliest
 	// holds a scheduler heap slot.
 	timeouts sim.Lane
+	first    Reassembly
 
 	ReassemblyStats
 }
@@ -164,11 +183,16 @@ type Reassembler struct {
 // NewReassembler returns an empty reassembler.
 func NewReassembler(sched *sim.Scheduler) *Reassembler { return new(Reassembler).Init(sched) }
 
-// Init is NewReassembler for a Reassembler embedded by value. The pending
-// table is made by the first fragment: most stacks never see one.
+// Init is NewReassembler for a Reassembler embedded by value, which must not
+// be copied afterwards.
 func (r *Reassembler) Init(sched *sim.Scheduler) *Reassembler {
-	r.sched = sched
+	r.sched, r.pending, r.free = sched, r.pending0[:0], r.first.init(r)
 	return r
+}
+
+// search returns where key is, or would go, in the pending table.
+func (r *Reassembler) search(key fragKey) (int, bool) {
+	return slices.BinarySearchFunc(r.pending, key, func(e *Reassembly, k fragKey) int { return e.key.compare(k) })
 }
 
 // Add ingests a fragment, copying its payload: p may alias a pooled frame
@@ -178,7 +202,10 @@ func (r *Reassembler) Init(sched *sim.Scheduler) *Reassembler {
 // it — until it hands it to Recycle.
 func (r *Reassembler) Add(p *Packet) *Reassembly {
 	key := fragKeyOf(p)
-	e := r.pending[key]
+	var e *Reassembly
+	if i, ok := r.search(key); ok {
+		e = r.pending[i]
+	}
 	end := p.FragOff + len(p.Payload)
 	if end > maxPayload {
 		if e != nil {
@@ -242,8 +269,7 @@ func (r *Reassembler) start(key fragKey) *Reassembly {
 	if e != nil {
 		r.free = e.next
 	} else {
-		e = &Reassembly{buf: make([]byte, reassemblyBufLen), r: r}
-		e.spans = e.spans0[:0]
+		e = new(Reassembly).init(r)
 	}
 	e.key, e.high, e.total, e.spans = key, 0, -1, e.spans[:0]
 	e.prev, e.next = r.newest, nil
@@ -253,10 +279,8 @@ func (r *Reassembler) start(key fragKey) *Reassembly {
 		r.oldest = e
 	}
 	r.newest = e
-	if r.pending == nil {
-		r.pending = make(map[fragKey]*Reassembly)
-	}
-	r.pending[key] = e
+	i, _ := r.search(key)
+	r.pending = slices.Insert(r.pending, i, e)
 	e.expires = r.timeouts.AtHandler(r.sched, r.sched.Now()+ReassemblyTimeout, e)
 	return e
 }
@@ -264,7 +288,9 @@ func (r *Reassembler) start(key fragKey) *Reassembly {
 // unlink takes e out of the pending set: complete, or given up on.
 func (r *Reassembler) unlink(e *Reassembly) {
 	e.expires.Cancel()
-	delete(r.pending, e.key)
+	if i, ok := r.search(e.key); ok {
+		r.pending = slices.Delete(r.pending, i, i+1)
+	}
 	if e.prev != nil {
 		e.prev.next = e.next
 	} else {

@@ -436,3 +436,32 @@ func TestReassemblyReentrantDuringDelivery(t *testing.T) {
 		t.Fatalf("reassembler gave up on something: %+v", st)
 	}
 }
+
+// TestReassemblerInline: a Reassembler holds the rows of its first four
+// pending datagrams and its first record, buffer included, so putting four
+// datagrams together at once allocates the three records past the first.
+func TestReassemblerInline(t *testing.T) {
+	s := sim.NewScheduler(1)
+	var frags [4][2]*Packet
+	for i := range frags {
+		for j := range frags[i] {
+			p := mkPacket(64)
+			p.ID, p.FragOff, p.MoreFrag = uint16(i), 64*j, j == 0
+			frags[i][j] = p
+		}
+	}
+	var r Reassembler
+	allocs := testing.AllocsPerRun(10, func() {
+		r = Reassembler{}
+		r.Init(s)
+		for i := range frags {
+			r.Add(frags[i][0])
+		}
+		for i := range frags {
+			r.Recycle(r.Add(frags[i][1]), false)
+		}
+	})
+	if allocs != 3 {
+		t.Errorf("four datagrams reassembled at once allocate %v objects, want 3", allocs)
+	}
+}

@@ -72,7 +72,8 @@ type Route struct {
 }
 
 // RoutingTable performs longest-prefix-match lookups over static routes.
-// The zero value is an empty table.
+// The zero value is an empty table, which must not be copied once a route is
+// added.
 //
 // Host routes (/32) are kept apart, sorted by address, and found by binary
 // search: a topology gives every host one per remote interface, and a
@@ -80,9 +81,15 @@ type Route struct {
 // the default route — would otherwise be compared with each. The other
 // routes are scanned in order, most specific first, against masks computed
 // when they were added.
+//
+// Both kinds live in the table up to what a host of the paper's five-host
+// full mesh holds: 12 host routes and 11 others (its 4 links' prefixes, the
+// other 6 links' and a default).
 type RoutingTable struct {
-	hosts []hostRoute   // /32 routes, ascending address
-	nets  []prefixRoute // all others: descending prefix length, then insertion order
+	hosts  []hostRoute   // /32 routes, ascending address
+	nets   []prefixRoute // all others: descending prefix length, then insertion order
+	hosts0 [12]hostRoute
+	nets0  [11]prefixRoute
 }
 
 type hostRoute struct {
@@ -97,10 +104,13 @@ type prefixRoute struct {
 
 // Add installs routes, in order. A route with an identical prefix replaces
 // the earlier one; among routes of equal length that match the same address,
-// the one added first wins. The table grows once per call, to hold every
-// route given, so a caller that has a host's routes together installs them
-// with one allocation per kind of route.
+// the one added first wins. Past the table's own backing it grows once per
+// call, to hold every route given, so a caller that has a host's routes
+// together installs them with one allocation per kind of route.
 func (t *RoutingTable) Add(rs ...Route) {
+	if t.hosts == nil {
+		t.hosts, t.nets = t.hosts0[:0], t.nets0[:0]
+	}
 	hosts := 0
 	for _, r := range rs {
 		if r.Dst.Bits == 32 {

@@ -170,3 +170,24 @@ func TestPrefixString(t *testing.T) {
 		t.Errorf("String() = %q", got)
 	}
 }
+
+// TestRoutingTableInline: a table holds what a host of the five-host full
+// mesh installs — 12 host routes and 11 others — without allocating.
+func TestRoutingTableInline(t *testing.T) {
+	var routes []Route
+	for i := 0; i < 12; i++ {
+		routes = append(routes, Route{Dst: Prefix{Addr: AddrFrom4(10, byte(i+1), 0, 1), Bits: 32}, Ifindex: i % 4})
+	}
+	for i := 0; i < 10; i++ {
+		routes = append(routes, Route{Dst: Prefix{Addr: AddrFrom4(10, byte(i+1), 0, 0), Bits: 24}, Ifindex: i % 4})
+	}
+	routes = append(routes, Route{Ifindex: 0})
+	var rt RoutingTable
+	allocs := testing.AllocsPerRun(10, func() {
+		rt = RoutingTable{}
+		rt.Add(routes...)
+	})
+	if allocs != 0 || rt.Len() != 23 {
+		t.Errorf("23 routes take %v objects and hold %d, want 0 and 23", allocs, rt.Len())
+	}
+}

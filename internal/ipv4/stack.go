@@ -40,9 +40,17 @@ type ErrorReporter interface {
 }
 
 // ForwardHook lets a router component (the HydraNet redirector) inspect and
-// possibly consume packets in the forwarding path. Returning true means the
-// hook took ownership; the stack will not forward the packet further.
-type ForwardHook func(pkt *Packet) bool
+// possibly consume packets in the forwarding path. Intercept returning true
+// means the hook took ownership; the stack will not forward the packet
+// further.
+type ForwardHook interface {
+	Intercept(pkt *Packet) bool
+}
+
+// ForwardFunc adapts a plain callback to a ForwardHook.
+type ForwardFunc func(pkt *Packet) bool
+
+func (f ForwardFunc) Intercept(pkt *Packet) bool { return f(pkt) }
 
 // StackStats counts datagram dispositions at one stack.
 type StackStats struct {
@@ -323,7 +331,7 @@ func (s *Stack) input(p *Packet) {
 		return
 	}
 	p.TTL--
-	if s.fwdHook != nil && s.fwdHook(p) {
+	if s.fwdHook != nil && s.fwdHook.Intercept(p) {
 		return
 	}
 	s.stats.Forwarded++

@@ -262,13 +262,13 @@ func TestForwardHookConsumes(t *testing.T) {
 	recv := &sink{}
 	ss.RegisterProto(ProtoUDP, recv)
 	var hooked []*Packet
-	rs.SetForwardHook(func(p *Packet) bool {
+	rs.SetForwardHook(ForwardFunc(func(p *Packet) bool {
 		if p.Proto == ProtoUDP {
 			hooked = append(hooked, p)
 			return true
 		}
 		return false
-	})
+	}))
 	_ = cs.Send(ProtoUDP, 0, inet.MustParseAddr("10.2.0.2"), []byte("grab"))
 	sched.Run()
 	if len(hooked) != 1 {

@@ -141,29 +141,47 @@ type HistogramSnapshot struct {
 }
 
 // Snapshot captures the histogram's current state.
-func (h *Histogram) Snapshot() HistogramSnapshot {
+func (h *Histogram) Snapshot() HistogramSnapshot { return h.SnapshotIn(nil) }
+
+// NumBuckets returns how many buckets hold samples: the length of a
+// snapshot's Buckets.
+func (h *Histogram) NumBuckets() int { return numNonEmpty(&h.counts) }
+
+// SnapshotIn is Snapshot with the buckets listed at the front of buf when it
+// has room for NumBuckets of them, so that snapshots of many histograms share
+// one array; the snapshot's Buckets have no capacity past their own.
+func (h *Histogram) SnapshotIn(buf []HistogramBucket) HistogramSnapshot {
 	s := HistogramSnapshot{
 		Count: h.count, Sum: h.sum, Min: h.min, Max: h.max, Mean: h.Mean(),
 		P50: h.Quantile(0.50), P90: h.Quantile(0.90), P99: h.Quantile(0.99),
 	}
-	s.Buckets = nonEmptyBuckets(&h.counts)
+	s.Buckets = nonEmptyBuckets(&h.counts, buf)
 	return s
 }
 
-// nonEmptyBuckets lists the non-empty buckets in one allocation of exactly
-// their number (none for an empty histogram): snapshots are taken per host
-// per sample, and growing the list by append cost four or five.
-func nonEmptyBuckets(counts *[numBuckets]uint64) []HistogramBucket {
+func numNonEmpty(counts *[numBuckets]uint64) int {
 	n := 0
 	for _, c := range counts {
 		if c != 0 {
 			n++
 		}
 	}
+	return n
+}
+
+// nonEmptyBuckets lists the non-empty buckets in buf, or, if it is too short,
+// in one allocation of exactly their number (none for an empty histogram):
+// snapshots are taken per host per sample, and growing the list by append
+// cost four or five.
+func nonEmptyBuckets(counts *[numBuckets]uint64, buf []HistogramBucket) []HistogramBucket {
+	n := numNonEmpty(counts)
 	if n == 0 {
 		return nil
 	}
-	out := make([]HistogramBucket, 0, n)
+	if len(buf) < n {
+		buf = make([]HistogramBucket, n)
+	}
+	out := buf[:0:n]
 	for i, c := range counts {
 		if c == 0 {
 			continue
@@ -211,6 +229,6 @@ func (s HistogramSnapshot) Diff(prev HistogramSnapshot) HistogramSnapshot {
 	d.P50 = quantileFromBuckets(counts[:], d.Count, 0.50)
 	d.P90 = quantileFromBuckets(counts[:], d.Count, 0.90)
 	d.P99 = quantileFromBuckets(counts[:], d.Count, 0.99)
-	d.Buckets = nonEmptyBuckets(&counts)
+	d.Buckets = nonEmptyBuckets(&counts, nil)
 	return d
 }

@@ -121,13 +121,19 @@ const (
 // Connect joins two nodes with a duplex link and returns it. Each endpoint
 // gains a new interface; the interface indices are returned in node order.
 func (n *Network) Connect(a, b *Node, cfg LinkConfig) *Link {
+	return n.InitLink(new(Link), a, b, cfg)
+}
+
+// InitLink is Connect for a Link embedded by value, which must not be copied
+// afterwards.
+func (n *Network) InitLink(l *Link, a, b *Node, cfg LinkConfig) *Link {
 	if cfg.MTU == 0 {
 		cfg.MTU = defaultMTU
 	}
 	if cfg.QueueBytes == 0 {
 		cfg.QueueBytes = defaultQueue
 	}
-	l := &Link{net: n, cfg: cfg}
+	*l = Link{net: n, cfg: cfg}
 	l.ends[0] = endpoint{node: a, ifindex: len(a.ifaces)}
 	l.ends[1] = endpoint{node: b, ifindex: len(b.ifaces)}
 	a.ifaces = append(a.ifaces, iface{link: l, side: 0})

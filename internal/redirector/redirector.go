@@ -10,6 +10,7 @@
 package redirector
 
 import (
+	"cmp"
 	"encoding/binary"
 	"slices"
 
@@ -59,12 +60,22 @@ type EncapTap func(inner *ipv4.Packet, host ipv4.Addr)
 // Redirector attaches to a forwarding IP stack and owns its redirector
 // table.
 type Redirector struct {
-	ip    *ipv4.Stack
-	table map[inet.Key]*Entry
-	stats Stats
-	bus   *obs.Bus
-	tap   EncapTap
-	heard HeardHook
+	ip *ipv4.Stack
+	// table is sorted by service Key. A redirector serves a handful of
+	// services: the first two rows and the first entry live here.
+	table  []service
+	table0 [2]service
+	entry0 Entry
+	stats  Stats
+	bus    *obs.Bus
+	tap    EncapTap
+	heard  HeardHook
+}
+
+// service is one row of the table: a service access point and its entry.
+type service struct {
+	key inet.Key
+	e   *Entry
 }
 
 // HeardHook observes every packet the redirector forwards, with the host the
@@ -78,8 +89,8 @@ func New(ip *ipv4.Stack) *Redirector { return new(Redirector).Init(ip) }
 // Init is New for a Redirector embedded by value, which must not be copied
 // afterwards.
 func (r *Redirector) Init(ip *ipv4.Stack) *Redirector {
-	r.ip, r.table = ip, make(map[inet.Key]*Entry)
-	ip.SetForwardHook(r.intercept)
+	r.ip, r.table = ip, r.table0[:0]
+	ip.SetForwardHook((*interceptor)(r))
 	return r
 }
 
@@ -103,11 +114,25 @@ func (r *Redirector) SetHeardHook(h HeardHook) { r.heard = h }
 
 func (r *Redirector) nodeName() string { return r.ip.Node().Name() }
 
+// search returns where key is, or would go, in the table.
+func (r *Redirector) search(key inet.Key) (int, bool) {
+	return slices.BinarySearchFunc(r.table, key, func(s service, k inet.Key) int { return cmp.Compare(s.key, k) })
+}
+
 // Remove deletes a table entry.
-func (r *Redirector) Remove(key ServiceKey) { delete(r.table, key.Key()) }
+func (r *Redirector) Remove(key ServiceKey) {
+	if i, ok := r.search(key.Key()); ok {
+		r.table = slices.Delete(r.table, i, i+1)
+	}
+}
 
 // Lookup returns the entry for key, or nil.
-func (r *Redirector) Lookup(key ServiceKey) *Entry { return r.table[key.Key()] }
+func (r *Redirector) Lookup(key ServiceKey) *Entry {
+	if i, ok := r.search(key.Key()); ok {
+		return r.table[i].e
+	}
+	return nil
+}
 
 // NumServices returns the number of installed table entries — the
 // redirector table-size gauge.
@@ -115,11 +140,16 @@ func (r *Redirector) NumServices() int { return len(r.table) }
 
 // entry returns key's entry, making an empty one if there is none.
 func (r *Redirector) entry(key ServiceKey) *Entry {
-	e := r.table[key.Key()]
-	if e == nil {
-		e = new(Entry)
-		e.Chain, r.table[key.Key()] = e.chain0[:0], e
+	i, ok := r.search(key.Key())
+	if ok {
+		return r.table[i].e
 	}
+	e := &r.entry0
+	if e.Chain != nil { // used before: a caller of Lookup may hold it
+		e = new(Entry)
+	}
+	e.Chain = e.chain0[:0]
+	r.table = slices.Insert(r.table, i, service{key: key.Key(), e: e})
 	return e
 }
 
@@ -140,7 +170,7 @@ func (r *Redirector) SetFTReplicas(key ServiceKey, primary ipv4.Addr, backups []
 
 // RemoveTarget removes a scaling-mode replica for key (voluntary leave).
 func (r *Redirector) RemoveTarget(key ServiceKey, host ipv4.Addr) {
-	e := r.table[key.Key()]
+	e := r.Lookup(key)
 	if e == nil {
 		return
 	}
@@ -148,13 +178,17 @@ func (r *Redirector) RemoveTarget(key ServiceKey, host ipv4.Addr) {
 		e.Targets = slices.Delete(e.Targets, i, i+1)
 	}
 	if len(e.Chain) == 0 && len(e.Targets) == 0 {
-		delete(r.table, key.Key())
+		r.Remove(key)
 	}
 }
 
-// intercept is the forward-path hook: it inspects transit packets and
-// consumes those matching the redirector table.
-func (r *Redirector) intercept(p *ipv4.Packet) bool {
+// A *Redirector converted to interceptor is its stack's ipv4.ForwardHook.
+type interceptor Redirector
+
+// Intercept inspects transit packets and consumes those matching the
+// redirector table.
+func (i *interceptor) Intercept(p *ipv4.Packet) bool {
+	r := (*Redirector)(i)
 	// Ports live in the first 4 bytes of the transport header; only first
 	// fragments carry them. TCP segments never exceed the MSS in this
 	// stack, so in practice inner packets arrive unfragmented.
@@ -166,7 +200,7 @@ func (r *Redirector) intercept(p *ipv4.Packet) bool {
 		return false
 	}
 	key := ServiceKey{Addr: p.Dst, Port: binary.BigEndian.Uint16(p.Payload[2:])}
-	e := r.table[key.Key()]
+	e := r.Lookup(key)
 	if e == nil {
 		r.stats.PassedThrough++
 		return false
@@ -225,7 +259,7 @@ func (r *Redirector) intercept(p *ipv4.Packet) bool {
 func (r *Redirector) sender(p *ipv4.Packet, ports bool) ipv4.Addr {
 	if ports {
 		key := ServiceKey{Addr: p.Src, Port: binary.BigEndian.Uint16(p.Payload)}
-		if e := r.table[key.Key()]; e != nil && len(e.Chain) > 0 {
+		if e := r.Lookup(key); e != nil && len(e.Chain) > 0 {
 			return e.Chain[0]
 		}
 	}

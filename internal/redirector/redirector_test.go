@@ -203,3 +203,26 @@ func TestTunnelEncapsulationWellFormed(t *testing.T) {
 		t.Errorf("inner TTL = %d, want %d", inner.TTL, ipv4.DefaultTTL-1)
 	}
 }
+
+// TestTableInline: a Redirector holds its first two rows and its first entry,
+// so installing two services' chains and removing them allocates one object,
+// the second entry.
+func TestTableInline(t *testing.T) {
+	_, _, rd, _, _, hosts := rig(t)
+	keys := [2]ServiceKey{{Addr: svcAddr, Port: 80}, {Addr: svcAddr, Port: 443}}
+	backups := hosts[1:]
+	var r Redirector
+	allocs := testing.AllocsPerRun(10, func() {
+		r = Redirector{}
+		r.Init(rd.IP())
+		for _, k := range keys {
+			r.SetFTReplicas(k, hosts[0], backups)
+		}
+		for _, k := range keys {
+			r.Remove(k)
+		}
+	})
+	if allocs != 1 {
+		t.Errorf("Init, two chains installed and removed allocate %v objects, want 1", allocs)
+	}
+}

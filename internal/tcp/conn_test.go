@@ -299,7 +299,7 @@ func TestFastRetransmitOnSingleLoss(t *testing.T) {
 	rip.SetForwarding(true)
 	dropped := false
 	dataSeen := 0
-	rip.SetForwardHook(func(p *ipv4.Packet) bool {
+	rip.SetForwardHook(ipv4.ForwardFunc(func(p *ipv4.Packet) bool {
 		if p.Proto != ipv4.ProtoTCP || len(p.Payload) < HeaderLen+500 {
 			return false
 		}
@@ -309,7 +309,7 @@ func TestFastRetransmitOnSingleLoss(t *testing.T) {
 			return true // swallow one full-size data segment
 		}
 		return false
-	})
+	}))
 	ct := NewStack(cip, Config{})
 	st := NewStack(sip, Config{})
 	lis, _ := st.Listen(0, 80)

@@ -102,14 +102,27 @@ type StackStats struct {
 	NoSocket    uint64 `json:"no_socket"`
 }
 
-// connKey is a connection's map key: two endpoint Keys, 16 bytes with no
-// padding, so the runtime hashes it in one call.
+// connKey is a connection's key in the table: two endpoint Keys, ordered
+// local first.
 type connKey struct {
 	local, remote inet.Key
 }
 
 func keyOf(local, remote Endpoint) connKey {
 	return connKey{local: local.Key(), remote: remote.Key()}
+}
+
+func (k connKey) compare(o connKey) int {
+	if k.local != o.local {
+		return cmp.Compare(k.local, o.local)
+	}
+	return cmp.Compare(k.remote, o.remote)
+}
+
+// connEntry is one row of the connection table.
+type connEntry struct {
+	key connKey
+	c   *Conn
 }
 
 // TraceFunc observes segments at the stack boundary: dir is "in" or "out".
@@ -123,7 +136,10 @@ type Stack struct {
 	sched *sim.Scheduler
 	cfg   Config
 
-	conns map[connKey]*Conn
+	// conns is sorted by key, so a walk goes in endpoint order and a lookup
+	// is a binary search; the first four rows live here.
+	conns  []connEntry
+	conns0 [4]connEntry
 	// listeners is a handful, so a scan beats a hash; the first two live here.
 	listeners  []*Listener
 	listeners0 [2]*Listener
@@ -160,11 +176,10 @@ var _ ipv4.ProtocolHandler = (*Stack)(nil)
 func NewStack(ip *ipv4.Stack, cfg Config) *Stack { return new(Stack).Init(ip, cfg) }
 
 // Init is NewStack for a Stack embedded by value, which must not be copied
-// afterwards. The connection table is made by its first entry: a router
-// never writes it.
+// afterwards.
 func (s *Stack) Init(ip *ipv4.Stack, cfg Config) *Stack {
 	s.ip, s.sched, s.cfg = ip, ip.Scheduler(), DefaultConfig(cfg)
-	s.listeners = s.listeners0[:0]
+	s.conns, s.listeners = s.conns0[:0], s.listeners0[:0]
 	s.ephemeral = firstEphemeral
 	s.bufs.frames = ip.Node().Pool()
 	for k := range s.bufs.free {
@@ -200,8 +215,8 @@ func (s *Stack) RTTHistogram() *metrics.Histogram { return &s.rttHist }
 // has carried: live ones plus the accumulated totals of closed ones.
 func (s *Stack) ConnTotals() ConnStats {
 	t := s.closedTotals
-	for _, c := range s.conns { //hydralint:nondeterministic commutative sum, order cannot affect the totals
-		t.accumulate(c.stats)
+	for _, e := range s.conns {
+		t.accumulate(e.c.stats)
 	}
 	return t
 }
@@ -303,7 +318,7 @@ func (s *Stack) allocEphemeral(localAddr ipv4.Addr, remote Endpoint) uint16 {
 			continue
 		}
 		local := Endpoint{Addr: localAddr, Port: s.ephemeral}
-		if _, busy := s.conns[keyOf(local, remote)]; busy {
+		if _, busy := s.search(keyOf(local, remote)); busy {
 			continue
 		}
 		return s.ephemeral
@@ -332,7 +347,7 @@ func (s *Stack) input(p *ipv4.Packet, seg *Segment) {
 	if s.trace != nil {
 		s.trace("in", local, remote, seg)
 	}
-	if c, ok := s.conns[keyOf(local, remote)]; ok {
+	if c := s.FindConn(local, remote); c != nil {
 		c.input(seg)
 		return
 	}
@@ -390,48 +405,56 @@ func (s *Stack) transmit(local, remote Endpoint, seg *Segment) {
 	_ = s.ip.SendSegment(ipv4.ProtoTCP, local.Addr, remote.Addr, fb) //nolint:errcheck
 }
 
+// search returns where key is, or would go, in the connection table.
+func (s *Stack) search(key connKey) (int, bool) {
+	return slices.BinarySearchFunc(s.conns, key, func(e connEntry, k connKey) int { return e.key.compare(k) })
+}
+
 func (s *Stack) addConn(c *Conn) {
-	if s.conns == nil {
-		s.conns = make(map[connKey]*Conn)
-	}
-	s.conns[keyOf(c.local, c.remote)] = c
+	key := keyOf(c.local, c.remote)
+	i, _ := s.search(key)
+	s.conns = slices.Insert(s.conns, i, connEntry{key: key, c: c})
 }
 
 func (s *Stack) removeConn(c *Conn) {
 	// removeConn runs exactly once per connection (from terminate), so the
 	// connection's counters move into the closed totals exactly once.
 	s.closedTotals.accumulate(c.stats)
-	delete(s.conns, keyOf(c.local, c.remote))
+	if i, ok := s.search(keyOf(c.local, c.remote)); ok {
+		s.conns = slices.Delete(s.conns, i, i+1)
+	}
 }
 
 // Conn lookup for diagnostics and the ft-TCP core.
 func (s *Stack) FindConn(local, remote Endpoint) *Conn {
-	return s.conns[keyOf(local, remote)]
+	if i, ok := s.search(keyOf(local, remote)); ok {
+		return s.conns[i].c
+	}
+	return nil
 }
 
 // Conns returns all live connections (copy), sorted by endpoint pair.
-func (s *Stack) Conns() []*Conn { return s.appendConns(make([]*Conn, 0, len(s.conns))) }
-
-// appendConns appends the live connections to out, sorted by endpoint pair.
-// Reset terminates connections in this order, and termination emits events
-// and mutates shared state — map order here would leak into the replay
-// timeline.
-func (s *Stack) appendConns(out []*Conn) []*Conn {
-	for _, c := range s.conns { //hydralint:nondeterministic order normalized by the sort below
-		out = append(out, c)
+func (s *Stack) Conns() []*Conn {
+	out := make([]*Conn, len(s.conns))
+	for i, e := range s.conns {
+		out[i] = e.c
 	}
-	slices.SortFunc(out, func(a, b *Conn) int {
-		return cmp.Or(cmp.Compare(a.local.Key(), b.local.Key()), cmp.Compare(a.remote.Key(), b.remote.Key()))
-	})
 	return out
 }
 
 // Reset drops every connection without emitting segments — the protocol
 // state a machine loses when it crashes. Listeners survive: a rebooting
-// machine's services come back and re-listen.
+// machine's services come back and re-listen. Termination emits events and
+// runs callbacks, which may open or end connections, so the walk goes by key:
+// each connection still live when its turn comes is reset once, in endpoint
+// order.
 func (s *Stack) Reset() {
-	var conns [8]*Conn // a crashed replica's connections, without an allocation
-	for _, c := range s.appendConns(conns[:0]) {
-		c.terminate(ErrReset)
+	for i := 0; i < len(s.conns); {
+		key := s.conns[i].key
+		s.conns[i].c.terminate(ErrReset)
+		var ok bool
+		if i, ok = s.search(key); ok {
+			i++
+		}
 	}
 }

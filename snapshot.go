@@ -3,7 +3,6 @@ package hydranet
 import (
 	"encoding/json"
 	"reflect"
-	"slices"
 	"time"
 
 	"hydranet/internal/core"
@@ -187,36 +186,70 @@ func diffInto(cur, prev reflect.Value) {
 func (n *Net) Snapshot() Snapshot {
 	snap := Snapshot{
 		Time:        n.Now(),
-		Hosts:       slices.Grow([]HostSnapshot(nil), len(n.hosts)),
-		Links:       slices.Grow([]LinkSnapshot(nil), len(n.links)),
-		Redirectors: slices.Grow([]RedirectorSnapshot(nil), len(n.redirectors)),
+		Hosts:       makeSection[HostSnapshot](len(n.hosts)),
+		Links:       makeSection[LinkSnapshot](len(n.links)),
+		Redirectors: makeSection[RedirectorSnapshot](len(n.redirectors)),
 	}
+	// What the hosts point to comes from one array per kind: the fail-over
+	// benchmark takes a snapshot per scenario.
+	var nRTT, nBuckets, nMgr int
+	for _, h := range n.hosts {
+		if rtt := h.tcp.RTTHistogram(); rtt.Count() > 0 {
+			nRTT, nBuckets = nRTT+1, nBuckets+rtt.NumBuckets()
+		}
+		if h.mgr != nil {
+			nMgr++
+		}
+	}
+	rtts, mgrs := make([]metrics.HistogramSnapshot, 0, nRTT), make([]core.Stats, 0, nMgr)
+	buckets := make([]metrics.HistogramBucket, nBuckets)
 	// Every node appears under Hosts — redirector nodes too, since their
 	// frame and IP (forwarding) counters live there; the Redirectors section
 	// adds the table and management counters on top.
-	for _, h := range n.hosts {
-		snap.Hosts = append(snap.Hosts, n.hostSnapshot(h))
+	for i, h := range n.hosts {
+		hs := &snap.Hosts[i]
+		*hs = n.hostSnapshot(h)
+		if rtt := h.tcp.RTTHistogram(); rtt.Count() > 0 {
+			rtts = append(rtts, rtt.SnapshotIn(buckets))
+			hs.RTT = &rtts[len(rtts)-1]
+			buckets = buckets[len(hs.RTT.Buckets):]
+		}
+		if h.mgr != nil {
+			mgrs = append(mgrs, h.mgr.Stats())
+			hs.Manager = &mgrs[len(mgrs)-1]
+		}
 	}
-	for _, li := range n.links {
+	for i, li := range n.links {
 		tx, lost, qd := li.underlying.Stats()
-		snap.Links = append(snap.Links, LinkSnapshot{
+		snap.Links[i] = LinkSnapshot{
 			A:  li.a.name,
 			B:  li.b.name,
 			AB: LinkDirCounters{TxFrames: tx[0], Lost: lost[0], QueueDrop: qd[0]},
 			BA: LinkDirCounters{TxFrames: tx[1], Lost: lost[1], QueueDrop: qd[1]},
-		})
+		}
 	}
-	for _, r := range n.redirectors {
+	for i, r := range n.redirectors {
 		rs := RedirectorSnapshot{Name: r.Host.name, Table: r.rd.Stats()}
 		if r.dmn != nil {
 			mg := r.dmn.Stats()
 			rs.Mgmt = &mg
 		}
-		snap.Redirectors = append(snap.Redirectors, rs)
+		snap.Redirectors[i] = rs
 	}
 	return snap
 }
 
+// makeSection returns a snapshot section of n entries, or nil for none: an
+// empty section stays a JSON null.
+func makeSection[T any](n int) []T {
+	if n == 0 {
+		return nil
+	}
+	return make([]T, n)
+}
+
+// hostSnapshot is a host's own counters; Snapshot adds its RTT histogram and
+// manager stats.
 func (n *Net) hostSnapshot(h *Host) HostSnapshot {
 	sent, recv, drop := h.node.Stats()
 	hs := HostSnapshot{
@@ -228,13 +261,5 @@ func (n *Net) hostSnapshot(h *Host) HostSnapshot {
 		Conns:       h.tcp.ConnTotals(),
 	}
 	hs.TCP.StackStats, hs.TCP.Conns = h.tcp.Stats(), h.tcp.NumConns()
-	if rtt := h.tcp.RTTHistogram(); rtt.Count() > 0 {
-		rs := rtt.Snapshot()
-		hs.RTT = &rs
-	}
-	if h.mgr != nil {
-		mc := h.mgr.Stats()
-		hs.Manager = &mc
-	}
 	return hs
 }
