@@ -14,15 +14,15 @@ import (
 // per-object allocation in the frame pool, the scheduler, rmp, core or the
 // route build shows here first.
 //
-// It takes 67 objects (69 under the race detector); the budget is 10 %
+// It takes 65 objects (68 under the race detector); the budget is 10 %
 // above. Building the Net takes 22 of them, DeployFT 5, Settle none, and the
 // scenario's record, the stream, crash, probe, reconfiguration and resumed
-// stream about 40. Each host is one object — its netsim node, its stacks, and
+// stream about 38. Each host is one object — its netsim node, its stacks, and
 // on a replica its ft-TCP engine and management daemon, all held by value —
 // and its tables are inline: no map is made on the frame path
 // (TestStarBuildAllocBudget).
 func TestFailoverScenarioAllocBudget(t *testing.T) {
-	const budget = 74
+	const budget = 72
 	var res testbed.FailoverResult
 	allocs := testing.AllocsPerRun(1, func() {
 		res = testbed.MeasureFailover(testbed.FailoverConfig{Threshold: 3, Seed: 1})

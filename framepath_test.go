@@ -218,15 +218,18 @@ func TestFramePathAllocBudget(t *testing.T) {
 // 3000-byte response, close — a client endpoint and two replica endpoints
 // with their ft-TCP state, both replicas ending in TIME-WAIT. app.Source on
 // either side counts; the test's own callbacks are bound once, outside the
-// measured stretch. It takes 3 objects, one per endpoint: the client's
-// tcp.Conn and each replica's ft-TCP record, which holds its tcp.Conn;
-// app.Source keeps its progress in the connection. The budget leaves one
-// object of slack. The figure was 61 at commit 2659195 and 11 at f8770ff (a
-// record beside each replica's tcp.Conn, two objects per app.Source call).
+// measured stretch. The three endpoint records — the client's tcp.Conn and
+// each replica's ft-TCP record, which holds its tcp.Conn — come from slabs of
+// 16 that their stack or ft-TCP manager keeps, so they cost 3/16 of an object
+// a connection: 0.2 measured. app.Source keeps its progress in the
+// connection. The budget is one object a connection, so one allocation per
+// connection fails it. The figure was 61 at commit 2659195, 11 at f8770ff (a
+// record beside each replica's tcp.Conn, two objects per app.Source call) and
+// 3 at a0b79f0 (one object per endpoint).
 func TestConnLifecycleAllocBudget(t *testing.T) {
 	const (
 		reqLen  = 64
-		budget  = 4
+		budget  = 1
 		warm    = 300 // several TIME-WAIT lifetimes: the population is steady
 		measure = 200
 	)

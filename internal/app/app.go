@@ -22,12 +22,16 @@ const (
 	echoBacklog = 64 << 10
 )
 
-// Echo returns everything it receives and closes when the peer closes.
+// Echo returns everything it receives and closes when the peer closes. One
+// bound callback serves readable and writable events alike: readable ends in
+// a flush, and the connection calls it as it deposits, so by a writable event
+// it has already read all there is.
 func Echo(c *tcp.Conn) {
 	e := &echo{c: c}
 	e.backlog = e.backlog0[:0]
-	c.OnReadable(e.readable)
-	c.OnWritable(e.flush)
+	fn := e.readable
+	c.OnReadable(fn)
+	c.OnWritable(fn)
 }
 
 // echo is one Echo call's state, its read buffer and its backlog's first

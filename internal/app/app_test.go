@@ -173,16 +173,16 @@ func TestEchoBacklogKeepsOneArray(t *testing.T) {
 	}
 }
 
-// TestEchoAllocs: one Echo call is three objects, its record — which holds
-// the read buffer and the backlog's first array — and the two callbacks it
-// installs.
+// TestEchoAllocs: one Echo call is two objects, its record — which holds
+// the read buffer and the backlog's first array — and the one callback it
+// installs for readable and writable events.
 func TestEchoAllocs(t *testing.T) {
 	_, cs, _, serverAddr := pairConn(t, tcp.Config{})
 	conn, err := cs.Connect(0, tcp.Endpoint{Addr: serverAddr, Port: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if allocs := testing.AllocsPerRun(10, func() { Echo(conn) }); allocs != 3 {
-		t.Errorf("Echo allocates %v objects, want 3", allocs)
+	if allocs := testing.AllocsPerRun(10, func() { Echo(conn) }); allocs != 2 {
+		t.Errorf("Echo allocates %v objects, want 2", allocs)
 	}
 }

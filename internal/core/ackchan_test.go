@@ -81,18 +81,19 @@ func TestServiceIDString(t *testing.T) {
 }
 
 // TestConnTableInline: a port's first two records have their rows in it, so
-// entering two connections and closing them allocates only the two records.
+// entering two connections and closing them allocates only what the records
+// come in: a fresh manager's slab arrays of one and of two records.
 func TestConnTableInline(t *testing.T) {
 	m := Manager{sched: sim.NewScheduler(1)}
 	m.ports = m.ports0[:0]
 	allocs := testing.AllocsPerRun(10, func() {
-		m.port0, m.ports = ReplicatedPort{}, m.ports[:0]
+		m.port0, m.ports, m.records = ReplicatedPort{}, m.ports[:0], inet.Slab[ftConn]{}
 		p := m.SetPortOpt(ServiceID{Addr: 1, Port: 80}, ModeBackup, DetectorParams{})
 		a, b := p.newFTConn(2), p.newFTConn(1)
 		a.OnClosed(nil)
 		b.OnClosed(nil)
 	})
 	if allocs != 2 {
-		t.Errorf("two connections entered and closed allocate %v objects, want 2 (their records)", allocs)
+		t.Errorf("two connections entered and closed allocate %v objects, want 2 (their slab arrays)", allocs)
 	}
 }

@@ -115,6 +115,8 @@ type Manager struct {
 	stats   Stats
 	suspect Suspecter
 	bus     *obs.Bus
+	// records holds every port's ft-TCP records; they are never reused.
+	records inet.Slab[ftConn]
 
 	// Scratch for the acknowledgment channel: rxMsg is the message being
 	// handled (valid only in chainChannel.Receive), txBuf the encoding of the
@@ -261,7 +263,7 @@ type clientConn struct {
 // ftConn is per-connection chain state, and the connection's tcp.ConnHooks:
 // role, gating and limits are read when TCP asks, so a promotion, demotion or
 // chain repair needs no per-connection re-wiring. It holds the connection
-// itself too, so a replica's endpoint is one allocation.
+// itself too, so a replica's endpoint is one record of its manager's slab.
 type ftConn struct {
 	port    *ReplicatedPort
 	client  inet.Key // the conns entry, which the SYN or a chain message made
@@ -288,10 +290,11 @@ type ftConn struct {
 	sndNxt, rcvNxt tcp.Seq
 }
 
-// newFTConn makes client's record and enters it in the port's table, in
-// place of any record the client had.
+// newFTConn takes client's record from the manager's slab and enters it in
+// the port's table, in place of any record the client had.
 func (p *ReplicatedPort) newFTConn(client inet.Key) *ftConn {
-	fc := &ftConn{port: p, client: client}
+	fc := p.mgr.records.New()
+	fc.port, fc.client = p, client
 	fc.stall.InitHandler(p.mgr.sched, (*stallExpiry)(fc))
 	fc.announce.InitHandler(p.mgr.sched, (*announceExpiry)(fc))
 	if i, ok := p.search(client); ok {

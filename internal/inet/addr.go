@@ -1,6 +1,7 @@
 // Package inet holds the value types every layer shares: the IPv4 address,
-// the address:port endpoint, and the RFC 6298 RTO estimator of both
-// reliable transports, tcp and rmp. It imports nothing from this module, so
+// the address:port endpoint, the RFC 6298 RTO estimator of both reliable
+// transports, tcp and rmp, and the Slab that tcp and core take connection
+// records from. It imports nothing from this module, so
 // obs — which netsim and therefore ipv4 import — can carry the addresses in
 // events.
 package inet

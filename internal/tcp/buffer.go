@@ -18,7 +18,14 @@ import (
 // connection next appends to, deposits into or releases that buffer. In
 // frame-pool poison mode a returned array is scribbled, so a reader that
 // outstays that sees 0xDB. A pool belongs to one stack and is never shared:
-// Nets run on several goroutines (testbed.RunExperiment).
+// Nets run on several goroutines (testbed.RunExperiment). Sharing one pool
+// among the stacks of one Net would save nothing either: the client's and the
+// replicas' arrays are live at the same time, so none could serve twice, and
+// the one pool's longer free lists outgrow their inline backing. The
+// benchmark's failover_sweep (seed 1, one Net a scenario) measured 0.008548 M
+// objects a repetition with a pool per Net against 0.0084525 with one per
+// stack. What a fresh Net pays for its stacks' first arrays goes only with a
+// Net that is reset and reused.
 type bufPool struct {
 	free   [bufClasses][][]byte
 	free0  [bufClasses][2][]byte // each list's backing while it holds at most two

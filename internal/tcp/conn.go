@@ -128,9 +128,11 @@ func (s *ConnStats) accumulate(o ConnStats) {
 	s.PeerRetransmits += o.PeerRetransmits
 }
 
-// Conn is one TCP endpoint, and one allocation or part of one (a listener's
-// setup function may supply the memory): the bookkeeping of its buffers, the
-// RTO estimator, the timers and WriteAll's outbox are embedded by value.
+// Conn is one TCP endpoint, one record of its stack's slab or part of one a
+// listener's setup function supplies: the bookkeeping of its buffers, the RTO
+// estimator, the timers and WriteAll's outbox are embedded by value. A record
+// is never reused, so a *Conn kept after OnClosed still names its own closed
+// connection.
 type Conn struct {
 	stack  *Stack
 	local  Endpoint

@@ -1,6 +1,7 @@
 package tcp
 
 import (
+	"runtime"
 	"slices"
 	"testing"
 	"time"
@@ -88,6 +89,66 @@ func TestConnTableInline(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("Init, four connections entered and removed allocate %v objects, want 0", allocs)
+	}
+}
+
+// TestConnRecordsNeverReused: a stack hands out each connection record once.
+// More connections than a slab holds open and close one after another — the
+// client's by Connect, the server's by a listener without a setup function,
+// which resets each as it accepts it — and every *Conn is kept. Each is a
+// record of its own that still reports CLOSED while later ones run, each
+// OnClosed runs once, and each stack's records cost at most ⌈log₂ 16⌉ +
+// ⌈n/16⌉ objects: slab arrays of 1, 2, 4, 8 and then 16 records. A free list
+// hands an old record out again; a record per connection costs n objects.
+func TestConnRecordsNeverReused(t *testing.T) {
+	const n = 100
+	e := newEnv(t, netsim.LinkConfig{Delay: time.Millisecond}, Config{})
+	l, err := e.server.Listen(0, 80)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var clients, servers [n + 1]*Conn // connection 0 warms pools and tables
+	var closedC, closedS, k int
+	onClosedC := func(error) { closedC++ }
+	onClosedS := func(error) { closedS++ }
+	l.SetAcceptFunc(func(c *Conn) {
+		servers[k] = c
+		c.OnClosed(onClosedS)
+		c.Abort()
+	})
+	var m0, m1 runtime.MemStats
+	for k = 0; k <= n; k++ {
+		if k == 1 {
+			runtime.ReadMemStats(&m0)
+		}
+		c, err := e.client.Connect(0, Endpoint{Addr: e.serverAddr, Port: 80})
+		if err != nil {
+			t.Fatal(err)
+		}
+		clients[k] = c
+		c.OnClosed(onClosedC)
+		for i := range k {
+			if clients[i].State() != StateClosed || servers[i].State() != StateClosed {
+				t.Fatalf("connection %d: connection %d is %v, %s on the server: its record is in use again", k, i, clients[i].State(), servers[i].State())
+			}
+		}
+		e.sched.RunUntil(e.sched.Now() + time.Second)
+		if closedC != k+1 || closedS != k+1 || servers[k] == nil || c.State() != StateClosed {
+			t.Fatalf("connection %d: %d client and %d server OnClosed calls, server %v, client %s", k, closedC, closedS, servers[k], c.State())
+		}
+	}
+	runtime.ReadMemStats(&m1)
+	seen := make(map[*Conn]bool, 2*len(clients))
+	for _, c := range append(clients[:], servers[:]...) {
+		if seen[c] {
+			t.Fatalf("record %p handed out twice", c)
+		}
+		seen[c] = true
+	}
+	got, budget := m1.Mallocs-m0.Mallocs, uint64(2*(4+(n+15)/16))
+	t.Logf("%d connections: %d objects on two stacks", n, got)
+	if got > budget {
+		t.Errorf("%d connections allocate %d objects on two stacks, want at most %d", n, got, budget)
 	}
 }
 

@@ -149,6 +149,9 @@ type Stack struct {
 	trace      TraceFunc
 	bus        *obs.Bus
 
+	// records holds the connections this stack makes itself (Connect, and a
+	// listener without a setup function); they are never reused.
+	records inet.Slab[Conn]
 	// bufs recycles socket-buffer arrays between this stack's connections.
 	bufs bufPool
 	// timeWait queues the 2MSL expiry of every connection in TIME-WAIT. They
@@ -294,7 +297,7 @@ func (s *Stack) Connect(localAddr ipv4.Addr, remote Endpoint) (*Conn, error) {
 	if local.Port == 0 {
 		return nil, fmt.Errorf("tcp: no free port for a connection %s-%s", localAddr, remote)
 	}
-	c := new(Conn)
+	c := s.records.New()
 	c.initConn(s, local, remote)
 	s.addConn(c)
 	c.open()
@@ -360,7 +363,7 @@ func (s *Stack) input(p *ipv4.Packet, seg *Segment) {
 		var c *Conn
 		var hooks ConnHooks
 		if l.setup == nil {
-			c = new(Conn)
+			c = s.records.New()
 		} else {
 			c, hooks = l.setup.SetupConn(remote)
 		}
