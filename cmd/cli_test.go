@@ -63,6 +63,7 @@ var narrations = []struct {
 }{
 	{"hydranet-sim-stats-v", []string{"-stats", "-v"}},
 	{"hydranet-sim-backup-trace", []string{"-replicas", "2", "-crash", "backup", "-trace", "20", "-bytes", "262144"}},
+	{"hydranet-sim-crash-backup", []string{"-crash", "backup"}}, // 1 MiB: the crash lands mid-stream
 	{"hydranet-sim-12-replicas", []string{"-replicas", "12", "-crash", "none", "-bytes", "65536", "-stats"}},
 }
 
@@ -200,12 +201,16 @@ func TestCLIs(t *testing.T) {
 				// With -stats-json -, standard output is the snapshot alone.
 				var snap struct {
 					Time, Hosts, Links, Redirectors json.RawMessage
-					Failover                        *struct{ Complete bool }
+					Failover                        *struct {
+						CrashAt         int64 `json:"crash_at"`
+						Detected, Stall int64
+					}
 				}
 				out := stdout(t, bin, dir, "-replicas", "3", "-crash", "primary", "-stats-json", "-")
 				if err := json.Unmarshal(out, &snap); err != nil || snap.Time == nil || snap.Hosts == nil ||
-					snap.Links == nil || snap.Redirectors == nil || snap.Failover == nil || !snap.Failover.Complete {
-					t.Errorf("-stats-json -: %v, want a snapshot with a complete fail-over:\n%.300s", err, out)
+					snap.Links == nil || snap.Redirectors == nil || snap.Failover == nil ||
+					snap.Failover.CrashAt == 0 || snap.Failover.Detected == 0 || snap.Failover.Stall == 0 {
+					t.Errorf("-stats-json -: %v, want a snapshot with a crash, its detection and the client's stall:\n%.300s", err, out)
 				}
 			}
 			// After the smoke run, so the files the invocations name exist and

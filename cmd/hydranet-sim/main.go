@@ -22,6 +22,7 @@
 package main
 
 import (
+	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -145,7 +146,6 @@ func main() {
 	// by kind name so the listing is stable under kind renumbering.
 	var kindCounts []uint64
 	observe.Scenario = fmt.Sprintf("hydranet-sim replicas=%d bytes=%d crash=%s", *replicas, *bytes, *crashWho)
-	observe.Failover = true // the timeline below is part of every narration
 	sc := testbed.Scenario{Seed: *seed, Observe: *observe, Replicas: *replicas, Threshold: *threshold,
 		Send: make([]byte, *bytes), Log: logf, Setup: func(r *testbed.Run) {
 			run = r
@@ -204,13 +204,13 @@ func main() {
 	fatal("observers", r.ObserveErr)
 	sum := r.Summary
 
-	report := sum.Failover
-	if report.CrashAt > 0 {
+	var timeline *failover
+	if r.CrashedAt > 0 {
+		timeline = &failover{r.CrashedAt, r.Detected, r.Stall}
 		fmt.Fprintln(out, "\nfailover timeline:")
-		fmt.Fprintf(out, "  crash            %v\n", report.CrashAt)
-		fmt.Fprintf(out, "  detection        %v\n", report.Detection)
-		fmt.Fprintf(out, "  reconfiguration  %v\n", report.Reconfiguration)
-		fmt.Fprintf(out, "  client stall     %v  (complete: %v)\n", report.ClientStall, report.Complete)
+		fmt.Fprintf(out, "  crash     %v\n", r.CrashedAt)
+		fmt.Fprintf(out, "  detected  %s\n", orNever(r.Detected))
+		fmt.Fprintf(out, "  stall     %s\n", orNever(r.Stall))
 	}
 	if observe.Pcap != "" {
 		logf("pcap: %d records (%d pre-encap inner copies) written to %s",
@@ -221,9 +221,6 @@ func main() {
 	}
 
 	snap := r.Net.Snapshot()
-	if report.CrashAt > 0 {
-		snap.Failover = &report
-	}
 	if *perf {
 		info := r.Info()
 		fmt.Fprintf(out, "\nsimulator performance: %d events, %d frames in %v",
@@ -252,7 +249,10 @@ func main() {
 		}
 	}
 	if *statsJSON != "" {
-		js, err := snap.JSON()
+		js, err := json.MarshalIndent(struct {
+			hydranet.Snapshot
+			Failover *failover `json:"failover,omitempty"`
+		}{snap, timeline}, "", "  ")
 		fatal("-stats-json", err)
 		js = append(js, '\n')
 		if *statsJSON == "-" {
@@ -278,6 +278,21 @@ func main() {
 	if r.Delivered < *bytes || (sum.Audit != nil && !sum.Audit.Clean) {
 		os.Exit(1)
 	}
+}
+
+// failover is -stats-json's fail-over timeline, present after a crash.
+type failover struct {
+	CrashAt  time.Duration `json:"crash_at"`
+	Detected time.Duration `json:"detected"`
+	Stall    time.Duration `json:"stall"`
+}
+
+// orNever prints a reading that was never taken as "never", not "0s".
+func orNever(d time.Duration) string {
+	if d == 0 {
+		return "never"
+	}
+	return d.String()
 }
 
 // traceSegments prints one tcpdump-style line per segment at each stack

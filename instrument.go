@@ -9,7 +9,6 @@ import (
 	"strings"
 
 	"hydranet/internal/capture"
-	"hydranet/internal/obs"
 )
 
 // Instruments names the observers of one run and the files their artifacts
@@ -26,8 +25,6 @@ type Instruments struct {
 	// additionally writes its report as JSON to this file.
 	Invariants bool
 	Audit      string
-	// Failover attaches the fail-over probe, for Summary.Failover.
-	Failover bool
 }
 
 // Suffixed returns in with tag inserted before the extension of every
@@ -58,15 +55,11 @@ type Session struct {
 	pcapFile *os.File
 	pcapBuf  *bufio.Writer // the capture writes here; Finish flushes it into pcapFile
 	capt     *capture.Capture
-	probe    *obs.FailoverProbe
 	finished bool
 }
 
 // Summary is what Finish reports about a run's observers.
 type Summary struct {
-	// Failover is the probe's Table-2 report (zero without a probe or a
-	// crash).
-	Failover FailoverReport
 	// Audit is the monitor's verdict, nil unless the run was monitored.
 	Audit *AuditReport
 	// PcapRecords counts capture records, PcapInner the pre-encap inner
@@ -78,7 +71,7 @@ type Summary struct {
 // topology is final (taps cover the links and redirectors that exist now)
 // and before DeployFT (the monitor rebuilds replica-set membership from the
 // registration events, and every artifact starts at registration). It owns
-// the attach order — monitor, capture, fail-over probe — so a caller cannot
+// the attach order — monitor, then capture — so a caller cannot
 // get it wrong: a second call, or one after DeployFT, is an error and
 // attaches nothing, and so is a pcap file that cannot be set up: every step
 // that can fail runs before the first observer attaches. No observer
@@ -117,9 +110,6 @@ func (n *Net) Instrument(in Instruments) (*Session, error) {
 			r.rd.SetEncapTap(s.capt.CaptureInner)
 		}
 	}
-	if in.Failover {
-		s.probe = n.newFailoverProbe()
-	}
 	return s, nil
 }
 
@@ -139,9 +129,6 @@ func (s *Session) Finish() (Summary, error) {
 		if err != nil {
 			errs = append(errs, fmt.Errorf("hydranet: %s: %w", what, err))
 		}
-	}
-	if s.probe != nil {
-		sum.Failover = s.probe.Report()
 	}
 	if s.capt != nil {
 		sum.PcapRecords, sum.PcapInner = s.capt.Packets(), s.capt.InnerPackets()

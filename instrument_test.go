@@ -61,7 +61,7 @@ func TestInstrumentZeroValueAttachesNothing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sum.Audit != nil || sum.Failover != (FailoverReport{}) || sum.PcapRecords != 0 {
+	if sum != (Summary{}) {
 		t.Errorf("zero Instruments reported %+v", sum)
 	}
 	if _, err := sess.Finish(); err == nil {

@@ -42,10 +42,10 @@ func TestCaptureZeroCostWhenDisabled(t *testing.T) {
 			nw.SetFrameTap(nil)
 		}
 		frame := make([]byte, 64)
-		a.Send(0, frame) // warm the pool
+		a.SendFrame(0, a.Pool().GetCopy(frame)) // warm the pool
 		s.Run()
 		return testing.AllocsPerRun(200, func() {
-			a.Send(0, frame)
+			a.SendFrame(0, a.Pool().GetCopy(frame))
 			s.Run()
 		})
 	}
@@ -78,9 +78,9 @@ func TestFrameTapSeesBothDirections(t *testing.T) {
 		taps = append(taps, seen{from.Name(), to.Name(), data[0], len(data)})
 	})
 
-	a.Send(0, []byte{0xaa, 1, 2})
+	a.SendFrame(0, a.Pool().GetCopy([]byte{0xaa, 1, 2}))
 	s.Run()
-	b.Send(0, []byte{0xbb, 3})
+	b.SendFrame(0, b.Pool().GetCopy([]byte{0xbb, 3}))
 	s.Run()
 
 	want := []seen{{"a", "b", 0xaa, 3}, {"b", "a", 0xbb, 2}}
@@ -110,7 +110,7 @@ func BenchmarkLinkRoundTripCapture(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		a.Send(0, frame)
+		a.SendFrame(0, a.Pool().GetCopy(frame))
 		s.Run()
 	}
 	b.StopTimer()

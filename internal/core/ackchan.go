@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/binary"
 	"errors"
 
 	"hydranet/internal/ipv4"
@@ -49,12 +50,12 @@ func (m *ChainMsg) MarshalInto(b []byte) {
 	_ = b[chainMsgLen-1]
 	b[0] = chainMsgMagic
 	b[1] = chainMsgVersion
-	putU32(b[2:6], uint32(m.Service.Addr))
-	putU16(b[6:8], m.Service.Port)
-	putU32(b[8:12], uint32(m.Client.Addr))
-	putU16(b[12:14], m.Client.Port)
-	putU32(b[14:18], uint32(m.SndNxt))
-	putU32(b[18:22], uint32(m.RcvNxt))
+	binary.BigEndian.PutUint32(b[2:6], uint32(m.Service.Addr))
+	binary.BigEndian.PutUint16(b[6:8], m.Service.Port)
+	binary.BigEndian.PutUint32(b[8:12], uint32(m.Client.Addr))
+	binary.BigEndian.PutUint16(b[12:14], m.Client.Port)
+	binary.BigEndian.PutUint32(b[14:18], uint32(m.SndNxt))
+	binary.BigEndian.PutUint32(b[18:22], uint32(m.RcvNxt))
 }
 
 // UnmarshalChainMsg decodes an acknowledgment-channel datagram. It allocates
@@ -75,30 +76,10 @@ func (m *ChainMsg) Unmarshal(b []byte) error {
 		return ErrBadChainMsg
 	}
 	*m = ChainMsg{
-		Service: ServiceID{Addr: ipv4.Addr(getU32(b[2:6])), Port: getU16(b[6:8])},
-		Client:  tcp.Endpoint{Addr: ipv4.Addr(getU32(b[8:12])), Port: getU16(b[12:14])},
-		SndNxt:  tcp.Seq(getU32(b[14:18])),
-		RcvNxt:  tcp.Seq(getU32(b[18:22])),
+		Service: ServiceID{Addr: ipv4.Addr(binary.BigEndian.Uint32(b[2:6])), Port: binary.BigEndian.Uint16(b[6:8])},
+		Client:  tcp.Endpoint{Addr: ipv4.Addr(binary.BigEndian.Uint32(b[8:12])), Port: binary.BigEndian.Uint16(b[12:14])},
+		SndNxt:  tcp.Seq(binary.BigEndian.Uint32(b[14:18])),
+		RcvNxt:  tcp.Seq(binary.BigEndian.Uint32(b[18:22])),
 	}
 	return nil
-}
-
-func putU32(b []byte, v uint32) {
-	b[0] = byte(v >> 24)
-	b[1] = byte(v >> 16)
-	b[2] = byte(v >> 8)
-	b[3] = byte(v)
-}
-
-func putU16(b []byte, v uint16) {
-	b[0] = byte(v >> 8)
-	b[1] = byte(v)
-}
-
-func getU32(b []byte) uint32 {
-	return uint32(b[0])<<24 | uint32(b[1])<<16 | uint32(b[2])<<8 | uint32(b[3])
-}
-
-func getU16(b []byte) uint16 {
-	return uint16(b[0])<<8 | uint16(b[1])
 }

@@ -37,7 +37,7 @@ func BenchmarkLinkRoundTrip(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				a.Send(0, frame)
+				a.SendFrame(0, a.Pool().GetCopy(frame))
 				s.Run()
 			}
 			b.StopTimer()

@@ -31,7 +31,7 @@ func TestFrameConservation(t *testing.T) {
 		for i := 0; i < total; i++ {
 			size := rng.Intn(700) + 1 // some exceed the 500-byte MTU
 			s.At(time.Duration(rng.Intn(50))*time.Millisecond, func() {
-				a.Send(0, make([]byte, size))
+				a.SendFrame(0, a.Pool().GetCopy(make([]byte, size)))
 			})
 		}
 		s.Run()

@@ -16,7 +16,7 @@ func TestJitterReordersFrames(t *testing.T) {
 	b.SetHandler(rb)
 	net.Connect(a, b, LinkConfig{Delay: time.Millisecond, Jitter: 5 * time.Millisecond})
 	for i := 0; i < 200; i++ {
-		a.Send(0, []byte{byte(i)})
+		a.SendFrame(0, a.Pool().GetCopy([]byte{byte(i)}))
 	}
 	s.Run()
 	if len(rb.frames) != 200 {
@@ -42,7 +42,7 @@ func TestZeroJitterPreservesOrder(t *testing.T) {
 	b.SetHandler(rb)
 	net.Connect(a, b, LinkConfig{Delay: time.Millisecond})
 	for i := 0; i < 100; i++ {
-		a.Send(0, []byte{byte(i)})
+		a.SendFrame(0, a.Pool().GetCopy([]byte{byte(i)}))
 	}
 	s.Run()
 	for i := range rb.frames {

@@ -237,18 +237,6 @@ func (nd *Node) Peer(ifindex int) *Node {
 	return ifc.link.ends[1-ifc.side].node
 }
 
-// Send transmits a copy of frame out interface ifindex. The caller keeps
-// ownership of the slice. This is the compatibility path; the zero-copy
-// fast path is SendFrame.
-func (nd *Node) Send(ifindex int, frame []byte) {
-	if !nd.alive {
-		return
-	}
-	fb := nd.net.pool.Get(len(frame))
-	copy(fb.Bytes(), frame)
-	nd.SendFrame(ifindex, fb)
-}
-
 // SendFrame transmits a pooled frame out interface ifindex, taking
 // ownership of fb: the fabric guarantees exactly one Release on every
 // outcome — delivery, MTU drop, queue drop, random loss, or a crashed

@@ -38,7 +38,7 @@ func pair(t *testing.T, cfg LinkConfig) (*sim.Scheduler, *Node, *Node, *recorder
 func TestDeliveryAndLatency(t *testing.T) {
 	// 1000 bytes at 8 Mbit/s = 1 ms serialization, plus 2 ms propagation.
 	s, a, _, _, rb := pair(t, LinkConfig{Rate: 8_000_000, Delay: 2 * time.Millisecond})
-	a.Send(0, make([]byte, 1000))
+	a.SendFrame(0, a.Pool().GetCopy(make([]byte, 1000)))
 	s.Run()
 	if len(rb.frames) != 1 {
 		t.Fatalf("delivered %d frames, want 1", len(rb.frames))
@@ -52,8 +52,8 @@ func TestSerializationQueuing(t *testing.T) {
 	// Two back-to-back 1000-byte frames: second must wait for the first's
 	// serialization slot.
 	s, a, _, _, rb := pair(t, LinkConfig{Rate: 8_000_000})
-	a.Send(0, make([]byte, 1000))
-	a.Send(0, make([]byte, 1000))
+	a.SendFrame(0, a.Pool().GetCopy(make([]byte, 1000)))
+	a.SendFrame(0, a.Pool().GetCopy(make([]byte, 1000)))
 	s.Run()
 	if len(rb.frames) != 2 {
 		t.Fatalf("delivered %d frames, want 2", len(rb.frames))
@@ -66,8 +66,8 @@ func TestSerializationQueuing(t *testing.T) {
 func TestDuplexIndependence(t *testing.T) {
 	// Traffic in one direction must not delay the other direction.
 	s, a, b, ra, rb := pair(t, LinkConfig{Rate: 8_000_000})
-	a.Send(0, make([]byte, 1000))
-	b.Send(0, make([]byte, 1000))
+	a.SendFrame(0, a.Pool().GetCopy(make([]byte, 1000)))
+	b.SendFrame(0, b.Pool().GetCopy(make([]byte, 1000)))
 	s.Run()
 	if len(ra.frames) != 1 || len(rb.frames) != 1 {
 		t.Fatalf("deliveries a=%d b=%d, want 1 and 1", len(ra.frames), len(rb.frames))
@@ -79,7 +79,7 @@ func TestDuplexIndependence(t *testing.T) {
 
 func TestMTUDrop(t *testing.T) {
 	s, a, _, _, rb := pair(t, LinkConfig{MTU: 100})
-	a.Send(0, make([]byte, 101))
+	a.SendFrame(0, a.Pool().GetCopy(make([]byte, 101)))
 	s.Run()
 	if len(rb.frames) != 0 {
 		t.Fatal("oversized frame was delivered")
@@ -94,7 +94,7 @@ func TestQueueOverflowDropTail(t *testing.T) {
 	// must be dropped.
 	s, a, _, _, rb := pair(t, LinkConfig{Rate: 8_000_000, QueueBytes: 2000})
 	for i := 0; i < 3; i++ {
-		a.Send(0, make([]byte, 1000))
+		a.SendFrame(0, a.Pool().GetCopy(make([]byte, 1000)))
 	}
 	s.Run()
 	if len(rb.frames) != 2 {
@@ -110,18 +110,18 @@ func TestQueueDrainsWithoutEvents(t *testing.T) {
 	// 1000 bytes at 8 Mbit/s serialize in 1 ms; propagation takes 10 more.
 	s, a, _, _, rb := pair(t, LinkConfig{Rate: 8_000_000, Delay: 10 * time.Millisecond, QueueBytes: 2000})
 	link := a.ifaces[0].link
-	a.Send(0, make([]byte, 1000))
-	a.Send(0, make([]byte, 1000))
+	a.SendFrame(0, a.Pool().GetCopy(make([]byte, 1000)))
+	a.SendFrame(0, a.Pool().GetCopy(make([]byte, 1000)))
 	s.RunUntil(500 * time.Microsecond)
 	if ab, _ := link.Backlogs(); ab != 2000 {
 		t.Fatalf("backlog %d with two frames queued, want 2000", ab)
 	}
-	a.Send(0, make([]byte, 1000)) // no room: dropped
+	a.SendFrame(0, a.Pool().GetCopy(make([]byte, 1000))) // no room: dropped
 	s.RunUntil(time.Millisecond)
 	if ab, _ := link.Backlogs(); ab != 1000 {
 		t.Fatalf("backlog %d once the first frame is serialized, want 1000", ab)
 	}
-	a.Send(0, make([]byte, 1000)) // takes the room the first frame left
+	a.SendFrame(0, a.Pool().GetCopy(make([]byte, 1000))) // takes the room the first frame left
 	s.RunUntil(3 * time.Millisecond)
 	if ab, ba := link.Backlogs(); ab != 0 || ba != 0 {
 		t.Fatalf("backlogs %d/%d with everything on the wire, want 0/0", ab, ba)
@@ -145,7 +145,7 @@ func TestLossDeterministic(t *testing.T) {
 		b.SetHandler(rb)
 		net.Connect(a, b, LinkConfig{Loss: 0.5})
 		for i := 0; i < 100; i++ {
-			a.Send(0, []byte{byte(i)})
+			a.SendFrame(0, a.Pool().GetCopy([]byte{byte(i)}))
 		}
 		s.Run()
 		return len(rb.frames)
@@ -162,7 +162,7 @@ func TestLossDeterministic(t *testing.T) {
 func TestCrashStopsTraffic(t *testing.T) {
 	s, a, b, _, rb := pair(t, LinkConfig{})
 	b.Crash()
-	a.Send(0, []byte{1})
+	a.SendFrame(0, a.Pool().GetCopy([]byte{1}))
 	s.Run()
 	if len(rb.frames) != 0 {
 		t.Fatal("crashed node received a frame")
@@ -171,7 +171,7 @@ func TestCrashStopsTraffic(t *testing.T) {
 		t.Fatal("crashed node reports alive")
 	}
 	b.Restart()
-	a.Send(0, []byte{2})
+	a.SendFrame(0, a.Pool().GetCopy([]byte{2}))
 	s.Run()
 	if len(rb.frames) != 1 {
 		t.Fatal("restarted node did not receive")
@@ -179,7 +179,7 @@ func TestCrashStopsTraffic(t *testing.T) {
 	// A frame waiting in the receiver's CPU lane when it dies is released
 	// undelivered.
 	b.SetProc(time.Millisecond, 0)
-	a.Send(0, []byte{3})
+	a.SendFrame(0, a.Pool().GetCopy([]byte{3}))
 	s.RunUntil(s.Now() + time.Millisecond/2)
 	b.Crash()
 	s.Run()
@@ -194,8 +194,7 @@ func TestCrashStopsTraffic(t *testing.T) {
 func TestCrashedNodeCannotSend(t *testing.T) {
 	s, a, _, _, rb := pair(t, LinkConfig{})
 	a.Crash()
-	a.Send(0, []byte{1})
-	a.SendFrame(0, a.Pool().Get(1)) // released at once
+	a.SendFrame(0, a.Pool().GetCopy([]byte{1})) // released at once
 	s.Run()
 	if len(rb.frames) != 0 {
 		t.Fatal("crashed node sent a frame")
@@ -204,7 +203,7 @@ func TestCrashedNodeCannotSend(t *testing.T) {
 	// unsent.
 	a.Restart()
 	a.SetProc(time.Millisecond, 0)
-	a.Send(0, []byte{2})
+	a.SendFrame(0, a.Pool().GetCopy([]byte{2}))
 	a.Crash()
 	s.Run()
 	if len(rb.frames) != 0 {
@@ -225,8 +224,8 @@ func TestCPUSerialization(t *testing.T) {
 	rb := &recorder{sched: s}
 	b.SetHandler(rb)
 	net.Connect(a, b, LinkConfig{})
-	a.Send(0, []byte{1})
-	a.Send(0, []byte{2})
+	a.SendFrame(0, a.Pool().GetCopy([]byte{1}))
+	a.SendFrame(0, a.Pool().GetCopy([]byte{2}))
 	s.Run()
 	if len(rb.frames) != 2 {
 		t.Fatalf("delivered %d, want 2", len(rb.frames))
@@ -249,8 +248,8 @@ func TestMultipleInterfaces(t *testing.T) {
 	if r.NumInterfaces() != 2 {
 		t.Fatalf("router has %d interfaces, want 2", r.NumInterfaces())
 	}
-	a.Send(0, []byte{1})
-	b.Send(0, []byte{2})
+	a.SendFrame(0, a.Pool().GetCopy([]byte{1}))
+	b.SendFrame(0, b.Pool().GetCopy([]byte{2}))
 	s.Run()
 	if len(rr.frames) != 2 {
 		t.Fatalf("router got %d frames, want 2", len(rr.frames))
@@ -277,5 +276,5 @@ func TestSendInvalidInterfacePanics(t *testing.T) {
 			t.Error("Send on missing interface did not panic")
 		}
 	}()
-	a.Send(0, []byte{1})
+	a.SendFrame(0, a.Pool().GetCopy([]byte{1}))
 }

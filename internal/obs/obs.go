@@ -1,9 +1,7 @@
 // Package obs is the observability spine of the HydraNet-FT reproduction:
-// a structured event bus carried on the virtual clock, and a
-// failover-timeline probe reproducing the paper's Table-2 style
-// decomposition (detection latency, reconfiguration latency, client-visible
-// stall). Net-wide counter snapshots are the facade's (Net.Snapshot), built
-// from each layer's own Stats record.
+// a structured event bus carried on the virtual clock. Net-wide counter
+// snapshots are the facade's (Net.Snapshot), built from each layer's own
+// Stats record.
 //
 // The bus is designed to be free when nobody listens: every emit site
 // guards with Bus.Enabled(kind), a nil-safe bitmask test, and only builds

@@ -106,97 +106,3 @@ func TestEventJSONUsesKindName(t *testing.T) {
 		t.Fatalf("kind not rendered by name: %s", out)
 	}
 }
-
-func TestFailoverProbe(t *testing.T) {
-	now := time.Duration(0)
-	b := NewBus(testClock(&now))
-	p := NewFailoverProbe(b)
-
-	// Suspicion before any crash must be ignored.
-	now = 50 * time.Millisecond
-	b.Publish(Event{Kind: KindSuspicion, Node: "s1"})
-	if p.Report().SuspicionAt != 0 {
-		t.Fatal("pre-crash suspicion recorded")
-	}
-
-	now = 100 * time.Millisecond
-	b.Publish(Event{Kind: KindNodeCrash, Node: "s0"})
-	// Client deliveries before promotion don't count as recovery.
-	now = 150 * time.Millisecond
-	b.Publish(Event{Kind: KindClientDeliver, Node: "client"})
-	now = 400 * time.Millisecond
-	b.Publish(Event{Kind: KindSuspicion, Node: "s1"})
-	now = 600 * time.Millisecond
-	b.Publish(Event{Kind: KindReconfig, Node: "rd"})
-	now = 650 * time.Millisecond
-	b.Publish(Event{Kind: KindPromotion, Node: "s1"})
-	now = 700 * time.Millisecond
-	b.Publish(Event{Kind: KindClientDeliver, Node: "client"})
-	// Only the first of each phase is kept.
-	now = 900 * time.Millisecond
-	b.Publish(Event{Kind: KindClientDeliver, Node: "client"})
-
-	r := p.Report()
-	if !r.Complete {
-		t.Fatalf("report incomplete: %+v", r)
-	}
-	if r.Detection != 300*time.Millisecond {
-		t.Errorf("Detection = %v, want 300ms", r.Detection)
-	}
-	if r.Reconfiguration != 250*time.Millisecond {
-		t.Errorf("Reconfiguration = %v, want 250ms", r.Reconfiguration)
-	}
-	if r.ClientStall != 600*time.Millisecond {
-		t.Errorf("ClientStall = %v, want 600ms", r.ClientStall)
-	}
-}
-
-func TestFailoverProbeBackToBackFailures(t *testing.T) {
-	// A second crash while the first timeline is still open — the promoted
-	// backup dies mid-reconfiguration, or an unrelated replica fail-stops —
-	// must not corrupt the first timeline: the probe documents the FIRST
-	// failover, and every phase it reports has to belong to it.
-	now := time.Duration(0)
-	b := NewBus(testClock(&now))
-	p := NewFailoverProbe(b)
-
-	now = 100 * time.Millisecond
-	b.Publish(Event{Kind: KindNodeCrash, Node: "s0"})
-	now = 300 * time.Millisecond
-	b.Publish(Event{Kind: KindSuspicion, Node: "s1"})
-	// Second failure lands between suspicion and promotion of the first.
-	now = 350 * time.Millisecond
-	b.Publish(Event{Kind: KindNodeCrash, Node: "s1"})
-	now = 380 * time.Millisecond
-	b.Publish(Event{Kind: KindSuspicion, Node: "s2"})
-	now = 500 * time.Millisecond
-	b.Publish(Event{Kind: KindReconfig, Node: "rd"})
-	now = 520 * time.Millisecond
-	b.Publish(Event{Kind: KindPromotion, Node: "s2"})
-	now = 600 * time.Millisecond
-	b.Publish(Event{Kind: KindClientDeliver, Node: "client"})
-	// Echoes of the second failover's cleanup must all be ignored.
-	now = 700 * time.Millisecond
-	b.Publish(Event{Kind: KindReconfig, Node: "rd"})
-	b.Publish(Event{Kind: KindPromotion, Node: "s2"})
-
-	r := p.Report()
-	if !r.Complete {
-		t.Fatalf("report incomplete: %+v", r)
-	}
-	if r.CrashAt != 100*time.Millisecond {
-		t.Errorf("CrashAt = %v, want the first crash at 100ms", r.CrashAt)
-	}
-	if r.SuspicionAt != 300*time.Millisecond {
-		t.Errorf("SuspicionAt = %v, want the first suspicion at 300ms", r.SuspicionAt)
-	}
-	if r.Detection != 200*time.Millisecond {
-		t.Errorf("Detection = %v, want 200ms", r.Detection)
-	}
-	if r.PromotionAt != 520*time.Millisecond {
-		t.Errorf("PromotionAt = %v", r.PromotionAt)
-	}
-	if r.ClientStall != 500*time.Millisecond {
-		t.Errorf("ClientStall = %v, want 500ms", r.ClientStall)
-	}
-}

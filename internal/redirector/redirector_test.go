@@ -2,12 +2,14 @@ package redirector
 
 import (
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
 	"hydranet/internal/inet"
 	"hydranet/internal/ipv4"
 	"hydranet/internal/netsim"
+	"hydranet/internal/obs"
 	"hydranet/internal/sim"
 )
 
@@ -103,6 +105,30 @@ func TestFTMulticastToAllReplicas(t *testing.T) {
 	st := rd.Stats()
 	if st.Multicast != 1 || st.MulticastCopies != 2 {
 		t.Errorf("stats = %+v", st)
+	}
+}
+
+// TestTunnelErrorCountedAndPublished: a chain member the redirector has no
+// route to costs its copy, not the others: the copy is counted as a tunnel
+// error and published with the member and the routing error.
+func TestTunnelErrorCountedAndPublished(t *testing.T) {
+	sched, cs, rd, k1, _, hosts := rig(t)
+	var events []obs.Event
+	bus := obs.NewBus(sched.Now)
+	bus.Subscribe(func(e obs.Event) { events = append(events, e) }, obs.KindTunnelError)
+	rd.SetBus(bus)
+	lost := inet.MustParseAddr("10.9.0.2") // no route on rd
+	rd.SetFTReplicas(ServiceKey{Addr: svcAddr, Port: 80}, hosts[0], []ipv4.Addr{lost})
+	_ = cs.Send(ipv4.ProtoUDP, 0, svcAddr, udpTo(80))
+	sched.Run()
+	if len(k1.inner) != 1 {
+		t.Errorf("the routed primary got %d copies, want 1", len(k1.inner))
+	}
+	if st := rd.Stats(); st.TunnelErrors != 1 || st.MulticastCopies != 2 {
+		t.Errorf("stats = %+v, want 1 tunnel error among 2 copies", st)
+	}
+	if len(events) != 1 || events[0].Host != lost || events[0].Node != "rd" || !strings.Contains(events[0].Cause, "no route") {
+		t.Errorf("tunnel-error events = %+v, want one naming %s and the missing route", events, lost)
 	}
 }
 

@@ -10,6 +10,7 @@
 package rmp
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 
@@ -122,19 +123,19 @@ func (m *Message) AppendTo(b []byte) []byte {
 	b = append(b, make([]byte, msgLen)...)
 	f := b[off:]
 	f[0] = byte(m.Type)
-	putU32(f[1:5], uint32(m.Service.Addr))
-	putU16(f[5:7], m.Service.Port)
-	putU32(f[7:11], uint32(m.Host))
+	binary.BigEndian.PutUint32(f[1:5], uint32(m.Service.Addr))
+	binary.BigEndian.PutUint16(f[5:7], m.Service.Port)
+	binary.BigEndian.PutUint32(f[7:11], uint32(m.Host))
 	f[11] = byte(m.Mode)
-	putU32(f[12:16], uint32(m.Upstream))
+	binary.BigEndian.PutUint32(f[12:16], uint32(m.Upstream))
 	if m.Gated {
 		f[16] = 1
 	}
 	// Metric and ProbeID overlay the same slot; no message uses both.
 	if m.Type.carriesProbeID() {
-		putU32(f[17:21], m.ProbeID)
+		binary.BigEndian.PutUint32(f[17:21], m.ProbeID)
 	} else {
-		putU16(f[17:19], m.Metric)
+		binary.BigEndian.PutUint16(f[17:19], m.Metric)
 	}
 	if m.Type == MsgMirror {
 		b = append(b, byte(len(m.Hosts)))
@@ -180,20 +181,20 @@ func (m *Message) Unmarshal(b []byte) error {
 	}
 	*m = Message{
 		Type:     typ,
-		Service:  core.ServiceID{Addr: ipv4.Addr(getU32(b[1:5])), Port: getU16(b[5:7])},
-		Host:     ipv4.Addr(getU32(b[7:11])),
+		Service:  core.ServiceID{Addr: ipv4.Addr(binary.BigEndian.Uint32(b[1:5])), Port: binary.BigEndian.Uint16(b[5:7])},
+		Host:     ipv4.Addr(binary.BigEndian.Uint32(b[7:11])),
 		Mode:     core.Mode(b[11]),
-		Upstream: ipv4.Addr(getU32(b[12:16])),
+		Upstream: ipv4.Addr(binary.BigEndian.Uint32(b[12:16])),
 		Gated:    b[16] == 1,
 		Hosts:    m.Hosts[:0],
 	}
 	if typ.carriesProbeID() {
-		m.ProbeID = getU32(b[17:21])
+		m.ProbeID = binary.BigEndian.Uint32(b[17:21])
 	} else {
-		m.Metric = getU16(b[17:19])
+		m.Metric = binary.BigEndian.Uint16(b[17:19])
 	}
 	for i := 0; i < len(hosts); i += 4 {
-		m.Hosts = append(m.Hosts, ipv4.Addr(getU32(hosts[i:i+4])))
+		m.Hosts = append(m.Hosts, ipv4.Addr(binary.BigEndian.Uint32(hosts[i:i+4])))
 	}
 	return nil
 }
@@ -209,24 +210,4 @@ func (m *Message) scribble() {
 		Mode: 0xDB, Upstream: 0xDBDBDBDB, Gated: true, Metric: 0xDBDB, ProbeID: 0xDBDBDBDB,
 		Hosts: m.Hosts,
 	}
-}
-
-func putU32(b []byte, v uint32) {
-	b[0] = byte(v >> 24)
-	b[1] = byte(v >> 16)
-	b[2] = byte(v >> 8)
-	b[3] = byte(v)
-}
-
-func putU16(b []byte, v uint16) {
-	b[0] = byte(v >> 8)
-	b[1] = byte(v)
-}
-
-func getU32(b []byte) uint32 {
-	return uint32(b[0])<<24 | uint32(b[1])<<16 | uint32(b[2])<<8 | uint32(b[3])
-}
-
-func getU16(b []byte) uint16 {
-	return uint16(b[0])<<8 | uint16(b[1])
 }

@@ -1,6 +1,7 @@
 package rmp
 
 import (
+	"encoding/binary"
 	"slices"
 	"time"
 
@@ -129,7 +130,7 @@ func (r *Reliable) Send(dst udp.Endpoint, m *Message, onResult resultHandler) {
 	p.seq = r.nextSeq
 	p.dst, p.peer, p.tries, p.sentAt, p.onResult = dst, r.peer(dst.Addr), 0, r.sched.Now(), onResult
 	p.frame = append(p.frame[:0], relData, 0, 0, 0, 0)
-	putU32(p.frame[1:5], p.seq)
+	binary.BigEndian.PutUint32(p.frame[1:5], p.seq)
 	p.frame = m.AppendTo(p.frame)
 	r.transmit(p)
 }
@@ -170,7 +171,7 @@ func (rr *relReceiver) Receive(from udp.Endpoint, local ipv4.Addr, b []byte) {
 	if len(b) < relHeaderLen {
 		return
 	}
-	seq := getU32(b[1:5])
+	seq := binary.BigEndian.Uint32(b[1:5])
 	switch b[0] {
 	case relAck:
 		i := slices.IndexFunc(r.recs, func(p *relPending) bool { return p.seq == seq })
@@ -189,7 +190,7 @@ func (rr *relReceiver) Receive(from udp.Endpoint, local ipv4.Addr, b []byte) {
 	case relData:
 		// Always (re-)acknowledge, then deduplicate.
 		r.ack[0] = relAck
-		putU32(r.ack[1:5], seq)
+		binary.BigEndian.PutUint32(r.ack[1:5], seq)
 		_ = r.udpStack.SendTo(local, r.port, from, r.ack[:]) //nolint:errcheck
 		if r.peers[r.peer(from.Addr)].isDup(seq) {
 			return

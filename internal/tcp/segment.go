@@ -1,6 +1,7 @@
 package tcp
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"strings"
@@ -112,16 +113,13 @@ func (s *Segment) MarshalInto(b []byte, src, dst ipv4.Addr) {
 	if s.MSS != 0 {
 		hdrLen += 4
 	}
-	b[0] = byte(s.SrcPort >> 8)
-	b[1] = byte(s.SrcPort)
-	b[2] = byte(s.DstPort >> 8)
-	b[3] = byte(s.DstPort)
-	putSeq(b[4:8], s.Seq)
-	putSeq(b[8:12], s.Ack)
+	binary.BigEndian.PutUint16(b[0:2], s.SrcPort)
+	binary.BigEndian.PutUint16(b[2:4], s.DstPort)
+	binary.BigEndian.PutUint32(b[4:8], uint32(s.Seq))
+	binary.BigEndian.PutUint32(b[8:12], uint32(s.Ack))
 	b[12] = byte(hdrLen/4) << 4
 	b[13] = byte(s.Flags)
-	b[14] = byte(s.Window >> 8)
-	b[15] = byte(s.Window)
+	binary.BigEndian.PutUint16(b[14:16], s.Window)
 	// Checksum (zero while summing) and urgent pointer (unused). Explicit
 	// stores: pooled buffers arrive with stale contents, unlike make().
 	b[16], b[17] = 0, 0
@@ -129,13 +127,10 @@ func (s *Segment) MarshalInto(b []byte, src, dst ipv4.Addr) {
 	if s.MSS != 0 {
 		b[20] = 2 // kind: MSS
 		b[21] = 4 // length
-		b[22] = byte(s.MSS >> 8)
-		b[23] = byte(s.MSS)
+		binary.BigEndian.PutUint16(b[22:24], s.MSS)
 	}
 	copy(b[hdrLen:], s.Payload)
-	sum := ipv4.PseudoChecksum(src, dst, ipv4.ProtoTCP, b)
-	b[16] = byte(sum >> 8)
-	b[17] = byte(sum)
+	binary.BigEndian.PutUint16(b[16:18], ipv4.PseudoChecksum(src, dst, ipv4.ProtoTCP, b))
 }
 
 // UnmarshalSegment parses and validates a wire-format segment. It allocates
@@ -163,12 +158,12 @@ func (s *Segment) Unmarshal(src, dst ipv4.Addr, b []byte) error {
 		return ErrSegBadChecksum
 	}
 	*s = Segment{
-		SrcPort: uint16(b[0])<<8 | uint16(b[1]),
-		DstPort: uint16(b[2])<<8 | uint16(b[3]),
-		Seq:     getSeq(b[4:8]),
-		Ack:     getSeq(b[8:12]),
+		SrcPort: binary.BigEndian.Uint16(b[0:2]),
+		DstPort: binary.BigEndian.Uint16(b[2:4]),
+		Seq:     Seq(binary.BigEndian.Uint32(b[4:8])),
+		Ack:     Seq(binary.BigEndian.Uint32(b[8:12])),
 		Flags:   Flags(b[13]),
-		Window:  uint16(b[14])<<8 | uint16(b[15]),
+		Window:  binary.BigEndian.Uint16(b[14:16]),
 		Payload: b[hdrLen:],
 	}
 	// Parse options for MSS.
@@ -181,7 +176,7 @@ func (s *Segment) Unmarshal(src, dst ipv4.Addr, b []byte) error {
 			i++
 		case 2: // MSS
 			if i+4 <= len(opts) && opts[i+1] == 4 {
-				s.MSS = uint16(opts[i+2])<<8 | uint16(opts[i+3])
+				s.MSS = binary.BigEndian.Uint16(opts[i+2 : i+4])
 			}
 			i += 4
 		default:
@@ -202,15 +197,4 @@ func (s *Segment) Scribble() {
 		SrcPort: 0xDBDB, DstPort: 0xDBDB, Seq: 0xDBDBDBDB, Ack: 0xDBDBDBDB,
 		Flags: 0xDB, Window: 0xDBDB, MSS: 0xDBDB,
 	}
-}
-
-func putSeq(b []byte, s Seq) {
-	b[0] = byte(s >> 24)
-	b[1] = byte(s >> 16)
-	b[2] = byte(s >> 8)
-	b[3] = byte(s)
-}
-
-func getSeq(b []byte) Seq {
-	return Seq(uint32(b[0])<<24 | uint32(b[1])<<16 | uint32(b[2])<<8 | uint32(b[3]))
 }

@@ -268,9 +268,9 @@ func fragmentation(s Sweep) *Table {
 
 func failoverLatency(s Sweep) *Table {
 	return thresholds(&Table{
-		Title: "A1: detect (crash → reconfiguration) and resume (crash → first byte after it) " +
+		Title: "A1: detect (crash → reconfiguration) and stall (the client's longest wait for bytes across the crash) " +
 			"against detection threshold, primary of 2 crashed 500 ms in",
-		Columns: []string{"detect [ms]", "resume [ms]", "suspicions", "false reconfigs"},
+		Columns: []string{"detect [ms]", "stall [ms]", "suspicions", "false reconfigs"},
 		formats: []string{"%.0f", "%.0f", "%.0f", "%.0f"},
 	}, s, 0, []int{1, 2, 3, 4, 6, 8}, FailoverConfig{}, func(r *Run) ([]value, string) {
 		fail := ""
@@ -279,10 +279,10 @@ func failoverLatency(s Sweep) *Table {
 			fail = "client connection failed: " + r.Err.Error()
 		case r.Detected == 0:
 			fail = "the crash was never detected"
-		case r.Resumed == 0:
-			fail = "the client never resumed"
+		case r.Stall == 0:
+			fail = "the client read nothing after the crash"
 		}
-		return []value{ms(r.Detected), ms(r.Resumed), value(r.Suspicions), value(r.FalseReconfigs)}, fail
+		return []value{ms(r.Detected), ms(r.Stall), value(r.Suspicions), value(r.FalseReconfigs)}, fail
 	})
 }
 

@@ -104,11 +104,14 @@ const (
 var StarService = hydranet.ServiceID{Addr: ServiceAddr, Port: 80}
 
 // A Run is a scenario being played and, once Play returns, what it showed.
-// Its fields beyond the network are readings: Detected and Resumed are
-// timed from CrashedAt, the first crash fault's instant, to the first
-// reconfiguration that removed a crashed replica and to the first byte the
-// client read after the crash; FalseReconfigs counts the reconfigurations
-// that removed only live replicas.
+// Its fields beyond the network are readings: Detected is timed from
+// CrashedAt, the first crash fault's instant, to the first reconfiguration
+// that removed a crashed replica, and the client's Stream.Stall is the
+// fail-over's cost to the client. Resumed, from CrashedAt to the first byte
+// the client read after the crash, is often a segment already in flight; it
+// is kept because bench's reference check compares MeasureFailover's with
+// its own. FalseReconfigs counts the reconfigurations that removed only live
+// replicas.
 type Run struct {
 	Net        *hydranet.Net
 	Client     *hydranet.Host
@@ -138,13 +141,17 @@ type Run struct {
 }
 
 // A Stream is one client connection and what the client read: Delivered
-// bytes, Garbled if they are not a prefix of the bytes it expects.
+// bytes, Garbled if they are not a prefix of the bytes it expects. Stall is
+// the longest wait between two reads that ends after the run's first crash;
+// the first read's wait counts from the dial.
 type Stream struct {
 	Conn              *hydranet.Conn
 	Delivered         int
 	Garbled, Closed   bool
 	Err               error         // what the connection closed with
 	Dialled, ClosedAt time.Duration // ClosedAt counts from the dial
+	Stall             time.Duration
+	lastRead          time.Duration
 	want              []byte
 }
 
@@ -168,6 +175,7 @@ func (r *Run) Dial(from *hydranet.Host, to hydranet.Endpoint, send []byte, close
 		panic(fmt.Sprintf("testbed: dial: %v", err))
 	}
 	s := &Stream{Conn: conn, want: send, Dialled: r.Net.Now()}
+	s.lastRead = s.Dialled
 	buf, bus, name := make([]byte, 8192), r.Net.Bus(), from.Name()
 	conn.OnReadable(func() {
 		for n := conn.Read(buf); n > 0; n = conn.Read(buf) {
@@ -175,9 +183,14 @@ func (r *Run) Dial(from *hydranet.Host, to hydranet.Endpoint, send []byte, close
 			s.Garbled = s.Garbled || k < n || !bytes.Equal(buf[:k], s.want[s.Delivered:s.Delivered+k])
 			s.Delivered += n
 			bus.Publish(hydranet.Event{Kind: hydranet.KindClientDeliver, Node: name, Size: n})
-			if r.CrashedAt > 0 && r.Resumed == 0 {
-				r.Resumed = r.Net.Now() - r.CrashedAt
+			now := r.Net.Now()
+			if r.CrashedAt > 0 {
+				if r.Resumed == 0 {
+					r.Resumed = now - r.CrashedAt
+				}
+				s.Stall = max(s.Stall, now-s.lastRead)
 			}
+			s.lastRead = now
 		}
 		if conn.PeerClosed() {
 			conn.Close()

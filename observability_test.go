@@ -15,25 +15,21 @@ func TestSnapshotAndFailoverTimeline(t *testing.T) {
 	// mid-transfer.
 	payload := make([]byte, 1<<20)
 	var before hydranet.Snapshot
-	row(t, testbed.Scenario{Seed: 7, Replicas: 3, Observe: hydranet.Instruments{Failover: true}, Threshold: 3, Send: payload,
+	row(t, testbed.Scenario{Seed: 7, Replicas: 3, Threshold: 3, Send: payload,
 		Faults: at(400*time.Millisecond, testbed.CrashPrimary, 0), Steps: []testbed.Step{
 			{After: 400 * time.Millisecond, Do: func(r *testbed.Run) { before = r.Net.Snapshot() }},
 			readAll(len(payload), 2*time.Minute),
 		}}, verdict{echo: true, check: func(r *testbed.Run) {
-		report := r.Summary.Failover
-		if !report.Complete {
-			t.Fatalf("failover report incomplete: %+v", report)
+		if r.Detected <= 0 || r.Stall <= 0 {
+			t.Fatalf("fail-over readings: detected %v, stall %v; want both positive", r.Detected, r.Stall)
 		}
-		if report.Detection <= 0 || report.Reconfiguration <= 0 {
-			t.Fatalf("non-positive phases: %+v", report)
-		}
-		if report.ClientStall < report.Detection {
-			t.Fatalf("client stall %v shorter than detection %v",
-				report.ClientStall, report.Detection)
+		// The client waits out detection and the promotion's repair, no more:
+		// segments in flight at the crash may shorten the wait, not hide it.
+		if d := r.Stall - r.Detected; d < -50*time.Millisecond || d > 50*time.Millisecond {
+			t.Fatalf("client stall %v more than 50ms from detection %v", r.Stall, r.Detected)
 		}
 
 		snap := r.Net.Snapshot()
-		snap.Failover = &report
 
 		byName := make(map[string]int)
 		for i, h := range snap.Hosts {
@@ -80,7 +76,7 @@ func TestSnapshotAndFailoverTimeline(t *testing.T) {
 			t.Errorf("diffed client bytes = %d, want strictly between 0 and total", dc.Conns.BytesReceived)
 		}
 
-		// And the whole thing serializes, failover timeline included.
+		// And the whole thing serializes.
 		out, err := snap.JSON()
 		if err != nil {
 			t.Fatal(err)
@@ -89,9 +85,8 @@ func TestSnapshotAndFailoverTimeline(t *testing.T) {
 		if err := json.Unmarshal(out, &parsed); err != nil {
 			t.Fatal(err)
 		}
-		fo, ok := parsed["failover"].(map[string]any)
-		if !ok || fo["complete"] != true {
-			t.Fatalf("failover section missing or incomplete in JSON: %v", parsed["failover"])
+		if rds, ok := parsed["redirectors"].([]any); !ok || len(rds) != 1 {
+			t.Fatalf("redirectors section missing in JSON: %v", parsed["redirectors"])
 		}
 	}})
 }
@@ -145,8 +140,7 @@ func TestRedirectorStatsUnderLossyBackupLinks(t *testing.T) {
 }
 
 // TestObserversDoNotPerturbRun plays one seeded fail-over twice: bare, and
-// with the capture, the invariant monitor, its audit and the fail-over probe
-// attached. Observation never perturbs a run (DESIGN.md §5), so both fire
+// with the capture, the invariant monitor and its audit attached. Observation never perturbs a run (DESIGN.md §5), so both fire
 // the same events, end at the same instant and deliver the same client
 // bytes.
 func TestObserversDoNotPerturbRun(t *testing.T) {
@@ -160,7 +154,7 @@ func TestObserversDoNotPerturbRun(t *testing.T) {
 	dir := t.TempDir()
 	bare := play(hydranet.Instruments{})
 	observed := play(hydranet.Instruments{Pcap: filepath.Join(dir, "run.pcap"), Invariants: true,
-		Audit: filepath.Join(dir, "run.audit.json"), Failover: true})
+		Audit: filepath.Join(dir, "run.audit.json")})
 	for _, p := range observed.Problems() {
 		t.Error(p)
 	}
@@ -168,9 +162,8 @@ func TestObserversDoNotPerturbRun(t *testing.T) {
 		t.Fatalf("bare run: the client read %d bytes, garbled=%v, unmet %v: want the whole echo",
 			bare.Delivered, bare.Garbled, bare.Unmet)
 	}
-	if sum := observed.Summary; sum.PcapRecords == 0 || sum.Audit == nil || !sum.Failover.Complete {
-		t.Fatalf("observers did not all attach: %d pcap records, audit %v, fail-over %+v",
-			sum.PcapRecords, sum.Audit != nil, sum.Failover)
+	if sum := observed.Summary; sum.PcapRecords == 0 || sum.Audit == nil {
+		t.Fatalf("observers did not all attach: %d pcap records, audit %v", sum.PcapRecords, sum.Audit != nil)
 	}
 	if b, o := bare.Net.EventsFired(), observed.Net.EventsFired(); b != o {
 		t.Errorf("events fired: bare %d, observed %d", b, o)

@@ -14,16 +14,13 @@ import (
 	"hydranet/internal/tcp"
 )
 
-// Observability re-exports: the event bus and the fail-over probe live in
-// internal/obs; user code subscribes through these aliases.
+// Observability re-exports: the event bus lives in internal/obs; user code
+// subscribes through these aliases.
 type (
 	// Event is one structured observability event on the bus.
 	Event = obs.Event
 	// EventKind classifies events (see the Kind* constants).
 	EventKind = obs.Kind
-	// FailoverReport is the paper's Table-2 fail-over decomposition,
-	// reconstructed from bus events (Summary.Failover).
-	FailoverReport = obs.FailoverReport
 )
 
 // Event kinds, re-exported for subscriber filters.
@@ -52,11 +49,6 @@ const (
 	KindClientDeliver  = obs.KindClientDeliver
 )
 
-// newFailoverProbe subscribes a fail-over probe to the net's bus.
-func (n *Net) newFailoverProbe() *obs.FailoverProbe {
-	return obs.NewFailoverProbe(n.bus)
-}
-
 // Snapshot is a net-wide aggregation of every component counter at one
 // virtual instant: per-host fabric/IP/TCP/ft-TCP counters, per-link
 // per-direction counters, and per-redirector table plus management-daemon
@@ -67,7 +59,6 @@ type Snapshot struct {
 	Hosts       []HostSnapshot       `json:"hosts"`
 	Links       []LinkSnapshot       `json:"links"`
 	Redirectors []RedirectorSnapshot `json:"redirectors,omitempty"`
-	Failover    *FailoverReport      `json:"failover,omitempty"`
 }
 
 // HostSnapshot aggregates one host's counters across every layer.
@@ -125,7 +116,7 @@ func (s Snapshot) JSON() ([]byte, error) { return json.MarshalIndent(s, "", "  "
 
 // Diff returns the interval snapshot s − prev. Every uint64 field is a
 // cumulative counter and is subtracted, a histogram diffs itself, and every
-// other field (names, Alive, TCP.Conns, ProcBacklog, Failover) is s's; Time
+// other field (names, Alive, TCP.Conns, ProcBacklog) is s's; Time
 // becomes the interval. Hosts, links and redirectors are matched by index,
 // because a Net only appends them; an entry past prev's end passes through
 // unchanged. A nil pointer in prev counts as zero. Neither input is

@@ -66,7 +66,6 @@ func checkUints(t *testing.T, path string, v reflect.Value, want uint64) {
 // redirector, every pointer set, an RTT bucket — with every counter x.
 func fullSnapshot(x uint64) hydranet.Snapshot {
 	s := hydranet.Snapshot{
-		Failover: &hydranet.FailoverReport{},
 		Hosts: []hydranet.HostSnapshot{{Name: "h0", Alive: true, Manager: &core.Stats{},
 			RTT: &metrics.HistogramSnapshot{Buckets: []metrics.HistogramBucket{{Lo: 1, Hi: 2}}}}},
 		Links:       []hydranet.LinkSnapshot{{A: "h0", B: "h1"}},
