@@ -62,7 +62,7 @@ var narrations = []struct {
 	args []string
 }{
 	{"hydranet-sim-stats-v", []string{"-stats", "-v"}},
-	{"hydranet-sim-backup-trace", []string{"-replicas", "2", "-crash", "backup", "-trace", "20", "-bytes", "262144"}},
+	{"hydranet-sim-backup-trace", []string{"-replicas", "2", "-crash", "backup", "-crash-at", "200ms", "-trace", "20", "-bytes", "262144"}},
 	{"hydranet-sim-crash-backup", []string{"-crash", "backup"}}, // 1 MiB: the crash lands mid-stream
 	{"hydranet-sim-12-replicas", []string{"-replicas", "12", "-crash", "none", "-bytes", "65536", "-stats"}},
 }

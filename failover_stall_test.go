@@ -98,16 +98,8 @@ func TestMiddleCrashResumesAtDetection(t *testing.T) {
 				id := m.name + " " + cell
 				// Timed from the crash: when the redirector reconfigured, and
 				// when the longest gap between two reads ended.
-				var lastRead, detected, resumed, stall time.Duration
+				var detected, resumed, stall time.Duration
 				row(t, testbed.Scenario{Seed: int64(300 + 10*threshold + i), Replicas: m.replicas, Threshold: threshold, Send: payload,
-					Setup: func(r *testbed.Run) {
-						r.Net.Bus().Subscribe(func(e hydranet.Event) {
-							if gap := e.Time - lastRead; r.CrashedAt > 0 && gap > stall {
-								stall, resumed = gap, e.Time-r.CrashedAt
-							}
-							lastRead = e.Time
-						}, hydranet.KindClientDeliver)
-					},
 					Faults: at(crashAt, testbed.Crash, m.victim),
 					Steps: []testbed.Step{
 						{After: crashAt, Do: func(r *testbed.Run) {
@@ -117,6 +109,7 @@ func TestMiddleCrashResumesAtDetection(t *testing.T) {
 						}},
 						{After: 4 * time.Minute},
 					}}, verdict{echo: true, chain: survivors, check: func(r *testbed.Run) {
+					stall, resumed = r.Stall, r.StallEnd-r.CrashedAt
 					if detected = r.Detected; r.Err != nil || detected == 0 || r.FalseReconfigs != 0 {
 						t.Errorf("%s: client error %v, crash detected after %v, %d reconfigurations removed live hosts",
 							id, r.Err, detected, r.FalseReconfigs)

@@ -52,7 +52,7 @@ const (
 
 	// replica management.
 	KindRegistration // replica registered with the redirector daemon
-	KindReconfig     // chain reconfigured (failure, leave, lease, eviction)
+	KindReconfig     // chain reconfigured (failure, leave, eviction)
 	KindRecommission // recovered host rejoined a replica set
 
 	// measurement harnesses (published by CLIs and tests, not by the stack).

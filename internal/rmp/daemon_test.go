@@ -136,6 +136,34 @@ func TestSuspectProbeKeepsLiveHosts(t *testing.T) {
 	}
 }
 
+// TestCongestionStrikesExpire: under SetCongestionPolicy(2), two all-alive
+// probes evict the chain's tail when they end within the strike window (two
+// minutes) of each other, and evict nothing when they are further apart.
+func TestCongestionStrikesExpire(t *testing.T) {
+	for _, tc := range []struct {
+		gap   time.Duration
+		chain int
+	}{{2*time.Minute - time.Second, 2}, {2*time.Minute + time.Second, 3}} {
+		net, rd, hosts := build(t, 66, 3)
+		if _, err := net.DeployFT(svc, rd, hosts, hydranet.FTOptions{}, app.Echo); err != nil {
+			t.Fatal(err)
+		}
+		net.Settle()
+		rd.Daemon().SetCongestionPolicy(2)
+		rd.Daemon().Probe(svc)
+		net.RunFor(tc.gap)
+		rd.Daemon().Probe(svc)
+		net.Settle()
+		chain := rd.Daemon().Chain(svc)
+		if len(chain) != tc.chain || chain[0] != hosts[0].Addr() {
+			t.Errorf("probes %v apart: chain %v, want the first %d hosts", tc.gap, chain, tc.chain)
+		}
+		if got, want := rd.Daemon().Stats().CongestionEvictions, uint64(3-tc.chain); got != want {
+			t.Errorf("probes %v apart: %d congestion evictions, want %d", tc.gap, got, want)
+		}
+	}
+}
+
 // play plays sc, a run on the Figure-3 star, under the invariant monitor and
 // fails the test on each of the run's Problems.
 func play(t *testing.T, sc testbed.Scenario) *testbed.Run {

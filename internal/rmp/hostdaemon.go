@@ -2,7 +2,6 @@ package rmp
 
 import (
 	"fmt"
-	"time"
 
 	"hydranet/internal/core"
 	"hydranet/internal/hostserver"
@@ -17,7 +16,6 @@ import (
 // back by the redirector, and forwards failure suspicions.
 type HostDaemon struct {
 	rel        Reliable
-	sched      *sim.Scheduler
 	mgr        *core.Manager
 	hs         *hostserver.HostServer
 	tcpStack   *tcp.Stack
@@ -31,7 +29,7 @@ type HostDaemon struct {
 // estimator to SUSPECT reports.
 func (d *HostDaemon) Init(udpStack *udp.Stack, sched *sim.Scheduler, mgr *core.Manager,
 	hs *hostserver.HostServer, tcpStack *tcp.Stack, hostAddr, redirectorAddr ipv4.Addr) error {
-	d.sched, d.mgr, d.hs, d.tcpStack, d.hostAddr = sched, mgr, hs, tcpStack, hostAddr
+	d.mgr, d.hs, d.tcpStack, d.hostAddr = mgr, hs, tcpStack, hostAddr
 	d.redirector = udp.Endpoint{Addr: redirectorAddr, Port: ManagementPort}
 	if err := d.rel.Init(udpStack, sched, hostAddr, ManagementPort, d); err != nil {
 		return fmt.Errorf("rmp: host daemon: %w", err)
@@ -68,21 +66,6 @@ func (d *HostDaemon) Leave(svc core.ServiceID) {
 	d.hs.ReleaseVHost(svc.Addr)
 	msg := Message{Type: MsgLeave, Service: svc, Host: d.hostAddr}
 	d.rel.Send(d.redirector, &msg, nil)
-}
-
-// StartHeartbeats announces this replica's liveness for svc every interval
-// (lease-based membership; see RedirectorDaemon.EnableLeases). Heartbeats
-// stop implicitly when the host crashes — a dead node transmits nothing —
-// and resume if it restarts, though a removed member must still re-register
-// to rejoin the chain.
-func (d *HostDaemon) StartHeartbeats(svc core.ServiceID, interval time.Duration) {
-	var timer *sim.Timer
-	timer = sim.NewTimer(d.sched, func() {
-		msg := Message{Type: MsgHeartbeat, Service: svc, Host: d.hostAddr}
-		d.rel.Send(d.redirector, &msg, nil)
-		timer.Reset(interval)
-	})
-	timer.Reset(interval)
 }
 
 // A *HostDaemon converted to suspicionReport forwards the failure

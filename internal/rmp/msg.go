@@ -46,8 +46,8 @@ const (
 	MsgPing
 )
 
-// Type 7 is unassigned and rejected on receipt; the types after it keep
-// their wire values.
+// Types 7 and 9 are unassigned and rejected on receipt; MsgMirror keeps its
+// wire value.
 const (
 	// MsgMirror replicates an FT table entry to a peer redirector, so
 	// clients behind several redirectors reach the same replica set
@@ -55,10 +55,6 @@ const (
 	// list removes the entry. ProbeID carries a per-service version for
 	// last-writer-wins ordering.
 	MsgMirror MsgType = 8
-	// MsgHeartbeat announces a replica's liveness for a service. Sent
-	// periodically only when lease-based membership is enabled; the
-	// redirector expires chain members whose heartbeats stop.
-	MsgHeartbeat MsgType = 9
 )
 
 func (t MsgType) String() string {
@@ -77,8 +73,6 @@ func (t MsgType) String() string {
 		return "PING"
 	case MsgMirror:
 		return "MIRROR"
-	case MsgHeartbeat:
-		return "HEARTBEAT"
 	default:
 		return fmt.Sprintf("MsgType(%d)", uint8(t))
 	}
@@ -167,7 +161,7 @@ func (m *Message) Unmarshal(b []byte) error {
 		return ErrBadMessage
 	}
 	typ := MsgType(b[0])
-	if typ < MsgRegister || typ > MsgHeartbeat || (typ > MsgPing && typ < MsgMirror) {
+	if typ != MsgMirror && (typ < MsgRegister || typ > MsgPing) {
 		return ErrBadMessage
 	}
 	hosts := b[msgLen:]

@@ -10,7 +10,7 @@ import (
 
 func TestMessageRoundTrip(t *testing.T) {
 	types := [...]MsgType{MsgRegister, MsgLeave, MsgSuspect, MsgChainSet,
-		MsgRegisterScale, MsgPing, MsgMirror, MsgHeartbeat}
+		MsgRegisterScale, MsgPing, MsgMirror}
 	f := func(typ uint8, svcAddr uint32, svcPort uint16, host uint32, mode uint8,
 		upstream uint32, gated bool, metric uint16, probe uint32, hostsRaw []uint32) bool {
 		in := &Message{
@@ -65,7 +65,7 @@ func TestMessageRejectsGarbage(t *testing.T) {
 		t.Error("short accepted")
 	}
 	b := make([]byte, msgLen)
-	for _, typ := range []byte{0, 7, 10, 200} { // 7 is unassigned
+	for _, typ := range []byte{0, 7, 9, 10, 200} { // 7 and 9 are unassigned
 		b[0] = typ
 		if _, err := UnmarshalMessage(b); err == nil {
 			t.Errorf("type %d accepted", typ)
@@ -77,8 +77,8 @@ func TestMsgTypeString(t *testing.T) {
 	names := map[MsgType]string{
 		MsgRegister: "REGISTER", MsgLeave: "LEAVE", MsgSuspect: "SUSPECT",
 		MsgChainSet: "CHAIN-SET", MsgRegisterScale: "REGISTER-SCALE",
-		MsgPing: "PING", MsgMirror: "MIRROR", MsgHeartbeat: "HEARTBEAT",
-		7: "MsgType(7)",
+		MsgPing: "PING", MsgMirror: "MIRROR",
+		7: "MsgType(7)", 9: "MsgType(9)",
 	}
 	for typ, want := range names {
 		if got := typ.String(); got != want {

@@ -24,7 +24,6 @@ type RedirectorDaemonStats struct {
 	HostsFailed         uint64 `json:"hosts_failed"`
 	Reconfigs           uint64 `json:"reconfigs"`
 	CongestionEvictions uint64 `json:"congestion_evictions"`
-	LeaseExpirations    uint64 `json:"lease_expirations"`
 }
 
 // RedirectorDaemon is the management daemon co-located with a redirector.
@@ -39,19 +38,17 @@ type RedirectorDaemon struct {
 
 	// services is sorted by key, the order of every walk over them that
 	// transmits. The first one registered lives in the daemon.
-	services    []*svcState
-	services0   [1]*svcState
-	svc0        svcState
-	probing     int                 // services with a probe open
-	peers       []udp.Endpoint      // peer redirectors mirroring our FT entries
-	mirrored    map[inet.Key]uint32 // last version applied per mirrored service; made by the first MIRROR
-	congestion  CongestionPolicy
-	leaseExpiry time.Duration
-	leaseSweep  *sim.Timer
-	stats       RedirectorDaemonStats
-	bus         *obs.Bus
-	node        string
-	in          Message // the datagram being handled, decoded; its Hosts are reused
+	services  []*svcState
+	services0 [1]*svcState
+	svc0      svcState
+	probing   int                 // services with a probe open
+	peers     []udp.Endpoint      // peer redirectors mirroring our FT entries
+	mirrored  map[inet.Key]uint32 // last version applied per mirrored service; made by the first MIRROR
+	strikes   int                 // congestion policy: all-alive probes that evict the tail; zero disables it
+	stats     RedirectorDaemonStats
+	bus       *obs.Bus
+	node      string
+	in        Message // the datagram being handled, decoded; its Hosts are reused
 
 	// onReconfig, if set, observes completed reconfigurations (testing and
 	// measurement).
@@ -68,33 +65,16 @@ type svcState struct {
 	version     uint32 // bumped on every chain change; orders CHAIN-SET and MIRROR
 
 	// Congestion-eviction bookkeeping: times of all-alive probe outcomes
-	// within the policy window.
+	// within strikeWindow.
 	aliveStrikes []time.Duration
-	// Lease bookkeeping: last heartbeat (or registration) per member.
-	lastSeen []leaseSeen
 
 	chain0 [3]ipv4.Addr  // chain's backing up to three members
 	probe0 [3]probeState // probe's
-	seen0  [3]leaseSeen  // lastSeen's
 }
 
-// leaseSeen is when a member was last heard from.
-type leaseSeen struct {
-	host ipv4.Addr
-	at   time.Duration
-}
-
-// CongestionPolicy configures eviction of live-but-disruptive replicas
-// (paper Section 1: "it should be possible to temporarily shut down servers
-// when they cause service disruption due to congestion, and bring them back
-// in when the congestion clears"). When Strikes suspicions end in all-alive
-// probe outcomes within Window, the chain tail backup is evicted — it can
-// rejoin later via re-registration (Recommission). The zero value disables
-// the policy.
-type CongestionPolicy struct {
-	Strikes int
-	Window  time.Duration
-}
+// strikeWindow is how long an all-alive probe outcome counts toward the
+// congestion policy's strikes.
+const strikeWindow = 2 * time.Minute
 
 // Init starts a daemon embedded by value on the redirector node. It must not
 // be copied afterwards.
@@ -150,50 +130,14 @@ func (d *RedirectorDaemon) AddPeer(addr ipv4.Addr) {
 	}
 }
 
-// SetCongestionPolicy enables congestion-based eviction (see
-// CongestionPolicy).
-func (d *RedirectorDaemon) SetCongestionPolicy(p CongestionPolicy) { d.congestion = p }
-
-// EnableLeases turns on lease-based membership: chain members whose
-// heartbeats (see HostDaemon.StartHeartbeats) fall silent for expiry are
-// removed proactively, giving idle services failure detection without any
-// client traffic. Registration counts as the first heartbeat, so every
-// member under this policy must heartbeat.
-func (d *RedirectorDaemon) EnableLeases(expiry time.Duration) {
-	d.leaseExpiry = expiry
-	if d.leaseSweep == nil {
-		d.leaseSweep = sim.NewTimer(d.sched, d.sweepLeases)
-	}
-	d.leaseSweep.Reset(expiry / 2)
-}
-
-func (d *RedirectorDaemon) sweepLeases() {
-	now := d.sched.Now()
-	for _, s := range d.services { // applyChain transmits
-		var expired []ipv4.Addr
-		for _, host := range s.chain {
-			i := s.seen(host)
-			if i >= 0 && now-s.lastSeen[i].at > d.leaseExpiry {
-				expired = append(expired, host)
-			}
-		}
-		if len(expired) == 0 {
-			continue
-		}
-		for _, host := range expired {
-			d.stats.LeaseExpirations++
-			removeHost(&s.chain, host)
-			i := s.seen(host)
-			s.lastSeen = slices.Delete(s.lastSeen, i, i+1)
-		}
-		d.applyChain(s)
-		d.noteReconfig(s.svc, "lease-expired", expired)
-		if d.onReconfig != nil {
-			d.onReconfig(s.svc, expired)
-		}
-	}
-	d.leaseSweep.Reset(d.leaseExpiry / 2)
-}
+// SetCongestionPolicy enables eviction of live-but-disruptive replicas
+// (paper Section 1: "it should be possible to temporarily shut down servers
+// when they cause service disruption due to congestion, and bring them back
+// in when the congestion clears"). When strikes suspicions end in all-alive
+// probe outcomes within strikeWindow, the chain tail backup is evicted — it
+// can rejoin later via re-registration (Recommission). Zero strikes, the
+// default, disables the policy.
+func (d *RedirectorDaemon) SetCongestionPolicy(strikes int) { d.strikes = strikes }
 
 // OnReconfig installs an observer for completed failure reconfigurations.
 func (d *RedirectorDaemon) OnReconfig(fn func(svc core.ServiceID, failed []ipv4.Addr)) {
@@ -227,10 +171,6 @@ func (d *RedirectorDaemon) onMessage(from udp.Endpoint, payload []byte) {
 		d.suspect(msg.Service)
 	case MsgMirror:
 		d.applyMirror(msg)
-	case MsgHeartbeat:
-		if s, _ := d.service(msg.Service); s != nil {
-			s.noteAlive(msg.Host, d.sched.Now())
-		}
 	}
 	if d.rd.IP().Poisoned() {
 		msg.scribble()
@@ -244,10 +184,9 @@ func (d *RedirectorDaemon) register(msg *Message) {
 		if s = &d.svc0; s.d != nil {
 			s = new(svcState)
 		}
-		s.d, s.svc, s.chain, s.probe, s.lastSeen = d, msg.Service, s.chain0[:0], s.probe0[:0], s.seen0[:0]
+		s.d, s.svc, s.chain, s.probe = d, msg.Service, s.chain0[:0], s.probe0[:0]
 		d.services = slices.Insert(d.services, i, s)
 	}
-	s.noteAlive(msg.Host, d.sched.Now())
 	if slices.Contains(s.chain, msg.Host) {
 		return // duplicate registration (retried datagram)
 	}
@@ -371,11 +310,11 @@ func (d *RedirectorDaemon) finishProbe(s *svcState) {
 		// the tail backup (never the primary): shrinking the chain removes
 		// potential blockers until the flow recovers; an evicted server
 		// can re-register once its congestion clears.
-		if d.congestion.Strikes > 0 && len(s.chain) > 1 {
+		if d.strikes > 0 && len(s.chain) > 1 {
 			now := d.sched.Now()
-			stale := func(ts time.Duration) bool { return ts < now-d.congestion.Window }
+			stale := func(ts time.Duration) bool { return ts < now-strikeWindow }
 			s.aliveStrikes = append(slices.DeleteFunc(s.aliveStrikes, stale), now)
-			if len(s.aliveStrikes) >= d.congestion.Strikes {
+			if len(s.aliveStrikes) >= d.strikes {
 				s.aliveStrikes = s.aliveStrikes[:0]
 				tail := s.chain[len(s.chain)-1]
 				d.stats.CongestionEvictions++
@@ -454,25 +393,6 @@ func (d *RedirectorDaemon) applyChain(s *svcState) {
 		}
 		d.rel.Send(udp.Endpoint{Addr: host, Port: ManagementPort}, &set, nil)
 	}
-}
-
-// noteAlive records lease liveness for a member.
-func (s *svcState) noteAlive(host ipv4.Addr, now time.Duration) {
-	if i := s.seen(host); i >= 0 {
-		s.lastSeen[i].at = now
-		return
-	}
-	s.lastSeen = append(s.lastSeen, leaseSeen{host, now})
-}
-
-// seen is host's index in lastSeen, or -1.
-func (s *svcState) seen(host ipv4.Addr) int {
-	for i := range s.lastSeen {
-		if s.lastSeen[i].host == host {
-			return i
-		}
-	}
-	return -1
 }
 
 // removeHost deletes host from chain and reports whether it was there.

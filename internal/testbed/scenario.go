@@ -12,7 +12,6 @@ import (
 	"hydranet/internal/core"
 	"hydranet/internal/invariant"
 	"hydranet/internal/netsim"
-	"hydranet/internal/rmp"
 	"hydranet/internal/ttcp"
 )
 
@@ -37,12 +36,10 @@ type Scenario struct {
 
 	// The service on every replica: Accept (an echo when nil, a ttcp sink
 	// under a TTCP workload), the detector's Threshold (zero: its default),
-	// the Heartbeat period (zero: none), the loss of every replica's
-	// acknowledgment channel, and the strikes after which the redirector
-	// evicts a congested replica (zero: never).
+	// the loss of every replica's acknowledgment channel, and the strikes
+	// after which the redirector evicts a congested replica (zero: never).
 	Accept    func(*hydranet.Conn)
 	Threshold int
-	Heartbeat time.Duration
 	ChainLoss float64
 	Strikes   int
 
@@ -142,15 +139,16 @@ type Run struct {
 
 // A Stream is one client connection and what the client read: Delivered
 // bytes, Garbled if they are not a prefix of the bytes it expects. Stall is
-// the longest wait between two reads that ends after the run's first crash;
-// the first read's wait counts from the dial.
+// the longest wait between two reads that ends after the run's first crash,
+// the first such wait on ties, and StallEnd the instant it ended; the first
+// read's wait counts from the dial.
 type Stream struct {
 	Conn              *hydranet.Conn
 	Delivered         int
 	Garbled, Closed   bool
 	Err               error         // what the connection closed with
 	Dialled, ClosedAt time.Duration // ClosedAt counts from the dial
-	Stall             time.Duration
+	Stall, StallEnd   time.Duration
 	lastRead          time.Duration
 	want              []byte
 }
@@ -188,7 +186,9 @@ func (r *Run) Dial(from *hydranet.Host, to hydranet.Endpoint, send []byte, close
 				if r.Resumed == 0 {
 					r.Resumed = now - r.CrashedAt
 				}
-				s.Stall = max(s.Stall, now-s.lastRead)
+				if gap := now - s.lastRead; gap > s.Stall {
+					s.Stall, s.StallEnd = gap, now
+				}
 			}
 			s.lastRead = now
 		}
@@ -388,7 +388,7 @@ func (r *Run) Problems(violated ...string) []string {
 // deploy replicates the service on every server, settles the chain and
 // starts timing reconfigurations.
 func (r *Run) deploy(sc *Scenario, svc hydranet.ServiceID, accept func(*hydranet.Conn)) {
-	opts := hydranet.FTOptions{Detector: hydranet.DetectorParams{RetransmitThreshold: sc.Threshold}, Heartbeat: sc.Heartbeat}
+	opts := hydranet.FTOptions{Detector: hydranet.DetectorParams{RetransmitThreshold: sc.Threshold}}
 	var err error
 	if r.Service, err = r.Net.DeployFT(svc, r.Redirector, r.Replicas, opts, accept); err != nil {
 		panic(err)
@@ -402,7 +402,7 @@ func (r *Run) deploy(sc *Scenario, svc hydranet.ServiceID, accept func(*hydranet
 		}
 	}
 	if sc.Strikes > 0 {
-		r.Redirector.Daemon().SetCongestionPolicy(rmp.CongestionPolicy{Strikes: sc.Strikes, Window: 2 * time.Minute})
+		r.Redirector.Daemon().SetCongestionPolicy(sc.Strikes)
 	}
 	r.Net.Settle()
 	if r.log != nil {

@@ -163,3 +163,25 @@ func TestTwoIndependentFTServices(t *testing.T) {
 		}
 	}})
 }
+
+// TestVoluntaryLeaveViaFacade: FTService.Leave resplices the chain and
+// promotes the successor when the primary departs, without any client
+// disturbance.
+func TestVoluntaryLeaveViaFacade(t *testing.T) {
+	row(t, testbed.Scenario{Seed: 133, Replicas: 3, Send: []byte("one|"), Steps: []testbed.Step{
+		{After: 2 * time.Second, Do: func(r *testbed.Run) {
+			if err := r.Service.Leave(r.Replicas[0]); err != nil { // the primary departs
+				t.Fatal(err)
+			}
+			r.Net.Settle()
+			wantChain(t, r, 1, 2)
+			r.Write([]byte("two"))
+		}},
+		{After: 60 * time.Second},
+	}}, verdict{echo: true, check: func(r *testbed.Run) {
+		// Leaving twice (or a stranger) errors cleanly.
+		if err := r.Service.Leave(r.Net.AddHost("stranger", hydranet.HostConfig{})); err == nil {
+			t.Error("Leave accepted a non-member")
+		}
+	}})
+}

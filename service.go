@@ -29,12 +29,6 @@ func (h *Host) Daemon(rd *Redirector) *rmp.HostDaemon {
 type FTOptions struct {
 	// Detector configures the failure estimator on every replica.
 	Detector DetectorParams
-	// Heartbeat, if nonzero, enables lease-based membership: every replica
-	// announces liveness at this interval and the redirector expires
-	// members silent for three intervals. This detects failures even on
-	// completely idle services; zero (the default) keeps the paper's
-	// purely traffic-driven detection.
-	Heartbeat time.Duration
 }
 
 // FTReplica is one deployed replica of a fault-tolerant service.
@@ -82,13 +76,7 @@ func (n *Net) DeployFT(svc ServiceID, rd *Redirector, hosts []*Host,
 		}
 		listener.SetAcceptFunc(accept)
 		port := h.Daemon(rd).RegisterFT(svc, mode, opts.Detector, listener)
-		if opts.Heartbeat > 0 {
-			h.Daemon(rd).StartHeartbeats(svc, opts.Heartbeat)
-		}
 		s.replicas = append(s.replicas, FTReplica{Host: h, Port: port, Listener: listener})
-	}
-	if opts.Heartbeat > 0 {
-		rd.Daemon().EnableLeases(3 * opts.Heartbeat)
 	}
 	return s, nil
 }
@@ -172,8 +160,6 @@ func (s *FTService) Recommission(h *Host) error {
 	} else {
 		listener = rep.Listener
 	}
-	// Heartbeats need no restart: the timer DeployFT started kept ticking
-	// through the crash.
 	rep.Port = h.Daemon(s.rd).RegisterFT(s.svc, ModeBackup, s.opts.Detector, listener)
 	if b := h.net.bus; b.Enabled(obs.KindRecommission) {
 		b.Publish(obs.Event{

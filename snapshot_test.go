@@ -151,13 +151,13 @@ func TestSnapshotDiffMgmtCounters(t *testing.T) {
 		Name:  "rd",
 		Table: redirector.Stats{Redirected: 10, Multicast: 5, MulticastCopies: 15},
 		Mgmt: &rmp.RedirectorDaemonStats{Registrations: 3, Leaves: 1, Suspicions: 2, ProbesSent: 20,
-			HostsFailed: 1, Reconfigs: 1, CongestionEvictions: 0, LeaseExpirations: 4},
+			HostsFailed: 1, Reconfigs: 1, CongestionEvictions: 0},
 	}}}
 	cur := hydranet.Snapshot{Time: 3 * time.Second, Redirectors: []hydranet.RedirectorSnapshot{{
 		Name:  "rd",
 		Table: redirector.Stats{Redirected: 25, Multicast: 12, MulticastCopies: 36},
 		Mgmt: &rmp.RedirectorDaemonStats{Registrations: 4, Leaves: 1, Suspicions: 5, ProbesSent: 32,
-			HostsFailed: 2, Reconfigs: 3, CongestionEvictions: 1, LeaseExpirations: 4},
+			HostsFailed: 2, Reconfigs: 3, CongestionEvictions: 1},
 	}, {Name: "rd2", Mgmt: &rmp.RedirectorDaemonStats{Registrations: 7}}}}
 
 	d := cur.Diff(prev)
@@ -169,7 +169,7 @@ func TestSnapshotDiffMgmtCounters(t *testing.T) {
 		t.Errorf("table diff = %+v", rd.Table)
 	}
 	wantMgmt := rmp.RedirectorDaemonStats{Registrations: 1, Leaves: 0, Suspicions: 3, ProbesSent: 12,
-		HostsFailed: 1, Reconfigs: 2, CongestionEvictions: 1, LeaseExpirations: 0}
+		HostsFailed: 1, Reconfigs: 2, CongestionEvictions: 1}
 	if rd.Mgmt == nil || *rd.Mgmt != wantMgmt {
 		t.Errorf("mgmt diff = %+v, want %+v", rd.Mgmt, wantMgmt)
 	}
