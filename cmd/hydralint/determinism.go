@@ -25,9 +25,9 @@ var coveredPkgs = []string{
 	"internal/core", "internal/rmp", "internal/hostserver",
 	// Its rendering is every exported artifact.
 	"internal/obs",
-	// ICMP, the address helpers and the frame pool run inside the
-	// simulation loop; metrics and capture write its artifacts.
-	"internal/icmp", "internal/inet", "internal/frame", "internal/metrics", "internal/capture",
+	// The address helpers and the frame pool run inside the simulation
+	// loop; metrics and capture write its artifacts.
+	"internal/inet", "internal/frame", "internal/metrics", "internal/capture",
 	// The invariant monitor's verdicts must be byte-identical across runs
 	// of one seed: a map-ordered violation emission or wall-clock stamp
 	// would break audit-report parity.

@@ -93,7 +93,6 @@ func main() {
 	verbose := flag.Bool("v", false, "narrate management events (registration, reconfiguration, promotion)")
 	events := flag.String("events", "", "stream bus events of these kinds (comma-separated, \"all\", or \"list\")")
 	stats := flag.Bool("stats", false, "print net-wide statistics at the end")
-	perf := flag.Bool("perf", false, "report simulator performance (events/sec, frames/sec, wall time)")
 	statsJSON := flag.String("stats-json", "", "write the final snapshot as JSON to this file (\"-\" = stdout)")
 	traceSegs := flag.Int("trace", 0, "emit up to N tcpdump-style segment trace lines")
 	observe, startPprof := testbed.ObserverFlags(flag.CommandLine)
@@ -221,15 +220,6 @@ func main() {
 	}
 
 	snap := r.Net.Snapshot()
-	if *perf {
-		info := r.Info()
-		fmt.Fprintf(out, "\nsimulator performance: %d events, %d frames in %v",
-			info.Events, info.Frames, info.Wall.Round(time.Microsecond))
-		if s := info.Wall.Seconds(); s > 0 {
-			fmt.Fprintf(out, " (%.0f events/sec, %.0f frames/sec)", float64(info.Events)/s, float64(info.Frames)/s)
-		}
-		fmt.Fprintln(out)
-	}
 	if *stats {
 		printSnapshot(out, snap)
 		fmt.Fprintln(out, "  event counts:")

@@ -57,26 +57,6 @@ func Example_failover() {
 	// state:   ESTABLISHED
 }
 
-// Example_ping demonstrates the ICMP layer: ping and traceroute across two
-// routers.
-func Example_ping() {
-	net := hydranet.New(hydranet.Config{Seed: 2})
-	client := net.AddHost("client", hydranet.HostConfig{})
-	r1 := net.AddRouter("r1", hydranet.HostConfig{})
-	server := net.AddHost("server", hydranet.HostConfig{})
-	link := hydranet.LinkConfig{Rate: 10_000_000, Delay: 5 * time.Millisecond}
-	net.Link(client, r1, link)
-	net.Link(r1, server, link)
-	net.AutoRoute()
-
-	client.Traceroute(server.Addr(), 4, func(hops []hydranet.Addr) {
-		fmt.Printf("%d hops, last %s\n", len(hops), hops[len(hops)-1])
-	})
-	net.RunFor(10 * time.Second)
-	// Output:
-	// 2 hops, last 10.2.0.2
-}
-
 // get fetches "/" from ep over a new connection from h, with the mini-HTTP
 // protocol of app.HTTPServer, and prints the reply.
 func get(net *hydranet.Net, h *hydranet.Host, ep hydranet.Endpoint) {
@@ -272,10 +252,6 @@ func Example_internet() {
 			bytes.Count(streams[i], []byte(";")), frames, bytes.Equal(streams[i], want))
 	}
 	fmt.Println("surviving audio chain:", audio.Chain())
-	clientSW.Traceroute(webAddr, 6, func(hops []hydranet.Addr) {
-		fmt.Println("traceroute client-sw → www:", hops)
-	})
-	net.RunFor(20 * time.Second)
 	// Output:
 	// client-sw GET 192.20.225.20:80/: 200 from the origin host
 	// client-ne GET 192.20.225.20:80/: 200 from the northeast host server
@@ -283,7 +259,6 @@ func Example_internet() {
 	// client-sw: 120/120 frames, gapless true
 	// client-ne: 120/120 frames, gapless true
 	// surviving audio chain: [10.6.0.1]
-	// traceroute client-sw → www: [10.2.0.2 192.20.225.20]
 }
 
 // Example_mediastream is the paper's motivating live broadcast: "the video

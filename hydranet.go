@@ -35,7 +35,6 @@ import (
 
 	"hydranet/internal/core"
 	"hydranet/internal/hostserver"
-	"hydranet/internal/icmp"
 	"hydranet/internal/inet"
 	"hydranet/internal/ipv4"
 	"hydranet/internal/netsim"
@@ -184,7 +183,6 @@ type Host struct {
 	ip   ipv4.Stack
 	udp  udp.Stack
 	tcp  tcp.Stack
-	icmp icmp.Stack
 	hs   hostserver.HostServer
 	mgr  *core.Manager   // &mgr0 once FTManager has run
 	dmn  *rmp.HostDaemon // &dmn0 once Daemon has run
@@ -202,7 +200,6 @@ func (n *Net) AddHost(name string, cfg HostConfig) *Host {
 	h.udp.Init(&h.ip)
 	h.tcp.Init(&h.ip, n.cfg.TCP)
 	h.tcp.SetBus(n.bus)
-	h.icmp.Init(&h.ip)
 	h.hs.Init(&h.ip)
 	n.hosts = append(n.hosts, h)
 	return h
@@ -229,43 +226,6 @@ func (h *Host) IP() *ipv4.Stack { return &h.ip }
 
 // HostServer returns the HydraNet host-server facet.
 func (h *Host) HostServer() *hostserver.HostServer { return &h.hs }
-
-// ICMP returns the host's ICMP layer (ping, error observation).
-func (h *Host) ICMP() *icmp.Stack { return &h.icmp }
-
-// Ping sends one ICMP echo to dst; done receives the outcome. Run the
-// network to let it complete.
-func (h *Host) Ping(dst Addr, timeout time.Duration, done func(icmp.EchoResult)) {
-	h.icmp.Ping(dst, 0, timeout, done)
-}
-
-// Traceroute probes the path to dst with rising TTLs, reporting each hop
-// address (zero for a silent hop) until dst answers or maxHops is reached.
-// done receives the hop list when the probe completes.
-func (h *Host) Traceroute(dst Addr, maxHops int, done func(hops []Addr)) {
-	var hops []Addr
-	var probe func(ttl int)
-	probe = func(ttl int) {
-		if ttl > maxHops {
-			done(hops)
-			return
-		}
-		h.icmp.Ping(dst, uint8(ttl), 2*time.Second, func(r icmp.EchoResult) {
-			switch {
-			case r.TimeExceeded:
-				hops = append(hops, r.From)
-				probe(ttl + 1)
-			case r.TimedOut:
-				hops = append(hops, 0)
-				probe(ttl + 1)
-			default:
-				hops = append(hops, r.From)
-				done(hops)
-			}
-		})
-	}
-	probe(1)
-}
 
 // FTManager returns the host's ft-TCP engine, initializing it on first use.
 func (h *Host) FTManager() *core.Manager {

@@ -4,8 +4,6 @@ import (
 	"testing"
 	"time"
 
-	"hydranet"
-	"hydranet/internal/icmp"
 	"hydranet/internal/testbed"
 )
 
@@ -73,24 +71,4 @@ func TestBackupCrashIsInvisible(t *testing.T) {
 			{After: 2 * time.Second, Do: func(r *testbed.Run) { r.Write([]byte("two")) }},
 			{After: 60 * time.Second},
 		}}, verdict{echo: true, chain: []int{0}})
-}
-
-// TestPingCountsOriginated: an echo request is a datagram the sender
-// originates, counted once like any other.
-func TestPingCountsOriginated(t *testing.T) {
-	net := hydranet.New(hydranet.Config{Seed: 1})
-	a := net.AddHost("a", hydranet.HostConfig{})
-	b := net.AddHost("b", hydranet.HostConfig{})
-	net.Link(a, b, hydranet.LinkConfig{Rate: 10_000_000, Delay: time.Millisecond})
-	net.AutoRoute()
-	before := a.IP().Stats().Originated
-	var got icmp.EchoResult
-	a.Ping(b.Addr(), time.Second, func(r icmp.EchoResult) { got = r })
-	net.RunFor(100 * time.Millisecond)
-	if got.TimedOut || got.Unreachable || got.RTT == 0 {
-		t.Fatalf("ping failed: %+v", got)
-	}
-	if n := a.IP().Stats().Originated - before; n != 1 {
-		t.Fatalf("one ping raised the sender's IP.Originated by %d, want 1", n)
-	}
 }

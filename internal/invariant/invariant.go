@@ -11,7 +11,7 @@
 // or node allocates its tracking slot, every later event lands in existing
 // storage; TestMonitorZeroCostWhenDetached pins it).
 //
-// Checked rules (see DESIGN.md §10 for the paper clause each encodes):
+// Checked rules (see DESIGN.md §9 for the paper clause each encodes):
 //
 //   - deposit-cursor: per (node, service, conn) the deposit cursor advances
 //     by exactly the bytes deposited — no byte reaches the application

@@ -11,7 +11,7 @@ import (
 )
 
 // ErrFragNeeded reports a datagram that needs fragmentation but carries the
-// don't-fragment flag; ICMP converts it into "fragmentation needed".
+// don't-fragment flag.
 var ErrFragNeeded = errors.New("ipv4: fragmentation needed but DF set")
 
 // fragCutter cuts a datagram that does not fit an MTU into fragments, one
@@ -29,8 +29,7 @@ type fragCutter struct {
 }
 
 // init prepares to cut p, which does not fit mtu. A datagram with DontFrag
-// set produces an error, mirroring the kernel's ICMP "fragmentation needed"
-// path.
+// set produces an error.
 func (c *fragCutter) init(p *Packet, mtu int) error {
 	if p.DontFrag {
 		return fmt.Errorf("%w: datagram %d→%s", ErrFragNeeded, p.ID, p.Dst)

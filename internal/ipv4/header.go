@@ -7,7 +7,6 @@ import (
 
 // Assigned protocol numbers used by HydraNet-FT.
 const (
-	ProtoICMP uint8 = 1
 	ProtoIPIP uint8 = 4 // IP-in-IP encapsulation, the redirector's tunnel
 	ProtoTCP  uint8 = 6
 	ProtoUDP  uint8 = 17

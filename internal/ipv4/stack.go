@@ -1,7 +1,6 @@
 package ipv4
 
 import (
-	"errors"
 	"fmt"
 	"slices"
 
@@ -17,26 +16,9 @@ const DefaultTTL = 64
 // IP-in-IP decapsulator to receive locally delivered datagrams. pkt is the
 // receiver's scratch: it (like the payload bytes it aliases) is valid only
 // for the duration of the call. The same holds for the packet passed to a
-// ForwardHook and an ErrorReporter.
+// ForwardHook.
 type ProtocolHandler interface {
 	DeliverIP(pkt *Packet)
-}
-
-// ErrorReason classifies IP-layer failures reported to the ICMP layer.
-type ErrorReason int
-
-// Reportable failures.
-const (
-	ErrorTTLExceeded ErrorReason = iota + 1
-	ErrorNoRoute
-	ErrorNoListener
-	ErrorFragNeeded
-)
-
-// ErrorReporter receives IP-layer failures together with the offending
-// packet; the ICMP layer turns them into control messages.
-type ErrorReporter interface {
-	ReportIPError(reason ErrorReason, offending *Packet)
 }
 
 // ForwardHook lets a router component (the HydraNet redirector) inspect and
@@ -77,12 +59,11 @@ type Stack struct {
 	nextID     uint16
 	forwarding bool
 	fwdHook    ForwardHook
-	reporter   ErrorReporter
 
 	// rx is the scratch every received frame is parsed into. The *Packet
-	// handed to protocol handlers, the forward hook and the error reporter
-	// points here (or at a reassembled datagram) and, like the frame bytes it
-	// aliases, is valid only until the call returns.
+	// handed to protocol handlers and the forward hook points here (or at a
+	// reassembled datagram) and, like the frame bytes it aliases, is valid
+	// only until the call returns.
 	rx Packet
 
 	// encap stages the inner datagram of a tunnel packet that has to be
@@ -180,39 +161,26 @@ func (s *Stack) SetForwarding(on bool) { s.forwarding = on }
 // SetForwardHook installs the redirector intercept in the forwarding path.
 func (s *Stack) SetForwardHook(h ForwardHook) { s.fwdHook = h }
 
-// SetErrorReporter installs the ICMP layer's failure observer.
-func (s *Stack) SetErrorReporter(r ErrorReporter) { s.reporter = r }
-
-// ReportError lets transport layers report delivery failures (e.g. UDP
-// port unreachable) into the same channel as IP-layer failures.
-func (s *Stack) ReportError(reason ErrorReason, offending *Packet) {
-	if s.reporter != nil {
-		s.reporter.ReportIPError(reason, offending)
-	}
-}
-
-// numProtos is the number of IP protocols a stack carries: ICMP, IP-in-IP,
-// TCP and UDP. Their handlers sit in a fixed table, indexed by protoSlot.
-const numProtos = 4
+// numProtos is the number of IP protocols a stack carries: IP-in-IP, TCP
+// and UDP. Their handlers sit in a fixed table, indexed by protoSlot.
+const numProtos = 3
 
 // protoSlot returns proto's index in Stack.protos, or -1 for a protocol the
 // stack does not carry.
 func protoSlot(proto uint8) int {
 	switch proto {
-	case ProtoICMP:
-		return 0
 	case ProtoIPIP:
-		return 1
+		return 0
 	case ProtoTCP:
-		return 2
+		return 1
 	case ProtoUDP:
-		return 3
+		return 2
 	}
 	return -1
 }
 
-// RegisterProto installs the handler for an IP protocol number: ProtoICMP,
-// ProtoIPIP, ProtoTCP or ProtoUDP. Any other number panics.
+// RegisterProto installs the handler for an IP protocol number: ProtoIPIP,
+// ProtoTCP or ProtoUDP. Any other number panics.
 func (s *Stack) RegisterProto(proto uint8, h ProtocolHandler) {
 	i := protoSlot(proto)
 	if i < 0 {
@@ -221,49 +189,27 @@ func (s *Stack) RegisterProto(proto uint8, h ProtocolHandler) {
 	s.protos[i] = h
 }
 
-// Send originates a datagram. A zero src selects the address of the
-// outgoing interface. The payload is not copied; callers must not reuse it.
+// Send originates a datagram from a copy of payload. A zero src selects
+// the source address with SourceFor.
 func (s *Stack) Send(proto uint8, src, dst Addr, payload []byte) error {
-	h := Header{TTL: DefaultTTL, Proto: proto, Src: src, Dst: dst, ID: s.allocID()}
+	if src == 0 {
+		src = s.SourceFor(dst)
+	}
+	return s.SendSegment(proto, src, dst, s.node.Pool().GetCopy(payload))
+}
+
+// SourceFor returns the source address a datagram to dst leaves with: dst
+// itself when it is local, else the outgoing interface's address, or zero
+// when there is no route.
+func (s *Stack) SourceFor(dst Addr) Addr {
 	if s.IsLocal(dst) {
-		// Loopback: deliver asynchronously so protocol code never
-		// reenters itself within one call stack.
-		s.stats.Originated++
-		p := &Packet{Header: h, Payload: payload}
-		s.sched.After(0, func() {
-			if s.node.Alive() {
-				s.deliverLocal(p)
-			}
-		})
-		return nil
+		return dst
 	}
-	ifindex := s.routes.Lookup(dst)
-	if ifindex < 0 {
-		s.stats.NoRoute++
-		return fmt.Errorf("ipv4: no route to %s", dst)
+	if ifindex := s.routes.Lookup(dst); ifindex >= 0 {
+		return s.Addr(ifindex)
 	}
-	if h.Src == 0 {
-		h.Src = s.Addr(ifindex)
-	}
-	s.stats.Originated++
-	return s.transmit(&Packet{Header: h, Payload: payload}, ifindex)
+	return 0
 }
-
-// SendPacket routes and transmits a datagram whose header the caller built
-// (ICMP echo requests, which set their own TTL) and counts it as originated.
-func (s *Stack) SendPacket(p *Packet) error {
-	ifindex := s.routes.Lookup(p.Dst)
-	if ifindex < 0 {
-		s.stats.NoRoute++
-		return fmt.Errorf("ipv4: no route to %s", p.Dst)
-	}
-	s.stats.Originated++
-	return s.transmit(p, ifindex)
-}
-
-// AllocID returns a fresh IP identification value for datagrams the caller
-// marshals itself (tunnel encapsulation).
-func (s *Stack) AllocID() uint16 { return s.allocID() }
 
 func (s *Stack) allocID() uint16 {
 	s.nextID++
@@ -327,7 +273,6 @@ func (s *Stack) input(p *Packet) {
 	}
 	if p.TTL <= 1 {
 		s.stats.TTLExceeded++
-		s.ReportError(ErrorTTLExceeded, p)
 		return
 	}
 	p.TTL--
@@ -335,14 +280,8 @@ func (s *Stack) input(p *Packet) {
 		return
 	}
 	s.stats.Forwarded++
-	if err := s.forward(p); err != nil {
-		// ICMP reports the failure to the source; the packet is dropped.
-		reason := ErrorNoRoute
-		if errors.Is(err, ErrFragNeeded) {
-			reason = ErrorFragNeeded
-		}
-		s.ReportError(reason, p)
-	}
+	// A datagram that cannot be forwarded is dropped.
+	_ = s.forward(p) //nolint:errcheck
 }
 
 // InjectLocal delivers an already-parsed datagram to local protocol

@@ -126,6 +126,32 @@ func TestLoopbackDelivery(t *testing.T) {
 	noFramesOut(t, cs)
 }
 
+// TestLoopbackSendCopies: Send queues a copy of its payload, so a caller
+// that reuses its buffer once Send returns does not change what the local
+// handler receives.
+func TestLoopbackSendCopies(t *testing.T) {
+	sched, cs, _, _ := threeNodeNet(t, netsim.LinkConfig{})
+	recv := &sink{}
+	cs.RegisterProto(ProtoUDP, recv)
+	self := inet.MustParseAddr("10.1.0.2")
+	buf := []byte("original")
+	if err := cs.Send(ProtoUDP, 0, self, buf); err != nil {
+		t.Fatal(err)
+	}
+	copy(buf, "mutated!")
+	sched.Run()
+	if len(recv.pkts) != 1 {
+		t.Fatalf("loopback delivered %d datagrams, want 1", len(recv.pkts))
+	}
+	if got := string(recv.pkts[0].Payload); got != "original" {
+		t.Fatalf("loopback delivered %q, want the bytes Send was given", got)
+	}
+	if p := recv.pkts[0]; p.Src != self {
+		t.Errorf("src = %s, want %s: a local destination is its own source", p.Src, self)
+	}
+	noFramesOut(t, cs)
+}
+
 // TestNoRouteError: both send paths fail with no route, and SendSegment
 // releases the frame it was handed.
 func TestNoRouteError(t *testing.T) {
@@ -177,18 +203,25 @@ func TestTTLExpiry(t *testing.T) {
 	recv := &sink{}
 	stacks[len(stacks)-1].RegisterProto(ProtoUDP, recv)
 
-	// Forge a packet with TTL 3, fewer than the 6 hops needed.
+	// Forge a datagram with TTL 3, fewer than the 6 hops needed, and put it
+	// on node 0's wire as a frame.
 	p := &Packet{Header: Header{TTL: 3, Proto: ProtoUDP, Src: 1, Dst: dstAddr, ID: 7}, Payload: []byte("doomed")}
-	if err := stacks[0].SendPacket(p); err != nil {
+	b, err := p.Marshal()
+	if err != nil {
 		t.Fatal(err)
 	}
+	nodes[0].SendFrame(0, nodes[0].Pool().GetCopy(b))
 	sched.Run()
 	if len(recv.pkts) != 0 {
 		t.Fatal("packet survived past its TTL")
 	}
 	var expired uint64
-	for _, s := range stacks {
+	for i, s := range stacks {
 		expired += s.Stats().TTLExceeded
+		// Expiry is a silent drop: no router originates a reply.
+		if n := s.Stats().Originated; n != 0 {
+			t.Errorf("stack %d originated %d datagrams, want 0", i, n)
+		}
 	}
 	if expired != 1 {
 		t.Errorf("TTLExceeded total = %d, want 1", expired)

@@ -32,7 +32,7 @@ type FailoverConfig struct {
 	// once the topology stands, before the service registers.
 	Observe hydranet.Instruments
 	// FlightPrefix and SpansPath are names bench/ compiles against;
-	// MeasureFailover ignores both, which name no observer (DESIGN.md §11).
+	// MeasureFailover ignores both, which name no observer (DESIGN.md §10).
 	FlightPrefix, SpansPath string
 }
 

@@ -116,7 +116,7 @@ type Config struct {
 	// once the topology stands, before the service registers.
 	Observe hydranet.Instruments
 	// PcapPath, SeriesPath, ProfilePath and Invariants are the names bench/
-	// compiles against; scenario folds them into Observe (DESIGN.md §11) and
+	// compiles against; scenario folds them into Observe (DESIGN.md §10) and
 	// ignores SeriesPath and ProfilePath, which name no observer.
 	PcapPath, SeriesPath, ProfilePath string
 	Invariants                        bool

@@ -155,21 +155,11 @@ func (s *Stack) SendTo(srcAddr ipv4.Addr, srcPort uint16, dst Endpoint, payload 
 	// The checksum covers the pseudo-header, so the source address must be
 	// resolved before marshaling when left unspecified.
 	if srcAddr == 0 {
-		srcAddr = s.localSourceFor(dst.Addr)
+		srcAddr = s.ip.SourceFor(dst.Addr)
 	}
 	fb := s.ip.Node().Pool().Get(HeaderLen + len(payload))
 	MarshalInto(fb.Bytes(), srcAddr, dst.Addr, srcPort, dst.Port, payload)
 	return s.ip.SendSegment(ipv4.ProtoUDP, srcAddr, dst.Addr, fb)
-}
-
-func (s *Stack) localSourceFor(dst ipv4.Addr) ipv4.Addr {
-	if s.ip.IsLocal(dst) {
-		return dst
-	}
-	if ifindex := s.ip.Routes().Lookup(dst); ifindex >= 0 {
-		return s.ip.Addr(ifindex)
-	}
-	return 0
 }
 
 // DeliverIP implements ipv4.ProtocolHandler.
@@ -199,5 +189,4 @@ func (s *Stack) DeliverIP(p *ipv4.Packet) {
 		return
 	}
 	s.noListener++
-	s.ip.ReportError(ipv4.ErrorNoListener, p)
 }

@@ -28,7 +28,7 @@ type MonitorConfig struct {
 // Use Instruments.Invariants: Instrument attaches the monitor at the one
 // point where it sees the registrations. StartMonitor, FinishAudit and
 // MonitorConfig stay exported only for bench/, which compiles against them
-// (DESIGN.md §11 is the one attach surface).
+// (DESIGN.md §10 is the one attach surface).
 func (n *Net) StartMonitor(cfg MonitorConfig) *Monitor {
 	frames0, bytes0 := n.linkTotals()
 	m := invariant.New(invariant.Config{
