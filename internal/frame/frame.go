@@ -22,10 +22,11 @@
 //
 // A pool that runs dry allocates a slab: slabBufs buffers of one size class
 // and one backing array they share, each buffer's bytes capped at its class
-// size so that no buffer can reach its neighbour. A fresh Net therefore
-// costs a pool two objects per slab, not two per buffer. Released buffers
-// wait on a per-class list chained through the buffers themselves, so
-// recycling never allocates either.
+// size so that no buffer can reach its neighbour. The headers of each class's
+// first slab live in the Pool itself, so a fresh Net pays one object for a
+// class's first slab and two for each later one, never one per buffer.
+// Released buffers wait on a per-class list chained through the buffers
+// themselves, so recycling never allocates either.
 //
 // The simulator is single-threaded per scheduler, so the pool needs no
 // locking; one Pool must never be shared across schedulers.
@@ -118,8 +119,9 @@ func (b *Buf) Release() {
 // scheduler goroutine (e.g. between parallel sweep shards), so it is
 // atomic.
 type Pool struct {
-	free   [len(classSizes)]*Buf  // released buffers, most recent first
-	fresh  [len(classSizes)][]Buf // the current slab's never-used buffers
+	free   [len(classSizes)]*Buf          // released buffers, most recent first
+	fresh  [len(classSizes)][]Buf         // the current slab's never-used buffers
+	slab0  [len(classSizes)][slabBufs]Buf // each class's first slab's headers
 	poison atomic.Bool
 
 	gets, puts, misses uint64
@@ -186,7 +188,10 @@ func (p *Pool) Get(n int) *Buf {
 func (p *Pool) fromSlab(ci, size int) *Buf {
 	p.misses++
 	if len(p.fresh[ci]) == 0 {
-		bufs := make([]Buf, slabBufs)
+		bufs := p.slab0[ci][:]
+		if bufs[0].pool != nil {
+			bufs = make([]Buf, slabBufs)
+		}
 		mem := make([]byte, slabBufs*size)
 		for i := range bufs {
 			bufs[i] = Buf{data: mem[i*size : (i+1)*size : (i+1)*size], pool: p, cls: int8(ci)}

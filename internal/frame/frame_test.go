@@ -132,6 +132,27 @@ func TestSlabBuffersAreIsolated(t *testing.T) {
 	bufs[5].Release()
 }
 
+// TestFirstSlabIsOneObject: a class's first slab keeps its buffer headers in
+// the pool, so a fresh pool that hands out a slab's worth of one class makes
+// one object besides itself, the slab's bytes; the next slab makes two, its
+// headers and its bytes.
+func TestFirstSlabIsOneObject(t *testing.T) {
+	for _, c := range []struct {
+		gets int
+		want float64
+	}{{slabBufs, 1 + 1}, {slabBufs + 1, 1 + 1 + 2}} {
+		allocs := testing.AllocsPerRun(10, func() {
+			p := NewPool()
+			for i := 0; i < c.gets; i++ {
+				p.Get(1000)
+			}
+		})
+		if allocs != c.want {
+			t.Errorf("a fresh pool handing out %d buffers of one class allocates %v objects, want %v", c.gets, allocs, c.want)
+		}
+	}
+}
+
 // TestMissesCountFreshBuffers checks that a miss is one buffer handed out
 // for the first time, not one slab allocation: a second slab's worth of Gets
 // misses once per buffer, and a reused buffer is no miss.

@@ -8,9 +8,9 @@ import (
 
 // bufPool is a stack's supply of socket-buffer backing arrays: LIFO free
 // lists, one per power-of-two capacity. Connections draw their send and
-// receive arrays and the private copies of out-of-order segments from it and
-// hand them back as they outgrow or finish with them, so a stack that opens
-// and closes connections at a steady rate allocates no buffer at all.
+// receive arrays from it and hand them back when they finish with them (or
+// when a receiver outgrows its bound, below), so a stack that opens and
+// closes connections at a steady rate allocates no buffer at all.
 //
 // Ownership: an array belongs to whoever took it until that owner puts it
 // back, and put ends every claim on it — slices of a socket buffer (what
@@ -24,8 +24,8 @@ import (
 // the one pool's longer free lists outgrow their inline backing. The
 // benchmark's failover_sweep (seed 1, one Net a scenario) measured 0.008548 M
 // objects a repetition with a pool per Net against 0.0084525 with one per
-// stack. What a fresh Net pays for its stacks' first arrays goes only with a
-// Net that is reset and reused.
+// stack. A fresh Net's connections each take their two arrays anew; only a
+// Net that is reset and reused would keep them.
 type bufPool struct {
 	free   [bufClasses][][]byte
 	free0  [bufClasses][2][]byte // each list's backing while it holds at most two
@@ -76,6 +76,11 @@ func (p *bufPool) put(b []byte) {
 	p.free[k-minBufClass] = append(p.free[k-minBufClass], b)
 }
 
+// first sizes a byte queue's first array: the whole 2×max at once. Growing
+// through smaller arrays cost one pooled array per step and left the smaller
+// ones idle in the pool.
+func (*bufPool) first(max int) int { return 2 * max }
+
 // markArrays is the array source of the one queue that does not pool: the
 // write-boundary marks of a segment-per-write send buffer.
 var markArrays arraySource[Seq] = heapSeqs{}
@@ -85,58 +90,74 @@ type heapSeqs struct{}
 func (heapSeqs) get(size int) []Seq { return make([]Seq, size) }
 func (heapSeqs) put([]Seq)          {}
 
+// first sizes a marks queue's first array: marks are few next to bytes, so
+// their queue starts small and grows geometrically.
+func (heapSeqs) first(int) int { return fifoMinStore }
+
 // arraySource is where a fifo gets its backing arrays: a *bufPool for bytes,
 // markArrays for marks.
 type arraySource[T any] interface {
 	get(size int) []T
 	put([]T)
+	first(max int) int
 }
 
 // fifo is a first-in-first-out queue whose live elements always form one
 // contiguous slice of a single backing array, so readers get a plain []T
 // and steady-state traffic allocates nothing.
 //
-// Layout: live = store[off : off+len(live)]. drop advances off; extend
-// appends in place while the tail has room and otherwise slides the live
-// elements to the front of the array. The array grows geometrically, in
-// powers of two, to at most twice the queue's maximum length; from then on a
-// slide only happens once at least as many elements have been dropped as it
-// copies, so the amortised cost is at most one copied element per element
-// queued.
+// Layout: live = store[off : off+len(live)]; a receiver also stages elements
+// past the live ones, in live's capacity. drop advances off; extend appends
+// in place while the tail has room and otherwise slides the live (and staged)
+// elements to the front of the array. The array grows, in powers of two from
+// its source's first size, to at most twice the queue's maximum length; from
+// then on a slide only happens once at least as many elements have been
+// dropped as it copies, so the amortised cost is at most one copied element
+// per element queued. Only a receiver fed past its window needs more than
+// that, and its array grows to fit.
 type fifo[T any] struct {
 	store []T
 	live  []T
 }
 
-// fifoMinStore is the smallest backing array a queue allocates.
+// fifoMinStore is the smallest backing array a marks queue allocates.
 const fifoMinStore = 512
 
 // extend grows the queue by n elements and returns the new (stale-valued)
 // tail for the caller to fill. max is the most elements the queue ever holds;
-// the caller guarantees len(live)+n <= max. A larger backing array, when one
-// is needed, comes from src, and the outgrown one goes back there.
+// the caller guarantees len(live)+n <= max.
 func (q *fifo[T]) extend(n, max int, src arraySource[T]) []T {
 	need := len(q.live) + n
-	if cap(q.live) < need {
-		if len(q.store) < 2*need {
-			size := fifoMinStore
-			for size < 2*need {
-				size *= 2
-			}
-			if size > 2*max {
-				size = 2 * max
-			}
-			old := q.store
-			q.store = src.get(size)
-			q.live = q.store[:copy(q.store, q.live)]
-			src.put(old)
-		} else {
-			// copy handles the overlap when sliding within the same array.
-			q.live = q.store[:copy(q.store, q.live)]
-		}
-	}
+	q.reserve(need, len(q.live), max, src)
 	q.live = q.live[:need]
 	return q.live[need-n:]
+}
+
+// reserve makes cap(live) at least need, carrying the first keep elements
+// from the head (keep >= len(live): a receiver's staged ones lie past its live
+// ones) across a slide or into a larger array. A larger array, when one is
+// needed, comes from src, and the outgrown one goes back there.
+func (q *fifo[T]) reserve(need, keep, max int, src arraySource[T]) {
+	if cap(q.live) >= need {
+		return
+	}
+	old := q.store
+	grow := len(old) < need || len(old) < 2*need && len(old) < 2*max
+	if grow {
+		size := src.first(max)
+		for size < 2*need && size < 2*max {
+			size *= 2
+		}
+		if size = min(size, 2*max); size < need {
+			size = 2 * need // a receiver fed past its window
+		}
+		q.store = src.get(size)
+	}
+	// copy handles the overlap when sliding within the same array.
+	q.live = q.store[:copy(q.store, q.live[:keep])][:len(q.live)]
+	if grow {
+		src.put(old)
+	}
 }
 
 // release hands the backing array to src, dropping anything still queued.
@@ -262,36 +283,42 @@ func (b *sendBuffer) endSeq() Seq { return b.base.Add(b.len()) }
 func (b *sendBuffer) len() int  { return len(b.data.live) }
 func (b *sendBuffer) free() int { return b.cap - b.len() }
 
-// oooRange is a received, not-yet-deposited run of bytes. data initially
-// aliases the delivered segment's payload (which in turn aliases a pooled
-// fabric frame). A range that outlives the delivery event is copied into a
-// private buffer, own, which data then points into; own goes back to the
-// stack's buffer pool when the range is deposited.
+// oooRange is a received, not-yet-deposited run of bytes (out of order, or
+// held at the deposit gate). The bytes themselves already sit at their stream
+// position in the receiver's array.
 type oooRange struct {
-	seq  Seq
-	data []byte
-	own  []byte
+	seq Seq
+	n   int
 }
 
 // receiver tracks the inbound stream: out-of-order (and deposit-gated)
 // ranges, the deposit cursor rcvNxt, and the app-readable socket buffer.
+//
+// Every received byte is copied once, straight to its stream position in one
+// array: buf.live holds the deposited, unread bytes, and the byte at seq >=
+// rcvNxt sits len(buf.live)+(seq−rcvNxt) past their start, in live's
+// capacity. A deposit only moves the readable end forward; a slide or a
+// larger array carries the staged bytes along with the readable ones. The
+// window check (processData) keeps readable plus staged bytes under cap plus
+// one segment, so for a peer that sends at most cap bytes a segment the 2×cap
+// array never grows.
 //
 // In HydraNet-FT terms (paper Section 4.3), "depositing byte k into the
 // socket buffer" is the transition from pending to deposited: the ACK
 // number a replica advertises is exactly rcvNxt, so gating deposits gates
 // acknowledgments.
 type receiver struct {
-	rcvNxt    Seq        // next byte to deposit == ACK number we advertise
-	pending   []oooRange // ascending seq; equal seqs in arrival order
-	deposited fifo[byte]
-	pool      *bufPool
-	cap       int
-	finSeq    Seq // sequence number of a received FIN, valid if finSet
-	finSet    bool
+	rcvNxt  Seq        // next byte to deposit == ACK number we advertise
+	pending []oooRange // ascending seq; equal seqs in arrival order
+	buf     fifo[byte]
+	pool    *bufPool
+	cap     int
+	finSeq  Seq // sequence number of a received FIN, valid if finSet
+	finSet  bool
 
 	// pendingArr backs pending until more ranges wait at once than it holds:
 	// in-order traffic keeps one, a gated replica one per segment in flight.
-	pendingArr [2]oooRange
+	pendingArr [8]oooRange
 }
 
 func (r *receiver) init(capacity int, pool *bufPool) {
@@ -303,13 +330,9 @@ func (r *receiver) init(capacity int, pool *bufPool) {
 // will never be deposited and, if the application has read all there is, the
 // socket buffer. Unread bytes stay readable.
 func (r *receiver) release() {
-	for i, rg := range r.pending {
-		r.pool.put(rg.own)
-		r.pending[i] = oooRange{}
-	}
 	r.pending = r.pendingArr[:0]
 	if r.readable() == 0 {
-		r.deposited.release(r.pool)
+		r.buf.release(r.pool)
 	}
 }
 
@@ -325,10 +348,10 @@ func (r *receiver) window() int {
 	return w
 }
 
-// insert stores segment data for later deposit, trimming anything already
-// below rcvNxt. Overlapping ranges are kept as-is (deposit handles overlap).
-// It reports whether any byte of the segment was new (at or above rcvNxt and
-// not wholly duplicate).
+// insert stores segment data at its stream position for later deposit,
+// trimming anything already below rcvNxt; a byte that arrives again overwrites
+// its earlier copy. It reports whether any byte of the segment was new (at or
+// above rcvNxt and not within one range already pending).
 func (r *receiver) insert(seq Seq, data []byte) bool {
 	if len(data) == 0 {
 		return false
@@ -343,16 +366,19 @@ func (r *receiver) insert(seq Seq, data []byte) bool {
 	}
 	// Reject if entirely beyond the window... the caller enforces windows;
 	// here we only bound memory: drop data beyond cap past rcvNxt.
-	if off := seq.Diff(r.rcvNxt); off > r.cap {
+	off := seq.Diff(r.rcvNxt)
+	if off > r.cap {
 		return false
 	}
-	// Check whether fully covered by existing pending ranges.
-	covered := false
+	// Check whether fully covered by existing pending ranges, and find how
+	// far past rcvNxt the array already holds staged bytes.
+	covered, staged := false, 0
 	for _, rg := range r.pending {
-		if rg.seq.LEQ(seq) && rg.seq.Add(len(rg.data)).GEQ(seq.Add(len(data))) {
+		end := rg.seq.Add(rg.n)
+		if rg.seq.LEQ(seq) && end.GEQ(seq.Add(len(data))) {
 			covered = true
-			break
 		}
+		staged = maxInt(staged, end.Diff(r.rcvNxt))
 	}
 	// Keep pending sorted: the new range goes after every range that does
 	// not start above it. In-order arrivals land at the tail at once.
@@ -362,23 +388,11 @@ func (r *receiver) insert(seq Seq, data []byte) bool {
 	}
 	r.pending = append(r.pending, oooRange{})
 	copy(r.pending[i+1:], r.pending[i:])
-	r.pending[i] = oooRange{seq: seq, data: data}
+	r.pending[i] = oooRange{seq: seq, n: len(data)}
+	at := r.readable() + off
+	r.buf.reserve(at+len(data), r.readable()+staged, r.cap, r.pool)
+	copy(r.buf.live[at:at+len(data)], data)
 	return !covered
-}
-
-// privatize copies every pending range that still aliases the arriving
-// frame's payload. It runs once per segment arrival, after all synchronous
-// processing: the common case — an in-order segment deposited in the same
-// event — never pays for a copy, only out-of-order and deposit-gated
-// (ft-TCP) ranges that genuinely outlive the frame do.
-func (r *receiver) privatize() {
-	for i := range r.pending {
-		if rg := &r.pending[i]; rg.own == nil {
-			rg.own = r.pool.get(len(rg.data))
-			copy(rg.own, rg.data)
-			rg.data = rg.own
-		}
-	}
 }
 
 // contiguousEnd returns the highest sequence number reachable from rcvNxt
@@ -389,7 +403,7 @@ func (r *receiver) contiguousEnd() Seq {
 		if rg.seq.GT(end) {
 			break
 		}
-		if e := rg.seq.Add(len(rg.data)); e.GT(end) {
+		if e := rg.seq.Add(rg.n); e.GT(end) {
 			end = e
 		}
 	}
@@ -404,50 +418,24 @@ func (r *receiver) depositUpTo(limit Seq) int {
 	if limit.LT(end) {
 		end = limit
 	}
-	want := end.Diff(r.rcvNxt)
+	want := min(end.Diff(r.rcvNxt), r.cap-r.readable())
 	if want <= 0 {
 		return 0
 	}
-	if room := r.cap - r.readable(); want > room {
-		want = room
-	}
-	if want <= 0 {
-		return 0
-	}
-	out := r.deposited.extend(want, r.cap, r.pool)
-	target := r.rcvNxt.Add(want)
-	for _, rg := range r.pending {
-		// Copy the overlap of rg with [rcvNxt, target).
-		start := MaxSeq(rg.seq, r.rcvNxt)
-		stop := MinSeq(rg.seq.Add(len(rg.data)), target)
-		if stop.LEQ(start) {
-			continue
-		}
-		srcOff := start.Diff(rg.seq)
-		dstOff := start.Diff(r.rcvNxt)
-		n := stop.Diff(start)
-		copy(out[dstOff:dstOff+n], rg.data[srcOff:srcOff+n])
-	}
-	r.rcvNxt = target
+	// The bytes are in place already: the readable end moves over them.
+	r.buf.live = r.buf.live[:r.readable()+want]
+	r.rcvNxt = r.rcvNxt.Add(want)
 	// Drop pending ranges now wholly below rcvNxt; trim partial ones.
 	kept := r.pending[:0]
 	for _, rg := range r.pending {
-		e := rg.seq.Add(len(rg.data))
-		if e.LEQ(r.rcvNxt) {
-			if rg.own != nil {
-				r.pool.put(rg.own)
-			}
+		if rg.seq.Add(rg.n).LEQ(r.rcvNxt) {
 			continue
 		}
 		if rg.seq.LT(r.rcvNxt) {
-			cut := r.rcvNxt.Diff(rg.seq)
-			rg.data = rg.data[cut:]
+			rg.n -= r.rcvNxt.Diff(rg.seq)
 			rg.seq = r.rcvNxt
 		}
 		kept = append(kept, rg)
-	}
-	for i := len(kept); i < len(r.pending); i++ {
-		r.pending[i] = oooRange{} // drop references to deposited buffers
 	}
 	r.pending = kept
 	return want
@@ -455,13 +443,17 @@ func (r *receiver) depositUpTo(limit Seq) int {
 
 // read drains up to len(p) deposited bytes into p.
 func (r *receiver) read(p []byte) int {
-	n := copy(p, r.deposited.live)
-	r.deposited.drop(n)
+	n := copy(p, r.buf.live)
+	if len(r.pending) > 0 {
+		r.buf.live = r.buf.live[n:] // the staged bytes past them stay put
+	} else {
+		r.buf.drop(n)
+	}
 	return n
 }
 
 // readable returns the number of deposited, unread bytes.
-func (r *receiver) readable() int { return len(r.deposited.live) }
+func (r *receiver) readable() int { return len(r.buf.live) }
 
 // noteFIN records the sequence number a FIN occupies. The FIN is consumed
 // (acknowledged) only once all data before it has been deposited.
@@ -475,8 +467,10 @@ func (r *receiver) finReady() bool {
 	return r.finSet && r.rcvNxt == r.finSeq
 }
 
-// consumeFIN advances rcvNxt over the FIN.
+// consumeFIN advances rcvNxt over the FIN. Nothing follows a FIN: whatever
+// a peer sent past it is dropped, not deposited.
 func (r *receiver) consumeFIN() {
 	r.rcvNxt = r.finSeq.Add(1)
 	r.finSet = false
+	r.pending = r.pending[:0]
 }

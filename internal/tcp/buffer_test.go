@@ -182,8 +182,11 @@ func TestReceiverFIN(t *testing.T) {
 }
 
 // Property: any segmentation of a stream, delivered in any order with
-// duplicates, deposited under an arbitrary sequence of rising gates,
-// reconstructs exactly the original stream.
+// duplicates, deposited under an arbitrary sequence of gates, reconstructs
+// exactly the original stream. The socket buffer is mostly smaller than the
+// stream: a segment beyond its reach is dropped and comes again in the next
+// round, as the peer retransmits, and the array slides with bytes staged past
+// the readable ones.
 func TestReceiverPropertyStreamIntegrity(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	f := func(streamLen uint16, baseRaw uint32, nGates uint8) bool {
@@ -215,7 +218,7 @@ func TestReceiverPropertyStreamIntegrity(t *testing.T) {
 			}
 		}
 
-		r := newReceiver(1 << 20)
+		r := newReceiver(rng.Intn(1200) + 300)
 		r.setNext(base)
 		var got []byte
 		buf := make([]byte, 4096)
@@ -230,13 +233,18 @@ func TestReceiverPropertyStreamIntegrity(t *testing.T) {
 			}
 		}
 		gateCount := int(nGates)%5 + 1
-		for i, sg := range deliver {
-			r.insert(base.Add(sg.off), stream[sg.off:sg.off+sg.ln])
-			if i%maxInt(len(deliver)/gateCount, 1) == 0 {
-				deposit(base.Add(rng.Intn(n + 1)))
+		for round := 0; r.rcvNxt != base.Add(n); round++ {
+			if round > n {
+				return false
 			}
+			for i, sg := range deliver {
+				r.insert(base.Add(sg.off), stream[sg.off:sg.off+sg.ln])
+				if i%maxInt(len(deliver)/gateCount, 1) == 0 {
+					deposit(base.Add(rng.Intn(n + 1)))
+				}
+			}
+			deposit(base.Add(n))
 		}
-		deposit(base.Add(n))
 		return bytes.Equal(got, stream)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
@@ -260,10 +268,11 @@ func TestReceiverWraparoundSequence(t *testing.T) {
 
 // --- Slide-in-place storage ------------------------------------------------
 
-// TestFifoSlideAndGrowth walks the backing array through growth to its 2×max
-// bound and then across slide boundaries: contents stay FIFO, the live slice
-// stays contiguous, the array never exceeds 2×max, and once it has reached
-// that size no further allocation happens.
+// TestFifoSlideAndGrowth walks a byte queue, which takes its 2×max array on
+// first use, across slide boundaries: contents stay FIFO, the live slice stays
+// contiguous, the array is 2×max from the first element on, and no further
+// allocation happens. (The marks queue's geometric growth is
+// TestSendBufferMarksAcrossSlide's.)
 func TestFifoSlideAndGrowth(t *testing.T) {
 	const max = 1000
 	var q fifo[byte]
@@ -287,8 +296,8 @@ func TestFifoSlideAndGrowth(t *testing.T) {
 		if !bytes.Equal(q.live, model) {
 			t.Fatalf("%s: queue holds %d bytes, model %d, or contents differ", step, len(q.live), len(model))
 		}
-		if len(q.store) > 2*max {
-			t.Fatalf("%s: backing array grew to %d, bound is %d", step, len(q.store), 2*max)
+		if len(q.store) != 2*max {
+			t.Fatalf("%s: backing array is %d, want 2×max = %d", step, len(q.store), 2*max)
 		}
 	}
 	cases := []struct {
@@ -297,7 +306,7 @@ func TestFifoSlideAndGrowth(t *testing.T) {
 	}{
 		{"first allocation", 100, 0},
 		{"append in place", 100, 50},
-		{"grow past the minimum array", 700, 0},
+		{"append past the marks queue's first array", 700, 0},
 		{"fill to max", 150, 0},
 		{"drain most", 0, 990},
 		{"tail exhausted: slide to front", 990, 0},
@@ -313,9 +322,6 @@ func TestFifoSlideAndGrowth(t *testing.T) {
 			pop(c.pop)
 		}
 		check(c.name)
-	}
-	if len(q.store) != 2*max {
-		t.Fatalf("backing array is %d after filling to max, want 2×max = %d", len(q.store), 2*max)
 	}
 	// Steady state: a full-window stream, any chunking, allocates nothing.
 	rng := rand.New(rand.NewSource(3))
@@ -459,30 +465,29 @@ func TestReceiverInsertOrderMatchesStableSort(t *testing.T) {
 		r := newReceiver(1 << 16)
 		r.setNext(base)
 		var ref []oooRange
-		for i, a := range c.in {
-			data := make([]byte, a.len)
-			data[0] = byte(i) // identifies the arrival
-			r.insert(base.Add(int(a.seq)), data)
+		for _, a := range c.in {
+			r.insert(base.Add(int(a.seq)), make([]byte, a.len))
 			// The old implementation: append, then stable-sort the whole list.
-			ref = append(ref, oooRange{seq: base.Add(int(a.seq)), data: data})
+			ref = append(ref, oooRange{seq: base.Add(int(a.seq)), n: a.len})
 			sort.SliceStable(ref, func(i, j int) bool { return ref[i].seq.LT(ref[j].seq) })
 		}
 		if len(r.pending) != len(ref) {
 			t.Fatalf("%s: %d pending ranges, reference %d", c.name, len(r.pending), len(ref))
 		}
 		for i := range ref {
-			got, want := r.pending[i], ref[i]
-			if got.seq != want.seq || len(got.data) != len(want.data) || got.data[0] != want.data[0] {
-				t.Fatalf("%s: pending[%d] = seq %d len %d id %d, reference seq %d len %d id %d",
-					c.name, i, got.seq, len(got.data), got.data[0], want.seq, len(want.data), want.data[0])
+			if got, want := r.pending[i], ref[i]; got != want {
+				t.Fatalf("%s: pending[%d] = seq %d len %d, reference seq %d len %d",
+					c.name, i, got.seq, got.n, want.seq, want.n)
 			}
 		}
 	}
 }
 
-// TestReceiverDepositInPlace: deposits land in the slide-in-place socket
-// buffer across slide boundaries, and private copies of gated ranges are
-// recycled once deposited.
+// TestReceiverDepositInPlace: a received byte is copied once, to its stream
+// position in the socket buffer's one array. Ranges held at the gate outlive
+// their frame (scribbled as soon as insert returns) without a copy of their
+// own, deposits and slides carry them across the array's boundaries, the
+// array stays 2×cap, and no array ever goes back to the pool.
 func TestReceiverDepositInPlace(t *testing.T) {
 	const capacity = 700
 	r := newReceiver(capacity)
@@ -498,13 +503,12 @@ func TestReceiverDepositInPlace(t *testing.T) {
 			t.Fatalf("no progress: sent %d, read %d, rcvNxt %d, %d pending", sent, len(got), r.rcvNxt, len(r.pending))
 		}
 		// The gate trails the newest segment by one arrival, so every segment
-		// outlives its "frame" and must be privatized before it is deposited.
+		// outlives its "frame" before it is deposited.
 		if sent < len(stream) && sent-len(got) < capacity {
 			n := minInt(rng.Intn(120)+1, len(stream)-sent)
 			frame := append([]byte(nil), stream[sent:sent+n]...)
 			r.insert(Seq(sent), frame)
 			r.depositUpTo(Seq(sent))
-			r.privatize()
 			for i := range frame {
 				frame[i] = 0xDB // the frame is recycled
 			}
@@ -518,28 +522,116 @@ func TestReceiverDepositInPlace(t *testing.T) {
 		if r.readable() > capacity {
 			t.Fatalf("socket buffer holds %d bytes, capacity %d", r.readable(), capacity)
 		}
+		if len(r.buf.store) != 2*capacity {
+			t.Fatalf("socket buffer array is %d, want 2×cap = %d from the first segment on", len(r.buf.store), 2*capacity)
+		}
 	}
 	if !bytes.Equal(got, stream) {
 		t.Fatal("stream corrupted across slides")
 	}
-	if len(r.deposited.store) > 2*capacity {
-		t.Fatalf("socket buffer array is %d, bound 2×cap = %d", len(r.deposited.store), 2*capacity)
-	}
-	// The private copies went back to the pool, where the next segment of
-	// the size found them — as did the socket-buffer arrays outgrown on the
-	// way to 2×cap.
-	spare, total := 0, 0
-	for _, list := range r.pool.free {
-		for _, b := range list {
-			spare++
-			total += cap(b)
+	for k, list := range r.pool.free {
+		if len(list) != 0 {
+			t.Fatalf("the pool holds %d arrays of %d bytes: the receiver outgrew or copied something", len(list), 1<<(k+minBufClass))
 		}
 	}
-	if spare == 0 {
-		t.Fatal("the pool is empty after the run — deposited ranges are not being recycled")
+}
+
+// TestReceiverHoldsGatedSegmentsInPlace: once a receiver has its array,
+// holding eight full-size segments at the deposit gate — each scribbled as its
+// frame is recycled — and then depositing and reading them allocates nothing:
+// no copy of a held range and no growth of the pending list.
+func TestReceiverHoldsGatedSegmentsInPlace(t *testing.T) {
+	const mss, held, runs = 1460, 8, 20
+	stream := pattern(held * mss)
+	receivers := make([]*receiver, runs+1) // one for AllocsPerRun's warm-up
+	for i := range receivers {
+		r := newReceiver(held * mss)
+		r.setNext(0)
+		r.insert(0, stream[:1]) // its first array
+		r.depositUpTo(1)
+		r.read(make([]byte, 1))
+		receivers[i] = r
 	}
-	if total > 4*capacity {
-		t.Fatalf("the pool holds %d bytes for a %d-byte window — buffers are not being reused", total, capacity)
+	frame, buf := make([]byte, mss), make([]byte, held*mss)
+	next, intact := 0, true
+	allocs := testing.AllocsPerRun(runs, func() {
+		r := receivers[next]
+		next++
+		gate := r.rcvNxt
+		for k := 0; k < held; k++ {
+			copy(frame, stream[k*mss:])
+			r.insert(gate.Add(k*mss), frame)
+			r.depositUpTo(gate)
+			for i := range frame {
+				frame[i] = 0xDB
+			}
+		}
+		r.depositUpTo(gate.Add(held * mss))
+		intact = intact && r.read(buf) == len(buf) && bytes.Equal(buf, stream)
+	})
+	if !intact {
+		t.Fatal("the held segments did not come out as they went in")
+	}
+	if allocs != 0 {
+		t.Fatalf("holding %d gated segments and depositing them allocates %.1f objects, want 0", held, allocs)
+	}
+}
+
+// TestReceiverArrayBound pins the receiver's memory bound. The window check
+// admits a segment only if it starts inside the advertised window, so what a
+// receiver holds, readable plus staged bytes, stays under cap plus one
+// segment. A peer that sends at most cap bytes a segment never moves the
+// connection's receive side off its first, 2×cap array. The test sends
+// full-size segments from anywhere between one below the cursor and one past
+// cap beyond it, so many land past the window. It holds them at a gate that
+// trails, and reads slowly. Past that
+// bound, a segment larger than cap, the array grows rather than drop bytes.
+func TestReceiverArrayBound(t *testing.T) {
+	for _, c := range []struct {
+		capacity int
+		bounded  bool
+	}{{4096, true}, {1000, false}} {
+		const mss = 1460
+		e, cli, srv := establishedPair(t, Config{RecvBufSize: c.capacity})
+		start := cli.RcvNxt()
+		gate := &countingGate{deposit: start, send: cli.SndNxt().Add(1 << 20)}
+		cli.hooks = gate
+		stream := pattern(100 * c.capacity)
+		rng := rand.New(rand.NewSource(4))
+		var got []byte
+		buf := make([]byte, c.capacity)
+		for round := 0; len(got) < len(stream); round++ {
+			if round > 100*len(stream) {
+				t.Fatalf("capacity %d: no progress, %d of %d bytes read", c.capacity, len(got), len(stream))
+			}
+			// The scheduler never runs: what the client sends back waits on
+			// the link, and each segment here is the only one in flight.
+			next := cli.RcvNxt().Diff(start)
+			off := max(next-mss+rng.Intn(c.capacity+3*mss), 0)
+			if end := min(off+mss, len(stream)); off < end {
+				e.deliverToClient(&Segment{SrcPort: srv.Local().Port, DstPort: cli.Local().Port,
+					Flags: FlagACK, Seq: start.Add(off), Ack: cli.SndNxt(), Window: 32768, Payload: stream[off:end]})
+			}
+			if rng.Intn(3) == 0 {
+				if g := cli.rcv.contiguousEnd().Add(-rng.Intn(mss)); g.GT(gate.deposit) {
+					gate.deposit = g
+				}
+				cli.Poke()
+			}
+			if rng.Intn(3) == 0 {
+				n := cli.Read(buf[:rng.Intn(len(buf))+1])
+				got = append(got, buf[:n]...)
+			}
+			if n := len(cli.rcv.buf.store); c.bounded && n != 0 && n != 2*c.capacity {
+				t.Fatalf("capacity %d: the array is %d bytes after %d bytes read, want 2×cap", c.capacity, n, len(got))
+			}
+		}
+		if !bytes.Equal(got, stream) {
+			t.Fatalf("capacity %d: the stream came out changed", c.capacity)
+		}
+		if n := len(cli.rcv.buf.store); !c.bounded && n <= 2*c.capacity {
+			t.Fatalf("capacity %d below a segment: the array is %d bytes, never past 2×cap", c.capacity, n)
+		}
 	}
 }
 

@@ -30,10 +30,6 @@ func (c *Conn) input(seg *Segment) {
 	default:
 		c.inputEstablished(seg)
 	}
-	// The segment payload aliases a fabric frame that is recycled as soon
-	// as this delivery event returns; any range still pending must become a
-	// private copy now.
-	c.rcv.privatize()
 }
 
 func (c *Conn) inputSynSent(seg *Segment) {
@@ -278,7 +274,9 @@ func (c *Conn) processData(seg *Segment) {
 	}
 	if seg.Seq.GEQ(c.rcv.rcvNxt.Add(c.rcv.window())) {
 		// Entirely beyond our advertised window — typically a zero-window
-		// probe. Drop it and re-advertise.
+		// probe. Drop it and re-advertise. This check is also what bounds the
+		// receiver's array: readable plus staged bytes stay under cap plus
+		// one segment.
 		c.sendAck()
 		return
 	}

@@ -457,7 +457,7 @@ func TestTimeWaitReleasesBuffers(t *testing.T) {
 	cli.Write(pattern(3000))
 	srv.Write(pattern(2000))
 	e.sched.RunUntil(e.sched.Now() + time.Second)
-	sndArr, rcvArr := &cli.sndBuf.data.store[0], &cli.rcv.deposited.store[0]
+	sndArr, rcvArr := &cli.sndBuf.data.store[0], &cli.rcv.buf.store[0]
 	cli.Close()
 	e.sched.RunUntil(e.sched.Now() + 100*time.Millisecond)
 	srv.Close()
@@ -465,7 +465,7 @@ func TestTimeWaitReleasesBuffers(t *testing.T) {
 	if cli.State() != StateTimeWait || len(got.data) != 2000 {
 		t.Fatalf("client in %v with %d bytes read, want TIME-WAIT and 2000", cli.State(), len(got.data))
 	}
-	if cli.sndBuf.data.store != nil || cli.rcv.deposited.store != nil {
+	if cli.sndBuf.data.store != nil || cli.rcv.buf.store != nil {
 		t.Fatal("TIME-WAIT connection still holds socket-buffer arrays")
 	}
 	// The server never read its 3000 bytes: they must outlive its close.
@@ -491,7 +491,7 @@ func TestTimeWaitReleasesBuffers(t *testing.T) {
 	if &next.sndBuf.data.store[0] != sndArr && &next.sndBuf.data.store[0] != rcvArr {
 		t.Error("the next connection's send buffer is a fresh array, not a recycled one")
 	}
-	if &next.rcv.deposited.store[0] != sndArr && &next.rcv.deposited.store[0] != rcvArr {
+	if &next.rcv.buf.store[0] != sndArr && &next.rcv.buf.store[0] != rcvArr {
 		t.Error("the next connection's receive buffer is a fresh array, not a recycled one")
 	}
 }
