@@ -14,12 +14,14 @@ import (
 // per-object allocation in the frame pool, the scheduler, rmp, core or the
 // route build shows here first.
 //
-// It takes 58 objects (60 under the race detector); the budget is 10 %
+// It takes 57 objects (59 under the race detector); the budget is 10 %
 // above. Building the Net takes 22 of them, DeployFT 4, Settle none, and the
 // scenario's record, the stream, crash, probe, reconfiguration and resumed
-// stream about 32. A connection's socket buffers are one array each, taken
-// at full size, and a received byte is copied once, into its place there. Each host is one object — its netsim node, its stacks, and
-// on a replica its ft-TCP engine and management daemon, all held by value —
+// stream about 31. A connection's socket buffers are one array each, taken
+// at full size, and a received byte is copied once, into its place there. A
+// tunnelled datagram too large for the MTU is cut from its pooled frame, with
+// no staging buffer. Each host is one object — its netsim node, its stacks,
+// and on a replica its ft-TCP engine and management daemon, all held by value —
 // and its tables are inline: no map is made on the frame path
 // (TestStarBuildAllocBudget).
 func TestFailoverScenarioAllocBudget(t *testing.T) {

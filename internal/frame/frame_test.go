@@ -8,16 +8,16 @@ func TestGetReuse(t *testing.T) {
 	if b.Len() != 100 {
 		t.Fatalf("Len = %d, want 100", b.Len())
 	}
-	if b.Headroom() != Headroom {
-		t.Fatalf("Headroom = %d, want %d", b.Headroom(), Headroom)
+	if b.off != Headroom {
+		t.Fatalf("Headroom = %d, want %d", b.off, Headroom)
 	}
 	b.Release()
 	b2 := p.Get(150) // same 256 B class as the first request
 	if b2 != b {
 		t.Fatal("pool did not reuse the released buffer")
 	}
-	if b2.Len() != 150 || b2.Headroom() != Headroom {
-		t.Fatalf("reused buf Len=%d Headroom=%d", b2.Len(), b2.Headroom())
+	if b2.Len() != 150 || b2.off != Headroom {
+		t.Fatalf("reused buf Len=%d Headroom=%d", b2.Len(), b2.off)
 	}
 	gets, puts, misses := p.Stats()
 	if gets != 2 || puts != 1 || misses != 1 {
@@ -36,8 +36,8 @@ func TestPrepend(t *testing.T) {
 	if string(hdr[20:]) != "data" {
 		t.Fatal("Prepend moved the payload")
 	}
-	if b.Headroom() != Headroom-20 {
-		t.Fatalf("headroom after Prepend = %d, want %d", b.Headroom(), Headroom-20)
+	if b.off != Headroom-20 {
+		t.Fatalf("headroom after Prepend = %d, want %d", b.off, Headroom-20)
 	}
 }
 
@@ -72,6 +72,43 @@ func TestPoison(t *testing.T) {
 	for i, v := range data {
 		if v != 0xDB {
 			t.Fatalf("byte %d = %#x after poisoned release, want 0xDB", i, v)
+		}
+	}
+}
+
+// TestScribbleFillsEveryByte: the doubling fill reaches every byte of any
+// length, and no byte past it; an odd-length frame (an oversize one, exact
+// size) reads 0xDB throughout once it is released.
+func TestScribbleFillsEveryByte(t *testing.T) {
+	for _, n := range []int{0, 1, 2, 3, 7, 8, 1001, 32 << 10, 32<<10 + 1} {
+		b := make([]byte, n+1)
+		for i := range b {
+			b[i] = byte(i)
+		}
+		Scribble(b[:n])
+		for i, v := range b[:n] {
+			if v != 0xDB {
+				t.Fatalf("length %d: byte %d = %#x, want 0xDB", n, i, v)
+			}
+		}
+		if b[n] != byte(n) {
+			t.Fatalf("length %d: the byte past the end was written", n)
+		}
+	}
+	p := NewPool()
+	p.SetPoison(true)
+	fb := p.Get(8001)
+	data := fb.data
+	if len(data)%2 == 0 {
+		t.Fatalf("oversize frame's array is %d bytes, want an odd length", len(data))
+	}
+	for i := range data {
+		data[i] = byte(i)
+	}
+	fb.Release()
+	for i, v := range data {
+		if v != 0xDB {
+			t.Fatalf("byte %d of %d = %#x after poisoned release, want 0xDB", i, len(data), v)
 		}
 	}
 }

@@ -1,10 +1,12 @@
 package ipv4
 
 import (
+	"encoding/binary"
 	"fmt"
 	"testing"
 	"time"
 
+	"hydranet/internal/frame"
 	"hydranet/internal/sim"
 )
 
@@ -28,27 +30,36 @@ func BenchmarkChecksum(b *testing.B) {
 }
 
 // BenchmarkFragmentReassemble is what tunnelling adds to a full-MSS segment
-// at each replica: a 1520-byte datagram cut for a 1500-byte MTU, both
-// fragments added to a reassembler, the finished datagram recycled. The clock
-// moves at the 10 Mb/s line rate, so the cancelled timeouts are reclaimed as
-// they are in a run.
+// at each replica: a 1520-byte datagram's wire bytes cut for a 1500-byte MTU
+// into pooled frames, each fragment parsed and added to a reassembler, the
+// finished datagram recycled. The clock moves at the 10 Mb/s line rate, so
+// the cancelled timeouts are reclaimed as they are in a run.
 func BenchmarkFragmentReassemble(b *testing.B) {
 	s := sim.NewScheduler(1)
 	r := NewReassembler(s)
-	p := mkPacket(1500)
-	b.SetBytes(int64(HeaderLen + len(p.Payload)))
+	pool := frame.NewPool()
+	pool.SetPoison(false)
+	wire, err := mkPacket(1500).Marshal()
+	if err != nil {
+		b.Fatal(err)
+	}
+	var frag Packet
+	b.SetBytes(int64(len(wire)))
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		p.ID = uint16(i)
-		var c fragCutter
-		if err := c.init(p, 1500); err != nil {
+		binary.BigEndian.PutUint16(wire[4:], uint16(i)) // the cutter sums each fragment's header afresh
+		var d *Reassembly
+		err := cutFragments(pool, wire, 1500, func(fb *frame.Buf) {
+			if err := frag.Unmarshal(fb.Bytes()); err != nil {
+				b.Fatal(err)
+			}
+			d = r.Add(&frag)
+			fb.Release()
+		})
+		if err != nil {
 			b.Fatal(err)
 		}
-		var d *Reassembly
-		for c.next() {
-			d = r.Add(&c.frag)
-		}
-		if d == nil || len(d.Packet().Payload) != len(p.Payload) {
+		if d == nil || len(d.Packet().Payload) != len(wire)-HeaderLen {
 			b.Fatal("datagram did not reassemble")
 		}
 		r.Recycle(d, false)

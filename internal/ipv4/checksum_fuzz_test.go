@@ -51,7 +51,7 @@ func FuzzIncrementalChecksum(f *testing.F) {
 	})
 }
 
-// FuzzPatchTTL drives the real forwarding fast path: marshal a valid
+// FuzzPatchTTL drives the TTL patch forwarding applies to every copy: marshal a valid
 // header, patch the TTL, and require the result to verify and to match a
 // full re-marshal.
 func FuzzPatchTTL(f *testing.F) {

@@ -2,11 +2,13 @@ package ipv4
 
 import (
 	"cmp"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"slices"
 	"time"
 
+	"hydranet/internal/frame"
 	"hydranet/internal/sim"
 )
 
@@ -14,50 +16,41 @@ import (
 // don't-fragment flag.
 var ErrFragNeeded = errors.New("ipv4: fragmentation needed but DF set")
 
-// fragCutter cuts a datagram that does not fit an MTU into fragments, one
-// at a time: after each next, frag is the datagram's header with that
-// piece's offset and more-fragments flag over the piece's slice of the
-// payload. Nothing is allocated — transmit marshals each frag straight into
-// its own pooled frame before asking for the next. It keeps the datagram's
-// payload and flag, not the *Packet: a pointer stored through init's receiver
-// would move every caller's Packet to the heap.
-type fragCutter struct {
-	frag  Packet
-	rest  []byte // payload still to cut
-	chunk int    // payload bytes per fragment, a multiple of 8
-	more  bool   // the datagram's own MoreFrag, which its last piece keeps
-}
-
-// init prepares to cut p, which does not fit mtu. A datagram with DontFrag
-// set produces an error.
-func (c *fragCutter) init(p *Packet, mtu int) error {
-	if p.DontFrag {
-		return fmt.Errorf("%w: datagram %d→%s", ErrFragNeeded, p.ID, p.Dst)
+// cutFragments cuts the datagram b, which does not fit mtu, into fragments,
+// each in its own frame from pool, and hands them to send in order. A
+// fragment is b's first HeaderLen bytes, with its own length, offset,
+// more-fragments flag and checksum, over its piece of the payload; options
+// are not copied. If b is itself a fragment, its offset is the pieces' base
+// and its last piece keeps its MF. A datagram with DontFrag set produces an
+// error.
+func cutFragments(pool *frame.Pool, b []byte, mtu int, send func(*frame.Buf)) error {
+	frag := binary.BigEndian.Uint16(b[6:])
+	if frag&flagDF != 0 {
+		return fmt.Errorf("%w: datagram %d→%s", ErrFragNeeded, binary.BigEndian.Uint16(b[4:]), getAddr(b[16:20]))
 	}
 	chunk := (mtu - HeaderLen) &^ 7 // fragment payloads are 8-byte aligned
 	if chunk <= 0 {
 		return fmt.Errorf("ipv4: mtu %d too small to fragment", mtu)
 	}
-	c.frag = Packet{Header: p.Header}
-	c.rest, c.chunk, c.more = p.Payload, chunk, p.MoreFrag
+	off := int(frag&0x1fff) * 8
+	for rest := b[int(b[0]&0x0f)*4:]; len(rest) > 0; {
+		n, mf := min(chunk, len(rest)), uint16(flagMF)
+		if n == len(rest) {
+			mf = frag & flagMF // the last piece keeps the datagram's own MF
+		}
+		fb := pool.Get(HeaderLen + n)
+		f := fb.Bytes()
+		copy(f, b[:HeaderLen])
+		copy(f[HeaderLen:], rest[:n])
+		f[0] = 0x45 // version 4, IHL 5
+		binary.BigEndian.PutUint16(f[2:], uint16(HeaderLen+n))
+		binary.BigEndian.PutUint16(f[6:], uint16(off/8)|mf)
+		f[10], f[11] = 0, 0
+		binary.BigEndian.PutUint16(f[10:], headerChecksum(f))
+		send(fb)
+		rest, off = rest[n:], off+n
+	}
 	return nil
-}
-
-// next advances frag to the following fragment and reports whether there
-// was one.
-func (c *fragCutter) next() bool {
-	if len(c.rest) == 0 {
-		return false
-	}
-	c.frag.FragOff += len(c.frag.Payload)
-	n := c.chunk
-	c.frag.MoreFrag = true
-	if n >= len(c.rest) {
-		n = len(c.rest)
-		c.frag.MoreFrag = c.more // a re-fragmented middle fragment keeps MF
-	}
-	c.frag.Payload, c.rest = c.rest[:n], c.rest[n:]
-	return true
 }
 
 const (
@@ -252,10 +245,7 @@ func (r *Reassembler) Add(p *Packet) *Reassembly {
 func (r *Reassembler) Recycle(d *Reassembly, scribble bool) {
 	if scribble {
 		d.pkt.Scribble()
-		b := d.buf[:d.high]
-		for i := range b {
-			b[i] = 0xDB
-		}
+		frame.Scribble(d.buf[:d.high])
 	}
 	d.next = r.free
 	r.free = d

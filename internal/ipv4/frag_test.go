@@ -2,6 +2,8 @@ package ipv4
 
 import (
 	"bytes"
+	"cmp"
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -24,23 +26,94 @@ func mkPacket(n int) *Packet {
 	}
 }
 
-// Fragment collects what Stack.transmit puts on the wire for p at mtu: p
-// itself if it fits, else every fragment the cutter produces (payloads alias
-// p's).
+// Fragment collects what Stack.emit puts on the wire for p at mtu, parsed:
+// p itself if it fits, else every fragment the cutter cuts from p's wire
+// bytes.
 func Fragment(p *Packet, mtu int) ([]*Packet, error) {
 	if HeaderLen+len(p.Payload) <= mtu {
 		return []*Packet{p}, nil
 	}
-	var c fragCutter
-	if err := c.init(p, mtu); err != nil {
+	wire, err := p.Marshal()
+	if err != nil {
 		return nil, err
 	}
 	var frags []*Packet
-	for c.next() {
-		f := c.frag
-		frags = append(frags, &f)
+	err = cutWire(wire, mtu, func(b []byte) error {
+		f, err := Unmarshal(b)
+		frags = append(frags, f)
+		return err
+	})
+	return frags, err
+}
+
+// cutWire runs the cutter over the datagram wire at mtu, handing each
+// fragment's bytes, copied out of its pooled frame, to f.
+func cutWire(wire []byte, mtu int, f func([]byte) error) error {
+	var ferr error
+	err := cutFragments(frame.NewPool(), wire, mtu, func(fb *frame.Buf) {
+		if ferr == nil {
+			ferr = f(append([]byte(nil), fb.Bytes()...))
+		}
+		fb.Release()
+	})
+	return cmp.Or(err, ferr)
+}
+
+// refCutter is the reference the wire cutter is checked against: it cuts a
+// parsed datagram, and each fragment is the datagram's header with the
+// piece's offset and more-fragments flag over the piece's slice of the
+// payload, marshalled on its own.
+type refCutter struct {
+	frag  Packet
+	rest  []byte // payload still to cut
+	chunk int    // payload bytes per fragment, a multiple of 8
+	more  bool   // the datagram's own MoreFrag, which its last piece keeps
+}
+
+func (c *refCutter) init(p *Packet, mtu int) error {
+	if p.DontFrag {
+		return fmt.Errorf("%w: datagram %d→%s", ErrFragNeeded, p.ID, p.Dst)
 	}
-	return frags, nil
+	chunk := (mtu - HeaderLen) &^ 7
+	if chunk <= 0 {
+		return fmt.Errorf("ipv4: mtu %d too small to fragment", mtu)
+	}
+	c.frag = Packet{Header: p.Header}
+	c.rest, c.chunk, c.more = p.Payload, chunk, p.MoreFrag
+	return nil
+}
+
+func (c *refCutter) next() bool {
+	if len(c.rest) == 0 {
+		return false
+	}
+	c.frag.FragOff += len(c.frag.Payload)
+	n := c.chunk
+	c.frag.MoreFrag = true
+	if n >= len(c.rest) {
+		n = len(c.rest)
+		c.frag.MoreFrag = c.more
+	}
+	c.frag.Payload, c.rest = c.rest[:n], c.rest[n:]
+	return true
+}
+
+// refFragments is the reference's wire bytes for p at mtu, one slice per
+// fragment; p does not fit mtu.
+func refFragments(p *Packet, mtu int) ([][]byte, error) {
+	var c refCutter
+	if err := c.init(p, mtu); err != nil {
+		return nil, err
+	}
+	var out [][]byte
+	for c.next() {
+		b, err := c.frag.Marshal()
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, b)
+	}
+	return out, nil
 }
 
 // addFragment feeds f to r the way Stack.InjectLocal does and returns a copy

@@ -41,7 +41,7 @@ type Packet struct {
 	Payload []byte
 
 	// wire holds the original marshalled bytes when the packet came off the
-	// fabric via Unmarshal. Forwarding and encapsulation fast paths reuse it
+	// fabric via Unmarshal. Forwarding and encapsulation send a copy of it
 	// (patching TTL incrementally) instead of re-marshalling. Like Payload,
 	// it aliases the fabric's frame buffer and is valid only during the
 	// delivery event.
@@ -66,54 +66,43 @@ var (
 // Marshal serializes the packet into wire format, computing TotalLen and the
 // header checksum. Fragment offsets must be multiples of 8 bytes.
 func (p *Packet) Marshal() ([]byte, error) {
+	if p.FragOff%8 != 0 {
+		return nil, fmt.Errorf("ipv4: fragment offset %d not a multiple of 8", p.FragOff)
+	}
 	total := HeaderLen + len(p.Payload)
-	if err := p.checkMarshal(total); err != nil {
-		return nil, err
+	if total > 0xffff {
+		return nil, fmt.Errorf("ipv4: datagram of %d bytes exceeds 65535", total)
 	}
 	b := make([]byte, total)
-	p.marshalInto(b)
+	p.putHeader(b, total)
+	copy(b[HeaderLen:], p.Payload)
 	return b, nil
 }
 
-// marshalInto writes the datagram's wire form into b, whose length is the
-// datagram's; the caller has run checkMarshal.
-func (p *Packet) marshalInto(b []byte) {
-	p.putHeader(b, len(b))
-	copy(b[HeaderLen:], p.Payload)
-}
-
-func (p *Packet) checkMarshal(total int) error {
-	if p.FragOff%8 != 0 {
-		return fmt.Errorf("ipv4: fragment offset %d not a multiple of 8", p.FragOff)
-	}
-	if total > 0xffff {
-		return fmt.Errorf("ipv4: datagram of %d bytes exceeds 65535", total)
-	}
-	return nil
-}
-
 // putHeader writes the 20-byte wire header (with checksum) into b[:HeaderLen].
-func (p *Packet) putHeader(b []byte, total int) {
+// The receiver is a value: through a pointer, the header SendSegment's
+// loopback closure captures would move to the heap on every send.
+func (h Header) putHeader(b []byte, total int) {
 	b[0] = 0x45 // version 4, IHL 5
-	b[1] = p.TOS
+	b[1] = h.TOS
 	b[2] = byte(total >> 8)
 	b[3] = byte(total)
-	b[4] = byte(p.ID >> 8)
-	b[5] = byte(p.ID)
-	frag := uint16(p.FragOff / 8)
-	if p.DontFrag {
+	b[4] = byte(h.ID >> 8)
+	b[5] = byte(h.ID)
+	frag := uint16(h.FragOff / 8)
+	if h.DontFrag {
 		frag |= flagDF
 	}
-	if p.MoreFrag {
+	if h.MoreFrag {
 		frag |= flagMF
 	}
 	b[6] = byte(frag >> 8)
 	b[7] = byte(frag)
-	b[8] = p.TTL
-	b[9] = p.Proto
+	b[8] = h.TTL
+	b[9] = h.Proto
 	b[10], b[11] = 0, 0 // checksum, zero while summing
-	putAddr(b[12:16], p.Src)
-	putAddr(b[16:20], p.Dst)
+	putAddr(b[12:16], h.Src)
+	putAddr(b[16:20], h.Dst)
 	sum := headerChecksum(b)
 	b[10] = byte(sum >> 8)
 	b[11] = byte(sum)

@@ -66,10 +66,6 @@ type Stack struct {
 	// only until the call returns.
 	rx Packet
 
-	// encap stages the inner datagram of a tunnel packet that has to be
-	// fragmented; the fragments copy out of it before SendEncap returns.
-	encap []byte
-
 	stats StackStats
 
 	// The tables' backing up to four interfaces and one virtual host.
@@ -214,39 +210,6 @@ func (s *Stack) SourceFor(dst Addr) Addr {
 func (s *Stack) allocID() uint16 {
 	s.nextID++
 	return s.nextID
-}
-
-// transmit sends p out ifindex, fragmenting only when it does not fit the
-// MTU: each fragment is cut straight into its own pooled frame. p is not
-// retained.
-func (s *Stack) transmit(p *Packet, ifindex int) error {
-	mtu := s.node.MTU(ifindex)
-	if HeaderLen+len(p.Payload) <= mtu {
-		return s.transmitOne(p, ifindex)
-	}
-	var c fragCutter
-	if err := c.init(p, mtu); err != nil {
-		return err
-	}
-	for c.next() {
-		if err := s.transmitOne(&c.frag, ifindex); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// transmitOne marshals a datagram that fits the MTU into a pooled frame and
-// hands it to the fabric.
-func (s *Stack) transmitOne(p *Packet, ifindex int) error {
-	total := HeaderLen + len(p.Payload)
-	if err := p.checkMarshal(total); err != nil {
-		return err
-	}
-	fb := s.node.Pool().Get(total)
-	p.marshalInto(fb.Bytes())
-	s.node.SendFrame(ifindex, fb)
-	return nil
 }
 
 // HandleFrame implements netsim.FrameHandler.

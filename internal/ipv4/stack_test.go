@@ -172,6 +172,26 @@ func TestNoRouteError(t *testing.T) {
 	noFramesOut(t, s)
 }
 
+// TestOversizeDatagramRefused: a datagram longer than TotalLen can describe
+// is refused before any fragment leaves, and its frame is released; the
+// largest legal one is cut and reassembled.
+func TestOversizeDatagramRefused(t *testing.T) {
+	sched, cs, _, ss := threeNodeNet(t, netsim.LinkConfig{MTU: 1500})
+	recv := &sink{}
+	ss.RegisterProto(ProtoUDP, recv)
+	for _, n := range []int{maxPayload + 1, maxPayload} {
+		err := cs.SendSegment(ProtoUDP, cs.Addr(0), ss.Addr(0), segment(cs, make([]byte, n)))
+		if (err == nil) != (n == maxPayload) {
+			t.Fatalf("%d-byte payload: err %v", n, err)
+		}
+		sched.Run()
+	}
+	if len(recv.pkts) != 1 || len(recv.pkts[0].Payload) != maxPayload {
+		t.Fatalf("delivered %d datagrams, want the one of %d bytes", len(recv.pkts), maxPayload)
+	}
+	noFramesOut(t, cs)
+}
+
 func TestTTLExpiry(t *testing.T) {
 	// Chain of routers longer than the TTL: packet must die en route.
 	sched := sim.NewScheduler(1)
@@ -274,8 +294,8 @@ func TestPathMTUFragmentationEndToEnd(t *testing.T) {
 		t.Fatalf("reassembler gave up on something: %+v", st)
 	}
 
-	// A pooled frame too big for the first hop takes SendSegment's slow
-	// path: the sender fragments out of it and releases it at once.
+	// A pooled frame too big for the first hop is cut by the sender, which
+	// releases it as soon as the fragments are out.
 	big := make([]byte, 3000)
 	for i := range big {
 		big[i] = byte(i * 13)
@@ -288,6 +308,49 @@ func TestPathMTUFragmentationEndToEnd(t *testing.T) {
 		t.Fatalf("SendSegment's fragments did not reassemble (%d datagrams)", len(recv.pkts))
 	}
 	noFramesOut(t, cs)
+}
+
+// TestEncapTunnelsOptionsVerbatim: an inner datagram that carries an IP
+// option crosses a tunnelling router as it arrived, option included, with
+// only its TTL decremented (RFC 2003 §3) — whole, and when its outer
+// datagram has to be fragmented on the way.
+func TestEncapTunnelsOptionsVerbatim(t *testing.T) {
+	sched, _, rs, ss := threeNodeNet(t, netsim.LinkConfig{MTU: 1500})
+	host := ss.Addr(0)
+	rs.SetForwardHook(ForwardFunc(func(p *Packet) bool {
+		if err := rs.SendEncap(p, host); err != nil {
+			t.Fatal(err)
+		}
+		return true
+	}))
+	var got [][]byte
+	ss.RegisterProto(ProtoIPIP, handlerFunc(func(outer *Packet) {
+		got = append(got, append([]byte(nil), outer.Payload...))
+	}))
+	for _, n := range []int{32, 1480} {
+		inner := make([]byte, HeaderLen+4+n)
+		(&Header{TTL: 9, Proto: ProtoUDP, ID: 5, Src: inet.MustParseAddr("10.1.0.2"), Dst: inet.MustParseAddr("192.20.225.20")}).putHeader(inner, len(inner))
+		inner[0] = 0x46                             // IHL 6: one option word
+		copy(inner[HeaderLen:], []byte{1, 1, 1, 0}) // NOP NOP NOP, end of list
+		inner[10], inner[11] = 0, 0
+		sum := Checksum(inner[:HeaderLen+4])
+		inner[10], inner[11] = byte(sum>>8), byte(sum)
+		for i := range n {
+			inner[HeaderLen+4+i] = byte(i * 7)
+		}
+		rs.HandleFrame(0, inner)
+		sched.Run()
+		want := append([]byte(nil), inner...)
+		PatchTTL(want, 8)
+		if len(got) != 1 || !bytes.Equal(got[0], want) {
+			t.Fatalf("%d-byte payload: the tunnel delivered %d datagrams, want the inner datagram as it arrived", n, len(got))
+		}
+		got = got[:0]
+	}
+	if st := ss.Reassembly(); st != (ReassemblyStats{}) {
+		t.Fatalf("reassembler gave up on something: %+v", st)
+	}
+	noFramesOut(t, rs)
 }
 
 func TestForwardHookConsumes(t *testing.T) {

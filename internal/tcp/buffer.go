@@ -69,9 +69,7 @@ func (p *bufPool) put(b []byte) {
 	}
 	b = b[:cap(b)]
 	if p.frames.Poisoned() {
-		for i := range b {
-			b[i] = 0xDB
-		}
+		frame.Scribble(b)
 	}
 	p.free[k-minBufClass] = append(p.free[k-minBufClass], b)
 }

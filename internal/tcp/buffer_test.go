@@ -689,3 +689,20 @@ func TestBufPoolPoison(t *testing.T) {
 		t.Fatal("released send buffer is not empty")
 	}
 }
+
+// TestBufPoolPoisonFillsWholeArray: a returned array is scribbled to its
+// capacity, not just its length, the largest class included.
+func TestBufPoolPoisonFillsWholeArray(t *testing.T) {
+	p := newTestPool()
+	for _, size := range []int{1, 32 << 10} {
+		b := p.get(size)
+		full := b[:cap(b)]
+		for i := range full {
+			full[i] = 0xAA
+		}
+		p.put(b)
+		if n := bytes.Count(full, []byte{0xDB}); n != len(full) {
+			t.Fatalf("get(%d): %d of %d bytes read 0xDB once put back", size, n, len(full))
+		}
+	}
+}
