@@ -45,11 +45,28 @@ func fingerprintRow(t *testing.T, seed int64, setup func(*testbed.Run)) (fp stri
 // TestWholeRunDeterminism: a complete FT scenario — loss, retransmissions,
 // suspicion, probing, failover — replays identically from the same seed.
 // This is the property that makes every experiment in EXPERIMENTS.md
-// reproducible bit for bit.
+// reproducible bit for bit. It holds for a Net built right after another and
+// for two built at once on two goroutines, as a parallel experiment sweep
+// builds them: each Net's PRNG, frame pool, event records and bus live inside
+// it, and under -race the concurrent pair shows that they share no state.
 func TestWholeRunDeterminism(t *testing.T) {
 	a, b := fingerprintRow(t, 77, nil), fingerprintRow(t, 77, nil)
 	if a != b {
 		t.Fatalf("same seed diverged:\n  run1: %s\n  run2: %s", a, b)
+	}
+	var together [2]string
+	t.Run("together", func(t *testing.T) {
+		for i := range together {
+			t.Run(fmt.Sprint(i), func(t *testing.T) {
+				t.Parallel()
+				together[i] = fingerprintRow(t, 77, nil)
+			})
+		}
+	})
+	for i, fp := range together {
+		if fp != a {
+			t.Fatalf("same seed diverged on goroutine %d of 2:\n  run1: %s\n  concurrent: %s", i+1, a, fp)
+		}
 	}
 	if c := fingerprintRow(t, 78, nil); a == c {
 		t.Fatal("different seeds produced identical fingerprints — randomness inert")

@@ -99,27 +99,51 @@ type HostConfig struct {
 	ProcPerByte time.Duration
 }
 
-// Net is a simulated internetwork.
+// Net is a simulated internetwork. Its scheduler, fabric and bus, its first
+// hosts, redirectors, links and fault-tolerant service are records inside
+// it, so building one takes two objects, the Net and its PRNG's source
+// (DESIGN §5).
 type Net struct {
 	cfg   Config
-	sched *sim.Scheduler
-	fab   *netsim.Network
-	bus   *obs.Bus
+	sched sim.Scheduler
+	fab   netsim.Network
+	bus   obs.Bus
 
 	hosts       []*Host
 	redirectors []*Redirector
 	links       []linkInfo
 	nextSubnet  int // Link's /24s so far: 10.1.0.0 … 10.255.0.0, then 10.0.0.0
 
-	// session is what Instrument attached; deployed records that a DeployFT
-	// has run, after which Instrument refuses (instrument.go).
-	session  *Session
-	deployed bool
+	// session is what Instrument attached; once the first DeployFT has
+	// filled ft0, Instrument refuses (instrument.go).
+	session *Session
 
-	hosts0       [8]*Host        // hosts' backing up to eight hosts
-	redirectors0 [2]*Redirector  // redirectors' backing up to two redirectors
-	links0       [16]linkInfo    // links' backing up to sixteen links
-	fabLinks0    [16]netsim.Link // the first sixteen links themselves
+	// The first records of each kind, as many as the fail-over sweep's
+	// largest network holds (a client, a redirector and three replicas,
+	// fully meshed); later ones are allocated one by one (record).
+	hosts0       [inlineHosts]Host
+	redirectors0 [inlineRedirectors]Redirector
+	fabLinks0    [inlineLinks]netsim.Link
+	ft0          FTService                      // the first DeployFT's
+	hostPtrs0    [inlineHosts]*Host             // hosts' backing
+	rdPtrs0      [inlineRedirectors]*Redirector // redirectors' backing
+	links0       [inlineLinks]linkInfo          // links' backing
+}
+
+const (
+	inlineHosts       = 5
+	inlineRedirectors = 1
+	inlineLinks       = 16
+)
+
+// record returns the record at index i of a kind whose first len(inline)
+// records the Net holds: inline's, or else a new one. Neither ever moves, so
+// the pointers a Net hands out stay valid.
+func record[T any](inline []T, i int) *T {
+	if i < len(inline) {
+		return &inline[i]
+	}
+	return new(T)
 }
 
 type linkInfo struct {
@@ -133,16 +157,18 @@ type linkInfo struct {
 
 // New creates an empty network.
 func New(cfg Config) *Net {
-	s := sim.NewScheduler(cfg.Seed)
-	n := &Net{cfg: cfg, sched: s, fab: netsim.New(s), bus: obs.NewBus(s.Now)}
-	n.hosts, n.redirectors, n.links = n.hosts0[:0], n.redirectors0[:0], n.links0[:0]
-	n.fab.SetBus(n.bus)
+	n := &Net{cfg: cfg}
+	n.sched.Init(cfg.Seed)
+	n.fab.Init(&n.sched)
+	n.bus.Init(&n.sched)
+	n.fab.SetBus(&n.bus)
+	n.hosts, n.redirectors, n.links = n.hostPtrs0[:0], n.rdPtrs0[:0], n.links0[:0]
 	return n
 }
 
 // Bus returns the network-wide observability event bus. Every layer emits
 // on it; with no subscribers emission is disabled and costs nothing.
-func (n *Net) Bus() *obs.Bus { return n.bus }
+func (n *Net) Bus() *obs.Bus { return &n.bus }
 
 // PoisonFrames enables (or disables) frame-pool poisoning: every frame
 // buffer returned to the fabric's pool is overwritten with a sentinel
@@ -163,7 +189,7 @@ func (n *Net) RunUntil(t time.Duration) { n.sched.RunUntil(t) }
 
 // Scheduler exposes the event scheduler that drives every host of the
 // network.
-func (n *Net) Scheduler() *sim.Scheduler { return n.sched }
+func (n *Net) Scheduler() *sim.Scheduler { return &n.sched }
 
 // At schedules fn at absolute virtual time t (scripted events such as
 // failure injection).
@@ -174,7 +200,7 @@ func (n *Net) EventsFired() uint64 { return n.sched.Fired() }
 
 // Host is a simulated machine: IP, UDP and TCP stacks, HydraNet host-server
 // support, the ft-TCP engine, and a management daemon, all held by value, so
-// a host is one object, a replica included (DESIGN §5).
+// a host is one record, a replica included (DESIGN §5).
 type Host struct {
 	net  *Net
 	name string
@@ -194,12 +220,13 @@ type Host struct {
 
 // AddHost creates a host.
 func (n *Net) AddHost(name string, cfg HostConfig) *Host {
-	h := &Host{net: n, name: name, idx: len(n.hosts)}
+	h := record(n.hosts0[:], len(n.hosts))
+	h.net, h.name, h.idx = n, name, len(n.hosts)
 	n.fab.InitNode(&h.node, netsim.NodeConfig{Name: name, ProcDelay: cfg.ProcDelay, ProcPerByte: cfg.ProcPerByte})
-	h.ip.Init(&h.node, n.sched)
+	h.ip.Init(&h.node, &n.sched)
 	h.udp.Init(&h.ip)
 	h.tcp.Init(&h.ip, n.cfg.TCP)
-	h.tcp.SetBus(n.bus)
+	h.tcp.SetBus(&n.bus)
 	h.hs.Init(&h.ip)
 	n.hosts = append(n.hosts, h)
 	return h
@@ -233,7 +260,7 @@ func (h *Host) FTManager() *core.Manager {
 		if err := h.mgr0.Init(&h.tcp, &h.udp, h.addr); err != nil {
 			panic(fmt.Sprintf("hydranet: %s: %v", h.name, err))
 		}
-		h.mgr0.SetBus(h.net.bus)
+		h.mgr0.SetBus(&h.net.bus)
 		h.mgr = &h.mgr0
 	}
 	return h.mgr
@@ -294,8 +321,9 @@ type Redirector struct {
 func (n *Net) AddRedirector(name string, cfg HostConfig) *Redirector {
 	h := n.AddHost(name, cfg)
 	h.ip.SetForwarding(true)
-	r := &Redirector{Host: h}
-	r.rd.Init(&h.ip).SetBus(n.bus)
+	r := record(n.redirectors0[:], len(n.redirectors))
+	r.Host = h
+	r.rd.Init(&h.ip).SetBus(&n.bus)
 	n.redirectors = append(n.redirectors, r)
 	return r
 }
@@ -310,7 +338,7 @@ func (r *Redirector) Daemon() *rmp.RedirectorDaemon {
 		if err := r.dmn0.Init(&r.Host.udp, r.Host.node.Scheduler(), &r.rd, r.Host.addr); err != nil {
 			panic(fmt.Sprintf("hydranet: %s: %v", r.Host.name, err))
 		}
-		r.dmn0.SetBus(r.Host.net.bus, r.Host.name)
+		r.dmn0.SetBus(&r.Host.net.bus, r.Host.name)
 		r.dmn = &r.dmn0
 	}
 	return r.dmn
@@ -348,12 +376,7 @@ func (n *Net) Link(a, b *Host, cfg LinkConfig) *netsim.Link {
 // LinkAddr connects two hosts with explicit addresses. Both must share one
 // /24, distinct from every other link's.
 func (n *Net) LinkAddr(a, b *Host, cfg LinkConfig, aAddr, bAddr Addr) *netsim.Link {
-	var l *netsim.Link
-	if i := len(n.links); i < len(n.fabLinks0) {
-		l = &n.fabLinks0[i]
-	} else {
-		l = new(netsim.Link)
-	}
+	l := record(n.fabLinks0[:], len(n.links))
 	n.fab.InitLink(l, &a.node, &b.node, cfg)
 	aIf := a.node.NumInterfaces() - 1
 	bIf := b.node.NumInterfaces() - 1
@@ -377,11 +400,15 @@ func (n *Net) LinkAddr(a, b *Host, cfg LinkConfig, aAddr, bAddr Addr) *netsim.Li
 // installs them on every node. Call it after the topology is final.
 func (n *Net) AutoRoute() {
 	// Adjacency by host index: host i's edges (neighbour, local ifindex) are
-	// edges[first[i]:first[i+1]], in link order. One allocation holds the int
+	// edges[first[i]:first[i+1]], in link order. One slice holds the int
 	// scratch: first, fill, and the BFS's first hops (unreached < 0) and queue.
+	// A net within the inline sizes finds all its scratch on the stack.
 	type edge struct{ peer, ifx int }
+	var ints0 [4*inlineHosts + 1]int
+	var edges0 [2 * inlineLinks]edge
+	var routes0 [3*inlineLinks + 1]ipv4.Route
 	nh := len(n.hosts)
-	ints := make([]int, 4*nh+1)
+	ints := carve(ints0[:], 4*nh+1)
 	first, fill, firstHop, queue := ints[:nh+1], ints[nh+1:2*nh+1], ints[2*nh+1:3*nh+1], ints[3*nh+1:3*nh+1]
 	for _, li := range n.links {
 		first[li.a.idx+1]++
@@ -390,7 +417,7 @@ func (n *Net) AutoRoute() {
 	for i := 1; i < len(first); i++ {
 		first[i] += first[i-1]
 	}
-	edges := make([]edge, 2*len(n.links))
+	edges := carve(edges0[:], 2*len(n.links))
 	copy(fill, first)
 	for _, li := range n.links {
 		edges[fill[li.a.idx]] = edge{peer: li.b.idx, ifx: li.aIf}
@@ -399,7 +426,7 @@ func (n *Net) AutoRoute() {
 		fill[li.b.idx]++
 	}
 	const unreached, source = -1, -2
-	routes := make([]ipv4.Route, 0, 3*len(n.links)+1) // at most 3 per link and a default
+	routes := carve(routes0[:], 3*len(n.links)+1)[:0] // at most 3 per link and a default
 	for _, h := range n.hosts {
 		// BFS from h, remembering the first-hop interface.
 		for i := range firstHop {
@@ -462,4 +489,16 @@ func (n *Net) AutoRoute() {
 		}
 		h.ip.Routes().Add(routes...)
 	}
+}
+
+// carve returns n zero elements, nil for none: buf's first n, or new ones if
+// buf is shorter. Their capacity is n, so an append never reaches past them.
+func carve[T any](buf []T, n int) []T {
+	switch {
+	case n == 0:
+		return nil
+	case n <= len(buf):
+		return buf[:n:n]
+	}
+	return make([]T, n)
 }

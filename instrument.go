@@ -80,7 +80,7 @@ func (n *Net) Instrument(in Instruments) (*Session, error) {
 	switch {
 	case n.session != nil:
 		return nil, errors.New("hydranet: Instrument called twice on one Net")
-	case n.deployed:
+	case n.ft0.net != nil:
 		return nil, errors.New("hydranet: Instrument called after DeployFT; attach observers first")
 	}
 	s := &Session{net: n, in: in}

@@ -124,8 +124,12 @@ type Pool struct {
 
 // NewPool returns an empty pool. It poisons in test binaries and nowhere
 // else, so every test checks frame ownership and production never pays.
-func NewPool() *Pool {
-	p := &Pool{}
+func NewPool() *Pool { return new(Pool).Init() }
+
+// Init readies a zero Pool embedded by value in a larger struct, as NewPool
+// would. It must not be copied afterwards: its first slabs' headers are its
+// own.
+func (p *Pool) Init() *Pool {
 	p.poison.Store(testing.Testing())
 	return p
 }

@@ -19,8 +19,8 @@ type harness struct {
 
 func newHarness(t *testing.T, cfg Config) *harness {
 	t.Helper()
-	h := &harness{}
-	h.bus = obs.NewBus(func() time.Duration { return h.now })
+	h := &harness{bus: new(obs.Bus)}
+	h.bus.Init(h)
 	h.m = New(cfg)
 	h.m.Attach(h.bus)
 	return h
@@ -34,6 +34,9 @@ var (
 	hostS0     = inet.AddrFrom4(10, 3, 0, 2)
 	hostS1     = inet.AddrFrom4(10, 3, 0, 3)
 )
+
+// Now makes the harness the bus's clock.
+func (h *harness) Now() time.Duration { return h.now }
 
 func (h *harness) pub(e obs.Event) {
 	h.now += time.Millisecond

@@ -39,24 +39,33 @@ type FrameTap func(from, to *Node, data []byte)
 type Network struct {
 	sched  *sim.Scheduler
 	bus    *obs.Bus
-	pool   *frame.Pool
+	pool   frame.Pool
 	tap    FrameTap
-	evFree *frameEvent // fabric event records ready for use (see frameEvent)
+	evFree *frameEvent                // fabric event records ready for use (see frameEvent)
+	ev0    [2 * evSlabSize]frameEvent // the first two slabs of them
 }
 
-// evSlabSize is how many event records one allocation holds: a fail-over
-// scenario on a fresh network needs a few dozen before it starts recycling.
+// evSlabSize is how many event records one slab holds: a fail-over scenario
+// on a fresh network needs a few dozen before it starts recycling.
 const evSlabSize = 32
 
 // New returns an empty network driven by the given scheduler.
-func New(sched *sim.Scheduler) *Network {
-	return &Network{sched: sched, pool: frame.NewPool()}
+func New(sched *sim.Scheduler) *Network { return new(Network).Init(sched) }
+
+// Init readies a zero Network embedded by value in a larger struct, as New
+// would. It must not be copied afterwards: its frame pool and first event
+// slab are its own.
+func (n *Network) Init(sched *sim.Scheduler) *Network {
+	n.sched = sched
+	n.pool.Init()
+	n.addEvents(n.ev0[:])
+	return n
 }
 
 // Pool returns the network's frame-buffer pool. Layers above the fabric
 // allocate transmit buffers here and hand them to Node.SendFrame; the
 // scheduler is single-threaded, so the pool is unsynchronized by design.
-func (n *Network) Pool() *frame.Pool { return n.pool }
+func (n *Network) Pool() *frame.Pool { return &n.pool }
 
 // SetBus attaches an observability event bus; the fabric emits frame-drop
 // and crash/restart events on it. A nil bus (the default) disables all
@@ -168,7 +177,7 @@ func (nd *Node) Name() string { return nd.name }
 
 // Pool returns the network's frame pool, for layers that marshal directly
 // into transmit buffers.
-func (nd *Node) Pool() *frame.Pool { return nd.net.pool }
+func (nd *Node) Pool() *frame.Pool { return &nd.net.pool }
 
 // Scheduler returns the scheduler driving the node's network.
 func (nd *Node) Scheduler() *sim.Scheduler { return nd.net.sched }
@@ -332,16 +341,20 @@ type frameEvent struct {
 // slab of records when it is empty.
 func (n *Network) getEvent(kind frameEventKind, fb *frame.Buf) *frameEvent {
 	if n.evFree == nil {
-		slab := make([]frameEvent, evSlabSize)
-		for i := range slab {
-			slab[i].net, slab[i].free = n, n.evFree
-			n.evFree = &slab[i]
-		}
+		n.addEvents(make([]frameEvent, evSlabSize))
 	}
 	ev := n.evFree
 	n.evFree, ev.free = ev.free, nil
 	ev.kind, ev.fb = kind, fb
 	return ev
+}
+
+// addEvents puts a slab of records on the free list.
+func (n *Network) addEvents(slab []frameEvent) {
+	for i := range slab {
+		slab[i].net, slab[i].free = n, n.evFree
+		n.evFree = &slab[i]
+	}
 }
 
 // OnTimer runs the hop. The record goes back on the free list first, so the

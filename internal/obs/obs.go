@@ -265,16 +265,18 @@ type Handler func(Event)
 // Event value is ever built. A nil *Bus is valid and permanently disabled,
 // so components can hold a bus pointer without wiring.
 type Bus struct {
-	now  func() time.Duration
-	mask uint64
-	subs [numKinds][]Handler
+	clock Clock
+	mask  uint64
+	subs  [numKinds][]Handler
 }
 
-// NewBus creates a bus stamping events with the given clock (normally
-// Scheduler.Now).
-func NewBus(now func() time.Duration) *Bus {
-	return &Bus{now: now}
-}
+// Clock is what a bus stamps events with: the virtual clock, which a
+// *sim.Scheduler is.
+type Clock interface{ Now() time.Duration }
+
+// Init readies a zero Bus, embedded by value or not, to stamp events with
+// clock.
+func (b *Bus) Init(clock Clock) { b.clock = clock }
 
 // Enabled reports whether at least one subscriber listens for kind. Emit
 // sites must guard with it so that building the Event costs nothing when
@@ -305,8 +307,8 @@ func (b *Bus) Publish(e Event) {
 	if b == nil || b.mask&(1<<e.Kind) == 0 {
 		return
 	}
-	if e.Time == 0 && b.now != nil {
-		e.Time = b.now()
+	if e.Time == 0 && b.clock != nil {
+		e.Time = b.clock.Now()
 	}
 	for _, h := range b.subs[e.Kind] {
 		h(e)

@@ -9,13 +9,15 @@ import (
 	"hydranet/internal/inet"
 )
 
-func testClock(now *time.Duration) func() time.Duration {
-	return func() time.Duration { return *now }
-}
+// testClock is a virtual clock a test sets by hand.
+type testClock time.Duration
+
+func (c *testClock) Now() time.Duration { return time.Duration(*c) }
 
 func TestBusPubSub(t *testing.T) {
-	now := 5 * time.Millisecond
-	b := NewBus(testClock(&now))
+	now := testClock(5 * time.Millisecond)
+	b := new(Bus)
+	b.Init(&now)
 	var got []Event
 	b.Subscribe(func(e Event) { got = append(got, e) }, KindRetransmit, KindRTO)
 
@@ -42,8 +44,7 @@ func TestBusPubSub(t *testing.T) {
 }
 
 func TestBusSubscribeAllKinds(t *testing.T) {
-	now := time.Duration(0)
-	b := NewBus(testClock(&now))
+	b := new(Bus)
 	n := 0
 	b.Subscribe(func(Event) { n++ }) // no kinds = all kinds
 	for _, k := range Kinds() {
@@ -66,8 +67,7 @@ func TestBusNilSafe(t *testing.T) {
 }
 
 func TestBusDisabledEmitAllocatesNothing(t *testing.T) {
-	now := time.Duration(0)
-	b := NewBus(testClock(&now))
+	b := new(Bus)
 	b.Subscribe(func(Event) {}, KindPromotion) // something else enabled
 	allocs := testing.AllocsPerRun(100, func() {
 		// The emit-site pattern: guard first, build the Event only inside.

@@ -114,7 +114,8 @@ func TestFTMulticastToAllReplicas(t *testing.T) {
 func TestTunnelErrorCountedAndPublished(t *testing.T) {
 	sched, cs, rd, k1, _, hosts := rig(t)
 	var events []obs.Event
-	bus := obs.NewBus(sched.Now)
+	bus := new(obs.Bus)
+	bus.Init(sched)
 	bus.Subscribe(func(e obs.Event) { events = append(events, e) }, obs.KindTunnelError)
 	rd.SetBus(bus)
 	lost := inet.MustParseAddr("10.9.0.2") // no route on rd

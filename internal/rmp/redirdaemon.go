@@ -70,6 +70,7 @@ type svcState struct {
 
 	chain0 [3]ipv4.Addr  // chain's backing up to three members
 	probe0 [3]probeState // probe's
+	rel0   [3]relPending // records the service lends the daemon's endpoint, one per member
 }
 
 // strikeWindow is how long an all-alive probe outcome counts toward the
@@ -185,6 +186,7 @@ func (d *RedirectorDaemon) register(msg *Message) {
 			s = new(svcState)
 		}
 		s.d, s.svc, s.chain, s.probe = d, msg.Service, s.chain0[:0], s.probe0[:0]
+		d.rel.lend(s.rel0[:])
 		d.services = slices.Insert(d.services, i, s)
 	}
 	if slices.Contains(s.chain, msg.Host) {

@@ -16,7 +16,8 @@ import (
 // bounded retransmission timed from each peer's measured round trip, and
 // duplicate suppression at the receiver.
 // A daemon has a few datagrams in flight and a few peers, so both tables are
-// scanned, and the first relInline entries of each live in the endpoint.
+// scanned. The first relInline entries of each live in the endpoint, and an
+// owner can lend it more records (lend).
 type Reliable struct {
 	sched     *sim.Scheduler
 	udpStack  *udp.Stack
@@ -24,8 +25,8 @@ type Reliable struct {
 	port      uint16
 
 	nextSeq uint32
-	recs    []*relPending // every record made; a settled one (seq 0) is reused
-	recs0   [relInline]*relPending
+	recs    []*relPending // every record made or lent; a settled one (seq 0) is reused
+	recs0   [2 * relInline]*relPending
 	rec0    [relInline]relPending
 	peers   []peer
 	peers0  [relInline]peer
@@ -90,7 +91,19 @@ const (
 func (r *Reliable) Init(udpStack *udp.Stack, sched *sim.Scheduler, localAddr ipv4.Addr, port uint16, onData receiver) error {
 	r.sched, r.udpStack, r.localAddr, r.port, r.onData = sched, udpStack, localAddr, port, onData
 	r.recs, r.peers = r.recs0[:0], r.peers0[:0]
+	r.lend(r.rec0[:])
 	return udpStack.Bind(localAddr, port, (*relReceiver)(r))
+}
+
+// lend adds records, which must not move afterwards, to those the endpoint
+// sends from.
+func (r *Reliable) lend(recs []relPending) {
+	for i := range recs {
+		p := &recs[i]
+		p.r, p.frame = r, p.frame0[:0]
+		p.timer.InitHandler(r.sched, p)
+		r.recs = append(r.recs, p)
+	}
 }
 
 // peer returns the index of addr's record, creating it on first contact.
@@ -111,14 +124,9 @@ func (r *Reliable) record() *relPending {
 			return p
 		}
 	}
-	p := &r.rec0[len(r.recs)%relInline]
-	if len(r.recs) >= relInline {
-		p = new(relPending)
-	}
-	p.r, p.frame = r, p.frame0[:0]
-	p.timer.InitHandler(r.sched, p)
-	r.recs = append(r.recs, p)
-	return p
+	recs := make([]relPending, 1)
+	r.lend(recs)
+	return &recs[0]
 }
 
 // Send transmits m to dst with retries, encoded straight into the buffer of

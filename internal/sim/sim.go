@@ -119,20 +119,27 @@ type Scheduler struct {
 	dead    int        // cancelled nodes still sitting in heap (lazy deletion)
 	waiting int        // lane events chained behind their lane's heap entry
 	nextSeq uint64
-	rng     *rand.Rand
+	rng     rand.Rand
 	fired   uint64
 	running bool
 
-	// The backing of heap and chunks while they are small: a fail-over
-	// scenario on a fresh network stays within both.
+	// The backing of heap and chunks while they are small, and the first
+	// chunk itself: a fail-over scenario on a fresh network stays within
+	// all three.
 	heap0   [64]slot
 	chunks0 [16]*[chunkSize]eventNode
+	chunk0  [chunkSize]eventNode
 }
 
 // NewScheduler returns a scheduler with its clock at zero and a PRNG seeded
 // with the given seed.
-func NewScheduler(seed int64) *Scheduler {
-	s := &Scheduler{rng: rand.New(rand.NewSource(seed))}
+func NewScheduler(seed int64) *Scheduler { return new(Scheduler).Init(seed) }
+
+// Init readies a zero Scheduler embedded by value in a larger struct, as
+// NewScheduler would. It must not be copied afterwards: its node chunks and
+// queue start inside it.
+func (s *Scheduler) Init(seed int64) *Scheduler {
+	s.rng = *rand.New(rand.NewSource(seed))
 	s.heap, s.chunks = s.heap0[:0], s.chunks0[:0]
 	return s
 }
@@ -142,7 +149,7 @@ func (s *Scheduler) Now() time.Duration { return s.now }
 
 // Rand returns the scheduler's deterministic PRNG. All randomness in a
 // simulation (loss decisions, jitter) must come from this source.
-func (s *Scheduler) Rand() *rand.Rand { return s.rng }
+func (s *Scheduler) Rand() *rand.Rand { return &s.rng }
 
 // Fired returns the number of events executed so far.
 func (s *Scheduler) Fired() uint64 { return s.fired }
@@ -201,7 +208,10 @@ func (s *Scheduler) alloc() *eventNode {
 //
 //go:noinline
 func (s *Scheduler) grow() *eventNode {
-	c := new([chunkSize]eventNode)
+	c := &s.chunk0
+	if len(s.chunks) > 0 {
+		c = new([chunkSize]eventNode)
+	}
 	base := uint32(len(s.chunks)) << chunkBits
 	s.chunks = append(s.chunks, c)
 	for i := chunkSize - 1; i >= 0; i-- {

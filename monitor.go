@@ -42,7 +42,7 @@ func (n *Net) StartMonitor(cfg MonitorConfig) *Monitor {
 	for _, h := range n.hosts {
 		m.MapAddr(h.addr, h.name)
 	}
-	m.Attach(n.bus)
+	m.Attach(&n.bus)
 	return m
 }
 

@@ -62,8 +62,11 @@ func (n *Net) DeployFT(svc ServiceID, rd *Redirector, hosts []*Host,
 	if len(hosts) == 0 {
 		return nil, fmt.Errorf("hydranet: DeployFT needs at least one host")
 	}
-	n.deployed = true
-	s := &FTService{net: n, svc: svc, rd: rd, opts: opts, accept: accept}
+	s := &n.ft0
+	if s.net != nil {
+		s = new(FTService)
+	}
+	s.net, s.svc, s.rd, s.opts, s.accept = n, svc, rd, opts, accept
 	s.replicas = s.replicas0[:0]
 	for i, h := range hosts {
 		mode := ModeBackup
@@ -161,7 +164,7 @@ func (s *FTService) Recommission(h *Host) error {
 		listener = rep.Listener
 	}
 	rep.Port = h.Daemon(s.rd).RegisterFT(s.svc, ModeBackup, s.opts.Detector, listener)
-	if b := h.net.bus; b.Enabled(obs.KindRecommission) {
+	if b := &h.net.bus; b.Enabled(obs.KindRecommission) {
 		b.Publish(obs.Event{
 			Kind: obs.KindRecommission, Node: h.name, Service: s.svc,
 		})

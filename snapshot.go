@@ -175,14 +175,15 @@ func diffInto(cur, prev reflect.Value) {
 // snapshot per measurement point; Snapshot.Diff turns two into interval
 // rates.
 func (n *Net) Snapshot() Snapshot {
+	// The fail-over benchmark takes a snapshot per scenario: on a net within
+	// the inline sizes it is two objects, the store and the RTT buckets.
+	st := new(snapshotStore)
 	snap := Snapshot{
 		Time:        n.Now(),
-		Hosts:       makeSection[HostSnapshot](len(n.hosts)),
-		Links:       makeSection[LinkSnapshot](len(n.links)),
-		Redirectors: makeSection[RedirectorSnapshot](len(n.redirectors)),
+		Hosts:       carve(st.hosts[:], len(n.hosts)),
+		Links:       carve(st.links[:], len(n.links)),
+		Redirectors: carve(st.redirectors[:], len(n.redirectors)),
 	}
-	// What the hosts point to comes from one array per kind: the fail-over
-	// benchmark takes a snapshot per scenario.
 	var nRTT, nBuckets, nMgr int
 	for _, h := range n.hosts {
 		if rtt := h.tcp.RTTHistogram(); rtt.Count() > 0 {
@@ -192,7 +193,7 @@ func (n *Net) Snapshot() Snapshot {
 			nMgr++
 		}
 	}
-	rtts, mgrs := make([]metrics.HistogramSnapshot, 0, nRTT), make([]core.Stats, 0, nMgr)
+	rtts, mgrs := carve(st.rtts[:], nRTT)[:0], carve(st.mgrs[:], nMgr)[:0]
 	buckets := make([]metrics.HistogramBucket, nBuckets)
 	// Every node appears under Hosts — redirector nodes too, since their
 	// frame and IP (forwarding) counters live there; the Redirectors section
@@ -219,24 +220,27 @@ func (n *Net) Snapshot() Snapshot {
 			BA: LinkDirCounters{TxFrames: tx[1], Lost: lost[1], QueueDrop: qd[1]},
 		}
 	}
+	mgmt := carve(st.mgmt[:], len(n.redirectors))
 	for i, r := range n.redirectors {
 		rs := RedirectorSnapshot{Name: r.Host.name, Table: r.rd.Stats()}
 		if r.dmn != nil {
-			mg := r.dmn.Stats()
-			rs.Mgmt = &mg
+			mgmt[i] = r.dmn.Stats()
+			rs.Mgmt = &mgmt[i]
 		}
 		snap.Redirectors[i] = rs
 	}
 	return snap
 }
 
-// makeSection returns a snapshot section of n entries, or nil for none: an
-// empty section stays a JSON null.
-func makeSection[T any](n int) []T {
-	if n == 0 {
-		return nil
-	}
-	return make([]T, n)
+// snapshotStore backs a Snapshot of a net within the inline sizes; each
+// section of a larger net is made on its own (carve).
+type snapshotStore struct {
+	hosts       [inlineHosts]HostSnapshot
+	links       [inlineLinks]LinkSnapshot
+	redirectors [inlineRedirectors]RedirectorSnapshot
+	rtts        [inlineHosts]metrics.HistogramSnapshot
+	mgrs        [inlineHosts]core.Stats
+	mgmt        [inlineRedirectors]rmp.RedirectorDaemonStats
 }
 
 // hostSnapshot is a host's own counters; Snapshot adds its RTT histogram and

@@ -194,16 +194,15 @@ func TestSnapshotDiffMgmtNilPrev(t *testing.T) {
 
 // TestSnapshotAllocBudget pins Net.Snapshot's allocations, since
 // failover_sweep takes one per scenario inside its timed run. On its
-// five-host Section-5 LAN after an FT echo it takes 7, with or without the
-// race detector: one per section, and one array each for the hosts' RTT
-// snapshots, their buckets and their ft-TCP manager stats (the client and
-// three replicas have RTT samples, the replicas managers), and the
-// redirector daemon's stats.
+// five-host Section-5 LAN after an FT echo it takes 2, with or without the
+// race detector: one store for every section, the hosts' RTT snapshots and
+// ft-TCP manager stats and the redirector daemon's stats, and one array for
+// the RTT buckets.
 func TestSnapshotAllocBudget(t *testing.T) {
 	row(t, testbed.Scenario{Seed: 3, Testbed: testbed.CaseFailover, Replicas: 3, Send: make([]byte, 100_000),
 		Steps: []testbed.Step{{After: 10 * time.Second}}}, verdict{echo: true, check: func(r *testbed.Run) {
-		if allocs := testing.AllocsPerRun(20, func() { r.Net.Snapshot() }); allocs > 7 {
-			t.Errorf("Net.Snapshot allocates %v times, budget 7", allocs)
+		if allocs := testing.AllocsPerRun(20, func() { r.Net.Snapshot() }); allocs > 2 {
+			t.Errorf("Net.Snapshot allocates %v times, budget 2", allocs)
 		}
 	}})
 }

@@ -3,6 +3,7 @@ package hydranet_test
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -10,8 +11,10 @@ import (
 	"hydranet"
 	"hydranet/internal/app"
 	"hydranet/internal/ipv4"
+	"hydranet/internal/redirector"
 	"hydranet/internal/tcp"
 	"hydranet/internal/testbed"
+	"hydranet/internal/udp"
 )
 
 // TestMultiHopRouting: far — r1 — r2 — rd — server, with the redirector
@@ -204,5 +207,91 @@ func TestLinkAddrExplicitAddressing(t *testing.T) {
 	net.RunFor(5 * time.Second)
 	if string(*echoed) != "explicit" {
 		t.Fatalf("echo: %q, want %q", *echoed, "explicit")
+	}
+}
+
+// TestNetSpillsPastInlineRecords: a Net holds its first hosts and its first
+// redirector as records inside it and allocates later ones one by one, and no
+// record ever moves. Past both inline sizes — three redirectors in a line,
+// three hosts behind each, twelve hosts in all — every *Host and *Redirector
+// it handed out is distinct and is the one it routes, delivers and reports
+// through: a datagram from every host reaches every other, each redirector
+// forwards, and the snapshot's counters are the handed-out hosts' own.
+func TestNetSpillsPastInlineRecords(t *testing.T) {
+	net := hydranet.New(hydranet.Config{Seed: 1})
+	link := hydranet.LinkConfig{Rate: 10_000_000, Delay: time.Millisecond}
+	var rds []*hydranet.Redirector
+	var all, ends []*hydranet.Host // every host in order of creation; the non-redirectors
+	for i := range 3 {
+		rd := net.AddRedirector(fmt.Sprintf("rd%d", i), hydranet.HostConfig{})
+		all = append(all, rd.Host)
+		if i > 0 {
+			net.Link(rds[i-1].Host, rd.Host, link)
+		}
+		rds = append(rds, rd)
+		for j := range 3 {
+			h := net.AddHost(fmt.Sprintf("h%d%d", i, j), hydranet.HostConfig{})
+			net.Link(h, rd.Host, link)
+			all, ends = append(all, h), append(ends, h)
+		}
+	}
+	net.AutoRoute()
+
+	hosts, addrs, tables := map[*hydranet.Host]bool{}, map[hydranet.Addr]bool{}, map[*redirector.Redirector]bool{}
+	for _, h := range all {
+		hosts[h], addrs[h.Addr()] = true, true
+	}
+	for _, rd := range rds {
+		tables[rd.Table()] = true
+	}
+	if len(hosts) != len(all) || len(addrs) != len(all) || len(tables) != len(rds) {
+		t.Fatalf("%d hosts with %d distinct records and %d addresses, %d redirectors with %d tables",
+			len(all), len(hosts), len(addrs), len(rds), len(tables))
+	}
+
+	const port = 7
+	heard := map[*hydranet.Host][]string{}
+	for _, h := range ends {
+		if err := h.UDP().Bind(h.Addr(), port, udp.RecvFunc(func(_ udp.Endpoint, _ hydranet.Addr, b []byte) {
+			heard[h] = append(heard[h], string(b))
+		})); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, src := range ends {
+		for _, dst := range ends {
+			if src != dst {
+				if err := src.UDP().SendTo(src.Addr(), port, udp.Endpoint{Addr: dst.Addr(), Port: port}, []byte(src.Name())); err != nil {
+					t.Fatalf("%s → %s: %v", src.Name(), dst.Name(), err)
+				}
+			}
+		}
+	}
+	net.RunFor(time.Second)
+
+	for _, h := range ends {
+		var want []string
+		for _, src := range ends {
+			if src != h {
+				want = append(want, src.Name())
+			}
+		}
+		got := heard[h]
+		slices.Sort(got) // nearer senders are heard first
+		slices.Sort(want)
+		if !slices.Equal(got, want) {
+			t.Errorf("%s heard %v, want %v", h.Name(), got, want)
+		}
+	}
+	snap := net.Snapshot()
+	for i, h := range all {
+		if hs := snap.Hosts[i]; hs.Name != h.Name() || hs.IP != h.IP().Stats() || hs.IP.Delivered == 0 && hs.IP.Forwarded == 0 {
+			t.Errorf("snapshot host %d is %s with IP %+v; handed out %s with %+v", i, hs.Name, hs.IP, h.Name(), h.IP().Stats())
+		}
+	}
+	for i, rd := range rds {
+		if rd.Host.IP().Stats().Forwarded == 0 || snap.Redirectors[i].Name != rd.Host.Name() {
+			t.Errorf("redirector %d: %s forwarded %d, snapshot names %s", i, rd.Host.Name(), rd.Host.IP().Stats().Forwarded, snap.Redirectors[i].Name)
+		}
 	}
 }
